@@ -257,7 +257,7 @@ fn convert_dir(src: &str, dst: &str, target: TraceCodec) -> Result<(), String> {
         let records = decode_master_records(source, &bytes)?;
         let mut out = Vec::new();
         for record in &records {
-            encode_record(target, record, &mut out)?;
+            encode_record(target, record, &mut out).map_err(|e| e.to_string())?;
         }
         dst_fs.write_all(&path, &out).map_err(|e| e.to_string())?;
         converted.push(path);
@@ -330,10 +330,10 @@ fn convert_vertex_channel(
                 records_before: count as u64,
                 bytes_before: out.len() as u64,
             };
-            encode_index_frame(&index, &mut out)?;
+            encode_index_frame(&index, &mut out).map_err(|e| e.to_string())?;
             last_superstep = Some(record.superstep);
         }
-        encode_record(target, record, &mut out)?;
+        encode_record(target, record, &mut out).map_err(|e| e.to_string())?;
     }
     Ok(out)
 }

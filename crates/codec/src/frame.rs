@@ -46,10 +46,40 @@ pub fn write_frame(out: &mut Vec<u8>, kind: u8, payload: &[u8]) {
     out.extend_from_slice(payload);
 }
 
-/// Appends one frame whose payload is the GraftBin encoding of `value`.
-///
-/// The payload length is computed up front with [`serialized_size`], so
-/// the value is encoded directly into `out` — no intermediate buffer.
+/// Appends one frame whose payload `encode` writes, in a single pass:
+/// the payload goes straight into `out` behind a gap for the length
+/// prefix, which is filled in once the length is known. The gap is two
+/// bytes — right for frames of 127 to 16,382 payload bytes — and the
+/// payload is shifted when the prefix turns out shorter or longer. On
+/// error `out` is left as it was.
+pub fn write_frame_with(
+    out: &mut Vec<u8>,
+    kind: u8,
+    encode: impl FnOnce(&mut Vec<u8>) -> Result<()>,
+) -> Result<()> {
+    const GAP: usize = 2;
+    let start = out.len();
+    out.extend_from_slice(&[0; GAP]);
+    out.push(kind);
+    if let Err(e) = encode(out) {
+        out.truncate(start);
+        return Err(e);
+    }
+    let mut prefix = [0u8; varint::MAX_VARINT_LEN];
+    let width = varint::encode_u64((out.len() - start - GAP) as u64, &mut prefix);
+    if width == GAP {
+        out[start..start + GAP].copy_from_slice(&prefix[..GAP]);
+    } else {
+        out.splice(start..start + GAP, prefix[..width].iter().copied());
+    }
+    Ok(())
+}
+
+/// Appends one frame whose payload is the GraftBin encoding of `value`,
+/// in two passes: the payload length is computed up front with
+/// [`serialized_size`], then the value is encoded directly into `out`.
+/// This is the reference [`write_frame_with`] is tested against; the
+/// capture path uses the single-pass writer.
 pub fn write_value_frame<T: Serialize + ?Sized>(
     out: &mut Vec<u8>,
     kind: u8,
@@ -149,6 +179,34 @@ mod tests {
         let frame = scanner.next_frame().unwrap().unwrap();
         assert_eq!(frame.payload.len() as u64, serialized_size(&vec![1u64, 2, 3]).unwrap());
         assert!(scanner.next_frame().unwrap().is_none());
+    }
+
+    #[test]
+    fn single_pass_frames_equal_two_pass_frames_at_every_prefix_width() {
+        // Payload lengths on both sides of each length-prefix width.
+        for len in [0usize, 1, 125, 126, 127, 128, 16_381, 16_382, 16_383, 16_384, 40_000] {
+            let payload = vec![0xabu8; len];
+            let mut two_pass = vec![0xee];
+            write_frame(&mut two_pass, 7, &payload);
+            let mut single_pass = vec![0xee];
+            write_frame_with(&mut single_pass, 7, |out| {
+                out.extend_from_slice(&payload);
+                Ok(())
+            })
+            .unwrap();
+            assert_eq!(single_pass, two_pass, "payload of {len} bytes");
+        }
+    }
+
+    #[test]
+    fn single_pass_frame_error_leaves_the_buffer_untouched() {
+        let mut buf = vec![1, 2, 3];
+        let err = write_frame_with(&mut buf, 7, |out| {
+            out.extend_from_slice(b"partial");
+            Err(Error::UnknownLength)
+        });
+        assert!(matches!(err, Err(Error::UnknownLength)));
+        assert_eq!(buf, [1, 2, 3]);
     }
 
     #[test]

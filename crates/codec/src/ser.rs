@@ -3,6 +3,7 @@
 use serde::{ser, Serialize};
 
 use crate::error::{Error, Result};
+use crate::tagged::{write_tagged, TAGGED_TOKEN};
 use crate::varint;
 
 /// Serializes `value` into a fresh byte vector.
@@ -138,9 +139,12 @@ impl<'a, 'b> ser::Serializer for &'b mut Serializer<'a> {
 
     fn serialize_newtype_struct<T: Serialize + ?Sized>(
         self,
-        _name: &'static str,
+        name: &'static str,
         value: &T,
     ) -> Result<()> {
+        if name == TAGGED_TOKEN {
+            return write_tagged(self.out, value);
+        }
         value.serialize(self)
     }
 

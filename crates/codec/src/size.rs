@@ -10,6 +10,7 @@
 use serde::{ser, Serialize};
 
 use crate::error::{Error, Result};
+use crate::tagged::{write_tagged, TAGGED_TOKEN};
 use crate::varint;
 
 /// Number of bytes [`crate::to_vec`] would produce for `value`.
@@ -160,9 +161,17 @@ impl ser::Serializer for &mut SizeCounter {
 
     fn serialize_newtype_struct<T: Serialize + ?Sized>(
         self,
-        _name: &'static str,
+        name: &'static str,
         value: &T,
     ) -> Result<()> {
+        if name == TAGGED_TOKEN {
+            // The tagged encoding reorders object entries after writing
+            // them, so its size is only known by producing it.
+            let mut encoded = Vec::new();
+            write_tagged(&mut encoded, value)?;
+            self.bytes += encoded.len() as u64;
+            return Ok(());
+        }
         value.serialize(self)
     }
 

@@ -1,12 +1,14 @@
-//! Type-erased JSON values over the GraftBin wire format.
+//! Type-erased JSON values over the GraftBin wire format: the read side
+//! of the tagged encoding.
 //!
 //! Binary trace records must stay browsable by tools that do not know the
 //! computation's Rust types (`graft-cli`, `graft-server`). GraftBin
-//! carries no schema, so type-erased fields are stored as a [`BinValue`]:
-//! a `serde_json::Value` encoded as a tagged tree — a varint tag per node
-//! (`0` null, `1` bool, `2` u64, `3` i64, `4` f64, `5` string, `6` array,
-//! `7` object) followed by the node's payload in the ordinary GraftBin
-//! encoding.
+//! carries no schema, so type-erased fields are read back as a
+//! [`BinValue`]: a `serde_json::Value` decoded from the tagged tree whose
+//! layout and rules the [`crate::Tagged`] module docs state. Capture
+//! writes that tree straight from the typed value, without building a
+//! `BinValue`; [`to_bin_value`] is the tree-building equivalent, kept as
+//! the reference the single-pass encoder is tested against.
 //!
 //! The encoding is *dual-mode*: against a human-readable serializer
 //! (JSON) a `BinValue` is transparent — it serializes exactly like the
@@ -33,8 +35,8 @@ pub struct BinValue(pub Value);
 
 /// Converts any serializable value into its *normalized* JSON tree — the
 /// exact `Value` that serializing the input to JSON text and parsing it
-/// back would produce (see [`normalize`]). This is the capture-side entry
-/// point for type-erased binary trace fields.
+/// back would produce (see [`normalize`]). `to_vec` of the result is what
+/// [`crate::Tagged`] writes in one pass.
 pub fn to_bin_value<T: Serialize + ?Sized>(value: &T) -> Result<BinValue> {
     let mut json = serde_json::to_value(value).map_err(|e| Error::Message(e.to_string()))?;
     normalize(&mut json);

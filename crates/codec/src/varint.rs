@@ -21,6 +21,22 @@ pub fn write_u64(out: &mut Vec<u8>, mut value: u64) {
     }
 }
 
+/// Encodes `value` as an LEB128 varint at the front of `buf`, returning
+/// the number of bytes used — for patching a varint into bytes already
+/// written.
+pub fn encode_u64(mut value: u64, buf: &mut [u8; MAX_VARINT_LEN]) -> usize {
+    for (i, slot) in buf.iter_mut().enumerate() {
+        let byte = (value & 0x7f) as u8;
+        value >>= 7;
+        if value == 0 {
+            *slot = byte;
+            return i + 1;
+        }
+        *slot = byte | 0x80;
+    }
+    unreachable!("a u64 varint fits in MAX_VARINT_LEN bytes")
+}
+
 /// Appends `value` to `out` zigzag-encoded then LEB128-encoded.
 pub fn write_i64(out: &mut Vec<u8>, value: i64) {
     write_u64(out, zigzag_encode(value));
@@ -101,6 +117,9 @@ mod tests {
             let mut buf = Vec::new();
             write_u64(&mut buf, v);
             assert_eq!(buf.len(), encoded_len_u64(v), "len mismatch for {v}");
+            let mut fixed = [0u8; MAX_VARINT_LEN];
+            let used = encode_u64(v, &mut fixed);
+            assert_eq!(&fixed[..used], buf.as_slice(), "encode_u64 differs for {v}");
             let (back, n) = read_u64(&buf).unwrap();
             assert_eq!(back, v);
             assert_eq!(n, buf.len());

@@ -1,0 +1,449 @@
+//! Differential tests of the single-pass tagged encoder against the
+//! tree-building reference: for any serializable value,
+//! `write_tagged(v)` must produce exactly `to_vec(&to_bin_value(v))` —
+//! or fail with the same message.
+
+use std::collections::{BTreeMap, HashMap};
+
+use graft_codec::{serialized_size, to_bin_value, to_vec, write_tagged, BinValue, Tagged};
+use rand::{Rng, SeedableRng};
+use serde::ser::{
+    SerializeMap, SerializeSeq, SerializeStruct, SerializeStructVariant, SerializeTuple,
+    SerializeTupleStruct, SerializeTupleVariant,
+};
+use serde::{Serialize, Serializer};
+
+/// Checks one value through every entry point of the tagged encoding.
+fn check<T: Serialize + ?Sized>(value: &T, label: &str) {
+    let reference = to_bin_value(value).and_then(|tree| to_vec(&tree));
+    let mut streamed = Vec::new();
+    let result = write_tagged(&mut streamed, value);
+    match (reference, result) {
+        (Ok(reference), Ok(())) => {
+            assert_eq!(streamed, reference, "{label}: bytes differ");
+            // The wrapper reaches the same encoder through GraftBin, is
+            // sized correctly, and is invisible to JSON.
+            assert_eq!(to_vec(&Tagged(value)).unwrap(), reference, "{label}: via Tagged");
+            assert_eq!(
+                serialized_size(&Tagged(value)).unwrap(),
+                reference.len() as u64,
+                "{label}: size"
+            );
+            assert_eq!(
+                serde_json::to_vec(&Tagged(value)).unwrap(),
+                serde_json::to_vec(value).unwrap(),
+                "{label}: JSON transparency"
+            );
+            // And the bytes decode to the tree the reference built.
+            let decoded: BinValue = graft_codec::from_slice(&streamed).unwrap();
+            assert_eq!(to_vec(&decoded).unwrap(), reference, "{label}: decode");
+        }
+        (Err(reference), Err(streamed)) => {
+            assert_eq!(streamed.to_string(), reference.to_string(), "{label}: error text");
+        }
+        (reference, streamed) => {
+            panic!("{label}: reference {reference:?} but streamed {streamed:?}")
+        }
+    }
+}
+
+const NAMES: [&str; 8] = ["zeta", "alpha", "mid", "a", "ab", "Zed", "émile", "k"];
+
+/// A scripted walk over the serde data model: serializing a `Shape`
+/// issues exactly the serializer calls it spells out, including ones no
+/// derive would (wrong declared lengths, repeated keys, unsorted fields).
+#[derive(Debug, Clone)]
+enum Shape {
+    Bool(bool),
+    I8(i8),
+    I16(i16),
+    I32(i32),
+    I64(i64),
+    U8(u8),
+    U16(u16),
+    U32(u32),
+    U64(u64),
+    F32(f32),
+    F64(f64),
+    Char(char),
+    Str(String),
+    Bytes(Vec<u8>),
+    None,
+    Some(Box<Shape>),
+    Unit,
+    UnitStruct,
+    UnitVariant(usize),
+    NewtypeStruct(Box<Shape>),
+    NewtypeVariant(usize, Box<Shape>),
+    Seq(Option<usize>, Vec<Shape>),
+    Tuple(Vec<Shape>),
+    TupleStruct(Vec<Shape>),
+    TupleVariant(usize, Vec<Shape>),
+    Map(Option<usize>, Vec<(Shape, Shape)>),
+    Struct(Vec<(usize, Shape)>),
+    StructVariant(usize, Vec<(usize, Shape)>),
+}
+
+impl Serialize for Shape {
+    fn serialize<S: Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
+        match self {
+            Shape::Bool(v) => s.serialize_bool(*v),
+            Shape::I8(v) => s.serialize_i8(*v),
+            Shape::I16(v) => s.serialize_i16(*v),
+            Shape::I32(v) => s.serialize_i32(*v),
+            Shape::I64(v) => s.serialize_i64(*v),
+            Shape::U8(v) => s.serialize_u8(*v),
+            Shape::U16(v) => s.serialize_u16(*v),
+            Shape::U32(v) => s.serialize_u32(*v),
+            Shape::U64(v) => s.serialize_u64(*v),
+            Shape::F32(v) => s.serialize_f32(*v),
+            Shape::F64(v) => s.serialize_f64(*v),
+            Shape::Char(v) => s.serialize_char(*v),
+            Shape::Str(v) => s.serialize_str(v),
+            Shape::Bytes(v) => s.serialize_bytes(v),
+            Shape::None => s.serialize_none(),
+            Shape::Some(v) => s.serialize_some(v),
+            Shape::Unit => s.serialize_unit(),
+            Shape::UnitStruct => s.serialize_unit_struct("U"),
+            Shape::UnitVariant(n) => s.serialize_unit_variant("E", *n as u32, NAMES[*n]),
+            Shape::NewtypeStruct(v) => s.serialize_newtype_struct("N", v),
+            Shape::NewtypeVariant(n, v) => {
+                s.serialize_newtype_variant("E", *n as u32, NAMES[*n], v)
+            }
+            Shape::Seq(declared, items) => {
+                let mut seq = s.serialize_seq(*declared)?;
+                for item in items {
+                    seq.serialize_element(item)?;
+                }
+                seq.end()
+            }
+            Shape::Tuple(items) => {
+                let mut tuple = s.serialize_tuple(items.len())?;
+                for item in items {
+                    tuple.serialize_element(item)?;
+                }
+                tuple.end()
+            }
+            Shape::TupleStruct(items) => {
+                let mut tuple = s.serialize_tuple_struct("T", items.len())?;
+                for item in items {
+                    tuple.serialize_field(item)?;
+                }
+                tuple.end()
+            }
+            Shape::TupleVariant(n, items) => {
+                let mut tuple =
+                    s.serialize_tuple_variant("E", *n as u32, NAMES[*n], items.len())?;
+                for item in items {
+                    tuple.serialize_field(item)?;
+                }
+                tuple.end()
+            }
+            Shape::Map(declared, entries) => {
+                let mut map = s.serialize_map(*declared)?;
+                for (key, value) in entries {
+                    map.serialize_key(key)?;
+                    map.serialize_value(value)?;
+                }
+                map.end()
+            }
+            Shape::Struct(fields) => {
+                let mut st = s.serialize_struct("S", fields.len())?;
+                for (name, value) in fields {
+                    st.serialize_field(NAMES[*name], value)?;
+                }
+                st.end()
+            }
+            Shape::StructVariant(n, fields) => {
+                let mut st = s.serialize_struct_variant("E", *n as u32, NAMES[*n], fields.len())?;
+                for (name, value) in fields {
+                    st.serialize_field(NAMES[*name], value)?;
+                }
+                st.end()
+            }
+        }
+    }
+}
+
+type Rng64 = rand::rngs::StdRng;
+
+fn random_f64(rng: &mut Rng64) -> f64 {
+    match rng.gen_range(0..8u32) {
+        0 => f64::NAN,
+        1 => f64::INFINITY,
+        2 => f64::NEG_INFINITY,
+        3 => -0.0,
+        4 => rng.gen_range(-4i32..4) as f64,
+        _ => f64::from_bits(rng.gen()),
+    }
+}
+
+fn random_string(rng: &mut Rng64) -> String {
+    (0..rng.gen_range(0..6usize))
+        .map(|_| match rng.gen_range(0..6u32) {
+            0 => 'λ',
+            1 => '\u{1F600}',
+            _ => char::from(rng.gen_range(b'0'..b'5')),
+        })
+        .collect()
+}
+
+/// A small domain on purpose: keys must collide after rendering (`1u8`
+/// against `"1"` against `1i64`) for the repeated-key rule to be hit.
+fn random_scalar(rng: &mut Rng64) -> Shape {
+    match rng.gen_range(0..14u32) {
+        0 => Shape::Bool(rng.gen()),
+        1 => Shape::I8(rng.gen_range(-3..4)),
+        2 => Shape::I16(rng.gen_range(i16::MIN..=i16::MAX)),
+        3 => Shape::I32(rng.gen_range(-3..4)),
+        4 => Shape::I64(if rng.gen_bool(0.5) { rng.gen() } else { rng.gen_range(-3..4) }),
+        5 => Shape::U8(rng.gen_range(0..4)),
+        6 => Shape::U16(rng.gen_range(0..=u16::MAX)),
+        7 => Shape::U32(rng.gen()),
+        8 => Shape::U64(if rng.gen_bool(0.5) { rng.gen() } else { rng.gen_range(0..4) }),
+        9 => Shape::F32(f32::from_bits(rng.gen())),
+        10 => Shape::F64(random_f64(rng)),
+        11 => Shape::Char(if rng.gen_bool(0.5) { '1' } else { 'é' }),
+        12 => Shape::UnitVariant(rng.gen_range(0..NAMES.len())),
+        _ => Shape::Str(random_string(rng)),
+    }
+}
+
+fn random_key(rng: &mut Rng64) -> Shape {
+    match rng.gen_range(0..24u32) {
+        // Not renderable as a string: must fail like the reference.
+        0 => [Shape::Unit, Shape::None, Shape::Seq(Some(0), vec![]), Shape::Bytes(vec![1])]
+            [rng.gen_range(0..4usize)]
+        .clone(),
+        1 => Shape::Some(Box::new(random_scalar(rng))),
+        2 => Shape::NewtypeStruct(Box::new(random_scalar(rng))),
+        _ => random_scalar(rng),
+    }
+}
+
+fn random_fields(rng: &mut Rng64, depth: u32) -> Vec<(usize, Shape)> {
+    (0..rng.gen_range(0..5usize))
+        .map(|_| (rng.gen_range(0..NAMES.len()), random_shape(rng, depth)))
+        .collect()
+}
+
+fn random_items(rng: &mut Rng64, depth: u32) -> Vec<Shape> {
+    (0..rng.gen_range(0..5usize)).map(|_| random_shape(rng, depth)).collect()
+}
+
+/// A declared length that is sometimes absent and sometimes wrong.
+fn random_declared(rng: &mut Rng64, actual: usize) -> Option<usize> {
+    match rng.gen_range(0..6u32) {
+        0 => None,
+        1 => Some(rng.gen_range(0..300usize)),
+        _ => Some(actual),
+    }
+}
+
+fn random_shape(rng: &mut Rng64, depth: u32) -> Shape {
+    if depth == 0 {
+        return random_scalar(rng);
+    }
+    let depth = depth - 1;
+    match rng.gen_range(0..16u32) {
+        0 => Shape::None,
+        1 => Shape::Some(Box::new(random_shape(rng, depth))),
+        2 => Shape::Unit,
+        3 => Shape::UnitStruct,
+        4 => Shape::NewtypeStruct(Box::new(random_shape(rng, depth))),
+        5 => {
+            Shape::NewtypeVariant(rng.gen_range(0..NAMES.len()), Box::new(random_shape(rng, depth)))
+        }
+        6 => {
+            let items = random_items(rng, depth);
+            Shape::Seq(random_declared(rng, items.len()), items)
+        }
+        7 => Shape::Tuple(random_items(rng, depth)),
+        8 => Shape::TupleStruct(random_items(rng, depth)),
+        9 => Shape::TupleVariant(rng.gen_range(0..NAMES.len()), random_items(rng, depth)),
+        10 => {
+            let entries: Vec<_> = (0..rng.gen_range(0..6usize))
+                .map(|_| (random_key(rng), random_shape(rng, depth)))
+                .collect();
+            Shape::Map(random_declared(rng, entries.len()), entries)
+        }
+        11 => Shape::Struct(random_fields(rng, depth)),
+        12 => Shape::StructVariant(rng.gen_range(0..NAMES.len()), random_fields(rng, depth)),
+        13 => Shape::Bytes((0..rng.gen_range(0..5usize)).map(|_| rng.gen_range(0..=255)).collect()),
+        _ => random_scalar(rng),
+    }
+}
+
+#[test]
+fn seeded_random_shapes_encode_like_the_reference() {
+    let mut rng = Rng64::seed_from_u64(0x7A66ED);
+    for case in 0..4000 {
+        let shape = random_shape(&mut rng, 4);
+        check(&shape, &format!("case {case}: {shape:?}"));
+    }
+}
+
+#[derive(Serialize)]
+struct OutOfOrder {
+    zulu: u8,
+    alpha: Inner,
+    mike: Option<i64>,
+    bravo: (),
+}
+
+#[derive(Serialize)]
+struct Inner {
+    y: f32,
+    x: f64,
+    label: String,
+}
+
+#[derive(Serialize)]
+struct Wrapper(u64);
+
+#[derive(Serialize)]
+struct Pair(i32, String);
+
+#[derive(Serialize)]
+struct Marker;
+
+#[derive(Serialize)]
+enum Variants {
+    Unit,
+    Newtype(i64),
+    Tuple(u8, f64),
+    Struct { weight: f64, target: u64 },
+}
+
+/// A sequence that does not know its length up front.
+struct Unsized(Vec<i32>);
+
+impl Serialize for Unsized {
+    fn serialize<S: Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
+        let mut seq = s.serialize_seq(None)?;
+        for item in &self.0 {
+            seq.serialize_element(item)?;
+        }
+        seq.end()
+    }
+}
+
+/// A map impl that does not alternate keys and values: `stale` is
+/// written as a key and then replaced by `key` before any value, and
+/// with `orphan` a value follows with no key pending.
+struct OddMap {
+    orphan: bool,
+}
+
+impl Serialize for OddMap {
+    fn serialize<S: Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
+        let mut map = s.serialize_map(Some(2))?;
+        map.serialize_key("b")?;
+        map.serialize_value(&1u8)?;
+        map.serialize_key("stale")?;
+        map.serialize_key("a")?;
+        map.serialize_value(&2u8)?;
+        if self.orphan {
+            map.serialize_value(&3u8)?;
+        }
+        map.end()
+    }
+}
+
+#[test]
+fn hand_picked_edge_cases_encode_like_the_reference() {
+    check(&i64::MIN, "i64::MIN");
+    check(&i64::MAX, "i64::MAX");
+    check(&-1i8, "-1i8");
+    check(&0i32, "0i32");
+    check(&u64::MAX, "u64::MAX");
+    check(&-0.0f64, "-0.0");
+    check(&0.0f64, "0.0");
+    check(&f64::NAN, "NaN");
+    check(&f64::INFINITY, "+inf");
+    check(&f64::NEG_INFINITY, "-inf");
+    check(&f64::MIN_POSITIVE, "min positive");
+    check(&0.1f32, "0.1f32");
+    check(&f32::MAX, "f32::MAX");
+    check(&f32::NAN, "f32 NaN");
+    check(&f32::NEG_INFINITY, "f32 -inf");
+    check(&Some(5u8), "Some");
+    check(&None::<u8>, "None");
+    check(&Some(None::<u8>), "Some(None)");
+    check(&(), "unit");
+    check(&Marker, "unit struct");
+    check(&Wrapper(9), "newtype struct");
+    check(&Pair(-4, "p".into()), "tuple struct");
+    check(&'𝄞', "char");
+    check("héllo ✓", "str");
+    check(&(1u8, -2i64, "three", 4.5f32), "tuple");
+    check(&[1u16, 2, 3], "array");
+    check(
+        &OutOfOrder {
+            zulu: 1,
+            alpha: Inner { y: 1.5, x: f64::NAN, label: "in".into() },
+            mike: Some(-7),
+            bravo: (),
+        },
+        "nested struct with fields out of key order",
+    );
+    for variant in [
+        Variants::Unit,
+        Variants::Newtype(-3),
+        Variants::Tuple(7, -0.0),
+        Variants::Struct { weight: 2.5, target: 11 },
+    ] {
+        check(&variant, "enum variant");
+    }
+    check(&Vec::<u64>::new(), "empty seq");
+    check(&Unsized(vec![]), "empty seq of unknown length");
+    check(&Unsized((0..200).collect()), "seq of unknown length, two-byte count");
+    check(&BTreeMap::<String, u8>::new(), "empty map");
+    check(&BTreeMap::from([(-2i64, "neg"), (10, "ten"), (9, "nine")]), "integer keys sort as text");
+    check(&BTreeMap::from([(true, 1u8), (false, 0)]), "bool keys");
+    check(&HashMap::<String, f64>::from([("only".into(), 1.0)]), "hash map");
+    check(
+        &Shape::Map(
+            Some(3),
+            vec![
+                (Shape::U8(1), Shape::Str("first".into())),
+                (Shape::Str("0".into()), Shape::Unit),
+                (Shape::Str("1".into()), Shape::Str("replaces first".into())),
+            ],
+        ),
+        "keys that repeat once rendered",
+    );
+    check(
+        &Shape::Map(
+            Some(130),
+            (0..130u32).rev().map(|k| (Shape::U32(k % 100), Shape::U32(k))).collect(),
+        ),
+        "repeats that shrink the count below a varint boundary",
+    );
+    check(&Shape::Map(Some(1), vec![(Shape::F64(f64::NAN), Shape::Unit)]), "NaN key");
+    check(&Shape::Map(Some(1), vec![(Shape::F64(-1e300), Shape::Unit)]), "float key");
+    check(&Shape::Map(Some(1), vec![(Shape::F32(f32::INFINITY), Shape::Unit)]), "infinite key");
+    check(&Shape::Map(Some(1), vec![(Shape::Unit, Shape::U8(1))]), "unit key fails");
+    check(&BTreeMap::from([((1u8, 2u8), "pair")]), "a non-string map key fails the same way");
+    check(&vec![BTreeMap::from([(vec![1u8], 1u8)])], "key failure inside a sequence");
+    check(&OddMap { orphan: false }, "a key written twice keeps the second");
+    check(&OddMap { orphan: true }, "a value with no key fails the same way");
+}
+
+#[test]
+fn bin_value_leaves_are_renormalized_like_the_reference() {
+    // What `trace convert --to binary` feeds the encoder: trees parsed
+    // from JSON text (already canonical), and hand-built ones that are not.
+    let parsed: serde_json::Value = serde_json::from_str(
+        r#"{"id": 672, "neg": -4, "pi": 3.25, "big": 1e999, "s": "x", "flag": true,
+            "nothing": null, "seq": [1, -2, [true, "x"], {"k": 0.5}], "obj": {"b": [null], "a": 1}}"#,
+    )
+    .unwrap();
+    check(&BinValue(parsed.clone()), "parsed tree");
+    check(&vec![(BinValue(parsed.clone()), BinValue(parsed))], "trees inside a typed record");
+    let raw = serde_json::Value::Array(vec![
+        serde_json::Value::Number(serde_json::Number::I64(5)),
+        serde_json::Value::Number(serde_json::Number::F64(f64::NAN)),
+    ]);
+    check(&BinValue(raw), "non-canonical tree");
+}

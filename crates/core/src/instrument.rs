@@ -9,7 +9,8 @@
 //!    state if so,
 //! 2. invokes the user's `compute()` under a panic guard,
 //! 3. checks message and vertex-value constraints on what the vertex did,
-//! 4. writes a [`VertexTrace`] if any capture reason applies, and
+//! 4. hands the sink a [`VertexCapture`] — the context, borrowed — if any
+//!    capture reason applies, and
 //! 5. re-raises or suppresses the panic per the exception policy.
 
 use std::sync::Arc;
@@ -22,7 +23,7 @@ use graft_pregel::{
 use crate::config::{CaptureReason, DebugConfig, ExceptionPolicy};
 use crate::panic_capture;
 use crate::sink::TraceSink;
-use crate::trace::{ExceptionInfo, MasterTrace, VertexTrace, ViolationKind, ViolationRecord};
+use crate::trace::{ExceptionInfo, MasterTrace, VertexCapture, ViolationKind, ViolationRecord};
 
 /// The sets of vertices selected for capture before the job starts.
 pub struct CaptureSets<I> {
@@ -178,24 +179,23 @@ impl<C: Computation> Instrumented<C> {
         };
 
         if !reasons.is_empty() {
-            let record = VertexTrace {
+            // Everything but the entry value is still where the engine
+            // keeps it, so the record borrows it and the sink encodes
+            // straight from there.
+            let record = VertexCapture {
                 superstep,
-                vertex: id,
-                value_before,
-                value_after: vertex.value().clone(),
-                edges: vertex
-                    .edges_at_entry()
-                    .iter()
-                    .map(|e| (e.target, e.value.clone()))
-                    .collect(),
-                incoming: messages.to_vec(),
-                outgoing: ctx.staged_sends().to_vec(),
-                aggregators: ctx.aggregator_snapshot(),
+                vertex: &id,
+                value_before: &value_before,
+                value_after: vertex.value(),
+                edges: vertex.edges_at_entry().iter().map(|e| (&e.target, &e.value)),
+                incoming: messages,
+                outgoing: ctx.staged_sends(),
+                aggregators: ctx.visible_aggregators(),
                 global: ctx.global(),
                 halted_after: vertex.has_voted_halt(),
-                reasons,
-                violations,
-                exception,
+                reasons: &reasons,
+                violations: &violations,
+                exception: exception.as_ref(),
             };
             self.sink.record_vertex(ctx.worker_id(), &record);
         }

@@ -15,30 +15,33 @@ use graft_sched::sync::Mutex;
 use crate::config::TraceCodec;
 use crate::trace::{
     encode_index_frame, encode_record, master_trace_path, result_path, worker_trace_path,
-    IndexRecord, JobResultRecord, TraceRecord,
+    CaptureError, IndexRecord, JobResultRecord, TraceRecord,
 };
+
+/// A channel whose pending bytes reach this hands them to its writer at
+/// once instead of at the next flush, so one superstep of capture-all on
+/// a large graph cannot buffer without bound.
+const PENDING_HIGH_WATER: usize = 1 << 20;
 
 struct Channel {
     writer: Box<dyn FileWrite>,
-    /// Encode buffer reused across records.
-    scratch: Vec<u8>,
+    /// Encoded records not yet handed to the writer. Records are encoded
+    /// straight into it and a flush hands it over in one write.
+    pending: Vec<u8>,
     /// The file this channel writes to (needed for rollback).
     path: String,
-    /// Bytes handed to the writer so far; after a `flush` this is the
-    /// durable file length, which rollback and the finalize durability
-    /// check both rely on.
-    written: u64,
-    /// Records written to this channel (binary index-frame bookkeeping).
-    records: u64,
-    /// Superstep of the last record, so the binary codec can emit one
-    /// index frame per superstep transition. `None` before any record.
-    last_superstep: Option<u64>,
+    /// Where the channel stands, pending records included.
+    now: ChannelMark,
+    /// Where it stood at the last write its writer accepted: what is left
+    /// of it when a later write fails.
+    handed: ChannelMark,
 }
 
 impl Channel {
     fn new(fs: &Arc<dyn FileSystem>, path: String) -> Result<Self, graft_dfs::FsError> {
         let writer = fs.create(&path)?;
-        Ok(Self { writer, scratch: Vec::new(), path, written: 0, records: 0, last_superstep: None })
+        let start = ChannelMark::default();
+        Ok(Self { writer, pending: Vec::new(), path, now: start, handed: start })
     }
 }
 
@@ -80,13 +83,19 @@ impl WorkerCounts {
     }
 }
 
-/// One channel's rewind point: durable length plus the binary codec's
-/// index-frame bookkeeping, so a replayed superstep emits its index frame
-/// exactly where (and only where) the discarded execution did.
-#[derive(Clone, Copy)]
+/// A channel's position, and so its rewind point: byte length plus the
+/// binary codec's index-frame bookkeeping, so a replayed superstep emits
+/// its index frame exactly where (and only where) the discarded execution
+/// did.
+#[derive(Clone, Copy, Default)]
 struct ChannelMark {
+    /// Bytes accepted so far; after a `flush` this is the durable file
+    /// length, which rollback and the finalize durability check rely on.
     written: u64,
+    /// Records written to this channel.
     records: u64,
+    /// Superstep of the last record, so the binary codec can emit one
+    /// index frame per superstep transition. `None` before any record.
     last_superstep: Option<u64>,
 }
 
@@ -125,8 +134,8 @@ pub struct TraceSink {
     root: String,
     /// Trace-state snapshots taken at checkpoint boundaries, oldest first.
     snapshots: Mutex<Vec<SinkSnapshot>>,
-    /// First write error encountered, surfaced in `result.json`.
-    poisoned: Mutex<Option<String>>,
+    /// First capture error encountered, surfaced in `result.json`.
+    poisoned: Mutex<Option<CaptureError>>,
 }
 
 impl TraceSink {
@@ -162,7 +171,9 @@ impl TraceSink {
     }
 
     /// Records one captured vertex context from `worker`. Returns `false`
-    /// when the capture safety net has tripped and nothing was written.
+    /// when nothing was recorded: the capture safety net has tripped, or
+    /// the record could not be encoded or written (the sink is poisoned).
+    /// A record counts as captured only once it is in the channel.
     ///
     /// Under the binary codec, the first record of each superstep is
     /// preceded by an index frame. Emission is a pure function of the
@@ -177,51 +188,70 @@ impl TraceSink {
             self.limit_hit.store(true, Ordering::Relaxed);
             return false;
         }
-        self.worker_counts[worker].captures.fetch_add(1, Ordering::Relaxed);
         let superstep = record.record_superstep();
         let mut channel = self.workers[worker].lock();
         let channel = &mut *channel;
-        channel.scratch.clear();
-        if self.codec == TraceCodec::Binary && channel.last_superstep != Some(superstep) {
-            let index = IndexRecord {
-                superstep,
-                records_before: channel.records,
-                bytes_before: channel.written,
-            };
-            if let Err(e) = encode_index_frame(&index, &mut channel.scratch) {
-                self.poison(e);
-                return false;
-            }
-        }
-        if let Err(e) = encode_record(self.codec, record, &mut channel.scratch) {
+        let start = channel.pending.len();
+        let index = (self.codec == TraceCodec::Binary
+            && channel.now.last_superstep != Some(superstep))
+        .then_some(IndexRecord {
+            superstep,
+            records_before: channel.now.records,
+            bytes_before: channel.now.written,
+        });
+        let encoded = index
+            .map_or(Ok(()), |index| encode_index_frame(&index, &mut channel.pending))
+            .and_then(|()| encode_record(self.codec, record, &mut channel.pending));
+        if let Err(e) = encoded {
+            channel.pending.truncate(start);
+            self.captures.fetch_sub(1, Ordering::Relaxed);
             self.poison(e);
             return false;
         }
-        if let Err(e) = std::io::Write::write_all(&mut channel.writer, &channel.scratch) {
-            self.poison(e.to_string());
-            return false;
-        }
-        channel.written += channel.scratch.len() as u64;
-        channel.records += 1;
-        channel.last_superstep = Some(superstep);
-        true
+        channel.now.written += (channel.pending.len() - start) as u64;
+        channel.now.records += 1;
+        channel.now.last_superstep = Some(superstep);
+        self.worker_counts[worker].captures.fetch_add(1, Ordering::Relaxed);
+        channel.pending.len() < PENDING_HIGH_WATER || self.hand_over(Some(worker), channel)
     }
 
     /// Records one captured master context. The master channel carries at
     /// most one record per superstep, so it gets no index frames.
     pub fn record_master<T: TraceRecord>(&self, record: &T) {
         let mut channel = self.master.lock();
-        let channel = &mut *channel;
-        channel.scratch.clear();
-        if let Err(e) = encode_record(self.codec, record, &mut channel.scratch) {
-            self.poison(e);
-            return;
+        let start = channel.pending.len();
+        match encode_record(self.codec, record, &mut channel.pending) {
+            Ok(()) => channel.now.written += (channel.pending.len() - start) as u64,
+            Err(e) => {
+                channel.pending.truncate(start);
+                self.poison(e);
+            }
         }
-        if let Err(e) = std::io::Write::write_all(&mut channel.writer, &channel.scratch) {
-            self.poison(e.to_string());
-            return;
+    }
+
+    /// Hands a channel's pending records to its writer in one write.
+    /// When the writer fails the records are gone: the channel falls back
+    /// to what the writer last accepted, and a worker channel's lost
+    /// records leave the capture counts too, so `captures` never exceeds
+    /// the records the writers accepted.
+    fn hand_over(&self, worker: Option<usize>, channel: &mut Channel) -> bool {
+        if channel.pending.is_empty() {
+            return true;
         }
-        channel.written += channel.scratch.len() as u64;
+        let result = std::io::Write::write_all(&mut channel.writer, &channel.pending);
+        channel.pending.clear();
+        let Err(e) = result else {
+            channel.handed = channel.now;
+            return true;
+        };
+        let lost = channel.now.records - channel.handed.records;
+        channel.now = channel.handed;
+        if let Some(worker) = worker {
+            self.captures.fetch_sub(lost, Ordering::Relaxed);
+            self.worker_counts[worker].captures.fetch_sub(lost, Ordering::Relaxed);
+        }
+        self.poison(e.into());
+        false
     }
 
     /// Counts a constraint violation observed by `worker`.
@@ -236,16 +266,17 @@ impl TraceSink {
         self.worker_counts[worker].exceptions.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Makes everything written so far visible to readers (called at
-    /// superstep boundaries, like the paper's per-superstep HDFS flush).
+    /// Makes everything recorded so far visible to readers (called at
+    /// superstep boundaries, like the paper's per-superstep HDFS flush):
+    /// one write of the pending records per channel, then a sync.
     pub fn flush(&self) {
-        for worker in &self.workers {
-            if let Err(e) = worker.lock().writer.sync() {
-                self.poison(e.to_string());
+        let workers = self.workers.iter().enumerate().map(|(w, channel)| (Some(w), channel));
+        for (worker, channel) in workers.chain([(None, &self.master)]) {
+            let mut channel = channel.lock();
+            self.hand_over(worker, &mut channel);
+            if let Err(e) = channel.writer.sync() {
+                self.poison(e.into());
             }
-        }
-        if let Err(e) = self.master.lock().writer.sync() {
-            self.poison(e.to_string());
         }
     }
 
@@ -256,19 +287,8 @@ impl TraceSink {
     /// checkpoint supersedes the pre-failure one).
     pub fn snapshot(&self, superstep: u64) {
         self.flush();
-        let worker_marks: Vec<ChannelMark> = self
-            .workers
-            .iter()
-            .map(|w| {
-                let channel = w.lock();
-                ChannelMark {
-                    written: channel.written,
-                    records: channel.records,
-                    last_superstep: channel.last_superstep,
-                }
-            })
-            .collect();
-        let master_written = self.master.lock().written;
+        let worker_marks: Vec<ChannelMark> = self.workers.iter().map(|w| w.lock().now).collect();
+        let master_written = self.master.lock().now.written;
         let worker_counts: Vec<[u64; 3]> = self
             .worker_counts
             .iter()
@@ -364,7 +384,7 @@ impl TraceSink {
     fn take_snapshot(&self, superstep: u64) -> Option<SinkSnapshot> {
         let mut snapshots = self.snapshots.lock();
         let Some(pos) = snapshots.iter().position(|s| s.superstep == superstep) else {
-            self.poison(format!("no trace snapshot for restored superstep {superstep}"));
+            self.poison(CaptureError::SnapshotMissing(superstep));
             return None;
         };
         snapshots.truncate(pos + 1);
@@ -379,33 +399,34 @@ impl TraceSink {
         fs: &Arc<dyn FileSystem>,
         channel: &mut Channel,
         mark: &ChannelMark,
-    ) -> Result<(), String> {
+    ) -> Result<(), CaptureError> {
         let keep = mark.written;
-        if channel.written == keep {
-            // Nothing was written since the snapshot, so the index-frame
+        if channel.now.written == keep {
+            // Nothing was recorded since the snapshot, so the index-frame
             // bookkeeping is still at the mark too.
             return Ok(());
         }
-        channel.records = mark.records;
-        channel.last_superstep = mark.last_superstep;
+        // Records not yet handed over belong to the aborted execution.
+        channel.pending.clear();
+        channel.now = *mark;
+        channel.handed = *mark;
         // Dropping the writer commits any buffered bytes; install a
         // placeholder so the channel stays structurally valid if the
         // rewrite below fails part-way.
         drop(std::mem::replace(&mut channel.writer, Box::new(NullWrite)));
-        let bytes = fs.read_all(&channel.path).map_err(|e| e.to_string())?;
-        let keep_len = usize::try_from(keep).map_err(|e| e.to_string())?;
+        let bytes = fs.read_all(&channel.path)?;
+        let keep_len = usize::try_from(keep).map_err(|e| CaptureError::Dfs(e.to_string()))?;
         if bytes.len() < keep_len {
-            return Err(format!(
+            return Err(CaptureError::Dfs(format!(
                 "trace file {} truncated below its snapshot ({} < {keep} bytes)",
                 channel.path,
                 bytes.len()
-            ));
+            )));
         }
-        let mut writer = fs.create(&channel.path).map_err(|e| e.to_string())?;
-        std::io::Write::write_all(&mut writer, &bytes[..keep_len]).map_err(|e| e.to_string())?;
-        writer.sync().map_err(|e| e.to_string())?;
+        let mut writer = fs.create(&channel.path)?;
+        std::io::Write::write_all(&mut writer, &bytes[..keep_len])?;
+        writer.sync()?;
         channel.writer = writer;
-        channel.written = keep;
         Ok(())
     }
 
@@ -419,7 +440,7 @@ impl TraceSink {
     pub fn finalize(&self, supersteps_executed: u64, error: Option<String>) {
         self.flush();
         self.verify_durable();
-        let error = error.or_else(|| self.poisoned.lock().clone());
+        let error = error.or_else(|| self.poisoned.lock().as_ref().map(CaptureError::to_string));
         let record = JobResultRecord {
             supersteps_executed,
             error,
@@ -430,7 +451,7 @@ impl TraceSink {
         };
         let rendered = serde_json::to_vec_pretty(&record).expect("result record serializes");
         if let Err(e) = self.fs.write_all(&result_path(&self.root), &rendered) {
-            self.poison(e.to_string());
+            self.poison(e.into());
         }
     }
 
@@ -458,8 +479,8 @@ impl TraceSink {
     /// master file) so far. After a [`TraceSink::flush`] this is the
     /// durable trace volume — the number the observability layer surfaces.
     pub fn bytes_written(&self) -> u64 {
-        let workers: u64 = self.workers.iter().map(|w| w.lock().written).sum();
-        workers + self.master.lock().written
+        let workers: u64 = self.workers.iter().map(|w| w.lock().now.written).sum();
+        workers + self.master.lock().now.written
     }
 
     /// Checks that every synced trace file is exactly as long as the
@@ -469,19 +490,20 @@ impl TraceSink {
         for channel in channels {
             let channel = channel.lock();
             match self.fs.status(&channel.path) {
-                Ok(status) if status.len == channel.written => {}
-                Ok(status) => self.poison(format!(
+                Ok(status) if status.len == channel.now.written => {}
+                Ok(status) => self.poison(CaptureError::Dfs(format!(
                     "trace file {} not durable: {} bytes on disk, {} written",
-                    channel.path, status.len, channel.written
-                )),
-                Err(e) => {
-                    self.poison(format!("trace file {} unreadable at finalize: {e}", channel.path))
-                }
+                    channel.path, status.len, channel.now.written
+                ))),
+                Err(e) => self.poison(CaptureError::Dfs(format!(
+                    "trace file {} unreadable at finalize: {e}",
+                    channel.path
+                ))),
             }
         }
     }
 
-    fn poison(&self, error: String) {
+    fn poison(&self, error: CaptureError) {
         let mut slot = self.poisoned.lock();
         if slot.is_none() {
             *slot = Some(error);
@@ -510,10 +532,110 @@ mod tests {
             self.seq
         }
 
-        fn encode_binary_frame(&self, buf: &mut Vec<u8>) -> Result<(), String> {
-            graft_codec::frame::write_value_frame(buf, FRAME_VERTEX, self)
-                .map_err(|e| e.to_string())
+        fn encode_binary_frame(&self, buf: &mut Vec<u8>) -> Result<(), CaptureError> {
+            Ok(graft_codec::frame::write_value_frame(buf, FRAME_VERTEX, self)?)
         }
+    }
+
+    /// A record that cannot be encoded in either codec: a map keyed by a
+    /// tuple has no JSON rendition, and the binary impl says the same.
+    struct Unencodable;
+
+    impl Serialize for Unencodable {
+        fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
+            std::collections::BTreeMap::from([((0u8, 0u8), 0u8)]).serialize(serializer)
+        }
+    }
+
+    impl TraceRecord for Unencodable {
+        fn record_superstep(&self) -> u64 {
+            0
+        }
+
+        fn encode_binary_frame(&self, _buf: &mut Vec<u8>) -> Result<(), CaptureError> {
+            Err(graft_codec::Error::UnknownLength.into())
+        }
+    }
+
+    /// An in-memory file system whose writers, between them, fail their
+    /// `fail_on`-th write (1-based) and count every write they are asked
+    /// to make.
+    struct FlakyFs {
+        inner: InMemoryFs,
+        writes: Arc<std::sync::atomic::AtomicUsize>,
+        fail_on: usize,
+    }
+
+    struct FlakyWriter {
+        inner: Box<dyn FileWrite>,
+        writes: Arc<std::sync::atomic::AtomicUsize>,
+        fail_on: usize,
+    }
+
+    impl std::io::Write for FlakyWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            if self.writes.fetch_add(1, std::sync::atomic::Ordering::SeqCst) + 1 == self.fail_on {
+                return Err(std::io::Error::other("datanode pipeline broke"));
+            }
+            self.inner.write(buf)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            self.inner.flush()
+        }
+    }
+
+    impl FileWrite for FlakyWriter {
+        fn sync(&mut self) -> Result<(), graft_dfs::FsError> {
+            self.inner.sync()
+        }
+    }
+
+    impl FileSystem for FlakyFs {
+        fn create(&self, path: &str) -> graft_dfs::FsResult<Box<dyn FileWrite>> {
+            let inner = self.inner.create(path)?;
+            Ok(Box::new(FlakyWriter {
+                inner,
+                writes: Arc::clone(&self.writes),
+                fail_on: self.fail_on,
+            }))
+        }
+
+        fn open(&self, path: &str) -> graft_dfs::FsResult<Box<dyn graft_dfs::FileRead>> {
+            self.inner.open(path)
+        }
+
+        fn list(&self, path: &str) -> graft_dfs::FsResult<Vec<graft_dfs::FileStatus>> {
+            self.inner.list(path)
+        }
+
+        fn status(&self, path: &str) -> graft_dfs::FsResult<graft_dfs::FileStatus> {
+            self.inner.status(path)
+        }
+
+        fn exists(&self, path: &str) -> bool {
+            self.inner.exists(path)
+        }
+
+        fn mkdirs(&self, path: &str) -> graft_dfs::FsResult<()> {
+            self.inner.mkdirs(path)
+        }
+
+        fn delete(&self, path: &str, recursive: bool) -> graft_dfs::FsResult<()> {
+            self.inner.delete(path, recursive)
+        }
+    }
+
+    fn flaky_sink(fail_on: usize) -> (Arc<FlakyFs>, TraceSink) {
+        let fs = Arc::new(FlakyFs { inner: InMemoryFs::new(), writes: Arc::default(), fail_on });
+        let sink =
+            TraceSink::new(fs.clone(), "/traces/job", TraceCodec::JsonLines, u64::MAX, 2).unwrap();
+        (fs, sink)
+    }
+
+    fn rows_on_disk(fs: &dyn FileSystem, worker: usize) -> Vec<Rec> {
+        let bytes = fs.read_all(&worker_trace_path("/traces/job", worker)).unwrap();
+        decode_vertex_records(TraceCodec::JsonLines, &bytes).unwrap()
     }
 
     fn sink(max: u64) -> (Arc<InMemoryFs>, TraceSink) {
@@ -588,6 +710,140 @@ mod tests {
         assert_eq!(record.exceptions, 1);
         assert_eq!(record.error.as_deref(), Some("vertex 3 panicked"));
         assert!(!record.capture_limit_hit);
+    }
+
+    #[test]
+    fn a_record_that_fails_to_encode_is_not_counted() {
+        for (fs, sink) in [sink(1000), binary_sink(1000)] {
+            assert!(sink.record_vertex(0, &Rec { worker: 0, seq: 0 }));
+            assert!(!sink.record_vertex(0, &Unencodable));
+            assert!(sink.record_vertex(0, &Rec { worker: 0, seq: 0 }));
+            assert_eq!(sink.captures(), 2);
+            assert_eq!(sink.worker_counts[0].captures.load(Ordering::Relaxed), 2);
+            assert!(matches!(
+                *sink.poisoned.lock(),
+                Some(CaptureError::Codec(_) | CaptureError::Json(_))
+            ));
+            // The failed record left no bytes behind: the channel decodes
+            // to exactly the two good records.
+            sink.finalize(1, None);
+            let bytes = fs.read_all(&worker_trace_path("/traces/job", 0)).unwrap();
+            match sink.codec {
+                TraceCodec::JsonLines => {
+                    let rows: Vec<Rec> = decode_vertex_records(sink.codec, &bytes).unwrap();
+                    assert_eq!(rows.len(), 2);
+                }
+                TraceCodec::Binary => {
+                    assert_eq!(frame_kinds(&bytes), [FRAME_INDEX, FRAME_VERTEX, FRAME_VERTEX]);
+                }
+            }
+            let result = fs.read_all(&result_path("/traces/job")).unwrap();
+            let record: JobResultRecord = serde_json::from_slice(&result).unwrap();
+            assert_eq!(record.captures, 2);
+            assert!(record.error.is_some());
+        }
+    }
+
+    #[test]
+    fn a_failed_write_uncounts_the_records_it_lost() {
+        // Writes 1 and 2 are the first flush (one per worker channel);
+        // write 3 — worker 0's second flush — fails.
+        let (fs, sink) = flaky_sink(3);
+        for seq in 0..3 {
+            assert!(sink.record_vertex(0, &Rec { worker: 0, seq }));
+            assert!(sink.record_vertex(1, &Rec { worker: 1, seq }));
+        }
+        sink.snapshot(3);
+        for seq in 3..5 {
+            assert!(sink.record_vertex(0, &Rec { worker: 0, seq }));
+            assert!(sink.record_vertex(1, &Rec { worker: 1, seq }));
+        }
+        sink.flush();
+
+        // Worker 0's two pending records never reached its file, and no
+        // counter still claims them.
+        assert_eq!(rows_on_disk(&*fs, 0).len(), 3);
+        assert_eq!(rows_on_disk(&*fs, 1).len(), 5);
+        assert_eq!(sink.captures(), 8);
+        assert_eq!(sink.worker_counts[0].captures.load(Ordering::Relaxed), 3);
+        assert!(matches!(*sink.poisoned.lock(), Some(CaptureError::Dfs(_))));
+
+        // A confined rollback of worker 1 recomputes the total from the
+        // survivor's share, which must be the corrected one: the 6 of the
+        // snapshot plus nothing for worker 0.
+        sink.rollback_workers(3, &[1]);
+        assert_eq!(sink.captures(), 6);
+        assert_eq!(rows_on_disk(&*fs, 1).len(), 3);
+
+        // The channel stays usable, and the error reaches result.json with
+        // a capture count that matches the rows on disk.
+        assert!(sink.record_vertex(0, &Rec { worker: 0, seq: 3 }));
+        sink.finalize(5, None);
+        assert_eq!(rows_on_disk(&*fs, 0).iter().map(|r| r.seq).collect::<Vec<_>>(), [0, 1, 2, 3]);
+        let result = fs.read_all(&result_path("/traces/job")).unwrap();
+        let record: JobResultRecord = serde_json::from_slice(&result).unwrap();
+        assert_eq!(record.captures, 7);
+        assert_eq!(record.error.as_deref(), Some("datanode pipeline broke"));
+    }
+
+    #[test]
+    fn a_flush_is_one_write_per_channel_that_has_records() {
+        let (fs, sink) = flaky_sink(usize::MAX);
+        let writes = || fs.writes.load(std::sync::atomic::Ordering::SeqCst);
+        for seq in 0..50 {
+            sink.record_vertex(0, &Rec { worker: 0, seq });
+            sink.record_vertex(1, &Rec { worker: 1, seq });
+        }
+        assert_eq!(writes(), 0);
+        sink.flush();
+        assert_eq!(writes(), 2);
+        sink.record_master(&Rec { worker: 99, seq: 0 });
+        sink.record_vertex(1, &Rec { worker: 1, seq: 50 });
+        sink.flush();
+        assert_eq!(writes(), 4);
+        sink.flush();
+        assert_eq!(writes(), 4);
+        assert_eq!(rows_on_disk(&*fs, 1).len(), 51);
+    }
+
+    #[test]
+    fn a_channel_past_the_high_water_mark_writes_before_the_flush() {
+        let (fs, sink) = flaky_sink(usize::MAX);
+        let mut recorded = 0u64;
+        while fs.writes.load(std::sync::atomic::Ordering::SeqCst) == 0 {
+            assert!(sink.record_vertex(0, &Rec { worker: 0, seq: recorded }));
+            recorded += 1;
+            assert!(recorded < 1_000_000, "the channel never handed its records over");
+        }
+        // Everything recorded so far went out in that one write, at the
+        // mark and not before.
+        let channel = sink.workers[0].lock();
+        assert!(channel.pending.is_empty());
+        assert!(channel.now.written >= PENDING_HIGH_WATER as u64);
+        assert_eq!(channel.handed.records, recorded);
+    }
+
+    #[test]
+    fn rollback_discards_records_that_were_never_flushed() {
+        let (fs, sink) = binary_sink(1000);
+        sink.record_vertex(0, &Rec { worker: 0, seq: 0 });
+        sink.snapshot(1);
+        // Recorded but still pending when the job fails and restores.
+        sink.record_vertex(0, &Rec { worker: 0, seq: 1 });
+        sink.rollback(1);
+        sink.record_vertex(0, &Rec { worker: 0, seq: 2 });
+        sink.flush();
+        let bytes = fs.read_all(&worker_trace_path("/traces/job", 0)).unwrap();
+        assert_eq!(frame_kinds(&bytes), [FRAME_INDEX, FRAME_VERTEX, FRAME_INDEX, FRAME_VERTEX]);
+        let mut scanner = graft_codec::frame::FrameScanner::new(&bytes);
+        let mut seqs = Vec::new();
+        while let Some(frame) = scanner.next_frame().unwrap() {
+            if frame.kind == FRAME_VERTEX {
+                seqs.push(graft_codec::from_slice::<Rec>(frame.payload).unwrap().seq);
+            }
+        }
+        assert_eq!(seqs, [0, 2]);
+        assert_eq!(sink.captures(), 2);
     }
 
     #[test]
@@ -713,7 +969,8 @@ mod tests {
         sink.finalize(0, None);
         let bytes = fs.read_all(&result_path("/traces/job")).unwrap();
         let record: JobResultRecord = serde_json::from_slice(&bytes).unwrap();
-        assert!(record.error.unwrap().contains("no trace snapshot"));
+        assert_eq!(record.error.as_deref(), Some("no trace snapshot for restored superstep 7"));
+        assert!(matches!(*sink.poisoned.lock(), Some(CaptureError::SnapshotMissing(7))));
     }
 
     #[test]

@@ -14,28 +14,44 @@
 //!
 //! * **Binary** (the default): kind-tagged GraftBin frames,
 //!   `[len varint][kind u8][payload]` (see `graft_codec::frame`). Worker
-//!   channels carry [`FRAME_VERTEX`] records — a [`WireVertexTrace`]
-//!   whose computation-specific fields are type-erased
-//!   [`graft_codec::BinValue`] trees — preceded, at every superstep
+//!   channels carry [`FRAME_VERTEX`] records preceded, at every superstep
 //!   transition, by a [`FRAME_INDEX`] record that lets readers hop whole
 //!   superstep groups without touching payloads. The master channel
 //!   carries [`FRAME_MASTER`] records.
 //! * **JsonLines** (fallback): one JSON document per line,
 //!   human-inspectable with any editor.
 //!
-//! The two encodings reconstruct *identical* dynamic values: binary
-//! leaves are normalized at capture time (`graft_codec::to_bin_value`) to
-//! the exact `serde_json::Value` a JSON text round-trip yields, so every
-//! view served over either format is byte-for-byte the same.
+//! Capture writes a vertex frame in one pass, straight from borrowed
+//! engine state: the instrumenter fills a [`VertexCapture`] with
+//! references to the vertex's value, edges and messages, and its
+//! `Serialize` impl puts the computation-typed positions (id, values,
+//! edges, messages) through [`graft_codec::Tagged`] — the type-erased
+//! tagged encoding whose rules are stated in `graft_codec`'s `tagged`
+//! module — and everything else through plain GraftBin. No intermediate
+//! value tree is built and no size pass is made; the frame's length
+//! prefix is filled in after the payload is written.
+//!
+//! Readers decode the same payload as a [`WireVertexTrace`], whose typed
+//! positions are [`graft_codec::BinValue`] trees, so any tool can browse
+//! a binary trace without the computation's Rust types. The tagged
+//! encoding is defined so that those trees are the exact
+//! `serde_json::Value`s a JSON text round-trip of the record yields:
+//! the two codecs reconstruct *identical* dynamic values and every view
+//! served over either format is byte-for-byte the same.
 
+use std::fmt;
+
+use graft_codec::Tagged;
 use graft_pregel::{AggValue, GlobalData};
 use serde::de::DeserializeOwned;
+use serde::ser::{SerializeSeq, SerializeStruct};
 use serde::{Deserialize, Serialize};
 use serde_json::Value;
 
 use crate::config::{CaptureReason, ConfigFacts, TraceCodec};
 
-/// Frame kind of a captured vertex context ([`WireVertexTrace`] payload).
+/// Frame kind of a captured vertex context (written from a
+/// [`VertexCapture`], read back as a [`WireVertexTrace`]).
 pub const FRAME_VERTEX: u8 = 1;
 /// Frame kind of a captured master context ([`MasterTrace`] payload).
 pub const FRAME_MASTER: u8 = 2;
@@ -113,7 +129,7 @@ pub type VertexTraceOf<C> = VertexTrace<
     <C as graft_pregel::Computation>::Message,
 >;
 
-/// The shape binary frames store on disk: a vertex trace whose
+/// The shape binary vertex frames decode to: a vertex trace whose
 /// computation-specific fields (id, values, edges, messages) are
 /// type-erased [`graft_codec::BinValue`] trees, so any tool can decode
 /// a binary trace without the computation's Rust types.
@@ -222,6 +238,60 @@ pub fn result_path(root: &str) -> String {
     format!("{root}/result.json")
 }
 
+/// Why a record could not be captured, or why captured records were
+/// lost. `result.json` carries the first one as its `error` text.
+#[derive(Debug)]
+pub enum CaptureError {
+    /// A record could not be encoded as a binary frame.
+    Codec(graft_codec::Error),
+    /// A record could not be rendered as a JSON line.
+    Json(serde_json::Error),
+    /// The trace file system failed a write, or did not keep what was
+    /// written; the text names the file where one is known.
+    Dfs(String),
+    /// A restore named a superstep no trace snapshot was taken for.
+    SnapshotMissing(u64),
+}
+
+impl fmt::Display for CaptureError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            CaptureError::Codec(e) => write!(f, "{e}"),
+            CaptureError::Json(e) => write!(f, "{e}"),
+            CaptureError::Dfs(detail) => f.write_str(detail),
+            CaptureError::SnapshotMissing(superstep) => {
+                write!(f, "no trace snapshot for restored superstep {superstep}")
+            }
+        }
+    }
+}
+
+impl std::error::Error for CaptureError {}
+
+impl From<graft_codec::Error> for CaptureError {
+    fn from(e: graft_codec::Error) -> Self {
+        CaptureError::Codec(e)
+    }
+}
+
+impl From<serde_json::Error> for CaptureError {
+    fn from(e: serde_json::Error) -> Self {
+        CaptureError::Json(e)
+    }
+}
+
+impl From<std::io::Error> for CaptureError {
+    fn from(e: std::io::Error) -> Self {
+        CaptureError::Dfs(e.to_string())
+    }
+}
+
+impl From<graft_dfs::FsError> for CaptureError {
+    fn from(e: graft_dfs::FsError) -> Self {
+        CaptureError::Dfs(e.to_string())
+    }
+}
+
 /// A record the trace sink can write to a channel: serializable (for the
 /// JSON codec) plus a superstep and a kind-tagged binary frame (for the
 /// binary codec and its index frames).
@@ -229,49 +299,119 @@ pub trait TraceRecord: Serialize {
     /// The record's superstep, which the binary sink groups frames by.
     fn record_superstep(&self) -> u64;
 
-    /// Appends the record's binary frame (`[len][kind][payload]`) to `buf`.
-    fn encode_binary_frame(&self, buf: &mut Vec<u8>) -> Result<(), String>;
+    /// Appends the record's binary frame (`[len][kind][payload]`) to
+    /// `buf`, which is left untouched on error.
+    fn encode_binary_frame(&self, buf: &mut Vec<u8>) -> Result<(), CaptureError>;
 }
 
-fn leaf<T: Serialize>(value: &T) -> Result<graft_codec::BinValue, String> {
-    graft_codec::to_bin_value(value).map_err(|e| e.to_string())
+/// Appends the frame of `kind` whose payload is `value` in GraftBin.
+fn binary_frame<T: Serialize + ?Sized>(
+    buf: &mut Vec<u8>,
+    kind: u8,
+    value: &T,
+) -> Result<(), CaptureError> {
+    graft_codec::frame::write_frame_with(buf, kind, |out| {
+        value.serialize(&mut graft_codec::Serializer::new(out))
+    })?;
+    Ok(())
 }
 
-/// Converts a typed vertex trace to its type-erased wire form. Leaves go
-/// through `graft_codec::to_bin_value`, so the wire record reconstructs
-/// the same dynamic values a JSON text round-trip would.
-pub fn wire_vertex_trace<I, V, E, M>(
-    trace: &VertexTrace<I, V, E, M>,
-) -> Result<WireVertexTrace, String>
+/// Serializes a cloneable iterator as the sequence of its items.
+struct Seq<It>(It);
+
+impl<It> Serialize for Seq<It>
 where
-    I: Serialize,
-    V: Serialize,
-    E: Serialize,
-    M: Serialize,
+    It: ExactSizeIterator + Clone,
+    It::Item: Serialize,
 {
-    Ok(WireVertexTrace {
-        superstep: trace.superstep,
-        vertex: leaf(&trace.vertex)?,
-        value_before: leaf(&trace.value_before)?,
-        value_after: leaf(&trace.value_after)?,
-        edges: trace
-            .edges
-            .iter()
-            .map(|(i, e)| Ok((leaf(i)?, leaf(e)?)))
-            .collect::<Result<_, String>>()?,
-        incoming: trace.incoming.iter().map(leaf).collect::<Result<_, String>>()?,
-        outgoing: trace
-            .outgoing
-            .iter()
-            .map(|(i, m)| Ok((leaf(i)?, leaf(m)?)))
-            .collect::<Result<_, String>>()?,
-        aggregators: trace.aggregators.clone(),
-        global: trace.global,
-        halted_after: trace.halted_after,
-        reasons: trace.reasons.clone(),
-        violations: trace.violations.clone(),
-        exception: trace.exception.clone(),
-    })
+    fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
+        let mut seq = serializer.serialize_seq(Some(self.0.len()))?;
+        for item in self.0.clone() {
+            seq.serialize_element(&item)?;
+        }
+        seq.end()
+    }
+}
+
+/// A vertex context as the instrumenter hands it to the sink: the fields
+/// of a [`VertexTrace`], borrowed from the engine state they live in
+/// rather than cloned into a record. It serializes under the same field
+/// names as [`VertexTrace`] — with the computation-typed positions
+/// wrapped in [`Tagged`], so a JSON line is that of the equivalent
+/// `VertexTrace` and a binary payload decodes as a [`WireVertexTrace`].
+pub struct VertexCapture<'a, I, V, M, Ed, Ag> {
+    /// Superstep of the capture.
+    pub superstep: u64,
+    /// The captured vertex.
+    pub vertex: &'a I,
+    /// Vertex value when `compute()` started.
+    pub value_before: &'a V,
+    /// Vertex value after `compute()` returned (or panicked).
+    pub value_after: &'a V,
+    /// `(target, value)` of each outgoing edge at `compute()` entry.
+    pub edges: Ed,
+    /// Incoming messages.
+    pub incoming: &'a [M],
+    /// Messages the vertex sent, in send order.
+    pub outgoing: &'a [(I, M)],
+    /// `(name, value)` of each aggregator visible this superstep.
+    pub aggregators: Ag,
+    /// Default global data.
+    pub global: GlobalData,
+    /// Whether the vertex voted to halt.
+    pub halted_after: bool,
+    /// Why this context was captured.
+    pub reasons: &'a [CaptureReason],
+    /// Constraint violations committed by this vertex this superstep.
+    pub violations: &'a [ViolationRecord],
+    /// The exception, if `compute()` panicked.
+    pub exception: Option<&'a ExceptionInfo>,
+}
+
+impl<'a, I, V, E, M, Ed, Ag> Serialize for VertexCapture<'a, I, V, M, Ed, Ag>
+where
+    I: Serialize + 'a,
+    V: Serialize,
+    E: Serialize + 'a,
+    M: Serialize,
+    Ed: ExactSizeIterator<Item = (&'a I, &'a E)> + Clone,
+    Ag: ExactSizeIterator<Item = (&'a str, &'a AggValue)> + Clone,
+{
+    fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
+        // Field for field the derived impl of `VertexTrace`.
+        let tagged_pair = |(a, b)| (Tagged(a), Tagged(b));
+        let mut record = serializer.serialize_struct("VertexTrace", 13)?;
+        record.serialize_field("superstep", &self.superstep)?;
+        record.serialize_field("vertex", &Tagged(self.vertex))?;
+        record.serialize_field("value_before", &Tagged(self.value_before))?;
+        record.serialize_field("value_after", &Tagged(self.value_after))?;
+        record.serialize_field("edges", &Seq(self.edges.clone().map(tagged_pair)))?;
+        record.serialize_field("incoming", &Seq(self.incoming.iter().map(Tagged)))?;
+        record.serialize_field(
+            "outgoing",
+            &Seq(self.outgoing.iter().map(|(target, message)| (Tagged(target), Tagged(message)))),
+        )?;
+        record.serialize_field("aggregators", &Seq(self.aggregators.clone()))?;
+        record.serialize_field("global", &self.global)?;
+        record.serialize_field("halted_after", &self.halted_after)?;
+        record.serialize_field("reasons", self.reasons)?;
+        record.serialize_field("violations", self.violations)?;
+        record.serialize_field("exception", &self.exception)?;
+        record.end()
+    }
+}
+
+impl<I, V, M, Ed, Ag> TraceRecord for VertexCapture<'_, I, V, M, Ed, Ag>
+where
+    Self: Serialize,
+{
+    fn record_superstep(&self) -> u64 {
+        self.superstep
+    }
+
+    fn encode_binary_frame(&self, buf: &mut Vec<u8>) -> Result<(), CaptureError> {
+        binary_frame(buf, FRAME_VERTEX, self)
+    }
 }
 
 impl<I, V, E, M> TraceRecord for VertexTrace<I, V, E, M>
@@ -285,9 +425,23 @@ where
         self.superstep
     }
 
-    fn encode_binary_frame(&self, buf: &mut Vec<u8>) -> Result<(), String> {
-        let wire = wire_vertex_trace(self)?;
-        graft_codec::frame::write_value_frame(buf, FRAME_VERTEX, &wire).map_err(|e| e.to_string())
+    fn encode_binary_frame(&self, buf: &mut Vec<u8>) -> Result<(), CaptureError> {
+        VertexCapture {
+            superstep: self.superstep,
+            vertex: &self.vertex,
+            value_before: &self.value_before,
+            value_after: &self.value_after,
+            edges: self.edges.iter().map(|(target, value)| (target, value)),
+            incoming: &self.incoming,
+            outgoing: &self.outgoing,
+            aggregators: self.aggregators.iter().map(|(name, value)| (name.as_str(), value)),
+            global: self.global,
+            halted_after: self.halted_after,
+            reasons: &self.reasons,
+            violations: &self.violations,
+            exception: self.exception.as_ref(),
+        }
+        .encode_binary_frame(buf)
     }
 }
 
@@ -296,8 +450,8 @@ impl TraceRecord for MasterTrace {
         self.superstep
     }
 
-    fn encode_binary_frame(&self, buf: &mut Vec<u8>) -> Result<(), String> {
-        graft_codec::frame::write_value_frame(buf, FRAME_MASTER, self).map_err(|e| e.to_string())
+    fn encode_binary_frame(&self, buf: &mut Vec<u8>) -> Result<(), CaptureError> {
+        binary_frame(buf, FRAME_MASTER, self)
     }
 }
 
@@ -308,11 +462,10 @@ pub fn encode_record<T: TraceRecord>(
     codec: TraceCodec,
     record: &T,
     buf: &mut Vec<u8>,
-) -> Result<(), String> {
+) -> Result<(), CaptureError> {
     match codec {
         TraceCodec::JsonLines => {
-            let line = serde_json::to_vec(record).map_err(|e| e.to_string())?;
-            buf.extend_from_slice(&line);
+            serde_json::to_vec_into(record, buf)?;
             buf.push(b'\n');
             Ok(())
         }
@@ -321,8 +474,8 @@ pub fn encode_record<T: TraceRecord>(
 }
 
 /// Appends a superstep index frame to `buf`.
-pub fn encode_index_frame(record: &IndexRecord, buf: &mut Vec<u8>) -> Result<(), String> {
-    graft_codec::frame::write_value_frame(buf, FRAME_INDEX, record).map_err(|e| e.to_string())
+pub fn encode_index_frame(record: &IndexRecord, buf: &mut Vec<u8>) -> Result<(), CaptureError> {
+    binary_frame(buf, FRAME_INDEX, record)
 }
 
 /// Decodes a binary vertex frame's payload into the normalized dynamic

@@ -269,10 +269,16 @@ impl AggregatorRegistry {
         &self.order
     }
 
+    /// The `(name, value)` pairs visible this superstep, borrowed, in
+    /// registration order.
+    pub fn visible(&self) -> impl ExactSizeIterator<Item = (&str, &AggValue)> + Clone {
+        self.order.iter().map(|name| (name.as_str(), &self.entries[name].current))
+    }
+
     /// Deterministic `(name, value)` snapshot of the values visible this
     /// superstep — what Graft stores in vertex and master traces.
     pub fn snapshot(&self) -> Vec<(String, AggValue)> {
-        self.order.iter().map(|name| (name.clone(), self.entries[name].current.clone())).collect()
+        self.visible().map(|(name, value)| (name.to_string(), value.clone())).collect()
     }
 
     /// Merge operator of a registered aggregator.

@@ -129,6 +129,14 @@ impl<'a, I: VertexId, V: Value, E: Value, M: Value> ComputeContext<'a, I, V, E, 
         self.aggregators.snapshot()
     }
 
+    /// What [`ComputeContext::aggregator_snapshot`] clones, borrowed: the
+    /// capture path serializes aggregators straight from the registry.
+    pub fn visible_aggregators(
+        &self,
+    ) -> impl ExactSizeIterator<Item = (&'a str, &'a AggValue)> + Clone {
+        self.aggregators.visible()
+    }
+
     /// Requests creation of a vertex at the superstep barrier.
     pub fn add_vertex_request(&mut self, id: I, value: V) {
         self.mutations.push(Mutation::AddVertex(id, value));
