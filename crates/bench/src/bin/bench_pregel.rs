@@ -1,8 +1,7 @@
 //! Engine throughput benchmark fed by the observability registry.
 //!
 //! `cargo run -p graft-bench --release --bin bench_pregel [--vertices N]
-//!  [--workers W] [--relay-supersteps S] [--scale-sweep-max V]
-//!  [--sweep-only] [--check-pool-faster] [--check-spills]
+//!  [--workers W] [--scale-sweep-max V] [--sweep-only] [--check-spills]
 //!  [--check-capture-cheaper] [--out PATH]`
 //!
 //! The sections, all written to `BENCH_pregel.json` (override with
@@ -13,22 +12,13 @@
 //!    wall time, message throughput, and peak active vertices come from
 //!    the metrics registry, so the bench doubles as an end-to-end check
 //!    of the instrumentation.
-//! 2. **Executor comparison** — a token-relay workload that runs for
-//!    hundreds of near-empty supersteps (the worst case for
-//!    per-superstep thread spawning) under the spawn-per-superstep
-//!    baseline and the persistent worker pool, best-of-3, with
-//!    per-superstep p50/p95 wall times from `JobStats`.
-//! 3. **Combining comparison** — combiner-enabled PageRank under
-//!    receiver-side vs sender-side combining, comparing the
-//!    `pregel_messages_shuffled` counter (messages that actually crossed
-//!    the worker shuffle) against raw `pregel_messages_sent`.
-//! 4. **Capture overhead** — capture-all PageRank through `GraftRunner`
+//! 2. **Capture overhead** — capture-all PageRank through `GraftRunner`
 //!    under each trace codec (the framed binary default and the
 //!    JSON-lines fallback), best-of-3, against the uninstrumented
 //!    engine. Reports the wall time each codec adds over the baseline
 //!    and the bytes its trace channels occupy — the numbers behind
 //!    making the binary format the default and behind the GA0019 lint.
-//! 5. **Sched-shim overhead** — the same PageRank job through the
+//! 3. **Sched-shim overhead** — the same PageRank job through the
 //!    graft-sched shims outside any schedule session (passthrough, the
 //!    production configuration) vs under the deterministic scheduler
 //!    (`run_schedule`, the `check-sched` configuration). The passthrough
@@ -36,12 +26,12 @@
 //!    documents what a model-checking run costs. With the `check`
 //!    feature disabled the shim hooks vanish at compile time, so the
 //!    passthrough column *is* the production hot path.
-//! 6. **Recovery time** — the same mid-job worker kill on a 16-worker
+//! 4. **Recovery time** — the same mid-job worker kill on a 16-worker
 //!    PageRank under full-restart recovery vs confined log-replay
 //!    recovery, against a failure-free baseline with the identical
 //!    checkpoint schedule; the speedup column is whole-job wall restart
 //!    over log-replay.
-//! 7. **Out-of-core scale sweep** — RMAT PageRank at 10^4, 10^5, …
+//! 5. **Out-of-core scale sweep** — RMAT PageRank at 10^4, 10^5, …
 //!    vertices up to `--scale-sweep-max` (default 10^6; the committed
 //!    report uses 10^7), each tier run unbounded and then under a
 //!    memory budget of a third of the graph's serialized footprint,
@@ -49,12 +39,10 @@
 //!    and bytes, budget overruns, both wall times, and whether the
 //!    budgeted FNV checksum matched the unbounded run bit-for-bit.
 //!
-//! `--check-pool-faster` exits nonzero if the pooled engine is not
-//! faster than spawn-per-superstep on the relay workload — the CI
-//! bench-smoke gate. `--check-spills` exits nonzero unless every sweep
-//! tier actually spilled under its budget AND reproduced the unbounded
-//! checksum — the CI ooc-smoke gate (pair with `--sweep-only` to skip
-//! the other sections). `--check-capture-cheaper` exits nonzero unless
+//! `--check-spills` exits nonzero unless every sweep tier actually
+//! spilled under its budget AND reproduced the unbounded checksum — the
+//! CI ooc-smoke gate (pair with `--sweep-only` to skip the other
+//! sections). `--check-capture-cheaper` exits nonzero unless
 //! the binary capture run wrote at most half the trace bytes of the
 //! JSON run AND finished faster — the CI trace-format-smoke gate.
 
@@ -69,8 +57,8 @@ use graft_datasets::rmat::{self, RmatParams};
 use graft_dfs::{FileSystem, InMemoryFs, LocalFs};
 use graft_obs::{Obs, Scope};
 use graft_pregel::{
-    estimate_max_partition_bytes, CheckpointConfig, CombineStrategy, Computation, ContextOf,
-    Engine, ExecutorMode, Graph, JobStats, OocConfig, RecoveryMode, Value, VertexHandleOf,
+    estimate_max_partition_bytes, CheckpointConfig, Computation, Engine, Graph, OocConfig,
+    RecoveryMode, Value,
 };
 use serde::{Deserialize, Serialize};
 
@@ -84,43 +72,6 @@ struct BenchEntry {
     messages: u64,
     messages_per_sec: u64,
     peak_active_vertices: u64,
-}
-
-/// Spawn-per-superstep vs persistent-pool on the relay workload.
-#[derive(Serialize, Deserialize)]
-struct ExecutorComparison {
-    workload: String,
-    vertices: u64,
-    workers: u64,
-    supersteps: u64,
-    /// Best-of-N runs per mode (wall time of the fastest run).
-    runs_per_mode: u64,
-    spawn_wall_nanos: u64,
-    spawn_p50_superstep_nanos: u64,
-    spawn_p95_superstep_nanos: u64,
-    spawn_supersteps_per_sec: u64,
-    pool_wall_nanos: u64,
-    pool_p50_superstep_nanos: u64,
-    pool_p95_superstep_nanos: u64,
-    pool_supersteps_per_sec: u64,
-    /// spawn wall / pool wall — above 1.0 means the pool wins.
-    pool_speedup: f64,
-}
-
-/// Receiver-side vs sender-side combining on combiner-enabled PageRank.
-#[derive(Serialize, Deserialize)]
-struct CombiningComparison {
-    workload: String,
-    vertices: u64,
-    workers: u64,
-    /// Raw sends (identical across strategies by construction).
-    messages_sent: u64,
-    /// Messages that crossed the shuffle with receiver-side combining.
-    shuffled_at_receiver: u64,
-    /// Messages that crossed the shuffle with sender-side combining.
-    shuffled_at_sender: u64,
-    /// 100 * (1 - at_sender / at_receiver).
-    shuffle_reduction_percent: f64,
 }
 
 /// Capture-all PageRank under each trace codec against the plain
@@ -258,54 +209,17 @@ struct OocScaleSweep {
 #[derive(Serialize, Deserialize)]
 struct BenchReport {
     entries: Vec<BenchEntry>,
-    executor_comparison: ExecutorComparison,
-    combining_comparison: CombiningComparison,
     capture_overhead: CaptureOverhead,
     sched_shim_overhead: SchedShimOverhead,
     recovery_time: RecoveryTime,
     ooc_scale_sweep: OocScaleSweep,
 }
 
-/// Token relay around a pure ring: exactly one vertex computes per
-/// superstep, so nearly all of a superstep's cost is engine machinery —
-/// barriers, delivery, and (in the baseline) thread spawn/join.
-struct Relay {
-    hops: u64,
-}
-
-impl Computation for Relay {
-    type Id = u64;
-    type VValue = u64;
-    type EValue = ();
-    type Message = u64;
-
-    fn compute(
-        &self,
-        vertex: &mut VertexHandleOf<'_, Self>,
-        messages: &[u64],
-        ctx: &mut ContextOf<'_, Self>,
-    ) {
-        if ctx.superstep() == 0 {
-            if vertex.id() == 0 {
-                ctx.send_message_to_all_edges(vertex, 1);
-            }
-        } else if let Some(&hop) = messages.first() {
-            vertex.set_value(hop);
-            if hop < self.hops {
-                ctx.send_message_to_all_edges(vertex, hop + 1);
-            }
-        }
-        vertex.vote_to_halt();
-    }
-}
-
 fn main() -> ExitCode {
     let vertices = graft_bench::arg_u64("--vertices", 10_000);
     let workers = graft_bench::arg_u64("--workers", 4) as usize;
-    let relay_supersteps = graft_bench::arg_u64("--relay-supersteps", 600);
     let sweep_max = graft_bench::arg_u64("--scale-sweep-max", 1_000_000);
     let sweep_only = graft_bench::arg_flag("--sweep-only");
-    let check_pool_faster = graft_bench::arg_flag("--check-pool-faster");
     let check_spills = graft_bench::arg_flag("--check-spills");
     let check_capture_cheaper = graft_bench::arg_flag("--check-capture-cheaper");
     let out = std::env::args()
@@ -358,55 +272,6 @@ fn main() -> ExitCode {
         graft_bench::render_table(
             &["algorithm", "supersteps", "wall", "messages", "msgs/sec", "peak active"],
             &rows,
-        )
-    );
-
-    let executor_comparison = bench_executors(vertices, workers, relay_supersteps);
-    println!(
-        "{}",
-        graft_bench::render_table(
-            &["executor", "supersteps", "wall", "step p50", "step p95", "steps/sec"],
-            &[
-                vec![
-                    "spawn-per-superstep".to_string(),
-                    executor_comparison.supersteps.to_string(),
-                    format!("{:.2}ms", executor_comparison.spawn_wall_nanos as f64 / 1e6),
-                    format!("{:.1}us", executor_comparison.spawn_p50_superstep_nanos as f64 / 1e3),
-                    format!("{:.1}us", executor_comparison.spawn_p95_superstep_nanos as f64 / 1e3),
-                    executor_comparison.spawn_supersteps_per_sec.to_string(),
-                ],
-                vec![
-                    "persistent-pool".to_string(),
-                    executor_comparison.supersteps.to_string(),
-                    format!("{:.2}ms", executor_comparison.pool_wall_nanos as f64 / 1e6),
-                    format!("{:.1}us", executor_comparison.pool_p50_superstep_nanos as f64 / 1e3),
-                    format!("{:.1}us", executor_comparison.pool_p95_superstep_nanos as f64 / 1e3),
-                    executor_comparison.pool_supersteps_per_sec.to_string(),
-                ],
-            ],
-        )
-    );
-    println!("pool speedup on relay: {:.2}x", executor_comparison.pool_speedup);
-
-    let combining_comparison = bench_combining(vertices, workers);
-    println!(
-        "{}",
-        graft_bench::render_table(
-            &["combining", "sent", "shuffled", "reduction"],
-            &[
-                vec![
-                    "at-receiver".to_string(),
-                    combining_comparison.messages_sent.to_string(),
-                    combining_comparison.shuffled_at_receiver.to_string(),
-                    "-".to_string(),
-                ],
-                vec![
-                    "at-sender".to_string(),
-                    combining_comparison.messages_sent.to_string(),
-                    combining_comparison.shuffled_at_sender.to_string(),
-                    format!("{:.1}%", combining_comparison.shuffle_reduction_percent),
-                ],
-            ],
         )
     );
 
@@ -498,7 +363,6 @@ fn main() -> ExitCode {
     let ooc_scale_sweep = bench_ooc_sweep(sweep_max, workers);
     print_sweep(&ooc_scale_sweep);
 
-    let pool_won = executor_comparison.pool_speedup > 1.0;
     let sweep_sound = sweep_is_sound(&ooc_scale_sweep);
     let capture_cheaper = capture_overhead.binary_trace_bytes * 2
         <= capture_overhead.json_trace_bytes
@@ -512,8 +376,6 @@ fn main() -> ExitCode {
     );
     let report = BenchReport {
         entries,
-        executor_comparison,
-        combining_comparison,
         capture_overhead,
         sched_shim_overhead,
         recovery_time,
@@ -523,10 +385,6 @@ fn main() -> ExitCode {
     std::fs::write(&out, json + "\n").expect("write bench report");
     println!("written to {out}");
 
-    if check_pool_faster && !pool_won {
-        eprintln!("FAIL: persistent pool was not faster than spawn-per-superstep on the relay");
-        return ExitCode::FAILURE;
-    }
     if check_spills && !sweep_sound {
         return ExitCode::FAILURE;
     }
@@ -565,81 +423,6 @@ fn bench<C: Computation<Id = u64>>(
         messages,
         messages_per_sec: (messages as u128 * 1_000_000_000 / wall_nanos as u128) as u64,
         peak_active_vertices: peak,
-    }
-}
-
-/// Best-of-3 relay runs per executor. The relay ring is kept small so
-/// the graph stays hot in cache and the ~`hops` supersteps dominate.
-fn bench_executors(vertices: u64, workers: usize, hops: u64) -> ExecutorComparison {
-    const RUNS: u64 = 3;
-    let ring = vertices.clamp(64, 1024);
-    let run = |mode: ExecutorMode| -> JobStats {
-        let mut best: Option<JobStats> = None;
-        for _ in 0..RUNS {
-            let outcome = Engine::new(Relay { hops })
-                .num_workers(workers)
-                .max_supersteps(hops + 2)
-                .executor(mode)
-                .run(build_ring(ring))
-                .expect("relay succeeds");
-            if best.as_ref().is_none_or(|b| outcome.stats.total_wall_time < b.total_wall_time) {
-                best = Some(outcome.stats);
-            }
-        }
-        best.expect("at least one run")
-    };
-
-    let spawn = run(ExecutorMode::SpawnPerSuperstep);
-    let pool = run(ExecutorMode::PersistentPool);
-    assert!(spawn.same_counters(&pool), "executor modes must agree on every deterministic counter");
-    let spawn_wall = (spawn.total_wall_time.as_nanos() as u64).max(1);
-    let pool_wall = (pool.total_wall_time.as_nanos() as u64).max(1);
-    let steps = spawn.superstep_count();
-    ExecutorComparison {
-        workload: "token-relay".to_string(),
-        vertices: ring,
-        workers: workers as u64,
-        supersteps: steps,
-        runs_per_mode: RUNS,
-        spawn_wall_nanos: spawn_wall,
-        spawn_p50_superstep_nanos: spawn.p50_superstep_wall().as_nanos() as u64,
-        spawn_p95_superstep_nanos: spawn.p95_superstep_wall().as_nanos() as u64,
-        spawn_supersteps_per_sec: (steps as u128 * 1_000_000_000 / spawn_wall as u128) as u64,
-        pool_wall_nanos: pool_wall,
-        pool_p50_superstep_nanos: pool.p50_superstep_wall().as_nanos() as u64,
-        pool_p95_superstep_nanos: pool.p95_superstep_wall().as_nanos() as u64,
-        pool_supersteps_per_sec: (steps as u128 * 1_000_000_000 / pool_wall as u128) as u64,
-        pool_speedup: spawn_wall as f64 / pool_wall as f64,
-    }
-}
-
-/// PageRank (combiner-enabled) under both combining strategies; the
-/// registry's shuffle counter shows how many messages actually crossed
-/// between workers in each.
-fn bench_combining(vertices: u64, workers: usize) -> CombiningComparison {
-    let run = |strategy: CombineStrategy| -> (u64, u64) {
-        let obs = Obs::wall();
-        Engine::new(PageRank::new(8))
-            .num_workers(workers)
-            .combining(strategy)
-            .with_obs(Arc::clone(&obs))
-            .run(build_graph(vertices, |_| 0.0, |_| ()))
-            .expect("pagerank succeeds");
-        let reg = obs.registry();
-        (reg.counter_total("pregel_messages_sent"), reg.counter_total("pregel_messages_shuffled"))
-    };
-    let (sent_r, shuffled_receiver) = run(CombineStrategy::AtReceiver);
-    let (sent_s, shuffled_sender) = run(CombineStrategy::AtSender);
-    assert_eq!(sent_r, sent_s, "raw send counts must not depend on the combining strategy");
-    CombiningComparison {
-        workload: "pagerank".to_string(),
-        vertices,
-        workers: workers as u64,
-        messages_sent: sent_r,
-        shuffled_at_receiver: shuffled_receiver,
-        shuffled_at_sender: shuffled_sender,
-        shuffle_reduction_percent: 100.0
-            * (1.0 - shuffled_sender as f64 / shuffled_receiver.max(1) as f64),
     }
 }
 
@@ -1010,19 +793,6 @@ fn build_graph<V: Value, E: Value>(
     for v in 0..n {
         b.add_edge(v, (v + 1) % n, edge(v)).expect("valid edge");
         b.add_edge(v, (v * 7 + 3) % n, edge(v + 1)).expect("valid edge");
-    }
-    b.build().expect("valid graph")
-}
-
-/// A pure directed ring (each vertex's only edge points at its
-/// successor), for the relay workload.
-fn build_ring(n: u64) -> Graph<u64, u64, ()> {
-    let mut b = Graph::builder();
-    for v in 0..n {
-        b.add_vertex(v, 0).expect("distinct ids");
-    }
-    for v in 0..n {
-        b.add_edge(v, (v + 1) % n, ()).expect("valid edge");
     }
     b.build().expect("valid graph")
 }

@@ -16,8 +16,8 @@
 //!    *caught* within the schedule budget, and the clean fixture must
 //!    pass every schedule. A racy fixture that survives means the
 //!    detector regressed; the command exits nonzero.
-//! 2. **Runtime gate**: the real [`graft_pregel::Engine`] (both
-//!    executors) and the real `graft-server` concurrency protocols
+//! 2. **Runtime gate**: the real [`graft_pregel::Engine`] worker pool
+//!    and the real `graft-server` concurrency protocols
 //!    (TraceIndex cold-miss, ThreadPool shutdown-during-panic) are
 //!    driven through many distinct interleavings. Any race, deadlock,
 //!    panic, or stall fails the command and prints a step-by-step
@@ -33,7 +33,7 @@ use std::sync::Arc;
 
 use graft_dfs::{FileSystem, InMemoryFs};
 use graft_obs::{Obs, Scope};
-use graft_pregel::{Computation, ContextOf, Engine, ExecutorMode, Graph, VertexHandleOf};
+use graft_pregel::{Computation, ContextOf, Engine, Graph, VertexHandleOf};
 use graft_sched::fixtures::{self, Fixture};
 use graft_sched::{
     explore, render_trace, run_schedule, ExploreConfig, ExploreReport, ScheduleOutcome,
@@ -309,9 +309,8 @@ fn ring(n: u64) -> Graph<u64, u64, ()> {
     b.build().unwrap()
 }
 
-fn engine_gate(mode: ExecutorMode) {
-    let outcome =
-        Engine::new(MinLabel).num_workers(2).executor(mode).run(ring(6)).expect("job runs");
+fn engine_gate() {
+    let outcome = Engine::new(MinLabel).num_workers(2).run(ring(6)).expect("job runs");
     for v in 0..6 {
         assert_eq!(outcome.graph.value(v), Some(&0), "vertex {v} converged");
     }
@@ -396,12 +395,7 @@ fn full_gate(options: &CheckOptions) -> ExitCode {
     // fixtures, so the gate uses a proportional slice of the budget.
     let runtime_schedules = (options.schedules / 8).clamp(10, 50);
     println!("phase 2: runtime gate ({runtime_schedules} schedules per protocol)");
-    holds &= runtime_holds("engine:persistent-pool", options, runtime_schedules, || {
-        engine_gate(ExecutorMode::PersistentPool)
-    });
-    holds &= runtime_holds("engine:spawn-per-superstep", options, runtime_schedules, || {
-        engine_gate(ExecutorMode::SpawnPerSuperstep)
-    });
+    holds &= runtime_holds("engine:persistent-pool", options, runtime_schedules, engine_gate);
     holds &= runtime_holds("server:index-cold-miss", options, runtime_schedules, index_gate);
     holds &= runtime_holds("server:pool-panic-shutdown", options, runtime_schedules, pool_gate);
 
@@ -462,8 +456,6 @@ mod tests {
 
     #[test]
     fn runtime_gate_passes_on_the_real_engine() {
-        assert!(runtime_holds("engine:persistent-pool", &options(10, 0xBEEF), 10, || {
-            engine_gate(ExecutorMode::PersistentPool)
-        }));
+        assert!(runtime_holds("engine:persistent-pool", &options(10, 0xBEEF), 10, engine_gate));
     }
 }

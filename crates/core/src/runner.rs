@@ -91,8 +91,6 @@ pub struct GraftRunner<C: Computation> {
     cluster: Option<ClusterFs>,
     num_workers: usize,
     max_supersteps: u64,
-    executor: graft_pregel::ExecutorMode,
-    combining: graft_pregel::CombineStrategy,
     checkpoint_every: Option<u64>,
     recovery_mode: graft_pregel::RecoveryMode,
     fault_plan: Option<FaultPlan>,
@@ -146,6 +144,7 @@ impl<C: Computation> JobObserver<C> for DatanodeChaos {
 impl<C: Computation> GraftRunner<C> {
     /// Creates a runner over an in-memory trace file system.
     pub fn new(computation: C, config: DebugConfig<C>) -> Self {
+        let engine_defaults = graft_pregel::EngineConfig::default();
         Self {
             computation: Arc::new(computation),
             config,
@@ -153,10 +152,8 @@ impl<C: Computation> GraftRunner<C> {
             master_name: None,
             fs: Arc::new(InMemoryFs::new()),
             cluster: None,
-            num_workers: graft_pregel::EngineConfig::default().num_workers,
-            max_supersteps: graft_pregel::EngineConfig::default().max_supersteps,
-            executor: graft_pregel::EngineConfig::default().executor,
-            combining: graft_pregel::EngineConfig::default().combining,
+            num_workers: engine_defaults.num_workers,
+            max_supersteps: engine_defaults.max_supersteps,
             checkpoint_every: None,
             recovery_mode: graft_pregel::RecoveryMode::default(),
             fault_plan: None,
@@ -285,22 +282,6 @@ impl<C: Computation> GraftRunner<C> {
     /// Sets the engine superstep limit.
     pub fn max_supersteps(mut self, n: u64) -> Self {
         self.max_supersteps = n;
-        self
-    }
-
-    /// Selects the engine's thread executor. Deliberately *not* recorded
-    /// in `meta.json`: traces are bit-identical across executors, and the
-    /// equivalence tests depend on that.
-    pub fn executor(mut self, mode: graft_pregel::ExecutorMode) -> Self {
-        self.executor = mode;
-        self
-    }
-
-    /// Selects where the engine applies the combiner (sender or receiver
-    /// side). Like the executor, this is an execution detail that never
-    /// reaches `meta.json`.
-    pub fn combining(mut self, strategy: graft_pregel::CombineStrategy) -> Self {
-        self.combining = strategy;
         self
     }
 
@@ -433,9 +414,7 @@ impl<C: Computation> GraftRunner<C> {
         let mut engine = Engine::from_arc(Arc::clone(&instrumented))
             .with_observer(Arc::new(observer))
             .num_workers(self.num_workers)
-            .max_supersteps(self.max_supersteps)
-            .executor(self.executor)
-            .combining(self.combining);
+            .max_supersteps(self.max_supersteps);
         if let Some(threshold) = self.straggler_threshold {
             engine = engine.straggler_threshold(threshold);
         }

@@ -12,7 +12,7 @@ use graft_algorithms::components::ConnectedComponents;
 use graft_algorithms::pagerank::PageRank;
 use graft_algorithms::sssp::ShortestPaths;
 use graft_dfs::{ClusterFs, ClusterFsConfig, FileSystem};
-use graft_pregel::{Computation, ExecutorMode, FaultPlan, Graph, RecoveryMode};
+use graft_pregel::{Computation, FaultPlan, Graph, RecoveryMode};
 
 const TRACE_ROOT: &str = "/traces/chaos";
 
@@ -51,14 +51,12 @@ fn cc_graph(n: u64) -> Graph<u64, u64, ()> {
 }
 
 /// Runs `computation` with checkpointing every 2 supersteps on its own
-/// 4-node cluster, under the given fault plan, recovery mode, and
-/// executor.
+/// 4-node cluster, under the given fault plan and recovery mode.
 fn run_matrix_cell<C, G>(
     computation: C,
     graph: G,
     plan: FaultPlan,
     recovery: RecoveryMode,
-    executor: ExecutorMode,
 ) -> (GraftRun<C>, ClusterFs)
 where
     C: Computation<Id = u64>,
@@ -72,21 +70,19 @@ where
         .max_supersteps(40)
         .checkpoint_every(2)
         .recovery_mode(recovery)
-        .executor(executor)
         .with_fault_plan(plan)
         .run(graph(), TRACE_ROOT)
         .unwrap();
     (run, cluster)
 }
 
-/// The original matrix column: full restart recovery on the default
-/// executor.
+/// The original matrix column: full restart recovery.
 fn run_with_plan<C, G>(computation: C, graph: G, plan: FaultPlan) -> (GraftRun<C>, ClusterFs)
 where
     C: Computation<Id = u64>,
     G: FnOnce() -> Graph<C::Id, C::VValue, C::EValue>,
 {
-    run_matrix_cell(computation, graph, plan, RecoveryMode::Restart, ExecutorMode::PersistentPool)
+    run_matrix_cell(computation, graph, plan, RecoveryMode::Restart)
 }
 
 /// FNV-1a over a run's sorted final vertex values (via their `Debug`
@@ -236,19 +232,13 @@ fn pagerank_log_replay_kill_matrix_is_bit_identical() {
         || pr_graph(48),
         FaultPlan::new(),
         RecoveryMode::LogReplay,
-        ExecutorMode::PersistentPool,
     );
     let restart_clean = run_with_plan(PageRank::new(8), || pr_graph(48), FaultPlan::new());
     assert_eq!(result_checksum(&clean.0), result_checksum(&restart_clean.0));
     for kill_at in [1u64, 3, 6] {
         let plan: FaultPlan = format!("kill-worker:1@{kill_at}").parse().unwrap();
-        let faulted = run_matrix_cell(
-            PageRank::new(8),
-            || pr_graph(48),
-            plan,
-            RecoveryMode::LogReplay,
-            ExecutorMode::PersistentPool,
-        );
+        let faulted =
+            run_matrix_cell(PageRank::new(8), || pr_graph(48), plan, RecoveryMode::LogReplay);
         assert_matches_clean(&clean, &faulted, true, &format!("pagerank logreplay kill@{kill_at}"));
         assert_eq!(
             result_checksum(&faulted.0),
@@ -259,28 +249,17 @@ fn pagerank_log_replay_kill_matrix_is_bit_identical() {
 }
 
 #[test]
-fn sssp_log_replay_kill_matrix_is_bit_identical_across_executors() {
-    // Clean baseline on the persistent pool; recovered runs on *both*
-    // executors must match it byte-for-byte — confined recovery, like
-    // everything else in the engine, is executor-invariant.
+fn sssp_log_replay_kill_matrix_is_bit_identical() {
     let clean = run_matrix_cell(
         ShortestPaths::new(0),
         || sssp_graph(48),
         FaultPlan::new(),
         RecoveryMode::LogReplay,
-        ExecutorMode::PersistentPool,
     );
-    for executor in [ExecutorMode::PersistentPool, ExecutorMode::SpawnPerSuperstep] {
-        let plan: FaultPlan = "kill-worker:2@4".parse().unwrap();
-        let faulted = run_matrix_cell(
-            ShortestPaths::new(0),
-            || sssp_graph(48),
-            plan,
-            RecoveryMode::LogReplay,
-            executor,
-        );
-        assert_matches_clean(&clean, &faulted, true, &format!("sssp logreplay {executor:?}"));
-    }
+    let plan: FaultPlan = "kill-worker:2@4".parse().unwrap();
+    let faulted =
+        run_matrix_cell(ShortestPaths::new(0), || sssp_graph(48), plan, RecoveryMode::LogReplay);
+    assert_matches_clean(&clean, &faulted, true, "sssp logreplay");
 }
 
 #[test]
@@ -290,7 +269,6 @@ fn connected_components_log_replay_survives_compute_panics() {
         || cc_graph(48),
         FaultPlan::new(),
         RecoveryMode::LogReplay,
-        ExecutorMode::PersistentPool,
     );
     for panic_at in [1u64, 2] {
         let plan: FaultPlan = format!("panic@{panic_at}").parse().unwrap();
@@ -299,7 +277,6 @@ fn connected_components_log_replay_survives_compute_panics() {
             || cc_graph(48),
             plan,
             RecoveryMode::LogReplay,
-            ExecutorMode::PersistentPool,
         );
         assert_matches_clean(
             &clean,
@@ -320,16 +297,9 @@ fn log_replay_double_fault_falls_back_to_full_restart_and_still_matches() {
         || pr_graph(48),
         FaultPlan::new(),
         RecoveryMode::LogReplay,
-        ExecutorMode::PersistentPool,
     );
     let plan: FaultPlan = "kill-worker:1@3; panic:1@3".parse().unwrap();
-    let faulted = run_matrix_cell(
-        PageRank::new(8),
-        || pr_graph(48),
-        plan,
-        RecoveryMode::LogReplay,
-        ExecutorMode::PersistentPool,
-    );
+    let faulted = run_matrix_cell(PageRank::new(8), || pr_graph(48), plan, RecoveryMode::LogReplay);
     let recoveries = faulted.0.outcome.as_ref().unwrap().stats.recoveries;
     assert!(recoveries >= 2, "expected confined attempt + full restart, got {recoveries}");
     assert_matches_clean(&clean, &faulted, true, "pagerank logreplay double-fault");

@@ -1,9 +1,8 @@
 //! Out-of-core equivalence matrix: a run under a memory budget — spilling
 //! partitions and shuffle batches to the trace cluster and streaming them
 //! back — must be observationally identical to the unbounded in-memory
-//! run. For PageRank, SSSP, and connected components, across both
-//! executors, the budgeted run must produce byte-identical trace
-//! directories (`meta.json` aside: it legitimately records the budget),
+//! run. For PageRank, SSSP, and connected components, the budgeted run
+//! must produce byte-identical trace directories (`meta.json` aside: it legitimately records the budget),
 //! equal deterministic `JobStats` counters, and equal result checksums —
 //! also through a worker kill with confined log-replay recovery. The
 //! obs counters prove the budgeted runs actually spilled.
@@ -17,7 +16,7 @@ use graft_algorithms::pagerank::PageRank;
 use graft_algorithms::sssp::ShortestPaths;
 use graft_dfs::{ClusterFs, ClusterFsConfig, FileSystem};
 use graft_obs::{Obs, Scope};
-use graft_pregel::{Computation, ExecutorMode, FaultPlan, Graph, RecoveryMode};
+use graft_pregel::{Computation, FaultPlan, Graph, RecoveryMode};
 
 const TRACE_ROOT: &str = "/traces/ooc-equiv";
 
@@ -53,7 +52,6 @@ where
 fn run_mode<C, G, F>(
     computation: C,
     graph: G,
-    executor: ExecutorMode,
     budget: Option<u64>,
     customize: F,
 ) -> (GraftRun<C>, ClusterFs, Option<Arc<Obs>>)
@@ -67,8 +65,7 @@ where
     let mut runner = GraftRunner::new(computation, config)
         .with_cluster(cluster.clone())
         .num_workers(4)
-        .max_supersteps(40)
-        .executor(executor);
+        .max_supersteps(40);
     let mut obs = None;
     if let Some(bytes) = budget {
         let handle = Obs::deterministic(1);
@@ -180,44 +177,27 @@ fn assert_equivalent<C>(
 }
 
 #[test]
-fn pagerank_budgeted_is_bit_identical_on_both_executors() {
+fn pagerank_budgeted_is_bit_identical() {
     let graph = || build_graph(48, |_| 0.0f64, |_| ());
-    for executor in [ExecutorMode::PersistentPool, ExecutorMode::SpawnPerSuperstep] {
-        let unbounded = run_mode(PageRank::new(10), graph, executor, None, |r| r);
-        let budgeted = run_mode(PageRank::new(10), graph, executor, Some(TIGHT_BUDGET), |r| r);
-        assert_equivalent(
-            &unbounded,
-            &budgeted,
-            |v: &f64| v.to_bits(),
-            &format!("pagerank/{executor:?}"),
-        );
-    }
+    let unbounded = run_mode(PageRank::new(10), graph, None, |r| r);
+    let budgeted = run_mode(PageRank::new(10), graph, Some(TIGHT_BUDGET), |r| r);
+    assert_equivalent(&unbounded, &budgeted, |v: &f64| v.to_bits(), "pagerank");
 }
 
 #[test]
-fn sssp_budgeted_is_bit_identical_on_both_executors() {
+fn sssp_budgeted_is_bit_identical() {
     let graph = || build_graph(48, |_| f64::INFINITY, |v| 1.0 + (v % 5) as f64);
-    for executor in [ExecutorMode::PersistentPool, ExecutorMode::SpawnPerSuperstep] {
-        let unbounded = run_mode(ShortestPaths::new(0), graph, executor, None, |r| r);
-        let budgeted = run_mode(ShortestPaths::new(0), graph, executor, Some(TIGHT_BUDGET), |r| r);
-        assert_equivalent(
-            &unbounded,
-            &budgeted,
-            |v: &f64| v.to_bits(),
-            &format!("sssp/{executor:?}"),
-        );
-    }
+    let unbounded = run_mode(ShortestPaths::new(0), graph, None, |r| r);
+    let budgeted = run_mode(ShortestPaths::new(0), graph, Some(TIGHT_BUDGET), |r| r);
+    assert_equivalent(&unbounded, &budgeted, |v: &f64| v.to_bits(), "sssp");
 }
 
 #[test]
-fn components_budgeted_is_bit_identical_on_both_executors() {
+fn components_budgeted_is_bit_identical() {
     let graph = || build_graph(48, |v| v, |_| ());
-    for executor in [ExecutorMode::PersistentPool, ExecutorMode::SpawnPerSuperstep] {
-        let unbounded = run_mode(ConnectedComponents::new(), graph, executor, None, |r| r);
-        let budgeted =
-            run_mode(ConnectedComponents::new(), graph, executor, Some(TIGHT_BUDGET), |r| r);
-        assert_equivalent(&unbounded, &budgeted, |v: &u64| *v, &format!("components/{executor:?}"));
-    }
+    let unbounded = run_mode(ConnectedComponents::new(), graph, None, |r| r);
+    let budgeted = run_mode(ConnectedComponents::new(), graph, Some(TIGHT_BUDGET), |r| r);
+    assert_equivalent(&unbounded, &budgeted, |v: &u64| *v, "components");
 }
 
 #[test]
@@ -232,15 +212,8 @@ fn killed_worker_recovers_identically_under_the_budget() {
         let fault = |r: GraftRunner<PageRank>| {
             r.checkpoint_every(2).recovery_mode(mode).with_fault_plan(plan())
         };
-        let unbounded =
-            run_mode(PageRank::new(10), graph, ExecutorMode::PersistentPool, None, fault);
-        let budgeted = run_mode(
-            PageRank::new(10),
-            graph,
-            ExecutorMode::PersistentPool,
-            Some(TIGHT_BUDGET),
-            fault,
-        );
+        let unbounded = run_mode(PageRank::new(10), graph, None, fault);
+        let budgeted = run_mode(PageRank::new(10), graph, Some(TIGHT_BUDGET), fault);
         for (run, label) in [(&unbounded, "unbounded"), (&budgeted, "budgeted")] {
             let outcome = run.0.outcome.as_ref().unwrap();
             assert!(outcome.stats.recoveries > 0, "{mode:?}/{label}: fault plan never fired");

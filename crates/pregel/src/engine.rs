@@ -1,6 +1,6 @@
 //! The BSP execution engine: hash partitioning, a persistent worker
-//! pool, message shuffle with optional sender-side combining, aggregator
-//! merge, topology mutations, and halting.
+//! pool, message shuffle with sender-side combining, aggregator merge,
+//! topology mutations, and halting.
 //!
 //! "Workers" are threads, each owning one hash partition of the
 //! vertices. Every superstep runs in phases divided by barriers, exactly
@@ -15,50 +15,47 @@
 //! 6. the halting condition is evaluated: the job stops when every vertex
 //!    has voted to halt and no messages are in flight.
 //!
-//! # Executors
+//! # Execution
 //!
-//! Two [`ExecutorMode`]s drive phases 2 and 4:
+//! Phases 2 and 4 run on a pool of `num_workers` threads created once
+//! per job. The coordinator and the workers synchronize on two reusable
+//! `Barrier`s (`num_workers + 1` participants each) around a shared
+//! command word:
 //!
-//! * [`ExecutorMode::PersistentPool`] (the default) creates
-//!   `num_workers` long-lived threads once per job. The coordinator and
-//!   the workers synchronize on two reusable `Barrier`s
-//!   (`num_workers + 1` participants each) around a shared command word:
+//! 1. the coordinator stores the phase command (`Compute(global)`,
+//!    `Deliver`, or `Exit`) and waits on the *start* barrier;
+//! 2. every worker wakes, reads the command, runs its phase against its
+//!    own partition, and parks the outcome in its result slot;
+//! 3. workers and coordinator meet at the *done* barrier, after which
+//!    the coordinator owns all partitions again and collects the result
+//!    slots in worker-index order.
 //!
-//!   1. the coordinator stores the phase command (`Compute(global)`,
-//!      `Deliver`, or `Exit`) and waits on the *start* barrier;
-//!   2. every worker wakes, reads the command, runs its phase against
-//!      its own partition, and parks the outcome in its result slot;
-//!   3. workers and coordinator meet at the *done* barrier, after which
-//!      the coordinator owns all partitions again and collects the
-//!      result slots in worker-index order.
-//!
-//!   `Exit` releases the workers without a done-barrier rendezvous; the
-//!   coordinator sends it unconditionally (success or failure) before
-//!   leaving the job scope, so worker threads can never outlive a job.
-//!   Worker phase bodies run under `catch_unwind`, so an injected fault
-//!   or a panic escaping user code surfaces as an error in the result
-//!   slot while the thread itself survives to serve the recovery replay
-//!   — fault injection stays deterministic across restores.
-//!
-//! * [`ExecutorMode::SpawnPerSuperstep`] reproduces the original
-//!   engine's behavior — a fresh `std::thread::scope` per phase — and is
-//!   kept as the baseline for the equivalence matrix and benchmarks.
+//! `Exit` releases the workers without a done-barrier rendezvous; the
+//! coordinator sends it unconditionally (success or failure) before
+//! leaving the job scope, so worker threads can never outlive a job.
+//! Worker phase bodies run under `catch_unwind`, so an injected fault or
+//! a panic escaping user code surfaces as an error in the result slot
+//! while the thread itself survives to serve the recovery replay — fault
+//! injection stays deterministic across restores.
 //!
 //! # Shuffle and combining
 //!
 //! Messages travel from compute workers to delivery workers through
 //! per-partition staging slots (`incoming[partition][source_worker]`),
-//! drained in source-worker order so the shuffle is deterministic. With
-//! [`CombineStrategy::AtSender`] (the default) and a combiner enabled,
-//! each worker folds messages per target *at send time*, so one combined
-//! message (plus the raw count, which keeps the stats exact) crosses the
-//! shuffle per `(target, source worker)`. [`CombineStrategy::AtReceiver`]
-//! ships the raw stream and folds on the delivery side using the *same*
-//! fold tree: per-source partials folded in send order, partials merged
-//! into the inbox in source-worker order. Both strategies therefore
-//! produce bit-identical inboxes, results, stats, and trace bytes — even
-//! for combiners that are not associative in floating point, like
-//! PageRank's rank sum.
+//! drained in source-worker order so the shuffle is deterministic.
+//! Without a combiner a slot holds the raw `(target, message)` stream in
+//! send order and delivery appends it to the inboxes. With a combiner
+//! each worker folds per target *at send time*, so one combined message
+//! (plus the raw count, which keeps the stats exact) crosses the shuffle
+//! per `(target, source worker)`, and delivery merges those partials
+//! into the inbox in source-worker order. The fold tree is therefore
+//! fixed by the partition count alone: a target's inbox is
+//! `combine_all` over the per-source-partition `combine_all` partials,
+//! each partial folded in send order. [`crate::reference`] is that
+//! definition in executable form. Results are bit-identical for a fixed
+//! partition count; they are invariant across partition counts only when
+//! `combine` is exact (min, integer sum), not for floating-point sums
+//! like PageRank's.
 //!
 //! # Buffer reuse
 //!
@@ -103,33 +100,11 @@ type CombinedBatch<C> = FxHashMap<<C as Computation>::Id, (<C as Computation>::M
 use crate::context::{ComputeContext, Mutation};
 use crate::error::{panic_message, EngineError};
 use crate::graph::Graph;
-use crate::hash::{fx_hash_one, FxHashMap};
+use crate::hash::{partition_for, FxHashMap};
 use crate::master::{MasterComputation, MasterContext};
 use crate::observer::{JobEnd, JobObserver};
-use crate::stats::{HaltReason, JobStats, SuperstepStats};
+use crate::stats::{HaltReason, JobOutcome, JobStats, SuperstepStats};
 use crate::types::{Edge, GlobalData};
-
-/// How phases 2 and 4 are executed; see the module docs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ExecutorMode {
-    /// One pool of `num_workers` long-lived threads per job, phases
-    /// synchronized with reusable barriers. The default.
-    PersistentPool,
-    /// Fresh scoped threads per phase (the original engine's behavior).
-    /// Kept as the equivalence baseline for tests and benchmarks.
-    SpawnPerSuperstep,
-}
-
-/// Where combiner folds run; see the module docs. Both strategies use
-/// the same fold tree and produce bit-identical results.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CombineStrategy {
-    /// Fold per target at send time; the shuffle moves one combined
-    /// message per `(target, source worker)`. The default.
-    AtSender,
-    /// Ship the raw message stream and fold at delivery.
-    AtReceiver,
-}
 
 /// Engine tuning knobs.
 #[derive(Clone, Copy, Debug)]
@@ -140,10 +115,6 @@ pub struct EngineConfig {
     /// Safety limit on supersteps; the job reports
     /// [`HaltReason::MaxSuperstepsReached`] when hit.
     pub max_supersteps: u64,
-    /// How phases 2 and 4 are executed.
-    pub executor: ExecutorMode,
-    /// Where combiner folds run.
-    pub combining: CombineStrategy,
     /// Straggler detection: a worker whose per-superstep compute time
     /// exceeds this multiple of the median across workers is flagged
     /// with a `straggler.detected` event and counted in
@@ -174,21 +145,9 @@ impl Default for EngineConfig {
         Self {
             num_workers: Self::default_num_workers(),
             max_supersteps: 100_000,
-            executor: ExecutorMode::PersistentPool,
-            combining: CombineStrategy::AtSender,
             straggler_threshold: 4.0,
         }
     }
-}
-
-/// Result of a successful job.
-pub struct JobOutcome<C: Computation> {
-    /// The graph with final vertex values and (possibly mutated) topology.
-    pub graph: Graph<C::Id, C::VValue, C::EValue>,
-    /// Per-superstep counters.
-    pub stats: JobStats,
-    /// Why the job stopped.
-    pub halt_reason: HaltReason,
 }
 
 /// The Pregel engine for one computation.
@@ -242,12 +201,6 @@ impl<C: Computation> Engine<C> {
         self
     }
 
-    /// Overrides the full configuration.
-    pub fn with_config(mut self, config: EngineConfig) -> Self {
-        self.config = config;
-        self
-    }
-
     /// Sets the worker/partition count.
     pub fn num_workers(mut self, n: usize) -> Self {
         self.config.num_workers = n.max(1);
@@ -257,18 +210,6 @@ impl<C: Computation> Engine<C> {
     /// Sets the superstep safety limit.
     pub fn max_supersteps(mut self, n: u64) -> Self {
         self.config.max_supersteps = n;
-        self
-    }
-
-    /// Selects how phases 2 and 4 are executed.
-    pub fn executor(mut self, mode: ExecutorMode) -> Self {
-        self.config.executor = mode;
-        self
-    }
-
-    /// Selects where combiner folds run.
-    pub fn combining(mut self, strategy: CombineStrategy) -> Self {
-        self.config.combining = strategy;
         self
     }
 
@@ -427,41 +368,31 @@ impl<C: Computation> Engine<C> {
             obs: self.obs.as_deref(),
             msglog: msglog.as_ref(),
             spill: spill_store.as_ref(),
-            combining: self.config.combining,
             num_partitions,
         };
 
-        let halt_reason = match self.config.executor {
-            ExecutorMode::SpawnPerSuperstep => {
-                let runner = SpawnRunner { ctx };
-                self.drive(&mut state, &runner, ctx)?
+        let pool = PoolSync::<C>::new(num_partitions);
+        let halt_reason = std::thread::scope(|scope| {
+            let mut tokens = Vec::with_capacity(num_partitions);
+            for worker_id in 0..num_partitions {
+                let pool = &pool;
+                let forked = sched_thread::fork(format!("pool-worker-{worker_id}"));
+                tokens.push(forked.token());
+                scope.spawn(forked.wrap(move || pool_worker(ctx, pool, worker_id)));
             }
-            ExecutorMode::PersistentPool => {
-                let sync = PoolSync::<C>::new(num_partitions);
-                std::thread::scope(|scope| {
-                    let mut tokens = Vec::with_capacity(num_partitions);
-                    for worker_id in 0..num_partitions {
-                        let sync = &sync;
-                        let forked = sched_thread::fork(format!("pool-worker-{worker_id}"));
-                        tokens.push(forked.token());
-                        scope.spawn(forked.wrap(move || pool_worker(ctx, sync, worker_id)));
-                    }
-                    let runner = PoolRunner { sync: &sync };
-                    let outcome = self.drive(&mut state, &runner, ctx);
-                    // Unconditional shutdown: workers must be released
-                    // before the scope joins them, on success or failure.
-                    sync.command.set(PoolCommand::Exit);
-                    sync.start.wait();
-                    // Under a schedule session the scope's implicit joins
-                    // would block the scheduler token; wait for each
-                    // worker at a schedulable point first.
-                    for token in &tokens {
-                        token.join_point();
-                    }
-                    outcome
-                })?
+            let outcome = self.drive(&mut state, &pool, ctx);
+            // Unconditional shutdown: workers must be released before the
+            // scope joins them, on success or failure.
+            pool.command.set(PoolCommand::Exit);
+            pool.start.wait();
+            // Under a schedule session the scope's implicit joins would
+            // block the scheduler token; wait for each worker at a
+            // schedulable point first.
+            for token in &tokens {
+                token.join_point();
             }
-        };
+            outcome
+        })?;
 
         // Everything spilled must come home before the final graph is
         // rebuilt; `finish` also removes the spill root, so a budgeted
@@ -490,10 +421,10 @@ impl<C: Computation> Engine<C> {
     /// recoverable failures — confined log replay first when the mode
     /// allows it, full restore-and-replay of the latest committed
     /// checkpoint otherwise.
-    fn drive<R: PhaseRunner<C>>(
+    fn drive(
         &self,
         state: &mut LoopState,
-        runner: &R,
+        pool: &PoolSync<C>,
         ctx: EngineCtx<'_, C>,
     ) -> Result<HaltReason, (u64, EngineError)> {
         let shared = ctx.shared;
@@ -589,7 +520,7 @@ impl<C: Computation> Engine<C> {
                 }
             }
 
-            match self.execute_superstep(state, runner, ctx) {
+            match self.execute_superstep(state, pool, ctx) {
                 Ok(Some(reason)) => return Ok(reason),
                 Ok(None) => {}
                 Err(failure) => {
@@ -618,7 +549,7 @@ impl<C: Computation> Engine<C> {
                     if let (Some(log), Some(compute_failure)) = (ctx.msglog, compute) {
                         match self.confined_recover(
                             state,
-                            runner,
+                            pool,
                             ctx,
                             fs,
                             ckpt,
@@ -767,10 +698,10 @@ impl<C: Computation> Engine<C> {
     /// When the failure is confined to the compute phase, the error
     /// carries everything confined recovery needs: the survivors'
     /// finished outputs and the failed-worker list.
-    fn execute_superstep<R: PhaseRunner<C>>(
+    fn execute_superstep(
         &self,
         state: &mut LoopState,
-        runner: &R,
+        pool: &PoolSync<C>,
         ctx: EngineCtx<'_, C>,
     ) -> Result<Option<HaltReason>, StepFailure<C>> {
         let shared = ctx.shared;
@@ -820,7 +751,7 @@ impl<C: Computation> Engine<C> {
         // Phase 2: parallel vertex computation. Every worker's result is
         // collected — confined recovery needs the survivors' outputs and
         // the full failed-worker list, not just the first error.
-        let worker_results = runner.compute(global);
+        let worker_results = pool.compute(global);
 
         let mut outputs: Vec<Option<WorkerOutput<C>>> = Vec::with_capacity(worker_results.len());
         let mut failed: Vec<usize> = Vec::new();
@@ -848,7 +779,7 @@ impl<C: Computation> Engine<C> {
 
         self.finish_superstep(
             state,
-            runner,
+            pool,
             ctx,
             global,
             outputs,
@@ -863,10 +794,10 @@ impl<C: Computation> Engine<C> {
     /// stats, and the halting check. Shared by the normal path and the
     /// tail of a confined recovery.
     #[allow(clippy::too_many_arguments)]
-    fn finish_superstep<R: PhaseRunner<C>>(
+    fn finish_superstep(
         &self,
         state: &mut LoopState,
-        runner: &R,
+        pool: &PoolSync<C>,
         ctx: EngineCtx<'_, C>,
         global: GlobalData,
         mut outputs: Vec<WorkerOutput<C>>,
@@ -942,7 +873,7 @@ impl<C: Computation> Engine<C> {
         let delivery_begin = obs.map(|o| o.begin("phase.delivery", Some(superstep), None));
 
         // Phase 4: parallel message delivery from the staged shuffle.
-        let delivery_results = runner.deliver(superstep);
+        let delivery_results = pool.deliver(superstep);
         let mut delivery = Vec::with_capacity(delivery_results.len());
         for result in delivery_results {
             match result {
@@ -1113,10 +1044,10 @@ impl<C: Computation> Engine<C> {
     /// restart. An `Err` means the replay itself failed after state was
     /// already touched; the caller must not continue without restoring.
     #[allow(clippy::too_many_arguments)]
-    fn confined_recover<R: PhaseRunner<C>>(
+    fn confined_recover(
         &self,
         state: &mut LoopState,
-        runner: &R,
+        pool: &PoolSync<C>,
         ctx: EngineCtx<'_, C>,
         fs: &Arc<dyn FileSystem>,
         ckpt: &CheckpointConfig,
@@ -1230,9 +1161,8 @@ impl<C: Computation> Engine<C> {
                 };
                 let mut regenerated: FxHashMap<(usize, usize), Outbox<C>> = FxHashMap::default();
                 for &w in &failed {
-                    let mut scratch = WorkerScratch::new();
                     let outboxes = match catch_unwind(AssertUnwindSafe(|| {
-                        worker_compute_core(ctx, w, replay_global, &mut scratch, &registry)
+                        worker_compute_core(ctx, w, replay_global, &mut Vec::new(), &registry)
                     })) {
                         Ok(Ok((_, outboxes))) => outboxes,
                         Ok(Err(e)) => return Err(e),
@@ -1251,11 +1181,9 @@ impl<C: Computation> Engine<C> {
                         }
                     }
                 }
-                let use_combiner = ctx.computation.use_combiner();
                 for &p in &failed {
                     let mut partition_guard = lock(&shared.partitions[p]);
                     let partition = &mut *partition_guard;
-                    let mut fold: CombinedBatch<C> = FxHashMap::default();
                     let mut delivered = 0u64;
                     let mut missing = 0u64;
                     for w in 0..ctx.num_partitions {
@@ -1273,8 +1201,6 @@ impl<C: Computation> Engine<C> {
                         };
                         apply_batch(
                             ctx.computation,
-                            use_combiner,
-                            &mut fold,
                             partition,
                             batch,
                             &mut delivered,
@@ -1295,8 +1221,7 @@ impl<C: Computation> Engine<C> {
         let mut recover_err = replay.err();
         if recover_err.is_none() {
             for &w in &failed {
-                let mut scratch = WorkerScratch::new();
-                match guarded_compute(ctx, w, global, &mut scratch) {
+                match guarded_compute(ctx, w, global, &mut Vec::new()) {
                     Ok(output) => outputs[w] = Some(output),
                     Err(e) => {
                         recover_err = Some(e);
@@ -1336,7 +1261,7 @@ impl<C: Computation> Engine<C> {
         let compute_begin = obs.map(|o| o.begin("phase.compute", Some(failed_at), None));
         self.finish_superstep(
             state,
-            runner,
+            pool,
             ctx,
             global,
             outputs,
@@ -1443,11 +1368,6 @@ pub fn detect_stragglers(worker_nanos: &[u64], threshold: f64) -> Vec<(usize, u6
         .filter(|(_, &nanos)| nanos as f64 > median as f64 * threshold)
         .map(|(w, &nanos)| (w, nanos, median))
         .collect()
-}
-
-/// Deterministic partition assignment for a vertex id.
-pub fn partition_for<I: std::hash::Hash>(id: &I, num_partitions: usize) -> usize {
-    (fx_hash_one(id) % num_partitions as u64) as usize
 }
 
 /// Job state shared between the coordinator and the worker threads.
@@ -1623,7 +1543,7 @@ impl<C: Computation> BufferPool<C> {
 }
 
 /// Everything a worker phase needs, bundled so it can be copied into
-/// pool threads and per-phase scoped threads alike.
+/// the pool threads.
 struct EngineCtx<'a, C: Computation> {
     computation: &'a C,
     shared: &'a SharedState<C>,
@@ -1631,7 +1551,6 @@ struct EngineCtx<'a, C: Computation> {
     obs: Option<&'a Obs>,
     msglog: Option<&'a MsgLog>,
     spill: Option<&'a SpillStore<C>>,
-    combining: CombineStrategy,
     num_partitions: usize,
 }
 
@@ -1642,21 +1561,6 @@ impl<C: Computation> Clone for EngineCtx<'_, C> {
 }
 
 impl<C: Computation> Copy for EngineCtx<'_, C> {}
-
-/// Per-worker reusable scratch: the staged-send buffer threaded through
-/// [`ComputeContext`] and the receiver-side combining map. Pool workers
-/// keep one across the whole job; spawn-mode workers rebuild it per
-/// phase (that allocation cost is part of what the pool removes).
-struct WorkerScratch<C: Computation> {
-    staged: RawBatch<C>,
-    fold: CombinedBatch<C>,
-}
-
-impl<C: Computation> WorkerScratch<C> {
-    fn new() -> Self {
-        Self { staged: Vec::new(), fold: FxHashMap::default() }
-    }
-}
 
 struct WorkerOutput<C: Computation> {
     aggs: WorkerAggregators,
@@ -1717,11 +1621,9 @@ fn rebuild_graph<C: Computation>(
     Graph::from_parts(ids, values, adjacency)
 }
 
-/// Folds one `(target, message)` send into a combining map: the same
-/// per-source, send-order fold runs at the sender (`AtSender`) and per
-/// raw batch at the receiver (`AtReceiver`), which is what makes the two
-/// strategies bit-identical. The count tracks raw messages so delivery
-/// stats stay exact.
+/// Folds one `(target, message)` send into a worker's combining map, in
+/// send order. The count tracks raw messages so delivery stats stay
+/// exact.
 fn fold_entry<C: Computation>(
     computation: &C,
     map: &mut CombinedBatch<C>,
@@ -1778,7 +1680,7 @@ fn worker_compute<C: Computation>(
     ctx: EngineCtx<'_, C>,
     worker_id: usize,
     global: GlobalData,
-    scratch: &mut WorkerScratch<C>,
+    staged: &mut RawBatch<C>,
 ) -> Result<WorkerOutput<C>, EngineError> {
     // Under a budget, bring this worker's partition resident and keep it
     // pinned for the whole phase; released (and its charge refreshed)
@@ -1791,7 +1693,7 @@ fn worker_compute<C: Computation>(
     };
     let (mut output, outboxes) = {
         let registry = read(&ctx.shared.registry);
-        worker_compute_core(ctx, worker_id, global, scratch, &registry)?
+        worker_compute_core(ctx, worker_id, global, staged, &registry)?
     };
 
     if let Some(log) = ctx.msglog {
@@ -1885,7 +1787,7 @@ fn worker_compute_core<C: Computation>(
     ctx: EngineCtx<'_, C>,
     worker_id: usize,
     global: GlobalData,
-    scratch: &mut WorkerScratch<C>,
+    staged: &mut RawBatch<C>,
     registry: &AggregatorRegistry,
 ) -> Result<(WorkerOutput<C>, Vec<Outbox<C>>), EngineError> {
     let timer = ctx.obs.map(|o| o.timer());
@@ -1900,9 +1802,9 @@ fn worker_compute_core<C: Computation>(
         }
     }
     let computation = ctx.computation;
-    let combine_at_send = ctx.combining == CombineStrategy::AtSender && computation.use_combiner();
+    let use_combiner = computation.use_combiner();
     let mut outboxes: Vec<Outbox<C>> =
-        (0..ctx.num_partitions).map(|_| ctx.shared.buffers.take(combine_at_send)).collect();
+        (0..ctx.num_partitions).map(|_| ctx.shared.buffers.take(use_combiner)).collect();
 
     let mut worker_aggs = WorkerAggregators::for_registry(registry);
     let mut mutations: Vec<MutationOf<C>> = Vec::new();
@@ -1912,14 +1814,13 @@ fn worker_compute_core<C: Computation>(
     let partition = &mut *partition_guard;
 
     {
-        let staged = std::mem::take(&mut scratch.staged);
         let mut cctx = ComputeContext::with_buffer(
             global,
             worker_id,
             registry,
             &mut worker_aggs,
             &mut mutations,
-            staged,
+            std::mem::take(staged),
         );
         for slot in 0..partition.ids.len() {
             if partition.removed[slot] {
@@ -1974,7 +1875,7 @@ fn worker_compute_core<C: Computation>(
             drained.clear();
             partition.inbox[slot] = drained;
         }
-        scratch.staged = cctx.into_buffer();
+        *staged = cctx.into_buffer();
     }
 
     let nanos = timer.map(|t| t.stop()).unwrap_or(0);
@@ -2020,7 +1921,6 @@ fn unlog_batch<C: Computation>(batch: &LoggedBatch<C::Id, C::Message>) -> Outbox
 fn worker_deliver<C: Computation>(
     ctx: EngineCtx<'_, C>,
     worker_id: usize,
-    scratch: &mut WorkerScratch<C>,
 ) -> Result<DeliveryCounts, EngineError> {
     let timer = ctx.obs.map(|o| o.timer());
     // Same pin discipline as the compute phase: the partition whose
@@ -2031,8 +1931,6 @@ fn worker_deliver<C: Computation>(
         }
         None => None,
     };
-    let computation = ctx.computation;
-    let use_combiner = computation.use_combiner();
     let mut partition_guard = lock(&ctx.shared.partitions[worker_id]);
     let partition = &mut *partition_guard;
     let mut delivered = 0u64;
@@ -2065,9 +1963,7 @@ fn worker_deliver<C: Computation>(
             }
         };
         apply_batch(
-            computation,
-            use_combiner,
-            &mut scratch.fold,
+            ctx.computation,
             partition,
             batch,
             &mut delivered,
@@ -2090,11 +1986,8 @@ fn worker_deliver<C: Computation>(
 /// Applies one shuffle batch to a partition's inboxes: the single
 /// delivery code path shared by live supersteps and confined replay,
 /// which is what makes a replayed inbox bit-identical to the original.
-#[allow(clippy::too_many_arguments)]
 fn apply_batch<C: Computation>(
     computation: &C,
-    use_combiner: bool,
-    fold: &mut CombinedBatch<C>,
     partition: &mut Partition<C>,
     batch: Outbox<C>,
     delivered: &mut u64,
@@ -2103,34 +1996,17 @@ fn apply_batch<C: Computation>(
 ) {
     match batch {
         Outbox::Raw(mut buf) => {
-            if use_combiner {
-                // Receiver-side combining: run the sender-side fold on
-                // this batch, then merge the partials — the exact
-                // operation sequence `AtSender` would have shipped.
-                fold.clear();
-                for (target, message) in buf.drain(..) {
-                    fold_entry(computation, fold, target, message);
-                }
-                for (target, (message, count)) in fold.drain() {
-                    deliver_combined(
-                        computation,
-                        partition,
-                        target,
-                        message,
-                        count,
-                        delivered,
-                        missing,
-                    );
-                }
-            } else {
-                for (target, message) in buf.drain(..) {
-                    match partition.index.get(&target) {
-                        Some(&slot) if !partition.removed[slot] => {
-                            partition.inbox[slot].push(message);
-                            *delivered += 1;
-                        }
-                        _ => *missing += 1,
+            debug_assert!(
+                !computation.use_combiner(),
+                "a combiner job ships, logs and spills only combined batches"
+            );
+            for (target, message) in buf.drain(..) {
+                match partition.index.get(&target) {
+                    Some(&slot) if !partition.removed[slot] => {
+                        partition.inbox[slot].push(message);
+                        *delivered += 1;
                     }
+                    _ => *missing += 1,
                 }
             }
             buffers.put(Outbox::Raw(buf));
@@ -2162,9 +2038,9 @@ fn guarded_compute<C: Computation>(
     ctx: EngineCtx<'_, C>,
     worker_id: usize,
     global: GlobalData,
-    scratch: &mut WorkerScratch<C>,
+    staged: &mut RawBatch<C>,
 ) -> Result<WorkerOutput<C>, EngineError> {
-    match catch_unwind(AssertUnwindSafe(|| worker_compute(ctx, worker_id, global, scratch))) {
+    match catch_unwind(AssertUnwindSafe(|| worker_compute(ctx, worker_id, global, staged))) {
         Ok(result) => result,
         Err(_) => {
             Err(EngineError::WorkerCrashed { worker: worker_id, superstep: global.superstep })
@@ -2178,75 +2054,10 @@ fn guarded_deliver<C: Computation>(
     ctx: EngineCtx<'_, C>,
     worker_id: usize,
     superstep: u64,
-    scratch: &mut WorkerScratch<C>,
 ) -> Result<DeliveryCounts, EngineError> {
-    match catch_unwind(AssertUnwindSafe(|| worker_deliver(ctx, worker_id, scratch))) {
+    match catch_unwind(AssertUnwindSafe(|| worker_deliver(ctx, worker_id))) {
         Ok(result) => result,
         Err(_) => Err(EngineError::WorkerCrashed { worker: worker_id, superstep }),
-    }
-}
-
-/// How the coordinator runs phases 2 and 4; implemented by the
-/// spawn-per-superstep baseline and the persistent pool.
-trait PhaseRunner<C: Computation> {
-    /// Runs phase 2 on every worker; results in worker-index order.
-    fn compute(&self, global: GlobalData) -> Vec<Result<WorkerOutput<C>, EngineError>>;
-    /// Runs phase 4 on every worker; results in worker-index order.
-    fn deliver(&self, superstep: u64) -> Vec<Result<DeliveryCounts, EngineError>>;
-}
-
-/// [`ExecutorMode::SpawnPerSuperstep`]: fresh scoped threads per phase.
-struct SpawnRunner<'a, C: Computation> {
-    ctx: EngineCtx<'a, C>,
-}
-
-impl<C: Computation> PhaseRunner<C> for SpawnRunner<'_, C> {
-    fn compute(&self, global: GlobalData) -> Vec<Result<WorkerOutput<C>, EngineError>> {
-        let ctx = self.ctx;
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..ctx.num_partitions)
-                .map(|worker_id| {
-                    let forked = sched_thread::fork(format!("compute-{worker_id}"));
-                    let token = forked.token();
-                    let handle = scope.spawn(forked.wrap(move || {
-                        let mut scratch = WorkerScratch::new();
-                        guarded_compute(ctx, worker_id, global, &mut scratch)
-                    }));
-                    (token, handle)
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|(token, h)| {
-                    token.join_point();
-                    h.join().expect("engine worker must not panic")
-                })
-                .collect()
-        })
-    }
-
-    fn deliver(&self, superstep: u64) -> Vec<Result<DeliveryCounts, EngineError>> {
-        let ctx = self.ctx;
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..ctx.num_partitions)
-                .map(|worker_id| {
-                    let forked = sched_thread::fork(format!("deliver-{worker_id}"));
-                    let token = forked.token();
-                    let handle = scope.spawn(forked.wrap(move || {
-                        let mut scratch = WorkerScratch::new();
-                        guarded_deliver(ctx, worker_id, superstep, &mut scratch)
-                    }));
-                    (token, handle)
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|(token, h)| {
-                    token.join_point();
-                    h.join().expect("delivery must not panic")
-                })
-                .collect()
-        })
     }
 }
 
@@ -2298,64 +2109,55 @@ impl<C: Computation> PoolSync<C> {
                 .collect(),
         }
     }
-}
 
-/// The body of one persistent pool thread: wait at the start barrier,
-/// read the command, run the phase, park the result, meet at the done
-/// barrier. Per-job scratch (staged-send buffer, fold map) lives here
-/// across supersteps — that reuse is one of the pool's wins.
-fn pool_worker<C: Computation>(ctx: EngineCtx<'_, C>, sync: &PoolSync<C>, worker_id: usize) {
-    let mut scratch = WorkerScratch::new();
-    loop {
-        sync.start.wait();
-        let command = sync.command.get();
-        match command {
-            PoolCommand::Compute(global) => {
-                let result = guarded_compute(ctx, worker_id, global, &mut scratch);
-                sync.compute_results[worker_id].set(Some(result));
-            }
-            PoolCommand::Deliver { superstep } => {
-                let result = guarded_deliver(ctx, worker_id, superstep, &mut scratch);
-                sync.deliver_results[worker_id].set(Some(result));
-            }
-            PoolCommand::Exit => return,
-            PoolCommand::Idle => {}
-        }
-        sync.done.wait();
-    }
-}
-
-/// [`ExecutorMode::PersistentPool`]: dispatches phases to the long-lived
-/// worker threads through the barrier protocol.
-struct PoolRunner<'a, C: Computation> {
-    sync: &'a PoolSync<C>,
-}
-
-impl<C: Computation> PoolRunner<'_, C> {
+    /// Runs one phase on every worker and returns once all are parked.
     fn dispatch(&self, command: PoolCommand) {
-        self.sync.command.set(command);
-        self.sync.start.wait();
-        self.sync.done.wait();
+        self.command.set(command);
+        self.start.wait();
+        self.done.wait();
     }
-}
 
-impl<C: Computation> PhaseRunner<C> for PoolRunner<'_, C> {
+    /// Runs phase 2 on every worker; results in worker-index order.
     fn compute(&self, global: GlobalData) -> Vec<Result<WorkerOutput<C>, EngineError>> {
         self.dispatch(PoolCommand::Compute(global));
-        self.sync
-            .compute_results
+        self.compute_results
             .iter()
             .map(|slot| slot.take().expect("pool worker must report a compute result"))
             .collect()
     }
 
+    /// Runs phase 4 on every worker; results in worker-index order.
     fn deliver(&self, superstep: u64) -> Vec<Result<DeliveryCounts, EngineError>> {
         self.dispatch(PoolCommand::Deliver { superstep });
-        self.sync
-            .deliver_results
+        self.deliver_results
             .iter()
             .map(|slot| slot.take().expect("pool worker must report a delivery result"))
             .collect()
+    }
+}
+
+/// The body of one persistent pool thread: wait at the start barrier,
+/// read the command, run the phase, park the result, meet at the done
+/// barrier. The staged-send buffer threaded through [`ComputeContext`]
+/// lives here across supersteps, so only its capacity is ever reused.
+fn pool_worker<C: Computation>(ctx: EngineCtx<'_, C>, pool: &PoolSync<C>, worker_id: usize) {
+    let mut staged = Vec::new();
+    loop {
+        pool.start.wait();
+        let command = pool.command.get();
+        match command {
+            PoolCommand::Compute(global) => {
+                let result = guarded_compute(ctx, worker_id, global, &mut staged);
+                pool.compute_results[worker_id].set(Some(result));
+            }
+            PoolCommand::Deliver { superstep } => {
+                let result = guarded_deliver(ctx, worker_id, superstep);
+                pool.deliver_results[worker_id].set(Some(result));
+            }
+            PoolCommand::Exit => return,
+            PoolCommand::Idle => {}
+        }
+        pool.done.wait();
     }
 }
 
@@ -2435,14 +2237,6 @@ mod tests {
         assert_eq!(EngineConfig::worker_override(Some(" 12 ")), Some(12));
         assert_eq!(EngineConfig::worker_override(Some("0")), Some(1));
         assert_eq!(EngineConfig::worker_override(Some("4096")), Some(64));
-    }
-
-    #[test]
-    fn default_config_uses_pool_and_sender_combining() {
-        let config = EngineConfig::default();
-        assert_eq!(config.executor, ExecutorMode::PersistentPool);
-        assert_eq!(config.combining, CombineStrategy::AtSender);
-        assert!(config.num_workers >= 1);
     }
 
     #[test]

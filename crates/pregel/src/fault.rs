@@ -7,11 +7,9 @@
 //! graph always fails at the same point, which is what lets the
 //! fault-tolerance tests demand byte-identical recovery.
 //!
-//! Faults fire the same way under both engine executors: with the
-//! persistent worker pool, a "crashed" worker reports the fault through
-//! its per-phase result slot (the pool thread itself survives and parks
-//! at the barrier), so recovery sees exactly the error a freshly spawned
-//! thread would have produced.
+//! A "crashed" worker reports the fault through its per-phase result
+//! slot; the pool thread itself survives and parks at the barrier, so
+//! the same thread serves the recovery replay.
 //!
 //! Plans can be written in a compact spec syntax for the CLI:
 //!

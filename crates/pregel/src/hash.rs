@@ -89,6 +89,11 @@ pub fn fx_hash_one<T: std::hash::Hash>(value: &T) -> u64 {
     hasher.finish()
 }
 
+/// Deterministic partition assignment for a vertex id.
+pub fn partition_for<I: std::hash::Hash>(id: &I, num_partitions: usize) -> usize {
+    (fx_hash_one(id) % num_partitions as u64) as usize
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

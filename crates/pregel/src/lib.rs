@@ -68,6 +68,7 @@ mod master;
 mod msglog;
 mod observer;
 pub mod ooc;
+pub mod reference;
 mod stats;
 mod types;
 
@@ -75,15 +76,13 @@ pub use aggregators::{AggOp, AggValue, AggregatorRegistry, WorkerAggregators};
 pub use checkpoint::{CheckpointConfig, CheckpointError, RecoveryMode};
 pub use computation::{Computation, ContextOf, VertexHandle, VertexHandleOf};
 pub use context::{ComputeContext, Mutation};
-pub use engine::{
-    detect_stragglers, partition_for, CombineStrategy, Engine, EngineConfig, ExecutorMode,
-    JobOutcome,
-};
+pub use engine::{detect_stragglers, Engine, EngineConfig};
 pub use error::EngineError;
 pub use fault::{Fault, FaultPlan, FaultPlanParseError};
 pub use graph::{Graph, GraphBuilder, GraphError, GraphStats};
+pub use hash::partition_for;
 pub use master::{MasterComputation, MasterContext};
 pub use observer::{JobEnd, JobObserver};
 pub use ooc::{estimate_max_partition_bytes, OocConfig};
-pub use stats::{HaltReason, JobStats, SuperstepStats};
+pub use stats::{HaltReason, JobOutcome, JobStats, SuperstepStats};
 pub use types::{Edge, GlobalData, Value, VertexId};

@@ -65,8 +65,9 @@ use crate::checkpoint::{
     CheckpointError,
 };
 use crate::computation::Computation;
-use crate::engine::{partition_for, Partition};
+use crate::engine::Partition;
 use crate::graph::Graph;
+use crate::hash::partition_for;
 use graft_sched::sync::Mutex as SchedMutex;
 
 /// Out-of-core configuration: the byte budget and where spill segments

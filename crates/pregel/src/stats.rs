@@ -3,6 +3,9 @@
 use std::fmt;
 use std::time::Duration;
 
+use crate::computation::Computation;
+use crate::graph::Graph;
+
 /// Counters gathered for one superstep.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct SuperstepStats {
@@ -35,8 +38,8 @@ pub struct SuperstepStats {
 impl SuperstepStats {
     /// The deterministic counters of this superstep, in declaration
     /// order, excluding the wall-clock durations. Two runs of the same
-    /// job are expected to agree on these even across executor and
-    /// combining modes; timings naturally differ.
+    /// job at the same partition count agree on these — as does the
+    /// sequential reference runner; timings naturally differ.
     pub fn counters(&self) -> [u64; 7] {
         [
             self.superstep,
@@ -118,8 +121,8 @@ impl JobStats {
 
     /// Whether every deterministic per-superstep counter and the recovery
     /// count match `other` (wall-clock timings are ignored). This is the
-    /// equality the engine-equivalence tests assert across executor and
-    /// combining modes.
+    /// equality the differential tests assert between the engine and
+    /// the sequential reference runner.
     pub fn same_counters(&self, other: &JobStats) -> bool {
         self.recoveries == other.recoveries
             && self.supersteps.len() == other.supersteps.len()
@@ -162,6 +165,16 @@ impl fmt::Display for JobStats {
 
 fn fmt_duration(d: Duration) -> String {
     graft_obs::fmt_nanos(d.as_nanos() as u64)
+}
+
+/// Result of a successful job.
+pub struct JobOutcome<C: Computation> {
+    /// The graph with final vertex values and (possibly mutated) topology.
+    pub graph: Graph<C::Id, C::VValue, C::EValue>,
+    /// Per-superstep counters.
+    pub stats: JobStats,
+    /// Why the job stopped.
+    pub halt_reason: HaltReason,
 }
 
 #[cfg(test)]

@@ -9,8 +9,8 @@ use std::sync::Arc;
 use graft_dfs::{FileSystem, InMemoryFs};
 use graft_pregel::{
     AggOp, AggValue, AggregatorRegistry, CheckpointConfig, Computation, ContextOf, Engine,
-    EngineError, ExecutorMode, Fault, FaultPlan, Graph, HaltReason, JobObserver, JobOutcome,
-    MasterComputation, MasterContext, RecoveryMode, VertexHandleOf,
+    EngineError, Fault, FaultPlan, Graph, HaltReason, JobObserver, JobOutcome, MasterComputation,
+    MasterContext, RecoveryMode, VertexHandleOf,
 };
 
 /// A PageRank-style computation: f64 values, sum combiner, fixed
@@ -241,25 +241,22 @@ fn checkpoints_are_pruned_on_dfs() {
 #[test]
 fn log_replay_worker_kill_recovers_confined_and_bit_identical() {
     let clean = run_clean();
-    for executor in [ExecutorMode::PersistentPool, ExecutorMode::SpawnPerSuperstep] {
-        let fs: Arc<dyn FileSystem> = Arc::new(InMemoryFs::new());
-        let probe = Arc::new(RecoveryProbe::default());
-        let plan = FaultPlan::new().with(Fault::KillWorker { worker: 1, superstep: 5 });
-        let outcome = log_engine(&fs, 3)
-            .executor(executor)
-            .with_observer(probe.clone())
-            .with_fault_plan(plan)
-            .run(ring_graph(64))
-            .unwrap();
+    let fs: Arc<dyn FileSystem> = Arc::new(InMemoryFs::new());
+    let probe = Arc::new(RecoveryProbe::default());
+    let plan = FaultPlan::new().with(Fault::KillWorker { worker: 1, superstep: 5 });
+    let outcome = log_engine(&fs, 3)
+        .with_observer(probe.clone())
+        .with_fault_plan(plan)
+        .run(ring_graph(64))
+        .unwrap();
 
-        assert_eq!(outcome.stats.recoveries, 1, "{executor:?}");
-        assert_eq!(outcome.halt_reason, HaltReason::AllVerticesHalted);
-        // The recovery was confined: one partial restore from the
-        // checkpoint at 3 covering only worker 1, and no full restore.
-        assert_eq!(probe.confined.lock().unwrap().as_slice(), &[(3, vec![1])]);
-        assert!(probe.full.lock().unwrap().is_empty());
-        assert_bitwise_equal(&clean, &outcome);
-    }
+    assert_eq!(outcome.stats.recoveries, 1);
+    assert_eq!(outcome.halt_reason, HaltReason::AllVerticesHalted);
+    // The recovery was confined: one partial restore from the
+    // checkpoint at 3 covering only worker 1, and no full restore.
+    assert_eq!(probe.confined.lock().unwrap().as_slice(), &[(3, vec![1])]);
+    assert!(probe.full.lock().unwrap().is_empty());
+    assert_bitwise_equal(&clean, &outcome);
 }
 
 #[test]

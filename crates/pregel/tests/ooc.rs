@@ -1,8 +1,7 @@
 //! Out-of-core execution at the engine level: a run under a tight
 //! memory budget must spill (provably — the counters say so) and still
 //! produce results bitwise identical to the unbounded in-memory run,
-//! across both executors, with mutations, and through checkpointed
-//! fault recovery.
+//! with mutations, and through checkpointed fault recovery.
 
 use std::sync::Arc;
 
@@ -10,8 +9,7 @@ use graft_dfs::{FileSystem, InMemoryFs};
 use graft_obs::{Obs, Scope};
 use graft_pregel::{
     estimate_max_partition_bytes, AggregatorRegistry, CheckpointConfig, Computation, ContextOf,
-    Engine, ExecutorMode, Fault, FaultPlan, Graph, JobOutcome, OocConfig, RecoveryMode,
-    VertexHandleOf,
+    Engine, Fault, FaultPlan, Graph, JobOutcome, OocConfig, RecoveryMode, VertexHandleOf,
 };
 
 /// PageRank with a sum combiner: floating-point folds make any change
@@ -123,34 +121,31 @@ fn budgeted_run_is_bitwise_identical_and_actually_spills() {
     let n = 200;
     let unbounded = Engine::new(Rank { iterations: 9 }).num_workers(4).run(ring_graph(n)).unwrap();
 
-    for mode in [ExecutorMode::PersistentPool, ExecutorMode::SpawnPerSuperstep] {
-        let fs: Arc<dyn FileSystem> = Arc::new(InMemoryFs::new());
-        let obs = Obs::deterministic(1);
-        // A budget far below the graph's footprint: partitions must churn
-        // through the store every superstep.
-        let budgeted = Engine::new(Rank { iterations: 9 })
-            .num_workers(4)
-            .executor(mode)
-            .with_memory_budget(fs.clone(), OocConfig::new(2_000, "/ooc"))
-            .with_obs(obs.clone())
-            .run(ring_graph(n))
-            .unwrap();
-        assert_same_ranks(&unbounded, &budgeted, n);
+    let fs: Arc<dyn FileSystem> = Arc::new(InMemoryFs::new());
+    let obs = Obs::deterministic(1);
+    // A budget far below the graph's footprint: partitions must churn
+    // through the store every superstep.
+    let budgeted = Engine::new(Rank { iterations: 9 })
+        .num_workers(4)
+        .with_memory_budget(fs.clone(), OocConfig::new(2_000, "/ooc"))
+        .with_obs(obs.clone())
+        .run(ring_graph(n))
+        .unwrap();
+    assert_same_ranks(&unbounded, &budgeted, n);
 
-        let reg = obs.registry();
-        let spills = reg.counter_value("ooc_spills_total", Scope::GLOBAL);
-        let loads = reg.counter_value("ooc_loads_total", Scope::GLOBAL);
-        assert!(spills > 0, "{mode:?}: no partition ever spilled");
-        assert!(loads > 0, "{mode:?}: no partition was ever loaded back");
-        assert!(
-            reg.counter_value("ooc_spill_bytes_total", Scope::GLOBAL) > 0,
-            "{mode:?}: spill bytes not accounted"
-        );
-        // The job is done: everything came home and the spill root is
-        // gone, leaving the fs exactly as an unbounded run would.
-        assert_eq!(reg.gauge_value("live_spill_bytes", Scope::GLOBAL), Some(0));
-        assert!(!fs.exists("/ooc"), "{mode:?}: spill root not cleaned up");
-    }
+    let reg = obs.registry();
+    let spills = reg.counter_value("ooc_spills_total", Scope::GLOBAL);
+    let loads = reg.counter_value("ooc_loads_total", Scope::GLOBAL);
+    assert!(spills > 0, "no partition ever spilled");
+    assert!(loads > 0, "no partition was ever loaded back");
+    assert!(
+        reg.counter_value("ooc_spill_bytes_total", Scope::GLOBAL) > 0,
+        "spill bytes not accounted"
+    );
+    // The job is done: everything came home and the spill root is
+    // gone, leaving the fs exactly as an unbounded run would.
+    assert_eq!(reg.gauge_value("live_spill_bytes", Scope::GLOBAL), Some(0));
+    assert!(!fs.exists("/ooc"), "spill root not cleaned up");
 }
 
 #[test]

@@ -111,8 +111,8 @@ fn aggregator_totals_match_sends() {
     }
 }
 
-/// The engine is a pure function of (graph, computation): worker count
-/// never changes the outcome.
+/// With exact message handling (integer counts here) the outcome is a
+/// pure function of (graph, computation): worker count never changes it.
 #[test]
 fn worker_count_invariance() {
     let mut rng = rand::rngs::StdRng::seed_from_u64(0xEC003);

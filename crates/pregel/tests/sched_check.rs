@@ -1,4 +1,4 @@
-//! Model-check regression tests: the real engine, both executors,
+//! Model-check regression tests: the real engine and its worker pool,
 //! driven through many distinct interleavings by the graft-sched
 //! explorer. Every schedule must come back clean — no happens-before
 //! race on the pool command word or the result slots, no deadlock in
@@ -11,8 +11,7 @@ use std::sync::Arc;
 
 use graft_dfs::{FileSystem, InMemoryFs};
 use graft_pregel::{
-    CheckpointConfig, Computation, ContextOf, Engine, EngineError, ExecutorMode, FaultPlan, Graph,
-    VertexHandleOf,
+    CheckpointConfig, Computation, ContextOf, Engine, EngineError, FaultPlan, Graph, VertexHandleOf,
 };
 use graft_sched::{explore, render_trace, ExploreConfig};
 
@@ -53,36 +52,25 @@ impl Computation for MinLabel {
     }
 }
 
-fn run_job(mode: ExecutorMode) {
-    let outcome =
-        Engine::new(MinLabel).num_workers(2).executor(mode).run(ring(6)).expect("job runs");
+fn run_job() {
+    let outcome = Engine::new(MinLabel).num_workers(2).run(ring(6)).expect("job runs");
     for v in 0..6 {
         assert_eq!(outcome.graph.value(v), Some(&0), "vertex {v} in some interleaving");
     }
 }
 
-fn assert_clean(mode: ExecutorMode, schedules: usize, seed: u64) {
-    let cfg = ExploreConfig { schedules, seed, ..ExploreConfig::default() };
-    let report = explore(&cfg, || run_job(mode));
+#[test]
+fn persistent_pool_engine_is_clean_over_many_schedules() {
+    let cfg = ExploreConfig { schedules: 30, seed: 0xEA51, ..ExploreConfig::default() };
+    let report = explore(&cfg, run_job);
     if let Some(failure) = &report.failure {
         panic!(
-            "engine failed under schedule exploration ({:?}, seed {:#x}):\n{}",
-            mode,
+            "engine failed under schedule exploration (seed {:#x}):\n{}",
             failure.seed,
             render_trace(failure, 150)
         );
     }
     assert!(report.distinct >= 2, "exploration must produce distinct interleavings");
-}
-
-#[test]
-fn persistent_pool_engine_is_clean_over_many_schedules() {
-    assert_clean(ExecutorMode::PersistentPool, 30, 0xEA51);
-}
-
-#[test]
-fn spawn_executor_is_clean_over_many_schedules() {
-    assert_clean(ExecutorMode::SpawnPerSuperstep, 20, 0xEA52);
 }
 
 /// A compute panic unwinds through shim guards mid-schedule; the engine
@@ -114,7 +102,6 @@ fn compute_panic_under_exploration_stays_contained() {
     let report = explore(&cfg, || {
         let err = Engine::new(PanicOnce)
             .num_workers(2)
-            .executor(ExecutorMode::PersistentPool)
             .run(ring(4))
             .map(|_| ())
             .expect_err("planted panic must surface as an error");
@@ -135,7 +122,6 @@ fn post_panic_superstep_succeeds_on_the_same_pool() {
     let fs: Arc<dyn FileSystem> = Arc::new(InMemoryFs::new());
     let outcome = Engine::new(MinLabel)
         .num_workers(2)
-        .executor(ExecutorMode::PersistentPool)
         .with_fault_plan(FaultPlan::parse("panic@1").unwrap())
         .with_checkpoints(fs, CheckpointConfig::new(1, "/ckpt"))
         .run(ring(6))

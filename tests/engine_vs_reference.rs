@@ -7,7 +7,8 @@ use graft_algorithms::pagerank::PageRank;
 use graft_algorithms::reference::{dijkstra, pagerank_reference, union_find_components};
 use graft_algorithms::sssp::ShortestPaths;
 use graft_datasets::{weighted, Dataset};
-use graft_pregel::Engine;
+use graft_pregel::reference::run_sequential;
+use graft_pregel::{Engine, JobOutcome};
 
 #[test]
 fn connected_components_on_scaled_epinions() {
@@ -51,20 +52,46 @@ fn sssp_on_weighted_bipartite() {
     }
 }
 
+/// The worker-count contract: results are bit-identical for a fixed
+/// partition count, and invariant across counts only when `combine` is
+/// exact — the fold tree has one partial per source partition.
 #[test]
-fn worker_count_does_not_change_any_algorithm_output() {
+fn worker_count_changes_only_inexact_combiner_output() {
+    const COUNTS: [usize; 4] = [1, 2, 5, 8];
+
+    // Exact combiners (integer min, float min): invariant across counts.
     let list = Dataset::by_name("soc-Epinions").unwrap().generate_undirected(200, 41);
-    let reference = Engine::new(ConnectedComponents::new())
-        .num_workers(1)
-        .run(list.to_graph(u64::MAX))
-        .unwrap()
-        .graph
-        .sorted_values();
-    for workers in [2, 5, 8] {
-        let outcome = Engine::new(ConnectedComponents::new())
-            .num_workers(workers)
-            .run(list.to_graph(u64::MAX))
-            .unwrap();
-        assert_eq!(outcome.graph.sorted_values(), reference, "{workers} workers");
+    let components = |workers| {
+        let engine = Engine::new(ConnectedComponents::new()).num_workers(workers);
+        engine.run(list.to_graph(u64::MAX)).unwrap().graph.sorted_values()
+    };
+    let sssp = |workers| {
+        let graph = weighted::weight_graph(&list, 31, f64::INFINITY);
+        let outcome = Engine::new(ShortestPaths::new(0)).num_workers(workers).run(graph).unwrap();
+        outcome.graph.sorted_values().into_iter().map(|(id, d)| (id, d.to_bits())).collect()
+    };
+    let (components_at_1, sssp_at_1): (_, Vec<(u64, u64)>) = (components(1), sssp(1));
+    for workers in &COUNTS[1..] {
+        assert_eq!(components(*workers), components_at_1, "components, {workers} workers");
+        assert_eq!(sssp(*workers), sssp_at_1, "sssp, {workers} workers");
+    }
+
+    // PageRank's floating-point sum: within rounding across counts, and
+    // bit-identical to the sequential oracle at each count.
+    let mut list = Dataset::by_name("web-BS").unwrap().generate(500, 23);
+    list.dedupe();
+    let ranks = |outcome: JobOutcome<PageRank>| outcome.graph.sorted_values();
+    let at_1 =
+        ranks(Engine::new(PageRank::new(20)).num_workers(1).run(list.to_graph(0.0)).unwrap());
+    for workers in COUNTS {
+        let engine = Engine::new(PageRank::new(20)).num_workers(workers);
+        let engine = ranks(engine.run(list.to_graph(0.0)).unwrap());
+        let oracle = run_sequential(&PageRank::new(20), None, list.to_graph(0.0), workers, 100_000);
+        for ((vertex, rank), (_, want)) in engine.iter().zip(ranks(oracle)) {
+            assert_eq!(rank.to_bits(), want.to_bits(), "vertex {vertex}, {workers} workers");
+        }
+        for ((vertex, rank), (_, base)) in engine.iter().zip(&at_1) {
+            assert!((rank - base).abs() < 1e-9, "vertex {vertex}: {workers} workers vs 1");
+        }
     }
 }
