@@ -263,7 +263,7 @@ fn supersteps(session: &UntypedSession) {
         let mark = |red: bool| if red { "RED " } else { "ok  " };
         println!(
             "{superstep:>9}  {:>8}  {}  {}  {}",
-            session.captured_at(superstep).len(),
+            session.count_at(superstep),
             mark(ind.message_violation),
             mark(ind.value_violation),
             mark(ind.exception),

@@ -22,9 +22,9 @@ use std::process::ExitCode;
 use std::sync::Arc;
 
 use graft::trace::{
-    decode_master_records, encode_index_frame, encode_record, index_record_from_payload,
-    master_trace_path, meta_path, vertex_value_from_payload, worker_trace_path, IndexRecord,
-    WireVertexTrace, FRAME_INDEX, FRAME_MASTER, FRAME_VERTEX,
+    decode_master_records, decode_vertex_records, encode_index_frame, encode_record,
+    index_record_from_payload, master_trace_path, meta_path, vertex_value_from_payload,
+    worker_trace_path, IndexRecord, WireVertexTrace, FRAME_INDEX, FRAME_MASTER, FRAME_VERTEX,
 };
 use graft::{JobMeta, MasterTrace, TraceCodec};
 use graft_codec::frame::FrameScanner;
@@ -125,14 +125,16 @@ fn dump_binary_channel(bytes: &[u8], master: bool, limit: usize) -> Result<usize
         let len = frame.end - frame.start;
         match frame.kind {
             FRAME_INDEX => {
-                let index = index_record_from_payload(frame.payload)?;
+                let index = index_record_from_payload(frame.payload)
+                    .map_err(|e| format!("bad index frame at byte {at}: {e}"))?;
                 println!(
                     "  [{at:>8}] index   superstep={} records_before={} bytes_before={} ({len} bytes)",
                     index.superstep, index.records_before, index.bytes_before
                 );
             }
             FRAME_VERTEX if !master => {
-                let value = vertex_value_from_payload(frame.payload)?;
+                let value = vertex_value_from_payload(frame.payload)
+                    .map_err(|e| format!("bad vertex frame at byte {at}: {e}"))?;
                 println!(
                     "  [{at:>8}] vertex  superstep={} vertex={} ({len} bytes)",
                     render(value.get("superstep")),
@@ -254,7 +256,7 @@ fn convert_dir(src: &str, dst: &str, target: TraceCodec) -> Result<(), String> {
     }
     let path = master_trace_path("");
     if let Ok(bytes) = src_fs.read_all(&path) {
-        let records = decode_master_records(source, &bytes)?;
+        let records = decode_master_records(source, &bytes).map_err(|e| e.to_string())?;
         let mut out = Vec::new();
         for record in &records {
             encode_record(target, record, &mut out).map_err(|e| e.to_string())?;
@@ -286,40 +288,8 @@ fn convert_vertex_channel(
     target: TraceCodec,
     bytes: &[u8],
 ) -> Result<Vec<u8>, String> {
-    let records: Vec<WireVertexTrace> = match source {
-        TraceCodec::JsonLines => bytes
-            .split(|b| *b == b'\n')
-            .filter(|line| !line.is_empty())
-            .map(|line| serde_json::from_slice(line).map_err(|e| e.to_string()))
-            .collect::<Result<_, _>>()?,
-        TraceCodec::Binary => {
-            let mut scanner = FrameScanner::new(bytes);
-            let mut records = Vec::new();
-            loop {
-                let frame = match scanner.next_frame() {
-                    Ok(Some(frame)) => frame,
-                    Ok(None) => break,
-                    Err(e) => return Err(format!("at byte {}: {e}", scanner.offset())),
-                };
-                match frame.kind {
-                    FRAME_INDEX => {
-                        index_record_from_payload(frame.payload)?;
-                    }
-                    FRAME_VERTEX => {
-                        let value = vertex_value_from_payload(frame.payload)?;
-                        records.push(serde_json::from_value(&value).map_err(|e| e.to_string())?);
-                    }
-                    other => {
-                        return Err(format!(
-                            "unexpected record kind {other} at byte {}",
-                            frame.start
-                        ))
-                    }
-                }
-            }
-            records
-        }
-    };
+    let records: Vec<WireVertexTrace> =
+        decode_vertex_records(source, bytes).map_err(|e| e.to_string())?;
 
     let mut out = Vec::new();
     let mut last_superstep = None;

@@ -41,6 +41,7 @@ mod error;
 pub mod frame;
 mod ser;
 mod size;
+mod skim;
 mod tagged;
 mod value;
 pub mod varint;
@@ -49,6 +50,7 @@ pub use de::{from_slice, Deserializer};
 pub use error::{Error, Result};
 pub use ser::{to_vec, to_writer, Serializer};
 pub use size::{framed_size, serialized_size, varint_len};
+pub use skim::{for_each_element, SkipSeq, SkipStr, SkipTagged};
 pub use tagged::{write_tagged, Tagged};
 pub use value::{normalize, to_bin_value, BinValue};
 

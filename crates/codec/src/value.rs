@@ -72,7 +72,8 @@ pub fn normalize(value: &mut Value) {
 }
 
 /// Variant names for the tagged encoding (indices are the wire tags).
-const VARIANTS: &[&str] = &["Null", "Bool", "U64", "I64", "F64", "Str", "Array", "Object"];
+pub(crate) const VARIANTS: &[&str] =
+    &["Null", "Bool", "U64", "I64", "F64", "Str", "Array", "Object"];
 
 /// Borrowing serializer for one `Value` node in the tagged encoding;
 /// recursion goes through this wrapper so nested trees are encoded

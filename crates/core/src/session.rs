@@ -56,10 +56,36 @@ impl std::fmt::Display for SessionError {
 
 impl std::error::Error for SessionError {}
 
+impl SessionError {
+    /// The file at `path` could not be decoded, for the reason `error`
+    /// renders.
+    pub(crate) fn decode(path: impl Into<String>, error: impl std::fmt::Display) -> Self {
+        SessionError::Decode { path: path.into(), error: error.to_string() }
+    }
+}
+
 impl From<FsError> for SessionError {
     fn from(e: FsError) -> Self {
         SessionError::Fs(e)
     }
+}
+
+/// Reads and parses the JSON document at `path`.
+pub(crate) fn read_json<T: serde::de::DeserializeOwned>(
+    fs: &dyn FileSystem,
+    path: &str,
+) -> Result<T, SessionError> {
+    let bytes = fs.read_all(path)?;
+    serde_json::from_slice(&bytes).map_err(|e| SessionError::decode(path, e))
+}
+
+/// The terminal status of the job under `root`, if it has written one.
+pub(crate) fn read_result(
+    fs: &dyn FileSystem,
+    root: &str,
+) -> Result<Option<JobResultRecord>, SessionError> {
+    let path = result_path(root);
+    fs.exists(&path).then(|| read_json(fs, &path)).transpose()
 }
 
 /// The red/green M, V, E indicator boxes of the GUI (Figure 3): whether
@@ -158,9 +184,7 @@ pub struct DebugSession<C: Computation> {
 impl<C: Computation> DebugSession<C> {
     /// Loads the traces a [`crate::GraftRunner`] wrote under `root`.
     pub fn open(fs: Arc<dyn FileSystem>, root: &str) -> Result<Self, SessionError> {
-        let meta_bytes = fs.read_all(&meta_path(root))?;
-        let meta: JobMeta = serde_json::from_slice(&meta_bytes)
-            .map_err(|e| SessionError::Decode { path: meta_path(root), error: e.to_string() })?;
+        let meta: JobMeta = read_json(fs.as_ref(), &meta_path(root))?;
 
         let mut by_superstep: BTreeMap<u64, Vec<VertexTraceOf<C>>> = BTreeMap::new();
         for worker in 0..meta.num_workers {
@@ -170,7 +194,7 @@ impl<C: Computation> DebugSession<C> {
             }
             let bytes = fs.read_all(&path)?;
             let records: Vec<VertexTraceOf<C>> = decode_vertex_records(meta.codec(), &bytes)
-                .map_err(|error| SessionError::Decode { path: path.clone(), error })?;
+                .map_err(|e| SessionError::decode(path, e))?;
             for record in records {
                 by_superstep.entry(record.superstep).or_default().push(record);
             }
@@ -184,21 +208,13 @@ impl<C: Computation> DebugSession<C> {
         if fs.exists(&master_path) {
             let bytes = fs.read_all(&master_path)?;
             let records: Vec<MasterTrace> = decode_master_records(meta.codec(), &bytes)
-                .map_err(|error| SessionError::Decode { path: master_path, error })?;
+                .map_err(|e| SessionError::decode(master_path, e))?;
             for record in records {
                 master.insert(record.superstep, record);
             }
         }
 
-        let result = if fs.exists(&result_path(root)) {
-            let bytes = fs.read_all(&result_path(root))?;
-            Some(serde_json::from_slice(&bytes).map_err(|e| SessionError::Decode {
-                path: result_path(root),
-                error: e.to_string(),
-            })?)
-        } else {
-            None
-        };
+        let result = read_result(fs.as_ref(), root)?;
 
         Ok(Self { meta, result, by_superstep, master })
     }

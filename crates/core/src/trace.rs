@@ -38,12 +38,22 @@
 //! `serde_json::Value`s a JSON text round-trip of the record yields:
 //! the two codecs reconstruct *identical* dynamic values and every view
 //! served over either format is byte-for-byte the same.
+//!
+//! A payload is read in one of two ways, both through the one GraftBin
+//! decoder. [`VertexHead`] *skims* it: every field is checked, and only
+//! the superstep, the rendered vertex id and three flag bits are kept —
+//! what a reader indexing a trace needs, and proof that the payload
+//! decodes. [`vertex_value_from_payload`] decodes it, once, into the
+//! dynamic value the views read. A channel that cannot be read fails
+//! with a [`TraceReadError`] naming the byte offset of the frame at
+//! fault.
 
 use std::fmt;
 
-use graft_codec::Tagged;
+use graft_codec::frame::{Frame, FrameScanner};
+use graft_codec::{for_each_element, BinValue, SkipSeq, SkipStr, SkipTagged, Tagged};
 use graft_pregel::{AggValue, GlobalData};
-use serde::de::DeserializeOwned;
+use serde::de::{DeserializeOwned, SeqAccess, Visitor};
 use serde::ser::{SerializeSeq, SerializeStruct};
 use serde::{Deserialize, Serialize};
 use serde_json::Value;
@@ -478,19 +488,208 @@ pub fn encode_index_frame(record: &IndexRecord, buf: &mut Vec<u8>) -> Result<(),
     binary_frame(buf, FRAME_INDEX, record)
 }
 
+/// Why a trace channel could not be read.
+#[derive(Debug)]
+pub enum TraceReadError {
+    /// A binary frame did not scan, or its payload did not decode.
+    Frame {
+        /// Byte offset of the frame's length prefix in the channel.
+        offset: usize,
+        /// What the codec made of it.
+        error: graft_codec::Error,
+    },
+    /// A JSON line did not parse.
+    Json(serde_json::Error),
+}
+
+impl fmt::Display for TraceReadError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            TraceReadError::Frame { offset, error } => write!(f, "{error} at byte {offset}"),
+            TraceReadError::Json(e) => write!(f, "{e}"),
+        }
+    }
+}
+
+impl std::error::Error for TraceReadError {}
+
+/// Calls `frame` for every frame of a binary channel, in order; whatever
+/// fails — the scan or `frame` — is reported with the frame's offset.
+/// With `torn_tail_ok`, a frame overrunning the end of `bytes` (the shape
+/// a write caught mid-append leaves) ends the walk instead; a complete
+/// frame whose payload runs short is corrupt either way.
+pub(crate) fn for_each_frame<'a>(
+    bytes: &'a [u8],
+    torn_tail_ok: bool,
+    mut frame: impl FnMut(Frame<'a>) -> Result<(), graft_codec::Error>,
+) -> Result<(), TraceReadError> {
+    let mut scanner = FrameScanner::new(bytes);
+    loop {
+        let offset = scanner.offset();
+        let read = match scanner.next_frame() {
+            Ok(None) => return Ok(()),
+            Err(graft_codec::Error::UnexpectedEof) if torn_tail_ok => return Ok(()),
+            Ok(Some(next)) => frame(next),
+            Err(error) => Err(error),
+        };
+        read.map_err(|error| TraceReadError::Frame { offset, error })?;
+    }
+}
+
+/// Calls `line` for every non-empty line of a JSON-lines channel, with
+/// the line's byte offset. With `torn_tail_ok`, a last line that has no
+/// newline yet and does not parse ends the walk instead of failing it.
+pub(crate) fn for_each_line<'a>(
+    bytes: &'a [u8],
+    torn_tail_ok: bool,
+    mut line: impl FnMut(&'a [u8], usize) -> Result<(), serde_json::Error>,
+) -> Result<(), TraceReadError> {
+    let mut start = 0usize;
+    for text in bytes.split(|&b| b == b'\n') {
+        if !text.is_empty() {
+            match line(text, start) {
+                Ok(()) => {}
+                Err(_) if torn_tail_ok && start + text.len() == bytes.len() => break,
+                Err(e) => return Err(TraceReadError::Json(e)),
+            }
+        }
+        start += text.len() + 1;
+    }
+    Ok(())
+}
+
+/// A frame's payload decoded, but the JSON layer rejected what it held.
+fn json_error(e: serde_json::Error) -> graft_codec::Error {
+    graft_codec::Error::Message(e.to_string())
+}
+
+/// The error for a frame of a kind `channel` does not carry.
+pub(crate) fn unexpected_kind(kind: u8, channel: &str) -> graft_codec::Error {
+    graft_codec::Error::Message(format!("unexpected record kind {kind} in {channel}"))
+}
+
+/// Renders a dynamic value as the views show it: a string as itself,
+/// anything else as compact JSON.
+pub(crate) fn compact(value: &Value) -> String {
+    match value {
+        Value::String(s) => s.clone(),
+        other => other.to_string(),
+    }
+}
+
+/// [`VertexHead::flags`] bit: a message constraint was violated.
+pub const FLAG_MESSAGE_VIOLATION: u8 = 1;
+/// [`VertexHead::flags`] bit: the vertex-value constraint was violated.
+pub const FLAG_VALUE_VIOLATION: u8 = 2;
+/// [`VertexHead::flags`] bit: `compute()` raised an exception.
+pub const FLAG_EXCEPTION: u8 = 4;
+/// [`VertexHead::flags`] bit: a violation of a kind this reader does not
+/// know. Only a JSON line can carry one; binary frames encode the kind
+/// as a [`ViolationKind`].
+pub const FLAG_OTHER_VIOLATION: u8 = 8;
+
+/// What a reader indexing a trace keeps of a vertex record: where the
+/// record sorts, and whether the violations view shows it.
+///
+/// Decoding a binary vertex payload as a `VertexHead` *skims* it: the
+/// payload goes through the same GraftBin decoder, field for field, as a
+/// [`WireVertexTrace`] — so it is a valid head exactly when it is a valid
+/// record — but every tree and string other than the vertex id is
+/// checked and dropped (`graft_codec`'s `Skip*` types) instead of built.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct VertexHead {
+    /// Superstep of the capture.
+    pub superstep: u64,
+    /// The vertex id, rendered: the record's sort key in its superstep.
+    pub vertex: String,
+    /// `FLAG_*` bits.
+    pub flags: u8,
+}
+
+/// The flag bits of a record's `violations` field.
+struct ViolationFlags(u8);
+
+impl<'de> Deserialize<'de> for ViolationFlags {
+    fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
+        let mut flags = 0;
+        // A `ViolationRecord`, field for field.
+        for_each_element(deserializer, |(kind, _, _): (_, SkipStr, Option<SkipStr>)| {
+            flags |= match kind {
+                ViolationKind::Message => FLAG_MESSAGE_VIOLATION,
+                ViolationKind::VertexValue => FLAG_VALUE_VIOLATION,
+            }
+        })?;
+        Ok(ViolationFlags(flags))
+    }
+}
+
+impl<'de> Deserialize<'de> for VertexHead {
+    fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
+        fn field<'de, T: Deserialize<'de>, A: SeqAccess<'de>>(seq: &mut A) -> Result<T, A::Error> {
+            seq.next_element()?.ok_or_else(|| serde::de::Error::custom("short vertex record"))
+        }
+        struct HeadVisitor;
+        impl<'de> Visitor<'de> for HeadVisitor {
+            type Value = VertexHead;
+            fn expecting(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                f.write_str("a vertex record")
+            }
+            fn visit_seq<A: SeqAccess<'de>>(self, mut seq: A) -> Result<VertexHead, A::Error> {
+                // A `WireVertexTrace`, field for field.
+                let superstep = field(&mut seq)?;
+                let vertex: BinValue = field(&mut seq)?;
+                let _value_before: SkipTagged = field(&mut seq)?;
+                let _value_after: SkipTagged = field(&mut seq)?;
+                let _edges: SkipSeq<(SkipTagged, SkipTagged)> = field(&mut seq)?;
+                let _incoming: SkipSeq<SkipTagged> = field(&mut seq)?;
+                let _outgoing: SkipSeq<(SkipTagged, SkipTagged)> = field(&mut seq)?;
+                let _aggregators: SkipSeq<(SkipStr, AggValue)> = field(&mut seq)?;
+                let _global: GlobalData = field(&mut seq)?;
+                let _halted_after: bool = field(&mut seq)?;
+                let _reasons: SkipSeq<CaptureReason> = field(&mut seq)?;
+                let ViolationFlags(violations) = field(&mut seq)?;
+                // An `ExceptionInfo`, field for field.
+                let exception: Option<(SkipStr, Option<SkipStr>)> = field(&mut seq)?;
+                let flags = violations | if exception.is_some() { FLAG_EXCEPTION } else { 0 };
+                Ok(VertexHead { superstep, vertex: compact(&vertex.0), flags })
+            }
+        }
+        deserializer.deserialize_tuple(13, HeadVisitor)
+    }
+}
+
 /// Decodes a binary vertex frame's payload into the normalized dynamic
 /// value — the exact `Value` that parsing the record's JSON-lines
-/// rendition would produce.
-pub fn vertex_value_from_payload(payload: &[u8]) -> Result<Value, String> {
-    let wire: WireVertexTrace = graft_codec::from_slice(payload).map_err(|e| e.to_string())?;
-    let mut value = serde_json::to_value(&wire).map_err(|e| e.to_string())?;
+/// rendition would produce. One tree is built: the decoded subtrees move
+/// into the record's object, which is then normalized in place.
+pub fn vertex_value_from_payload(payload: &[u8]) -> Result<Value, graft_codec::Error> {
+    fn json<T: Serialize>(part: &T) -> Result<Value, graft_codec::Error> {
+        serde_json::to_value(part).map_err(json_error)
+    }
+    let pair = |(a, b): (BinValue, BinValue)| Value::Array(vec![a.0, b.0]);
+    let wire: WireVertexTrace = graft_codec::from_slice(payload)?;
+    let mut value = Value::Object(serde_json::Map::from([
+        ("superstep".to_string(), Value::Number(serde_json::Number::U64(wire.superstep))),
+        ("vertex".to_string(), wire.vertex.0),
+        ("value_before".to_string(), wire.value_before.0),
+        ("value_after".to_string(), wire.value_after.0),
+        ("edges".to_string(), Value::Array(wire.edges.into_iter().map(pair).collect())),
+        ("incoming".to_string(), Value::Array(wire.incoming.into_iter().map(|m| m.0).collect())),
+        ("outgoing".to_string(), Value::Array(wire.outgoing.into_iter().map(pair).collect())),
+        ("aggregators".to_string(), json(&wire.aggregators)?),
+        ("global".to_string(), json(&wire.global)?),
+        ("halted_after".to_string(), Value::Bool(wire.halted_after)),
+        ("reasons".to_string(), json(&wire.reasons)?),
+        ("violations".to_string(), json(&wire.violations)?),
+        ("exception".to_string(), json(&wire.exception)?),
+    ]));
     graft_codec::normalize(&mut value);
     Ok(value)
 }
 
 /// Decodes a binary index frame's payload.
-pub fn index_record_from_payload(payload: &[u8]) -> Result<IndexRecord, String> {
-    graft_codec::from_slice(payload).map_err(|e| e.to_string())
+pub fn index_record_from_payload(payload: &[u8]) -> Result<IndexRecord, graft_codec::Error> {
+    graft_codec::from_slice(payload)
 }
 
 /// Decodes all vertex records from a worker trace file's bytes. For the
@@ -500,61 +699,62 @@ pub fn index_record_from_payload(payload: &[u8]) -> Result<IndexRecord, String> 
 pub fn decode_vertex_records<T: DeserializeOwned>(
     codec: TraceCodec,
     bytes: &[u8],
-) -> Result<Vec<T>, String> {
+) -> Result<Vec<T>, TraceReadError> {
+    let mut out = Vec::new();
     match codec {
-        TraceCodec::JsonLines => bytes
-            .split(|&b| b == b'\n')
-            .filter(|line| !line.is_empty())
-            .map(|line| serde_json::from_slice(line).map_err(|e| e.to_string()))
-            .collect(),
-        TraceCodec::Binary => {
-            let mut out = Vec::new();
-            let mut scanner = graft_codec::frame::FrameScanner::new(bytes);
-            while let Some(frame) = scanner.next_frame().map_err(|e| e.to_string())? {
-                match frame.kind {
-                    FRAME_INDEX => {
-                        index_record_from_payload(frame.payload)?;
-                    }
-                    FRAME_VERTEX => {
-                        let value = vertex_value_from_payload(frame.payload)?;
-                        out.push(serde_json::from_value(&value).map_err(|e| e.to_string())?);
-                    }
-                    other => {
-                        return Err(format!(
-                            "unexpected record kind {other} at byte {} of a vertex trace",
-                            frame.start
-                        ))
-                    }
-                }
+        TraceCodec::JsonLines => for_each_line(bytes, false, |line, _| {
+            out.push(serde_json::from_slice(line)?);
+            Ok(())
+        })?,
+        TraceCodec::Binary => for_each_frame(bytes, false, |frame| match frame.kind {
+            FRAME_INDEX => index_record_from_payload(frame.payload).map(drop),
+            FRAME_VERTEX => {
+                let value = vertex_value_from_payload(frame.payload)?;
+                out.push(serde_json::from_value(&value).map_err(json_error)?);
+                Ok(())
             }
-            Ok(out)
-        }
+            other => Err(unexpected_kind(other, "a vertex trace")),
+        })?,
     }
+    Ok(out)
 }
 
 /// Decodes all master records from the master trace file's bytes.
-pub fn decode_master_records(codec: TraceCodec, bytes: &[u8]) -> Result<Vec<MasterTrace>, String> {
-    match codec {
-        TraceCodec::JsonLines => bytes
-            .split(|&b| b == b'\n')
-            .filter(|line| !line.is_empty())
-            .map(|line| serde_json::from_slice(line).map_err(|e| e.to_string()))
-            .collect(),
-        TraceCodec::Binary => {
-            let mut out = Vec::new();
-            let mut scanner = graft_codec::frame::FrameScanner::new(bytes);
-            while let Some(frame) = scanner.next_frame().map_err(|e| e.to_string())? {
-                if frame.kind != FRAME_MASTER {
-                    return Err(format!(
-                        "unexpected record kind {} at byte {} of the master trace",
-                        frame.kind, frame.start
-                    ));
-                }
-                out.push(graft_codec::from_slice(frame.payload).map_err(|e| e.to_string())?);
-            }
-            Ok(out)
+pub fn decode_master_records(
+    codec: TraceCodec,
+    bytes: &[u8],
+) -> Result<Vec<MasterTrace>, TraceReadError> {
+    master_records_up_to(codec, bytes, None)
+}
+
+/// The master records of supersteps up to `up_to`, the watermark of a
+/// job still running, under which a torn tail record is skipped instead
+/// of failing; without one, every record.
+pub(crate) fn master_records_up_to(
+    codec: TraceCodec,
+    bytes: &[u8],
+    up_to: Option<u64>,
+) -> Result<Vec<MasterTrace>, TraceReadError> {
+    let mut out = Vec::new();
+    let mut within = |trace: MasterTrace| {
+        if up_to.is_none_or(|w| trace.superstep <= w) {
+            out.push(trace);
         }
+    };
+    match codec {
+        TraceCodec::JsonLines => for_each_line(bytes, up_to.is_some(), |line, _| {
+            within(serde_json::from_slice(line)?);
+            Ok(())
+        })?,
+        TraceCodec::Binary => for_each_frame(bytes, up_to.is_some(), |frame| {
+            if frame.kind != FRAME_MASTER {
+                return Err(unexpected_kind(frame.kind, "the master trace"));
+            }
+            within(graft_codec::from_slice(frame.payload)?);
+            Ok(())
+        })?,
     }
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -710,6 +910,6 @@ mod tests {
         let mut buf = Vec::new();
         graft_codec::frame::write_frame(&mut buf, FRAME_MASTER, b"");
         let err = decode_vertex_records::<Value>(TraceCodec::Binary, &buf).unwrap_err();
-        assert!(err.contains("record kind"), "{err}");
+        assert!(err.to_string().contains("record kind"), "{err}");
     }
 }

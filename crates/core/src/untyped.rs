@@ -9,16 +9,36 @@
 //! same dynamic values (see `graft_codec::value`), so everything built on
 //! this module is byte-identical across formats.
 //!
-//! Rows are *not* materialized up front: [`UntypedSession::open`] scans
-//! the trace files once to validate every record and build a per-superstep
-//! index of byte ranges — JSON lines, or binary frame payloads located by
-//! walking frame headers — then parses individual rows on demand. A
-//! superstep with a million captures costs three words of index per row
-//! until somebody actually asks for a page of it — which is what lets the
-//! debug server paginate large supersteps without holding parsed JSON
-//! trees for whole jobs in memory. In binary traces, the per-superstep
-//! index frames let [`UntypedSession::open_partial`] skip decoding whole
-//! superstep groups beyond the live watermark.
+//! Rows are *not* materialized up front, and a binary frame is decoded
+//! into a tree only when somebody asks for its row:
+//!
+//! * **What `open` validates.** [`UntypedSession::open`] reads each
+//!   trace file once and checks every record: a JSON line is parsed; a
+//!   binary vertex payload is *skimmed* — run through the same GraftBin
+//!   decoder, field for field, as the full record, with visitors that
+//!   check and drop what they read (see [`VertexHead`]) — so exactly the
+//!   payloads that would decode in full pass, and none is built. Index
+//!   frames and master records are decoded outright; they are small.
+//! * **What the index holds.** Per superstep, one three-word entry per
+//!   row, sorted by rendered vertex id: the byte range of the record
+//!   (the JSON line, or the binary frame payload located by walking
+//!   frame headers), the worker file it lies in, and three flag bits —
+//!   message violation, vertex-value violation, exception. The sort keys
+//!   are dropped once the rows are sorted; no tree is kept. The
+//!   superstep listing, its M/V/E indicators and the choice of rows the
+//!   violations view shows are answered from the index alone.
+//! * **When a row is parsed.** When a view asks for it: a page of the
+//!   tabular view parses its page, the violations view the flagged rows,
+//!   a point lookup the O(log rows) rows its binary search visits. Each
+//!   parse decodes the payload once into the one tree the views read. A
+//!   superstep with a million captures costs three words of index per
+//!   row until then — which is what lets the debug server paginate large
+//!   supersteps without holding parsed JSON trees for whole jobs in
+//!   memory.
+//!
+//! In binary traces, the per-superstep index frames let
+//! [`UntypedSession::open_partial`] skip whole superstep groups beyond
+//! the live watermark without touching their payloads.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -27,23 +47,17 @@ use graft_dfs::FileSystem;
 use serde_json::Value;
 
 use crate::config::TraceCodec;
-use crate::session::{Indicators, SessionError};
+use crate::session::{read_json, read_result, Indicators, SessionError};
 use crate::trace::{
-    index_record_from_payload, master_trace_path, meta_path, result_path,
-    vertex_value_from_payload, worker_trace_path, JobMeta, JobResultRecord, MasterTrace,
-    FRAME_INDEX, FRAME_MASTER, FRAME_VERTEX,
+    compact, for_each_frame, for_each_line, index_record_from_payload, master_records_up_to,
+    master_trace_path, meta_path, unexpected_kind, vertex_value_from_payload, worker_trace_path,
+    JobMeta, JobResultRecord, MasterTrace, TraceReadError, VertexHead, FLAG_EXCEPTION,
+    FLAG_MESSAGE_VIOLATION, FLAG_OTHER_VIOLATION, FLAG_VALUE_VIOLATION, FRAME_INDEX, FRAME_VERTEX,
 };
 
 /// One captured vertex context, as dynamic JSON.
 #[derive(Clone, Debug)]
 pub struct UntypedTrace(Value);
-
-fn compact(value: &Value) -> String {
-    match value {
-        Value::String(s) => s.clone(),
-        other => other.to_string(),
-    }
-}
 
 impl UntypedTrace {
     /// The capture's superstep.
@@ -166,16 +180,32 @@ impl UntypedTrace {
     pub fn raw(&self) -> &Value {
         &self.0
     }
+
+    /// What the row index keeps of this record.
+    fn head(&self) -> VertexHead {
+        let mut flags = if self.exception().is_some() { FLAG_EXCEPTION } else { 0 };
+        for (kind, _, _) in self.violations() {
+            flags |= match kind.as_str() {
+                "Message" => FLAG_MESSAGE_VIOLATION,
+                "VertexValue" => FLAG_VALUE_VIOLATION,
+                _ => FLAG_OTHER_VIOLATION,
+            };
+        }
+        VertexHead { superstep: self.superstep(), vertex: self.vertex(), flags }
+    }
 }
 
 /// Walks one worker trace file, invoking `row` for every vertex record
-/// within the watermark, with the record's payload byte range (the JSON
-/// line, or the binary frame payload). Shared by [`JobSummary::scan`] and
-/// [`UntypedSession::open`] so a job summarizes if and only if it opens.
+/// within the watermark, with the record's head and its payload byte
+/// range (the JSON line, or the binary frame payload). A binary payload
+/// is skimmed, not decoded into a tree (see [`VertexHead`]); a JSON line
+/// is parsed, its head read off the value, and the value dropped. Shared
+/// by [`JobSummary::scan`] and [`UntypedSession::open`] so a job
+/// summarizes if and only if it opens.
 ///
 /// With `up_to: Some(w)` (the live watermark of `open_partial`), rows of
 /// supersteps beyond `w` are excluded — in binary traces whole superstep
-/// groups are hopped via their index frames without decoding a payload —
+/// groups are hopped via their index frames without touching a payload —
 /// and a torn tail (a JSON line without its newline, or a binary frame
 /// overrunning the end of the file) is skipped instead of failing. Any
 /// other malformed record is an error in both modes: the watermark
@@ -184,156 +214,38 @@ impl UntypedTrace {
 fn walk_worker_rows(
     codec: TraceCodec,
     bytes: &[u8],
-    path: &str,
     up_to: Option<u64>,
-    mut row: impl FnMut(UntypedTrace, usize, usize),
-) -> Result<(), SessionError> {
-    match codec {
-        TraceCodec::JsonLines => {
-            let mut start = 0usize;
-            for line in bytes.split(|&b| b == b'\n') {
-                let len = line.len();
-                if len > 0 {
-                    let torn_tail =
-                        up_to.is_some() && start + len == bytes.len() && !bytes.ends_with(b"\n");
-                    let value: Value = match serde_json::from_slice(line) {
-                        Ok(value) => value,
-                        Err(_) if torn_tail => break,
-                        Err(e) => {
-                            return Err(SessionError::Decode {
-                                path: path.to_string(),
-                                error: e.to_string(),
-                            })
-                        }
-                    };
-                    let trace = UntypedTrace(value);
-                    if up_to.is_none_or(|w| trace.superstep() <= w) {
-                        row(trace, start, len);
-                    }
-                }
-                start += len + 1;
-            }
-            Ok(())
+    mut row: impl FnMut(VertexHead, usize, usize),
+) -> Result<(), TraceReadError> {
+    let mut within = |head: VertexHead, start, len| {
+        if up_to.is_none_or(|w| head.superstep <= w) {
+            row(head, start, len);
         }
+    };
+    match codec {
+        TraceCodec::JsonLines => for_each_line(bytes, up_to.is_some(), |line, start| {
+            within(UntypedTrace(serde_json::from_slice(line)?).head(), start, line.len());
+            Ok(())
+        }),
         TraceCodec::Binary => {
-            let mut scanner = graft_codec::frame::FrameScanner::new(bytes);
             // Set while the current index group lies beyond the live
-            // watermark; its vertex payloads are hopped, not decoded.
+            // watermark; its vertex payloads are hopped, not read.
             let mut skip_group = false;
-            loop {
-                let frame = match scanner.next_frame() {
-                    Ok(None) => break,
-                    Ok(Some(frame)) => frame,
-                    Err(graft_codec::Error::UnexpectedEof) if up_to.is_some() => break,
-                    Err(e) => {
-                        return Err(SessionError::Decode {
-                            path: path.to_string(),
-                            error: e.to_string(),
-                        })
-                    }
-                };
-                match frame.kind {
-                    FRAME_INDEX => {
-                        let index = index_record_from_payload(frame.payload).map_err(|error| {
-                            SessionError::Decode { path: path.to_string(), error }
-                        })?;
-                        skip_group = up_to.is_some_and(|w| index.superstep > w);
-                    }
-                    FRAME_VERTEX => {
-                        if skip_group {
-                            continue;
-                        }
-                        let value = vertex_value_from_payload(frame.payload).map_err(|error| {
-                            SessionError::Decode { path: path.to_string(), error }
-                        })?;
-                        let trace = UntypedTrace(value);
-                        if up_to.is_none_or(|w| trace.superstep() <= w) {
-                            row(trace, frame.payload_start, frame.payload.len());
-                        }
-                    }
-                    other => {
-                        return Err(SessionError::Decode {
-                            path: path.to_string(),
-                            error: format!(
-                                "unexpected record kind {other} at byte {} of a vertex trace",
-                                frame.start
-                            ),
-                        })
-                    }
+            for_each_frame(bytes, up_to.is_some(), |frame| match frame.kind {
+                FRAME_INDEX => {
+                    let index = index_record_from_payload(frame.payload)?;
+                    skip_group = up_to.is_some_and(|w| index.superstep > w);
+                    Ok(())
                 }
-            }
-            Ok(())
-        }
-    }
-}
-
-/// Walks the master trace file with the same watermark and torn-tail
-/// semantics as [`walk_worker_rows`].
-fn walk_master_records(
-    codec: TraceCodec,
-    bytes: &[u8],
-    path: &str,
-    up_to: Option<u64>,
-    master: &mut Vec<MasterTrace>,
-) -> Result<(), SessionError> {
-    match codec {
-        TraceCodec::JsonLines => {
-            let mut start = 0usize;
-            for line in bytes.split(|&b| b == b'\n') {
-                let len = line.len();
-                if len > 0 {
-                    let torn_tail =
-                        up_to.is_some() && start + len == bytes.len() && !bytes.ends_with(b"\n");
-                    match serde_json::from_slice::<MasterTrace>(line) {
-                        Ok(trace) => {
-                            if up_to.is_none_or(|w| trace.superstep <= w) {
-                                master.push(trace);
-                            }
-                        }
-                        Err(_) if torn_tail => break,
-                        Err(e) => {
-                            return Err(SessionError::Decode {
-                                path: path.to_string(),
-                                error: e.to_string(),
-                            })
-                        }
+                FRAME_VERTEX => {
+                    if !skip_group {
+                        let head = graft_codec::from_slice(frame.payload)?;
+                        within(head, frame.payload_start, frame.payload.len());
                     }
+                    Ok(())
                 }
-                start += len + 1;
-            }
-            Ok(())
-        }
-        TraceCodec::Binary => {
-            let mut scanner = graft_codec::frame::FrameScanner::new(bytes);
-            loop {
-                let frame = match scanner.next_frame() {
-                    Ok(None) => break,
-                    Ok(Some(frame)) => frame,
-                    Err(graft_codec::Error::UnexpectedEof) if up_to.is_some() => break,
-                    Err(e) => {
-                        return Err(SessionError::Decode {
-                            path: path.to_string(),
-                            error: e.to_string(),
-                        })
-                    }
-                };
-                if frame.kind != FRAME_MASTER {
-                    return Err(SessionError::Decode {
-                        path: path.to_string(),
-                        error: format!(
-                            "unexpected record kind {} at byte {} of the master trace",
-                            frame.kind, frame.start
-                        ),
-                    });
-                }
-                let trace: MasterTrace = graft_codec::from_slice(frame.payload).map_err(|e| {
-                    SessionError::Decode { path: path.to_string(), error: e.to_string() }
-                })?;
-                if up_to.is_none_or(|w| trace.superstep <= w) {
-                    master.push(trace);
-                }
-            }
-            Ok(())
+                other => Err(unexpected_kind(other, "a vertex trace")),
+            })
         }
     }
 }
@@ -355,9 +267,7 @@ impl JobSummary {
     /// [`UntypedSession::open`] validates (every record, in either codec)
     /// — a job summarizes if and only if it opens, with identical counts.
     pub fn scan(fs: &dyn FileSystem, root: &str) -> Result<Self, SessionError> {
-        let meta_bytes = fs.read_all(&meta_path(root))?;
-        let meta: JobMeta = serde_json::from_slice(&meta_bytes)
-            .map_err(|e| SessionError::Decode { path: meta_path(root), error: e.to_string() })?;
+        let meta: JobMeta = read_json(fs, &meta_path(root))?;
         let mut counts: BTreeMap<u64, usize> = BTreeMap::new();
         for worker in 0..meta.num_workers {
             let path = worker_trace_path(root, worker);
@@ -365,19 +275,12 @@ impl JobSummary {
                 continue;
             }
             let bytes = fs.read_all(&path)?;
-            walk_worker_rows(meta.codec(), &bytes, &path, None, |trace, _, _| {
-                *counts.entry(trace.superstep()).or_default() += 1;
-            })?;
+            walk_worker_rows(meta.codec(), &bytes, None, |head, _, _| {
+                *counts.entry(head.superstep).or_default() += 1;
+            })
+            .map_err(|e| SessionError::decode(path, e))?;
         }
-        let result = if fs.exists(&result_path(root)) {
-            let bytes = fs.read_all(&result_path(root))?;
-            Some(serde_json::from_slice(&bytes).map_err(|e| SessionError::Decode {
-                path: result_path(root),
-                error: e.to_string(),
-            })?)
-        } else {
-            None
-        };
+        let result = read_result(fs, root)?;
         Ok(Self { meta, result, counts })
     }
 
@@ -407,20 +310,22 @@ impl JobSummary {
     }
 }
 
-/// A byte range of one trace record inside a worker file: the JSON line,
-/// or the binary frame's payload.
+/// One trace record in the row index: the byte range of its JSON line or
+/// binary frame payload inside a worker file, and the `FLAG_*` bits of
+/// its head. Three words a row.
 #[derive(Clone, Copy, Debug)]
 struct RowRef {
-    worker: usize,
     start: usize,
     len: usize,
+    worker: u32,
+    flags: u8,
 }
 
 /// A type-erased debug session over a run's traces, in either codec.
 ///
 /// Holds the raw trace bytes plus a per-superstep row index sorted by
-/// rendered vertex id; individual rows are parsed on demand (see the
-/// module docs).
+/// rendered vertex id and carrying each row's violation/exception flags;
+/// individual rows are parsed on demand (see the module docs).
 pub struct UntypedSession {
     meta: JobMeta,
     codec: TraceCodec,
@@ -461,14 +366,13 @@ impl UntypedSession {
         root: &str,
         up_to: Option<u64>,
     ) -> Result<Self, SessionError> {
-        let meta_bytes = fs.read_all(&meta_path(root))?;
-        let meta: JobMeta = serde_json::from_slice(&meta_bytes)
-            .map_err(|e| SessionError::Decode { path: meta_path(root), error: e.to_string() })?;
+        let meta: JobMeta = read_json(fs.as_ref(), &meta_path(root))?;
         let codec = meta.codec();
 
-        // One validation scan: each record is decoded to extract its sort
-        // key (superstep, rendered vertex) and immediately dropped; only
-        // the raw bytes and the byte-range index survive.
+        // One validation scan: each record yields its head — sort key
+        // (superstep, rendered vertex) and flags — and nothing else; only
+        // the raw bytes and the byte-range index survive, the keys until
+        // the rows are sorted.
         let mut workers: Vec<Vec<u8>> = Vec::new();
         let mut by_superstep: BTreeMap<u64, Vec<(String, RowRef)>> = BTreeMap::new();
         for worker in 0..meta.num_workers {
@@ -477,13 +381,12 @@ impl UntypedSession {
                 continue;
             }
             let bytes = fs.read_all(&path)?;
-            let worker_slot = workers.len();
-            walk_worker_rows(codec, &bytes, &path, up_to, |trace, start, len| {
-                by_superstep
-                    .entry(trace.superstep())
-                    .or_default()
-                    .push((trace.vertex(), RowRef { worker: worker_slot, start, len }));
-            })?;
+            let worker = u32::try_from(workers.len()).expect("fewer than 2^32 files are held");
+            walk_worker_rows(codec, &bytes, up_to, |head, start, len| {
+                let row = RowRef { start, len, worker, flags: head.flags };
+                by_superstep.entry(head.superstep).or_default().push((head.vertex, row));
+            })
+            .map_err(|e| SessionError::decode(path, e))?;
             workers.push(bytes);
         }
         let index = by_superstep
@@ -498,24 +401,17 @@ impl UntypedSession {
         let master_path = master_trace_path(root);
         if fs.exists(&master_path) {
             let bytes = fs.read_all(&master_path)?;
-            walk_master_records(codec, &bytes, &master_path, up_to, &mut master)?;
+            master = master_records_up_to(codec, &bytes, up_to)
+                .map_err(|e| SessionError::decode(master_path, e))?;
         }
 
-        let result = if fs.exists(&result_path(root)) {
-            let bytes = fs.read_all(&result_path(root))?;
-            Some(serde_json::from_slice(&bytes).map_err(|e| SessionError::Decode {
-                path: result_path(root),
-                error: e.to_string(),
-            })?)
-        } else {
-            None
-        };
+        let result = read_result(fs.as_ref(), root)?;
 
         Ok(Self { meta, codec, result, workers, index, master })
     }
 
     fn parse_row(&self, row: &RowRef) -> UntypedTrace {
-        let bytes = &self.workers[row.worker][row.start..row.start + row.len];
+        let bytes = &self.workers[row.worker as usize][row.start..row.start + row.len];
         let value = match self.codec {
             TraceCodec::JsonLines => {
                 serde_json::from_slice(bytes).expect("rows were validated by open()")
@@ -544,18 +440,18 @@ impl UntypedSession {
 
     /// Number of captures in one superstep, without parsing any row.
     pub fn count_at(&self, superstep: u64) -> usize {
-        self.index.get(&superstep).map(Vec::len).unwrap_or(0)
+        self.rows_at(superstep).len()
+    }
+
+    /// The index rows of one superstep, in vertex order.
+    fn rows_at(&self, superstep: u64) -> &[RowRef] {
+        self.index.get(&superstep).map(Vec::as_slice).unwrap_or(&[])
     }
 
     /// Streams the captures of one superstep in vertex order, parsing
     /// each row only as the iterator reaches it.
     pub fn traces_at(&self, superstep: u64) -> impl Iterator<Item = UntypedTrace> + '_ {
-        self.index
-            .get(&superstep)
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
-            .iter()
-            .map(|row| self.parse_row(row))
+        self.rows_at(superstep).iter().map(|row| self.parse_row(row))
     }
 
     /// Captures in one superstep, materialized. Prefer
@@ -569,20 +465,17 @@ impl UntypedSession {
     /// order. Only the requested rows are parsed, so paging through a
     /// huge superstep costs O(page), not O(superstep).
     pub fn rows_window(&self, superstep: u64, offset: usize, limit: usize) -> Vec<UntypedTrace> {
-        self.index
-            .get(&superstep)
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
-            .iter()
-            .skip(offset)
-            .take(limit)
-            .map(|row| self.parse_row(row))
-            .collect()
+        let rows = self.rows_at(superstep).iter().skip(offset).take(limit);
+        rows.map(|row| self.parse_row(row)).collect()
     }
 
-    /// The capture of one vertex in one superstep, if any.
+    /// The capture of one vertex in one superstep, if any — the first in
+    /// index order when several share the id. The rows are sorted by
+    /// rendered id, so the lookup parses O(log rows) of them.
     pub fn vertex_at(&self, superstep: u64, vertex: &str) -> Option<UntypedTrace> {
-        self.traces_at(superstep).find(|t| t.vertex() == vertex)
+        let rows = self.rows_at(superstep);
+        let first = rows.partition_point(|row| self.parse_row(row).vertex().as_str() < vertex);
+        rows.get(first).map(|row| self.parse_row(row)).filter(|trace| trace.vertex() == vertex)
     }
 
     /// Every capture of one vertex, in superstep order.
@@ -593,33 +486,26 @@ impl UntypedSession {
             .collect()
     }
 
-    /// The M/V/E indicator state of a superstep.
+    /// The M/V/E indicator state of a superstep, read off the index.
     pub fn indicators(&self, superstep: u64) -> Indicators {
-        let mut ind = Indicators::default();
-        for trace in self.traces_at(superstep) {
-            for (kind, _, _) in trace.violations() {
-                match kind.as_str() {
-                    "Message" => ind.message_violation = true,
-                    "VertexValue" => ind.value_violation = true,
-                    _ => {}
-                }
-            }
-            if trace.exception().is_some() {
-                ind.exception = true;
-            }
+        let flags = self.rows_at(superstep).iter().fold(0, |flags, row| flags | row.flags);
+        Indicators {
+            message_violation: flags & FLAG_MESSAGE_VIOLATION != 0,
+            value_violation: flags & FLAG_VALUE_VIOLATION != 0,
+            exception: flags & FLAG_EXCEPTION != 0,
         }
-        ind
+    }
+
+    /// The violating/excepting captures of one superstep, in vertex
+    /// order. Only those rows are parsed.
+    pub fn flagged_at(&self, superstep: u64) -> impl Iterator<Item = UntypedTrace> + '_ {
+        let flagged = self.rows_at(superstep).iter().filter(|row| row.flags != 0);
+        flagged.map(|row| self.parse_row(row))
     }
 
     /// All violating/excepting captures.
     pub fn violations(&self) -> Vec<UntypedTrace> {
-        self.index
-            .keys()
-            .flat_map(|ss| {
-                self.traces_at(*ss)
-                    .filter(|t| !t.violations().is_empty() || t.exception().is_some())
-            })
-            .collect()
+        self.index.keys().flat_map(|ss| self.flagged_at(*ss)).collect()
     }
 
     /// Captured master contexts.
@@ -758,10 +644,25 @@ mod tests {
         );
     }
 
+    /// Renders every view and reproducer of `session`. A row that `open`
+    /// indexed without its payload decoding in full would panic here.
+    fn render_every_view(session: &UntypedSession) {
+        use crate::views::json as vj;
+        vj::to_line(&vj::supersteps_json(session));
+        vj::to_line(&vj::violations_json(session, None));
+        for ss in session.supersteps() {
+            vj::to_line(&vj::tabular_json(session, ss, None, 1, vj::MAX_PER_PAGE));
+            vj::to_line(&vj::node_link_json(session, ss));
+            for row in session.captured_at(ss) {
+                assert!(vj::repro_source(session, &row.vertex(), ss).is_some());
+            }
+        }
+    }
+
     /// The frame-corruption matrix: a torn tail, a truncated length
     /// varint, a bad record kind, and mid-file garbage each yield a clean
     /// `SessionError` (or a lenient tail skip under `open_partial`) —
-    /// never a panic.
+    /// never a panic, at open or in any view of what opened.
     #[test]
     fn corrupt_binary_traces_fail_cleanly_never_panic() {
         let config = DebugConfig::<Doubler>::builder()
@@ -788,6 +689,7 @@ mod tests {
         assert!(err.to_string().contains("unexpected end"), "{err}");
         let partial = UntypedSession::open_partial(fs.clone(), root, u64::MAX).unwrap();
         assert_eq!(partial.total_captures(), full - 1);
+        render_every_view(&partial);
 
         // Truncated length varint at the tail (a lone continuation byte):
         // same torn-tail shape, so partial opens keep everything.
@@ -797,6 +699,7 @@ mod tests {
         assert!(UntypedSession::open(fs.clone(), root).is_err());
         let partial = UntypedSession::open_partial(fs.clone(), root, u64::MAX).unwrap();
         assert_eq!(partial.total_captures(), full);
+        render_every_view(&partial);
 
         // A complete frame with an unknown record kind is hard corruption
         // in both modes — a torn write can only truncate, never invent a
@@ -811,15 +714,34 @@ mod tests {
         // Mid-file garbage, deterministic shape: a zeroed length prefix
         // on a frame in the middle of the stream is structural corruption
         // in both modes, lenient tailing included.
-        let mut starts = Vec::new();
+        let mut frames = Vec::new();
         let mut scanner = graft_codec::frame::FrameScanner::new(&pristine);
         while let Some(frame) = scanner.next_frame().unwrap() {
-            starts.push(frame.start);
+            frames.push(frame);
         }
         let mut garbled = pristine.clone();
-        garbled[starts[starts.len() / 2]] = 0x00;
+        garbled[frames[frames.len() / 2].start] = 0x00;
         fs.write_all(&path, &garbled).unwrap();
         assert!(UntypedSession::open(fs.clone(), root).is_err());
+        assert!(UntypedSession::open_partial(fs.clone(), root, u64::MAX).is_err());
+
+        // A payload that does not decode is reported with its frame's
+        // offset: here the tag of the vertex id, right after the one-byte
+        // superstep, names no kind of node.
+        let victim = frames.iter().rfind(|frame| frame.kind == FRAME_VERTEX).unwrap();
+        let mut bad_tag = pristine.clone();
+        bad_tag[victim.payload_start + 1] = 9;
+        fs.write_all(&path, &bad_tag).unwrap();
+        let err = UntypedSession::open(fs.clone(), root).map(|_| ()).unwrap_err().to_string();
+        assert!(err.contains(&format!("tag 9 at byte {}", victim.start)), "{err}");
+        // So is a short payload in a complete frame, which no torn write
+        // leaves: the first index frame, a byte shorter.
+        let mut short_index = pristine.clone();
+        short_index.remove(frames[0].end - 1);
+        short_index[0] -= 1;
+        fs.write_all(&path, &short_index).unwrap();
+        let err = UntypedSession::open(fs.clone(), root).map(|_| ()).unwrap_err().to_string();
+        assert!(err.contains("unexpected end of input at byte 0"), "{err}");
         assert!(UntypedSession::open_partial(fs.clone(), root, u64::MAX).is_err());
 
         // Mid-file garbage, arbitrary shape: flipped payload bytes must
@@ -836,12 +758,98 @@ mod tests {
             assert!(partial.total_captures() <= full);
         }
 
+        // Every single-byte edit of the file: whatever still opens,
+        // strictly or leniently, renders.
+        for at in 0..pristine.len() {
+            for edit in [0xff, 0x80, 0x01] {
+                let mut edited = pristine.clone();
+                edited[at] ^= edit;
+                fs.write_all(&path, &edited).unwrap();
+                for session in [
+                    UntypedSession::open(fs.clone(), root),
+                    UntypedSession::open_partial(fs.clone(), root, u64::MAX),
+                ] {
+                    let Ok(session) = session else { continue };
+                    assert!(session.total_captures() <= full);
+                    render_every_view(&session);
+                }
+            }
+        }
+
         // JobSummary::scan applies the same validation as open.
         assert!(JobSummary::scan(fs.as_ref(), root).is_err());
 
         // The pristine bytes still open after all that.
         fs.write_all(&path, &pristine).unwrap();
         assert_eq!(UntypedSession::open(fs.clone(), root).unwrap().total_captures(), full);
+    }
+
+    /// `vertex_at` binary-searches the sorted rows; it must return what
+    /// the linear scan it replaced returned — the first row in index
+    /// order whose rendered id matches — on hits, misses and ids that
+    /// several rows share, in both codecs.
+    #[test]
+    fn vertex_at_is_the_first_match_of_a_linear_scan() {
+        use crate::trace::{encode_record, VertexTrace};
+        use graft_pregel::GlobalData;
+        for codec in [TraceCodec::JsonLines, TraceCodec::Binary] {
+            let root = "/t/untyped-vertex-at";
+            let fs: Arc<dyn FileSystem> = Arc::new(graft_dfs::InMemoryFs::new());
+            let meta = JobMeta {
+                computation: "Lookup".into(),
+                computation_type: "Lookup".into(),
+                master: None,
+                value_types: ("String".into(), "i64".into(), "()".into(), "i64".into()),
+                num_workers: 2,
+                trace_format: Some(codec),
+                config: vec![],
+                facts: None,
+            };
+            fs.write_all(&meta_path(root), &serde_json::to_vec(&meta).unwrap()).unwrap();
+            // Ids that sort as text, not as numbers; "2" three times in
+            // superstep 0, on both workers.
+            let mut serial = 0;
+            for (worker, ids) in [["10", "2", "b", "2"], ["100", "", "2", "a0"]].iter().enumerate()
+            {
+                let mut buf = Vec::new();
+                for superstep in 0..2u64 {
+                    for id in ids.iter().filter(|id| superstep == 0 || **id != "2") {
+                        serial += 1;
+                        let trace = VertexTrace::<String, i64, (), i64> {
+                            superstep,
+                            vertex: id.to_string(),
+                            value_before: serial,
+                            value_after: -serial,
+                            edges: vec![],
+                            incoming: vec![],
+                            outgoing: vec![],
+                            aggregators: vec![],
+                            global: GlobalData { superstep, num_vertices: 8, num_edges: 0 },
+                            halted_after: false,
+                            reasons: vec![],
+                            violations: vec![],
+                            exception: None,
+                        };
+                        encode_record(codec, &trace, &mut buf).unwrap();
+                    }
+                }
+                fs.write_all(&worker_trace_path(root, worker), &buf).unwrap();
+            }
+            let session = UntypedSession::open(fs, root).unwrap();
+            assert_eq!((session.count_at(0), session.count_at(1)), (8, 5));
+            for superstep in 0..3 {
+                for probe in ["", "0", "10", "100", "1000", "2", "20", "a", "a0", "b", "c"] {
+                    let scanned = session.traces_at(superstep).find(|t| t.vertex() == probe);
+                    let found = session.vertex_at(superstep, probe);
+                    assert_eq!(
+                        found.map(|t| t.raw().clone()),
+                        scanned.map(|t| t.raw().clone()),
+                        "{codec:?}: {probe:?} in superstep {superstep}"
+                    );
+                }
+            }
+            assert_eq!(session.vertex_at(0, "2").unwrap().value_before(), "2");
+        }
     }
 
     /// Regression for the streaming/pagination rewrite: a 10k-vertex

@@ -278,11 +278,7 @@ pub fn supersteps_json(session: &UntypedSession) -> SuperstepsJson {
 /// uncaptured neighbors as stubs — the type-erased twin of
 /// `NodeLinkView::layout`, with the same ordering.
 pub fn node_link_json(session: &UntypedSession, superstep: u64) -> NodeLinkJson {
-    use std::collections::{BTreeMap, BTreeSet};
-    let mut captured: BTreeSet<String> = BTreeSet::new();
-    for trace in session.traces_at(superstep) {
-        captured.insert(trace.vertex());
-    }
+    use std::collections::BTreeMap;
     let mut nodes: BTreeMap<String, NodeJson> = BTreeMap::new();
     let mut links = Vec::new();
     let mut global = None;
@@ -309,15 +305,15 @@ pub fn node_link_json(session: &UntypedSession, superstep: u64) -> NodeLinkJson 
             },
         );
         for (target, value) in trace.edges() {
-            if !captured.contains(&target) {
-                nodes.entry(target.clone()).or_insert_with(|| NodeJson {
-                    id: target.clone(),
-                    value: None,
-                    active: true,
-                    captured: false,
-                    flagged: false,
-                });
-            }
+            // A stub, unless the target was captured; one captured later
+            // in the pass replaces its stub.
+            nodes.entry(target.clone()).or_insert_with(|| NodeJson {
+                id: target.clone(),
+                value: None,
+                active: true,
+                captured: false,
+                flagged: false,
+            });
             // Unit edge values arrive as JSON null ("null"); the typed
             // renderer suppresses its "()" the same way.
             let label = if value == "null" || value == "()" { String::new() } else { value };
@@ -415,7 +411,7 @@ pub fn violations_json(session: &UntypedSession, superstep: Option<u64>) -> Viol
     };
     let mut rows = Vec::new();
     for ss in supersteps {
-        for trace in session.traces_at(ss) {
+        for trace in session.flagged_at(ss) {
             for (kind, detail, target) in trace.violations() {
                 rows.push(ViolationJson {
                     superstep: ss,

@@ -4,14 +4,30 @@
 //! with before the single-pass one (`wire_vertex_trace` →
 //! `write_value_frame`), so they pin the capture path's bytes against
 //! that encoder and not only against itself.
+//!
+//! Golden view bytes: FNV-1a checksums of every document the untyped
+//! read path serves over the same two runs and over a hand-built trace
+//! with violations and an exception. They were generated at commit
+//! 284e78e, where `UntypedSession::open` decoded every frame into a
+//! tree and every view re-decoded every row, so they pin the skimming
+//! reader's views and reproducers against that reader.
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use graft::{DebugConfig, GraftRunner};
+use graft::trace::{
+    encode_index_frame, encode_record, meta_path, worker_trace_path, IndexRecord, JobMeta,
+};
+use graft::untyped::UntypedSession;
+use graft::views::json as vj;
+use graft::{
+    CaptureReason, DebugConfig, ExceptionInfo, GraftRunner, TraceCodec, VertexTrace, ViolationKind,
+    ViolationRecord,
+};
 use graft_algorithms::coloring::{GCMessage, GCValue, GraphColoring, GraphColoringMaster};
 use graft_algorithms::pagerank::PageRank;
-use graft_dfs::FileSystem;
-use graft_pregel::Graph;
+use graft_dfs::{FileSystem, InMemoryFs};
+use graft_pregel::{AggValue, GlobalData, Graph};
 
 fn fnv1a(bytes: &[u8]) -> u64 {
     bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, byte| {
@@ -34,6 +50,34 @@ fn trace_checksums(fs: &Arc<dyn FileSystem>, root: &str) -> Vec<(String, usize, 
     files
 }
 
+/// `(view kind, total length, FNV-1a)` of the documents of each kind,
+/// concatenated in request order: the superstep listing; every tabular
+/// page (25 rows a page) of every superstep; the violations view, whole
+/// and per superstep; every superstep's node-link view; the reproducer
+/// of every captured `(vertex, superstep)`.
+fn view_checksums(fs: &Arc<dyn FileSystem>, root: &str) -> Vec<(String, usize, u64)> {
+    let session = UntypedSession::open(Arc::clone(fs), root).unwrap();
+    let mut kinds: BTreeMap<&str, String> = BTreeMap::new();
+    let mut push = |kind, text: String| kinds.entry(kind).or_default().push_str(&text);
+    push("supersteps", vj::to_line(&vj::supersteps_json(&session)));
+    push("violations", vj::to_line(&vj::violations_json(&session, None)));
+    for ss in session.supersteps() {
+        let pages = vj::tabular_json(&session, ss, None, 1, 25).total_pages;
+        for page in 1..=pages {
+            push("tabular", vj::to_line(&vj::tabular_json(&session, ss, None, page, 25)));
+        }
+        push("violations", vj::to_line(&vj::violations_json(&session, Some(ss))));
+        push("node_link", vj::to_line(&vj::node_link_json(&session, ss)));
+        for row in session.captured_at(ss) {
+            push("repro", vj::repro_source(&session, &row.vertex(), ss).unwrap());
+        }
+    }
+    kinds
+        .into_iter()
+        .map(|(kind, text)| (kind.to_string(), text.len(), fnv1a(text.as_bytes())))
+        .collect()
+}
+
 fn assert_golden(actual: &[(String, usize, u64)], golden: &[(&str, usize, u64)]) {
     let rendered: Vec<String> = actual
         .iter()
@@ -41,7 +85,7 @@ fn assert_golden(actual: &[(String, usize, u64)], golden: &[(&str, usize, u64)])
         .collect();
     let matches = actual.len() == golden.len()
         && actual.iter().zip(golden).all(|(a, g)| (a.0.as_str(), a.1, a.2) == *g);
-    assert!(matches, "trace bytes moved; this run wrote:\n{}", rendered.join("\n"));
+    assert!(matches, "golden bytes moved; this run gave:\n{}", rendered.join("\n"));
 }
 
 #[test]
@@ -67,6 +111,16 @@ fn pagerank_capture_all_on_a_ring_matches_the_golden_bytes() {
             ("/result.json", 134, 0x717a457666199e07),
             ("/worker_0.trace", 10533, 0xb7f84d8665cb36bb),
             ("/worker_1.trace", 10533, 0x8b534b00876e883b),
+        ],
+    );
+    assert_golden(
+        &view_checksums(run.fs(), "/golden/pagerank"),
+        &[
+            ("node_link", 44056, 0xdab9626fdb6cfe19),
+            ("repro", 621616, 0x44c7a48589c7a5d1),
+            ("supersteps", 696, 0xc4a61ef14193b01a),
+            ("tabular", 53092, 0x6eff78729a6b9738),
+            ("violations", 185, 0x37bacc6ebd3e65ed),
         ],
     );
 }
@@ -113,6 +167,114 @@ fn graph_coloring_dc_full_with_master_capture_matches_the_golden_bytes() {
             ("/result.json", 135, 0x71e63516e0dd4c5b),
             ("/worker_0.trace", 27858, 0x1a99787eb6d02d6d),
             ("/worker_1.trace", 26129, 0x92ce56f131316c15),
+        ],
+    );
+    assert_golden(
+        &view_checksums(run.fs(), "/golden/coloring"),
+        &[
+            ("node_link", 95291, 0xa4a4f0080ba3720f),
+            ("repro", 584105, 0x55dd4308b240678d),
+            ("supersteps", 2339, 0x0dae01526dd9432f),
+            ("tabular", 74893, 0xad71281e43c07ae1),
+            ("violations", 586, 0xcb0b74f9d0d35afa),
+        ],
+    );
+}
+
+/// A trace written record by record (a captured backtrace differs from
+/// build to build, so no job can produce these bytes twice): string
+/// vertex ids, object-valued vertex values, both violation kinds, two
+/// exceptions, and one vertex captured by both workers in one superstep.
+#[test]
+fn hand_built_trace_with_violations_and_exceptions_matches_the_golden_view_bytes() {
+    #[derive(Clone, serde::Serialize)]
+    struct Balance {
+        owed: i64,
+        rate: f64,
+    }
+    let root = "/golden/flagged";
+    let fs: Arc<dyn FileSystem> = Arc::new(InMemoryFs::new());
+    let meta = JobMeta {
+        computation: "Ledger".into(),
+        computation_type: "ledger::Ledger".into(),
+        master: None,
+        value_types: ("String".into(), "Balance".into(), "f64".into(), "i64".into()),
+        num_workers: 2,
+        trace_format: Some(TraceCodec::Binary),
+        config: vec!["capture_all_active".into()],
+        facts: None,
+    };
+    fs.write_all(&meta_path(root), &serde_json::to_vec(&meta).unwrap()).unwrap();
+
+    let violation = |kind, detail: &str, target: Option<&str>| ViolationRecord {
+        kind,
+        detail: detail.into(),
+        target: target.map(str::to_string),
+    };
+    let mut channels = [(Vec::new(), 0u64), (Vec::new(), 0u64)];
+    for superstep in 0..3u64 {
+        for (worker, (buf, records)) in channels.iter_mut().enumerate() {
+            let index =
+                IndexRecord { superstep, records_before: *records, bytes_before: buf.len() as u64 };
+            encode_index_frame(&index, buf).unwrap();
+            // Worker 1 also captures v4 in superstep 1: a duplicate key.
+            let ids = (0..10u64).filter(|v| v % 2 == worker as u64 || (superstep, *v) == (1, 4));
+            for v in ids {
+                let mut violations = Vec::new();
+                if superstep == 1 && v % 3 == 1 {
+                    violations.push(violation(ViolationKind::Message, "-7", Some("v0")));
+                    violations.push(violation(ViolationKind::Message, "-9", Some("v2")));
+                }
+                if superstep >= 1 && v % 5 == 2 {
+                    violations.push(violation(
+                        ViolationKind::VertexValue,
+                        "Balance { owed: -1 }",
+                        None,
+                    ));
+                }
+                let exception = (superstep == 2 && v % 4 == 2).then(|| ExceptionInfo {
+                    message: format!("ledger overflow at v{v}"),
+                    backtrace: (v == 2).then(|| "   0: ledger::compute\n   1: main".into()),
+                });
+                let owed = v as i64 * 10 - superstep as i64 * 25;
+                let trace = VertexTrace {
+                    superstep,
+                    vertex: format!("v{v}"),
+                    value_before: Balance { owed, rate: 0.5 },
+                    value_after: Balance { owed: owed - 25, rate: f64::NAN },
+                    edges: vec![(format!("v{}", (v + 1) % 10), 1.5), (format!("w{v}"), -0.0)],
+                    incoming: if superstep == 0 { vec![] } else { vec![owed, -owed] },
+                    outgoing: vec![(format!("v{}", (v + 1) % 10), owed - 25)],
+                    aggregators: vec![
+                        ("phase".to_string(), AggValue::Text("SETTLE".into())),
+                        ("total".to_string(), AggValue::Long(owed)),
+                    ],
+                    global: GlobalData { superstep, num_vertices: 10, num_edges: 20 },
+                    halted_after: superstep == 2 && exception.is_none(),
+                    reasons: if violations.is_empty() && exception.is_none() {
+                        vec![CaptureReason::AllActive]
+                    } else {
+                        vec![CaptureReason::AllActive, CaptureReason::MessageViolation]
+                    },
+                    violations,
+                    exception,
+                };
+                encode_record(TraceCodec::Binary, &trace, buf).unwrap();
+                *records += 1;
+            }
+        }
+    }
+    for (worker, (buf, _)) in channels.iter().enumerate() {
+        fs.write_all(&worker_trace_path(root, worker), buf).unwrap();
+    }
+    assert_golden(
+        &view_checksums(&fs, root),
+        &[
+            ("node_link", 8195, 0xf3cd04c72a0284c3),
+            ("repro", 55856, 0x08245fd5cf87bace),
+            ("supersteps", 363, 0x3797866f891d1c5a),
+            ("tabular", 5805, 0xfdf848be5dea5368),
+            ("violations", 3010, 0x34562b1be0f72ded),
         ],
     );
 }
