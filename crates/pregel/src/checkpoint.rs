@@ -239,11 +239,8 @@ fn for_each_live_record<C: Computation, Err>(
     mut f: impl FnMut(VertexRecordRef<'_, C::Id, C::VValue, C::EValue, C::Message>) -> Result<(), Err>,
 ) -> Result<(), Err> {
     for slot in 0..partition.ids.len() {
-        if partition.removed[slot] {
-            continue;
-        }
-        // Tombstoned slots whose id was re-added later point elsewhere
-        // in the index; only the owning slot is live state.
+        // Tombstones are gone from the index, or point elsewhere in it
+        // when the id was re-added; only the owning slot is live state.
         if partition.index.get(&partition.ids[slot]) != Some(&slot) {
             continue;
         }
@@ -251,7 +248,7 @@ fn for_each_live_record<C: Computation, Err>(
             id: &partition.ids[slot],
             value: &partition.values[slot],
             edges: &partition.adjacency[slot],
-            halted: partition.halted[slot],
+            halted: partition.halted(slot),
             inbox: &partition.inbox[slot],
         })?;
     }
@@ -276,7 +273,8 @@ pub(crate) fn write_partition_frames<C: Computation>(
 }
 
 /// Rebuilds a partition from the framed records produced by
-/// [`write_partition_frames`], re-pushing vertices in file order.
+/// [`write_partition_frames`], re-pushing vertices in file order; the
+/// push rederives the active set and the edge count from each record.
 pub(crate) fn read_partition_frames<C: Computation>(
     bytes: &[u8],
 ) -> Result<Partition<C>, graft_codec::Error> {
@@ -285,10 +283,7 @@ pub(crate) fn read_partition_frames<C: Computation>(
         graft_codec::FramedIter::<VertexRecord<C::Id, C::VValue, C::EValue, C::Message>>::new(bytes)
     {
         let record = record?;
-        let slot = partition.ids.len();
-        partition.push_vertex(record.id, record.value, record.edges);
-        partition.halted[slot] = record.halted;
-        partition.inbox[slot] = record.inbox;
+        partition.push_vertex(record.id, record.value, record.edges, record.halted, record.inbox);
     }
     Ok(partition)
 }
@@ -546,6 +541,8 @@ fn prune(fs: &Arc<dyn FileSystem>, config: &CheckpointConfig) {
 mod tests {
     use super::*;
     use crate::computation::{Computation, ContextOf, VertexHandleOf};
+    use crate::context::Mutation::{AddVertex, RemoveVertex};
+    use crate::engine::{apply_mutations, census};
     use graft_dfs::InMemoryFs;
 
     struct Noop;
@@ -571,12 +568,15 @@ mod tests {
 
     fn sample_partitions() -> Vec<Partition<Noop>> {
         let mut a = Partition::<Noop>::new();
-        a.push_vertex(1, 10, vec![Edge::new(2, ())]);
-        a.push_vertex(3, 30, vec![]);
-        a.halted[1] = true;
-        a.inbox[0] = vec![7, 8];
+        a.push_vertex(1, 10, vec![Edge::new(2, ())], false, vec![7, 8]);
+        a.push_vertex(3, 30, vec![], true, vec![]);
+        // Awake, halted with mail, removed, and removed then re-added.
         let mut b = Partition::<Noop>::new();
-        b.push_vertex(2, 20, vec![Edge::new(1, ())]);
+        b.push_vertex(2, 20, vec![Edge::new(1, ())], false, vec![]);
+        b.push_vertex(4, 40, vec![], true, vec![9]);
+        b.push_vertex(6, 60, vec![Edge::new(2, ())], false, vec![]);
+        b.push_vertex(8, 80, vec![Edge::new(4, ())], false, vec![5]);
+        apply_mutations(&mut [&mut b], vec![RemoveVertex(6), RemoveVertex(8), AddVertex(8, 81)]);
         vec![a, b]
     }
 
@@ -596,10 +596,10 @@ mod tests {
         let a = &restored.partitions[0];
         assert_eq!(a.ids, vec![1, 3]);
         assert_eq!(a.values, vec![10, 30]);
-        assert_eq!(a.halted, vec![false, true]);
+        assert_eq!([a.halted(0), a.halted(1)], [false, true]);
         assert_eq!(a.inbox[0], vec![7, 8]);
         assert_eq!(a.adjacency[0], vec![Edge::new(2, ())]);
-        assert_eq!(restored.partitions[1].ids, vec![2]);
+        assert_eq!(restored.partitions[1].ids, vec![2, 4, 8]);
     }
 
     #[test]
@@ -651,7 +651,7 @@ mod tests {
         assert_eq!(agg, aggs);
         assert_eq!(restored.len(), 1);
         assert_eq!(restored[0].0, 1);
-        assert_eq!(restored[0].1.ids, vec![2]);
+        assert_eq!(restored[0].1.ids, vec![2, 4, 8]);
 
         // An uncommitted checkpoint is not a restore point.
         fs.write_all("/ckpt/cp_6/part_0.ckpt", b"torn").unwrap();
@@ -660,17 +660,24 @@ mod tests {
 
     #[test]
     fn frames_size_matches_written_bytes_and_roundtrips() {
+        // Ids in compute order, and the counts a superstep reads.
+        let derived = |p: &Partition<Noop>| {
+            let mut cursor = (0, 0);
+            let visits = std::iter::from_fn(|| p.next_scheduled(&mut cursor));
+            (visits.map(|s| p.ids[s]).collect::<Vec<_>>(), census(std::iter::once(p)))
+        };
         let partitions = sample_partitions();
+        assert_eq!(derived(&partitions[1]), (vec![2, 4, 8], (3, 1, 2)));
         for partition in &partitions {
             let mut buf = Vec::new();
             let written = write_partition_frames(partition, &mut buf).unwrap();
             assert_eq!(written, buf.len() as u64);
             assert_eq!(partition_frames_size(partition).unwrap(), written);
             let back = read_partition_frames::<Noop>(&buf).unwrap();
-            assert_eq!(back.ids, partition.ids);
-            assert_eq!(back.values, partition.values);
-            assert_eq!(back.halted, partition.halted);
-            assert_eq!(back.inbox, partition.inbox);
+            let mut again = Vec::new();
+            write_partition_frames(&back, &mut again).unwrap();
+            assert_eq!(again, buf);
+            assert_eq!(derived(&back), derived(partition));
         }
     }
 

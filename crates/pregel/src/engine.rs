@@ -320,8 +320,7 @@ impl<C: Computation> Engine<C> {
         let shared =
             SharedState::new(build_partitions::<C>(graph, num_partitions), self.fresh_registry());
 
-        let num_vertices: u64 = shared.partitions.iter().map(|p| lock(p).live_vertices()).sum();
-        let num_edges: u64 = shared.partitions.iter().map(|p| lock(p).live_edges()).sum();
+        let (num_vertices, num_edges, _) = census(shared.partitions.iter().map(lock));
 
         let initial_global = GlobalData { superstep: 0, num_vertices, num_edges };
         for obs in &self.observers {
@@ -380,9 +379,9 @@ impl<C: Computation> Engine<C> {
                 tokens.push(forked.token());
                 scope.spawn(forked.wrap(move || pool_worker(ctx, pool, worker_id)));
             }
-            let outcome = self.drive(&mut state, &pool, ctx);
+            let outcome = catch_unwind(AssertUnwindSafe(|| self.drive(&mut state, &pool, ctx)));
             // Unconditional shutdown: workers must be released before the
-            // scope joins them, on success or failure.
+            // scope joins them, on success, failure or a coordinator panic.
             pool.command.set(PoolCommand::Exit);
             pool.start.wait();
             // Under a schedule session the scope's implicit joins would
@@ -391,7 +390,7 @@ impl<C: Computation> Engine<C> {
             for token in &tokens {
                 token.join_point();
             }
-            outcome
+            outcome.unwrap_or_else(|payload| std::panic::resume_unwind(payload))
         })?;
 
         // Everything spilled must come home before the final graph is
@@ -684,8 +683,7 @@ impl<C: Computation> Engine<C> {
         *write(&shared.registry) = registry;
         shared.clear_incoming();
         state.superstep = restored.superstep;
-        state.num_vertices = shared.partitions.iter().map(|p| lock(p).live_vertices()).sum();
-        state.num_edges = shared.partitions.iter().map(|p| lock(p).live_edges()).sum();
+        (state.num_vertices, state.num_edges, _) = census(shared.partitions.iter().map(lock));
         // One entry per completed superstep, so entry i is superstep i:
         // drop everything the replay will re-execute.
         state.all_stats.truncate(restored.superstep as usize);
@@ -887,7 +885,6 @@ impl<C: Computation> Engine<C> {
         let messages_delivered: u64 = delivery.iter().map(|d| d.delivered).sum();
         let messages_to_missing: u64 = delivery.iter().map(|d| d.missing).sum();
         let mut active_vertices: u64 = delivery.iter().map(|d| d.active).sum();
-        state.num_vertices = delivery.iter().map(|d| d.vertices).sum();
         state.num_edges = delivery.iter().map(|d| d.edges).sum();
 
         if let (Some(o), Some(begin)) = (obs, delivery_begin) {
@@ -930,10 +927,9 @@ impl<C: Computation> Engine<C> {
                     None => None,
                 };
                 let mut guards: Vec<_> = shared.partitions.iter().map(lock).collect();
-                let applied = apply_mutations::<C, _>(&mut guards, mutations, ctx.num_partitions);
-                state.num_vertices = guards.iter().map(|g| g.live_vertices()).sum();
-                state.num_edges = guards.iter().map(|g| g.live_edges()).sum();
-                active_vertices = guards.iter().map(|g| g.active_vertices()).sum();
+                let applied = apply_mutations::<C, _>(&mut guards, mutations);
+                (state.num_vertices, state.num_edges, active_vertices) =
+                    census(guards.iter().map(|g| &**g));
                 applied
             };
             if let (Some(o), Some(begin)) = (obs, mutate_begin) {
@@ -1410,14 +1406,24 @@ impl<C: Computation> SharedState<C> {
 
 /// One worker's share of the graph. `pub(crate)` so the checkpoint
 /// module can serialize and rebuild partitions directly.
+/// A slot is live while `index` maps its id to it; removal leaves a
+/// tombstone. The private fields are derived, and rebuilt by `push_vertex`
+/// on every reload: `awake` bits mark live unhalted slots and `mail` bits
+/// non-empty inboxes (the active set), `live_edges` totals the adjacency.
 pub(crate) struct Partition<C: Computation> {
     pub(crate) ids: Vec<C::Id>,
     pub(crate) values: Vec<C::VValue>,
     pub(crate) adjacency: Vec<Vec<Edge<C::Id, C::EValue>>>,
-    pub(crate) halted: Vec<bool>,
-    pub(crate) removed: Vec<bool>,
     pub(crate) inbox: Vec<Vec<C::Message>>,
     pub(crate) index: FxHashMap<C::Id, usize>,
+    awake: Vec<u64>,
+    mail: Vec<u64>,
+    live_edges: u64,
+}
+
+fn set_bit(words: &mut [u64], slot: usize, on: bool) {
+    let word = &mut words[slot / 64];
+    *word = (*word & !(1 << (slot % 64))) | (u64::from(on) << (slot % 64));
 }
 
 impl<C: Computation> Partition<C> {
@@ -1426,10 +1432,11 @@ impl<C: Computation> Partition<C> {
             ids: Vec::new(),
             values: Vec::new(),
             adjacency: Vec::new(),
-            halted: Vec::new(),
-            removed: Vec::new(),
             inbox: Vec::new(),
             index: FxHashMap::default(),
+            awake: Vec::new(),
+            mail: Vec::new(),
+            live_edges: 0,
         }
     }
 
@@ -1438,33 +1445,59 @@ impl<C: Computation> Partition<C> {
         id: C::Id,
         value: C::VValue,
         edges: Vec<Edge<C::Id, C::EValue>>,
+        halted: bool,
+        inbox: Vec<C::Message>,
     ) {
         let slot = self.ids.len();
+        self.awake.resize(slot / 64 + 1, 0);
+        self.mail.resize(slot / 64 + 1, 0);
+        set_bit(&mut self.awake, slot, !halted);
+        set_bit(&mut self.mail, slot, !inbox.is_empty());
+        self.live_edges += edges.len() as u64;
         self.ids.push(id);
         self.values.push(value);
         self.adjacency.push(edges);
-        self.halted.push(false);
-        self.removed.push(false);
-        self.inbox.push(Vec::new());
+        self.inbox.push(inbox);
         self.index.insert(id, slot);
     }
 
-    fn live_vertices(&self) -> u64 {
-        self.removed.iter().filter(|&&r| !r).count() as u64
+    /// Whether the vertex in `slot` has voted to halt; tombstones have.
+    pub(crate) fn halted(&self, slot: usize) -> bool {
+        self.awake[slot / 64] >> (slot % 64) & 1 == 0
     }
 
-    fn live_edges(&self) -> u64 {
-        self.adjacency
-            .iter()
-            .zip(&self.removed)
-            .filter(|(_, &r)| !r)
-            .map(|(a, _)| a.len() as u64)
-            .sum()
+    /// The next slot to compute — awake, or halted with mail — in ascending
+    /// order; the cursor is `(next word, bits left of this one)` from `(0, 0)`.
+    pub(crate) fn next_scheduled(&self, (word, bits): &mut (usize, u64)) -> Option<usize> {
+        while *bits == 0 {
+            *bits = self.awake.get(*word)? | self.mail[*word];
+            *word += 1;
+        }
+        let slot = (*word - 1) * 64 + bits.trailing_zeros() as usize;
+        *bits &= *bits - 1;
+        Some(slot)
     }
 
-    fn active_vertices(&self) -> u64 {
-        self.halted.iter().zip(&self.removed).filter(|(&h, &r)| !h && !r).count() as u64
+    /// Live vertex `target`'s inbox, marked as holding mail: callers push.
+    fn mailbox(&mut self, target: &C::Id) -> Option<&mut Vec<C::Message>> {
+        let slot = *self.index.get(target)?;
+        set_bit(&mut self.mail, slot, true);
+        Some(&mut self.inbox[slot])
     }
+
+    fn active(&self) -> u64 {
+        self.awake.iter().map(|w| u64::from(w.count_ones())).sum()
+    }
+}
+
+/// `(vertices, edges, active vertices)` from the partitions' carried counts.
+pub(crate) fn census<C: Computation, P: std::ops::Deref<Target = Partition<C>>>(
+    partitions: impl Iterator<Item = P>,
+) -> (u64, u64, u64) {
+    partitions.fold((0, 0, 0), |(vertices, edges, active), p| {
+        debug_assert_eq!(p.live_edges, p.adjacency.iter().map(|a| a.len() as u64).sum::<u64>());
+        (vertices + p.index.len() as u64, edges + p.live_edges, active + p.active())
+    })
 }
 
 /// One shuffle batch in flight from a compute worker to a delivery
@@ -1579,7 +1612,6 @@ struct DeliveryCounts {
     delivered: u64,
     missing: u64,
     active: u64,
-    vertices: u64,
     edges: u64,
     /// Observability-clock nanoseconds this worker spent delivering.
     nanos: u64,
@@ -1592,7 +1624,13 @@ fn build_partitions<C: Computation>(
     let mut partitions: Vec<Partition<C>> = (0..num_partitions).map(|_| Partition::new()).collect();
     let (ids, values, adjacency) = graph.into_parts();
     for ((id, value), edges) in ids.into_iter().zip(values).zip(adjacency) {
-        partitions[partition_for(&id, num_partitions)].push_vertex(id, value, edges);
+        partitions[partition_for(&id, num_partitions)].push_vertex(
+            id,
+            value,
+            edges,
+            false,
+            Vec::new(),
+        );
     }
     partitions
 }
@@ -1604,18 +1642,16 @@ fn rebuild_graph<C: Computation>(
     let mut values = Vec::new();
     let mut adjacency = Vec::new();
     for partition in partitions {
-        for (slot, removed) in partition.removed.iter().enumerate() {
-            if *removed {
-                continue;
+        let index = partition.index;
+        let slots = partition.ids.into_iter().zip(partition.values).zip(partition.adjacency);
+        for (slot, ((id, value), edges)) in slots.enumerate() {
+            // Tombstones are gone from the index, or point elsewhere in it
+            // when the id was re-added; only keep slots the index owns.
+            if index.get(&id) == Some(&slot) {
+                ids.push(id);
+                values.push(value);
+                adjacency.push(edges);
             }
-            // Tombstoned slots whose id was re-added later point elsewhere
-            // in the index; only keep slots the index still owns.
-            if partition.index.get(&partition.ids[slot]) != Some(&slot) {
-                continue;
-            }
-            ids.push(partition.ids[slot]);
-            values.push(partition.values[slot].clone());
-            adjacency.push(partition.adjacency[slot].clone());
         }
     }
     Graph::from_parts(ids, values, adjacency)
@@ -1655,18 +1691,15 @@ fn deliver_combined<C: Computation>(
     delivered: &mut u64,
     missing: &mut u64,
 ) {
-    match partition.index.get(&target) {
-        Some(&slot) if !partition.removed[slot] => {
-            let inbox = &mut partition.inbox[slot];
-            if inbox.is_empty() {
-                inbox.push(message);
-            } else {
-                let combined = computation.combine(&inbox[0], &message);
-                inbox[0] = combined;
+    match partition.mailbox(&target) {
+        Some(inbox) => {
+            match inbox.first_mut() {
+                Some(acc) => *acc = computation.combine(acc, &message),
+                None => inbox.push(message),
             }
             *delivered += count;
         }
-        _ => *missing += count,
+        None => *missing += count,
     }
 }
 
@@ -1813,7 +1846,9 @@ fn worker_compute_core<C: Computation>(
     let mut partition_guard = lock(&ctx.shared.partitions[worker_id]);
     let partition = &mut *partition_guard;
 
-    {
+    // One panic guard for the sweep; `current` is the vertex in `compute`.
+    let mut current: Option<C::Id> = None;
+    let swept = catch_unwind(AssertUnwindSafe(|| {
         let mut cctx = ComputeContext::with_buffer(
             global,
             worker_id,
@@ -1822,42 +1857,30 @@ fn worker_compute_core<C: Computation>(
             &mut mutations,
             std::mem::take(staged),
         );
-        for slot in 0..partition.ids.len() {
-            if partition.removed[slot] {
-                continue;
-            }
+        let mut cursor = (0, 0);
+        while let Some(slot) = partition.next_scheduled(&mut cursor) {
             let messages = std::mem::take(&mut partition.inbox[slot]);
-            if partition.halted[slot] && messages.is_empty() {
-                continue;
-            }
-            // A message to a halted vertex reactivates it.
-            partition.halted[slot] = false;
+            set_bit(&mut partition.mail, slot, false);
             let id = partition.ids[slot];
+            partition.live_edges -= partition.adjacency[slot].len() as u64;
             let mut handle =
                 VertexHandle::new(id, &mut partition.values[slot], &mut partition.adjacency[slot]);
             compute_calls += 1;
-            let result = catch_unwind(AssertUnwindSafe(|| {
-                // Injected panic: raised outside the user's compute (so
-                // the Graft instrumenter never records it as a vertex
-                // exception) but inside the engine's panic guard.
-                if let Some(faults) = ctx.faults {
-                    if faults.take_compute_panic(worker_id, global.superstep) {
-                        panic!(
-                            "injected fault: compute panic (worker {worker_id}, superstep {})",
-                            global.superstep
-                        );
-                    }
-                }
-                computation.compute(&mut handle, &messages, &mut cctx);
-            }));
-            if let Err(payload) = result {
-                return Err(EngineError::VertexPanic {
-                    vertex: id.to_string(),
-                    superstep: global.superstep,
-                    message: panic_message(&*payload),
-                });
+            current = Some(id);
+            // Injected panic: raised outside the user's compute (so the
+            // Graft instrumenter never records it as a vertex exception)
+            // but attributed to the vertex like one of its own.
+            if ctx.faults.is_some_and(|f| f.take_compute_panic(worker_id, global.superstep)) {
+                panic!(
+                    "injected fault: compute panic (worker {worker_id}, superstep {})",
+                    global.superstep
+                );
             }
-            partition.halted[slot] = handle.has_voted_halt();
+            computation.compute(&mut handle, &messages, &mut cctx);
+            current = None;
+            set_bit(&mut partition.awake, slot, !handle.has_voted_halt());
+            // `add_edge` / `remove_edge` edited adjacency in place.
+            partition.live_edges += partition.adjacency[slot].len() as u64;
             for (target, message) in cctx.drain_staged() {
                 messages_sent += 1;
                 match &mut outboxes[partition_for(&target, ctx.num_partitions)] {
@@ -1876,6 +1899,16 @@ fn worker_compute_core<C: Computation>(
             partition.inbox[slot] = drained;
         }
         *staged = cctx.into_buffer();
+    }));
+    if let Err(payload) = swept {
+        // A panic between two vertices (a user `combine`, say) is not a
+        // vertex's: it keeps unwinding to `guarded_compute`.
+        let Some(id) = current else { std::panic::resume_unwind(payload) };
+        return Err(EngineError::VertexPanic {
+            vertex: id.to_string(),
+            superstep: global.superstep,
+            message: panic_message(&*payload),
+        });
     }
 
     let nanos = timer.map(|t| t.stop()).unwrap_or(0);
@@ -1976,9 +2009,8 @@ fn worker_deliver<C: Computation>(
     Ok(DeliveryCounts {
         delivered,
         missing,
-        active: partition.active_vertices(),
-        vertices: partition.live_vertices(),
-        edges: partition.live_edges(),
+        active: partition.active(),
+        edges: partition.live_edges,
         nanos: timer.map(|t| t.stop()).unwrap_or(0),
     })
 }
@@ -2001,12 +2033,12 @@ fn apply_batch<C: Computation>(
                 "a combiner job ships, logs and spills only combined batches"
             );
             for (target, message) in buf.drain(..) {
-                match partition.index.get(&target) {
-                    Some(&slot) if !partition.removed[slot] => {
-                        partition.inbox[slot].push(message);
+                match partition.mailbox(&target) {
+                    Some(inbox) => {
+                        inbox.push(message);
                         *delivered += 1;
                     }
-                    _ => *missing += 1,
+                    None => *missing += 1,
                 }
             }
             buffers.put(Outbox::Raw(buf));
@@ -2032,8 +2064,8 @@ fn apply_batch<C: Computation>(
 }
 
 /// Runs `worker_compute` under a panic guard so a worker thread can
-/// never die (or deadlock a barrier) on a panic that escapes the
-/// per-vertex guard — e.g. one raised inside a user `combine`.
+/// never die (or deadlock a barrier) on a panic that is no vertex's
+/// own — e.g. one raised inside a user `combine`.
 fn guarded_compute<C: Computation>(
     ctx: EngineCtx<'_, C>,
     worker_id: usize,
@@ -2161,10 +2193,9 @@ fn pool_worker<C: Computation>(ctx: EngineCtx<'_, C>, pool: &PoolSync<C>, worker
     }
 }
 
-fn apply_mutations<C: Computation, P: std::ops::DerefMut<Target = Partition<C>>>(
+pub(crate) fn apply_mutations<C: Computation, P: std::ops::DerefMut<Target = Partition<C>>>(
     partitions: &mut [P],
     mutations: Vec<MutationOf<C>>,
-    num_partitions: usize,
 ) -> u64 {
     let mut applied = 0u64;
     let mut removals_edge = Vec::new();
@@ -2182,36 +2213,38 @@ fn apply_mutations<C: Computation, P: std::ops::DerefMut<Target = Partition<C>>>
 
     // Pregel resolution order: removals before additions.
     for (src, dst) in removals_edge {
-        let partition = &mut *partitions[partition_for(&src, num_partitions)];
+        let partition = &mut *partitions[partition_for(&src, partitions.len())];
         if let Some(&slot) = partition.index.get(&src) {
             let before = partition.adjacency[slot].len();
             partition.adjacency[slot].retain(|e| e.target != dst);
-            if partition.adjacency[slot].len() != before {
-                applied += 1;
-            }
+            let dropped = (before - partition.adjacency[slot].len()) as u64;
+            partition.live_edges -= dropped;
+            applied += u64::from(dropped != 0);
         }
     }
     for id in removals_vertex {
-        let partition = &mut *partitions[partition_for(&id, num_partitions)];
+        let partition = &mut *partitions[partition_for(&id, partitions.len())];
         if let Some(slot) = partition.index.remove(&id) {
-            partition.removed[slot] = true;
-            partition.halted[slot] = true;
+            set_bit(&mut partition.awake, slot, false);
+            set_bit(&mut partition.mail, slot, false);
+            partition.live_edges -= partition.adjacency[slot].len() as u64;
             partition.adjacency[slot].clear();
             partition.inbox[slot].clear();
             applied += 1;
         }
     }
     for (id, value) in additions_vertex {
-        let partition = &mut *partitions[partition_for(&id, num_partitions)];
+        let partition = &mut *partitions[partition_for(&id, partitions.len())];
         if !partition.index.contains_key(&id) {
-            partition.push_vertex(id, value, Vec::new());
+            partition.push_vertex(id, value, Vec::new(), false, Vec::new());
             applied += 1;
         }
     }
     for (src, edge) in additions_edge {
-        let partition = &mut *partitions[partition_for(&src, num_partitions)];
+        let partition = &mut *partitions[partition_for(&src, partitions.len())];
         if let Some(&slot) = partition.index.get(&src) {
             partition.adjacency[slot].push(edge);
+            partition.live_edges += 1;
             applied += 1;
         }
         // An AddEdge whose source does not exist is dropped; Giraph would

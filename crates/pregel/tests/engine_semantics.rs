@@ -373,43 +373,65 @@ fn messages_to_missing_vertices_are_counted_not_fatal() {
     assert_eq!(outcome.stats.supersteps[0].messages_delivered, 0);
 }
 
-#[test]
-fn vertex_panic_fails_the_job_with_context() {
-    struct PanicsAtSeven;
-    impl Computation for PanicsAtSeven {
-        type Id = u64;
-        type VValue = u64;
-        type EValue = ();
-        type Message = u64;
-        fn compute(
-            &self,
-            vertex: &mut VertexHandleOf<'_, Self>,
-            _messages: &[u64],
-            ctx: &mut ContextOf<'_, Self>,
-        ) {
-            if vertex.id() == 7 && ctx.superstep() == 2 {
-                panic!("boom on vertex 7");
-            }
+/// Panics in `compute` at vertex `self.0`, and in `combine` if `self.1`.
+struct PanicsAt(u64, bool);
+
+impl Computation for PanicsAt {
+    type Id = u64;
+    type VValue = u64;
+    type EValue = ();
+    type Message = u64;
+    fn compute(
+        &self,
+        vertex: &mut VertexHandleOf<'_, Self>,
+        _messages: &[u64],
+        ctx: &mut ContextOf<'_, Self>,
+    ) {
+        if vertex.id() == self.0 && ctx.superstep() == 2 {
+            panic!("boom on vertex {}", self.0);
         }
+        ctx.send_message(0, 1);
     }
+    fn use_combiner(&self) -> bool {
+        self.1
+    }
+    fn combine(&self, _a: &u64, _b: &u64) -> u64 {
+        panic!("boom in combine")
+    }
+}
+
+fn run_panicking(computation: PanicsAt, workers: usize) -> EngineError {
     let mut b = Graph::<u64, u64, ()>::builder();
-    for v in 0..10 {
+    for v in 0..130 {
         b.add_vertex(v, 0).unwrap();
     }
-    let err = Engine::new(PanicsAtSeven)
-        .num_workers(4)
-        .max_supersteps(10)
-        .run(b.build().unwrap())
-        .map(|_| ())
-        .unwrap_err();
-    match err {
-        EngineError::VertexPanic { vertex, superstep, message } => {
-            assert_eq!(vertex, "7");
-            assert_eq!(superstep, 2);
-            assert!(message.contains("boom"));
+    let run = Engine::new(computation).num_workers(workers).max_supersteps(10);
+    run.run(b.build().unwrap()).map(|_| ()).unwrap_err()
+}
+
+#[test]
+fn vertex_panic_fails_the_job_with_context() {
+    // One panic guard covers a worker's whole sweep, with the vertex in
+    // `compute` tracked beside it. With one worker a vertex's slot is its
+    // id: the first and second slot of an active-set word, the last, and
+    // two in a later word; then a vertex somewhere in a hashed partition.
+    for (workers, culprit) in [(1, 0), (1, 1), (1, 63), (1, 65), (1, 129), (4, 7)] {
+        match run_panicking(PanicsAt(culprit, false), workers) {
+            EngineError::VertexPanic { vertex, superstep, message } => {
+                assert_eq!(vertex, culprit.to_string());
+                assert_eq!(superstep, 2);
+                assert_eq!(message, format!("boom on vertex {culprit}"));
+            }
+            other => panic!("unexpected error {other}"),
         }
-        other => panic!("unexpected error {other}"),
     }
+}
+
+#[test]
+fn a_panic_in_combine_is_the_workers_not_a_vertexs() {
+    // The second send to vertex 0 folds, between two `compute` calls.
+    let err = run_panicking(PanicsAt(u64::MAX, true), 1);
+    assert!(matches!(err, EngineError::WorkerCrashed { worker: 0, superstep: 0 }), "got {err}");
 }
 
 #[derive(Default)]

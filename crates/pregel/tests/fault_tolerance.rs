@@ -6,6 +6,7 @@
 
 use std::sync::Arc;
 
+use graft_algorithms::sssp::ShortestPaths;
 use graft_dfs::{FileSystem, InMemoryFs};
 use graft_pregel::{
     AggOp, AggValue, AggregatorRegistry, CheckpointConfig, Computation, ContextOf, Engine,
@@ -109,7 +110,7 @@ struct RecoveryProbe {
     full: std::sync::Mutex<Vec<u64>>,
 }
 
-impl JobObserver<Rank> for RecoveryProbe {
+impl<C: Computation> JobObserver<C> for RecoveryProbe {
     fn on_restore(&self, superstep: u64) {
         self.full.lock().unwrap().push(superstep);
     }
@@ -388,4 +389,54 @@ fn deterministic_user_panic_exhausts_recovery() {
         matches!(err, EngineError::RecoveryExhausted { attempts: 2, .. }),
         "unexpected error: {err}"
     );
+}
+
+/// A `side` x `side` grid, every vertex linked to its right and lower
+/// neighbour and back. SSSP from a corner is a frontier of at most
+/// `side` vertices crossing it while everything behind has halted.
+fn grid(side: u64) -> Graph<u64, f64, f64> {
+    let mut b = Graph::builder();
+    for v in 0..side * side {
+        b.add_vertex(v, f64::INFINITY).unwrap();
+    }
+    for v in 0..side * side {
+        if v % side + 1 < side {
+            b.add_undirected_edge(v, v + 1, 1.0 + (v % 3) as f64).unwrap();
+        }
+        if v + side < side * side {
+            b.add_undirected_edge(v, v + side, 1.0 + (v % 2) as f64).unwrap();
+        }
+    }
+    b.build().unwrap()
+}
+
+#[test]
+fn mid_frontier_kill_restores_who_sleeps_and_who_has_mail() {
+    // Who computes in a superstep is derived state, not in the
+    // checkpoint: a restore that woke a sleeper, or lost a halted
+    // vertex's mail, would change `compute_calls` before any value.
+    let calls = |o: &JobOutcome<ShortestPaths>| -> Vec<u64> {
+        o.stats.supersteps.iter().map(|s| s.compute_calls).collect()
+    };
+    let clean = Engine::new(ShortestPaths::new(0)).num_workers(4).run(grid(10)).unwrap();
+    let frontier = calls(&clean);
+    assert!(frontier.len() > 12 && (1..30).contains(&frontier[8]), "{frontier:?}");
+
+    for mode in [RecoveryMode::Restart, RecoveryMode::LogReplay] {
+        let fs: Arc<dyn FileSystem> = Arc::new(InMemoryFs::new());
+        let probe = Arc::new(RecoveryProbe::default());
+        let outcome = Engine::new(ShortestPaths::new(0))
+            .num_workers(4)
+            .with_checkpoints(fs, CheckpointConfig::new(3, "/ckpt").recovery_mode(mode))
+            .with_fault_plan(FaultPlan::new().with(Fault::KillWorker { worker: 1, superstep: 8 }))
+            .with_observer(probe.clone())
+            .run(grid(10))
+            .unwrap();
+        assert_eq!(outcome.stats.recoveries, 1, "{mode:?}");
+        // Restart rewinds every partition to 6; log replay only worker 1.
+        let confined = probe.confined.lock().unwrap().clone();
+        assert_eq!(confined.is_empty(), mode == RecoveryMode::Restart, "{mode:?}: {confined:?}");
+        assert_eq!(calls(&outcome), frontier, "{mode:?}");
+        assert_eq!(outcome.graph.sorted_values(), clean.graph.sorted_values(), "{mode:?}");
+    }
 }

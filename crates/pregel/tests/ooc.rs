@@ -5,6 +5,7 @@
 
 use std::sync::Arc;
 
+use graft_algorithms::sssp::ShortestPaths;
 use graft_dfs::{FileSystem, InMemoryFs};
 use graft_obs::{Obs, Scope};
 use graft_pregel::{
@@ -176,6 +177,44 @@ fn shuffle_batches_spill_past_the_budget_and_rehydrate() {
         "every spilled batch must be read back exactly once"
     );
     assert!(!fs.exists("/ooc"));
+}
+
+#[test]
+fn eviction_mid_frontier_keeps_who_sleeps_and_who_has_mail() {
+    // SSSP along a two-way path: a frontier of one or two vertices, all
+    // others halted. Every reload rederives the active set from the
+    // spilled records; waking a sleeper or losing a halted vertex's mail
+    // would show in `compute_calls` first.
+    let path = || {
+        let mut b = Graph::builder();
+        for v in 0..60u64 {
+            b.add_vertex(v, f64::INFINITY).unwrap();
+        }
+        for v in 0..59u64 {
+            b.add_undirected_edge(v, v + 1, 1.0 + (v % 3) as f64).unwrap();
+        }
+        b.build().unwrap()
+    };
+    let unbounded = Engine::new(ShortestPaths::new(0)).num_workers(4).run(path()).unwrap();
+
+    let fs: Arc<dyn FileSystem> = Arc::new(InMemoryFs::new());
+    let obs = Obs::deterministic(1);
+    let budgeted = Engine::new(ShortestPaths::new(0))
+        .num_workers(4)
+        .with_memory_budget(fs, OocConfig::new(600, "/ooc"))
+        .with_obs(obs.clone())
+        .run(path())
+        .unwrap();
+
+    let loads = obs.registry().counter_value("ooc_loads_total", Scope::GLOBAL);
+    let supersteps = unbounded.stats.superstep_count();
+    assert!(supersteps >= 60 && loads > supersteps, "{loads} loads in {supersteps} supersteps");
+    let counters = |o: &JobOutcome<ShortestPaths>| -> Vec<[u64; 7]> {
+        o.stats.supersteps.iter().map(|s| s.counters()).collect()
+    };
+    assert_eq!(counters(&budgeted), counters(&unbounded));
+    assert!(unbounded.stats.supersteps[30].compute_calls <= 3, "superstep 30: not mid-frontier");
+    assert_eq!(budgeted.graph.sorted_values(), unbounded.graph.sorted_values());
 }
 
 #[test]

@@ -14,8 +14,8 @@ use graft_algorithms::random_walk::{RWValue, RandomWalk};
 use graft_algorithms::sssp::ShortestPaths;
 use graft_pregel::reference::run_sequential;
 use graft_pregel::{
-    AggOp, AggValue, AggregatorRegistry, Computation, ContextOf, Edge, Engine, Graph, JobOutcome,
-    MasterComputation, Value, VertexHandleOf,
+    AggOp, AggValue, AggregatorRegistry, Computation, ContextOf, Edge, Engine, Graph, HaltReason,
+    JobOutcome, MasterComputation, Value, VertexHandleOf,
 };
 use rand::{Rng, SeedableRng};
 
@@ -219,6 +219,103 @@ fn assert_churn_agrees(label: &str, digraph: &Digraph) {
     }
 }
 
+/// Wake-after-halt together with mutations, which `Churn` (everything
+/// halts at superstep 2 and nothing wakes) never reaches. Vertices vote
+/// to halt on a seeded schedule and are woken again by later messages;
+/// they edit their own edges inside `compute`, and fold `num_edges` and
+/// `num_vertices` into their values so the carried counts are observable.
+/// Around that, for every id `t` with `t % 5 == 2` its neighbour `t - 1`
+/// (which never sleeps before superstep 6) drives this sequence:
+///
+/// | superstep | `t - 1` does | so that |
+/// |---|---|---|
+/// | 2 | messages `t`, requests its removal | `t`, which votes to halt whenever it runs and now holds mail, is removed |
+/// | 3 | messages `t` again | mail arrives for a tombstoned slot and counts as missing |
+/// | 4 | requests `t` back with value 77 | the id is re-added, in a new slot, while its neighbours sleep |
+/// | 5 | messages `t` | the new slot, not the tombstone, gets the mail |
+struct Sleeper {
+    combiner: bool,
+    seed: u64,
+}
+
+const SLEEPER_LAST_SEND: u64 = 9;
+
+impl Computation for Sleeper {
+    type Id = u64;
+    type VValue = u64;
+    type EValue = ();
+    type Message = u64;
+
+    fn compute(
+        &self,
+        vertex: &mut VertexHandleOf<'_, Self>,
+        messages: &[u64],
+        ctx: &mut ContextOf<'_, Self>,
+    ) {
+        let (id, superstep) = (vertex.id(), ctx.superstep());
+        let folded = messages.iter().fold(*vertex.value(), |acc, m| mix(acc, *m));
+        vertex.set_value(mix(mix(folded, ctx.num_edges()), ctx.num_vertices()));
+        let roll = mix(mix(self.seed, id), superstep) >> 3;
+
+        // Local edge edits: they move `num_edges` with no mutation phase.
+        match roll % 6 {
+            0 => vertex.add_edge((id * 3 + superstep) % 41, ()),
+            1 => {
+                if let Some(first) = vertex.edges().first().map(|e| e.target) {
+                    vertex.remove_edge(first);
+                }
+            }
+            _ => {}
+        }
+        if superstep <= SLEEPER_LAST_SEND && !(roll >> 4).is_multiple_of(3) {
+            ctx.send_message_to_all_edges(vertex, *vertex.value() % 997);
+        }
+
+        let driver = id % 5 == 1;
+        if driver && (2..=5).contains(&superstep) {
+            if superstep != 4 {
+                ctx.send_message(id + 1, superstep);
+            }
+            match superstep {
+                2 => ctx.remove_vertex_request(id + 1),
+                4 => ctx.add_vertex_request(id + 1, 77),
+                _ => {}
+            }
+        }
+        // Requests from the sleepy vertices too, whenever they happen to
+        // be awake: edges out of, and into, ids that come and go.
+        if id % 5 == 3 && superstep == 3 {
+            ctx.add_edge_request(id, id - 1, ());
+            ctx.add_edge_request(id - 1, id, ());
+            if let Some(first) = vertex.edges().first().map(|e| e.target) {
+                ctx.remove_edge_request(id, first);
+            }
+        }
+
+        // Driven ids always vote, drivers not before superstep 6.
+        let dozes = if driver && superstep < 6 { false } else { (roll >> 8).is_multiple_of(2) };
+        if superstep > SLEEPER_LAST_SEND || id % 5 == 2 || dozes {
+            vertex.vote_to_halt();
+        }
+    }
+
+    fn use_combiner(&self) -> bool {
+        self.combiner
+    }
+
+    fn combine(&self, a: &u64, b: &u64) -> u64 {
+        mix(*a, *b)
+    }
+}
+
+fn assert_sleeper_agrees(label: &str, digraph: &Digraph, seed: u64) {
+    for combiner in [false, true] {
+        let graph = digraph.build(|v| v, |_, _| ());
+        let sleeper = Sleeper { combiner, seed };
+        assert_agree(&format!("{label}/combiner={combiner}"), sleeper, None, &graph, |v| *v);
+    }
+}
+
 #[test]
 fn pagerank_sssp_and_components_agree_with_the_oracle() {
     let g = Digraph::chords(60);
@@ -253,9 +350,39 @@ fn mutations_and_messages_to_missing_vertices_agree_with_the_oracle() {
     assert_churn_agrees("churn", &Digraph::chords(40));
 }
 
+/// The scenario in `Sleeper`'s table really happens on the fixed graph:
+/// the oracle and the engine could otherwise agree on a run that never
+/// reached it.
+#[test]
+fn sleeper_wakes_removes_and_re_adds_and_agrees_with_the_oracle() {
+    let g = Digraph::chords(40);
+    for seed in 1..=4 {
+        assert_sleeper_agrees(&format!("sleeper/seed {seed}"), &g, seed);
+    }
+    let sleeper = Sleeper { combiner: false, seed: 1 };
+    let run = run_sequential(&sleeper, None, g.build(|v| v, |_, _| ()), 2, MAX_SUPERSTEPS);
+    let steps = &run.stats.supersteps;
+    assert_eq!(run.halt_reason, HaltReason::AllVerticesHalted);
+    // Eight ids go at superstep 2 and come back at superstep 4.
+    assert_eq!((steps[2].mutations_applied, steps[4].mutations_applied), (8, 8));
+    assert!(steps[3].messages_to_missing >= 8, "no mail reached a tombstone");
+    assert!(steps[5].compute_calls >= 16, "the re-added ids never computed");
+    // Woken after halting: more calls in a superstep than the one before
+    // left active, so some of them went to vertices that were asleep.
+    assert!(
+        (1..steps.len()).any(|s| steps[s].compute_calls > steps[s - 1].active_vertices),
+        "no halted vertex was ever woken"
+    );
+    // From superstep 6 on only in-place edge edits move `num_edges`.
+    assert!(steps[6..].iter().all(|s| s.mutations_applied == 0));
+}
+
 #[test]
 fn random_digraphs_agree_with_the_oracle() {
-    for seed in [0xD1FF_0001u64, 0xD1FF_0002, 0xD1FF_0003, 0xD1FF_0004, 0xD1FF_0005, 0xD1FF_0006] {
+    // A fixed budget of seeds, so a failure reproduces with the same
+    // command; a release build (CI's fuzz-smoke job) runs ten times more.
+    let budget = if cfg!(debug_assertions) { 30 } else { 300 };
+    for seed in (0..budget).map(|i| 0xD1FF_0001u64 + i) {
         let g = Digraph::random(&mut rand::rngs::StdRng::seed_from_u64(seed));
         let label = |name: &str| format!("{name}/seed {seed:#x}");
         assert_agree(
@@ -270,5 +397,6 @@ fn random_digraphs_agree_with_the_oracle() {
         let walk = g.build(|_| RWValue::default(), |_, _| ());
         assert_agree(&label("random-walk"), RandomWalk::new(seed, 5), None, &walk, |v| *v);
         assert_churn_agrees(&label("churn"), &g);
+        assert_sleeper_agrees(&label("sleeper"), &g, seed);
     }
 }
