@@ -29,8 +29,6 @@ pub enum Error {
     NotSelfDescribing,
     /// An enum variant index was out of range for the target enum.
     InvalidVariant(u32),
-    /// An I/O error from the underlying writer.
-    Io(std::io::Error),
     /// A custom error raised by a `Serialize` or `Deserialize` impl.
     Message(String),
 }
@@ -50,7 +48,6 @@ impl fmt::Display for Error {
                 write!(f, "GraftBin is not self-describing; deserialize_any unsupported")
             }
             Error::InvalidVariant(v) => write!(f, "variant index {v} out of range"),
-            Error::Io(e) => write!(f, "io error: {e}"),
             Error::Message(m) => write!(f, "{m}"),
         }
     }
@@ -60,15 +57,8 @@ impl std::error::Error for Error {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             Error::InvalidUtf8(e) => Some(e),
-            Error::Io(e) => Some(e),
             _ => None,
         }
-    }
-}
-
-impl From<std::io::Error> for Error {
-    fn from(e: std::io::Error) -> Self {
-        Error::Io(e)
     }
 }
 

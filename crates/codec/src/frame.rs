@@ -46,21 +46,18 @@ pub fn write_frame(out: &mut Vec<u8>, kind: u8, payload: &[u8]) {
     out.extend_from_slice(payload);
 }
 
-/// Appends one frame whose payload `encode` writes, in a single pass:
-/// the payload goes straight into `out` behind a gap for the length
-/// prefix, which is filled in once the length is known. The gap is two
-/// bytes — right for frames of 127 to 16,382 payload bytes — and the
-/// payload is shifted when the prefix turns out shorter or longer. On
-/// error `out` is left as it was.
-pub fn write_frame_with(
+/// Appends what `encode` writes behind its varint length, in a single
+/// pass: the bytes go straight into `out` behind a `GAP`-byte hole for
+/// the prefix, which is filled in once the length is known, and are
+/// shifted when the prefix turns out shorter or longer than the hole. On
+/// error `out` is left as it was. Every length-prefixed writer in this
+/// crate is this routine with its own guess at `GAP`.
+pub(crate) fn write_len_prefixed<const GAP: usize>(
     out: &mut Vec<u8>,
-    kind: u8,
     encode: impl FnOnce(&mut Vec<u8>) -> Result<()>,
 ) -> Result<()> {
-    const GAP: usize = 2;
     let start = out.len();
     out.extend_from_slice(&[0; GAP]);
-    out.push(kind);
     if let Err(e) = encode(out) {
         out.truncate(start);
         return Err(e);
@@ -73,6 +70,20 @@ pub fn write_frame_with(
         out.splice(start..start + GAP, prefix[..width].iter().copied());
     }
     Ok(())
+}
+
+/// Appends one frame whose payload `encode` writes, in a single pass
+/// (see [`write_len_prefixed`]). The gap is two bytes — right for frames
+/// of 127 to 16,382 payload bytes.
+pub fn write_frame_with(
+    out: &mut Vec<u8>,
+    kind: u8,
+    encode: impl FnOnce(&mut Vec<u8>) -> Result<()>,
+) -> Result<()> {
+    write_len_prefixed::<2>(out, |out| {
+        out.push(kind);
+        encode(out)
+    })
 }
 
 /// Appends one frame whose payload is the GraftBin encoding of `value`,

@@ -48,22 +48,20 @@ pub mod varint;
 
 pub use de::{from_slice, Deserializer};
 pub use error::{Error, Result};
-pub use ser::{to_vec, to_writer, Serializer};
-pub use size::{framed_size, serialized_size, varint_len};
+pub use ser::{to_vec, Serializer};
+pub use size::{framed_size, serialized_size};
 pub use skim::{for_each_element, SkipSeq, SkipStr, SkipTagged};
 pub use tagged::{write_tagged, Tagged};
 pub use value::{normalize, to_bin_value, BinValue};
 
-/// Encodes a value and prefixes it with its varint-encoded byte length.
-///
-/// Length-prefixed framing lets many records share one append-only trace
-/// file: readers can skip or stream records without decoding them.
-pub fn to_framed_vec<T: serde::Serialize>(value: &T) -> Result<Vec<u8>> {
-    let body = to_vec(value)?;
-    let mut out = Vec::with_capacity(body.len() + 5);
-    varint::write_u64(&mut out, body.len() as u64);
-    out.extend_from_slice(&body);
-    Ok(out)
+/// Appends `value` to `out` behind its varint-encoded byte length, in one
+/// pass and with no intermediate buffer; on error `out` is left as it was.
+/// Length-prefixed framing lets many records share one append-only file:
+/// readers can skip or stream records without decoding them. The gap is
+/// one byte — right for records under 128 bytes, which vertex records
+/// are; a longer record pays one shift of its own bytes.
+pub fn write_framed<T: serde::Serialize + ?Sized>(out: &mut Vec<u8>, value: &T) -> Result<()> {
+    frame::write_len_prefixed::<1>(out, |out| value.serialize(&mut Serializer::new(out)))
 }
 
 /// Decodes one length-prefixed record from the front of `input`.
@@ -212,7 +210,7 @@ mod tests {
             (0..100).map(|i| Inner { flag: i % 2 == 0, label: format!("record-{i}") }).collect();
         let mut buf = Vec::new();
         for r in &records {
-            buf.extend_from_slice(&to_framed_vec(r).unwrap());
+            write_framed(&mut buf, r).unwrap();
         }
         let decoded: Result<Vec<Inner>> = FramedIter::new(&buf).collect();
         assert_eq!(decoded.unwrap(), records);
@@ -221,7 +219,8 @@ mod tests {
     #[test]
     fn framed_iter_reports_truncation_once() {
         let rec = Inner { flag: true, label: "x".into() };
-        let mut buf = to_framed_vec(&rec).unwrap();
+        let mut buf = Vec::new();
+        write_framed(&mut buf, &rec).unwrap();
         buf.truncate(buf.len() - 1);
         let mut it = FramedIter::<Inner>::new(&buf);
         assert!(it.next().unwrap().is_err());

@@ -13,13 +13,6 @@ pub fn to_vec<T: Serialize>(value: &T) -> Result<Vec<u8>> {
     Ok(out)
 }
 
-/// Serializes `value` into any `std::io::Write`.
-pub fn to_writer<T: Serialize, W: std::io::Write>(value: &T, writer: &mut W) -> Result<()> {
-    let bytes = to_vec(value)?;
-    writer.write_all(&bytes)?;
-    Ok(())
-}
-
 /// Streaming GraftBin encoder over a borrowed output buffer.
 pub struct Serializer<'a> {
     out: &'a mut Vec<u8>,

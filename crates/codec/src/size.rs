@@ -20,7 +20,7 @@ pub fn serialized_size<T: Serialize + ?Sized>(value: &T) -> Result<u64> {
     Ok(counter.bytes)
 }
 
-/// Number of bytes [`crate::to_framed_vec`] would produce for `value`:
+/// Number of bytes [`crate::write_framed`] would append for `value`:
 /// the body size plus its varint length prefix.
 pub fn framed_size<T: Serialize + ?Sized>(value: &T) -> Result<u64> {
     let body = serialized_size(value)?;
@@ -28,7 +28,7 @@ pub fn framed_size<T: Serialize + ?Sized>(value: &T) -> Result<u64> {
 }
 
 /// Encoded length of a LEB128 varint, in bytes.
-pub fn varint_len(value: u64) -> u64 {
+fn varint_len(value: u64) -> u64 {
     varint::encoded_len_u64(value) as u64
 }
 
@@ -355,7 +355,8 @@ mod tests {
     fn assert_size_matches<T: Serialize>(value: &T) {
         let bytes = crate::to_vec(value).unwrap();
         assert_eq!(serialized_size(value).unwrap(), bytes.len() as u64);
-        let framed = crate::to_framed_vec(value).unwrap();
+        let mut framed = Vec::new();
+        crate::write_framed(&mut framed, value).unwrap();
         assert_eq!(framed_size(value).unwrap(), framed.len() as u64);
     }
 

@@ -128,7 +128,7 @@ fn roundtrip_framed() {
             (0..rng.gen_range(0..8usize)).map(|_| random_mixed(&mut rng)).collect();
         let mut buf = Vec::new();
         for v in &values {
-            buf.extend_from_slice(&graft_codec::to_framed_vec(v).unwrap());
+            graft_codec::write_framed(&mut buf, v).unwrap();
         }
         let decoded: Result<Vec<Mixed>, _> = graft_codec::FramedIter::new(&buf).collect();
         let decoded = decoded.unwrap();
@@ -137,6 +137,61 @@ fn roundtrip_framed() {
             assert!(mixed_eq(a, b));
         }
     }
+}
+
+/// The two-pass reference `write_framed` must equal: size the body with
+/// the counting serializer, write the prefix, then encode.
+fn framed_by_size_pass<T: Serialize>(out: &mut Vec<u8>, value: &T) {
+    let body = graft_codec::serialized_size(value).unwrap();
+    graft_codec::varint::write_u64(out, body);
+    value.serialize(&mut graft_codec::Serializer::new(out)).unwrap();
+}
+
+#[test]
+fn write_framed_equals_the_size_pass_reference_at_every_prefix_width() {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0xC0DEC0A);
+    let mut single_pass = vec![0xee];
+    let mut reference = vec![0xee];
+    // A string body is its varint length plus its bytes, so these land
+    // on both sides of every prefix width a spill or log file can meet.
+    graft_codec::write_framed(&mut single_pass, &()).unwrap();
+    framed_by_size_pass(&mut reference, &());
+    for (len, body) in
+        [(126usize, 127u64), (127, 128), (16_381, 16_383), (16_382, 16_384), (40_000, 40_003)]
+    {
+        let text: String = (0..len).map(|_| char::from(rng.gen_range(32u8..127))).collect();
+        assert_eq!(graft_codec::serialized_size(&text).unwrap(), body);
+        graft_codec::write_framed(&mut single_pass, &text).unwrap();
+        framed_by_size_pass(&mut reference, &text);
+        assert_eq!(single_pass, reference, "after a {body}-byte body");
+    }
+    for _ in 0..256 {
+        let value = random_mixed(&mut rng);
+        graft_codec::write_framed(&mut single_pass, &value).unwrap();
+        framed_by_size_pass(&mut reference, &value);
+    }
+    assert_eq!(single_pass, reference);
+}
+
+/// Serializes a few bytes, then fails the way a user `Serialize` can.
+struct FailsMidway;
+
+impl Serialize for FailsMidway {
+    fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
+        use serde::ser::SerializeTuple;
+        let mut tuple = serializer.serialize_tuple(2)?;
+        tuple.serialize_element("partial")?;
+        Err(serde::ser::Error::custom("refused"))
+    }
+}
+
+#[test]
+fn write_framed_error_leaves_the_buffer_untouched() {
+    let mut out = vec![1, 2, 3];
+    graft_codec::write_framed(&mut out, &7u64).unwrap();
+    let before = out.clone();
+    assert!(graft_codec::write_framed(&mut out, &FailsMidway).is_err());
+    assert_eq!(out, before);
 }
 
 #[test]

@@ -28,7 +28,6 @@
 //! non-associative-in-floating-point folds like PageRank's rank sum.
 
 use std::fmt;
-use std::io::Write;
 use std::sync::Arc;
 
 use graft_dfs::FileSystem;
@@ -255,25 +254,24 @@ fn for_each_live_record<C: Computation, Err>(
     Ok(())
 }
 
-/// Streams `partition`'s live vertices as framed records into `writer`,
-/// returning the bytes written. Shared by checkpoint files and
-/// out-of-core spill segments so both restore bit-identically.
-pub(crate) fn write_partition_frames<C: Computation>(
+/// Partition `p`'s live vertices as framed records, each encoded in
+/// place in one buffer of `capacity` bytes (the out-of-core charge is the
+/// exact length; 0 when unknown). Shared by checkpoint files and
+/// out-of-core spill segments so both restore bit-identically — and so a
+/// spilled partition's segment can stand in for its checkpoint file.
+pub(crate) fn encode_partition<C: Computation>(
     partition: &Partition<C>,
-    writer: &mut dyn Write,
-) -> Result<u64, graft_codec::Error> {
-    let mut bytes_written = 0u64;
-    for_each_live_record(partition, |record| -> Result<(), graft_codec::Error> {
-        let frame = graft_codec::to_framed_vec(&record)?;
-        bytes_written += frame.len() as u64;
-        writer.write_all(&frame)?;
-        Ok(())
-    })?;
-    Ok(bytes_written)
+    p: usize,
+    capacity: u64,
+) -> Result<Vec<u8>, CheckpointError> {
+    let mut frames = Vec::with_capacity(capacity as usize);
+    for_each_live_record(partition, |record| graft_codec::write_framed(&mut frames, &record))
+        .map_err(|e| CheckpointError::new(format!("encoding partition {p}"), e))?;
+    Ok(frames)
 }
 
 /// Rebuilds a partition from the framed records produced by
-/// [`write_partition_frames`], re-pushing vertices in file order; the
+/// [`encode_partition`], re-pushing vertices in file order; the
 /// push rederives the active set and the edge count from each record.
 pub(crate) fn read_partition_frames<C: Computation>(
     bytes: &[u8],
@@ -288,7 +286,7 @@ pub(crate) fn read_partition_frames<C: Computation>(
     Ok(partition)
 }
 
-/// Exact bytes [`write_partition_frames`] would emit for `partition`,
+/// Exact bytes [`encode_partition`] would emit for `partition`,
 /// computed by the codec's counting serializer — no buffer is built.
 /// This is the footprint the out-of-core budget charges per partition.
 pub(crate) fn partition_frames_size<C: Computation>(
@@ -331,14 +329,49 @@ pub(crate) struct RestoredState<C: Computation> {
     pub(crate) aggregators: Vec<(String, AggValue)>,
 }
 
-/// Clears any stale attempt at `superstep`'s checkpoint and creates its
-/// directory. Returns the directory path for the per-partition writes
-/// and the final [`commit_checkpoint`].
-pub(crate) fn begin_checkpoint(
+/// Writes partition `p`'s file — `frames`, the output of
+/// [`encode_partition`] — into a checkpoint directory, in one write.
+/// Taking frames rather than a partition is what lets the out-of-core
+/// engine checkpoint a spilled partition from the frames already on disk.
+pub(crate) fn write_checkpoint_partition(
+    fs: &Arc<dyn FileSystem>,
+    dir: &str,
+    p: usize,
+    frames: &[u8],
+) -> Result<u64, CheckpointError> {
+    let path = format!("{dir}/part_{p}.ckpt");
+    fs.write_all(&path, frames).map_err(|e| CheckpointError::new(format!("writing {path}"), e))?;
+    Ok(frames.len() as u64)
+}
+
+/// Encodes and writes every partition's file from memory; returns the
+/// bytes written. The engine's `write_partitions` when no budget is set.
+pub(crate) fn write_resident_partitions<C: Computation>(
+    fs: &Arc<dyn FileSystem>,
+    dir: &str,
+    partitions: impl Iterator<Item = impl std::ops::Deref<Target = Partition<C>>>,
+) -> Result<u64, CheckpointError> {
+    let mut bytes_written = 0u64;
+    for (p, partition) in partitions.enumerate() {
+        let frames = encode_partition(&partition, p, 0)?;
+        bytes_written += write_checkpoint_partition(fs, dir, p, &frames)?;
+    }
+    Ok(bytes_written)
+}
+
+/// Writes a committed checkpoint for `superstep` and prunes old ones.
+/// `write_partitions` is handed the fresh checkpoint directory and
+/// writes the partition files into it, however the partitions are held.
+/// Returns the number of payload bytes written (partition frames,
+/// manifest, and commit marker).
+pub(crate) fn write_checkpoint(
     fs: &Arc<dyn FileSystem>,
     config: &CheckpointConfig,
     superstep: u64,
-) -> Result<String, CheckpointError> {
+    num_partitions: usize,
+    aggregators: Vec<(String, AggValue)>,
+    write_partitions: impl FnOnce(&str) -> Result<u64, CheckpointError>,
+) -> Result<u64, CheckpointError> {
     let dir = config.dir(superstep);
     // A leftover directory from a crashed earlier attempt (or from the run
     // this one recovered from) is stale; rewrite it from scratch.
@@ -348,73 +381,22 @@ pub(crate) fn begin_checkpoint(
     }
     fs.mkdirs(&dir)
         .map_err(|e| CheckpointError::new(format!("creating checkpoint dir {dir}"), e))?;
-    Ok(dir)
-}
+    let mut bytes_written = write_partitions(&dir)?;
 
-/// Writes partition `p`'s file into a checkpoint directory opened by
-/// [`begin_checkpoint`]. Split out from the all-partitions loop so the
-/// out-of-core engine can checkpoint one resident partition at a time
-/// instead of holding every partition in memory at once.
-pub(crate) fn write_checkpoint_partition<C: Computation>(
-    fs: &Arc<dyn FileSystem>,
-    dir: &str,
-    p: usize,
-    partition: &Partition<C>,
-) -> Result<u64, CheckpointError> {
-    let path = format!("{dir}/part_{p}.ckpt");
-    let mut writer =
-        fs.create(&path).map_err(|e| CheckpointError::new(format!("creating {path}"), e))?;
-    let bytes_written = write_partition_frames(partition, &mut writer)
-        .map_err(|e| CheckpointError::new(format!("writing {path}"), e))?;
-    writer.sync().map_err(|e| CheckpointError::new(format!("syncing {path}"), e))?;
-    Ok(bytes_written)
-}
-
-/// Writes the manifest and the `COMMIT` marker (last, so its presence
-/// certifies every partition file is complete), then prunes old
-/// checkpoints. Returns manifest + marker bytes.
-pub(crate) fn commit_checkpoint(
-    fs: &Arc<dyn FileSystem>,
-    config: &CheckpointConfig,
-    dir: &str,
-    superstep: u64,
-    num_partitions: usize,
-    aggregators: Vec<(String, AggValue)>,
-) -> Result<u64, CheckpointError> {
     let manifest = Manifest { superstep, num_partitions, aggregators };
     let bytes =
         graft_codec::to_vec(&manifest).map_err(|e| CheckpointError::new("encoding manifest", e))?;
-    let mut bytes_written = bytes.len() as u64;
+    bytes_written += bytes.len() as u64;
     fs.write_all(&format!("{dir}/manifest.bin"), &bytes)
         .map_err(|e| CheckpointError::new(format!("writing {dir}/manifest.bin"), e))?;
 
+    // Written last, so its presence certifies every file before it.
     let marker = superstep.to_string();
     bytes_written += marker.len() as u64;
     fs.write_all(&format!("{dir}/COMMIT"), marker.as_bytes())
         .map_err(|e| CheckpointError::new(format!("committing {dir}"), e))?;
 
     prune(fs, config);
-    Ok(bytes_written)
-}
-
-/// Writes a committed checkpoint for `superstep` and prunes old ones.
-/// Returns the number of payload bytes written (partition frames,
-/// manifest, and commit marker). Takes partition references because the
-/// live partitions sit behind per-worker locks (the coordinator holds
-/// all the guards while the pool is parked between phases).
-pub(crate) fn write_checkpoint<C: Computation>(
-    fs: &Arc<dyn FileSystem>,
-    config: &CheckpointConfig,
-    superstep: u64,
-    partitions: &[&Partition<C>],
-    aggregators: Vec<(String, AggValue)>,
-) -> Result<u64, CheckpointError> {
-    let dir = begin_checkpoint(fs, config, superstep)?;
-    let mut bytes_written = 0u64;
-    for (p, partition) in partitions.iter().enumerate() {
-        bytes_written += write_checkpoint_partition(fs, &dir, p, partition)?;
-    }
-    bytes_written += commit_checkpoint(fs, config, &dir, superstep, partitions.len(), aggregators)?;
     Ok(bytes_written)
 }
 
@@ -566,6 +548,18 @@ mod tests {
         Arc::new(InMemoryFs::new())
     }
 
+    fn write_checkpoint(
+        fs: &Arc<dyn FileSystem>,
+        config: &CheckpointConfig,
+        superstep: u64,
+        partitions: &[Partition<Noop>],
+        aggregators: Vec<(String, AggValue)>,
+    ) -> Result<u64, CheckpointError> {
+        super::write_checkpoint(fs, config, superstep, partitions.len(), aggregators, |dir| {
+            write_resident_partitions(fs, dir, partitions.iter())
+        })
+    }
+
     fn sample_partitions() -> Vec<Partition<Noop>> {
         let mut a = Partition::<Noop>::new();
         a.push_vertex(1, 10, vec![Edge::new(2, ())], false, vec![7, 8]);
@@ -586,8 +580,7 @@ mod tests {
         let config = CheckpointConfig::new(2, "/ckpt");
         let aggs = vec![("sum".to_string(), AggValue::Long(42))];
         let partitions = sample_partitions();
-        let refs: Vec<&Partition<Noop>> = partitions.iter().collect();
-        write_checkpoint(&fs, &config, 4, &refs, aggs.clone()).unwrap();
+        write_checkpoint(&fs, &config, 4, &partitions, aggs.clone()).unwrap();
 
         let restored = restore_latest::<Noop>(&fs, &config).unwrap().unwrap();
         assert_eq!(restored.superstep, 4);
@@ -607,9 +600,8 @@ mod tests {
         let fs = fs();
         let config = CheckpointConfig::new(2, "/ckpt").keep(10);
         let partitions = sample_partitions();
-        let refs: Vec<&Partition<Noop>> = partitions.iter().collect();
-        write_checkpoint(&fs, &config, 0, &refs, vec![]).unwrap();
-        write_checkpoint(&fs, &config, 2, &refs, vec![]).unwrap();
+        write_checkpoint(&fs, &config, 0, &partitions, vec![]).unwrap();
+        write_checkpoint(&fs, &config, 2, &partitions, vec![]).unwrap();
         // A later, uncommitted (crashed mid-write) checkpoint is ignored.
         fs.write_all("/ckpt/cp_4/part_0.ckpt", b"torn").unwrap();
         let restored = restore_latest::<Noop>(&fs, &config).unwrap().unwrap();
@@ -628,9 +620,8 @@ mod tests {
         let fs = fs();
         let config = CheckpointConfig::new(2, "/ckpt").keep(2);
         let partitions = sample_partitions();
-        let refs: Vec<&Partition<Noop>> = partitions.iter().collect();
         for s in [0, 2, 4, 6] {
-            write_checkpoint(&fs, &config, s, &refs, vec![]).unwrap();
+            write_checkpoint(&fs, &config, s, &partitions, vec![]).unwrap();
         }
         assert!(!fs.exists("/ckpt/cp_0"));
         assert!(!fs.exists("/ckpt/cp_2"));
@@ -644,8 +635,7 @@ mod tests {
         let config = CheckpointConfig::new(2, "/ckpt");
         let aggs = vec![("sum".to_string(), AggValue::Long(42))];
         let partitions = sample_partitions();
-        let refs: Vec<&Partition<Noop>> = partitions.iter().collect();
-        write_checkpoint(&fs, &config, 4, &refs, aggs.clone()).unwrap();
+        write_checkpoint(&fs, &config, 4, &partitions, aggs.clone()).unwrap();
 
         let (restored, agg) = restore_partitions::<Noop>(&fs, &config, 4, &[1]).unwrap();
         assert_eq!(agg, aggs);
@@ -669,14 +659,10 @@ mod tests {
         let partitions = sample_partitions();
         assert_eq!(derived(&partitions[1]), (vec![2, 4, 8], (3, 1, 2)));
         for partition in &partitions {
-            let mut buf = Vec::new();
-            let written = write_partition_frames(partition, &mut buf).unwrap();
-            assert_eq!(written, buf.len() as u64);
-            assert_eq!(partition_frames_size(partition).unwrap(), written);
+            let buf = encode_partition(partition, 0, 0).unwrap();
+            assert_eq!(partition_frames_size(partition).unwrap(), buf.len() as u64);
             let back = read_partition_frames::<Noop>(&buf).unwrap();
-            let mut again = Vec::new();
-            write_partition_frames(&back, &mut again).unwrap();
-            assert_eq!(again, buf);
+            assert_eq!(encode_partition(&back, 0, 0).unwrap(), buf);
             assert_eq!(derived(&back), derived(partition));
         }
     }

@@ -78,6 +78,7 @@ use graft_obs::{Obs, Scope};
 use graft_sched::sync::{Barrier, Mutex, RwLock};
 use graft_sched::thread as sched_thread;
 use graft_sched::TrackedCell;
+use serde::Serialize;
 
 use crate::aggregators::{AggregatorRegistry, WorkerAggregators};
 use crate::checkpoint::{self, CheckpointConfig, CheckpointError, RecoveryMode};
@@ -434,49 +435,26 @@ impl<C: Computation> Engine<C> {
                         .obs
                         .as_ref()
                         .map(|o| o.begin("checkpoint.write", Some(state.superstep), None));
-                    let bytes = if let Some(store) = ctx.spill {
-                        // Under a budget the partitions can't all be locked
-                        // at once — most may be on disk. Write one at a
-                        // time, pinning each partition resident just long
-                        // enough to stream it out.
-                        let to_err = |e| (state.superstep, EngineError::Checkpoint(e));
-                        let dir = checkpoint::begin_checkpoint(fs, ckpt, state.superstep)
-                            .map_err(to_err)?;
-                        let mut bytes = 0u64;
-                        for p in 0..ctx.num_partitions {
-                            let _pin = store
-                                .pin(&shared.partitions, p, false)
-                                .map_err(|e| (state.superstep, EngineError::Spill(e)))?;
-                            bytes += checkpoint::write_checkpoint_partition(
+                    let bytes = checkpoint::write_checkpoint(
+                        fs,
+                        ckpt,
+                        state.superstep,
+                        ctx.num_partitions,
+                        read(&shared.registry).snapshot(),
+                        |dir| match ctx.spill {
+                            // Under a budget most partitions may be on
+                            // disk: the store writes each by its
+                            // residency, encoded from memory or its spill
+                            // segment copied as it is.
+                            Some(store) => store.checkpoint_partitions(&shared.partitions, fs, dir),
+                            None => checkpoint::write_resident_partitions(
                                 fs,
-                                &dir,
-                                p,
-                                &lock(&shared.partitions[p]),
-                            )
-                            .map_err(to_err)?;
-                        }
-                        bytes
-                            + checkpoint::commit_checkpoint(
-                                fs,
-                                ckpt,
-                                &dir,
-                                state.superstep,
-                                ctx.num_partitions,
-                                read(&shared.registry).snapshot(),
-                            )
-                            .map_err(to_err)?
-                    } else {
-                        let guards: Vec<_> = shared.partitions.iter().map(lock).collect();
-                        let refs: Vec<&Partition<C>> = guards.iter().map(|g| &**g).collect();
-                        checkpoint::write_checkpoint(
-                            fs,
-                            ckpt,
-                            state.superstep,
-                            &refs,
-                            read(&shared.registry).snapshot(),
-                        )
-                        .map_err(|e| (state.superstep, EngineError::Checkpoint(e)))?
-                    };
+                                dir,
+                                shared.partitions.iter().map(lock),
+                            ),
+                        },
+                    )
+                    .map_err(|e| (state.superstep, EngineError::Checkpoint(e)))?;
                     if let (Some(obs), Some(begin)) = (&self.obs, begin) {
                         let dur = obs.end(
                             "checkpoint.write",
@@ -1079,8 +1057,7 @@ impl<C: Computation> Engine<C> {
         // superstep; a gap is a torn log.
         let survivors: Vec<usize> =
             (0..ctx.num_partitions).filter(|w| !failed.contains(w)).collect();
-        let mut survivor_frames: FxHashMap<(usize, u64), WorkerFrame<C::Id, C::Message>> =
-            FxHashMap::default();
+        let mut survivor_frames: FxHashMap<(usize, u64), _> = FxHashMap::default();
         for &w in &survivors {
             let Ok(frames) = log.read_worker_frames::<C::Id, C::Message>(w, cp) else {
                 return Ok(Confined::FellThrough);
@@ -1738,7 +1715,7 @@ fn worker_compute<C: Computation>(
                 .iter()
                 .enumerate()
                 .filter(|(_, o)| !o.is_empty())
-                .map(|(p, o)| (p, log_batch::<C>(o)))
+                .map(|(p, o)| (p, OutboxRef(o)))
                 .collect(),
         };
         let bytes = log.append_worker_frame(worker_id, &frame).map_err(EngineError::MessageLog)?;
@@ -1774,41 +1751,19 @@ fn stage_outbox<C: Computation>(
     outbox: Outbox<C>,
 ) -> Result<Outbox<C>, EngineError> {
     let Some(store) = ctx.spill else { return Ok(outbox) };
-    let size = outbox_frame_size(&outbox)
+    let size = graft_codec::framed_size(&OutboxRef(&outbox))
         .map_err(|e| EngineError::Spill(CheckpointError::new("sizing shuffle batch", e)))?;
     if store.try_charge_shuffle(target, worker_id, size) {
         return Ok(outbox);
     }
     let entries = outbox.len();
-    let frame = graft_codec::to_framed_vec(&log_batch::<C>(&outbox))
+    let mut frame = Vec::with_capacity(size as usize);
+    graft_codec::write_framed(&mut frame, &OutboxRef(&outbox))
         .map_err(|e| EngineError::Spill(CheckpointError::new("encoding shuffle batch", e)))?;
     ctx.shared.buffers.put(outbox);
     let path =
         store.write_shuffle(superstep, target, worker_id, &frame).map_err(EngineError::Spill)?;
     Ok(Outbox::Spilled { path, entries })
-}
-
-/// Exact bytes [`stage_outbox`]'s spill frame would occupy for this
-/// batch, mirroring `to_framed_vec(&log_batch(outbox))` through the
-/// codec's counting serializer — the same number is charged for
-/// in-memory batches, so accounting and spill files agree.
-fn outbox_frame_size<C: Computation>(outbox: &Outbox<C>) -> Result<u64, graft_codec::Error> {
-    let body = match outbox {
-        // `LoggedBatch::Raw` is variant 0 followed by the Vec.
-        Outbox::Raw(v) => graft_codec::varint_len(0) + graft_codec::serialized_size(v)?,
-        // `LoggedBatch::Combined` is variant 1 followed by a Vec of
-        // `(id, message, count)` tuples; tuples of references encode
-        // exactly as tuples of values.
-        Outbox::Combined(m) => {
-            let mut body = graft_codec::varint_len(1) + graft_codec::varint_len(m.len() as u64);
-            for (id, (msg, n)) in m {
-                body += graft_codec::serialized_size(&(id, msg, n))?;
-            }
-            body
-        }
-        Outbox::Spilled { .. } => unreachable!("already on disk"),
-    };
-    Ok(graft_codec::varint_len(body) + body)
 }
 
 /// The compute loop proper: runs every active vertex of the worker's
@@ -1925,14 +1880,42 @@ fn worker_compute_core<C: Computation>(
     ))
 }
 
-/// Copies one outbox into its logged form.
-fn log_batch<C: Computation>(outbox: &Outbox<C>) -> LoggedBatch<C::Id, C::Message> {
-    match outbox {
-        Outbox::Raw(v) => LoggedBatch::Raw(v.clone()),
-        Outbox::Combined(m) => {
-            LoggedBatch::Combined(m.iter().map(|(id, (msg, n))| (*id, msg.clone(), *n)).collect())
+/// Borrowing twin of [`LoggedBatch`] over an in-memory outbox, as
+/// `VertexRecordRef` is of `VertexRecord`: same variant indices and entry
+/// layout, so it writes the bytes the owned form decodes without cloning
+/// an entry. The message log and the shuffle spill serialize it and the
+/// budget sizes it (`framed_size`), so bytes and charge cannot drift.
+struct OutboxRef<'a, C: Computation>(&'a Outbox<C>);
+
+impl<C: Computation> Serialize for OutboxRef<'_, C> {
+    fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
+        match self.0 {
+            Outbox::Raw(v) => serializer.serialize_newtype_variant("LoggedBatch", 0, "Raw", v),
+            Outbox::Combined(m) => serializer.serialize_newtype_variant(
+                "LoggedBatch",
+                1,
+                "Combined",
+                &CombinedEntries::<C>(m),
+            ),
+            Outbox::Spilled { .. } => {
+                unreachable!("batches are logged and sized before they spill")
+            }
         }
-        Outbox::Spilled { .. } => unreachable!("batches are logged before they can spill"),
+    }
+}
+
+/// A combining map as `LoggedBatch::Combined`'s `(target, message,
+/// count)` entries, in the map's iteration order.
+struct CombinedEntries<'a, C: Computation>(&'a CombinedBatch<C>);
+
+impl<C: Computation> Serialize for CombinedEntries<'_, C> {
+    fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
+        use serde::ser::SerializeSeq;
+        let mut seq = serializer.serialize_seq(Some(self.0.len()))?;
+        for (id, (msg, n)) in self.0 {
+            seq.serialize_element(&(id, msg, n))?;
+        }
+        seq.end()
     }
 }
 
@@ -2257,6 +2240,53 @@ pub(crate) fn apply_mutations<C: Computation, P: std::ops::DerefMut<Target = Par
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::computation::{ContextOf, VertexHandleOf};
+
+    struct Noop;
+
+    impl Computation for Noop {
+        type Id = u64;
+        type VValue = ();
+        type EValue = ();
+        type Message = f64;
+
+        fn compute(
+            &self,
+            _: &mut VertexHandleOf<'_, Self>,
+            _: &[f64],
+            _: &mut ContextOf<'_, Self>,
+        ) {
+        }
+    }
+
+    /// The borrowing twin must write exactly what the owned logged form
+    /// decodes, and be sized at exactly what it writes: the log, the
+    /// shuffle spill and the budget charge all lean on it.
+    #[test]
+    fn outbox_ref_writes_the_frame_a_logged_batch_decodes() {
+        let raw: Outbox<Noop> = Outbox::Raw(vec![(7, 0.5), (1 << 40, -0.25), (7, 1.0)]);
+        let combined: Outbox<Noop> =
+            Outbox::Combined((0..300u64).map(|id| (id * 977, (id as f64 / 3.0, id % 5))).collect());
+        for outbox in [&raw, &combined, &Outbox::Raw(Vec::new())] {
+            let mut frame = Vec::new();
+            graft_codec::write_framed(&mut frame, &OutboxRef(outbox)).unwrap();
+            assert_eq!(graft_codec::framed_size(&OutboxRef(outbox)).unwrap(), frame.len() as u64);
+            let (logged, used) =
+                graft_codec::from_framed_slice::<LoggedBatch<u64, f64>>(&frame).unwrap();
+            assert_eq!(used, frame.len());
+            let owned = match outbox {
+                Outbox::Raw(v) => LoggedBatch::Raw(v.clone()),
+                Outbox::Combined(m) => {
+                    LoggedBatch::Combined(m.iter().map(|(id, (msg, n))| (*id, *msg, *n)).collect())
+                }
+                Outbox::Spilled { .. } => unreachable!(),
+            };
+            assert_eq!(logged, owned);
+            let mut reencoded = Vec::new();
+            graft_codec::write_framed(&mut reencoded, &owned).unwrap();
+            assert_eq!(reencoded, frame);
+        }
+    }
 
     // `worker_override` is pure in its input precisely so it can be
     // tested without mutating the process environment.

@@ -57,13 +57,15 @@ pub(crate) enum LoggedBatch<I, M> {
     Combined(Vec<(I, M, u64)>),
 }
 
-/// One worker's complete outgoing shuffle for one superstep.
+/// One worker's complete outgoing shuffle for one superstep. `B` is
+/// [`LoggedBatch`] when read back, and the engine's borrowing twin of it
+/// when written: the live outboxes are serialized where they lie.
 #[derive(Serialize, Deserialize)]
-pub(crate) struct WorkerFrame<I, M> {
+pub(crate) struct WorkerFrame<B> {
     pub(crate) superstep: u64,
     /// `(target partition, batch)` for every non-empty outbox, in target
     /// order.
-    pub(crate) batches: Vec<(usize, LoggedBatch<I, M>)>,
+    pub(crate) batches: Vec<(usize, B)>,
 }
 
 /// The coordinator's per-superstep frame: everything a replayed
@@ -93,7 +95,6 @@ pub(crate) struct MsgLog {
     fs: Arc<dyn FileSystem>,
     root: String,
     segment: AtomicU64,
-    bytes: AtomicU64,
 }
 
 impl MsgLog {
@@ -104,19 +105,12 @@ impl MsgLog {
         if fs.exists(&root) {
             let _ = fs.delete(&root, true);
         }
-        Self { fs, root, segment: AtomicU64::new(0), bytes: AtomicU64::new(0) }
+        Self { fs, root, segment: AtomicU64::new(0) }
     }
 
     /// The segment appends currently go to.
     pub(crate) fn segment(&self) -> u64 {
         self.segment.load(Ordering::Acquire)
-    }
-
-    /// Total frame bytes appended over the job (monotonic; unaffected by
-    /// truncation).
-    #[cfg(test)]
-    pub(crate) fn bytes(&self) -> u64 {
-        self.bytes.load(Ordering::Relaxed)
     }
 
     /// Frame bytes currently on disk across all segments.
@@ -137,10 +131,10 @@ impl MsgLog {
 
     /// Appends one worker frame to the current segment; returns its
     /// encoded size in bytes.
-    pub(crate) fn append_worker_frame<I: Serialize, M: Serialize>(
+    pub(crate) fn append_worker_frame<B: Serialize>(
         &self,
         worker: usize,
-        frame: &WorkerFrame<I, M>,
+        frame: &WorkerFrame<B>,
     ) -> Result<u64, CheckpointError> {
         let path = self.worker_path(worker, self.segment());
         self.append_frame(&path, frame)
@@ -154,7 +148,8 @@ impl MsgLog {
     }
 
     fn append_frame<T: Serialize>(&self, path: &str, frame: &T) -> Result<u64, CheckpointError> {
-        let bytes = graft_codec::to_framed_vec(frame)
+        let mut bytes = Vec::new();
+        graft_codec::write_framed(&mut bytes, frame)
             .map_err(|e| CheckpointError::new(format!("encoding frame for {path}"), e))?;
         let mut w = self
             .fs
@@ -162,7 +157,6 @@ impl MsgLog {
             .map_err(|e| CheckpointError::new(format!("appending to {path}"), e))?;
         w.write_all(&bytes).map_err(|e| CheckpointError::new(format!("writing {path}"), e))?;
         w.sync().map_err(|e| CheckpointError::new(format!("syncing {path}"), e))?;
-        self.bytes.fetch_add(bytes.len() as u64, Ordering::Relaxed);
         Ok(bytes.len() as u64)
     }
 
@@ -173,7 +167,7 @@ impl MsgLog {
         &self,
         worker: usize,
         segment: u64,
-    ) -> Result<Vec<WorkerFrame<I, M>>, CheckpointError> {
+    ) -> Result<Vec<WorkerFrame<LoggedBatch<I, M>>>, CheckpointError> {
         self.read_frames(&self.worker_path(worker, segment))
     }
 
@@ -252,7 +246,9 @@ mod tests {
         MsgLog::new(Arc::new(InMemoryFs::new()), "/ckpt/msglog".to_string())
     }
 
-    fn worker_frame(superstep: u64) -> WorkerFrame<u64, f64> {
+    type Frame = WorkerFrame<LoggedBatch<u64, f64>>;
+
+    fn worker_frame(superstep: u64) -> Frame {
         WorkerFrame {
             superstep,
             batches: vec![
@@ -267,13 +263,13 @@ mod tests {
         let log = log();
         log.append_worker_frame(1, &worker_frame(0)).unwrap();
         log.append_worker_frame(1, &worker_frame(1)).unwrap();
-        let frames: Vec<WorkerFrame<u64, f64>> = log.read_worker_frames(1, 0).unwrap();
+        let frames: Vec<Frame> = log.read_worker_frames(1, 0).unwrap();
         assert_eq!(frames.len(), 2);
         assert_eq!(frames[0].superstep, 0);
         assert_eq!(frames[1].superstep, 1);
         assert_eq!(frames[0].batches, worker_frame(0).batches);
         // Another worker's log is separate and reads empty when absent.
-        let other: Vec<WorkerFrame<u64, f64>> = log.read_worker_frames(2, 0).unwrap();
+        let other: Vec<Frame> = log.read_worker_frames(2, 0).unwrap();
         assert!(other.is_empty());
     }
 
@@ -311,9 +307,9 @@ mod tests {
         log.roll(4, 2);
         assert_eq!(log.segment(), 4);
         // Segment 0 fell off the retention window; segment 2 remains.
-        let gone: Vec<WorkerFrame<u64, f64>> = log.read_worker_frames(0, 0).unwrap();
+        let gone: Vec<Frame> = log.read_worker_frames(0, 0).unwrap();
         assert!(gone.is_empty());
-        let kept: Vec<WorkerFrame<u64, f64>> = log.read_worker_frames(0, 2).unwrap();
+        let kept: Vec<Frame> = log.read_worker_frames(0, 2).unwrap();
         assert_eq!(kept.len(), 1);
         assert_eq!(log.read_coord_frames(2).unwrap().len(), 1);
     }
@@ -327,29 +323,27 @@ mod tests {
         log.reset_to(2).unwrap();
         assert_eq!(log.segment(), 2);
         // Segment 2 was dropped (the restart replays it); segment 0 kept.
-        let dropped: Vec<WorkerFrame<u64, f64>> = log.read_worker_frames(0, 2).unwrap();
+        let dropped: Vec<Frame> = log.read_worker_frames(0, 2).unwrap();
         assert!(dropped.is_empty());
-        let kept: Vec<WorkerFrame<u64, f64>> = log.read_worker_frames(0, 0).unwrap();
+        let kept: Vec<Frame> = log.read_worker_frames(0, 0).unwrap();
         assert_eq!(kept.len(), 1);
         // Re-appending after the reset recreates the segment file.
         log.append_worker_frame(0, &worker_frame(2)).unwrap();
-        let again: Vec<WorkerFrame<u64, f64>> = log.read_worker_frames(0, 2).unwrap();
+        let again: Vec<Frame> = log.read_worker_frames(0, 2).unwrap();
         assert_eq!(again.len(), 1);
     }
 
     #[test]
     fn byte_accounting_tracks_appends_and_truncation() {
         let log = log();
-        log.append_worker_frame(0, &worker_frame(0)).unwrap();
-        let after_one = log.bytes();
-        assert!(after_one > 0);
-        assert_eq!(log.disk_bytes(), after_one);
-        log.append_worker_frame(0, &worker_frame(1)).unwrap();
-        assert_eq!(log.disk_bytes(), log.bytes());
-        // Truncation shrinks disk bytes but not the monotonic counter.
+        let first = log.append_worker_frame(0, &worker_frame(0)).unwrap();
+        assert!(first > 0);
+        assert_eq!(log.disk_bytes(), first);
+        let second = log.append_worker_frame(0, &worker_frame(1)).unwrap();
+        assert_eq!(log.disk_bytes(), first + second);
+        // Truncation shrinks the bytes on disk.
         log.roll(2, 2);
         assert_eq!(log.disk_bytes(), 0);
-        assert_eq!(log.bytes(), after_one * 2);
     }
 
     #[test]

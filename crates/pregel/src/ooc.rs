@@ -50,6 +50,12 @@
 //! root is deleted when the job completes, so a budgeted run leaves the
 //! same files behind as an unbounded one.
 //!
+//! That identity is also how a checkpoint is taken under a budget
+//! ([`SpillStore::checkpoint_partitions`]): a spilled partition's
+//! segment is *copied* to `cp_<s>/part_<p>.ckpt` — no load, no decode,
+//! no encode. It cannot change until it is loaded, and a load needs the
+//! store lock the copy holds.
+//!
 //! Lock order is strictly store → partition. Any partition mutex taken
 //! while holding the store lock belongs to an unpinned partition (whose
 //! lock no worker holds — workers only lock partitions they pinned) or
@@ -61,8 +67,8 @@ use graft_dfs::FileSystem;
 use graft_obs::{Obs, Scope};
 
 use crate::checkpoint::{
-    partition_frames_size, read_partition_frames, vertex_record_frame_size, write_partition_frames,
-    CheckpointError,
+    encode_partition, partition_frames_size, read_partition_frames, vertex_record_frame_size,
+    write_checkpoint_partition, CheckpointError,
 };
 use crate::computation::Computation;
 use crate::engine::Partition;
@@ -211,6 +217,8 @@ impl<C: Computation> SpillStore<C> {
         &self,
         partitions: &[SchedMutex<Partition<C>>],
     ) -> Result<(), CheckpointError> {
+        let parts = format!("{}/parts", self.root);
+        self.fs.mkdirs(&parts).map_err(|e| CheckpointError::new(format!("creating {parts}"), e))?;
         let mut st = self.state_lock();
         st.partition_bytes = 0;
         st.lru.clear();
@@ -281,10 +289,11 @@ impl<C: Computation> SpillStore<C> {
     /// contents, return it to the LRU, opportunistically evict back down
     /// to the budget, and wake waiters.
     fn release(&self, partitions: &[SchedMutex<Partition<C>>], idx: usize) {
-        let mut st = self.state_lock();
-        // Best-effort refresh: a size error (practically impossible for
-        // types that already serialized) keeps the previous charge.
+        // Sized before the store lock is taken, so other workers do not
+        // queue behind the walk (still pinned, it cannot be evicted). A
+        // size error (practically impossible) keeps the previous charge.
         let refreshed = partition_frames_size(&partitions[idx].lock()).ok();
+        let mut st = self.state_lock();
         if let Slot::Resident { bytes, pins } = &mut st.slots[idx] {
             let old = *bytes;
             if let Some(new) = refreshed {
@@ -299,8 +308,11 @@ impl<C: Computation> SpillStore<C> {
             }
         }
         // Lazy enforcement: growth during the phase (mutations, inbox
-        // fill) is trimmed here rather than blocking the worker.
-        let _ = self.evict_to_budget(&mut st, partitions);
+        // fill) is trimmed here rather than blocking the worker. A drop
+        // cannot return a failed spill, so it is counted.
+        if self.evict_to_budget(&mut st, partitions).is_err() {
+            self.count("ooc_spill_errors_total", 1);
+        }
         drop(st);
         self.cond.notify_all();
     }
@@ -323,29 +335,24 @@ impl<C: Computation> SpillStore<C> {
         st: &mut StoreState,
         partitions: &[SchedMutex<Partition<C>>],
     ) -> Result<(), CheckpointError> {
-        let victim = st.lru.remove(0);
+        // Popped only once the segment is written: on failure the victim
+        // stays resident at the front of the LRU.
+        let victim = st.lru[0];
+        let Slot::Resident { bytes: charged, .. } = st.slots[victim] else {
+            unreachable!("the LRU holds resident partitions only")
+        };
         let path = self.part_path(victim);
-        let mut buf = Vec::new();
-        {
+        let written = {
             let mut guard = partitions[victim].lock();
-            if let Err(e) = write_partition_frames(&guard, &mut buf) {
-                st.lru.insert(0, victim);
-                return Err(CheckpointError::new(format!("spilling partition {victim}"), e));
-            }
-            if let Err(e) = self
-                .fs
-                .mkdirs(&format!("{}/parts", self.root))
-                .and_then(|()| self.fs.write_all(&path, &buf))
-            {
-                st.lru.insert(0, victim);
-                return Err(CheckpointError::new(format!("writing {path}"), e));
-            }
+            let frames = encode_partition(&guard, victim, charged)?;
+            self.fs
+                .write_all(&path, &frames)
+                .map_err(|e| CheckpointError::new(format!("writing {path}"), e))?;
             *guard = Partition::new();
-        }
-        let written = buf.len() as u64;
-        if let Slot::Resident { bytes, .. } = st.slots[victim] {
-            st.partition_bytes -= bytes;
-        }
+            frames.len() as u64
+        };
+        st.lru.remove(0);
+        st.partition_bytes -= charged;
         st.slots[victim] = Slot::Spilled { bytes: written };
         st.disk_bytes += written;
         self.count("ooc_spills_total", 1);
@@ -363,10 +370,7 @@ impl<C: Computation> SpillStore<C> {
         idx: usize,
     ) -> Result<(), CheckpointError> {
         let path = self.part_path(idx);
-        let bytes = self
-            .fs
-            .read_all(&path)
-            .map_err(|e| CheckpointError::new(format!("reading {path}"), e))?;
+        let bytes = self.read_segment(st, idx)?;
         let partition = read_partition_frames::<C>(&bytes)
             .map_err(|e| CheckpointError::new(format!("decoding {path}"), e))?;
         *partitions[idx].lock() = partition;
@@ -379,6 +383,50 @@ impl<C: Computation> SpillStore<C> {
         self.count("ooc_load_bytes_total", size);
         self.publish_disk_gauge(st);
         Ok(())
+    }
+
+    /// Reads a spilled slot's segment whole. A segment that is not the
+    /// length that was spilled is an error here, before it can decode
+    /// into a partition missing vertices or be copied into a checkpoint.
+    fn read_segment(&self, st: &StoreState, idx: usize) -> Result<Vec<u8>, CheckpointError> {
+        let Slot::Spilled { bytes: spilled } = st.slots[idx] else {
+            unreachable!("only spilled partitions have a segment")
+        };
+        let path = self.part_path(idx);
+        let bytes = self
+            .fs
+            .read_all(&path)
+            .map_err(|e| CheckpointError::new(format!("reading {path}"), e))?;
+        if bytes.len() as u64 != spilled {
+            let cause = format!("segment holds {} of the {spilled} bytes spilled", bytes.len());
+            return Err(CheckpointError::new(format!("reading {path}"), cause));
+        }
+        Ok(bytes)
+    }
+
+    /// Writes every partition's file into the checkpoint directory `dir`
+    /// on `ckpt_fs` and returns the bytes written: a resident partition
+    /// encoded from memory, a spilled one's segment copied as it is. Runs
+    /// on the coordinator between phases (no pin is outstanding) with the
+    /// store lock held, so no slot changes residency under it.
+    pub(crate) fn checkpoint_partitions(
+        &self,
+        partitions: &[SchedMutex<Partition<C>>],
+        ckpt_fs: &Arc<dyn FileSystem>,
+        dir: &str,
+    ) -> Result<u64, CheckpointError> {
+        let st = self.state_lock();
+        let mut total = 0u64;
+        for (idx, slot) in st.slots.iter().enumerate() {
+            let frames = match *slot {
+                Slot::Resident { bytes, .. } => {
+                    encode_partition(&partitions[idx].lock(), idx, bytes)?
+                }
+                Slot::Spilled { .. } => self.read_segment(&st, idx)?,
+            };
+            total += write_checkpoint_partition(ckpt_fs, dir, idx, &frames)?;
+        }
+        Ok(total)
     }
 
     /// Re-adopts all partitions after a full checkpoint restore replaced

@@ -9,8 +9,9 @@ use graft_algorithms::sssp::ShortestPaths;
 use graft_dfs::{FileSystem, InMemoryFs};
 use graft_obs::{Obs, Scope};
 use graft_pregel::{
-    estimate_max_partition_bytes, AggregatorRegistry, CheckpointConfig, Computation, ContextOf,
-    Engine, Fault, FaultPlan, Graph, JobOutcome, OocConfig, RecoveryMode, VertexHandleOf,
+    estimate_max_partition_bytes, AggValue, AggregatorRegistry, CheckpointConfig, Computation,
+    ContextOf, Engine, EngineError, Fault, FaultPlan, GlobalData, Graph, JobObserver, JobOutcome,
+    MasterComputation, MasterContext, OocConfig, RecoveryMode, SuperstepStats, VertexHandleOf,
 };
 
 /// PageRank with a sum combiner: floating-point folds make any change
@@ -254,32 +255,183 @@ fn mutations_run_under_the_budget() {
     assert!(obs.registry().counter_value("ooc_spills_total", Scope::GLOBAL) > 0);
 }
 
+/// Every file under `root`, with its bytes.
+fn tree(fs: &Arc<dyn FileSystem>, root: &str) -> Vec<(String, Vec<u8>)> {
+    let files = fs.list_files_recursive(root).unwrap();
+    files.into_iter().map(|f| (f.path.clone(), fs.read_all(&f.path).unwrap())).collect()
+}
+
+/// 60% of the whole graph's footprint (some partitions resident at a
+/// barrier, some spilled), about one partition of four, and less than
+/// any partition (all spilled at every barrier).
+fn budgets(n: u64) -> [u64; 3] {
+    [estimate_max_partition_bytes::<Rank>(&ring_graph(n), 1) * 6 / 10, 1_100, 1]
+}
+
+#[test]
+fn checkpoints_and_message_logs_are_byte_identical_at_every_budget() {
+    let n = 160;
+    let run = |budget: Option<u64>| {
+        let fs: Arc<dyn FileSystem> = Arc::new(InMemoryFs::new());
+        let obs = Obs::deterministic(1);
+        let ckpt =
+            CheckpointConfig::new(2, "/ckpt").keep(16).recovery_mode(RecoveryMode::LogReplay);
+        let mut engine = Engine::new(Rank { iterations: 9 })
+            .num_workers(4)
+            .with_checkpoints(fs.clone(), ckpt)
+            .with_obs(obs.clone());
+        if let Some(bytes) = budget {
+            engine = engine.with_memory_budget(fs.clone(), OocConfig::new(bytes, "/ooc"));
+        }
+        engine.run(ring_graph(n)).unwrap();
+        (tree(&fs, "/ckpt"), obs.registry().counter_value("ooc_spills_total", Scope::GLOBAL))
+    };
+    let (unbounded, _) = run(None);
+    let names: Vec<&str> = unbounded.iter().map(|(path, _)| path.as_str()).collect();
+    assert!(names.contains(&"/ckpt/cp_8/part_3.ckpt"), "{names:?}");
+    assert!(names.contains(&"/ckpt/msglog/w3/seg_8.log"), "{names:?}");
+    for budget in budgets(n) {
+        let (budgeted, spills) = run(Some(budget));
+        assert!(spills > 0, "budget {budget}: nothing spilled");
+        assert_eq!(budgeted.len(), unbounded.len(), "budget {budget}");
+        for ((path, ours), (expected_path, expected)) in budgeted.iter().zip(&unbounded) {
+            assert_eq!(path, expected_path, "budget {budget}");
+            // A combined batch is logged in its map's iteration order,
+            // which follows the recycled buffer's capacity and so the
+            // budget; the order carries no meaning (see `LoggedBatch`).
+            // Log segments therefore agree in length, checkpoints in bytes.
+            if path.starts_with("/ckpt/msglog/w") {
+                assert_eq!(ours.len(), expected.len(), "budget {budget}: {path}");
+            } else {
+                assert!(ours == expected, "budget {budget}: {path} differs");
+            }
+        }
+    }
+}
+
 #[test]
 fn kill_worker_recovery_is_identical_under_budget() {
     let n = 160;
     let clean = Engine::new(Rank { iterations: 9 }).num_workers(4).run(ring_graph(n)).unwrap();
 
-    for mode in [RecoveryMode::Restart, RecoveryMode::LogReplay] {
+    // The kill lands one superstep after the checkpoint of superstep 4,
+    // which under these budgets is assembled partly or wholly from
+    // copied spill segments: recovery restores from a copy.
+    for (mode, budget) in [RecoveryMode::Restart, RecoveryMode::LogReplay]
+        .into_iter()
+        .flat_map(|mode| budgets(n).map(|budget| (mode, budget)))
+    {
         let fs: Arc<dyn FileSystem> = Arc::new(InMemoryFs::new());
         let obs = Obs::deterministic(1);
         let mut ckpt = CheckpointConfig::new(2, "/ckpt");
         ckpt.recovery = mode;
-        // A budget that holds roughly one of the four partitions: the
-        // post-recovery deliver phase must wait on the pin condvar, which
-        // once deadlocked against confined pins held across the replay.
+        // At about one partition of four, the post-recovery deliver phase
+        // must wait on the pin condvar, which once deadlocked against
+        // confined pins held across the replay.
         let recovered = Engine::new(Rank { iterations: 9 })
             .num_workers(4)
             .with_checkpoints(fs.clone(), ckpt)
-            .with_memory_budget(fs.clone(), OocConfig::new(1_100, "/ooc"))
+            .with_memory_budget(fs.clone(), OocConfig::new(budget, "/ooc"))
             .with_fault_plan(FaultPlan::new().with(Fault::KillWorker { worker: 2, superstep: 5 }))
             .with_obs(obs.clone())
             .run(ring_graph(n))
             .unwrap();
-        assert_eq!(recovered.stats.recoveries, 1, "{mode:?}");
+        assert_eq!(recovered.stats.recoveries, 1, "{mode:?} at {budget}");
         assert_same_ranks(&clean, &recovered, n);
         assert!(obs.registry().counter_value("ooc_spills_total", Scope::GLOBAL) > 0);
-        assert!(!fs.exists("/ooc"), "{mode:?}: spill root not cleaned up");
+        assert!(!fs.exists("/ooc"), "{mode:?} at {budget}: spill root not cleaned up");
     }
+}
+
+/// Damages partition 0's spill segment once superstep 1 is over, just
+/// before the checkpoint of superstep 2 would copy it.
+struct DamageSegment {
+    fs: Arc<dyn FileSystem>,
+    truncate: bool,
+}
+
+impl JobObserver<Rank> for DamageSegment {
+    fn on_superstep_end(&self, stats: &SuperstepStats) {
+        if stats.superstep == 1 {
+            let segment = self.fs.read_all("/ooc/parts/p0.seg").expect("partition 0 is spilled");
+            self.fs.delete("/ooc/parts/p0.seg", false).unwrap();
+            if self.truncate {
+                self.fs.write_all("/ooc/parts/p0.seg", &segment[..segment.len() - 1]).unwrap();
+            }
+        }
+    }
+}
+
+#[test]
+fn a_damaged_segment_fails_the_checkpoint_instead_of_committing_it() {
+    for truncate in [false, true] {
+        let fs: Arc<dyn FileSystem> = Arc::new(InMemoryFs::new());
+        // Below any partition: every partition is on disk at the barrier.
+        let result = Engine::new(Rank { iterations: 9 })
+            .num_workers(4)
+            .with_checkpoints(fs.clone(), CheckpointConfig::new(2, "/ckpt"))
+            .with_memory_budget(fs.clone(), OocConfig::new(1, "/ooc"))
+            .with_observer(Arc::new(DamageSegment { fs: fs.clone(), truncate }))
+            .run(ring_graph(100));
+        let Err(EngineError::Checkpoint(err)) = result else {
+            panic!("truncate={truncate}: expected a checkpoint error");
+        };
+        assert!(err.to_string().contains("/ooc/parts/p0.seg"), "{err}");
+        assert!(fs.exists("/ckpt/cp_0/COMMIT"));
+        assert!(!fs.exists("/ckpt/cp_2/COMMIT"), "truncate={truncate}: short checkpoint committed");
+    }
+}
+
+/// Puts a file where the segment directory was, once the store has
+/// adopted the partitions: every later spill fails. The hook it rides
+/// on fires only for a job with a master, hence [`IdleMaster`].
+struct BreakSpillDir(Arc<dyn FileSystem>);
+
+struct IdleMaster;
+
+impl MasterComputation<Rank> for IdleMaster {
+    fn compute(&self, _: &mut MasterContext<'_>) {}
+}
+
+impl JobObserver<Rank> for BreakSpillDir {
+    fn on_master_computed(
+        &self,
+        superstep: u64,
+        _: &GlobalData,
+        _: &[(String, AggValue)],
+        _: bool,
+    ) {
+        if superstep == 0 {
+            self.0.delete("/ooc/parts", true).unwrap();
+            self.0.write_all("/ooc/parts", b"not a directory").unwrap();
+        }
+    }
+}
+
+#[test]
+fn a_spill_that_fails_when_a_pin_is_released_is_counted() {
+    let n = 200;
+    let unbounded = Engine::new(Rank { iterations: 5 }).num_workers(4).run(ring_graph(n)).unwrap();
+
+    let fs: Arc<dyn FileSystem> = Arc::new(InMemoryFs::new());
+    let obs = Obs::deterministic(1);
+    // Room for the graph as loaded but not for the inboxes the first
+    // delivery fills: the first evictions happen as delivery pins drop.
+    let budget = estimate_max_partition_bytes::<Rank>(&ring_graph(n), 1) + 64;
+    let budgeted = Engine::new(Rank { iterations: 5 })
+        .num_workers(4)
+        .with_memory_budget(fs.clone(), OocConfig::new(budget, "/ooc"))
+        .with_master(IdleMaster)
+        .with_observer(Arc::new(BreakSpillDir(fs.clone())))
+        .with_obs(obs.clone())
+        .run(ring_graph(n))
+        .unwrap();
+    // Nothing could be evicted, so nothing was lost: the run finishes
+    // over budget, and says so.
+    assert_same_ranks(&unbounded, &budgeted, n);
+    let reg = obs.registry();
+    assert!(reg.counter_value("ooc_spill_errors_total", Scope::GLOBAL) > 0);
+    assert_eq!(reg.counter_value("ooc_spills_total", Scope::GLOBAL), 0);
 }
 
 #[test]
