@@ -50,7 +50,7 @@ pub use de::{from_slice, Deserializer};
 pub use error::{Error, Result};
 pub use ser::{to_vec, Serializer};
 pub use size::{framed_size, serialized_size};
-pub use skim::{for_each_element, SkipSeq, SkipStr, SkipTagged};
+pub use skim::{for_each_element, SkipSeq, SkipStr, SkipTagged, TaggedText};
 pub use tagged::{write_tagged, Tagged};
 pub use value::{normalize, to_bin_value, BinValue};
 

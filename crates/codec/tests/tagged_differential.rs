@@ -1,7 +1,19 @@
-//! Differential tests of the single-pass tagged encoder against the
-//! tree-building reference: for any serializable value,
-//! `write_tagged(v)` must produce exactly `to_vec(&to_bin_value(v))` —
+//! Differential tests of the two single-pass writers against their
+//! tree-building references, over one scripted walk of the serde data
+//! model. For any serializable value,
+//!
+//! * `write_tagged(v)` must produce exactly `to_vec(&to_bin_value(v))`,
+//! * `serde_json::to_vec(v)` (text written as the serde calls arrive)
+//!   must produce exactly `serde_json::to_vec(&to_value(v))` — the
+//!   `BTreeMap`-backed tree is sorted and de-duplicated by construction,
+//!   so it reaches the writer in key order — and so must
+//!   `to_vec_pretty`,
+//!
 //! or fail with the same message.
+//!
+//! Seeds are fixed, so a failure reproduces with the same command. A
+//! release build (CI's `fuzz-smoke` job) walks ten times the shapes of a
+//! debug one through the text writer.
 
 use std::collections::{BTreeMap, HashMap};
 
@@ -13,8 +25,50 @@ use serde::ser::{
 };
 use serde::{Serialize, Serializer};
 
-/// Checks one value through every entry point of the tagged encoding.
-fn check<T: Serialize + ?Sized>(value: &T, label: &str) {
+/// One of the two differentials, as a check of one value.
+trait Check {
+    fn check<T: Serialize + ?Sized>(&self, value: &T, label: &str);
+}
+
+struct TaggedAgainstTree;
+struct JsonTextAgainstTree;
+
+impl Check for JsonTextAgainstTree {
+    fn check<T: Serialize + ?Sized>(&self, value: &T, label: &str) {
+        let tree = serde_json::to_value(value);
+        type Writer<V> = fn(&V) -> serde_json::Result<Vec<u8>>;
+        let writers: [(Writer<T>, Writer<serde_json::Value>); 2] = [
+            (serde_json::to_vec, serde_json::to_vec),
+            (serde_json::to_vec_pretty, serde_json::to_vec_pretty),
+        ];
+        for (streamed, rendered) in writers {
+            let reference = tree.as_ref().map_err(|e| e.to_string()).and_then(|tree| {
+                Ok(String::from_utf8(rendered(tree).map_err(|e| e.to_string())?).unwrap())
+            });
+            let streamed = streamed(value)
+                .map(|text| String::from_utf8(text).unwrap())
+                .map_err(|e| e.to_string());
+            assert_eq!(streamed, reference, "{label}");
+        }
+        // Appending keeps what the buffer held, and a failed encode
+        // leaves nothing behind.
+        let mut buf = b"kept".to_vec();
+        match (serde_json::to_vec_into(value, &mut buf), serde_json::to_vec(value)) {
+            (Ok(()), Ok(text)) => assert_eq!(buf, [b"kept".as_slice(), &text].concat(), "{label}"),
+            (Err(_), Err(_)) => assert_eq!(buf, b"kept", "{label}: buffer after a failed encode"),
+            _ => panic!("{label}: to_vec_into and to_vec disagree"),
+        }
+    }
+}
+
+impl Check for TaggedAgainstTree {
+    /// Checks one value through every entry point of the tagged encoding.
+    fn check<T: Serialize + ?Sized>(&self, value: &T, label: &str) {
+        check_tagged(value, label)
+    }
+}
+
+fn check_tagged<T: Serialize + ?Sized>(value: &T, label: &str) {
     let reference = to_bin_value(value).and_then(|tree| to_vec(&tree));
     let mut streamed = Vec::new();
     let result = write_tagged(&mut streamed, value);
@@ -274,13 +328,22 @@ fn random_shape(rng: &mut Rng64, depth: u32) -> Shape {
     }
 }
 
+fn seeded_random_shapes(check: &impl Check, cases: usize) {
+    let mut rng = Rng64::seed_from_u64(0x7A66ED);
+    for case in 0..cases {
+        let shape = random_shape(&mut rng, 4);
+        check.check(&shape, &format!("case {case}: {shape:?}"));
+    }
+}
+
 #[test]
 fn seeded_random_shapes_encode_like_the_reference() {
-    let mut rng = Rng64::seed_from_u64(0x7A66ED);
-    for case in 0..4000 {
-        let shape = random_shape(&mut rng, 4);
-        check(&shape, &format!("case {case}: {shape:?}"));
-    }
+    seeded_random_shapes(&TaggedAgainstTree, 4000);
+}
+
+#[test]
+fn seeded_random_shapes_write_json_text_like_the_tree() {
+    seeded_random_shapes(&JsonTextAgainstTree, if cfg!(debug_assertions) { 4000 } else { 40_000 });
 }
 
 #[derive(Serialize)]
@@ -350,35 +413,34 @@ impl Serialize for OddMap {
     }
 }
 
-#[test]
-fn hand_picked_edge_cases_encode_like_the_reference() {
-    check(&i64::MIN, "i64::MIN");
-    check(&i64::MAX, "i64::MAX");
-    check(&-1i8, "-1i8");
-    check(&0i32, "0i32");
-    check(&u64::MAX, "u64::MAX");
-    check(&-0.0f64, "-0.0");
-    check(&0.0f64, "0.0");
-    check(&f64::NAN, "NaN");
-    check(&f64::INFINITY, "+inf");
-    check(&f64::NEG_INFINITY, "-inf");
-    check(&f64::MIN_POSITIVE, "min positive");
-    check(&0.1f32, "0.1f32");
-    check(&f32::MAX, "f32::MAX");
-    check(&f32::NAN, "f32 NaN");
-    check(&f32::NEG_INFINITY, "f32 -inf");
-    check(&Some(5u8), "Some");
-    check(&None::<u8>, "None");
-    check(&Some(None::<u8>), "Some(None)");
-    check(&(), "unit");
-    check(&Marker, "unit struct");
-    check(&Wrapper(9), "newtype struct");
-    check(&Pair(-4, "p".into()), "tuple struct");
-    check(&'𝄞', "char");
-    check("héllo ✓", "str");
-    check(&(1u8, -2i64, "three", 4.5f32), "tuple");
-    check(&[1u16, 2, 3], "array");
-    check(
+fn hand_picked_edge_cases(c: &impl Check) {
+    c.check(&i64::MIN, "i64::MIN");
+    c.check(&i64::MAX, "i64::MAX");
+    c.check(&-1i8, "-1i8");
+    c.check(&0i32, "0i32");
+    c.check(&u64::MAX, "u64::MAX");
+    c.check(&-0.0f64, "-0.0");
+    c.check(&0.0f64, "0.0");
+    c.check(&f64::NAN, "NaN");
+    c.check(&f64::INFINITY, "+inf");
+    c.check(&f64::NEG_INFINITY, "-inf");
+    c.check(&f64::MIN_POSITIVE, "min positive");
+    c.check(&0.1f32, "0.1f32");
+    c.check(&f32::MAX, "f32::MAX");
+    c.check(&f32::NAN, "f32 NaN");
+    c.check(&f32::NEG_INFINITY, "f32 -inf");
+    c.check(&Some(5u8), "Some");
+    c.check(&None::<u8>, "None");
+    c.check(&Some(None::<u8>), "Some(None)");
+    c.check(&(), "unit");
+    c.check(&Marker, "unit struct");
+    c.check(&Wrapper(9), "newtype struct");
+    c.check(&Pair(-4, "p".into()), "tuple struct");
+    c.check(&'𝄞', "char");
+    c.check("héllo ✓", "str");
+    c.check(&(1u8, -2i64, "three", 4.5f32), "tuple");
+    c.check(&[1u16, 2, 3], "array");
+    c.check(
         &OutOfOrder {
             zulu: 1,
             alpha: Inner { y: 1.5, x: f64::NAN, label: "in".into() },
@@ -393,16 +455,19 @@ fn hand_picked_edge_cases_encode_like_the_reference() {
         Variants::Tuple(7, -0.0),
         Variants::Struct { weight: 2.5, target: 11 },
     ] {
-        check(&variant, "enum variant");
+        c.check(&variant, "enum variant");
     }
-    check(&Vec::<u64>::new(), "empty seq");
-    check(&Unsized(vec![]), "empty seq of unknown length");
-    check(&Unsized((0..200).collect()), "seq of unknown length, two-byte count");
-    check(&BTreeMap::<String, u8>::new(), "empty map");
-    check(&BTreeMap::from([(-2i64, "neg"), (10, "ten"), (9, "nine")]), "integer keys sort as text");
-    check(&BTreeMap::from([(true, 1u8), (false, 0)]), "bool keys");
-    check(&HashMap::<String, f64>::from([("only".into(), 1.0)]), "hash map");
-    check(
+    c.check(&Vec::<u64>::new(), "empty seq");
+    c.check(&Unsized(vec![]), "empty seq of unknown length");
+    c.check(&Unsized((0..200).collect()), "seq of unknown length, two-byte count");
+    c.check(&BTreeMap::<String, u8>::new(), "empty map");
+    c.check(
+        &BTreeMap::from([(-2i64, "neg"), (10, "ten"), (9, "nine")]),
+        "integer keys sort as text",
+    );
+    c.check(&BTreeMap::from([(true, 1u8), (false, 0)]), "bool keys");
+    c.check(&HashMap::<String, f64>::from([("only".into(), 1.0)]), "hash map");
+    c.check(
         &Shape::Map(
             Some(3),
             vec![
@@ -413,25 +478,34 @@ fn hand_picked_edge_cases_encode_like_the_reference() {
         ),
         "keys that repeat once rendered",
     );
-    check(
+    c.check(
         &Shape::Map(
             Some(130),
             (0..130u32).rev().map(|k| (Shape::U32(k % 100), Shape::U32(k))).collect(),
         ),
         "repeats that shrink the count below a varint boundary",
     );
-    check(&Shape::Map(Some(1), vec![(Shape::F64(f64::NAN), Shape::Unit)]), "NaN key");
-    check(&Shape::Map(Some(1), vec![(Shape::F64(-1e300), Shape::Unit)]), "float key");
-    check(&Shape::Map(Some(1), vec![(Shape::F32(f32::INFINITY), Shape::Unit)]), "infinite key");
-    check(&Shape::Map(Some(1), vec![(Shape::Unit, Shape::U8(1))]), "unit key fails");
-    check(&BTreeMap::from([((1u8, 2u8), "pair")]), "a non-string map key fails the same way");
-    check(&vec![BTreeMap::from([(vec![1u8], 1u8)])], "key failure inside a sequence");
-    check(&OddMap { orphan: false }, "a key written twice keeps the second");
-    check(&OddMap { orphan: true }, "a value with no key fails the same way");
+    c.check(&Shape::Map(Some(1), vec![(Shape::F64(f64::NAN), Shape::Unit)]), "NaN key");
+    c.check(&Shape::Map(Some(1), vec![(Shape::F64(-1e300), Shape::Unit)]), "float key");
+    c.check(&Shape::Map(Some(1), vec![(Shape::F32(f32::INFINITY), Shape::Unit)]), "infinite key");
+    c.check(&Shape::Map(Some(1), vec![(Shape::Unit, Shape::U8(1))]), "unit key fails");
+    c.check(&BTreeMap::from([((1u8, 2u8), "pair")]), "a non-string map key fails the same way");
+    c.check(&vec![BTreeMap::from([(vec![1u8], 1u8)])], "key failure inside a sequence");
+    c.check(&OddMap { orphan: false }, "a key written twice keeps the second");
+    c.check(&OddMap { orphan: true }, "a value with no key fails the same way");
 }
 
 #[test]
-fn bin_value_leaves_are_renormalized_like_the_reference() {
+fn hand_picked_edge_cases_encode_like_the_reference() {
+    hand_picked_edge_cases(&TaggedAgainstTree);
+}
+
+#[test]
+fn hand_picked_edge_cases_write_json_text_like_the_tree() {
+    hand_picked_edge_cases(&JsonTextAgainstTree);
+}
+
+fn bin_value_leaves(c: &impl Check) {
     // What `trace convert --to binary` feeds the encoder: trees parsed
     // from JSON text (already canonical), and hand-built ones that are not.
     let parsed: serde_json::Value = serde_json::from_str(
@@ -439,11 +513,113 @@ fn bin_value_leaves_are_renormalized_like_the_reference() {
             "nothing": null, "seq": [1, -2, [true, "x"], {"k": 0.5}], "obj": {"b": [null], "a": 1}}"#,
     )
     .unwrap();
-    check(&BinValue(parsed.clone()), "parsed tree");
-    check(&vec![(BinValue(parsed.clone()), BinValue(parsed))], "trees inside a typed record");
+    c.check(&BinValue(parsed.clone()), "parsed tree");
+    c.check(&vec![(BinValue(parsed.clone()), BinValue(parsed))], "trees inside a typed record");
     let raw = serde_json::Value::Array(vec![
         serde_json::Value::Number(serde_json::Number::I64(5)),
         serde_json::Value::Number(serde_json::Number::F64(f64::NAN)),
     ]);
-    check(&BinValue(raw), "non-canonical tree");
+    c.check(&BinValue(raw), "non-canonical tree");
+}
+
+#[test]
+fn bin_value_leaves_are_renormalized_like_the_reference() {
+    bin_value_leaves(&TaggedAgainstTree);
+}
+
+#[test]
+fn bin_value_and_tagged_leaves_write_json_text_like_the_tree() {
+    bin_value_leaves(&JsonTextAgainstTree);
+    JsonTextAgainstTree.check(
+        &Tagged(OutOfOrder {
+            zulu: 1,
+            alpha: Inner { y: 1.5, x: f64::NAN, label: "in".into() },
+            mike: Some(-7),
+            bravo: (),
+        }),
+        "Tagged leaf",
+    );
+}
+
+/// The leaf writers are shared by the text writer and the tree's
+/// renderer, so the differential cannot see them: literal expectations.
+#[test]
+fn json_text_matches_literal_expectations() {
+    let compact = |shape: &Shape| serde_json::to_string(shape).unwrap();
+    assert_eq!(
+        compact(&Shape::Str("a\"b\\c\n\r\t\u{8}\u{c}\u{1}\u{1f} \u{7f}é✓𝄞".into())),
+        "\"a\\\"b\\\\c\\n\\r\\t\\b\\f\\u0001\\u001f \u{7f}é✓𝄞\""
+    );
+    let scalars = Shape::Tuple(vec![
+        Shape::I64(i64::MIN),
+        Shape::U64(u64::MAX),
+        Shape::I8(-1),
+        Shape::F64(1.0),
+        Shape::F64(-0.0),
+        Shape::F64(1e300),
+        Shape::F64(5e-324),
+        Shape::F32(0.1),
+        Shape::F64(f64::NAN),
+        Shape::F64(f64::INFINITY),
+        Shape::F64(f64::NEG_INFINITY),
+        Shape::Bool(true),
+        Shape::Unit,
+        Shape::Char('é'),
+        Shape::Bytes(vec![0, 255]),
+    ]);
+    assert_eq!(
+        compact(&scalars),
+        "[-9223372036854775808,18446744073709551615,-1,1.0,-0.0,1e300,5e-324,\
+         0.10000000149011612,null,1e999,-1e999,true,null,\"é\",[0,255]]"
+    );
+    // Fields out of key order at two levels, one of them repeated, and
+    // every kind of variant.
+    let out_of_order = Shape::Struct(vec![
+        (0, Shape::U8(1)),
+        (1, Shape::StructVariant(2, vec![(7, Shape::Unit), (3, Shape::Seq(None, vec![]))])),
+        (0, Shape::TupleVariant(5, vec![Shape::U8(2)])),
+        (4, Shape::NewtypeVariant(6, Box::new(Shape::Map(None, vec![])))),
+    ]);
+    assert_eq!(
+        compact(&out_of_order),
+        r#"{"ab":{"émile":{}},"alpha":{"mid":{"a":[],"k":null}},"zeta":{"Zed":[2]}}"#
+    );
+    assert_eq!(
+        serde_json::to_string_pretty(&out_of_order).unwrap(),
+        r#"{
+  "ab": {
+    "émile": {}
+  },
+  "alpha": {
+    "mid": {
+      "a": [],
+      "k": null
+    }
+  },
+  "zeta": {
+    "Zed": [
+      2
+    ]
+  }
+}"#
+    );
+    let keys = Shape::Map(
+        Some(9),
+        vec![
+            (Shape::U8(10), Shape::Unit),
+            (Shape::I64(-2), Shape::Unit),
+            (Shape::Bool(true), Shape::Unit),
+            (Shape::F64(f64::NAN), Shape::Unit),
+            (Shape::Char('9'), Shape::U8(1)),
+            (Shape::Str("9".into()), Shape::U8(2)),
+            (Shape::UnitVariant(3), Shape::Unit),
+            (Shape::Str("q\"".into()), Shape::Unit),
+        ],
+    );
+    assert_eq!(
+        compact(&keys),
+        r#"{"-2":null,"10":null,"9":2,"a":null,"null":null,"q\"":null,"true":null}"#
+    );
+    let bad = serde_json::to_string(&Shape::Map(None, vec![(Shape::Unit, Shape::Unit)]));
+    assert_eq!(bad.unwrap_err().to_string(), "map key must be a string or number");
 }

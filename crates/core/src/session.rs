@@ -10,7 +10,7 @@ use graft_pregel::Computation;
 use crate::reproduce::{ReproducedContext, ReproducedMaster};
 use crate::trace::{
     decode_master_records, decode_vertex_records, master_trace_path, meta_path, result_path,
-    worker_trace_path, JobMeta, JobResultRecord, MasterTrace, VertexTraceOf,
+    worker_trace_path, JobMeta, JobResultRecord, MasterTrace, TraceReadError, VertexTraceOf,
 };
 use crate::views::node_link::NodeLinkView;
 use crate::views::tabular::TabularView;
@@ -25,8 +25,8 @@ pub enum SessionError {
     Decode {
         /// Which file failed.
         path: String,
-        /// Decoder error text.
-        error: String,
+        /// What the decoder made of it.
+        error: TraceReadError,
     },
     /// No capture exists for the requested vertex and superstep.
     NoSuchCapture {
@@ -57,10 +57,9 @@ impl std::fmt::Display for SessionError {
 impl std::error::Error for SessionError {}
 
 impl SessionError {
-    /// The file at `path` could not be decoded, for the reason `error`
-    /// renders.
-    pub(crate) fn decode(path: impl Into<String>, error: impl std::fmt::Display) -> Self {
-        SessionError::Decode { path: path.into(), error: error.to_string() }
+    /// The file at `path` could not be decoded, for the reason `error`.
+    pub(crate) fn decode(path: impl Into<String>, error: impl Into<TraceReadError>) -> Self {
+        SessionError::Decode { path: path.into(), error: error.into() }
     }
 }
 

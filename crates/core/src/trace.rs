@@ -39,21 +39,25 @@
 //! the two codecs reconstruct *identical* dynamic values and every view
 //! served over either format is byte-for-byte the same.
 //!
-//! A payload is read in one of two ways, both through the one GraftBin
-//! decoder. [`VertexHead`] *skims* it: every field is checked, and only
-//! the superstep, the rendered vertex id and three flag bits are kept —
-//! what a reader indexing a trace needs, and proof that the payload
-//! decodes. [`vertex_value_from_payload`] decodes it, once, into the
-//! dynamic value the views read. A channel that cannot be read fails
-//! with a [`TraceReadError`] naming the byte offset of the frame at
-//! fault.
+//! A payload is read in one of three ways, all through the one GraftBin
+//! decoder, so each succeeds on exactly the same payloads. [`VertexHead`]
+//! *skims* it: every field is checked, and only the superstep, the
+//! rendered vertex id and three flag bits are kept — what a reader
+//! indexing a trace needs, and proof that the payload decodes.
+//! [`RowDigest`] skims it for a listing view: the texts and counts a row
+//! of the tabular or node-link view shows, rendered as the fields are
+//! read, no tree built. [`vertex_value_from_payload`] decodes it, once,
+//! into the dynamic value a view of the whole record reads (reproducers,
+//! the violations view, `trace dump`). A channel that cannot be read
+//! fails with a [`TraceReadError`] naming the byte offset of the frame
+//! at fault.
 
 use std::fmt;
 
 use graft_codec::frame::{Frame, FrameScanner};
-use graft_codec::{for_each_element, BinValue, SkipSeq, SkipStr, SkipTagged, Tagged};
+use graft_codec::{for_each_element, BinValue, SkipSeq, SkipStr, SkipTagged, Tagged, TaggedText};
 use graft_pregel::{AggValue, GlobalData};
-use serde::de::{DeserializeOwned, SeqAccess, Visitor};
+use serde::de::{DeserializeOwned, Deserializer as _, SeqAccess, Visitor};
 use serde::ser::{SerializeSeq, SerializeStruct};
 use serde::{Deserialize, Serialize};
 use serde_json::Value;
@@ -513,6 +517,12 @@ impl fmt::Display for TraceReadError {
 
 impl std::error::Error for TraceReadError {}
 
+impl From<serde_json::Error> for TraceReadError {
+    fn from(e: serde_json::Error) -> Self {
+        TraceReadError::Json(e)
+    }
+}
+
 /// Calls `frame` for every frame of a binary channel, in order; whatever
 /// fails — the scan or `frame` — is reported with the frame's offset.
 /// With `torn_tail_ok`, a frame overrunning the end of `bytes` (the shape
@@ -594,8 +604,9 @@ pub const FLAG_OTHER_VIOLATION: u8 = 8;
 /// Decoding a binary vertex payload as a `VertexHead` *skims* it: the
 /// payload goes through the same GraftBin decoder, field for field, as a
 /// [`WireVertexTrace`] — so it is a valid head exactly when it is a valid
-/// record — but every tree and string other than the vertex id is
-/// checked and dropped (`graft_codec`'s `Skip*` types) instead of built.
+/// record — but every tree and string is checked and dropped
+/// (`graft_codec`'s `Skip*` types) instead of built, and the vertex id is
+/// rendered as it is read ([`TaggedText`]).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct VertexHead {
     /// Superstep of the capture.
@@ -623,11 +634,13 @@ impl<'de> Deserialize<'de> for ViolationFlags {
     }
 }
 
+/// The next field of a vertex record read as a tuple.
+fn field<'de, T: Deserialize<'de>, A: SeqAccess<'de>>(seq: &mut A) -> Result<T, A::Error> {
+    seq.next_element()?.ok_or_else(|| serde::de::Error::custom("short vertex record"))
+}
+
 impl<'de> Deserialize<'de> for VertexHead {
     fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        fn field<'de, T: Deserialize<'de>, A: SeqAccess<'de>>(seq: &mut A) -> Result<T, A::Error> {
-            seq.next_element()?.ok_or_else(|| serde::de::Error::custom("short vertex record"))
-        }
         struct HeadVisitor;
         impl<'de> Visitor<'de> for HeadVisitor {
             type Value = VertexHead;
@@ -637,7 +650,7 @@ impl<'de> Deserialize<'de> for VertexHead {
             fn visit_seq<A: SeqAccess<'de>>(self, mut seq: A) -> Result<VertexHead, A::Error> {
                 // A `WireVertexTrace`, field for field.
                 let superstep = field(&mut seq)?;
-                let vertex: BinValue = field(&mut seq)?;
+                let TaggedText(vertex) = field(&mut seq)?;
                 let _value_before: SkipTagged = field(&mut seq)?;
                 let _value_after: SkipTagged = field(&mut seq)?;
                 let _edges: SkipSeq<(SkipTagged, SkipTagged)> = field(&mut seq)?;
@@ -651,10 +664,104 @@ impl<'de> Deserialize<'de> for VertexHead {
                 // An `ExceptionInfo`, field for field.
                 let exception: Option<(SkipStr, Option<SkipStr>)> = field(&mut seq)?;
                 let flags = violations | if exception.is_some() { FLAG_EXCEPTION } else { 0 };
-                Ok(VertexHead { superstep, vertex: compact(&vertex.0), flags })
+                Ok(VertexHead { superstep, vertex, flags })
             }
         }
         deserializer.deserialize_tuple(13, HeadVisitor)
+    }
+}
+
+/// What a listing view shows of a vertex record: the rendered texts and
+/// the counts of one row of the tabular or node-link view, and no more.
+///
+/// [`RowDigest::from_payload`] skims a binary vertex payload for them the
+/// way [`VertexHead`] does — the same decoder calls, field for field, as
+/// a [`WireVertexTrace`], so it succeeds exactly when the record decodes
+/// — rendering each kept tree to text as it is read
+/// ([`graft_codec::TaggedText`]) and dropping messages, aggregators and
+/// violation details unread.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct RowDigest {
+    /// The vertex id, rendered.
+    pub vertex: String,
+    /// The value at compute entry, rendered.
+    pub value_before: String,
+    /// The value after compute, rendered.
+    pub value_after: String,
+    /// The outgoing edges as `(target, edge value)` rendered pairs, if
+    /// the reader asked for them; empty otherwise.
+    pub edges: Vec<(String, String)>,
+    /// Number of incoming messages.
+    pub incoming: usize,
+    /// Number of outgoing messages.
+    pub outgoing: usize,
+    /// The default global data `(superstep, num_vertices, num_edges)`.
+    pub global: Option<(u64, u64, u64)>,
+    /// Whether the vertex voted to halt.
+    pub halted_after: bool,
+    /// Capture reasons, rendered.
+    pub reasons: Vec<String>,
+    /// `FLAG_*` bits.
+    pub flags: u8,
+}
+
+impl RowDigest {
+    /// Skims a binary vertex frame's payload, rendering the edges only
+    /// `with_edges`.
+    pub fn from_payload(payload: &[u8], with_edges: bool) -> Result<Self, graft_codec::Error> {
+        struct DigestVisitor {
+            with_edges: bool,
+        }
+        impl<'de> Visitor<'de> for DigestVisitor {
+            type Value = RowDigest;
+            fn expecting(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                f.write_str("a vertex record")
+            }
+            fn visit_seq<A: SeqAccess<'de>>(self, mut seq: A) -> Result<RowDigest, A::Error> {
+                // A `WireVertexTrace`, field for field.
+                let _superstep: u64 = field(&mut seq)?;
+                let TaggedText(vertex) = field(&mut seq)?;
+                let TaggedText(value_before) = field(&mut seq)?;
+                let TaggedText(value_after) = field(&mut seq)?;
+                let edges = if self.with_edges {
+                    let edges: Vec<(TaggedText, TaggedText)> = field(&mut seq)?;
+                    edges.into_iter().map(|(target, value)| (target.0, value.0)).collect()
+                } else {
+                    let _: SkipSeq<(SkipTagged, SkipTagged)> = field(&mut seq)?;
+                    Vec::new()
+                };
+                let incoming: SkipSeq<SkipTagged> = field(&mut seq)?;
+                let outgoing: SkipSeq<(SkipTagged, SkipTagged)> = field(&mut seq)?;
+                let _aggregators: SkipSeq<(SkipStr, AggValue)> = field(&mut seq)?;
+                let global: GlobalData = field(&mut seq)?;
+                let halted_after = field(&mut seq)?;
+                let reasons: Vec<CaptureReason> = field(&mut seq)?;
+                let ViolationFlags(violations) = field(&mut seq)?;
+                let exception: Option<(SkipStr, Option<SkipStr>)> = field(&mut seq)?;
+                Ok(RowDigest {
+                    vertex,
+                    value_before,
+                    value_after,
+                    edges,
+                    incoming: incoming.len,
+                    outgoing: outgoing.len,
+                    global: Some((global.superstep, global.num_vertices, global.num_edges)),
+                    halted_after,
+                    reasons: reasons
+                        .iter()
+                        .map(|r| serde_json::to_value(r).map(|name| compact(&name)))
+                        .collect::<Result<_, _>>()
+                        .map_err(serde::de::Error::custom)?,
+                    flags: violations | if exception.is_some() { FLAG_EXCEPTION } else { 0 },
+                })
+            }
+        }
+        let mut decoder = graft_codec::Deserializer::new(payload);
+        let digest = decoder.deserialize_tuple(13, DigestVisitor { with_edges })?;
+        match decoder.remaining() {
+            0 => Ok(digest),
+            trailing => Err(graft_codec::Error::TrailingBytes(trailing)),
+        }
     }
 }
 

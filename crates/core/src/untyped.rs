@@ -27,14 +27,17 @@
 //!   are dropped once the rows are sorted; no tree is kept. The
 //!   superstep listing, its M/V/E indicators and the choice of rows the
 //!   violations view shows are answered from the index alone.
-//! * **When a row is parsed.** When a view asks for it: a page of the
-//!   tabular view parses its page, the violations view the flagged rows,
-//!   a point lookup the O(log rows) rows its binary search visits. Each
-//!   parse decodes the payload once into the one tree the views read. A
-//!   superstep with a million captures costs three words of index per
-//!   row until then — which is what lets the debug server paginate large
-//!   supersteps without holding parsed JSON trees for whole jobs in
-//!   memory.
+//! * **When a row is read, and how far.** When a view asks for it. The
+//!   listing views (node-link, a tabular page or search) read a
+//!   [`RowDigest`] per row — the texts and counts they show, skimmed
+//!   from the payload with no tree built ([`UntypedSession::digests`]).
+//!   What shows a whole record — the violations view its flagged rows,
+//!   a reproducer its one row — parses the payload once into the tree
+//!   an [`UntypedTrace`] wraps. A point lookup probes O(log rows) rows
+//!   with the head skim and parses what it returns. A superstep with a
+//!   million captures costs three words of index per row until then —
+//!   which is what lets the debug server paginate large supersteps
+//!   without holding parsed JSON trees for whole jobs in memory.
 //!
 //! In binary traces, the per-superstep index frames let
 //! [`UntypedSession::open_partial`] skip whole superstep groups beyond
@@ -51,13 +54,21 @@ use crate::session::{read_json, read_result, Indicators, SessionError};
 use crate::trace::{
     compact, for_each_frame, for_each_line, index_record_from_payload, master_records_up_to,
     master_trace_path, meta_path, unexpected_kind, vertex_value_from_payload, worker_trace_path,
-    JobMeta, JobResultRecord, MasterTrace, TraceReadError, VertexHead, FLAG_EXCEPTION,
+    JobMeta, JobResultRecord, MasterTrace, RowDigest, TraceReadError, VertexHead, FLAG_EXCEPTION,
     FLAG_MESSAGE_VIOLATION, FLAG_OTHER_VIOLATION, FLAG_VALUE_VIOLATION, FRAME_INDEX, FRAME_VERTEX,
 };
 
 /// One captured vertex context, as dynamic JSON.
 #[derive(Clone, Debug)]
 pub struct UntypedTrace(Value);
+
+impl From<Value> for UntypedTrace {
+    /// The record whose parsed JSON line, or decoded binary payload, is
+    /// `raw`.
+    fn from(raw: Value) -> Self {
+        UntypedTrace(raw)
+    }
+}
 
 impl UntypedTrace {
     /// The capture's superstep.
@@ -181,8 +192,8 @@ impl UntypedTrace {
         &self.0
     }
 
-    /// What the row index keeps of this record.
-    fn head(&self) -> VertexHead {
+    /// The `FLAG_*` bits of this record.
+    fn flags(&self) -> u8 {
         let mut flags = if self.exception().is_some() { FLAG_EXCEPTION } else { 0 };
         for (kind, _, _) in self.violations() {
             flags |= match kind.as_str() {
@@ -191,7 +202,29 @@ impl UntypedTrace {
                 _ => FLAG_OTHER_VIOLATION,
             };
         }
-        VertexHead { superstep: self.superstep(), vertex: self.vertex(), flags }
+        flags
+    }
+
+    /// What the row index keeps of this record.
+    fn head(&self) -> VertexHead {
+        VertexHead { superstep: self.superstep(), vertex: self.vertex(), flags: self.flags() }
+    }
+
+    /// What a listing view shows of this record — for a binary payload,
+    /// what [`RowDigest::from_payload`] skims.
+    pub fn digest(&self, with_edges: bool) -> RowDigest {
+        RowDigest {
+            vertex: self.vertex(),
+            value_before: self.value_before(),
+            value_after: self.value_after(),
+            edges: if with_edges { self.edges() } else { Vec::new() },
+            incoming: self.incoming_count(),
+            outgoing: self.outgoing_count(),
+            global: self.global(),
+            halted_after: self.halted_after(),
+            reasons: self.reasons(),
+            flags: self.flags(),
+        }
     }
 }
 
@@ -410,8 +443,13 @@ impl UntypedSession {
         Ok(Self { meta, codec, result, workers, index, master })
     }
 
+    /// The record's bytes: a JSON line, or a binary frame's payload.
+    fn row_bytes(&self, row: &RowRef) -> &[u8] {
+        &self.workers[row.worker as usize][row.start..row.start + row.len]
+    }
+
     fn parse_row(&self, row: &RowRef) -> UntypedTrace {
-        let bytes = &self.workers[row.worker as usize][row.start..row.start + row.len];
+        let bytes = self.row_bytes(row);
         let value = match self.codec {
             TraceCodec::JsonLines => {
                 serde_json::from_slice(bytes).expect("rows were validated by open()")
@@ -421,6 +459,37 @@ impl UntypedSession {
             }
         };
         UntypedTrace(value)
+    }
+
+    fn digest_row(&self, row: &RowRef, with_edges: bool) -> RowDigest {
+        match self.codec {
+            TraceCodec::JsonLines => self.parse_row(row).digest(with_edges),
+            TraceCodec::Binary => RowDigest::from_payload(self.row_bytes(row), with_edges)
+                .expect("rows were validated by open()"),
+        }
+    }
+
+    /// The rendered vertex id of a row: the key the index is sorted by.
+    fn vertex_of(&self, row: &RowRef) -> String {
+        match self.codec {
+            TraceCodec::JsonLines => self.parse_row(row).vertex(),
+            TraceCodec::Binary => {
+                graft_codec::from_slice::<VertexHead>(self.row_bytes(row))
+                    .expect("rows were validated by open()")
+                    .vertex
+            }
+        }
+    }
+
+    /// The rows of `rows` (one superstep's, in index order) whose vertex
+    /// is `vertex`, found by binary search over skimmed ids.
+    fn rows_of<'a>(
+        &'a self,
+        rows: &'a [RowRef],
+        vertex: &'a str,
+    ) -> impl Iterator<Item = &'a RowRef> + 'a {
+        let first = rows.partition_point(|row| self.vertex_of(row).as_str() < vertex);
+        rows[first..].iter().take_while(move |row| self.vertex_of(row) == vertex)
     }
 
     /// Job metadata.
@@ -469,21 +538,33 @@ impl UntypedSession {
         rows.map(|row| self.parse_row(row)).collect()
     }
 
-    /// The capture of one vertex in one superstep, if any — the first in
-    /// index order when several share the id. The rows are sorted by
-    /// rendered id, so the lookup parses O(log rows) of them.
-    pub fn vertex_at(&self, superstep: u64, vertex: &str) -> Option<UntypedTrace> {
-        let rows = self.rows_at(superstep);
-        let first = rows.partition_point(|row| self.parse_row(row).vertex().as_str() < vertex);
-        rows.get(first).map(|row| self.parse_row(row)).filter(|trace| trace.vertex() == vertex)
+    /// What a listing view shows of rows `[offset, offset + limit)` of a
+    /// superstep, in vertex order, each row skimmed as the iterator
+    /// reaches it (see [`RowDigest`]).
+    pub fn digests(
+        &self,
+        superstep: u64,
+        offset: usize,
+        limit: usize,
+        with_edges: bool,
+    ) -> impl Iterator<Item = RowDigest> + '_ {
+        let rows = self.rows_at(superstep).iter().skip(offset).take(limit);
+        rows.map(move |row| self.digest_row(row, with_edges))
     }
 
-    /// Every capture of one vertex, in superstep order.
+    /// The capture of one vertex in one superstep, if any — the first in
+    /// index order when several share the id. The rows are sorted by
+    /// rendered id, so the lookup skims O(log rows) of them and parses
+    /// the one it returns.
+    pub fn vertex_at(&self, superstep: u64, vertex: &str) -> Option<UntypedTrace> {
+        self.rows_of(self.rows_at(superstep), vertex).next().map(|row| self.parse_row(row))
+    }
+
+    /// Every capture of one vertex, in superstep order, and in index
+    /// order where a superstep has several.
     pub fn history(&self, vertex: &str) -> Vec<UntypedTrace> {
-        self.index
-            .keys()
-            .flat_map(|ss| self.traces_at(*ss).filter(|t| t.vertex() == vertex))
-            .collect()
+        let matching = self.index.values().flat_map(|rows| self.rows_of(rows, vertex));
+        matching.map(|row| self.parse_row(row)).collect()
     }
 
     /// The M/V/E indicator state of a superstep, read off the index.

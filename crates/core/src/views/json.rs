@@ -4,16 +4,26 @@
 //! are exactly the bytes the debug server sends over HTTP.
 //!
 //! Every renderer returns a serde struct; [`to_line`] turns it into the
-//! canonical wire form — compact JSON, declaration-order fields, one
-//! trailing newline. Both consumers must emit that string untouched
-//! (`print!` in the CLI, the response body on the server); the
-//! byte-equality is asserted in `cli_e2e.rs` and the server tests.
+//! canonical wire form — compact JSON, an object's keys in the order the
+//! `serde_json` stand-in's crate docs state (byte order of the key), one
+//! trailing newline. The structs here declare their fields in that
+//! order, so the writer never has to reorder one. Both consumers must
+//! emit the string untouched (`print!` in the CLI, the response body on
+//! the server); the byte-equality is asserted in `cli_e2e.rs` and the
+//! server tests.
+//!
+//! The listing views — node-link, tabular — read a [`RowDigest`] a row,
+//! skimmed from the payload; only what shows a whole record (the
+//! violations view, reproducers) parses rows into trees.
+
+use std::collections::HashSet;
+use std::sync::Arc;
 
 use serde::Serialize;
 
 use crate::session::Indicators;
-use crate::trace::{JobMeta, JobResultRecord};
-use crate::untyped::{JobSummary, UntypedSession, UntypedTrace};
+use crate::trace::{JobMeta, JobResultRecord, RowDigest};
+use crate::untyped::{JobSummary, UntypedSession};
 
 /// Renders a view value in the canonical wire form: compact JSON plus a
 /// trailing newline.
@@ -26,48 +36,48 @@ pub fn to_line<T: Serialize>(value: &T) -> String {
 /// One job in the `/jobs` listing / `graft-cli info`.
 #[derive(Clone, Debug, Serialize)]
 pub struct JobJson {
-    /// The job id (its directory name under the trace root).
-    pub id: String,
     /// Computation name from the job metadata.
     pub computation: String,
+    /// The job id (its directory name under the trace root).
+    pub id: String,
     /// Master computation name, if any.
     pub master: Option<String>,
-    /// Workers the job ran with.
-    pub workers: usize,
+    /// Terminal status, if the job finished.
+    pub result: Option<ResultJson>,
     /// Supersteps that captured at least one context.
     pub supersteps: Vec<u64>,
     /// Total captured contexts.
     pub total_captures: usize,
-    /// Terminal status, if the job finished.
-    pub result: Option<ResultJson>,
+    /// Workers the job ran with.
+    pub workers: usize,
 }
 
 /// Terminal job status.
 #[derive(Clone, Debug, Serialize)]
 pub struct ResultJson {
-    /// Supersteps fully executed.
-    pub supersteps_executed: u64,
-    /// `None` on success, the engine error text otherwise.
-    pub error: Option<String>,
-    /// Total vertex contexts captured.
-    pub captures: u64,
-    /// Total constraint violations recorded.
-    pub violations: u64,
-    /// Total exceptions recorded.
-    pub exceptions: u64,
     /// Whether the capture safety net tripped.
     pub capture_limit_hit: bool,
+    /// Total vertex contexts captured.
+    pub captures: u64,
+    /// `None` on success, the engine error text otherwise.
+    pub error: Option<String>,
+    /// Total exceptions recorded.
+    pub exceptions: u64,
+    /// Supersteps fully executed.
+    pub supersteps_executed: u64,
+    /// Total constraint violations recorded.
+    pub violations: u64,
 }
 
 /// The M/V/E indicator boxes as JSON.
 #[derive(Clone, Copy, Debug, Serialize)]
 pub struct IndicatorsJson {
+    /// "E" box red: an exception was raised.
+    pub exception: bool,
     /// "M" box red: a message constraint was violated.
     pub message_violation: bool,
     /// "V" box red: a vertex-value constraint was violated.
     pub value_violation: bool,
-    /// "E" box red: an exception was raised.
-    pub exception: bool,
 }
 
 impl From<Indicators> for IndicatorsJson {
@@ -83,12 +93,12 @@ impl From<Indicators> for IndicatorsJson {
 /// One superstep in the `/jobs/{id}/supersteps` listing.
 #[derive(Clone, Debug, Serialize)]
 pub struct SuperstepJson {
-    /// The superstep number.
-    pub superstep: u64,
-    /// Captured contexts in it.
-    pub rows: usize,
     /// Its M/V/E indicator state.
     pub indicators: IndicatorsJson,
+    /// Captured contexts in it.
+    pub rows: usize,
+    /// The superstep number.
+    pub superstep: u64,
 }
 
 /// The superstep listing of one job.
@@ -103,122 +113,122 @@ pub struct SuperstepsJson {
 /// One node of the node-link view (paper Figure 3).
 #[derive(Clone, Debug, Serialize)]
 pub struct NodeJson {
-    /// The vertex id, rendered.
-    pub id: String,
-    /// The vertex value after compute (`None` for stub neighbors).
-    pub value: Option<String>,
     /// Whether the vertex is active (inactive nodes are dimmed).
     pub active: bool,
     /// Whether the vertex was captured (stubs are drawn small).
     pub captured: bool,
     /// Whether the vertex violated a constraint or raised an exception.
     pub flagged: bool,
+    /// The vertex id, rendered; shared with the node's links.
+    pub id: Arc<str>,
+    /// The vertex value after compute (`None` for stub neighbors).
+    pub value: Option<String>,
 }
 
 /// One link of the node-link view.
 #[derive(Clone, Debug, Serialize)]
 pub struct LinkJson {
     /// Source vertex id, rendered.
-    pub from: String,
-    /// Target vertex id, rendered.
-    pub to: String,
+    pub from: Arc<str>,
     /// Edge value, rendered; empty for unit-valued edges.
     pub label: String,
+    /// Target vertex id, rendered.
+    pub to: String,
 }
 
 /// The default global data shown in the view's corner.
 #[derive(Clone, Copy, Debug, Serialize)]
 pub struct GlobalJson {
-    /// The superstep the vertices observed.
-    pub superstep: u64,
-    /// Total vertices in the graph.
-    pub num_vertices: u64,
     /// Total edges in the graph.
     pub num_edges: u64,
+    /// Total vertices in the graph.
+    pub num_vertices: u64,
+    /// The superstep the vertices observed.
+    pub superstep: u64,
 }
 
 /// The node-link view of one superstep.
 #[derive(Clone, Debug, Serialize)]
 pub struct NodeLinkJson {
-    /// The displayed superstep.
-    pub superstep: u64,
-    /// The M/V/E indicator boxes.
-    pub indicators: IndicatorsJson,
-    /// Global data, if any context was captured.
-    pub global: Option<GlobalJson>,
     /// Aggregator `(name, rendered value)` pairs of the first capture.
     pub aggregators: Vec<(String, String)>,
+    /// Global data, if any context was captured.
+    pub global: Option<GlobalJson>,
+    /// The M/V/E indicator boxes.
+    pub indicators: IndicatorsJson,
+    /// Links, sorted by `(from, to)`.
+    pub links: Vec<LinkJson>,
     /// Captured vertices in full, uncaptured neighbors as stubs; sorted
     /// captured-first, then by id.
     pub nodes: Vec<NodeJson>,
-    /// Links, sorted by `(from, to)`.
-    pub links: Vec<LinkJson>,
+    /// The displayed superstep.
+    pub superstep: u64,
 }
 
 /// One row of the tabular view (paper Figure 4).
 #[derive(Clone, Debug, Serialize)]
 pub struct RowJson {
-    /// The vertex id, rendered.
-    pub vertex: String,
-    /// The value at compute entry, rendered.
-    pub value_before: String,
-    /// The value after compute, rendered.
-    pub value_after: String,
     /// Incoming message count.
     pub incoming: usize,
     /// Outgoing message count.
     pub outgoing: usize,
-    /// `"halted"` or `"active"`.
-    pub state: String,
     /// Capture reasons, rendered.
     pub reasons: Vec<String>,
+    /// `"halted"` or `"active"`.
+    pub state: &'static str,
+    /// The value after compute, rendered.
+    pub value_after: String,
+    /// The value at compute entry, rendered.
+    pub value_before: String,
+    /// The vertex id, rendered.
+    pub vertex: String,
 }
 
 /// One page of the tabular view, with server-side search.
 #[derive(Clone, Debug, Serialize)]
 pub struct TabularJson {
-    /// The displayed superstep.
-    pub superstep: u64,
-    /// The search query applied, if any.
-    pub query: Option<String>,
+    /// Rows matching the query (equals `total_rows` without one).
+    pub matching_rows: usize,
     /// The 1-based page number.
     pub page: usize,
     /// Rows per page.
     pub per_page: usize,
-    /// Captured contexts in the superstep, pre-search.
-    pub total_rows: usize,
-    /// Rows matching the query (equals `total_rows` without one).
-    pub matching_rows: usize,
-    /// Pages the matching rows span (at least 1).
-    pub total_pages: usize,
+    /// The search query applied, if any.
+    pub query: Option<String>,
     /// The rows of this page, in vertex order.
     pub rows: Vec<RowJson>,
+    /// The displayed superstep.
+    pub superstep: u64,
+    /// Pages the matching rows span (at least 1).
+    pub total_pages: usize,
+    /// Captured contexts in the superstep, pre-search.
+    pub total_rows: usize,
 }
 
 /// One row of the violations view (paper Figure 5).
 #[derive(Clone, Debug, Serialize)]
 pub struct ViolationJson {
-    /// The superstep the violation/exception happened in.
-    pub superstep: u64,
-    /// The offending vertex, rendered.
-    pub vertex: String,
-    /// `"message"`, `"vertex value"`, or `"exception"`.
-    pub kind: String,
-    /// The offending value / the exception message.
-    pub detail: String,
-    /// For message violations, the target vertex.
-    pub target: Option<String>,
     /// For exceptions, the captured stack trace.
     pub backtrace: Option<String>,
+    /// The offending value / the exception message.
+    pub detail: String,
+    /// `"message"`, `"vertex value"`, or `"exception"`.
+    pub kind: String,
+    /// The superstep the violation/exception happened in.
+    pub superstep: u64,
+    /// For message violations, the target vertex.
+    pub target: Option<String>,
+    /// The offending vertex, rendered.
+    pub vertex: String,
 }
 
 /// The violations view, optionally restricted to one superstep.
 #[derive(Clone, Debug, Serialize)]
 pub struct ViolationsJson {
-    /// The superstep filter, if any.
-    pub superstep: Option<u64>,
     /// Violation/exception rows, ordered by superstep then vertex.
     pub rows: Vec<ViolationJson>,
+    /// The superstep filter, if any.
+    pub superstep: Option<u64>,
 }
 
 /// The `/jobs` listing / `graft-cli info` document for one job.
@@ -276,80 +286,89 @@ pub fn supersteps_json(session: &UntypedSession) -> SuperstepsJson {
 
 /// The node-link view of one superstep: captured vertices in full, their
 /// uncaptured neighbors as stubs — the type-erased twin of
-/// `NodeLinkView::layout`, with the same ordering.
+/// `NodeLinkView::layout`, with the same ordering. Rows arrive sorted by
+/// id, so nodes and links are built in output order.
 pub fn node_link_json(session: &UntypedSession, superstep: u64) -> NodeLinkJson {
-    use std::collections::BTreeMap;
-    let mut nodes: BTreeMap<String, NodeJson> = BTreeMap::new();
-    let mut links = Vec::new();
+    // The aggregators are the one thing shown that a digest does not keep.
+    let first = session.traces_at(superstep).next();
     let mut global = None;
-    let mut aggregators = Vec::new();
-    for (i, trace) in session.traces_at(superstep).enumerate() {
+    let mut nodes: Vec<NodeJson> = Vec::new();
+    let mut links: Vec<LinkJson> = Vec::new();
+    // Where the links of the rows sharing the current id begin.
+    let mut group_at = 0;
+    let by_target = |a: &LinkJson, b: &LinkJson| a.to.cmp(&b.to);
+    for (i, row) in session.digests(superstep, 0, usize::MAX, true).enumerate() {
         if i == 0 {
-            global = trace.global().map(|(superstep, num_vertices, num_edges)| GlobalJson {
-                superstep,
-                num_vertices,
+            global = row.global.map(|(superstep, num_vertices, num_edges)| GlobalJson {
                 num_edges,
+                num_vertices,
+                superstep,
             });
-            aggregators = trace.aggregators();
         }
-        let id = trace.vertex();
-        let flagged = !trace.violations().is_empty() || trace.exception().is_some();
-        nodes.insert(
-            id.clone(),
-            NodeJson {
-                id: id.clone(),
-                value: Some(trace.value_after()),
-                active: !trace.halted_after(),
-                captured: true,
-                flagged,
-            },
-        );
-        for (target, value) in trace.edges() {
-            // A stub, unless the target was captured; one captured later
-            // in the pass replaces its stub.
-            nodes.entry(target.clone()).or_insert_with(|| NodeJson {
-                id: target.clone(),
-                value: None,
-                active: true,
-                captured: false,
-                flagged: false,
-            });
+        let id: Arc<str> = row.vertex.into();
+        if nodes.last().is_some_and(|node| node.id == id) {
+            // A later capture of the same vertex replaces the node; the
+            // links of both stay.
+            nodes.pop();
+        } else {
+            links[group_at..].sort_by(by_target);
+            group_at = links.len();
+        }
+        nodes.push(NodeJson {
+            active: !row.halted_after,
+            captured: true,
+            flagged: row.flags != 0,
+            id: Arc::clone(&id),
+            value: Some(row.value_after),
+        });
+        links.extend(row.edges.into_iter().map(|(to, value)| {
             // Unit edge values arrive as JSON null ("null"); the typed
             // renderer suppresses its "()" the same way.
             let label = if value == "null" || value == "()" { String::new() } else { value };
-            links.push(LinkJson { from: id.clone(), to: target, label });
-        }
+            LinkJson { from: Arc::clone(&id), label, to }
+        }));
     }
-    let mut nodes: Vec<NodeJson> = nodes.into_values().collect();
-    nodes.sort_by(|a, b| (!a.captured, &a.id).cmp(&(!b.captured, &b.id)));
-    links.sort_by(|a, b| (&a.from, &a.to).cmp(&(&b.from, &b.to)));
+    links[group_at..].sort_by(by_target);
+    // Stubs: the targets nobody captured, once each, after the captured.
+    let captured: HashSet<&str> = nodes.iter().map(|node| &*node.id).collect();
+    let mut stubs: Vec<&str> =
+        links.iter().map(|link| link.to.as_str()).filter(|to| !captured.contains(to)).collect();
+    stubs.sort_unstable();
+    stubs.dedup();
+    nodes.extend(stubs.into_iter().map(|id| NodeJson {
+        active: true,
+        captured: false,
+        flagged: false,
+        id: id.into(),
+        value: None,
+    }));
     NodeLinkJson {
-        superstep,
-        indicators: session.indicators(superstep).into(),
+        aggregators: first.map(|trace| trace.aggregators()).unwrap_or_default(),
         global,
-        aggregators,
-        nodes,
+        indicators: session.indicators(superstep).into(),
         links,
+        nodes,
+        superstep,
     }
 }
 
-fn row_json(trace: &UntypedTrace) -> RowJson {
+fn row_json(row: RowDigest) -> RowJson {
     RowJson {
-        vertex: trace.vertex(),
-        value_before: trace.value_before(),
-        value_after: trace.value_after(),
-        incoming: trace.incoming_count(),
-        outgoing: trace.outgoing_count(),
-        state: if trace.halted_after() { "halted" } else { "active" }.to_string(),
-        reasons: trace.reasons(),
+        incoming: row.incoming,
+        outgoing: row.outgoing,
+        reasons: row.reasons,
+        state: if row.halted_after { "halted" } else { "active" },
+        value_after: row.value_after,
+        value_before: row.value_before,
+        vertex: row.vertex,
     }
 }
 
-fn matches_query(trace: &UntypedTrace, query: &str) -> bool {
-    trace.vertex().contains(query)
-        || trace.value_before().contains(query)
-        || trace.value_after().contains(query)
-        || trace.reasons().iter().any(|r| r.contains(query))
+fn matches_query(row: &RowDigest, query: &str) -> bool {
+    row.vertex.contains(query)
+        || row.value_before.contains(query)
+        || row.value_after.contains(query)
+        || row.reasons.iter().any(|r| r.contains(query))
 }
 
 /// Upper bound on `per_page`: one response parses at most this many rows,
@@ -357,8 +376,7 @@ fn matches_query(trace: &UntypedTrace, query: &str) -> bool {
 pub const MAX_PER_PAGE: usize = 1_000;
 
 /// One page of the tabular view with server-side search. `page` is
-/// 1-based; without a query only the page's rows are parsed (the
-/// streaming fast path of [`UntypedSession::rows_window`]).
+/// 1-based; without a query only the page's rows are read.
 pub fn tabular_json(
     session: &UntypedSession,
     superstep: u64,
@@ -374,15 +392,16 @@ pub fn tabular_json(
     let offset = page.saturating_sub(1).saturating_mul(per_page);
     let (matching_rows, rows) = match query {
         None | Some("") => {
-            let rows = session.rows_window(superstep, offset, per_page);
-            (total_rows, rows.iter().map(row_json).collect())
+            let rows = session.digests(superstep, offset, per_page, false);
+            (total_rows, rows.map(row_json).collect())
         }
         Some(q) => {
             let mut matching = 0usize;
             let mut rows = Vec::new();
-            for trace in session.traces_at(superstep).filter(|t| matches_query(t, q)) {
+            let all = session.digests(superstep, 0, usize::MAX, false);
+            for row in all.filter(|row| matches_query(row, q)) {
                 if matching >= offset && rows.len() < per_page {
-                    rows.push(row_json(&trace));
+                    rows.push(row_json(row));
                 }
                 matching += 1;
             }
@@ -513,7 +532,7 @@ mod tests {
     fn node_link_marks_flags_and_unit_edges() {
         let s = session();
         let view = node_link_json(&s, 1);
-        let exploded = view.nodes.iter().find(|n| n.id == "2").expect("vertex 2 present");
+        let exploded = view.nodes.iter().find(|n| &*n.id == "2").expect("vertex 2 present");
         assert!(exploded.flagged, "exception flags the node");
         assert!(view.links.iter().all(|l| l.label.is_empty()), "unit edges have no label");
         assert!(view.indicators.exception);

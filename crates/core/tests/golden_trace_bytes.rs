@@ -278,3 +278,90 @@ fn hand_built_trace_with_violations_and_exceptions_matches_the_golden_view_bytes
         ],
     );
 }
+
+/// A node-link document the traces above do not produce, byte for byte
+/// as commit bc2dbf5 (tree-per-row reader, map-probing assembly) served
+/// it, in both codecs: string ids that sort as text (`10 < 100 < 9 <
+/// b`); `9` captured by both workers, so the later capture is the node
+/// and the links of both stay, merged by target; `10` both captured and
+/// a target, so not a stub; unit (`null`) and `"()"` edge values, which
+/// show no label, beside ones that do, one of them the text `null`.
+#[test]
+fn node_link_of_repeated_ids_and_shared_targets_matches_the_golden_document() {
+    type Edges = Vec<(&'static str, Option<&'static str>)>;
+    let rows: [Vec<(&str, i64, bool, Edges)>; 2] = [
+        vec![
+            ("10", 1, false, vec![("9", None), ("b", Some("()")), ("100", Some("w"))]),
+            ("9", 2, false, vec![("10", Some("null")), ("zz", Some("x\"y"))]),
+            ("b", 3, true, vec![("10", None), ("a", Some("3"))]),
+        ],
+        vec![("9", 4, true, vec![("2", None), ("10", Some("late"))]), ("100", 5, false, vec![])],
+    ];
+    for codec in [TraceCodec::Binary, TraceCodec::JsonLines] {
+        let root = "/golden/node-link";
+        let fs: Arc<dyn FileSystem> = Arc::new(InMemoryFs::new());
+        let meta = JobMeta {
+            computation: "Links".into(),
+            computation_type: "links::Links".into(),
+            master: None,
+            value_types: ("String".into(), "i64".into(), "Option<String>".into(), "i64".into()),
+            num_workers: 2,
+            trace_format: Some(codec),
+            config: vec![],
+            facts: None,
+        };
+        fs.write_all(&meta_path(root), &serde_json::to_vec(&meta).unwrap()).unwrap();
+        for (worker, rows) in rows.iter().enumerate() {
+            let mut buf = Vec::new();
+            for (id, value, halted, edges) in rows {
+                let trace = VertexTrace::<String, i64, Option<String>, i64> {
+                    superstep: 0,
+                    vertex: id.to_string(),
+                    value_before: 0,
+                    value_after: *value,
+                    edges: edges
+                        .iter()
+                        .map(|(t, v)| (t.to_string(), v.map(String::from)))
+                        .collect(),
+                    incoming: vec![7],
+                    outgoing: vec![],
+                    aggregators: vec![("round".to_string(), AggValue::Long(*value))],
+                    global: GlobalData { superstep: 0, num_vertices: 8, num_edges: 10 },
+                    halted_after: *halted,
+                    reasons: vec![CaptureReason::SpecifiedId],
+                    violations: (*value == 3)
+                        .then(|| ViolationRecord {
+                            kind: ViolationKind::VertexValue,
+                            detail: "3".into(),
+                            target: None,
+                        })
+                        .into_iter()
+                        .collect(),
+                    exception: None,
+                };
+                encode_record(codec, &trace, &mut buf).unwrap();
+            }
+            fs.write_all(&worker_trace_path(root, worker), &buf).unwrap();
+        }
+        let session = UntypedSession::open(fs, root).unwrap();
+        let golden = concat!(
+            r#"{"aggregators":[["round","{\"Long\":1}"]],"#,
+            r#""global":{"num_edges":10,"num_vertices":8,"superstep":0},"#,
+            r#""indicators":{"exception":false,"message_violation":false,"value_violation":true},"#,
+            r#""links":[{"from":"10","label":"w","to":"100"},{"from":"10","label":"","to":"9"},"#,
+            r#"{"from":"10","label":"","to":"b"},{"from":"9","label":"","to":"10"},"#,
+            r#"{"from":"9","label":"late","to":"10"},{"from":"9","label":"","to":"2"},"#,
+            r#"{"from":"9","label":"x\"y","to":"zz"},{"from":"b","label":"","to":"10"},"#,
+            r#"{"from":"b","label":"3","to":"a"}],"#,
+            r#""nodes":[{"active":true,"captured":true,"flagged":false,"id":"10","value":"1"},"#,
+            r#"{"active":true,"captured":true,"flagged":false,"id":"100","value":"5"},"#,
+            r#"{"active":false,"captured":true,"flagged":false,"id":"9","value":"4"},"#,
+            r#"{"active":false,"captured":true,"flagged":true,"id":"b","value":"3"},"#,
+            r#"{"active":true,"captured":false,"flagged":false,"id":"2","value":null},"#,
+            r#"{"active":true,"captured":false,"flagged":false,"id":"a","value":null},"#,
+            r#"{"active":true,"captured":false,"flagged":false,"id":"zz","value":null}],"superstep":0}"#,
+            "\n"
+        );
+        assert_eq!(vj::to_line(&vj::node_link_json(&session, 0)), golden, "{codec:?}");
+    }
+}

@@ -7,6 +7,10 @@
 //!   which is what lets `UntypedSession` parse a row `open` only skimmed;
 //! * the head is what the full value says: superstep, rendered vertex,
 //!   flag bits;
+//! * the row digest the listing views read (`RowDigest::from_payload`,
+//!   with and without edges) decodes exactly when the record does, with
+//!   the same error, and every field of it is what the `UntypedTrace`
+//!   accessor of that name says of the full value;
 //! * `vertex_value_from_payload` builds the value the three-step
 //!   function it replaced built (decode, `to_value`, `normalize`).
 //!
@@ -21,9 +25,10 @@ use common::{
     rw_value, Rng64,
 };
 use graft::trace::{
-    encode_record, vertex_value_from_payload, TraceRecord, VertexHead, WireVertexTrace,
+    encode_record, vertex_value_from_payload, RowDigest, TraceRecord, VertexHead, WireVertexTrace,
     FLAG_EXCEPTION, FLAG_MESSAGE_VIOLATION, FLAG_VALUE_VIOLATION,
 };
+use graft::untyped::UntypedTrace;
 use graft::TraceCodec;
 use graft_codec::frame::FrameScanner;
 use rand::{Rng, SeedableRng};
@@ -62,6 +67,8 @@ fn check(payload: &[u8]) -> bool {
     let skimmed = graft_codec::from_slice::<VertexHead>(payload).map_err(|e| e.to_string());
     let oracle = three_step_value(payload);
     let built = vertex_value_from_payload(payload).map_err(|e| e.to_string());
+    let digest =
+        |with_edges| RowDigest::from_payload(payload, with_edges).map_err(|e| e.to_string());
     match oracle {
         Ok(oracle) => {
             let built = built.unwrap_or_else(|e| panic!("{e}: {payload:?}"));
@@ -69,10 +76,16 @@ fn check(payload: &[u8]) -> bool {
             assert_eq!(built, oracle, "{payload:?}");
             assert_eq!(built.to_string(), oracle.to_string(), "{payload:?}");
             assert_eq!(skimmed, Ok(head_of(&oracle)), "{payload:?}");
+            // `UntypedTrace::digest` is its accessors, field for field.
+            let row = UntypedTrace::from(oracle);
+            assert_eq!(digest(true), Ok(row.digest(true)), "{payload:?}");
+            assert_eq!(digest(false), Ok(row.digest(false)), "{payload:?}");
             true
         }
         Err(error) => {
             assert_eq!(skimmed, Err(error.clone()), "{payload:?}");
+            assert_eq!(digest(true), Err(error.clone()), "{payload:?}");
+            assert_eq!(digest(false), Err(error.clone()), "{payload:?}");
             assert_eq!(built, Err(error), "{payload:?}");
             false
         }
