@@ -309,8 +309,11 @@ fn ring(n: u64) -> Graph<u64, u64, ()> {
     b.build().unwrap()
 }
 
+/// Three partitions, and inside a session a thread for each whatever
+/// the host has: the coordinator (which runs partition 0's phases
+/// itself) plus `pool-worker-1` and `pool-worker-2`.
 fn engine_gate() {
-    let outcome = Engine::new(MinLabel).num_workers(2).run(ring(6)).expect("job runs");
+    let outcome = Engine::new(MinLabel).num_workers(3).run(ring(6)).expect("job runs");
     for v in 0..6 {
         assert_eq!(outcome.graph.value(v), Some(&0), "vertex {v} converged");
     }

@@ -83,12 +83,7 @@ impl FileSystem for InMemoryFs {
         // Reserve the path immediately so concurrent creates are visible,
         // but content only lands on sync/drop.
         tree.insert(path.as_str().to_string(), Node::File(Vec::new()));
-        Ok(Box::new(MemWriter {
-            tree: Arc::clone(&self.tree),
-            path: path.as_str().to_string(),
-            buf: Vec::new(),
-            synced: 0,
-        }))
+        Ok(Box::new(MemWriter::new(&self.tree, &path)))
     }
 
     fn open(&self, path: &str) -> FsResult<Box<dyn FileRead>> {
@@ -182,23 +177,12 @@ impl FileSystem for InMemoryFs {
         }
         let mut tree = self.tree.write();
         Self::ensure_parents(&mut tree, &path)?;
-        let existing = match tree.get(path.as_str()) {
-            Some(Node::File(bytes)) => bytes.clone(),
-            Some(Node::Directory) => return Err(FsError::NotAFile(path.to_string())),
-            None => {
-                tree.insert(path.as_str().to_string(), Node::File(Vec::new()));
-                Vec::new()
-            }
-        };
-        // The writer starts already synced up to the existing length, so
-        // each later sync appends only the delta.
-        let synced = existing.len();
-        Ok(Box::new(MemWriter {
-            tree: Arc::clone(&self.tree),
-            path: path.as_str().to_string(),
-            buf: existing,
-            synced,
-        }))
+        // Existing bytes stay where they are: every sync appends.
+        match tree.entry(path.as_str().to_string()).or_insert(Node::File(Vec::new())) {
+            Node::File(_) => {}
+            Node::Directory => return Err(FsError::NotAFile(path.to_string())),
+        }
+        Ok(Box::new(MemWriter::new(&self.tree, &path)))
     }
 
     fn rename(&self, from: &str, to: &str) -> FsResult<()> {
@@ -259,16 +243,26 @@ impl FileSystem for InMemoryFs {
     }
 }
 
+/// Holds only the bytes written since the last sync; everything before
+/// them lives in the tree and nowhere else. A sync appends them to the
+/// file as it then stands, so reopening with `append` per chunk costs
+/// the chunk, not the file. If the file was deleted behind the writer's
+/// back it comes back holding the unsynced bytes alone.
 struct MemWriter {
     tree: Arc<RwLock<Tree>>,
     path: String,
-    buf: Vec<u8>,
-    synced: usize,
+    pending: Vec<u8>,
+}
+
+impl MemWriter {
+    fn new(tree: &Arc<RwLock<Tree>>, path: &DfsPath) -> Self {
+        Self { tree: Arc::clone(tree), path: path.as_str().to_string(), pending: Vec::new() }
+    }
 }
 
 impl Write for MemWriter {
     fn write(&mut self, data: &[u8]) -> std::io::Result<usize> {
-        self.buf.extend_from_slice(data);
+        self.pending.extend_from_slice(data);
         Ok(data.len())
     }
 
@@ -279,21 +273,15 @@ impl Write for MemWriter {
 
 impl FileWrite for MemWriter {
     fn sync(&mut self) -> FsResult<()> {
-        if self.synced != self.buf.len() {
-            // Append only the delta: repeated per-superstep syncs of a
-            // growing trace file must not re-copy the whole file.
+        if !self.pending.is_empty() {
             let mut tree = self.tree.write();
             match tree.get_mut(&self.path) {
-                Some(Node::File(contents)) if contents.len() == self.synced => {
-                    contents.extend_from_slice(&self.buf[self.synced..]);
-                }
+                Some(Node::File(contents)) => contents.append(&mut self.pending),
                 _ => {
-                    // The file was replaced or truncated behind our back;
-                    // last sync wins with the writer's full view.
-                    tree.insert(self.path.clone(), Node::File(self.buf.clone()));
+                    let orphaned = std::mem::take(&mut self.pending);
+                    tree.insert(self.path.clone(), Node::File(orphaned));
                 }
             }
-            self.synced = self.buf.len();
         }
         Ok(())
     }
@@ -443,6 +431,33 @@ mod tests {
         drop(w);
         assert_eq!(fs.read_all("/logs/w0/seg_0.log").unwrap(), b"one two");
         assert!(matches!(fs.append("/logs/w0"), Err(FsError::NotAFile(_))));
+    }
+
+    /// A writer holds unsynced bytes only: what it synced before, and what
+    /// an `append` handle found in the file, is never copied or rewritten.
+    #[test]
+    fn sync_appends_the_unsynced_bytes_to_the_file_as_it_stands() {
+        let fs = InMemoryFs::new();
+        let mut first = fs.create("/f").unwrap();
+        first.write_all(b"aa").unwrap();
+        first.sync().unwrap();
+        first.sync().unwrap();
+        assert_eq!(fs.read_all("/f").unwrap(), b"aa");
+        // A second handle's synced bytes are not overwritten by the first's
+        // next sync, in either order.
+        let mut second = fs.append("/f").unwrap();
+        second.write_all(b"bb").unwrap();
+        first.write_all(b"cc").unwrap();
+        second.sync().unwrap();
+        first.sync().unwrap();
+        assert_eq!(fs.read_all("/f").unwrap(), b"aabbcc");
+        // Deleted behind its back, the file returns with the new bytes only.
+        fs.delete("/f", false).unwrap();
+        drop(second);
+        assert!(!fs.exists("/f"), "nothing unsynced, nothing written");
+        first.write_all(b"dd").unwrap();
+        drop(first);
+        assert_eq!(fs.read_all("/f").unwrap(), b"dd");
     }
 
     #[test]

@@ -1,42 +1,53 @@
-//! The BSP execution engine: hash partitioning, a persistent worker
-//! pool, message shuffle with sender-side combining, aggregator merge,
-//! topology mutations, and halting.
+//! The BSP execution engine: hash partitioning, message shuffle with
+//! sender-side combining, aggregator merge, topology mutations, and
+//! halting.
 //!
-//! "Workers" are threads, each owning one hash partition of the
-//! vertices. Every superstep runs in phases divided by barriers, exactly
-//! as in Pregel:
+//! "Workers" are hash partitions of the vertices (`num_workers` of them).
+//! Every superstep runs in phases, exactly as in Pregel:
 //!
 //! 1. the optional master computation runs (it may halt the job),
-//! 2. workers compute all active vertices in parallel, staging outgoing
+//! 2. every partition computes its active vertices, staging outgoing
 //!    messages into per-destination-partition shuffle buffers,
 //! 3. aggregator partials are merged,
-//! 4. messages are delivered (with optional combining) in parallel,
+//! 4. every partition takes delivery of its messages (with optional
+//!    combining),
 //! 5. requested topology mutations are applied,
 //! 6. the halting condition is evaluated: the job stops when every vertex
 //!    has voted to halt and no messages are in flight.
 //!
 //! # Execution
 //!
-//! Phases 2 and 4 run on a pool of `num_workers` threads created once
-//! per job. The coordinator and the workers synchronize on two reusable
-//! `Barrier`s (`num_workers + 1` participants each) around a shared
-//! command word:
+//! Partitions are not threads. Results, stats, trace files and the
+//! bit-identity contract depend on the partition count alone; a job runs
+//! on `threads = min(partitions, CPUs this process may use)`
+//! (`graft_sched::thread::parallelism`), which the code works out and no
+//! caller sets. In phases 2 and 4 thread `t` runs partitions `t`,
+//! `t + threads`, … in ascending order through `guarded_compute` /
+//! `guarded_deliver` and parks each outcome in the *partition's* result
+//! slot, so nothing a partition does can tell which thread ran it.
+//!
+//! Thread 0 is the coordinator, which would otherwise sleep through both
+//! phases; `threads - 1` more are spawned once per job and meet it on two
+//! reusable `Barrier`s (`threads` participants each) around a command word:
 //!
 //! 1. the coordinator stores the phase command (`Compute(global)`,
 //!    `Deliver`, or `Exit`) and waits on the *start* barrier;
-//! 2. every worker wakes, reads the command, runs its phase against its
-//!    own partition, and parks the outcome in its result slot;
-//! 3. workers and coordinator meet at the *done* barrier, after which
-//!    the coordinator owns all partitions again and collects the result
-//!    slots in worker-index order.
+//! 2. every thread, the coordinator included, runs its share of the phase;
+//! 3. all meet at the *done* barrier, after which the coordinator owns all
+//!    partitions again and collects the result slots in partition order.
 //!
-//! `Exit` releases the workers without a done-barrier rendezvous; the
-//! coordinator sends it unconditionally (success or failure) before
-//! leaving the job scope, so worker threads can never outlive a job.
-//! Worker phase bodies run under `catch_unwind`, so an injected fault or
-//! a panic escaping user code surfaces as an error in the result slot
-//! while the thread itself survives to serve the recovery replay — fault
-//! injection stays deterministic across restores.
+//! With one thread nothing is spawned, no barrier is waited on and a
+//! dispatch is a loop: on one CPU the engine *is* a sequential runner, and
+//! a superstep costs its work, not four rendezvous of threads that could
+//! not have overlapped anyway.
+//!
+//! `Exit` releases the spawned threads without a done-barrier rendezvous;
+//! the coordinator sends it unconditionally (success, failure or its own
+//! panic) before leaving the job scope, so they can never outlive a job.
+//! Phase bodies run under `catch_unwind`, so an injected fault or a panic
+//! escaping user code surfaces as an error in the result slot while the
+//! thread, the coordinator too, survives to serve the recovery replay —
+//! fault injection stays deterministic across restores.
 //!
 //! # Shuffle and combining
 //!
@@ -110,8 +121,10 @@ use crate::types::{Edge, GlobalData};
 /// Engine tuning knobs.
 #[derive(Clone, Copy, Debug)]
 pub struct EngineConfig {
-    /// Worker threads (== partitions). Defaults to available parallelism
-    /// capped at 8, overridable with the `GRAFT_NUM_WORKERS` env var.
+    /// Hash partitions ("workers"): what results, stats and trace files
+    /// depend on; the engine runs them on `min(num_workers, CPUs it may
+    /// use)` threads. Defaults to those CPUs capped at 8, overridable with
+    /// the `GRAFT_NUM_WORKERS` env var.
     pub num_workers: usize,
     /// Safety limit on supersteps; the job reports
     /// [`HaltReason::MaxSuperstepsReached`] when hit.
@@ -136,8 +149,8 @@ impl EngineConfig {
     /// The default worker count: `GRAFT_NUM_WORKERS` if set and valid,
     /// otherwise available parallelism capped at 8.
     pub fn default_num_workers() -> usize {
-        let hw = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4).min(8);
-        Self::worker_override(std::env::var("GRAFT_NUM_WORKERS").ok().as_deref()).unwrap_or(hw)
+        Self::worker_override(std::env::var("GRAFT_NUM_WORKERS").ok().as_deref())
+            .unwrap_or_else(|| sched_thread::parallelism(8))
     }
 }
 
@@ -267,54 +280,45 @@ impl<C: Computation> Engine<C> {
         &self,
         graph: Graph<C::Id, C::VValue, C::EValue>,
     ) -> Result<JobOutcome<C>, EngineError> {
+        self.run_on(graph, sched_thread::parallelism(self.config.num_workers.max(1)))
+    }
+
+    /// [`Engine::run`] on `threads` threads (clamped to `1..=partitions`):
+    /// the count is the platform's, and only in-crate tests pick one.
+    pub(crate) fn run_on(
+        &self,
+        graph: Graph<C::Id, C::VValue, C::EValue>,
+        threads: usize,
+    ) -> Result<JobOutcome<C>, EngineError> {
         let job_begin = self.obs.as_ref().map(|o| o.begin("job", None, None));
-        match self.run_inner(graph) {
-            Ok(outcome) => {
-                if let (Some(obs), Some(begin)) = (&self.obs, job_begin) {
-                    obs.end(
-                        "job",
-                        None,
-                        None,
-                        begin,
-                        &[
-                            ("supersteps", outcome.stats.superstep_count().to_string()),
-                            ("recoveries", outcome.stats.recoveries.to_string()),
-                            ("halt", format!("{:?}", outcome.halt_reason)),
-                        ],
-                    );
-                }
-                let end =
-                    JobEnd { supersteps_executed: outcome.stats.superstep_count(), error: None };
-                for obs in &self.observers {
-                    obs.on_job_end(&end);
-                }
-                Ok(outcome)
+        let result = self.run_inner(graph, threads);
+        let supersteps_executed = match &result {
+            Ok(outcome) => outcome.stats.superstep_count(),
+            Err((supersteps, _)) => *supersteps,
+        };
+        if let (Some(obs), Some(begin)) = (&self.obs, job_begin) {
+            let mut attrs = vec![("supersteps", supersteps_executed.to_string())];
+            match &result {
+                Ok(outcome) => attrs.extend([
+                    ("recoveries", outcome.stats.recoveries.to_string()),
+                    ("halt", format!("{:?}", outcome.halt_reason)),
+                ]),
+                Err((_, err)) => attrs.push(("error", err.to_string())),
             }
-            Err((supersteps_executed, err)) => {
-                if let (Some(obs), Some(begin)) = (&self.obs, job_begin) {
-                    obs.end(
-                        "job",
-                        None,
-                        None,
-                        begin,
-                        &[
-                            ("supersteps", supersteps_executed.to_string()),
-                            ("error", err.to_string()),
-                        ],
-                    );
-                }
-                let end = JobEnd { supersteps_executed, error: Some(err.to_string()) };
-                for obs in &self.observers {
-                    obs.on_job_end(&end);
-                }
-                Err(err)
-            }
+            obs.end("job", None, None, begin, &attrs);
         }
+        let error = result.as_ref().err().map(|(_, err)| err.to_string());
+        let end = JobEnd { supersteps_executed, error };
+        for obs in &self.observers {
+            obs.on_job_end(&end);
+        }
+        result.map_err(|(_, err)| err)
     }
 
     fn run_inner(
         &self,
         graph: Graph<C::Id, C::VValue, C::EValue>,
+        threads: usize,
     ) -> Result<JobOutcome<C>, (u64, EngineError)> {
         let job_start = Instant::now();
         let num_partitions = self.config.num_workers.max(1);
@@ -350,6 +354,7 @@ impl<C: Computation> Engine<C> {
             num_edges,
             recoveries: 0,
             last_checkpoint: None,
+            staged: Vec::new(),
         };
 
         // Sender-side message logging backs confined recovery; it only
@@ -371,20 +376,23 @@ impl<C: Computation> Engine<C> {
             num_partitions,
         };
 
-        let pool = PoolSync::<C>::new(num_partitions);
+        let pool = PoolSync::<C>::new(num_partitions, threads.clamp(1, num_partitions));
         let halt_reason = std::thread::scope(|scope| {
-            let mut tokens = Vec::with_capacity(num_partitions);
-            for worker_id in 0..num_partitions {
+            // The coordinator is thread 0; see the module docs.
+            let mut tokens = Vec::with_capacity(pool.threads - 1);
+            for thread in 1..pool.threads {
                 let pool = &pool;
-                let forked = sched_thread::fork(format!("pool-worker-{worker_id}"));
+                let forked = sched_thread::fork(format!("pool-worker-{thread}"));
                 tokens.push(forked.token());
-                scope.spawn(forked.wrap(move || pool_worker(ctx, pool, worker_id)));
+                scope.spawn(forked.wrap(move || pool_worker(ctx, pool, thread)));
             }
             let outcome = catch_unwind(AssertUnwindSafe(|| self.drive(&mut state, &pool, ctx)));
             // Unconditional shutdown: workers must be released before the
             // scope joins them, on success, failure or a coordinator panic.
-            pool.command.set(PoolCommand::Exit);
-            pool.start.wait();
+            if pool.threads > 1 {
+                pool.command.set(PoolCommand::Exit);
+                pool.start.wait();
+            }
             // Under a schedule session the scope's implicit joins would
             // block the scheduler token; wait for each worker at a
             // schedulable point first.
@@ -423,7 +431,7 @@ impl<C: Computation> Engine<C> {
     /// checkpoint otherwise.
     fn drive(
         &self,
-        state: &mut LoopState,
+        state: &mut LoopState<C>,
         pool: &PoolSync<C>,
         ctx: EngineCtx<'_, C>,
     ) -> Result<HaltReason, (u64, EngineError)> {
@@ -503,22 +511,11 @@ impl<C: Computation> Engine<C> {
                 Err(failure) => {
                     let failed_at = state.superstep;
                     let StepFailure { error, compute } = failure;
-                    let mut err = error;
                     let Some((fs, ckpt)) = &self.checkpoints else {
-                        return Err((failed_at, err));
+                        return Err((failed_at, error));
                     };
-                    if !is_recoverable(&err) {
-                        return Err((failed_at, err));
-                    }
-                    if state.recoveries >= ckpt.max_recoveries {
-                        return Err((
-                            failed_at,
-                            EngineError::RecoveryExhausted {
-                                attempts: state.recoveries,
-                                last_error: Box::new(err),
-                            },
-                        ));
-                    }
+                    let mut err =
+                        may_recover(error, state.recoveries, ckpt).map_err(|e| (failed_at, e))?;
 
                     // Rung one of the fallback ladder: confined recovery,
                     // when the mode logs messages and the failure is a
@@ -543,19 +540,8 @@ impl<C: Computation> Engine<C> {
                                 // A second fault fired during the confined
                                 // replay: descend to a full restart if it
                                 // is itself recoverable.
-                                if !is_recoverable(&second.error) {
-                                    return Err((failed_at, second.error));
-                                }
-                                if state.recoveries >= ckpt.max_recoveries {
-                                    return Err((
-                                        failed_at,
-                                        EngineError::RecoveryExhausted {
-                                            attempts: state.recoveries,
-                                            last_error: Box::new(second.error),
-                                        },
-                                    ));
-                                }
-                                err = second.error;
+                                err = may_recover(second.error, state.recoveries, ckpt)
+                                    .map_err(|e| (failed_at, e))?;
                             }
                         }
                     }
@@ -643,7 +629,7 @@ impl<C: Computation> Engine<C> {
     /// compute phase are discarded back to the buffer pool.
     fn resume_from(
         &self,
-        state: &mut LoopState,
+        state: &mut LoopState<C>,
         shared: &SharedState<C>,
         restored: checkpoint::RestoredState<C>,
     ) {
@@ -676,7 +662,7 @@ impl<C: Computation> Engine<C> {
     /// finished outputs and the failed-worker list.
     fn execute_superstep(
         &self,
-        state: &mut LoopState,
+        state: &mut LoopState<C>,
         pool: &PoolSync<C>,
         ctx: EngineCtx<'_, C>,
     ) -> Result<Option<HaltReason>, StepFailure<C>> {
@@ -727,23 +713,20 @@ impl<C: Computation> Engine<C> {
         // Phase 2: parallel vertex computation. Every worker's result is
         // collected — confined recovery needs the survivors' outputs and
         // the full failed-worker list, not just the first error.
-        let worker_results = pool.compute(global);
-
-        let mut outputs: Vec<Option<WorkerOutput<C>>> = Vec::with_capacity(worker_results.len());
+        pool.dispatch(ctx, PoolCommand::Compute(global), &mut state.staged);
         let mut failed: Vec<usize> = Vec::new();
         let mut first_err: Option<EngineError> = None;
-        for (worker, result) in worker_results.into_iter().enumerate() {
-            match result {
-                Ok(output) => outputs.push(Some(output)),
-                Err(err) => {
-                    outputs.push(None);
+        let outputs: Vec<Option<WorkerOutput<C>>> = collect(&pool.compute_results)
+            .into_iter()
+            .enumerate()
+            .map(|(worker, result)| {
+                let note = |err| {
                     failed.push(worker);
-                    if first_err.is_none() {
-                        first_err = Some(err);
-                    }
-                }
-            }
-        }
+                    first_err.get_or_insert(err);
+                };
+                result.map_err(note).ok()
+            })
+            .collect();
         if let Some(error) = first_err {
             return Err(StepFailure {
                 error,
@@ -772,7 +755,7 @@ impl<C: Computation> Engine<C> {
     #[allow(clippy::too_many_arguments)]
     fn finish_superstep(
         &self,
-        state: &mut LoopState,
+        state: &mut LoopState<C>,
         pool: &PoolSync<C>,
         ctx: EngineCtx<'_, C>,
         global: GlobalData,
@@ -849,16 +832,13 @@ impl<C: Computation> Engine<C> {
         let delivery_begin = obs.map(|o| o.begin("phase.delivery", Some(superstep), None));
 
         // Phase 4: parallel message delivery from the staged shuffle.
-        let delivery_results = pool.deliver(superstep);
-        let mut delivery = Vec::with_capacity(delivery_results.len());
-        for result in delivery_results {
-            match result {
-                Ok(counts) => delivery.push(counts),
-                // A delivery failure is not confined-recoverable: inboxes
-                // may be half-updated, which only a full restore heals.
-                Err(err) => return Err(StepFailure::fatal(err)),
-            }
-        }
+        pool.dispatch(ctx, PoolCommand::Deliver { superstep }, &mut state.staged);
+        // A delivery failure is not confined-recoverable: inboxes may be
+        // half-updated, which only a full restore heals.
+        let delivery: Vec<DeliveryCounts> = collect(&pool.deliver_results)
+            .into_iter()
+            .collect::<Result<_, _>>()
+            .map_err(StepFailure::fatal)?;
 
         let messages_delivered: u64 = delivery.iter().map(|d| d.delivered).sum();
         let messages_to_missing: u64 = delivery.iter().map(|d| d.missing).sum();
@@ -1020,7 +1000,7 @@ impl<C: Computation> Engine<C> {
     #[allow(clippy::too_many_arguments)]
     fn confined_recover(
         &self,
-        state: &mut LoopState,
+        state: &mut LoopState<C>,
         pool: &PoolSync<C>,
         ctx: EngineCtx<'_, C>,
         fs: &Arc<dyn FileSystem>,
@@ -1249,13 +1229,15 @@ impl<C: Computation> Engine<C> {
 /// Coordinator-side loop bookkeeping. The graph state itself lives in
 /// [`SharedState`], where both the coordinator and the workers can reach
 /// it between barriers.
-struct LoopState {
+struct LoopState<C: Computation> {
     superstep: u64,
     all_stats: Vec<SuperstepStats>,
     num_vertices: u64,
     num_edges: u64,
     recoveries: u64,
     last_checkpoint: Option<u64>,
+    /// Thread 0's staged-send buffer (see [`pool_worker`]).
+    staged: RawBatch<C>,
 }
 
 /// A failed superstep: the error plus — when the failure was confined to
@@ -1292,12 +1274,22 @@ enum Confined {
     FellThrough,
 }
 
-/// Whether a failure can be healed by restoring a checkpoint and
-/// replaying. Master panics are excluded: the master is the coordinator
-/// itself (its failure kills a Pregel job), and a deterministic master
-/// panic would simply re-fire every replay.
-fn is_recoverable(err: &EngineError) -> bool {
-    matches!(err, EngineError::VertexPanic { .. } | EngineError::WorkerCrashed { .. })
+/// `err` back when one more restore-and-replay may heal it, else the
+/// error the job fails with. Master panics are not healed: the master
+/// is the coordinator itself (its failure kills a Pregel job), and a
+/// deterministic master panic would simply re-fire every replay.
+fn may_recover(
+    err: EngineError,
+    recoveries: u64,
+    ckpt: &CheckpointConfig,
+) -> Result<EngineError, EngineError> {
+    if !matches!(err, EngineError::VertexPanic { .. } | EngineError::WorkerCrashed { .. }) {
+        return Err(err);
+    }
+    if recoveries < ckpt.max_recoveries {
+        return Ok(err);
+    }
+    Err(EngineError::RecoveryExhausted { attempts: recoveries, last_error: Box::new(err) })
 }
 
 /// Locks a mutex. Worker phases run under `catch_unwind`, so a panicked
@@ -2080,28 +2072,28 @@ fn guarded_deliver<C: Computation>(
 /// for the barrier protocol.
 #[derive(Clone, Copy)]
 enum PoolCommand {
-    /// Initial value; never dispatched.
-    Idle,
     /// Run phase 2 under the given global data.
     Compute(GlobalData),
     /// Run phase 4 (the superstep is only used to label panic errors).
     Deliver { superstep: u64 },
-    /// Return from the worker loop.
+    /// Return from the worker loop. Also the initial value.
     Exit,
 }
 
-/// A per-worker parking slot for one phase's result.
+/// A per-partition parking slot for one phase's result.
 ///
 /// Deliberately a [`TrackedCell`], not a mutex: the slot's safety rests
-/// entirely on the barrier protocol (the worker writes strictly between
-/// `start` and `done`, the coordinator reads strictly outside that
-/// window), so under `check-sched` any protocol slip — a missing or
-/// mis-sized barrier — surfaces as a reported race on the slot instead
-/// of silently serializing through a lock.
+/// entirely on the barrier protocol (the partition's thread writes
+/// strictly between `start` and `done`, the coordinator reads strictly
+/// outside that window), so under `check-sched` any protocol slip — a
+/// missing or mis-sized barrier — surfaces as a reported race on the
+/// slot instead of silently serializing through a lock.
 type ResultSlot<T> = TrackedCell<Option<Result<T, EngineError>>>;
 
-/// The shared rendezvous state of the persistent pool.
+/// The shared rendezvous state of the job's threads.
 struct PoolSync<C: Computation> {
+    /// Threads the partitions are dealt to, the coordinator included.
+    threads: usize,
     /// The command word is barrier-protected, like the result slots.
     command: TrackedCell<PoolCommand>,
     start: Barrier,
@@ -2111,67 +2103,74 @@ struct PoolSync<C: Computation> {
 }
 
 impl<C: Computation> PoolSync<C> {
-    fn new(num_workers: usize) -> Self {
+    fn new(partitions: usize, threads: usize) -> Self {
         Self {
-            command: TrackedCell::new("pool-command", PoolCommand::Idle),
-            start: Barrier::new(num_workers + 1),
-            done: Barrier::new(num_workers + 1),
-            compute_results: (0..num_workers)
-                .map(|w| TrackedCell::new(format!("compute-result-{w}"), None))
+            threads,
+            command: TrackedCell::new("pool-command", PoolCommand::Exit),
+            start: Barrier::new(threads),
+            done: Barrier::new(threads),
+            compute_results: (0..partitions)
+                .map(|p| TrackedCell::new(format!("compute-result-{p}"), None))
                 .collect(),
-            deliver_results: (0..num_workers)
-                .map(|w| TrackedCell::new(format!("deliver-result-{w}"), None))
+            deliver_results: (0..partitions)
+                .map(|p| TrackedCell::new(format!("deliver-result-{p}"), None))
                 .collect(),
         }
     }
 
-    /// Runs one phase on every worker and returns once all are parked.
-    fn dispatch(&self, command: PoolCommand) {
+    /// `thread`'s share of one phase: its partitions in ascending order,
+    /// each result parked in the partition's slot.
+    fn run_share(
+        &self,
+        ctx: EngineCtx<'_, C>,
+        thread: usize,
+        command: PoolCommand,
+        staged: &mut RawBatch<C>,
+    ) {
+        for p in (thread..ctx.num_partitions).step_by(self.threads) {
+            match command {
+                PoolCommand::Compute(global) => {
+                    self.compute_results[p].set(Some(guarded_compute(ctx, p, global, staged)));
+                }
+                PoolCommand::Deliver { superstep } => {
+                    self.deliver_results[p].set(Some(guarded_deliver(ctx, p, superstep)));
+                }
+                PoolCommand::Exit => {}
+            }
+        }
+    }
+
+    /// Runs one phase on every partition, the caller taking thread 0's
+    /// share, and returns once every thread is parked again.
+    fn dispatch(&self, ctx: EngineCtx<'_, C>, command: PoolCommand, staged: &mut RawBatch<C>) {
+        if self.threads == 1 {
+            return self.run_share(ctx, 0, command, staged);
+        }
         self.command.set(command);
         self.start.wait();
+        self.run_share(ctx, 0, command, staged);
         self.done.wait();
-    }
-
-    /// Runs phase 2 on every worker; results in worker-index order.
-    fn compute(&self, global: GlobalData) -> Vec<Result<WorkerOutput<C>, EngineError>> {
-        self.dispatch(PoolCommand::Compute(global));
-        self.compute_results
-            .iter()
-            .map(|slot| slot.take().expect("pool worker must report a compute result"))
-            .collect()
-    }
-
-    /// Runs phase 4 on every worker; results in worker-index order.
-    fn deliver(&self, superstep: u64) -> Vec<Result<DeliveryCounts, EngineError>> {
-        self.dispatch(PoolCommand::Deliver { superstep });
-        self.deliver_results
-            .iter()
-            .map(|slot| slot.take().expect("pool worker must report a delivery result"))
-            .collect()
     }
 }
 
-/// The body of one persistent pool thread: wait at the start barrier,
-/// read the command, run the phase, park the result, meet at the done
+/// A finished phase's results, in partition order.
+fn collect<T>(slots: &[ResultSlot<T>]) -> Vec<Result<T, EngineError>> {
+    slots.iter().map(|slot| slot.take().expect("every partition parks a result")).collect()
+}
+
+/// The body of one spawned thread: wait at the start barrier, read the
+/// command, run this thread's share of the phase, meet at the done
 /// barrier. The staged-send buffer threaded through [`ComputeContext`]
 /// lives here across supersteps, so only its capacity is ever reused.
-fn pool_worker<C: Computation>(ctx: EngineCtx<'_, C>, pool: &PoolSync<C>, worker_id: usize) {
+fn pool_worker<C: Computation>(ctx: EngineCtx<'_, C>, pool: &PoolSync<C>, thread: usize) {
     let mut staged = Vec::new();
     loop {
         pool.start.wait();
         let command = pool.command.get();
-        match command {
-            PoolCommand::Compute(global) => {
-                let result = guarded_compute(ctx, worker_id, global, &mut staged);
-                pool.compute_results[worker_id].set(Some(result));
-            }
-            PoolCommand::Deliver { superstep } => {
-                let result = guarded_deliver(ctx, worker_id, superstep);
-                pool.deliver_results[worker_id].set(Some(result));
-            }
-            PoolCommand::Exit => return,
-            PoolCommand::Idle => {}
+        if matches!(command, PoolCommand::Exit) {
+            return;
         }
+        pool.run_share(ctx, thread, command, &mut staged);
         pool.done.wait();
     }
 }

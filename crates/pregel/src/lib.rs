@@ -53,6 +53,11 @@
 
 #![forbid(unsafe_code)]
 
+// `tests/support/` is compiled both into the integration tests and, by
+// `#[path]`, into this crate's own; both name the crate the same way.
+#[cfg(test)]
+extern crate self as graft_pregel;
+
 pub mod aggregators;
 mod checkpoint;
 mod computation;
@@ -70,6 +75,8 @@ mod observer;
 pub mod ooc;
 pub mod reference;
 mod stats;
+#[cfg(test)]
+mod thread_invariance;
 mod types;
 
 pub use aggregators::{AggOp, AggValue, AggregatorRegistry, WorkerAggregators};

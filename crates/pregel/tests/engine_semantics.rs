@@ -12,6 +12,10 @@ use graft_pregel::{
     VertexHandleOf,
 };
 
+#[path = "support/computations.rs"]
+mod computations;
+use computations::PanicsAt;
+
 fn line_graph(n: u64) -> Graph<u64, u64, ()> {
     let mut b = Graph::builder();
     for v in 0..n {
@@ -371,33 +375,6 @@ fn messages_to_missing_vertices_are_counted_not_fatal() {
     let outcome = Engine::new(SendsToNowhere).run(b.build().unwrap()).unwrap();
     assert_eq!(outcome.stats.supersteps[0].messages_to_missing, 1);
     assert_eq!(outcome.stats.supersteps[0].messages_delivered, 0);
-}
-
-/// Panics in `compute` at vertex `self.0`, and in `combine` if `self.1`.
-struct PanicsAt(u64, bool);
-
-impl Computation for PanicsAt {
-    type Id = u64;
-    type VValue = u64;
-    type EValue = ();
-    type Message = u64;
-    fn compute(
-        &self,
-        vertex: &mut VertexHandleOf<'_, Self>,
-        _messages: &[u64],
-        ctx: &mut ContextOf<'_, Self>,
-    ) {
-        if vertex.id() == self.0 && ctx.superstep() == 2 {
-            panic!("boom on vertex {}", self.0);
-        }
-        ctx.send_message(0, 1);
-    }
-    fn use_combiner(&self) -> bool {
-        self.1
-    }
-    fn combine(&self, _a: &u64, _b: &u64) -> u64 {
-        panic!("boom in combine")
-    }
 }
 
 fn run_panicking(computation: PanicsAt, workers: usize) -> EngineError {

@@ -1,9 +1,14 @@
-//! Model-check regression tests: the real engine and its worker pool,
+//! Model-check regression tests: the real engine and its threads,
 //! driven through many distinct interleavings by the graft-sched
 //! explorer. Every schedule must come back clean — no happens-before
 //! race on the pool command word or the result slots, no deadlock in
 //! the barrier protocol — and results must stay correct in every
-//! interleaving. A poison-recovery regression rides along: a panicked
+//! interleaving. Inside a session the engine runs one thread per
+//! partition whatever the host has (`graft_sched::thread::parallelism`):
+//! the coordinator, which computes partition 0 itself, plus
+//! `pool-worker-1..`. The case of a thread owning two partitions is
+//! explored in-crate (`thread_invariance.rs`), where the thread count
+//! can be set. A poison-recovery regression rides along: a panicked
 //! compute phase must not wedge the locks a later superstep (or a later
 //! job on the same engine) needs.
 
@@ -13,7 +18,11 @@ use graft_dfs::{FileSystem, InMemoryFs};
 use graft_pregel::{
     CheckpointConfig, Computation, ContextOf, Engine, EngineError, FaultPlan, Graph, VertexHandleOf,
 };
-use graft_sched::{explore, render_trace, ExploreConfig};
+use graft_sched::{explore, render_trace, run_schedule, ExploreConfig, StrategyKind};
+
+#[path = "support/computations.rs"]
+mod computations;
+use computations::MinLabel;
 
 fn ring(n: u64) -> Graph<u64, u64, ()> {
     let mut b = Graph::builder();
@@ -26,34 +35,10 @@ fn ring(n: u64) -> Graph<u64, u64, ()> {
     b.build().unwrap()
 }
 
-/// Min-label propagation: every interleaving must converge to label 0
-/// everywhere, which makes cross-schedule nondeterminism visible as an
-/// assertion failure (and thus a failing schedule).
-struct MinLabel;
-
-impl Computation for MinLabel {
-    type Id = u64;
-    type VValue = u64;
-    type EValue = ();
-    type Message = u64;
-
-    fn compute(
-        &self,
-        vertex: &mut VertexHandleOf<'_, Self>,
-        messages: &[u64],
-        ctx: &mut ContextOf<'_, Self>,
-    ) {
-        let best = messages.iter().copied().chain([vertex.id(), *vertex.value()]).min().unwrap();
-        if best < *vertex.value() {
-            vertex.set_value(best);
-            ctx.send_message_to_all_edges(vertex, best);
-        }
-        vertex.vote_to_halt();
-    }
-}
-
+/// Three partitions: the coordinator and two spawned workers, so both
+/// coordinator–worker and worker–worker interleavings are in the model.
 fn run_job() {
-    let outcome = Engine::new(MinLabel).num_workers(2).run(ring(6)).expect("job runs");
+    let outcome = Engine::new(MinLabel).num_workers(3).run(ring(6)).expect("job runs");
     for v in 0..6 {
         assert_eq!(outcome.graph.value(v), Some(&0), "vertex {v} in some interleaving");
     }
@@ -71,6 +56,26 @@ fn persistent_pool_engine_is_clean_over_many_schedules() {
         );
     }
     assert!(report.distinct >= 2, "exploration must produce distinct interleavings");
+}
+
+/// What is explored must not depend on the host: with 3 partitions the
+/// cohort is the coordinator (`main`, which takes partition 0's phases
+/// and so touches its result slot) and `pool-worker-1..=2` — on a
+/// one-CPU runner too, where the same job outside a session spawns
+/// nothing.
+#[test]
+fn explored_cohort_is_the_coordinator_plus_one_worker_per_further_partition() {
+    let outcome = run_schedule(0xEA52, StrategyKind::Random, 200_000, run_job);
+    assert!(!outcome.failed(), "{}", render_trace(&outcome, 150));
+    let mut threads: Vec<&str> = outcome.trace.iter().map(|s| s.thread.as_str()).collect();
+    threads.sort_unstable();
+    threads.dedup();
+    assert_eq!(threads, ["main", "pool-worker-1", "pool-worker-2"]);
+    let main_computes = outcome
+        .trace
+        .iter()
+        .any(|s| s.thread == "main" && s.desc.starts_with("cell[compute-result-0].write"));
+    assert!(main_computes, "the coordinator never parked partition 0's compute result");
 }
 
 /// A compute panic unwinds through shim guards mid-schedule; the engine

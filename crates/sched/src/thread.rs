@@ -20,11 +20,25 @@
 
 #[cfg(feature = "check")]
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe, Location};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use crate::session::Session;
 #[cfg(feature = "check")]
 use crate::session::{current_ctx, CtxGuard, SchedAbort};
+
+/// How many threads `units` independent units of work should run on:
+/// `min(units, CPUs this process may run on)`. The OS is asked once per
+/// process (the query costs tens of microseconds; 4 when it fails).
+/// Inside a schedule session the answer is `units`: the scheduler is the
+/// CPU there, so what gets explored does not depend on the host.
+pub fn parallelism(units: usize) -> usize {
+    static CPUS: OnceLock<usize> = OnceLock::new();
+    #[cfg(feature = "check")]
+    if current_ctx().is_some() {
+        return units;
+    }
+    units.min(*CPUS.get_or_init(|| std::thread::available_parallelism().map_or(4, |n| n.get())))
+}
 
 /// A forked-thread registration; consume with [`Forked::wrap`].
 pub struct Forked {
@@ -150,6 +164,18 @@ fn payload_message(payload: &(dyn std::any::Any + Send)) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn parallelism_is_the_hosts_outside_a_session_and_the_askers_inside() {
+        let cpus = std::thread::available_parallelism().map_or(4, |n| n.get());
+        assert_eq!(parallelism(1), 1);
+        assert_eq!(parallelism(usize::MAX), cpus);
+        let report =
+            crate::explore(&crate::ExploreConfig { schedules: 2, ..Default::default() }, || {
+                assert_eq!(parallelism(cpus + 3), cpus + 3);
+            });
+        assert!(report.clean());
+    }
 
     #[test]
     fn passthrough_fork_is_transparent() {
