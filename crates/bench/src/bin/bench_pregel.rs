@@ -1,7 +1,7 @@
 //! Engine throughput benchmark fed by the observability registry.
 //!
 //! `cargo run -p graft-bench --release --bin bench_pregel [--vertices N]
-//!  [--workers W] [--scale-sweep-max V] [--sweep-only] [--check-spills]
+//!  [--workers W] [--scale-sweep-max V] [--sweep-only]
 //!  [--check-capture-cheaper] [--out PATH]`
 //!
 //! The sections, all written to `BENCH_pregel.json` (override with
@@ -39,12 +39,12 @@
 //!    and bytes, budget overruns, both wall times, and whether the
 //!    budgeted FNV checksum matched the unbounded run bit-for-bit.
 //!
-//! `--check-spills` exits nonzero unless every sweep tier actually
-//! spilled under its budget AND reproduced the unbounded checksum — the
-//! CI ooc-smoke gate (pair with `--sweep-only` to skip the other
-//! sections). `--check-capture-cheaper` exits nonzero unless
-//! the binary capture run wrote at most half the trace bytes of the
-//! JSON run AND finished faster — the CI trace-format-smoke gate.
+//! `--sweep-only` runs and prints section 5 alone. Whether every tier
+//! spills and reproduces the unbounded checksum is a test
+//! (`crates/core/tests/ooc_scale.rs`), not a flag here.
+//! `--check-capture-cheaper` exits nonzero unless the binary capture run
+//! wrote at most half the trace bytes of the JSON run AND finished
+//! faster — the CI trace-format-smoke gate.
 
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -220,7 +220,6 @@ fn main() -> ExitCode {
     let workers = graft_bench::arg_u64("--workers", 4) as usize;
     let sweep_max = graft_bench::arg_u64("--scale-sweep-max", 1_000_000);
     let sweep_only = graft_bench::arg_flag("--sweep-only");
-    let check_spills = graft_bench::arg_flag("--check-spills");
     let check_capture_cheaper = graft_bench::arg_flag("--check-capture-cheaper");
     let out = std::env::args()
         .collect::<Vec<_>>()
@@ -230,11 +229,7 @@ fn main() -> ExitCode {
         .unwrap_or_else(|| "BENCH_pregel.json".to_string());
 
     if sweep_only {
-        let sweep = bench_ooc_sweep(sweep_max, workers);
-        print_sweep(&sweep);
-        if check_spills && !sweep_is_sound(&sweep) {
-            return ExitCode::FAILURE;
-        }
+        print_sweep(&bench_ooc_sweep(sweep_max, workers));
         return ExitCode::SUCCESS;
     }
 
@@ -363,7 +358,6 @@ fn main() -> ExitCode {
     let ooc_scale_sweep = bench_ooc_sweep(sweep_max, workers);
     print_sweep(&ooc_scale_sweep);
 
-    let sweep_sound = sweep_is_sound(&ooc_scale_sweep);
     let capture_cheaper = capture_overhead.binary_trace_bytes * 2
         <= capture_overhead.json_trace_bytes
         && capture_overhead.binary_wall_nanos < capture_overhead.json_wall_nanos;
@@ -385,9 +379,6 @@ fn main() -> ExitCode {
     std::fs::write(&out, json + "\n").expect("write bench report");
     println!("written to {out}");
 
-    if check_spills && !sweep_sound {
-        return ExitCode::FAILURE;
-    }
     if check_capture_cheaper && !capture_cheaper {
         eprintln!(
             "FAIL: binary capture was not at least 2x smaller and faster than JSON \
@@ -760,23 +751,6 @@ fn print_sweep(sweep: &OocScaleSweep) {
             &rows,
         )
     );
-}
-
-/// The ooc-smoke gate: every tier went out of core for real and came
-/// back bit-identical.
-fn sweep_is_sound(sweep: &OocScaleSweep) -> bool {
-    let mut sound = true;
-    for t in &sweep.tiers {
-        if t.spills == 0 || t.loads == 0 {
-            eprintln!("FAIL: {}-vertex tier never spilled under its budget", t.vertices);
-            sound = false;
-        }
-        if !t.checksum_matches_unbounded {
-            eprintln!("FAIL: {}-vertex tier diverged from the unbounded checksum", t.vertices);
-            sound = false;
-        }
-    }
-    sound
 }
 
 /// The same deterministic ring-with-chords family the CLI and chaos

@@ -33,18 +33,21 @@ impl<'de> Deserializer<'de> {
         self.rest.len()
     }
 
+    #[inline]
     fn read_u64(&mut self) -> Result<u64> {
         let (v, n) = varint::read_u64(self.rest)?;
         self.rest = &self.rest[n..];
         Ok(v)
     }
 
+    #[inline]
     fn read_i64(&mut self) -> Result<i64> {
         let (v, n) = varint::read_i64(self.rest)?;
         self.rest = &self.rest[n..];
         Ok(v)
     }
 
+    #[inline]
     fn read_len(&mut self) -> Result<usize> {
         usize::try_from(self.read_u64()?).map_err(|_| Error::LengthOverflow)
     }

@@ -10,7 +10,8 @@ pub type Result<T, E = Error> = std::result::Result<T, E>;
 pub enum Error {
     /// Input ended before a complete value was decoded.
     UnexpectedEof,
-    /// A varint ran past its maximum width (corrupt input).
+    /// A varint ran past its maximum width, or was longer than its value
+    /// needs (corrupt input).
     VarintOverflow,
     /// A declared length did not fit in `usize` or overflowed arithmetic.
     LengthOverflow,
@@ -37,7 +38,7 @@ impl fmt::Display for Error {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Error::UnexpectedEof => write!(f, "unexpected end of input"),
-            Error::VarintOverflow => write!(f, "varint exceeds maximum width"),
+            Error::VarintOverflow => write!(f, "varint is over-long or exceeds maximum width"),
             Error::LengthOverflow => write!(f, "declared length overflows usize"),
             Error::InvalidTag(b) => write!(f, "invalid tag byte {b:#04x} (expected 0 or 1)"),
             Error::InvalidChar(c) => write!(f, "scalar {c:#x} is not a valid char"),

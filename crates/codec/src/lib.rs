@@ -58,8 +58,8 @@ pub use value::{normalize, to_bin_value, BinValue};
 /// pass and with no intermediate buffer; on error `out` is left as it was.
 /// Length-prefixed framing lets many records share one append-only file:
 /// readers can skip or stream records without decoding them. The gap is
-/// one byte — right for records under 128 bytes, which vertex records
-/// are; a longer record pays one shift of its own bytes.
+/// one byte — right for records under 128 bytes; a longer record pays one
+/// shift of its own bytes.
 pub fn write_framed<T: serde::Serialize + ?Sized>(out: &mut Vec<u8>, value: &T) -> Result<()> {
     frame::write_len_prefixed::<1>(out, |out| value.serialize(&mut Serializer::new(out)))
 }

@@ -9,6 +9,7 @@ use crate::error::{Error, Result};
 pub const MAX_VARINT_LEN: usize = 10;
 
 /// Appends `value` to `out` as an LEB128 varint.
+#[inline]
 pub fn write_u64(out: &mut Vec<u8>, mut value: u64) {
     loop {
         let byte = (value & 0x7f) as u8;
@@ -38,13 +39,18 @@ pub fn encode_u64(mut value: u64, buf: &mut [u8; MAX_VARINT_LEN]) -> usize {
 }
 
 /// Appends `value` to `out` zigzag-encoded then LEB128-encoded.
+#[inline]
 pub fn write_i64(out: &mut Vec<u8>, value: i64) {
     write_u64(out, zigzag_encode(value));
 }
 
 /// Reads an LEB128 varint from the front of `input`.
 ///
-/// Returns the value and the number of bytes consumed.
+/// Returns the value and the number of bytes consumed. Only the encoding
+/// [`write_u64`] emits is accepted: a varint with a zero final byte after
+/// others is over-long, and decoding it would let two byte strings stand
+/// for one value.
+#[inline]
 pub fn read_u64(input: &[u8]) -> Result<(u64, usize)> {
     let mut value: u64 = 0;
     let mut shift = 0u32;
@@ -59,6 +65,9 @@ pub fn read_u64(input: &[u8]) -> Result<(u64, usize)> {
         }
         value |= low << shift;
         if byte & 0x80 == 0 {
+            if byte == 0 && i > 0 {
+                return Err(Error::VarintOverflow);
+            }
             return Ok((value, i + 1));
         }
         shift += 7;
@@ -67,6 +76,7 @@ pub fn read_u64(input: &[u8]) -> Result<(u64, usize)> {
 }
 
 /// Reads a zigzag varint from the front of `input`.
+#[inline]
 pub fn read_i64(input: &[u8]) -> Result<(i64, usize)> {
     let (raw, n) = read_u64(input)?;
     Ok((zigzag_decode(raw), n))
@@ -86,6 +96,7 @@ pub fn zigzag_decode(value: u64) -> i64 {
 }
 
 /// Number of bytes [`write_u64`] would emit for `value`.
+#[inline]
 pub fn encoded_len_u64(value: u64) -> usize {
     if value == 0 {
         1
@@ -159,6 +170,9 @@ mod tests {
         let mut overflowing = vec![0xffu8; 9];
         overflowing.push(0x02);
         assert!(matches!(read_u64(&overflowing), Err(Error::VarintOverflow)));
+        // Over-long: 5 padded to two bytes, 0 to three.
+        assert!(matches!(read_u64(&[0x85, 0x00]), Err(Error::VarintOverflow)));
+        assert!(matches!(read_u64(&[0x80, 0x80, 0x00]), Err(Error::VarintOverflow)));
     }
 
     #[test]

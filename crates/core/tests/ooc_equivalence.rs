@@ -22,7 +22,7 @@ const TRACE_ROOT: &str = "/traces/ooc-equiv";
 
 /// A budget far below the working set of the 48-vertex matrix graphs:
 /// partitions and shuffle batches must churn through the spill store.
-const TIGHT_BUDGET: u64 = 400;
+const TIGHT_BUDGET: u64 = 250;
 
 fn cluster() -> ClusterFs {
     ClusterFs::new(ClusterFsConfig { num_datanodes: 4, replication: 2, block_size: 256 })

@@ -4,12 +4,13 @@
 //! exists before any fault can fire) the engine snapshots the complete
 //! job state — per-vertex values, adjacency, halted flags, pending
 //! (already-delivered) messages, and the aggregator values — to the
-//! configured file system, encoded as length-prefixed GraftBin frames.
+//! configured file system. A partition is written as its columns: the
+//! framed topology part, then the framed state part (`partition.rs`).
 //!
 //! Layout under [`CheckpointConfig::root`]:
 //!
 //! ```text
-//! <root>/cp_<s>/part_<p>.ckpt  partition p's vertices, in slot order
+//! <root>/cp_<s>/part_<p>.ckpt  partition p's topology + state parts
 //! <root>/cp_<s>/manifest.bin   superstep, partition count, aggregators
 //! <root>/cp_<s>/COMMIT         written last; its presence marks the
 //!                              checkpoint complete and loadable
@@ -21,11 +22,12 @@
 //! back fully, so a checkpoint stranded on dead datanodes falls back to
 //! the previous one.
 //!
-//! Determinism note: vertices are written in live-slot order and restored
-//! by re-pushing in file order, which preserves the compute order, the
-//! message staging order, and therefore the combiner fold order. That is
-//! what makes replayed runs byte-identical to failure-free runs even for
-//! non-associative-in-floating-point folds like PageRank's rank sum.
+//! Determinism note: columns are written in slot order, tombstones
+//! dropped, and restored in file order, which preserves the compute
+//! order, the message staging order, and therefore the combiner fold
+//! order. That is what makes replayed runs byte-identical to failure-free
+//! runs even for non-associative-in-floating-point folds like PageRank's
+//! rank sum.
 
 use std::fmt;
 use std::sync::Arc;
@@ -36,8 +38,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::aggregators::AggValue;
 use crate::computation::Computation;
-use crate::engine::Partition;
-use crate::types::Edge;
+use crate::partition::Partition;
 
 /// How the engine recovers from a recoverable worker fault.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -185,133 +186,19 @@ impl fmt::Display for CheckpointError {
 
 impl std::error::Error for CheckpointError {}
 
-/// One vertex's complete state at a superstep boundary: everything
-/// `compute()` can observe or mutate, plus the messages already delivered
-/// for the upcoming superstep.
-#[derive(Serialize, Deserialize)]
-struct VertexRecord<I, V, E, M> {
-    id: I,
-    value: V,
-    edges: Vec<Edge<I, E>>,
-    halted: bool,
-    inbox: Vec<M>,
-}
-
-/// Borrowing twin of [`VertexRecord`]. GraftBin structs encode as their
-/// fields in declaration order with no names or counts, and references
-/// serialize as their referents, so this writes byte-identical frames to
-/// `VertexRecord` without cloning values, adjacency, or inboxes. The
-/// spill path and the budget's size accounting both lean on that
-/// identity: a spilled partition reloads through the same
-/// `VertexRecord` decode the checkpoint reader uses.
-struct VertexRecordRef<'a, I, V, E, M> {
-    id: &'a I,
-    value: &'a V,
-    edges: &'a [Edge<I, E>],
-    halted: bool,
-    inbox: &'a [M],
-}
-
-// Hand-written because the vendored serde_derive does not accept
-// lifetime parameters. Field order must match `VertexRecord` exactly —
-// GraftBin structs are nothing but their fields in declaration order.
-impl<I: Serialize, V: Serialize, E: Serialize, M: Serialize> Serialize
-    for VertexRecordRef<'_, I, V, E, M>
-{
-    fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        use serde::ser::SerializeStruct;
-        let mut s = serializer.serialize_struct("VertexRecord", 5)?;
-        s.serialize_field("id", self.id)?;
-        s.serialize_field("value", self.value)?;
-        s.serialize_field("edges", self.edges)?;
-        s.serialize_field("halted", &self.halted)?;
-        s.serialize_field("inbox", self.inbox)?;
-        s.end()
-    }
-}
-
-/// Calls `f` with a borrowing record for each live slot of `partition`,
-/// in slot order — the one traversal order that keeps restored runs
-/// byte-identical (see the module docs).
-fn for_each_live_record<C: Computation, Err>(
-    partition: &Partition<C>,
-    mut f: impl FnMut(VertexRecordRef<'_, C::Id, C::VValue, C::EValue, C::Message>) -> Result<(), Err>,
-) -> Result<(), Err> {
-    for slot in 0..partition.ids.len() {
-        // Tombstones are gone from the index, or point elsewhere in it
-        // when the id was re-added; only the owning slot is live state.
-        if partition.index.get(&partition.ids[slot]) != Some(&slot) {
-            continue;
-        }
-        f(VertexRecordRef {
-            id: &partition.ids[slot],
-            value: &partition.values[slot],
-            edges: &partition.adjacency[slot],
-            halted: partition.halted(slot),
-            inbox: &partition.inbox[slot],
-        })?;
-    }
-    Ok(())
-}
-
-/// Partition `p`'s live vertices as framed records, each encoded in
-/// place in one buffer of `capacity` bytes (the out-of-core charge is the
-/// exact length; 0 when unknown). Shared by checkpoint files and
-/// out-of-core spill segments so both restore bit-identically — and so a
-/// spilled partition's segment can stand in for its checkpoint file.
+/// Partition `p`'s checkpoint file: its topology part, then its state
+/// part. A spilled partition's two segment files concatenate to exactly
+/// these bytes.
 pub(crate) fn encode_partition<C: Computation>(
-    partition: &Partition<C>,
+    partition: &mut Partition<C>,
     p: usize,
-    capacity: u64,
 ) -> Result<Vec<u8>, CheckpointError> {
-    let mut frames = Vec::with_capacity(capacity as usize);
-    for_each_live_record(partition, |record| graft_codec::write_framed(&mut frames, &record))
-        .map_err(|e| CheckpointError::new(format!("encoding partition {p}"), e))?;
-    Ok(frames)
-}
-
-/// Rebuilds a partition from the framed records produced by
-/// [`encode_partition`], re-pushing vertices in file order; the
-/// push rederives the active set and the edge count from each record.
-pub(crate) fn read_partition_frames<C: Computation>(
-    bytes: &[u8],
-) -> Result<Partition<C>, graft_codec::Error> {
-    let mut partition = Partition::<C>::new();
-    for record in
-        graft_codec::FramedIter::<VertexRecord<C::Id, C::VValue, C::EValue, C::Message>>::new(bytes)
-    {
-        let record = record?;
-        partition.push_vertex(record.id, record.value, record.edges, record.halted, record.inbox);
-    }
-    Ok(partition)
-}
-
-/// Exact bytes [`encode_partition`] would emit for `partition`,
-/// computed by the codec's counting serializer — no buffer is built.
-/// This is the footprint the out-of-core budget charges per partition.
-pub(crate) fn partition_frames_size<C: Computation>(
-    partition: &Partition<C>,
-) -> Result<u64, graft_codec::Error> {
-    let mut total = 0u64;
-    for_each_live_record(partition, |record| -> Result<(), graft_codec::Error> {
-        total += graft_codec::framed_size(&record)?;
-        Ok(())
-    })?;
-    Ok(total)
-}
-
-/// Framed size of one vertex's checkpoint record, for footprint
-/// estimates that run over a [`crate::Graph`] before any partition
-/// exists (analyzer lint GA0018 uses this through
-/// [`crate::ooc::estimate_max_partition_bytes`]).
-pub(crate) fn vertex_record_frame_size<C: Computation>(
-    id: &C::Id,
-    value: &C::VValue,
-    edges: &[Edge<C::Id, C::EValue>],
-    halted: bool,
-    inbox: &[C::Message],
-) -> Result<u64, graft_codec::Error> {
-    graft_codec::framed_size(&VertexRecordRef { id, value, edges, halted, inbox })
+    let mut encode = || -> Result<Vec<u8>, graft_codec::Error> {
+        let mut bytes = partition.encode_topology()?;
+        partition.encode_state(&mut bytes)?;
+        Ok(bytes)
+    };
+    encode().map_err(|e| CheckpointError::new(format!("encoding partition {p}"), e))
 }
 
 /// Checkpoint-wide metadata, written after all partition files.
@@ -329,19 +216,19 @@ pub(crate) struct RestoredState<C: Computation> {
     pub(crate) aggregators: Vec<(String, AggValue)>,
 }
 
-/// Writes partition `p`'s file — `frames`, the output of
+/// Writes partition `p`'s file — `bytes`, the output of
 /// [`encode_partition`] — into a checkpoint directory, in one write.
-/// Taking frames rather than a partition is what lets the out-of-core
-/// engine checkpoint a spilled partition from the frames already on disk.
+/// Taking bytes rather than a partition is what lets the out-of-core
+/// engine checkpoint a spilled partition from the parts already on disk.
 pub(crate) fn write_checkpoint_partition(
     fs: &Arc<dyn FileSystem>,
     dir: &str,
     p: usize,
-    frames: &[u8],
+    bytes: &[u8],
 ) -> Result<u64, CheckpointError> {
     let path = format!("{dir}/part_{p}.ckpt");
-    fs.write_all(&path, frames).map_err(|e| CheckpointError::new(format!("writing {path}"), e))?;
-    Ok(frames.len() as u64)
+    fs.write_all(&path, bytes).map_err(|e| CheckpointError::new(format!("writing {path}"), e))?;
+    Ok(bytes.len() as u64)
 }
 
 /// Encodes and writes every partition's file from memory; returns the
@@ -349,12 +236,12 @@ pub(crate) fn write_checkpoint_partition(
 pub(crate) fn write_resident_partitions<C: Computation>(
     fs: &Arc<dyn FileSystem>,
     dir: &str,
-    partitions: impl Iterator<Item = impl std::ops::Deref<Target = Partition<C>>>,
+    partitions: impl Iterator<Item = impl std::ops::DerefMut<Target = Partition<C>>>,
 ) -> Result<u64, CheckpointError> {
     let mut bytes_written = 0u64;
-    for (p, partition) in partitions.enumerate() {
-        let frames = encode_partition(&partition, p, 0)?;
-        bytes_written += write_checkpoint_partition(fs, dir, p, &frames)?;
+    for (p, mut partition) in partitions.enumerate() {
+        let bytes = encode_partition(&mut partition, p)?;
+        bytes_written += write_checkpoint_partition(fs, dir, p, &bytes)?;
     }
     Ok(bytes_written)
 }
@@ -456,8 +343,7 @@ fn load_partition<C: Computation>(
     let path = format!("{dir}/part_{p}.ckpt");
     let bytes =
         fs.read_all(&path).map_err(|e| CheckpointError::new(format!("reading {path}"), e))?;
-    read_partition_frames::<C>(&bytes)
-        .map_err(|e| CheckpointError::new(format!("decoding {path}"), e))
+    Partition::decode_file(&bytes).map_err(|e| CheckpointError::new(format!("decoding {path}"), e))
 }
 
 /// The named partitions plus the manifest's aggregator snapshot, as
@@ -522,27 +408,9 @@ fn prune(fs: &Arc<dyn FileSystem>, config: &CheckpointConfig) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::computation::{Computation, ContextOf, VertexHandleOf};
-    use crate::context::Mutation::{AddVertex, RemoveVertex};
-    use crate::engine::{apply_mutations, census};
+    use crate::partition::tests::{sample_partitions, Noop};
+    use crate::types::Edge;
     use graft_dfs::InMemoryFs;
-
-    struct Noop;
-
-    impl Computation for Noop {
-        type Id = u64;
-        type VValue = i64;
-        type EValue = ();
-        type Message = i64;
-
-        fn compute(
-            &self,
-            _vertex: &mut VertexHandleOf<'_, Self>,
-            _messages: &[i64],
-            _ctx: &mut ContextOf<'_, Self>,
-        ) {
-        }
-    }
 
     fn fs() -> Arc<dyn FileSystem> {
         Arc::new(InMemoryFs::new())
@@ -552,26 +420,12 @@ mod tests {
         fs: &Arc<dyn FileSystem>,
         config: &CheckpointConfig,
         superstep: u64,
-        partitions: &[Partition<Noop>],
+        partitions: &mut [Partition<Noop>],
         aggregators: Vec<(String, AggValue)>,
     ) -> Result<u64, CheckpointError> {
         super::write_checkpoint(fs, config, superstep, partitions.len(), aggregators, |dir| {
-            write_resident_partitions(fs, dir, partitions.iter())
+            write_resident_partitions(fs, dir, partitions.iter_mut())
         })
-    }
-
-    fn sample_partitions() -> Vec<Partition<Noop>> {
-        let mut a = Partition::<Noop>::new();
-        a.push_vertex(1, 10, vec![Edge::new(2, ())], false, vec![7, 8]);
-        a.push_vertex(3, 30, vec![], true, vec![]);
-        // Awake, halted with mail, removed, and removed then re-added.
-        let mut b = Partition::<Noop>::new();
-        b.push_vertex(2, 20, vec![Edge::new(1, ())], false, vec![]);
-        b.push_vertex(4, 40, vec![], true, vec![9]);
-        b.push_vertex(6, 60, vec![Edge::new(2, ())], false, vec![]);
-        b.push_vertex(8, 80, vec![Edge::new(4, ())], false, vec![5]);
-        apply_mutations(&mut [&mut b], vec![RemoveVertex(6), RemoveVertex(8), AddVertex(8, 81)]);
-        vec![a, b]
     }
 
     #[test]
@@ -579,29 +433,28 @@ mod tests {
         let fs = fs();
         let config = CheckpointConfig::new(2, "/ckpt");
         let aggs = vec![("sum".to_string(), AggValue::Long(42))];
-        let partitions = sample_partitions();
-        write_checkpoint(&fs, &config, 4, &partitions, aggs.clone()).unwrap();
+        let mut partitions = sample_partitions();
+        write_checkpoint(&fs, &config, 4, &mut partitions, aggs.clone()).unwrap();
 
         let restored = restore_latest::<Noop>(&fs, &config).unwrap().unwrap();
         assert_eq!(restored.superstep, 4);
         assert_eq!(restored.aggregators, aggs);
         assert_eq!(restored.partitions.len(), 2);
-        let a = &restored.partitions[0];
-        assert_eq!(a.ids, vec![1, 3]);
-        assert_eq!(a.values, vec![10, 30]);
-        assert_eq!([a.halted(0), a.halted(1)], [false, true]);
-        assert_eq!(a.inbox[0], vec![7, 8]);
-        assert_eq!(a.adjacency[0], vec![Edge::new(2, ())]);
-        assert_eq!(restored.partitions[1].ids, vec![2, 4, 8]);
+        assert_eq!(
+            restored.partitions[0].dump(),
+            vec![(1, 10, vec![Edge::new(2, ())], false, vec![7, 8]), (3, 30, vec![], true, vec![])]
+        );
+        let ids = |p: &Partition<Noop>| p.dump().into_iter().map(|v| v.0).collect::<Vec<_>>();
+        assert_eq!(ids(&restored.partitions[1]), vec![2, 4, 8]);
     }
 
     #[test]
     fn restore_picks_newest_committed() {
         let fs = fs();
         let config = CheckpointConfig::new(2, "/ckpt").keep(10);
-        let partitions = sample_partitions();
-        write_checkpoint(&fs, &config, 0, &partitions, vec![]).unwrap();
-        write_checkpoint(&fs, &config, 2, &partitions, vec![]).unwrap();
+        let mut partitions = sample_partitions();
+        write_checkpoint(&fs, &config, 0, &mut partitions, vec![]).unwrap();
+        write_checkpoint(&fs, &config, 2, &mut partitions, vec![]).unwrap();
         // A later, uncommitted (crashed mid-write) checkpoint is ignored.
         fs.write_all("/ckpt/cp_4/part_0.ckpt", b"torn").unwrap();
         let restored = restore_latest::<Noop>(&fs, &config).unwrap().unwrap();
@@ -619,9 +472,9 @@ mod tests {
     fn pruning_keeps_newest_k() {
         let fs = fs();
         let config = CheckpointConfig::new(2, "/ckpt").keep(2);
-        let partitions = sample_partitions();
+        let mut partitions = sample_partitions();
         for s in [0, 2, 4, 6] {
-            write_checkpoint(&fs, &config, s, &partitions, vec![]).unwrap();
+            write_checkpoint(&fs, &config, s, &mut partitions, vec![]).unwrap();
         }
         assert!(!fs.exists("/ckpt/cp_0"));
         assert!(!fs.exists("/ckpt/cp_2"));
@@ -634,14 +487,14 @@ mod tests {
         let fs = fs();
         let config = CheckpointConfig::new(2, "/ckpt");
         let aggs = vec![("sum".to_string(), AggValue::Long(42))];
-        let partitions = sample_partitions();
-        write_checkpoint(&fs, &config, 4, &partitions, aggs.clone()).unwrap();
+        let mut partitions = sample_partitions();
+        write_checkpoint(&fs, &config, 4, &mut partitions, aggs.clone()).unwrap();
 
         let (restored, agg) = restore_partitions::<Noop>(&fs, &config, 4, &[1]).unwrap();
         assert_eq!(agg, aggs);
         assert_eq!(restored.len(), 1);
         assert_eq!(restored[0].0, 1);
-        assert_eq!(restored[0].1.ids, vec![2, 4, 8]);
+        assert_eq!(restored[0].1.dump(), partitions[1].dump());
 
         // An uncommitted checkpoint is not a restore point.
         fs.write_all("/ckpt/cp_6/part_0.ckpt", b"torn").unwrap();
@@ -650,21 +503,24 @@ mod tests {
 
     #[test]
     fn frames_size_matches_written_bytes_and_roundtrips() {
-        // Ids in compute order, and the counts a superstep reads.
-        let derived = |p: &Partition<Noop>| {
-            let mut cursor = (0, 0);
-            let visits = std::iter::from_fn(|| p.next_scheduled(&mut cursor));
-            (visits.map(|s| p.ids[s]).collect::<Vec<_>>(), census(std::iter::once(p)))
+        // Ids in compute order (the sweep empties the inbox, so last).
+        let visits = |p: &mut Partition<Noop>| {
+            let mut ids = Vec::new();
+            p.compute_scheduled(|vertex, _| ids.push(vertex.id()));
+            ids
         };
-        let partitions = sample_partitions();
-        assert_eq!(derived(&partitions[1]), (vec![2, 4, 8], (3, 1, 2)));
-        for partition in &partitions {
-            let buf = encode_partition(partition, 0, 0).unwrap();
-            assert_eq!(partition_frames_size(partition).unwrap(), buf.len() as u64);
-            let back = read_partition_frames::<Noop>(&buf).unwrap();
-            assert_eq!(encode_partition(&back, 0, 0).unwrap(), buf);
-            assert_eq!(derived(&back), derived(partition));
+        let mut partitions = sample_partitions();
+        assert_eq!(partitions[1].counts(), (3, 1, 2));
+        for partition in &mut partitions {
+            let (topology, state) = partition.charge().unwrap();
+            let bytes = encode_partition(partition, 0).unwrap();
+            assert_eq!(topology + state, bytes.len() as u64);
+            let mut back = Partition::<Noop>::decode_file(&bytes).unwrap();
+            assert_eq!(encode_partition(&mut back, 0).unwrap(), bytes);
+            assert_eq!((back.dump(), back.counts()), (partition.dump(), partition.counts()));
+            assert_eq!(visits(&mut back), visits(partition));
         }
+        assert_eq!(visits(&mut sample_partitions().remove(1)), vec![2, 4, 8]);
     }
 
     #[test]

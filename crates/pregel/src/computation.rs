@@ -107,32 +107,60 @@ pub trait Computation: Send + Sync + Sized + 'static {
 pub struct VertexHandle<'a, I, V, E> {
     id: I,
     value: &'a mut V,
-    edges: &'a mut Vec<Edge<I, E>>,
+    edges: Edges<'a, I, E>,
     voted_halt: bool,
-    /// Lazily captured copy of the edge list as it was at compute entry,
-    /// made just before the first local edge mutation. Lets debuggers
-    /// reconstruct the exact entry context without cloning adjacency for
-    /// every vertex (mutating vertices are rare and already pay O(degree)).
-    original_edges: Option<Vec<Edge<I, E>>>,
+}
+
+/// A vertex's out-edges during one `compute()` call. The first local edit
+/// copies them, so a vertex that edits nothing copies nothing, and the list
+/// as it was at compute entry stays readable for Graft's context capture.
+enum Edges<'a, I, E> {
+    /// The engine's edge columns, borrowed; `edited` is the edit buffer
+    /// the engine folds back into its partition after the call.
+    Columns { entry: &'a [Edge<I, E>], edited: Option<Vec<Edge<I, E>>> },
+    /// A caller's list ([`VertexHandle::new`]), edited in place; `entry`
+    /// is the copy taken before the first edit.
+    List { list: &'a mut Vec<Edge<I, E>>, entry: Option<Vec<Edge<I, E>>> },
 }
 
 impl<'a, I: VertexId, V: Value, E: Value> VertexHandle<'a, I, V, E> {
     /// Creates a handle over borrowed vertex state. Exposed for the
     /// engine and for test harnesses that replay a single `compute()`.
     pub fn new(id: I, value: &'a mut V, edges: &'a mut Vec<Edge<I, E>>) -> Self {
-        Self { id, value, edges, voted_halt: false, original_edges: None }
+        Self { id, value, edges: Edges::List { list: edges, entry: None }, voted_halt: false }
     }
 
-    fn remember_edges(&mut self) {
-        if self.original_edges.is_none() {
-            self.original_edges = Some(self.edges.clone());
+    /// A handle over a partition's edge columns; see [`Self::into_edits`].
+    pub(crate) fn over_columns(id: I, value: &'a mut V, entry: &'a [Edge<I, E>]) -> Self {
+        Self { id, value, edges: Edges::Columns { entry, edited: None }, voted_halt: false }
+    }
+
+    /// The edit buffer of a handle made by [`Self::over_columns`], if the
+    /// call changed its edges.
+    pub(crate) fn into_edits(self) -> Option<Vec<Edge<I, E>>> {
+        match self.edges {
+            Edges::Columns { entry, edited } => edited.filter(|list| list.as_slice() != entry),
+            Edges::List { .. } => None,
+        }
+    }
+
+    fn edges_mut(&mut self) -> &mut Vec<Edge<I, E>> {
+        match &mut self.edges {
+            Edges::Columns { entry, edited } => edited.get_or_insert_with(|| entry.to_vec()),
+            Edges::List { list, entry } => {
+                entry.get_or_insert_with(|| list.to_vec());
+                list
+            }
         }
     }
 
     /// The edge list as it was when `compute()` started, regardless of
     /// local mutations made since. Used by Graft's context capture.
     pub fn edges_at_entry(&self) -> &[Edge<I, E>] {
-        self.original_edges.as_deref().unwrap_or(self.edges)
+        match &self.edges {
+            Edges::Columns { entry, .. } => entry,
+            Edges::List { list, entry } => entry.as_deref().unwrap_or(list),
+        }
     }
 
     /// This vertex's id.
@@ -157,32 +185,34 @@ impl<'a, I: VertexId, V: Value, E: Value> VertexHandle<'a, I, V, E> {
 
     /// The outgoing edges.
     pub fn edges(&self) -> &[Edge<I, E>] {
-        self.edges
+        match &self.edges {
+            Edges::Columns { entry, edited } => edited.as_deref().unwrap_or(entry),
+            Edges::List { list, .. } => list,
+        }
     }
 
     /// Out-degree.
     pub fn num_edges(&self) -> usize {
-        self.edges.len()
+        self.edges().len()
     }
 
     /// The value of the first edge to `target`, if any.
     pub fn edge_value(&self, target: I) -> Option<&E> {
-        self.edges.iter().find(|e| e.target == target).map(|e| &e.value)
+        self.edges().iter().find(|e| e.target == target).map(|e| &e.value)
     }
 
     /// Adds an outgoing edge immediately (local mutation).
     pub fn add_edge(&mut self, target: I, value: E) {
-        self.remember_edges();
-        self.edges.push(Edge::new(target, value));
+        self.edges_mut().push(Edge::new(target, value));
     }
 
     /// Removes the first outgoing edge to `target`; returns whether one
     /// existed.
     pub fn remove_edge(&mut self, target: I) -> bool {
-        self.remember_edges();
-        match self.edges.iter().position(|e| e.target == target) {
+        let edges = self.edges_mut();
+        match edges.iter().position(|e| e.target == target) {
             Some(i) => {
-                self.edges.remove(i);
+                edges.remove(i);
                 true
             }
             None => false,
@@ -192,8 +222,7 @@ impl<'a, I: VertexId, V: Value, E: Value> VertexHandle<'a, I, V, E> {
     /// Replaces the value of the first edge to `target`; returns whether
     /// one existed.
     pub fn set_edge_value(&mut self, target: I, value: E) -> bool {
-        self.remember_edges();
-        match self.edges.iter_mut().find(|e| e.target == target) {
+        match self.edges_mut().iter_mut().find(|e| e.target == target) {
             Some(e) => {
                 e.value = value;
                 true

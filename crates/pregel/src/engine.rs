@@ -72,10 +72,10 @@
 //!
 //! Shuffle buffers (raw `Vec`s and combining maps) are recycled through
 //! a shared buffer pool instead of reallocated every superstep: compute
-//! workers take buffers, delivery workers drain them and put them back,
-//! and inbox `Vec`s swap back into their slot after compute so their
-//! capacity survives the superstep. Recycled buffers retain capacity,
-//! never contents, so reuse is invisible to results and traces.
+//! workers take buffers, delivery workers drain them and put them back.
+//! A partition's inbox is one arena that keeps its capacity across
+//! supersteps (see [`crate::partition`]). Recycled buffers retain
+//! capacity, never contents, so reuse is invisible to results and traces.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -93,10 +93,11 @@ use serde::Serialize;
 
 use crate::aggregators::{AggregatorRegistry, WorkerAggregators};
 use crate::checkpoint::{self, CheckpointConfig, CheckpointError, RecoveryMode};
-use crate::computation::{Computation, VertexHandle};
+use crate::computation::Computation;
 use crate::fault::{ArmedFaults, FaultPlan};
 use crate::msglog::{CoordFrame, LoggedBatch, MsgLog, WorkerFrame};
 use crate::ooc::{OocConfig, SpillStore};
+use crate::partition::Partition;
 
 type MutationOf<C> =
     Mutation<<C as Computation>::Id, <C as Computation>::VValue, <C as Computation>::EValue>;
@@ -116,7 +117,7 @@ use crate::hash::{partition_for, FxHashMap};
 use crate::master::{MasterComputation, MasterContext};
 use crate::observer::{JobEnd, JobObserver};
 use crate::stats::{HaltReason, JobOutcome, JobStats, SuperstepStats};
-use crate::types::{Edge, GlobalData};
+use crate::types::GlobalData;
 
 /// Engine tuning knobs.
 #[derive(Clone, Copy, Debug)]
@@ -323,7 +324,7 @@ impl<C: Computation> Engine<C> {
         let job_start = Instant::now();
         let num_partitions = self.config.num_workers.max(1);
         let shared =
-            SharedState::new(build_partitions::<C>(graph, num_partitions), self.fresh_registry());
+            SharedState::new(Partition::split(graph, num_partitions), self.fresh_registry());
 
         let (num_vertices, num_edges, _) = census(shared.partitions.iter().map(lock));
 
@@ -411,9 +412,8 @@ impl<C: Computation> Engine<C> {
                 .map_err(|e| (state.superstep, EngineError::Spill(e)))?;
         }
 
-        let partitions: Vec<Partition<C>> =
-            shared.partitions.into_iter().map(Mutex::into_inner).collect();
-        let graph = rebuild_graph::<C>(partitions);
+        let graph =
+            Partition::concat(shared.partitions.into_iter().map(Mutex::into_inner).collect());
         Ok(JobOutcome {
             graph,
             stats: JobStats {
@@ -1373,99 +1373,14 @@ impl<C: Computation> SharedState<C> {
     }
 }
 
-/// One worker's share of the graph. `pub(crate)` so the checkpoint
-/// module can serialize and rebuild partitions directly.
-/// A slot is live while `index` maps its id to it; removal leaves a
-/// tombstone. The private fields are derived, and rebuilt by `push_vertex`
-/// on every reload: `awake` bits mark live unhalted slots and `mail` bits
-/// non-empty inboxes (the active set), `live_edges` totals the adjacency.
-pub(crate) struct Partition<C: Computation> {
-    pub(crate) ids: Vec<C::Id>,
-    pub(crate) values: Vec<C::VValue>,
-    pub(crate) adjacency: Vec<Vec<Edge<C::Id, C::EValue>>>,
-    pub(crate) inbox: Vec<Vec<C::Message>>,
-    pub(crate) index: FxHashMap<C::Id, usize>,
-    awake: Vec<u64>,
-    mail: Vec<u64>,
-    live_edges: u64,
-}
-
-fn set_bit(words: &mut [u64], slot: usize, on: bool) {
-    let word = &mut words[slot / 64];
-    *word = (*word & !(1 << (slot % 64))) | (u64::from(on) << (slot % 64));
-}
-
-impl<C: Computation> Partition<C> {
-    pub(crate) fn new() -> Self {
-        Self {
-            ids: Vec::new(),
-            values: Vec::new(),
-            adjacency: Vec::new(),
-            inbox: Vec::new(),
-            index: FxHashMap::default(),
-            awake: Vec::new(),
-            mail: Vec::new(),
-            live_edges: 0,
-        }
-    }
-
-    pub(crate) fn push_vertex(
-        &mut self,
-        id: C::Id,
-        value: C::VValue,
-        edges: Vec<Edge<C::Id, C::EValue>>,
-        halted: bool,
-        inbox: Vec<C::Message>,
-    ) {
-        let slot = self.ids.len();
-        self.awake.resize(slot / 64 + 1, 0);
-        self.mail.resize(slot / 64 + 1, 0);
-        set_bit(&mut self.awake, slot, !halted);
-        set_bit(&mut self.mail, slot, !inbox.is_empty());
-        self.live_edges += edges.len() as u64;
-        self.ids.push(id);
-        self.values.push(value);
-        self.adjacency.push(edges);
-        self.inbox.push(inbox);
-        self.index.insert(id, slot);
-    }
-
-    /// Whether the vertex in `slot` has voted to halt; tombstones have.
-    pub(crate) fn halted(&self, slot: usize) -> bool {
-        self.awake[slot / 64] >> (slot % 64) & 1 == 0
-    }
-
-    /// The next slot to compute — awake, or halted with mail — in ascending
-    /// order; the cursor is `(next word, bits left of this one)` from `(0, 0)`.
-    pub(crate) fn next_scheduled(&self, (word, bits): &mut (usize, u64)) -> Option<usize> {
-        while *bits == 0 {
-            *bits = self.awake.get(*word)? | self.mail[*word];
-            *word += 1;
-        }
-        let slot = (*word - 1) * 64 + bits.trailing_zeros() as usize;
-        *bits &= *bits - 1;
-        Some(slot)
-    }
-
-    /// Live vertex `target`'s inbox, marked as holding mail: callers push.
-    fn mailbox(&mut self, target: &C::Id) -> Option<&mut Vec<C::Message>> {
-        let slot = *self.index.get(target)?;
-        set_bit(&mut self.mail, slot, true);
-        Some(&mut self.inbox[slot])
-    }
-
-    fn active(&self) -> u64 {
-        self.awake.iter().map(|w| u64::from(w.count_ones())).sum()
-    }
-}
-
 /// `(vertices, edges, active vertices)` from the partitions' carried counts.
 pub(crate) fn census<C: Computation, P: std::ops::Deref<Target = Partition<C>>>(
     partitions: impl Iterator<Item = P>,
 ) -> (u64, u64, u64) {
     partitions.fold((0, 0, 0), |(vertices, edges, active), p| {
-        debug_assert_eq!(p.live_edges, p.adjacency.iter().map(|a| a.len() as u64).sum::<u64>());
-        (vertices + p.index.len() as u64, edges + p.live_edges, active + p.active())
+        let (v, e, a) = p.counts();
+        debug_assert_eq!(e, p.count_edges());
+        (vertices + v, edges + e, active + a)
     })
 }
 
@@ -1586,46 +1501,6 @@ struct DeliveryCounts {
     nanos: u64,
 }
 
-fn build_partitions<C: Computation>(
-    graph: Graph<C::Id, C::VValue, C::EValue>,
-    num_partitions: usize,
-) -> Vec<Partition<C>> {
-    let mut partitions: Vec<Partition<C>> = (0..num_partitions).map(|_| Partition::new()).collect();
-    let (ids, values, adjacency) = graph.into_parts();
-    for ((id, value), edges) in ids.into_iter().zip(values).zip(adjacency) {
-        partitions[partition_for(&id, num_partitions)].push_vertex(
-            id,
-            value,
-            edges,
-            false,
-            Vec::new(),
-        );
-    }
-    partitions
-}
-
-fn rebuild_graph<C: Computation>(
-    partitions: Vec<Partition<C>>,
-) -> Graph<C::Id, C::VValue, C::EValue> {
-    let mut ids = Vec::new();
-    let mut values = Vec::new();
-    let mut adjacency = Vec::new();
-    for partition in partitions {
-        let index = partition.index;
-        let slots = partition.ids.into_iter().zip(partition.values).zip(partition.adjacency);
-        for (slot, ((id, value), edges)) in slots.enumerate() {
-            // Tombstones are gone from the index, or point elsewhere in it
-            // when the id was re-added; only keep slots the index owns.
-            if index.get(&id) == Some(&slot) {
-                ids.push(id);
-                values.push(value);
-                adjacency.push(edges);
-            }
-        }
-    }
-    Graph::from_parts(ids, values, adjacency)
-}
-
 /// Folds one `(target, message)` send into a worker's combining map, in
 /// send order. The count tracks raw messages so delivery stats stay
 /// exact.
@@ -1645,30 +1520,6 @@ fn fold_entry<C: Computation>(
         Entry::Vacant(entry) => {
             entry.insert((message, 1));
         }
-    }
-}
-
-/// Merges one per-source combined partial into the target's inbox.
-/// Partials arrive in source-worker order, so the cross-worker fold is
-/// deterministic; within a batch, targets are independent.
-fn deliver_combined<C: Computation>(
-    computation: &C,
-    partition: &mut Partition<C>,
-    target: C::Id,
-    message: C::Message,
-    count: u64,
-    delivered: &mut u64,
-    missing: &mut u64,
-) {
-    match partition.mailbox(&target) {
-        Some(inbox) => {
-            match inbox.first_mut() {
-                Some(acc) => *acc = computation.combine(acc, &message),
-                None => inbox.push(message),
-            }
-            *delivered += count;
-        }
-        None => *missing += count,
     }
 }
 
@@ -1804,16 +1655,9 @@ fn worker_compute_core<C: Computation>(
             &mut mutations,
             std::mem::take(staged),
         );
-        let mut cursor = (0, 0);
-        while let Some(slot) = partition.next_scheduled(&mut cursor) {
-            let messages = std::mem::take(&mut partition.inbox[slot]);
-            set_bit(&mut partition.mail, slot, false);
-            let id = partition.ids[slot];
-            partition.live_edges -= partition.adjacency[slot].len() as u64;
-            let mut handle =
-                VertexHandle::new(id, &mut partition.values[slot], &mut partition.adjacency[slot]);
+        partition.compute_scheduled(|handle, messages| {
             compute_calls += 1;
-            current = Some(id);
+            current = Some(handle.id());
             // Injected panic: raised outside the user's compute (so the
             // Graft instrumenter never records it as a vertex exception)
             // but attributed to the vertex like one of its own.
@@ -1823,11 +1667,8 @@ fn worker_compute_core<C: Computation>(
                     global.superstep
                 );
             }
-            computation.compute(&mut handle, &messages, &mut cctx);
+            computation.compute(handle, messages, &mut cctx);
             current = None;
-            set_bit(&mut partition.awake, slot, !handle.has_voted_halt());
-            // `add_edge` / `remove_edge` edited adjacency in place.
-            partition.live_edges += partition.adjacency[slot].len() as u64;
             for (target, message) in cctx.drain_staged() {
                 messages_sent += 1;
                 match &mut outboxes[partition_for(&target, ctx.num_partitions)] {
@@ -1838,13 +1679,7 @@ fn worker_compute_core<C: Computation>(
                     }
                 }
             }
-            // Swap the drained inbox Vec back into its slot: it is empty
-            // either way, but this way its capacity survives into the
-            // next superstep's delivery.
-            let mut drained = messages;
-            drained.clear();
-            partition.inbox[slot] = drained;
-        }
+        });
         *staged = cctx.into_buffer();
     }));
     if let Err(payload) = swept {
@@ -1872,11 +1707,11 @@ fn worker_compute_core<C: Computation>(
     ))
 }
 
-/// Borrowing twin of [`LoggedBatch`] over an in-memory outbox, as
-/// `VertexRecordRef` is of `VertexRecord`: same variant indices and entry
-/// layout, so it writes the bytes the owned form decodes without cloning
-/// an entry. The message log and the shuffle spill serialize it and the
-/// budget sizes it (`framed_size`), so bytes and charge cannot drift.
+/// Borrowing twin of [`LoggedBatch`] over an in-memory outbox: same
+/// variant indices and entry layout, so it writes the bytes the owned
+/// form decodes without cloning an entry. The message log and the
+/// shuffle spill serialize it and the budget sizes it (`framed_size`),
+/// so bytes and charge cannot drift.
 struct OutboxRef<'a, C: Computation>(&'a Outbox<C>);
 
 impl<C: Computation> Serialize for OutboxRef<'_, C> {
@@ -1981,11 +1816,12 @@ fn worker_deliver<C: Computation>(
     }
     drop(slots);
 
+    let (_, edges, active) = partition.counts();
     Ok(DeliveryCounts {
         delivered,
         missing,
-        active: partition.active(),
-        edges: partition.live_edges,
+        active,
+        edges,
         nanos: timer.map(|t| t.stop()).unwrap_or(0),
     })
 }
@@ -2008,27 +1844,22 @@ fn apply_batch<C: Computation>(
                 "a combiner job ships, logs and spills only combined batches"
             );
             for (target, message) in buf.drain(..) {
-                match partition.mailbox(&target) {
-                    Some(inbox) => {
-                        inbox.push(message);
-                        *delivered += 1;
-                    }
-                    None => *missing += 1,
+                match partition.deliver(&target, message, None) {
+                    true => *delivered += 1,
+                    false => *missing += 1,
                 }
             }
             buffers.put(Outbox::Raw(buf));
         }
         Outbox::Combined(mut map) => {
+            // Partials arrive in source-worker order, so the cross-worker
+            // fold is deterministic; within a batch, targets are
+            // independent.
             for (target, (message, count)) in map.drain() {
-                deliver_combined(
-                    computation,
-                    partition,
-                    target,
-                    message,
-                    count,
-                    delivered,
-                    missing,
-                );
+                match partition.deliver(&target, message, Some(computation)) {
+                    true => *delivered += count,
+                    false => *missing += count,
+                }
             }
             buffers.put(Outbox::Combined(map));
         }
@@ -2194,44 +2025,28 @@ pub(crate) fn apply_mutations<C: Computation, P: std::ops::DerefMut<Target = Par
     }
 
     // Pregel resolution order: removals before additions.
+    let n = partitions.len();
     for (src, dst) in removals_edge {
-        let partition = &mut *partitions[partition_for(&src, partitions.len())];
-        if let Some(&slot) = partition.index.get(&src) {
-            let before = partition.adjacency[slot].len();
-            partition.adjacency[slot].retain(|e| e.target != dst);
-            let dropped = (before - partition.adjacency[slot].len()) as u64;
-            partition.live_edges -= dropped;
-            applied += u64::from(dropped != 0);
-        }
+        applied += u64::from(partitions[partition_for(&src, n)].edit_edges(&src, |edges| {
+            let before = edges.len();
+            edges.retain(|e| e.target != dst);
+            edges.len() != before
+        }));
     }
     for id in removals_vertex {
-        let partition = &mut *partitions[partition_for(&id, partitions.len())];
-        if let Some(slot) = partition.index.remove(&id) {
-            set_bit(&mut partition.awake, slot, false);
-            set_bit(&mut partition.mail, slot, false);
-            partition.live_edges -= partition.adjacency[slot].len() as u64;
-            partition.adjacency[slot].clear();
-            partition.inbox[slot].clear();
-            applied += 1;
-        }
+        applied += u64::from(partitions[partition_for(&id, n)].remove_vertex(&id));
     }
     for (id, value) in additions_vertex {
-        let partition = &mut *partitions[partition_for(&id, partitions.len())];
-        if !partition.index.contains_key(&id) {
-            partition.push_vertex(id, value, Vec::new(), false, Vec::new());
-            applied += 1;
-        }
+        applied += u64::from(partitions[partition_for(&id, n)].add_vertex(id, value));
     }
     for (src, edge) in additions_edge {
-        let partition = &mut *partitions[partition_for(&src, partitions.len())];
-        if let Some(&slot) = partition.index.get(&src) {
-            partition.adjacency[slot].push(edge);
-            partition.live_edges += 1;
-            applied += 1;
-        }
         // An AddEdge whose source does not exist is dropped; Giraph would
         // create the source with a default value, which a generic engine
         // cannot do without a `Default` bound.
+        applied += u64::from(partitions[partition_for(&src, n)].edit_edges(&src, |edges| {
+            edges.push(edge);
+            true
+        }));
     }
     applied
 }

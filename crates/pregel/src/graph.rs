@@ -3,30 +3,33 @@
 use crate::hash::FxHashMap;
 use crate::types::{Edge, Value, VertexId};
 
-/// Per-vertex out-edge lists, indexed by dense vertex position.
-type Adjacency<I, E> = Vec<Vec<Edge<I, E>>>;
+/// A graph's columns: ids, values, edge offsets (one more than ids, from
+/// 0) and the edge array.
+type Columns<I, V, E> = (Vec<I>, Vec<V>, Vec<usize>, Vec<Edge<I, E>>);
+
+/// One vertex's out-edges as a list of their own.
+type Edges<I, E> = Vec<Edge<I, E>>;
 
 /// An in-memory directed graph: the input to (and final output of) a
 /// Pregel job.
 ///
+/// Stored as columns over dense vertex positions in insertion order: ids,
+/// values, and the out-edges as one array where vertex `i`'s edges are
+/// `edges[offsets[i]..offsets[i + 1]]` — no allocation per vertex.
 /// Undirected graphs are represented, as in Giraph, by symmetric directed
 /// edges (see [`GraphBuilder::add_undirected_edge`]).
 #[derive(Clone, Debug)]
 pub struct Graph<I, V, E> {
     ids: Vec<I>,
     values: Vec<V>,
-    adjacency: Adjacency<I, E>,
+    offsets: Vec<usize>,
+    edges: Vec<Edge<I, E>>,
     index: FxHashMap<I, usize>,
 }
 
 impl<I: VertexId, V: Value, E: Value> Default for Graph<I, V, E> {
     fn default() -> Self {
-        Self {
-            ids: Vec::new(),
-            values: Vec::new(),
-            adjacency: Vec::new(),
-            index: FxHashMap::default(),
-        }
+        Self::from_columns(Vec::new(), Vec::new(), vec![0], Vec::new())
     }
 }
 
@@ -38,7 +41,7 @@ impl<I: VertexId, V: Value, E: Value> Graph<I, V, E> {
 
     /// Starts an incremental builder.
     pub fn builder() -> GraphBuilder<I, V, E> {
-        GraphBuilder { graph: Graph::new(), strict: false }
+        GraphBuilder { graph: Graph::new(), sources: Vec::new(), strict: false }
     }
 
     /// Number of vertices.
@@ -48,7 +51,7 @@ impl<I: VertexId, V: Value, E: Value> Graph<I, V, E> {
 
     /// Number of directed edges.
     pub fn num_edges(&self) -> u64 {
-        self.adjacency.iter().map(|a| a.len() as u64).sum()
+        self.edges.len() as u64
     }
 
     /// Whether the graph has no vertices.
@@ -68,21 +71,17 @@ impl<I: VertexId, V: Value, E: Value> Graph<I, V, E> {
 
     /// The outgoing edges of vertex `id`, if present.
     pub fn out_edges(&self, id: I) -> Option<&[Edge<I, E>]> {
-        self.index.get(&id).map(|&i| self.adjacency[i].as_slice())
+        self.index.get(&id).map(|&i| self.edges_at(i))
     }
 
     /// Out-degree of vertex `id`, if present.
     pub fn out_degree(&self, id: I) -> Option<usize> {
-        self.index.get(&id).map(|&i| self.adjacency[i].len())
+        self.index.get(&id).map(|&i| self.offsets[i + 1] - self.offsets[i])
     }
 
     /// Iterates `(id, value, out-edges)` triples in insertion order.
     pub fn iter(&self) -> impl Iterator<Item = (I, &V, &[Edge<I, E>])> {
-        self.ids
-            .iter()
-            .zip(&self.values)
-            .zip(&self.adjacency)
-            .map(|((id, v), adj)| (*id, v, adj.as_slice()))
+        self.ids.iter().zip(&self.values).enumerate().map(|(i, (id, v))| (*id, v, self.edges_at(i)))
     }
 
     /// All vertex ids in insertion order.
@@ -102,10 +101,10 @@ impl<I: VertexId, V: Value, E: Value> Graph<I, V, E> {
     /// dangling `(source, target)` pairs.
     pub fn dangling_edges(&self) -> Vec<(I, I)> {
         let mut out = Vec::new();
-        for (i, adj) in self.adjacency.iter().enumerate() {
+        for (src, _, adj) in self.iter() {
             for e in adj {
                 if !self.index.contains_key(&e.target) {
-                    out.push((self.ids[i], e.target));
+                    out.push((src, e.target));
                 }
             }
         }
@@ -116,14 +115,11 @@ impl<I: VertexId, V: Value, E: Value> Graph<I, V, E> {
     /// empty exactly when the graph is symmetric (undirected).
     pub fn asymmetric_edges(&self) -> Vec<(I, I)> {
         let mut out = Vec::new();
-        for (i, adj) in self.adjacency.iter().enumerate() {
-            let src = self.ids[i];
+        for (src, _, adj) in self.iter() {
             for e in adj {
                 let has_reverse = self
-                    .index
-                    .get(&e.target)
-                    .map(|&j| self.adjacency[j].iter().any(|back| back.target == src))
-                    .unwrap_or(false);
+                    .out_edges(e.target)
+                    .is_some_and(|back| back.iter().any(|b| b.target == src));
                 if !has_reverse {
                     out.push((src, e.target));
                 }
@@ -134,23 +130,50 @@ impl<I: VertexId, V: Value, E: Value> Graph<I, V, E> {
 
     /// Summary statistics used by dataset tables and sanity tests.
     pub fn stats(&self) -> GraphStats {
-        let degrees: Vec<usize> = self.adjacency.iter().map(|a| a.len()).collect();
-        let num_edges = degrees.iter().map(|&d| d as u64).sum();
+        let degrees = self.offsets.windows(2).map(|w| (w[1] - w[0]) as u64);
         GraphStats {
             num_vertices: self.ids.len() as u64,
-            num_edges,
-            max_out_degree: degrees.iter().copied().max().unwrap_or(0) as u64,
-            min_out_degree: degrees.iter().copied().min().unwrap_or(0) as u64,
+            num_edges: self.num_edges(),
+            max_out_degree: degrees.clone().max().unwrap_or(0),
+            min_out_degree: degrees.min().unwrap_or(0),
         }
     }
 
-    pub(crate) fn into_parts(self) -> (Vec<I>, Vec<V>, Adjacency<I, E>) {
-        (self.ids, self.values, self.adjacency)
+    fn edges_at(&self, i: usize) -> &[Edge<I, E>] {
+        &self.edges[self.offsets[i]..self.offsets[i + 1]]
     }
 
-    pub(crate) fn from_parts(ids: Vec<I>, values: Vec<V>, adjacency: Adjacency<I, E>) -> Self {
-        let index = ids.iter().enumerate().map(|(i, id)| (*id, i)).collect();
-        Self { ids, values, adjacency, index }
+    pub(crate) fn into_columns(self) -> Columns<I, V, E> {
+        (self.ids, self.values, self.offsets, self.edges)
+    }
+
+    pub(crate) fn from_columns(
+        ids: Vec<I>,
+        values: Vec<V>,
+        offsets: Vec<usize>,
+        edges: Vec<Edge<I, E>>,
+    ) -> Self {
+        let mut index = FxHashMap::with_capacity_and_hasher(ids.len(), Default::default());
+        index.extend(ids.iter().enumerate().map(|(i, id)| (*id, i)));
+        Self { ids, values, offsets, edges, index }
+    }
+
+    /// Per-vertex edge lists, for the sequential oracle
+    /// ([`crate::reference`]), which keeps vertices as records.
+    pub(crate) fn into_parts(self) -> (Vec<I>, Vec<V>, Vec<Edges<I, E>>) {
+        let mut edges = self.edges.into_iter();
+        let lists = self.offsets.windows(2).map(|w| edges.by_ref().take(w[1] - w[0]).collect());
+        (self.ids, self.values, lists.collect())
+    }
+
+    pub(crate) fn from_parts(ids: Vec<I>, values: Vec<V>, lists: Vec<Edges<I, E>>) -> Self {
+        let offsets = std::iter::once(0)
+            .chain(lists.iter().scan(0, |end, list| {
+                *end += list.len();
+                Some(*end)
+            }))
+            .collect();
+        Self::from_columns(ids, values, offsets, lists.into_iter().flatten().collect())
     }
 }
 
@@ -175,7 +198,11 @@ pub struct GraphStats {
 /// tolerates them until a message is sent to a missing vertex).
 #[derive(Debug)]
 pub struct GraphBuilder<I, V, E> {
+    /// Edges wait in insertion order until [`GraphBuilder::build`]
+    /// buckets them by source.
     graph: Graph<I, V, E>,
+    /// The source position of each edge.
+    sources: Vec<usize>,
     strict: bool,
 }
 
@@ -224,7 +251,6 @@ impl<I: VertexId, V: Value, E: Value> GraphBuilder<I, V, E> {
         self.graph.index.insert(id, self.graph.ids.len());
         self.graph.ids.push(id);
         self.graph.values.push(value);
-        self.graph.adjacency.push(Vec::new());
         Ok(self)
     }
 
@@ -235,7 +261,8 @@ impl<I: VertexId, V: Value, E: Value> GraphBuilder<I, V, E> {
             .index
             .get(&source)
             .ok_or_else(|| GraphError::NoSuchVertex(source.to_string()))?;
-        self.graph.adjacency[i].push(Edge::new(target, value));
+        self.sources.push(i);
+        self.graph.edges.push(Edge::new(target, value));
         Ok(self)
     }
 
@@ -247,17 +274,41 @@ impl<I: VertexId, V: Value, E: Value> GraphBuilder<I, V, E> {
         Ok(self)
     }
 
-    /// Finishes construction.
+    /// Finishes construction: buckets the edges by source, stably, so each
+    /// vertex keeps its edges in insertion order.
     pub fn build(self) -> Result<Graph<I, V, E>, GraphError> {
-        if self.strict {
-            if let Some((source, target)) = self.graph.dangling_edges().into_iter().next() {
+        let Self { mut graph, sources, strict } = self;
+        let offsets = &mut graph.offsets;
+        offsets.resize(graph.ids.len() + 1, 0);
+        for &source in &sources {
+            offsets[source + 1] += 1;
+        }
+        for i in 1..offsets.len() {
+            offsets[i] += offsets[i - 1];
+        }
+        // Edges added in source order are bucketed already. Otherwise a
+        // counting pass orders edge positions by source, and the edges are
+        // gathered in that order: the input is read at random once, the
+        // output written in order, and the source list is freed first.
+        if !sources.is_sorted() {
+            let mut next = offsets.clone();
+            let mut order = vec![0; sources.len()];
+            for (k, &source) in sources.iter().enumerate() {
+                order[next[source]] = k;
+                next[source] += 1;
+            }
+            drop(sources);
+            graph.edges = order.iter().map(|&k| graph.edges[k].clone()).collect();
+        }
+        if strict {
+            if let Some((source, target)) = graph.dangling_edges().into_iter().next() {
                 return Err(GraphError::DanglingEdge {
                     source: source.to_string(),
                     target: target.to_string(),
                 });
             }
         }
-        Ok(self.graph)
+        Ok(graph)
     }
 }
 
@@ -282,6 +333,8 @@ mod tests {
         assert_eq!(g.num_vertices(), 3);
         assert_eq!(g.num_edges(), 6);
         assert_eq!(g.out_degree(0), Some(2));
+        // Added out of source order; each vertex keeps insertion order.
+        assert_eq!(g.out_edges(2), Some(&[Edge::from(1), Edge::from(0)][..]));
         assert_eq!(g.value(1), Some(&0));
         assert!(g.contains(2));
         assert!(!g.contains(9));

@@ -73,6 +73,7 @@ mod master;
 mod msglog;
 mod observer;
 pub mod ooc;
+mod partition;
 pub mod reference;
 mod stats;
 #[cfg(test)]

@@ -11,11 +11,13 @@
 //!
 //! ## Accounting model
 //!
-//! The unit of charge is *serialized bytes* (the exact frames a spill
-//! would write), computed with `graft-codec`'s counting serializer so no
-//! throwaway encoding pass is needed. A partition's charge is refreshed
-//! each time its pin is released; a staged in-memory shuffle batch is
-//! charged at ship time and released at delivery.
+//! The unit of charge is *serialized bytes*: the exact parts a spill
+//! would write (`partition.rs`), counted with `graft-codec`'s counting
+//! serializer so no throwaway encoding pass is needed. A partition's
+//! charge is its topology part — sized once per topology version — plus
+//! its state part, re-sized each time its pin is released; a staged
+//! in-memory shuffle batch is charged at ship time and released at
+//! delivery.
 //!
 //! ## Pin/evict lifecycle
 //!
@@ -35,26 +37,34 @@
 //! ## Spill-segment layout
 //!
 //! ```text
-//! <root>/parts/p<idx>.seg          framed VertexRecords, identical to a
-//!                                  checkpoint partition file; deleted on
-//!                                  load
+//! <root>/parts/p<idx>.topo         the partition's topology part: written
+//!                                  when it is evicted with a topology the
+//!                                  file does not hold, kept across loads
+//! <root>/parts/p<idx>.seg          its state part: written at every
+//!                                  eviction, deleted on load
 //! <root>/shuffle/s<s>/p<t>_w<w>.seg  one framed LoggedBatch from worker
 //!                                  w to partition t at superstep s;
 //!                                  deleted at delivery
 //! ```
 //!
-//! Spilled partition state restores *bit-identically* because it reuses
-//! the checkpoint module's framing and its live-slot-order traversal:
-//! re-pushing records in file order preserves compute order, staging
-//! order, and combiner fold order (see `checkpoint.rs` docs). The whole
-//! root is deleted when the job completes, so a budgeted run leaves the
-//! same files behind as an unbounded one.
+//! A partition whose topology no mutation or edge edit touched since its
+//! last load spills its state alone: for PageRank that is the values and
+//! the inbox, not the ids and edges. A load decodes both parts into
+//! columns in slot order, so compute order, staging order and combiner
+//! fold order survive (see `checkpoint.rs` docs). The whole root is
+//! deleted when the job completes, so a budgeted run leaves the same
+//! files behind as an unbounded one.
 //!
-//! That identity is also how a checkpoint is taken under a budget
-//! ([`SpillStore::checkpoint_partitions`]): a spilled partition's
-//! segment is *copied* to `cp_<s>/part_<p>.ckpt` — no load, no decode,
-//! no encode. It cannot change until it is loaded, and a load needs the
-//! store lock the copy holds.
+//! The two parts concatenated are the partition's checkpoint file, which
+//! is how a checkpoint is taken under a budget
+//! ([`SpillStore::checkpoint_partitions`]): a spilled partition's files
+//! are *copied* to `cp_<s>/part_<p>.ckpt` — no load, no decode, no
+//! encode. They cannot change until the partition is loaded, and a load
+//! needs the store lock the copy holds.
+//!
+//! Time spent loading, spilling and sizing partitions accumulates on the
+//! obs clock in `ooc_load_nanos_total`, `ooc_spill_nanos_total` and
+//! `ooc_charge_nanos_total`; without obs nothing is timed.
 //!
 //! Lock order is strictly store → partition. Any partition mutex taken
 //! while holding the store lock belongs to an unpinned partition (whose
@@ -66,14 +76,10 @@ use std::sync::{Arc, Condvar, Mutex as StdMutex, MutexGuard as StdMutexGuard};
 use graft_dfs::FileSystem;
 use graft_obs::{Obs, Scope};
 
-use crate::checkpoint::{
-    encode_partition, partition_frames_size, read_partition_frames, vertex_record_frame_size,
-    write_checkpoint_partition, CheckpointError,
-};
+use crate::checkpoint::{encode_partition, write_checkpoint_partition, CheckpointError};
 use crate::computation::Computation;
-use crate::engine::Partition;
 use crate::graph::Graph;
-use crate::hash::partition_for;
+use crate::partition::{max_split_charge, Partition};
 use graft_sched::sync::Mutex as SchedMutex;
 
 /// Out-of-core configuration: the byte budget and where spill segments
@@ -97,11 +103,11 @@ impl OocConfig {
 
 /// One partition's residency state.
 enum Slot {
-    /// In memory, charged against the budget; `pins` holders forbid
+    /// In memory, charged `bytes` (both parts); `pins` holders forbid
     /// eviction.
     Resident { bytes: u64, pins: u32 },
-    /// On disk at `parts/p<idx>.seg`; the in-memory partition is empty.
-    Spilled { bytes: u64 },
+    /// On disk as its two parts; the in-memory partition is empty.
+    Spilled { topology: u64, state: u64 },
 }
 
 struct StoreState {
@@ -115,8 +121,10 @@ struct StoreState {
     /// Charge per staged batch, keyed by `(target partition, source
     /// worker)` so delivery can release exactly what shipping charged.
     shuffle_charges: crate::hash::FxHashMap<(usize, usize), u64>,
-    /// Bytes currently on disk (spilled partitions + shuffle segments);
-    /// exported as the `live_spill_bytes` gauge.
+    /// Size of each partition's topology file, 0 while it has none.
+    topology_files: Vec<u64>,
+    /// Bytes currently on disk (topology and state parts + shuffle
+    /// segments); exported as the `live_spill_bytes` gauge.
     disk_bytes: u64,
 }
 
@@ -181,6 +189,7 @@ impl<C: Computation> SpillStore<C> {
                 partition_bytes: 0,
                 shuffle_bytes: 0,
                 shuffle_charges: crate::hash::FxHashMap::default(),
+                topology_files: vec![0; num_partitions],
                 disk_bytes: 0,
             }),
             cond: Condvar::new(),
@@ -207,8 +216,29 @@ impl<C: Computation> SpillStore<C> {
         }
     }
 
+    /// Runs `f`, adding its duration on the obs clock to `counter`.
+    fn timed<T>(&self, counter: &'static str, f: impl FnOnce() -> T) -> T {
+        let timer = self.obs.as_ref().map(|obs| obs.timer());
+        let out = f();
+        if let (Some(obs), Some(timer)) = (&self.obs, timer) {
+            obs.registry().inc(counter, Scope::GLOBAL, timer.stop());
+        }
+        out
+    }
+
+    /// Sizes a resident partition: the bytes its two parts would spill.
+    fn charge(&self, partition: &mut Partition<C>, idx: usize) -> Result<u64, CheckpointError> {
+        self.timed("ooc_charge_nanos_total", || partition.charge())
+            .map(|(topology, state)| topology + state)
+            .map_err(|e| CheckpointError::new(format!("sizing partition {idx}"), e))
+    }
+
     fn part_path(&self, idx: usize) -> String {
         format!("{}/parts/p{idx}.seg", self.root)
+    }
+
+    fn topology_path(&self, idx: usize) -> String {
+        format!("{}/parts/p{idx}.topo", self.root)
     }
 
     /// Takes ownership of the freshly built partitions: charges each
@@ -223,8 +253,7 @@ impl<C: Computation> SpillStore<C> {
         st.partition_bytes = 0;
         st.lru.clear();
         for (idx, partition) in partitions.iter().enumerate() {
-            let bytes = partition_frames_size(&partition.lock())
-                .map_err(|e| CheckpointError::new(format!("sizing partition {idx}"), e))?;
+            let bytes = self.charge(&mut partition.lock(), idx)?;
             st.slots[idx] = Slot::Resident { bytes, pins: 0 };
             st.lru.push(idx);
             st.partition_bytes += bytes;
@@ -255,7 +284,8 @@ impl<C: Computation> SpillStore<C> {
                     }
                     return Ok(PinGuard { store: self, partitions, idx });
                 }
-                Slot::Spilled { bytes: need } => {
+                Slot::Spilled { topology, state } => {
+                    let need = topology + state;
                     while st.charged() + need > self.budget && !st.lru.is_empty() {
                         self.evict_one(&mut st, partitions)?;
                     }
@@ -292,7 +322,7 @@ impl<C: Computation> SpillStore<C> {
         // Sized before the store lock is taken, so other workers do not
         // queue behind the walk (still pinned, it cannot be evicted). A
         // size error (practically impossible) keeps the previous charge.
-        let refreshed = partition_frames_size(&partitions[idx].lock()).ok();
+        let refreshed = self.charge(&mut partitions[idx].lock(), idx).ok();
         let mut st = self.state_lock();
         if let Slot::Resident { bytes, pins } = &mut st.slots[idx] {
             let old = *bytes;
@@ -328,87 +358,126 @@ impl<C: Computation> SpillStore<C> {
         Ok(())
     }
 
-    /// Spills the least recently used unpinned partition to its segment
+    /// Spills the least recently used unpinned partition — its state part,
+    /// and its topology part unless the topology file already holds it —
     /// and replaces the in-memory partition with an empty one.
     fn evict_one(
         &self,
         st: &mut StoreState,
         partitions: &[SchedMutex<Partition<C>>],
     ) -> Result<(), CheckpointError> {
-        // Popped only once the segment is written: on failure the victim
+        // Popped only once both parts are written: on failure the victim
         // stays resident at the front of the LRU.
         let victim = st.lru[0];
         let Slot::Resident { bytes: charged, .. } = st.slots[victim] else {
             unreachable!("the LRU holds resident partitions only")
         };
-        let path = self.part_path(victim);
-        let written = {
+        let (state, written) = self.timed("ooc_spill_nanos_total", || {
             let mut guard = partitions[victim].lock();
-            let frames = encode_partition(&guard, victim, charged)?;
-            self.fs
-                .write_all(&path, &frames)
-                .map_err(|e| CheckpointError::new(format!("writing {path}"), e))?;
+            let written = self.write_parts(st, &mut guard, victim)?;
             *guard = Partition::new();
-            frames.len() as u64
-        };
+            Ok::<_, CheckpointError>(written)
+        })?;
         st.lru.remove(0);
         st.partition_bytes -= charged;
-        st.slots[victim] = Slot::Spilled { bytes: written };
-        st.disk_bytes += written;
+        st.slots[victim] = Slot::Spilled { topology: st.topology_files[victim], state };
+        st.disk_bytes += state;
         self.count("ooc_spills_total", 1);
         self.count("ooc_spill_bytes_total", written);
         self.publish_disk_gauge(st);
         Ok(())
     }
 
-    /// Loads a spilled partition back into memory (deleting its segment)
-    /// and pins it.
+    /// Writes `partition`'s parts; returns the state part's size and the
+    /// bytes written.
+    fn write_parts(
+        &self,
+        st: &mut StoreState,
+        partition: &mut Partition<C>,
+        idx: usize,
+    ) -> Result<(u64, u64), CheckpointError> {
+        let write = |path: String, bytes: Result<Vec<u8>, graft_codec::Error>| {
+            let bytes = bytes.map_err(|e| CheckpointError::new(format!("encoding {path}"), e))?;
+            self.fs
+                .write_all(&path, &bytes)
+                .map_err(|e| CheckpointError::new(format!("writing {path}"), e))?;
+            Ok::<_, CheckpointError>(bytes.len() as u64)
+        };
+        let mut written = 0;
+        if !partition.topology_spilled {
+            let topology = write(self.topology_path(idx), partition.encode_topology())?;
+            st.disk_bytes = st.disk_bytes - st.topology_files[idx] + topology;
+            st.topology_files[idx] = topology;
+            partition.topology_spilled = true;
+            written += topology;
+        }
+        let mut state = Vec::new();
+        let state = write(self.part_path(idx), partition.encode_state(&mut state).map(|()| state))?;
+        Ok((state, written + state))
+    }
+
+    /// Loads a spilled partition back into memory (deleting its state
+    /// part) and pins it.
     fn load(
         &self,
         st: &mut StoreState,
         partitions: &[SchedMutex<Partition<C>>],
         idx: usize,
     ) -> Result<(), CheckpointError> {
+        let Slot::Spilled { topology, state } = st.slots[idx] else {
+            unreachable!("only spilled partitions are loaded")
+        };
         let path = self.part_path(idx);
-        let bytes = self.read_segment(st, idx)?;
-        let partition = read_partition_frames::<C>(&bytes)
-            .map_err(|e| CheckpointError::new(format!("decoding {path}"), e))?;
-        *partitions[idx].lock() = partition;
+        self.timed("ooc_load_nanos_total", || {
+            let (topology_part, state_part) = self.read_parts(st, idx)?;
+            let mut partition = Partition::decode(&topology_part, &state_part)
+                .map_err(|e| CheckpointError::new(format!("decoding {path}"), e))?;
+            partition.topology_bytes = Some(topology);
+            partition.topology_spilled = true;
+            *partitions[idx].lock() = partition;
+            Ok::<_, CheckpointError>(())
+        })?;
         let _ = self.fs.delete(&path, false);
-        let size = bytes.len() as u64;
-        st.slots[idx] = Slot::Resident { bytes: size, pins: 1 };
-        st.partition_bytes += size;
-        st.disk_bytes = st.disk_bytes.saturating_sub(size);
+        st.slots[idx] = Slot::Resident { bytes: topology + state, pins: 1 };
+        st.partition_bytes += topology + state;
+        st.disk_bytes = st.disk_bytes.saturating_sub(state);
         self.count("ooc_loads_total", 1);
-        self.count("ooc_load_bytes_total", size);
+        self.count("ooc_load_bytes_total", topology + state);
         self.publish_disk_gauge(st);
         Ok(())
     }
 
-    /// Reads a spilled slot's segment whole. A segment that is not the
-    /// length that was spilled is an error here, before it can decode
-    /// into a partition missing vertices or be copied into a checkpoint.
-    fn read_segment(&self, st: &StoreState, idx: usize) -> Result<Vec<u8>, CheckpointError> {
-        let Slot::Spilled { bytes: spilled } = st.slots[idx] else {
+    /// Reads a spilled slot's topology and state parts whole. A part that
+    /// is not the length that was spilled is an error here, before it can
+    /// decode into a partition missing vertices or be copied into a
+    /// checkpoint.
+    fn read_parts(
+        &self,
+        st: &StoreState,
+        idx: usize,
+    ) -> Result<(Vec<u8>, Vec<u8>), CheckpointError> {
+        let Slot::Spilled { topology, state } = st.slots[idx] else {
             unreachable!("only spilled partitions have a segment")
         };
-        let path = self.part_path(idx);
-        let bytes = self
-            .fs
-            .read_all(&path)
-            .map_err(|e| CheckpointError::new(format!("reading {path}"), e))?;
-        if bytes.len() as u64 != spilled {
-            let cause = format!("segment holds {} of the {spilled} bytes spilled", bytes.len());
-            return Err(CheckpointError::new(format!("reading {path}"), cause));
-        }
-        Ok(bytes)
+        let read = |path: String, spilled: u64| {
+            let bytes = self
+                .fs
+                .read_all(&path)
+                .map_err(|e| CheckpointError::new(format!("reading {path}"), e))?;
+            if bytes.len() as u64 != spilled {
+                let cause = format!("segment holds {} of the {spilled} bytes spilled", bytes.len());
+                return Err(CheckpointError::new(format!("reading {path}"), cause));
+            }
+            Ok(bytes)
+        };
+        Ok((read(self.topology_path(idx), topology)?, read(self.part_path(idx), state)?))
     }
 
     /// Writes every partition's file into the checkpoint directory `dir`
     /// on `ckpt_fs` and returns the bytes written: a resident partition
-    /// encoded from memory, a spilled one's segment copied as it is. Runs
-    /// on the coordinator between phases (no pin is outstanding) with the
-    /// store lock held, so no slot changes residency under it.
+    /// encoded from memory, a spilled one's two parts copied as they are.
+    /// Runs on the coordinator between phases (no pin is outstanding) with
+    /// the store lock held, so no slot changes residency under it.
     pub(crate) fn checkpoint_partitions(
         &self,
         partitions: &[SchedMutex<Partition<C>>],
@@ -418,22 +487,24 @@ impl<C: Computation> SpillStore<C> {
         let st = self.state_lock();
         let mut total = 0u64;
         for (idx, slot) in st.slots.iter().enumerate() {
-            let frames = match *slot {
-                Slot::Resident { bytes, .. } => {
-                    encode_partition(&partitions[idx].lock(), idx, bytes)?
+            let bytes = match *slot {
+                Slot::Resident { .. } => encode_partition(&mut partitions[idx].lock(), idx)?,
+                Slot::Spilled { .. } => {
+                    let (mut bytes, state) = self.read_parts(&st, idx)?;
+                    bytes.extend_from_slice(&state);
+                    bytes
                 }
-                Slot::Spilled { .. } => self.read_segment(&st, idx)?,
             };
-            total += write_checkpoint_partition(ckpt_fs, dir, idx, &frames)?;
+            total += write_checkpoint_partition(ckpt_fs, dir, idx, &bytes)?;
         }
         Ok(total)
     }
 
     /// Re-adopts all partitions after a full checkpoint restore replaced
-    /// every in-memory partition: stale spill segments and shuffle
-    /// spills from the failed attempt are deleted, charges are rebuilt
-    /// from the restored contents, and the store evicts back down to the
-    /// budget.
+    /// every in-memory partition: both parts of every partition and the
+    /// shuffle spills from the failed attempt are deleted, charges are
+    /// rebuilt from the restored contents, and the store evicts back down
+    /// to the budget.
     pub(crate) fn reset(
         &self,
         partitions: &[SchedMutex<Partition<C>>],
@@ -443,11 +514,8 @@ impl<C: Computation> SpillStore<C> {
             st.shuffle_bytes = 0;
             st.shuffle_charges.clear();
             st.disk_bytes = 0;
-            for idx in 0..st.slots.len() {
-                if matches!(st.slots[idx], Slot::Spilled { .. }) {
-                    let _ = self.fs.delete(&self.part_path(idx), false);
-                }
-            }
+            st.topology_files.iter_mut().for_each(|bytes| *bytes = 0);
+            let _ = self.fs.delete(&format!("{}/parts", self.root), true);
             let _ = self.fs.delete(&format!("{}/shuffle", self.root), true);
             self.publish_disk_gauge(&st);
         }
@@ -455,23 +523,24 @@ impl<C: Computation> SpillStore<C> {
     }
 
     /// Marks one partition resident after confined recovery replaced its
-    /// in-memory contents, deleting any stale spill segment.
+    /// in-memory contents, deleting any stale state part; the restored
+    /// partition does not claim the topology file, so its next eviction
+    /// rewrites that too.
     pub(crate) fn mark_resident(
         &self,
         partitions: &[SchedMutex<Partition<C>>],
         idx: usize,
     ) -> Result<(), CheckpointError> {
         let mut st = self.state_lock();
-        let bytes = partition_frames_size(&partitions[idx].lock())
-            .map_err(|e| CheckpointError::new(format!("sizing partition {idx}"), e))?;
+        let bytes = self.charge(&mut partitions[idx].lock(), idx)?;
         match st.slots[idx] {
             Slot::Resident { bytes: old, .. } => {
                 st.partition_bytes -= old;
                 st.lru.retain(|&i| i != idx);
             }
-            Slot::Spilled { bytes: on_disk } => {
+            Slot::Spilled { state, .. } => {
                 let _ = self.fs.delete(&self.part_path(idx), false);
-                st.disk_bytes = st.disk_bytes.saturating_sub(on_disk);
+                st.disk_bytes = st.disk_bytes.saturating_sub(state);
             }
         }
         st.slots[idx] = Slot::Resident { bytes, pins: 0 };
@@ -570,21 +639,15 @@ impl<C: Computation> SpillStore<C> {
     }
 }
 
-/// Estimated serialized footprint of the largest partition `graph`
-/// would produce under `num_partitions`-way hash partitioning: the sum
-/// of each vertex's checkpoint-frame size (empty inbox, not halted),
-/// bucketed by [`partition_for`], maximum over buckets. This is the
-/// number analyzer lint GA0018 compares a memory budget against — a
-/// budget below it forces the engine to run one partition at a time.
+/// Serialized footprint of the largest partition `graph` splits into
+/// under `num_partitions`-way hash partitioning: exactly what the
+/// out-of-core store charges that partition when it adopts it (both
+/// parts, empty inboxes, nothing halted). This is the number analyzer
+/// lint GA0018 compares a memory budget against — a budget below it
+/// forces the engine to run one partition at a time.
 pub fn estimate_max_partition_bytes<C: Computation>(
     graph: &Graph<C::Id, C::VValue, C::EValue>,
     num_partitions: usize,
 ) -> u64 {
-    let num_partitions = num_partitions.max(1);
-    let mut buckets = vec![0u64; num_partitions];
-    for (id, value, edges) in graph.iter() {
-        let size = vertex_record_frame_size::<C>(&id, value, edges, false, &[]).unwrap_or(0);
-        buckets[partition_for(&id, num_partitions)] += size;
-    }
-    buckets.into_iter().max().unwrap_or(0)
+    max_split_charge::<C>(graph, num_partitions.max(1))
 }
