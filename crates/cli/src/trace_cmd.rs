@@ -13,7 +13,8 @@
 //! conversion is *canonical*: converting a binary run to JSON produces
 //! byte-identical worker/master files to a native JSON run of the same
 //! job, and vice versa — binary→JSON drops the index frames a JSON file
-//! never has, JSON→binary re-derives them from the record stream exactly
+//! never has and writes every edge list inline, JSON→binary re-derives
+//! the index frames and edge references from the record stream exactly
 //! the way the trace sink does. `meta.json` is rewritten so readers
 //! auto-detect the new format; every other file (checkpoints, obs
 //! artifacts, result.json) is copied verbatim.
@@ -22,11 +23,10 @@ use std::process::ExitCode;
 use std::sync::Arc;
 
 use graft::trace::{
-    decode_master_records, decode_vertex_records, encode_index_frame, encode_record,
-    index_record_from_payload, master_trace_path, meta_path, vertex_value_from_payload,
-    worker_trace_path, IndexRecord, WireVertexTrace, FRAME_INDEX, FRAME_MASTER, FRAME_VERTEX,
+    convert_vertex_channel, decode_master_records, encode_record, master_trace_path, meta_path,
+    walk_vertex_channel, worker_trace_path, ChannelRecord, VertexChannel, FRAME_MASTER,
 };
-use graft::{JobMeta, MasterTrace, TraceCodec};
+use graft::{JobMeta, MasterTrace, TraceCodec, TraceFormat};
 use graft_codec::frame::FrameScanner;
 use graft_dfs::{FileSystem, LocalFs};
 
@@ -83,7 +83,7 @@ fn dump(args: &[String]) -> ExitCode {
         }
     };
     println!("computation : {}", meta.computation);
-    println!("format      : {:?}", meta.codec());
+    println!("format      : {:?}", meta.format());
 
     let mut channels: Vec<String> =
         (0..meta.num_workers).map(|w| worker_trace_path("", w)).collect();
@@ -95,9 +95,11 @@ fn dump(args: &[String]) -> ExitCode {
             continue;
         };
         println!("\n{name}: {} bytes", bytes.len());
-        let shown = match meta.codec() {
-            TraceCodec::Binary => dump_binary_channel(&bytes, name == "master.trace", limit),
-            TraceCodec::JsonLines => dump_json_channel(&bytes, name == "master.trace", limit),
+        let master = name == "master.trace";
+        let shown = match meta.format() {
+            TraceFormat::JsonLines => dump_json_channel(&bytes, master, limit),
+            _ if master => dump_master_channel(&bytes, limit),
+            format => dump_worker_channel(VertexChannel::new(&bytes, format), limit),
         };
         match shown {
             Ok(records) if records == limit => println!("  ... (limit reached)"),
@@ -111,8 +113,37 @@ fn dump(args: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Renders one binary channel; returns the number of records printed.
-fn dump_binary_channel(bytes: &[u8], master: bool, limit: usize) -> Result<usize, String> {
+/// Renders one binary worker channel, checked whole as every reader
+/// checks it; returns the number of records printed.
+fn dump_worker_channel(channel: VertexChannel<'_>, limit: usize) -> Result<usize, String> {
+    let mut lines = Vec::new();
+    walk_vertex_channel(channel, None, |frame, read| {
+        let at = frame.start;
+        let len = frame.end - frame.start;
+        if lines.len() < limit {
+            lines.push(match read {
+                ChannelRecord::Index(index) => format!(
+                    "  [{at:>8}] index   superstep={} records_before={} bytes_before={} ({len} bytes)",
+                    index.superstep, index.records_before, index.bytes_before
+                ),
+                ChannelRecord::Vertex(head) => format!(
+                    "  [{at:>8}] vertex  superstep={} vertex={} ({len} bytes)",
+                    head.superstep, head.vertex
+                ),
+            });
+        }
+        Ok(())
+    })
+    .map_err(|e| e.to_string())?;
+    for line in &lines {
+        println!("{line}");
+    }
+    Ok(lines.len())
+}
+
+/// Renders one binary master channel; returns the number of records
+/// printed.
+fn dump_master_channel(bytes: &[u8], limit: usize) -> Result<usize, String> {
     let mut scanner = FrameScanner::new(bytes);
     let mut shown = 0;
     while shown < limit {
@@ -123,36 +154,17 @@ fn dump_binary_channel(bytes: &[u8], master: bool, limit: usize) -> Result<usize
         };
         let at = frame.start;
         let len = frame.end - frame.start;
-        match frame.kind {
-            FRAME_INDEX => {
-                let index = index_record_from_payload(frame.payload)
-                    .map_err(|e| format!("bad index frame at byte {at}: {e}"))?;
-                println!(
-                    "  [{at:>8}] index   superstep={} records_before={} bytes_before={} ({len} bytes)",
-                    index.superstep, index.records_before, index.bytes_before
-                );
-            }
-            FRAME_VERTEX if !master => {
-                let value = vertex_value_from_payload(frame.payload)
-                    .map_err(|e| format!("bad vertex frame at byte {at}: {e}"))?;
-                println!(
-                    "  [{at:>8}] vertex  superstep={} vertex={} ({len} bytes)",
-                    render(value.get("superstep")),
-                    render(value.get("vertex")),
-                );
-            }
-            FRAME_MASTER if master => {
-                let record: MasterTrace = graft_codec::from_slice(frame.payload)
-                    .map_err(|e| format!("bad master frame at byte {at}: {e}"))?;
-                println!(
-                    "  [{at:>8}] master  superstep={} aggregators={} halted={} ({len} bytes)",
-                    record.superstep,
-                    record.aggregators.len(),
-                    record.halted,
-                );
-            }
-            other => return Err(format!("unexpected record kind {other} at byte {at}")),
+        if frame.kind != FRAME_MASTER {
+            return Err(format!("unexpected record kind {} at byte {at}", frame.kind));
         }
+        let record: MasterTrace = graft_codec::from_slice(frame.payload)
+            .map_err(|e| format!("bad master frame at byte {at}: {e}"))?;
+        println!(
+            "  [{at:>8}] master  superstep={} aggregators={} halted={} ({len} bytes)",
+            record.superstep,
+            record.aggregators.len(),
+            record.halted,
+        );
         shown += 1;
     }
     Ok(shown)
@@ -223,15 +235,15 @@ fn convert(args: &[String]) -> ExitCode {
 fn convert_dir(src: &str, dst: &str, target: TraceCodec) -> Result<(), String> {
     let src_fs = LocalFs::new(src).map_err(|e| format!("cannot open {src}: {e}"))?;
     let mut meta = open_meta(&src_fs)?;
-    let source = meta.codec();
-    if source == target {
+    let source = meta.format();
+    if source.codec() == target {
         return Err(format!("{src} already uses {target:?}"));
     }
     let dst_fs = LocalFs::new(dst).map_err(|e| format!("cannot open {dst}: {e}"))?;
 
     // The rewritten meta.json records the new format both at the top
     // level (for readers) and in the analyzer's config facts (GA0019).
-    meta.trace_format = Some(target);
+    meta.trace_format = Some(target.into());
     if let Some(facts) = &mut meta.facts {
         facts.trace_format = Some(
             match target {
@@ -256,7 +268,7 @@ fn convert_dir(src: &str, dst: &str, target: TraceCodec) -> Result<(), String> {
     }
     let path = master_trace_path("");
     if let Ok(bytes) = src_fs.read_all(&path) {
-        let records = decode_master_records(source, &bytes).map_err(|e| e.to_string())?;
+        let records = decode_master_records(source.codec(), &bytes).map_err(|e| e.to_string())?;
         let mut out = Vec::new();
         for record in &records {
             encode_record(target, record, &mut out).map_err(|e| e.to_string())?;
@@ -276,34 +288,4 @@ fn convert_dir(src: &str, dst: &str, target: TraceCodec) -> Result<(), String> {
         dst_fs.write_all(&file.path, &bytes).map_err(|e| e.to_string())?;
     }
     Ok(())
-}
-
-/// Re-encodes one worker channel. Vertex records pass through the same
-/// type-erased tree both formats are defined over, and index frames are
-/// re-derived with the sink's rule — one per superstep transition, with
-/// the counts as of the frame's own start — so a JSON→binary conversion
-/// is byte-identical to a native binary capture.
-fn convert_vertex_channel(
-    source: TraceCodec,
-    target: TraceCodec,
-    bytes: &[u8],
-) -> Result<Vec<u8>, String> {
-    let records: Vec<WireVertexTrace> =
-        decode_vertex_records(source, bytes).map_err(|e| e.to_string())?;
-
-    let mut out = Vec::new();
-    let mut last_superstep = None;
-    for (count, record) in records.iter().enumerate() {
-        if target == TraceCodec::Binary && last_superstep != Some(record.superstep) {
-            let index = IndexRecord {
-                superstep: record.superstep,
-                records_before: count as u64,
-                bytes_before: out.len() as u64,
-            };
-            encode_index_frame(&index, &mut out).map_err(|e| e.to_string())?;
-            last_superstep = Some(record.superstep);
-        }
-        encode_record(target, record, &mut out).map_err(|e| e.to_string())?;
-    }
-    Ok(out)
 }

@@ -413,5 +413,47 @@ fn cli_trace_convert_roundtrips_byte_identically() {
     assert!(!ok);
     assert!(out.contains("already uses"), "{out}");
 
+    // A back-reference made to name its own frame: dump and convert fail
+    // on it, naming the frame, instead of printing or converting it.
+    let damaged = parent.join("damaged");
+    std::fs::create_dir_all(&damaged).unwrap();
+    for entry in std::fs::read_dir(&bin_dir).unwrap() {
+        let entry = entry.unwrap();
+        if entry.file_type().unwrap().is_file() {
+            std::fs::copy(entry.path(), damaged.join(entry.file_name())).unwrap();
+        }
+    }
+    let channel = std::fs::read(bin_dir.join("worker_0.trace")).unwrap();
+    let mut scanner = graft_codec::frame::FrameScanner::new(&channel);
+    let mut last_reference = None;
+    while let Some(frame) = scanner.next_frame().unwrap() {
+        if frame.kind != graft::trace::FRAME_VERTEX {
+            continue;
+        }
+        let wire: graft::trace::WireVertexTrace = graft_codec::from_slice(frame.payload).unwrap();
+        if matches!(wire.edges, graft::trace::WireEdges::At(_)) {
+            last_reference = Some((frame.start, frame.end, wire));
+        }
+    }
+    let (start, end, mut wire) = last_reference.expect("a repeated capture holds a reference");
+    wire.edges = graft::trace::WireEdges::At(start as u64);
+    let mut bytes = channel[..start].to_vec();
+    graft_codec::frame::write_value_frame(&mut bytes, graft::trace::FRAME_VERTEX, &wire).unwrap();
+    bytes.extend_from_slice(&channel[end..]);
+    std::fs::write(damaged.join("worker_0.trace"), bytes).unwrap();
+    let (dump, ok) = run_cli_raw(&["trace", "dump", damaged.to_str().unwrap()]);
+    assert!(!ok, "{dump}");
+    assert!(dump.contains(&format!("edge reference to byte {start}")), "{dump}");
+    assert!(dump.contains(&format!("at byte {start}")), "{dump}");
+    let (out, ok) = run_cli_raw(&[
+        "trace",
+        "convert",
+        damaged.to_str().unwrap(),
+        parent.join("damaged-json").to_str().unwrap(),
+        "--to",
+        "json",
+    ]);
+    assert!(!ok && out.contains(&format!("at byte {start}")), "{out}");
+
     let _ = std::fs::remove_dir_all(&parent);
 }

@@ -142,6 +142,21 @@ pub enum CaptureReason {
     AllActive,
 }
 
+impl CaptureReason {
+    /// The reason's name, as its JSON rendition spells it.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            CaptureReason::SpecifiedId => "SpecifiedId",
+            CaptureReason::RandomSample => "RandomSample",
+            CaptureReason::NeighborOfCaptured => "NeighborOfCaptured",
+            CaptureReason::VertexValueViolation => "VertexValueViolation",
+            CaptureReason::MessageViolation => "MessageViolation",
+            CaptureReason::Exception => "Exception",
+            CaptureReason::AllActive => "AllActive",
+        }
+    }
+}
+
 /// How trace records are encoded on the file system.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub enum TraceCodec {
@@ -645,5 +660,22 @@ mod tests {
         let c = config.message_constraint.as_ref().unwrap();
         assert!(c(&5, &1, &2, 0));
         assert!(!c(&-5, &1, &2, 0));
+    }
+
+    #[test]
+    fn reason_names_are_their_json_text() {
+        use CaptureReason::*;
+        for reason in [
+            SpecifiedId,
+            RandomSample,
+            NeighborOfCaptured,
+            VertexValueViolation,
+            MessageViolation,
+            Exception,
+            AllActive,
+        ] {
+            let json = serde_json::to_value(&reason).unwrap();
+            assert_eq!(json, serde_json::Value::String(reason.as_str().into()), "{reason:?}");
+        }
     }
 }

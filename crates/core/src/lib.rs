@@ -99,6 +99,6 @@ pub use runner::{GraftError, GraftRun, GraftRunner};
 pub use session::{DebugSession, Indicators, SearchQuery, SessionError};
 pub use sink::TraceSink;
 pub use trace::{
-    ExceptionInfo, JobMeta, JobResultRecord, MasterTrace, VertexTrace, VertexTraceOf,
+    ExceptionInfo, JobMeta, JobResultRecord, MasterTrace, TraceFormat, VertexTrace, VertexTraceOf,
     ViolationKind, ViolationRecord,
 };

@@ -359,7 +359,7 @@ impl<C: Computation> GraftRunner<C> {
                 std::any::type_name::<C::Message>().to_string(),
             ),
             num_workers: self.num_workers,
-            trace_format: Some(self.config.codec),
+            trace_format: Some(self.config.codec.into()),
             config: self.config.describe(),
             facts: Some({
                 let mut facts = self.config.facts();

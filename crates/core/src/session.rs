@@ -192,7 +192,7 @@ impl<C: Computation> DebugSession<C> {
                 continue;
             }
             let bytes = fs.read_all(&path)?;
-            let records: Vec<VertexTraceOf<C>> = decode_vertex_records(meta.codec(), &bytes)
+            let records: Vec<VertexTraceOf<C>> = decode_vertex_records(meta.format(), &bytes)
                 .map_err(|e| SessionError::decode(path, e))?;
             for record in records {
                 by_superstep.entry(record.superstep).or_default().push(record);

@@ -15,7 +15,7 @@ use graft_sched::sync::Mutex;
 use crate::config::TraceCodec;
 use crate::trace::{
     encode_index_frame, encode_record, master_trace_path, result_path, worker_trace_path,
-    CaptureError, IndexRecord, JobResultRecord, TraceRecord,
+    CaptureError, EdgeRefs, IndexRecord, JobResultRecord, TraceRecord,
 };
 
 /// A channel whose pending bytes reach this hands them to its writer at
@@ -35,13 +35,23 @@ struct Channel {
     /// Where it stood at the last write its writer accepted: what is left
     /// of it when a later write fails.
     handed: ChannelMark,
+    /// The binary codec's back-reference rule over the records so far,
+    /// pending ones included.
+    refs: EdgeRefs,
 }
 
 impl Channel {
     fn new(fs: &Arc<dyn FileSystem>, path: String) -> Result<Self, graft_dfs::FsError> {
         let writer = fs.create(&path)?;
         let start = ChannelMark::default();
-        Ok(Self { writer, pending: Vec::new(), path, now: start, handed: start })
+        Ok(Self {
+            writer,
+            pending: Vec::new(),
+            path,
+            now: start,
+            handed: start,
+            refs: EdgeRefs::default(),
+        })
     }
 }
 
@@ -176,7 +186,8 @@ impl TraceSink {
     /// A record counts as captured only once it is in the channel.
     ///
     /// Under the binary codec, the first record of each superstep is
-    /// preceded by an index frame. Emission is a pure function of the
+    /// preceded by an index frame, and a vertex record's edges are written
+    /// by the channel's [`EdgeRefs`]. Both are pure functions of the
     /// per-channel record stream, so a replayed execution reproduces the
     /// discarded one byte for byte.
     pub fn record_vertex<T: TraceRecord>(&self, worker: usize, record: &T) -> bool {
@@ -192,16 +203,23 @@ impl TraceSink {
         let mut channel = self.workers[worker].lock();
         let channel = &mut *channel;
         let start = channel.pending.len();
-        let index = (self.codec == TraceCodec::Binary
-            && channel.now.last_superstep != Some(superstep))
-        .then_some(IndexRecord {
-            superstep,
-            records_before: channel.now.records,
-            bytes_before: channel.now.written,
-        });
-        let encoded = index
-            .map_or(Ok(()), |index| encode_index_frame(&index, &mut channel.pending))
-            .and_then(|()| encode_record(self.codec, record, &mut channel.pending));
+        let encoded = match self.codec {
+            TraceCodec::JsonLines => encode_record(self.codec, record, &mut channel.pending),
+            TraceCodec::Binary => {
+                let index =
+                    (channel.now.last_superstep != Some(superstep)).then_some(IndexRecord {
+                        superstep,
+                        records_before: channel.now.records,
+                        bytes_before: channel.now.written,
+                    });
+                index
+                    .map_or(Ok(()), |index| encode_index_frame(&index, &mut channel.pending))
+                    .and_then(|()| {
+                        let offset = channel.now.written + (channel.pending.len() - start) as u64;
+                        record.encode_channel_frame(&mut channel.pending, &mut channel.refs, offset)
+                    })
+            }
+        };
         if let Err(e) = encoded {
             channel.pending.truncate(start);
             self.captures.fetch_sub(1, Ordering::Relaxed);
@@ -246,6 +264,7 @@ impl TraceSink {
         };
         let lost = channel.now.records - channel.handed.records;
         channel.now = channel.handed;
+        channel.refs.truncate(channel.handed.written);
         if let Some(worker) = worker {
             self.captures.fetch_sub(lost, Ordering::Relaxed);
             self.worker_counts[worker].captures.fetch_sub(lost, Ordering::Relaxed);
@@ -322,7 +341,7 @@ impl TraceSink {
         let Some(snapshot) = self.take_snapshot(superstep) else { return };
         for (worker, channel) in self.workers.iter().enumerate() {
             let mut channel = channel.lock();
-            if let Err(e) = Self::rewind(&self.fs, &mut channel, &snapshot.worker_marks[worker]) {
+            if let Err(e) = self.rewind(&mut channel, &snapshot.worker_marks[worker]) {
                 self.poison(e);
             }
         }
@@ -330,7 +349,7 @@ impl TraceSink {
             let mut channel = self.master.lock();
             let mark =
                 ChannelMark { written: snapshot.master_written, records: 0, last_superstep: None };
-            if let Err(e) = Self::rewind(&self.fs, &mut channel, &mark) {
+            if let Err(e) = self.rewind(&mut channel, &mark) {
                 self.poison(e);
             }
         }
@@ -354,7 +373,7 @@ impl TraceSink {
         let Some(snapshot) = self.take_snapshot(superstep) else { return };
         for &worker in workers {
             let mut channel = self.workers[worker].lock();
-            if let Err(e) = Self::rewind(&self.fs, &mut channel, &snapshot.worker_marks[worker]) {
+            if let Err(e) = self.rewind(&mut channel, &snapshot.worker_marks[worker]) {
                 self.poison(e);
             }
         }
@@ -394,22 +413,21 @@ impl TraceSink {
     /// Truncates a channel's file back to the mark's byte length by
     /// committing the current writer, re-reading the durable prefix, and
     /// recreating the file with exactly that prefix; the binary codec's
-    /// index-frame bookkeeping is rewound with it.
-    fn rewind(
-        fs: &Arc<dyn FileSystem>,
-        channel: &mut Channel,
-        mark: &ChannelMark,
-    ) -> Result<(), CaptureError> {
+    /// index-frame bookkeeping is rewound with it, and its back-reference
+    /// rule rebuilt from the prefix.
+    fn rewind(&self, channel: &mut Channel, mark: &ChannelMark) -> Result<(), CaptureError> {
+        let fs = &self.fs;
         let keep = mark.written;
         if channel.now.written == keep {
             // Nothing was recorded since the snapshot, so the index-frame
-            // bookkeeping is still at the mark too.
+            // bookkeeping and the rule are still at the mark too.
             return Ok(());
         }
         // Records not yet handed over belong to the aborted execution.
         channel.pending.clear();
         channel.now = *mark;
         channel.handed = *mark;
+        channel.refs.truncate(keep);
         // Dropping the writer commits any buffered bytes; install a
         // placeholder so the channel stays structurally valid if the
         // rewrite below fails part-way.
@@ -427,6 +445,9 @@ impl TraceSink {
         std::io::Write::write_all(&mut writer, &bytes[..keep_len])?;
         writer.sync()?;
         channel.writer = writer;
+        if self.codec == TraceCodec::Binary {
+            channel.refs = EdgeRefs::from_channel(&bytes[..keep_len]);
+        }
         Ok(())
     }
 

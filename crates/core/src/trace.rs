@@ -39,25 +39,39 @@
 //! the two codecs reconstruct *identical* dynamic values and every view
 //! served over either format is byte-for-byte the same.
 //!
+//! **Format v2: each adjacency written once.** `meta.json` records the
+//! binary layout as a [`TraceFormat`]. In a v2 channel a vertex record's
+//! `edges` field is a [`WireEdges`]: the inline list, or the channel
+//! offset of an earlier frame that records the same vertex (equal encoded
+//! id bytes) with identical inline edges — one hop, never a reference to a
+//! reference. A channel writer decides with an [`EdgeRefs`], a pure
+//! function of the channel's record stream, so a replayed, budgeted or
+//! converted channel is byte-identical to a native one. v1 channels hold
+//! every list inline and keep reading.
+//!
 //! A payload is read in one of three ways, all through the one GraftBin
-//! decoder, so each succeeds on exactly the same payloads. [`VertexHead`]
-//! *skims* it: every field is checked, and only the superstep, the
-//! rendered vertex id and three flag bits are kept — what a reader
-//! indexing a trace needs, and proof that the payload decodes.
-//! [`RowDigest`] skims it for a listing view: the texts and counts a row
-//! of the tabular or node-link view shows, rendered as the fields are
-//! read, no tree built. [`vertex_value_from_payload`] decodes it, once,
-//! into the dynamic value a view of the whole record reads (reproducers,
-//! the violations view, `trace dump`). A channel that cannot be read
-//! fails with a [`TraceReadError`] naming the byte offset of the frame
-//! at fault.
+//! decoder, so each succeeds on exactly the same payloads. A
+//! [`VertexHead`] *skims* it: every field is checked, and only the
+//! superstep, the rendered vertex id and three flag bits are kept — what
+//! a reader indexing a trace needs, and proof that the payload decodes.
+//! A [`RowDigest`] skims it for a listing view: the texts and counts a
+//! row of the tabular or node-link view shows, rendered as the fields are
+//! read, no tree built. [`VertexChannel::value`] decodes it, once, into
+//! the dynamic value a view of the whole record reads (reproducers, the
+//! violations view). The last two resolve an edge reference against the
+//! channel; [`walk_vertex_channel`] checks every reference of a channel.
+//! A channel that cannot be read fails with a [`TraceReadError`] naming
+//! the byte offset of the frame at fault.
 
 use std::fmt;
+use std::hash::Hasher;
+use std::ops::Range;
 
 use graft_codec::frame::{Frame, FrameScanner};
 use graft_codec::{for_each_element, BinValue, SkipSeq, SkipStr, SkipTagged, Tagged, TaggedText};
+use graft_pregel::hash::{FxHashMap, FxHasher};
 use graft_pregel::{AggValue, GlobalData};
-use serde::de::{DeserializeOwned, Deserializer as _, SeqAccess, Visitor};
+use serde::de::DeserializeOwned;
 use serde::ser::{SerializeSeq, SerializeStruct};
 use serde::{Deserialize, Serialize};
 use serde_json::Value;
@@ -143,16 +157,56 @@ pub type VertexTraceOf<C> = VertexTrace<
     <C as graft_pregel::Computation>::Message,
 >;
 
-/// The shape binary vertex frames decode to: a vertex trace whose
-/// computation-specific fields (id, values, edges, messages) are
-/// type-erased [`graft_codec::BinValue`] trees, so any tool can decode
-/// a binary trace without the computation's Rust types.
-pub type WireVertexTrace = VertexTrace<
-    graft_codec::BinValue,
-    graft_codec::BinValue,
-    graft_codec::BinValue,
-    graft_codec::BinValue,
->;
+/// A vertex trace whose computation-specific fields (id, values, edges,
+/// messages) are type-erased [`graft_codec::BinValue`] trees, its edges
+/// listed: what a JSON line or a v1 binary payload holds, and what a v2
+/// payload reads as once its edge reference is resolved. Any tool can
+/// handle it without the computation's Rust types.
+pub type ErasedVertexTrace = VertexTrace<BinValue, BinValue, BinValue, BinValue>;
+
+/// The `edges` field of a v2 binary vertex payload.
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+pub enum WireEdges<L> {
+    /// The `(target, edge value)` list itself.
+    Inline(L),
+    /// The channel offset of an earlier vertex frame that records the
+    /// same vertex, byte for byte, with these edges inline.
+    At(u64),
+}
+
+/// The layout of a v2 binary vertex frame's payload, field for field:
+/// an [`ErasedVertexTrace`] whose edges are a [`WireEdges`]. Encoding
+/// one with `graft_codec::frame::write_value_frame` gives the frame the
+/// capture path writes for the same record.
+#[derive(Clone, Debug, Serialize, Deserialize)]
+pub struct WireVertexTrace {
+    /// See [`VertexTrace::superstep`].
+    pub superstep: u64,
+    /// See [`VertexTrace::vertex`].
+    pub vertex: BinValue,
+    /// See [`VertexTrace::value_before`].
+    pub value_before: BinValue,
+    /// See [`VertexTrace::value_after`].
+    pub value_after: BinValue,
+    /// The edges, inline or by reference.
+    pub edges: WireEdges<Vec<(BinValue, BinValue)>>,
+    /// See [`VertexTrace::incoming`].
+    pub incoming: Vec<BinValue>,
+    /// See [`VertexTrace::outgoing`].
+    pub outgoing: Vec<(BinValue, BinValue)>,
+    /// See [`VertexTrace::aggregators`].
+    pub aggregators: Vec<(String, AggValue)>,
+    /// See [`VertexTrace::global`].
+    pub global: GlobalData,
+    /// See [`VertexTrace::halted_after`].
+    pub halted_after: bool,
+    /// See [`VertexTrace::reasons`].
+    pub reasons: Vec<CaptureReason>,
+    /// See [`VertexTrace::violations`].
+    pub violations: Vec<ViolationRecord>,
+    /// See [`VertexTrace::exception`].
+    pub exception: Option<ExceptionInfo>,
+}
 
 /// The captured context of one `master.compute()` call: the aggregator
 /// values it saw/produced, plus global data.
@@ -196,10 +250,10 @@ pub struct JobMeta {
     pub value_types: (String, String, String, String),
     /// Number of workers the job ran with.
     pub num_workers: usize,
-    /// Trace encoding of the worker/master files. `None` in meta.json
+    /// Trace format of the worker/master files. `None` in meta.json
     /// files written before the binary pipeline existed, which always
-    /// meant JSON lines — use [`JobMeta::codec`] for the effective value.
-    pub trace_format: Option<TraceCodec>,
+    /// meant JSON lines — use [`JobMeta::format`] for the effective value.
+    pub trace_format: Option<TraceFormat>,
     /// Human description of the active `DebugConfig`.
     pub config: Vec<String>,
     /// Machine-readable config summary for the analyzer's lints. `None`
@@ -208,10 +262,51 @@ pub struct JobMeta {
 }
 
 impl JobMeta {
-    /// The effective trace codec: the recorded `trace_format`, or JSON
+    /// The effective trace format: the recorded `trace_format`, or JSON
     /// lines for legacy trace directories that predate the field.
+    pub fn format(&self) -> TraceFormat {
+        self.trace_format.unwrap_or(TraceFormat::JsonLines)
+    }
+
+    /// The effective trace codec.
     pub fn codec(&self) -> TraceCodec {
-        self.trace_format.unwrap_or(TraceCodec::JsonLines)
+        self.format().codec()
+    }
+}
+
+/// The on-disk format `meta.json` records: the codec and, for binary
+/// frames, the layout of their vertex payloads. A reader that does not
+/// know a layout fails on `meta.json`, before it reads a payload.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+pub enum TraceFormat {
+    /// JSON lines.
+    JsonLines,
+    /// Binary frames whose vertex payloads hold their edges as a plain
+    /// list: layout v1, recorded under the codec's name as binary traces
+    /// were before their layout had a version.
+    Binary,
+    /// Binary frames whose vertex payloads hold their edges as a
+    /// [`WireEdges`].
+    BinaryV2,
+}
+
+impl TraceFormat {
+    /// The codec of the format.
+    pub fn codec(self) -> TraceCodec {
+        match self {
+            TraceFormat::JsonLines => TraceCodec::JsonLines,
+            TraceFormat::Binary | TraceFormat::BinaryV2 => TraceCodec::Binary,
+        }
+    }
+}
+
+impl From<TraceCodec> for TraceFormat {
+    /// The format this build writes in the codec.
+    fn from(codec: TraceCodec) -> Self {
+        match codec {
+            TraceCodec::JsonLines => TraceFormat::JsonLines,
+            TraceCodec::Binary => TraceFormat::BinaryV2,
+        }
     }
 }
 
@@ -314,8 +409,22 @@ pub trait TraceRecord: Serialize {
     fn record_superstep(&self) -> u64;
 
     /// Appends the record's binary frame (`[len][kind][payload]`) to
-    /// `buf`, which is left untouched on error.
+    /// `buf`, which is left untouched on error. A vertex record's edges
+    /// go inline.
     fn encode_binary_frame(&self, buf: &mut Vec<u8>) -> Result<(), CaptureError>;
+
+    /// Appends the record's binary frame as a channel writer does: a
+    /// vertex record's edges become a back-reference where `refs`, the
+    /// channel's rule, says so. `offset` is where the frame starts in the
+    /// channel. Records without edges ignore the rule.
+    fn encode_channel_frame(
+        &self,
+        buf: &mut Vec<u8>,
+        _refs: &mut EdgeRefs,
+        _offset: u64,
+    ) -> Result<(), CaptureError> {
+        self.encode_binary_frame(buf)
+    }
 }
 
 /// Appends the frame of `kind` whose payload is `value` in GraftBin.
@@ -347,12 +456,18 @@ where
     }
 }
 
+/// Appends the GraftBin encoding of `value` to `out`.
+fn put<T: Serialize + ?Sized>(out: &mut Vec<u8>, value: &T) -> graft_codec::Result<()> {
+    value.serialize(&mut graft_codec::Serializer::new(out))
+}
+
 /// A vertex context as the instrumenter hands it to the sink: the fields
 /// of a [`VertexTrace`], borrowed from the engine state they live in
 /// rather than cloned into a record. It serializes under the same field
 /// names as [`VertexTrace`] — with the computation-typed positions
 /// wrapped in [`Tagged`], so a JSON line is that of the equivalent
-/// `VertexTrace` and a binary payload decodes as a [`WireVertexTrace`].
+/// `VertexTrace` — and its binary frame is a [`WireVertexTrace`]'s,
+/// written field by field.
 pub struct VertexCapture<'a, I, V, M, Ed, Ag> {
     /// Superstep of the capture.
     pub superstep: u64,
@@ -415,16 +530,100 @@ where
     }
 }
 
-impl<I, V, M, Ed, Ag> TraceRecord for VertexCapture<'_, I, V, M, Ed, Ag>
+impl<'a, I, V, E, M, Ed, Ag> VertexCapture<'a, I, V, M, Ed, Ag>
 where
-    Self: Serialize,
+    I: Serialize + 'a,
+    V: Serialize,
+    E: Serialize + 'a,
+    M: Serialize,
+    Ed: ExactSizeIterator<Item = (&'a I, &'a E)> + Clone,
+    Ag: ExactSizeIterator<Item = (&'a str, &'a AggValue)> + Clone,
+{
+    /// Appends the record's v2 frame to `buf`, field by field. The edges
+    /// are written inline; with a `rule`, the channel's rule and the
+    /// frame's channel offset, they are then cut back to a reference
+    /// where the rule has one, and an inline list is noted for later
+    /// frames once the frame is whole.
+    fn write_frame(
+        &self,
+        buf: &mut Vec<u8>,
+        mut rule: Option<(&mut EdgeRefs, u64)>,
+    ) -> Result<(), CaptureError> {
+        // The id and inline edges of the frame, as distances back from
+        // its end: the length prefix may still shift what lies before.
+        let mut inline: Option<[usize; 4]> = None;
+        graft_codec::frame::write_frame_with(buf, FRAME_VERTEX, |out| {
+            put(out, &self.superstep)?;
+            let id_at = out.len();
+            put(out, &Tagged(self.vertex))?;
+            let id = id_at..out.len();
+            put(out, &Tagged(self.value_before))?;
+            put(out, &Tagged(self.value_after))?;
+            let edges_at = out.len();
+            let tagged_pair = |(a, b)| (Tagged(a), Tagged(b));
+            put(out, &WireEdges::Inline(Seq(self.edges.clone().map(tagged_pair))))?;
+            let target = rule
+                .as_mut()
+                .and_then(|(refs, _)| refs.reference(&out[id.clone()], &out[edges_at..]));
+            let edges_end = match target {
+                Some(target) => {
+                    out.truncate(edges_at);
+                    put(out, &WireEdges::<()>::At(target))?;
+                    None
+                }
+                None => Some(out.len()),
+            };
+            put(out, &Seq(self.incoming.iter().map(Tagged)))?;
+            put(
+                out,
+                &Seq(self
+                    .outgoing
+                    .iter()
+                    .map(|(target, message)| (Tagged(target), Tagged(message)))),
+            )?;
+            put(out, &Seq(self.aggregators.clone()))?;
+            put(out, &self.global)?;
+            put(out, &self.halted_after)?;
+            put(out, self.reasons)?;
+            put(out, self.violations)?;
+            put(out, &self.exception)?;
+            let end = out.len();
+            inline = edges_end
+                .map(|edges_end| [id.start, id.end, edges_at, edges_end].map(|at| end - at));
+            Ok(())
+        })?;
+        if let (Some((refs, offset)), Some(back)) = (rule, inline) {
+            let [id_start, id_end, edges_start, edges_end] = back.map(|back| buf.len() - back);
+            refs.remember(&buf[id_start..id_end], offset, &buf[edges_start..edges_end]);
+        }
+        Ok(())
+    }
+}
+
+impl<'a, I, V, E, M, Ed, Ag> TraceRecord for VertexCapture<'a, I, V, M, Ed, Ag>
+where
+    I: Serialize + 'a,
+    V: Serialize,
+    E: Serialize + 'a,
+    M: Serialize,
+    Ed: ExactSizeIterator<Item = (&'a I, &'a E)> + Clone,
+    Ag: ExactSizeIterator<Item = (&'a str, &'a AggValue)> + Clone,
 {
     fn record_superstep(&self) -> u64 {
         self.superstep
     }
 
     fn encode_binary_frame(&self, buf: &mut Vec<u8>) -> Result<(), CaptureError> {
-        binary_frame(buf, FRAME_VERTEX, self)
+        self.write_frame(buf, None)
+    }
+
+    fn encode_channel_frame(
+        &self,
+        buf: &mut Vec<u8>,
+        refs: &mut EdgeRefs,
+        offset: u64,
+    ) -> Result<(), CaptureError> {
+        self.write_frame(buf, Some((refs, offset)))
     }
 }
 
@@ -440,6 +639,32 @@ where
     }
 
     fn encode_binary_frame(&self, buf: &mut Vec<u8>) -> Result<(), CaptureError> {
+        self.write_frame(buf, None)
+    }
+
+    fn encode_channel_frame(
+        &self,
+        buf: &mut Vec<u8>,
+        refs: &mut EdgeRefs,
+        offset: u64,
+    ) -> Result<(), CaptureError> {
+        self.write_frame(buf, Some((refs, offset)))
+    }
+}
+
+impl<I, V, E, M> VertexTrace<I, V, E, M>
+where
+    I: Serialize,
+    V: Serialize,
+    E: Serialize,
+    M: Serialize,
+{
+    /// Writes the record's frame as the [`VertexCapture`] borrowing it.
+    fn write_frame(
+        &self,
+        buf: &mut Vec<u8>,
+        rule: Option<(&mut EdgeRefs, u64)>,
+    ) -> Result<(), CaptureError> {
         VertexCapture {
             superstep: self.superstep,
             vertex: &self.vertex,
@@ -455,7 +680,178 @@ where
             violations: &self.violations,
             exception: self.exception.as_ref(),
         }
-        .encode_binary_frame(buf)
+        .write_frame(buf, rule)
+    }
+}
+
+/// A channel writer's back-reference rule for v2 vertex records: per
+/// vertex, the channel offset of its last inline frame and that frame's
+/// encoded `edges` field. A record whose encoded edges equal the stored
+/// ones gets a reference to that frame when the reference is shorter
+/// than the list; any other record keeps its list and becomes the entry.
+/// The rule is a pure function of the channel's record stream, and the
+/// state holds one copy of each vertex's latest adjacency.
+#[derive(Default)]
+pub struct EdgeRefs {
+    /// Per vertex, in the order of its first capture.
+    vertices: Vec<Latest>,
+    /// Each vertex's encoded id and latest inline `edges` field, laid out
+    /// in `vertices` order: a channel captures its vertices in the same
+    /// order every superstep, so its lookups walk this front to back.
+    arena: Vec<u8>,
+    /// Bytes of `arena` no vertex uses any more.
+    garbage: usize,
+    /// Each vertex's index in `vertices`, by [`id_hash`]. Of two ids with
+    /// one hash the later takes the entry over: the rule stays a pure
+    /// function of the stream, and only compares bytes.
+    by_id: FxHashMap<u64, usize>,
+    /// The index after the vertex last looked up: usually the next one.
+    cursor: usize,
+}
+
+/// A hash of an encoded id. Fx alone would leave the low bits, which
+/// pick the bucket, to the id's fixed tag byte; the high half is folded
+/// into them.
+fn id_hash(id: &[u8]) -> u64 {
+    let mut hasher = FxHasher::default();
+    hasher.write(id);
+    let hash = hasher.finish();
+    hash ^ (hash >> 32)
+}
+
+/// Where [`EdgeRefs`] keeps one vertex: `id_len` id bytes, then
+/// `edges_len` bytes of its `edges` field, at `at` in the arena, in
+/// `room` bytes.
+struct Latest {
+    at: usize,
+    id_len: usize,
+    edges_len: usize,
+    room: usize,
+    /// Where the vertex's last inline frame starts; `None` once the
+    /// channel no longer holds it.
+    offset: Option<u64>,
+}
+
+impl Latest {
+    fn id<'a>(&self, arena: &'a [u8]) -> &'a [u8] {
+        &arena[self.at..self.at + self.id_len]
+    }
+
+    fn edges<'a>(&self, arena: &'a [u8]) -> &'a [u8] {
+        &arena[self.at + self.id_len..self.at + self.id_len + self.edges_len]
+    }
+}
+
+impl EdgeRefs {
+    /// The state after writing a v2 channel's `bytes`: every vertex frame
+    /// whose edges are inline is noted, in order. A frame that does not
+    /// read as a vertex record holds nothing to point at.
+    pub fn from_channel(bytes: &[u8]) -> Self {
+        let mut refs = EdgeRefs::default();
+        let mut scanner = FrameScanner::new(bytes);
+        while let Ok(Some(frame)) = scanner.next_frame() {
+            if frame.kind != FRAME_VERTEX {
+                continue;
+            }
+            let mut reader = PayloadReader::new(frame.payload, TraceFormat::BinaryV2);
+            let inline = reader.front::<SkipTagged>().and_then(|(_, _, id)| {
+                reader.values::<SkipTagged>()?;
+                let at = reader.at();
+                let edges: WireEdges<SkipSeq<(SkipTagged, SkipTagged)>> = reader.edges()?;
+                Ok(matches!(edges, WireEdges::Inline(_)).then(|| (id, at..reader.at())))
+            });
+            if let Ok(Some((id, edges))) = inline {
+                refs.remember(&frame.payload[id], frame.start as u64, &frame.payload[edges]);
+            }
+        }
+        refs
+    }
+
+    /// The index of vertex `id`, or the hash it goes by if unseen.
+    fn find(&mut self, id: &[u8]) -> Result<usize, u64> {
+        // The vertex after the last one looked up, or that one again.
+        let near = [self.cursor, self.cursor.wrapping_sub(1)];
+        let is_id = |at: &usize| self.vertices.get(*at).is_some_and(|v| v.id(&self.arena) == id);
+        let found = match near.into_iter().find(is_id) {
+            Some(at) => at,
+            None => {
+                let hash = id_hash(id);
+                match self.by_id.get(&hash) {
+                    Some(at) if is_id(at) => *at,
+                    _ => return Err(hash),
+                }
+            }
+        };
+        self.cursor = found + 1;
+        Ok(found)
+    }
+
+    /// Where a record of vertex `id` whose encoded `edges` field is
+    /// `edges` points instead of holding them, if anywhere.
+    fn reference(&mut self, id: &[u8], edges: &[u8]) -> Option<u64> {
+        let at = self.find(id).ok()?;
+        let latest = &self.vertices[at];
+        let offset = latest.offset?;
+        let shorter = 1 + graft_codec::varint::encoded_len_u64(offset) < edges.len();
+        (shorter && latest.edges(&self.arena) == edges).then_some(offset)
+    }
+
+    /// Notes the inline `edges` of vertex `id` in the frame at `offset`.
+    fn remember(&mut self, id: &[u8], offset: u64, edges: &[u8]) {
+        let at = match self.find(id) {
+            Ok(at) => at,
+            Err(hash) => {
+                let fresh = self.vertices.len();
+                let at = *self.by_id.entry(hash).or_insert(fresh);
+                if at == fresh {
+                    let end = self.arena.len();
+                    self.vertices.push(Latest {
+                        at: end,
+                        id_len: 0,
+                        edges_len: 0,
+                        room: 0,
+                        offset: None,
+                    });
+                }
+                self.cursor = at + 1;
+                at
+            }
+        };
+        let latest = &mut self.vertices[at];
+        let need = id.len() + edges.len();
+        if need > latest.room {
+            self.garbage += latest.room;
+            latest.at = self.arena.len();
+            latest.room = need;
+            self.arena.resize(latest.at + need, 0);
+        }
+        self.arena[latest.at..latest.at + id.len()].copy_from_slice(id);
+        self.arena[latest.at + id.len()..latest.at + need].copy_from_slice(edges);
+        (latest.id_len, latest.edges_len, latest.offset) = (id.len(), edges.len(), Some(offset));
+        if self.garbage > self.arena.len() / 2 {
+            self.compact();
+        }
+    }
+
+    /// Lays the arena out afresh in `vertices` order, without garbage.
+    fn compact(&mut self) {
+        let mut arena = Vec::with_capacity(self.arena.len() - self.garbage);
+        for latest in &mut self.vertices {
+            let used = latest.id_len + latest.edges_len;
+            arena.extend_from_slice(&self.arena[latest.at..latest.at + used]);
+            (latest.at, latest.room) = (arena.len() - used, used);
+        }
+        (self.arena, self.garbage) = (arena, 0);
+    }
+
+    /// Forgets the frames at or past byte `len`, which the channel no
+    /// longer holds.
+    pub fn truncate(&mut self, len: u64) {
+        for latest in &mut self.vertices {
+            if latest.offset.is_some_and(|offset| offset >= len) {
+                latest.offset = None;
+            }
+        }
     }
 }
 
@@ -504,6 +900,21 @@ pub enum TraceReadError {
     },
     /// A JSON line did not parse.
     Json(serde_json::Error),
+    /// A v2 vertex frame's edge reference names no earlier frame of its
+    /// channel that records the same vertex with its edges inline.
+    EdgeRef {
+        /// Byte offset of the referring frame's length prefix.
+        offset: usize,
+        /// The channel offset the reference names.
+        target: u64,
+    },
+}
+
+impl TraceReadError {
+    /// The error of the frame at `offset`.
+    fn at(offset: usize) -> impl FnOnce(graft_codec::Error) -> Self {
+        move |error| TraceReadError::Frame { offset, error }
+    }
 }
 
 impl fmt::Display for TraceReadError {
@@ -511,6 +922,11 @@ impl fmt::Display for TraceReadError {
         match self {
             TraceReadError::Frame { offset, error } => write!(f, "{error} at byte {offset}"),
             TraceReadError::Json(e) => write!(f, "{e}"),
+            TraceReadError::EdgeRef { offset, target } => write!(
+                f,
+                "edge reference to byte {target} names no earlier inline record of the same \
+                 vertex at byte {offset}"
+            ),
         }
     }
 }
@@ -523,26 +939,25 @@ impl From<serde_json::Error> for TraceReadError {
     }
 }
 
-/// Calls `frame` for every frame of a binary channel, in order; whatever
-/// fails — the scan or `frame` — is reported with the frame's offset.
-/// With `torn_tail_ok`, a frame overrunning the end of `bytes` (the shape
-/// a write caught mid-append leaves) ends the walk instead; a complete
-/// frame whose payload runs short is corrupt either way.
-pub(crate) fn for_each_frame<'a>(
+/// Calls `frame` for every frame of a binary channel, in order; a frame
+/// that does not scan is reported with its offset. With `torn_tail_ok`,
+/// a frame overrunning the end of `bytes` (the shape a write caught
+/// mid-append leaves) ends the walk instead; a complete frame whose
+/// payload runs short is corrupt either way.
+fn for_each_frame<'a>(
     bytes: &'a [u8],
     torn_tail_ok: bool,
-    mut frame: impl FnMut(Frame<'a>) -> Result<(), graft_codec::Error>,
+    mut frame: impl FnMut(Frame<'a>) -> Result<(), TraceReadError>,
 ) -> Result<(), TraceReadError> {
     let mut scanner = FrameScanner::new(bytes);
     loop {
         let offset = scanner.offset();
-        let read = match scanner.next_frame() {
+        match scanner.next_frame() {
             Ok(None) => return Ok(()),
             Err(graft_codec::Error::UnexpectedEof) if torn_tail_ok => return Ok(()),
-            Ok(Some(next)) => frame(next),
-            Err(error) => Err(error),
-        };
-        read.map_err(|error| TraceReadError::Frame { offset, error })?;
+            Ok(Some(next)) => frame(next)?,
+            Err(error) => return Err(TraceReadError::at(offset)(error)),
+        }
     }
 }
 
@@ -601,12 +1016,14 @@ pub const FLAG_OTHER_VIOLATION: u8 = 8;
 /// What a reader indexing a trace keeps of a vertex record: where the
 /// record sorts, and whether the violations view shows it.
 ///
-/// Decoding a binary vertex payload as a `VertexHead` *skims* it: the
-/// payload goes through the same GraftBin decoder, field for field, as a
-/// [`WireVertexTrace`] — so it is a valid head exactly when it is a valid
-/// record — but every tree and string is checked and dropped
+/// Skimming a binary vertex payload for its head
+/// ([`VertexChannel::head`]) puts it through the same GraftBin decoder,
+/// field for field, as a [`WireVertexTrace`] (in a v1 channel, an
+/// [`ErasedVertexTrace`]) — so it is a valid head exactly when it is a
+/// valid record — but every tree and string is checked and dropped
 /// (`graft_codec`'s `Skip*` types) instead of built, and the vertex id is
-/// rendered as it is read ([`TaggedText`]).
+/// rendered as it is read ([`TaggedText`]). An edge reference is read,
+/// not followed.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct VertexHead {
     /// Superstep of the capture.
@@ -634,52 +1051,103 @@ impl<'de> Deserialize<'de> for ViolationFlags {
     }
 }
 
-/// The next field of a vertex record read as a tuple.
-fn field<'de, T: Deserialize<'de>, A: SeqAccess<'de>>(seq: &mut A) -> Result<T, A::Error> {
-    seq.next_element()?.ok_or_else(|| serde::de::Error::custom("short vertex record"))
+/// What a listing reads of the fields after a record's edges.
+struct Listing<R> {
+    incoming: usize,
+    outgoing: usize,
+    global: GlobalData,
+    halted_after: bool,
+    reasons: R,
+    flags: u8,
 }
 
-impl<'de> Deserialize<'de> for VertexHead {
-    fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        struct HeadVisitor;
-        impl<'de> Visitor<'de> for HeadVisitor {
-            type Value = VertexHead;
-            fn expecting(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-                f.write_str("a vertex record")
-            }
-            fn visit_seq<A: SeqAccess<'de>>(self, mut seq: A) -> Result<VertexHead, A::Error> {
-                // A `WireVertexTrace`, field for field.
-                let superstep = field(&mut seq)?;
-                let TaggedText(vertex) = field(&mut seq)?;
-                let _value_before: SkipTagged = field(&mut seq)?;
-                let _value_after: SkipTagged = field(&mut seq)?;
-                let _edges: SkipSeq<(SkipTagged, SkipTagged)> = field(&mut seq)?;
-                let _incoming: SkipSeq<SkipTagged> = field(&mut seq)?;
-                let _outgoing: SkipSeq<(SkipTagged, SkipTagged)> = field(&mut seq)?;
-                let _aggregators: SkipSeq<(SkipStr, AggValue)> = field(&mut seq)?;
-                let _global: GlobalData = field(&mut seq)?;
-                let _halted_after: bool = field(&mut seq)?;
-                let _reasons: SkipSeq<CaptureReason> = field(&mut seq)?;
-                let ViolationFlags(violations) = field(&mut seq)?;
-                // An `ExceptionInfo`, field for field.
-                let exception: Option<(SkipStr, Option<SkipStr>)> = field(&mut seq)?;
-                let flags = violations | if exception.is_some() { FLAG_EXCEPTION } else { 0 };
-                Ok(VertexHead { superstep, vertex, flags })
-            }
+/// Reads a binary vertex payload field by field, each field as the
+/// caller's stand-in for it. The decoder calls are those of a
+/// [`WireVertexTrace`] — in a v1 channel, of an [`ErasedVertexTrace`] —
+/// in order, so every reader accepts exactly the payloads that decode and
+/// fails on the rest with the same error.
+struct PayloadReader<'de> {
+    de: graft_codec::Deserializer<'de>,
+    len: usize,
+    format: TraceFormat,
+}
+
+impl<'de> PayloadReader<'de> {
+    fn new(payload: &'de [u8], format: TraceFormat) -> Self {
+        Self { de: graft_codec::Deserializer::new(payload), len: payload.len(), format }
+    }
+
+    /// Bytes of the payload read so far.
+    fn at(&self) -> usize {
+        self.len - self.de.remaining()
+    }
+
+    fn field<T: Deserialize<'de>>(&mut self) -> graft_codec::Result<T> {
+        T::deserialize(&mut self.de)
+    }
+
+    /// The superstep, the vertex id read as `T`, and the id's bytes.
+    fn front<T: Deserialize<'de>>(&mut self) -> graft_codec::Result<(u64, T, Range<usize>)> {
+        let superstep = self.field()?;
+        let start = self.at();
+        let vertex = self.field()?;
+        Ok((superstep, vertex, start..self.at()))
+    }
+
+    /// The values before and after compute, read as `T`.
+    fn values<T: Deserialize<'de>>(&mut self) -> graft_codec::Result<(T, T)> {
+        Ok((self.field()?, self.field()?))
+    }
+
+    /// The edges, their list read as `L`: a v1 payload's plain list, a
+    /// v2 payload's [`WireEdges`].
+    fn edges<L: Deserialize<'de>>(&mut self) -> graft_codec::Result<WireEdges<L>> {
+        match self.format {
+            TraceFormat::Binary => self.field().map(WireEdges::Inline),
+            _ => self.field(),
         }
-        deserializer.deserialize_tuple(13, HeadVisitor)
+    }
+
+    /// The fields after the edges, as a listing reads them, the reasons
+    /// as `R`; the payload must end with them.
+    fn listing<R: Deserialize<'de>>(mut self) -> graft_codec::Result<Listing<R>> {
+        let incoming: SkipSeq<SkipTagged> = self.field()?;
+        let outgoing: SkipSeq<(SkipTagged, SkipTagged)> = self.field()?;
+        let _aggregators: SkipSeq<(SkipStr, AggValue)> = self.field()?;
+        let global = self.field()?;
+        let halted_after = self.field()?;
+        let reasons = self.field()?;
+        let ViolationFlags(violations) = self.field()?;
+        // An `ExceptionInfo`, field for field.
+        let exception: Option<(SkipStr, Option<SkipStr>)> = self.field()?;
+        self.finish()?;
+        Ok(Listing {
+            incoming: incoming.len,
+            outgoing: outgoing.len,
+            global,
+            halted_after,
+            reasons,
+            flags: violations | if exception.is_some() { FLAG_EXCEPTION } else { 0 },
+        })
+    }
+
+    /// Checks that nothing follows the last field.
+    fn finish(&self) -> graft_codec::Result<()> {
+        match self.de.remaining() {
+            0 => Ok(()),
+            trailing => Err(graft_codec::Error::TrailingBytes(trailing)),
+        }
     }
 }
 
 /// What a listing view shows of a vertex record: the rendered texts and
 /// the counts of one row of the tabular or node-link view, and no more.
 ///
-/// [`RowDigest::from_payload`] skims a binary vertex payload for them the
-/// way [`VertexHead`] does — the same decoder calls, field for field, as
-/// a [`WireVertexTrace`], so it succeeds exactly when the record decodes
-/// — rendering each kept tree to text as it is read
-/// ([`graft_codec::TaggedText`]) and dropping messages, aggregators and
-/// violation details unread.
+/// [`VertexChannel::digest`] skims a binary vertex payload for them the
+/// way [`VertexChannel::head`] does — the same decoder calls, field for
+/// field, so it succeeds exactly when the record decodes — rendering each
+/// kept tree to text as it is read ([`graft_codec::TaggedText`]) and
+/// dropping messages, aggregators and violation details unread.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RowDigest {
     /// The vertex id, rendered.
@@ -705,93 +1173,218 @@ pub struct RowDigest {
     pub flags: u8,
 }
 
-impl RowDigest {
-    /// Skims a binary vertex frame's payload, rendering the edges only
+/// A binary worker channel as its vertex payloads are read: the bytes an
+/// edge reference resolves against, and the layout they were written in.
+#[derive(Clone, Copy, Debug)]
+pub struct VertexChannel<'a> {
+    bytes: &'a [u8],
+    format: TraceFormat,
+}
+
+impl<'a> VertexChannel<'a> {
+    /// The channel `bytes` of a trace in `format`.
+    pub fn new(bytes: &'a [u8], format: TraceFormat) -> Self {
+        Self { bytes, format }
+    }
+
+    /// Skims a vertex payload for its head (see [`VertexHead`]).
+    pub fn head(&self, payload: &[u8]) -> graft_codec::Result<VertexHead> {
+        self.skim(payload).map(|(head, _, _)| head)
+    }
+
+    /// The head, the byte range of the vertex id in the payload, and the
+    /// offset the edges name if they are a reference.
+    fn skim(&self, payload: &[u8]) -> graft_codec::Result<(VertexHead, Range<usize>, Option<u64>)> {
+        let mut reader = PayloadReader::new(payload, self.format);
+        let (superstep, TaggedText(vertex), id) = reader.front()?;
+        reader.values::<SkipTagged>()?;
+        let edges: WireEdges<SkipSeq<(SkipTagged, SkipTagged)>> = reader.edges()?;
+        let listing: Listing<SkipSeq<CaptureReason>> = reader.listing()?;
+        let target = match edges {
+            WireEdges::Inline(_) => None,
+            WireEdges::At(target) => Some(target),
+        };
+        Ok((VertexHead { superstep, vertex, flags: listing.flags }, id, target))
+    }
+
+    /// Skims a vertex payload for a listing row (see [`RowDigest`]),
+    /// rendering the edges — followed, if a reference — only
     /// `with_edges`.
-    pub fn from_payload(payload: &[u8], with_edges: bool) -> Result<Self, graft_codec::Error> {
-        struct DigestVisitor {
-            with_edges: bool,
+    pub fn digest(&self, payload: &[u8], with_edges: bool) -> graft_codec::Result<RowDigest> {
+        let mut reader = PayloadReader::new(payload, self.format);
+        let (_, TaggedText(vertex), id) = reader.front()?;
+        let (TaggedText(value_before), TaggedText(value_after)) = reader.values()?;
+        let edges: WireEdges<Vec<(TaggedText, TaggedText)>> = if with_edges {
+            reader.edges()?
+        } else {
+            reader.edges::<SkipSeq<(SkipTagged, SkipTagged)>>()?;
+            WireEdges::Inline(Vec::new())
+        };
+        let listing: Listing<Vec<CaptureReason>> = reader.listing()?;
+        let edges = self.resolve(edges, &payload[id])?;
+        Ok(RowDigest {
+            vertex,
+            value_before,
+            value_after,
+            edges: edges.into_iter().map(|(target, value)| (target.0, value.0)).collect(),
+            incoming: listing.incoming,
+            outgoing: listing.outgoing,
+            global: Some((
+                listing.global.superstep,
+                listing.global.num_vertices,
+                listing.global.num_edges,
+            )),
+            halted_after: listing.halted_after,
+            reasons: listing.reasons.iter().map(|reason| reason.as_str().to_string()).collect(),
+            flags: listing.flags,
+        })
+    }
+
+    /// Decodes a vertex payload into the normalized dynamic value — the
+    /// exact `Value` that parsing the record's JSON-lines rendition would
+    /// produce — its edges followed if a reference. One tree is built:
+    /// the decoded subtrees move into the record's object, which is then
+    /// normalized in place.
+    pub fn value(&self, payload: &[u8]) -> graft_codec::Result<Value> {
+        fn json<T: Serialize>(part: &T) -> graft_codec::Result<Value> {
+            serde_json::to_value(part).map_err(json_error)
         }
-        impl<'de> Visitor<'de> for DigestVisitor {
-            type Value = RowDigest;
-            fn expecting(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-                f.write_str("a vertex record")
+        let pair = |(a, b): (BinValue, BinValue)| Value::Array(vec![a.0, b.0]);
+        let mut reader = PayloadReader::new(payload, self.format);
+        let (superstep, BinValue(vertex), id) = reader.front()?;
+        let (BinValue(value_before), BinValue(value_after)) = reader.values()?;
+        let edges: WireEdges<Vec<(BinValue, BinValue)>> = reader.edges()?;
+        let incoming: Vec<BinValue> = reader.field()?;
+        let outgoing: Vec<(BinValue, BinValue)> = reader.field()?;
+        let aggregators: Vec<(String, AggValue)> = reader.field()?;
+        let global: GlobalData = reader.field()?;
+        let halted_after: bool = reader.field()?;
+        let reasons: Vec<CaptureReason> = reader.field()?;
+        let violations: Vec<ViolationRecord> = reader.field()?;
+        let exception: Option<ExceptionInfo> = reader.field()?;
+        reader.finish()?;
+        let edges = self.resolve(edges, &payload[id])?;
+        let mut value = Value::Object(serde_json::Map::from([
+            ("superstep".to_string(), Value::Number(serde_json::Number::U64(superstep))),
+            ("vertex".to_string(), vertex),
+            ("value_before".to_string(), value_before),
+            ("value_after".to_string(), value_after),
+            ("edges".to_string(), Value::Array(edges.into_iter().map(pair).collect())),
+            ("incoming".to_string(), Value::Array(incoming.into_iter().map(|m| m.0).collect())),
+            ("outgoing".to_string(), Value::Array(outgoing.into_iter().map(pair).collect())),
+            ("aggregators".to_string(), json(&aggregators)?),
+            ("global".to_string(), json(&global)?),
+            ("halted_after".to_string(), Value::Bool(halted_after)),
+            ("reasons".to_string(), json(&reasons)?),
+            ("violations".to_string(), json(&violations)?),
+            ("exception".to_string(), json(&exception)?),
+        ]));
+        graft_codec::normalize(&mut value);
+        Ok(value)
+    }
+
+    /// The list of `edges`, read at the frame they name if a reference
+    /// in a record of the vertex whose encoded id is `id`.
+    fn resolve<L: DeserializeOwned>(
+        &self,
+        edges: WireEdges<L>,
+        id: &[u8],
+    ) -> graft_codec::Result<L> {
+        match edges {
+            WireEdges::Inline(list) => Ok(list),
+            WireEdges::At(target) => self.edges_at(target, id),
+        }
+    }
+
+    /// The inline edges, read as `L`, of the vertex frame at `offset`
+    /// if it records vertex `id`: one hop, never through a reference.
+    fn edges_at<L: DeserializeOwned>(&self, offset: u64, id: &[u8]) -> graft_codec::Result<L> {
+        let inline = || -> Option<L> {
+            let rest = self.bytes.get(usize::try_from(offset).ok()?..)?;
+            let frame = FrameScanner::new(rest).next_frame().ok()??;
+            let mut reader = PayloadReader::new(frame.payload, self.format);
+            let (_, SkipTagged, target) = reader.front().ok()?;
+            if frame.kind != FRAME_VERTEX || frame.payload[target] != *id {
+                return None;
             }
-            fn visit_seq<A: SeqAccess<'de>>(self, mut seq: A) -> Result<RowDigest, A::Error> {
-                // A `WireVertexTrace`, field for field.
-                let _superstep: u64 = field(&mut seq)?;
-                let TaggedText(vertex) = field(&mut seq)?;
-                let TaggedText(value_before) = field(&mut seq)?;
-                let TaggedText(value_after) = field(&mut seq)?;
-                let edges = if self.with_edges {
-                    let edges: Vec<(TaggedText, TaggedText)> = field(&mut seq)?;
-                    edges.into_iter().map(|(target, value)| (target.0, value.0)).collect()
-                } else {
-                    let _: SkipSeq<(SkipTagged, SkipTagged)> = field(&mut seq)?;
-                    Vec::new()
-                };
-                let incoming: SkipSeq<SkipTagged> = field(&mut seq)?;
-                let outgoing: SkipSeq<(SkipTagged, SkipTagged)> = field(&mut seq)?;
-                let _aggregators: SkipSeq<(SkipStr, AggValue)> = field(&mut seq)?;
-                let global: GlobalData = field(&mut seq)?;
-                let halted_after = field(&mut seq)?;
-                let reasons: Vec<CaptureReason> = field(&mut seq)?;
-                let ViolationFlags(violations) = field(&mut seq)?;
-                let exception: Option<(SkipStr, Option<SkipStr>)> = field(&mut seq)?;
-                Ok(RowDigest {
-                    vertex,
-                    value_before,
-                    value_after,
-                    edges,
-                    incoming: incoming.len,
-                    outgoing: outgoing.len,
-                    global: Some((global.superstep, global.num_vertices, global.num_edges)),
-                    halted_after,
-                    reasons: reasons
-                        .iter()
-                        .map(|r| serde_json::to_value(r).map(|name| compact(&name)))
-                        .collect::<Result<_, _>>()
-                        .map_err(serde::de::Error::custom)?,
-                    flags: violations | if exception.is_some() { FLAG_EXCEPTION } else { 0 },
-                })
+            reader.values::<SkipTagged>().ok()?;
+            match reader.edges().ok()? {
+                WireEdges::Inline(list) => Some(list),
+                WireEdges::At(_) => None,
             }
-        }
-        let mut decoder = graft_codec::Deserializer::new(payload);
-        let digest = decoder.deserialize_tuple(13, DigestVisitor { with_edges })?;
-        match decoder.remaining() {
-            0 => Ok(digest),
-            trailing => Err(graft_codec::Error::TrailingBytes(trailing)),
-        }
+        };
+        inline().ok_or_else(|| {
+            graft_codec::Error::Message(format!(
+                "edge reference to byte {offset} names no inline record of the same vertex"
+            ))
+        })
     }
 }
 
-/// Decodes a binary vertex frame's payload into the normalized dynamic
-/// value — the exact `Value` that parsing the record's JSON-lines
-/// rendition would produce. One tree is built: the decoded subtrees move
-/// into the record's object, which is then normalized in place.
-pub fn vertex_value_from_payload(payload: &[u8]) -> Result<Value, graft_codec::Error> {
-    fn json<T: Serialize>(part: &T) -> Result<Value, graft_codec::Error> {
-        serde_json::to_value(part).map_err(json_error)
-    }
-    let pair = |(a, b): (BinValue, BinValue)| Value::Array(vec![a.0, b.0]);
-    let wire: WireVertexTrace = graft_codec::from_slice(payload)?;
-    let mut value = Value::Object(serde_json::Map::from([
-        ("superstep".to_string(), Value::Number(serde_json::Number::U64(wire.superstep))),
-        ("vertex".to_string(), wire.vertex.0),
-        ("value_before".to_string(), wire.value_before.0),
-        ("value_after".to_string(), wire.value_after.0),
-        ("edges".to_string(), Value::Array(wire.edges.into_iter().map(pair).collect())),
-        ("incoming".to_string(), Value::Array(wire.incoming.into_iter().map(|m| m.0).collect())),
-        ("outgoing".to_string(), Value::Array(wire.outgoing.into_iter().map(pair).collect())),
-        ("aggregators".to_string(), json(&wire.aggregators)?),
-        ("global".to_string(), json(&wire.global)?),
-        ("halted_after".to_string(), Value::Bool(wire.halted_after)),
-        ("reasons".to_string(), json(&wire.reasons)?),
-        ("violations".to_string(), json(&wire.violations)?),
-        ("exception".to_string(), json(&wire.exception)?),
-    ]));
-    graft_codec::normalize(&mut value);
-    Ok(value)
+/// A frame of a binary worker channel, as [`walk_vertex_channel`] read
+/// it.
+#[derive(Clone, Debug)]
+pub enum ChannelRecord {
+    /// A superstep index frame, decoded.
+    Index(IndexRecord),
+    /// A vertex frame, skimmed.
+    Vertex(VertexHead),
+}
+
+/// Walks a binary worker channel, handing `record` every frame with what
+/// was read of it: index frames are decoded, vertex payloads skimmed, and
+/// every edge reference checked — it must name an earlier frame of the
+/// channel that records the same vertex, byte for byte, with its edges
+/// inline. With `up_to`, the live watermark of a job still running, a
+/// superstep group past it is hopped without reading a payload, and a
+/// torn tail ends the walk. Anything else that does not read fails with
+/// the offset of its frame.
+pub fn walk_vertex_channel<'a>(
+    channel: VertexChannel<'a>,
+    up_to: Option<u64>,
+    mut record: impl FnMut(Frame<'a>, ChannelRecord) -> Result<(), graft_codec::Error>,
+) -> Result<(), TraceReadError> {
+    // Set while the current index group lies beyond the watermark.
+    let mut skip_group = false;
+    // The frame start and the id bytes of each vertex frame whose edges
+    // are inline, in channel order: the frames a reference may name.
+    let mut inline: Vec<(u64, Range<usize>)> = Vec::new();
+    for_each_frame(channel.bytes, up_to.is_some(), |frame| {
+        let read = match frame.kind {
+            FRAME_INDEX => {
+                let index = index_record_from_payload(frame.payload)
+                    .map_err(TraceReadError::at(frame.start))?;
+                skip_group = up_to.is_some_and(|w| index.superstep > w);
+                ChannelRecord::Index(index)
+            }
+            FRAME_VERTEX if skip_group => return Ok(()),
+            FRAME_VERTEX => {
+                let (head, id, target) =
+                    channel.skim(frame.payload).map_err(TraceReadError::at(frame.start))?;
+                let id = frame.payload_start + id.start..frame.payload_start + id.end;
+                match target {
+                    None => inline.push((frame.start as u64, id)),
+                    Some(target) => {
+                        let named = inline.binary_search_by_key(&target, |(start, _)| *start);
+                        let same = named.is_ok_and(|at| {
+                            channel.bytes[inline[at].1.clone()] == channel.bytes[id]
+                        });
+                        if !same {
+                            return Err(TraceReadError::EdgeRef { offset: frame.start, target });
+                        }
+                    }
+                }
+                ChannelRecord::Vertex(head)
+            }
+            other => {
+                return Err(TraceReadError::at(frame.start)(unexpected_kind(
+                    other,
+                    "a vertex trace",
+                )))
+            }
+        };
+        record(frame, read).map_err(TraceReadError::at(frame.start))
+    })
 }
 
 /// Decodes a binary index frame's payload.
@@ -801,27 +1394,65 @@ pub fn index_record_from_payload(payload: &[u8]) -> Result<IndexRecord, graft_co
 
 /// Decodes all vertex records from a worker trace file's bytes. For the
 /// binary codec the typed records are reconstructed through their
-/// normalized dynamic values, so `T` can be a `VertexTraceOf<C>` or
-/// `serde_json::Value` alike; index frames are validated and skipped.
+/// normalized dynamic values, edge references followed, so `T` can be a
+/// `VertexTraceOf<C>`, an [`ErasedVertexTrace`] or `serde_json::Value`
+/// alike; index frames and references are checked as
+/// [`walk_vertex_channel`] checks them.
 pub fn decode_vertex_records<T: DeserializeOwned>(
-    codec: TraceCodec,
+    format: impl Into<TraceFormat>,
     bytes: &[u8],
 ) -> Result<Vec<T>, TraceReadError> {
     let mut out = Vec::new();
-    match codec {
-        TraceCodec::JsonLines => for_each_line(bytes, false, |line, _| {
+    match format.into() {
+        TraceFormat::JsonLines => for_each_line(bytes, false, |line, _| {
             out.push(serde_json::from_slice(line)?);
             Ok(())
         })?,
-        TraceCodec::Binary => for_each_frame(bytes, false, |frame| match frame.kind {
-            FRAME_INDEX => index_record_from_payload(frame.payload).map(drop),
-            FRAME_VERTEX => {
-                let value = vertex_value_from_payload(frame.payload)?;
-                out.push(serde_json::from_value(&value).map_err(json_error)?);
+        format => {
+            let channel = VertexChannel::new(bytes, format);
+            walk_vertex_channel(channel, None, |frame, read| {
+                if let ChannelRecord::Vertex(_) = read {
+                    let value = channel.value(frame.payload)?;
+                    out.push(serde_json::from_value(&value).map_err(json_error)?);
+                }
                 Ok(())
-            }
-            other => Err(unexpected_kind(other, "a vertex trace")),
-        })?,
+            })?
+        }
+    }
+    Ok(out)
+}
+
+/// Re-encodes a worker channel's vertex records, read in `source`, in
+/// `target` — byte for byte what a native capture in `target` writes:
+/// binary index frames are re-derived with the sink's rule, one per
+/// superstep transition with the counts as of the frame's own start, and
+/// edge references re-decided with an [`EdgeRefs`]. JSON lines hold every
+/// list inline.
+pub fn convert_vertex_channel(
+    source: TraceFormat,
+    target: TraceCodec,
+    bytes: &[u8],
+) -> Result<Vec<u8>, Box<dyn std::error::Error>> {
+    let records: Vec<ErasedVertexTrace> = decode_vertex_records(source, bytes)?;
+    let mut out = Vec::new();
+    let mut refs = EdgeRefs::default();
+    let mut last_superstep = None;
+    for (count, record) in records.iter().enumerate() {
+        if target == TraceCodec::JsonLines {
+            encode_record(target, record, &mut out)?;
+            continue;
+        }
+        if last_superstep != Some(record.superstep) {
+            let index = IndexRecord {
+                superstep: record.superstep,
+                records_before: count as u64,
+                bytes_before: out.len() as u64,
+            };
+            encode_index_frame(&index, &mut out)?;
+            last_superstep = Some(record.superstep);
+        }
+        let offset = out.len() as u64;
+        record.encode_channel_frame(&mut out, &mut refs, offset)?;
     }
     Ok(out)
 }
@@ -854,10 +1485,11 @@ pub(crate) fn master_records_up_to(
             Ok(())
         })?,
         TraceCodec::Binary => for_each_frame(bytes, up_to.is_some(), |frame| {
-            if frame.kind != FRAME_MASTER {
-                return Err(unexpected_kind(frame.kind, "the master trace"));
-            }
-            within(graft_codec::from_slice(frame.payload)?);
+            let record = match frame.kind {
+                FRAME_MASTER => graft_codec::from_slice(frame.payload),
+                other => Err(unexpected_kind(other, "the master trace")),
+            };
+            within(record.map_err(TraceReadError::at(frame.start))?);
             Ok(())
         })?,
     }
@@ -938,10 +1570,109 @@ mod tests {
         let mut scanner = graft_codec::frame::FrameScanner::new(&bin);
         let frame = scanner.next_frame().unwrap().unwrap();
         assert_eq!(frame.kind, FRAME_VERTEX);
-        let from_bin = vertex_value_from_payload(frame.payload).unwrap();
+        let from_bin =
+            VertexChannel::new(&bin, TraceFormat::BinaryV2).value(frame.payload).unwrap();
 
         assert_eq!(from_bin, from_json);
         assert_eq!(serde_json::to_vec(&from_bin).unwrap(), serde_json::to_vec(&from_json).unwrap());
+    }
+
+    /// Writes `records` to one channel under the back-reference rule,
+    /// returning the channel and the kind of each vertex record's edges.
+    fn channel_of(records: &[VertexTrace<u64, i64, (), i64>]) -> (Vec<u8>, Vec<&'static str>) {
+        let mut buf = Vec::new();
+        let mut refs = EdgeRefs::default();
+        for record in records {
+            let offset = buf.len() as u64;
+            record.encode_channel_frame(&mut buf, &mut refs, offset).unwrap();
+        }
+        let mut kinds = Vec::new();
+        let mut scanner = FrameScanner::new(&buf);
+        while let Some(frame) = scanner.next_frame().unwrap() {
+            let wire: WireVertexTrace = graft_codec::from_slice(frame.payload).unwrap();
+            kinds.push(match wire.edges {
+                WireEdges::Inline(_) => "inline",
+                WireEdges::At(_) => "at",
+            });
+        }
+        (buf, kinds)
+    }
+
+    #[test]
+    fn a_repeated_adjacency_is_written_once_per_vertex() {
+        let with = |superstep, vertex, edges: Vec<(u64, ())>| VertexTrace {
+            superstep,
+            vertex,
+            edges,
+            ..sample_trace()
+        };
+        let ring = vec![(671, ()), (673, ())];
+        let records = [
+            with(0, 672, ring.clone()),
+            with(0, 7, ring.clone()),
+            with(1, 672, ring.clone()),
+            with(1, 7, ring.clone()),
+            // An edit: inline again, and the new list is what later
+            // records point at.
+            with(2, 672, vec![(671, ())]),
+            with(3, 672, vec![(671, ())]),
+            // A list no longer than its reference stays inline.
+            with(4, 9, vec![]),
+            with(5, 9, vec![]),
+        ];
+        let (buf, kinds) = channel_of(&records);
+        assert_eq!(kinds, ["inline", "inline", "at", "at", "inline", "at", "inline", "inline"]);
+
+        // Every record reads back whole, references followed, and equals
+        // what a channel of inline lists reads back.
+        let decoded: Vec<VertexTrace<u64, i64, (), i64>> =
+            decode_vertex_records(TraceCodec::Binary, &buf).unwrap();
+        let mut inline = Vec::new();
+        for record in &records {
+            encode_record(TraceCodec::Binary, record, &mut inline).unwrap();
+        }
+        let expected: Vec<VertexTrace<u64, i64, (), i64>> =
+            decode_vertex_records(TraceCodec::Binary, &inline).unwrap();
+        assert!(buf.len() < inline.len());
+        let edges = |rows: &[VertexTrace<u64, i64, (), i64>]| -> Vec<Vec<u64>> {
+            rows.iter().map(|r| r.edges.iter().map(|e| e.0).collect()).collect()
+        };
+        assert_eq!(edges(&decoded), edges(&expected));
+        assert_eq!(edges(&decoded), edges(&records));
+
+        // The state rebuilt from any prefix of frames writes the rest of
+        // the channel exactly as the uninterrupted writer did.
+        let mut starts = vec![0];
+        let mut scanner = FrameScanner::new(&buf);
+        while let Some(frame) = scanner.next_frame().unwrap() {
+            starts.push(frame.end);
+        }
+        for (cut, start) in starts.iter().enumerate() {
+            let mut rewritten = buf[..*start].to_vec();
+            let mut refs = EdgeRefs::from_channel(&rewritten);
+            for record in &records[cut..] {
+                let offset = rewritten.len() as u64;
+                record.encode_channel_frame(&mut rewritten, &mut refs, offset).unwrap();
+            }
+            assert_eq!(rewritten, buf, "rebuilt after {cut} records");
+        }
+    }
+
+    #[test]
+    fn the_format_names_the_layout_in_meta_json() {
+        for (format, name) in [
+            (TraceFormat::JsonLines, "\"JsonLines\""),
+            (TraceFormat::Binary, "\"Binary\""),
+            (TraceFormat::BinaryV2, "\"BinaryV2\""),
+        ] {
+            assert_eq!(serde_json::to_string(&format).unwrap(), name);
+            assert_eq!(serde_json::from_str::<TraceFormat>(name).unwrap(), format);
+        }
+        assert_eq!(TraceFormat::from(TraceCodec::Binary), TraceFormat::BinaryV2);
+        assert_eq!(TraceFormat::Binary.codec(), TraceCodec::Binary);
+        // A reader that knew only the codec's names fails on a v2 trace
+        // at meta.json.
+        assert!(serde_json::from_str::<TraceCodec>("\"BinaryV2\"").is_err());
     }
 
     #[test]

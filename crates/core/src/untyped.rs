@@ -17,8 +17,10 @@
 //!   binary vertex payload is *skimmed* — run through the same GraftBin
 //!   decoder, field for field, as the full record, with visitors that
 //!   check and drop what they read (see [`VertexHead`]) — so exactly the
-//!   payloads that would decode in full pass, and none is built. Index
-//!   frames and master records are decoded outright; they are small.
+//!   payloads that would decode in full pass, and none is built. A v2
+//!   payload's edge back-reference is checked against the channel's
+//!   inline rows before it (see [`walk_vertex_channel`]). Index frames
+//!   and master records are decoded outright; they are small.
 //! * **What the index holds.** Per superstep, one three-word entry per
 //!   row, sorted by rendered vertex id: the byte range of the record
 //!   (the JSON line, or the binary frame payload located by walking
@@ -33,7 +35,8 @@
 //!   from the payload with no tree built ([`UntypedSession::digests`]).
 //!   What shows a whole record — the violations view its flagged rows,
 //!   a reproducer its one row — parses the payload once into the tree
-//!   an [`UntypedTrace`] wraps. A point lookup probes O(log rows) rows
+//!   an [`UntypedTrace`] wraps. Edges held by reference are read, one
+//!   hop, from the frame they name. A point lookup probes O(log rows) rows
 //!   with the head skim and parses what it returns. A superstep with a
 //!   million captures costs three words of index per row until then —
 //!   which is what lets the debug server paginate large supersteps
@@ -49,13 +52,12 @@ use std::sync::Arc;
 use graft_dfs::FileSystem;
 use serde_json::Value;
 
-use crate::config::TraceCodec;
 use crate::session::{read_json, read_result, Indicators, SessionError};
 use crate::trace::{
-    compact, for_each_frame, for_each_line, index_record_from_payload, master_records_up_to,
-    master_trace_path, meta_path, unexpected_kind, vertex_value_from_payload, worker_trace_path,
-    JobMeta, JobResultRecord, MasterTrace, RowDigest, TraceReadError, VertexHead, FLAG_EXCEPTION,
-    FLAG_MESSAGE_VIOLATION, FLAG_OTHER_VIOLATION, FLAG_VALUE_VIOLATION, FRAME_INDEX, FRAME_VERTEX,
+    compact, for_each_line, master_records_up_to, master_trace_path, meta_path,
+    walk_vertex_channel, worker_trace_path, ChannelRecord, JobMeta, JobResultRecord, MasterTrace,
+    RowDigest, TraceFormat, TraceReadError, VertexChannel, VertexHead, FLAG_EXCEPTION,
+    FLAG_MESSAGE_VIOLATION, FLAG_OTHER_VIOLATION, FLAG_VALUE_VIOLATION,
 };
 
 /// One captured vertex context, as dynamic JSON.
@@ -211,7 +213,7 @@ impl UntypedTrace {
     }
 
     /// What a listing view shows of this record — for a binary payload,
-    /// what [`RowDigest::from_payload`] skims.
+    /// what [`VertexChannel::digest`] skims.
     pub fn digest(&self, with_edges: bool) -> RowDigest {
         RowDigest {
             vertex: self.vertex(),
@@ -231,10 +233,11 @@ impl UntypedTrace {
 /// Walks one worker trace file, invoking `row` for every vertex record
 /// within the watermark, with the record's head and its payload byte
 /// range (the JSON line, or the binary frame payload). A binary payload
-/// is skimmed, not decoded into a tree (see [`VertexHead`]); a JSON line
-/// is parsed, its head read off the value, and the value dropped. Shared
-/// by [`JobSummary::scan`] and [`UntypedSession::open`] so a job
-/// summarizes if and only if it opens.
+/// is skimmed, not decoded into a tree (see [`VertexHead`]), and its edge
+/// reference checked ([`walk_vertex_channel`]); a JSON line is parsed,
+/// its head read off the value, and the value dropped. Shared by
+/// [`JobSummary::scan`] and [`UntypedSession::open`] so a job summarizes
+/// if and only if it opens.
 ///
 /// With `up_to: Some(w)` (the live watermark of `open_partial`), rows of
 /// supersteps beyond `w` are excluded — in binary traces whole superstep
@@ -245,7 +248,7 @@ impl UntypedTrace {
 /// protocol guarantees completed supersteps are durable and well-formed,
 /// so mid-file corruption is real corruption.
 fn walk_worker_rows(
-    codec: TraceCodec,
+    format: TraceFormat,
     bytes: &[u8],
     up_to: Option<u64>,
     mut row: impl FnMut(VertexHead, usize, usize),
@@ -255,31 +258,17 @@ fn walk_worker_rows(
             row(head, start, len);
         }
     };
-    match codec {
-        TraceCodec::JsonLines => for_each_line(bytes, up_to.is_some(), |line, start| {
+    match format {
+        TraceFormat::JsonLines => for_each_line(bytes, up_to.is_some(), |line, start| {
             within(UntypedTrace(serde_json::from_slice(line)?).head(), start, line.len());
             Ok(())
         }),
-        TraceCodec::Binary => {
-            // Set while the current index group lies beyond the live
-            // watermark; its vertex payloads are hopped, not read.
-            let mut skip_group = false;
-            for_each_frame(bytes, up_to.is_some(), |frame| match frame.kind {
-                FRAME_INDEX => {
-                    let index = index_record_from_payload(frame.payload)?;
-                    skip_group = up_to.is_some_and(|w| index.superstep > w);
-                    Ok(())
-                }
-                FRAME_VERTEX => {
-                    if !skip_group {
-                        let head = graft_codec::from_slice(frame.payload)?;
-                        within(head, frame.payload_start, frame.payload.len());
-                    }
-                    Ok(())
-                }
-                other => Err(unexpected_kind(other, "a vertex trace")),
-            })
-        }
+        format => walk_vertex_channel(VertexChannel::new(bytes, format), up_to, |frame, read| {
+            if let ChannelRecord::Vertex(head) = read {
+                within(head, frame.payload_start, frame.payload.len());
+            }
+            Ok(())
+        }),
     }
 }
 
@@ -308,7 +297,7 @@ impl JobSummary {
                 continue;
             }
             let bytes = fs.read_all(&path)?;
-            walk_worker_rows(meta.codec(), &bytes, None, |head, _, _| {
+            walk_worker_rows(meta.format(), &bytes, None, |head, _, _| {
                 *counts.entry(head.superstep).or_default() += 1;
             })
             .map_err(|e| SessionError::decode(path, e))?;
@@ -361,7 +350,7 @@ struct RowRef {
 /// individual rows are parsed on demand (see the module docs).
 pub struct UntypedSession {
     meta: JobMeta,
-    codec: TraceCodec,
+    format: TraceFormat,
     result: Option<JobResultRecord>,
     workers: Vec<Vec<u8>>,
     index: BTreeMap<u64, Vec<RowRef>>,
@@ -400,7 +389,7 @@ impl UntypedSession {
         up_to: Option<u64>,
     ) -> Result<Self, SessionError> {
         let meta: JobMeta = read_json(fs.as_ref(), &meta_path(root))?;
-        let codec = meta.codec();
+        let format = meta.format();
 
         // One validation scan: each record yields its head — sort key
         // (superstep, rendered vertex) and flags — and nothing else; only
@@ -415,7 +404,7 @@ impl UntypedSession {
             }
             let bytes = fs.read_all(&path)?;
             let worker = u32::try_from(workers.len()).expect("fewer than 2^32 files are held");
-            walk_worker_rows(codec, &bytes, up_to, |head, start, len| {
+            walk_worker_rows(format, &bytes, up_to, |head, start, len| {
                 let row = RowRef { start, len, worker, flags: head.flags };
                 by_superstep.entry(head.superstep).or_default().push((head.vertex, row));
             })
@@ -434,50 +423,45 @@ impl UntypedSession {
         let master_path = master_trace_path(root);
         if fs.exists(&master_path) {
             let bytes = fs.read_all(&master_path)?;
-            master = master_records_up_to(codec, &bytes, up_to)
+            master = master_records_up_to(format.codec(), &bytes, up_to)
                 .map_err(|e| SessionError::decode(master_path, e))?;
         }
 
         let result = read_result(fs.as_ref(), root)?;
 
-        Ok(Self { meta, codec, result, workers, index, master })
+        Ok(Self { meta, format, result, workers, index, master })
     }
 
-    /// The record's bytes: a JSON line, or a binary frame's payload.
-    fn row_bytes(&self, row: &RowRef) -> &[u8] {
-        &self.workers[row.worker as usize][row.start..row.start + row.len]
+    /// The worker file a row lies in, and the row's bytes: a JSON line,
+    /// or a binary frame's payload.
+    fn row_bytes(&self, row: &RowRef) -> (VertexChannel<'_>, &[u8]) {
+        let bytes = &self.workers[row.worker as usize];
+        (VertexChannel::new(bytes, self.format), &bytes[row.start..row.start + row.len])
     }
 
     fn parse_row(&self, row: &RowRef) -> UntypedTrace {
-        let bytes = self.row_bytes(row);
-        let value = match self.codec {
-            TraceCodec::JsonLines => {
-                serde_json::from_slice(bytes).expect("rows were validated by open()")
-            }
-            TraceCodec::Binary => {
-                vertex_value_from_payload(bytes).expect("rows were validated by open()")
-            }
+        let (channel, bytes) = self.row_bytes(row);
+        let value = match self.format {
+            TraceFormat::JsonLines => serde_json::from_slice(bytes).map_err(|e| e.to_string()),
+            _ => channel.value(bytes).map_err(|e| e.to_string()),
         };
-        UntypedTrace(value)
+        UntypedTrace(value.expect("rows were validated by open()"))
     }
 
     fn digest_row(&self, row: &RowRef, with_edges: bool) -> RowDigest {
-        match self.codec {
-            TraceCodec::JsonLines => self.parse_row(row).digest(with_edges),
-            TraceCodec::Binary => RowDigest::from_payload(self.row_bytes(row), with_edges)
-                .expect("rows were validated by open()"),
+        let (channel, bytes) = self.row_bytes(row);
+        match self.format {
+            TraceFormat::JsonLines => self.parse_row(row).digest(with_edges),
+            _ => channel.digest(bytes, with_edges).expect("rows were validated by open()"),
         }
     }
 
     /// The rendered vertex id of a row: the key the index is sorted by.
     fn vertex_of(&self, row: &RowRef) -> String {
-        match self.codec {
-            TraceCodec::JsonLines => self.parse_row(row).vertex(),
-            TraceCodec::Binary => {
-                graft_codec::from_slice::<VertexHead>(self.row_bytes(row))
-                    .expect("rows were validated by open()")
-                    .vertex
-            }
+        let (channel, bytes) = self.row_bytes(row);
+        match self.format {
+            TraceFormat::JsonLines => self.parse_row(row).vertex(),
+            _ => channel.head(bytes).expect("rows were validated by open()").vertex,
         }
     }
 
@@ -603,7 +587,9 @@ impl UntypedSession {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::TraceCodec;
     use crate::testing::premade;
+    use crate::trace::FRAME_VERTEX;
     use crate::{DebugConfig, GraftRunner};
     use graft_pregel::{Computation, ContextOf, VertexHandleOf};
 
@@ -882,7 +868,7 @@ mod tests {
                 master: None,
                 value_types: ("String".into(), "i64".into(), "()".into(), "i64".into()),
                 num_workers: 2,
-                trace_format: Some(codec),
+                trace_format: Some(codec.into()),
                 config: vec![],
                 facts: None,
             };

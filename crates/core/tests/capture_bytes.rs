@@ -1,0 +1,156 @@
+//! What a capture costs in trace bytes:
+//!
+//! * binary worker channels are at most half the JSON-lines bytes of the
+//!   same capture;
+//! * a binary channel writes a vertex's adjacency inline once per version
+//!   of it — at the vertex's first capture and after each edit — and by
+//!   back-reference at every other capture.
+
+use std::sync::Arc;
+
+use graft::trace::{
+    decode_vertex_records, worker_trace_path, ErasedVertexTrace, TraceFormat, WireEdges,
+    WireVertexTrace, FRAME_VERTEX,
+};
+use graft::{DebugConfig, GraftRunner, TraceCodec};
+use graft_algorithms::pagerank::PageRank;
+use graft_codec::frame::FrameScanner;
+use graft_dfs::FileSystem;
+use graft_pregel::{Computation, ContextOf, Graph, VertexHandleOf};
+
+const WORKERS: usize = 4;
+const ROOT: &str = "/traces/bytes";
+
+/// A ring with chords: every vertex has two out-edges.
+fn ring(n: u64) -> Graph<u64, f64, ()> {
+    let mut b = Graph::builder();
+    for v in 0..n {
+        b.add_vertex(v, 0.0).unwrap();
+    }
+    for v in 0..n {
+        b.add_edge(v, (v + 1) % n, ()).unwrap();
+        b.add_edge(v, (v * 7 + 3) % n, ()).unwrap();
+    }
+    b.build().unwrap()
+}
+
+/// Runs `computation` with capture-all in `codec` and returns its file
+/// system.
+fn capture<C>(
+    computation: C,
+    codec: TraceCodec,
+    graph: Graph<u64, C::VValue, ()>,
+) -> Arc<dyn FileSystem>
+where
+    C: Computation<Id = u64, EValue = ()>,
+{
+    let config = DebugConfig::<C>::builder().capture_all_active(true).codec(codec).build();
+    let run = GraftRunner::new(computation, config).num_workers(WORKERS).run(graph, ROOT).unwrap();
+    assert!(run.outcome.is_ok());
+    run.fs().clone()
+}
+
+fn channel_bytes(fs: &Arc<dyn FileSystem>) -> usize {
+    (0..WORKERS).map(|w| fs.read_all(&worker_trace_path(ROOT, w)).unwrap().len()).sum()
+}
+
+/// Per worker channel: every vertex record in order, as `(vertex, edge
+/// targets, whether the edges are inline)`.
+fn channel_records(fs: &Arc<dyn FileSystem>) -> Vec<Vec<(String, Vec<String>, bool)>> {
+    (0..WORKERS)
+        .map(|w| {
+            let bytes = fs.read_all(&worker_trace_path(ROOT, w)).unwrap();
+            let records: Vec<ErasedVertexTrace> =
+                decode_vertex_records(TraceFormat::BinaryV2, &bytes).unwrap();
+            let mut inline = Vec::new();
+            let mut scanner = FrameScanner::new(&bytes);
+            while let Some(frame) = scanner.next_frame().unwrap() {
+                if frame.kind == FRAME_VERTEX {
+                    let wire: WireVertexTrace = graft_codec::from_slice(frame.payload).unwrap();
+                    inline.push(matches!(wire.edges, WireEdges::Inline(_)));
+                }
+            }
+            assert_eq!(records.len(), inline.len());
+            records
+                .iter()
+                .zip(inline)
+                .map(|(record, inline)| {
+                    let targets = record.edges.iter().map(|(t, _)| t.0.to_string()).collect();
+                    (record.vertex.0.to_string(), targets, inline)
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// Asserts that each channel holds a vertex's edges inline exactly when
+/// they differ from its previous capture in that channel; returns the
+/// number of inline lists.
+fn assert_inline_once_per_version(fs: &Arc<dyn FileSystem>) -> usize {
+    let mut lists = 0;
+    for (worker, records) in channel_records(fs).into_iter().enumerate() {
+        let mut last: std::collections::HashMap<String, Vec<String>> = Default::default();
+        for (vertex, edges, inline) in records {
+            let changed = last.get(&vertex) != Some(&edges);
+            assert_eq!(inline, changed, "worker {worker}, vertex {vertex}, edges {edges:?}");
+            lists += usize::from(inline);
+            last.insert(vertex, edges);
+        }
+    }
+    lists
+}
+
+#[test]
+fn binary_channels_are_at_most_half_the_json_bytes() {
+    let binary = capture(PageRank::new(5), TraceCodec::Binary, ring(64));
+    let json = capture(PageRank::new(5), TraceCodec::JsonLines, ring(64));
+    let (binary, json) = (channel_bytes(&binary), channel_bytes(&json));
+    assert!(binary * 2 <= json, "binary {binary} vs JSON {json} bytes");
+}
+
+#[test]
+fn an_unchanged_adjacency_is_written_inline_once_per_vertex() {
+    let supersteps = 5;
+    let fs = capture(PageRank::new(supersteps), TraceCodec::Binary, ring(64));
+    assert_eq!(assert_inline_once_per_version(&fs), 64);
+    let records: usize = channel_records(&fs).iter().map(Vec::len).sum();
+    assert_eq!(records, 64 * (supersteps as usize + 1));
+}
+
+/// Forwards its value for seven supersteps; every third vertex adds an
+/// edge in each odd superstep.
+struct Rewire;
+
+impl Computation for Rewire {
+    type Id = u64;
+    type VValue = f64;
+    type EValue = ();
+    type Message = f64;
+
+    fn compute(
+        &self,
+        vertex: &mut VertexHandleOf<'_, Self>,
+        messages: &[f64],
+        ctx: &mut ContextOf<'_, Self>,
+    ) {
+        let superstep = ctx.superstep();
+        if superstep >= 7 {
+            vertex.vote_to_halt();
+            return;
+        }
+        let id = vertex.id();
+        vertex.set_value(messages.iter().sum::<f64>() / 2.0 + 1.0);
+        if superstep % 2 == 1 && id % 3 == 0 {
+            vertex.add_edge((id + superstep) % ctx.num_vertices(), ());
+        }
+        ctx.send_message_to_all_edges(vertex, *vertex.value());
+    }
+}
+
+#[test]
+fn an_edited_adjacency_is_written_inline_again_after_each_edit() {
+    let fs = capture(Rewire, TraceCodec::Binary, ring(48));
+    // Edits in supersteps 1, 3 and 5 show in the captures of 2, 4 and 6:
+    // three more lists for each of the 16 editing vertices.
+    assert_eq!(assert_inline_once_per_version(&fs), 48 + 16 * 3);
+}

@@ -4,7 +4,8 @@
 //! records `trace convert --to binary` re-encodes, the vertex frame must
 //! equal `write_value_frame(FRAME_VERTEX, &wire_vertex_trace(..))` —
 //! whether it is encoded from an owned `VertexTrace` or from a
-//! `VertexCapture` borrowing engine-shaped state.
+//! `VertexCapture` borrowing engine-shaped state — and a record captured
+//! again, its edges by reference, must equal `WireVertexTrace`'s frame.
 
 use std::fmt::Debug;
 
@@ -15,9 +16,11 @@ use common::{
     rw_value, Rng64,
 };
 use graft::trace::{
-    encode_record, CaptureError, TraceRecord, VertexCapture, WireVertexTrace, FRAME_VERTEX,
+    encode_record, CaptureError, EdgeRefs, ErasedVertexTrace, TraceRecord, VertexCapture,
+    WireEdges, WireVertexTrace, FRAME_VERTEX,
 };
 use graft::{TraceCodec, VertexTrace};
+use graft_codec::frame::FrameScanner;
 use graft_codec::{to_bin_value, BinValue};
 use graft_pregel::Edge;
 use rand::SeedableRng;
@@ -41,7 +44,7 @@ where
         vertex: leaf(&trace.vertex),
         value_before: leaf(&trace.value_before),
         value_after: leaf(&trace.value_after),
-        edges: trace.edges.iter().map(|(i, e)| (leaf(i), leaf(e))).collect(),
+        edges: WireEdges::Inline(trace.edges.iter().map(|(i, e)| (leaf(i), leaf(e))).collect()),
         incoming: trace.incoming.iter().map(leaf).collect(),
         outgoing: trace.outgoing.iter().map(|(i, m)| (leaf(i), leaf(m))).collect(),
         aggregators: trace.aggregators.clone(),
@@ -108,11 +111,27 @@ where
 
     // What `trace convert` does: the JSON line parsed back into
     // type-erased leaves and re-encoded must give the same frame again.
-    let erased: WireVertexTrace =
+    let erased: ErasedVertexTrace =
         serde_json::from_slice(&serde_json::to_vec(trace).unwrap()).unwrap();
     let mut converted = Vec::new();
     encode_record(TraceCodec::Binary, &erased, &mut converted).unwrap();
     assert_eq!(converted, reference, "type-erased record: {trace:?}");
+
+    // Captured again behind itself, the record's edges may become a
+    // reference; that frame too is what `WireVertexTrace` encodes to.
+    let mut channel = Vec::new();
+    let mut refs = EdgeRefs::default();
+    for _ in 0..2 {
+        let offset = channel.len() as u64;
+        capture.encode_channel_frame(&mut channel, &mut refs, offset).unwrap();
+    }
+    assert_eq!(channel[..reference.len()], reference);
+    let again = &channel[reference.len()..];
+    let frame = FrameScanner::new(again).next_frame().unwrap().unwrap();
+    let wire: WireVertexTrace = graft_codec::from_slice(frame.payload).unwrap();
+    let mut rewritten = Vec::new();
+    graft_codec::frame::write_value_frame(&mut rewritten, FRAME_VERTEX, &wire).unwrap();
+    assert_eq!(rewritten, again, "repeated record: {trace:?}");
 }
 
 const CASES: usize = 300;

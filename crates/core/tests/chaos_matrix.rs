@@ -12,7 +12,8 @@ use graft_algorithms::components::ConnectedComponents;
 use graft_algorithms::pagerank::PageRank;
 use graft_algorithms::sssp::ShortestPaths;
 use graft_dfs::{ClusterFs, ClusterFsConfig, FileSystem};
-use graft_pregel::{Computation, FaultPlan, Graph, RecoveryMode};
+use graft_obs::{Obs, Scope};
+use graft_pregel::{Computation, ContextOf, FaultPlan, Graph, RecoveryMode, VertexHandleOf};
 
 const TRACE_ROOT: &str = "/traces/chaos";
 
@@ -303,6 +304,114 @@ fn log_replay_double_fault_falls_back_to_full_restart_and_still_matches() {
     let recoveries = faulted.0.outcome.as_ref().unwrap().stats.recoveries;
     assert!(recoveries >= 2, "expected confined attempt + full restart, got {recoveries}");
     assert_matches_clean(&clean, &faulted, true, "pagerank logreplay double-fault");
+}
+
+/// Sums what it receives and forwards it for seven supersteps; every
+/// third vertex adds an edge in each odd superstep. A binary channel so
+/// holds each vertex's adjacency inline at its first capture and again
+/// after each edit, and references to it in between.
+struct Rewire;
+
+impl Computation for Rewire {
+    type Id = u64;
+    type VValue = u64;
+    type EValue = ();
+    type Message = u64;
+
+    fn compute(
+        &self,
+        vertex: &mut VertexHandleOf<'_, Self>,
+        messages: &[u64],
+        ctx: &mut ContextOf<'_, Self>,
+    ) {
+        let superstep = ctx.superstep();
+        if superstep >= 7 {
+            vertex.vote_to_halt();
+            return;
+        }
+        let id = vertex.id();
+        vertex.set_value((vertex.value() + messages.iter().sum::<u64>()) % 1_000);
+        if superstep % 2 == 1 && id % 3 == 0 {
+            vertex.add_edge((id + superstep) % ctx.num_vertices(), ());
+        }
+        ctx.send_message_to_all_edges(vertex, *vertex.value());
+    }
+}
+
+/// `(path, length, FNV-1a)` of every worker channel of a run.
+fn channel_checksums(fs: &ClusterFs) -> Vec<(String, usize, u64)> {
+    trace_files(fs)
+        .into_iter()
+        .filter(|(path, _)| path.contains("/worker_"))
+        .map(|(path, bytes)| {
+            let hash = bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |hash, byte| {
+                (hash ^ u64::from(*byte)).wrapping_mul(0x0000_0100_0000_01b3)
+            });
+            (path, bytes.len(), hash)
+        })
+        .collect()
+}
+
+#[test]
+fn edge_references_survive_recovery_and_budgets_byte_for_byte() {
+    // Checkpoints before supersteps 0, 2, 4, 6; worker 1 dies in
+    // superstep 3, so recovery rewinds every channel (worker 1's alone
+    // when confined) to the start of superstep 2. Behind that cut lie
+    // each vertex's first inline adjacency and a reference to it; past
+    // it, references to those lists and the inline lists the superstep-1
+    // edits force. A rewind must rebuild the back-reference rule from
+    // what it keeps: with a rule kept from the discarded execution the
+    // replay writes self-references, with a rule cleared instead it
+    // writes lists inline that were references.
+    let run = |plan: &str, recovery, budget: Option<u64>| {
+        let cluster = cluster();
+        let config = DebugConfig::<Rewire>::builder().capture_all_active(true).build();
+        let mut runner = GraftRunner::new(Rewire, config)
+            .with_cluster(cluster.clone())
+            .num_workers(4)
+            .max_supersteps(40);
+        if !plan.is_empty() {
+            let plan: FaultPlan = plan.parse().unwrap();
+            runner = runner.checkpoint_every(2).recovery_mode(recovery).with_fault_plan(plan);
+        }
+        let obs = Obs::deterministic(1);
+        if let Some(bytes) = budget {
+            runner = runner.memory_budget(bytes).with_obs(obs.clone());
+        }
+        let run = runner.run(build_graph(24, |v| v, |_| ()), TRACE_ROOT).unwrap();
+        let spills = obs.registry().counter_value("ooc_spills_total", Scope::GLOBAL);
+        (run, cluster, spills)
+    };
+    let clean = run("", RecoveryMode::Restart, None);
+    let expected = channel_checksums(&clean.1);
+    // Those of a run on one thread (`taskset -c 0`): the channels do not
+    // depend on how many threads ran the partitions.
+    let one_thread: &[(&str, usize, u64)] = &[
+        ("/traces/chaos/worker_0.trace", 2063, 0xf36d8deec2e4d887),
+        ("/traces/chaos/worker_1.trace", 2060, 0x02f545263984d817),
+        ("/traces/chaos/worker_2.trace", 2059, 0x36c5dc5c10114876),
+        ("/traces/chaos/worker_3.trace", 2060, 0xc5e22c20f6015562),
+    ];
+    let rendered: Vec<String> = expected
+        .iter()
+        .map(|(path, len, sum)| format!("(\"{path}\", {len}, {sum:#018x}),"))
+        .collect();
+    assert!(
+        expected.iter().map(|(p, l, s)| (p.as_str(), *l, *s)).eq(one_thread.iter().copied()),
+        "the clean run's channels moved:\n{}",
+        rendered.join("\n")
+    );
+    for (label, recovery, budget) in [
+        ("restart", RecoveryMode::Restart, None),
+        ("log-replay", RecoveryMode::LogReplay, None),
+        ("log-replay under a budget", RecoveryMode::LogReplay, Some(250)),
+    ] {
+        let faulted = run("kill-worker:1@3", recovery, budget);
+        assert!(faulted.0.outcome.as_ref().unwrap().stats.recoveries > 0, "{label}");
+        assert_eq!(faulted.2 > 0, budget.is_some(), "{label}: spilled exactly when budgeted");
+        assert_eq!(channel_checksums(&faulted.1), expected, "{label}");
+        assert_eq!(faulted.0.session().unwrap().total_captures(), clean.0.captures as usize);
+    }
 }
 
 #[test]

@@ -7,7 +7,9 @@
 //!   configuration (fresh scoped threads per phase, combiner folds at
 //!   the receiver) — by running these same five cells under that legacy
 //!   configuration. They pin the surviving path to the bytes the deleted
-//!   one produced, not merely to itself.
+//!   one produced, not merely to itself. The trace-file checksums were
+//!   regenerated once when binary traces moved to layout v2 (each
+//!   adjacency written once); nothing else moved.
 //! * **Oracle.** The four fault-free cells must also equal
 //!   `graft_pregel::reference::run_sequential` at four partitions on
 //!   final values (bit-for-bit), counters and halt reason.
@@ -232,12 +234,12 @@ fn faulted_pagerank_recovers_to_the_legacy_golden() {
 const PAGERANK: Golden = Golden {
     files: &[
         ("/master.trace", 0, 0xcbf29ce484222325),
-        ("/meta.json", 947, 0xb9f6e2b49f0bcc01),
+        ("/meta.json", 949, 0x371ec665396599f5),
         ("/result.json", 135, 0xe21ddde9e992313b),
-        ("/worker_0.trace", 9197, 0x6919f9f847678d73),
-        ("/worker_1.trace", 9197, 0x59d1e13050cef1e7),
-        ("/worker_2.trace", 9197, 0xf2b1ad6f77d8f3f3),
-        ("/worker_3.trace", 9197, 0x25f4baa20a08b1b7),
+        ("/worker_0.trace", 8709, 0x5c2f8aa7c81dab85),
+        ("/worker_1.trace", 8709, 0x9f3e67006fede775),
+        ("/worker_2.trace", 8709, 0x3a3ac44fe11a439d),
+        ("/worker_3.trace", 8709, 0xda8e3f273146a3ed),
     ],
     checksum: 0xfa979ad63cc18845,
     halt_reason: HaltReason::AllVerticesHalted,
@@ -260,12 +262,12 @@ const PAGERANK: Golden = Golden {
 const SSSP: Golden = Golden {
     files: &[
         ("/master.trace", 0, 0xcbf29ce484222325),
-        ("/meta.json", 954, 0x0326d6d407b7544e),
+        ("/meta.json", 956, 0xa0e7b13364cf6182),
         ("/result.json", 135, 0xa9067f3f057c6a80),
-        ("/worker_0.trace", 2105, 0x2d5c38352b0e374a),
-        ("/worker_1.trace", 2171, 0x5cf62548bd424782),
-        ("/worker_2.trace", 2165, 0x763e16b5594115eb),
-        ("/worker_3.trace", 2105, 0xc1a40a3b241b20ee),
+        ("/worker_0.trace", 1773, 0x27d082f69183e706),
+        ("/worker_1.trace", 1818, 0x9df6f5c2ab910bce),
+        ("/worker_2.trace", 1811, 0xd625c33a44b0af92),
+        ("/worker_3.trace", 1772, 0x3d05f2fe0657cff9),
     ],
     checksum: 0x9f44dee8c9bba0f7,
     halt_reason: HaltReason::AllVerticesHalted,
@@ -288,12 +290,12 @@ const SSSP: Golden = Golden {
 const COMPONENTS: Golden = Golden {
     files: &[
         ("/master.trace", 0, 0xcbf29ce484222325),
-        ("/meta.json", 971, 0x23a548ccee865d24),
+        ("/meta.json", 973, 0xc3348f3b628d7b24),
         ("/result.json", 135, 0x6aac4a88d8e98229),
-        ("/worker_0.trace", 3369, 0xf18425a935c17527),
-        ("/worker_1.trace", 3247, 0x775c8b37fd4d1a51),
-        ("/worker_2.trace", 3241, 0x697da1883aa206ce),
-        ("/worker_3.trace", 3163, 0xfe279e02a8a4e63d),
+        ("/worker_0.trace", 3017, 0xb849a152ad29afa1),
+        ("/worker_1.trace", 2911, 0xed8540b04222c300),
+        ("/worker_2.trace", 2905, 0x56201bdf103d045a),
+        ("/worker_3.trace", 2849, 0xc005b981becdeb06),
     ],
     checksum: 0x1566a3b08b8c8b25,
     halt_reason: HaltReason::AllVerticesHalted,
@@ -316,12 +318,12 @@ const COMPONENTS: Golden = Golden {
 const COLORING: Golden = Golden {
     files: &[
         ("/master.trace", 1260, 0x03815a96983ddadc),
-        ("/meta.json", 1040, 0x7f9e218e25ce3fa3),
+        ("/meta.json", 1042, 0xe8631ed84674fbaf),
         ("/result.json", 135, 0x997a581ffa15309c),
-        ("/worker_0.trace", 33508, 0x7dc6ea0a7a3188c1),
-        ("/worker_1.trace", 34391, 0x44279907e15edb17),
-        ("/worker_2.trace", 34916, 0x736e6597cd089eec),
-        ("/worker_3.trace", 34525, 0x3be1252f0bfc360f),
+        ("/worker_0.trace", 32842, 0xf13f01277fc3b1e8),
+        ("/worker_1.trace", 33707, 0x88135f0c453ace40),
+        ("/worker_2.trace", 34211, 0x59aaa83bc0710843),
+        ("/worker_3.trace", 33834, 0x4e34d77236aa68a7),
     ],
     checksum: 0x441441b3462a5686,
     halt_reason: HaltReason::AllVerticesHalted,
@@ -356,12 +358,12 @@ const COLORING: Golden = Golden {
 const PAGERANK_FAULTED: Golden = Golden {
     files: &[
         ("/master.trace", 0, 0xcbf29ce484222325),
-        ("/meta.json", 965, 0x627e865d88de90b9),
+        ("/meta.json", 967, 0x83d16cac173c4d6d),
         ("/result.json", 135, 0xe21ddde9e992313b),
-        ("/worker_0.trace", 9197, 0x6919f9f847678d73),
-        ("/worker_1.trace", 9197, 0x59d1e13050cef1e7),
-        ("/worker_2.trace", 9197, 0xf2b1ad6f77d8f3f3),
-        ("/worker_3.trace", 9197, 0x25f4baa20a08b1b7),
+        ("/worker_0.trace", 8709, 0x5c2f8aa7c81dab85),
+        ("/worker_1.trace", 8709, 0x9f3e67006fede775),
+        ("/worker_2.trace", 8709, 0x3a3ac44fe11a439d),
+        ("/worker_3.trace", 8709, 0xda8e3f273146a3ed),
     ],
     recoveries: 2,
     ..PAGERANK

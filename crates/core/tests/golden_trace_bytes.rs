@@ -1,9 +1,10 @@
 //! Golden trace bytes: FNV-1a checksums of every file two small
-//! deterministic runs leave in their trace directory. The checksums were
-//! generated with the tree-building encoder this repository captured
-//! with before the single-pass one (`wire_vertex_trace` →
-//! `write_value_frame`), so they pin the capture path's bytes against
-//! that encoder and not only against itself.
+//! deterministic runs leave in their trace directory, in binary layout
+//! v2 (edge lists written once, repeats by back-reference). Each run also
+//! checks its worker channels against `convert_vertex_channel` of the
+//! JSON-lines capture of the same job, so the bytes are pinned against
+//! the converter's record-by-record re-encoding and not only against the
+//! capture path itself.
 //!
 //! Golden view bytes: FNV-1a checksums of every document the untyped
 //! read path serves over the same two runs and over a hand-built trace
@@ -16,7 +17,8 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use graft::trace::{
-    encode_index_frame, encode_record, meta_path, worker_trace_path, IndexRecord, JobMeta,
+    convert_vertex_channel, encode_index_frame, encode_record, meta_path, worker_trace_path,
+    IndexRecord, JobMeta, TraceFormat,
 };
 use graft::untyped::UntypedSession;
 use graft::views::json as vj;
@@ -78,6 +80,18 @@ fn view_checksums(fs: &Arc<dyn FileSystem>, root: &str) -> Vec<(String, usize, u
         .collect()
 }
 
+/// Asserts that every binary worker channel of the run under `binary`
+/// is what converting the JSON-lines capture of the same job gives.
+fn assert_converts(binary: &Arc<dyn FileSystem>, json: &Arc<dyn FileSystem>, root: &str) {
+    for worker in 0..2 {
+        let path = worker_trace_path(root, worker);
+        let lines = json.read_all(&path).unwrap();
+        let converted =
+            convert_vertex_channel(TraceFormat::JsonLines, TraceCodec::Binary, &lines).unwrap();
+        assert_eq!(converted, binary.read_all(&path).unwrap(), "worker {worker}");
+    }
+}
+
 fn assert_golden(actual: &[(String, usize, u64)], golden: &[(&str, usize, u64)]) {
     let rendered: Vec<String> = actual
         .iter()
@@ -97,20 +111,26 @@ fn pagerank_capture_all_on_a_ring_matches_the_golden_bytes() {
     for v in 0..64u64 {
         builder.add_edge(v, (v + 1) % 64, ()).unwrap();
     }
-    let config = DebugConfig::<PageRank>::builder().capture_all_active(true).build();
-    let run = GraftRunner::new(PageRank::new(5), config)
-        .num_workers(2)
-        .run(builder.build().unwrap(), "/golden/pagerank")
-        .unwrap();
+    let graph = builder.build().unwrap();
+    let run_with = |codec| {
+        let config =
+            DebugConfig::<PageRank>::builder().capture_all_active(true).codec(codec).build();
+        GraftRunner::new(PageRank::new(5), config)
+            .num_workers(2)
+            .run(graph.clone(), "/golden/pagerank")
+            .unwrap()
+    };
+    let run = run_with(TraceCodec::Binary);
     assert_eq!(run.captures, 64 * 6);
+    assert_converts(run.fs(), run_with(TraceCodec::JsonLines).fs(), "/golden/pagerank");
     assert_golden(
         &trace_checksums(run.fs(), "/golden/pagerank"),
         &[
             ("/master.trace", 0, 0xcbf29ce484222325),
-            ("/meta.json", 951, 0xa432459e2d35036a),
+            ("/meta.json", 953, 0x661bbaa5ede252aa),
             ("/result.json", 134, 0x717a457666199e07),
-            ("/worker_0.trace", 10533, 0xb7f84d8665cb36bb),
-            ("/worker_1.trace", 10533, 0x8b534b00876e883b),
+            ("/worker_0.trace", 10390, 0xabb996a2eaac37fc),
+            ("/worker_1.trace", 10390, 0xe07a4bf2e55f9f24),
         ],
     );
     assert_golden(
@@ -140,33 +160,39 @@ fn graph_coloring_dc_full_with_master_capture_matches_the_golden_bytes() {
     }
     // DC-full of the paper's Table 3: specified ids and their neighbours,
     // both constraints, exception capture, master capture.
-    let config = DebugConfig::<GraphColoring>::builder()
-        .catch_exceptions(true)
-        .capture_ids([0, 5, 17, 30, 41])
-        .capture_neighbors(true)
-        .message_constraint(|m, _, _, _| match m {
-            GCMessage::Priority { priority, .. } => *priority < u64::MAX,
-            GCMessage::InSet => true,
-        })
-        .vertex_value_constraint(|v, _, _| v.color.is_none_or(|c| (c as i64) >= 0))
-        .capture_master(true)
-        .build();
-    let run = GraftRunner::new(GraphColoring::new(7), config)
-        .with_master(GraphColoringMaster)
-        .num_workers(2)
-        .max_supersteps(500)
-        .run(builder.build().unwrap(), "/golden/coloring")
-        .unwrap();
+    let graph = builder.build().unwrap();
+    let run_with = |codec| {
+        let config = DebugConfig::<GraphColoring>::builder()
+            .codec(codec)
+            .catch_exceptions(true)
+            .capture_ids([0, 5, 17, 30, 41])
+            .capture_neighbors(true)
+            .message_constraint(|m, _, _, _| match m {
+                GCMessage::Priority { priority, .. } => *priority < u64::MAX,
+                GCMessage::InSet => true,
+            })
+            .vertex_value_constraint(|v, _, _| v.color.is_none_or(|c| (c as i64) >= 0))
+            .capture_master(true)
+            .build();
+        GraftRunner::new(GraphColoring::new(7), config)
+            .with_master(GraphColoringMaster)
+            .num_workers(2)
+            .max_supersteps(500)
+            .run(graph.clone(), "/golden/coloring")
+            .unwrap()
+    };
+    let run = run_with(TraceCodec::Binary);
     assert!(run.outcome.is_ok());
+    assert_converts(run.fs(), run_with(TraceCodec::JsonLines).fs(), "/golden/coloring");
     assert!(run.captures > 0);
     assert_golden(
         &trace_checksums(run.fs(), "/golden/coloring"),
         &[
             ("/master.trace", 1527, 0xe5c024cd347ad7db),
-            ("/meta.json", 1141, 0x6f913aaed9868850),
+            ("/meta.json", 1143, 0xe5165adc65d65440),
             ("/result.json", 135, 0x71e63516e0dd4c5b),
-            ("/worker_0.trace", 27858, 0x1a99787eb6d02d6d),
-            ("/worker_1.trace", 26129, 0x92ce56f131316c15),
+            ("/worker_0.trace", 26926, 0xacf8ce3bbf4187b5),
+            ("/worker_1.trace", 25472, 0x9b603f22f3c1c9fd),
         ],
     );
     assert_golden(
@@ -200,7 +226,7 @@ fn hand_built_trace_with_violations_and_exceptions_matches_the_golden_view_bytes
         master: None,
         value_types: ("String".into(), "Balance".into(), "f64".into(), "i64".into()),
         num_workers: 2,
-        trace_format: Some(TraceCodec::Binary),
+        trace_format: Some(TraceCodec::Binary.into()),
         config: vec!["capture_all_active".into()],
         facts: None,
     };
@@ -306,7 +332,7 @@ fn node_link_of_repeated_ids_and_shared_targets_matches_the_golden_document() {
             master: None,
             value_types: ("String".into(), "i64".into(), "Option<String>".into(), "i64".into()),
             num_workers: 2,
-            trace_format: Some(codec),
+            trace_format: Some(codec.into()),
             config: vec![],
             facts: None,
         };

@@ -1,17 +1,22 @@
-//! Backward compatibility with trace directories written before the
-//! binary pipeline: their `meta.json` has no `trace_format` field (it
-//! used the since-renamed `codec` key), and readers must auto-detect
-//! them as JSON lines.
+//! Backward compatibility with trace directories written by earlier
+//! versions:
 //!
-//! The fixture under `tests/fixtures/legacy_json_trace/` is a committed
-//! copy of such a directory; `generate_legacy_fixture` (ignored) rebuilds
-//! it from the computation below if the trace schema ever changes.
+//! * before the binary pipeline, whose `meta.json` has no `trace_format`
+//!   field (it used the since-renamed `codec` key) and which readers must
+//!   auto-detect as JSON lines — `tests/fixtures/legacy_json_trace/`, a
+//!   committed copy of such a directory that `generate_legacy_fixture`
+//!   (ignored) rebuilds from the computation below;
+//! * in binary layout v1, every edge list inline —
+//!   `tests/fixtures/legacy_binary_v1_trace/`, the same job captured by
+//!   the last version that wrote v1. No generator: this version writes
+//!   v2.
 
 use std::sync::Arc;
 
 use graft::testing::premade;
 use graft::untyped::{JobSummary, UntypedSession};
-use graft::{DebugConfig, DebugSession, GraftRunner, JobMeta, TraceCodec};
+use graft::views::json as vj;
+use graft::{DebugConfig, DebugSession, GraftRunner, JobMeta, TraceCodec, TraceFormat};
 use graft_dfs::{FileSystem, InMemoryFs};
 use graft_pregel::{Computation, ContextOf, VertexHandleOf};
 
@@ -43,24 +48,60 @@ impl Computation for Relay {
 const FIXTURE_FILES: &[&str] =
     &["meta.json", "worker_0.trace", "worker_1.trace", "master.trace", "result.json"];
 
-fn fixture_dir() -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/legacy_json_trace")
+fn fixture_dir(name: &str) -> std::path::PathBuf {
+    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures").join(name)
 }
 
-/// Loads the committed fixture into an in-memory cluster fs at `/legacy`.
-fn load_fixture() -> Arc<dyn FileSystem> {
+/// Loads a committed fixture into an in-memory fs at `/legacy`.
+fn load_fixture(name: &str) -> Arc<dyn FileSystem> {
     let fs: Arc<dyn FileSystem> = Arc::new(InMemoryFs::new());
-    for name in FIXTURE_FILES {
-        let bytes = std::fs::read(fixture_dir().join(name))
-            .unwrap_or_else(|e| panic!("fixture file {name} missing: {e}"));
-        fs.write_all(&format!("/legacy/{name}"), &bytes).unwrap();
+    for file in FIXTURE_FILES {
+        let bytes = std::fs::read(fixture_dir(name).join(file))
+            .unwrap_or_else(|e| panic!("fixture file {name}/{file} missing: {e}"));
+        fs.write_all(&format!("/legacy/{file}"), &bytes).unwrap();
     }
     fs
 }
 
+/// Every document the views serve over a session, in request order: the
+/// superstep listing, the violations view, and per superstep every
+/// tabular page, the node-link view and the reproducer of every capture.
+fn served_views(session: &UntypedSession) -> Vec<String> {
+    let mut docs = vec![
+        vj::to_line(&vj::supersteps_json(session)),
+        vj::to_line(&vj::violations_json(session, None)),
+    ];
+    for ss in session.supersteps() {
+        let pages = vj::tabular_json(session, ss, None, 1, 2).total_pages;
+        for page in 1..=pages {
+            docs.push(vj::to_line(&vj::tabular_json(session, ss, None, page, 2)));
+        }
+        docs.push(vj::to_line(&vj::node_link_json(session, ss)));
+        for row in session.captured_at(ss) {
+            docs.push(vj::repro_source(session, &row.vertex(), ss).unwrap());
+        }
+    }
+    docs
+}
+
+/// The fixtures' job, run now in `codec`.
+fn capture(codec: TraceCodec) -> Arc<dyn FileSystem> {
+    let config = DebugConfig::<Relay>::builder()
+        .capture_all_active(true)
+        .catch_exceptions(false)
+        .codec(codec)
+        .build();
+    let run = GraftRunner::new(Relay, config)
+        .num_workers(2)
+        .run(premade::cycle(4, 0i64), "/legacy")
+        .unwrap();
+    assert!(run.outcome.is_ok());
+    run.fs().clone()
+}
+
 #[test]
 fn legacy_meta_without_trace_format_reads_as_json() {
-    let fs = load_fixture();
+    let fs = load_fixture("legacy_json_trace");
 
     // The committed meta.json must really be legacy-shaped: no
     // trace_format key, so detection falls back to JSON lines.
@@ -107,7 +148,7 @@ fn generate_legacy_fixture() {
         .unwrap();
     assert!(run.outcome.is_ok());
 
-    let dir = fixture_dir();
+    let dir = fixture_dir("legacy_json_trace");
     std::fs::create_dir_all(&dir).unwrap();
     for name in FIXTURE_FILES {
         let mut bytes = run.fs().read_all(&format!("/gen/{name}")).unwrap();
@@ -122,4 +163,40 @@ fn generate_legacy_fixture() {
         }
         std::fs::write(dir.join(name), bytes).unwrap();
     }
+}
+
+#[test]
+fn a_v1_binary_trace_serves_what_v2_and_json_lines_serve() {
+    let v1 = load_fixture("legacy_binary_v1_trace");
+    let meta: JobMeta = serde_json::from_slice(&v1.read_all("/legacy/meta.json").unwrap()).unwrap();
+    assert_eq!(meta.format(), TraceFormat::Binary, "fixture regressed: meta.json must say v1");
+
+    let v2 = capture(TraceCodec::Binary);
+    let json = capture(TraceCodec::JsonLines);
+    let meta: JobMeta = serde_json::from_slice(&v2.read_all("/legacy/meta.json").unwrap()).unwrap();
+    assert_eq!(meta.format(), TraceFormat::BinaryV2);
+    // The same records, fewer bytes: v2 writes each adjacency once.
+    for worker in ["worker_0.trace", "worker_1.trace"] {
+        let path = format!("/legacy/{worker}");
+        let (old, new) = (v1.read_all(&path).unwrap(), v2.read_all(&path).unwrap());
+        assert!(new.len() < old.len(), "{worker}: v2 {} vs v1 {} bytes", new.len(), old.len());
+    }
+
+    let views = |fs: &Arc<dyn FileSystem>| {
+        let session = UntypedSession::open(fs.clone(), "/legacy").unwrap();
+        assert_eq!(session.total_captures(), 12);
+        assert_eq!(JobSummary::scan(fs.as_ref(), "/legacy").unwrap().total_captures(), 12);
+        served_views(&session)
+    };
+    let served = views(&v1);
+    assert_eq!(served, views(&v2), "v1 vs v2");
+    assert_eq!(served, views(&json), "v1 vs JSON lines");
+
+    // The typed reader too.
+    let typed = DebugSession::<Relay>::open(v1, "/legacy").unwrap();
+    let fresh = DebugSession::<Relay>::open(v2, "/legacy").unwrap();
+    let edges =
+        |s: &DebugSession<Relay>| s.all_traces().map(|t| t.edges.clone()).collect::<Vec<_>>();
+    assert_eq!(edges(&typed), edges(&fresh));
+    assert_eq!(typed.total_captures(), 12);
 }
