@@ -1,5 +1,5 @@
 //! Static validation of a [`ConfigFacts`] summary (GA0006–GA0013,
-//! GA0015–GA0019).
+//! GA0015–GA0018).
 //!
 //! These lints need no computation and no traces — just the config
 //! summary the runner writes into `meta.json` — so they run both from
@@ -10,7 +10,7 @@ use graft_pregel::{Fault, FaultPlan};
 
 use crate::{
     Finding, GA0006, GA0007, GA0008, GA0009, GA0010, GA0011, GA0012, GA0013, GA0015, GA0016,
-    GA0017, GA0018, GA0019,
+    GA0017, GA0018,
 };
 
 /// Runs every configuration lint over `facts`.
@@ -267,26 +267,6 @@ pub fn check_config(facts: &ConfigFacts) -> Vec<Finding> {
                 ),
             ));
         }
-    }
-
-    // GA0019: capture-all is the heaviest capture rule, and JSON lines is
-    // the heaviest trace encoding — the pairing behind the worst capture
-    // overhead the bench suite measures. The binary format records the
-    // same traces (every view is byte-identical) at a fraction of the
-    // cost. Old meta.json files without the field are not judged: they
-    // predate the binary pipeline, when JSON was the only choice.
-    if facts.capture_all_active
-        && facts.max_captures > 0
-        && facts.trace_format.as_deref() == Some("json")
-    {
-        findings.push(Finding::global(
-            &GA0019,
-            "capture_all_active with trace_format=json serializes every vertex \
-             context as a JSON line — the maximal-overhead capture pairing; \
-             switch to the binary trace format (the default) for the same \
-             traces at a fraction of the bytes and capture time"
-                .to_string(),
-        ));
     }
 
     findings
@@ -632,58 +612,6 @@ mod tests {
         // Without capture-all the filter's reach is irrelevant.
         let facts = DebugConfig::<Dummy>::builder().capture_ids([1, 2]).build().facts();
         assert!(check_config(&facts).is_empty());
-    }
-
-    #[test]
-    fn capture_all_over_json_traces_is_ga0019() {
-        // Bounded filter so GA0012 stays quiet; JSON codec triggers GA0019.
-        let facts = DebugConfig::<Dummy>::builder()
-            .capture_all_active(true)
-            .supersteps(SuperstepFilter::After(1))
-            .codec(graft::TraceCodec::JsonLines)
-            .build()
-            .facts();
-        let findings = check_config(&facts);
-        assert_eq!(ids(&findings), vec!["GA0019"]);
-        assert!(findings[0].detail.contains("binary"));
-        // The default binary codec is the recommended pairing: clean.
-        let facts = DebugConfig::<Dummy>::builder()
-            .capture_all_active(true)
-            .supersteps(SuperstepFilter::After(1))
-            .build()
-            .facts();
-        assert!(check_config(&facts).is_empty());
-        // JSON without capture-all is a modest config, not flagged.
-        let facts = DebugConfig::<Dummy>::builder()
-            .capture_ids([1])
-            .codec(graft::TraceCodec::JsonLines)
-            .build()
-            .facts();
-        assert!(check_config(&facts).is_empty());
-        // Legacy meta.json without the field predates the binary pipeline
-        // and is not judged; and GA0009 territory is not double-reported.
-        let mut facts = DebugConfig::<Dummy>::builder()
-            .capture_all_active(true)
-            .supersteps(SuperstepFilter::After(1))
-            .codec(graft::TraceCodec::JsonLines)
-            .build()
-            .facts();
-        facts.trace_format = None;
-        assert!(check_config(&facts).is_empty());
-        facts.trace_format = Some("json".to_string());
-        facts.max_captures = 0;
-        assert_eq!(ids(&check_config(&facts)), vec!["GA0009"]);
-    }
-
-    #[test]
-    fn capture_everything_over_json_reports_both_overhead_lints() {
-        // Unbounded capture-all on JSON: the two overhead lints stack.
-        let facts = DebugConfig::<Dummy>::builder()
-            .capture_all_active(true)
-            .codec(graft::TraceCodec::JsonLines)
-            .build()
-            .facts();
-        assert_eq!(ids(&check_config(&facts)), vec!["GA0012", "GA0019"]);
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //!    analyzer re-runs every captured vertex context through the replay
 //!    harness with permuted message delivery and flags vertices whose
 //!    value, outgoing messages, halt decision, or edges differ.
-//! 3. **Configuration lints** (`GA0006`–`GA0013`, `GA0015`–`GA0019`) — a
+//! 3. **Configuration lints** (`GA0006`–`GA0013`, `GA0015`–`GA0018`) — a
 //!    [`DebugConfig`] that can never capture anything (empty superstep
 //!    sets, inverted ranges, `max_captures == 0`, filters entirely beyond
 //!    the job's superstep horizon, neighbor capture with no capture
@@ -102,7 +102,7 @@ impl std::fmt::Display for Severity {
 /// one-line description.
 #[derive(Debug)]
 pub struct Lint {
-    /// Stable identifier, `GA0001`..`GA0019`.
+    /// Stable identifier, `GA0001`..`GA0018`.
     pub id: &'static str,
     /// Short kebab-case name.
     pub name: &'static str,
@@ -284,21 +284,12 @@ pub static GA0018: Lint = Lint {
               the budget and execution degrades to one partition at a time",
 };
 
-/// Capture-everything runs paying JSON-lines serialization costs.
-pub static GA0019: Lint = Lint {
-    id: "GA0019",
-    name: "capture-all-with-json-traces",
-    severity: Severity::Warning,
-    summary: "capture_all_active with the JSON-lines trace format is the \
-              maximal-overhead pairing; the binary format records the same \
-              traces at a fraction of the bytes and capture time",
-};
-
-/// The full catalog, in id order.
-pub fn catalog() -> [&'static Lint; 19] {
+/// The full catalog, in id order. Ids are never reused.
+pub fn catalog() -> [&'static Lint; 18] {
+    // GA0019 (capture-all-with-json-traces) is retired: capture writes only binary traces.
     [
         &GA0001, &GA0002, &GA0003, &GA0004, &GA0005, &GA0006, &GA0007, &GA0008, &GA0009, &GA0010,
-        &GA0011, &GA0012, &GA0013, &GA0014, &GA0015, &GA0016, &GA0017, &GA0018, &GA0019,
+        &GA0011, &GA0012, &GA0013, &GA0014, &GA0015, &GA0016, &GA0017, &GA0018,
     ]
 }
 

@@ -13,10 +13,7 @@
 //!   Graft's runtime overhead per algorithm × dataset × DebugConfig,
 //!   with capture counts and error bars.
 //!
-//! Criterion microbenches (`cargo bench -p graft-bench`) cover the
-//! design-choice ablations called out in DESIGN.md: trace codecs,
-//! constraint-check placement, capture-threshold sweeps, combiner on/off
-//! and the DFS backends.
+//! Every other performance number comes from graft-spine.
 
 #![forbid(unsafe_code)]
 

@@ -2,7 +2,6 @@
 //! performance datasets under each DebugConfig of Table 3, and report
 //! runtimes normalized to the no-debug run, with capture counts.
 
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use graft::{DebugConfig, GraftRunner};
@@ -190,9 +189,7 @@ where
 }
 
 fn gc_config(dc: Dc, ids: &[u64]) -> DebugConfig<GraphColoring> {
-    let builder = DebugConfig::<GraphColoring>::builder()
-        .codec(graft::TraceCodec::Binary)
-        .catch_exceptions(dc == Dc::Full);
+    let builder = DebugConfig::<GraphColoring>::builder().catch_exceptions(dc == Dc::Full);
     match dc {
         Dc::NoDebug => unreachable!("baseline runs without Graft"),
         Dc::Sp => builder.capture_ids(ids[..5].to_vec()).build(),
@@ -219,9 +216,7 @@ fn gc_config(dc: Dc, ids: &[u64]) -> DebugConfig<GraphColoring> {
 }
 
 fn rw_config(dc: Dc, ids: &[u64]) -> DebugConfig<RandomWalk> {
-    let builder = DebugConfig::<RandomWalk>::builder()
-        .codec(graft::TraceCodec::Binary)
-        .catch_exceptions(dc == Dc::Full);
+    let builder = DebugConfig::<RandomWalk>::builder().catch_exceptions(dc == Dc::Full);
     match dc {
         Dc::NoDebug => unreachable!("baseline runs without Graft"),
         Dc::Sp => builder.capture_ids(ids[..5].to_vec()).build(),
@@ -238,9 +233,7 @@ fn rw_config(dc: Dc, ids: &[u64]) -> DebugConfig<RandomWalk> {
 }
 
 fn mwm_config(dc: Dc, ids: &[u64]) -> DebugConfig<MaxWeightMatching> {
-    let builder = DebugConfig::<MaxWeightMatching>::builder()
-        .codec(graft::TraceCodec::Binary)
-        .catch_exceptions(dc == Dc::Full);
+    let builder = DebugConfig::<MaxWeightMatching>::builder().catch_exceptions(dc == Dc::Full);
     match dc {
         Dc::NoDebug => unreachable!("baseline runs without Graft"),
         Dc::Sp => builder.capture_ids(ids[..5].to_vec()).build(),
@@ -421,10 +414,4 @@ pub fn rows_to_json(rows: &[OverheadRow]) -> String {
         })
         .collect();
     format!("[\n  {}\n]", entries.join(",\n  "))
-}
-
-/// The shared in-memory FS would grow across repetitions; gives each run
-/// its own. (Used by the criterion benches.)
-pub fn fresh_fs() -> Arc<graft_dfs::InMemoryFs> {
-    Arc::new(graft_dfs::InMemoryFs::new())
 }

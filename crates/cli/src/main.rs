@@ -2,9 +2,9 @@
 //! navigation half of the paper's browser GUI.
 //!
 //! Traces written to a `LocalFs` (directory on disk) can be inspected
-//! without recompiling the original program, in either trace format —
-//! the default framed binary codec or JSON lines (`meta.json` records
-//! which one; files without the record are legacy JSON):
+//! without recompiling the original program, in the framed binary format
+//! capture writes or in a legacy one (`meta.json` records which; files
+//! without the record are legacy JSON lines):
 //!
 //! ```text
 //! graft-cli <trace-dir> info
@@ -67,7 +67,7 @@ fn usage() -> ExitCode {
          \x20 violations           the violations & exceptions view\n\
          \x20 repro <id> <ss>      generated reproducer test for one captured vertex\n\
          \x20 master               captured master contexts\n\
-         \x20 analyze              run config lints (GA0006-GA0019) over meta.json\n\
+         \x20 analyze              run config lints (GA0006-GA0018) over meta.json\n\
          `--format json` prints the same bytes graft-server sends for the\n\
          matching endpoint (info, supersteps, show, violations)."
     );
@@ -232,7 +232,7 @@ fn info(session: &UntypedSession) {
         meta.value_types.0, meta.value_types.1, meta.value_types.2, meta.value_types.3
     );
     println!("workers     : {}", meta.num_workers);
-    println!("codec       : {:?}", meta.codec());
+    println!("format      : {:?}", meta.format());
     println!("debug config:");
     for line in &meta.config {
         println!("  - {line}");

@@ -51,8 +51,6 @@ pub fn usage() -> ExitCode {
          \x20                      streams back on demand (results stay bit-identical)\n\
          \x20 --datanodes <n>      simulated HDFS datanodes (default 4)\n\
          \x20 --replication <r>    block replication factor (default 2)\n\
-         \x20 --trace-format <f>   trace encoding: binary (default, framed graft-codec)\n\
-         \x20                      or json (JSON lines; larger and slower to capture)\n\
          \x20 --export <dir>       copy the trace directory to a local directory\n\
          \x20 --metrics <dir>      record metrics + events and export them to a local\n\
          \x20                      directory (browse with `graft-cli profile <dir>`)\n\
@@ -78,7 +76,6 @@ struct RunOptions {
     recovery_mode: graft_pregel::RecoveryMode,
     fault_plan: Option<FaultPlan>,
     memory_budget: Option<u64>,
-    trace_format: graft::TraceCodec,
     datanodes: usize,
     replication: usize,
     export: Option<String>,
@@ -102,7 +99,6 @@ fn parse_options(args: &[String]) -> Result<RunOptions, String> {
         recovery_mode: graft_pregel::RecoveryMode::default(),
         fault_plan: None,
         memory_budget: None,
-        trace_format: graft::TraceCodec::Binary,
         datanodes: 4,
         replication: 2,
         export: None,
@@ -141,13 +137,6 @@ fn parse_options(args: &[String]) -> Result<RunOptions, String> {
             "--memory-budget" => {
                 options.memory_budget =
                     Some(value.parse().map_err(|_| format!("bad --memory-budget {value}"))?)
-            }
-            "--trace-format" => {
-                options.trace_format = match value.as_str() {
-                    "binary" => graft::TraceCodec::Binary,
-                    "json" => graft::TraceCodec::JsonLines,
-                    other => return Err(format!("bad --trace-format {other} (json|binary)")),
-                }
             }
             "--datanodes" => {
                 options.datanodes = value.parse().map_err(|_| format!("bad --datanodes {value}"))?
@@ -262,8 +251,7 @@ where
         replication: options.replication.min(options.datanodes),
         block_size: 4096,
     });
-    let config =
-        DebugConfig::<C>::builder().capture_all_active(true).codec(options.trace_format).build();
+    let config = DebugConfig::<C>::builder().capture_all_active(true).build();
     // The registry, event log, and superstep profiler all hang off one
     // shared Obs; --logical-clock swaps its clock for a deterministic one.
     // --live needs an Obs too: the streaming flusher is fed from it.

@@ -9,24 +9,21 @@
 //! JSON traces) and pretty-prints what is physically on disk — including
 //! the superstep index frames the higher-level views never surface.
 //!
-//! `convert` rewrites a trace directory into the other encoding. The
-//! conversion is *canonical*: converting a binary run to JSON produces
-//! byte-identical worker/master files to a native JSON run of the same
-//! job, and vice versa — binary→JSON drops the index frames a JSON file
-//! never has and writes every edge list inline, JSON→binary re-derives
-//! the index frames and edge references from the record stream exactly
-//! the way the trace sink does. `meta.json` is rewritten so readers
-//! auto-detect the new format; every other file (checkpoints, obs
-//! artifacts, result.json) is copied verbatim.
+//! `convert` rewrites a trace directory into the other encoding
+//! (`graft::trace::convert_trace_dir`): `--to json` exports a binary
+//! trace as JSON lines, dropping the index frames and writing every edge
+//! list inline; `--to binary` imports a JSON-lines or v1 binary trace as
+//! layout v2, re-deriving index frames and edge references through the
+//! writer capture uses, so the result is byte-identical to a native
+//! capture and an export imported back is the capture it came from.
 
 use std::process::ExitCode;
-use std::sync::Arc;
 
 use graft::trace::{
-    convert_vertex_channel, decode_master_records, encode_record, master_trace_path, meta_path,
-    walk_vertex_channel, worker_trace_path, ChannelRecord, VertexChannel, FRAME_MASTER,
+    convert_trace_dir, master_trace_path, meta_path, walk_vertex_channel, worker_trace_path,
+    ChannelRecord, VertexChannel, FRAME_MASTER,
 };
-use graft::{JobMeta, MasterTrace, TraceCodec, TraceFormat};
+use graft::{JobMeta, MasterTrace, TraceFormat};
 use graft_codec::frame::FrameScanner;
 use graft_dfs::{FileSystem, LocalFs};
 
@@ -38,9 +35,9 @@ pub fn usage() -> ExitCode {
          \x20 dump     pretty-print every record frame in the trace directory,\n\
          \x20          including binary superstep index frames (--limit caps the\n\
          \x20          records shown per channel file)\n\
-         \x20 convert  rewrite a trace directory into the other encoding; the\n\
-         \x20          converted worker/master files are byte-identical to what a\n\
-         \x20          native run in the target format would have written"
+         \x20 convert  rewrite a trace directory into the other encoding: json\n\
+         \x20          exports a capture as JSON lines, binary imports JSON lines\n\
+         \x20          or a v1 binary trace byte-identically to a native capture"
     );
     ExitCode::FAILURE
 }
@@ -214,8 +211,8 @@ fn convert(args: &[String]) -> ExitCode {
     let (Some(src), Some(dst)) = (args.first(), args.get(1)) else { return usage() };
     let target = match args.iter().position(|a| a == "--to") {
         Some(pos) => match args.get(pos + 1).map(String::as_str) {
-            Some("json") => TraceCodec::JsonLines,
-            Some("binary") => TraceCodec::Binary,
+            Some("json") => TraceFormat::JsonLines,
+            Some("binary") => TraceFormat::BinaryV2,
             _ => return usage(),
         },
         None => return usage(),
@@ -232,60 +229,8 @@ fn convert(args: &[String]) -> ExitCode {
     }
 }
 
-fn convert_dir(src: &str, dst: &str, target: TraceCodec) -> Result<(), String> {
+fn convert_dir(src: &str, dst: &str, target: TraceFormat) -> Result<(), String> {
     let src_fs = LocalFs::new(src).map_err(|e| format!("cannot open {src}: {e}"))?;
-    let mut meta = open_meta(&src_fs)?;
-    let source = meta.format();
-    if source.codec() == target {
-        return Err(format!("{src} already uses {target:?}"));
-    }
     let dst_fs = LocalFs::new(dst).map_err(|e| format!("cannot open {dst}: {e}"))?;
-
-    // The rewritten meta.json records the new format both at the top
-    // level (for readers) and in the analyzer's config facts (GA0019).
-    meta.trace_format = Some(target.into());
-    if let Some(facts) = &mut meta.facts {
-        facts.trace_format = Some(
-            match target {
-                TraceCodec::JsonLines => "json",
-                TraceCodec::Binary => "binary",
-            }
-            .to_string(),
-        );
-    }
-    let meta_bytes = serde_json::to_vec_pretty(&meta).map_err(|e| e.to_string())?;
-    dst_fs.write_all(&meta_path(""), &meta_bytes).map_err(|e| e.to_string())?;
-
-    let mut converted = vec![meta_path("")];
-    for worker in 0..meta.num_workers {
-        let path = worker_trace_path("", worker);
-        if let Ok(bytes) = src_fs.read_all(&path) {
-            let out = convert_vertex_channel(source, target, &bytes)
-                .map_err(|e| format!("{}: {e}", path.trim_start_matches('/')))?;
-            dst_fs.write_all(&path, &out).map_err(|e| e.to_string())?;
-            converted.push(path);
-        }
-    }
-    let path = master_trace_path("");
-    if let Ok(bytes) = src_fs.read_all(&path) {
-        let records = decode_master_records(source.codec(), &bytes).map_err(|e| e.to_string())?;
-        let mut out = Vec::new();
-        for record in &records {
-            encode_record(target, record, &mut out).map_err(|e| e.to_string())?;
-        }
-        dst_fs.write_all(&path, &out).map_err(|e| e.to_string())?;
-        converted.push(path);
-    }
-
-    // Everything else travels unchanged: result.json, checkpoints, obs
-    // artifacts, out-of-core spill files.
-    let fs: Arc<dyn FileSystem> = Arc::new(src_fs);
-    for file in fs.list_files_recursive("/").map_err(|e| e.to_string())? {
-        if converted.contains(&file.path) {
-            continue;
-        }
-        let bytes = fs.read_all(&file.path).map_err(|e| e.to_string())?;
-        dst_fs.write_all(&file.path, &bytes).map_err(|e| e.to_string())?;
-    }
-    Ok(())
+    convert_trace_dir(&src_fs, &dst_fs, "/", target).map_err(|e| format!("{src}: {e}"))
 }

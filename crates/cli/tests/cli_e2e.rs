@@ -295,41 +295,34 @@ fn cli_json_output_is_byte_identical_to_the_server() {
     let _ = std::fs::remove_dir_all(&parent);
 }
 
-/// Satellite contract of the binary pipeline: `trace convert` is
-/// canonical in both directions (converted channel files are
-/// byte-identical to native runs of the target format), `trace dump`
-/// surfaces the physical frames, and every served view renders the same
-/// bytes over either format.
+/// Satellite contract of the binary pipeline: `trace convert --to json`
+/// exports a capture and `--to binary` imports the export back byte for
+/// byte, `trace dump` surfaces the physical frames of either, and every
+/// served view renders the same bytes over the native, exported and
+/// re-imported directories.
 #[test]
 fn cli_trace_convert_roundtrips_byte_identically() {
     let parent = std::env::temp_dir().join(format!("graft-cli-trace-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&parent);
     let fs: Arc<dyn graft_dfs::FileSystem> = Arc::new(LocalFs::new(&parent).unwrap());
 
-    // The same deterministic job natively in both formats.
-    for (root, codec) in
-        [("/bin-run", graft::TraceCodec::Binary), ("/json-run", graft::TraceCodec::JsonLines)]
-    {
-        let config = DebugConfig::<Spiky>::builder()
-            .capture_all_active(true)
-            .message_constraint(|m, _, _, _| *m < 60)
-            .codec(codec)
-            .build();
-        let run = GraftRunner::new(Spiky, config)
-            .with_fs(Arc::clone(&fs))
-            .num_workers(2)
-            .run(graft::testing::premade::cycle(6, 0i64), root)
-            .unwrap();
-        assert!(run.outcome.is_ok());
-        assert!(run.captures > 0);
-    }
+    let config = DebugConfig::<Spiky>::builder()
+        .capture_all_active(true)
+        .message_constraint(|m, _, _, _| *m < 60)
+        .build();
+    let run = GraftRunner::new(Spiky, config)
+        .with_fs(Arc::clone(&fs))
+        .num_workers(2)
+        .run(graft::testing::premade::cycle(6, 0i64), "/bin-run")
+        .unwrap();
+    assert!(run.outcome.is_ok());
+    assert!(run.captures > 0);
     let bin_dir = parent.join("bin-run");
-    let json_dir = parent.join("json-run");
 
-    // Convert each run into the other format.
-    let conv_json = parent.join("conv-json");
-    let conv_bin = parent.join("conv-bin");
-    for (src, dst, to) in [(&bin_dir, &conv_json, "json"), (&json_dir, &conv_bin, "binary")] {
+    // Export the capture, then import the export.
+    let json_dir = parent.join("json-export");
+    let conv_bin = parent.join("reimported");
+    for (src, dst, to) in [(&bin_dir, &json_dir, "json"), (&json_dir, &conv_bin, "binary")] {
         let (out, ok) = run_cli_raw(&[
             "trace",
             "convert",
@@ -341,59 +334,50 @@ fn cli_trace_convert_roundtrips_byte_identically() {
         assert!(ok, "convert --to {to} failed: {out}");
     }
 
-    // Channel files are byte-identical to the native run's.
+    // The imported channel files are byte-identical to the capture's.
     for name in ["worker_0.trace", "worker_1.trace", "master.trace"] {
-        let native_json = std::fs::read(json_dir.join(name)).unwrap();
-        let converted_json = std::fs::read(conv_json.join(name)).unwrap();
-        assert_eq!(converted_json, native_json, "binary->json diverged for {name}");
-
         let native_bin = std::fs::read(bin_dir.join(name)).unwrap();
+        let exported = std::fs::read(json_dir.join(name)).unwrap();
         let converted_bin = std::fs::read(conv_bin.join(name)).unwrap();
-        assert_eq!(converted_bin, native_bin, "json->binary diverged for {name}");
+        assert_eq!(converted_bin, native_bin, "binary->json->binary diverged for {name}");
         // Spiky has no master computation, so master.trace is empty in
         // both formats; the size win is asserted on the vertex channels.
-        if !native_json.is_empty() {
+        if !exported.is_empty() {
             assert!(
-                native_bin.len() < native_json.len(),
+                native_bin.len() < exported.len(),
                 "{name}: binary ({}) must be smaller than JSON ({})",
                 native_bin.len(),
-                native_json.len()
+                exported.len()
             );
         }
     }
 
-    // Every served view is byte-identical across all four directories.
+    // Every served view is byte-identical across the three directories.
     for view in [
         vec!["info", "--format", "json"],
         vec!["supersteps", "--format", "json"],
         vec!["show", "1", "--format", "json"],
         vec!["violations", "--format", "json"],
         vec!["nodelink", "1"],
+        vec!["repro", "2", "1"],
     ] {
         // The job id (directory basename) is baked into the info view, so
-        // compare like-named pairs through a rename-insensitive check:
-        // info differs only in the id; the rest must match exactly.
-        let bin_out = run_cli_stdout(&bin_dir, &view);
-        let conv_bin_out = run_cli_stdout(&conv_bin, &view);
-        let json_out = run_cli_stdout(&json_dir, &view);
-        let conv_json_out = run_cli_stdout(&conv_json, &view);
-        if view[0] == "info" {
-            let strip = |s: &str, id: &str| s.replace(id, "JOB");
-            assert_eq!(strip(&bin_out, "bin-run"), strip(&json_out, "json-run"), "{view:?}");
-            assert_eq!(strip(&conv_bin_out, "conv-bin"), strip(&json_out, "json-run"), "{view:?}");
-            assert_eq!(strip(&conv_json_out, "conv-json"), strip(&bin_out, "bin-run"), "{view:?}");
-        } else {
-            assert_eq!(bin_out, json_out, "{view:?} diverged across formats");
-            assert_eq!(conv_bin_out, bin_out, "{view:?} diverged after json->binary");
-            assert_eq!(conv_json_out, json_out, "{view:?} diverged after binary->json");
-        }
+        // it is compared with the ids replaced; the rest must match
+        // exactly.
+        let strip = |dir: &std::path::Path| {
+            let id = dir.file_name().unwrap().to_str().unwrap();
+            run_cli_stdout(dir, &view).replace(id, "JOB")
+        };
+        let native = strip(&bin_dir);
+        assert_eq!(strip(&json_dir), native, "{view:?} diverged after binary->json");
+        assert_eq!(strip(&conv_bin), native, "{view:?} diverged after json->binary");
     }
 
     // The dump shows the physical layout: index frames in binary, plain
     // records in JSON, with formats labeled.
     let (dump, ok) = run_cli_raw(&["trace", "dump", bin_dir.to_str().unwrap(), "--limit", "5"]);
     assert!(ok, "{dump}");
-    assert!(dump.contains("format      : Binary"), "{dump}");
+    assert!(dump.contains("format      : BinaryV2"), "{dump}");
     assert!(dump.contains("index   superstep=0 records_before=0 bytes_before=0"), "{dump}");
     assert!(dump.contains("vertex  superstep=0"), "{dump}");
     let (dump, ok) = run_cli_raw(&["trace", "dump", json_dir.to_str().unwrap(), "--limit", "2"]);

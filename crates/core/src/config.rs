@@ -157,19 +157,6 @@ impl CaptureReason {
     }
 }
 
-/// How trace records are encoded on the file system.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub enum TraceCodec {
-    /// Human-readable JSON lines; inspectable with any editor, as the
-    /// paper's HDFS trace files were meant to be small. The fallback
-    /// format, and the implied format of legacy trace directories.
-    JsonLines,
-    /// Kind-tagged GraftBin frames (see `graft_codec::frame`); smaller
-    /// and cheaper to capture, with superstep index frames for streaming
-    /// reads. The default.
-    Binary,
-}
-
 /// A type-erased summary of a [`DebugConfig`], recorded in `meta.json`
 /// and consumed by `graft-analyzer`'s configuration lints (GA0006–GA0011).
 ///
@@ -231,10 +218,6 @@ pub struct ConfigFacts {
     /// runner only when a memory budget is set; lint GA0018 compares it
     /// against the budget.
     pub est_max_partition_bytes: Option<u64>,
-    /// The trace encoding, `"json"` or `"binary"`. Lint GA0019 flags
-    /// heavy captures recorded as JSON. Absent in older meta.json files
-    /// (which are always JSON).
-    pub trace_format: Option<String>,
 }
 
 /// The assembled debug configuration for a computation `C`.
@@ -262,7 +245,6 @@ pub struct DebugConfig<C: Computation> {
     pub(crate) exception_policy: ExceptionPolicy,
     pub(crate) superstep_filter: SuperstepFilter,
     pub(crate) max_captures: u64,
-    pub(crate) codec: TraceCodec,
     pub(crate) capture_master: bool,
 }
 
@@ -280,7 +262,6 @@ impl<C: Computation> Clone for DebugConfig<C> {
             exception_policy: self.exception_policy,
             superstep_filter: self.superstep_filter.clone(),
             max_captures: self.max_captures,
-            codec: self.codec,
             capture_master: self.capture_master,
         }
     }
@@ -294,8 +275,8 @@ impl<C: Computation> Default for DebugConfig<C> {
 
 impl<C: Computation> DebugConfig<C> {
     /// Starts a builder with paper defaults: nothing captured except
-    /// exceptions, all supersteps eligible, binary traces, a one-million
-    /// capture safety net, and abort-on-exception semantics.
+    /// exceptions, all supersteps eligible, a one-million capture safety
+    /// net, and abort-on-exception semantics.
     pub fn builder() -> DebugConfigBuilder<C> {
         DebugConfigBuilder {
             config: DebugConfig {
@@ -310,7 +291,6 @@ impl<C: Computation> DebugConfig<C> {
                 exception_policy: ExceptionPolicy::Abort,
                 superstep_filter: SuperstepFilter::All,
                 max_captures: 1_000_000,
-                codec: TraceCodec::Binary,
                 capture_master: true,
             },
         }
@@ -370,11 +350,6 @@ impl<C: Computation> DebugConfig<C> {
         out
     }
 
-    /// The trace codec this config selects.
-    pub fn codec(&self) -> TraceCodec {
-        self.codec
-    }
-
     /// The type-erased summary of this config, for `meta.json` and the
     /// analyzer's configuration lints. `max_supersteps` is left `None`;
     /// the runner fills it in from the job limit.
@@ -399,13 +374,6 @@ impl<C: Computation> DebugConfig<C> {
             obs_enabled: None,
             memory_budget: None,
             est_max_partition_bytes: None,
-            trace_format: Some(
-                match self.codec {
-                    TraceCodec::JsonLines => "json",
-                    TraceCodec::Binary => "binary",
-                }
-                .to_string(),
-            ),
         }
     }
 }
@@ -422,7 +390,6 @@ impl<C: Computation> fmt::Debug for DebugConfig<C> {
             .field("catch_exceptions", &self.catch_exceptions)
             .field("superstep_filter", &self.superstep_filter)
             .field("max_captures", &self.max_captures)
-            .field("codec", &self.codec)
             .finish()
     }
 }
@@ -499,12 +466,6 @@ impl<C: Computation> DebugConfigBuilder<C> {
     /// Adjust the safety-net threshold after which Graft stops capturing.
     pub fn max_captures(mut self, max: u64) -> Self {
         self.config.max_captures = max;
-        self
-    }
-
-    /// Choose the on-disk trace encoding.
-    pub fn codec(mut self, codec: TraceCodec) -> Self {
-        self.config.codec = codec;
         self
     }
 
@@ -611,10 +572,6 @@ mod tests {
         assert_eq!(facts.superstep_filter, SuperstepFilter::Set(vec![2, 4]));
         assert_eq!(facts.max_captures, 99);
         assert_eq!(facts.max_supersteps, None);
-        assert_eq!(facts.trace_format.as_deref(), Some("binary"));
-        let json_facts =
-            DebugConfig::<Dummy>::builder().codec(TraceCodec::JsonLines).build().facts();
-        assert_eq!(json_facts.trace_format.as_deref(), Some("json"));
     }
 
     #[test]
@@ -627,7 +584,6 @@ mod tests {
             .message_constraint(|msg, _, _, _| *msg >= 0)
             .supersteps(SuperstepFilter::After(10))
             .max_captures(99)
-            .codec(TraceCodec::Binary)
             .build();
         assert_eq!(config.capture_ids, vec![672, 673]);
         assert!(config.capture_neighbors);
@@ -635,7 +591,6 @@ mod tests {
         assert!(config.has_posthoc_captures());
         assert!(config.has_preselected_captures());
         assert_eq!(config.max_captures, 99);
-        assert_eq!(config.codec(), TraceCodec::Binary);
         let description = config.describe().join("; ");
         assert!(description.contains("2 specified"));
         assert!(description.contains("5 random"));
@@ -649,7 +604,6 @@ mod tests {
         assert!(config.catch_exceptions);
         assert!(config.has_posthoc_captures());
         assert_eq!(config.exception_policy, ExceptionPolicy::Abort);
-        assert_eq!(config.codec(), TraceCodec::Binary, "binary capture is the default");
     }
 
     #[test]

@@ -91,7 +91,7 @@ pub mod views;
 
 pub use config::{
     CaptureReason, ConfigFacts, DebugConfig, DebugConfigBuilder, ExceptionPolicy,
-    MessageConstraint, SuperstepFilter, TraceCodec, VertexValueConstraint,
+    MessageConstraint, SuperstepFilter, VertexValueConstraint,
 };
 pub use instrument::{CaptureSets, GraftObserver, Instrumented};
 pub use reproduce::{untyped_test_source, FidelityReport, ReproducedContext, ReproducedMaster};

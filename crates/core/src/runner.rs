@@ -19,7 +19,7 @@ use crate::config::DebugConfig;
 use crate::instrument::{CaptureSets, GraftObserver, Instrumented};
 use crate::session::{DebugSession, SessionError};
 use crate::sink::TraceSink;
-use crate::trace::{meta_path, JobMeta};
+use crate::trace::{meta_path, JobMeta, TraceFormat};
 
 /// Errors from setting up a Graft run (engine errors are reported inside
 /// [`GraftRun::outcome`] instead, because a failed job still has traces
@@ -343,7 +343,6 @@ impl<C: Computation> GraftRunner<C> {
         let sink = Arc::new(TraceSink::new(
             self.fs.clone(),
             trace_root,
-            self.config.codec,
             self.config.max_captures,
             self.num_workers,
         )?);
@@ -359,7 +358,7 @@ impl<C: Computation> GraftRunner<C> {
                 std::any::type_name::<C::Message>().to_string(),
             ),
             num_workers: self.num_workers,
-            trace_format: Some(self.config.codec.into()),
+            trace_format: Some(TraceFormat::BinaryV2),
             config: self.config.describe(),
             facts: Some({
                 let mut facts = self.config.facts();

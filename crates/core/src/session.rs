@@ -206,7 +206,7 @@ impl<C: Computation> DebugSession<C> {
         let master_path = master_trace_path(root);
         if fs.exists(&master_path) {
             let bytes = fs.read_all(&master_path)?;
-            let records: Vec<MasterTrace> = decode_master_records(meta.codec(), &bytes)
+            let records: Vec<MasterTrace> = decode_master_records(meta.format(), &bytes)
                 .map_err(|e| SessionError::decode(master_path, e))?;
             for record in records {
                 master.insert(record.superstep, record);

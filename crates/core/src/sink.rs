@@ -12,10 +12,9 @@ use graft_dfs::{FileSystem, FileWrite};
 use graft_sched::atomic::{AtomicBool, AtomicU64};
 use graft_sched::sync::Mutex;
 
-use crate::config::TraceCodec;
 use crate::trace::{
-    encode_index_frame, encode_record, master_trace_path, result_path, worker_trace_path,
-    CaptureError, EdgeRefs, IndexRecord, JobResultRecord, TraceRecord,
+    master_trace_path, result_path, worker_trace_path, CaptureError, ChannelMark, ChannelWriter,
+    JobResultRecord, TraceRecord,
 };
 
 /// A channel whose pending bytes reach this hands them to its writer at
@@ -30,28 +29,29 @@ struct Channel {
     pending: Vec<u8>,
     /// The file this channel writes to (needed for rollback).
     path: String,
-    /// Where the channel stands, pending records included.
-    now: ChannelMark,
+    /// The channel's grammar, and where the channel stands, pending
+    /// records included.
+    grammar: ChannelWriter,
     /// Where it stood at the last write its writer accepted: what is left
     /// of it when a later write fails.
     handed: ChannelMark,
-    /// The binary codec's back-reference rule over the records so far,
-    /// pending ones included.
-    refs: EdgeRefs,
 }
 
 impl Channel {
     fn new(fs: &Arc<dyn FileSystem>, path: String) -> Result<Self, graft_dfs::FsError> {
         let writer = fs.create(&path)?;
-        let start = ChannelMark::default();
         Ok(Self {
             writer,
             pending: Vec::new(),
             path,
-            now: start,
-            handed: start,
-            refs: EdgeRefs::default(),
+            grammar: ChannelWriter::default(),
+            handed: ChannelMark::default(),
         })
+    }
+
+    /// Where the channel stands, pending records included.
+    fn now(&self) -> ChannelMark {
+        self.grammar.mark()
     }
 }
 
@@ -93,29 +93,14 @@ impl WorkerCounts {
     }
 }
 
-/// A channel's position, and so its rewind point: byte length plus the
-/// binary codec's index-frame bookkeeping, so a replayed superstep emits
-/// its index frame exactly where (and only where) the discarded execution
-/// did.
-#[derive(Clone, Copy, Default)]
-struct ChannelMark {
-    /// Bytes accepted so far; after a `flush` this is the durable file
-    /// length, which rollback and the finalize durability check rely on.
-    written: u64,
-    /// Records written to this channel.
-    records: u64,
-    /// Superstep of the last record, so the binary codec can emit one
-    /// index frame per superstep transition. `None` before any record.
-    last_superstep: Option<u64>,
-}
-
-/// Everything needed to rewind the sink to a checkpoint boundary: the
-/// per-channel durable lengths and the global and per-worker counters.
+/// Everything needed to rewind the sink to a checkpoint boundary: where
+/// each channel stood (after a flush, its `written` is the durable file
+/// length) and the global and per-worker counters.
 #[derive(Clone)]
 struct SinkSnapshot {
     superstep: u64,
     worker_marks: Vec<ChannelMark>,
-    master_written: u64,
+    master_mark: ChannelMark,
     captures: u64,
     violations: u64,
     exceptions: u64,
@@ -131,7 +116,6 @@ struct SinkSnapshot {
 /// capture recording never contends across workers — the design point
 /// behind the paper's low overhead numbers.
 pub struct TraceSink {
-    codec: TraceCodec,
     max_captures: u64,
     captures: AtomicU64,
     violations: AtomicU64,
@@ -153,7 +137,6 @@ impl TraceSink {
     pub fn new(
         fs: Arc<dyn FileSystem>,
         root: &str,
-        codec: TraceCodec,
         max_captures: u64,
         num_workers: usize,
     ) -> Result<Self, graft_dfs::FsError> {
@@ -164,7 +147,6 @@ impl TraceSink {
         }
         let master = Mutex::new(Channel::new(&fs, master_trace_path(root))?);
         Ok(Self {
-            codec,
             max_captures,
             captures: AtomicU64::new(0),
             violations: AtomicU64::new(0),
@@ -185,9 +167,7 @@ impl TraceSink {
     /// the record could not be encoded or written (the sink is poisoned).
     /// A record counts as captured only once it is in the channel.
     ///
-    /// Under the binary codec, the first record of each superstep is
-    /// preceded by an index frame, and a vertex record's edges are written
-    /// by the channel's [`EdgeRefs`]. Both are pure functions of the
+    /// The channel's [`ChannelWriter`] frames it: a pure function of the
     /// per-channel record stream, so a replayed execution reproduces the
     /// discarded one byte for byte.
     pub fn record_vertex<T: TraceRecord>(&self, worker: usize, record: &T) -> bool {
@@ -199,51 +179,23 @@ impl TraceSink {
             self.limit_hit.store(true, Ordering::Relaxed);
             return false;
         }
-        let superstep = record.record_superstep();
         let mut channel = self.workers[worker].lock();
         let channel = &mut *channel;
-        let start = channel.pending.len();
-        let encoded = match self.codec {
-            TraceCodec::JsonLines => encode_record(self.codec, record, &mut channel.pending),
-            TraceCodec::Binary => {
-                let index =
-                    (channel.now.last_superstep != Some(superstep)).then_some(IndexRecord {
-                        superstep,
-                        records_before: channel.now.records,
-                        bytes_before: channel.now.written,
-                    });
-                index
-                    .map_or(Ok(()), |index| encode_index_frame(&index, &mut channel.pending))
-                    .and_then(|()| {
-                        let offset = channel.now.written + (channel.pending.len() - start) as u64;
-                        record.encode_channel_frame(&mut channel.pending, &mut channel.refs, offset)
-                    })
-            }
-        };
-        if let Err(e) = encoded {
-            channel.pending.truncate(start);
+        if let Err(e) = channel.grammar.append_vertex(record, &mut channel.pending) {
             self.captures.fetch_sub(1, Ordering::Relaxed);
             self.poison(e);
             return false;
         }
-        channel.now.written += (channel.pending.len() - start) as u64;
-        channel.now.records += 1;
-        channel.now.last_superstep = Some(superstep);
         self.worker_counts[worker].captures.fetch_add(1, Ordering::Relaxed);
         channel.pending.len() < PENDING_HIGH_WATER || self.hand_over(Some(worker), channel)
     }
 
-    /// Records one captured master context. The master channel carries at
-    /// most one record per superstep, so it gets no index frames.
+    /// Records one captured master context.
     pub fn record_master<T: TraceRecord>(&self, record: &T) {
         let mut channel = self.master.lock();
-        let start = channel.pending.len();
-        match encode_record(self.codec, record, &mut channel.pending) {
-            Ok(()) => channel.now.written += (channel.pending.len() - start) as u64,
-            Err(e) => {
-                channel.pending.truncate(start);
-                self.poison(e);
-            }
+        let channel = &mut *channel;
+        if let Err(e) = channel.grammar.append_master(record, &mut channel.pending) {
+            self.poison(e);
         }
     }
 
@@ -259,12 +211,11 @@ impl TraceSink {
         let result = std::io::Write::write_all(&mut channel.writer, &channel.pending);
         channel.pending.clear();
         let Err(e) = result else {
-            channel.handed = channel.now;
+            channel.handed = channel.now();
             return true;
         };
-        let lost = channel.now.records - channel.handed.records;
-        channel.now = channel.handed;
-        channel.refs.truncate(channel.handed.written);
+        let lost = channel.now().records - channel.handed.records;
+        channel.grammar.truncate(channel.handed);
         if let Some(worker) = worker {
             self.captures.fetch_sub(lost, Ordering::Relaxed);
             self.worker_counts[worker].captures.fetch_sub(lost, Ordering::Relaxed);
@@ -306,8 +257,8 @@ impl TraceSink {
     /// checkpoint supersedes the pre-failure one).
     pub fn snapshot(&self, superstep: u64) {
         self.flush();
-        let worker_marks: Vec<ChannelMark> = self.workers.iter().map(|w| w.lock().now).collect();
-        let master_written = self.master.lock().now.written;
+        let worker_marks: Vec<ChannelMark> = self.workers.iter().map(|w| w.lock().now()).collect();
+        let master_mark = self.master.lock().now();
         let worker_counts: Vec<[u64; 3]> = self
             .worker_counts
             .iter()
@@ -324,7 +275,7 @@ impl TraceSink {
         snapshots.push(SinkSnapshot {
             superstep,
             worker_marks,
-            master_written,
+            master_mark,
             captures: self.captures(),
             violations: self.violations(),
             exceptions: self.exceptions(),
@@ -345,13 +296,8 @@ impl TraceSink {
                 self.poison(e);
             }
         }
-        {
-            let mut channel = self.master.lock();
-            let mark =
-                ChannelMark { written: snapshot.master_written, records: 0, last_superstep: None };
-            if let Err(e) = self.rewind(&mut channel, &mark) {
-                self.poison(e);
-            }
+        if let Err(e) = self.rewind(&mut self.master.lock(), &snapshot.master_mark) {
+            self.poison(e);
         }
         for (counts, snap) in self.worker_counts.iter().zip(&snapshot.worker_counts) {
             counts.captures.store(snap[0], Ordering::Relaxed);
@@ -412,22 +358,20 @@ impl TraceSink {
 
     /// Truncates a channel's file back to the mark's byte length by
     /// committing the current writer, re-reading the durable prefix, and
-    /// recreating the file with exactly that prefix; the binary codec's
-    /// index-frame bookkeeping is rewound with it, and its back-reference
-    /// rule rebuilt from the prefix.
+    /// recreating the file with exactly that prefix; the channel's writer
+    /// resumes from the prefix.
     fn rewind(&self, channel: &mut Channel, mark: &ChannelMark) -> Result<(), CaptureError> {
         let fs = &self.fs;
         let keep = mark.written;
-        if channel.now.written == keep {
-            // Nothing was recorded since the snapshot, so the index-frame
-            // bookkeeping and the rule are still at the mark too.
+        if channel.now().written == keep {
+            // Nothing was recorded since the snapshot, so the writer is
+            // still at the mark too.
             return Ok(());
         }
         // Records not yet handed over belong to the aborted execution.
         channel.pending.clear();
-        channel.now = *mark;
+        channel.grammar.truncate(*mark);
         channel.handed = *mark;
-        channel.refs.truncate(keep);
         // Dropping the writer commits any buffered bytes; install a
         // placeholder so the channel stays structurally valid if the
         // rewrite below fails part-way.
@@ -445,9 +389,13 @@ impl TraceSink {
         std::io::Write::write_all(&mut writer, &bytes[..keep_len])?;
         writer.sync()?;
         channel.writer = writer;
-        if self.codec == TraceCodec::Binary {
-            channel.refs = EdgeRefs::from_channel(&bytes[..keep_len]);
-        }
+        channel.grammar = ChannelWriter::resume(&bytes[..keep_len]);
+        debug_assert_eq!(
+            channel.now(),
+            *mark,
+            "{}: the prefix is not the snapshot's",
+            channel.path
+        );
         Ok(())
     }
 
@@ -500,8 +448,8 @@ impl TraceSink {
     /// master file) so far. After a [`TraceSink::flush`] this is the
     /// durable trace volume — the number the observability layer surfaces.
     pub fn bytes_written(&self) -> u64 {
-        let workers: u64 = self.workers.iter().map(|w| w.lock().now.written).sum();
-        workers + self.master.lock().now.written
+        let workers: u64 = self.workers.iter().map(|w| w.lock().now().written).sum();
+        workers + self.master.lock().now().written
     }
 
     /// Checks that every synced trace file is exactly as long as the
@@ -510,11 +458,12 @@ impl TraceSink {
         let channels = self.workers.iter().chain(std::iter::once(&self.master));
         for channel in channels {
             let channel = channel.lock();
+            let written = channel.now().written;
             match self.fs.status(&channel.path) {
-                Ok(status) if status.len == channel.now.written => {}
+                Ok(status) if status.len == written => {}
                 Ok(status) => self.poison(CaptureError::Dfs(format!(
-                    "trace file {} not durable: {} bytes on disk, {} written",
-                    channel.path, status.len, channel.now.written
+                    "trace file {} not durable: {} bytes on disk, {written} written",
+                    channel.path, status.len
                 ))),
                 Err(e) => self.poison(CaptureError::Dfs(format!(
                     "trace file {} unreadable at finalize: {e}",
@@ -535,8 +484,11 @@ impl TraceSink {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::{decode_vertex_records, FRAME_INDEX, FRAME_VERTEX};
+    use crate::trace::{decode_master_records, IndexRecord, MasterTrace, TraceFormat};
+    use crate::trace::{FRAME_INDEX, FRAME_VERTEX};
+    use graft_codec::frame::FrameScanner;
     use graft_dfs::InMemoryFs;
+    use graft_pregel::GlobalData;
     use serde::{Deserialize, Serialize};
 
     #[derive(Serialize, Deserialize, PartialEq, Debug)]
@@ -558,15 +510,8 @@ mod tests {
         }
     }
 
-    /// A record that cannot be encoded in either codec: a map keyed by a
-    /// tuple has no JSON rendition, and the binary impl says the same.
+    /// A record that cannot be encoded.
     struct Unencodable;
-
-    impl Serialize for Unencodable {
-        fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-            std::collections::BTreeMap::from([((0u8, 0u8), 0u8)]).serialize(serializer)
-        }
-    }
 
     impl TraceRecord for Unencodable {
         fn record_superstep(&self) -> u64 {
@@ -649,36 +594,57 @@ mod tests {
 
     fn flaky_sink(fail_on: usize) -> (Arc<FlakyFs>, TraceSink) {
         let fs = Arc::new(FlakyFs { inner: InMemoryFs::new(), writes: Arc::default(), fail_on });
-        let sink =
-            TraceSink::new(fs.clone(), "/traces/job", TraceCodec::JsonLines, u64::MAX, 2).unwrap();
+        let sink = TraceSink::new(fs.clone(), "/traces/job", u64::MAX, 2).unwrap();
         (fs, sink)
-    }
-
-    fn rows_on_disk(fs: &dyn FileSystem, worker: usize) -> Vec<Rec> {
-        let bytes = fs.read_all(&worker_trace_path("/traces/job", worker)).unwrap();
-        decode_vertex_records(TraceCodec::JsonLines, &bytes).unwrap()
     }
 
     fn sink(max: u64) -> (Arc<InMemoryFs>, TraceSink) {
         let fs = Arc::new(InMemoryFs::new());
-        let sink =
-            TraceSink::new(fs.clone(), "/traces/job", TraceCodec::JsonLines, max, 4).unwrap();
-        (fs, sink)
-    }
-
-    fn binary_sink(max: u64) -> (Arc<InMemoryFs>, TraceSink) {
-        let fs = Arc::new(InMemoryFs::new());
-        let sink = TraceSink::new(fs.clone(), "/traces/job", TraceCodec::Binary, max, 4).unwrap();
+        let sink = TraceSink::new(fs.clone(), "/traces/job", max, 4).unwrap();
         (fs, sink)
     }
 
     fn frame_kinds(bytes: &[u8]) -> Vec<u8> {
-        let mut scanner = graft_codec::frame::FrameScanner::new(bytes);
+        let mut scanner = FrameScanner::new(bytes);
         let mut kinds = Vec::new();
         while let Some(frame) = scanner.next_frame().unwrap() {
             kinds.push(frame.kind);
         }
         kinds
+    }
+
+    /// The test records of a worker channel, in order.
+    fn records_in(bytes: &[u8]) -> Vec<Rec> {
+        let mut scanner = FrameScanner::new(bytes);
+        let mut records = Vec::new();
+        while let Some(frame) = scanner.next_frame().unwrap() {
+            if frame.kind == FRAME_VERTEX {
+                records.push(graft_codec::from_slice(frame.payload).unwrap());
+            }
+        }
+        records
+    }
+
+    fn rows_on_disk(fs: &dyn FileSystem, worker: usize) -> Vec<Rec> {
+        records_in(&fs.read_all(&worker_trace_path("/traces/job", worker)).unwrap())
+    }
+
+    fn seqs_on_disk(fs: &dyn FileSystem, worker: usize) -> Vec<u64> {
+        rows_on_disk(fs, worker).iter().map(|r| r.seq).collect()
+    }
+
+    fn master(superstep: u64) -> MasterTrace {
+        MasterTrace {
+            superstep,
+            global: GlobalData { superstep, num_vertices: 4, num_edges: 4 },
+            aggregators: Vec::new(),
+            halted: false,
+        }
+    }
+
+    fn masters_on_disk(fs: &dyn FileSystem) -> Vec<MasterTrace> {
+        let bytes = fs.read_all(&master_trace_path("/traces/job")).unwrap();
+        decode_master_records(TraceFormat::BinaryV2, &bytes).unwrap()
     }
 
     #[test]
@@ -691,8 +657,7 @@ mod tests {
         }
         sink.flush();
         for worker in 0..4 {
-            let bytes = fs.read_all(&worker_trace_path("/traces/job", worker)).unwrap();
-            let records: Vec<Rec> = decode_vertex_records(TraceCodec::JsonLines, &bytes).unwrap();
+            let records = rows_on_disk(&*fs, worker);
             assert_eq!(records.len(), 10);
             assert!(records.iter().all(|r| r.worker == worker));
         }
@@ -735,34 +700,26 @@ mod tests {
 
     #[test]
     fn a_record_that_fails_to_encode_is_not_counted() {
-        for (fs, sink) in [sink(1000), binary_sink(1000)] {
-            assert!(sink.record_vertex(0, &Rec { worker: 0, seq: 0 }));
-            assert!(!sink.record_vertex(0, &Unencodable));
-            assert!(sink.record_vertex(0, &Rec { worker: 0, seq: 0 }));
-            assert_eq!(sink.captures(), 2);
-            assert_eq!(sink.worker_counts[0].captures.load(Ordering::Relaxed), 2);
-            assert!(matches!(
-                *sink.poisoned.lock(),
-                Some(CaptureError::Codec(_) | CaptureError::Json(_))
-            ));
-            // The failed record left no bytes behind: the channel decodes
-            // to exactly the two good records.
-            sink.finalize(1, None);
-            let bytes = fs.read_all(&worker_trace_path("/traces/job", 0)).unwrap();
-            match sink.codec {
-                TraceCodec::JsonLines => {
-                    let rows: Vec<Rec> = decode_vertex_records(sink.codec, &bytes).unwrap();
-                    assert_eq!(rows.len(), 2);
-                }
-                TraceCodec::Binary => {
-                    assert_eq!(frame_kinds(&bytes), [FRAME_INDEX, FRAME_VERTEX, FRAME_VERTEX]);
-                }
-            }
-            let result = fs.read_all(&result_path("/traces/job")).unwrap();
-            let record: JobResultRecord = serde_json::from_slice(&result).unwrap();
-            assert_eq!(record.captures, 2);
-            assert!(record.error.is_some());
-        }
+        let (fs, sink) = sink(1000);
+        // The failing record would open superstep 0: its index frame must
+        // go with it.
+        assert!(!sink.record_vertex(0, &Unencodable));
+        assert!(sink.record_vertex(0, &Rec { worker: 0, seq: 0 }));
+        assert!(!sink.record_vertex(0, &Unencodable));
+        assert!(sink.record_vertex(0, &Rec { worker: 0, seq: 0 }));
+        assert_eq!(sink.captures(), 2);
+        assert_eq!(sink.worker_counts[0].captures.load(Ordering::Relaxed), 2);
+        assert!(matches!(*sink.poisoned.lock(), Some(CaptureError::Codec(_))));
+        // The failed records left no bytes behind: the channel holds
+        // exactly the two good records, and the index frame counts them.
+        sink.finalize(1, None);
+        let bytes = fs.read_all(&worker_trace_path("/traces/job", 0)).unwrap();
+        assert_eq!(frame_kinds(&bytes), [FRAME_INDEX, FRAME_VERTEX, FRAME_VERTEX]);
+        assert_eq!(records_in(&bytes).len(), 2);
+        let result = fs.read_all(&result_path("/traces/job")).unwrap();
+        let record: JobResultRecord = serde_json::from_slice(&result).unwrap();
+        assert_eq!(record.captures, 2);
+        assert!(record.error.is_some());
     }
 
     #[test]
@@ -800,7 +757,10 @@ mod tests {
         // a capture count that matches the rows on disk.
         assert!(sink.record_vertex(0, &Rec { worker: 0, seq: 3 }));
         sink.finalize(5, None);
-        assert_eq!(rows_on_disk(&*fs, 0).iter().map(|r| r.seq).collect::<Vec<_>>(), [0, 1, 2, 3]);
+        assert_eq!(seqs_on_disk(&*fs, 0), [0, 1, 2, 3]);
+        // The index frames count what the file holds, not what was lost.
+        let bytes = fs.read_all(&worker_trace_path("/traces/job", 0)).unwrap();
+        assert_eq!(ChannelWriter::resume(&bytes).mark().records, 4);
         let result = fs.read_all(&result_path("/traces/job")).unwrap();
         let record: JobResultRecord = serde_json::from_slice(&result).unwrap();
         assert_eq!(record.captures, 7);
@@ -818,7 +778,7 @@ mod tests {
         assert_eq!(writes(), 0);
         sink.flush();
         assert_eq!(writes(), 2);
-        sink.record_master(&Rec { worker: 99, seq: 0 });
+        sink.record_master(&master(0));
         sink.record_vertex(1, &Rec { worker: 1, seq: 50 });
         sink.flush();
         assert_eq!(writes(), 4);
@@ -840,13 +800,13 @@ mod tests {
         // mark and not before.
         let channel = sink.workers[0].lock();
         assert!(channel.pending.is_empty());
-        assert!(channel.now.written >= PENDING_HIGH_WATER as u64);
+        assert!(channel.now().written >= PENDING_HIGH_WATER as u64);
         assert_eq!(channel.handed.records, recorded);
     }
 
     #[test]
     fn rollback_discards_records_that_were_never_flushed() {
-        let (fs, sink) = binary_sink(1000);
+        let (fs, sink) = sink(1000);
         sink.record_vertex(0, &Rec { worker: 0, seq: 0 });
         sink.snapshot(1);
         // Recorded but still pending when the job fails and restores.
@@ -856,14 +816,7 @@ mod tests {
         sink.flush();
         let bytes = fs.read_all(&worker_trace_path("/traces/job", 0)).unwrap();
         assert_eq!(frame_kinds(&bytes), [FRAME_INDEX, FRAME_VERTEX, FRAME_INDEX, FRAME_VERTEX]);
-        let mut scanner = graft_codec::frame::FrameScanner::new(&bytes);
-        let mut seqs = Vec::new();
-        while let Some(frame) = scanner.next_frame().unwrap() {
-            if frame.kind == FRAME_VERTEX {
-                seqs.push(graft_codec::from_slice::<Rec>(frame.payload).unwrap().seq);
-            }
-        }
-        assert_eq!(seqs, [0, 2]);
+        assert_eq!(seqs_on_disk(&*fs, 0), [0, 2]);
         assert_eq!(sink.captures(), 2);
     }
 
@@ -874,7 +827,7 @@ mod tests {
         for seq in 0..4 {
             sink.record_vertex(0, &Rec { worker: 0, seq });
         }
-        sink.record_master(&Rec { worker: 99, seq: 0 });
+        sink.record_master(&master(0));
         sink.count_violation(0);
         sink.snapshot(2);
         // Supersteps 2..4 write more, then the "job" fails and restores.
@@ -882,7 +835,7 @@ mod tests {
             sink.record_vertex(0, &Rec { worker: 0, seq });
             sink.record_vertex(1, &Rec { worker: 1, seq });
         }
-        sink.record_master(&Rec { worker: 99, seq: 1 });
+        sink.record_master(&master(1));
         sink.count_violation(0);
         sink.count_exception(1);
         sink.rollback(2);
@@ -891,24 +844,20 @@ mod tests {
         assert_eq!(sink.violations(), 1);
         assert_eq!(sink.exceptions(), 0);
         sink.flush();
-        let w0 = fs.read_all(&worker_trace_path("/traces/job", 0)).unwrap();
-        let records: Vec<Rec> = decode_vertex_records(TraceCodec::JsonLines, &w0).unwrap();
-        assert_eq!(records.iter().map(|r| r.seq).collect::<Vec<_>>(), vec![0, 1, 2, 3]);
+        assert_eq!(seqs_on_disk(&*fs, 0), [0, 1, 2, 3]);
         let w1 = fs.read_all(&worker_trace_path("/traces/job", 1)).unwrap();
         assert!(w1.is_empty());
-        let master = fs.read_all(&crate::trace::master_trace_path("/traces/job")).unwrap();
-        let records: Vec<Rec> = decode_vertex_records(TraceCodec::JsonLines, &master).unwrap();
-        assert_eq!(records.len(), 1);
+        assert_eq!(masters_on_disk(&*fs), [master(0)]);
 
         // The channels remain writable after a rollback: the replayed
         // supersteps append exactly where the discarded ones began.
         for seq in 4..6 {
             assert!(sink.record_vertex(0, &Rec { worker: 0, seq }));
         }
+        sink.record_master(&master(1));
         sink.flush();
-        let w0 = fs.read_all(&worker_trace_path("/traces/job", 0)).unwrap();
-        let records: Vec<Rec> = decode_vertex_records(TraceCodec::JsonLines, &w0).unwrap();
-        assert_eq!(records.iter().map(|r| r.seq).collect::<Vec<_>>(), vec![0, 1, 2, 3, 4, 5]);
+        assert_eq!(seqs_on_disk(&*fs, 0), [0, 1, 2, 3, 4, 5]);
+        assert_eq!(masters_on_disk(&*fs), [master(0), master(1)]);
     }
 
     #[test]
@@ -918,7 +867,7 @@ mod tests {
             sink.record_vertex(0, &Rec { worker: 0, seq });
             sink.record_vertex(1, &Rec { worker: 1, seq });
         }
-        sink.record_master(&Rec { worker: 99, seq: 0 });
+        sink.record_master(&master(0));
         sink.count_violation(1);
         sink.snapshot(3);
         // Both workers (and the master) record past the boundary, then
@@ -927,7 +876,7 @@ mod tests {
             sink.record_vertex(0, &Rec { worker: 0, seq });
             sink.record_vertex(1, &Rec { worker: 1, seq });
         }
-        sink.record_master(&Rec { worker: 99, seq: 1 });
+        sink.record_master(&master(1));
         sink.count_violation(0);
         sink.count_violation(1);
         sink.count_exception(1);
@@ -936,15 +885,9 @@ mod tests {
         // Worker 1's file is back at the boundary; worker 0's and the
         // master's are untouched.
         sink.flush();
-        let w1 = fs.read_all(&worker_trace_path("/traces/job", 1)).unwrap();
-        let records: Vec<Rec> = decode_vertex_records(TraceCodec::JsonLines, &w1).unwrap();
-        assert_eq!(records.iter().map(|r| r.seq).collect::<Vec<_>>(), vec![0, 1, 2]);
-        let w0 = fs.read_all(&worker_trace_path("/traces/job", 0)).unwrap();
-        let records: Vec<Rec> = decode_vertex_records(TraceCodec::JsonLines, &w0).unwrap();
-        assert_eq!(records.len(), 7);
-        let master = fs.read_all(&crate::trace::master_trace_path("/traces/job")).unwrap();
-        let records: Vec<Rec> = decode_vertex_records(TraceCodec::JsonLines, &master).unwrap();
-        assert_eq!(records.len(), 2);
+        assert_eq!(seqs_on_disk(&*fs, 1), [0, 1, 2]);
+        assert_eq!(rows_on_disk(&*fs, 0).len(), 7);
+        assert_eq!(masters_on_disk(&*fs), [master(0), master(1)]);
 
         // Counters: worker 1's post-snapshot share (4 captures, 1
         // violation, 1 exception) is subtracted; worker 0's stands.
@@ -960,9 +903,7 @@ mod tests {
         sink.count_violation(1);
         sink.count_exception(1);
         sink.flush();
-        let w1 = fs.read_all(&worker_trace_path("/traces/job", 1)).unwrap();
-        let records: Vec<Rec> = decode_vertex_records(TraceCodec::JsonLines, &w1).unwrap();
-        assert_eq!(records.iter().map(|r| r.seq).collect::<Vec<_>>(), vec![0, 1, 2, 3, 4, 5, 6]);
+        assert_eq!(seqs_on_disk(&*fs, 1), [0, 1, 2, 3, 4, 5, 6]);
         assert_eq!(sink.captures(), 14);
         assert_eq!(sink.violations(), 3);
         assert_eq!(sink.exceptions(), 1);
@@ -1027,8 +968,7 @@ mod tests {
         });
         sink.flush();
         for worker in 0..4 {
-            let bytes = fs.read_all(&worker_trace_path("/traces/job", worker)).unwrap();
-            let records: Vec<Rec> = decode_vertex_records(TraceCodec::JsonLines, &bytes).unwrap();
+            let records = rows_on_disk(&*fs, worker);
             assert_eq!(records.len(), 500);
             // Per-worker order is preserved.
             for (i, r) in records.iter().enumerate() {
@@ -1039,7 +979,7 @@ mod tests {
 
     #[test]
     fn binary_channels_index_each_superstep_transition() {
-        let (fs, sink) = binary_sink(1000);
+        let (fs, sink) = sink(1000);
         // Two records in superstep 0, one in superstep 1 (seq doubles as
         // the superstep for the test record).
         assert!(sink.record_vertex(0, &Rec { worker: 0, seq: 0 }));
@@ -1051,7 +991,7 @@ mod tests {
             frame_kinds(&bytes),
             vec![FRAME_INDEX, FRAME_VERTEX, FRAME_VERTEX, FRAME_INDEX, FRAME_VERTEX]
         );
-        let mut scanner = graft_codec::frame::FrameScanner::new(&bytes);
+        let mut scanner = FrameScanner::new(&bytes);
         let mut indexes = Vec::new();
         while let Some(frame) = scanner.next_frame().unwrap() {
             if frame.kind == FRAME_INDEX {
@@ -1067,7 +1007,7 @@ mod tests {
 
     #[test]
     fn binary_rollback_makes_the_replay_byte_identical() {
-        let (fs, sink) = binary_sink(1000);
+        let (fs, sink) = sink(1000);
         let replay = |sink: &TraceSink| {
             sink.record_vertex(0, &Rec { worker: 0, seq: 1 });
             sink.record_vertex(0, &Rec { worker: 0, seq: 2 });

@@ -9,17 +9,19 @@
 //! <root>/result.json      terminal job status and summary counters
 //! ```
 //!
-//! Worker and master trace files hold a stream of records encoded per the
-//! configured [`TraceCodec`]:
+//! Worker and master trace files hold kind-tagged GraftBin frames,
+//! `[len varint][kind u8][payload]` (see `graft_codec::frame`). Worker
+//! channels carry [`FRAME_VERTEX`] records preceded, at every superstep
+//! transition, by a [`FRAME_INDEX`] record that lets readers hop whole
+//! superstep groups without touching payloads. The master channel
+//! carries [`FRAME_MASTER`] records. Every writer of a channel — the
+//! trace sink, `trace convert`, synthetic traces — goes through a
+//! [`ChannelWriter`], the one place that grammar is written down.
 //!
-//! * **Binary** (the default): kind-tagged GraftBin frames,
-//!   `[len varint][kind u8][payload]` (see `graft_codec::frame`). Worker
-//!   channels carry [`FRAME_VERTEX`] records preceded, at every superstep
-//!   transition, by a [`FRAME_INDEX`] record that lets readers hop whole
-//!   superstep groups without touching payloads. The master channel
-//!   carries [`FRAME_MASTER`] records.
-//! * **JsonLines** (fallback): one JSON document per line,
-//!   human-inspectable with any editor.
+//! JSON lines, one document per line, is a legacy format: directories
+//! written in it still read ([`decode_vertex_records`]; the untyped
+//! reader upgrades each worker channel to binary at open), and
+//! [`convert_vertex_channel`] exports to it, but nothing captures in it.
 //!
 //! Capture writes a vertex frame in one pass, straight from borrowed
 //! engine state: the instrumenter fills a [`VertexCapture`] with
@@ -35,16 +37,16 @@
 //! positions are [`graft_codec::BinValue`] trees, so any tool can browse
 //! a binary trace without the computation's Rust types. The tagged
 //! encoding is defined so that those trees are the exact
-//! `serde_json::Value`s a JSON text round-trip of the record yields:
-//! the two codecs reconstruct *identical* dynamic values and every view
-//! served over either format is byte-for-byte the same.
+//! `serde_json::Value`s a JSON text round-trip of the record yields, so
+//! a record exported to JSON lines and read back is the record, and
+//! every view served over either format is byte-for-byte the same.
 //!
 //! **Format v2: each adjacency written once.** `meta.json` records the
 //! binary layout as a [`TraceFormat`]. In a v2 channel a vertex record's
 //! `edges` field is a [`WireEdges`]: the inline list, or the channel
 //! offset of an earlier frame that records the same vertex (equal encoded
 //! id bytes) with identical inline edges — one hop, never a reference to a
-//! reference. A channel writer decides with an [`EdgeRefs`], a pure
+//! reference. A [`ChannelWriter`] decides with an [`EdgeRefs`], a pure
 //! function of the channel's record stream, so a replayed, budgeted or
 //! converted channel is byte-identical to a native one. v1 channels hold
 //! every list inline and keep reading.
@@ -69,14 +71,15 @@ use std::ops::Range;
 
 use graft_codec::frame::{Frame, FrameScanner};
 use graft_codec::{for_each_element, BinValue, SkipSeq, SkipStr, SkipTagged, Tagged, TaggedText};
+use graft_dfs::FileSystem;
 use graft_pregel::hash::{FxHashMap, FxHasher};
 use graft_pregel::{AggValue, GlobalData};
 use serde::de::DeserializeOwned;
-use serde::ser::{SerializeSeq, SerializeStruct};
+use serde::ser::SerializeSeq;
 use serde::{Deserialize, Serialize};
 use serde_json::Value;
 
-use crate::config::{CaptureReason, ConfigFacts, TraceCodec};
+use crate::config::{CaptureReason, ConfigFacts};
 
 /// Frame kind of a captured vertex context (written from a
 /// [`VertexCapture`], read back as a [`WireVertexTrace`]).
@@ -267,47 +270,23 @@ impl JobMeta {
     pub fn format(&self) -> TraceFormat {
         self.trace_format.unwrap_or(TraceFormat::JsonLines)
     }
-
-    /// The effective trace codec.
-    pub fn codec(&self) -> TraceCodec {
-        self.format().codec()
-    }
 }
 
-/// The on-disk format `meta.json` records: the codec and, for binary
-/// frames, the layout of their vertex payloads. A reader that does not
-/// know a layout fails on `meta.json`, before it reads a payload.
+/// The on-disk format `meta.json` records: JSON lines or binary frames
+/// and, for binary frames, the layout of their vertex payloads. Capture
+/// writes [`TraceFormat::BinaryV2`]; the others are read. A reader that
+/// does not know a layout fails on `meta.json`, before it reads a payload.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub enum TraceFormat {
-    /// JSON lines.
+    /// JSON lines: legacy directories, and `trace convert`'s export.
     JsonLines,
     /// Binary frames whose vertex payloads hold their edges as a plain
-    /// list: layout v1, recorded under the codec's name as binary traces
-    /// were before their layout had a version.
+    /// list: layout v1, recorded under this name as binary traces were
+    /// before their layout had a version.
     Binary,
     /// Binary frames whose vertex payloads hold their edges as a
     /// [`WireEdges`].
     BinaryV2,
-}
-
-impl TraceFormat {
-    /// The codec of the format.
-    pub fn codec(self) -> TraceCodec {
-        match self {
-            TraceFormat::JsonLines => TraceCodec::JsonLines,
-            TraceFormat::Binary | TraceFormat::BinaryV2 => TraceCodec::Binary,
-        }
-    }
-}
-
-impl From<TraceCodec> for TraceFormat {
-    /// The format this build writes in the codec.
-    fn from(codec: TraceCodec) -> Self {
-        match codec {
-            TraceCodec::JsonLines => TraceFormat::JsonLines,
-            TraceCodec::Binary => TraceFormat::BinaryV2,
-        }
-    }
 }
 
 /// Terminal job status written at trace root as `result.json`.
@@ -353,8 +332,6 @@ pub fn result_path(root: &str) -> String {
 pub enum CaptureError {
     /// A record could not be encoded as a binary frame.
     Codec(graft_codec::Error),
-    /// A record could not be rendered as a JSON line.
-    Json(serde_json::Error),
     /// The trace file system failed a write, or did not keep what was
     /// written; the text names the file where one is known.
     Dfs(String),
@@ -366,7 +343,6 @@ impl fmt::Display for CaptureError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             CaptureError::Codec(e) => write!(f, "{e}"),
-            CaptureError::Json(e) => write!(f, "{e}"),
             CaptureError::Dfs(detail) => f.write_str(detail),
             CaptureError::SnapshotMissing(superstep) => {
                 write!(f, "no trace snapshot for restored superstep {superstep}")
@@ -383,12 +359,6 @@ impl From<graft_codec::Error> for CaptureError {
     }
 }
 
-impl From<serde_json::Error> for CaptureError {
-    fn from(e: serde_json::Error) -> Self {
-        CaptureError::Json(e)
-    }
-}
-
 impl From<std::io::Error> for CaptureError {
     fn from(e: std::io::Error) -> Self {
         CaptureError::Dfs(e.to_string())
@@ -401,11 +371,10 @@ impl From<graft_dfs::FsError> for CaptureError {
     }
 }
 
-/// A record the trace sink can write to a channel: serializable (for the
-/// JSON codec) plus a superstep and a kind-tagged binary frame (for the
-/// binary codec and its index frames).
-pub trait TraceRecord: Serialize {
-    /// The record's superstep, which the binary sink groups frames by.
+/// A record a [`ChannelWriter`] can write to a channel: a superstep,
+/// which worker channels group frames by, and a kind-tagged binary frame.
+pub trait TraceRecord {
+    /// The record's superstep, which worker channels group frames by.
     fn record_superstep(&self) -> u64;
 
     /// Appends the record's binary frame (`[len][kind][payload]`) to
@@ -463,11 +432,9 @@ fn put<T: Serialize + ?Sized>(out: &mut Vec<u8>, value: &T) -> graft_codec::Resu
 
 /// A vertex context as the instrumenter hands it to the sink: the fields
 /// of a [`VertexTrace`], borrowed from the engine state they live in
-/// rather than cloned into a record. It serializes under the same field
-/// names as [`VertexTrace`] — with the computation-typed positions
-/// wrapped in [`Tagged`], so a JSON line is that of the equivalent
-/// `VertexTrace` — and its binary frame is a [`WireVertexTrace`]'s,
-/// written field by field.
+/// rather than cloned into a record. Its binary frame is a
+/// [`WireVertexTrace`]'s, written field by field, the computation-typed
+/// positions through [`Tagged`].
 pub struct VertexCapture<'a, I, V, M, Ed, Ag> {
     /// Superstep of the capture.
     pub superstep: u64,
@@ -495,39 +462,6 @@ pub struct VertexCapture<'a, I, V, M, Ed, Ag> {
     pub violations: &'a [ViolationRecord],
     /// The exception, if `compute()` panicked.
     pub exception: Option<&'a ExceptionInfo>,
-}
-
-impl<'a, I, V, E, M, Ed, Ag> Serialize for VertexCapture<'a, I, V, M, Ed, Ag>
-where
-    I: Serialize + 'a,
-    V: Serialize,
-    E: Serialize + 'a,
-    M: Serialize,
-    Ed: ExactSizeIterator<Item = (&'a I, &'a E)> + Clone,
-    Ag: ExactSizeIterator<Item = (&'a str, &'a AggValue)> + Clone,
-{
-    fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        // Field for field the derived impl of `VertexTrace`.
-        let tagged_pair = |(a, b)| (Tagged(a), Tagged(b));
-        let mut record = serializer.serialize_struct("VertexTrace", 13)?;
-        record.serialize_field("superstep", &self.superstep)?;
-        record.serialize_field("vertex", &Tagged(self.vertex))?;
-        record.serialize_field("value_before", &Tagged(self.value_before))?;
-        record.serialize_field("value_after", &Tagged(self.value_after))?;
-        record.serialize_field("edges", &Seq(self.edges.clone().map(tagged_pair)))?;
-        record.serialize_field("incoming", &Seq(self.incoming.iter().map(Tagged)))?;
-        record.serialize_field(
-            "outgoing",
-            &Seq(self.outgoing.iter().map(|(target, message)| (Tagged(target), Tagged(message)))),
-        )?;
-        record.serialize_field("aggregators", &Seq(self.aggregators.clone()))?;
-        record.serialize_field("global", &self.global)?;
-        record.serialize_field("halted_after", &self.halted_after)?;
-        record.serialize_field("reasons", self.reasons)?;
-        record.serialize_field("violations", self.violations)?;
-        record.serialize_field("exception", &self.exception)?;
-        record.end()
-    }
 }
 
 impl<'a, I, V, E, M, Ed, Ag> VertexCapture<'a, I, V, M, Ed, Ag>
@@ -743,30 +677,6 @@ impl Latest {
 }
 
 impl EdgeRefs {
-    /// The state after writing a v2 channel's `bytes`: every vertex frame
-    /// whose edges are inline is noted, in order. A frame that does not
-    /// read as a vertex record holds nothing to point at.
-    pub fn from_channel(bytes: &[u8]) -> Self {
-        let mut refs = EdgeRefs::default();
-        let mut scanner = FrameScanner::new(bytes);
-        while let Ok(Some(frame)) = scanner.next_frame() {
-            if frame.kind != FRAME_VERTEX {
-                continue;
-            }
-            let mut reader = PayloadReader::new(frame.payload, TraceFormat::BinaryV2);
-            let inline = reader.front::<SkipTagged>().and_then(|(_, _, id)| {
-                reader.values::<SkipTagged>()?;
-                let at = reader.at();
-                let edges: WireEdges<SkipSeq<(SkipTagged, SkipTagged)>> = reader.edges()?;
-                Ok(matches!(edges, WireEdges::Inline(_)).then(|| (id, at..reader.at())))
-            });
-            if let Ok(Some((id, edges))) = inline {
-                refs.remember(&frame.payload[id], frame.start as u64, &frame.payload[edges]);
-            }
-        }
-        refs
-    }
-
     /// The index of vertex `id`, or the hash it goes by if unseen.
     fn find(&mut self, id: &[u8]) -> Result<usize, u64> {
         // The vertex after the last one looked up, or that one again.
@@ -846,7 +756,7 @@ impl EdgeRefs {
 
     /// Forgets the frames at or past byte `len`, which the channel no
     /// longer holds.
-    pub fn truncate(&mut self, len: u64) {
+    fn truncate(&mut self, len: u64) {
         for latest in &mut self.vertices {
             if latest.offset.is_some_and(|offset| offset >= len) {
                 latest.offset = None;
@@ -865,27 +775,137 @@ impl TraceRecord for MasterTrace {
     }
 }
 
-/// Encodes one record onto the end of `buf` in the given codec: a JSON
-/// line, or a kind-tagged binary frame. (Binary superstep *index* frames
-/// are the sink's job — see [`encode_index_frame`].)
-pub fn encode_record<T: TraceRecord>(
-    codec: TraceCodec,
-    record: &T,
-    buf: &mut Vec<u8>,
-) -> Result<(), CaptureError> {
-    match codec {
-        TraceCodec::JsonLines => {
-            serde_json::to_vec_into(record, buf)?;
-            buf.push(b'\n');
-            Ok(())
-        }
-        TraceCodec::Binary => record.encode_binary_frame(buf),
-    }
-}
-
 /// Appends a superstep index frame to `buf`.
 pub fn encode_index_frame(record: &IndexRecord, buf: &mut Vec<u8>) -> Result<(), CaptureError> {
     binary_frame(buf, FRAME_INDEX, record)
+}
+
+/// Where a channel stands: its length and, in a worker channel, the
+/// vertex records it holds and the superstep of the last one.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub(crate) struct ChannelMark {
+    /// Bytes written to the channel.
+    pub(crate) written: u64,
+    /// Vertex records written to the channel.
+    pub(crate) records: u64,
+    /// Superstep of the last vertex record; `None` before the first.
+    pub(crate) last_superstep: Option<u64>,
+}
+
+/// The grammar of a trace channel, written down once. A worker channel
+/// gets an index frame at each superstep transition, carrying the counts
+/// as of the frame's own start, then the record's vertex frame, its edges
+/// a back-reference where the channel's [`EdgeRefs`] says so. The master
+/// channel gets each record's frame and nothing else.
+///
+/// The trace sink, `trace convert` and synthetic traces all write their
+/// channels through one. What it writes is a pure function of the
+/// records appended, so a channel rewritten after a rewind, under a
+/// memory budget, at another thread count or by conversion is
+/// byte-identical to the native one.
+#[derive(Default)]
+pub struct ChannelWriter {
+    mark: ChannelMark,
+    refs: EdgeRefs,
+}
+
+impl ChannelWriter {
+    /// The writer that wrote the channel `bytes`, as it stood after the
+    /// last frame: the mark read off the frame headers and index frames,
+    /// the back-reference rule rebuilt by noting, in order, every vertex
+    /// frame whose edges are inline. A frame that does not read as a
+    /// vertex record holds nothing to point at.
+    pub(crate) fn resume(bytes: &[u8]) -> Self {
+        let mut writer = ChannelWriter::default();
+        writer.mark.written = bytes.len() as u64;
+        let mut scanner = FrameScanner::new(bytes);
+        while let Ok(Some(frame)) = scanner.next_frame() {
+            match frame.kind {
+                FRAME_INDEX => {
+                    let index = index_record_from_payload(frame.payload).ok();
+                    writer.mark.last_superstep = index.map(|index| index.superstep);
+                }
+                FRAME_VERTEX => {
+                    writer.mark.records += 1;
+                    let mut reader = PayloadReader::new(frame.payload, TraceFormat::BinaryV2);
+                    let inline = reader.front::<SkipTagged>().and_then(|(_, _, id)| {
+                        reader.values::<SkipTagged>()?;
+                        let at = reader.at();
+                        let edges: WireEdges<SkipSeq<(SkipTagged, SkipTagged)>> = reader.edges()?;
+                        Ok(matches!(edges, WireEdges::Inline(_)).then(|| (id, at..reader.at())))
+                    });
+                    if let Ok(Some((id, edges))) = inline {
+                        let (id, edges) = (&frame.payload[id], &frame.payload[edges]);
+                        writer.refs.remember(id, frame.start as u64, edges);
+                    }
+                }
+                _ => {}
+            }
+        }
+        writer
+    }
+
+    /// Where the channel stands.
+    pub(crate) fn mark(&self) -> ChannelMark {
+        self.mark
+    }
+
+    /// Appends a vertex record to `buf`, whose end is the channel's end:
+    /// an index frame first if the record opens a superstep, then the
+    /// record's frame. On error, `buf` and the writer are left as they
+    /// were.
+    pub fn append_vertex<T: TraceRecord>(
+        &mut self,
+        record: &T,
+        buf: &mut Vec<u8>,
+    ) -> Result<(), CaptureError> {
+        let start = buf.len();
+        let superstep = record.record_superstep();
+        let mut encoded = Ok(());
+        if self.mark.last_superstep != Some(superstep) {
+            let index = IndexRecord {
+                superstep,
+                records_before: self.mark.records,
+                bytes_before: self.mark.written,
+            };
+            encoded = encode_index_frame(&index, buf);
+        }
+        let encoded = encoded.and_then(|()| {
+            let offset = self.mark.written + (buf.len() - start) as u64;
+            record.encode_channel_frame(buf, &mut self.refs, offset)
+        });
+        if let Err(e) = encoded {
+            buf.truncate(start);
+            return Err(e);
+        }
+        self.mark.written += (buf.len() - start) as u64;
+        self.mark.records += 1;
+        self.mark.last_superstep = Some(superstep);
+        Ok(())
+    }
+
+    /// Appends a master record's frame to `buf`, whose end is the
+    /// channel's end. The master channel holds at most one record per
+    /// superstep, so it has no index frames. On error, `buf` and the
+    /// writer are left as they were.
+    pub fn append_master<T: TraceRecord>(
+        &mut self,
+        record: &T,
+        buf: &mut Vec<u8>,
+    ) -> Result<(), CaptureError> {
+        let start = buf.len();
+        record.encode_binary_frame(buf)?;
+        self.mark.written += (buf.len() - start) as u64;
+        Ok(())
+    }
+
+    /// Falls back to `mark`, an earlier mark of this writer: the channel
+    /// no longer holds what was written past it, so no later record
+    /// refers to that.
+    pub(crate) fn truncate(&mut self, mark: ChannelMark) {
+        self.mark = mark;
+        self.refs.truncate(mark.written);
+    }
 }
 
 /// Why a trace channel could not be read.
@@ -961,18 +981,18 @@ fn for_each_frame<'a>(
     }
 }
 
-/// Calls `line` for every non-empty line of a JSON-lines channel, with
-/// the line's byte offset. With `torn_tail_ok`, a last line that has no
-/// newline yet and does not parse ends the walk instead of failing it.
-pub(crate) fn for_each_line<'a>(
-    bytes: &'a [u8],
+/// Calls `line` for every non-empty line of a legacy JSON-lines channel.
+/// With `torn_tail_ok`, a last line that has no newline yet and does not
+/// parse ends the walk instead of failing it.
+fn for_each_line(
+    bytes: &[u8],
     torn_tail_ok: bool,
-    mut line: impl FnMut(&'a [u8], usize) -> Result<(), serde_json::Error>,
+    mut line: impl FnMut(&[u8]) -> Result<(), serde_json::Error>,
 ) -> Result<(), TraceReadError> {
     let mut start = 0usize;
     for text in bytes.split(|&b| b == b'\n') {
         if !text.is_empty() {
-            match line(text, start) {
+            match line(text) {
                 Ok(()) => {}
                 Err(_) if torn_tail_ok && start + text.len() == bytes.len() => break,
                 Err(e) => return Err(TraceReadError::Json(e)),
@@ -1009,8 +1029,9 @@ pub const FLAG_VALUE_VIOLATION: u8 = 2;
 /// [`VertexHead::flags`] bit: `compute()` raised an exception.
 pub const FLAG_EXCEPTION: u8 = 4;
 /// [`VertexHead::flags`] bit: a violation of a kind this reader does not
-/// know. Only a JSON line can carry one; binary frames encode the kind
-/// as a [`ViolationKind`].
+/// know. Only a hand-made dynamic value can carry one
+/// (`UntypedTrace::digest`); binary frames encode the kind as a
+/// [`ViolationKind`].
 pub const FLAG_OTHER_VIOLATION: u8 = 8;
 
 /// What a reader indexing a trace keeps of a vertex record: where the
@@ -1392,19 +1413,20 @@ pub fn index_record_from_payload(payload: &[u8]) -> Result<IndexRecord, graft_co
     graft_codec::from_slice(payload)
 }
 
-/// Decodes all vertex records from a worker trace file's bytes. For the
-/// binary codec the typed records are reconstructed through their
-/// normalized dynamic values, edge references followed, so `T` can be a
+/// Decodes all vertex records from a worker trace file's bytes. A binary
+/// channel's typed records are reconstructed through their normalized
+/// dynamic values, edge references followed, so `T` can be a
 /// `VertexTraceOf<C>`, an [`ErasedVertexTrace`] or `serde_json::Value`
 /// alike; index frames and references are checked as
-/// [`walk_vertex_channel`] checks them.
+/// [`walk_vertex_channel`] checks them. A legacy JSON-lines channel is
+/// parsed line by line.
 pub fn decode_vertex_records<T: DeserializeOwned>(
-    format: impl Into<TraceFormat>,
+    format: TraceFormat,
     bytes: &[u8],
 ) -> Result<Vec<T>, TraceReadError> {
     let mut out = Vec::new();
-    match format.into() {
-        TraceFormat::JsonLines => for_each_line(bytes, false, |line, _| {
+    match format {
+        TraceFormat::JsonLines => for_each_line(bytes, false, |line| {
             out.push(serde_json::from_slice(line)?);
             Ok(())
         })?,
@@ -1422,54 +1444,123 @@ pub fn decode_vertex_records<T: DeserializeOwned>(
     Ok(out)
 }
 
+/// A worker channel as the untyped readers take it, and the layout it is
+/// in: a binary channel as it is, a legacy JSON-lines one upgraded to the
+/// v2 bytes `trace convert --to binary` writes for it. With
+/// `torn_tail_ok`, the reading of a job still running, a last line caught
+/// mid-append is left out, as the binary walk leaves out a torn frame.
+pub(crate) fn binary_worker_channel(
+    format: TraceFormat,
+    bytes: Vec<u8>,
+    torn_tail_ok: bool,
+) -> Result<(Vec<u8>, TraceFormat), TraceReadError> {
+    if format != TraceFormat::JsonLines {
+        return Ok((bytes, format));
+    }
+    let mut out = Vec::new();
+    let mut writer = ChannelWriter::default();
+    for_each_line(&bytes, torn_tail_ok, |line| {
+        let record: ErasedVertexTrace = serde_json::from_slice(line)?;
+        writer.append_vertex(&record, &mut out).map_err(serde::de::Error::custom)
+    })?;
+    Ok((out, TraceFormat::BinaryV2))
+}
+
 /// Re-encodes a worker channel's vertex records, read in `source`, in
-/// `target` — byte for byte what a native capture in `target` writes:
-/// binary index frames are re-derived with the sink's rule, one per
-/// superstep transition with the counts as of the frame's own start, and
-/// edge references re-decided with an [`EdgeRefs`]. JSON lines hold every
-/// list inline.
+/// `target` — byte for byte what capture writes, since both write through
+/// a [`ChannelWriter`]. Exported JSON lines hold every list inline.
 pub fn convert_vertex_channel(
     source: TraceFormat,
-    target: TraceCodec,
+    target: TraceFormat,
     bytes: &[u8],
 ) -> Result<Vec<u8>, Box<dyn std::error::Error>> {
     let records: Vec<ErasedVertexTrace> = decode_vertex_records(source, bytes)?;
-    let mut out = Vec::new();
-    let mut refs = EdgeRefs::default();
-    let mut last_superstep = None;
-    for (count, record) in records.iter().enumerate() {
-        if target == TraceCodec::JsonLines {
-            encode_record(target, record, &mut out)?;
+    write_channel(target, &records, ChannelWriter::append_vertex)
+}
+
+/// Rewrites the trace directory at `root` of `src` into the same path of
+/// `dst` in `target`: the worker and master channels re-encoded, every
+/// other file — `result.json`, checkpoints, obs artifacts, spill files —
+/// copied as it is, and `meta.json`, naming `target`, written last. A
+/// directory already in `target` is refused.
+pub fn convert_trace_dir(
+    src: &dyn FileSystem,
+    dst: &dyn FileSystem,
+    root: &str,
+    target: TraceFormat,
+) -> Result<(), Box<dyn std::error::Error>> {
+    let mut meta: JobMeta = serde_json::from_slice(&src.read_all(&meta_path(root))?)?;
+    let source = meta.format();
+    if source == target {
+        return Err(format!("the trace already uses {target:?}").into());
+    }
+    let workers: Vec<String> = (0..meta.num_workers).map(|w| worker_trace_path("", w)).collect();
+    for file in src.list_files_recursive(root)? {
+        let name = file.path.strip_prefix(root.trim_end_matches('/')).unwrap_or(&file.path);
+        let bytes = src.read_all(&file.path)?;
+        let converted = if name == meta_path("") {
             continue;
+        } else if workers.iter().any(|worker| worker == name) {
+            convert_vertex_channel(source, target, &bytes)
+        } else if name == master_trace_path("") {
+            convert_master_channel(source, target, &bytes)
+        } else {
+            Ok(bytes)
+        };
+        let converted = converted.map_err(|e| format!("{}: {e}", name.trim_start_matches('/')))?;
+        dst.write_all(&file.path, &converted)?;
+    }
+    meta.trace_format = Some(target);
+    dst.write_all(&meta_path(root), &serde_json::to_vec_pretty(&meta)?)?;
+    Ok(())
+}
+
+/// Re-encodes a master channel's records, read in `source`, in `target`.
+pub fn convert_master_channel(
+    source: TraceFormat,
+    target: TraceFormat,
+    bytes: &[u8],
+) -> Result<Vec<u8>, Box<dyn std::error::Error>> {
+    let records = decode_master_records(source, bytes)?;
+    write_channel(target, &records, ChannelWriter::append_master)
+}
+
+/// Writes `records` as a channel in `target`: binary frames through
+/// `append`, or one JSON document per line.
+fn write_channel<T: TraceRecord + Serialize>(
+    target: TraceFormat,
+    records: &[T],
+    append: fn(&mut ChannelWriter, &T, &mut Vec<u8>) -> Result<(), CaptureError>,
+) -> Result<Vec<u8>, Box<dyn std::error::Error>> {
+    if target == TraceFormat::Binary {
+        return Err("binary layout v1 is read, not written".into());
+    }
+    let mut out = Vec::new();
+    let mut writer = ChannelWriter::default();
+    for record in records {
+        if target == TraceFormat::JsonLines {
+            serde_json::to_vec_into(record, &mut out)?;
+            out.push(b'\n');
+        } else {
+            append(&mut writer, record, &mut out)?;
         }
-        if last_superstep != Some(record.superstep) {
-            let index = IndexRecord {
-                superstep: record.superstep,
-                records_before: count as u64,
-                bytes_before: out.len() as u64,
-            };
-            encode_index_frame(&index, &mut out)?;
-            last_superstep = Some(record.superstep);
-        }
-        let offset = out.len() as u64;
-        record.encode_channel_frame(&mut out, &mut refs, offset)?;
     }
     Ok(out)
 }
 
 /// Decodes all master records from the master trace file's bytes.
 pub fn decode_master_records(
-    codec: TraceCodec,
+    format: TraceFormat,
     bytes: &[u8],
 ) -> Result<Vec<MasterTrace>, TraceReadError> {
-    master_records_up_to(codec, bytes, None)
+    master_records_up_to(format, bytes, None)
 }
 
 /// The master records of supersteps up to `up_to`, the watermark of a
 /// job still running, under which a torn tail record is skipped instead
 /// of failing; without one, every record.
 pub(crate) fn master_records_up_to(
-    codec: TraceCodec,
+    format: TraceFormat,
     bytes: &[u8],
     up_to: Option<u64>,
 ) -> Result<Vec<MasterTrace>, TraceReadError> {
@@ -1479,19 +1570,21 @@ pub(crate) fn master_records_up_to(
             out.push(trace);
         }
     };
-    match codec {
-        TraceCodec::JsonLines => for_each_line(bytes, up_to.is_some(), |line, _| {
+    match format {
+        TraceFormat::JsonLines => for_each_line(bytes, up_to.is_some(), |line| {
             within(serde_json::from_slice(line)?);
             Ok(())
         })?,
-        TraceCodec::Binary => for_each_frame(bytes, up_to.is_some(), |frame| {
-            let record = match frame.kind {
-                FRAME_MASTER => graft_codec::from_slice(frame.payload),
-                other => Err(unexpected_kind(other, "the master trace")),
-            };
-            within(record.map_err(TraceReadError::at(frame.start))?);
-            Ok(())
-        })?,
+        TraceFormat::Binary | TraceFormat::BinaryV2 => {
+            for_each_frame(bytes, up_to.is_some(), |frame| {
+                let record = match frame.kind {
+                    FRAME_MASTER => graft_codec::from_slice(frame.payload),
+                    other => Err(unexpected_kind(other, "the master trace")),
+                };
+                within(record.map_err(TraceReadError::at(frame.start))?);
+                Ok(())
+            })?
+        }
     }
     Ok(out)
 }
@@ -1522,14 +1615,35 @@ mod tests {
         }
     }
 
+    /// A legacy JSON-lines channel of `records`.
+    fn json_lines<T: Serialize>(records: &[T]) -> Vec<u8> {
+        let mut buf = Vec::new();
+        for record in records {
+            serde_json::to_vec_into(record, &mut buf).unwrap();
+            buf.push(b'\n');
+        }
+        buf
+    }
+
+    /// The v2 worker channel of `records`, as capture writes it.
+    fn channel_of<T: TraceRecord>(records: &[T]) -> Vec<u8> {
+        let mut buf = Vec::new();
+        let mut writer = ChannelWriter::default();
+        for record in records {
+            writer.append_vertex(record, &mut buf).unwrap();
+        }
+        buf
+    }
+
     #[test]
     fn roundtrip_both_codecs() {
-        for codec in [TraceCodec::JsonLines, TraceCodec::Binary] {
-            let mut buf = Vec::new();
-            encode_record(codec, &sample_trace(), &mut buf).unwrap();
-            encode_record(codec, &sample_trace(), &mut buf).unwrap();
+        let records = [sample_trace(), sample_trace()];
+        for (format, buf) in [
+            (TraceFormat::JsonLines, json_lines(&records)),
+            (TraceFormat::BinaryV2, channel_of(&records)),
+        ] {
             let decoded: Vec<VertexTrace<u64, i64, (), i64>> =
-                decode_vertex_records(codec, &buf).unwrap();
+                decode_vertex_records(format, &buf).unwrap();
             assert_eq!(decoded.len(), 2);
             assert_eq!(decoded[0].vertex, 672);
             assert_eq!(decoded[0].violations[0].detail, "-7");
@@ -1539,17 +1653,18 @@ mod tests {
 
     #[test]
     fn binary_is_denser_than_json() {
-        let mut json = Vec::new();
-        let mut bin = Vec::new();
-        encode_record(TraceCodec::JsonLines, &sample_trace(), &mut json).unwrap();
-        encode_record(TraceCodec::Binary, &sample_trace(), &mut bin).unwrap();
+        let bin = channel_of(&[sample_trace()]);
+        let json =
+            convert_vertex_channel(TraceFormat::BinaryV2, TraceFormat::JsonLines, &bin).unwrap();
+        assert_eq!(json, json_lines(&[sample_trace()]));
         assert!(bin.len() < json.len() / 2, "bin {} vs json {}", bin.len(), json.len());
     }
 
     #[test]
     fn json_lines_are_actual_json() {
-        let mut buf = Vec::new();
-        encode_record(TraceCodec::JsonLines, &sample_trace(), &mut buf).unwrap();
+        let bin = channel_of(&[sample_trace()]);
+        let buf =
+            convert_vertex_channel(TraceFormat::BinaryV2, TraceFormat::JsonLines, &bin).unwrap();
         let text = String::from_utf8(buf).unwrap();
         let parsed: serde_json::Value = serde_json::from_str(text.trim()).unwrap();
         assert_eq!(parsed["vertex"], 672);
@@ -1561,12 +1676,11 @@ mod tests {
     /// yields, so views over either format are byte-identical.
     #[test]
     fn binary_frame_reconstructs_the_json_parsed_value() {
-        let mut json = Vec::new();
-        encode_record(TraceCodec::JsonLines, &sample_trace(), &mut json).unwrap();
-        let from_json: Value = serde_json::from_slice(json.split_last().unwrap().1).unwrap();
+        let from_json: Value =
+            serde_json::from_slice(&serde_json::to_vec(&sample_trace()).unwrap()).unwrap();
 
         let mut bin = Vec::new();
-        encode_record(TraceCodec::Binary, &sample_trace(), &mut bin).unwrap();
+        sample_trace().encode_binary_frame(&mut bin).unwrap();
         let mut scanner = graft_codec::frame::FrameScanner::new(&bin);
         let frame = scanner.next_frame().unwrap().unwrap();
         assert_eq!(frame.kind, FRAME_VERTEX);
@@ -1577,25 +1691,21 @@ mod tests {
         assert_eq!(serde_json::to_vec(&from_bin).unwrap(), serde_json::to_vec(&from_json).unwrap());
     }
 
-    /// Writes `records` to one channel under the back-reference rule,
-    /// returning the channel and the kind of each vertex record's edges.
-    fn channel_of(records: &[VertexTrace<u64, i64, (), i64>]) -> (Vec<u8>, Vec<&'static str>) {
-        let mut buf = Vec::new();
-        let mut refs = EdgeRefs::default();
-        for record in records {
-            let offset = buf.len() as u64;
-            record.encode_channel_frame(&mut buf, &mut refs, offset).unwrap();
-        }
+    /// The kind of each vertex record's edges in a v2 channel.
+    fn edge_kinds(buf: &[u8]) -> Vec<&'static str> {
         let mut kinds = Vec::new();
-        let mut scanner = FrameScanner::new(&buf);
+        let mut scanner = FrameScanner::new(buf);
         while let Some(frame) = scanner.next_frame().unwrap() {
+            if frame.kind != FRAME_VERTEX {
+                continue;
+            }
             let wire: WireVertexTrace = graft_codec::from_slice(frame.payload).unwrap();
             kinds.push(match wire.edges {
                 WireEdges::Inline(_) => "inline",
                 WireEdges::At(_) => "at",
             });
         }
-        (buf, kinds)
+        kinds
     }
 
     #[test]
@@ -1620,42 +1730,77 @@ mod tests {
             with(4, 9, vec![]),
             with(5, 9, vec![]),
         ];
-        let (buf, kinds) = channel_of(&records);
-        assert_eq!(kinds, ["inline", "inline", "at", "at", "inline", "at", "inline", "inline"]);
+        let buf = channel_of(&records);
+        assert_eq!(
+            edge_kinds(&buf),
+            ["inline", "inline", "at", "at", "inline", "at", "inline", "inline"]
+        );
 
         // Every record reads back whole, references followed, and equals
         // what a channel of inline lists reads back.
         let decoded: Vec<VertexTrace<u64, i64, (), i64>> =
-            decode_vertex_records(TraceCodec::Binary, &buf).unwrap();
+            decode_vertex_records(TraceFormat::BinaryV2, &buf).unwrap();
         let mut inline = Vec::new();
         for record in &records {
-            encode_record(TraceCodec::Binary, record, &mut inline).unwrap();
+            record.encode_binary_frame(&mut inline).unwrap();
         }
         let expected: Vec<VertexTrace<u64, i64, (), i64>> =
-            decode_vertex_records(TraceCodec::Binary, &inline).unwrap();
-        assert!(buf.len() < inline.len());
+            decode_vertex_records(TraceFormat::BinaryV2, &inline).unwrap();
+        let vertex_bytes = |buf: &[u8]| -> usize {
+            let mut scanner = FrameScanner::new(buf);
+            std::iter::from_fn(|| scanner.next_frame().unwrap())
+                .filter(|frame| frame.kind == FRAME_VERTEX)
+                .map(|frame| frame.end - frame.start)
+                .sum()
+        };
+        assert!(vertex_bytes(&buf) < vertex_bytes(&inline));
         let edges = |rows: &[VertexTrace<u64, i64, (), i64>]| -> Vec<Vec<u64>> {
             rows.iter().map(|r| r.edges.iter().map(|e| e.0).collect()).collect()
         };
         assert_eq!(edges(&decoded), edges(&expected));
         assert_eq!(edges(&decoded), edges(&records));
 
-        // The state rebuilt from any prefix of frames writes the rest of
+        // The writer resumed after any prefix of frames writes the rest of
         // the channel exactly as the uninterrupted writer did.
-        let mut starts = vec![0];
+        let mut ends = vec![0];
         let mut scanner = FrameScanner::new(&buf);
         while let Some(frame) = scanner.next_frame().unwrap() {
-            starts.push(frame.end);
-        }
-        for (cut, start) in starts.iter().enumerate() {
-            let mut rewritten = buf[..*start].to_vec();
-            let mut refs = EdgeRefs::from_channel(&rewritten);
-            for record in &records[cut..] {
-                let offset = rewritten.len() as u64;
-                record.encode_channel_frame(&mut rewritten, &mut refs, offset).unwrap();
+            if frame.kind == FRAME_VERTEX {
+                ends.push(frame.end);
             }
-            assert_eq!(rewritten, buf, "rebuilt after {cut} records");
         }
+        for (cut, end) in ends.iter().enumerate() {
+            let mut rewritten = buf[..*end].to_vec();
+            let mut writer = ChannelWriter::resume(&rewritten);
+            assert_eq!(writer.mark().records, cut as u64);
+            for record in &records[cut..] {
+                writer.append_vertex(record, &mut rewritten).unwrap();
+            }
+            assert_eq!(rewritten, buf, "resumed after {cut} records");
+            assert_eq!(writer.mark(), ChannelWriter::resume(&buf).mark());
+        }
+    }
+
+    /// A legacy JSON-lines channel reads as the v2 channel capture writes
+    /// for the same records; a line torn mid-append is dropped only when
+    /// the reader is told the job is still running.
+    #[test]
+    fn a_legacy_json_channel_upgrades_to_what_capture_writes() {
+        let records = [sample_trace(), VertexTrace { superstep: 42, ..sample_trace() }];
+        let lines = json_lines(&records);
+        let upgraded = binary_worker_channel(TraceFormat::JsonLines, lines.clone(), false).unwrap();
+        assert_eq!(upgraded, (channel_of(&records), TraceFormat::BinaryV2));
+
+        let mut torn = lines.clone();
+        torn.extend_from_slice(b"{\"superstep\":43,\"vertex\":6");
+        assert!(binary_worker_channel(TraceFormat::JsonLines, torn.clone(), false).is_err());
+        assert_eq!(binary_worker_channel(TraceFormat::JsonLines, torn, true).unwrap(), upgraded);
+        // Binary channels pass through as they are.
+        let v1 = b"any bytes".to_vec();
+        assert_eq!(
+            binary_worker_channel(TraceFormat::Binary, v1.clone(), false).unwrap(),
+            (v1, TraceFormat::Binary)
+        );
     }
 
     #[test]
@@ -1668,11 +1813,6 @@ mod tests {
             assert_eq!(serde_json::to_string(&format).unwrap(), name);
             assert_eq!(serde_json::from_str::<TraceFormat>(name).unwrap(), format);
         }
-        assert_eq!(TraceFormat::from(TraceCodec::Binary), TraceFormat::BinaryV2);
-        assert_eq!(TraceFormat::Binary.codec(), TraceCodec::Binary);
-        // A reader that knew only the codec's names fails on a v2 trace
-        // at meta.json.
-        assert!(serde_json::from_str::<TraceCodec>("\"BinaryV2\"").is_err());
     }
 
     #[test]
@@ -1680,7 +1820,8 @@ mod tests {
         let mut buf = Vec::new();
         let index = IndexRecord { superstep: 41, records_before: 0, bytes_before: 0 };
         encode_index_frame(&index, &mut buf).unwrap();
-        encode_record(TraceCodec::Binary, &sample_trace(), &mut buf).unwrap();
+        sample_trace().encode_binary_frame(&mut buf).unwrap();
+        assert_eq!(buf, channel_of(&[sample_trace()]));
 
         let mut scanner = graft_codec::frame::FrameScanner::new(&buf);
         let frame = scanner.next_frame().unwrap().unwrap();
@@ -1688,7 +1829,7 @@ mod tests {
         assert_eq!(index_record_from_payload(frame.payload).unwrap(), index);
 
         let decoded: Vec<VertexTrace<u64, i64, (), i64>> =
-            decode_vertex_records(TraceCodec::Binary, &buf).unwrap();
+            decode_vertex_records(TraceFormat::BinaryV2, &buf).unwrap();
         assert_eq!(decoded.len(), 1);
         assert_eq!(decoded[0].superstep, 41);
     }
@@ -1701,12 +1842,19 @@ mod tests {
             aggregators: vec![("phase".into(), AggValue::Text("DRAIN".into()))],
             halted: true,
         };
-        for codec in [TraceCodec::JsonLines, TraceCodec::Binary] {
-            let mut buf = Vec::new();
-            encode_record(codec, &record, &mut buf).unwrap();
-            let decoded: Vec<MasterTrace> = decode_master_records(codec, &buf).unwrap();
+        let mut bin = Vec::new();
+        ChannelWriter::default().append_master(&record, &mut bin).unwrap();
+        let json = json_lines(std::slice::from_ref(&record));
+        for (format, buf) in [(TraceFormat::BinaryV2, &bin), (TraceFormat::JsonLines, &json)] {
+            let decoded: Vec<MasterTrace> = decode_master_records(format, buf).unwrap();
             assert_eq!(decoded, vec![record.clone()]);
         }
+        let exported =
+            convert_master_channel(TraceFormat::BinaryV2, TraceFormat::JsonLines, &bin).unwrap();
+        assert_eq!(exported, json);
+        let imported =
+            convert_master_channel(TraceFormat::JsonLines, TraceFormat::BinaryV2, &json).unwrap();
+        assert_eq!(imported, bin);
     }
 
     #[test]
@@ -1728,7 +1876,7 @@ mod tests {
         assert_eq!(meta.computation, "PageRank");
         assert!(meta.facts.is_none());
         assert!(meta.trace_format.is_none());
-        assert_eq!(meta.codec(), TraceCodec::JsonLines);
+        assert_eq!(meta.format(), TraceFormat::JsonLines);
     }
 
     #[test]
@@ -1741,13 +1889,13 @@ mod tests {
 
     #[test]
     fn decode_rejects_garbage() {
-        assert!(decode_master_records(TraceCodec::JsonLines, b"{not json}\n").is_err());
-        assert!(decode_master_records(TraceCodec::Binary, &[0xff, 0xff, 0xff]).is_err());
-        assert!(decode_vertex_records::<Value>(TraceCodec::Binary, &[0xff, 0xff, 0xff]).is_err());
+        assert!(decode_master_records(TraceFormat::JsonLines, b"{not json}\n").is_err());
+        assert!(decode_master_records(TraceFormat::BinaryV2, &[0xff, 0xff, 0xff]).is_err());
+        assert!(decode_vertex_records::<Value>(TraceFormat::BinaryV2, &[0xff, 0xff, 0xff]).is_err());
         // A master frame inside a worker file is a kind error, not a panic.
         let mut buf = Vec::new();
         graft_codec::frame::write_frame(&mut buf, FRAME_MASTER, b"");
-        let err = decode_vertex_records::<Value>(TraceCodec::Binary, &buf).unwrap_err();
+        let err = decode_vertex_records::<Value>(TraceFormat::BinaryV2, &buf).unwrap_err();
         assert!(err.to_string().contains("record kind"), "{err}");
     }
 }

@@ -3,18 +3,20 @@
 //! A [`crate::DebugSession`] needs the computation's Rust types to decode
 //! traces. Tools like `graft-cli` and `graft-server` — the browser-GUI
 //! stand-ins — must work on *any* job's traces, so this module reads
-//! traces into dynamic values instead. Both codecs are supported: JSON
-//! lines parse directly, and binary frames carry their computation-
-//! specific fields as tagged `BinValue` trees that reconstruct the exact
-//! same dynamic values (see `graft_codec::value`), so everything built on
-//! this module is byte-identical across formats.
+//! traces into dynamic values instead: binary frames carry their
+//! computation-specific fields as tagged `BinValue` trees that reconstruct
+//! the exact dynamic values a JSON text round-trip gives (see
+//! `graft_codec::value`). A legacy JSON-lines worker channel is upgraded
+//! at open to the v2 bytes `trace convert --to binary` writes for it, so
+//! every row read here is a binary payload, and everything built on this
+//! module is byte-identical across formats.
 //!
 //! Rows are *not* materialized up front, and a binary frame is decoded
 //! into a tree only when somebody asks for its row:
 //!
 //! * **What `open` validates.** [`UntypedSession::open`] reads each
-//!   trace file once and checks every record: a JSON line is parsed; a
-//!   binary vertex payload is *skimmed* — run through the same GraftBin
+//!   trace file once and checks every record: a vertex payload is
+//!   *skimmed* — run through the same GraftBin
 //!   decoder, field for field, as the full record, with visitors that
 //!   check and drop what they read (see [`VertexHead`]) — so exactly the
 //!   payloads that would decode in full pass, and none is built. A v2
@@ -22,9 +24,9 @@
 //!   inline rows before it (see [`walk_vertex_channel`]). Index frames
 //!   and master records are decoded outright; they are small.
 //! * **What the index holds.** Per superstep, one three-word entry per
-//!   row, sorted by rendered vertex id: the byte range of the record
-//!   (the JSON line, or the binary frame payload located by walking
-//!   frame headers), the worker file it lies in, and three flag bits —
+//!   row, sorted by rendered vertex id: the byte range of the record's
+//!   frame payload, located by walking frame headers, the worker file it
+//!   lies in, and three flag bits —
 //!   message violation, vertex-value violation, exception. The sort keys
 //!   are dropped once the rows are sorted; no tree is kept. The
 //!   superstep listing, its M/V/E indicators and the choice of rows the
@@ -42,9 +44,9 @@
 //!   which is what lets the debug server paginate large supersteps
 //!   without holding parsed JSON trees for whole jobs in memory.
 //!
-//! In binary traces, the per-superstep index frames let
-//! [`UntypedSession::open_partial`] skip whole superstep groups beyond
-//! the live watermark without touching their payloads.
+//! The per-superstep index frames let [`UntypedSession::open_partial`]
+//! skip whole superstep groups beyond the live watermark without touching
+//! their payloads.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -54,10 +56,10 @@ use serde_json::Value;
 
 use crate::session::{read_json, read_result, Indicators, SessionError};
 use crate::trace::{
-    compact, for_each_line, master_records_up_to, master_trace_path, meta_path,
+    binary_worker_channel, compact, master_records_up_to, master_trace_path, meta_path,
     walk_vertex_channel, worker_trace_path, ChannelRecord, JobMeta, JobResultRecord, MasterTrace,
-    RowDigest, TraceFormat, TraceReadError, VertexChannel, VertexHead, FLAG_EXCEPTION,
-    FLAG_MESSAGE_VIOLATION, FLAG_OTHER_VIOLATION, FLAG_VALUE_VIOLATION,
+    RowDigest, TraceFormat, VertexChannel, VertexHead, FLAG_EXCEPTION, FLAG_MESSAGE_VIOLATION,
+    FLAG_OTHER_VIOLATION, FLAG_VALUE_VIOLATION,
 };
 
 /// One captured vertex context, as dynamic JSON.
@@ -65,8 +67,7 @@ use crate::trace::{
 pub struct UntypedTrace(Value);
 
 impl From<Value> for UntypedTrace {
-    /// The record whose parsed JSON line, or decoded binary payload, is
-    /// `raw`.
+    /// The record whose dynamic value is `raw`.
     fn from(raw: Value) -> Self {
         UntypedTrace(raw)
     }
@@ -207,13 +208,8 @@ impl UntypedTrace {
         flags
     }
 
-    /// What the row index keeps of this record.
-    fn head(&self) -> VertexHead {
-        VertexHead { superstep: self.superstep(), vertex: self.vertex(), flags: self.flags() }
-    }
-
-    /// What a listing view shows of this record — for a binary payload,
-    /// what [`VertexChannel::digest`] skims.
+    /// What a listing view shows of this record: what
+    /// [`VertexChannel::digest`] skims of its payload.
     pub fn digest(&self, with_edges: bool) -> RowDigest {
         RowDigest {
             vertex: self.vertex(),
@@ -230,46 +226,48 @@ impl UntypedTrace {
     }
 }
 
-/// Walks one worker trace file, invoking `row` for every vertex record
-/// within the watermark, with the record's head and its payload byte
-/// range (the JSON line, or the binary frame payload). A binary payload
-/// is skimmed, not decoded into a tree (see [`VertexHead`]), and its edge
-/// reference checked ([`walk_vertex_channel`]); a JSON line is parsed,
-/// its head read off the value, and the value dropped. Shared by
-/// [`JobSummary::scan`] and [`UntypedSession::open`] so a job summarizes
-/// if and only if it opens.
+/// Reads worker `worker`'s trace file under `root`, if there is one, and
+/// walks it, invoking `row` for every vertex record within the watermark
+/// with the record's head and its payload byte range; returns the binary
+/// channel walked and its layout. A legacy JSON-lines file is upgraded to
+/// v2 first. A payload is skimmed, not decoded into a tree (see
+/// [`VertexHead`]), and its edge reference checked
+/// ([`walk_vertex_channel`]). Shared by [`JobSummary::scan`] and
+/// [`UntypedSession::open`] so a job summarizes if and only if it opens.
 ///
 /// With `up_to: Some(w)` (the live watermark of `open_partial`), rows of
-/// supersteps beyond `w` are excluded — in binary traces whole superstep
-/// groups are hopped via their index frames without touching a payload —
-/// and a torn tail (a JSON line without its newline, or a binary frame
-/// overrunning the end of the file) is skipped instead of failing. Any
-/// other malformed record is an error in both modes: the watermark
-/// protocol guarantees completed supersteps are durable and well-formed,
-/// so mid-file corruption is real corruption.
+/// supersteps beyond `w` are excluded — whole superstep groups are hopped
+/// via their index frames without touching a payload — and a torn tail
+/// (a frame overrunning the end of the file, or a JSON line without its
+/// newline) is skipped instead of failing. Any other malformed record is
+/// an error in both modes: the watermark protocol guarantees completed
+/// supersteps are durable and well-formed, so mid-file corruption is real
+/// corruption.
 fn walk_worker_rows(
+    fs: &dyn FileSystem,
+    root: &str,
+    worker: usize,
     format: TraceFormat,
-    bytes: &[u8],
     up_to: Option<u64>,
     mut row: impl FnMut(VertexHead, usize, usize),
-) -> Result<(), TraceReadError> {
-    let mut within = |head: VertexHead, start, len| {
-        if up_to.is_none_or(|w| head.superstep <= w) {
-            row(head, start, len);
-        }
-    };
-    match format {
-        TraceFormat::JsonLines => for_each_line(bytes, up_to.is_some(), |line, start| {
-            within(UntypedTrace(serde_json::from_slice(line)?).head(), start, line.len());
-            Ok(())
-        }),
-        format => walk_vertex_channel(VertexChannel::new(bytes, format), up_to, |frame, read| {
-            if let ChannelRecord::Vertex(head) = read {
-                within(head, frame.payload_start, frame.payload.len());
-            }
-            Ok(())
-        }),
+) -> Result<Option<(Vec<u8>, TraceFormat)>, SessionError> {
+    let path = worker_trace_path(root, worker);
+    if !fs.exists(&path) {
+        return Ok(None);
     }
+    let decode = |e| SessionError::decode(&path, e);
+    let (bytes, format) =
+        binary_worker_channel(format, fs.read_all(&path)?, up_to.is_some()).map_err(decode)?;
+    walk_vertex_channel(VertexChannel::new(&bytes, format), up_to, |frame, read| {
+        if let ChannelRecord::Vertex(head) = read {
+            if up_to.is_none_or(|w| head.superstep <= w) {
+                row(head, frame.payload_start, frame.payload.len());
+            }
+        }
+        Ok(())
+    })
+    .map_err(decode)?;
+    Ok(Some((bytes, format)))
 }
 
 /// The listing-only facts of a job: metadata, terminal status, and
@@ -286,21 +284,15 @@ pub struct JobSummary {
 
 impl JobSummary {
     /// Scans the traces under `root`, validating exactly what
-    /// [`UntypedSession::open`] validates (every record, in either codec)
+    /// [`UntypedSession::open`] validates (every record, in any format)
     /// — a job summarizes if and only if it opens, with identical counts.
     pub fn scan(fs: &dyn FileSystem, root: &str) -> Result<Self, SessionError> {
         let meta: JobMeta = read_json(fs, &meta_path(root))?;
         let mut counts: BTreeMap<u64, usize> = BTreeMap::new();
         for worker in 0..meta.num_workers {
-            let path = worker_trace_path(root, worker);
-            if !fs.exists(&path) {
-                continue;
-            }
-            let bytes = fs.read_all(&path)?;
-            walk_worker_rows(meta.format(), &bytes, None, |head, _, _| {
+            walk_worker_rows(fs, root, worker, meta.format(), None, |head, _, _| {
                 *counts.entry(head.superstep).or_default() += 1;
-            })
-            .map_err(|e| SessionError::decode(path, e))?;
+            })?;
         }
         let result = read_result(fs, root)?;
         Ok(Self { meta, result, counts })
@@ -332,9 +324,9 @@ impl JobSummary {
     }
 }
 
-/// One trace record in the row index: the byte range of its JSON line or
-/// binary frame payload inside a worker file, and the `FLAG_*` bits of
-/// its head. Three words a row.
+/// One trace record in the row index: the byte range of its frame
+/// payload inside a worker channel, and the `FLAG_*` bits of its head.
+/// Three words a row.
 #[derive(Clone, Copy, Debug)]
 struct RowRef {
     start: usize,
@@ -343,9 +335,9 @@ struct RowRef {
     flags: u8,
 }
 
-/// A type-erased debug session over a run's traces, in either codec.
+/// A type-erased debug session over a run's traces, in any format.
 ///
-/// Holds the raw trace bytes plus a per-superstep row index sorted by
+/// Holds the binary worker channels plus a per-superstep row index sorted by
 /// rendered vertex id and carrying each row's violation/exception flags;
 /// individual rows are parsed on demand (see the module docs).
 pub struct UntypedSession {
@@ -369,8 +361,8 @@ impl UntypedSession {
     /// loads, except that rows of supersteps beyond `up_to` (the live
     /// watermark — supersteps still executing, or mid-rewrite by a
     /// recovery) are dropped from the index, and a torn tail record in a
-    /// trace file — a JSON line caught mid-append without its newline, or
-    /// a binary frame overrunning the end of the file — is skipped
+    /// trace file — a frame overrunning the end of the file, or a legacy
+    /// JSON line caught mid-append without its newline — is skipped
     /// instead of failing the open. A malformed record anywhere else
     /// still fails: the watermark protocol guarantees completed
     /// supersteps are durable and well-formed, so mid-file corruption is
@@ -389,27 +381,33 @@ impl UntypedSession {
         up_to: Option<u64>,
     ) -> Result<Self, SessionError> {
         let meta: JobMeta = read_json(fs.as_ref(), &meta_path(root))?;
-        let format = meta.format();
 
         // One validation scan: each record yields its head — sort key
         // (superstep, rendered vertex) and flags — and nothing else; only
-        // the raw bytes and the byte-range index survive, the keys until
-        // the rows are sorted.
+        // the channel bytes and the byte-range index survive, the keys
+        // until the rows are sorted.
         let mut workers: Vec<Vec<u8>> = Vec::new();
+        // The layout the channels are read in: a JSON-lines trace's are
+        // upgraded.
+        let mut format = meta.format();
         let mut by_superstep: BTreeMap<u64, Vec<(String, RowRef)>> = BTreeMap::new();
         for worker in 0..meta.num_workers {
-            let path = worker_trace_path(root, worker);
-            if !fs.exists(&path) {
-                continue;
+            let held = u32::try_from(workers.len()).expect("fewer than 2^32 files are held");
+            let walked = walk_worker_rows(
+                fs.as_ref(),
+                root,
+                worker,
+                meta.format(),
+                up_to,
+                |head, start, len| {
+                    let row = RowRef { start, len, worker: held, flags: head.flags };
+                    by_superstep.entry(head.superstep).or_default().push((head.vertex, row));
+                },
+            )?;
+            if let Some((bytes, layout)) = walked {
+                format = layout;
+                workers.push(bytes);
             }
-            let bytes = fs.read_all(&path)?;
-            let worker = u32::try_from(workers.len()).expect("fewer than 2^32 files are held");
-            walk_worker_rows(format, &bytes, up_to, |head, start, len| {
-                let row = RowRef { start, len, worker, flags: head.flags };
-                by_superstep.entry(head.superstep).or_default().push((head.vertex, row));
-            })
-            .map_err(|e| SessionError::decode(path, e))?;
-            workers.push(bytes);
         }
         let index = by_superstep
             .into_iter()
@@ -423,7 +421,7 @@ impl UntypedSession {
         let master_path = master_trace_path(root);
         if fs.exists(&master_path) {
             let bytes = fs.read_all(&master_path)?;
-            master = master_records_up_to(format.codec(), &bytes, up_to)
+            master = master_records_up_to(meta.format(), &bytes, up_to)
                 .map_err(|e| SessionError::decode(master_path, e))?;
         }
 
@@ -432,8 +430,7 @@ impl UntypedSession {
         Ok(Self { meta, format, result, workers, index, master })
     }
 
-    /// The worker file a row lies in, and the row's bytes: a JSON line,
-    /// or a binary frame's payload.
+    /// The worker channel a row lies in, and the row's frame payload.
     fn row_bytes(&self, row: &RowRef) -> (VertexChannel<'_>, &[u8]) {
         let bytes = &self.workers[row.worker as usize];
         (VertexChannel::new(bytes, self.format), &bytes[row.start..row.start + row.len])
@@ -441,28 +438,18 @@ impl UntypedSession {
 
     fn parse_row(&self, row: &RowRef) -> UntypedTrace {
         let (channel, bytes) = self.row_bytes(row);
-        let value = match self.format {
-            TraceFormat::JsonLines => serde_json::from_slice(bytes).map_err(|e| e.to_string()),
-            _ => channel.value(bytes).map_err(|e| e.to_string()),
-        };
-        UntypedTrace(value.expect("rows were validated by open()"))
+        UntypedTrace(channel.value(bytes).expect("rows were validated by open()"))
     }
 
     fn digest_row(&self, row: &RowRef, with_edges: bool) -> RowDigest {
         let (channel, bytes) = self.row_bytes(row);
-        match self.format {
-            TraceFormat::JsonLines => self.parse_row(row).digest(with_edges),
-            _ => channel.digest(bytes, with_edges).expect("rows were validated by open()"),
-        }
+        channel.digest(bytes, with_edges).expect("rows were validated by open()")
     }
 
     /// The rendered vertex id of a row: the key the index is sorted by.
     fn vertex_of(&self, row: &RowRef) -> String {
         let (channel, bytes) = self.row_bytes(row);
-        match self.format {
-            TraceFormat::JsonLines => self.parse_row(row).vertex(),
-            _ => channel.head(bytes).expect("rows were validated by open()").vertex,
-        }
+        channel.head(bytes).expect("rows were validated by open()").vertex
     }
 
     /// The rows of `rows` (one superstep's, in index order) whose vertex
@@ -587,9 +574,8 @@ impl UntypedSession {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::TraceCodec;
     use crate::testing::premade;
-    use crate::trace::FRAME_VERTEX;
+    use crate::trace::{convert_master_channel, convert_vertex_channel, FRAME_VERTEX};
     use crate::{DebugConfig, GraftRunner};
     use graft_pregel::{Computation, ContextOf, VertexHandleOf};
 
@@ -661,28 +647,37 @@ mod tests {
     }
 
     /// The tentpole invariant end to end: a binary run browses untyped to
-    /// the *same* dynamic rows a JSON-lines run of the identical job
-    /// yields, and the binary trace directory is smaller on disk.
+    /// the *same* dynamic rows its JSON-lines export yields, and the
+    /// binary trace directory is smaller on disk.
     #[test]
     fn binary_traces_read_identically_to_json_traces() {
-        let run_with = |codec, root: &str| {
-            let config = DebugConfig::<Doubler>::builder()
-                .capture_ids([1, 2])
-                .message_constraint(|m, _, _, _| *m < 100)
-                .codec(codec)
-                .catch_exceptions(false)
-                .build();
-            GraftRunner::new(Doubler, config)
-                .num_workers(2)
-                .run(premade::cycle(5, 3i64), root)
-                .unwrap()
-        };
-        let json_run = run_with(TraceCodec::JsonLines, "/t/untyped-eq-json");
-        let bin_run = run_with(TraceCodec::Binary, "/t/untyped-eq-bin");
-        let json = UntypedSession::open(json_run.fs().clone(), "/t/untyped-eq-json").unwrap();
-        let bin = UntypedSession::open(bin_run.fs().clone(), "/t/untyped-eq-bin").unwrap();
+        let config = DebugConfig::<Doubler>::builder()
+            .capture_ids([1, 2])
+            .message_constraint(|m, _, _, _| *m < 100)
+            .catch_exceptions(false)
+            .build();
+        let bin_run = GraftRunner::new(Doubler, config)
+            .num_workers(2)
+            .run(premade::cycle(5, 3i64), "/t/untyped-eq-bin")
+            .unwrap();
+        let fs = bin_run.fs();
+        let (bin_root, json_root) = ("/t/untyped-eq-bin", "/t/untyped-eq-json");
+        let mut meta: JobMeta = read_json(fs.as_ref(), &meta_path(bin_root)).unwrap();
+        meta.trace_format = Some(TraceFormat::JsonLines);
+        fs.write_all(&meta_path(json_root), &serde_json::to_vec(&meta).unwrap()).unwrap();
+        for w in 0..2 {
+            let bytes = fs.read_all(&worker_trace_path(bin_root, w)).unwrap();
+            let lines =
+                convert_vertex_channel(TraceFormat::BinaryV2, TraceFormat::JsonLines, &bytes);
+            fs.write_all(&worker_trace_path(json_root, w), &lines.unwrap()).unwrap();
+        }
+        let bytes = fs.read_all(&master_trace_path(bin_root)).unwrap();
+        let lines = convert_master_channel(TraceFormat::BinaryV2, TraceFormat::JsonLines, &bytes);
+        fs.write_all(&master_trace_path(json_root), &lines.unwrap()).unwrap();
+        let json = UntypedSession::open(fs.clone(), json_root).unwrap();
+        let bin = UntypedSession::open(fs.clone(), bin_root).unwrap();
 
-        assert_eq!(bin.meta().codec(), TraceCodec::Binary);
+        assert_eq!(bin.meta().format(), TraceFormat::BinaryV2);
         assert_eq!(bin.supersteps(), json.supersteps());
         assert_eq!(bin.total_captures(), json.total_captures());
         assert!(bin.total_captures() > 0);
@@ -703,8 +698,8 @@ mod tests {
             (0..2).map(|w| fs.read_all(&worker_trace_path(root, w)).unwrap().len()).sum::<usize>()
                 + fs.read_all(&master_trace_path(root)).unwrap().len()
         };
-        let json_bytes = dir_bytes(json_run.fs(), "/t/untyped-eq-json");
-        let bin_bytes = dir_bytes(bin_run.fs(), "/t/untyped-eq-bin");
+        let json_bytes = dir_bytes(fs, json_root);
+        let bin_bytes = dir_bytes(fs, bin_root);
         assert!(
             bin_bytes < json_bytes,
             "binary traces must be smaller: {bin_bytes} vs {json_bytes}"
@@ -734,7 +729,6 @@ mod tests {
     fn corrupt_binary_traces_fail_cleanly_never_panic() {
         let config = DebugConfig::<Doubler>::builder()
             .capture_all_active(true)
-            .codec(TraceCodec::Binary)
             .catch_exceptions(false)
             .build();
         let root = "/t/untyped-corrupt";
@@ -854,12 +848,12 @@ mod tests {
     /// `vertex_at` binary-searches the sorted rows; it must return what
     /// the linear scan it replaced returned — the first row in index
     /// order whose rendered id matches — on hits, misses and ids that
-    /// several rows share, in both codecs.
+    /// several rows share, in either format.
     #[test]
     fn vertex_at_is_the_first_match_of_a_linear_scan() {
-        use crate::trace::{encode_record, VertexTrace};
+        use crate::trace::{ChannelWriter, VertexTrace};
         use graft_pregel::GlobalData;
-        for codec in [TraceCodec::JsonLines, TraceCodec::Binary] {
+        for format in [TraceFormat::JsonLines, TraceFormat::BinaryV2] {
             let root = "/t/untyped-vertex-at";
             let fs: Arc<dyn FileSystem> = Arc::new(graft_dfs::InMemoryFs::new());
             let meta = JobMeta {
@@ -868,7 +862,7 @@ mod tests {
                 master: None,
                 value_types: ("String".into(), "i64".into(), "()".into(), "i64".into()),
                 num_workers: 2,
-                trace_format: Some(codec.into()),
+                trace_format: Some(format),
                 config: vec![],
                 facts: None,
             };
@@ -879,6 +873,7 @@ mod tests {
             for (worker, ids) in [["10", "2", "b", "2"], ["100", "", "2", "a0"]].iter().enumerate()
             {
                 let mut buf = Vec::new();
+                let mut writer = ChannelWriter::default();
                 for superstep in 0..2u64 {
                     for id in ids.iter().filter(|id| superstep == 0 || **id != "2") {
                         serial += 1;
@@ -897,7 +892,13 @@ mod tests {
                             violations: vec![],
                             exception: None,
                         };
-                        encode_record(codec, &trace, &mut buf).unwrap();
+                        match format {
+                            TraceFormat::JsonLines => {
+                                serde_json::to_vec_into(&trace, &mut buf).unwrap();
+                                buf.push(b'\n');
+                            }
+                            _ => writer.append_vertex(&trace, &mut buf).unwrap(),
+                        }
                     }
                 }
                 fs.write_all(&worker_trace_path(root, worker), &buf).unwrap();
@@ -911,7 +912,7 @@ mod tests {
                     assert_eq!(
                         found.map(|t| t.raw().clone()),
                         scanned.map(|t| t.raw().clone()),
-                        "{codec:?}: {probe:?} in superstep {superstep}"
+                        "{format:?}: {probe:?} in superstep {superstep}"
                     );
                 }
             }

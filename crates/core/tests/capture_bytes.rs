@@ -1,7 +1,7 @@
 //! What a capture costs in trace bytes:
 //!
-//! * binary worker channels are at most half the JSON-lines bytes of the
-//!   same capture;
+//! * binary worker channels are at most half the bytes of their
+//!   JSON-lines export;
 //! * a binary channel writes a vertex's adjacency inline once per version
 //!   of it — at the vertex's first capture and after each edit — and by
 //!   back-reference at every other capture.
@@ -9,10 +9,10 @@
 use std::sync::Arc;
 
 use graft::trace::{
-    decode_vertex_records, worker_trace_path, ErasedVertexTrace, TraceFormat, WireEdges,
-    WireVertexTrace, FRAME_VERTEX,
+    convert_vertex_channel, decode_vertex_records, worker_trace_path, ErasedVertexTrace,
+    TraceFormat, WireEdges, WireVertexTrace, FRAME_VERTEX,
 };
-use graft::{DebugConfig, GraftRunner, TraceCodec};
+use graft::{DebugConfig, GraftRunner};
 use graft_algorithms::pagerank::PageRank;
 use graft_codec::frame::FrameScanner;
 use graft_dfs::FileSystem;
@@ -34,24 +34,15 @@ fn ring(n: u64) -> Graph<u64, f64, ()> {
     b.build().unwrap()
 }
 
-/// Runs `computation` with capture-all in `codec` and returns its file
-/// system.
-fn capture<C>(
-    computation: C,
-    codec: TraceCodec,
-    graph: Graph<u64, C::VValue, ()>,
-) -> Arc<dyn FileSystem>
+/// Runs `computation` with capture-all and returns its file system.
+fn capture<C>(computation: C, graph: Graph<u64, C::VValue, ()>) -> Arc<dyn FileSystem>
 where
     C: Computation<Id = u64, EValue = ()>,
 {
-    let config = DebugConfig::<C>::builder().capture_all_active(true).codec(codec).build();
+    let config = DebugConfig::<C>::builder().capture_all_active(true).build();
     let run = GraftRunner::new(computation, config).num_workers(WORKERS).run(graph, ROOT).unwrap();
     assert!(run.outcome.is_ok());
     run.fs().clone()
-}
-
-fn channel_bytes(fs: &Arc<dyn FileSystem>) -> usize {
-    (0..WORKERS).map(|w| fs.read_all(&worker_trace_path(ROOT, w)).unwrap().len()).sum()
 }
 
 /// Per worker channel: every vertex record in order, as `(vertex, edge
@@ -102,16 +93,20 @@ fn assert_inline_once_per_version(fs: &Arc<dyn FileSystem>) -> usize {
 
 #[test]
 fn binary_channels_are_at_most_half_the_json_bytes() {
-    let binary = capture(PageRank::new(5), TraceCodec::Binary, ring(64));
-    let json = capture(PageRank::new(5), TraceCodec::JsonLines, ring(64));
-    let (binary, json) = (channel_bytes(&binary), channel_bytes(&json));
+    let fs = capture(PageRank::new(5), ring(64));
+    let (mut binary, mut json) = (0, 0);
+    for w in 0..WORKERS {
+        let bytes = fs.read_all(&worker_trace_path(ROOT, w)).unwrap();
+        let lines = convert_vertex_channel(TraceFormat::BinaryV2, TraceFormat::JsonLines, &bytes);
+        (binary, json) = (binary + bytes.len(), json + lines.unwrap().len());
+    }
     assert!(binary * 2 <= json, "binary {binary} vs JSON {json} bytes");
 }
 
 #[test]
 fn an_unchanged_adjacency_is_written_inline_once_per_vertex() {
     let supersteps = 5;
-    let fs = capture(PageRank::new(supersteps), TraceCodec::Binary, ring(64));
+    let fs = capture(PageRank::new(supersteps), ring(64));
     assert_eq!(assert_inline_once_per_version(&fs), 64);
     let records: usize = channel_records(&fs).iter().map(Vec::len).sum();
     assert_eq!(records, 64 * (supersteps as usize + 1));
@@ -149,7 +144,7 @@ impl Computation for Rewire {
 
 #[test]
 fn an_edited_adjacency_is_written_inline_again_after_each_edit() {
-    let fs = capture(Rewire, TraceCodec::Binary, ring(48));
+    let fs = capture(Rewire, ring(48));
     // Edits in supersteps 1, 3 and 5 show in the captures of 2, 4 and 6:
     // three more lists for each of the 16 editing vertices.
     assert_eq!(assert_inline_once_per_version(&fs), 48 + 16 * 3);

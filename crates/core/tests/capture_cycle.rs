@@ -4,7 +4,7 @@
 use std::sync::Arc;
 
 use graft::testing::premade;
-use graft::{DebugConfig, ExceptionPolicy, GraftRunner, SearchQuery, SuperstepFilter, TraceCodec};
+use graft::{DebugConfig, ExceptionPolicy, GraftRunner, SearchQuery, SuperstepFilter, TraceFormat};
 use graft_dfs::{ClusterFs, ClusterFsConfig, FileSystem, InMemoryFs};
 use graft_pregel::{AggOp, AggValue, AggregatorRegistry, Computation, ContextOf, VertexHandleOf};
 
@@ -345,17 +345,14 @@ fn views_render_the_captured_world() {
 
 #[test]
 fn binary_codec_roundtrips_through_the_session() {
-    let config = DebugConfig::<Accumulate>::builder()
-        .capture_ids([2])
-        .codec(TraceCodec::Binary)
-        .catch_exceptions(false)
-        .build();
+    let config =
+        DebugConfig::<Accumulate>::builder().capture_ids([2]).catch_exceptions(false).build();
     let run = GraftRunner::new(Accumulate { rounds: 2 }, config)
         .num_workers(2)
         .run(premade::cycle(4, 1i64), "/t/binary")
         .unwrap();
     let session = run.session().unwrap();
-    assert_eq!(session.meta().codec(), TraceCodec::Binary);
+    assert_eq!(session.meta().format(), TraceFormat::BinaryV2);
     assert_eq!(session.total_captures(), 3);
     assert!(session.vertex_at(2, 1).is_some());
 }

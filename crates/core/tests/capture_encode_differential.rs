@@ -16,10 +16,10 @@ use common::{
     rw_value, Rng64,
 };
 use graft::trace::{
-    encode_record, CaptureError, EdgeRefs, ErasedVertexTrace, TraceRecord, VertexCapture,
-    WireEdges, WireVertexTrace, FRAME_VERTEX,
+    CaptureError, EdgeRefs, ErasedVertexTrace, TraceRecord, VertexCapture, WireEdges,
+    WireVertexTrace, FRAME_VERTEX,
 };
-use graft::{TraceCodec, VertexTrace};
+use graft::VertexTrace;
 use graft_codec::frame::FrameScanner;
 use graft_codec::{to_bin_value, BinValue};
 use graft_pregel::Edge;
@@ -80,7 +80,7 @@ where
 
     // Appending must leave what is already in the buffer alone.
     let mut owned = vec![0x5a];
-    encode_record(TraceCodec::Binary, trace, &mut owned).unwrap();
+    trace.encode_binary_frame(&mut owned).unwrap();
     assert_eq!(owned[1..], reference, "owned record: {trace:?}");
 
     // The instrumenter's view: edges as the engine stores them.
@@ -106,15 +106,13 @@ where
     assert_eq!(borrowed, reference, "borrowed record: {trace:?}");
     assert_eq!(capture.record_superstep(), trace.superstep);
 
-    // Under JSON the borrowed record is indistinguishable from the owned.
-    assert_eq!(serde_json::to_vec(&capture).unwrap(), serde_json::to_vec(trace).unwrap());
-
-    // What `trace convert` does: the JSON line parsed back into
-    // type-erased leaves and re-encoded must give the same frame again.
+    // What importing a JSON-lines trace does: the JSON line parsed back
+    // into type-erased leaves and re-encoded must give the same frame
+    // again.
     let erased: ErasedVertexTrace =
         serde_json::from_slice(&serde_json::to_vec(trace).unwrap()).unwrap();
     let mut converted = Vec::new();
-    encode_record(TraceCodec::Binary, &erased, &mut converted).unwrap();
+    erased.encode_binary_frame(&mut converted).unwrap();
     assert_eq!(converted, reference, "type-erased record: {trace:?}");
 
     // Captured again behind itself, the record's edges may become a
@@ -176,16 +174,13 @@ fn matching_records() {
 
 #[test]
 fn a_leaf_that_cannot_be_type_erased_fails_and_leaves_the_buffer_alone() {
-    // A map keyed by a tuple has no JSON rendition.
+    // A map keyed by a tuple has no tagged (JSON-shaped) rendition.
     let bad_value = std::collections::BTreeMap::from([((1u8, 2u8), 3u8)]);
     let mut rng = Rng64::seed_from_u64(5);
     let trace = random_trace(&mut rng, random_u64, |_| bad_value.clone(), |_| (), random_u64);
     let mut buf = vec![1, 2, 3];
-    let err = encode_record(TraceCodec::Binary, &trace, &mut buf).unwrap_err();
+    let err = trace.encode_binary_frame(&mut buf).unwrap_err();
     assert!(matches!(err, CaptureError::Codec(_)), "{err:?}");
     assert_eq!(err.to_string(), "map key must be a string or number");
-    assert_eq!(buf, [1, 2, 3]);
-    let err = encode_record(TraceCodec::JsonLines, &trace, &mut buf).unwrap_err();
-    assert!(matches!(err, CaptureError::Json(_)), "{err:?}");
     assert_eq!(buf, [1, 2, 3]);
 }

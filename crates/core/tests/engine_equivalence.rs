@@ -234,7 +234,7 @@ fn faulted_pagerank_recovers_to_the_legacy_golden() {
 const PAGERANK: Golden = Golden {
     files: &[
         ("/master.trace", 0, 0xcbf29ce484222325),
-        ("/meta.json", 949, 0x371ec665396599f5),
+        ("/meta.json", 919, 0xa0899facb9a0ce5d),
         ("/result.json", 135, 0xe21ddde9e992313b),
         ("/worker_0.trace", 8709, 0x5c2f8aa7c81dab85),
         ("/worker_1.trace", 8709, 0x9f3e67006fede775),
@@ -262,7 +262,7 @@ const PAGERANK: Golden = Golden {
 const SSSP: Golden = Golden {
     files: &[
         ("/master.trace", 0, 0xcbf29ce484222325),
-        ("/meta.json", 956, 0xa0e7b13364cf6182),
+        ("/meta.json", 926, 0xc0ceeeb7242db77a),
         ("/result.json", 135, 0xa9067f3f057c6a80),
         ("/worker_0.trace", 1773, 0x27d082f69183e706),
         ("/worker_1.trace", 1818, 0x9df6f5c2ab910bce),
@@ -290,7 +290,7 @@ const SSSP: Golden = Golden {
 const COMPONENTS: Golden = Golden {
     files: &[
         ("/master.trace", 0, 0xcbf29ce484222325),
-        ("/meta.json", 973, 0xc3348f3b628d7b24),
+        ("/meta.json", 943, 0x4eebc4d16e14b66c),
         ("/result.json", 135, 0x6aac4a88d8e98229),
         ("/worker_0.trace", 3017, 0xb849a152ad29afa1),
         ("/worker_1.trace", 2911, 0xed8540b04222c300),
@@ -318,7 +318,7 @@ const COMPONENTS: Golden = Golden {
 const COLORING: Golden = Golden {
     files: &[
         ("/master.trace", 1260, 0x03815a96983ddadc),
-        ("/meta.json", 1042, 0xe8631ed84674fbaf),
+        ("/meta.json", 1012, 0x9567d3377b191463),
         ("/result.json", 135, 0x997a581ffa15309c),
         ("/worker_0.trace", 32842, 0xf13f01277fc3b1e8),
         ("/worker_1.trace", 33707, 0x88135f0c453ace40),
@@ -358,7 +358,7 @@ const COLORING: Golden = Golden {
 const PAGERANK_FAULTED: Golden = Golden {
     files: &[
         ("/master.trace", 0, 0xcbf29ce484222325),
-        ("/meta.json", 967, 0x83d16cac173c4d6d),
+        ("/meta.json", 937, 0x0a0b4d7df7f623c5),
         ("/result.json", 135, 0xe21ddde9e992313b),
         ("/worker_0.trace", 8709, 0x5c2f8aa7c81dab85),
         ("/worker_1.trace", 8709, 0x9f3e67006fede775),

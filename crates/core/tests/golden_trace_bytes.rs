@@ -1,9 +1,9 @@
 //! Golden trace bytes: FNV-1a checksums of every file two small
 //! deterministic runs leave in their trace directory, in binary layout
 //! v2 (edge lists written once, repeats by back-reference). Each run also
-//! checks its worker channels against `convert_vertex_channel` of the
-//! JSON-lines capture of the same job, so the bytes are pinned against
-//! the converter's record-by-record re-encoding and not only against the
+//! exports its channels to JSON lines and imports the export back, which
+//! must give the captured bytes: the bytes are pinned against the
+//! converter's record-by-record re-encoding and not only against the
 //! capture path itself.
 //!
 //! Golden view bytes: FNV-1a checksums of every document the untyped
@@ -17,13 +17,13 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use graft::trace::{
-    convert_vertex_channel, encode_index_frame, encode_record, meta_path, worker_trace_path,
-    IndexRecord, JobMeta, TraceFormat,
+    convert_master_channel, convert_vertex_channel, encode_index_frame, master_trace_path,
+    meta_path, worker_trace_path, IndexRecord, JobMeta, TraceFormat, TraceRecord,
 };
 use graft::untyped::UntypedSession;
 use graft::views::json as vj;
 use graft::{
-    CaptureReason, DebugConfig, ExceptionInfo, GraftRunner, TraceCodec, VertexTrace, ViolationKind,
+    CaptureReason, DebugConfig, ExceptionInfo, GraftRunner, VertexTrace, ViolationKind,
     ViolationRecord,
 };
 use graft_algorithms::coloring::{GCMessage, GCValue, GraphColoring, GraphColoringMaster};
@@ -80,16 +80,19 @@ fn view_checksums(fs: &Arc<dyn FileSystem>, root: &str) -> Vec<(String, usize, u
         .collect()
 }
 
-/// Asserts that every binary worker channel of the run under `binary`
-/// is what converting the JSON-lines capture of the same job gives.
-fn assert_converts(binary: &Arc<dyn FileSystem>, json: &Arc<dyn FileSystem>, root: &str) {
+/// Asserts that every channel of the two-worker run under `root`,
+/// exported to JSON lines and imported back, is the captured channel.
+fn assert_converts(fs: &Arc<dyn FileSystem>, root: &str) {
+    let (v2, json) = (TraceFormat::BinaryV2, TraceFormat::JsonLines);
     for worker in 0..2 {
-        let path = worker_trace_path(root, worker);
-        let lines = json.read_all(&path).unwrap();
-        let converted =
-            convert_vertex_channel(TraceFormat::JsonLines, TraceCodec::Binary, &lines).unwrap();
-        assert_eq!(converted, binary.read_all(&path).unwrap(), "worker {worker}");
+        let captured = fs.read_all(&worker_trace_path(root, worker)).unwrap();
+        let exported = convert_vertex_channel(v2, json, &captured).unwrap();
+        let imported = convert_vertex_channel(json, v2, &exported).unwrap();
+        assert_eq!(imported, captured, "worker {worker}");
     }
+    let captured = fs.read_all(&master_trace_path(root)).unwrap();
+    let exported = convert_master_channel(v2, json, &captured).unwrap();
+    assert_eq!(convert_master_channel(json, v2, &exported).unwrap(), captured, "master");
 }
 
 fn assert_golden(actual: &[(String, usize, u64)], golden: &[(&str, usize, u64)]) {
@@ -112,22 +115,18 @@ fn pagerank_capture_all_on_a_ring_matches_the_golden_bytes() {
         builder.add_edge(v, (v + 1) % 64, ()).unwrap();
     }
     let graph = builder.build().unwrap();
-    let run_with = |codec| {
-        let config =
-            DebugConfig::<PageRank>::builder().capture_all_active(true).codec(codec).build();
-        GraftRunner::new(PageRank::new(5), config)
-            .num_workers(2)
-            .run(graph.clone(), "/golden/pagerank")
-            .unwrap()
-    };
-    let run = run_with(TraceCodec::Binary);
+    let config = DebugConfig::<PageRank>::builder().capture_all_active(true).build();
+    let run = GraftRunner::new(PageRank::new(5), config)
+        .num_workers(2)
+        .run(graph, "/golden/pagerank")
+        .unwrap();
     assert_eq!(run.captures, 64 * 6);
-    assert_converts(run.fs(), run_with(TraceCodec::JsonLines).fs(), "/golden/pagerank");
+    assert_converts(run.fs(), "/golden/pagerank");
     assert_golden(
         &trace_checksums(run.fs(), "/golden/pagerank"),
         &[
             ("/master.trace", 0, 0xcbf29ce484222325),
-            ("/meta.json", 953, 0x661bbaa5ede252aa),
+            ("/meta.json", 923, 0xf4f07599ede0656e),
             ("/result.json", 134, 0x717a457666199e07),
             ("/worker_0.trace", 10390, 0xabb996a2eaac37fc),
             ("/worker_1.trace", 10390, 0xe07a4bf2e55f9f24),
@@ -161,35 +160,31 @@ fn graph_coloring_dc_full_with_master_capture_matches_the_golden_bytes() {
     // DC-full of the paper's Table 3: specified ids and their neighbours,
     // both constraints, exception capture, master capture.
     let graph = builder.build().unwrap();
-    let run_with = |codec| {
-        let config = DebugConfig::<GraphColoring>::builder()
-            .codec(codec)
-            .catch_exceptions(true)
-            .capture_ids([0, 5, 17, 30, 41])
-            .capture_neighbors(true)
-            .message_constraint(|m, _, _, _| match m {
-                GCMessage::Priority { priority, .. } => *priority < u64::MAX,
-                GCMessage::InSet => true,
-            })
-            .vertex_value_constraint(|v, _, _| v.color.is_none_or(|c| (c as i64) >= 0))
-            .capture_master(true)
-            .build();
-        GraftRunner::new(GraphColoring::new(7), config)
-            .with_master(GraphColoringMaster)
-            .num_workers(2)
-            .max_supersteps(500)
-            .run(graph.clone(), "/golden/coloring")
-            .unwrap()
-    };
-    let run = run_with(TraceCodec::Binary);
+    let config = DebugConfig::<GraphColoring>::builder()
+        .catch_exceptions(true)
+        .capture_ids([0, 5, 17, 30, 41])
+        .capture_neighbors(true)
+        .message_constraint(|m, _, _, _| match m {
+            GCMessage::Priority { priority, .. } => *priority < u64::MAX,
+            GCMessage::InSet => true,
+        })
+        .vertex_value_constraint(|v, _, _| v.color.is_none_or(|c| (c as i64) >= 0))
+        .capture_master(true)
+        .build();
+    let run = GraftRunner::new(GraphColoring::new(7), config)
+        .with_master(GraphColoringMaster)
+        .num_workers(2)
+        .max_supersteps(500)
+        .run(graph, "/golden/coloring")
+        .unwrap();
     assert!(run.outcome.is_ok());
-    assert_converts(run.fs(), run_with(TraceCodec::JsonLines).fs(), "/golden/coloring");
+    assert_converts(run.fs(), "/golden/coloring");
     assert!(run.captures > 0);
     assert_golden(
         &trace_checksums(run.fs(), "/golden/coloring"),
         &[
             ("/master.trace", 1527, 0xe5c024cd347ad7db),
-            ("/meta.json", 1143, 0xe5165adc65d65440),
+            ("/meta.json", 1113, 0x227ac30afb0bb8b4),
             ("/result.json", 135, 0x71e63516e0dd4c5b),
             ("/worker_0.trace", 26926, 0xacf8ce3bbf4187b5),
             ("/worker_1.trace", 25472, 0x9b603f22f3c1c9fd),
@@ -226,7 +221,7 @@ fn hand_built_trace_with_violations_and_exceptions_matches_the_golden_view_bytes
         master: None,
         value_types: ("String".into(), "Balance".into(), "f64".into(), "i64".into()),
         num_workers: 2,
-        trace_format: Some(TraceCodec::Binary.into()),
+        trace_format: Some(TraceFormat::BinaryV2),
         config: vec!["capture_all_active".into()],
         facts: None,
     };
@@ -285,7 +280,7 @@ fn hand_built_trace_with_violations_and_exceptions_matches_the_golden_view_bytes
                     violations,
                     exception,
                 };
-                encode_record(TraceCodec::Binary, &trace, buf).unwrap();
+                trace.encode_binary_frame(buf).unwrap();
                 *records += 1;
             }
         }
@@ -307,7 +302,7 @@ fn hand_built_trace_with_violations_and_exceptions_matches_the_golden_view_bytes
 
 /// A node-link document the traces above do not produce, byte for byte
 /// as commit bc2dbf5 (tree-per-row reader, map-probing assembly) served
-/// it, in both codecs: string ids that sort as text (`10 < 100 < 9 <
+/// it, over binary frames and legacy JSON lines: string ids that sort as text (`10 < 100 < 9 <
 /// b`); `9` captured by both workers, so the later capture is the node
 /// and the links of both stay, merged by target; `10` both captured and
 /// a target, so not a stub; unit (`null`) and `"()"` edge values, which
@@ -323,7 +318,7 @@ fn node_link_of_repeated_ids_and_shared_targets_matches_the_golden_document() {
         ],
         vec![("9", 4, true, vec![("2", None), ("10", Some("late"))]), ("100", 5, false, vec![])],
     ];
-    for codec in [TraceCodec::Binary, TraceCodec::JsonLines] {
+    for format in [TraceFormat::BinaryV2, TraceFormat::JsonLines] {
         let root = "/golden/node-link";
         let fs: Arc<dyn FileSystem> = Arc::new(InMemoryFs::new());
         let meta = JobMeta {
@@ -332,7 +327,7 @@ fn node_link_of_repeated_ids_and_shared_targets_matches_the_golden_document() {
             master: None,
             value_types: ("String".into(), "i64".into(), "Option<String>".into(), "i64".into()),
             num_workers: 2,
-            trace_format: Some(codec.into()),
+            trace_format: Some(format),
             config: vec![],
             facts: None,
         };
@@ -365,7 +360,13 @@ fn node_link_of_repeated_ids_and_shared_targets_matches_the_golden_document() {
                         .collect(),
                     exception: None,
                 };
-                encode_record(codec, &trace, &mut buf).unwrap();
+                match format {
+                    TraceFormat::JsonLines => {
+                        serde_json::to_vec_into(&trace, &mut buf).unwrap();
+                        buf.push(b'\n');
+                    }
+                    _ => trace.encode_binary_frame(&mut buf).unwrap(),
+                }
             }
             fs.write_all(&worker_trace_path(root, worker), &buf).unwrap();
         }
@@ -388,6 +389,6 @@ fn node_link_of_repeated_ids_and_shared_targets_matches_the_golden_document() {
             r#"{"active":true,"captured":false,"flagged":false,"id":"zz","value":null}],"superstep":0}"#,
             "\n"
         );
-        assert_eq!(vj::to_line(&vj::node_link_json(&session, 0)), golden, "{codec:?}");
+        assert_eq!(vj::to_line(&vj::node_link_json(&session, 0)), golden, "{format:?}");
     }
 }

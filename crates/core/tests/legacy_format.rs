@@ -1,22 +1,26 @@
 //! Backward compatibility with trace directories written by earlier
-//! versions:
+//! versions, committed copies of the same job captured by the computation
+//! below:
 //!
-//! * before the binary pipeline, whose `meta.json` has no `trace_format`
-//!   field (it used the since-renamed `codec` key) and which readers must
-//!   auto-detect as JSON lines — `tests/fixtures/legacy_json_trace/`, a
-//!   committed copy of such a directory that `generate_legacy_fixture`
-//!   (ignored) rebuilds from the computation below;
+//! * in JSON lines, before the binary pipeline, whose `meta.json` has no
+//!   `trace_format` field (it used the since-renamed `codec` key) and
+//!   which readers must auto-detect as JSON lines —
+//!   `tests/fixtures/legacy_json_trace/`;
 //! * in binary layout v1, every edge list inline —
-//!   `tests/fixtures/legacy_binary_v1_trace/`, the same job captured by
-//!   the last version that wrote v1. No generator: this version writes
-//!   v2.
+//!   `tests/fixtures/legacy_binary_v1_trace/`.
+//!
+//! Neither has a generator: this version captures layout v2 only. Both
+//! read, serve what a v2 capture serves, and import (`trace convert --to
+//! binary`) to the bytes of a v2 capture; and JSON lines, the export
+//! format, gives back the JSON fixture's own bytes.
 
 use std::sync::Arc;
 
 use graft::testing::premade;
+use graft::trace::convert_trace_dir;
 use graft::untyped::{JobSummary, UntypedSession};
 use graft::views::json as vj;
-use graft::{DebugConfig, DebugSession, GraftRunner, JobMeta, TraceCodec, TraceFormat};
+use graft::{DebugConfig, DebugSession, GraftRunner, JobMeta, TraceFormat};
 use graft_dfs::{FileSystem, InMemoryFs};
 use graft_pregel::{Computation, ContextOf, VertexHandleOf};
 
@@ -47,6 +51,8 @@ impl Computation for Relay {
 
 const FIXTURE_FILES: &[&str] =
     &["meta.json", "worker_0.trace", "worker_1.trace", "master.trace", "result.json"];
+
+const CHANNELS: &[&str] = &["worker_0.trace", "worker_1.trace", "master.trace"];
 
 fn fixture_dir(name: &str) -> std::path::PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures").join(name)
@@ -84,13 +90,10 @@ fn served_views(session: &UntypedSession) -> Vec<String> {
     docs
 }
 
-/// The fixtures' job, run now in `codec`.
-fn capture(codec: TraceCodec) -> Arc<dyn FileSystem> {
-    let config = DebugConfig::<Relay>::builder()
-        .capture_all_active(true)
-        .catch_exceptions(false)
-        .codec(codec)
-        .build();
+/// The fixtures' job, captured now.
+fn capture() -> Arc<dyn FileSystem> {
+    let config =
+        DebugConfig::<Relay>::builder().capture_all_active(true).catch_exceptions(false).build();
     let run = GraftRunner::new(Relay, config)
         .num_workers(2)
         .run(premade::cycle(4, 0i64), "/legacy")
@@ -112,7 +115,7 @@ fn legacy_meta_without_trace_format_reads_as_json() {
     );
     let meta: JobMeta = serde_json::from_slice(&meta_bytes).unwrap();
     assert_eq!(meta.trace_format, None);
-    assert_eq!(meta.codec(), TraceCodec::JsonLines);
+    assert_eq!(meta.format(), TraceFormat::JsonLines);
 
     // Untyped path: summary and full open agree and see the captures.
     let summary = JobSummary::scan(fs.as_ref(), "/legacy").unwrap();
@@ -125,44 +128,10 @@ fn legacy_meta_without_trace_format_reads_as_json() {
 
     // Typed path: the same auto-detection drives DebugSession.
     let typed = DebugSession::<Relay>::open(fs, "/legacy").unwrap();
-    assert_eq!(typed.meta().codec(), TraceCodec::JsonLines);
+    assert_eq!(typed.meta().format(), TraceFormat::JsonLines);
     assert_eq!(typed.supersteps(), vec![0, 1, 2]);
     let t0 = typed.vertex_at(0, 2).unwrap();
     assert!(t0.halted_after);
-}
-
-/// Rebuilds the committed fixture. Run with
-/// `cargo test -p graft-core --test legacy_format -- --ignored` and
-/// commit the result if the trace schema changes.
-#[test]
-#[ignore = "fixture generator, not a test"]
-fn generate_legacy_fixture() {
-    let config = DebugConfig::<Relay>::builder()
-        .capture_all_active(true)
-        .catch_exceptions(false)
-        .codec(TraceCodec::JsonLines)
-        .build();
-    let run = GraftRunner::new(Relay, config)
-        .num_workers(2)
-        .run(premade::cycle(4, 0i64), "/gen")
-        .unwrap();
-    assert!(run.outcome.is_ok());
-
-    let dir = fixture_dir("legacy_json_trace");
-    std::fs::create_dir_all(&dir).unwrap();
-    for name in FIXTURE_FILES {
-        let mut bytes = run.fs().read_all(&format!("/gen/{name}")).unwrap();
-        if *name == "meta.json" {
-            // Rewrite to the pre-binary-pipeline schema: the codec lived
-            // under a `codec` key and facts had no trace_format entry.
-            let text = String::from_utf8(bytes).unwrap();
-            let text = text.replace("\"trace_format\": \"JsonLines\"", "\"codec\": \"JsonLines\"");
-            let text = text.replace(",\n    \"trace_format\": \"json\"", "");
-            assert!(!text.contains("trace_format"), "rewrite missed a key: {text}");
-            bytes = text.into_bytes();
-        }
-        std::fs::write(dir.join(name), bytes).unwrap();
-    }
 }
 
 #[test]
@@ -171,8 +140,8 @@ fn a_v1_binary_trace_serves_what_v2_and_json_lines_serve() {
     let meta: JobMeta = serde_json::from_slice(&v1.read_all("/legacy/meta.json").unwrap()).unwrap();
     assert_eq!(meta.format(), TraceFormat::Binary, "fixture regressed: meta.json must say v1");
 
-    let v2 = capture(TraceCodec::Binary);
-    let json = capture(TraceCodec::JsonLines);
+    let v2 = capture();
+    let json = load_fixture("legacy_json_trace");
     let meta: JobMeta = serde_json::from_slice(&v2.read_all("/legacy/meta.json").unwrap()).unwrap();
     assert_eq!(meta.format(), TraceFormat::BinaryV2);
     // The same records, fewer bytes: v2 writes each adjacency once.
@@ -199,4 +168,46 @@ fn a_v1_binary_trace_serves_what_v2_and_json_lines_serve() {
         |s: &DebugSession<Relay>| s.all_traces().map(|t| t.edges.clone()).collect::<Vec<_>>();
     assert_eq!(edges(&typed), edges(&fresh));
     assert_eq!(typed.total_captures(), 12);
+}
+
+/// The import half of `trace convert`: both legacy directories become,
+/// channel for channel, the bytes a v2 capture of their job writes, and
+/// serve the same views. A v2 directory is not imported again.
+#[test]
+fn legacy_traces_import_to_the_bytes_of_a_v2_capture() {
+    let v2 = capture();
+    for name in ["legacy_binary_v1_trace", "legacy_json_trace"] {
+        let legacy = load_fixture(name);
+        let imported: Arc<dyn FileSystem> = Arc::new(InMemoryFs::new());
+        convert_trace_dir(legacy.as_ref(), imported.as_ref(), "/legacy", TraceFormat::BinaryV2)
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
+        for channel in CHANNELS {
+            let path = format!("/legacy/{channel}");
+            assert_eq!(imported.read_all(&path).unwrap(), v2.read_all(&path).unwrap(), "{name}");
+        }
+        let meta: JobMeta =
+            serde_json::from_slice(&imported.read_all("/legacy/meta.json").unwrap()).unwrap();
+        assert_eq!(meta.format(), TraceFormat::BinaryV2, "{name}");
+        let session =
+            |fs: &Arc<dyn FileSystem>| UntypedSession::open(fs.clone(), "/legacy").unwrap();
+        assert_eq!(served_views(&session(&imported)), served_views(&session(&v2)), "{name}");
+    }
+    let again =
+        convert_trace_dir(v2.as_ref(), &InMemoryFs::new(), "/legacy", TraceFormat::BinaryV2);
+    assert!(again.unwrap_err().to_string().contains("already uses BinaryV2"));
+}
+
+/// The export half, pinned against real legacy bytes: the JSON fixture
+/// imported and exported again is the fixture, channel for channel.
+#[test]
+fn the_json_fixture_imports_and_exports_back_to_its_own_bytes() {
+    let legacy = load_fixture("legacy_json_trace");
+    let imported = InMemoryFs::new();
+    convert_trace_dir(legacy.as_ref(), &imported, "/legacy", TraceFormat::BinaryV2).unwrap();
+    let exported = InMemoryFs::new();
+    convert_trace_dir(&imported, &exported, "/legacy", TraceFormat::JsonLines).unwrap();
+    for channel in CHANNELS {
+        let path = format!("/legacy/{channel}");
+        assert_eq!(exported.read_all(&path).unwrap(), legacy.read_all(&path).unwrap(), "{channel}");
+    }
 }

@@ -36,13 +36,13 @@ use common::{
     rw_value, Rng64,
 };
 use graft::trace::{
-    encode_index_frame, encode_record, meta_path, walk_vertex_channel, worker_trace_path, EdgeRefs,
+    encode_index_frame, meta_path, walk_vertex_channel, worker_trace_path, ChannelWriter, EdgeRefs,
     ErasedVertexTrace, IndexRecord, JobMeta, TraceFormat, TraceReadError, TraceRecord,
     VertexChannel, VertexHead, VertexTrace, WireEdges, WireVertexTrace, FLAG_EXCEPTION,
     FLAG_MESSAGE_VIOLATION, FLAG_VALUE_VIOLATION, FRAME_VERTEX,
 };
 use graft::untyped::{JobSummary, UntypedSession, UntypedTrace};
-use graft::{DebugSession, SessionError, TraceCodec};
+use graft::{DebugSession, SessionError};
 use graft_codec::frame::{write_frame, write_value_frame, FrameScanner};
 use graft_dfs::{FileSystem, InMemoryFs};
 use graft_pregel::{Computation, ContextOf, GlobalData, VertexHandleOf};
@@ -196,7 +196,7 @@ fn check(case: &Case) -> Read {
 /// The three cases of one record: a v1 payload, a v2 payload with its
 /// edges inline, and the v2 payload of the same record captured again,
 /// behind the first — its edges a reference where the rule makes one.
-fn cases_of<R: TraceRecord>(record: &R) -> [Case; 3] {
+fn cases_of<R: TraceRecord + serde::Serialize>(record: &R) -> [Case; 3] {
     let erased: ErasedVertexTrace =
         serde_json::from_slice(&serde_json::to_vec(record).unwrap()).unwrap();
     let v1 = Case {
@@ -364,10 +364,12 @@ struct Layout {
 
 /// A channel written as the sink writes it: vertices 1 (`a`) and 2 (`b`)
 /// in supersteps 0 and 1, vertex 1 again in superstep 2 — its inline
-/// lists in superstep 0, references after.
+/// lists in superstep 0, references after. It is laid out frame by frame
+/// here, and must be what a `ChannelWriter` writes.
 fn pristine() -> (Vec<u8>, Layout) {
     let mut channel = Vec::new();
     let mut refs = EdgeRefs::default();
+    let mut writer = (ChannelWriter::default(), Vec::new());
     let mut layout = Layout { index: [0; 3], a: [0; 3], b: [0; 2] };
     let mut records = 0;
     for superstep in 0..3u64 {
@@ -382,12 +384,13 @@ fn pristine() -> (Vec<u8>, Layout) {
                 1 => layout.a[s] = offset,
                 _ => layout.b[s] = offset,
             }
-            ring_record(superstep, vertex)
-                .encode_channel_frame(&mut channel, &mut refs, offset as u64)
-                .unwrap();
+            let record = ring_record(superstep, vertex);
+            record.encode_channel_frame(&mut channel, &mut refs, offset as u64).unwrap();
+            writer.0.append_vertex(&record, &mut writer.1).unwrap();
             records += 1;
         }
     }
+    assert_eq!(writer.1, channel, "the channel writer's grammar");
     (channel, layout)
 }
 
@@ -421,7 +424,7 @@ fn write_trace(fs: &Arc<dyn FileSystem>, root: &str, channel: &[u8]) {
         master: None,
         value_types: ("u64".into(), "i64".into(), "()".into(), "i64".into()),
         num_workers: 1,
-        trace_format: Some(TraceCodec::Binary.into()),
+        trace_format: Some(TraceFormat::BinaryV2),
         config: vec![],
         facts: None,
     };
@@ -450,7 +453,7 @@ fn every_damaged_reference_fails_every_reader_at_its_frame() {
     assert_eq!(session.vertex_at(2, "1").unwrap().edges().len(), 3);
 
     let mut next = Vec::new();
-    encode_record(TraceCodec::Binary, &ring_record(2, 2), &mut next).unwrap();
+    ring_record(2, 2).encode_binary_frame(&mut next).unwrap();
     let torn = &next[..next.len() - 2];
     let cases: Vec<(&str, Vec<u8>)> = vec![
         ("dangling", redirect(&channel, last, 1 << 40)),

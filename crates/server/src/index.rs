@@ -172,7 +172,7 @@ impl TraceIndex {
         let session = match UntypedSession::open(Arc::clone(&self.fs), &root) {
             Ok(session) => session,
             Err(e) => {
-                // An unparseable job (e.g. binary codec) must not occupy a
+                // An unparseable job (e.g. a corrupt channel) must not occupy a
                 // slot either: eviction only runs on successful loads, so a
                 // dead slot would count against capacity forever and its
                 // recency stamps could evict live sessions.
@@ -528,8 +528,9 @@ mod tests {
         let first = index.follow_session("flaky").unwrap();
 
         // The frontier advances but the trace bytes go bad mid-write: the
-        // previous partial session answers instead of a 500.
-        fs.write_all("/traces/flaky/worker_0.trace", b"{ mid-file corruption }\n{\"x\"").unwrap();
+        // previous partial session answers instead of a 500. Here the
+        // channel starts with a whole frame of no known kind.
+        fs.write_all("/traces/flaky/worker_0.trace", &[2, 9, 0, 0x7b]).unwrap();
         commit_synthetic_snapshot(fs.as_ref(), "/traces/flaky", 2, 1).unwrap();
         let stale = index.follow_session("flaky").unwrap();
         assert!(Arc::ptr_eq(&first, &stale), "a failed refresh must serve the cached session");

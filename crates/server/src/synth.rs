@@ -1,16 +1,17 @@
-//! Synthetic trace generation for tests and benchmarks: writes a
-//! deterministic, fully-valid job trace directory (`meta.json`,
-//! `worker_*.trace`, `result.json`) through any [`FileSystem`], without
-//! running the Pregel engine — so the server crate can exercise jobs of
-//! any size cheaply, and `bench_server` can scale the corpus.
+//! Synthetic trace generation for tests: writes a deterministic,
+//! fully-valid job trace directory (`meta.json`, `worker_*.trace`,
+//! `result.json`) through any [`FileSystem`], without running the Pregel
+//! engine — so the server crate can exercise jobs of any size cheaply.
+//! The worker channels are written as capture writes them, through a
+//! [`ChannelWriter`].
 
 use std::collections::BTreeMap;
 
 use graft::trace::{
-    encode_record, meta_path, result_path, worker_trace_path, ExceptionInfo, JobMeta,
-    JobResultRecord, VertexTrace, ViolationKind, ViolationRecord,
+    meta_path, result_path, worker_trace_path, ChannelWriter, ExceptionInfo, JobMeta,
+    JobResultRecord, TraceFormat, VertexTrace, ViolationKind, ViolationRecord,
 };
-use graft::{CaptureReason, TraceCodec};
+use graft::CaptureReason;
 use graft_dfs::{FileSystem, FsResult};
 use graft_obs::{
     to_jsonl, Event, LiveSnapshot, EDGE_END, EDGE_POINT, EVENTS_FILE, LIVE_DIR, SNAPSHOT_PREFIX,
@@ -31,10 +32,10 @@ pub fn write_synthetic_trace(
     let workers = workers.max(1);
     let supersteps = 3u64;
     write_meta(fs, root, workers)?;
-    let (buffers, captures, violations, exceptions) =
+    let (channels, captures, violations, exceptions) =
         synth_rows(vertices, workers, 0..supersteps, supersteps);
-    for (worker, buffer) in buffers.iter().enumerate() {
-        fs.write_all(&worker_trace_path(root, worker), buffer)?;
+    for (worker, (_, bytes)) in channels.iter().enumerate() {
+        fs.write_all(&worker_trace_path(root, worker), bytes)?;
     }
 
     let result = JobResultRecord {
@@ -55,7 +56,7 @@ fn write_meta(fs: &dyn FileSystem, root: &str, workers: usize) -> FsResult<()> {
         master: None,
         value_types: ("u64".to_string(), "i64".to_string(), "()".to_string(), "i64".to_string()),
         num_workers: workers,
-        trace_format: Some(TraceCodec::JsonLines.into()),
+        trace_format: Some(TraceFormat::BinaryV2),
         config: vec!["capture_all_active".to_string()],
         facts: None,
     };
@@ -63,77 +64,75 @@ fn write_meta(fs: &dyn FileSystem, root: &str, workers: usize) -> FsResult<()> {
     fs.write_all(&meta_path(root), serde_json::to_string(&meta).expect("meta").as_bytes())
 }
 
+type SynthTrace = VertexTrace<u64, i64, (), i64>;
+
+/// The synthetic row of `vertex` in `superstep` of a `total`-superstep
+/// job over `vertices` ring vertices.
+fn synth_row(vertices: u64, vertex: u64, superstep: u64, total: u64) -> SynthTrace {
+    let value = (vertex as i64) * 10 + superstep as i64;
+    let next = (vertex + 1) % vertices;
+    let violating = superstep == 1 && vertex == 1;
+    let excepting = superstep == 2 && vertex == 2;
+    VertexTrace {
+        superstep,
+        vertex,
+        value_before: value,
+        value_after: value + 1,
+        edges: vec![(next, ())],
+        incoming: if superstep == 0 { vec![] } else { vec![value - 10] },
+        outgoing: if excepting { vec![] } else { vec![(next, value + 1)] },
+        aggregators: vec![],
+        global: GlobalData { superstep, num_vertices: vertices, num_edges: vertices },
+        halted_after: superstep + 1 == total && !excepting,
+        reasons: vec![if excepting { CaptureReason::Exception } else { CaptureReason::AllActive }],
+        violations: violating
+            .then(|| ViolationRecord {
+                kind: ViolationKind::Message,
+                detail: format!("{}", value + 1),
+                target: Some(next.to_string()),
+            })
+            .into_iter()
+            .collect(),
+        exception: excepting.then(|| ExceptionInfo {
+            message: "synthetic overflow".to_string(),
+            backtrace: Some("synth::compute\nsynth::superstep".to_string()),
+        }),
+    }
+}
+
 /// Encodes the synthetic rows for the given superstep range, sharded
-/// across `workers` buffers. `total` is the job's full superstep count
-/// (it decides halting), so an in-flight prefix encodes the same bytes
-/// the finished job would.
+/// across `workers` channels, each with the writer that wrote it. `total`
+/// is the job's full superstep count (it decides halting), so an
+/// in-flight prefix encodes the same bytes the finished job would.
 fn synth_rows(
     vertices: u64,
     workers: usize,
     range: std::ops::Range<u64>,
     total: u64,
-) -> (Vec<Vec<u8>>, u64, u64, u64) {
-    let mut buffers: Vec<Vec<u8>> = vec![Vec::new(); workers];
-    let mut violations = 0u64;
-    let mut exceptions = 0u64;
-    let mut captures = 0u64;
+) -> (Vec<(ChannelWriter, Vec<u8>)>, u64, u64, u64) {
+    let mut channels: Vec<(ChannelWriter, Vec<u8>)> =
+        (0..workers).map(|_| (ChannelWriter::default(), Vec::new())).collect();
+    let (mut captures, mut violations, mut exceptions) = (0, 0, 0);
     for superstep in range {
         for vertex in 0..vertices {
-            let value = (vertex as i64) * 10 + superstep as i64;
-            let next = (vertex + 1) % vertices;
-            let violating = superstep == 1 && vertex == 1;
-            let excepting = superstep == 2 && vertex == 2;
-            let trace: VertexTrace<u64, i64, (), i64> = VertexTrace {
-                superstep,
-                vertex,
-                value_before: value,
-                value_after: value + 1,
-                edges: vec![(next, ())],
-                incoming: if superstep == 0 { vec![] } else { vec![value - 10] },
-                outgoing: if excepting { vec![] } else { vec![(next, value + 1)] },
-                aggregators: vec![],
-                global: GlobalData { superstep, num_vertices: vertices, num_edges: vertices },
-                halted_after: superstep + 1 == total && !excepting,
-                reasons: vec![if excepting {
-                    CaptureReason::Exception
-                } else {
-                    CaptureReason::AllActive
-                }],
-                violations: if violating {
-                    violations += 1;
-                    vec![ViolationRecord {
-                        kind: ViolationKind::Message,
-                        detail: format!("{}", value + 1),
-                        target: Some(next.to_string()),
-                    }]
-                } else {
-                    vec![]
-                },
-                exception: if excepting {
-                    exceptions += 1;
-                    Some(ExceptionInfo {
-                        message: "synthetic overflow".to_string(),
-                        backtrace: Some("synth::compute\nsynth::superstep".to_string()),
-                    })
-                } else {
-                    None
-                },
-            };
+            let trace = synth_row(vertices, vertex, superstep, total);
             captures += 1;
-            encode_record(TraceCodec::JsonLines, &trace, &mut buffers[(vertex as usize) % workers])
-                .expect("json encode");
+            violations += trace.violations.len() as u64;
+            exceptions += u64::from(trace.exception.is_some());
+            let (writer, bytes) = &mut channels[(vertex as usize) % workers];
+            writer.append_vertex(&trace, bytes).expect("a synthetic row encodes");
         }
     }
-    (buffers, captures, violations, exceptions)
+    (channels, captures, violations, exceptions)
 }
 
 /// A synthetic *in-flight* job: the first `complete` supersteps of the
 /// standard 3-superstep synthetic trace, with no `result.json`, a torn
-/// trailing row on worker 0 (caught mid-append, no final newline), and a
-/// live obs directory — `events.jsonl` carrying superstep spans and
-/// watermark records, plus one committed `live/snapshot_<seq>.json` per
-/// completed superstep (and a stray `.tmp` staging file readers must
-/// ignore).
+/// trailing row on worker 0 (its frame caught mid-append, cut inside the
+/// payload), and a live obs directory — `events.jsonl` carrying superstep
+/// spans and watermark records, plus one committed
+/// `live/snapshot_<seq>.json` per completed superstep (and a stray `.tmp`
+/// staging file readers must ignore).
 pub fn write_synthetic_live_trace(
     fs: &dyn FileSystem,
     root: &str,
@@ -144,13 +143,15 @@ pub fn write_synthetic_live_trace(
     let workers = workers.max(1);
     let complete = complete.min(2); // superstep 3 would finish the job
     write_meta(fs, root, workers)?;
-    let (mut buffers, _, _, _) = synth_rows(vertices, workers, 0..complete, 3);
-    // The in-flight superstep's first row, torn mid-append.
-    buffers[0].extend_from_slice(b"{\"superstep\":");
-    buffers[0].extend_from_slice(complete.to_string().as_bytes());
-    buffers[0].extend_from_slice(b",\"vertex\":0,\"value_bef");
-    for (worker, buffer) in buffers.iter().enumerate() {
-        fs.write_all(&worker_trace_path(root, worker), buffer)?;
+    let (mut channels, _, _, _) = synth_rows(vertices, workers, 0..complete, 3);
+    // The in-flight superstep's first row, torn mid-append: its index
+    // frame whole, its vertex frame three bytes short of the payload's
+    // end.
+    let (writer, bytes) = &mut channels[0];
+    writer.append_vertex(&synth_row(vertices, 0, complete, 3), bytes).expect("a row encodes");
+    bytes.truncate(bytes.len() - 3);
+    for (worker, (_, bytes)) in channels.iter().enumerate() {
+        fs.write_all(&worker_trace_path(root, worker), bytes)?;
     }
 
     let obs_dir = format!("{root}/obs");
@@ -221,7 +222,7 @@ mod tests {
     fn live_traces_open_partial_with_snapshots_committed() {
         let fs: Arc<dyn FileSystem> = Arc::new(InMemoryFs::new());
         write_synthetic_live_trace(fs.as_ref(), "/t/inflight", 12, 3, 2).unwrap();
-        // The torn trailing row makes a strict parse fail...
+        // The torn trailing frame makes a strict read fail...
         assert!(UntypedSession::open(Arc::clone(&fs), "/t/inflight").is_err());
         // ...while the watermark-bounded partial parse serves the prefix.
         let session = UntypedSession::open_partial(Arc::clone(&fs), "/t/inflight", 1).unwrap();
