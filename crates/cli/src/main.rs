@@ -285,14 +285,15 @@ fn show(session: &UntypedSession, superstep: u64) {
             if trace.halted_after() { "halted" } else { "active" },
             trace.reasons().join(","),
         );
-        for (kind, detail, target) in trace.violations() {
-            match target {
-                Some(target) => println!("    violation {kind}: {detail} -> {target}"),
-                None => println!("    violation {kind}: {detail}"),
+        for violation in trace.violations() {
+            let (kind, detail) = (violation.kind, &violation.detail);
+            match &violation.target {
+                Some(target) => println!("    violation {kind:?}: {detail} -> {target}"),
+                None => println!("    violation {kind:?}: {detail}"),
             }
         }
-        if let Some((message, _)) = trace.exception() {
-            println!("    exception: {message}");
+        if let Some(exception) = trace.exception() {
+            println!("    exception: {}", exception.message);
         }
     }
 }
@@ -321,21 +322,24 @@ fn violations(session: &UntypedSession) {
     let offenders = session.violations();
     println!("{} offending capture(s)", offenders.len());
     for trace in offenders {
-        for (kind, detail, target) in trace.violations() {
+        for violation in trace.violations() {
             println!(
-                "superstep {:>4}  vertex {:<12} {kind}: {detail}{}",
+                "superstep {:>4}  vertex {:<12} {:?}: {}{}",
                 trace.superstep(),
                 trace.vertex(),
-                target.map(|t| format!(" -> {t}")).unwrap_or_default(),
+                violation.kind,
+                violation.detail,
+                violation.target.as_ref().map(|t| format!(" -> {t}")).unwrap_or_default(),
             );
         }
-        if let Some((message, backtrace)) = trace.exception() {
+        if let Some(exception) = trace.exception() {
             println!(
-                "superstep {:>4}  vertex {:<12} exception: {message}",
+                "superstep {:>4}  vertex {:<12} exception: {}",
                 trace.superstep(),
                 trace.vertex(),
+                exception.message,
             );
-            if let Some(backtrace) = backtrace {
+            if let Some(backtrace) = &exception.backtrace {
                 for line in backtrace.lines().take(8) {
                     println!("    {line}");
                 }

@@ -5,9 +5,11 @@
 //! graft-cli trace convert <src-dir> <dst-dir> --to json|binary
 //! ```
 //!
-//! `dump` walks every channel file frame by frame (or line by line for
-//! JSON traces) and pretty-prints what is physically on disk — including
-//! the superstep index frames the higher-level views never surface.
+//! `dump` walks every channel file frame by frame and pretty-prints the
+//! frames every reader walks — including the superstep index frames the
+//! higher-level views never surface. A v2 channel is shown as it is on
+//! disk; a legacy (JSON-lines or v1) channel as the v2 frames it is read
+//! as, which the header says.
 //!
 //! `convert` rewrites a trace directory into the other encoding
 //! (`graft::trace::convert_trace_dir`): `--to json` exports a binary
@@ -20,8 +22,8 @@
 use std::process::ExitCode;
 
 use graft::trace::{
-    convert_trace_dir, master_trace_path, meta_path, walk_vertex_channel, worker_trace_path,
-    ChannelRecord, VertexChannel, FRAME_MASTER,
+    convert_trace_dir, master_trace_path, meta_path, v2_channel, walk_vertex_channel,
+    worker_trace_path, ChannelKind, ChannelRecord, VertexChannel, FRAME_MASTER,
 };
 use graft::{JobMeta, MasterTrace, TraceFormat};
 use graft_codec::frame::FrameScanner;
@@ -80,24 +82,24 @@ fn dump(args: &[String]) -> ExitCode {
         }
     };
     println!("computation : {}", meta.computation);
-    println!("format      : {:?}", meta.format());
+    // Every channel is shown as the readers read it: through the door.
+    println!("format      : {:?} (frames as read: BinaryV2)", meta.format());
 
-    let mut channels: Vec<String> =
-        (0..meta.num_workers).map(|w| worker_trace_path("", w)).collect();
-    channels.push(master_trace_path(""));
-    for path in channels {
+    let mut channels: Vec<(String, ChannelKind)> =
+        (0..meta.num_workers).map(|w| (worker_trace_path("", w), ChannelKind::Worker)).collect();
+    channels.push((master_trace_path(""), ChannelKind::Master));
+    for (path, kind) in channels {
         let name = path.trim_start_matches('/');
         let Ok(bytes) = fs.read_all(&path) else {
             println!("\n{name}: absent");
             continue;
         };
         println!("\n{name}: {} bytes", bytes.len());
-        let master = name == "master.trace";
-        let shown = match meta.format() {
-            TraceFormat::JsonLines => dump_json_channel(&bytes, master, limit),
-            _ if master => dump_master_channel(&bytes, limit),
-            format => dump_worker_channel(VertexChannel::new(&bytes, format), limit),
-        };
+        let shown = v2_channel(meta.format(), kind, bytes, false).map_err(|e| e.to_string());
+        let shown = shown.and_then(|bytes| match kind {
+            ChannelKind::Worker => dump_worker_channel(VertexChannel::new(&bytes), limit),
+            ChannelKind::Master => dump_master_channel(&bytes, limit),
+        });
         match shown {
             Ok(records) if records == limit => println!("  ... (limit reached)"),
             Ok(_) => {}
@@ -165,46 +167,6 @@ fn dump_master_channel(bytes: &[u8], limit: usize) -> Result<usize, String> {
         shown += 1;
     }
     Ok(shown)
-}
-
-/// Renders one JSON-lines channel; returns the number of records printed.
-fn dump_json_channel(bytes: &[u8], master: bool, limit: usize) -> Result<usize, String> {
-    let mut shown = 0;
-    let mut at = 0;
-    for line in bytes.split(|b| *b == b'\n') {
-        if line.is_empty() || shown >= limit {
-            at += line.len() + 1;
-            continue;
-        }
-        let value: serde_json::Value =
-            serde_json::from_slice(line).map_err(|e| format!("bad JSON line at byte {at}: {e}"))?;
-        if master {
-            println!(
-                "  [{at:>8}] master  superstep={} halted={} ({} bytes)",
-                render(value.get("superstep")),
-                render(value.get("halted")),
-                line.len(),
-            );
-        } else {
-            println!(
-                "  [{at:>8}] vertex  superstep={} vertex={} ({} bytes)",
-                render(value.get("superstep")),
-                render(value.get("vertex")),
-                line.len(),
-            );
-        }
-        at += line.len() + 1;
-        shown += 1;
-    }
-    Ok(shown)
-}
-
-fn render(value: Option<&serde_json::Value>) -> String {
-    match value {
-        Some(serde_json::Value::String(s)) => s.clone(),
-        Some(v) => serde_json::to_string(v).unwrap_or_else(|_| "?".to_string()),
-        None => "?".to_string(),
-    }
 }
 
 fn convert(args: &[String]) -> ExitCode {

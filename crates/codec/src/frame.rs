@@ -17,7 +17,11 @@
 //! ([`Error::UnexpectedEof`]) is the shape a torn tail write leaves
 //! behind and may be leniently skipped when tailing a live file, while
 //! anything else (zero-length frame, varint overflow) is structural
-//! corruption.
+//! corruption. Every length-prefixed reader in this crate, and the
+//! partition decoder of `graft-pregel`, takes that rule from one step,
+//! [`read_len_prefixed`].
+
+use std::ops::Range;
 
 use serde::Serialize;
 
@@ -103,6 +107,21 @@ pub fn write_value_frame<T: Serialize + ?Sized>(
     Ok(())
 }
 
+/// The byte range of the body that the varint length prefix at `pos`
+/// announces: the one length-prefix step of every reader of
+/// length-prefixed bytes. A prefix or a body that runs past the end of
+/// `buf` — the shape a torn append leaves, whatever length it declares —
+/// is [`Error::UnexpectedEof`].
+pub fn read_len_prefixed(buf: &[u8], pos: usize) -> Result<Range<usize>> {
+    let (len, prefix) = varint::read_u64(&buf[pos..])?;
+    let start = pos + prefix;
+    let end = usize::try_from(len).ok().and_then(|len| start.checked_add(len));
+    match end.filter(|&end| end <= buf.len()) {
+        Some(end) => Ok(start..end),
+        None => Err(Error::UnexpectedEof),
+    }
+}
+
 /// Sequential reader over the frames in a byte buffer.
 pub struct FrameScanner<'a> {
     buf: &'a [u8],
@@ -128,21 +147,16 @@ impl<'a> FrameScanner<'a> {
         if self.pos == self.buf.len() {
             return Ok(None);
         }
-        let (len, prefix) = varint::read_u64(&self.buf[self.pos..])?;
-        if len == 0 {
+        let body = read_len_prefixed(self.buf, self.pos)?;
+        if body.is_empty() {
             return Err(Error::Message(format!(
                 "zero-length frame at byte {} (missing record kind)",
                 self.pos
             )));
         }
-        let len = usize::try_from(len).map_err(|_| Error::LengthOverflow)?;
-        let payload_start = self.pos.checked_add(prefix + 1).ok_or(Error::LengthOverflow)?;
-        let end = self.pos.checked_add(prefix + len).ok_or(Error::LengthOverflow)?;
-        if end > self.buf.len() {
-            return Err(Error::UnexpectedEof);
-        }
+        let (payload_start, end) = (body.start + 1, body.end);
         let frame = Frame {
-            kind: self.buf[payload_start - 1],
+            kind: self.buf[body.start],
             payload: &self.buf[payload_start..end],
             start: self.pos,
             payload_start,
@@ -246,10 +260,16 @@ mod tests {
 
     #[test]
     fn huge_declared_length_is_eof_not_allocation() {
-        let mut buf = Vec::new();
-        varint::write_u64(&mut buf, u64::MAX / 2);
-        buf.push(1);
-        let mut scanner = FrameScanner::new(&buf);
-        assert!(scanner.next_frame().is_err());
+        // However far past the end a length points, even past `usize`,
+        // it is the torn-tail error, in every length-prefixed reader.
+        for len in [u64::MAX / 2, u64::MAX] {
+            let mut buf = Vec::new();
+            varint::write_u64(&mut buf, len);
+            buf.push(1);
+            let mut scanner = FrameScanner::new(&buf);
+            assert!(matches!(scanner.next_frame(), Err(Error::UnexpectedEof)), "{len}");
+            let framed = crate::from_framed_slice::<u8>(&buf);
+            assert!(matches!(framed, Err(Error::UnexpectedEof)), "{len}");
+        }
     }
 }

@@ -69,51 +69,21 @@ pub fn write_framed<T: serde::Serialize + ?Sized>(out: &mut Vec<u8>, value: &T) 
 /// Returns the decoded value and the number of bytes consumed (prefix +
 /// body), so callers can advance through a stream of framed records.
 pub fn from_framed_slice<T: serde::de::DeserializeOwned>(input: &[u8]) -> Result<(T, usize)> {
-    let (len, prefix) = varint::read_u64(input)?;
-    let len = usize::try_from(len).map_err(|_| Error::LengthOverflow)?;
-    let end = prefix.checked_add(len).ok_or(Error::LengthOverflow)?;
-    let body = input.get(prefix..end).ok_or(Error::UnexpectedEof)?;
-    let value = from_slice(body)?;
-    Ok((value, end))
+    let body = frame::read_len_prefixed(input, 0)?;
+    Ok((from_slice(&input[body.clone()])?, body.end))
 }
 
-/// Iterator over a byte buffer containing consecutive framed records.
-pub struct FramedIter<'a, T> {
-    rest: &'a [u8],
-    _marker: std::marker::PhantomData<fn() -> T>,
-}
-
-impl<'a, T> FramedIter<'a, T> {
-    /// Creates an iterator over the framed records in `buf`.
-    pub fn new(buf: &'a [u8]) -> Self {
-        Self { rest: buf, _marker: std::marker::PhantomData }
-    }
-
-    /// Bytes not yet consumed.
-    pub fn remaining(&self) -> usize {
-        self.rest.len()
-    }
-}
-
-impl<T: serde::de::DeserializeOwned> Iterator for FramedIter<'_, T> {
-    type Item = Result<T>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.rest.is_empty() {
-            return None;
-        }
-        match from_framed_slice::<T>(self.rest) {
-            Ok((value, consumed)) => {
-                self.rest = &self.rest[consumed..];
-                Some(Ok(value))
-            }
-            Err(e) => {
-                // Poison the iterator so an error is reported exactly once.
-                self.rest = &[];
-                Some(Err(e))
-            }
-        }
-    }
+/// The consecutive framed records of `buf`, decoded in order. The first
+/// record that does not decode is the last item.
+pub fn framed_records<T: serde::de::DeserializeOwned>(
+    buf: &[u8],
+) -> impl Iterator<Item = Result<T>> + '_ {
+    let mut rest = buf;
+    std::iter::from_fn(move || {
+        let read = (!rest.is_empty()).then(|| from_framed_slice::<T>(rest))?;
+        rest = read.as_ref().map_or(&[], |(_, consumed)| &rest[*consumed..]);
+        Some(read.map(|(value, _)| value))
+    })
 }
 
 #[cfg(test)]
@@ -212,7 +182,7 @@ mod tests {
         for r in &records {
             write_framed(&mut buf, r).unwrap();
         }
-        let decoded: Result<Vec<Inner>> = FramedIter::new(&buf).collect();
+        let decoded: Result<Vec<Inner>> = framed_records(&buf).collect();
         assert_eq!(decoded.unwrap(), records);
     }
 
@@ -222,7 +192,7 @@ mod tests {
         let mut buf = Vec::new();
         write_framed(&mut buf, &rec).unwrap();
         buf.truncate(buf.len() - 1);
-        let mut it = FramedIter::<Inner>::new(&buf);
+        let mut it = framed_records::<Inner>(&buf);
         assert!(it.next().unwrap().is_err());
         assert!(it.next().is_none());
     }

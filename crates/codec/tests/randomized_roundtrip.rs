@@ -130,7 +130,7 @@ fn roundtrip_framed() {
         for v in &values {
             graft_codec::write_framed(&mut buf, v).unwrap();
         }
-        let decoded: Result<Vec<Mixed>, _> = graft_codec::FramedIter::new(&buf).collect();
+        let decoded: Result<Vec<Mixed>, _> = graft_codec::framed_records(&buf).collect();
         let decoded = decoded.unwrap();
         assert_eq!(decoded.len(), values.len());
         for (a, b) in values.iter().zip(&decoded) {

@@ -4,6 +4,7 @@
 
 use std::collections::BTreeMap;
 
+use graft_codec::BinValue;
 use graft_pregel::AggValue;
 
 /// A text template with `${name}` placeholders.
@@ -67,10 +68,22 @@ impl Template {
 pub fn agg_value_literal(value: &AggValue) -> String {
     match value {
         AggValue::Long(v) => format!("AggValue::Long({v})"),
-        AggValue::Double(v) => format!("AggValue::Double({v:?})"),
+        AggValue::Double(v) => format!("AggValue::Double({})", f64_literal(*v)),
         AggValue::Bool(v) => format!("AggValue::Bool({v})"),
         AggValue::Text(v) => format!("AggValue::Text({v:?}.to_string())"),
-        AggValue::Pair(k, v) => format!("AggValue::Pair({k}, {v:?})"),
+        AggValue::Pair(k, v) => format!("AggValue::Pair({k}, {})", f64_literal(*v)),
+    }
+}
+
+/// Renders an `f64` as a Rust expression of the same value: `{:?}` does
+/// for finite values, not for NaN and the infinities.
+fn f64_literal(v: f64) -> String {
+    if v.is_nan() {
+        "f64::NAN".to_string()
+    } else if v.is_infinite() {
+        format!("f64::{}INFINITY", if v < 0.0 { "NEG_" } else { "" })
+    } else {
+        format!("{v:?}")
     }
 }
 
@@ -100,21 +113,19 @@ pub fn debug_literal<T: std::fmt::Debug>(value: &T) -> String {
     format!("{value:?}")
 }
 
-/// Renders a trace JSON value as a Rust literal, best-effort: the
+/// Renders a type-erased trace value as a Rust literal, best-effort: the
 /// type-erased analogue of [`debug_literal`] used when generating test
 /// source from an untyped trace (the debug server's repro download).
 /// Numbers and bools are exact (the writer keeps `.0` on integral
 /// floats), `null` maps back to `()`, and composite values fall back to
 /// their JSON rendering — readable, though the user may need to adjust
 /// them to their constructor syntax.
-pub fn json_literal(value: &serde_json::Value) -> String {
+pub fn json_literal(value: &BinValue) -> String {
     use serde_json::Value;
-    match value {
+    match &value.0 {
         Value::Null => "()".to_string(),
-        Value::Bool(b) => b.to_string(),
-        Value::Number(_) => value.to_string(),
         Value::String(s) => format!("{s:?}"),
-        composite => composite.to_string(),
+        other => other.to_string(),
     }
 }
 
@@ -171,6 +182,15 @@ mod tests {
             "AggValue::Text(\"MIS\".to_string())"
         );
         assert_eq!(agg_value_literal(&AggValue::Pair(1, 2.5)), "AggValue::Pair(1, 2.5)");
+        assert_eq!(agg_value_literal(&AggValue::Double(f64::NAN)), "AggValue::Double(f64::NAN)");
+        assert_eq!(
+            agg_value_literal(&AggValue::Double(f64::NEG_INFINITY)),
+            "AggValue::Double(f64::NEG_INFINITY)"
+        );
+        assert_eq!(
+            agg_value_literal(&AggValue::Pair(-1, f64::INFINITY)),
+            "AggValue::Pair(-1, f64::INFINITY)"
+        );
     }
 
     #[test]

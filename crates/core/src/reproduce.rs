@@ -6,11 +6,13 @@
 
 use std::collections::BTreeMap;
 
+use graft_codec::BinValue;
 use graft_pregel::harness::{HarnessResult, VertexTestHarness};
-use graft_pregel::Computation;
+use graft_pregel::{AggValue, Computation, GlobalData};
 
-use crate::codegen::{agg_value_literal, clean_type_name, debug_literal, Template};
+use crate::codegen::{agg_value_literal, clean_type_name, debug_literal, json_literal, Template};
 use crate::trace::{JobMeta, MasterTrace, VertexTraceOf};
+use crate::untyped::UntypedTrace;
 
 /// How faithfully an in-process replay reproduced the recorded behaviour.
 ///
@@ -132,42 +134,47 @@ impl<C: Computation> ReproducedContext<C> {
             })
             .collect::<Vec<_>>()
             .join(", ");
-        let aggregator_lines = t
-            .aggregators
-            .iter()
-            .map(|(name, value)| {
-                format!("        .aggregator({name:?}, {})\n", agg_value_literal(value))
-            })
-            .collect::<String>();
-
-        let (id_ty, value_ty, edge_ty, message_ty) = (
-            clean_type_name(&self.meta.value_types.0),
-            clean_type_name(&self.meta.value_types.1),
-            clean_type_name(&self.meta.value_types.2),
-            clean_type_name(&self.meta.value_types.3),
-        );
-
-        let mut vars: BTreeMap<&str, String> = BTreeMap::new();
-        vars.insert("computation", self.meta.computation.clone());
-        vars.insert("fn_name", format!("reproduce_vertex_{}_superstep_{}", t.vertex, t.superstep));
-        vars.insert("vertex_id", debug_literal(&t.vertex));
-        vars.insert("superstep", t.superstep.to_string());
-        vars.insert("num_vertices", t.global.num_vertices.to_string());
-        vars.insert("num_edges", t.global.num_edges.to_string());
-        vars.insert("value_before", debug_literal(&t.value_before));
-        vars.insert("value_after", debug_literal(&t.value_after));
-        vars.insert("edges", edges);
-        vars.insert("incoming", incoming);
-        vars.insert("outgoing", outgoing);
-        vars.insert("aggregator_lines", aggregator_lines);
-        vars.insert("halted", t.halted_after.to_string());
-        vars.insert("id_ty", id_ty);
-        vars.insert("value_ty", value_ty);
-        vars.insert("edge_ty", edge_ty);
-        vars.insert("message_ty", message_ty);
-
+        let mut vars = vertex_vars(&self.meta, t.superstep, t.global, &t.aggregators);
+        vars.extend([
+            ("fn_name", format!("reproduce_vertex_{}_superstep_{}", t.vertex, t.superstep)),
+            ("vertex_id", debug_literal(&t.vertex)),
+            ("value_before", debug_literal(&t.value_before)),
+            ("value_after", debug_literal(&t.value_after)),
+            ("edges", edges),
+            ("incoming", incoming),
+            ("outgoing", outgoing),
+            ("halted", t.halted_after.to_string()),
+        ]);
         VERTEX_TEST_TEMPLATE.render(&vars).expect("vertex test template variables are bound")
     }
+}
+
+/// The variables of the vertex test template that both reproducers
+/// render alike: the job's names and types, the superstep, the graph
+/// totals and the aggregator lines.
+fn vertex_vars(
+    meta: &JobMeta,
+    superstep: u64,
+    global: GlobalData,
+    aggregators: &[(String, AggValue)],
+) -> BTreeMap<&'static str, String> {
+    let aggregator_lines = aggregators
+        .iter()
+        .map(|(name, value)| {
+            format!("        .aggregator({name:?}, {})\n", agg_value_literal(value))
+        })
+        .collect::<String>();
+    BTreeMap::from([
+        ("computation", meta.computation.clone()),
+        ("superstep", superstep.to_string()),
+        ("num_vertices", global.num_vertices.to_string()),
+        ("num_edges", global.num_edges.to_string()),
+        ("aggregator_lines", aggregator_lines),
+        ("id_ty", clean_type_name(&meta.value_types.0)),
+        ("value_ty", clean_type_name(&meta.value_types.1)),
+        ("edge_ty", clean_type_name(&meta.value_types.2)),
+        ("message_ty", clean_type_name(&meta.value_types.3)),
+    ])
 }
 
 static VERTEX_TEST_TEMPLATE: Template = Template::new(
@@ -227,88 +234,31 @@ ${aggregator_lines}        // The vertex's value and outgoing edges at compute()
 /// rendered with [`crate::codegen::json_literal`], so primitives are
 /// exact and composite values come out as their JSON text for the user to
 /// adapt.
-pub fn untyped_test_source(trace: &crate::untyped::UntypedTrace, meta: &JobMeta) -> String {
-    use crate::codegen::json_literal;
-    let raw = trace.raw();
-    let pair_list = |field: &str| {
-        raw[field]
-            .as_array()
-            .map(|pairs| {
-                pairs
-                    .iter()
-                    .map(|pair| {
-                        format!(
-                            "({}, {})",
-                            pair.get(0).map(json_literal).unwrap_or_default(),
-                            pair.get(1).map(json_literal).unwrap_or_default()
-                        )
-                    })
-                    .collect::<Vec<_>>()
-                    .join(", ")
-            })
-            .unwrap_or_default()
+pub fn untyped_test_source(trace: &UntypedTrace, meta: &JobMeta) -> String {
+    let t = trace.record();
+    let pairs = |list: &[(BinValue, BinValue)]| {
+        let pair =
+            |(a, b): &(BinValue, BinValue)| format!("({}, {})", json_literal(a), json_literal(b));
+        list.iter().map(pair).collect::<Vec<_>>().join(", ")
     };
-    let incoming = raw["incoming"]
-        .as_array()
-        .map(|msgs| msgs.iter().map(json_literal).collect::<Vec<_>>().join(", "))
-        .unwrap_or_default();
-    let aggregator_lines = raw["aggregators"]
-        .as_array()
-        .map(|aggs| {
-            aggs.iter()
-                .filter_map(|pair| {
-                    let name = pair.get(0)?.as_str()?;
-                    let literal = agg_literal_from_json(pair.get(1)?)?;
-                    Some(format!("        .aggregator({name:?}, {literal})\n"))
-                })
-                .collect::<String>()
-        })
-        .unwrap_or_default();
-    let (superstep, num_vertices, num_edges) = trace.global().unwrap_or((trace.superstep(), 0, 0));
-
+    let superstep = t.global.superstep;
     // Vertex ids become part of the function name; anything that is not
     // identifier-safe is folded to '_'.
     let vertex_ident: String =
         trace.vertex().chars().map(|c| if c.is_ascii_alphanumeric() { c } else { '_' }).collect();
 
-    let mut vars: BTreeMap<&str, String> = BTreeMap::new();
-    vars.insert("computation", meta.computation.clone());
-    vars.insert("fn_name", format!("reproduce_vertex_{}_superstep_{}", vertex_ident, superstep));
-    vars.insert("vertex_id", json_literal(&raw["vertex"]));
-    vars.insert("superstep", superstep.to_string());
-    vars.insert("num_vertices", num_vertices.to_string());
-    vars.insert("num_edges", num_edges.to_string());
-    vars.insert("value_before", json_literal(&raw["value_before"]));
-    vars.insert("value_after", json_literal(&raw["value_after"]));
-    vars.insert("edges", pair_list("edges"));
-    vars.insert("incoming", incoming);
-    vars.insert("outgoing", pair_list("outgoing"));
-    vars.insert("aggregator_lines", aggregator_lines);
-    vars.insert("halted", trace.halted_after().to_string());
-    vars.insert("id_ty", clean_type_name(&meta.value_types.0));
-    vars.insert("value_ty", clean_type_name(&meta.value_types.1));
-    vars.insert("edge_ty", clean_type_name(&meta.value_types.2));
-    vars.insert("message_ty", clean_type_name(&meta.value_types.3));
+    let mut vars = vertex_vars(meta, superstep, t.global, &t.aggregators);
+    vars.extend([
+        ("fn_name", format!("reproduce_vertex_{vertex_ident}_superstep_{superstep}")),
+        ("vertex_id", json_literal(&t.vertex)),
+        ("value_before", json_literal(&t.value_before)),
+        ("value_after", json_literal(&t.value_after)),
+        ("edges", pairs(&t.edges)),
+        ("incoming", t.incoming.iter().map(json_literal).collect::<Vec<_>>().join(", ")),
+        ("outgoing", pairs(&t.outgoing)),
+        ("halted", t.halted_after.to_string()),
+    ]);
     VERTEX_TEST_TEMPLATE.render(&vars).expect("vertex test template variables are bound")
-}
-
-/// Reconstructs an `AggValue` constructor expression from its
-/// externally-tagged JSON form (`{"Long":3}`, `{"Pair":[1,2.5]}`, …).
-fn agg_literal_from_json(value: &serde_json::Value) -> Option<String> {
-    let obj = value.as_object()?;
-    let (tag, payload) = obj.iter().next()?;
-    Some(match tag.as_str() {
-        "Long" => format!("AggValue::Long({})", payload.as_i64()?),
-        "Double" => format!("AggValue::Double({:?})", payload.as_f64()?),
-        "Bool" => format!("AggValue::Bool({})", payload.as_bool()?),
-        "Text" => format!("AggValue::Text({:?}.to_string())", payload.as_str()?),
-        "Pair" => format!(
-            "AggValue::Pair({}, {:?})",
-            payload.get(0)?.as_i64()?,
-            payload.get(1)?.as_f64()?
-        ),
-        _ => return None,
-    })
 }
 
 /// A captured master context ready to be replayed or exported.
@@ -411,3 +361,83 @@ ${aggregator_setup}
 }
 "#,
 );
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::trace::{TraceFormat, TraceRecord, VertexChannel, VertexTrace};
+    use graft_pregel::{ContextOf, VertexHandleOf};
+
+    struct Probe;
+
+    impl Computation for Probe {
+        type Id = u64;
+        type VValue = f64;
+        type EValue = ();
+        type Message = f64;
+
+        fn compute(
+            &self,
+            _vertex: &mut VertexHandleOf<'_, Self>,
+            _messages: &[f64],
+            _ctx: &mut ContextOf<'_, Self>,
+        ) {
+        }
+    }
+
+    /// A non-finite aggregator is a typed value, so both reproducers write
+    /// the same line for it, and a line that compiles.
+    #[test]
+    fn non_finite_aggregators_render_alike_in_both_reproducers() {
+        let trace = VertexTrace {
+            superstep: 2,
+            vertex: 7,
+            value_before: 1.0,
+            value_after: 2.5,
+            edges: vec![(8, ())],
+            incoming: vec![0.5],
+            outgoing: vec![(8, 2.5)],
+            aggregators: vec![
+                ("nan".to_string(), AggValue::Double(f64::NAN)),
+                ("inf".to_string(), AggValue::Double(f64::INFINITY)),
+                ("ninf".to_string(), AggValue::Double(f64::NEG_INFINITY)),
+                ("pair".to_string(), AggValue::Pair(3, f64::NAN)),
+            ],
+            global: GlobalData { superstep: 2, num_vertices: 9, num_edges: 9 },
+            halted_after: false,
+            reasons: vec![],
+            violations: vec![],
+            exception: None,
+        };
+        let meta = JobMeta {
+            computation: "Probe".into(),
+            computation_type: "probe::Probe".into(),
+            master: None,
+            value_types: ("u64".into(), "f64".into(), "()".into(), "f64".into()),
+            num_workers: 1,
+            trace_format: Some(TraceFormat::BinaryV2),
+            config: vec![],
+            facts: None,
+        };
+        let mut channel = Vec::new();
+        trace.encode_binary_frame(&mut channel).unwrap();
+        let frame = graft_codec::frame::FrameScanner::new(&channel).next_frame().unwrap().unwrap();
+        let record = VertexChannel::new(&channel).record(frame.payload).unwrap();
+        let lines = |source: String| -> Vec<String> {
+            source.lines().filter(|line| line.contains(".aggregator(")).map(String::from).collect()
+        };
+        let typed =
+            lines(ReproducedContext::<Probe>::new(trace, meta.clone()).generate_test_source());
+        let untyped = lines(untyped_test_source(&UntypedTrace::from(record), &meta));
+        assert_eq!(
+            typed,
+            [
+                r#"        .aggregator("nan", AggValue::Double(f64::NAN))"#,
+                r#"        .aggregator("inf", AggValue::Double(f64::INFINITY))"#,
+                r#"        .aggregator("ninf", AggValue::Double(f64::NEG_INFINITY))"#,
+                r#"        .aggregator("pair", AggValue::Pair(3, f64::NAN))"#,
+            ]
+        );
+        assert_eq!(untyped, typed);
+    }
+}

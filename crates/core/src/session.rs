@@ -10,7 +10,8 @@ use graft_pregel::Computation;
 use crate::reproduce::{ReproducedContext, ReproducedMaster};
 use crate::trace::{
     decode_master_records, decode_vertex_records, master_trace_path, meta_path, result_path,
-    worker_trace_path, JobMeta, JobResultRecord, MasterTrace, TraceReadError, VertexTraceOf,
+    v2_channel, worker_trace_path, ChannelKind, JobMeta, JobResultRecord, MasterTrace,
+    TraceReadError, VertexTraceOf,
 };
 use crate::views::node_link::NodeLinkView;
 use crate::views::tabular::TabularView;
@@ -76,6 +77,23 @@ pub(crate) fn read_json<T: serde::de::DeserializeOwned>(
 ) -> Result<T, SessionError> {
     let bytes = fs.read_all(path)?;
     serde_json::from_slice(&bytes).map_err(|e| SessionError::decode(path, e))
+}
+
+/// The `kind` channel at `path` of the job `meta` describes, through the
+/// door ([`v2_channel`]): its v2 bytes, none if the job wrote no such
+/// file.
+pub(crate) fn read_channel(
+    fs: &dyn FileSystem,
+    path: &str,
+    meta: &JobMeta,
+    kind: ChannelKind,
+    torn_tail_ok: bool,
+) -> Result<Vec<u8>, SessionError> {
+    if !fs.exists(path) {
+        return Ok(Vec::new());
+    }
+    let bytes = fs.read_all(path)?;
+    v2_channel(meta.format(), kind, bytes, torn_tail_ok).map_err(|e| SessionError::decode(path, e))
 }
 
 /// The terminal status of the job under `root`, if it has written one.
@@ -188,12 +206,9 @@ impl<C: Computation> DebugSession<C> {
         let mut by_superstep: BTreeMap<u64, Vec<VertexTraceOf<C>>> = BTreeMap::new();
         for worker in 0..meta.num_workers {
             let path = worker_trace_path(root, worker);
-            if !fs.exists(&path) {
-                continue;
-            }
-            let bytes = fs.read_all(&path)?;
-            let records: Vec<VertexTraceOf<C>> = decode_vertex_records(meta.format(), &bytes)
-                .map_err(|e| SessionError::decode(path, e))?;
+            let bytes = read_channel(fs.as_ref(), &path, &meta, ChannelKind::Worker, false)?;
+            let records: Vec<VertexTraceOf<C>> =
+                decode_vertex_records(&bytes).map_err(|e| SessionError::decode(path, e))?;
             for record in records {
                 by_superstep.entry(record.superstep).or_default().push(record);
             }
@@ -202,16 +217,11 @@ impl<C: Computation> DebugSession<C> {
             traces.sort_by_key(|a| a.vertex);
         }
 
-        let mut master = BTreeMap::new();
-        let master_path = master_trace_path(root);
-        if fs.exists(&master_path) {
-            let bytes = fs.read_all(&master_path)?;
-            let records: Vec<MasterTrace> = decode_master_records(meta.format(), &bytes)
-                .map_err(|e| SessionError::decode(master_path, e))?;
-            for record in records {
-                master.insert(record.superstep, record);
-            }
-        }
+        let path = master_trace_path(root);
+        let bytes = read_channel(fs.as_ref(), &path, &meta, ChannelKind::Master, false)?;
+        let records =
+            decode_master_records(&bytes, None).map_err(|e| SessionError::decode(path, e))?;
+        let master = records.into_iter().map(|record| (record.superstep, record)).collect();
 
         let result = read_result(fs.as_ref(), root)?;
 

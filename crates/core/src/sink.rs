@@ -484,7 +484,7 @@ impl TraceSink {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::{decode_master_records, IndexRecord, MasterTrace, TraceFormat};
+    use crate::trace::{decode_master_records, IndexRecord, MasterTrace};
     use crate::trace::{FRAME_INDEX, FRAME_VERTEX};
     use graft_codec::frame::FrameScanner;
     use graft_dfs::InMemoryFs;
@@ -644,7 +644,7 @@ mod tests {
 
     fn masters_on_disk(fs: &dyn FileSystem) -> Vec<MasterTrace> {
         let bytes = fs.read_all(&master_trace_path("/traces/job")).unwrap();
-        decode_master_records(TraceFormat::BinaryV2, &bytes).unwrap()
+        decode_master_records(&bytes, None).unwrap()
     }
 
     #[test]

@@ -18,10 +18,12 @@
 //! trace sink, `trace convert`, synthetic traces — goes through a
 //! [`ChannelWriter`], the one place that grammar is written down.
 //!
-//! JSON lines, one document per line, is a legacy format: directories
-//! written in it still read ([`decode_vertex_records`]; the untyped
-//! reader upgrades each worker channel to binary at open), and
-//! [`convert_vertex_channel`] exports to it, but nothing captures in it.
+//! JSON lines, one document per line, and binary layout v1 are legacy
+//! formats: nothing captures in them, and every reader takes a channel
+//! through one door, [`v2_channel`], which turns a legacy channel into
+//! the v2 bytes `trace convert --to binary` writes for it — so no reader
+//! past the door knows a layout. [`convert_channel`] exports to JSON
+//! lines.
 //!
 //! Capture writes a vertex frame in one pass, straight from borrowed
 //! engine state: the instrumenter fills a [`VertexCapture`] with
@@ -48,8 +50,8 @@
 //! id bytes) with identical inline edges — one hop, never a reference to a
 //! reference. A [`ChannelWriter`] decides with an [`EdgeRefs`], a pure
 //! function of the channel's record stream, so a replayed, budgeted or
-//! converted channel is byte-identical to a native one. v1 channels hold
-//! every list inline and keep reading.
+//! converted channel is byte-identical to a native one. v1 channels held
+//! every list inline; the door writes them again under the rule.
 //!
 //! A payload is read in one of three ways, all through the one GraftBin
 //! decoder, so each succeeds on exactly the same payloads. A
@@ -58,12 +60,13 @@
 //! a reader indexing a trace needs, and proof that the payload decodes.
 //! A [`RowDigest`] skims it for a listing view: the texts and counts a
 //! row of the tabular or node-link view shows, rendered as the fields are
-//! read, no tree built. [`VertexChannel::value`] decodes it, once, into
-//! the dynamic value a view of the whole record reads (reproducers, the
-//! violations view). The last two resolve an edge reference against the
-//! channel; [`walk_vertex_channel`] checks every reference of a channel.
-//! A channel that cannot be read fails with a [`TraceReadError`] naming
-//! the byte offset of the frame at fault.
+//! read, no tree built. [`VertexChannel::record`] decodes it, once, into
+//! the [`ErasedVertexTrace`] a view of the whole record reads
+//! (reproducers, the violations view, a typed session): the one
+//! whole-record form on the read side. The last two resolve an edge
+//! reference against the channel; [`walk_vertex_channel`] checks every
+//! reference of a channel. A channel that cannot be read fails with a
+//! [`TraceReadError`] naming the byte offset of the frame at fault.
 
 use std::fmt;
 use std::hash::Hasher;
@@ -77,7 +80,6 @@ use graft_pregel::{AggValue, GlobalData};
 use serde::de::DeserializeOwned;
 use serde::ser::SerializeSeq;
 use serde::{Deserialize, Serialize};
-use serde_json::Value;
 
 use crate::config::{CaptureReason, ConfigFacts};
 
@@ -122,7 +124,7 @@ pub struct ViolationRecord {
 
 /// The full captured context of one vertex in one superstep — the five
 /// pieces of data the Giraph API exposes, plus what the vertex did.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct VertexTrace<I, V, E, M> {
     /// Superstep of the capture.
     pub superstep: u64,
@@ -164,8 +166,45 @@ pub type VertexTraceOf<C> = VertexTrace<
 /// messages) are type-erased [`graft_codec::BinValue`] trees, its edges
 /// listed: what a JSON line or a v1 binary payload holds, and what a v2
 /// payload reads as once its edge reference is resolved. Any tool can
-/// handle it without the computation's Rust types.
+/// handle it without the computation's Rust types; it is the one form of
+/// a whole record that readers build ([`VertexChannel::record`]).
 pub type ErasedVertexTrace = VertexTrace<BinValue, BinValue, BinValue, BinValue>;
+
+impl ErasedVertexTrace {
+    /// The record with its type-erased positions read as the
+    /// computation's types; every other field moves over as it is.
+    pub(crate) fn typed<I, V, E, M>(self) -> graft_codec::Result<VertexTrace<I, V, E, M>>
+    where
+        I: DeserializeOwned,
+        V: DeserializeOwned,
+        E: DeserializeOwned,
+        M: DeserializeOwned,
+    {
+        fn leaf<T: DeserializeOwned>(value: &BinValue) -> graft_codec::Result<T> {
+            serde_json::from_value(&value.0).map_err(json_error)
+        }
+        fn pairs<A: DeserializeOwned, B: DeserializeOwned>(
+            list: &[(BinValue, BinValue)],
+        ) -> graft_codec::Result<Vec<(A, B)>> {
+            list.iter().map(|(a, b)| Ok((leaf(a)?, leaf(b)?))).collect()
+        }
+        Ok(VertexTrace {
+            superstep: self.superstep,
+            vertex: leaf(&self.vertex)?,
+            value_before: leaf(&self.value_before)?,
+            value_after: leaf(&self.value_after)?,
+            edges: pairs(&self.edges)?,
+            incoming: self.incoming.iter().map(leaf).collect::<Result<_, _>>()?,
+            outgoing: pairs(&self.outgoing)?,
+            aggregators: self.aggregators,
+            global: self.global,
+            halted_after: self.halted_after,
+            reasons: self.reasons,
+            violations: self.violations,
+            exception: self.exception,
+        })
+    }
+}
 
 /// The `edges` field of a v2 binary vertex payload.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -822,16 +861,16 @@ impl ChannelWriter {
         while let Ok(Some(frame)) = scanner.next_frame() {
             match frame.kind {
                 FRAME_INDEX => {
-                    let index = index_record_from_payload(frame.payload).ok();
+                    let index = graft_codec::from_slice::<IndexRecord>(frame.payload).ok();
                     writer.mark.last_superstep = index.map(|index| index.superstep);
                 }
                 FRAME_VERTEX => {
                     writer.mark.records += 1;
-                    let mut reader = PayloadReader::new(frame.payload, TraceFormat::BinaryV2);
+                    let mut reader = PayloadReader::new(frame.payload);
                     let inline = reader.front::<SkipTagged>().and_then(|(_, _, id)| {
                         reader.values::<SkipTagged>()?;
                         let at = reader.at();
-                        let edges: WireEdges<SkipSeq<(SkipTagged, SkipTagged)>> = reader.edges()?;
+                        let edges: WireEdges<SkipSeq<(SkipTagged, SkipTagged)>> = reader.field()?;
                         Ok(matches!(edges, WireEdges::Inline(_)).then(|| (id, at..reader.at())))
                     });
                     if let Ok(Some((id, edges))) = inline {
@@ -1013,38 +1052,31 @@ pub(crate) fn unexpected_kind(kind: u8, channel: &str) -> graft_codec::Error {
     graft_codec::Error::Message(format!("unexpected record kind {kind} in {channel}"))
 }
 
-/// Renders a dynamic value as the views show it: a string as itself,
-/// anything else as compact JSON.
-pub(crate) fn compact(value: &Value) -> String {
-    match value {
-        Value::String(s) => s.clone(),
-        other => other.to_string(),
-    }
-}
-
 /// [`VertexHead::flags`] bit: a message constraint was violated.
 pub const FLAG_MESSAGE_VIOLATION: u8 = 1;
 /// [`VertexHead::flags`] bit: the vertex-value constraint was violated.
 pub const FLAG_VALUE_VIOLATION: u8 = 2;
 /// [`VertexHead::flags`] bit: `compute()` raised an exception.
 pub const FLAG_EXCEPTION: u8 = 4;
-/// [`VertexHead::flags`] bit: a violation of a kind this reader does not
-/// know. Only a hand-made dynamic value can carry one
-/// (`UntypedTrace::digest`); binary frames encode the kind as a
-/// [`ViolationKind`].
-pub const FLAG_OTHER_VIOLATION: u8 = 8;
+
+/// The flag bit of a violation of `kind`.
+pub(crate) fn violation_flag(kind: ViolationKind) -> u8 {
+    match kind {
+        ViolationKind::Message => FLAG_MESSAGE_VIOLATION,
+        ViolationKind::VertexValue => FLAG_VALUE_VIOLATION,
+    }
+}
 
 /// What a reader indexing a trace keeps of a vertex record: where the
 /// record sorts, and whether the violations view shows it.
 ///
 /// Skimming a binary vertex payload for its head
 /// ([`VertexChannel::head`]) puts it through the same GraftBin decoder,
-/// field for field, as a [`WireVertexTrace`] (in a v1 channel, an
-/// [`ErasedVertexTrace`]) — so it is a valid head exactly when it is a
-/// valid record — but every tree and string is checked and dropped
-/// (`graft_codec`'s `Skip*` types) instead of built, and the vertex id is
-/// rendered as it is read ([`TaggedText`]). An edge reference is read,
-/// not followed.
+/// field for field, as a [`WireVertexTrace`] — so it is a valid head
+/// exactly when it is a valid record — but every tree and string is
+/// checked and dropped (`graft_codec`'s `Skip*` types) instead of built,
+/// and the vertex id is rendered as it is read ([`TaggedText`]). An edge
+/// reference is read, not followed.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct VertexHead {
     /// Superstep of the capture.
@@ -1063,10 +1095,7 @@ impl<'de> Deserialize<'de> for ViolationFlags {
         let mut flags = 0;
         // A `ViolationRecord`, field for field.
         for_each_element(deserializer, |(kind, _, _): (_, SkipStr, Option<SkipStr>)| {
-            flags |= match kind {
-                ViolationKind::Message => FLAG_MESSAGE_VIOLATION,
-                ViolationKind::VertexValue => FLAG_VALUE_VIOLATION,
-            }
+            flags |= violation_flag(kind)
         })?;
         Ok(ViolationFlags(flags))
     }
@@ -1082,20 +1111,18 @@ struct Listing<R> {
     flags: u8,
 }
 
-/// Reads a binary vertex payload field by field, each field as the
-/// caller's stand-in for it. The decoder calls are those of a
-/// [`WireVertexTrace`] — in a v1 channel, of an [`ErasedVertexTrace`] —
+/// Reads a v2 vertex payload field by field, each field as the caller's
+/// stand-in for it. The decoder calls are those of a [`WireVertexTrace`],
 /// in order, so every reader accepts exactly the payloads that decode and
 /// fails on the rest with the same error.
 struct PayloadReader<'de> {
     de: graft_codec::Deserializer<'de>,
     len: usize,
-    format: TraceFormat,
 }
 
 impl<'de> PayloadReader<'de> {
-    fn new(payload: &'de [u8], format: TraceFormat) -> Self {
-        Self { de: graft_codec::Deserializer::new(payload), len: payload.len(), format }
+    fn new(payload: &'de [u8]) -> Self {
+        Self { de: graft_codec::Deserializer::new(payload), len: payload.len() }
     }
 
     /// Bytes of the payload read so far.
@@ -1118,15 +1145,6 @@ impl<'de> PayloadReader<'de> {
     /// The values before and after compute, read as `T`.
     fn values<T: Deserialize<'de>>(&mut self) -> graft_codec::Result<(T, T)> {
         Ok((self.field()?, self.field()?))
-    }
-
-    /// The edges, their list read as `L`: a v1 payload's plain list, a
-    /// v2 payload's [`WireEdges`].
-    fn edges<L: Deserialize<'de>>(&mut self) -> graft_codec::Result<WireEdges<L>> {
-        match self.format {
-            TraceFormat::Binary => self.field().map(WireEdges::Inline),
-            _ => self.field(),
-        }
     }
 
     /// The fields after the edges, as a listing reads them, the reasons
@@ -1184,8 +1202,8 @@ pub struct RowDigest {
     pub incoming: usize,
     /// Number of outgoing messages.
     pub outgoing: usize,
-    /// The default global data `(superstep, num_vertices, num_edges)`.
-    pub global: Option<(u64, u64, u64)>,
+    /// The default global data.
+    pub global: GlobalData,
     /// Whether the vertex voted to halt.
     pub halted_after: bool,
     /// Capture reasons, rendered.
@@ -1194,18 +1212,18 @@ pub struct RowDigest {
     pub flags: u8,
 }
 
-/// A binary worker channel as its vertex payloads are read: the bytes an
-/// edge reference resolves against, and the layout they were written in.
+/// A v2 worker channel as its vertex payloads are read: the bytes an edge
+/// reference resolves against. A legacy channel reaches it through
+/// [`v2_channel`].
 #[derive(Clone, Copy, Debug)]
 pub struct VertexChannel<'a> {
     bytes: &'a [u8],
-    format: TraceFormat,
 }
 
 impl<'a> VertexChannel<'a> {
-    /// The channel `bytes` of a trace in `format`.
-    pub fn new(bytes: &'a [u8], format: TraceFormat) -> Self {
-        Self { bytes, format }
+    /// The v2 channel `bytes`.
+    pub fn new(bytes: &'a [u8]) -> Self {
+        Self { bytes }
     }
 
     /// Skims a vertex payload for its head (see [`VertexHead`]).
@@ -1216,10 +1234,10 @@ impl<'a> VertexChannel<'a> {
     /// The head, the byte range of the vertex id in the payload, and the
     /// offset the edges name if they are a reference.
     fn skim(&self, payload: &[u8]) -> graft_codec::Result<(VertexHead, Range<usize>, Option<u64>)> {
-        let mut reader = PayloadReader::new(payload, self.format);
+        let mut reader = PayloadReader::new(payload);
         let (superstep, TaggedText(vertex), id) = reader.front()?;
         reader.values::<SkipTagged>()?;
-        let edges: WireEdges<SkipSeq<(SkipTagged, SkipTagged)>> = reader.edges()?;
+        let edges: WireEdges<SkipSeq<(SkipTagged, SkipTagged)>> = reader.field()?;
         let listing: Listing<SkipSeq<CaptureReason>> = reader.listing()?;
         let target = match edges {
             WireEdges::Inline(_) => None,
@@ -1232,13 +1250,13 @@ impl<'a> VertexChannel<'a> {
     /// rendering the edges — followed, if a reference — only
     /// `with_edges`.
     pub fn digest(&self, payload: &[u8], with_edges: bool) -> graft_codec::Result<RowDigest> {
-        let mut reader = PayloadReader::new(payload, self.format);
+        let mut reader = PayloadReader::new(payload);
         let (_, TaggedText(vertex), id) = reader.front()?;
         let (TaggedText(value_before), TaggedText(value_after)) = reader.values()?;
         let edges: WireEdges<Vec<(TaggedText, TaggedText)>> = if with_edges {
-            reader.edges()?
+            reader.field()?
         } else {
-            reader.edges::<SkipSeq<(SkipTagged, SkipTagged)>>()?;
+            reader.field::<WireEdges<SkipSeq<(SkipTagged, SkipTagged)>>>()?;
             WireEdges::Inline(Vec::new())
         };
         let listing: Listing<Vec<CaptureReason>> = reader.listing()?;
@@ -1250,58 +1268,37 @@ impl<'a> VertexChannel<'a> {
             edges: edges.into_iter().map(|(target, value)| (target.0, value.0)).collect(),
             incoming: listing.incoming,
             outgoing: listing.outgoing,
-            global: Some((
-                listing.global.superstep,
-                listing.global.num_vertices,
-                listing.global.num_edges,
-            )),
+            global: listing.global,
             halted_after: listing.halted_after,
             reasons: listing.reasons.iter().map(|reason| reason.as_str().to_string()).collect(),
             flags: listing.flags,
         })
     }
 
-    /// Decodes a vertex payload into the normalized dynamic value — the
-    /// exact `Value` that parsing the record's JSON-lines rendition would
-    /// produce — its edges followed if a reference. One tree is built:
-    /// the decoded subtrees move into the record's object, which is then
-    /// normalized in place.
-    pub fn value(&self, payload: &[u8]) -> graft_codec::Result<Value> {
-        fn json<T: Serialize>(part: &T) -> graft_codec::Result<Value> {
-            serde_json::to_value(part).map_err(json_error)
-        }
-        let pair = |(a, b): (BinValue, BinValue)| Value::Array(vec![a.0, b.0]);
-        let mut reader = PayloadReader::new(payload, self.format);
-        let (superstep, BinValue(vertex), id) = reader.front()?;
-        let (BinValue(value_before), BinValue(value_after)) = reader.values()?;
-        let edges: WireEdges<Vec<(BinValue, BinValue)>> = reader.edges()?;
-        let incoming: Vec<BinValue> = reader.field()?;
-        let outgoing: Vec<(BinValue, BinValue)> = reader.field()?;
-        let aggregators: Vec<(String, AggValue)> = reader.field()?;
-        let global: GlobalData = reader.field()?;
-        let halted_after: bool = reader.field()?;
-        let reasons: Vec<CaptureReason> = reader.field()?;
-        let violations: Vec<ViolationRecord> = reader.field()?;
-        let exception: Option<ExceptionInfo> = reader.field()?;
+    /// Decodes a vertex payload into its record, the edges followed if a
+    /// reference: every field as the payload holds it.
+    pub fn record(&self, payload: &[u8]) -> graft_codec::Result<ErasedVertexTrace> {
+        let mut reader = PayloadReader::new(payload);
+        let (superstep, vertex, id) = reader.front()?;
+        let (value_before, value_after) = reader.values()?;
+        let edges: WireEdges<Vec<(BinValue, BinValue)>> = reader.field()?;
+        let record = VertexTrace {
+            superstep,
+            vertex,
+            value_before,
+            value_after,
+            edges: Vec::new(),
+            incoming: reader.field()?,
+            outgoing: reader.field()?,
+            aggregators: reader.field()?,
+            global: reader.field()?,
+            halted_after: reader.field()?,
+            reasons: reader.field()?,
+            violations: reader.field()?,
+            exception: reader.field()?,
+        };
         reader.finish()?;
-        let edges = self.resolve(edges, &payload[id])?;
-        let mut value = Value::Object(serde_json::Map::from([
-            ("superstep".to_string(), Value::Number(serde_json::Number::U64(superstep))),
-            ("vertex".to_string(), vertex),
-            ("value_before".to_string(), value_before),
-            ("value_after".to_string(), value_after),
-            ("edges".to_string(), Value::Array(edges.into_iter().map(pair).collect())),
-            ("incoming".to_string(), Value::Array(incoming.into_iter().map(|m| m.0).collect())),
-            ("outgoing".to_string(), Value::Array(outgoing.into_iter().map(pair).collect())),
-            ("aggregators".to_string(), json(&aggregators)?),
-            ("global".to_string(), json(&global)?),
-            ("halted_after".to_string(), Value::Bool(halted_after)),
-            ("reasons".to_string(), json(&reasons)?),
-            ("violations".to_string(), json(&violations)?),
-            ("exception".to_string(), json(&exception)?),
-        ]));
-        graft_codec::normalize(&mut value);
-        Ok(value)
+        Ok(VertexTrace { edges: self.resolve(edges, &payload[id])?, ..record })
     }
 
     /// The list of `edges`, read at the frame they name if a reference
@@ -1323,13 +1320,13 @@ impl<'a> VertexChannel<'a> {
         let inline = || -> Option<L> {
             let rest = self.bytes.get(usize::try_from(offset).ok()?..)?;
             let frame = FrameScanner::new(rest).next_frame().ok()??;
-            let mut reader = PayloadReader::new(frame.payload, self.format);
+            let mut reader = PayloadReader::new(frame.payload);
             let (_, SkipTagged, target) = reader.front().ok()?;
             if frame.kind != FRAME_VERTEX || frame.payload[target] != *id {
                 return None;
             }
             reader.values::<SkipTagged>().ok()?;
-            match reader.edges().ok()? {
+            match reader.field().ok()? {
                 WireEdges::Inline(list) => Some(list),
                 WireEdges::At(_) => None,
             }
@@ -1373,7 +1370,7 @@ pub fn walk_vertex_channel<'a>(
     for_each_frame(channel.bytes, up_to.is_some(), |frame| {
         let read = match frame.kind {
             FRAME_INDEX => {
-                let index = index_record_from_payload(frame.payload)
+                let index = graft_codec::from_slice::<IndexRecord>(frame.payload)
                     .map_err(TraceReadError::at(frame.start))?;
                 skip_group = up_to.is_some_and(|w| index.superstep > w);
                 ChannelRecord::Index(index)
@@ -1408,74 +1405,138 @@ pub fn walk_vertex_channel<'a>(
     })
 }
 
-/// Decodes a binary index frame's payload.
-pub fn index_record_from_payload(payload: &[u8]) -> Result<IndexRecord, graft_codec::Error> {
-    graft_codec::from_slice(payload)
+/// Calls `each` with every vertex record of a v2 worker channel, in
+/// order, its edges resolved; index frames and references are checked as
+/// [`walk_vertex_channel`] checks them.
+fn for_each_vertex_record(
+    bytes: &[u8],
+    mut each: impl FnMut(ErasedVertexTrace) -> graft_codec::Result<()>,
+) -> Result<(), TraceReadError> {
+    let channel = VertexChannel::new(bytes);
+    walk_vertex_channel(channel, None, |frame, read| match read {
+        ChannelRecord::Vertex(_) => each(channel.record(frame.payload)?),
+        ChannelRecord::Index(_) => Ok(()),
+    })
 }
 
-/// Decodes all vertex records from a worker trace file's bytes. A binary
-/// channel's typed records are reconstructed through their normalized
-/// dynamic values, edge references followed, so `T` can be a
-/// `VertexTraceOf<C>`, an [`ErasedVertexTrace`] or `serde_json::Value`
-/// alike; index frames and references are checked as
-/// [`walk_vertex_channel`] checks them. A legacy JSON-lines channel is
-/// parsed line by line.
-pub fn decode_vertex_records<T: DeserializeOwned>(
-    format: TraceFormat,
+/// Decodes every vertex record of a v2 worker channel, edge references
+/// followed, each built from its [`ErasedVertexTrace`]
+/// ([`ErasedVertexTrace::typed`]): `VertexTraceOf<C>` for a typed
+/// session, or the record itself.
+pub fn decode_vertex_records<I, V, E, M>(
     bytes: &[u8],
-) -> Result<Vec<T>, TraceReadError> {
+) -> Result<Vec<VertexTrace<I, V, E, M>>, TraceReadError>
+where
+    I: DeserializeOwned,
+    V: DeserializeOwned,
+    E: DeserializeOwned,
+    M: DeserializeOwned,
+{
     let mut out = Vec::new();
-    match format {
-        TraceFormat::JsonLines => for_each_line(bytes, false, |line| {
-            out.push(serde_json::from_slice(line)?);
-            Ok(())
-        })?,
-        format => {
-            let channel = VertexChannel::new(bytes, format);
-            walk_vertex_channel(channel, None, |frame, read| {
-                if let ChannelRecord::Vertex(_) = read {
-                    let value = channel.value(frame.payload)?;
-                    out.push(serde_json::from_value(&value).map_err(json_error)?);
-                }
-                Ok(())
+    for_each_vertex_record(bytes, |record| {
+        out.push(record.typed()?);
+        Ok(())
+    })?;
+    Ok(out)
+}
+
+/// Which channel of a trace directory a file is.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum ChannelKind {
+    /// A worker's `worker_<w>.trace`: vertex records.
+    Worker,
+    /// `master.trace`: master records.
+    Master,
+}
+
+/// The door every reader takes a channel through: the `kind` channel
+/// `bytes`, recorded in `format`, as the v2 bytes `trace convert --to
+/// binary` writes for them. A v2 channel passes as it is, and so does a
+/// v1 master channel, the layouts differing only in vertex payloads. Any
+/// other legacy channel is decoded in full and written again, record by
+/// record, through a [`ChannelWriter`]: a record that does not decode
+/// fails here, a v1 frame with its offset. With `torn_tail_ok`, the
+/// reading of a job still running, a last record caught mid-append — a
+/// line with no newline that does not parse, a frame overrunning the end
+/// — is left out, as the v2 walk leaves out a torn frame.
+pub fn v2_channel(
+    format: TraceFormat,
+    kind: ChannelKind,
+    bytes: Vec<u8>,
+    torn_tail_ok: bool,
+) -> Result<Vec<u8>, TraceReadError> {
+    let mut out = Vec::new();
+    let mut writer = ChannelWriter::default();
+    match (format, kind) {
+        (TraceFormat::BinaryV2, _) | (TraceFormat::Binary, ChannelKind::Master) => {
+            return Ok(bytes)
+        }
+        (TraceFormat::JsonLines, ChannelKind::Worker) => {
+            for_each_line(&bytes, torn_tail_ok, |line| {
+                let record: ErasedVertexTrace = serde_json::from_slice(line)?;
+                writer.append_vertex(&record, &mut out).map_err(serde::de::Error::custom)
+            })?
+        }
+        (TraceFormat::JsonLines, ChannelKind::Master) => {
+            for_each_line(&bytes, torn_tail_ok, |line| {
+                let record: MasterTrace = serde_json::from_slice(line)?;
+                writer.append_master(&record, &mut out).map_err(serde::de::Error::custom)
+            })?
+        }
+        (TraceFormat::Binary, ChannelKind::Worker) => {
+            for_each_frame(&bytes, torn_tail_ok, |frame| {
+                let mut upgrade = || match frame.kind {
+                    FRAME_INDEX => graft_codec::from_slice::<IndexRecord>(frame.payload).map(drop),
+                    FRAME_VERTEX => {
+                        let record: ErasedVertexTrace = graft_codec::from_slice(frame.payload)?;
+                        let appended = writer.append_vertex(&record, &mut out);
+                        appended.map_err(|e| graft_codec::Error::Message(e.to_string()))
+                    }
+                    other => Err(unexpected_kind(other, "a vertex trace")),
+                };
+                upgrade().map_err(TraceReadError::at(frame.start))
             })?
         }
     }
     Ok(out)
 }
 
-/// A worker channel as the untyped readers take it, and the layout it is
-/// in: a binary channel as it is, a legacy JSON-lines one upgraded to the
-/// v2 bytes `trace convert --to binary` writes for it. With
-/// `torn_tail_ok`, the reading of a job still running, a last line caught
-/// mid-append is left out, as the binary walk leaves out a torn frame.
-pub(crate) fn binary_worker_channel(
-    format: TraceFormat,
-    bytes: Vec<u8>,
-    torn_tail_ok: bool,
-) -> Result<(Vec<u8>, TraceFormat), TraceReadError> {
-    if format != TraceFormat::JsonLines {
-        return Ok((bytes, format));
-    }
-    let mut out = Vec::new();
-    let mut writer = ChannelWriter::default();
-    for_each_line(&bytes, torn_tail_ok, |line| {
-        let record: ErasedVertexTrace = serde_json::from_slice(line)?;
-        writer.append_vertex(&record, &mut out).map_err(serde::de::Error::custom)
-    })?;
-    Ok((out, TraceFormat::BinaryV2))
+/// Appends `record` to a JSON-lines channel.
+fn json_line<T: Serialize>(out: &mut Vec<u8>, record: &T) -> serde_json::Result<()> {
+    serde_json::to_vec_into(record, out)?;
+    out.push(b'\n');
+    Ok(())
 }
 
-/// Re-encodes a worker channel's vertex records, read in `source`, in
-/// `target` — byte for byte what capture writes, since both write through
-/// a [`ChannelWriter`]. Exported JSON lines hold every list inline.
-pub fn convert_vertex_channel(
+/// Re-encodes a `kind` channel recorded in `source` in `target`: through
+/// the door, so an import is byte for byte what capture writes, since
+/// both write through a [`ChannelWriter`]; an export to JSON lines then
+/// writes one document a record, every edge list inline.
+pub fn convert_channel(
+    kind: ChannelKind,
     source: TraceFormat,
     target: TraceFormat,
-    bytes: &[u8],
+    bytes: Vec<u8>,
 ) -> Result<Vec<u8>, Box<dyn std::error::Error>> {
-    let records: Vec<ErasedVertexTrace> = decode_vertex_records(source, bytes)?;
-    write_channel(target, &records, ChannelWriter::append_vertex)
+    let v2 = v2_channel(source, kind, bytes, false)?;
+    match target {
+        TraceFormat::BinaryV2 => Ok(v2),
+        TraceFormat::JsonLines => {
+            let mut out = Vec::new();
+            match kind {
+                ChannelKind::Worker => for_each_vertex_record(&v2, |record| {
+                    json_line(&mut out, &record).map_err(json_error)
+                })?,
+                ChannelKind::Master => {
+                    for record in decode_master_records(&v2, None)? {
+                        json_line(&mut out, &record)?;
+                    }
+                }
+            }
+            Ok(out)
+        }
+        TraceFormat::Binary => Err("binary layout v1 is read, not written".into()),
+    }
 }
 
 /// Rewrites the trace directory at `root` of `src` into the same path of
@@ -1501,9 +1562,9 @@ pub fn convert_trace_dir(
         let converted = if name == meta_path("") {
             continue;
         } else if workers.iter().any(|worker| worker == name) {
-            convert_vertex_channel(source, target, &bytes)
+            convert_channel(ChannelKind::Worker, source, target, bytes)
         } else if name == master_trace_path("") {
-            convert_master_channel(source, target, &bytes)
+            convert_channel(ChannelKind::Master, source, target, bytes)
         } else {
             Ok(bytes)
         };
@@ -1515,77 +1576,25 @@ pub fn convert_trace_dir(
     Ok(())
 }
 
-/// Re-encodes a master channel's records, read in `source`, in `target`.
-pub fn convert_master_channel(
-    source: TraceFormat,
-    target: TraceFormat,
-    bytes: &[u8],
-) -> Result<Vec<u8>, Box<dyn std::error::Error>> {
-    let records = decode_master_records(source, bytes)?;
-    write_channel(target, &records, ChannelWriter::append_master)
-}
-
-/// Writes `records` as a channel in `target`: binary frames through
-/// `append`, or one JSON document per line.
-fn write_channel<T: TraceRecord + Serialize>(
-    target: TraceFormat,
-    records: &[T],
-    append: fn(&mut ChannelWriter, &T, &mut Vec<u8>) -> Result<(), CaptureError>,
-) -> Result<Vec<u8>, Box<dyn std::error::Error>> {
-    if target == TraceFormat::Binary {
-        return Err("binary layout v1 is read, not written".into());
-    }
-    let mut out = Vec::new();
-    let mut writer = ChannelWriter::default();
-    for record in records {
-        if target == TraceFormat::JsonLines {
-            serde_json::to_vec_into(record, &mut out)?;
-            out.push(b'\n');
-        } else {
-            append(&mut writer, record, &mut out)?;
-        }
-    }
-    Ok(out)
-}
-
-/// Decodes all master records from the master trace file's bytes.
+/// Decodes the master records of a v2 master channel of supersteps up to
+/// `up_to`, the watermark of a job still running, under which a torn tail
+/// record is skipped instead of failing; without one, every record.
 pub fn decode_master_records(
-    format: TraceFormat,
-    bytes: &[u8],
-) -> Result<Vec<MasterTrace>, TraceReadError> {
-    master_records_up_to(format, bytes, None)
-}
-
-/// The master records of supersteps up to `up_to`, the watermark of a
-/// job still running, under which a torn tail record is skipped instead
-/// of failing; without one, every record.
-pub(crate) fn master_records_up_to(
-    format: TraceFormat,
     bytes: &[u8],
     up_to: Option<u64>,
 ) -> Result<Vec<MasterTrace>, TraceReadError> {
     let mut out = Vec::new();
-    let mut within = |trace: MasterTrace| {
-        if up_to.is_none_or(|w| trace.superstep <= w) {
-            out.push(trace);
+    for_each_frame(bytes, up_to.is_some(), |frame| {
+        let record: MasterTrace = match frame.kind {
+            FRAME_MASTER => graft_codec::from_slice(frame.payload),
+            other => Err(unexpected_kind(other, "the master trace")),
         }
-    };
-    match format {
-        TraceFormat::JsonLines => for_each_line(bytes, up_to.is_some(), |line| {
-            within(serde_json::from_slice(line)?);
-            Ok(())
-        })?,
-        TraceFormat::Binary | TraceFormat::BinaryV2 => {
-            for_each_frame(bytes, up_to.is_some(), |frame| {
-                let record = match frame.kind {
-                    FRAME_MASTER => graft_codec::from_slice(frame.payload),
-                    other => Err(unexpected_kind(other, "the master trace")),
-                };
-                within(record.map_err(TraceReadError::at(frame.start))?);
-                Ok(())
-            })?
+        .map_err(TraceReadError::at(frame.start))?;
+        if up_to.is_none_or(|w| record.superstep <= w) {
+            out.push(record);
         }
-    }
+        Ok(())
+    })?;
     Ok(out)
 }
 
@@ -1635,6 +1644,12 @@ mod tests {
         buf
     }
 
+    /// `records` exported to JSON lines.
+    fn export(records: &[VertexTrace<u64, i64, (), i64>]) -> Vec<u8> {
+        let (v2, json) = (TraceFormat::BinaryV2, TraceFormat::JsonLines);
+        convert_channel(ChannelKind::Worker, v2, json, channel_of(records)).unwrap()
+    }
+
     #[test]
     fn roundtrip_both_codecs() {
         let records = [sample_trace(), sample_trace()];
@@ -1642,41 +1657,34 @@ mod tests {
             (TraceFormat::JsonLines, json_lines(&records)),
             (TraceFormat::BinaryV2, channel_of(&records)),
         ] {
-            let decoded: Vec<VertexTrace<u64, i64, (), i64>> =
-                decode_vertex_records(format, &buf).unwrap();
-            assert_eq!(decoded.len(), 2);
-            assert_eq!(decoded[0].vertex, 672);
-            assert_eq!(decoded[0].violations[0].detail, "-7");
-            assert_eq!(decoded[1].aggregators[0].0, "phase");
+            let v2 = v2_channel(format, ChannelKind::Worker, buf, false).unwrap();
+            let decoded: Vec<VertexTrace<u64, i64, (), i64>> = decode_vertex_records(&v2).unwrap();
+            assert_eq!(decoded, records);
         }
     }
 
     #[test]
     fn binary_is_denser_than_json() {
         let bin = channel_of(&[sample_trace()]);
-        let json =
-            convert_vertex_channel(TraceFormat::BinaryV2, TraceFormat::JsonLines, &bin).unwrap();
+        let json = export(&[sample_trace()]);
         assert_eq!(json, json_lines(&[sample_trace()]));
         assert!(bin.len() < json.len() / 2, "bin {} vs json {}", bin.len(), json.len());
     }
 
     #[test]
     fn json_lines_are_actual_json() {
-        let bin = channel_of(&[sample_trace()]);
-        let buf =
-            convert_vertex_channel(TraceFormat::BinaryV2, TraceFormat::JsonLines, &bin).unwrap();
-        let text = String::from_utf8(buf).unwrap();
+        let text = String::from_utf8(export(&[sample_trace()])).unwrap();
         let parsed: serde_json::Value = serde_json::from_str(text.trim()).unwrap();
         assert_eq!(parsed["vertex"], 672);
         assert_eq!(parsed["superstep"], 41);
     }
 
     /// The pipeline's central invariant: a binary vertex frame decodes to
-    /// the *same* dynamic value that parsing the record's JSON line
-    /// yields, so views over either format are byte-identical.
+    /// the *same* record that parsing the record's JSON line yields, so
+    /// views over either format are byte-identical.
     #[test]
     fn binary_frame_reconstructs_the_json_parsed_value() {
-        let from_json: Value =
+        let from_json: ErasedVertexTrace =
             serde_json::from_slice(&serde_json::to_vec(&sample_trace()).unwrap()).unwrap();
 
         let mut bin = Vec::new();
@@ -1684,8 +1692,7 @@ mod tests {
         let mut scanner = graft_codec::frame::FrameScanner::new(&bin);
         let frame = scanner.next_frame().unwrap().unwrap();
         assert_eq!(frame.kind, FRAME_VERTEX);
-        let from_bin =
-            VertexChannel::new(&bin, TraceFormat::BinaryV2).value(frame.payload).unwrap();
+        let from_bin = VertexChannel::new(&bin).record(frame.payload).unwrap();
 
         assert_eq!(from_bin, from_json);
         assert_eq!(serde_json::to_vec(&from_bin).unwrap(), serde_json::to_vec(&from_json).unwrap());
@@ -1738,14 +1745,12 @@ mod tests {
 
         // Every record reads back whole, references followed, and equals
         // what a channel of inline lists reads back.
-        let decoded: Vec<VertexTrace<u64, i64, (), i64>> =
-            decode_vertex_records(TraceFormat::BinaryV2, &buf).unwrap();
+        let decoded: Vec<VertexTrace<u64, i64, (), i64>> = decode_vertex_records(&buf).unwrap();
         let mut inline = Vec::new();
         for record in &records {
             record.encode_binary_frame(&mut inline).unwrap();
         }
-        let expected: Vec<VertexTrace<u64, i64, (), i64>> =
-            decode_vertex_records(TraceFormat::BinaryV2, &inline).unwrap();
+        let expected: Vec<VertexTrace<u64, i64, (), i64>> = decode_vertex_records(&inline).unwrap();
         let vertex_bytes = |buf: &[u8]| -> usize {
             let mut scanner = FrameScanner::new(buf);
             std::iter::from_fn(|| scanner.next_frame().unwrap())
@@ -1781,26 +1786,60 @@ mod tests {
         }
     }
 
-    /// A legacy JSON-lines channel reads as the v2 channel capture writes
-    /// for the same records; a line torn mid-append is dropped only when
-    /// the reader is told the job is still running.
+    /// A legacy JSON-lines or v1 worker channel, and a JSON-lines master
+    /// channel, read as the v2 channel capture writes for the same
+    /// records; a record torn mid-append is dropped only when the reader is
+    /// told the job is still running.
     #[test]
     fn a_legacy_json_channel_upgrades_to_what_capture_writes() {
+        use ChannelKind::{Master, Worker};
+        use TraceFormat::{Binary, BinaryV2, JsonLines};
         let records = [sample_trace(), VertexTrace { superstep: 42, ..sample_trace() }];
         let lines = json_lines(&records);
-        let upgraded = binary_worker_channel(TraceFormat::JsonLines, lines.clone(), false).unwrap();
-        assert_eq!(upgraded, (channel_of(&records), TraceFormat::BinaryV2));
+        let upgraded = v2_channel(JsonLines, Worker, lines.clone(), false).unwrap();
+        assert_eq!(upgraded, channel_of(&records));
 
         let mut torn = lines.clone();
         torn.extend_from_slice(b"{\"superstep\":43,\"vertex\":6");
-        assert!(binary_worker_channel(TraceFormat::JsonLines, torn.clone(), false).is_err());
-        assert_eq!(binary_worker_channel(TraceFormat::JsonLines, torn, true).unwrap(), upgraded);
-        // Binary channels pass through as they are.
-        let v1 = b"any bytes".to_vec();
-        assert_eq!(
-            binary_worker_channel(TraceFormat::Binary, v1.clone(), false).unwrap(),
-            (v1, TraceFormat::Binary)
-        );
+        assert!(v2_channel(JsonLines, Worker, torn.clone(), false).is_err());
+        assert_eq!(v2_channel(JsonLines, Worker, torn, true).unwrap(), upgraded);
+
+        // v1: every list inline, an index frame at each superstep.
+        let mut v1 = Vec::new();
+        for (at, record) in records.iter().enumerate() {
+            let index = IndexRecord {
+                superstep: record.superstep,
+                records_before: at as u64,
+                bytes_before: v1.len() as u64,
+            };
+            encode_index_frame(&index, &mut v1).unwrap();
+            let erased: ErasedVertexTrace =
+                serde_json::from_slice(&serde_json::to_vec(record).unwrap()).unwrap();
+            graft_codec::frame::write_value_frame(&mut v1, FRAME_VERTEX, &erased).unwrap();
+        }
+        assert_eq!(v2_channel(Binary, Worker, v1.clone(), false).unwrap(), upgraded);
+        let torn = v1[..v1.len() - 2].to_vec();
+        assert!(v2_channel(Binary, Worker, torn.clone(), false).is_err());
+        assert_eq!(v2_channel(Binary, Worker, torn, true).unwrap(), channel_of(&records[..1]));
+
+        let master = MasterTrace {
+            superstep: 3,
+            global: GlobalData { superstep: 3, num_vertices: 10, num_edges: 20 },
+            aggregators: vec![("x".into(), AggValue::Double(0.5))],
+            halted: false,
+        };
+        let mut native = Vec::new();
+        ChannelWriter::default().append_master(&master, &mut native).unwrap();
+        let mut torn = json_lines(std::slice::from_ref(&master));
+        torn.extend_from_slice(b"{\"superstep\":4,");
+        assert!(v2_channel(JsonLines, Master, torn.clone(), false).is_err());
+        assert_eq!(v2_channel(JsonLines, Master, torn, true).unwrap(), native);
+
+        // v2 channels, and a v1 master channel, pass through as they are.
+        for (format, kind) in [(BinaryV2, Worker), (BinaryV2, Master), (Binary, Master)] {
+            let bytes = b"any bytes".to_vec();
+            assert_eq!(v2_channel(format, kind, bytes.clone(), false).unwrap(), bytes);
+        }
     }
 
     #[test]
@@ -1826,10 +1865,9 @@ mod tests {
         let mut scanner = graft_codec::frame::FrameScanner::new(&buf);
         let frame = scanner.next_frame().unwrap().unwrap();
         assert_eq!(frame.kind, FRAME_INDEX);
-        assert_eq!(index_record_from_payload(frame.payload).unwrap(), index);
+        assert_eq!(graft_codec::from_slice::<IndexRecord>(frame.payload).unwrap(), index);
 
-        let decoded: Vec<VertexTrace<u64, i64, (), i64>> =
-            decode_vertex_records(TraceFormat::BinaryV2, &buf).unwrap();
+        let decoded: Vec<VertexTrace<u64, i64, (), i64>> = decode_vertex_records(&buf).unwrap();
         assert_eq!(decoded.len(), 1);
         assert_eq!(decoded[0].superstep, 41);
     }
@@ -1845,15 +1883,11 @@ mod tests {
         let mut bin = Vec::new();
         ChannelWriter::default().append_master(&record, &mut bin).unwrap();
         let json = json_lines(std::slice::from_ref(&record));
-        for (format, buf) in [(TraceFormat::BinaryV2, &bin), (TraceFormat::JsonLines, &json)] {
-            let decoded: Vec<MasterTrace> = decode_master_records(format, buf).unwrap();
-            assert_eq!(decoded, vec![record.clone()]);
-        }
-        let exported =
-            convert_master_channel(TraceFormat::BinaryV2, TraceFormat::JsonLines, &bin).unwrap();
+        let (v2, lines) = (TraceFormat::BinaryV2, TraceFormat::JsonLines);
+        assert_eq!(decode_master_records(&bin, None).unwrap(), vec![record.clone()]);
+        let exported = convert_channel(ChannelKind::Master, v2, lines, bin.clone()).unwrap();
         assert_eq!(exported, json);
-        let imported =
-            convert_master_channel(TraceFormat::JsonLines, TraceFormat::BinaryV2, &json).unwrap();
+        let imported = convert_channel(ChannelKind::Master, lines, v2, json).unwrap();
         assert_eq!(imported, bin);
     }
 
@@ -1889,13 +1923,14 @@ mod tests {
 
     #[test]
     fn decode_rejects_garbage() {
-        assert!(decode_master_records(TraceFormat::JsonLines, b"{not json}\n").is_err());
-        assert!(decode_master_records(TraceFormat::BinaryV2, &[0xff, 0xff, 0xff]).is_err());
-        assert!(decode_vertex_records::<Value>(TraceFormat::BinaryV2, &[0xff, 0xff, 0xff]).is_err());
+        let json = b"{not json}\n".to_vec();
+        assert!(v2_channel(TraceFormat::JsonLines, ChannelKind::Master, json, false).is_err());
+        assert!(decode_master_records(&[0xff, 0xff, 0xff], None).is_err());
+        assert!(decode_vertex_records::<u64, i64, (), i64>(&[0xff, 0xff, 0xff]).is_err());
         // A master frame inside a worker file is a kind error, not a panic.
         let mut buf = Vec::new();
         graft_codec::frame::write_frame(&mut buf, FRAME_MASTER, b"");
-        let err = decode_vertex_records::<Value>(TraceFormat::BinaryV2, &buf).unwrap_err();
+        let err = decode_vertex_records::<u64, i64, (), i64>(&buf).unwrap_err();
         assert!(err.to_string().contains("record kind"), "{err}");
     }
 }

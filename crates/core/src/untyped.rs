@@ -3,16 +3,17 @@
 //! A [`crate::DebugSession`] needs the computation's Rust types to decode
 //! traces. Tools like `graft-cli` and `graft-server` — the browser-GUI
 //! stand-ins — must work on *any* job's traces, so this module reads
-//! traces into dynamic values instead: binary frames carry their
-//! computation-specific fields as tagged `BinValue` trees that reconstruct
-//! the exact dynamic values a JSON text round-trip gives (see
-//! `graft_codec::value`). A legacy JSON-lines worker channel is upgraded
-//! at open to the v2 bytes `trace convert --to binary` writes for it, so
-//! every row read here is a binary payload, and everything built on this
-//! module is byte-identical across formats.
+//! records whose computation-specific fields are type-erased: binary
+//! frames carry them as tagged `BinValue` trees that reconstruct the exact
+//! dynamic values a JSON text round-trip gives (see `graft_codec::value`).
+//! Every channel comes in through the door, [`crate::trace::v2_channel`]:
+//! a legacy JSON-lines or v1 channel is read in full, at open, into the
+//! v2 bytes `trace convert --to binary` writes for it, so every row read
+//! here is a v2 payload, and everything built on this module is
+//! byte-identical across formats.
 //!
 //! Rows are *not* materialized up front, and a binary frame is decoded
-//! into a tree only when somebody asks for its row:
+//! into a record only when somebody asks for its row:
 //!
 //! * **What `open` validates.** [`UntypedSession::open`] reads each
 //!   trace file once and checks every record: a vertex payload is
@@ -36,176 +37,130 @@
 //!   [`RowDigest`] per row — the texts and counts they show, skimmed
 //!   from the payload with no tree built ([`UntypedSession::digests`]).
 //!   What shows a whole record — the violations view its flagged rows,
-//!   a reproducer its one row — parses the payload once into the tree
-//!   an [`UntypedTrace`] wraps. Edges held by reference are read, one
-//!   hop, from the frame they name. A point lookup probes O(log rows) rows
-//!   with the head skim and parses what it returns. A superstep with a
-//!   million captures costs three words of index per row until then —
-//!   which is what lets the debug server paginate large supersteps
-//!   without holding parsed JSON trees for whole jobs in memory.
+//!   a reproducer its one row — decodes the payload once into the
+//!   record an [`UntypedTrace`] wraps. Edges held by reference are read,
+//!   one hop, from the frame they name. A point lookup probes O(log rows)
+//!   rows with the head skim and decodes what it returns. A superstep
+//!   with a million captures costs three words of index per row until
+//!   then — which is what lets the debug server paginate large supersteps
+//!   without holding decoded records for whole jobs in memory.
 //!
 //! The per-superstep index frames let [`UntypedSession::open_partial`]
-//! skip whole superstep groups beyond the live watermark without touching
-//! their payloads.
+//! skip whole superstep groups of a v2 channel beyond the live watermark
+//! without touching their payloads.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
+use graft_codec::BinValue;
 use graft_dfs::FileSystem;
+use graft_pregel::GlobalData;
 use serde_json::Value;
 
-use crate::session::{read_json, read_result, Indicators, SessionError};
+use crate::session::{read_channel, read_json, read_result, Indicators, SessionError};
 use crate::trace::{
-    binary_worker_channel, compact, master_records_up_to, master_trace_path, meta_path,
-    walk_vertex_channel, worker_trace_path, ChannelRecord, JobMeta, JobResultRecord, MasterTrace,
-    RowDigest, TraceFormat, VertexChannel, VertexHead, FLAG_EXCEPTION, FLAG_MESSAGE_VIOLATION,
-    FLAG_OTHER_VIOLATION, FLAG_VALUE_VIOLATION,
+    decode_master_records, master_trace_path, meta_path, violation_flag, walk_vertex_channel,
+    worker_trace_path, ChannelKind, ChannelRecord, ErasedVertexTrace, ExceptionInfo, JobMeta,
+    JobResultRecord, MasterTrace, RowDigest, VertexChannel, VertexHead, ViolationRecord,
+    FLAG_EXCEPTION, FLAG_MESSAGE_VIOLATION, FLAG_VALUE_VIOLATION,
 };
 
-/// One captured vertex context, as dynamic JSON.
-#[derive(Clone, Debug)]
-pub struct UntypedTrace(Value);
+/// Renders a type-erased value as the views show it: a string as itself,
+/// anything else as compact JSON.
+fn compact(value: &BinValue) -> String {
+    match &value.0 {
+        Value::String(s) => s.clone(),
+        other => other.to_string(),
+    }
+}
 
-impl From<Value> for UntypedTrace {
-    /// The record whose dynamic value is `raw`.
-    fn from(raw: Value) -> Self {
-        UntypedTrace(raw)
+/// One captured vertex context, its type-erased positions rendered as the
+/// views show them.
+#[derive(Clone, Debug)]
+pub struct UntypedTrace(ErasedVertexTrace);
+
+impl From<ErasedVertexTrace> for UntypedTrace {
+    fn from(record: ErasedVertexTrace) -> Self {
+        UntypedTrace(record)
     }
 }
 
 impl UntypedTrace {
     /// The capture's superstep.
     pub fn superstep(&self) -> u64 {
-        self.0["superstep"].as_u64().unwrap_or(0)
+        self.0.superstep
     }
 
     /// The vertex id, rendered.
     pub fn vertex(&self) -> String {
-        compact(&self.0["vertex"])
+        compact(&self.0.vertex)
     }
 
     /// The value at compute entry, rendered.
     pub fn value_before(&self) -> String {
-        compact(&self.0["value_before"])
+        compact(&self.0.value_before)
     }
 
     /// The value after compute, rendered.
     pub fn value_after(&self) -> String {
-        compact(&self.0["value_after"])
+        compact(&self.0.value_after)
     }
 
     /// The outgoing edges as `(target, edge value)` rendered pairs.
     pub fn edges(&self) -> Vec<(String, String)> {
-        self.0["edges"]
-            .as_array()
-            .map(|edges| {
-                edges
-                    .iter()
-                    .map(|pair| {
-                        let target = pair.get(0).map(compact).unwrap_or_default();
-                        let value = pair.get(1).map(compact).unwrap_or_default();
-                        (target, value)
-                    })
-                    .collect()
-            })
-            .unwrap_or_default()
+        self.0.edges.iter().map(|(target, value)| (compact(target), compact(value))).collect()
     }
 
     /// Number of incoming messages.
     pub fn incoming_count(&self) -> usize {
-        self.0["incoming"].as_array().map(Vec::len).unwrap_or(0)
+        self.0.incoming.len()
     }
 
     /// Number of outgoing messages.
     pub fn outgoing_count(&self) -> usize {
-        self.0["outgoing"].as_array().map(Vec::len).unwrap_or(0)
+        self.0.outgoing.len()
     }
 
     /// Whether the vertex voted to halt.
     pub fn halted_after(&self) -> bool {
-        self.0["halted_after"].as_bool().unwrap_or(false)
+        self.0.halted_after
     }
 
-    /// The default global data `(superstep, num_vertices, num_edges)` the
-    /// vertex observed, if recorded.
-    pub fn global(&self) -> Option<(u64, u64, u64)> {
-        let global = self.0.get("global")?;
-        Some((
-            global["superstep"].as_u64()?,
-            global["num_vertices"].as_u64()?,
-            global["num_edges"].as_u64()?,
-        ))
+    /// The default global data the vertex observed.
+    pub fn global(&self) -> GlobalData {
+        self.0.global
     }
 
     /// Capture reasons, rendered.
     pub fn reasons(&self) -> Vec<String> {
-        self.0["reasons"]
-            .as_array()
-            .map(|reasons| reasons.iter().map(compact).collect())
-            .unwrap_or_default()
+        self.0.reasons.iter().map(|reason| reason.as_str().to_string()).collect()
     }
 
-    /// Violations as `(kind, detail, target)` rendered triples.
-    pub fn violations(&self) -> Vec<(String, String, Option<String>)> {
-        self.0["violations"]
-            .as_array()
-            .map(|violations| {
-                violations
-                    .iter()
-                    .map(|v| {
-                        (
-                            compact(&v["kind"]),
-                            compact(&v["detail"]),
-                            v["target"].as_str().map(str::to_string),
-                        )
-                    })
-                    .collect()
-            })
-            .unwrap_or_default()
+    /// The constraint violations.
+    pub fn violations(&self) -> &[ViolationRecord] {
+        &self.0.violations
     }
 
-    /// The exception `(message, backtrace)`, if any.
-    pub fn exception(&self) -> Option<(String, Option<String>)> {
-        let exc = self.0.get("exception")?;
-        if exc.is_null() {
-            return None;
-        }
-        Some((compact(&exc["message"]), exc["backtrace"].as_str().map(str::to_string)))
+    /// The exception, if any.
+    pub fn exception(&self) -> Option<&ExceptionInfo> {
+        self.0.exception.as_ref()
     }
 
-    /// Aggregator `(name, rendered value)` pairs.
+    /// Aggregator `(name, value as compact JSON)` pairs.
     pub fn aggregators(&self) -> Vec<(String, String)> {
-        self.0["aggregators"]
-            .as_array()
-            .map(|aggs| {
-                aggs.iter()
-                    .map(|pair| {
-                        (
-                            pair.get(0).map(compact).unwrap_or_default(),
-                            pair.get(1).map(compact).unwrap_or_default(),
-                        )
-                    })
-                    .collect()
-            })
-            .unwrap_or_default()
+        let json = |value| serde_json::to_string(value).expect("an AggValue renders as JSON");
+        self.0.aggregators.iter().map(|(name, value)| (name.clone(), json(value))).collect()
     }
 
-    /// The raw JSON record.
-    pub fn raw(&self) -> &Value {
+    /// The record.
+    pub fn record(&self) -> &ErasedVertexTrace {
         &self.0
     }
 
     /// The `FLAG_*` bits of this record.
     fn flags(&self) -> u8 {
-        let mut flags = if self.exception().is_some() { FLAG_EXCEPTION } else { 0 };
-        for (kind, _, _) in self.violations() {
-            flags |= match kind.as_str() {
-                "Message" => FLAG_MESSAGE_VIOLATION,
-                "VertexValue" => FLAG_VALUE_VIOLATION,
-                _ => FLAG_OTHER_VIOLATION,
-            };
-        }
-        flags
+        let flags = if self.0.exception.is_some() { FLAG_EXCEPTION } else { 0 };
+        self.0.violations.iter().fold(flags, |flags, v| flags | violation_flag(v.kind))
     }
 
     /// What a listing view shows of this record: what
@@ -226,12 +181,11 @@ impl UntypedTrace {
     }
 }
 
-/// Reads worker `worker`'s trace file under `root`, if there is one, and
+/// Reads worker `worker`'s trace file under `root` through the door, and
 /// walks it, invoking `row` for every vertex record within the watermark
-/// with the record's head and its payload byte range; returns the binary
-/// channel walked and its layout. A legacy JSON-lines file is upgraded to
-/// v2 first. A payload is skimmed, not decoded into a tree (see
-/// [`VertexHead`]), and its edge reference checked
+/// with the record's head and its payload byte range; returns the v2
+/// channel walked, empty if the worker wrote no file. A payload is skimmed, not
+/// decoded (see [`VertexHead`]), and its edge reference checked
 /// ([`walk_vertex_channel`]). Shared by [`JobSummary::scan`] and
 /// [`UntypedSession::open`] so a job summarizes if and only if it opens.
 ///
@@ -247,18 +201,13 @@ fn walk_worker_rows(
     fs: &dyn FileSystem,
     root: &str,
     worker: usize,
-    format: TraceFormat,
+    meta: &JobMeta,
     up_to: Option<u64>,
     mut row: impl FnMut(VertexHead, usize, usize),
-) -> Result<Option<(Vec<u8>, TraceFormat)>, SessionError> {
+) -> Result<Vec<u8>, SessionError> {
     let path = worker_trace_path(root, worker);
-    if !fs.exists(&path) {
-        return Ok(None);
-    }
-    let decode = |e| SessionError::decode(&path, e);
-    let (bytes, format) =
-        binary_worker_channel(format, fs.read_all(&path)?, up_to.is_some()).map_err(decode)?;
-    walk_vertex_channel(VertexChannel::new(&bytes, format), up_to, |frame, read| {
+    let bytes = read_channel(fs, &path, meta, ChannelKind::Worker, up_to.is_some())?;
+    walk_vertex_channel(VertexChannel::new(&bytes), up_to, |frame, read| {
         if let ChannelRecord::Vertex(head) = read {
             if up_to.is_none_or(|w| head.superstep <= w) {
                 row(head, frame.payload_start, frame.payload.len());
@@ -266,8 +215,8 @@ fn walk_worker_rows(
         }
         Ok(())
     })
-    .map_err(decode)?;
-    Ok(Some((bytes, format)))
+    .map_err(|e| SessionError::decode(path, e))?;
+    Ok(bytes)
 }
 
 /// The listing-only facts of a job: metadata, terminal status, and
@@ -290,7 +239,7 @@ impl JobSummary {
         let meta: JobMeta = read_json(fs, &meta_path(root))?;
         let mut counts: BTreeMap<u64, usize> = BTreeMap::new();
         for worker in 0..meta.num_workers {
-            walk_worker_rows(fs, root, worker, meta.format(), None, |head, _, _| {
+            walk_worker_rows(fs, root, worker, &meta, None, |head, _, _| {
                 *counts.entry(head.superstep).or_default() += 1;
             })?;
         }
@@ -337,12 +286,11 @@ struct RowRef {
 
 /// A type-erased debug session over a run's traces, in any format.
 ///
-/// Holds the binary worker channels plus a per-superstep row index sorted by
+/// Holds the v2 worker channels plus a per-superstep row index sorted by
 /// rendered vertex id and carrying each row's violation/exception flags;
-/// individual rows are parsed on demand (see the module docs).
+/// individual rows are decoded on demand (see the module docs).
 pub struct UntypedSession {
     meta: JobMeta,
-    format: TraceFormat,
     result: Option<JobResultRecord>,
     workers: Vec<Vec<u8>>,
     index: BTreeMap<u64, Vec<RowRef>>,
@@ -366,7 +314,8 @@ impl UntypedSession {
     /// instead of failing the open. A malformed record anywhere else
     /// still fails: the watermark protocol guarantees completed
     /// supersteps are durable and well-formed, so mid-file corruption is
-    /// real corruption.
+    /// real corruption. A legacy channel, which no job is still writing,
+    /// is read in full.
     pub fn open_partial(
         fs: Arc<dyn FileSystem>,
         root: &str,
@@ -387,27 +336,15 @@ impl UntypedSession {
         // the channel bytes and the byte-range index survive, the keys
         // until the rows are sorted.
         let mut workers: Vec<Vec<u8>> = Vec::new();
-        // The layout the channels are read in: a JSON-lines trace's are
-        // upgraded.
-        let mut format = meta.format();
         let mut by_superstep: BTreeMap<u64, Vec<(String, RowRef)>> = BTreeMap::new();
         for worker in 0..meta.num_workers {
-            let held = u32::try_from(workers.len()).expect("fewer than 2^32 files are held");
-            let walked = walk_worker_rows(
-                fs.as_ref(),
-                root,
-                worker,
-                meta.format(),
-                up_to,
-                |head, start, len| {
+            let held = u32::try_from(worker).expect("fewer than 2^32 workers");
+            let walked =
+                walk_worker_rows(fs.as_ref(), root, worker, &meta, up_to, |head, start, len| {
                     let row = RowRef { start, len, worker: held, flags: head.flags };
                     by_superstep.entry(head.superstep).or_default().push((head.vertex, row));
-                },
-            )?;
-            if let Some((bytes, layout)) = walked {
-                format = layout;
-                workers.push(bytes);
-            }
+                })?;
+            workers.push(walked);
         }
         let index = by_superstep
             .into_iter()
@@ -417,28 +354,25 @@ impl UntypedSession {
             })
             .collect();
 
-        let mut master: Vec<MasterTrace> = Vec::new();
-        let master_path = master_trace_path(root);
-        if fs.exists(&master_path) {
-            let bytes = fs.read_all(&master_path)?;
-            master = master_records_up_to(meta.format(), &bytes, up_to)
-                .map_err(|e| SessionError::decode(master_path, e))?;
-        }
+        let path = master_trace_path(root);
+        let bytes = read_channel(fs.as_ref(), &path, &meta, ChannelKind::Master, up_to.is_some())?;
+        let master =
+            decode_master_records(&bytes, up_to).map_err(|e| SessionError::decode(path, e))?;
 
         let result = read_result(fs.as_ref(), root)?;
 
-        Ok(Self { meta, format, result, workers, index, master })
+        Ok(Self { meta, result, workers, index, master })
     }
 
     /// The worker channel a row lies in, and the row's frame payload.
     fn row_bytes(&self, row: &RowRef) -> (VertexChannel<'_>, &[u8]) {
         let bytes = &self.workers[row.worker as usize];
-        (VertexChannel::new(bytes, self.format), &bytes[row.start..row.start + row.len])
+        (VertexChannel::new(bytes), &bytes[row.start..row.start + row.len])
     }
 
     fn parse_row(&self, row: &RowRef) -> UntypedTrace {
         let (channel, bytes) = self.row_bytes(row);
-        UntypedTrace(channel.value(bytes).expect("rows were validated by open()"))
+        UntypedTrace(channel.record(bytes).expect("rows were validated by open()"))
     }
 
     fn digest_row(&self, row: &RowRef, with_edges: bool) -> RowDigest {
@@ -575,7 +509,7 @@ impl UntypedSession {
 mod tests {
     use super::*;
     use crate::testing::premade;
-    use crate::trace::{convert_master_channel, convert_vertex_channel, FRAME_VERTEX};
+    use crate::trace::{convert_channel, TraceFormat, FRAME_VERTEX};
     use crate::{DebugConfig, GraftRunner};
     use graft_pregel::{Computation, ContextOf, VertexHandleOf};
 
@@ -665,15 +599,16 @@ mod tests {
         let mut meta: JobMeta = read_json(fs.as_ref(), &meta_path(bin_root)).unwrap();
         meta.trace_format = Some(TraceFormat::JsonLines);
         fs.write_all(&meta_path(json_root), &serde_json::to_vec(&meta).unwrap()).unwrap();
+        let export = |kind, path: String, to: String| {
+            let bytes = fs.read_all(&path).unwrap();
+            let lines = convert_channel(kind, TraceFormat::BinaryV2, TraceFormat::JsonLines, bytes);
+            fs.write_all(&to, &lines.unwrap()).unwrap();
+        };
         for w in 0..2 {
-            let bytes = fs.read_all(&worker_trace_path(bin_root, w)).unwrap();
-            let lines =
-                convert_vertex_channel(TraceFormat::BinaryV2, TraceFormat::JsonLines, &bytes);
-            fs.write_all(&worker_trace_path(json_root, w), &lines.unwrap()).unwrap();
+            let (from, to) = (worker_trace_path(bin_root, w), worker_trace_path(json_root, w));
+            export(ChannelKind::Worker, from, to);
         }
-        let bytes = fs.read_all(&master_trace_path(bin_root)).unwrap();
-        let lines = convert_master_channel(TraceFormat::BinaryV2, TraceFormat::JsonLines, &bytes);
-        fs.write_all(&master_trace_path(json_root), &lines.unwrap()).unwrap();
+        export(ChannelKind::Master, master_trace_path(bin_root), master_trace_path(json_root));
         let json = UntypedSession::open(fs.clone(), json_root).unwrap();
         let bin = UntypedSession::open(fs.clone(), bin_root).unwrap();
 
@@ -686,7 +621,7 @@ mod tests {
             let json_rows = json.captured_at(ss);
             assert_eq!(bin_rows.len(), json_rows.len());
             for (b, j) in bin_rows.iter().zip(&json_rows) {
-                assert_eq!(b.raw(), j.raw(), "superstep {ss}");
+                assert_eq!(b.record(), j.record(), "superstep {ss}");
             }
         }
         assert_eq!(bin.master_traces(), json.master_traces());
@@ -910,8 +845,8 @@ mod tests {
                     let scanned = session.traces_at(superstep).find(|t| t.vertex() == probe);
                     let found = session.vertex_at(superstep, probe);
                     assert_eq!(
-                        found.map(|t| t.raw().clone()),
-                        scanned.map(|t| t.raw().clone()),
+                        found.map(|t| t.record().clone()),
+                        scanned.map(|t| t.record().clone()),
                         "{format:?}: {probe:?} in superstep {superstep}"
                     );
                 }
@@ -944,7 +879,7 @@ mod tests {
         assert_eq!(page.len(), 25);
         let all = session.captured_at(0);
         for (paged, full) in page.iter().zip(&all[9_950..9_975]) {
-            assert_eq!(paged.raw().to_string(), full.raw().to_string());
+            assert_eq!(paged.record(), full.record());
         }
         let mut keys: Vec<String> = all.iter().map(|t| t.vertex()).collect();
         let sorted = {

@@ -14,16 +14,18 @@
 //!
 //! The listing views — node-link, tabular — read a [`RowDigest`] a row,
 //! skimmed from the payload; only what shows a whole record (the
-//! violations view, reproducers) parses rows into trees.
+//! violations view, reproducers) decodes rows into records.
 
 use std::collections::HashSet;
 use std::sync::Arc;
 
+use graft_pregel::GlobalData;
 use serde::Serialize;
 
 use crate::session::Indicators;
 use crate::trace::{JobMeta, JobResultRecord, RowDigest};
 use crate::untyped::{JobSummary, UntypedSession};
+use crate::views::violations::{capture_rows, ViolationRow};
 
 /// Renders a view value in the canonical wire form: compact JSON plus a
 /// trailing newline.
@@ -205,28 +207,12 @@ pub struct TabularJson {
     pub total_rows: usize,
 }
 
-/// One row of the violations view (paper Figure 5).
-#[derive(Clone, Debug, Serialize)]
-pub struct ViolationJson {
-    /// For exceptions, the captured stack trace.
-    pub backtrace: Option<String>,
-    /// The offending value / the exception message.
-    pub detail: String,
-    /// `"message"`, `"vertex value"`, or `"exception"`.
-    pub kind: String,
-    /// The superstep the violation/exception happened in.
-    pub superstep: u64,
-    /// For message violations, the target vertex.
-    pub target: Option<String>,
-    /// The offending vertex, rendered.
-    pub vertex: String,
-}
-
-/// The violations view, optionally restricted to one superstep.
+/// The violations view (paper Figure 5), optionally restricted to one
+/// superstep.
 #[derive(Clone, Debug, Serialize)]
 pub struct ViolationsJson {
     /// Violation/exception rows, ordered by superstep then vertex.
-    pub rows: Vec<ViolationJson>,
+    pub rows: Vec<ViolationRow>,
     /// The superstep filter, if any.
     pub superstep: Option<u64>,
 }
@@ -297,14 +283,9 @@ pub fn node_link_json(session: &UntypedSession, superstep: u64) -> NodeLinkJson 
     // Where the links of the rows sharing the current id begin.
     let mut group_at = 0;
     let by_target = |a: &LinkJson, b: &LinkJson| a.to.cmp(&b.to);
-    for (i, row) in session.digests(superstep, 0, usize::MAX, true).enumerate() {
-        if i == 0 {
-            global = row.global.map(|(superstep, num_vertices, num_edges)| GlobalJson {
-                num_edges,
-                num_vertices,
-                superstep,
-            });
-        }
+    for row in session.digests(superstep, 0, usize::MAX, true) {
+        let GlobalData { superstep: at, num_vertices, num_edges } = row.global;
+        global.get_or_insert(GlobalJson { num_edges, num_vertices, superstep: at });
         let id: Arc<str> = row.vertex.into();
         if nodes.last().is_some_and(|node| node.id == id) {
             // A later capture of the same vertex replaces the node; the
@@ -420,9 +401,8 @@ pub fn tabular_json(
     }
 }
 
-/// The violations view, optionally restricted to one superstep. Kind
-/// names match the typed `ViolationRow` ones: `"message"`,
-/// `"vertex value"`, `"exception"`.
+/// The violations view, optionally restricted to one superstep: the rows
+/// the typed view shows, read off the flagged rows' records.
 pub fn violations_json(session: &UntypedSession, superstep: Option<u64>) -> ViolationsJson {
     let supersteps: Vec<u64> = match superstep {
         Some(ss) => vec![ss],
@@ -431,30 +411,8 @@ pub fn violations_json(session: &UntypedSession, superstep: Option<u64>) -> Viol
     let mut rows = Vec::new();
     for ss in supersteps {
         for trace in session.flagged_at(ss) {
-            for (kind, detail, target) in trace.violations() {
-                rows.push(ViolationJson {
-                    superstep: ss,
-                    vertex: trace.vertex(),
-                    kind: match kind.as_str() {
-                        "Message" => "message".to_string(),
-                        "VertexValue" => "vertex value".to_string(),
-                        other => other.to_ascii_lowercase(),
-                    },
-                    detail,
-                    target,
-                    backtrace: None,
-                });
-            }
-            if let Some((message, backtrace)) = trace.exception() {
-                rows.push(ViolationJson {
-                    superstep: ss,
-                    vertex: trace.vertex(),
-                    kind: "exception".to_string(),
-                    detail: message,
-                    target: None,
-                    backtrace,
-                });
-            }
+            let (vertex, record) = (trace.vertex(), trace.record());
+            rows.extend(capture_rows(ss, &vertex, &record.violations, &record.exception));
         }
     }
     ViolationsJson { superstep, rows }

@@ -1,25 +1,28 @@
 //! The Violations and Exceptions view (paper Figure 5).
 
 use graft_pregel::Computation;
+use serde::Serialize;
 
 use crate::session::DebugSession;
+use crate::trace::{ExceptionInfo, ViolationKind, ViolationRecord};
 use crate::views::{text_table, truncate};
 
-/// One row of the view.
-#[derive(Clone, Debug)]
+/// One row of the view, and of its JSON document (`views::json`), whose
+/// key order its fields are declared in.
+#[derive(Clone, Debug, Serialize)]
 pub struct ViolationRow {
-    /// The superstep the violation/exception happened in.
-    pub superstep: u64,
-    /// The offending vertex, rendered.
-    pub vertex: String,
-    /// `"message"`, `"vertex value"`, or `"exception"`.
-    pub kind: &'static str,
-    /// The offending value / the exception message.
-    pub detail: String,
-    /// For message violations, the target vertex.
-    pub target: Option<String>,
     /// For exceptions, the captured stack trace.
     pub backtrace: Option<String>,
+    /// The offending value / the exception message.
+    pub detail: String,
+    /// `"message"`, `"vertex value"`, or `"exception"`.
+    pub kind: &'static str,
+    /// The superstep the violation/exception happened in.
+    pub superstep: u64,
+    /// For message violations, the target vertex.
+    pub target: Option<String>,
+    /// The offending vertex, rendered.
+    pub vertex: String,
 }
 
 /// Tabular view of every constraint violation and exception in the run.
@@ -38,29 +41,8 @@ impl<'a, C: Computation> ViolationsView<'a, C> {
         let mut rows = Vec::new();
         for superstep in self.session.supersteps() {
             for trace in self.session.captured_at(superstep) {
-                for violation in &trace.violations {
-                    rows.push(ViolationRow {
-                        superstep,
-                        vertex: trace.vertex.to_string(),
-                        kind: match violation.kind {
-                            crate::trace::ViolationKind::Message => "message",
-                            crate::trace::ViolationKind::VertexValue => "vertex value",
-                        },
-                        detail: violation.detail.clone(),
-                        target: violation.target.clone(),
-                        backtrace: None,
-                    });
-                }
-                if let Some(exception) = &trace.exception {
-                    rows.push(ViolationRow {
-                        superstep,
-                        vertex: trace.vertex.to_string(),
-                        kind: "exception",
-                        detail: exception.message.clone(),
-                        target: None,
-                        backtrace: exception.backtrace.clone(),
-                    });
-                }
+                let vertex = trace.vertex.to_string();
+                rows.extend(capture_rows(superstep, &vertex, &trace.violations, &trace.exception));
             }
         }
         rows
@@ -70,6 +52,35 @@ impl<'a, C: Computation> ViolationsView<'a, C> {
     pub fn to_text(&self) -> String {
         render_rows("Violations and Exceptions view", &self.rows())
     }
+}
+
+/// The rows of one capture of `vertex` (rendered): one per violation,
+/// then one for the exception, if any.
+pub(crate) fn capture_rows<'a>(
+    superstep: u64,
+    vertex: &'a str,
+    violations: &'a [ViolationRecord],
+    exception: &'a Option<ExceptionInfo>,
+) -> impl Iterator<Item = ViolationRow> + 'a {
+    let violations = violations.iter().map(move |violation| ViolationRow {
+        superstep,
+        vertex: vertex.to_string(),
+        kind: match violation.kind {
+            ViolationKind::Message => "message",
+            ViolationKind::VertexValue => "vertex value",
+        },
+        detail: violation.detail.clone(),
+        target: violation.target.clone(),
+        backtrace: None,
+    });
+    violations.chain(exception.iter().map(move |exception| ViolationRow {
+        superstep,
+        vertex: vertex.to_string(),
+        kind: "exception",
+        detail: exception.message.clone(),
+        target: None,
+        backtrace: exception.backtrace.clone(),
+    }))
 }
 
 /// Renders violation rows in the paper's tabular style. Public so other

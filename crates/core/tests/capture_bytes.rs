@@ -9,7 +9,7 @@
 use std::sync::Arc;
 
 use graft::trace::{
-    convert_vertex_channel, decode_vertex_records, worker_trace_path, ErasedVertexTrace,
+    convert_channel, decode_vertex_records, worker_trace_path, ChannelKind, ErasedVertexTrace,
     TraceFormat, WireEdges, WireVertexTrace, FRAME_VERTEX,
 };
 use graft::{DebugConfig, GraftRunner};
@@ -51,8 +51,7 @@ fn channel_records(fs: &Arc<dyn FileSystem>) -> Vec<Vec<(String, Vec<String>, bo
     (0..WORKERS)
         .map(|w| {
             let bytes = fs.read_all(&worker_trace_path(ROOT, w)).unwrap();
-            let records: Vec<ErasedVertexTrace> =
-                decode_vertex_records(TraceFormat::BinaryV2, &bytes).unwrap();
+            let records: Vec<ErasedVertexTrace> = decode_vertex_records(&bytes).unwrap();
             let mut inline = Vec::new();
             let mut scanner = FrameScanner::new(&bytes);
             while let Some(frame) = scanner.next_frame().unwrap() {
@@ -97,8 +96,14 @@ fn binary_channels_are_at_most_half_the_json_bytes() {
     let (mut binary, mut json) = (0, 0);
     for w in 0..WORKERS {
         let bytes = fs.read_all(&worker_trace_path(ROOT, w)).unwrap();
-        let lines = convert_vertex_channel(TraceFormat::BinaryV2, TraceFormat::JsonLines, &bytes);
-        (binary, json) = (binary + bytes.len(), json + lines.unwrap().len());
+        let binary_len = bytes.len();
+        let lines = convert_channel(
+            ChannelKind::Worker,
+            TraceFormat::BinaryV2,
+            TraceFormat::JsonLines,
+            bytes,
+        );
+        (binary, json) = (binary + binary_len, json + lines.unwrap().len());
     }
     assert!(binary * 2 <= json, "binary {binary} vs JSON {json} bytes");
 }

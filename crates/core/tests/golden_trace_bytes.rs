@@ -17,8 +17,8 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use graft::trace::{
-    convert_master_channel, convert_vertex_channel, encode_index_frame, master_trace_path,
-    meta_path, worker_trace_path, IndexRecord, JobMeta, TraceFormat, TraceRecord,
+    convert_channel, encode_index_frame, master_trace_path, meta_path, worker_trace_path,
+    ChannelKind, IndexRecord, JobMeta, TraceFormat, TraceRecord,
 };
 use graft::untyped::UntypedSession;
 use graft::views::json as vj;
@@ -86,13 +86,14 @@ fn assert_converts(fs: &Arc<dyn FileSystem>, root: &str) {
     let (v2, json) = (TraceFormat::BinaryV2, TraceFormat::JsonLines);
     for worker in 0..2 {
         let captured = fs.read_all(&worker_trace_path(root, worker)).unwrap();
-        let exported = convert_vertex_channel(v2, json, &captured).unwrap();
-        let imported = convert_vertex_channel(json, v2, &exported).unwrap();
+        let exported = convert_channel(ChannelKind::Worker, v2, json, captured.clone()).unwrap();
+        let imported = convert_channel(ChannelKind::Worker, json, v2, exported).unwrap();
         assert_eq!(imported, captured, "worker {worker}");
     }
     let captured = fs.read_all(&master_trace_path(root)).unwrap();
-    let exported = convert_master_channel(v2, json, &captured).unwrap();
-    assert_eq!(convert_master_channel(json, v2, &exported).unwrap(), captured, "master");
+    let exported = convert_channel(ChannelKind::Master, v2, json, captured.clone()).unwrap();
+    let imported = convert_channel(ChannelKind::Master, json, v2, exported).unwrap();
+    assert_eq!(imported, captured, "master");
 }
 
 fn assert_golden(actual: &[(String, usize, u64)], golden: &[(&str, usize, u64)]) {

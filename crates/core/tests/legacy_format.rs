@@ -197,6 +197,64 @@ fn legacy_traces_import_to_the_bytes_of_a_v2_capture() {
     assert!(again.unwrap_err().to_string().contains("already uses BinaryV2"));
 }
 
+/// Opens the legacy directory of `fs` through every reader. Each must end
+/// in a typed error or in a session whose every view and reproducer
+/// renders; where the summary and the session both open, they agree.
+fn every_reader_fails_typed_or_renders(fs: &Arc<dyn FileSystem>) {
+    let opened = UntypedSession::open(fs.clone(), "/legacy");
+    if let (Ok(session), Ok(summary)) = (&opened, JobSummary::scan(fs.as_ref(), "/legacy")) {
+        assert_eq!(summary.supersteps(), session.supersteps());
+        for ss in session.supersteps() {
+            assert_eq!(summary.count_at(ss), session.count_at(ss));
+        }
+    }
+    let partial = UntypedSession::open_partial(fs.clone(), "/legacy", u64::MAX);
+    for session in [opened, partial].into_iter().flatten() {
+        served_views(&session);
+    }
+    if let Ok(typed) = DebugSession::<Relay>::open(fs.clone(), "/legacy") {
+        typed.violations_view().to_text();
+        for ss in typed.supersteps() {
+            typed.node_link_view(ss).to_text();
+            typed.tabular_view(ss).to_text();
+            for trace in typed.captured_at(ss) {
+                typed.reproduce_vertex(trace.vertex, ss).unwrap().generate_test_source();
+            }
+        }
+    }
+}
+
+/// The door under damage: every cut and a set of single-byte flips of
+/// each channel of both legacy fixtures, through every reader. A release
+/// build flips each byte three ways, a debug one once.
+#[test]
+fn damaged_legacy_channels_fail_typed_or_serve_every_view() {
+    let flips: &[u8] = if cfg!(debug_assertions) { &[0xff] } else { &[0x01, 0x80, 0xff] };
+    for name in ["legacy_binary_v1_trace", "legacy_json_trace"] {
+        let fs = load_fixture(name);
+        for channel in CHANNELS {
+            let path = format!("/legacy/{channel}");
+            let pristine = fs.read_all(&path).unwrap();
+            let cuts = (0..pristine.len()).map(|cut| pristine[..cut].to_vec());
+            let flipped = (0..pristine.len()).flat_map(|at| {
+                flips.iter().map({
+                    let pristine = &pristine;
+                    move |flip| {
+                        let mut bytes = pristine.clone();
+                        bytes[at] ^= flip;
+                        bytes
+                    }
+                })
+            });
+            for damaged in cuts.chain(flipped) {
+                fs.write_all(&path, &damaged).unwrap();
+                every_reader_fails_typed_or_renders(&fs);
+            }
+            fs.write_all(&path, &pristine).unwrap();
+        }
+    }
+}
+
 /// The export half, pinned against real legacy bytes: the JSON fixture
 /// imported and exported again is the fixture, channel for channel.
 #[test]

@@ -1,22 +1,28 @@
 //! Differential test of the read path against plain decoding, over valid
 //! vertex payloads of every algorithm in `graft-algorithms` — in layout
-//! v1, and in layout v2 with the edges inline and by reference — and over
+//! v2 with the edges inline and by reference, and in layout v1 — and over
 //! seeded mutations of them:
 //!
-//! * skimming a payload (`VertexChannel::head`) succeeds exactly when
-//!   decoding it in full (`WireVertexTrace`, in v1 `ErasedVertexTrace`)
-//!   does, with the same error when not — which is what lets
-//!   `UntypedSession` parse a row `open` only skimmed;
-//! * the head is what the full value says: superstep, rendered vertex,
-//!   flag bits;
+//! * skimming a v2 payload (`VertexChannel::head`) succeeds exactly when
+//!   decoding it in full as a `WireVertexTrace` does, with the same error
+//!   when not — which is what lets `UntypedSession` decode a row `open`
+//!   only skimmed;
+//! * the head is what the record says: superstep, rendered vertex, flag
+//!   bits;
 //! * the row digest the listing views read (`VertexChannel::digest`)
 //!   decodes exactly when the record does, with the same error, and every
 //!   field of it is what the `UntypedTrace` accessor of that name says of
-//!   the full value;
-//! * `VertexChannel::value`, and the digest with edges, follow an edge
+//!   the record;
+//! * `VertexChannel::record`, and the digest with edges, follow an edge
 //!   reference exactly when it names a frame of the channel recording the
-//!   same vertex with its edges inline, and then build what decoding the
-//!   record, taking that frame's edges and normalizing gives.
+//!   same vertex with its edges inline, and the record is then what
+//!   decoding the payload and taking that frame's edges gives;
+//! * a v1 channel passes the door (`v2_channel`) exactly when its payload
+//!   decodes as an `ErasedVertexTrace`, fails with that error at that
+//!   frame's offset otherwise, and becomes a v2 channel that reads, every
+//!   way above, as that record — its type-erased values put through a
+//!   JSON text round trip, as the door writes them through the tagged
+//!   encoding.
 //!
 //! Every edge reference a channel can hold wrong — dangling, forward, to
 //! itself, to another reference, to a frame of another kind or vertex, to
@@ -36,24 +42,25 @@ use common::{
     rw_value, Rng64,
 };
 use graft::trace::{
-    encode_index_frame, meta_path, walk_vertex_channel, worker_trace_path, ChannelWriter, EdgeRefs,
-    ErasedVertexTrace, IndexRecord, JobMeta, TraceFormat, TraceReadError, TraceRecord,
-    VertexChannel, VertexHead, VertexTrace, WireEdges, WireVertexTrace, FLAG_EXCEPTION,
-    FLAG_MESSAGE_VIOLATION, FLAG_VALUE_VIOLATION, FRAME_VERTEX,
+    encode_index_frame, meta_path, v2_channel, walk_vertex_channel, worker_trace_path, ChannelKind,
+    ChannelWriter, EdgeRefs, ErasedVertexTrace, IndexRecord, JobMeta, TraceFormat, TraceReadError,
+    TraceRecord, VertexChannel, VertexHead, VertexTrace, WireEdges, WireVertexTrace,
+    FLAG_EXCEPTION, FLAG_MESSAGE_VIOLATION, FLAG_VALUE_VIOLATION, FRAME_VERTEX,
 };
 use graft::untyped::{JobSummary, UntypedSession, UntypedTrace};
-use graft::{DebugSession, SessionError};
+use graft::{DebugSession, SessionError, ViolationKind};
 use graft_codec::frame::{write_frame, write_value_frame, FrameScanner};
+use graft_codec::BinValue;
 use graft_dfs::{FileSystem, InMemoryFs};
 use graft_pregel::{Computation, ContextOf, GlobalData, VertexHandleOf};
 use rand::{Rng, SeedableRng};
 use serde_json::Value;
 
 /// A payload under test: the last frame of a channel whose earlier
-/// frames it may reference.
+/// frames it may reference, or, in layout v1, a channel's one frame.
 #[derive(Clone)]
 struct Case {
-    format: TraceFormat,
+    v1: bool,
     before: Vec<u8>,
     payload: Vec<u8>,
 }
@@ -66,14 +73,9 @@ impl Case {
     }
 }
 
-/// The record a payload decodes to, its edges left empty when it holds a
-/// reference, and the offset the reference names.
-fn decode(format: TraceFormat, payload: &[u8]) -> Result<(ErasedVertexTrace, Option<u64>), String> {
-    if format == TraceFormat::Binary {
-        return graft_codec::from_slice(payload)
-            .map(|record| (record, None))
-            .map_err(|e| e.to_string());
-    }
+/// The record a v2 payload decodes to, its edges left empty when it
+/// holds a reference, and the offset the reference names.
+fn decode(payload: &[u8]) -> Result<(ErasedVertexTrace, Option<u64>), String> {
     let wire: WireVertexTrace = graft_codec::from_slice(payload).map_err(|e| e.to_string())?;
     let (edges, target) = match wire.edges {
         WireEdges::Inline(edges) => (edges, None),
@@ -102,46 +104,50 @@ fn decode(format: TraceFormat, payload: &[u8]) -> Result<(ErasedVertexTrace, Opt
 fn referenced_edges(
     channel: &[u8],
     target: u64,
-    vertex: &graft_codec::BinValue,
-) -> Option<Vec<(graft_codec::BinValue, graft_codec::BinValue)>> {
+    vertex: &BinValue,
+) -> Option<Vec<(BinValue, BinValue)>> {
     let mut scanner = FrameScanner::new(channel);
     while let Ok(Some(frame)) = scanner.next_frame() {
         if frame.start as u64 != target || frame.kind != FRAME_VERTEX {
             continue;
         }
-        let (record, reference) = decode(TraceFormat::BinaryV2, frame.payload).ok()?;
+        let (record, reference) = decode(frame.payload).ok()?;
         let same = graft_codec::to_vec(&record.vertex).ok()? == graft_codec::to_vec(vertex).ok()?;
         return (same && reference.is_none()).then_some(record.edges);
     }
     None
 }
 
-/// The normalized dynamic value of a record: what parsing its JSON line
-/// gives.
-fn value_of(record: &ErasedVertexTrace) -> Value {
-    let mut value = serde_json::to_value(record).unwrap();
-    graft_codec::normalize(&mut value);
-    value
+/// `record` with every type-erased value as a JSON text round trip gives
+/// it back.
+fn normalized(mut record: ErasedVertexTrace) -> ErasedVertexTrace {
+    let pairs = |list: &mut Vec<(BinValue, BinValue)>| {
+        list.iter_mut()
+            .for_each(|(a, b)| [a, b].into_iter().for_each(|v| graft_codec::normalize(&mut v.0)))
+    };
+    pairs(&mut record.edges);
+    pairs(&mut record.outgoing);
+    let singles = [&mut record.vertex, &mut record.value_before, &mut record.value_after];
+    for value in singles.into_iter().chain(&mut record.incoming) {
+        graft_codec::normalize(&mut value.0);
+    }
+    record
 }
 
-/// The head, read off the full value the way the views read a row.
-fn head_of(value: &Value) -> VertexHead {
-    let mut flags = 0;
-    for violation in value["violations"].as_array().unwrap() {
-        flags |= match violation["kind"].as_str().unwrap() {
-            "Message" => FLAG_MESSAGE_VIOLATION,
-            "VertexValue" => FLAG_VALUE_VIOLATION,
-            other => panic!("violation kind {other}"),
+/// The head, read off the record the way the views read a row.
+fn head_of(record: &ErasedVertexTrace) -> VertexHead {
+    let mut flags = if record.exception.is_some() { FLAG_EXCEPTION } else { 0 };
+    for violation in &record.violations {
+        flags |= match violation.kind {
+            ViolationKind::Message => FLAG_MESSAGE_VIOLATION,
+            ViolationKind::VertexValue => FLAG_VALUE_VIOLATION,
         };
     }
-    if !value["exception"].is_null() {
-        flags |= FLAG_EXCEPTION;
-    }
-    let vertex = match &value["vertex"] {
+    let vertex = match &record.vertex.0 {
         Value::String(s) => s.clone(),
         other => other.to_string(),
     };
-    VertexHead { superstep: value["superstep"].as_u64().unwrap(), vertex, flags }
+    VertexHead { superstep: record.superstep, vertex, flags }
 }
 
 /// What one case read: whether its payload decodes, and whether its
@@ -154,43 +160,86 @@ enum Read {
 
 /// Checks one case.
 fn check(case: &Case) -> Read {
+    if case.v1 {
+        return check_door(case);
+    }
     let channel = case.channel();
-    let payload =
-        FrameScanner::new(&channel[case.before.len()..]).next_frame().unwrap().unwrap().payload;
-    let reader = VertexChannel::new(&channel, case.format);
+    check_v2(&channel, case.before.len()).0
+}
+
+/// Checks the v2 payload of the frame at `last` of `channel`; returns
+/// what it read, and the record if it resolved.
+fn check_v2(channel: &[u8], last: usize) -> (Read, Option<ErasedVertexTrace>) {
+    let payload = FrameScanner::new(&channel[last..]).next_frame().unwrap().unwrap().payload;
+    let reader = VertexChannel::new(channel);
     let skimmed = reader.head(payload).map_err(|e| e.to_string());
     let digest = |with_edges| reader.digest(payload, with_edges).map_err(|e| e.to_string());
-    let built = reader.value(payload).map_err(|e| e.to_string());
+    let built = reader.record(payload).map_err(|e| e.to_string());
     let at = |what: &str| format!("{what}: {payload:?}");
-    let (record, target) = match decode(case.format, payload) {
+    let (record, target) = match decode(payload) {
         Ok(decoded) => decoded,
         Err(error) => {
             assert_eq!(skimmed, Err(error.clone()), "{}", at("head"));
             assert_eq!(digest(true), Err(error.clone()), "{}", at("digest"));
             assert_eq!(digest(false), Err(error.clone()), "{}", at("digest"));
-            assert_eq!(built, Err(error), "{}", at("value"));
-            return Read::Fails;
+            assert_eq!(built.map(drop), Err(error), "{}", at("record"));
+            return (Read::Fails, None);
         }
     };
-    let unresolved = value_of(&record);
-    assert_eq!(skimmed, Ok(head_of(&unresolved)), "{}", at("head"));
-    assert_eq!(digest(false), Ok(UntypedTrace::from(unresolved).digest(false)), "{}", at("digest"));
+    assert_eq!(skimmed, Ok(head_of(&record)), "{}", at("head"));
+    let listed = UntypedTrace::from(record.clone()).digest(false);
+    assert_eq!(digest(false), Ok(listed), "{}", at("digest"));
     let edges = match target {
         None => Some(record.edges.clone()),
-        Some(target) => referenced_edges(&channel, target, &record.vertex),
+        Some(target) => referenced_edges(channel, target, &record.vertex),
     };
     let Some(edges) = edges else {
-        assert!(built.is_err(), "{}", at("value of a bad reference"));
+        assert!(built.is_err(), "{}", at("record of a bad reference"));
         assert!(digest(true).is_err(), "{}", at("digest of a bad reference"));
-        return Read::Decodes { resolved: false };
+        return (Read::Decodes { resolved: false }, None);
     };
-    let full = value_of(&VertexTrace { edges, ..record });
-    let built = built.unwrap_or_else(|e| panic!("{e}: {}", at("value")));
-    // `==` tells `5` from `5u64` but not `-0.0` from `0.0`; the text does.
-    assert_eq!(built, full, "{}", at("value"));
-    assert_eq!(built.to_string(), full.to_string(), "{}", at("value"));
-    assert_eq!(digest(true), Ok(UntypedTrace::from(full).digest(true)), "{}", at("digest"));
-    Read::Decodes { resolved: true }
+    let full = VertexTrace { edges, ..record };
+    let built = built.unwrap_or_else(|e| panic!("{e}: {}", at("record")));
+    // `==` neither tells `5` from `5u64` nor `-0.0` from `0.0`, and no NaN
+    // equals itself; the debug rendering does all three right.
+    assert_eq!(format!("{built:?}"), format!("{full:?}"), "{}", at("record"));
+    let listed = UntypedTrace::from(full).digest(true);
+    assert_eq!(digest(true), Ok(listed), "{}", at("digest"));
+    (Read::Decodes { resolved: true }, Some(built))
+}
+
+/// Checks a v1 case at the door: its channel becomes a v2 channel exactly
+/// when the payload decodes as an `ErasedVertexTrace`, fails with that
+/// error at the frame's offset otherwise, and the v2 channel reads back
+/// as the record, normalized.
+fn check_door(case: &Case) -> Read {
+    let door = v2_channel(TraceFormat::Binary, ChannelKind::Worker, case.channel(), false);
+    let at = format!("door: {:?}", case.payload);
+    match (graft_codec::from_slice::<ErasedVertexTrace>(&case.payload), door) {
+        (Err(error), Err(TraceReadError::Frame { offset, error: refused })) => {
+            assert_eq!(
+                (offset, refused.to_string()),
+                (case.before.len(), error.to_string()),
+                "{at}"
+            );
+            Read::Fails
+        }
+        (Ok(record), Ok(v2)) => {
+            let mut scanner = FrameScanner::new(&v2);
+            let frames: Vec<_> = std::iter::from_fn(|| scanner.next_frame().unwrap()).collect();
+            let kinds: Vec<u8> = frames.iter().map(|frame| frame.kind).collect();
+            assert_eq!(kinds, [graft::trace::FRAME_INDEX, FRAME_VERTEX], "{at}");
+            let (read, built) = check_v2(&v2, frames[1].start);
+            assert_eq!(read, Read::Decodes { resolved: true }, "{at}");
+            assert_eq!(
+                format!("{:?}", built.unwrap()),
+                format!("{:?}", normalized(record)),
+                "{at}"
+            );
+            read
+        }
+        (decoded, door) => panic!("{at}: decoding gave {decoded:?}, the door {door:?}"),
+    }
 }
 
 /// The three cases of one record: a v1 payload, a v2 payload with its
@@ -199,11 +248,7 @@ fn check(case: &Case) -> Read {
 fn cases_of<R: TraceRecord + serde::Serialize>(record: &R) -> [Case; 3] {
     let erased: ErasedVertexTrace =
         serde_json::from_slice(&serde_json::to_vec(record).unwrap()).unwrap();
-    let v1 = Case {
-        format: TraceFormat::Binary,
-        before: Vec::new(),
-        payload: graft_codec::to_vec(&erased).unwrap(),
-    };
+    let v1 = Case { v1: true, before: Vec::new(), payload: graft_codec::to_vec(&erased).unwrap() };
     let mut channel = Vec::new();
     let mut refs = EdgeRefs::default();
     for _ in 0..2 {
@@ -213,13 +258,9 @@ fn cases_of<R: TraceRecord + serde::Serialize>(record: &R) -> [Case; 3] {
     let mut scanner = FrameScanner::new(&channel);
     let first = scanner.next_frame().unwrap().unwrap();
     let again = scanner.next_frame().unwrap().unwrap();
-    let inline =
-        Case { format: TraceFormat::BinaryV2, before: Vec::new(), payload: first.payload.to_vec() };
-    let repeated = Case {
-        format: TraceFormat::BinaryV2,
-        before: channel[..first.end].to_vec(),
-        payload: again.payload.to_vec(),
-    };
+    let inline = Case { v1: false, before: Vec::new(), payload: first.payload.to_vec() };
+    let repeated =
+        Case { v1: false, before: channel[..first.end].to_vec(), payload: again.payload.to_vec() };
     [v1, inline, repeated]
 }
 
@@ -242,7 +283,7 @@ fn valid_cases(rng: &mut Rng64, per_shape: usize) -> Vec<Case> {
 
 /// Whether a v2 payload holds its edges by reference.
 fn is_reference(case: &Case) -> bool {
-    matches!(decode(case.format, &case.payload), Ok((_, Some(_))))
+    !case.v1 && matches!(decode(&case.payload), Ok((_, Some(_))))
 }
 
 #[test]
@@ -479,11 +520,7 @@ fn every_damaged_reference_fails_every_reader_at_its_frame() {
         let typed = DebugSession::<Ring>::open(fs.clone(), &root);
         assert!(session_names_the_frame(typed, last), "{name}: DebugSession::open");
         // What `graft-cli trace dump` walks.
-        let walked = walk_vertex_channel(
-            VertexChannel::new(&damaged, TraceFormat::BinaryV2),
-            None,
-            |_, _| Ok(()),
-        );
+        let walked = walk_vertex_channel(VertexChannel::new(&damaged), None, |_, _| Ok(()));
         assert!(walked.is_err_and(|e| names_the_frame(&e, last)), "{name}: dump");
     }
 }

@@ -185,7 +185,7 @@ impl MsgLog {
             Err(FsError::NotFound(_)) => return Ok(Vec::new()),
             Err(e) => return Err(CheckpointError::new(format!("reading {path}"), e)),
         };
-        graft_codec::FramedIter::<T>::new(&bytes)
+        graft_codec::framed_records::<T>(&bytes)
             .collect::<Result<Vec<_>, _>>()
             .map_err(|e| CheckpointError::new(format!("decoding {path}"), e))
     }

@@ -427,12 +427,8 @@ impl<C: Computation> Partition<C> {
 
     /// Rebuilds a partition from a checkpoint file: both parts, framed.
     pub(crate) fn decode_file(bytes: &[u8]) -> Result<Self, graft_codec::Error> {
-        let (len, prefix) = graft_codec::varint::read_u64(bytes)?;
-        let split = usize::try_from(len).ok().and_then(|len| len.checked_add(prefix));
-        match split.filter(|&split| split <= bytes.len()) {
-            Some(split) => Self::decode(&bytes[..split], &bytes[split..]),
-            None => Err(graft_codec::Error::UnexpectedEof),
-        }
+        let split = graft_codec::frame::read_len_prefixed(bytes, 0)?.end;
+        Self::decode(&bytes[..split], &bytes[split..])
     }
 
     /// Rebuilds a partition from its two parts (framed, as encoded),
@@ -551,12 +547,11 @@ struct Part<'a>(graft_codec::Deserializer<'a>);
 
 impl<'a> Part<'a> {
     fn new(bytes: &'a [u8]) -> Result<Self, graft_codec::Error> {
-        let (len, prefix) = graft_codec::varint::read_u64(bytes)?;
-        if (bytes.len() - prefix) as u64 != len {
-            let cause = format!("a part of {} bytes frames {len}", bytes.len());
-            return Err(graft_codec::Error::Message(cause));
+        let body = graft_codec::frame::read_len_prefixed(bytes, 0)?;
+        if body.end != bytes.len() {
+            return Err(graft_codec::Error::TrailingBytes(bytes.len() - body.end));
         }
-        Ok(Self(graft_codec::Deserializer::new(&bytes[prefix..])))
+        Ok(Self(graft_codec::Deserializer::new(&bytes[body])))
     }
 
     /// A column, which must hold `expected` elements when that is given;

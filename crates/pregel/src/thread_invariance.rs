@@ -208,7 +208,7 @@ fn logged_outboxes<M: serde::de::DeserializeOwned>(
         .map(|p| {
             let log = format!("{}/w{p}/seg_0.log", logging().msglog_root());
             let bytes = fs.read_all(&log).unwrap();
-            graft_codec::FramedIter::<WorkerFrame<LoggedBatch<u64, M>>>::new(&bytes)
+            graft_codec::framed_records::<WorkerFrame<LoggedBatch<u64, M>>>(&bytes)
                 .map(|frame| {
                     let mut frame = frame.unwrap();
                     for (_, batch) in &mut frame.batches {
