@@ -255,21 +255,17 @@ where
     // The registry, event log, and superstep profiler all hang off one
     // shared Obs; --logical-clock swaps its clock for a deterministic one.
     // --live needs an Obs too: the streaming flusher is fed from it.
-    let obs =
-        (options.metrics.is_some() || options.logical_clock.is_some() || options.live).then(|| {
-            match options.logical_clock {
-                Some(step_nanos) => Obs::deterministic(step_nanos),
-                None => Obs::wall(),
-            }
-        });
+    let obs = match options.logical_clock {
+        Some(step_nanos) => Obs::deterministic(step_nanos),
+        None if options.metrics.is_some() || options.live => Obs::wall(),
+        None => Obs::off(),
+    };
     let mut runner = tune(
         GraftRunner::new(computation, config)
             .with_cluster(cluster.clone())
+            .with_obs(Arc::clone(&obs))
             .num_workers(options.workers),
     );
-    if let Some(obs) = &obs {
-        runner = runner.with_obs(Arc::clone(obs));
-    }
     if options.live {
         runner = runner.live_flush(true);
     }
@@ -342,8 +338,8 @@ where
         }
     }
 
-    if let (Some(obs), Some(dir)) = (&obs, &options.metrics) {
-        if let Err(e) = export_metrics(obs, dir) {
+    if let Some(dir) = &options.metrics {
+        if let Err(e) = export_metrics(&obs, dir) {
             eprintln!("metrics export failed: {e}");
             return ExitCode::FAILURE;
         }

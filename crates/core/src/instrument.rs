@@ -15,6 +15,7 @@
 
 use std::sync::Arc;
 
+use graft_obs::{Obs, Scope};
 use graft_pregel::hash::FxHashSet;
 use graft_pregel::{
     AggregatorRegistry, Computation, ContextOf, JobEnd, JobObserver, SuperstepStats, VertexHandleOf,
@@ -53,7 +54,7 @@ pub struct Instrumented<C: Computation> {
     config: DebugConfig<C>,
     sets: CaptureSets<C::Id>,
     sink: Arc<TraceSink>,
-    obs: Option<Arc<graft_obs::Obs>>,
+    obs: Arc<Obs>,
 }
 
 impl<C: Computation> Instrumented<C> {
@@ -64,13 +65,13 @@ impl<C: Computation> Instrumented<C> {
         sets: CaptureSets<C::Id>,
         sink: Arc<TraceSink>,
     ) -> Self {
-        Self { inner, config, sets, sink, obs: None }
+        Self { inner, config, sets, sink, obs: Obs::off() }
     }
 
     /// Times every `compute()` call into `obs`, feeding the profiler's
     /// per-vertex skew table.
-    pub fn with_obs(mut self, obs: Arc<graft_obs::Obs>) -> Self {
-        self.obs = Some(obs);
+    pub fn with_obs(mut self, obs: Arc<Obs>) -> Self {
+        self.obs = obs;
         self
     }
 
@@ -240,18 +241,18 @@ impl<C: Computation> Computation for Instrumented<C> {
         messages: &[Self::Message],
         ctx: &mut ContextOf<'_, Self>,
     ) {
-        let Some(obs) = &self.obs else {
-            self.compute_traced(vertex, messages, ctx);
-            return;
-        };
+        // The hottest path: off, one branch and nothing else.
+        if !self.obs.is_on() {
+            return self.compute_traced(vertex, messages, ctx);
+        }
         // Per-vertex skew timing: timers are worker-thread safe, and the
         // registry's accumulation commutes, so this cannot perturb the
         // deterministic exports. A panicking compute loses its sample —
         // the exception path is profiled through the event log instead.
         let id = vertex.id().to_string();
-        let timer = obs.timer();
+        let timer = self.obs.timer();
         self.compute_traced(vertex, messages, ctx);
-        obs.registry().record_vertex_compute(&id, timer.stop());
+        self.obs.registry().record_vertex_compute(&id, timer.stop());
     }
 
     fn use_combiner(&self) -> bool {
@@ -277,7 +278,7 @@ impl<C: Computation> Computation for Instrumented<C> {
 pub struct GraftObserver {
     sink: Arc<TraceSink>,
     capture_master: bool,
-    obs: Option<Arc<graft_obs::Obs>>,
+    obs: Arc<Obs>,
     /// Sink bytes that were durable after the previous flush, for the
     /// per-flush byte delta in `trace.flush` spans.
     flushed_bytes: std::sync::atomic::AtomicU64,
@@ -291,7 +292,7 @@ impl GraftObserver {
         Self {
             sink,
             capture_master,
-            obs: None,
+            obs: Obs::off(),
             flushed_bytes: std::sync::atomic::AtomicU64::new(0),
             live: None,
             pace: None,
@@ -300,8 +301,8 @@ impl GraftObserver {
 
     /// Emits `trace.flush` spans (with byte counts) into `obs` around the
     /// per-superstep trace flushes.
-    pub fn with_obs(mut self, obs: Arc<graft_obs::Obs>) -> Self {
-        self.obs = Some(obs);
+    pub fn with_obs(mut self, obs: Arc<Obs>) -> Self {
+        self.obs = obs;
         self
     }
 
@@ -363,28 +364,18 @@ impl<C: Computation> JobObserver<C> for GraftObserver {
     }
 
     fn on_superstep_end(&self, stats: &SuperstepStats) {
-        if let Some(obs) = &self.obs {
-            let superstep = stats.superstep;
-            let begin = obs.begin("trace.flush", Some(superstep), None);
-            self.sink.flush();
-            let total = self.sink.bytes_written();
-            let total_before = self.flushed_bytes.swap(total, std::sync::atomic::Ordering::Relaxed);
-            let bytes = total - total_before.min(total);
-            let dur = obs.end(
-                "trace.flush",
-                Some(superstep),
-                None,
-                begin,
-                &[("bytes", bytes.to_string()), ("total_bytes", total.to_string())],
-            );
-            let reg = obs.registry();
-            reg.inc("trace_flush_bytes_total", graft_obs::Scope::GLOBAL, bytes);
-            reg.observe_bytes("trace_flush_bytes", graft_obs::Scope::GLOBAL, bytes);
-            reg.observe_time("trace_flush_nanos", graft_obs::Scope::GLOBAL, dur);
-            reg.set_gauge("trace_bytes_written", graft_obs::Scope::GLOBAL, total as i64);
-        } else {
-            self.sink.flush();
-        }
+        let span = self.obs.span("trace.flush", Some(stats.superstep), None);
+        self.sink.flush();
+        let total = self.sink.bytes_written();
+        let total_before = self.flushed_bytes.swap(total, std::sync::atomic::Ordering::Relaxed);
+        let bytes = total - total_before.min(total);
+        let dur =
+            span.end(|| vec![("bytes", bytes.to_string()), ("total_bytes", total.to_string())]);
+        let reg = self.obs.registry();
+        reg.inc("trace_flush_bytes_total", Scope::GLOBAL, bytes);
+        reg.observe_bytes("trace_flush_bytes", Scope::GLOBAL, bytes);
+        reg.observe_time("trace_flush_nanos", Scope::GLOBAL, dur);
+        reg.set_gauge("trace_bytes_written", Scope::GLOBAL, total as i64);
         // The superstep's traces are durable now, so it may enter the
         // immutable frontier and be announced to live readers.
         self.live_flush(Some(stats.superstep));

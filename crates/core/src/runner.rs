@@ -95,10 +95,17 @@ pub struct GraftRunner<C: Computation> {
     recovery_mode: graft_pregel::RecoveryMode,
     fault_plan: Option<FaultPlan>,
     memory_budget: Option<u64>,
-    obs: Option<Arc<Obs>>,
+    obs: Arc<Obs>,
     live_flush: bool,
     pace: Option<std::time::Duration>,
     straggler_threshold: Option<f64>,
+}
+
+/// Feeds `cluster`'s block and datanode activity into `obs`, when on.
+fn observe_cluster(cluster: &ClusterFs, obs: &Arc<Obs>) {
+    if obs.is_on() {
+        cluster.add_observer(Arc::new(DfsMetrics::new(Arc::clone(obs))));
+    }
 }
 
 /// Observer that kills datanodes of the trace cluster at planned
@@ -158,7 +165,7 @@ impl<C: Computation> GraftRunner<C> {
             recovery_mode: graft_pregel::RecoveryMode::default(),
             fault_plan: None,
             memory_budget: None,
-            obs: None,
+            obs: Obs::off(),
             live_flush: false,
             pace: None,
             straggler_threshold: None,
@@ -176,9 +183,7 @@ impl<C: Computation> GraftRunner<C> {
     /// cluster *and* enables datanode chaos: `kill-datanode` entries of a
     /// fault plan only take effect when the runner knows the cluster.
     pub fn with_cluster(mut self, cluster: ClusterFs) -> Self {
-        if let Some(obs) = &self.obs {
-            cluster.add_observer(Arc::new(DfsMetrics::new(Arc::clone(obs))));
-        }
+        observe_cluster(&cluster, &self.obs);
         self.fs = Arc::new(cluster.clone());
         self.cluster = Some(cluster);
         self
@@ -189,10 +194,10 @@ impl<C: Computation> GraftRunner<C> {
     /// record into it, and the run exports `events.jsonl`,
     /// `metrics.prom`, and `metrics.json` under `<trace_root>/obs/`.
     pub fn with_obs(mut self, obs: Arc<Obs>) -> Self {
+        self.obs = obs;
         if let Some(cluster) = &self.cluster {
-            cluster.add_observer(Arc::new(DfsMetrics::new(Arc::clone(&obs))));
+            observe_cluster(cluster, &self.obs);
         }
-        self.obs = Some(obs);
         self
     }
 
@@ -368,7 +373,7 @@ impl<C: Computation> GraftRunner<C> {
                 facts.fault_plan = self.fault_plan.as_ref().map(|p| p.to_string());
                 facts.recovery_mode = Some(self.recovery_mode.as_str().to_string());
                 facts.live_flush = Some(self.live_flush);
-                facts.obs_enabled = Some(self.obs.is_some());
+                facts.obs_enabled = Some(self.obs.is_on());
                 facts.memory_budget = self.memory_budget;
                 facts.est_max_partition_bytes = self.memory_budget.map(|_| {
                     graft_pregel::estimate_max_partition_bytes::<C>(&graph, self.num_workers)
@@ -380,30 +385,29 @@ impl<C: Computation> GraftRunner<C> {
             serde_json::to_vec_pretty(&meta).map_err(|e| GraftError::Meta(e.to_string()))?;
         self.fs.write_all(&meta_path(trace_root), &meta_bytes)?;
 
-        let mut instrumented = Instrumented::new(
+        let instrumented = Instrumented::new(
             Arc::clone(&self.computation),
             self.config.clone(),
             sets,
             Arc::clone(&sink),
-        );
+        )
+        .with_obs(Arc::clone(&self.obs));
         let mut observer = GraftObserver::new(
             Arc::clone(&sink),
             self.config.capture_master && self.master.is_some(),
-        );
+        )
+        .with_obs(Arc::clone(&self.obs));
         let obs_dir = format!("{}/obs", trace_root.trim_end_matches('/'));
-        let mut live = None;
-        if let Some(obs) = &self.obs {
-            instrumented = instrumented.with_obs(Arc::clone(obs));
-            observer = observer.with_obs(Arc::clone(obs));
-            if self.live_flush {
-                let writer = Arc::new(parking_lot::Mutex::new(graft_obs::LiveWriter::new(
-                    self.fs.clone(),
-                    Arc::clone(obs),
-                    &obs_dir,
-                )));
-                observer = observer.with_live(Arc::clone(&writer));
-                live = Some(writer);
-            }
+        // Live streaming needs something to stream (analyzer lint GA0017).
+        let live = (self.live_flush && self.obs.is_on()).then(|| {
+            Arc::new(parking_lot::Mutex::new(graft_obs::LiveWriter::new(
+                self.fs.clone(),
+                Arc::clone(&self.obs),
+                &obs_dir,
+            )))
+        });
+        if let Some(writer) = &live {
+            observer = observer.with_live(Arc::clone(writer));
         }
         if let Some(pace) = self.pace {
             observer = observer.with_pace(pace);
@@ -412,13 +416,11 @@ impl<C: Computation> GraftRunner<C> {
 
         let mut engine = Engine::from_arc(Arc::clone(&instrumented))
             .with_observer(Arc::new(observer))
+            .with_obs(Arc::clone(&self.obs))
             .num_workers(self.num_workers)
             .max_supersteps(self.max_supersteps);
         if let Some(threshold) = self.straggler_threshold {
             engine = engine.straggler_threshold(threshold);
-        }
-        if let Some(obs) = &self.obs {
-            engine = engine.with_obs(Arc::clone(obs));
         }
         if let Some(master) = &self.master {
             engine = engine.with_master_arc(Arc::clone(master));
@@ -450,22 +452,21 @@ impl<C: Computation> GraftRunner<C> {
             halt_reason: outcome.halt_reason,
         });
 
-        if let Some(obs) = &self.obs {
-            match &live {
-                // In live mode the event log was appended all along —
-                // `finalize` commits the terminal snapshot and the metrics
-                // artifacts without ever rewriting `events.jsonl`, so a
-                // tail watcher never observes a truncation.
-                Some(live) => {
-                    let status = if outcome.is_ok() {
-                        graft_obs::STATUS_FINISHED
-                    } else {
-                        graft_obs::STATUS_FAILED
-                    };
-                    live.lock().finalize(status)?;
-                }
-                None => obs.write_artifacts(self.fs.as_ref(), &obs_dir)?,
+        match &live {
+            // In live mode the event log was appended all along —
+            // `finalize` commits the terminal snapshot and the metrics
+            // artifacts without ever rewriting `events.jsonl`, so a tail
+            // watcher never observes a truncation.
+            Some(live) => {
+                let status = if outcome.is_ok() {
+                    graft_obs::STATUS_FINISHED
+                } else {
+                    graft_obs::STATUS_FAILED
+                };
+                live.lock().finalize(status)?;
             }
+            None if self.obs.is_on() => self.obs.write_artifacts(self.fs.as_ref(), &obs_dir)?,
+            None => {}
         }
 
         Ok(GraftRun {

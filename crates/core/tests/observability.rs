@@ -108,3 +108,95 @@ fn faulted_run_logs_one_recovery_point_per_rewind() {
     // The registry agrees with the event log.
     assert_eq!(obs.registry().counter_total("pregel_recoveries_total"), outcome.stats.recoveries);
 }
+
+/// [`run_once`] under a chosen recovery mode, optionally streaming live
+/// snapshots.
+fn run_job(
+    plan: FaultPlan,
+    mode: graft_pregel::RecoveryMode,
+    live: bool,
+) -> (GraftRun<PageRank>, ClusterFs) {
+    let cluster =
+        ClusterFs::new(ClusterFsConfig { num_datanodes: 4, replication: 2, block_size: 512 });
+    let config = DebugConfig::<PageRank>::builder().capture_all_active(true).build();
+    let run = GraftRunner::new(PageRank::new(8), config)
+        .with_cluster(cluster.clone())
+        .with_obs(Obs::deterministic(1_000))
+        .live_flush(live)
+        .num_workers(4)
+        .checkpoint_every(2)
+        .recovery_mode(mode)
+        .with_fault_plan(plan)
+        .run(pr_graph(48), TRACE_ROOT)
+        .unwrap();
+    (run, cluster)
+}
+
+#[test]
+fn profile_live_snapshot_and_stats_agree_on_recoveries_under_both_modes() {
+    for mode in [graft_pregel::RecoveryMode::Restart, graft_pregel::RecoveryMode::LogReplay] {
+        let (run, cluster) = run_job("kill-worker:1@3".parse().unwrap(), mode, true);
+        let recoveries = run.outcome.as_ref().unwrap().stats.recoveries;
+        assert_eq!(recoveries, 1, "{mode:?}: the kill fires once");
+        let profile = graft_obs::Profile::build(&events(&cluster), None).unwrap();
+        let fs: Arc<dyn FileSystem> = Arc::new(cluster.clone());
+        let snapshot = graft_obs::latest_snapshot(fs.as_ref(), OBS_DIR).unwrap().unwrap();
+        assert_eq!(profile.recoveries, recoveries, "{mode:?}: profile");
+        assert_eq!(snapshot.recoveries, recoveries, "{mode:?}: live snapshot");
+    }
+}
+
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, byte| {
+        (hash ^ u64::from(*byte)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// `(job/artifact, length, FNV-1a)` of the three obs artifacts.
+fn artifact_checksums(job: &str, cluster: &ClusterFs) -> Vec<(String, usize, u64)> {
+    [EVENTS_FILE, METRICS_PROM_FILE, METRICS_JSON_FILE]
+        .into_iter()
+        .map(|name| {
+            let bytes = artifact(cluster, name);
+            (format!("{job}/{name}"), bytes.len(), fnv1a(&bytes))
+        })
+        .collect()
+}
+
+/// Pins the obs artifacts' bytes, not just their run-to-run equality: a
+/// change that moves, adds or drops one clock reading shifts every later
+/// timestamp and fails here.
+#[test]
+fn obs_artifacts_match_the_golden_bytes() {
+    let (_, clean, _) = run_once(FaultPlan::new());
+    let (_, restart, _) = run_once("kill-worker:1@3".parse().unwrap());
+    let (_, replay) =
+        run_job("kill-worker:1@3".parse().unwrap(), graft_pregel::RecoveryMode::LogReplay, true);
+    let mut actual = artifact_checksums("clean", &clean);
+    actual.extend(artifact_checksums("restart", &restart));
+    actual.extend(artifact_checksums("log-replay", &replay));
+    let fs: Arc<dyn FileSystem> = Arc::new(replay.clone());
+    let (_, last) = graft_obs::snapshot_files(fs.as_ref(), OBS_DIR).unwrap().pop().unwrap();
+    let bytes = fs.read_all(&last).unwrap();
+    actual.push(("log-replay/live/terminal".to_string(), bytes.len(), fnv1a(&bytes)));
+
+    let golden: &[(&str, usize, u64)] = &[
+        ("clean/events.jsonl", 12556, 0x59a635b9709f52de),
+        ("clean/metrics.prom", 19167, 0xbeffe9e73cfc0368),
+        ("clean/metrics.json", 24116, 0x9681dcd04c044b0a),
+        ("restart/events.jsonl", 14461, 0x390e6ebd901b70dd),
+        ("restart/metrics.prom", 21089, 0x931573eee5448324),
+        ("restart/metrics.json", 25756, 0x48642583fa7f8d55),
+        ("log-replay/events.jsonl", 14025, 0xbbf6a3e5bf732bc2),
+        ("log-replay/metrics.prom", 21283, 0xba3d3f2634523b9d),
+        ("log-replay/metrics.json", 26254, 0xb61ad61520ee9a97),
+        ("log-replay/live/terminal", 13974, 0x6c115499ebceb86d),
+    ];
+    let rendered: Vec<String> = actual
+        .iter()
+        .map(|(path, len, sum)| format!("(\"{path}\", {len}, {sum:#018x}),"))
+        .collect();
+    let matches = actual.len() == golden.len()
+        && actual.iter().zip(golden).all(|(a, g)| (a.0.as_str(), a.1, a.2) == *g);
+    assert!(matches, "golden bytes moved; this run gave:\n{}", rendered.join("\n"));
+}

@@ -35,14 +35,18 @@ pub enum Timer {
     Wall(Instant),
     /// Logical time: stopping always reports the contained fixed step.
     Tick(u64),
+    /// Nothing is measured: stopping reports 0 (an off `Obs`).
+    Off,
 }
 
 impl Timer {
     /// Elapsed nanoseconds since the timer started.
+    #[inline]
     pub fn stop(&self) -> u64 {
         match self {
             Timer::Wall(start) => start.elapsed().as_nanos() as u64,
             Timer::Tick(step) => *step,
+            Timer::Off => 0,
         }
     }
 }

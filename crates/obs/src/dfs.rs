@@ -54,39 +54,30 @@ impl DfsObserver for DfsMetrics {
         reg.inc("dfs_heals_total", Scope::GLOBAL, 1);
         reg.inc("dfs_replicas_healed_total", Scope::GLOBAL, replicas_created);
         reg.set_gauge("dfs_heal_queue_depth", Scope::GLOBAL, queue_depth as i64);
-        self.obs.point(
-            "dfs.heal",
-            None,
-            None,
-            &[
+        self.obs.point("dfs.heal", None, None, || {
+            vec![
                 ("replicas_created", replicas_created.to_string()),
                 ("queue_depth", queue_depth.to_string()),
-            ],
-        );
+            ]
+        });
     }
 
     fn datanode_killed(&self, node: usize, live: usize) {
         let reg = self.obs.registry();
         reg.inc("dfs_datanode_kills_total", Scope::GLOBAL, 1);
         reg.set_gauge("dfs_live_datanodes", Scope::GLOBAL, live as i64);
-        self.obs.point(
-            "dfs.datanode_kill",
-            None,
-            None,
-            &[("node", node.to_string()), ("live", live.to_string())],
-        );
+        self.obs.point("dfs.datanode_kill", None, None, || {
+            vec![("node", node.to_string()), ("live", live.to_string())]
+        });
     }
 
     fn datanode_revived(&self, node: usize, live: usize) {
         let reg = self.obs.registry();
         reg.inc("dfs_datanode_revives_total", Scope::GLOBAL, 1);
         reg.set_gauge("dfs_live_datanodes", Scope::GLOBAL, live as i64);
-        self.obs.point(
-            "dfs.datanode_revive",
-            None,
-            None,
-            &[("node", node.to_string()), ("live", live.to_string())],
-        );
+        self.obs.point("dfs.datanode_revive", None, None, || {
+            vec![("node", node.to_string()), ("live", live.to_string())]
+        });
     }
 }
 

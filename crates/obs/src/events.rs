@@ -48,6 +48,12 @@ impl Event {
     pub fn is_point(&self, kind: &str) -> bool {
         self.edge == EDGE_POINT && self.kind == kind
     }
+
+    /// True once per recovery: a full restart's `recovery` point or a
+    /// confined recovery's `recovery.confined` span end.
+    pub fn is_recovery(&self) -> bool {
+        self.is_point("recovery") || self.is_end("recovery.confined")
+    }
 }
 
 /// An append-only, shareable event log.

@@ -13,13 +13,21 @@
 //! the coordinator thread — so two identical seeded runs export
 //! byte-identical artifacts, which makes perf regressions diffable.
 //!
+//! An `Obs` is never optional: [`Obs::off`] is the handle of a job that
+//! records nothing. Off, every recording call is one branch — no clock
+//! read, no lock, no allocation — and a timer stops at 0.
+//!
+//! A span is one value: [`Obs::span`] emits its begin event and
+//! [`Span::end`] its end event, returning the duration. A span dropped
+//! without `end` leaves its begin event unclosed, as a failed phase does.
+//!
 //! ```
 //! use graft_obs::{Obs, Scope};
 //!
 //! let obs = Obs::deterministic(1_000);
-//! let begin = obs.begin("superstep", Some(0), None);
+//! let span = obs.span("superstep", Some(0), None);
 //! obs.registry().inc("pregel_messages_sent", Scope::superstep(0), 42);
-//! obs.end("superstep", Some(0), None, begin, &[("messages_sent", "42".to_string())]);
+//! assert_eq!(span.end(|| vec![("messages_sent", "42".to_string())]), 1_000);
 //! let events = obs.events();
 //! assert_eq!(events.len(), 2);
 //! assert_eq!(events[1].dur, Some(1_000));
@@ -55,7 +63,7 @@ pub use registry::{
 };
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use graft_dfs::{FileSystem, FsResult};
 
@@ -67,9 +75,10 @@ pub const METRICS_PROM_FILE: &str = "metrics.prom";
 pub const METRICS_JSON_FILE: &str = "metrics.json";
 
 /// The shared observability handle: one clock, one registry, one event
-/// log.
+/// log — or, in the off state, none of them.
 pub struct Obs {
-    clock: Arc<dyn Clock>,
+    /// `None` is the off state.
+    clock: Option<Arc<dyn Clock>>,
     registry: MetricsRegistry,
     events: EventLog,
 }
@@ -88,82 +97,80 @@ impl Obs {
 
     /// An `Obs` over an arbitrary clock.
     pub fn with_clock(clock: Arc<dyn Clock>) -> Arc<Obs> {
-        Arc::new(Obs { clock, registry: MetricsRegistry::new(), events: EventLog::new() })
+        Arc::new(Obs {
+            clock: Some(clock),
+            registry: MetricsRegistry::new(),
+            events: EventLog::new(),
+        })
     }
 
-    /// The clock driving event timestamps.
-    pub fn clock(&self) -> &Arc<dyn Clock> {
-        &self.clock
+    /// The handle that records nothing (one shared instance).
+    pub fn off() -> Arc<Obs> {
+        static OFF: OnceLock<Arc<Obs>> = OnceLock::new();
+        Arc::clone(OFF.get_or_init(|| {
+            Arc::new(Obs { clock: None, registry: MetricsRegistry::off(), events: EventLog::new() })
+        }))
+    }
+
+    /// False for [`Obs::off`].
+    #[inline]
+    pub fn is_on(&self) -> bool {
+        self.clock.is_some()
     }
 
     /// The metrics registry (cheap to clone for worker-side recording).
+    #[inline]
     pub fn registry(&self) -> &MetricsRegistry {
         &self.registry
     }
 
     /// Starts a duration measurement safe on any thread.
+    #[inline]
     pub fn timer(&self) -> Timer {
-        self.clock.timer()
+        self.clock.as_ref().map_or(Timer::Off, |clock| clock.timer())
     }
 
-    /// Emits a span begin event and returns its timestamp (pass it to
-    /// [`Obs::end`]). Coordinator thread only.
-    pub fn begin(&self, kind: &str, superstep: Option<u64>, worker: Option<u64>) -> u64 {
-        let ts = self.clock.now_nanos();
-        self.events.append(Event {
-            ts,
-            kind: kind.to_string(),
-            edge: EDGE_BEGIN.to_string(),
-            superstep,
-            worker,
-            dur: None,
-            attrs: BTreeMap::new(),
-        });
-        ts
-    }
-
-    /// Emits a span end event and returns the span duration in
-    /// nanoseconds. Coordinator thread only.
-    pub fn end(
-        &self,
-        kind: &str,
+    /// Opens a span: emits its begin event now. Coordinator thread only.
+    pub fn span<'a>(
+        &'a self,
+        kind: &'a str,
         superstep: Option<u64>,
         worker: Option<u64>,
-        begin_ts: u64,
-        attrs: &[(&str, String)],
-    ) -> u64 {
-        let ts = self.clock.now_nanos();
-        let dur = ts.saturating_sub(begin_ts);
-        self.events.append(Event {
-            ts,
-            kind: kind.to_string(),
-            edge: EDGE_END.to_string(),
-            superstep,
-            worker,
-            dur: Some(dur),
-            attrs: to_attr_map(attrs),
-        });
-        dur
+    ) -> Span<'a> {
+        let begin = self.emit(EDGE_BEGIN, kind, superstep, worker, 0, Vec::new);
+        Span { obs: self, kind, superstep, worker, begin }
     }
 
     /// Emits an instantaneous event. Coordinator thread only.
-    pub fn point(
+    pub fn point<'k>(
         &self,
         kind: &str,
         superstep: Option<u64>,
         worker: Option<u64>,
-        attrs: &[(&str, String)],
+        attrs: impl FnOnce() -> Vec<(&'k str, String)>,
     ) {
-        let ts = self.clock.now_nanos();
-        self.events.append(Event {
-            ts,
-            kind: kind.to_string(),
-            edge: EDGE_POINT.to_string(),
-            superstep,
-            worker,
-            dur: None,
-            attrs: to_attr_map(attrs),
-        });
+        self.emit(EDGE_POINT, kind, superstep, worker, 0, attrs);
+    }
+
+    /// Appends one event stamped now and returns the stamp; off, returns
+    /// 0 and does nothing else. `attrs` runs only when on, before the
+    /// clock is read. An end event's `dur` runs from `begin`.
+    fn emit<'k>(
+        &self,
+        edge: &str,
+        kind: &str,
+        superstep: Option<u64>,
+        worker: Option<u64>,
+        begin: u64,
+        attrs: impl FnOnce() -> Vec<(&'k str, String)>,
+    ) -> u64 {
+        let Some(clock) = &self.clock else { return 0 };
+        let attrs = attr_map(attrs());
+        let ts = clock.now_nanos();
+        let dur = (edge == EDGE_END).then(|| ts.saturating_sub(begin));
+        let (kind, edge) = (kind.to_string(), edge.to_string());
+        self.events.append(Event { ts, kind, edge, superstep, worker, dur, attrs });
+        ts
     }
 
     /// A copy of the recorded events, in append order.
@@ -180,22 +187,50 @@ impl Obs {
     /// `metrics.json`) under `dir` on `fs`.
     pub fn write_artifacts(&self, fs: &dyn FileSystem, dir: &str) -> FsResult<()> {
         fs.mkdirs(dir)?;
-        let join = |file: &str| {
-            if dir.ends_with('/') {
-                format!("{dir}{file}")
-            } else {
-                format!("{dir}/{file}")
-            }
-        };
-        fs.write_all(&join(EVENTS_FILE), to_jsonl(&self.events.snapshot()).as_bytes())?;
-        let snapshot = self.registry.snapshot();
-        fs.write_all(&join(METRICS_PROM_FILE), to_prometheus(&snapshot).as_bytes())?;
-        fs.write_all(&join(METRICS_JSON_FILE), to_json(&snapshot).as_bytes())
+        fs.write_all(&join(dir, EVENTS_FILE), to_jsonl(&self.events.snapshot()).as_bytes())?;
+        write_metrics(fs, dir, &self.registry.snapshot())
     }
 }
 
-fn to_attr_map(attrs: &[(&str, String)]) -> BTreeMap<String, String> {
-    attrs.iter().map(|(k, v)| (k.to_string(), v.clone())).collect()
+/// An open span; see [`Obs::span`]. Dropped without [`Span::end`], it
+/// emits nothing more.
+#[must_use = "a span records its end only through `end`"]
+pub struct Span<'a> {
+    obs: &'a Obs,
+    kind: &'a str,
+    superstep: Option<u64>,
+    worker: Option<u64>,
+    begin: u64,
+}
+
+impl Span<'_> {
+    /// Emits the end event and returns the span's duration in
+    /// nanoseconds (0 when off); `attrs` runs only when on. Coordinator
+    /// thread only.
+    pub fn end<'k>(self, attrs: impl FnOnce() -> Vec<(&'k str, String)>) -> u64 {
+        let Span { obs, kind, superstep, worker, begin } = self;
+        obs.emit(EDGE_END, kind, superstep, worker, begin, attrs).saturating_sub(begin)
+    }
+}
+
+/// Not generic, unlike its callers: one copy of the map's sort code.
+fn attr_map(attrs: Vec<(&str, String)>) -> BTreeMap<String, String> {
+    attrs.into_iter().map(|(k, v)| (k.to_string(), v)).collect()
+}
+
+/// Writes `metrics.prom` and `metrics.json` for `snapshot` under `dir`.
+fn write_metrics(fs: &dyn FileSystem, dir: &str, snapshot: &MetricsSnapshot) -> FsResult<()> {
+    fs.write_all(&join(dir, METRICS_PROM_FILE), to_prometheus(snapshot).as_bytes())?;
+    fs.write_all(&join(dir, METRICS_JSON_FILE), to_json(snapshot).as_bytes())
+}
+
+/// `dir/file`, whether or not `dir` ends in a slash.
+fn join(dir: &str, file: &str) -> String {
+    if dir.ends_with('/') {
+        format!("{dir}{file}")
+    } else {
+        format!("{dir}/{file}")
+    }
 }
 
 #[cfg(test)]
@@ -206,8 +241,8 @@ mod tests {
     #[test]
     fn spans_record_begin_end_with_duration() {
         let obs = Obs::deterministic(100);
-        let begin = obs.begin("phase.compute", Some(3), None);
-        let dur = obs.end("phase.compute", Some(3), None, begin, &[("calls", "5".to_string())]);
+        let span = obs.span("phase.compute", Some(3), None);
+        let dur = span.end(|| vec![("calls", "5".to_string())]);
         assert_eq!(dur, 100);
         let events = obs.events();
         assert_eq!(events.len(), 2);
@@ -217,13 +252,46 @@ mod tests {
     }
 
     #[test]
+    fn a_dropped_span_leaves_its_begin_unclosed() {
+        let obs = Obs::deterministic(100);
+        drop(obs.span("phase.compute", Some(3), None));
+        let events = obs.events();
+        assert_eq!(events.len(), 1);
+        assert_eq!(events[0].edge, EDGE_BEGIN);
+    }
+
+    #[test]
+    fn the_off_handle_records_nothing() {
+        let obs = Obs::off();
+        assert!(!obs.is_on());
+        let span = obs.span("superstep", Some(0), None);
+        assert_eq!(span.end(|| unreachable!("attributes are built only when on")), 0);
+        drop(obs.span("phase.compute", Some(0), Some(1)));
+        obs.point("recovery", None, None, || unreachable!("attributes are built only when on"));
+        assert_eq!(obs.timer().stop(), 0);
+        let reg = obs.registry();
+        reg.inc("pregel_messages_sent", Scope::superstep(0), 9);
+        reg.set_gauge("live_watermark", Scope::GLOBAL, 3);
+        reg.max_gauge("pregel_peak_active_vertices", Scope::GLOBAL, 4);
+        reg.observe_time("superstep_wall_nanos", Scope::GLOBAL, 50);
+        reg.observe_bytes("checkpoint_write_bytes", Scope::GLOBAL, 50);
+        reg.record_vertex_compute("7", 50);
+        assert!(obs.events().is_empty());
+        assert_eq!(obs.metrics(), MetricsSnapshot::default());
+        assert_eq!(reg.counter_total("pregel_messages_sent"), 0);
+        assert_eq!(reg.gauge_value("live_watermark", Scope::GLOBAL), None);
+        // Every `off()` is the same handle, and it stays empty.
+        assert!(Arc::ptr_eq(&obs, &Obs::off()));
+    }
+
+    #[test]
     fn artifacts_round_trip_through_a_filesystem() {
         let fs = InMemoryFs::new();
         let obs = Obs::deterministic(10);
-        let begin = obs.begin("superstep", Some(0), None);
+        let span = obs.span("superstep", Some(0), None);
         obs.registry().inc("pregel_messages_sent", Scope::superstep(0), 9);
-        obs.end("superstep", Some(0), None, begin, &[]);
-        obs.point("recovery", None, None, &[("attempt", "1".to_string())]);
+        span.end(Vec::new);
+        obs.point("recovery", None, None, || vec![("attempt", "1".to_string())]);
         obs.write_artifacts(&fs, "/obs").expect("artifacts write");
 
         let events_text = String::from_utf8(fs.read_all("/obs/events.jsonl").unwrap()).unwrap();
@@ -244,10 +312,10 @@ mod tests {
             let fs = InMemoryFs::new();
             let obs = Obs::deterministic(50);
             for ss in 0..3u64 {
-                let begin = obs.begin("superstep", Some(ss), None);
+                let span = obs.span("superstep", Some(ss), None);
                 obs.registry().inc("pregel_compute_calls", Scope::superstep(ss), 4 + ss);
                 obs.registry().observe_time("superstep_wall_nanos", Scope::GLOBAL, 50);
-                obs.end("superstep", Some(ss), None, begin, &[("messages_sent", ss.to_string())]);
+                span.end(|| vec![("messages_sent", ss.to_string())]);
             }
             obs.write_artifacts(&fs, "/obs").unwrap();
             (

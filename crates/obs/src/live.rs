@@ -30,9 +30,8 @@ use graft_dfs::{FileSystem, FsError, FsResult, TailEvent, TailWatcher};
 use serde::{Deserialize, Serialize};
 
 use crate::events::{parse_jsonl, write_jsonl_into, Event};
-use crate::export;
 use crate::registry::{MetricsSnapshot, Scope};
-use crate::{Obs, EVENTS_FILE, METRICS_JSON_FILE, METRICS_PROM_FILE};
+use crate::{join, write_metrics, Obs, EVENTS_FILE};
 
 /// Subdirectory of the obs dir holding committed snapshots.
 pub const LIVE_DIR: &str = "live";
@@ -113,14 +112,6 @@ pub struct LiveSnapshot {
     pub metrics: MetricsSnapshot,
 }
 
-fn join(dir: &str, file: &str) -> String {
-    if dir.ends_with('/') {
-        format!("{dir}{file}")
-    } else {
-        format!("{dir}/{file}")
-    }
-}
-
 /// Streams an [`Obs`]'s event log and metrics through a [`FileSystem`]
 /// incrementally. One writer per job, driven from the coordinator thread
 /// at superstep boundaries.
@@ -180,12 +171,9 @@ impl LiveWriter {
         };
         self.watermark = Some(frontier);
         self.obs.registry().set_gauge(WATERMARK_GAUGE, Scope::GLOBAL, frontier as i64);
-        self.obs.point(
-            WATERMARK_EVENT,
-            Some(superstep),
-            None,
-            &[("frontier", frontier.to_string())],
-        );
+        self.obs.point(WATERMARK_EVENT, Some(superstep), None, || {
+            vec![("frontier", frontier.to_string())]
+        });
     }
 
     /// One incremental flush: appends the event-log delta, then commits
@@ -210,7 +198,7 @@ impl LiveWriter {
                     median_nanos: attr("median_nanos"),
                 });
             }
-            if event.is_point("recovery") || event.is_end("recovery.confined") {
+            if event.is_recovery() {
                 self.recoveries += 1;
             }
         }
@@ -263,15 +251,7 @@ impl LiveWriter {
     /// so its bytes already equal a post-mortem `write_artifacts`.
     pub fn finalize(&mut self, status: &str) -> FsResult<u64> {
         let seq = self.flush(status)?;
-        let snapshot = self.obs.metrics();
-        self.fs.write_all(
-            &join(&self.dir, METRICS_PROM_FILE),
-            export::to_prometheus(&snapshot).as_bytes(),
-        )?;
-        self.fs.write_all(
-            &join(&self.dir, METRICS_JSON_FILE),
-            export::to_json(&snapshot).as_bytes(),
-        )?;
+        write_metrics(self.fs.as_ref(), &self.dir, &self.obs.metrics())?;
         Ok(seq)
     }
 }
@@ -433,15 +413,13 @@ mod tests {
     fn flush_appends_events_and_commits_snapshots() {
         let fs = InMemoryFs::new();
         let (obs, mut live) = writer(&fs);
-        let begin = obs.begin("superstep", Some(0), None);
-        obs.end("superstep", Some(0), None, begin, &[]);
+        obs.span("superstep", Some(0), None).end(Vec::new);
         live.advance_watermark(0);
         assert_eq!(live.flush(STATUS_RUNNING).unwrap(), 1);
         let after_first = fs.read_all("/obs/events.jsonl").unwrap();
         assert_eq!(after_first.iter().filter(|&&b| b == b'\n').count(), 3);
 
-        let begin = obs.begin("superstep", Some(1), None);
-        obs.end("superstep", Some(1), None, begin, &[]);
+        obs.span("superstep", Some(1), None).end(Vec::new);
         live.advance_watermark(1);
         assert_eq!(live.flush(STATUS_RUNNING).unwrap(), 2);
         // The first flush's bytes are a strict prefix: append-only.
@@ -504,7 +482,7 @@ mod tests {
         let mut reader = LiveLogReader::new(fs.clone(), "/obs");
         assert!(reader.poll().unwrap().is_empty());
 
-        obs.point("job.start", None, None, &[]);
+        obs.point("job.start", None, None, Vec::new);
         live.advance_watermark(0);
         live.flush(STATUS_RUNNING).unwrap();
         let events = reader.poll().unwrap();

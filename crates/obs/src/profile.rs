@@ -71,7 +71,8 @@ pub struct Profile {
     /// Whole-job duration (the `job` span when present, else the sum of
     /// superstep walls).
     pub total_nanos: u64,
-    /// Checkpoint restores performed.
+    /// Recoveries performed: full restarts and confined replays (see
+    /// [`crate::Event::is_recovery`]).
     pub recoveries: u64,
     /// Per-superstep breakdown, ordered by superstep.
     pub supersteps: Vec<SuperstepProfile>,
@@ -136,7 +137,7 @@ impl Profile {
                 });
                 continue;
             }
-            if event.is_point("recovery") {
+            if event.is_recovery() {
                 recoveries += 1;
                 continue;
             }

@@ -10,7 +10,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 use serde::{Deserialize, Serialize};
 
 use crate::histogram::{Histogram, HistogramData};
@@ -61,40 +61,57 @@ struct Inner {
     vertex_nanos: BTreeMap<String, VertexCost>,
 }
 
-/// Cheap-to-clone handle to a shared metrics store.
-#[derive(Clone, Default)]
+/// Cheap-to-clone handle to a shared metrics store — or to none, in an
+/// off `Obs`, where every call returns after one branch.
+#[derive(Clone)]
 pub struct MetricsRegistry {
-    inner: Arc<Mutex<Inner>>,
+    inner: Option<Arc<Mutex<Inner>>>,
+}
+
+impl Default for MetricsRegistry {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl MetricsRegistry {
     /// An empty registry.
     pub fn new() -> Self {
-        Self::default()
+        Self { inner: Some(Arc::default()) }
+    }
+
+    /// The registry of an off `Obs`: records nothing, reads empty.
+    pub(crate) fn off() -> Self {
+        Self { inner: None }
+    }
+
+    /// The store, locked; `None` when off.
+    fn lock(&self) -> Option<MutexGuard<'_, Inner>> {
+        self.inner.as_deref().map(Mutex::lock)
     }
 
     /// Adds `delta` to a counter, creating it at zero first.
     pub fn inc(&self, name: &str, scope: Scope, delta: u64) {
-        let mut inner = self.inner.lock();
+        let Some(mut inner) = self.lock() else { return };
         *inner.counters.entry((name.to_string(), scope)).or_insert(0) += delta;
     }
 
     /// Sets a gauge to `value` (last write wins).
     pub fn set_gauge(&self, name: &str, scope: Scope, value: i64) {
-        let mut inner = self.inner.lock();
+        let Some(mut inner) = self.lock() else { return };
         inner.gauges.insert((name.to_string(), scope), value);
     }
 
     /// Raises a gauge to `value` if it is below it (or absent).
     pub fn max_gauge(&self, name: &str, scope: Scope, value: i64) {
-        let mut inner = self.inner.lock();
+        let Some(mut inner) = self.lock() else { return };
         let slot = inner.gauges.entry((name.to_string(), scope)).or_insert(i64::MIN);
         *slot = (*slot).max(value);
     }
 
     /// Records a duration into a time histogram.
     pub fn observe_time(&self, name: &str, scope: Scope, nanos: u64) {
-        let mut inner = self.inner.lock();
+        let Some(mut inner) = self.lock() else { return };
         inner
             .histograms
             .entry((name.to_string(), scope))
@@ -104,7 +121,7 @@ impl MetricsRegistry {
 
     /// Records a size into a byte histogram.
     pub fn observe_bytes(&self, name: &str, scope: Scope, bytes: u64) {
-        let mut inner = self.inner.lock();
+        let Some(mut inner) = self.lock() else { return };
         inner
             .histograms
             .entry((name.to_string(), scope))
@@ -115,7 +132,7 @@ impl MetricsRegistry {
     /// Accumulates one `compute()` call's cost against a vertex. Safe to
     /// call concurrently from worker threads: accumulation commutes.
     pub fn record_vertex_compute(&self, vertex: &str, nanos: u64) {
-        let mut inner = self.inner.lock();
+        let Some(mut inner) = self.lock() else { return };
         let cost = inner.vertex_nanos.entry(vertex.to_string()).or_insert_with(|| VertexCost {
             vertex: vertex.to_string(),
             nanos: 0,
@@ -127,25 +144,25 @@ impl MetricsRegistry {
 
     /// Current value of a counter (0 if never incremented).
     pub fn counter_value(&self, name: &str, scope: Scope) -> u64 {
-        let inner = self.inner.lock();
-        inner.counters.get(&(name.to_string(), scope)).copied().unwrap_or(0)
+        self.lock()
+            .and_then(|inner| inner.counters.get(&(name.to_string(), scope)).copied())
+            .unwrap_or(0)
     }
 
     /// Current value of a gauge, if set.
     pub fn gauge_value(&self, name: &str, scope: Scope) -> Option<i64> {
-        let inner = self.inner.lock();
-        inner.gauges.get(&(name.to_string(), scope)).copied()
+        self.lock().and_then(|inner| inner.gauges.get(&(name.to_string(), scope)).copied())
     }
 
     /// Sum of a counter across all scopes carrying `name`.
     pub fn counter_total(&self, name: &str) -> u64 {
-        let inner = self.inner.lock();
+        let Some(inner) = self.lock() else { return 0 };
         inner.counters.iter().filter(|((n, _), _)| n == name).map(|(_, v)| v).sum()
     }
 
     /// A sorted, serializable copy of everything recorded so far.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let inner = self.inner.lock();
+        let Some(inner) = self.lock() else { return MetricsSnapshot::default() };
         let counters = inner
             .counters
             .iter()

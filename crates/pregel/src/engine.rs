@@ -82,7 +82,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use graft_dfs::FileSystem;
-use graft_obs::{Obs, Scope};
+use graft_obs::{Obs, Scope, Span};
 // The schedule-checkable sync shims: plain passthroughs in a normal
 // run, deterministic-scheduler yield points plus happens-before edges
 // under `graft-cli check-sched` (see DESIGN.md "Concurrency model").
@@ -174,7 +174,7 @@ pub struct Engine<C: Computation> {
     fault_plan: Option<FaultPlan>,
     checkpoints: Option<(Arc<dyn FileSystem>, CheckpointConfig)>,
     ooc: Option<(Arc<dyn FileSystem>, OocConfig)>,
-    obs: Option<Arc<Obs>>,
+    obs: Arc<Obs>,
 }
 
 impl<C: Computation> Engine<C> {
@@ -194,7 +194,7 @@ impl<C: Computation> Engine<C> {
             fault_plan: None,
             checkpoints: None,
             ooc: None,
-            obs: None,
+            obs: Obs::off(),
         }
     }
 
@@ -267,7 +267,7 @@ impl<C: Computation> Engine<C> {
     /// restores, and records per-superstep counters plus phase/worker
     /// timing histograms into its registry.
     pub fn with_obs(mut self, obs: Arc<Obs>) -> Self {
-        self.obs = Some(obs);
+        self.obs = obs;
         self
     }
 
@@ -291,13 +291,13 @@ impl<C: Computation> Engine<C> {
         graph: Graph<C::Id, C::VValue, C::EValue>,
         threads: usize,
     ) -> Result<JobOutcome<C>, EngineError> {
-        let job_begin = self.obs.as_ref().map(|o| o.begin("job", None, None));
+        let job = self.obs.span("job", None, None);
         let result = self.run_inner(graph, threads);
         let supersteps_executed = match &result {
             Ok(outcome) => outcome.stats.superstep_count(),
             Err((supersteps, _)) => *supersteps,
         };
-        if let (Some(obs), Some(begin)) = (&self.obs, job_begin) {
+        job.end(|| {
             let mut attrs = vec![("supersteps", supersteps_executed.to_string())];
             match &result {
                 Ok(outcome) => attrs.extend([
@@ -306,8 +306,8 @@ impl<C: Computation> Engine<C> {
                 ]),
                 Err((_, err)) => attrs.push(("error", err.to_string())),
             }
-            obs.end("job", None, None, begin, &attrs);
-        }
+            attrs
+        });
         let error = result.as_ref().err().map(|(_, err)| err.to_string());
         let end = JobEnd { supersteps_executed, error };
         for obs in &self.observers {
@@ -371,7 +371,7 @@ impl<C: Computation> Engine<C> {
             computation: self.computation.as_ref(),
             shared: &shared,
             faults: faults.as_ref(),
-            obs: self.obs.as_deref(),
+            obs: &self.obs,
             msglog: msglog.as_ref(),
             spill: spill_store.as_ref(),
             num_partitions,
@@ -439,10 +439,7 @@ impl<C: Computation> Engine<C> {
         loop {
             if let Some((fs, ckpt)) = &self.checkpoints {
                 if ckpt.due_at(state.superstep) && state.last_checkpoint != Some(state.superstep) {
-                    let begin = self
-                        .obs
-                        .as_ref()
-                        .map(|o| o.begin("checkpoint.write", Some(state.superstep), None));
+                    let span = self.obs.span("checkpoint.write", Some(state.superstep), None);
                     let bytes = checkpoint::write_checkpoint(
                         fs,
                         ckpt,
@@ -463,20 +460,12 @@ impl<C: Computation> Engine<C> {
                         },
                     )
                     .map_err(|e| (state.superstep, EngineError::Checkpoint(e)))?;
-                    if let (Some(obs), Some(begin)) = (&self.obs, begin) {
-                        let dur = obs.end(
-                            "checkpoint.write",
-                            Some(state.superstep),
-                            None,
-                            begin,
-                            &[("bytes", bytes.to_string())],
-                        );
-                        let reg = obs.registry();
-                        reg.inc("pregel_checkpoints_total", Scope::GLOBAL, 1);
-                        reg.inc("checkpoint_bytes_total", Scope::GLOBAL, bytes);
-                        reg.observe_bytes("checkpoint_write_bytes", Scope::GLOBAL, bytes);
-                        reg.observe_time("checkpoint_write_nanos", Scope::GLOBAL, dur);
-                    }
+                    let dur = span.end(|| vec![("bytes", bytes.to_string())]);
+                    let reg = self.obs.registry();
+                    reg.inc("pregel_checkpoints_total", Scope::GLOBAL, 1);
+                    reg.inc("checkpoint_bytes_total", Scope::GLOBAL, bytes);
+                    reg.observe_bytes("checkpoint_write_bytes", Scope::GLOBAL, bytes);
+                    reg.observe_time("checkpoint_write_nanos", Scope::GLOBAL, dur);
                     state.last_checkpoint = Some(state.superstep);
                     // Checkpoint commit is the log truncation point: roll
                     // to a segment named after this checkpoint and drop
@@ -491,12 +480,10 @@ impl<C: Computation> Engine<C> {
                             .copied()
                             .unwrap_or(state.superstep);
                         log.roll(state.superstep, oldest_retained);
-                        if let Some(o) = &self.obs {
-                            o.registry().set_gauge(
-                                "pregel_msglog_disk_bytes",
-                                Scope::GLOBAL,
-                                log.disk_bytes() as i64,
-                            );
+                        // Sizing the log lists its directory: not for nothing.
+                        if self.obs.is_on() {
+                            let disk_bytes = log.disk_bytes() as i64;
+                            reg.set_gauge("pregel_msglog_disk_bytes", Scope::GLOBAL, disk_bytes);
                         }
                     }
                     for obs in &self.observers {
@@ -546,8 +533,7 @@ impl<C: Computation> Engine<C> {
                         }
                     }
 
-                    let begin =
-                        self.obs.as_ref().map(|o| o.begin("checkpoint.restore", None, None));
+                    let span = self.obs.span("checkpoint.restore", None, None);
                     let restored = match checkpoint::restore_latest::<C>(fs, ckpt) {
                         Ok(Some(restored)) => restored,
                         // No committed checkpoint to fall back to: the
@@ -575,32 +561,23 @@ impl<C: Computation> Engine<C> {
                         log.reset_to(resumed_at)
                             .map_err(|e| (failed_at, EngineError::MessageLog(e)))?;
                     }
-                    if let (Some(obs), Some(begin)) = (&self.obs, begin) {
-                        let dur = obs.end(
-                            "checkpoint.restore",
-                            None,
-                            None,
-                            begin,
-                            &[
-                                ("failed_superstep", failed_at.to_string()),
-                                ("resumed_superstep", resumed_at.to_string()),
-                            ],
-                        );
-                        obs.point(
-                            "recovery",
-                            None,
-                            None,
-                            &[
-                                ("attempt", state.recoveries.to_string()),
-                                ("failed_superstep", failed_at.to_string()),
-                                ("resumed_superstep", resumed_at.to_string()),
-                                ("error", err.to_string()),
-                            ],
-                        );
-                        let reg = obs.registry();
-                        reg.inc("pregel_recoveries_total", Scope::GLOBAL, 1);
-                        reg.observe_time("checkpoint_restore_nanos", Scope::GLOBAL, dur);
-                    }
+                    let dur = span.end(|| {
+                        vec![
+                            ("failed_superstep", failed_at.to_string()),
+                            ("resumed_superstep", resumed_at.to_string()),
+                        ]
+                    });
+                    self.obs.point("recovery", None, None, || {
+                        vec![
+                            ("attempt", state.recoveries.to_string()),
+                            ("failed_superstep", failed_at.to_string()),
+                            ("resumed_superstep", resumed_at.to_string()),
+                            ("error", err.to_string()),
+                        ]
+                    });
+                    let reg = self.obs.registry();
+                    reg.inc("pregel_recoveries_total", Scope::GLOBAL, 1);
+                    reg.observe_time("checkpoint_restore_nanos", Scope::GLOBAL, dur);
                     // The restored superstep's checkpoint is the one we
                     // just loaded; don't rewrite it before the replay.
                     state.last_checkpoint = Some(resumed_at);
@@ -670,12 +647,11 @@ impl<C: Computation> Engine<C> {
         let superstep = state.superstep;
         let global =
             GlobalData { superstep, num_vertices: state.num_vertices, num_edges: state.num_edges };
-        let obs = self.obs.as_deref();
-        let ss_begin = obs.map(|o| o.begin("superstep", Some(superstep), None));
+        let superstep_span = self.obs.span("superstep", Some(superstep), None);
 
         // Phase 1: master computation (beginning of superstep).
         if let Some(master) = &self.master {
-            let master_begin = obs.map(|o| o.begin("phase.master", Some(superstep), None));
+            let master_span = self.obs.span("phase.master", Some(superstep), None);
             let halted = {
                 let mut registry = write(&shared.registry);
                 let mut mctx = MasterContext::new(global, &mut registry);
@@ -688,16 +664,8 @@ impl<C: Computation> Engine<C> {
                 }
                 mctx.is_halted()
             };
-            if let (Some(o), Some(begin)) = (obs, master_begin) {
-                let dur = o.end(
-                    "phase.master",
-                    Some(superstep),
-                    None,
-                    begin,
-                    &[("halted", halted.to_string())],
-                );
-                o.registry().observe_time("phase_master_nanos", Scope::GLOBAL, dur);
-            }
+            let dur = master_span.end(|| vec![("halted", halted.to_string())]);
+            self.obs.registry().observe_time("phase_master_nanos", Scope::GLOBAL, dur);
             let snapshot = read(&shared.registry).snapshot();
             for obs in &self.observers {
                 obs.on_master_computed(superstep, &global, &snapshot, halted);
@@ -708,7 +676,7 @@ impl<C: Computation> Engine<C> {
         }
 
         let compute_start = Instant::now();
-        let compute_begin = obs.map(|o| o.begin("phase.compute", Some(superstep), None));
+        let compute_span = self.obs.span("phase.compute", Some(superstep), None);
 
         // Phase 2: parallel vertex computation. Every worker's result is
         // collected — confined recovery needs the survivors' outputs and
@@ -743,8 +711,8 @@ impl<C: Computation> Engine<C> {
             global,
             outputs,
             compute_start,
-            ss_begin,
-            compute_begin,
+            superstep_span,
+            compute_span,
         )
     }
 
@@ -761,55 +729,46 @@ impl<C: Computation> Engine<C> {
         global: GlobalData,
         mut outputs: Vec<WorkerOutput<C>>,
         compute_start: Instant,
-        ss_begin: Option<u64>,
-        compute_begin: Option<u64>,
+        superstep_span: Span<'_>,
+        compute_span: Span<'_>,
     ) -> Result<Option<HaltReason>, StepFailure<C>> {
         let shared = ctx.shared;
         let superstep = global.superstep;
-        let obs = self.obs.as_deref();
+        let reg = self.obs.registry();
 
         let compute_calls: u64 = outputs.iter().map(|o| o.compute_calls).sum();
         let messages_sent: u64 = outputs.iter().map(|o| o.messages_sent).sum();
         let messages_shuffled: u64 = outputs.iter().map(|o| o.messages_shuffled).sum();
 
-        if let (Some(o), Some(begin)) = (obs, compute_begin) {
+        let dur = compute_span.end(|| {
             let worker_nanos: Vec<String> =
                 outputs.iter().enumerate().map(|(w, out)| format!("{w}:{}", out.nanos)).collect();
-            let dur = o.end(
-                "phase.compute",
-                Some(superstep),
-                None,
-                begin,
-                &[
-                    ("compute_calls", compute_calls.to_string()),
-                    ("messages_sent", messages_sent.to_string()),
-                    ("worker_nanos", worker_nanos.join(";")),
-                ],
+            vec![
+                ("compute_calls", compute_calls.to_string()),
+                ("messages_sent", messages_sent.to_string()),
+                ("worker_nanos", worker_nanos.join(";")),
+            ]
+        });
+        reg.observe_time("phase_compute_nanos", Scope::GLOBAL, dur);
+        reg.inc("pregel_messages_shuffled", Scope::superstep(superstep), messages_shuffled);
+        for (w, out) in outputs.iter().enumerate() {
+            reg.observe_time("worker_compute_nanos", Scope::worker(w as u64), out.nanos);
+            reg.inc(
+                "pregel_worker_compute_calls",
+                Scope::at(w as u64, superstep),
+                out.compute_calls,
             );
-            let reg = o.registry();
-            reg.observe_time("phase_compute_nanos", Scope::GLOBAL, dur);
-            reg.inc("pregel_messages_shuffled", Scope::superstep(superstep), messages_shuffled);
-            for (w, out) in outputs.iter().enumerate() {
-                reg.observe_time("worker_compute_nanos", Scope::worker(w as u64), out.nanos);
-                reg.inc(
-                    "pregel_worker_compute_calls",
-                    Scope::at(w as u64, superstep),
-                    out.compute_calls,
-                );
-            }
-            // GiViP-style skew watch: flag workers whose compute time
-            // blows past the median, for the live monitoring views.
-            let nanos: Vec<u64> = outputs.iter().map(|out| out.nanos).collect();
-            for (w, nanos, median) in detect_stragglers(&nanos, self.config.straggler_threshold) {
-                o.point(
-                    graft_obs::STRAGGLER_EVENT,
-                    Some(superstep),
-                    Some(w as u64),
-                    &[("nanos", nanos.to_string()), ("median_nanos", median.to_string())],
-                );
-                reg.inc(graft_obs::STRAGGLERS_COUNTER, Scope::GLOBAL, 1);
-                reg.inc(graft_obs::STRAGGLERS_COUNTER, Scope::at(w as u64, superstep), 1);
-            }
+        }
+        // GiViP-style skew watch: flag workers whose compute time blows
+        // past the median, for the live monitoring views. With obs off
+        // every time is 0, and a zero median flags no one.
+        let nanos: Vec<u64> = outputs.iter().map(|out| out.nanos).collect();
+        for (w, nanos, median) in detect_stragglers(&nanos, self.config.straggler_threshold) {
+            self.obs.point(graft_obs::STRAGGLER_EVENT, Some(superstep), Some(w as u64), || {
+                vec![("nanos", nanos.to_string()), ("median_nanos", median.to_string())]
+            });
+            reg.inc(graft_obs::STRAGGLERS_COUNTER, Scope::GLOBAL, 1);
+            reg.inc(graft_obs::STRAGGLERS_COUNTER, Scope::at(w as u64, superstep), 1);
         }
 
         // In log-replay mode, snapshot the registry before the merge:
@@ -819,17 +778,14 @@ impl<C: Computation> Engine<C> {
         let coord_aggs = ctx.msglog.map(|_| read(&shared.registry).snapshot());
 
         // Phase 3: merge aggregator partials.
-        let aggregate_begin = obs.map(|o| o.begin("phase.aggregate", Some(superstep), None));
+        let aggregate_span = self.obs.span("phase.aggregate", Some(superstep), None);
         write(&shared.registry)
             .merge_superstep(outputs.iter_mut().map(|o| std::mem::take(&mut o.aggs)).collect());
-        if let (Some(o), Some(begin)) = (obs, aggregate_begin) {
-            let dur = o.end("phase.aggregate", Some(superstep), None, begin, &[]);
-            o.registry().observe_time("phase_aggregate_nanos", Scope::GLOBAL, dur);
-        }
+        reg.observe_time("phase_aggregate_nanos", Scope::GLOBAL, aggregate_span.end(Vec::new));
         let compute_time = compute_start.elapsed();
 
         let delivery_start = Instant::now();
-        let delivery_begin = obs.map(|o| o.begin("phase.delivery", Some(superstep), None));
+        let delivery_span = self.obs.span("phase.delivery", Some(superstep), None);
 
         // Phase 4: parallel message delivery from the staged shuffle.
         pool.dispatch(ctx, PoolCommand::Deliver { superstep }, &mut state.staged);
@@ -845,25 +801,18 @@ impl<C: Computation> Engine<C> {
         let mut active_vertices: u64 = delivery.iter().map(|d| d.active).sum();
         state.num_edges = delivery.iter().map(|d| d.edges).sum();
 
-        if let (Some(o), Some(begin)) = (obs, delivery_begin) {
+        let dur = delivery_span.end(|| {
             let worker_nanos: Vec<String> =
                 delivery.iter().enumerate().map(|(w, d)| format!("{w}:{}", d.nanos)).collect();
-            let dur = o.end(
-                "phase.delivery",
-                Some(superstep),
-                None,
-                begin,
-                &[
-                    ("delivered", messages_delivered.to_string()),
-                    ("missing", messages_to_missing.to_string()),
-                    ("worker_nanos", worker_nanos.join(";")),
-                ],
-            );
-            let reg = o.registry();
-            reg.observe_time("phase_delivery_nanos", Scope::GLOBAL, dur);
-            for (w, d) in delivery.iter().enumerate() {
-                reg.observe_time("worker_delivery_nanos", Scope::worker(w as u64), d.nanos);
-            }
+            vec![
+                ("delivered", messages_delivered.to_string()),
+                ("missing", messages_to_missing.to_string()),
+                ("worker_nanos", worker_nanos.join(";")),
+            ]
+        });
+        reg.observe_time("phase_delivery_nanos", Scope::GLOBAL, dur);
+        for (w, d) in delivery.iter().enumerate() {
+            reg.observe_time("worker_delivery_nanos", Scope::worker(w as u64), d.nanos);
         }
 
         // Phase 5: apply topology mutations.
@@ -871,7 +820,7 @@ impl<C: Computation> Engine<C> {
         let mutations_applied = if mutations.is_empty() {
             0
         } else {
-            let mutate_begin = obs.map(|o| o.begin("phase.mutate", Some(superstep), None));
+            let mutate_span = self.obs.span("phase.mutate", Some(superstep), None);
             let applied = {
                 // Mutations can touch any partition; bring everything
                 // resident first. Declared before the lock guards so the
@@ -890,16 +839,8 @@ impl<C: Computation> Engine<C> {
                     census(guards.iter().map(|g| &**g));
                 applied
             };
-            if let (Some(o), Some(begin)) = (obs, mutate_begin) {
-                let dur = o.end(
-                    "phase.mutate",
-                    Some(superstep),
-                    None,
-                    begin,
-                    &[("applied", applied.to_string())],
-                );
-                o.registry().observe_time("phase_mutate_nanos", Scope::GLOBAL, dur);
-            }
+            let dur = mutate_span.end(|| vec![("applied", applied.to_string())]);
+            reg.observe_time("phase_mutate_nanos", Scope::GLOBAL, dur);
             applied
         };
         let delivery_time = delivery_start.elapsed();
@@ -917,9 +858,7 @@ impl<C: Computation> Engine<C> {
             let bytes = log
                 .append_coord_frame(&frame)
                 .map_err(|e| StepFailure::fatal(EngineError::MessageLog(e)))?;
-            if let Some(o) = obs {
-                o.registry().inc("pregel_msglog_bytes_total", Scope::GLOBAL, bytes);
-            }
+            reg.inc("pregel_msglog_bytes_total", Scope::GLOBAL, bytes);
         }
 
         let stats = SuperstepStats {
@@ -934,42 +873,28 @@ impl<C: Computation> Engine<C> {
             delivery_time,
             wall_time: compute_time + delivery_time,
         };
-        if let (Some(o), Some(begin)) = (obs, ss_begin) {
-            let dur = o.end(
-                "superstep",
-                Some(superstep),
-                None,
-                begin,
-                &[
-                    ("compute_calls", compute_calls.to_string()),
-                    ("messages_sent", messages_sent.to_string()),
-                    ("messages_delivered", messages_delivered.to_string()),
-                    ("active_vertices", active_vertices.to_string()),
-                ],
-            );
-            let reg = o.registry();
-            reg.inc("pregel_supersteps_total", Scope::GLOBAL, 1);
-            reg.inc("pregel_compute_calls", Scope::superstep(superstep), compute_calls);
-            reg.inc("pregel_messages_sent", Scope::superstep(superstep), messages_sent);
-            reg.inc("pregel_messages_delivered", Scope::superstep(superstep), messages_delivered);
-            if messages_to_missing > 0 {
-                reg.inc(
-                    "pregel_messages_to_missing",
-                    Scope::superstep(superstep),
-                    messages_to_missing,
-                );
-            }
-            if mutations_applied > 0 {
-                reg.inc("pregel_mutations_applied", Scope::superstep(superstep), mutations_applied);
-            }
-            reg.set_gauge(
-                "pregel_active_vertices",
-                Scope::superstep(superstep),
-                active_vertices as i64,
-            );
-            reg.max_gauge("pregel_peak_active_vertices", Scope::GLOBAL, active_vertices as i64);
-            reg.observe_time("superstep_wall_nanos", Scope::GLOBAL, dur);
+        let dur = superstep_span.end(|| {
+            vec![
+                ("compute_calls", compute_calls.to_string()),
+                ("messages_sent", messages_sent.to_string()),
+                ("messages_delivered", messages_delivered.to_string()),
+                ("active_vertices", active_vertices.to_string()),
+            ]
+        });
+        let scope = Scope::superstep(superstep);
+        reg.inc("pregel_supersteps_total", Scope::GLOBAL, 1);
+        reg.inc("pregel_compute_calls", scope, compute_calls);
+        reg.inc("pregel_messages_sent", scope, messages_sent);
+        reg.inc("pregel_messages_delivered", scope, messages_delivered);
+        if messages_to_missing > 0 {
+            reg.inc("pregel_messages_to_missing", scope, messages_to_missing);
         }
+        if mutations_applied > 0 {
+            reg.inc("pregel_mutations_applied", scope, mutations_applied);
+        }
+        reg.set_gauge("pregel_active_vertices", scope, active_vertices as i64);
+        reg.max_gauge("pregel_peak_active_vertices", Scope::GLOBAL, active_vertices as i64);
+        reg.observe_time("superstep_wall_nanos", Scope::GLOBAL, dur);
         for obs in &self.observers {
             obs.on_superstep_end(&stats);
         }
@@ -1058,7 +983,7 @@ impl<C: Computation> Engine<C> {
         // Commit point: from here on, state is mutated and any failure
         // must surface as an error, not a fall-through.
         state.recoveries += 1;
-        let begin = self.obs.as_ref().map(|o| o.begin("recovery.confined", None, None));
+        let span = self.obs.span("recovery.confined", None, None);
         for obs in &self.observers {
             obs.on_confined_restore(cp, &failed);
         }
@@ -1184,7 +1109,7 @@ impl<C: Computation> Engine<C> {
             }
         }
 
-        if let (Some(obs), Some(begin)) = (&self.obs, begin) {
+        let dur = span.end(|| {
             let mut attrs = vec![
                 ("failed_superstep", failed_at.to_string()),
                 ("checkpoint", cp.to_string()),
@@ -1194,11 +1119,11 @@ impl<C: Computation> Engine<C> {
             if let Some(e) = &recover_err {
                 attrs.push(("replay_error", e.to_string()));
             }
-            let dur = obs.end("recovery.confined", None, None, begin, &attrs);
-            let reg = obs.registry();
-            reg.inc("pregel_confined_recoveries_total", Scope::GLOBAL, 1);
-            reg.observe_time("recovery_confined_nanos", Scope::GLOBAL, dur);
-        }
+            attrs
+        });
+        let reg = self.obs.registry();
+        reg.inc("pregel_confined_recoveries_total", Scope::GLOBAL, 1);
+        reg.observe_time("recovery_confined_nanos", Scope::GLOBAL, dur);
         if let Some(e) = recover_err {
             return Err(StepFailure::fatal(e));
         }
@@ -1208,10 +1133,9 @@ impl<C: Computation> Engine<C> {
             .collect();
 
         // The failed attempt's superstep spans never closed; open fresh
-        // tokens so the recovered superstep is observable like any other.
-        let obs = self.obs.as_deref();
-        let ss_begin = obs.map(|o| o.begin("superstep", Some(failed_at), None));
-        let compute_begin = obs.map(|o| o.begin("phase.compute", Some(failed_at), None));
+        // ones so the recovered superstep is observable like any other.
+        let superstep_span = self.obs.span("superstep", Some(failed_at), None);
+        let compute_span = self.obs.span("phase.compute", Some(failed_at), None);
         self.finish_superstep(
             state,
             pool,
@@ -1219,8 +1143,8 @@ impl<C: Computation> Engine<C> {
             global,
             outputs,
             Instant::now(),
-            ss_begin,
-            compute_begin,
+            superstep_span,
+            compute_span,
         )
         .map(Confined::Done)
     }
@@ -1465,7 +1389,7 @@ struct EngineCtx<'a, C: Computation> {
     computation: &'a C,
     shared: &'a SharedState<C>,
     faults: Option<&'a ArmedFaults>,
-    obs: Option<&'a Obs>,
+    obs: &'a Obs,
     msglog: Option<&'a MsgLog>,
     spill: Option<&'a SpillStore<C>>,
     num_partitions: usize,
@@ -1488,7 +1412,7 @@ struct WorkerOutput<C: Computation> {
     /// for raw batches, less when sender-side combining collapsed them).
     messages_shuffled: u64,
     /// Observability-clock nanoseconds this worker spent in phase 2
-    /// (zero when the engine runs without an [`Obs`] handle).
+    /// (zero with obs off).
     nanos: u64,
 }
 
@@ -1562,9 +1486,7 @@ fn worker_compute<C: Computation>(
                 .collect(),
         };
         let bytes = log.append_worker_frame(worker_id, &frame).map_err(EngineError::MessageLog)?;
-        if let Some(o) = ctx.obs {
-            o.registry().inc("pregel_msglog_bytes_total", Scope::GLOBAL, bytes);
-        }
+        ctx.obs.registry().inc("pregel_msglog_bytes_total", Scope::GLOBAL, bytes);
     }
 
     let mut messages_shuffled = 0u64;
@@ -1621,7 +1543,7 @@ fn worker_compute_core<C: Computation>(
     staged: &mut RawBatch<C>,
     registry: &AggregatorRegistry,
 ) -> Result<(WorkerOutput<C>, Vec<Outbox<C>>), EngineError> {
-    let timer = ctx.obs.map(|o| o.timer());
+    let timer = ctx.obs.timer();
     // Injected crash: the worker dies before computing any of its
     // vertices, leaving the superstep unfinished.
     if let Some(faults) = ctx.faults {
@@ -1693,7 +1615,6 @@ fn worker_compute_core<C: Computation>(
         });
     }
 
-    let nanos = timer.map(|t| t.stop()).unwrap_or(0);
     Ok((
         WorkerOutput {
             aggs: worker_aggs,
@@ -1701,7 +1622,7 @@ fn worker_compute_core<C: Computation>(
             compute_calls,
             messages_sent,
             messages_shuffled: 0,
-            nanos,
+            nanos: timer.stop(),
         },
         outboxes,
     ))
@@ -1765,7 +1686,7 @@ fn worker_deliver<C: Computation>(
     ctx: EngineCtx<'_, C>,
     worker_id: usize,
 ) -> Result<DeliveryCounts, EngineError> {
-    let timer = ctx.obs.map(|o| o.timer());
+    let timer = ctx.obs.timer();
     // Same pin discipline as the compute phase: the partition whose
     // inboxes are being filled must stay resident throughout.
     let _pin = match ctx.spill {
@@ -1817,13 +1738,7 @@ fn worker_deliver<C: Computation>(
     drop(slots);
 
     let (_, edges, active) = partition.counts();
-    Ok(DeliveryCounts {
-        delivered,
-        missing,
-        active,
-        edges,
-        nanos: timer.map(|t| t.stop()).unwrap_or(0),
-    })
+    Ok(DeliveryCounts { delivered, missing, active, edges, nanos: timer.stop() })
 }
 
 /// Applies one shuffle batch to a partition's inboxes: the single

@@ -64,7 +64,7 @@
 //!
 //! Time spent loading, spilling and sizing partitions accumulates on the
 //! obs clock in `ooc_load_nanos_total`, `ooc_spill_nanos_total` and
-//! `ooc_charge_nanos_total`; without obs nothing is timed.
+//! `ooc_charge_nanos_total`; with obs off nothing is timed.
 //!
 //! Lock order is strictly store → partition. Any partition mutex taken
 //! while holding the store lock belongs to an unpinned partition (whose
@@ -149,7 +149,7 @@ pub(crate) struct SpillStore<C: Computation> {
     fs: Arc<dyn FileSystem>,
     budget: u64,
     root: String,
-    obs: Option<Arc<Obs>>,
+    obs: Arc<Obs>,
     state: StdMutex<StoreState>,
     cond: Condvar,
     _marker: std::marker::PhantomData<fn() -> C>,
@@ -175,7 +175,7 @@ impl<C: Computation> SpillStore<C> {
     pub(crate) fn new(
         fs: Arc<dyn FileSystem>,
         config: &OocConfig,
-        obs: Option<Arc<Obs>>,
+        obs: Arc<Obs>,
         num_partitions: usize,
     ) -> Self {
         Self {
@@ -204,25 +204,15 @@ impl<C: Computation> SpillStore<C> {
         self.state.lock().unwrap_or_else(|p| p.into_inner())
     }
 
-    fn count(&self, name: &'static str, n: u64) {
-        if let Some(obs) = &self.obs {
-            obs.registry().inc(name, Scope::GLOBAL, n);
-        }
-    }
-
     fn publish_disk_gauge(&self, st: &StoreState) {
-        if let Some(obs) = &self.obs {
-            obs.registry().set_gauge("live_spill_bytes", Scope::GLOBAL, st.disk_bytes as i64);
-        }
+        self.obs.registry().set_gauge("live_spill_bytes", Scope::GLOBAL, st.disk_bytes as i64);
     }
 
     /// Runs `f`, adding its duration on the obs clock to `counter`.
-    fn timed<T>(&self, counter: &'static str, f: impl FnOnce() -> T) -> T {
-        let timer = self.obs.as_ref().map(|obs| obs.timer());
+    fn timed<T>(&self, counter: &str, f: impl FnOnce() -> T) -> T {
+        let timer = self.obs.timer();
         let out = f();
-        if let (Some(obs), Some(timer)) = (&self.obs, timer) {
-            obs.registry().inc(counter, Scope::GLOBAL, timer.stop());
-        }
+        self.obs.registry().inc(counter, Scope::GLOBAL, timer.stop());
         out
     }
 
@@ -296,7 +286,7 @@ impl<C: Computation> SpillStore<C> {
                             st = self.cond.wait(st).unwrap_or_else(|p| p.into_inner());
                             continue;
                         }
-                        self.count("ooc_budget_overruns_total", 1);
+                        self.obs.registry().inc("ooc_budget_overruns_total", Scope::GLOBAL, 1);
                     }
                     self.load(&mut st, partitions, idx)?;
                     return Ok(PinGuard { store: self, partitions, idx });
@@ -341,7 +331,7 @@ impl<C: Computation> SpillStore<C> {
         // fill) is trimmed here rather than blocking the worker. A drop
         // cannot return a failed spill, so it is counted.
         if self.evict_to_budget(&mut st, partitions).is_err() {
-            self.count("ooc_spill_errors_total", 1);
+            self.obs.registry().inc("ooc_spill_errors_total", Scope::GLOBAL, 1);
         }
         drop(st);
         self.cond.notify_all();
@@ -382,8 +372,8 @@ impl<C: Computation> SpillStore<C> {
         st.partition_bytes -= charged;
         st.slots[victim] = Slot::Spilled { topology: st.topology_files[victim], state };
         st.disk_bytes += state;
-        self.count("ooc_spills_total", 1);
-        self.count("ooc_spill_bytes_total", written);
+        self.obs.registry().inc("ooc_spills_total", Scope::GLOBAL, 1);
+        self.obs.registry().inc("ooc_spill_bytes_total", Scope::GLOBAL, written);
         self.publish_disk_gauge(st);
         Ok(())
     }
@@ -441,8 +431,8 @@ impl<C: Computation> SpillStore<C> {
         st.slots[idx] = Slot::Resident { bytes: topology + state, pins: 1 };
         st.partition_bytes += topology + state;
         st.disk_bytes = st.disk_bytes.saturating_sub(state);
-        self.count("ooc_loads_total", 1);
-        self.count("ooc_load_bytes_total", topology + state);
+        self.obs.registry().inc("ooc_loads_total", Scope::GLOBAL, 1);
+        self.obs.registry().inc("ooc_load_bytes_total", Scope::GLOBAL, topology + state);
         self.publish_disk_gauge(st);
         Ok(())
     }
@@ -617,8 +607,8 @@ impl<C: Computation> SpillStore<C> {
             .map_err(|e| CheckpointError::new(format!("writing {path}"), e))?;
         let mut st = self.state_lock();
         st.disk_bytes += frame.len() as u64;
-        self.count("ooc_shuffle_spills_total", 1);
-        self.count("ooc_shuffle_spill_bytes_total", frame.len() as u64);
+        self.obs.registry().inc("ooc_shuffle_spills_total", Scope::GLOBAL, 1);
+        self.obs.registry().inc("ooc_shuffle_spill_bytes_total", Scope::GLOBAL, frame.len() as u64);
         self.publish_disk_gauge(&st);
         Ok(path)
     }
@@ -633,7 +623,7 @@ impl<C: Computation> SpillStore<C> {
         let _ = self.fs.delete(path, false);
         let mut st = self.state_lock();
         st.disk_bytes = st.disk_bytes.saturating_sub(bytes.len() as u64);
-        self.count("ooc_shuffle_loads_total", 1);
+        self.obs.registry().inc("ooc_shuffle_loads_total", Scope::GLOBAL, 1);
         self.publish_disk_gauge(&st);
         Ok(bytes)
     }

@@ -758,7 +758,12 @@ pub(crate) mod tests {
         // A budget of nothing spills both partitions as they are adopted.
         let spilled = || {
             let fs: Arc<dyn FileSystem> = Arc::new(InMemoryFs::new());
-            let store = SpillStore::<Noop>::new(fs.clone(), &OocConfig::new(0, "/ooc"), None, 2);
+            let store = SpillStore::<Noop>::new(
+                fs.clone(),
+                &OocConfig::new(0, "/ooc"),
+                graft_obs::Obs::off(),
+                2,
+            );
             let parts: Vec<_> = sample_partitions().into_iter().map(SchedMutex::new).collect();
             store.adopt(&parts).unwrap();
             (fs, store, parts)
