@@ -48,6 +48,31 @@ impl<I: std::hash::Hash + Eq> CaptureSets<I> {
     }
 }
 
+/// Why one `compute()` call is captured, held inline: a call has at most
+/// five reasons — a preselection, all-active, the two constraints and an
+/// exception — so no capture allocates for them.
+struct Reasons {
+    list: [CaptureReason; 5],
+    len: usize,
+}
+
+impl Default for Reasons {
+    fn default() -> Self {
+        Self { list: [CaptureReason::AllActive; 5], len: 0 }
+    }
+}
+
+impl Reasons {
+    fn push(&mut self, reason: CaptureReason) {
+        self.list[self.len] = reason;
+        self.len += 1;
+    }
+
+    fn as_slice(&self) -> &[CaptureReason] {
+        &self.list[..self.len]
+    }
+}
+
 /// A user computation wrapped with Graft's capture logic.
 pub struct Instrumented<C: Computation> {
     inner: Arc<C>,
@@ -125,7 +150,7 @@ impl<C: Computation> Instrumented<C> {
             self.inner.compute(vertex, messages, ctx)
         }));
 
-        let mut reasons = Vec::new();
+        let mut reasons = Reasons::default();
         if let Some(reason) = preselected {
             reasons.push(reason);
         }
@@ -158,8 +183,8 @@ impl<C: Computation> Instrumented<C> {
                 reasons.push(CaptureReason::VertexValueViolation);
             }
         }
-        for _ in &violations {
-            self.sink.count_violation(ctx.worker_id());
+        if !violations.is_empty() {
+            self.sink.count_violations(ctx.worker_id(), violations.len() as u64);
         }
 
         let exception = match &outcome {
@@ -179,7 +204,7 @@ impl<C: Computation> Instrumented<C> {
             }
         };
 
-        if !reasons.is_empty() {
+        if reasons.len > 0 {
             // Everything but the entry value is still where the engine
             // keeps it, so the record borrows it and the sink encodes
             // straight from there.
@@ -189,12 +214,13 @@ impl<C: Computation> Instrumented<C> {
                 value_before: &value_before,
                 value_after: vertex.value(),
                 edges: vertex.edges_at_entry().iter().map(|e| (&e.target, &e.value)),
+                edges_version: vertex.entry_version(),
                 incoming: messages,
                 outgoing: ctx.staged_sends(),
                 aggregators: ctx.visible_aggregators(),
                 global: ctx.global(),
                 halted_after: vertex.has_voted_halt(),
-                reasons: &reasons,
+                reasons: reasons.as_slice(),
                 violations: &violations,
                 exception: exception.as_ref(),
             };

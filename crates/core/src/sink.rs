@@ -224,10 +224,10 @@ impl TraceSink {
         false
     }
 
-    /// Counts a constraint violation observed by `worker`.
-    pub fn count_violation(&self, worker: usize) {
-        self.violations.fetch_add(1, Ordering::Relaxed);
-        self.worker_counts[worker].violations.fetch_add(1, Ordering::Relaxed);
+    /// Counts `count` constraint violations observed by `worker`.
+    pub fn count_violations(&self, worker: usize, count: u64) {
+        self.violations.fetch_add(count, Ordering::Relaxed);
+        self.worker_counts[worker].violations.fetch_add(count, Ordering::Relaxed);
     }
 
     /// Counts an exception captured by `worker`.
@@ -684,8 +684,8 @@ mod tests {
     fn finalize_writes_result_json() {
         let (fs, sink) = sink(1000);
         sink.record_vertex(0, &Rec { worker: 0, seq: 0 });
-        sink.count_violation(0);
-        sink.count_violation(1);
+        sink.count_violations(0, 1);
+        sink.count_violations(1, 1);
         sink.count_exception(2);
         sink.finalize(7, Some("vertex 3 panicked".into()));
         let bytes = fs.read_all(&result_path("/traces/job")).unwrap();
@@ -828,7 +828,7 @@ mod tests {
             sink.record_vertex(0, &Rec { worker: 0, seq });
         }
         sink.record_master(&master(0));
-        sink.count_violation(0);
+        sink.count_violations(0, 1);
         sink.snapshot(2);
         // Supersteps 2..4 write more, then the "job" fails and restores.
         for seq in 4..9 {
@@ -836,7 +836,7 @@ mod tests {
             sink.record_vertex(1, &Rec { worker: 1, seq });
         }
         sink.record_master(&master(1));
-        sink.count_violation(0);
+        sink.count_violations(0, 1);
         sink.count_exception(1);
         sink.rollback(2);
 
@@ -868,7 +868,7 @@ mod tests {
             sink.record_vertex(1, &Rec { worker: 1, seq });
         }
         sink.record_master(&master(0));
-        sink.count_violation(1);
+        sink.count_violations(1, 1);
         sink.snapshot(3);
         // Both workers (and the master) record past the boundary, then
         // worker 1 fails and is confined-rolled-back.
@@ -877,8 +877,8 @@ mod tests {
             sink.record_vertex(1, &Rec { worker: 1, seq });
         }
         sink.record_master(&master(1));
-        sink.count_violation(0);
-        sink.count_violation(1);
+        sink.count_violations(0, 1);
+        sink.count_violations(1, 1);
         sink.count_exception(1);
         sink.rollback_workers(3, &[1]);
 
@@ -900,7 +900,7 @@ mod tests {
         for seq in 3..7 {
             assert!(sink.record_vertex(1, &Rec { worker: 1, seq }));
         }
-        sink.count_violation(1);
+        sink.count_violations(1, 1);
         sink.count_exception(1);
         sink.flush();
         assert_eq!(seqs_on_disk(&*fs, 1), [0, 1, 2, 3, 4, 5, 6]);

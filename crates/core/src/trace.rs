@@ -485,6 +485,11 @@ pub struct VertexCapture<'a, I, V, M, Ed, Ag> {
     pub value_after: &'a V,
     /// `(target, value)` of each outgoing edge at `compute()` entry.
     pub edges: Ed,
+    /// The version of `edges` ([`graft_pregel::VertexHandle::entry_version`]):
+    /// two captures of one vertex under one version have equal edges, so
+    /// the channel's rule may refer back without encoding them. `None`
+    /// promises nothing.
+    pub edges_version: Option<u64>,
     /// Incoming messages.
     pub incoming: &'a [M],
     /// Messages the vertex sent, in send order.
@@ -516,7 +521,10 @@ where
     /// are written inline; with a `rule`, the channel's rule and the
     /// frame's channel offset, they are then cut back to a reference
     /// where the rule has one, and an inline list is noted for later
-    /// frames once the frame is whole.
+    /// frames once the frame is whole. Where the rule already holds the
+    /// vertex's edges under `edges_version`, the reference is written
+    /// without encoding them at all; a debug build encodes them anyway and
+    /// checks that the bytes would have said the same.
     fn write_frame(
         &self,
         buf: &mut Vec<u8>,
@@ -534,10 +542,27 @@ where
             put(out, &Tagged(self.value_after))?;
             let edges_at = out.len();
             let tagged_pair = |(a, b)| (Tagged(a), Tagged(b));
-            put(out, &WireEdges::Inline(Seq(self.edges.clone().map(tagged_pair))))?;
-            let target = rule
-                .as_mut()
-                .and_then(|(refs, _)| refs.reference(&out[id.clone()], &out[edges_at..]));
+            let listed = WireEdges::Inline(Seq(self.edges.clone().map(tagged_pair)));
+            let known = rule.as_mut().zip(self.edges_version).and_then(|((refs, _), version)| {
+                refs.reference_by_version(&out[id.clone()], version)
+            });
+            let target = match (known, rule.as_mut()) {
+                (Some(target), Some((refs, _))) => {
+                    if cfg!(debug_assertions) {
+                        put(out, &listed)?;
+                        let by_bytes = refs.reference(&out[id.clone()], &out[edges_at..], None);
+                        assert_eq!(by_bytes, Some(target), "a version named other edges");
+                        out.truncate(edges_at);
+                    }
+                    Some(target)
+                }
+                (_, rule) => {
+                    put(out, &listed)?;
+                    rule.and_then(|(refs, _)| {
+                        refs.reference(&out[id.clone()], &out[edges_at..], self.edges_version)
+                    })
+                }
+            };
             let edges_end = match target {
                 Some(target) => {
                     out.truncate(edges_at);
@@ -567,7 +592,8 @@ where
         })?;
         if let (Some((refs, offset)), Some(back)) = (rule, inline) {
             let [id_start, id_end, edges_start, edges_end] = back.map(|back| buf.len() - back);
-            refs.remember(&buf[id_start..id_end], offset, &buf[edges_start..edges_end]);
+            let (id, edges) = (&buf[id_start..id_end], &buf[edges_start..edges_end]);
+            refs.remember(id, offset, edges, self.edges_version);
         }
         Ok(())
     }
@@ -644,6 +670,7 @@ where
             value_before: &self.value_before,
             value_after: &self.value_after,
             edges: self.edges.iter().map(|(target, value)| (target, value)),
+            edges_version: None,
             incoming: &self.incoming,
             outgoing: &self.outgoing,
             aggregators: self.aggregators.iter().map(|(name, value)| (name.as_str(), value)),
@@ -664,6 +691,13 @@ where
 /// than the list; any other record keeps its list and becomes the entry.
 /// The rule is a pure function of the channel's record stream, and the
 /// state holds one copy of each vertex's latest adjacency.
+///
+/// Each entry also keeps the adjacency version (see
+/// [`VertexCapture::edges_version`]) under which its bytes were last
+/// written or matched. A record under that same version has those bytes
+/// by the version's promise, so it gets its reference with nothing
+/// encoded or compared; any other record is decided on bytes. The
+/// version only saves work: what is written is the byte rule's answer.
 #[derive(Default)]
 pub struct EdgeRefs {
     /// Per vertex, in the order of its first capture.
@@ -680,6 +714,12 @@ pub struct EdgeRefs {
     by_id: FxHashMap<u64, usize>,
     /// The index after the vertex last looked up: usually the next one.
     cursor: usize,
+}
+
+/// Whether a reference to `offset` is shorter than an `edges` field of
+/// `len` bytes.
+fn shorter(offset: u64, len: usize) -> bool {
+    1 + graft_codec::varint::encoded_len_u64(offset) < len
 }
 
 /// A hash of an encoded id. Fx alone would leave the low bits, which
@@ -703,6 +743,9 @@ struct Latest {
     /// Where the vertex's last inline frame starts; `None` once the
     /// channel no longer holds it.
     offset: Option<u64>,
+    /// The adjacency version the stored edges were last written or
+    /// matched under, if one was given.
+    version: Option<u64>,
 }
 
 impl Latest {
@@ -736,17 +779,32 @@ impl EdgeRefs {
     }
 
     /// Where a record of vertex `id` whose encoded `edges` field is
-    /// `edges` points instead of holding them, if anywhere.
-    fn reference(&mut self, id: &[u8], edges: &[u8]) -> Option<u64> {
+    /// `edges` points instead of holding them, if anywhere. On a match
+    /// the stored edges are noted as those of `version` too.
+    fn reference(&mut self, id: &[u8], edges: &[u8], version: Option<u64>) -> Option<u64> {
         let at = self.find(id).ok()?;
-        let latest = &self.vertices[at];
+        let latest = &mut self.vertices[at];
         let offset = latest.offset?;
-        let shorter = 1 + graft_codec::varint::encoded_len_u64(offset) < edges.len();
-        (shorter && latest.edges(&self.arena) == edges).then_some(offset)
+        let same = shorter(offset, edges.len()) && latest.edges(&self.arena) == edges;
+        if same && version.is_some() {
+            latest.version = version;
+        }
+        same.then_some(offset)
     }
 
-    /// Notes the inline `edges` of vertex `id` in the frame at `offset`.
-    fn remember(&mut self, id: &[u8], offset: u64, edges: &[u8]) {
+    /// [`Self::reference`] for a record of vertex `id` whose edges are
+    /// those of adjacency `version`, if the stored edges are known to be
+    /// that version's: decided with no bytes to compare.
+    fn reference_by_version(&mut self, id: &[u8], version: u64) -> Option<u64> {
+        let at = self.find(id).ok()?;
+        let latest = &self.vertices[at];
+        let offset = latest.offset.filter(|_| latest.version == Some(version))?;
+        shorter(offset, latest.edges_len).then_some(offset)
+    }
+
+    /// Notes the inline `edges` of vertex `id`, those of adjacency
+    /// `version` if one is given, in the frame at `offset`.
+    fn remember(&mut self, id: &[u8], offset: u64, edges: &[u8], version: Option<u64>) {
         let at = match self.find(id) {
             Ok(at) => at,
             Err(hash) => {
@@ -760,6 +818,7 @@ impl EdgeRefs {
                         edges_len: 0,
                         room: 0,
                         offset: None,
+                        version: None,
                     });
                 }
                 self.cursor = at + 1;
@@ -776,7 +835,8 @@ impl EdgeRefs {
         }
         self.arena[latest.at..latest.at + id.len()].copy_from_slice(id);
         self.arena[latest.at + id.len()..latest.at + need].copy_from_slice(edges);
-        (latest.id_len, latest.edges_len, latest.offset) = (id.len(), edges.len(), Some(offset));
+        (latest.id_len, latest.edges_len) = (id.len(), edges.len());
+        (latest.offset, latest.version) = (Some(offset), version);
         if self.garbage > self.arena.len() / 2 {
             self.compact();
         }
@@ -875,7 +935,7 @@ impl ChannelWriter {
                     });
                     if let Ok(Some((id, edges))) = inline {
                         let (id, edges) = (&frame.payload[id], &frame.payload[edges]);
-                        writer.refs.remember(id, frame.start as u64, edges);
+                        writer.refs.remember(id, frame.start as u64, edges, None);
                     }
                 }
                 _ => {}

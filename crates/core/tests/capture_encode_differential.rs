@@ -92,6 +92,9 @@ where
         value_before: &trace.value_before,
         value_after: &trace.value_after,
         edges: edges.iter().map(|e| (&e.target, &e.value)),
+        // One version for both captures below: the second refers back by
+        // it, with no edges encoded.
+        edges_version: Some(1),
         incoming: &trace.incoming,
         outgoing: &trace.outgoing,
         aggregators: trace.aggregators.iter().map(|(name, value)| (name.as_str(), value)),

@@ -5,12 +5,18 @@
 //! run, and the trace directory must remain loadable as a debug session.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
+use graft::trace::{
+    decode_vertex_records, ChannelWriter, ErasedVertexTrace, WireEdges, WireVertexTrace,
+    FRAME_VERTEX,
+};
 use graft::{DebugConfig, GraftRun, GraftRunner};
 use graft_algorithms::components::ConnectedComponents;
 use graft_algorithms::pagerank::PageRank;
 use graft_algorithms::sssp::ShortestPaths;
+use graft_codec::frame::FrameScanner;
+use graft_codec::BinValue;
 use graft_dfs::{ClusterFs, ClusterFsConfig, FileSystem};
 use graft_obs::{Obs, Scope};
 use graft_pregel::{Computation, ContextOf, FaultPlan, Graph, RecoveryMode, VertexHandleOf};
@@ -411,6 +417,167 @@ fn edge_references_survive_recovery_and_budgets_byte_for_byte() {
         assert_eq!(faulted.2 > 0, budget.is_some(), "{label}: spilled exactly when budgeted");
         assert_eq!(channel_checksums(&faulted.1), expected, "{label}");
         assert_eq!(faulted.0.session().unwrap().total_captures(), clean.0.captures as usize);
+    }
+}
+
+/// Sums what it receives and forwards it for eight supersteps, and edits
+/// other vertices' edges by request: in each odd superstep every fourth
+/// vertex asks its successor to add an edge, in each even one to drop its
+/// ring edge again. No vertex edits its own edges, so a partition's
+/// topology changes only where the engine applies the requests.
+struct Splice;
+
+impl Computation for Splice {
+    type Id = u64;
+    type VValue = u64;
+    type EValue = ();
+    type Message = u64;
+
+    fn compute(
+        &self,
+        vertex: &mut VertexHandleOf<'_, Self>,
+        messages: &[u64],
+        ctx: &mut ContextOf<'_, Self>,
+    ) {
+        let superstep = ctx.superstep();
+        if superstep >= 8 {
+            vertex.vote_to_halt();
+            return;
+        }
+        let (id, n) = (vertex.id(), ctx.num_vertices());
+        vertex.set_value((vertex.value() + messages.iter().sum::<u64>()) % 1_000);
+        if id % 4 == 1 {
+            let successor = (id + 1) % n;
+            match superstep % 2 {
+                1 => ctx.add_edge_request(successor, (id * 5 + superstep) % n, ()),
+                _ => ctx.remove_edge_request(successor, (successor + 1) % n),
+            }
+        }
+        ctx.send_message_to_all_edges(vertex, *vertex.value());
+    }
+}
+
+/// Each vertex's out-edges at compute entry, type-erased as a trace
+/// reads them, by `(superstep, vertex)`.
+type EntryEdges = Arc<Mutex<BTreeMap<(u64, u64), Vec<(BinValue, BinValue)>>>>;
+
+/// Runs `C`, noting each vertex's entry edges as it goes: what the
+/// engine handed `compute`, independent of any trace.
+struct Witnessed<C> {
+    inner: C,
+    seen: EntryEdges,
+}
+
+impl<C: Computation<Id = u64>> Computation for Witnessed<C> {
+    type Id = u64;
+    type VValue = C::VValue;
+    type EValue = C::EValue;
+    type Message = C::Message;
+
+    fn compute(
+        &self,
+        vertex: &mut VertexHandleOf<'_, Self>,
+        messages: &[C::Message],
+        ctx: &mut ContextOf<'_, Self>,
+    ) {
+        fn erased<T: serde::Serialize>(value: &T) -> BinValue {
+            BinValue(serde_json::to_value(value).unwrap())
+        }
+        let edges = vertex.edges().iter().map(|e| (erased(&e.target), erased(&e.value)));
+        self.seen.lock().unwrap().insert((ctx.superstep(), vertex.id()), edges.collect());
+        self.inner.compute(vertex, messages, ctx);
+    }
+}
+
+/// Runs `computation` on the chaos graph of 24 vertices under `plan`
+/// (checkpoints every 2 supersteps if any) and an optional memory budget.
+/// Then every worker channel must be the bytes a fresh writer, which has
+/// no adjacency versions and so decides each reference on bytes, writes
+/// for the channel's records with their edges as `compute` saw them.
+fn assert_versions_write_the_byte_rule<C>(
+    computation: C,
+    plan: &str,
+    recovery: RecoveryMode,
+    budget: Option<u64>,
+    label: &str,
+) where
+    C: Computation<Id = u64, VValue = u64, EValue = ()>,
+{
+    let seen = EntryEdges::default();
+    let cluster = cluster();
+    let computation = Witnessed { inner: computation, seen: seen.clone() };
+    let config = DebugConfig::builder().capture_all_active(true).build();
+    let mut runner = GraftRunner::new(computation, config)
+        .with_cluster(cluster.clone())
+        .num_workers(4)
+        .max_supersteps(40);
+    if !plan.is_empty() {
+        let plan: FaultPlan = plan.parse().unwrap();
+        runner = runner.checkpoint_every(2).recovery_mode(recovery).with_fault_plan(plan);
+    }
+    let obs = Obs::deterministic(1);
+    if let Some(bytes) = budget {
+        runner = runner.memory_budget(bytes).with_obs(obs.clone());
+    }
+    let run = runner.run(build_graph(24, |v| v, |_| ()), TRACE_ROOT).unwrap();
+    let stats = &run.outcome.as_ref().unwrap().stats;
+    assert_eq!(stats.recoveries > 0, !plan.is_empty(), "{label}: recovered exactly when faulted");
+    let spills = obs.registry().counter_value("ooc_spills_total", Scope::GLOBAL);
+    assert_eq!(spills > 0, budget.is_some(), "{label}: spilled exactly when budgeted");
+
+    let seen = seen.lock().unwrap();
+    let mut references = 0;
+    for (path, native) in trace_files(&cluster).into_iter().filter(|(p, _)| p.contains("/worker_"))
+    {
+        let records: Vec<ErasedVertexTrace> = decode_vertex_records(&native).unwrap();
+        let (mut writer, mut rebuilt) = (ChannelWriter::default(), Vec::new());
+        for mut record in records {
+            let vertex = record.vertex.0.as_u64().unwrap();
+            record.edges = seen[&(record.superstep, vertex)].clone();
+            writer.append_vertex(&record, &mut rebuilt).unwrap();
+        }
+        assert!(rebuilt == native, "{label}: {path} is not what the byte rule writes");
+        let mut scanner = FrameScanner::new(&native);
+        while let Some(frame) = scanner.next_frame().unwrap() {
+            if frame.kind == FRAME_VERTEX {
+                let wire: WireVertexTrace = graft_codec::from_slice(frame.payload).unwrap();
+                references += usize::from(matches!(wire.edges, WireEdges::At(_)));
+            }
+        }
+    }
+    assert!(references > 0, "{label}: no edge list was written by reference");
+}
+
+/// The differential for the adjacency-version fast path: whatever the
+/// versions let the writer skip, every channel is what the byte rule
+/// writes for the edges `compute` actually saw. A partition that kept its
+/// version across an edge change would have the writer refer back to a
+/// stale list, which the channel, decoded and written again, repeats;
+/// the witnessed edges do not. Covers local edits (`Rewire`), remote edge
+/// mutations (`Splice`), both recovery modes, and spilling.
+#[test]
+fn edge_references_by_version_are_what_the_byte_rule_writes() {
+    let cells = [
+        ("clean", "", RecoveryMode::Restart, None),
+        ("restart", "kill-worker:1@3", RecoveryMode::Restart, None),
+        ("log-replay", "kill-worker:1@3", RecoveryMode::LogReplay, None),
+        ("log-replay under a budget", "kill-worker:1@3", RecoveryMode::LogReplay, Some(250)),
+    ];
+    for (label, plan, recovery, budget) in cells {
+        assert_versions_write_the_byte_rule(
+            Rewire,
+            plan,
+            recovery,
+            budget,
+            &format!("Rewire {label}"),
+        );
+        assert_versions_write_the_byte_rule(
+            Splice,
+            plan,
+            recovery,
+            budget,
+            &format!("Splice {label}"),
+        );
     }
 }
 

@@ -115,9 +115,10 @@ pub struct VertexHandle<'a, I, V, E> {
 /// copies them, so a vertex that edits nothing copies nothing, and the list
 /// as it was at compute entry stays readable for Graft's context capture.
 enum Edges<'a, I, E> {
-    /// The engine's edge columns, borrowed; `edited` is the edit buffer
-    /// the engine folds back into its partition after the call.
-    Columns { entry: &'a [Edge<I, E>], edited: Option<Vec<Edge<I, E>>> },
+    /// The engine's edge columns, borrowed, and the topology version of
+    /// the partition they belong to; `edited` is the edit buffer the
+    /// engine folds back into its partition after the call.
+    Columns { entry: &'a [Edge<I, E>], version: u64, edited: Option<Vec<Edge<I, E>>> },
     /// A caller's list ([`VertexHandle::new`]), edited in place; `entry`
     /// is the copy taken before the first edit.
     List { list: &'a mut Vec<Edge<I, E>>, entry: Option<Vec<Edge<I, E>>> },
@@ -131,22 +132,28 @@ impl<'a, I: VertexId, V: Value, E: Value> VertexHandle<'a, I, V, E> {
     }
 
     /// A handle over a partition's edge columns; see [`Self::into_edits`].
-    pub(crate) fn over_columns(id: I, value: &'a mut V, entry: &'a [Edge<I, E>]) -> Self {
-        Self { id, value, edges: Edges::Columns { entry, edited: None }, voted_halt: false }
+    pub(crate) fn over_columns(
+        id: I,
+        value: &'a mut V,
+        entry: &'a [Edge<I, E>],
+        version: u64,
+    ) -> Self {
+        let edges = Edges::Columns { entry, version, edited: None };
+        Self { id, value, edges, voted_halt: false }
     }
 
     /// The edit buffer of a handle made by [`Self::over_columns`], if the
     /// call changed its edges.
     pub(crate) fn into_edits(self) -> Option<Vec<Edge<I, E>>> {
         match self.edges {
-            Edges::Columns { entry, edited } => edited.filter(|list| list.as_slice() != entry),
+            Edges::Columns { entry, edited, .. } => edited.filter(|list| list.as_slice() != entry),
             Edges::List { .. } => None,
         }
     }
 
     fn edges_mut(&mut self) -> &mut Vec<Edge<I, E>> {
         match &mut self.edges {
-            Edges::Columns { entry, edited } => edited.get_or_insert_with(|| entry.to_vec()),
+            Edges::Columns { entry, edited, .. } => edited.get_or_insert_with(|| entry.to_vec()),
             Edges::List { list, entry } => {
                 entry.get_or_insert_with(|| list.to_vec());
                 list
@@ -160,6 +167,18 @@ impl<'a, I: VertexId, V: Value, E: Value> VertexHandle<'a, I, V, E> {
         match &self.edges {
             Edges::Columns { entry, .. } => entry,
             Edges::List { list, entry } => entry.as_deref().unwrap_or(list),
+        }
+    }
+
+    /// The version of [`Self::edges_at_entry`]: a token that is equal
+    /// for two calls only if their entry edge lists are equal, so a
+    /// capture may skip encoding an adjacency it already wrote under the
+    /// same version. The engine's partitions hand out one per topology
+    /// state; a handle over a caller's list ([`Self::new`]) has none.
+    pub fn entry_version(&self) -> Option<u64> {
+        match &self.edges {
+            Edges::Columns { version, .. } => Some(*version),
+            Edges::List { .. } => None,
         }
     }
 
@@ -186,7 +205,7 @@ impl<'a, I: VertexId, V: Value, E: Value> VertexHandle<'a, I, V, E> {
     /// The outgoing edges.
     pub fn edges(&self) -> &[Edge<I, E>] {
         match &self.edges {
-            Edges::Columns { entry, edited } => edited.as_deref().unwrap_or(entry),
+            Edges::Columns { entry, edited, .. } => edited.as_deref().unwrap_or(entry),
             Edges::List { list, .. } => list,
         }
     }

@@ -19,12 +19,21 @@
 //! ```
 //!
 //! A checkpoint file is the topology part followed by the state part.
+//!
+//! A partition carries a *topology version*, drawn from one process-wide
+//! counter: a fresh one whenever the partition is built or decoded
+//! (checkpoint restore, spill load) and whenever its topology changes.
+//! Two moments of the job that see one version of a partition therefore
+//! see the same out-edges for every vertex in it, which lets a trace
+//! writer skip re-encoding an adjacency it already wrote under that
+//! version ([`VertexHandle::entry_version`]).
 //! Decoding checks every column's length against the one it must agree
 //! with, halted words against `n`, and ids for duplicates before it builds
 //! anything; with the codec rejecting over-long varints, bytes that decode
 //! re-encode to themselves.
 
 use std::collections::hash_map::Entry;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use serde::de::{Deserialize, DeserializeOwned};
 use serde::ser::{Serialize, SerializeSeq, Serializer};
@@ -39,6 +48,12 @@ type EdgeOf<C> = Edge<<C as Computation>::Id, <C as Computation>::EValue>;
 /// No message: an empty inbox end, or the end of a slot's chain.
 const NONE: usize = usize::MAX;
 
+/// A topology version no partition of this process has had.
+fn fresh_version() -> u64 {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    NEXT.fetch_add(1, Ordering::Relaxed)
+}
+
 /// One worker's share of the graph, as columns (see the module docs).
 pub(crate) struct Partition<C: Computation> {
     ids: Vec<C::Id>,
@@ -51,6 +66,8 @@ pub(crate) struct Partition<C: Computation> {
     awake: Vec<u64>,
     mail: Vec<u64>,
     live_edges: u64,
+    /// The topology version (see the module docs).
+    version: u64,
     /// Framed size of the topology part, kept until the topology changes.
     pub(crate) topology_bytes: Option<u64>,
     /// Whether the out-of-core store's topology file holds this topology;
@@ -167,6 +184,7 @@ impl<C: Computation> Partition<C> {
             awake: Vec::with_capacity(n.div_ceil(64)),
             mail: Vec::with_capacity(n.div_ceil(64)),
             live_edges: 0,
+            version: fresh_version(),
             topology_bytes: None,
             topology_spilled: false,
         }
@@ -203,6 +221,7 @@ impl<C: Computation> Partition<C> {
     }
 
     fn touch_topology(&mut self) {
+        self.version = fresh_version();
         self.topology_bytes = None;
         self.topology_spilled = false;
     }
@@ -263,7 +282,21 @@ impl<C: Computation> Partition<C> {
             return;
         }
         let old = std::mem::replace(self, Self::new());
-        let Self { ids, values, offsets, edges, mut edited, inbox, index, awake, mail, .. } = old;
+        let Self {
+            ids,
+            values,
+            offsets,
+            edges,
+            mut edited,
+            inbox,
+            index,
+            awake,
+            mail,
+            version,
+            ..
+        } = old;
+        // The same out-edges per vertex, laid out afresh.
+        self.version = version;
         let mut stored = edges.into_iter();
         for (slot, ((id, value), range)) in
             ids.into_iter().zip(values).zip(offsets.windows(2)).enumerate()
@@ -299,19 +332,35 @@ impl<C: Computation> Partition<C> {
         &mut self,
         mut compute: impl FnMut(&mut VertexHandle<'_, C::Id, C::VValue, C::EValue>, &[C::Message]),
     ) {
-        let Self { ids, values, offsets, edges, edited, inbox, awake, mail, live_edges, .. } = self;
+        let Self {
+            ids,
+            values,
+            offsets,
+            edges,
+            edited,
+            inbox,
+            awake,
+            mail,
+            live_edges,
+            version,
+            ..
+        } = self;
         let mut edits = false;
         let mut cursor = (0, 0);
         while let Some(slot) = next_scheduled(awake, mail, &mut cursor) {
             set_bit(mail, slot, false);
             let entry = slot_edges(offsets, edges, edited, slot);
             let degree = entry.len() as u64;
-            let mut handle = VertexHandle::over_columns(ids[slot], &mut values[slot], entry);
+            let mut handle =
+                VertexHandle::over_columns(ids[slot], &mut values[slot], entry, *version);
             compute(&mut handle, inbox.take(slot));
             set_bit(awake, slot, !handle.has_voted_halt());
             if let Some(list) = handle.into_edits() {
                 *live_edges = *live_edges + list.len() as u64 - degree;
                 edited.insert(slot, list);
+                // At once: the slots computed after this one, and a panic
+                // that ends the sweep here, see the new topology's version.
+                *version = fresh_version();
                 edits = true;
             }
         }
