@@ -7,22 +7,23 @@
 //!
 //! `dump` walks every channel file frame by frame and pretty-prints the
 //! frames every reader walks — including the superstep index frames the
-//! higher-level views never surface. A v2 channel is shown as it is on
-//! disk; a legacy (JSON-lines or v1) channel as the v2 frames it is read
-//! as, which the header says.
+//! higher-level views never surface. A v3 channel is shown as it is on
+//! disk; a legacy (JSON-lines, v1 or v2) channel as the v3 frames it is
+//! read as, which the header says.
 //!
 //! `convert` rewrites a trace directory into the other encoding
 //! (`graft::trace::convert_trace_dir`): `--to json` exports a binary
-//! trace as JSON lines, dropping the index frames and writing every edge
-//! list inline; `--to binary` imports a JSON-lines or v1 binary trace as
-//! layout v2, re-deriving index frames and edge references through the
+//! trace as JSON lines, dropping the index frames, writing every edge
+//! list inline and listing every broadcast; `--to binary` imports a
+//! JSON-lines, v1 or v2 binary trace as layout v3, re-deriving index
+//! frames, edge references and broadcasts through the
 //! writer capture uses, so the result is byte-identical to a native
 //! capture and an export imported back is the capture it came from.
 
 use std::process::ExitCode;
 
 use graft::trace::{
-    convert_trace_dir, master_trace_path, meta_path, v2_channel, walk_vertex_channel,
+    convert_trace_dir, master_trace_path, meta_path, native_channel, walk_vertex_channel,
     worker_trace_path, ChannelKind, ChannelRecord, VertexChannel, FRAME_MASTER,
 };
 use graft::{JobMeta, MasterTrace, TraceFormat};
@@ -83,7 +84,7 @@ fn dump(args: &[String]) -> ExitCode {
     };
     println!("computation : {}", meta.computation);
     // Every channel is shown as the readers read it: through the door.
-    println!("format      : {:?} (frames as read: BinaryV2)", meta.format());
+    println!("format      : {:?} (frames as read: BinaryV3)", meta.format());
 
     let mut channels: Vec<(String, ChannelKind)> =
         (0..meta.num_workers).map(|w| (worker_trace_path("", w), ChannelKind::Worker)).collect();
@@ -95,7 +96,7 @@ fn dump(args: &[String]) -> ExitCode {
             continue;
         };
         println!("\n{name}: {} bytes", bytes.len());
-        let shown = v2_channel(meta.format(), kind, bytes, false).map_err(|e| e.to_string());
+        let shown = native_channel(meta.format(), kind, bytes, false).map_err(|e| e.to_string());
         let shown = shown.and_then(|bytes| match kind {
             ChannelKind::Worker => dump_worker_channel(VertexChannel::new(&bytes), limit),
             ChannelKind::Master => dump_master_channel(&bytes, limit),
@@ -174,7 +175,7 @@ fn convert(args: &[String]) -> ExitCode {
     let target = match args.iter().position(|a| a == "--to") {
         Some(pos) => match args.get(pos + 1).map(String::as_str) {
             Some("json") => TraceFormat::JsonLines,
-            Some("binary") => TraceFormat::BinaryV2,
+            Some("binary") => TraceFormat::BinaryV3,
             _ => return usage(),
         },
         None => return usage(),

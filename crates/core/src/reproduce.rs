@@ -415,7 +415,7 @@ mod tests {
             master: None,
             value_types: ("u64".into(), "f64".into(), "()".into(), "f64".into()),
             num_workers: 1,
-            trace_format: Some(TraceFormat::BinaryV2),
+            trace_format: Some(TraceFormat::BinaryV3),
             config: vec![],
             facts: None,
         };

@@ -9,8 +9,8 @@ use graft_pregel::Computation;
 
 use crate::reproduce::{ReproducedContext, ReproducedMaster};
 use crate::trace::{
-    decode_master_records, decode_vertex_records, master_trace_path, meta_path, result_path,
-    v2_channel, worker_trace_path, ChannelKind, JobMeta, JobResultRecord, MasterTrace,
+    decode_master_records, decode_vertex_records, master_trace_path, meta_path, native_channel,
+    result_path, worker_trace_path, ChannelKind, JobMeta, JobResultRecord, MasterTrace,
     TraceReadError, VertexTraceOf,
 };
 use crate::views::node_link::NodeLinkView;
@@ -80,7 +80,7 @@ pub(crate) fn read_json<T: serde::de::DeserializeOwned>(
 }
 
 /// The `kind` channel at `path` of the job `meta` describes, through the
-/// door ([`v2_channel`]): its v2 bytes, none if the job wrote no such
+/// door ([`native_channel`]): its v3 bytes, none if the job wrote no such
 /// file.
 pub(crate) fn read_channel(
     fs: &dyn FileSystem,
@@ -93,7 +93,8 @@ pub(crate) fn read_channel(
         return Ok(Vec::new());
     }
     let bytes = fs.read_all(path)?;
-    v2_channel(meta.format(), kind, bytes, torn_tail_ok).map_err(|e| SessionError::decode(path, e))
+    native_channel(meta.format(), kind, bytes, torn_tail_ok)
+        .map_err(|e| SessionError::decode(path, e))
 }
 
 /// The terminal status of the job under `root`, if it has written one.

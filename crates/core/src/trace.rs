@@ -18,12 +18,12 @@
 //! trace sink, `trace convert`, synthetic traces — goes through a
 //! [`ChannelWriter`], the one place that grammar is written down.
 //!
-//! JSON lines, one document per line, and binary layout v1 are legacy
-//! formats: nothing captures in them, and every reader takes a channel
-//! through one door, [`v2_channel`], which turns a legacy channel into
-//! the v2 bytes `trace convert --to binary` writes for it — so no reader
-//! past the door knows a layout. [`convert_channel`] exports to JSON
-//! lines.
+//! JSON lines, one document per line, and binary layouts v1 and v2 are
+//! legacy formats: nothing captures in them, and every reader takes a
+//! channel through one door, [`native_channel`], which turns a legacy
+//! channel into the v3 bytes `trace convert --to binary` writes for it —
+//! so no reader past the door knows a layout. [`convert_channel`] exports
+//! to JSON lines.
 //!
 //! Capture writes a vertex frame in one pass, straight from borrowed
 //! engine state: the instrumenter fills a [`VertexCapture`] with
@@ -43,15 +43,23 @@
 //! a record exported to JSON lines and read back is the record, and
 //! every view served over either format is byte-for-byte the same.
 //!
-//! **Format v2: each adjacency written once.** `meta.json` records the
-//! binary layout as a [`TraceFormat`]. In a v2 channel a vertex record's
-//! `edges` field is a [`WireEdges`]: the inline list, or the channel
-//! offset of an earlier frame that records the same vertex (equal encoded
-//! id bytes) with identical inline edges — one hop, never a reference to a
-//! reference. A [`ChannelWriter`] decides with an [`EdgeRefs`], a pure
-//! function of the channel's record stream, so a replayed, budgeted or
-//! converted channel is byte-identical to a native one. v1 channels held
-//! every list inline; the door writes them again under the rule.
+//! **Format v3: a capture writes only what the vertex's last capture did
+//! not.** `meta.json` records the binary layout as a [`TraceFormat`]. In a
+//! v3 channel a vertex record's `edges` field is a [`WireEdges`]: the
+//! inline list, or the channel offset of an earlier frame that records the
+//! same vertex (equal encoded id bytes) with identical inline edges — one
+//! hop, never a reference to a reference. A [`ChannelWriter`] decides with
+//! an [`EdgeRefs`], a pure function of the channel's record stream, so a
+//! replayed, budgeted or converted channel is byte-identical to a native
+//! one. The capture path hands the writer an adjacency version with the
+//! edges ([`VertexCapture::edges_version`]); where the version vouches
+//! for the stored bytes, the writer refers back without encoding the list,
+//! and writes what the byte rule writes. The `outgoing` field is a
+//! [`WireOutgoing`]: the pairs, or — when the sends are the edges'
+//! targets in edge order and every message encodes to the first's bytes —
+//! one [`Broadcast`] of that message, which readers list along the
+//! record's edges. v1 channels held every list inline and v2 channels
+//! every send as a pair; the door writes both again under these rules.
 //!
 //! A payload is read in one of three ways, all through the one GraftBin
 //! decoder, so each succeeds on exactly the same payloads. A
@@ -164,7 +172,7 @@ pub type VertexTraceOf<C> = VertexTrace<
 
 /// A vertex trace whose computation-specific fields (id, values, edges,
 /// messages) are type-erased [`graft_codec::BinValue`] trees, its edges
-/// listed: what a JSON line or a v1 binary payload holds, and what a v2
+/// listed: what a JSON line or a v1 binary payload holds, and what a v3
 /// payload reads as once its edge reference is resolved. Any tool can
 /// handle it without the computation's Rust types; it is the one form of
 /// a whole record that readers build ([`VertexChannel::record`]).
@@ -206,7 +214,7 @@ impl ErasedVertexTrace {
     }
 }
 
-/// The `edges` field of a v2 binary vertex payload.
+/// The `edges` field of a v2 or v3 binary vertex payload.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub enum WireEdges<L> {
     /// The `(target, edge value)` list itself.
@@ -216,10 +224,32 @@ pub enum WireEdges<L> {
     At(u64),
 }
 
-/// The layout of a v2 binary vertex frame's payload, field for field:
-/// an [`ErasedVertexTrace`] whose edges are a [`WireEdges`]. Encoding
-/// one with `graft_codec::frame::write_value_frame` gives the frame the
-/// capture path writes for the same record.
+/// The `outgoing` field of a v3 binary vertex payload.
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+pub enum WireOutgoing<L, M> {
+    /// The `(target, message)` pairs themselves, in send order.
+    Pairs(L),
+    /// One message sent along every edge of the record, in edge order.
+    Broadcast(Broadcast<M>),
+}
+
+/// [`WireOutgoing::Broadcast`]: `count` sends, one along each edge of
+/// the record in edge order, every message encoding to the bytes of
+/// `value`. `count` is the number of edges, so a reader that does not
+/// resolve them still knows how many messages the vertex sent.
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+pub struct Broadcast<M> {
+    /// The number of sends, which is the record's out-degree.
+    pub count: u64,
+    /// The message every send carried.
+    pub value: M,
+}
+
+/// The layout of a v3 binary vertex frame's payload, field for field:
+/// an [`ErasedVertexTrace`] whose edges are a [`WireEdges`] and whose
+/// outgoing messages are a [`WireOutgoing`]. Encoding one with
+/// `graft_codec::frame::write_value_frame` gives the frame the capture
+/// path writes for the same record.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct WireVertexTrace {
     /// See [`VertexTrace::superstep`].
@@ -234,8 +264,8 @@ pub struct WireVertexTrace {
     pub edges: WireEdges<Vec<(BinValue, BinValue)>>,
     /// See [`VertexTrace::incoming`].
     pub incoming: Vec<BinValue>,
-    /// See [`VertexTrace::outgoing`].
-    pub outgoing: Vec<(BinValue, BinValue)>,
+    /// The outgoing messages, listed or as one broadcast.
+    pub outgoing: WireOutgoing<Vec<(BinValue, BinValue)>, BinValue>,
     /// See [`VertexTrace::aggregators`].
     pub aggregators: Vec<(String, AggValue)>,
     /// See [`VertexTrace::global`].
@@ -313,7 +343,7 @@ impl JobMeta {
 
 /// The on-disk format `meta.json` records: JSON lines or binary frames
 /// and, for binary frames, the layout of their vertex payloads. Capture
-/// writes [`TraceFormat::BinaryV2`]; the others are read. A reader that
+/// writes [`TraceFormat::BinaryV3`]; the others are read. A reader that
 /// does not know a layout fails on `meta.json`, before it reads a payload.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub enum TraceFormat {
@@ -324,8 +354,11 @@ pub enum TraceFormat {
     /// before their layout had a version.
     Binary,
     /// Binary frames whose vertex payloads hold their edges as a
-    /// [`WireEdges`].
+    /// [`WireEdges`] and their outgoing messages as a plain list.
     BinaryV2,
+    /// Binary frames whose vertex payloads hold their edges as a
+    /// [`WireEdges`] and their outgoing messages as a [`WireOutgoing`].
+    BinaryV3,
 }
 
 /// Terminal job status written at trace root as `result.json`.
@@ -517,18 +550,21 @@ where
     Ed: ExactSizeIterator<Item = (&'a I, &'a E)> + Clone,
     Ag: ExactSizeIterator<Item = (&'a str, &'a AggValue)> + Clone,
 {
-    /// Appends the record's v2 frame to `buf`, field by field. The edges
+    /// Appends the record's v3 frame to `buf`, field by field. The edges
     /// are written inline; with a `rule`, the channel's rule and the
     /// frame's channel offset, they are then cut back to a reference
     /// where the rule has one, and an inline list is noted for later
     /// frames once the frame is whole. Where the rule already holds the
     /// vertex's edges under `edges_version`, the reference is written
     /// without encoding them at all; a debug build encodes them anyway and
-    /// checks that the bytes would have said the same.
+    /// checks that the bytes would have said the same. `same_target` says
+    /// whether two ids encode to the same bytes (see
+    /// [`Self::write_outgoing`]).
     fn write_frame(
         &self,
         buf: &mut Vec<u8>,
         mut rule: Option<(&mut EdgeRefs, u64)>,
+        same_target: impl Fn(&I, &I) -> bool,
     ) -> Result<(), CaptureError> {
         // The id and inline edges of the frame, as distances back from
         // its end: the length prefix may still shift what lies before.
@@ -543,25 +579,25 @@ where
             let edges_at = out.len();
             let tagged_pair = |(a, b)| (Tagged(a), Tagged(b));
             let listed = WireEdges::Inline(Seq(self.edges.clone().map(tagged_pair)));
-            let known = rule.as_mut().zip(self.edges_version).and_then(|((refs, _), version)| {
-                refs.reference_by_version(&out[id.clone()], version)
-            });
+            let known = match (rule.as_mut(), self.edges_version) {
+                (Some((refs, _)), Some(version)) => {
+                    refs.reference_by_version(&out[id.clone()], version)
+                }
+                _ => None,
+            };
+            if known.is_none() || cfg!(debug_assertions) {
+                put(out, &listed)?;
+            }
             let target = match (known, rule.as_mut()) {
-                (Some(target), Some((refs, _))) => {
-                    if cfg!(debug_assertions) {
-                        put(out, &listed)?;
-                        let by_bytes = refs.reference(&out[id.clone()], &out[edges_at..], None);
-                        assert_eq!(by_bytes, Some(target), "a version named other edges");
-                        out.truncate(edges_at);
-                    }
-                    Some(target)
+                (Some(target), Some((refs, _))) if cfg!(debug_assertions) => {
+                    let by_bytes = refs.reference(&out[id.clone()], &out[edges_at..], None);
+                    assert_eq!(by_bytes, Some(target), "a version named other edges");
+                    known
                 }
-                (_, rule) => {
-                    put(out, &listed)?;
-                    rule.and_then(|(refs, _)| {
-                        refs.reference(&out[id.clone()], &out[edges_at..], self.edges_version)
-                    })
-                }
+                (Some(_), _) => known,
+                (None, rule) => rule.and_then(|(refs, _)| {
+                    refs.reference(&out[id.clone()], &out[edges_at..], self.edges_version)
+                }),
             };
             let edges_end = match target {
                 Some(target) => {
@@ -572,13 +608,7 @@ where
                 None => Some(out.len()),
             };
             put(out, &Seq(self.incoming.iter().map(Tagged)))?;
-            put(
-                out,
-                &Seq(self
-                    .outgoing
-                    .iter()
-                    .map(|(target, message)| (Tagged(target), Tagged(message)))),
-            )?;
+            self.write_outgoing(out, same_target)?;
             put(out, &Seq(self.aggregators.clone()))?;
             put(out, &self.global)?;
             put(out, &self.halted_after)?;
@@ -597,11 +627,68 @@ where
         }
         Ok(())
     }
+
+    /// Appends the `outgoing` field: a [`WireOutgoing::Broadcast`] when
+    /// there is at least one send, the sends' targets are the edges'
+    /// targets in edge order, and every message encodes to the bytes of
+    /// the first; the pairs otherwise. Both tests are on encoded bytes —
+    /// `same_target` answers the first without encoding where equal ids
+    /// are known to encode alike — so `-0.0` never stands for `0.0`, and
+    /// two NaNs, which both encode as null, may.
+    fn write_outgoing(
+        &self,
+        out: &mut Vec<u8>,
+        same_target: impl Fn(&I, &I) -> bool,
+    ) -> graft_codec::Result<()> {
+        let field = out.len();
+        let along_edges = self.outgoing.len() == self.edges.len()
+            && self
+                .outgoing
+                .iter()
+                .zip(self.edges.clone())
+                .all(|((to, _), (target, _))| same_target(to, target));
+        if let (true, Some(((_, first), rest))) = (along_edges, self.outgoing.split_first()) {
+            put(out, &Tagged(first))?;
+            let value = field..out.len();
+            let mut alike = true;
+            for (_, message) in rest {
+                let at = out.len();
+                put(out, &Tagged(message))?;
+                alike = out[at..] == out[value.clone()];
+                out.truncate(at);
+                if !alike {
+                    break;
+                }
+            }
+            out.truncate(field);
+            if alike {
+                let count = self.outgoing.len() as u64;
+                let broadcast = Broadcast { count, value: Tagged(first) };
+                return put(out, &WireOutgoing::<(), _>::Broadcast(broadcast));
+            }
+        }
+        let pairs = self.outgoing.iter().map(|(target, message)| (Tagged(target), Tagged(message)));
+        put(out, &WireOutgoing::<_, ()>::Pairs(Seq(pairs)))
+    }
+}
+
+/// Whether `a` and `b` have the same tagged encoding.
+fn same_encoding<T: Serialize>(a: &T, b: &T) -> bool {
+    let (mut x, mut y) = (Vec::new(), Vec::new());
+    put(&mut x, &Tagged(a)).is_ok() && put(&mut y, &Tagged(b)).is_ok() && x == y
+}
+
+/// Id equality, for a captured record: the engine's ids encode alike
+/// exactly when they are equal, which a debug build checks.
+fn equal_ids<I: PartialEq + Serialize>(a: &I, b: &I) -> bool {
+    let equal = a == b;
+    debug_assert_eq!(equal, same_encoding(a, b), "ids that compare and encode differently");
+    equal
 }
 
 impl<'a, I, V, E, M, Ed, Ag> TraceRecord for VertexCapture<'a, I, V, M, Ed, Ag>
 where
-    I: Serialize + 'a,
+    I: PartialEq + Serialize + 'a,
     V: Serialize,
     E: Serialize + 'a,
     M: Serialize,
@@ -613,7 +700,7 @@ where
     }
 
     fn encode_binary_frame(&self, buf: &mut Vec<u8>) -> Result<(), CaptureError> {
-        self.write_frame(buf, None)
+        self.write_frame(buf, None, equal_ids)
     }
 
     fn encode_channel_frame(
@@ -622,7 +709,7 @@ where
         refs: &mut EdgeRefs,
         offset: u64,
     ) -> Result<(), CaptureError> {
-        self.write_frame(buf, Some((refs, offset)))
+        self.write_frame(buf, Some((refs, offset)), equal_ids)
     }
 }
 
@@ -658,7 +745,9 @@ where
     E: Serialize,
     M: Serialize,
 {
-    /// Writes the record's frame as the [`VertexCapture`] borrowing it.
+    /// Writes the record's frame as the [`VertexCapture`] borrowing it,
+    /// comparing ids by their encoding: a record may come from anywhere,
+    /// a JSON line included.
     fn write_frame(
         &self,
         buf: &mut Vec<u8>,
@@ -680,11 +769,11 @@ where
             violations: &self.violations,
             exception: self.exception.as_ref(),
         }
-        .write_frame(buf, rule)
+        .write_frame(buf, rule, same_encoding)
     }
 }
 
-/// A channel writer's back-reference rule for v2 vertex records: per
+/// A channel writer's back-reference rule for vertex records: per
 /// vertex, the channel offset of its last inline frame and that frame's
 /// encoded `edges` field. A record whose encoded edges equal the stored
 /// ones gets a reference to that frame when the reference is shorter
@@ -1019,7 +1108,7 @@ pub enum TraceReadError {
     },
     /// A JSON line did not parse.
     Json(serde_json::Error),
-    /// A v2 vertex frame's edge reference names no earlier frame of its
+    /// A vertex frame's edge reference names no earlier frame of its
     /// channel that records the same vertex with its edges inline.
     EdgeRef {
         /// Byte offset of the referring frame's length prefix.
@@ -1164,25 +1253,32 @@ impl<'de> Deserialize<'de> for ViolationFlags {
 /// What a listing reads of the fields after a record's edges.
 struct Listing<R> {
     incoming: usize,
+    /// The number of outgoing messages.
     outgoing: usize,
+    /// Whether they are a broadcast, whose count the record's edges must
+    /// match.
+    broadcast: bool,
     global: GlobalData,
     halted_after: bool,
     reasons: R,
     flags: u8,
 }
 
-/// Reads a v2 vertex payload field by field, each field as the caller's
+/// Reads a v3 vertex payload field by field, each field as the caller's
 /// stand-in for it. The decoder calls are those of a [`WireVertexTrace`],
 /// in order, so every reader accepts exactly the payloads that decode and
-/// fails on the rest with the same error.
+/// fails on the rest with the same error. A v2 payload differs only in
+/// its `outgoing` field, a plain list, which reads as the pairs form.
 struct PayloadReader<'de> {
     de: graft_codec::Deserializer<'de>,
     len: usize,
+    /// Whether the payload is v2's.
+    v2: bool,
 }
 
 impl<'de> PayloadReader<'de> {
     fn new(payload: &'de [u8]) -> Self {
-        Self { de: graft_codec::Deserializer::new(payload), len: payload.len() }
+        Self { de: graft_codec::Deserializer::new(payload), len: payload.len(), v2: false }
     }
 
     /// Bytes of the payload read so far.
@@ -1207,11 +1303,26 @@ impl<'de> PayloadReader<'de> {
         Ok((self.field()?, self.field()?))
     }
 
+    /// The outgoing messages, the pairs read as `L` and a broadcast
+    /// message as `M`.
+    fn outgoing<L: Deserialize<'de>, M: Deserialize<'de>>(
+        &mut self,
+    ) -> graft_codec::Result<WireOutgoing<L, M>> {
+        match self.v2 {
+            true => self.field().map(WireOutgoing::Pairs),
+            false => self.field(),
+        }
+    }
+
     /// The fields after the edges, as a listing reads them, the reasons
     /// as `R`; the payload must end with them.
     fn listing<R: Deserialize<'de>>(mut self) -> graft_codec::Result<Listing<R>> {
         let incoming: SkipSeq<SkipTagged> = self.field()?;
-        let outgoing: SkipSeq<(SkipTagged, SkipTagged)> = self.field()?;
+        let (outgoing, broadcast) =
+            match self.outgoing::<SkipSeq<(SkipTagged, SkipTagged)>, SkipTagged>()? {
+                WireOutgoing::Pairs(pairs) => (pairs.len, false),
+                WireOutgoing::Broadcast(Broadcast { count, .. }) => (len_of(count), true),
+            };
         let _aggregators: SkipSeq<(SkipStr, AggValue)> = self.field()?;
         let global = self.field()?;
         let halted_after = self.field()?;
@@ -1222,7 +1333,8 @@ impl<'de> PayloadReader<'de> {
         self.finish()?;
         Ok(Listing {
             incoming: incoming.len,
-            outgoing: outgoing.len,
+            outgoing,
+            broadcast,
             global,
             halted_after,
             reasons,
@@ -1272,45 +1384,105 @@ pub struct RowDigest {
     pub flags: u8,
 }
 
-/// A v2 worker channel as its vertex payloads are read: the bytes an edge
+/// A count read off a payload, as a length: one past what any list
+/// holds if it does not fit.
+fn len_of(count: u64) -> usize {
+    usize::try_from(count).unwrap_or(usize::MAX)
+}
+
+/// The pairs of `outgoing`, a broadcast sent along `edges`, which must
+/// number as many as its count.
+fn expand<T: Clone, E, M: Clone>(
+    outgoing: WireOutgoing<Vec<(T, M)>, M>,
+    edges: &[(T, E)],
+) -> graft_codec::Result<Vec<(T, M)>> {
+    match outgoing {
+        WireOutgoing::Pairs(pairs) => Ok(pairs),
+        WireOutgoing::Broadcast(Broadcast { count, value }) => {
+            check_broadcast(len_of(count), edges.len())?;
+            Ok(edges.iter().map(|(target, _)| (target.clone(), value.clone())).collect())
+        }
+    }
+}
+
+/// Fails a broadcast of `count` sends over `degree` edges unless the two
+/// agree.
+fn check_broadcast(count: usize, degree: usize) -> graft_codec::Result<()> {
+    match count == degree {
+        true => Ok(()),
+        false => Err(graft_codec::Error::Message(format!(
+            "a broadcast of {count} messages over {degree} edges"
+        ))),
+    }
+}
+
+/// What [`VertexChannel::skim`] keeps of a vertex payload.
+struct Skim {
+    head: VertexHead,
+    /// The byte range of the vertex id in the payload.
+    id: Range<usize>,
+    /// The length of the inline edge list, or the offset a reference
+    /// names.
+    edges: WireEdges<usize>,
+    /// The count of a broadcast, which the edges must match.
+    broadcast: Option<usize>,
+}
+
+/// A v3 worker channel as its vertex payloads are read: the bytes an edge
 /// reference resolves against. A legacy channel reaches it through
-/// [`v2_channel`].
+/// [`native_channel`].
 #[derive(Clone, Copy, Debug)]
 pub struct VertexChannel<'a> {
     bytes: &'a [u8],
+    /// Whether the channel is in layout v2, read only by the door.
+    v2: bool,
 }
 
 impl<'a> VertexChannel<'a> {
-    /// The v2 channel `bytes`.
+    /// The v3 channel `bytes`.
     pub fn new(bytes: &'a [u8]) -> Self {
-        Self { bytes }
+        Self { bytes, v2: false }
+    }
+
+    /// The v2 channel `bytes`.
+    fn v2(bytes: &'a [u8]) -> Self {
+        Self { bytes, v2: true }
+    }
+
+    /// A reader of a payload of this channel's layout.
+    fn reader<'de>(&self, payload: &'de [u8]) -> PayloadReader<'de> {
+        PayloadReader { v2: self.v2, ..PayloadReader::new(payload) }
     }
 
     /// Skims a vertex payload for its head (see [`VertexHead`]).
     pub fn head(&self, payload: &[u8]) -> graft_codec::Result<VertexHead> {
-        self.skim(payload).map(|(head, _, _)| head)
+        self.skim(payload).map(|skim| skim.head)
     }
 
-    /// The head, the byte range of the vertex id in the payload, and the
-    /// offset the edges name if they are a reference.
-    fn skim(&self, payload: &[u8]) -> graft_codec::Result<(VertexHead, Range<usize>, Option<u64>)> {
-        let mut reader = PayloadReader::new(payload);
+    /// Skims a vertex payload for what a walk checks of it.
+    fn skim(&self, payload: &[u8]) -> graft_codec::Result<Skim> {
+        let mut reader = self.reader(payload);
         let (superstep, TaggedText(vertex), id) = reader.front()?;
         reader.values::<SkipTagged>()?;
-        let edges: WireEdges<SkipSeq<(SkipTagged, SkipTagged)>> = reader.field()?;
-        let listing: Listing<SkipSeq<CaptureReason>> = reader.listing()?;
-        let target = match edges {
-            WireEdges::Inline(_) => None,
-            WireEdges::At(target) => Some(target),
+        let edges = match reader.field::<WireEdges<SkipSeq<(SkipTagged, SkipTagged)>>>()? {
+            WireEdges::Inline(list) => WireEdges::Inline(list.len),
+            WireEdges::At(target) => WireEdges::At(target),
         };
-        Ok((VertexHead { superstep, vertex, flags: listing.flags }, id, target))
+        let listing: Listing<SkipSeq<CaptureReason>> = reader.listing()?;
+        let broadcast = listing.broadcast.then_some(listing.outgoing);
+        Ok(Skim {
+            head: VertexHead { superstep, vertex, flags: listing.flags },
+            id,
+            edges,
+            broadcast,
+        })
     }
 
     /// Skims a vertex payload for a listing row (see [`RowDigest`]),
-    /// rendering the edges — followed, if a reference — only
-    /// `with_edges`.
+    /// rendering the edges — followed, if a reference, and a broadcast's
+    /// count checked against them — only `with_edges`.
     pub fn digest(&self, payload: &[u8], with_edges: bool) -> graft_codec::Result<RowDigest> {
-        let mut reader = PayloadReader::new(payload);
+        let mut reader = self.reader(payload);
         let (_, TaggedText(vertex), id) = reader.front()?;
         let (TaggedText(value_before), TaggedText(value_after)) = reader.values()?;
         let edges: WireEdges<Vec<(TaggedText, TaggedText)>> = if with_edges {
@@ -1321,6 +1493,9 @@ impl<'a> VertexChannel<'a> {
         };
         let listing: Listing<Vec<CaptureReason>> = reader.listing()?;
         let edges = self.resolve(edges, &payload[id])?;
+        if with_edges && listing.broadcast {
+            check_broadcast(listing.outgoing, edges.len())?;
+        }
         Ok(RowDigest {
             vertex,
             value_before,
@@ -1336,20 +1511,23 @@ impl<'a> VertexChannel<'a> {
     }
 
     /// Decodes a vertex payload into its record, the edges followed if a
-    /// reference: every field as the payload holds it.
+    /// reference and a broadcast listed along them: every field as the
+    /// payload holds it.
     pub fn record(&self, payload: &[u8]) -> graft_codec::Result<ErasedVertexTrace> {
-        let mut reader = PayloadReader::new(payload);
+        let mut reader = self.reader(payload);
         let (superstep, vertex, id) = reader.front()?;
         let (value_before, value_after) = reader.values()?;
         let edges: WireEdges<Vec<(BinValue, BinValue)>> = reader.field()?;
+        let incoming = reader.field()?;
+        let outgoing = reader.outgoing()?;
         let record = VertexTrace {
             superstep,
             vertex,
             value_before,
             value_after,
             edges: Vec::new(),
-            incoming: reader.field()?,
-            outgoing: reader.field()?,
+            incoming,
+            outgoing: Vec::new(),
             aggregators: reader.field()?,
             global: reader.field()?,
             halted_after: reader.field()?,
@@ -1358,7 +1536,8 @@ impl<'a> VertexChannel<'a> {
             exception: reader.field()?,
         };
         reader.finish()?;
-        Ok(VertexTrace { edges: self.resolve(edges, &payload[id])?, ..record })
+        let edges = self.resolve(edges, &payload[id])?;
+        Ok(VertexTrace { outgoing: expand(outgoing, &edges)?, edges, ..record })
     }
 
     /// The list of `edges`, read at the frame they name if a reference
@@ -1413,7 +1592,8 @@ pub enum ChannelRecord {
 /// was read of it: index frames are decoded, vertex payloads skimmed, and
 /// every edge reference checked — it must name an earlier frame of the
 /// channel that records the same vertex, byte for byte, with its edges
-/// inline. With `up_to`, the live watermark of a job still running, a
+/// inline — and so is every broadcast, whose count must be the number of
+/// those edges. With `up_to`, the live watermark of a job still running, a
 /// superstep group past it is hopped without reading a payload, and a
 /// torn tail ends the walk. Anything else that does not read fails with
 /// the offset of its frame.
@@ -1424,9 +1604,10 @@ pub fn walk_vertex_channel<'a>(
 ) -> Result<(), TraceReadError> {
     // Set while the current index group lies beyond the watermark.
     let mut skip_group = false;
-    // The frame start and the id bytes of each vertex frame whose edges
-    // are inline, in channel order: the frames a reference may name.
-    let mut inline: Vec<(u64, Range<usize>)> = Vec::new();
+    // The frame start, the id bytes and the degree of each vertex frame
+    // whose edges are inline, in channel order: the frames a reference may
+    // name.
+    let mut inline: Vec<(u64, Range<usize>, usize)> = Vec::new();
     for_each_frame(channel.bytes, up_to.is_some(), |frame| {
         let read = match frame.kind {
             FRAME_INDEX => {
@@ -1437,20 +1618,30 @@ pub fn walk_vertex_channel<'a>(
             }
             FRAME_VERTEX if skip_group => return Ok(()),
             FRAME_VERTEX => {
-                let (head, id, target) =
+                let Skim { head, id, edges, broadcast } =
                     channel.skim(frame.payload).map_err(TraceReadError::at(frame.start))?;
                 let id = frame.payload_start + id.start..frame.payload_start + id.end;
-                match target {
-                    None => inline.push((frame.start as u64, id)),
-                    Some(target) => {
-                        let named = inline.binary_search_by_key(&target, |(start, _)| *start);
-                        let same = named.is_ok_and(|at| {
-                            channel.bytes[inline[at].1.clone()] == channel.bytes[id]
-                        });
-                        if !same {
-                            return Err(TraceReadError::EdgeRef { offset: frame.start, target });
+                let degree = match edges {
+                    WireEdges::Inline(degree) => {
+                        inline.push((frame.start as u64, id, degree));
+                        degree
+                    }
+                    WireEdges::At(target) => {
+                        let named = inline.binary_search_by_key(&target, |(start, ..)| *start);
+                        match named.map(|at| &inline[at]) {
+                            Ok((_, named, degree))
+                                if channel.bytes[named.clone()] == channel.bytes[id] =>
+                            {
+                                *degree
+                            }
+                            _ => {
+                                return Err(TraceReadError::EdgeRef { offset: frame.start, target })
+                            }
                         }
                     }
+                };
+                if let Some(count) = broadcast {
+                    check_broadcast(count, degree).map_err(TraceReadError::at(frame.start))?;
                 }
                 ChannelRecord::Vertex(head)
             }
@@ -1465,22 +1656,23 @@ pub fn walk_vertex_channel<'a>(
     })
 }
 
-/// Calls `each` with every vertex record of a v2 worker channel, in
-/// order, its edges resolved; index frames and references are checked as
-/// [`walk_vertex_channel`] checks them.
+/// Calls `each` with every vertex record of `channel`, in order, its
+/// edges and outgoing messages listed; index frames, references and
+/// broadcasts are checked as [`walk_vertex_channel`] checks them, and
+/// `up_to` is the walk's.
 fn for_each_vertex_record(
-    bytes: &[u8],
+    channel: VertexChannel<'_>,
+    up_to: Option<u64>,
     mut each: impl FnMut(ErasedVertexTrace) -> graft_codec::Result<()>,
 ) -> Result<(), TraceReadError> {
-    let channel = VertexChannel::new(bytes);
-    walk_vertex_channel(channel, None, |frame, read| match read {
+    walk_vertex_channel(channel, up_to, |frame, read| match read {
         ChannelRecord::Vertex(_) => each(channel.record(frame.payload)?),
         ChannelRecord::Index(_) => Ok(()),
     })
 }
 
-/// Decodes every vertex record of a v2 worker channel, edge references
-/// followed, each built from its [`ErasedVertexTrace`]
+/// Decodes every vertex record of a v3 worker channel, edge references
+/// followed and broadcasts listed, each built from its [`ErasedVertexTrace`]
 /// ([`ErasedVertexTrace::typed`]): `VertexTraceOf<C>` for a typed
 /// session, or the record itself.
 pub fn decode_vertex_records<I, V, E, M>(
@@ -1493,7 +1685,7 @@ where
     M: DeserializeOwned,
 {
     let mut out = Vec::new();
-    for_each_vertex_record(bytes, |record| {
+    for_each_vertex_record(VertexChannel::new(bytes), None, |record| {
         out.push(record.typed()?);
         Ok(())
     })?;
@@ -1510,16 +1702,18 @@ pub enum ChannelKind {
 }
 
 /// The door every reader takes a channel through: the `kind` channel
-/// `bytes`, recorded in `format`, as the v2 bytes `trace convert --to
-/// binary` writes for them. A v2 channel passes as it is, and so does a
-/// v1 master channel, the layouts differing only in vertex payloads. Any
-/// other legacy channel is decoded in full and written again, record by
-/// record, through a [`ChannelWriter`]: a record that does not decode
-/// fails here, a v1 frame with its offset. With `torn_tail_ok`, the
-/// reading of a job still running, a last record caught mid-append — a
-/// line with no newline that does not parse, a frame overrunning the end
-/// — is left out, as the v2 walk leaves out a torn frame.
-pub fn v2_channel(
+/// `bytes`, recorded in `format`, as the v3 bytes `trace convert --to
+/// binary` writes for them. A v3 channel passes as it is, and so does a
+/// v1 or v2 master channel, the layouts differing only in vertex
+/// payloads. Any other legacy channel is decoded in full and written
+/// again, record by record, through a [`ChannelWriter`]: a record that
+/// does not decode fails here, a binary frame with its offset. A v2
+/// worker channel is read by the v3 reader, its `outgoing` lists read as
+/// the pairs form. With `torn_tail_ok`, the reading of a job still
+/// running, a last record caught mid-append — a line with no newline that
+/// does not parse, a frame overrunning the end — is left out, as the v3
+/// walk leaves out a torn frame.
+pub fn native_channel(
     format: TraceFormat,
     kind: ChannelKind,
     bytes: Vec<u8>,
@@ -1528,8 +1722,14 @@ pub fn v2_channel(
     let mut out = Vec::new();
     let mut writer = ChannelWriter::default();
     match (format, kind) {
-        (TraceFormat::BinaryV2, _) | (TraceFormat::Binary, ChannelKind::Master) => {
-            return Ok(bytes)
+        (TraceFormat::BinaryV3, _)
+        | (TraceFormat::Binary | TraceFormat::BinaryV2, ChannelKind::Master) => return Ok(bytes),
+        (TraceFormat::BinaryV2, ChannelKind::Worker) => {
+            let up_to = torn_tail_ok.then_some(u64::MAX);
+            for_each_vertex_record(VertexChannel::v2(&bytes), up_to, |record| {
+                let appended = writer.append_vertex(&record, &mut out);
+                appended.map_err(|e| graft_codec::Error::Message(e.to_string()))
+            })?
         }
         (TraceFormat::JsonLines, ChannelKind::Worker) => {
             for_each_line(&bytes, torn_tail_ok, |line| {
@@ -1571,31 +1771,36 @@ fn json_line<T: Serialize>(out: &mut Vec<u8>, record: &T) -> serde_json::Result<
 /// Re-encodes a `kind` channel recorded in `source` in `target`: through
 /// the door, so an import is byte for byte what capture writes, since
 /// both write through a [`ChannelWriter`]; an export to JSON lines then
-/// writes one document a record, every edge list inline.
+/// writes one document a record, every edge list inline and every
+/// broadcast listed.
 pub fn convert_channel(
     kind: ChannelKind,
     source: TraceFormat,
     target: TraceFormat,
     bytes: Vec<u8>,
 ) -> Result<Vec<u8>, Box<dyn std::error::Error>> {
-    let v2 = v2_channel(source, kind, bytes, false)?;
+    let native = native_channel(source, kind, bytes, false)?;
     match target {
-        TraceFormat::BinaryV2 => Ok(v2),
+        TraceFormat::BinaryV3 => Ok(native),
         TraceFormat::JsonLines => {
             let mut out = Vec::new();
             match kind {
-                ChannelKind::Worker => for_each_vertex_record(&v2, |record| {
-                    json_line(&mut out, &record).map_err(json_error)
-                })?,
+                ChannelKind::Worker => {
+                    for_each_vertex_record(VertexChannel::new(&native), None, |record| {
+                        json_line(&mut out, &record).map_err(json_error)
+                    })?
+                }
                 ChannelKind::Master => {
-                    for record in decode_master_records(&v2, None)? {
+                    for record in decode_master_records(&native, None)? {
                         json_line(&mut out, &record)?;
                     }
                 }
             }
             Ok(out)
         }
-        TraceFormat::Binary => Err("binary layout v1 is read, not written".into()),
+        TraceFormat::Binary | TraceFormat::BinaryV2 => {
+            Err(format!("{target:?} is read, not written").into())
+        }
     }
 }
 
@@ -1636,7 +1841,7 @@ pub fn convert_trace_dir(
     Ok(())
 }
 
-/// Decodes the master records of a v2 master channel of supersteps up to
+/// Decodes the master records of a master channel of supersteps up to
 /// `up_to`, the watermark of a job still running, under which a torn tail
 /// record is skipped instead of failing; without one, every record.
 pub fn decode_master_records(
@@ -1694,7 +1899,7 @@ mod tests {
         buf
     }
 
-    /// The v2 worker channel of `records`, as capture writes it.
+    /// The v3 worker channel of `records`, as capture writes it.
     fn channel_of<T: TraceRecord>(records: &[T]) -> Vec<u8> {
         let mut buf = Vec::new();
         let mut writer = ChannelWriter::default();
@@ -1706,8 +1911,8 @@ mod tests {
 
     /// `records` exported to JSON lines.
     fn export(records: &[VertexTrace<u64, i64, (), i64>]) -> Vec<u8> {
-        let (v2, json) = (TraceFormat::BinaryV2, TraceFormat::JsonLines);
-        convert_channel(ChannelKind::Worker, v2, json, channel_of(records)).unwrap()
+        let (v3, json) = (TraceFormat::BinaryV3, TraceFormat::JsonLines);
+        convert_channel(ChannelKind::Worker, v3, json, channel_of(records)).unwrap()
     }
 
     #[test]
@@ -1715,10 +1920,10 @@ mod tests {
         let records = [sample_trace(), sample_trace()];
         for (format, buf) in [
             (TraceFormat::JsonLines, json_lines(&records)),
-            (TraceFormat::BinaryV2, channel_of(&records)),
+            (TraceFormat::BinaryV3, channel_of(&records)),
         ] {
-            let v2 = v2_channel(format, ChannelKind::Worker, buf, false).unwrap();
-            let decoded: Vec<VertexTrace<u64, i64, (), i64>> = decode_vertex_records(&v2).unwrap();
+            let v3 = native_channel(format, ChannelKind::Worker, buf, false).unwrap();
+            let decoded: Vec<VertexTrace<u64, i64, (), i64>> = decode_vertex_records(&v3).unwrap();
             assert_eq!(decoded, records);
         }
     }
@@ -1758,7 +1963,7 @@ mod tests {
         assert_eq!(serde_json::to_vec(&from_bin).unwrap(), serde_json::to_vec(&from_json).unwrap());
     }
 
-    /// The kind of each vertex record's edges in a v2 channel.
+    /// The kind of each vertex record's edges in a v3 channel.
     fn edge_kinds(buf: &[u8]) -> Vec<&'static str> {
         let mut kinds = Vec::new();
         let mut scanner = FrameScanner::new(buf);
@@ -1847,22 +2052,22 @@ mod tests {
     }
 
     /// A legacy JSON-lines or v1 worker channel, and a JSON-lines master
-    /// channel, read as the v2 channel capture writes for the same
+    /// channel, read as the v3 channel capture writes for the same
     /// records; a record torn mid-append is dropped only when the reader is
     /// told the job is still running.
     #[test]
     fn a_legacy_json_channel_upgrades_to_what_capture_writes() {
         use ChannelKind::{Master, Worker};
-        use TraceFormat::{Binary, BinaryV2, JsonLines};
+        use TraceFormat::{Binary, BinaryV2, BinaryV3, JsonLines};
         let records = [sample_trace(), VertexTrace { superstep: 42, ..sample_trace() }];
         let lines = json_lines(&records);
-        let upgraded = v2_channel(JsonLines, Worker, lines.clone(), false).unwrap();
+        let upgraded = native_channel(JsonLines, Worker, lines.clone(), false).unwrap();
         assert_eq!(upgraded, channel_of(&records));
 
         let mut torn = lines.clone();
         torn.extend_from_slice(b"{\"superstep\":43,\"vertex\":6");
-        assert!(v2_channel(JsonLines, Worker, torn.clone(), false).is_err());
-        assert_eq!(v2_channel(JsonLines, Worker, torn, true).unwrap(), upgraded);
+        assert!(native_channel(JsonLines, Worker, torn.clone(), false).is_err());
+        assert_eq!(native_channel(JsonLines, Worker, torn, true).unwrap(), upgraded);
 
         // v1: every list inline, an index frame at each superstep.
         let mut v1 = Vec::new();
@@ -1877,10 +2082,10 @@ mod tests {
                 serde_json::from_slice(&serde_json::to_vec(record).unwrap()).unwrap();
             graft_codec::frame::write_value_frame(&mut v1, FRAME_VERTEX, &erased).unwrap();
         }
-        assert_eq!(v2_channel(Binary, Worker, v1.clone(), false).unwrap(), upgraded);
+        assert_eq!(native_channel(Binary, Worker, v1.clone(), false).unwrap(), upgraded);
         let torn = v1[..v1.len() - 2].to_vec();
-        assert!(v2_channel(Binary, Worker, torn.clone(), false).is_err());
-        assert_eq!(v2_channel(Binary, Worker, torn, true).unwrap(), channel_of(&records[..1]));
+        assert!(native_channel(Binary, Worker, torn.clone(), false).is_err());
+        assert_eq!(native_channel(Binary, Worker, torn, true).unwrap(), channel_of(&records[..1]));
 
         let master = MasterTrace {
             superstep: 3,
@@ -1892,13 +2097,16 @@ mod tests {
         ChannelWriter::default().append_master(&master, &mut native).unwrap();
         let mut torn = json_lines(std::slice::from_ref(&master));
         torn.extend_from_slice(b"{\"superstep\":4,");
-        assert!(v2_channel(JsonLines, Master, torn.clone(), false).is_err());
-        assert_eq!(v2_channel(JsonLines, Master, torn, true).unwrap(), native);
+        assert!(native_channel(JsonLines, Master, torn.clone(), false).is_err());
+        assert_eq!(native_channel(JsonLines, Master, torn, true).unwrap(), native);
 
-        // v2 channels, and a v1 master channel, pass through as they are.
-        for (format, kind) in [(BinaryV2, Worker), (BinaryV2, Master), (Binary, Master)] {
+        // v3 channels, and v1 and v2 master channels, pass through as
+        // they are.
+        let passing =
+            [(BinaryV3, Worker), (BinaryV3, Master), (BinaryV2, Master), (Binary, Master)];
+        for (format, kind) in passing {
             let bytes = b"any bytes".to_vec();
-            assert_eq!(v2_channel(format, kind, bytes.clone(), false).unwrap(), bytes);
+            assert_eq!(native_channel(format, kind, bytes.clone(), false).unwrap(), bytes);
         }
     }
 
@@ -1908,6 +2116,7 @@ mod tests {
             (TraceFormat::JsonLines, "\"JsonLines\""),
             (TraceFormat::Binary, "\"Binary\""),
             (TraceFormat::BinaryV2, "\"BinaryV2\""),
+            (TraceFormat::BinaryV3, "\"BinaryV3\""),
         ] {
             assert_eq!(serde_json::to_string(&format).unwrap(), name);
             assert_eq!(serde_json::from_str::<TraceFormat>(name).unwrap(), format);
@@ -1943,11 +2152,11 @@ mod tests {
         let mut bin = Vec::new();
         ChannelWriter::default().append_master(&record, &mut bin).unwrap();
         let json = json_lines(std::slice::from_ref(&record));
-        let (v2, lines) = (TraceFormat::BinaryV2, TraceFormat::JsonLines);
+        let (v3, lines) = (TraceFormat::BinaryV3, TraceFormat::JsonLines);
         assert_eq!(decode_master_records(&bin, None).unwrap(), vec![record.clone()]);
-        let exported = convert_channel(ChannelKind::Master, v2, lines, bin.clone()).unwrap();
+        let exported = convert_channel(ChannelKind::Master, v3, lines, bin.clone()).unwrap();
         assert_eq!(exported, json);
-        let imported = convert_channel(ChannelKind::Master, lines, v2, json).unwrap();
+        let imported = convert_channel(ChannelKind::Master, lines, v3, json).unwrap();
         assert_eq!(imported, bin);
     }
 
@@ -1984,7 +2193,7 @@ mod tests {
     #[test]
     fn decode_rejects_garbage() {
         let json = b"{not json}\n".to_vec();
-        assert!(v2_channel(TraceFormat::JsonLines, ChannelKind::Master, json, false).is_err());
+        assert!(native_channel(TraceFormat::JsonLines, ChannelKind::Master, json, false).is_err());
         assert!(decode_master_records(&[0xff, 0xff, 0xff], None).is_err());
         assert!(decode_vertex_records::<u64, i64, (), i64>(&[0xff, 0xff, 0xff]).is_err());
         // A master frame inside a worker file is a kind error, not a panic.

@@ -6,10 +6,10 @@
 //! records whose computation-specific fields are type-erased: binary
 //! frames carry them as tagged `BinValue` trees that reconstruct the exact
 //! dynamic values a JSON text round-trip gives (see `graft_codec::value`).
-//! Every channel comes in through the door, [`crate::trace::v2_channel`]:
-//! a legacy JSON-lines or v1 channel is read in full, at open, into the
-//! v2 bytes `trace convert --to binary` writes for it, so every row read
-//! here is a v2 payload, and everything built on this module is
+//! Every channel comes in through the door, [`crate::trace::native_channel`]:
+//! a legacy JSON-lines, v1 or v2 channel is read in full, at open, into
+//! the v3 bytes `trace convert --to binary` writes for it, so every row
+//! read here is a v3 payload, and everything built on this module is
 //! byte-identical across formats.
 //!
 //! Rows are *not* materialized up front, and a binary frame is decoded
@@ -20,9 +20,10 @@
 //!   *skimmed* — run through the same GraftBin
 //!   decoder, field for field, as the full record, with visitors that
 //!   check and drop what they read (see [`VertexHead`]) — so exactly the
-//!   payloads that would decode in full pass, and none is built. A v2
+//!   payloads that would decode in full pass, and none is built. A v3
 //!   payload's edge back-reference is checked against the channel's
-//!   inline rows before it (see [`walk_vertex_channel`]). Index frames
+//!   inline rows before it, and a broadcast's count against its edges
+//!   (see [`walk_vertex_channel`]). Index frames
 //!   and master records are decoded outright; they are small.
 //! * **What the index holds.** Per superstep, one three-word entry per
 //!   row, sorted by rendered vertex id: the byte range of the record's
@@ -39,14 +40,15 @@
 //!   What shows a whole record — the violations view its flagged rows,
 //!   a reproducer its one row — decodes the payload once into the
 //!   record an [`UntypedTrace`] wraps. Edges held by reference are read,
-//!   one hop, from the frame they name. A point lookup probes O(log rows)
+//!   one hop, from the frame they name, and a broadcast is listed along
+//!   them. A point lookup probes O(log rows)
 //!   rows with the head skim and decodes what it returns. A superstep
 //!   with a million captures costs three words of index per row until
 //!   then — which is what lets the debug server paginate large supersteps
 //!   without holding decoded records for whole jobs in memory.
 //!
 //! The per-superstep index frames let [`UntypedSession::open_partial`]
-//! skip whole superstep groups of a v2 channel beyond the live watermark
+//! skip whole superstep groups of a v3 channel beyond the live watermark
 //! without touching their payloads.
 
 use std::collections::BTreeMap;
@@ -183,7 +185,7 @@ impl UntypedTrace {
 
 /// Reads worker `worker`'s trace file under `root` through the door, and
 /// walks it, invoking `row` for every vertex record within the watermark
-/// with the record's head and its payload byte range; returns the v2
+/// with the record's head and its payload byte range; returns the v3
 /// channel walked, empty if the worker wrote no file. A payload is skimmed, not
 /// decoded (see [`VertexHead`]), and its edge reference checked
 /// ([`walk_vertex_channel`]). Shared by [`JobSummary::scan`] and
@@ -286,7 +288,7 @@ struct RowRef {
 
 /// A type-erased debug session over a run's traces, in any format.
 ///
-/// Holds the v2 worker channels plus a per-superstep row index sorted by
+/// Holds the v3 worker channels plus a per-superstep row index sorted by
 /// rendered vertex id and carrying each row's violation/exception flags;
 /// individual rows are decoded on demand (see the module docs).
 pub struct UntypedSession {
@@ -601,7 +603,7 @@ mod tests {
         fs.write_all(&meta_path(json_root), &serde_json::to_vec(&meta).unwrap()).unwrap();
         let export = |kind, path: String, to: String| {
             let bytes = fs.read_all(&path).unwrap();
-            let lines = convert_channel(kind, TraceFormat::BinaryV2, TraceFormat::JsonLines, bytes);
+            let lines = convert_channel(kind, TraceFormat::BinaryV3, TraceFormat::JsonLines, bytes);
             fs.write_all(&to, &lines.unwrap()).unwrap();
         };
         for w in 0..2 {
@@ -612,7 +614,7 @@ mod tests {
         let json = UntypedSession::open(fs.clone(), json_root).unwrap();
         let bin = UntypedSession::open(fs.clone(), bin_root).unwrap();
 
-        assert_eq!(bin.meta().format(), TraceFormat::BinaryV2);
+        assert_eq!(bin.meta().format(), TraceFormat::BinaryV3);
         assert_eq!(bin.supersteps(), json.supersteps());
         assert_eq!(bin.total_captures(), json.total_captures());
         assert!(bin.total_captures() > 0);
@@ -788,7 +790,7 @@ mod tests {
     fn vertex_at_is_the_first_match_of_a_linear_scan() {
         use crate::trace::{ChannelWriter, VertexTrace};
         use graft_pregel::GlobalData;
-        for format in [TraceFormat::JsonLines, TraceFormat::BinaryV2] {
+        for format in [TraceFormat::JsonLines, TraceFormat::BinaryV3] {
             let root = "/t/untyped-vertex-at";
             let fs: Arc<dyn FileSystem> = Arc::new(graft_dfs::InMemoryFs::new());
             let meta = JobMeta {

@@ -99,7 +99,7 @@ fn binary_channels_are_at_most_half_the_json_bytes() {
         let binary_len = bytes.len();
         let lines = convert_channel(
             ChannelKind::Worker,
-            TraceFormat::BinaryV2,
+            TraceFormat::BinaryV3,
             TraceFormat::JsonLines,
             bytes,
         );

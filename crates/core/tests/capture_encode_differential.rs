@@ -6,18 +6,21 @@
 //! whether it is encoded from an owned `VertexTrace` or from a
 //! `VertexCapture` borrowing engine-shaped state — and a record captured
 //! again, its edges by reference, must equal `WireVertexTrace`'s frame.
+//! The reference decides the broadcast form of `outgoing` on the
+//! encodings of its trees; records that send one message along every edge
+//! are drawn for every shape that can.
 
 use std::fmt::Debug;
 
 mod common;
 
 use common::{
-    gc_message, gc_value, mwm_message, mwm_value, random_f64, random_i64, random_trace, random_u64,
-    rw_value, Rng64,
+    broadcasting, gc_message, gc_value, mwm_message, mwm_value, random_f64, random_i64,
+    random_trace, random_u64, rw_value, Rng64,
 };
 use graft::trace::{
-    CaptureError, EdgeRefs, ErasedVertexTrace, TraceRecord, VertexCapture, WireEdges,
-    WireVertexTrace, FRAME_VERTEX,
+    Broadcast, CaptureError, EdgeRefs, ErasedVertexTrace, TraceRecord, VertexCapture, WireEdges,
+    WireOutgoing, WireVertexTrace, FRAME_VERTEX,
 };
 use graft::VertexTrace;
 use graft_codec::frame::FrameScanner;
@@ -30,6 +33,24 @@ fn leaf<T: Serialize>(value: &T) -> BinValue {
     to_bin_value(value).unwrap()
 }
 
+/// The reference's `outgoing`: a broadcast when there are sends, their
+/// targets encode as the edges' targets in edge order, and every message
+/// encodes as the first; the pairs otherwise.
+fn wire_outgoing(
+    edges: &[(BinValue, BinValue)],
+    pairs: Vec<(BinValue, BinValue)>,
+) -> WireOutgoing<Vec<(BinValue, BinValue)>, BinValue> {
+    let bytes = |value: &BinValue| graft_codec::to_vec(value).unwrap();
+    let along_edges = pairs.len() == edges.len()
+        && pairs.iter().zip(edges).all(|((to, _), (target, _))| bytes(to) == bytes(target));
+    match pairs.first() {
+        Some((_, first)) if along_edges && pairs.iter().all(|(_, m)| bytes(m) == bytes(first)) => {
+            WireOutgoing::Broadcast(Broadcast { count: pairs.len() as u64, value: first.clone() })
+        }
+        _ => WireOutgoing::Pairs(pairs),
+    }
+}
+
 /// The reference: the typed record converted leaf by leaf into heap
 /// trees, as the capture path did before it encoded in one pass.
 fn wire_vertex_trace<I, V, E, M>(trace: &VertexTrace<I, V, E, M>) -> WireVertexTrace
@@ -39,14 +60,16 @@ where
     E: Serialize,
     M: Serialize,
 {
+    let edges: Vec<_> = trace.edges.iter().map(|(i, e)| (leaf(i), leaf(e))).collect();
+    let pairs = trace.outgoing.iter().map(|(i, m)| (leaf(i), leaf(m))).collect();
     WireVertexTrace {
         superstep: trace.superstep,
         vertex: leaf(&trace.vertex),
         value_before: leaf(&trace.value_before),
         value_after: leaf(&trace.value_after),
-        edges: WireEdges::Inline(trace.edges.iter().map(|(i, e)| (leaf(i), leaf(e))).collect()),
+        outgoing: wire_outgoing(&edges, pairs),
+        edges: WireEdges::Inline(edges),
         incoming: trace.incoming.iter().map(leaf).collect(),
-        outgoing: trace.outgoing.iter().map(|(i, m)| (leaf(i), leaf(m))).collect(),
         aggregators: trace.aggregators.clone(),
         global: trace.global,
         halted_after: trace.halted_after,
@@ -71,7 +94,7 @@ where
 
 fn check<I, V, E, M>(trace: &VertexTrace<I, V, E, M>)
 where
-    I: Serialize + Clone + Debug,
+    I: Serialize + Clone + Debug + PartialEq,
     V: Serialize + Debug,
     E: Serialize + Clone + Debug,
     M: Serialize + Debug,
@@ -143,6 +166,9 @@ fn pagerank_and_sssp_records() {
     for _ in 0..CASES {
         // PageRank: (u64, f64, (), f64).
         check(&random_trace(&mut rng, random_u64, random_f64, |_| (), random_f64));
+        let record = random_trace(&mut rng, random_u64, random_f64, |_| (), random_f64);
+        let message = random_f64(&mut rng);
+        check(&broadcasting(record, message));
         // SSSP: (u64, f64, f64, f64).
         check(&random_trace(&mut rng, random_u64, random_f64, random_f64, random_f64));
     }
@@ -154,6 +180,9 @@ fn components_and_random_walk_records() {
     for _ in 0..CASES {
         // Components: (u64, u64, (), u64).
         check(&random_trace(&mut rng, random_u64, random_u64, |_| (), random_u64));
+        let record = random_trace(&mut rng, random_u64, random_u64, |_| (), random_u64);
+        let message = random_u64(&mut rng);
+        check(&broadcasting(record, message));
         // Random walk: (u64, RWValue, (), i64).
         check(&random_trace(&mut rng, random_u64, rw_value, |_| (), random_i64));
     }
@@ -164,6 +193,9 @@ fn graph_coloring_records() {
     let mut rng = Rng64::seed_from_u64(3);
     for _ in 0..CASES {
         check(&random_trace(&mut rng, random_u64, gc_value, |_| (), gc_message));
+        let record = random_trace(&mut rng, random_u64, gc_value, |_| (), gc_message);
+        let message = gc_message(&mut rng);
+        check(&broadcasting(record, message));
     }
 }
 

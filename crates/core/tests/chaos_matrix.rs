@@ -393,10 +393,10 @@ fn edge_references_survive_recovery_and_budgets_byte_for_byte() {
     // Those of a run on one thread (`taskset -c 0`): the channels do not
     // depend on how many threads ran the partitions.
     let one_thread: &[(&str, usize, u64)] = &[
-        ("/traces/chaos/worker_0.trace", 2063, 0xf36d8deec2e4d887),
-        ("/traces/chaos/worker_1.trace", 2060, 0x02f545263984d817),
-        ("/traces/chaos/worker_2.trace", 2059, 0x36c5dc5c10114876),
-        ("/traces/chaos/worker_3.trace", 2060, 0xc5e22c20f6015562),
+        ("/traces/chaos/worker_0.trace", 1816, 0xbb4a711c59e53c06),
+        ("/traces/chaos/worker_1.trace", 1813, 0x326f7455973659d4),
+        ("/traces/chaos/worker_2.trace", 1814, 0x6d84e785927b8ada),
+        ("/traces/chaos/worker_3.trace", 1817, 0x3c027fbb8dbcfc33),
     ];
     let rendered: Vec<String> = expected
         .iter()
@@ -462,7 +462,9 @@ impl Computation for Splice {
 type EntryEdges = Arc<Mutex<BTreeMap<(u64, u64), Vec<(BinValue, BinValue)>>>>;
 
 /// Runs `C`, noting each vertex's entry edges as it goes: what the
-/// engine handed `compute`, independent of any trace.
+/// engine handed `compute`, independent of any trace. (`Rewire` and
+/// `Splice` use no combiner and no aggregator, so nothing else is
+/// forwarded.)
 struct Witnessed<C> {
     inner: C,
     seen: EntryEdges,
@@ -480,10 +482,12 @@ impl<C: Computation<Id = u64>> Computation for Witnessed<C> {
         messages: &[C::Message],
         ctx: &mut ContextOf<'_, Self>,
     ) {
-        fn erased<T: serde::Serialize>(value: &T) -> BinValue {
-            BinValue(serde_json::to_value(value).unwrap())
-        }
-        let edges = vertex.edges().iter().map(|e| (erased(&e.target), erased(&e.value)));
+        let edges = vertex.edges().iter().map(|e| {
+            (
+                graft_codec::to_bin_value(&e.target).unwrap(),
+                graft_codec::to_bin_value(&e.value).unwrap(),
+            )
+        });
         self.seen.lock().unwrap().insert((ctx.superstep(), vertex.id()), edges.collect());
         self.inner.compute(vertex, messages, ctx);
     }

@@ -150,3 +150,16 @@ pub fn mwm_message(rng: &mut Rng64) -> MWMMessage {
         MWMMessage::Matched(random_u64(rng))
     }
 }
+
+/// `trace` sending its first message, or none, along every edge: the
+/// shape PageRank and coloring's priority rounds capture, written as a
+/// broadcast where the record has edges.
+pub fn broadcasting<I: Clone, V, E, M: Clone>(
+    mut trace: VertexTrace<I, V, E, M>,
+    message: M,
+) -> VertexTrace<I, V, E, M> {
+    let value = trace.outgoing.first().map_or(message, |(_, first)| first.clone());
+    trace.outgoing =
+        trace.edges.iter().map(|(target, _)| (target.clone(), value.clone())).collect();
+    trace
+}

@@ -9,7 +9,8 @@
 //!   configuration. They pin the surviving path to the bytes the deleted
 //!   one produced, not merely to itself. The trace-file checksums were
 //!   regenerated once when binary traces moved to layout v2 (each
-//!   adjacency written once); nothing else moved.
+//!   adjacency written once), and once more at layout v3 (one message
+//!   sent along every edge written once); nothing else moved.
 //! * **Oracle.** The four fault-free cells must also equal
 //!   `graft_pregel::reference::run_sequential` at four partitions on
 //!   final values (bit-for-bit), counters and halt reason.
@@ -234,12 +235,12 @@ fn faulted_pagerank_recovers_to_the_legacy_golden() {
 const PAGERANK: Golden = Golden {
     files: &[
         ("/master.trace", 0, 0xcbf29ce484222325),
-        ("/meta.json", 919, 0xa0899facb9a0ce5d),
+        ("/meta.json", 919, 0xcc01f2bb48f6b6b0),
         ("/result.json", 135, 0xe21ddde9e992313b),
-        ("/worker_0.trace", 8709, 0x5c2f8aa7c81dab85),
-        ("/worker_1.trace", 8709, 0x9f3e67006fede775),
-        ("/worker_2.trace", 8709, 0x3a3ac44fe11a439d),
-        ("/worker_3.trace", 8709, 0xda8e3f273146a3ed),
+        ("/worker_0.trace", 7271, 0xf97d959455f03c50),
+        ("/worker_1.trace", 7271, 0xc264e3891203f814),
+        ("/worker_2.trace", 7271, 0x48f0a6ca1bd8e3ec),
+        ("/worker_3.trace", 7271, 0x3b2a736b94eae370),
     ],
     checksum: 0xfa979ad63cc18845,
     halt_reason: HaltReason::AllVerticesHalted,
@@ -262,12 +263,12 @@ const PAGERANK: Golden = Golden {
 const SSSP: Golden = Golden {
     files: &[
         ("/master.trace", 0, 0xcbf29ce484222325),
-        ("/meta.json", 926, 0xc0ceeeb7242db77a),
+        ("/meta.json", 926, 0x8ef103fb83529141),
         ("/result.json", 135, 0xa9067f3f057c6a80),
-        ("/worker_0.trace", 1773, 0x27d082f69183e706),
-        ("/worker_1.trace", 1818, 0x9df6f5c2ab910bce),
-        ("/worker_2.trace", 1811, 0xd625c33a44b0af92),
-        ("/worker_3.trace", 1772, 0x3d05f2fe0657cff9),
+        ("/worker_0.trace", 1802, 0x2ab6837490007f52),
+        ("/worker_1.trace", 1848, 0x68844f70990feaad),
+        ("/worker_2.trace", 1841, 0x521ddca2a5528e4a),
+        ("/worker_3.trace", 1801, 0x437ed8fbcf17f2b7),
     ],
     checksum: 0x9f44dee8c9bba0f7,
     halt_reason: HaltReason::AllVerticesHalted,
@@ -290,12 +291,12 @@ const SSSP: Golden = Golden {
 const COMPONENTS: Golden = Golden {
     files: &[
         ("/master.trace", 0, 0xcbf29ce484222325),
-        ("/meta.json", 943, 0x4eebc4d16e14b66c),
+        ("/meta.json", 943, 0x24fcd30fcaca5821),
         ("/result.json", 135, 0x6aac4a88d8e98229),
-        ("/worker_0.trace", 3017, 0xb849a152ad29afa1),
-        ("/worker_1.trace", 2911, 0xed8540b04222c300),
-        ("/worker_2.trace", 2905, 0x56201bdf103d045a),
-        ("/worker_3.trace", 2849, 0xc005b981becdeb06),
+        ("/worker_0.trace", 2705, 0xbfb57495270fa477),
+        ("/worker_1.trace", 2595, 0x4c63d894da5b4d28),
+        ("/worker_2.trace", 2589, 0x7e24eb360db2218c),
+        ("/worker_3.trace", 2505, 0x10e987ce1319a8ab),
     ],
     checksum: 0x1566a3b08b8c8b25,
     halt_reason: HaltReason::AllVerticesHalted,
@@ -318,12 +319,12 @@ const COMPONENTS: Golden = Golden {
 const COLORING: Golden = Golden {
     files: &[
         ("/master.trace", 1260, 0x03815a96983ddadc),
-        ("/meta.json", 1012, 0x9567d3377b191463),
+        ("/meta.json", 1012, 0xfc444e969d8bd93a),
         ("/result.json", 135, 0x997a581ffa15309c),
-        ("/worker_0.trace", 32842, 0xf13f01277fc3b1e8),
-        ("/worker_1.trace", 33707, 0x88135f0c453ace40),
-        ("/worker_2.trace", 34211, 0x59aaa83bc0710843),
-        ("/worker_3.trace", 33834, 0x4e34d77236aa68a7),
+        ("/worker_0.trace", 31752, 0x3e65c30c7e49a054),
+        ("/worker_1.trace", 32669, 0x99bf964fbe124884),
+        ("/worker_2.trace", 33222, 0x68accfd74175b86e),
+        ("/worker_3.trace", 32887, 0x971cf210871278dd),
     ],
     checksum: 0x441441b3462a5686,
     halt_reason: HaltReason::AllVerticesHalted,
@@ -358,12 +359,12 @@ const COLORING: Golden = Golden {
 const PAGERANK_FAULTED: Golden = Golden {
     files: &[
         ("/master.trace", 0, 0xcbf29ce484222325),
-        ("/meta.json", 937, 0x0a0b4d7df7f623c5),
+        ("/meta.json", 937, 0xd7c98ebba01bfd38),
         ("/result.json", 135, 0xe21ddde9e992313b),
-        ("/worker_0.trace", 8709, 0x5c2f8aa7c81dab85),
-        ("/worker_1.trace", 8709, 0x9f3e67006fede775),
-        ("/worker_2.trace", 8709, 0x3a3ac44fe11a439d),
-        ("/worker_3.trace", 8709, 0xda8e3f273146a3ed),
+        ("/worker_0.trace", 7271, 0xf97d959455f03c50),
+        ("/worker_1.trace", 7271, 0xc264e3891203f814),
+        ("/worker_2.trace", 7271, 0x48f0a6ca1bd8e3ec),
+        ("/worker_3.trace", 7271, 0x3b2a736b94eae370),
     ],
     recoveries: 2,
     ..PAGERANK

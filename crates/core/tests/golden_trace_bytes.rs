@@ -1,6 +1,7 @@
 //! Golden trace bytes: FNV-1a checksums of every file two small
 //! deterministic runs leave in their trace directory, in binary layout
-//! v2 (edge lists written once, repeats by back-reference). Each run also
+//! v3 (edge lists written once, repeats by back-reference; one message
+//! sent along every edge written once, as a broadcast). Each run also
 //! exports its channels to JSON lines and imports the export back, which
 //! must give the captured bytes: the bytes are pinned against the
 //! converter's record-by-record re-encoding and not only against the
@@ -83,16 +84,16 @@ fn view_checksums(fs: &Arc<dyn FileSystem>, root: &str) -> Vec<(String, usize, u
 /// Asserts that every channel of the two-worker run under `root`,
 /// exported to JSON lines and imported back, is the captured channel.
 fn assert_converts(fs: &Arc<dyn FileSystem>, root: &str) {
-    let (v2, json) = (TraceFormat::BinaryV2, TraceFormat::JsonLines);
+    let (v3, json) = (TraceFormat::BinaryV3, TraceFormat::JsonLines);
     for worker in 0..2 {
         let captured = fs.read_all(&worker_trace_path(root, worker)).unwrap();
-        let exported = convert_channel(ChannelKind::Worker, v2, json, captured.clone()).unwrap();
-        let imported = convert_channel(ChannelKind::Worker, json, v2, exported).unwrap();
+        let exported = convert_channel(ChannelKind::Worker, v3, json, captured.clone()).unwrap();
+        let imported = convert_channel(ChannelKind::Worker, json, v3, exported).unwrap();
         assert_eq!(imported, captured, "worker {worker}");
     }
     let captured = fs.read_all(&master_trace_path(root)).unwrap();
-    let exported = convert_channel(ChannelKind::Master, v2, json, captured.clone()).unwrap();
-    let imported = convert_channel(ChannelKind::Master, json, v2, exported).unwrap();
+    let exported = convert_channel(ChannelKind::Master, v3, json, captured.clone()).unwrap();
+    let imported = convert_channel(ChannelKind::Master, json, v3, exported).unwrap();
     assert_eq!(imported, captured, "master");
 }
 
@@ -127,10 +128,10 @@ fn pagerank_capture_all_on_a_ring_matches_the_golden_bytes() {
         &trace_checksums(run.fs(), "/golden/pagerank"),
         &[
             ("/master.trace", 0, 0xcbf29ce484222325),
-            ("/meta.json", 923, 0xf4f07599ede0656e),
+            ("/meta.json", 923, 0xdf9a55a7ab92fde3),
             ("/result.json", 134, 0x717a457666199e07),
-            ("/worker_0.trace", 10390, 0xabb996a2eaac37fc),
-            ("/worker_1.trace", 10390, 0xe07a4bf2e55f9f24),
+            ("/worker_0.trace", 10262, 0xc5610a2877c35f47),
+            ("/worker_1.trace", 10262, 0xdcf569cd77f9a183),
         ],
     );
     assert_golden(
@@ -185,10 +186,10 @@ fn graph_coloring_dc_full_with_master_capture_matches_the_golden_bytes() {
         &trace_checksums(run.fs(), "/golden/coloring"),
         &[
             ("/master.trace", 1527, 0xe5c024cd347ad7db),
-            ("/meta.json", 1113, 0x227ac30afb0bb8b4),
+            ("/meta.json", 1113, 0x7e0a53597301f375),
             ("/result.json", 135, 0x71e63516e0dd4c5b),
-            ("/worker_0.trace", 26926, 0xacf8ce3bbf4187b5),
-            ("/worker_1.trace", 25472, 0x9b603f22f3c1c9fd),
+            ("/worker_0.trace", 25485, 0xfc630ad60c07cd81),
+            ("/worker_1.trace", 24478, 0x6bc7fd78f33fdde1),
         ],
     );
     assert_golden(
@@ -222,7 +223,7 @@ fn hand_built_trace_with_violations_and_exceptions_matches_the_golden_view_bytes
         master: None,
         value_types: ("String".into(), "Balance".into(), "f64".into(), "i64".into()),
         num_workers: 2,
-        trace_format: Some(TraceFormat::BinaryV2),
+        trace_format: Some(TraceFormat::BinaryV3),
         config: vec!["capture_all_active".into()],
         facts: None,
     };
@@ -319,7 +320,7 @@ fn node_link_of_repeated_ids_and_shared_targets_matches_the_golden_document() {
         ],
         vec![("9", 4, true, vec![("2", None), ("10", Some("late"))]), ("100", 5, false, vec![])],
     ];
-    for format in [TraceFormat::BinaryV2, TraceFormat::JsonLines] {
+    for format in [TraceFormat::BinaryV3, TraceFormat::JsonLines] {
         let root = "/golden/node-link";
         let fs: Arc<dyn FileSystem> = Arc::new(InMemoryFs::new());
         let meta = JobMeta {

@@ -7,11 +7,14 @@
 //!   which readers must auto-detect as JSON lines —
 //!   `tests/fixtures/legacy_json_trace/`;
 //! * in binary layout v1, every edge list inline —
-//!   `tests/fixtures/legacy_binary_v1_trace/`.
+//!   `tests/fixtures/legacy_binary_v1_trace/`;
+//! * in binary layout v2, a repeated edge list by back-reference and
+//!   every send as a `(target, message)` pair —
+//!   `tests/fixtures/legacy_binary_v2_trace/`.
 //!
-//! Neither has a generator: this version captures layout v2 only. Both
-//! read, serve what a v2 capture serves, and import (`trace convert --to
-//! binary`) to the bytes of a v2 capture; and JSON lines, the export
+//! None has a generator: this version captures layout v3 only. Each
+//! reads, serves what a v3 capture serves, and imports (`trace convert
+//! --to binary`) to the bytes of a v3 capture; and JSON lines, the export
 //! format, gives back the JSON fixture's own bytes.
 
 use std::sync::Arc;
@@ -134,21 +137,27 @@ fn legacy_meta_without_trace_format_reads_as_json() {
     assert!(t0.halted_after);
 }
 
+/// The format `meta.json` of the trace in `fs` names.
+fn format_of(fs: &Arc<dyn FileSystem>) -> TraceFormat {
+    serde_json::from_slice::<JobMeta>(&fs.read_all("/legacy/meta.json").unwrap()).unwrap().format()
+}
+
 #[test]
 fn a_v1_binary_trace_serves_what_v2_and_json_lines_serve() {
     let v1 = load_fixture("legacy_binary_v1_trace");
-    let meta: JobMeta = serde_json::from_slice(&v1.read_all("/legacy/meta.json").unwrap()).unwrap();
-    assert_eq!(meta.format(), TraceFormat::Binary, "fixture regressed: meta.json must say v1");
+    assert_eq!(format_of(&v1), TraceFormat::Binary, "fixture regressed: meta.json must say v1");
+    let v2 = load_fixture("legacy_binary_v2_trace");
+    assert_eq!(format_of(&v2), TraceFormat::BinaryV2, "fixture regressed: meta.json must say v2");
 
-    let v2 = capture();
+    let v3 = capture();
     let json = load_fixture("legacy_json_trace");
-    let meta: JobMeta = serde_json::from_slice(&v2.read_all("/legacy/meta.json").unwrap()).unwrap();
-    assert_eq!(meta.format(), TraceFormat::BinaryV2);
-    // The same records, fewer bytes: v2 writes each adjacency once.
+    assert_eq!(format_of(&v3), TraceFormat::BinaryV3);
+    // The same records, fewer bytes each layout: v2 writes each adjacency
+    // once, v3 each message sent along every edge once.
     for worker in ["worker_0.trace", "worker_1.trace"] {
         let path = format!("/legacy/{worker}");
-        let (old, new) = (v1.read_all(&path).unwrap(), v2.read_all(&path).unwrap());
-        assert!(new.len() < old.len(), "{worker}: v2 {} vs v1 {} bytes", new.len(), old.len());
+        let sizes = [&v1, &v2, &v3].map(|fs| fs.read_all(&path).unwrap().len());
+        assert!(sizes[2] < sizes[1] && sizes[1] < sizes[0], "{worker}: v1, v2, v3 {sizes:?}");
     }
 
     let views = |fs: &Arc<dyn FileSystem>| {
@@ -159,42 +168,43 @@ fn a_v1_binary_trace_serves_what_v2_and_json_lines_serve() {
     };
     let served = views(&v1);
     assert_eq!(served, views(&v2), "v1 vs v2");
+    assert_eq!(served, views(&v3), "v1 vs v3");
     assert_eq!(served, views(&json), "v1 vs JSON lines");
 
     // The typed reader too.
-    let typed = DebugSession::<Relay>::open(v1, "/legacy").unwrap();
-    let fresh = DebugSession::<Relay>::open(v2, "/legacy").unwrap();
-    let edges =
-        |s: &DebugSession<Relay>| s.all_traces().map(|t| t.edges.clone()).collect::<Vec<_>>();
-    assert_eq!(edges(&typed), edges(&fresh));
-    assert_eq!(typed.total_captures(), 12);
+    let records = |fs: Arc<dyn FileSystem>| {
+        let session = DebugSession::<Relay>::open(fs, "/legacy").unwrap();
+        assert_eq!(session.total_captures(), 12);
+        session.all_traces().cloned().collect::<Vec<_>>()
+    };
+    let fresh = records(v3);
+    assert_eq!(records(v1), fresh, "v1 vs v3");
+    assert_eq!(records(v2), fresh, "v2 vs v3");
 }
 
-/// The import half of `trace convert`: both legacy directories become,
-/// channel for channel, the bytes a v2 capture of their job writes, and
-/// serve the same views. A v2 directory is not imported again.
+/// The import half of `trace convert`: every legacy directory becomes,
+/// channel for channel, the bytes a v3 capture of their job writes, and
+/// serves the same views. A v3 directory is not imported again.
 #[test]
-fn legacy_traces_import_to_the_bytes_of_a_v2_capture() {
-    let v2 = capture();
-    for name in ["legacy_binary_v1_trace", "legacy_json_trace"] {
+fn legacy_traces_import_to_the_bytes_of_a_v3_capture() {
+    let v3 = capture();
+    for name in ["legacy_binary_v1_trace", "legacy_binary_v2_trace", "legacy_json_trace"] {
         let legacy = load_fixture(name);
         let imported: Arc<dyn FileSystem> = Arc::new(InMemoryFs::new());
-        convert_trace_dir(legacy.as_ref(), imported.as_ref(), "/legacy", TraceFormat::BinaryV2)
+        convert_trace_dir(legacy.as_ref(), imported.as_ref(), "/legacy", TraceFormat::BinaryV3)
             .unwrap_or_else(|e| panic!("{name}: {e}"));
         for channel in CHANNELS {
             let path = format!("/legacy/{channel}");
-            assert_eq!(imported.read_all(&path).unwrap(), v2.read_all(&path).unwrap(), "{name}");
+            assert_eq!(imported.read_all(&path).unwrap(), v3.read_all(&path).unwrap(), "{name}");
         }
-        let meta: JobMeta =
-            serde_json::from_slice(&imported.read_all("/legacy/meta.json").unwrap()).unwrap();
-        assert_eq!(meta.format(), TraceFormat::BinaryV2, "{name}");
+        assert_eq!(format_of(&imported), TraceFormat::BinaryV3, "{name}");
         let session =
             |fs: &Arc<dyn FileSystem>| UntypedSession::open(fs.clone(), "/legacy").unwrap();
-        assert_eq!(served_views(&session(&imported)), served_views(&session(&v2)), "{name}");
+        assert_eq!(served_views(&session(&imported)), served_views(&session(&v3)), "{name}");
     }
     let again =
-        convert_trace_dir(v2.as_ref(), &InMemoryFs::new(), "/legacy", TraceFormat::BinaryV2);
-    assert!(again.unwrap_err().to_string().contains("already uses BinaryV2"));
+        convert_trace_dir(v3.as_ref(), &InMemoryFs::new(), "/legacy", TraceFormat::BinaryV3);
+    assert!(again.unwrap_err().to_string().contains("already uses BinaryV3"));
 }
 
 /// Opens the legacy directory of `fs` through every reader. Each must end
@@ -225,12 +235,12 @@ fn every_reader_fails_typed_or_renders(fs: &Arc<dyn FileSystem>) {
 }
 
 /// The door under damage: every cut and a set of single-byte flips of
-/// each channel of both legacy fixtures, through every reader. A release
+/// each channel of every legacy fixture, through every reader. A release
 /// build flips each byte three ways, a debug one once.
 #[test]
 fn damaged_legacy_channels_fail_typed_or_serve_every_view() {
     let flips: &[u8] = if cfg!(debug_assertions) { &[0xff] } else { &[0x01, 0x80, 0xff] };
-    for name in ["legacy_binary_v1_trace", "legacy_json_trace"] {
+    for name in ["legacy_binary_v1_trace", "legacy_binary_v2_trace", "legacy_json_trace"] {
         let fs = load_fixture(name);
         for channel in CHANNELS {
             let path = format!("/legacy/{channel}");
@@ -261,7 +271,7 @@ fn damaged_legacy_channels_fail_typed_or_serve_every_view() {
 fn the_json_fixture_imports_and_exports_back_to_its_own_bytes() {
     let legacy = load_fixture("legacy_json_trace");
     let imported = InMemoryFs::new();
-    convert_trace_dir(legacy.as_ref(), &imported, "/legacy", TraceFormat::BinaryV2).unwrap();
+    convert_trace_dir(legacy.as_ref(), &imported, "/legacy", TraceFormat::BinaryV3).unwrap();
     let exported = InMemoryFs::new();
     convert_trace_dir(&imported, &exported, "/legacy", TraceFormat::JsonLines).unwrap();
     for channel in CHANNELS {

@@ -181,16 +181,16 @@ fn obs_artifacts_match_the_golden_bytes() {
     actual.push(("log-replay/live/terminal".to_string(), bytes.len(), fnv1a(&bytes)));
 
     let golden: &[(&str, usize, u64)] = &[
-        ("clean/events.jsonl", 12556, 0x59a635b9709f52de),
-        ("clean/metrics.prom", 19167, 0xbeffe9e73cfc0368),
-        ("clean/metrics.json", 24116, 0x9681dcd04c044b0a),
-        ("restart/events.jsonl", 14461, 0x390e6ebd901b70dd),
-        ("restart/metrics.prom", 21089, 0x931573eee5448324),
-        ("restart/metrics.json", 25756, 0x48642583fa7f8d55),
-        ("log-replay/events.jsonl", 14025, 0xbbf6a3e5bf732bc2),
-        ("log-replay/metrics.prom", 21283, 0xba3d3f2634523b9d),
-        ("log-replay/metrics.json", 26254, 0xb61ad61520ee9a97),
-        ("log-replay/live/terminal", 13974, 0x6c115499ebceb86d),
+        ("clean/events.jsonl", 12556, 0x598badbda37544a7),
+        ("clean/metrics.prom", 19167, 0x2f3970c160afa390),
+        ("clean/metrics.json", 24117, 0x4f6e815375fe4453),
+        ("restart/events.jsonl", 14461, 0x0c147818c2c9eb47),
+        ("restart/metrics.prom", 21087, 0x15c23febf8327fc0),
+        ("restart/metrics.json", 25754, 0x28541b93a133e340),
+        ("log-replay/events.jsonl", 14025, 0x27304a06235e593b),
+        ("log-replay/metrics.prom", 21283, 0xec5fc9e837f3b19b),
+        ("log-replay/metrics.json", 26254, 0x4762fb22dee91367),
+        ("log-replay/live/terminal", 13974, 0xb17bf45773b03e79),
     ];
     let rendered: Vec<String> = actual
         .iter()

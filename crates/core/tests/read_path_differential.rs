@@ -1,9 +1,10 @@
 //! Differential test of the read path against plain decoding, over valid
 //! vertex payloads of every algorithm in `graft-algorithms` — in layout
-//! v2 with the edges inline and by reference, and in layout v1 — and over
-//! seeded mutations of them:
+//! v3 with the edges inline and by reference and the outgoing messages
+//! listed and as a broadcast, and in layout v1 — and over seeded
+//! mutations of them:
 //!
-//! * skimming a v2 payload (`VertexChannel::head`) succeeds exactly when
+//! * skimming a v3 payload (`VertexChannel::head`) succeeds exactly when
 //!   decoding it in full as a `WireVertexTrace` does, with the same error
 //!   when not — which is what lets `UntypedSession` decode a row `open`
 //!   only skimmed;
@@ -15,11 +16,13 @@
 //!   the record;
 //! * `VertexChannel::record`, and the digest with edges, follow an edge
 //!   reference exactly when it names a frame of the channel recording the
-//!   same vertex with its edges inline, and the record is then what
-//!   decoding the payload and taking that frame's edges gives;
-//! * a v1 channel passes the door (`v2_channel`) exactly when its payload
-//!   decodes as an `ErasedVertexTrace`, fails with that error at that
-//!   frame's offset otherwise, and becomes a v2 channel that reads, every
+//!   same vertex with its edges inline, and accept a broadcast exactly
+//!   when its count is the number of those edges; the record is then what
+//!   decoding the payload, taking that frame's edges and listing the
+//!   broadcast along them gives;
+//! * a v1 channel passes the door (`native_channel`) exactly when its
+//!   payload decodes as an `ErasedVertexTrace`, fails with that error at
+//!   that frame's offset otherwise, and becomes a v3 channel that reads, every
 //!   way above, as that record — its type-erased values put through a
 //!   JSON text round trip, as the door writes them through the tagged
 //!   encoding.
@@ -38,14 +41,15 @@ mod common;
 use std::sync::Arc;
 
 use common::{
-    gc_message, gc_value, mwm_message, mwm_value, random_f64, random_i64, random_trace, random_u64,
-    rw_value, Rng64,
+    broadcasting, gc_message, gc_value, mwm_message, mwm_value, random_f64, random_i64,
+    random_trace, random_u64, rw_value, Rng64,
 };
 use graft::trace::{
-    encode_index_frame, meta_path, v2_channel, walk_vertex_channel, worker_trace_path, ChannelKind,
-    ChannelWriter, EdgeRefs, ErasedVertexTrace, IndexRecord, JobMeta, TraceFormat, TraceReadError,
-    TraceRecord, VertexChannel, VertexHead, VertexTrace, WireEdges, WireVertexTrace,
-    FLAG_EXCEPTION, FLAG_MESSAGE_VIOLATION, FLAG_VALUE_VIOLATION, FRAME_VERTEX,
+    encode_index_frame, meta_path, native_channel, walk_vertex_channel, worker_trace_path,
+    Broadcast, ChannelKind, ChannelWriter, EdgeRefs, ErasedVertexTrace, IndexRecord, JobMeta,
+    TraceFormat, TraceReadError, TraceRecord, VertexChannel, VertexHead, VertexTrace, WireEdges,
+    WireOutgoing, WireVertexTrace, FLAG_EXCEPTION, FLAG_MESSAGE_VIOLATION, FLAG_VALUE_VIOLATION,
+    FRAME_VERTEX,
 };
 use graft::untyped::{JobSummary, UntypedSession, UntypedTrace};
 use graft::{DebugSession, SessionError, ViolationKind};
@@ -73,13 +77,20 @@ impl Case {
     }
 }
 
-/// The record a v2 payload decodes to, its edges left empty when it
-/// holds a reference, and the offset the reference names.
-fn decode(payload: &[u8]) -> Result<(ErasedVertexTrace, Option<u64>), String> {
+/// What a v3 payload decodes to: the record, its edges left empty when
+/// it holds a reference and its outgoing messages when they are a
+/// broadcast; the offset the reference names; the broadcast.
+type Decoded = (ErasedVertexTrace, Option<u64>, Option<Broadcast<BinValue>>);
+
+fn decode(payload: &[u8]) -> Result<Decoded, String> {
     let wire: WireVertexTrace = graft_codec::from_slice(payload).map_err(|e| e.to_string())?;
     let (edges, target) = match wire.edges {
         WireEdges::Inline(edges) => (edges, None),
         WireEdges::At(target) => (Vec::new(), Some(target)),
+    };
+    let (outgoing, broadcast) = match wire.outgoing {
+        WireOutgoing::Pairs(pairs) => (pairs, None),
+        WireOutgoing::Broadcast(broadcast) => (Vec::new(), Some(broadcast)),
     };
     let record = VertexTrace {
         superstep: wire.superstep,
@@ -88,7 +99,7 @@ fn decode(payload: &[u8]) -> Result<(ErasedVertexTrace, Option<u64>), String> {
         value_after: wire.value_after,
         edges,
         incoming: wire.incoming,
-        outgoing: wire.outgoing,
+        outgoing,
         aggregators: wire.aggregators,
         global: wire.global,
         halted_after: wire.halted_after,
@@ -96,7 +107,7 @@ fn decode(payload: &[u8]) -> Result<(ErasedVertexTrace, Option<u64>), String> {
         violations: wire.violations,
         exception: wire.exception,
     };
-    Ok((record, target))
+    Ok((record, target, broadcast))
 }
 
 /// The edges of the frame of `channel` starting at `target`, if it is a
@@ -111,7 +122,7 @@ fn referenced_edges(
         if frame.start as u64 != target || frame.kind != FRAME_VERTEX {
             continue;
         }
-        let (record, reference) = decode(frame.payload).ok()?;
+        let (record, reference, _) = decode(frame.payload).ok()?;
         let same = graft_codec::to_vec(&record.vertex).ok()? == graft_codec::to_vec(vertex).ok()?;
         return (same && reference.is_none()).then_some(record.edges);
     }
@@ -164,19 +175,19 @@ fn check(case: &Case) -> Read {
         return check_door(case);
     }
     let channel = case.channel();
-    check_v2(&channel, case.before.len()).0
+    check_v3(&channel, case.before.len()).0
 }
 
-/// Checks the v2 payload of the frame at `last` of `channel`; returns
+/// Checks the v3 payload of the frame at `last` of `channel`; returns
 /// what it read, and the record if it resolved.
-fn check_v2(channel: &[u8], last: usize) -> (Read, Option<ErasedVertexTrace>) {
+fn check_v3(channel: &[u8], last: usize) -> (Read, Option<ErasedVertexTrace>) {
     let payload = FrameScanner::new(&channel[last..]).next_frame().unwrap().unwrap().payload;
     let reader = VertexChannel::new(channel);
     let skimmed = reader.head(payload).map_err(|e| e.to_string());
     let digest = |with_edges| reader.digest(payload, with_edges).map_err(|e| e.to_string());
     let built = reader.record(payload).map_err(|e| e.to_string());
     let at = |what: &str| format!("{what}: {payload:?}");
-    let (record, target) = match decode(payload) {
+    let (record, target, broadcast) = match decode(payload) {
         Ok(decoded) => decoded,
         Err(error) => {
             assert_eq!(skimmed, Err(error.clone()), "{}", at("head"));
@@ -187,18 +198,27 @@ fn check_v2(channel: &[u8], last: usize) -> (Read, Option<ErasedVertexTrace>) {
         }
     };
     assert_eq!(skimmed, Ok(head_of(&record)), "{}", at("head"));
-    let listed = UntypedTrace::from(record.clone()).digest(false);
+    let mut listed = UntypedTrace::from(record.clone()).digest(false);
+    if let Some(broadcast) = &broadcast {
+        listed.outgoing = usize::try_from(broadcast.count).unwrap_or(usize::MAX);
+    }
     assert_eq!(digest(false), Ok(listed), "{}", at("digest"));
     let edges = match target {
         None => Some(record.edges.clone()),
         Some(target) => referenced_edges(channel, target, &record.vertex),
     };
-    let Some(edges) = edges else {
-        assert!(built.is_err(), "{}", at("record of a bad reference"));
-        assert!(digest(true).is_err(), "{}", at("digest of a bad reference"));
+    let outgoing = |edges: &[(BinValue, BinValue)]| match &broadcast {
+        None => Some(record.outgoing.clone()),
+        Some(Broadcast { count, value }) => (*count == edges.len() as u64)
+            .then(|| edges.iter().map(|(target, _)| (target.clone(), value.clone())).collect()),
+    };
+    let full =
+        edges.and_then(|edges| Some(VertexTrace { outgoing: outgoing(&edges)?, edges, ..record }));
+    let Some(full) = full else {
+        assert!(built.is_err(), "{}", at("record of a bad reference or broadcast"));
+        assert!(digest(true).is_err(), "{}", at("digest of a bad reference or broadcast"));
         return (Read::Decodes { resolved: false }, None);
     };
-    let full = VertexTrace { edges, ..record };
     let built = built.unwrap_or_else(|e| panic!("{e}: {}", at("record")));
     // `==` neither tells `5` from `5u64` nor `-0.0` from `0.0`, and no NaN
     // equals itself; the debug rendering does all three right.
@@ -208,12 +228,12 @@ fn check_v2(channel: &[u8], last: usize) -> (Read, Option<ErasedVertexTrace>) {
     (Read::Decodes { resolved: true }, Some(built))
 }
 
-/// Checks a v1 case at the door: its channel becomes a v2 channel exactly
+/// Checks a v1 case at the door: its channel becomes a v3 channel exactly
 /// when the payload decodes as an `ErasedVertexTrace`, fails with that
-/// error at the frame's offset otherwise, and the v2 channel reads back
+/// error at the frame's offset otherwise, and the v3 channel reads back
 /// as the record, normalized.
 fn check_door(case: &Case) -> Read {
-    let door = v2_channel(TraceFormat::Binary, ChannelKind::Worker, case.channel(), false);
+    let door = native_channel(TraceFormat::Binary, ChannelKind::Worker, case.channel(), false);
     let at = format!("door: {:?}", case.payload);
     match (graft_codec::from_slice::<ErasedVertexTrace>(&case.payload), door) {
         (Err(error), Err(TraceReadError::Frame { offset, error: refused })) => {
@@ -224,12 +244,12 @@ fn check_door(case: &Case) -> Read {
             );
             Read::Fails
         }
-        (Ok(record), Ok(v2)) => {
-            let mut scanner = FrameScanner::new(&v2);
+        (Ok(record), Ok(v3)) => {
+            let mut scanner = FrameScanner::new(&v3);
             let frames: Vec<_> = std::iter::from_fn(|| scanner.next_frame().unwrap()).collect();
             let kinds: Vec<u8> = frames.iter().map(|frame| frame.kind).collect();
             assert_eq!(kinds, [graft::trace::FRAME_INDEX, FRAME_VERTEX], "{at}");
-            let (read, built) = check_v2(&v2, frames[1].start);
+            let (read, built) = check_v3(&v3, frames[1].start);
             assert_eq!(read, Read::Decodes { resolved: true }, "{at}");
             assert_eq!(
                 format!("{:?}", built.unwrap()),
@@ -242,8 +262,8 @@ fn check_door(case: &Case) -> Read {
     }
 }
 
-/// The three cases of one record: a v1 payload, a v2 payload with its
-/// edges inline, and the v2 payload of the same record captured again,
+/// The three cases of one record: a v1 payload, a v3 payload with its
+/// edges inline, and the v3 payload of the same record captured again,
 /// behind the first — its edges a reference where the rule makes one.
 fn cases_of<R: TraceRecord + serde::Serialize>(record: &R) -> [Case; 3] {
     let erased: ErasedVertexTrace =
@@ -277,13 +297,25 @@ fn valid_cases(rng: &mut Rng64, per_shape: usize) -> Vec<Case> {
         cases.extend(cases_of(&random_trace(rng, random_u64, gc_value, |_| (), gc_message)));
         cases.extend(cases_of(&random_trace(rng, random_u64, mwm_value, random_f64, mwm_message)));
         cases.extend(cases_of(&random_trace(rng, name, gc_value, name, random_i64)));
+        // PageRank and coloring broadcasting along their edges.
+        let pagerank = random_trace(rng, random_u64, random_f64, |_| (), random_f64);
+        let message = random_f64(rng);
+        cases.extend(cases_of(&broadcasting(pagerank, message)));
+        let coloring = random_trace(rng, random_u64, gc_value, |_| (), gc_message);
+        let message = gc_message(rng);
+        cases.extend(cases_of(&broadcasting(coloring, message)));
     }
     cases
 }
 
-/// Whether a v2 payload holds its edges by reference.
+/// Whether a v3 payload holds its edges by reference.
 fn is_reference(case: &Case) -> bool {
-    !case.v1 && matches!(decode(&case.payload), Ok((_, Some(_))))
+    !case.v1 && matches!(decode(&case.payload), Ok((_, Some(_), _)))
+}
+
+/// Whether a v3 payload holds its outgoing messages as a broadcast.
+fn is_broadcast(case: &Case) -> bool {
+    !case.v1 && matches!(decode(&case.payload), Ok((_, _, Some(_))))
 }
 
 #[test]
@@ -296,6 +328,8 @@ fn every_algorithms_records_skim_and_build_like_the_old_reader() {
     // Most repeated records hold a reference; short edge lists do not.
     let references = cases.iter().filter(|case| is_reference(case)).count();
     assert!(references > cases.len() / 6, "{references} references in {} cases", cases.len());
+    let broadcasts = cases.iter().filter(|case| is_broadcast(case)).count();
+    assert!(broadcasts > cases.len() / 20, "{broadcasts} broadcasts in {} cases", cases.len());
 }
 
 /// One seeded edit of a valid payload.
@@ -333,11 +367,15 @@ fn mutated_payloads_skim_exactly_when_they_decode() {
     let mut rng = Rng64::seed_from_u64(0x15_5eed);
     let valid = valid_cases(&mut rng, 20);
     let references: Vec<&Case> = valid.iter().filter(|case| is_reference(case)).collect();
+    let broadcasts: Vec<&Case> = valid.iter().filter(|case| is_broadcast(case)).collect();
     let (mut decoded, mut unresolved) = (0, 0);
     for round in 0..budget {
-        // Every fourth edit lands on a payload holding a reference.
+        // Every fourth edit lands on a payload holding a reference, every
+        // eighth on one holding a broadcast.
         let mut case = if round % 4 == 0 {
             references[rng.gen_range(0..references.len())].clone()
+        } else if round % 8 == 1 {
+            broadcasts[rng.gen_range(0..broadcasts.len())].clone()
         } else {
             valid[rng.gen_range(0..valid.len())].clone()
         };
@@ -465,7 +503,7 @@ fn write_trace(fs: &Arc<dyn FileSystem>, root: &str, channel: &[u8]) {
         master: None,
         value_types: ("u64".into(), "i64".into(), "()".into(), "i64".into()),
         num_workers: 1,
-        trace_format: Some(TraceFormat::BinaryV2),
+        trace_format: Some(TraceFormat::BinaryV3),
         config: vec![],
         facts: None,
     };

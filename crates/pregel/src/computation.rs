@@ -170,11 +170,11 @@ impl<'a, I: VertexId, V: Value, E: Value> VertexHandle<'a, I, V, E> {
         }
     }
 
-    /// The version of [`Self::edges_at_entry`]: a token that is equal
-    /// for two calls only if their entry edge lists are equal, so a
-    /// capture may skip encoding an adjacency it already wrote under the
-    /// same version. The engine's partitions hand out one per topology
-    /// state; a handle over a caller's list ([`Self::new`]) has none.
+    /// The version of [`Self::edges_at_entry`]: two calls for one vertex
+    /// under equal versions had equal entry edge lists, so a capture may
+    /// skip encoding an adjacency it already wrote under the same version.
+    /// The engine's partitions hand out one per topology state; a handle
+    /// over a caller's list ([`Self::new`]) has none.
     pub fn entry_version(&self) -> Option<u64> {
         match &self.edges {
             Edges::Columns { version, .. } => Some(*version),

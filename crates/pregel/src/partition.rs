@@ -48,7 +48,9 @@ type EdgeOf<C> = Edge<<C as Computation>::Id, <C as Computation>::EValue>;
 /// No message: an empty inbox end, or the end of a slot's chain.
 const NONE: usize = usize::MAX;
 
-/// A topology version no partition of this process has had.
+/// A topology version no partition of this process has had. `Relaxed`:
+/// the counter publishes no other data, and `fetch_add` hands each value
+/// out once under any ordering.
 fn fresh_version() -> u64 {
     static NEXT: AtomicU64 = AtomicU64::new(0);
     NEXT.fetch_add(1, Ordering::Relaxed)
@@ -281,21 +283,10 @@ impl<C: Computation> Partition<C> {
         if self.edited.is_empty() && self.index.len() == self.ids.len() {
             return;
         }
+        // The same out-edges per vertex, laid out afresh: the version stays.
+        let version = self.version;
         let old = std::mem::replace(self, Self::new());
-        let Self {
-            ids,
-            values,
-            offsets,
-            edges,
-            mut edited,
-            inbox,
-            index,
-            awake,
-            mail,
-            version,
-            ..
-        } = old;
-        // The same out-edges per vertex, laid out afresh.
+        let Self { ids, values, offsets, edges, mut edited, inbox, index, awake, mail, .. } = old;
         self.version = version;
         let mut stored = edges.into_iter();
         for (slot, ((id, value), range)) in
