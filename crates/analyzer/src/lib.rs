@@ -69,7 +69,7 @@ mod config_lints;
 mod race;
 mod shuffle;
 
-use graft::views::violations::{render_rows, ViolationRow};
+use graft::views::json::{render_rows, ViolationRow};
 use graft::{DebugSession, JobMeta};
 use graft_pregel::Computation;
 use rand::rngs::StdRng;

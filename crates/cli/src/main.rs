@@ -10,6 +10,7 @@
 //! graft-cli <trace-dir> info
 //! graft-cli <trace-dir> supersteps
 //! graft-cli <trace-dir> show <superstep>
+//! graft-cli <trace-dir> nodelink <superstep>
 //! graft-cli <trace-dir> vertex <id>
 //! graft-cli <trace-dir> violations
 //! graft-cli <trace-dir> master
@@ -17,6 +18,10 @@
 //! graft-cli trace dump <trace-dir>
 //! graft-cli trace convert <src> <dst> --to json|binary
 //! ```
+//!
+//! The views (`supersteps`, `show`, `nodelink`, `violations`) build the
+//! document graft-server sends for them: `--format json` prints it,
+//! the default text form renders it (`graft::views::render`).
 //!
 //! `analyze` runs `graft-analyzer`'s configuration lints over the
 //! [`ConfigFacts`](graft::ConfigFacts) recorded in `meta.json` and exits
@@ -61,52 +66,37 @@ fn usage() -> ExitCode {
          commands:\n\
          \x20 info                 job metadata and terminal status\n\
          \x20 supersteps           captured supersteps with counts and M/V/E indicators\n\
-         \x20 show <superstep>     the tabular view of one superstep\n\
-         \x20 nodelink <superstep> the node-link view document (always JSON)\n\
+         \x20 show <superstep>     the tabular view of one superstep, then its violations\n\
+         \x20 nodelink <superstep> the node-link view of one superstep\n\
          \x20 vertex <id>          one vertex's history across supersteps\n\
          \x20 violations           the violations & exceptions view\n\
          \x20 repro <id> <ss>      generated reproducer test for one captured vertex\n\
          \x20 master               captured master contexts\n\
          \x20 analyze              run config lints (GA0006-GA0018) over meta.json\n\
          `--format json` prints the same bytes graft-server sends for the\n\
-         matching endpoint (info, supersteps, show, violations)."
+         matching endpoint (info, supersteps, show, nodelink, violations);\n\
+         the text form of each view renders that same document."
     );
     ExitCode::FAILURE
 }
 
 fn main() -> ExitCode {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    if args.first().map(String::as_str) == Some("run") {
-        return match args.get(1) {
-            Some(_) => run_cmd::run(&args[1..]),
-            None => run_cmd::usage(),
-        };
+    // Commands without a trace directory; each prints its usage when
+    // given no arguments.
+    type Command = (&'static str, fn(&[String]) -> ExitCode, fn() -> ExitCode);
+    let commands: [Command; 5] = [
+        ("run", run_cmd::run, run_cmd::usage),
+        ("profile", profile_cmd::run, profile_cmd::usage),
+        ("serve", serve_cmd::run, serve_cmd::usage),
+        ("watch", watch_cmd::run, watch_cmd::usage),
+        ("trace", trace_cmd::run, trace_cmd::usage),
+    ];
+    let first = args.first().map(String::as_str);
+    if let Some((_, run, usage)) = commands.iter().find(|(name, ..)| first == Some(*name)) {
+        return if args.len() > 1 { run(&args[1..]) } else { usage() };
     }
-    if args.first().map(String::as_str) == Some("profile") {
-        return match args.get(1) {
-            Some(_) => profile_cmd::run(&args[1..]),
-            None => profile_cmd::usage(),
-        };
-    }
-    if args.first().map(String::as_str) == Some("serve") {
-        return match args.get(1) {
-            Some(_) => serve_cmd::run(&args[1..]),
-            None => serve_cmd::usage(),
-        };
-    }
-    if args.first().map(String::as_str) == Some("watch") {
-        return match args.get(1) {
-            Some(_) => watch_cmd::run(&args[1..]),
-            None => watch_cmd::usage(),
-        };
-    }
-    if args.first().map(String::as_str) == Some("trace") {
-        return match args.get(1) {
-            Some(_) => trace_cmd::run(&args[1..]),
-            None => trace_cmd::usage(),
-        };
-    }
-    if args.first().map(String::as_str) == Some("check-sched") {
+    if first == Some("check-sched") {
         // No arguments means the full gate, so empty `rest` is valid.
         if args.get(1).map(String::as_str) == Some("--help") {
             return check_sched_cmd::usage();
@@ -115,9 +105,12 @@ fn main() -> ExitCode {
     }
 
     // `--format json|text` may appear anywhere after the command.
-    let json = match args.windows(2).position(|w| w[0] == "--format") {
+    let json = match args.iter().position(|arg| arg == "--format") {
         Some(pos) => {
-            let format = args[pos + 1].clone();
+            let Some(format) = args.get(pos + 1).cloned() else {
+                eprintln!("error: --format needs a value\n");
+                return usage();
+            };
             args.drain(pos..pos + 2);
             match format.as_str() {
                 "json" => true,
@@ -157,24 +150,35 @@ fn main() -> ExitCode {
         .file_name()
         .map(|n| n.to_string_lossy().into_owned())
         .unwrap_or_else(|| dir.clone());
+    // A view document: its wire line, or its text rendering.
+    fn view<D: serde::Serialize>(json: bool, doc: &D, to_text: fn(&D) -> String) {
+        print!("{}", if json { vj::to_line(doc) } else { to_text(doc) });
+    }
+    let superstep_arg = || args.get(2).and_then(|s| s.parse::<u64>().ok());
 
     match command.as_str() {
         "info" if json => print!("{}", vj::to_line(&vj::job_json(&job_id, &session))),
         "info" => info(&session),
-        "supersteps" if json => print!("{}", vj::to_line(&vj::supersteps_json(&session))),
-        "supersteps" => supersteps(&session),
-        "show" => match args.get(2).and_then(|s| s.parse().ok()) {
-            // JSON `show` is the server's tabular document with the
-            // server's defaults (no query, page 1, 50 rows per page).
-            Some(superstep) if json => {
-                print!("{}", vj::to_line(&vj::tabular_json(&session, superstep, None, 1, 50)))
+        "supersteps" => view(json, &vj::supersteps_json(&session), vj::SuperstepsJson::to_text),
+        // `show` is the server's tabular document with the server's
+        // defaults (no query, 50 rows per page): page 1 in JSON, every
+        // page then the superstep's violations in text.
+        "show" => match superstep_arg() {
+            Some(superstep) => {
+                let page = |page| vj::tabular_json(&session, superstep, None, page, 50);
+                let pages = if json { 1 } else { page(1).total_pages };
+                for number in 1..=pages {
+                    view(json, &page(number), vj::TabularJson::to_text);
+                }
+                if !json {
+                    print!("{}", vj::violations_json(&session, Some(superstep)).to_text());
+                }
             }
-            Some(superstep) => show(&session, superstep),
             None => return usage(),
         },
-        "nodelink" => match args.get(2).and_then(|s| s.parse().ok()) {
+        "nodelink" => match superstep_arg() {
             Some(superstep) => {
-                print!("{}", vj::to_line(&vj::node_link_json(&session, superstep)))
+                view(json, &vj::node_link_json(&session, superstep), vj::NodeLinkJson::to_text)
             }
             None => return usage(),
         },
@@ -182,8 +186,9 @@ fn main() -> ExitCode {
             Some(id) => vertex(&session, id),
             None => return usage(),
         },
-        "violations" if json => print!("{}", vj::to_line(&vj::violations_json(&session, None))),
-        "violations" => violations(&session),
+        "violations" => {
+            view(json, &vj::violations_json(&session, None), vj::ViolationsJson::to_text)
+        }
         "repro" => match (args.get(2), args.get(3).and_then(|s| s.parse().ok())) {
             (Some(id), Some(superstep)) => match vj::repro_source(&session, id, superstep) {
                 Some(source) => print!("{source}"),
@@ -256,48 +261,6 @@ fn info(session: &UntypedSession) {
     }
 }
 
-fn supersteps(session: &UntypedSession) {
-    println!("superstep  captures  M    V    E");
-    for superstep in session.supersteps() {
-        let ind = session.indicators(superstep);
-        let mark = |red: bool| if red { "RED " } else { "ok  " };
-        println!(
-            "{superstep:>9}  {:>8}  {}  {}  {}",
-            session.count_at(superstep),
-            mark(ind.message_violation),
-            mark(ind.value_violation),
-            mark(ind.exception),
-        );
-    }
-}
-
-fn show(session: &UntypedSession, superstep: u64) {
-    let traces = session.captured_at(superstep);
-    println!("superstep {superstep}: {} capture(s)", traces.len());
-    for trace in traces {
-        println!(
-            "  vertex {:<12} {} -> {}  in={} out={} {}  [{}]",
-            trace.vertex(),
-            trace.value_before(),
-            trace.value_after(),
-            trace.incoming_count(),
-            trace.outgoing_count(),
-            if trace.halted_after() { "halted" } else { "active" },
-            trace.reasons().join(","),
-        );
-        for violation in trace.violations() {
-            let (kind, detail) = (violation.kind, &violation.detail);
-            match &violation.target {
-                Some(target) => println!("    violation {kind:?}: {detail} -> {target}"),
-                None => println!("    violation {kind:?}: {detail}"),
-            }
-        }
-        if let Some(exception) = trace.exception() {
-            println!("    exception: {}", exception.message);
-        }
-    }
-}
-
 fn vertex(session: &UntypedSession, id: &str) {
     let history = session.history(id);
     if history.is_empty() {
@@ -315,36 +278,6 @@ fn vertex(session: &UntypedSession, id: &str) {
             trace.outgoing_count(),
             if trace.halted_after() { "halted" } else { "active" },
         );
-    }
-}
-
-fn violations(session: &UntypedSession) {
-    let offenders = session.violations();
-    println!("{} offending capture(s)", offenders.len());
-    for trace in offenders {
-        for violation in trace.violations() {
-            println!(
-                "superstep {:>4}  vertex {:<12} {:?}: {}{}",
-                trace.superstep(),
-                trace.vertex(),
-                violation.kind,
-                violation.detail,
-                violation.target.as_ref().map(|t| format!(" -> {t}")).unwrap_or_default(),
-            );
-        }
-        if let Some(exception) = trace.exception() {
-            println!(
-                "superstep {:>4}  vertex {:<12} exception: {}",
-                trace.superstep(),
-                trace.vertex(),
-                exception.message,
-            );
-            if let Some(backtrace) = &exception.backtrace {
-                for line in backtrace.lines().take(8) {
-                    println!("    {line}");
-                }
-            }
-        }
     }
 }
 

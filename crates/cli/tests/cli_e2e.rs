@@ -5,6 +5,8 @@ use std::path::PathBuf;
 use std::process::Command;
 use std::sync::Arc;
 
+use graft::untyped::UntypedSession;
+use graft::views::json as vj;
 use graft::{DebugConfig, GraftRunner};
 use graft_dfs::LocalFs;
 use graft_pregel::{Computation, ContextOf, VertexHandleOf};
@@ -86,10 +88,16 @@ fn cli_browses_a_real_trace_directory() {
     assert!(supersteps.contains("superstep  captures"));
     assert!(supersteps.lines().count() >= 4, "{supersteps}");
 
+    // The text views render the documents `--format json` prints: `show`
+    // every tabular page, then the superstep's violations.
+    let session = UntypedSession::open(run.fs().clone(), "/").unwrap();
     let (show, ok) = run_cli(&dir, &["show", "0"]);
     assert!(ok);
-    assert!(show.contains("vertex 1"), "{show}");
+    assert!(show.contains("| 1      |"), "{show}");
     assert!(show.contains("SpecifiedId"), "{show}");
+    let tabular = vj::tabular_json(&session, 0, None, 1, 50).to_text();
+    let violations = vj::violations_json(&session, Some(0)).to_text();
+    assert_eq!(show, tabular + &violations);
 
     let (history, ok) = run_cli(&dir, &["vertex", "4"]);
     assert!(ok);
@@ -97,7 +105,24 @@ fn cli_browses_a_real_trace_directory() {
 
     let (violations, ok) = run_cli(&dir, &["violations"]);
     assert!(ok);
-    assert!(violations.contains("offending capture"), "{violations}");
+    assert!(violations.contains("Violations and Exceptions view ("), "{violations}");
+    assert_eq!(violations, vj::violations_json(&session, None).to_text());
+
+    // `nodelink` honours `--format` like every other view: text by default.
+    let node_link = vj::node_link_json(&session, 1);
+    for args in [&["nodelink", "1"][..], &["nodelink", "1", "--format", "text"]] {
+        let (text, ok) = run_cli(&dir, args);
+        assert!(ok, "{text}");
+        assert_eq!(text, node_link.to_text(), "{args:?}");
+    }
+    let (json, ok) = run_cli(&dir, &["nodelink", "1", "--format", "json"]);
+    assert!(ok);
+    assert_eq!(json, vj::to_line(&node_link));
+
+    // A `--format` with no value is a usage error, not a silent default.
+    let (usage, ok) = run_cli(&dir, &["show", "0", "--format"]);
+    assert!(!ok);
+    assert!(usage.contains("--format needs a value") && usage.contains("usage:"), "{usage}");
 
     // A healthy config analyzes clean and exits zero.
     let (analysis, ok) = run_cli(&dir, &["analyze"]);
@@ -225,8 +250,6 @@ fn run_cli_stdout(dir: &std::path::Path, args: &[&str]) -> String {
 /// because both go through `graft::views::json`.
 #[test]
 fn cli_json_output_is_byte_identical_to_the_server() {
-    use graft::untyped::UntypedSession;
-    use graft::views::json as vj;
     use graft_server::client::HttpClient;
     use graft_server::server::{serve, ServerConfig};
 
@@ -269,7 +292,7 @@ fn cli_json_output_is_byte_identical_to_the_server() {
             vj::to_line(&vj::tabular_json(&session, 0, None, 1, 50)),
         ),
         (
-            vec!["nodelink", "0"],
+            vec!["nodelink", "0", "--format", "json"],
             "/jobs/spiky-job/ss/0/node-link".into(),
             vj::to_line(&vj::node_link_json(&session, 0)),
         ),
@@ -358,8 +381,10 @@ fn cli_trace_convert_roundtrips_byte_identically() {
         vec!["supersteps", "--format", "json"],
         vec!["show", "1", "--format", "json"],
         vec!["violations", "--format", "json"],
-        vec!["nodelink", "1"],
+        vec!["nodelink", "1", "--format", "json"],
         vec!["repro", "2", "1"],
+        vec!["show", "1"],
+        vec!["nodelink", "1"],
     ] {
         // The job id (directory basename) is baked into the info view, so
         // it is compared with the ids replaced; the rest must match

@@ -14,10 +14,11 @@
 //!    through [`GraftRunner`]. The [`Instrumented`] wrapper intercepts
 //!    every `compute()` call, checks constraints, and logs the full
 //!    vertex context of captured vertices to per-worker trace files.
-//! 2. **Visualize** — open a [`DebugSession`] over the traces and step
-//!    superstep by superstep through the [`views::node_link::NodeLinkView`],
-//!    [`views::tabular::TabularView`] (with search), and
-//!    [`views::violations::ViolationsView`].
+//! 2. **Visualize** — open a [`DebugSession`] over the traces to step
+//!    superstep by superstep through typed records, indicators and
+//!    search, and an [`untyped::UntypedSession`] for the views: the
+//!    [`views::json`] documents (node-link, tabular, violations) that
+//!    [`views::render`] draws as text, DOT or HTML.
 //! 3. **Reproduce** — [`DebugSession::reproduce_vertex`] yields a
 //!    [`ReproducedContext`] that replays the exact `compute()` call
 //!    in-process (optionally recording line-level [`steptrace`] events)

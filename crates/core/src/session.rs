@@ -1,5 +1,8 @@
-//! The debug session: loads a run's traces and supports the
-//! superstep-by-superstep inspection workflow of the Graft GUI.
+//! The debug session: loads a run's traces as typed records and supports
+//! the superstep-by-superstep inspection workflow of the Graft GUI —
+//! stepping, indicators, search and reproduction. The views themselves
+//! are documents over an [`UntypedSession`](crate::untyped::UntypedSession)
+//! (see [`crate::views`]).
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -13,9 +16,6 @@ use crate::trace::{
     result_path, worker_trace_path, ChannelKind, JobMeta, JobResultRecord, MasterTrace,
     TraceReadError, VertexTraceOf,
 };
-use crate::views::node_link::NodeLinkView;
-use crate::views::tabular::TabularView;
-use crate::views::violations::ViolationsView;
 
 /// Errors from opening or querying a debug session.
 #[derive(Debug)]
@@ -108,15 +108,16 @@ pub(crate) fn read_result(
 
 /// The red/green M, V, E indicator boxes of the GUI (Figure 3): whether
 /// any message violation, vertex-value violation, or exception occurred
-/// in a given superstep.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+/// in a given superstep. Served as is, so its fields are declared in key
+/// order (see [`crate::views::json`]).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, serde::Serialize)]
 pub struct Indicators {
+    /// An exception was raised ("E" box red).
+    pub exception: bool,
     /// A message constraint was violated ("M" box red).
     pub message_violation: bool,
     /// A vertex-value constraint was violated ("V" box red).
     pub value_violation: bool,
-    /// An exception was raised ("E" box red).
-    pub exception: bool,
 }
 
 impl Indicators {
@@ -350,22 +351,6 @@ impl<C: Computation> DebugSession<C> {
     /// The master context before `superstep`.
     pub fn master_at(&self, superstep: u64) -> Option<&MasterTrace> {
         self.master.get(&superstep)
-    }
-
-    /// The Node-link view of one superstep (Figure 3).
-    pub fn node_link_view(&self, superstep: u64) -> NodeLinkView<'_, C> {
-        NodeLinkView::new(self, superstep)
-    }
-
-    /// The Tabular view of one superstep (Figure 4).
-    pub fn tabular_view(&self, superstep: u64) -> TabularView<'_, C> {
-        TabularView::new(self, superstep)
-    }
-
-    /// The Violations and Exceptions view across all supersteps
-    /// (Figure 5).
-    pub fn violations_view(&self) -> ViolationsView<'_, C> {
-        ViolationsView::new(self)
     }
 
     /// The "Reproduce Vertex Context" button: a handle that can replay

@@ -62,9 +62,9 @@ use serde_json::Value;
 use crate::session::{read_channel, read_json, read_result, Indicators, SessionError};
 use crate::trace::{
     decode_master_records, master_trace_path, meta_path, violation_flag, walk_vertex_channel,
-    worker_trace_path, ChannelKind, ChannelRecord, ErasedVertexTrace, ExceptionInfo, JobMeta,
-    JobResultRecord, MasterTrace, RowDigest, VertexChannel, VertexHead, ViolationRecord,
-    FLAG_EXCEPTION, FLAG_MESSAGE_VIOLATION, FLAG_VALUE_VIOLATION,
+    worker_trace_path, ChannelKind, ChannelRecord, ErasedVertexTrace, JobMeta, JobResultRecord,
+    MasterTrace, RowDigest, VertexChannel, VertexHead, FLAG_EXCEPTION, FLAG_MESSAGE_VIOLATION,
+    FLAG_VALUE_VIOLATION,
 };
 
 /// Renders a type-erased value as the views show it: a string as itself,
@@ -133,21 +133,6 @@ impl UntypedTrace {
         self.0.global
     }
 
-    /// Capture reasons, rendered.
-    pub fn reasons(&self) -> Vec<String> {
-        self.0.reasons.iter().map(|reason| reason.as_str().to_string()).collect()
-    }
-
-    /// The constraint violations.
-    pub fn violations(&self) -> &[ViolationRecord] {
-        &self.0.violations
-    }
-
-    /// The exception, if any.
-    pub fn exception(&self) -> Option<&ExceptionInfo> {
-        self.0.exception.as_ref()
-    }
-
     /// Aggregator `(name, value as compact JSON)` pairs.
     pub fn aggregators(&self) -> Vec<(String, String)> {
         let json = |value| serde_json::to_string(value).expect("an AggValue renders as JSON");
@@ -177,7 +162,7 @@ impl UntypedTrace {
             outgoing: self.outgoing_count(),
             global: self.global(),
             halted_after: self.halted_after(),
-            reasons: self.reasons(),
+            reasons: self.0.reasons.iter().map(|reason| reason.as_str().to_string()).collect(),
             flags: self.flags(),
         }
     }
@@ -489,11 +474,6 @@ impl UntypedSession {
     pub fn flagged_at(&self, superstep: u64) -> impl Iterator<Item = UntypedTrace> + '_ {
         let flagged = self.rows_at(superstep).iter().filter(|row| row.flags != 0);
         flagged.map(|row| self.parse_row(row))
-    }
-
-    /// All violating/excepting captures.
-    pub fn violations(&self) -> Vec<UntypedTrace> {
-        self.index.keys().flat_map(|ss| self.flagged_at(*ss)).collect()
     }
 
     /// Captured master contexts.

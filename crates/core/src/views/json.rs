@@ -1,16 +1,18 @@
-//! JSON serialization of the three views over type-erased traces — the
-//! single source of truth shared by `graft-cli --format json` and every
-//! `graft-server` endpoint, so the bytes a script scrapes from the CLI
-//! are exactly the bytes the debug server sends over HTTP.
+//! The view model: one document per view over type-erased traces — the
+//! single source of truth shared by `graft-cli` (`--format json` prints
+//! it, the text forms render it through [`crate::views::render`]) and
+//! every `graft-server` endpoint, so the bytes a script scrapes from the
+//! CLI are exactly the bytes the debug server sends over HTTP.
 //!
-//! Every renderer returns a serde struct; [`to_line`] turns it into the
+//! Every builder returns a serde struct; [`to_line`] turns it into the
 //! canonical wire form — compact JSON, an object's keys in the order the
 //! `serde_json` stand-in's crate docs state (byte order of the key), one
-//! trailing newline. The structs here declare their fields in that
-//! order, so the writer never has to reorder one. Both consumers must
-//! emit the string untouched (`print!` in the CLI, the response body on
-//! the server); the byte-equality is asserted in `cli_e2e.rs` and the
-//! server tests.
+//! trailing newline. The structs here, and [`Indicators`], declare their
+//! fields in that order, so the writer need not reorder them;
+//! `GlobalData` keeps its trace codec order and is reordered as it is
+//! written. Both consumers must emit the string untouched (`print!` in
+//! the CLI, the response body on the server); the byte-equality is
+//! asserted in `cli_e2e.rs` and the server tests.
 //!
 //! The listing views — node-link, tabular — read a [`RowDigest`] a row,
 //! skimmed from the payload; only what shows a whole record (the
@@ -23,9 +25,9 @@ use graft_pregel::GlobalData;
 use serde::Serialize;
 
 use crate::session::Indicators;
-use crate::trace::{JobMeta, JobResultRecord, RowDigest};
+use crate::trace::{JobMeta, JobResultRecord, RowDigest, ViolationKind};
 use crate::untyped::{JobSummary, UntypedSession};
-use crate::views::violations::{capture_rows, ViolationRow};
+use crate::views::{text_table, truncate};
 
 /// Renders a view value in the canonical wire form: compact JSON plus a
 /// trailing newline.
@@ -71,32 +73,11 @@ pub struct ResultJson {
     pub violations: u64,
 }
 
-/// The M/V/E indicator boxes as JSON.
-#[derive(Clone, Copy, Debug, Serialize)]
-pub struct IndicatorsJson {
-    /// "E" box red: an exception was raised.
-    pub exception: bool,
-    /// "M" box red: a message constraint was violated.
-    pub message_violation: bool,
-    /// "V" box red: a vertex-value constraint was violated.
-    pub value_violation: bool,
-}
-
-impl From<Indicators> for IndicatorsJson {
-    fn from(ind: Indicators) -> Self {
-        Self {
-            message_violation: ind.message_violation,
-            value_violation: ind.value_violation,
-            exception: ind.exception,
-        }
-    }
-}
-
 /// One superstep in the `/jobs/{id}/supersteps` listing.
 #[derive(Clone, Debug, Serialize)]
 pub struct SuperstepJson {
     /// Its M/V/E indicator state.
-    pub indicators: IndicatorsJson,
+    pub indicators: Indicators,
     /// Captured contexts in it.
     pub rows: usize,
     /// The superstep number.
@@ -138,26 +119,15 @@ pub struct LinkJson {
     pub to: String,
 }
 
-/// The default global data shown in the view's corner.
-#[derive(Clone, Copy, Debug, Serialize)]
-pub struct GlobalJson {
-    /// Total edges in the graph.
-    pub num_edges: u64,
-    /// Total vertices in the graph.
-    pub num_vertices: u64,
-    /// The superstep the vertices observed.
-    pub superstep: u64,
-}
-
 /// The node-link view of one superstep.
 #[derive(Clone, Debug, Serialize)]
 pub struct NodeLinkJson {
     /// Aggregator `(name, rendered value)` pairs of the first capture.
     pub aggregators: Vec<(String, String)>,
     /// Global data, if any context was captured.
-    pub global: Option<GlobalJson>,
+    pub global: Option<GlobalData>,
     /// The M/V/E indicator boxes.
-    pub indicators: IndicatorsJson,
+    pub indicators: Indicators,
     /// Links, sorted by `(from, to)`.
     pub links: Vec<LinkJson>,
     /// Captured vertices in full, uncaptured neighbors as stubs; sorted
@@ -205,6 +175,25 @@ pub struct TabularJson {
     pub total_pages: usize,
     /// Captured contexts in the superstep, pre-search.
     pub total_rows: usize,
+}
+
+/// One row of the violations view: a violation or an exception. Public so
+/// other producers of rows — notably `graft-analyzer`'s findings — share
+/// the view's rendering ([`render_rows`]).
+#[derive(Clone, Debug, Serialize)]
+pub struct ViolationRow {
+    /// For exceptions, the captured stack trace.
+    pub backtrace: Option<String>,
+    /// The offending value / the exception message.
+    pub detail: String,
+    /// `"message"`, `"vertex value"`, or `"exception"`.
+    pub kind: &'static str,
+    /// The superstep the violation/exception happened in.
+    pub superstep: u64,
+    /// For message violations, the target vertex.
+    pub target: Option<String>,
+    /// The offending vertex, rendered.
+    pub vertex: String,
 }
 
 /// The violations view (paper Figure 5), optionally restricted to one
@@ -264,16 +253,16 @@ pub fn supersteps_json(session: &UntypedSession) -> SuperstepsJson {
             .map(|ss| SuperstepJson {
                 superstep: ss,
                 rows: session.count_at(ss),
-                indicators: session.indicators(ss).into(),
+                indicators: session.indicators(ss),
             })
             .collect(),
     }
 }
 
 /// The node-link view of one superstep: captured vertices in full, their
-/// uncaptured neighbors as stubs — the type-erased twin of
-/// `NodeLinkView::layout`, with the same ordering. Rows arrive sorted by
-/// id, so nodes and links are built in output order.
+/// uncaptured neighbors as stubs; nodes captured-first then by id, links
+/// by `(from, to)`. Rows arrive sorted by id, so nodes and links are
+/// built in output order.
 pub fn node_link_json(session: &UntypedSession, superstep: u64) -> NodeLinkJson {
     // The aggregators are the one thing shown that a digest does not keep.
     let first = session.traces_at(superstep).next();
@@ -284,8 +273,7 @@ pub fn node_link_json(session: &UntypedSession, superstep: u64) -> NodeLinkJson 
     let mut group_at = 0;
     let by_target = |a: &LinkJson, b: &LinkJson| a.to.cmp(&b.to);
     for row in session.digests(superstep, 0, usize::MAX, true) {
-        let GlobalData { superstep: at, num_vertices, num_edges } = row.global;
-        global.get_or_insert(GlobalJson { num_edges, num_vertices, superstep: at });
+        global.get_or_insert(row.global);
         let id: Arc<str> = row.vertex.into();
         if nodes.last().is_some_and(|node| node.id == id) {
             // A later capture of the same vertex replaces the node; the
@@ -303,8 +291,7 @@ pub fn node_link_json(session: &UntypedSession, superstep: u64) -> NodeLinkJson 
             value: Some(row.value_after),
         });
         links.extend(row.edges.into_iter().map(|(to, value)| {
-            // Unit edge values arrive as JSON null ("null"); the typed
-            // renderer suppresses its "()" the same way.
+            // Unit edge values arrive as JSON null ("null"): no label.
             let label = if value == "null" || value == "()" { String::new() } else { value };
             LinkJson { from: Arc::clone(&id), label, to }
         }));
@@ -326,7 +313,7 @@ pub fn node_link_json(session: &UntypedSession, superstep: u64) -> NodeLinkJson 
     NodeLinkJson {
         aggregators: first.map(|trace| trace.aggregators()).unwrap_or_default(),
         global,
-        indicators: session.indicators(superstep).into(),
+        indicators: session.indicators(superstep),
         links,
         nodes,
         superstep,
@@ -401,21 +388,68 @@ pub fn tabular_json(
     }
 }
 
-/// The violations view, optionally restricted to one superstep: the rows
-/// the typed view shows, read off the flagged rows' records.
+/// The violations view, optionally restricted to one superstep, read off
+/// the flagged rows' records.
 pub fn violations_json(session: &UntypedSession, superstep: Option<u64>) -> ViolationsJson {
     let supersteps: Vec<u64> = match superstep {
         Some(ss) => vec![ss],
         None => session.supersteps(),
     };
+    // Per flagged capture: one row per violation, then one for the
+    // exception, if any.
     let mut rows = Vec::new();
     for ss in supersteps {
         for trace in session.flagged_at(ss) {
             let (vertex, record) = (trace.vertex(), trace.record());
-            rows.extend(capture_rows(ss, &vertex, &record.violations, &record.exception));
+            let row = |kind, detail: &String, target, backtrace| ViolationRow {
+                backtrace,
+                detail: detail.clone(),
+                kind,
+                superstep: ss,
+                target,
+                vertex: vertex.clone(),
+            };
+            for violation in &record.violations {
+                let kind = match violation.kind {
+                    ViolationKind::Message => "message",
+                    ViolationKind::VertexValue => "vertex value",
+                };
+                rows.push(row(kind, &violation.detail, violation.target.clone(), None));
+            }
+            if let Some(exception) = &record.exception {
+                rows.push(row("exception", &exception.message, None, exception.backtrace.clone()));
+            }
         }
     }
     ViolationsJson { superstep, rows }
+}
+
+/// Renders violation rows in the paper's tabular style, each backtrace in
+/// full below the table.
+pub fn render_rows(title: &str, rows: &[ViolationRow]) -> String {
+    let table_rows: Vec<Vec<String>> = rows
+        .iter()
+        .map(|row| {
+            vec![
+                row.superstep.to_string(),
+                row.vertex.clone(),
+                row.kind.to_string(),
+                truncate(&row.detail, 48),
+                row.target.clone().unwrap_or_default(),
+            ]
+        })
+        .collect();
+    let mut out = format!("=== {title} ({} row(s)) ===\n", table_rows.len());
+    out.push_str(&text_table(&["superstep", "vertex", "kind", "detail", "target"], &table_rows));
+    for row in rows {
+        if let Some(backtrace) = &row.backtrace {
+            out.push_str(&format!(
+                "\nstack trace for vertex {} (superstep {}):\n{backtrace}\n",
+                row.vertex, row.superstep
+            ));
+        }
+    }
+    out
 }
 
 /// The reproducer source for one captured context, if it exists — the

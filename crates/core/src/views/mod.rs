@@ -1,23 +1,23 @@
-//! The Graft "GUI": renderers for the three views of the paper's
-//! Section 3.2, targeting text (for terminals and tests), Graphviz DOT,
-//! and self-contained static HTML.
+//! The Graft "GUI": the three views of the paper's Section 3.2 as one
+//! model and its renderings.
 //!
-//! * [`node_link::NodeLinkView`] — Figure 3: captured vertices as a
-//!   node-link diagram, inactive vertices dimmed, uncaptured neighbors as
-//!   small stub nodes, M/V/E indicator boxes, aggregators and global data
-//!   in the corner.
-//! * [`tabular::TabularView`] — Figure 4: one row per captured vertex,
-//!   expandable to the full context, with search.
-//! * [`violations::ViolationsView`] — Figure 5: constraint violations and
-//!   exceptions with messages and stack traces.
-
-//! * [`json`] — the JSON serialization of all three views shared by
-//!   `graft-cli --format json` and the `graft-server` endpoints.
+//! * [`json`] — the model: one serializable document per view, built
+//!   over an [`UntypedSession`](crate::untyped::UntypedSession). These
+//!   are the bytes `graft-server` sends and `graft-cli --format json`
+//!   prints:
+//!   * [`json::NodeLinkJson`] — Figure 3: captured vertices as a
+//!     node-link diagram, inactive vertices dimmed, uncaptured neighbors
+//!     as stubs, M/V/E indicator boxes, aggregators and global data;
+//!   * [`json::TabularJson`] — Figure 4: one page of rows, one per
+//!     captured vertex, with search;
+//!   * [`json::ViolationsJson`] — Figure 5: constraint violations and
+//!     exceptions with messages and stack traces;
+//!   * [`json::SuperstepsJson`] — the superstep listing with indicators.
+//! * [`render`] — text (terminals and tests), Graphviz DOT and static
+//!   HTML, each a function of a document.
 
 pub mod json;
-pub mod node_link;
-pub mod tabular;
-pub mod violations;
+pub mod render;
 
 /// Escapes text for embedding into HTML.
 pub(crate) fn html_escape(s: &str) -> String {

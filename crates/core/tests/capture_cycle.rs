@@ -4,6 +4,8 @@
 use std::sync::Arc;
 
 use graft::testing::premade;
+use graft::untyped::UntypedSession;
+use graft::views::json as vj;
 use graft::{DebugConfig, ExceptionPolicy, GraftRunner, SearchQuery, SuperstepFilter, TraceFormat};
 use graft_dfs::{ClusterFs, ClusterFsConfig, FileSystem, InMemoryFs};
 use graft_pregel::{AggOp, AggValue, AggregatorRegistry, Computation, ContextOf, VertexHandleOf};
@@ -305,12 +307,13 @@ fn views_render_the_captured_world() {
         .unwrap();
     let session = run.session().unwrap();
 
-    let node_link = session.node_link_view(1);
-    let (nodes, links) = node_link.layout();
+    let views = UntypedSession::open(run.fs().clone(), &run.trace_root).unwrap();
+
+    let node_link = vj::node_link_json(&views, 1);
     // 1, 0, 2 captured; stubs 5 and 3 (neighbors of 0 and 2).
-    assert_eq!(nodes.iter().filter(|n| n.captured).count(), 3);
-    assert_eq!(nodes.iter().filter(|n| !n.captured).count(), 2);
-    assert_eq!(links.len(), 6);
+    assert_eq!(node_link.nodes.iter().filter(|n| n.captured).count(), 3);
+    assert_eq!(node_link.nodes.iter().filter(|n| !n.captured).count(), 2);
+    assert_eq!(node_link.links.len(), 6);
     let text = node_link.to_text();
     assert!(text.contains("superstep 1"));
     let dot = node_link.to_dot();
@@ -321,25 +324,22 @@ fn views_render_the_captured_world() {
     assert!(html.contains("Node-link view"));
 
     // Stepping.
-    assert_eq!(node_link.next().unwrap().superstep(), 2);
-    assert_eq!(node_link.prev().unwrap().superstep(), 0);
+    assert_eq!(session.next_superstep(1), Some(2));
+    assert_eq!(session.prev_superstep(1), Some(0));
 
-    // Tabular view with search.
-    let tabular = session.tabular_view(1);
-    assert_eq!(tabular.rows().len(), 3);
-    let filtered = session.tabular_view(1).search(SearchQuery::by_id(1u64));
-    assert_eq!(filtered.rows().len(), 1);
-    let by_neighbor = session.tabular_view(1).search(SearchQuery::by_neighbor(0u64));
+    // Tabular view, and search over the typed records.
+    let tabular = vj::tabular_json(&views, 1, None, 1, 50);
+    assert_eq!(tabular.rows.len(), 3);
+    assert!(tabular.to_text().contains("Tabular view — superstep 1"));
+    let row = tabular.rows.iter().find(|row| row.vertex == "1").unwrap();
+    assert_eq!(row.incoming, 2);
+    assert_eq!(session.search(Some(1), &SearchQuery::by_id(1u64)).len(), 1);
     // Captured vertices adjacent to 0 in the 6-cycle: vertices 1 and 5 —
     // but 5 is not captured, so only vertex 1 matches.
-    assert_eq!(by_neighbor.rows().len(), 1);
-    let expanded = tabular.expand(1).unwrap();
-    assert!(expanded.contains("value before"));
-    assert!(expanded.contains("incoming (2)"));
+    assert_eq!(session.search(Some(1), &SearchQuery::by_neighbor(0u64)).len(), 1);
 
     // Violations view.
-    let violations = session.violations_view();
-    let text = violations.to_text();
+    let text = vj::violations_json(&views, None).to_text();
     assert!(text.contains("Violations and Exceptions"));
 }
 

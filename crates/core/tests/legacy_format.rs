@@ -75,17 +75,25 @@ fn load_fixture(name: &str) -> Arc<dyn FileSystem> {
 /// Every document the views serve over a session, in request order: the
 /// superstep listing, the violations view, and per superstep every
 /// tabular page, the node-link view and the reproducer of every capture.
+/// Each document also goes through every renderer it has.
 fn served_views(session: &UntypedSession) -> Vec<String> {
-    let mut docs = vec![
-        vj::to_line(&vj::supersteps_json(session)),
-        vj::to_line(&vj::violations_json(session, None)),
-    ];
+    let supersteps = vj::supersteps_json(session);
+    let violations = vj::violations_json(session, None);
+    assert_eq!(supersteps.to_text().lines().count(), supersteps.supersteps.len() + 1);
+    assert!(violations.to_text().starts_with("=== Violations and Exceptions view ("));
+    let mut docs = vec![vj::to_line(&supersteps), vj::to_line(&violations)];
     for ss in session.supersteps() {
         let pages = vj::tabular_json(session, ss, None, 1, 2).total_pages;
         for page in 1..=pages {
-            docs.push(vj::to_line(&vj::tabular_json(session, ss, None, page, 2)));
+            let tabular = vj::tabular_json(session, ss, None, page, 2);
+            assert!(tabular.to_text().starts_with("=== Tabular view — superstep"));
+            docs.push(vj::to_line(&tabular));
         }
-        docs.push(vj::to_line(&vj::node_link_json(session, ss)));
+        let node_link = vj::node_link_json(session, ss);
+        assert!(node_link.to_text().starts_with("=== Node-link view — superstep"));
+        assert!(node_link.to_dot().ends_with("}\n"));
+        assert!(node_link.to_html().ends_with("</body></html>\n"));
+        docs.push(vj::to_line(&node_link));
         for row in session.captured_at(ss) {
             docs.push(vj::repro_source(session, &row.vertex(), ss).unwrap());
         }
@@ -223,10 +231,7 @@ fn every_reader_fails_typed_or_renders(fs: &Arc<dyn FileSystem>) {
         served_views(&session);
     }
     if let Ok(typed) = DebugSession::<Relay>::open(fs.clone(), "/legacy") {
-        typed.violations_view().to_text();
         for ss in typed.supersteps() {
-            typed.node_link_view(ss).to_text();
-            typed.tabular_view(ss).to_text();
             for trace in typed.captured_at(ss) {
                 typed.reproduce_vertex(trace.vertex, ss).unwrap().generate_test_source();
             }

@@ -10,6 +10,8 @@
 //! cargo run -p graft-core --release --example graph_coloring_debug
 //! ```
 
+use graft::untyped::UntypedSession;
+use graft::views::json as vj;
 use graft::{DebugConfig, GraftRunner};
 use graft_algorithms::coloring::{GCState, GCValue, GraphColoring, GraphColoringMaster};
 use graft_datasets::Dataset;
@@ -50,10 +52,11 @@ fn main() {
     }
 
     let session = run.session().expect("traces load");
+    let views = UntypedSession::open(run.fs().clone(), &run.trace_root).expect("traces load");
 
     // "We then go to the final superstep from the GUI…"
     let last = session.last_superstep().unwrap();
-    println!("\n{}", session.tabular_view(last).to_text());
+    println!("\n{}", vj::tabular_json(&views, last, None, 1, 50).to_text());
 
     // Find a captured pair of adjacent vertices with the same color.
     let mut conflict = None;
@@ -90,7 +93,7 @@ fn main() {
     println!("both entered the MIS in superstep {conflict_superstep}");
 
     // Node-link view of the suspicious superstep (Figure 3).
-    println!("\n{}", session.node_link_view(conflict_superstep).to_text());
+    println!("\n{}", vj::node_link_json(&views, conflict_superstep).to_text());
 
     // "Reproduce Vertex Context" (Figure 6).
     let reproduced = session.reproduce_vertex(u, conflict_superstep).unwrap();

@@ -9,6 +9,8 @@
 //! cargo run -p graft-core --release --example matching_input_errors
 //! ```
 
+use graft::untyped::UntypedSession;
+use graft::views::json as vj;
 use graft::{DebugConfig, GraftRunner, SuperstepFilter};
 use graft_algorithms::matching::{MWMValue, MaxWeightMatching};
 use graft_datasets::weighted::{asymmetric_weight_pairs, corrupt_weights, weight_graph};
@@ -59,6 +61,7 @@ fn main() {
         .run(graph.clone(), "/traces/mwm-demo")
         .expect("trace setup succeeds");
     let session = run.session().expect("traces load");
+    let views = UntypedSession::open(run.fs().clone(), &run.trace_root).expect("traces load");
 
     let last = session.last_superstep().unwrap();
     let tail = session.captured_at(last);
@@ -67,7 +70,7 @@ fn main() {
         tail.len(),
         graph.num_vertices()
     );
-    println!("\n{}", session.tabular_view(last).to_text());
+    println!("\n{}", vj::tabular_json(&views, last, None, 1, 50).to_text());
 
     // Inspect the captured contexts for asymmetric weights.
     let mut reported = 0;

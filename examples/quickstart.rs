@@ -7,6 +7,8 @@
 //! ```
 
 use graft::testing::premade;
+use graft::untyped::UntypedSession;
+use graft::views::json as vj;
 use graft::{DebugConfig, GraftRunner};
 use graft_algorithms::pagerank::PageRank;
 
@@ -40,30 +42,28 @@ fn main() {
     );
 
     // Open the debug session and step through the supersteps, exactly
-    // like pressing Next superstep in the GUI.
+    // like pressing Next superstep in the GUI; the views are the
+    // documents the debug server sends.
     let session = run.session().expect("traces load");
-    let mut view = session.node_link_view(session.first_superstep().unwrap());
-    loop {
-        let indicators = view.indicators();
-        let (nodes, links) = view.layout();
+    let views = UntypedSession::open(run.fs().clone(), &run.trace_root).expect("traces load");
+    let mut superstep = session.first_superstep();
+    while let Some(ss) = superstep {
+        let view = vj::node_link_json(&views, ss);
+        let indicators = view.indicators;
         println!(
-            "superstep {:>2}: {:>2} nodes ({} captured), {:>2} links, M={} V={} E={}",
-            view.superstep(),
-            nodes.len(),
-            nodes.iter().filter(|n| n.captured).count(),
-            links.len(),
+            "superstep {ss:>2}: {:>2} nodes ({} captured), {:>2} links, M={} V={} E={}",
+            view.nodes.len(),
+            view.nodes.iter().filter(|n| n.captured).count(),
+            view.links.len(),
             if indicators.message_violation { "RED" } else { "ok" },
             if indicators.value_violation { "RED" } else { "ok" },
             if indicators.exception { "RED" } else { "ok" },
         );
-        match view.next() {
-            Some(next) => view = next,
-            None => break,
-        }
+        superstep = session.next_superstep(ss);
     }
 
     // Show the tabular view of one superstep.
-    println!("\n{}", session.tabular_view(3).to_text());
+    println!("\n{}", vj::tabular_json(&views, 3, None, 1, 50).to_text());
 
     // Reproduce one captured vertex in-process and confirm fidelity.
     let trace = &session.captured_at(3)[0];

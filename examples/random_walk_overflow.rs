@@ -10,6 +10,8 @@
 //! cargo run -p graft-core --release --example random_walk_overflow
 //! ```
 
+use graft::untyped::UntypedSession;
+use graft::views::json as vj;
 use graft::{DebugConfig, GraftRunner};
 use graft_algorithms::random_walk::{RWValue, RandomWalk};
 use graft_datasets::Dataset;
@@ -51,9 +53,10 @@ fn main() {
     println!();
 
     // The Violations and Exceptions view (Figure 5).
-    let view = session.violations_view();
-    let rows = view.rows();
+    let views = UntypedSession::open(run.fs().clone(), &run.trace_root).expect("traces load");
+    let view = vj::violations_json(&views, None);
     println!("\n{}", view.to_text());
+    let rows = view.rows;
 
     // Reproduce an offender.
     let offender = &rows[0];

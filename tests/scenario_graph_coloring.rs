@@ -112,9 +112,9 @@ fn scenario_4_1_graph_coloring_debugging_cycle() {
         .unwrap();
     assert_eq!(phase, "CONFLICT-RESOLUTION");
 
-    // The tabular view can search for the suspicious vertex.
-    let rows = session.tabular_view(conflict_superstep).search(SearchQuery::by_id(u));
-    assert_eq!(rows.rows().len(), 1);
+    // The session searches for the suspicious vertex (the tabular view's box).
+    let rows = session.search(Some(conflict_superstep), &SearchQuery::by_id(u));
+    assert_eq!(rows.len(), 1);
 
     // Step 3: reproduce. Generate the test file (Figure 6 analogue)...
     let reproduced = session.reproduce_vertex(u, conflict_superstep).unwrap();

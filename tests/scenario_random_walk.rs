@@ -9,6 +9,8 @@
 //! detect that the bug is due to overflowing of the short type
 //! counters."
 
+use graft::untyped::UntypedSession;
+use graft::views::json as vj;
 use graft::{DebugConfig, GraftRunner};
 use graft_algorithms::random_walk::RandomWalk;
 use graft_datasets::Dataset;
@@ -51,7 +53,8 @@ fn scenario_4_2_short_overflow_found_by_message_constraint() {
     assert!(!red_supersteps.is_empty());
 
     // The Violations and Exceptions view identifies the offenders.
-    let rows = session.violations_view().rows();
+    let views = UntypedSession::open(run.fs().clone(), &run.trace_root).unwrap();
+    let rows = vj::violations_json(&views, None).rows;
     assert!(!rows.is_empty());
     assert!(rows.iter().all(|row| row.kind == "message"));
     let offender = &rows[0];
