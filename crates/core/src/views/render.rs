@@ -280,7 +280,7 @@ impl NodeLinkJson {
 
 /// `s` as a DOT quoted string: `"` and `\` escaped, a line break written
 /// as DOT's centered-line escape `\n`.
-pub fn dot_quote(s: &str) -> String {
+fn dot_quote(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {
