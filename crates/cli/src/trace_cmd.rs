@@ -6,17 +6,19 @@
 //! ```
 //!
 //! `dump` walks every channel file frame by frame and pretty-prints the
-//! frames every reader walks — including the superstep index frames the
-//! higher-level views never surface. A v3 channel is shown as it is on
-//! disk; a legacy (JSON-lines, v1 or v2) channel as the v3 frames it is
-//! read as, which the header says.
+//! frames every reader walks — including the index frames, which hold
+//! each group's superstep and context and which the higher-level views
+//! never surface. A native (v4) channel is shown as it is on disk; a
+//! legacy (JSON-lines, v1, v2 or v3) channel as the v4 frames it is read
+//! as, which the header says.
 //!
 //! `convert` rewrites a trace directory into the other encoding
 //! (`graft::trace::convert_trace_dir`): `--to json` exports a binary
 //! trace as JSON lines, dropping the index frames, writing every edge
-//! list inline and listing every broadcast; `--to binary` imports a
-//! JSON-lines, v1 or v2 binary trace as layout v3, re-deriving index
-//! frames, edge references and broadcasts through the
+//! list inline, listing every broadcast and giving every record its
+//! group's context; `--to binary` imports a JSON-lines, v1, v2 or v3
+//! binary trace as layout v4, re-deriving groups, edge references and
+//! broadcasts through the
 //! writer capture uses, so the result is byte-identical to a native
 //! capture and an export imported back is the capture it came from.
 
@@ -40,7 +42,7 @@ pub fn usage() -> ExitCode {
          \x20          records shown per channel file)\n\
          \x20 convert  rewrite a trace directory into the other encoding: json\n\
          \x20          exports a capture as JSON lines, binary imports JSON lines\n\
-         \x20          or a v1 binary trace byte-identically to a native capture"
+         \x20          or a legacy binary trace byte-identically to a native capture"
     );
     ExitCode::FAILURE
 }
@@ -84,7 +86,7 @@ fn dump(args: &[String]) -> ExitCode {
     };
     println!("computation : {}", meta.computation);
     // Every channel is shown as the readers read it: through the door.
-    println!("format      : {:?} (frames as read: BinaryV3)", meta.format());
+    println!("format      : {:?} (frames as read: {:?})", meta.format(), TraceFormat::NATIVE);
 
     let mut channels: Vec<(String, ChannelKind)> =
         (0..meta.num_workers).map(|w| (worker_trace_path("", w), ChannelKind::Worker)).collect();
@@ -123,8 +125,12 @@ fn dump_worker_channel(channel: VertexChannel<'_>, limit: usize) -> Result<usize
         if lines.len() < limit {
             lines.push(match read {
                 ChannelRecord::Index(index) => format!(
-                    "  [{at:>8}] index   superstep={} records_before={} bytes_before={} ({len} bytes)",
-                    index.superstep, index.records_before, index.bytes_before
+                    "  [{at:>8}] index   superstep={} records_before={} bytes_before={} \
+                     aggregators={} ({len} bytes)",
+                    index.superstep,
+                    index.records_before,
+                    index.bytes_before,
+                    index.aggregators.len()
                 ),
                 ChannelRecord::Vertex(head) => format!(
                     "  [{at:>8}] vertex  superstep={} vertex={} ({len} bytes)",
@@ -175,7 +181,7 @@ fn convert(args: &[String]) -> ExitCode {
     let target = match args.iter().position(|a| a == "--to") {
         Some(pos) => match args.get(pos + 1).map(String::as_str) {
             Some("json") => TraceFormat::JsonLines,
-            Some("binary") => TraceFormat::BinaryV3,
+            Some("binary") => TraceFormat::NATIVE,
             _ => return usage(),
         },
         None => return usage(),

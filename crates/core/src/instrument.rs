@@ -219,6 +219,7 @@ impl<C: Computation> Instrumented<C> {
                 outgoing: ctx.staged_sends(),
                 aggregators: ctx.visible_aggregators(),
                 global: ctx.global(),
+                context_version: ctx.context_version(),
                 halted_after: vertex.has_voted_halt(),
                 reasons: reasons.as_slice(),
                 violations: &violations,

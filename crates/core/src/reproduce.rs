@@ -365,7 +365,7 @@ ${aggregator_setup}
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::{TraceFormat, TraceRecord, VertexChannel, VertexTrace};
+    use crate::trace::{ChannelWriter, TraceFormat, VertexChannel, VertexTrace};
     use graft_pregel::{ContextOf, VertexHandleOf};
 
     struct Probe;
@@ -415,14 +415,17 @@ mod tests {
             master: None,
             value_types: ("u64".into(), "f64".into(), "()".into(), "f64".into()),
             num_workers: 1,
-            trace_format: Some(TraceFormat::BinaryV3),
+            trace_format: Some(TraceFormat::NATIVE),
             config: vec![],
             facts: None,
         };
         let mut channel = Vec::new();
-        trace.encode_binary_frame(&mut channel).unwrap();
-        let frame = graft_codec::frame::FrameScanner::new(&channel).next_frame().unwrap().unwrap();
-        let record = VertexChannel::new(&channel).record(frame.payload).unwrap();
+        ChannelWriter::default().append_vertex(&trace, &mut channel).unwrap();
+        let mut frames = graft_codec::frame::FrameScanner::new(&channel);
+        let index = frames.next_frame().unwrap().unwrap();
+        let group = graft_codec::from_slice(index.payload).unwrap();
+        let frame = frames.next_frame().unwrap().unwrap();
+        let record = VertexChannel::new(&channel).record(frame.payload, Some(&group)).unwrap();
         let lines = |source: String| -> Vec<String> {
             source.lines().filter(|line| line.contains(".aggregator(")).map(String::from).collect()
         };

@@ -363,7 +363,7 @@ impl<C: Computation> GraftRunner<C> {
                 std::any::type_name::<C::Message>().to_string(),
             ),
             num_workers: self.num_workers,
-            trace_format: Some(TraceFormat::BinaryV3),
+            trace_format: Some(TraceFormat::NATIVE),
             config: self.config.describe(),
             facts: Some({
                 let mut facts = self.config.facts();

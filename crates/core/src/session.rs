@@ -80,8 +80,8 @@ pub(crate) fn read_json<T: serde::de::DeserializeOwned>(
 }
 
 /// The `kind` channel at `path` of the job `meta` describes, through the
-/// door ([`native_channel`]): its v3 bytes, none if the job wrote no such
-/// file.
+/// door ([`native_channel`]): its native (v4) bytes, none if the job
+/// wrote no such file.
 pub(crate) fn read_channel(
     fs: &dyn FileSystem,
     path: &str,

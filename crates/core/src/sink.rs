@@ -215,7 +215,7 @@ impl TraceSink {
             return true;
         };
         let lost = channel.now().records - channel.handed.records;
-        channel.grammar.truncate(channel.handed);
+        channel.grammar.truncate(channel.handed.clone());
         if let Some(worker) = worker {
             self.captures.fetch_sub(lost, Ordering::Relaxed);
             self.worker_counts[worker].captures.fetch_sub(lost, Ordering::Relaxed);
@@ -370,8 +370,8 @@ impl TraceSink {
         }
         // Records not yet handed over belong to the aborted execution.
         channel.pending.clear();
-        channel.grammar.truncate(*mark);
-        channel.handed = *mark;
+        channel.grammar.truncate(mark.clone());
+        channel.handed = mark.clone();
         // Dropping the writer commits any buffered bytes; install a
         // placeholder so the channel stays structurally valid if the
         // rewrite below fails part-way.
@@ -488,7 +488,7 @@ mod tests {
     use crate::trace::{FRAME_INDEX, FRAME_VERTEX};
     use graft_codec::frame::FrameScanner;
     use graft_dfs::InMemoryFs;
-    use graft_pregel::GlobalData;
+    use graft_pregel::{AggValue, GlobalData};
     use serde::{Deserialize, Serialize};
 
     #[derive(Serialize, Deserialize, PartialEq, Debug)]
@@ -503,6 +503,13 @@ mod tests {
     impl TraceRecord for Rec {
         fn record_superstep(&self) -> u64 {
             self.seq
+        }
+
+        fn encode_context(&self, out: &mut Vec<u8>) -> Result<(), CaptureError> {
+            let global = GlobalData { superstep: self.seq, num_vertices: 0, num_edges: 0 };
+            let aggregators: Vec<(String, AggValue)> = Vec::new();
+            out.extend(graft_codec::to_vec(&(global, aggregators))?);
+            Ok(())
         }
 
         fn encode_binary_frame(&self, buf: &mut Vec<u8>) -> Result<(), CaptureError> {
@@ -1000,7 +1007,15 @@ mod tests {
                 indexes.push(index);
             }
         }
-        assert_eq!(indexes[0], IndexRecord { superstep: 0, records_before: 0, bytes_before: 0 });
+        let global = GlobalData { superstep: 0, num_vertices: 0, num_edges: 0 };
+        let first = IndexRecord {
+            superstep: 0,
+            records_before: 0,
+            bytes_before: 0,
+            global,
+            aggregators: vec![],
+        };
+        assert_eq!(indexes[0], first);
         assert_eq!(indexes[1].superstep, 1);
         assert_eq!(indexes[1].records_before, 2);
     }

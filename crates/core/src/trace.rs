@@ -11,17 +11,19 @@
 //!
 //! Worker and master trace files hold kind-tagged GraftBin frames,
 //! `[len varint][kind u8][payload]` (see `graft_codec::frame`). Worker
-//! channels carry [`FRAME_VERTEX`] records preceded, at every superstep
-//! transition, by a [`FRAME_INDEX`] record that lets readers hop whole
-//! superstep groups without touching payloads. The master channel
-//! carries [`FRAME_MASTER`] records. Every writer of a channel — the
-//! trace sink, `trace convert`, synthetic traces — goes through a
-//! [`ChannelWriter`], the one place that grammar is written down.
+//! channels carry [`FRAME_VERTEX`] records in groups, each opened by a
+//! [`FRAME_INDEX`] record that holds what every record of the group
+//! shares — the superstep, the default global data and the aggregator
+//! values — and lets readers hop whole groups without touching payloads.
+//! The master channel carries [`FRAME_MASTER`] records. Every writer of a
+//! channel — the trace sink, `trace convert`, synthetic traces — goes
+//! through a [`ChannelWriter`], the one place that grammar is written
+//! down.
 //!
-//! JSON lines, one document per line, and binary layouts v1 and v2 are
+//! JSON lines, one document per line, and binary layouts v1 to v3 are
 //! legacy formats: nothing captures in them, and every reader takes a
 //! channel through one door, [`native_channel`], which turns a legacy
-//! channel into the v3 bytes `trace convert --to binary` writes for it —
+//! channel into the v4 bytes `trace convert --to binary` writes for it —
 //! so no reader past the door knows a layout. [`convert_channel`] exports
 //! to JSON lines.
 //!
@@ -36,16 +38,27 @@
 //! prefix is filled in after the payload is written.
 //!
 //! Readers decode the same payload as a [`WireVertexTrace`], whose typed
-//! positions are [`graft_codec::BinValue`] trees, so any tool can browse
-//! a binary trace without the computation's Rust types. The tagged
+//! positions are [`graft_codec::BinValue`] trees, and take the rest of the
+//! record from its group's [`IndexRecord`], so any tool can browse a
+//! binary trace without the computation's Rust types. The tagged
 //! encoding is defined so that those trees are the exact
 //! `serde_json::Value`s a JSON text round-trip of the record yields, so
 //! a record exported to JSON lines and read back is the record, and
 //! every view served over either format is byte-for-byte the same.
 //!
-//! **Format v3: a capture writes only what the vertex's last capture did
-//! not.** `meta.json` records the binary layout as a [`TraceFormat`]. In a
-//! v3 channel a vertex record's `edges` field is a [`WireEdges`]: the
+//! **Format v4: a capture writes only what the vertex's last capture did
+//! not, and a superstep's context once.** `meta.json` records the binary
+//! layout as a [`TraceFormat`]. A v4 vertex record holds no superstep,
+//! global data or aggregator values: its group's index frame does. A
+//! [`ChannelWriter`] opens a group when the superstep changes or when a
+//! record's encoded context differs from the open group's, so a context
+//! that changes within a superstep opens a second group for it. The
+//! capture path hands the writer a context version with the record
+//! ([`VertexCapture::context_version`]); a record under the version the
+//! open group was written or matched under is in that group, with its
+//! context neither encoded nor compared.
+//!
+//! A vertex record's `edges` field is a [`WireEdges`]: the
 //! inline list, or the channel offset of an earlier frame that records the
 //! same vertex (equal encoded id bytes) with identical inline edges — one
 //! hop, never a reference to a reference. A [`ChannelWriter`] decides with
@@ -58,27 +71,31 @@
 //! [`WireOutgoing`]: the pairs, or — when the sends are the edges'
 //! targets in edge order and every message encodes to the first's bytes —
 //! one [`Broadcast`] of that message, which readers list along the
-//! record's edges. v1 channels held every list inline and v2 channels
-//! every send as a pair; the door writes both again under these rules.
+//! record's edges. v1 channels held every list inline, v2 channels every
+//! send as a pair and v3 channels a context in every record; the door
+//! writes each again under these rules.
 //!
 //! A payload is read in one of three ways, all through the one GraftBin
 //! decoder, so each succeeds on exactly the same payloads. A
 //! [`VertexHead`] *skims* it: every field is checked, and only the
-//! superstep, the rendered vertex id and three flag bits are kept — what
-//! a reader indexing a trace needs, and proof that the payload decodes.
+//! rendered vertex id and three flag bits are kept, beside the group's
+//! superstep — what a reader indexing a trace needs, and proof that the
+//! payload decodes.
 //! A [`RowDigest`] skims it for a listing view: the texts and counts a
 //! row of the tabular or node-link view shows, rendered as the fields are
 //! read, no tree built. [`VertexChannel::record`] decodes it, once, into
 //! the [`ErasedVertexTrace`] a view of the whole record reads
 //! (reproducers, the violations view, a typed session): the one
-//! whole-record form on the read side. The last two resolve an edge
-//! reference against the channel; [`walk_vertex_channel`] checks every
+//! whole-record form on the read side. The last two attach the group's
+//! context and resolve an edge reference against the channel;
+//! [`walk_vertex_channel`] reads every index frame and checks every
 //! reference of a channel. A channel that cannot be read fails with a
 //! [`TraceReadError`] naming the byte offset of the frame at fault.
 
 use std::fmt;
 use std::hash::Hasher;
 use std::ops::Range;
+use std::sync::Arc;
 
 use graft_codec::frame::{Frame, FrameScanner};
 use graft_codec::{for_each_element, BinValue, SkipSeq, SkipStr, SkipTagged, Tagged, TaggedText};
@@ -172,8 +189,9 @@ pub type VertexTraceOf<C> = VertexTrace<
 
 /// A vertex trace whose computation-specific fields (id, values, edges,
 /// messages) are type-erased [`graft_codec::BinValue`] trees, its edges
-/// listed: what a JSON line or a v1 binary payload holds, and what a v3
-/// payload reads as once its edge reference is resolved. Any tool can
+/// listed: what a JSON line or a v1 binary payload holds, and what a v4
+/// payload reads as once its edge reference is resolved and its group's
+/// context attached. Any tool can
 /// handle it without the computation's Rust types; it is the one form of
 /// a whole record that readers build ([`VertexChannel::record`]).
 pub type ErasedVertexTrace = VertexTrace<BinValue, BinValue, BinValue, BinValue>;
@@ -214,7 +232,7 @@ impl ErasedVertexTrace {
     }
 }
 
-/// The `edges` field of a v2 or v3 binary vertex payload.
+/// The `edges` field of a v2, v3 or v4 binary vertex payload.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub enum WireEdges<L> {
     /// The `(target, edge value)` list itself.
@@ -224,7 +242,7 @@ pub enum WireEdges<L> {
     At(u64),
 }
 
-/// The `outgoing` field of a v3 binary vertex payload.
+/// The `outgoing` field of a v3 or v4 binary vertex payload.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub enum WireOutgoing<L, M> {
     /// The `(target, message)` pairs themselves, in send order.
@@ -245,15 +263,14 @@ pub struct Broadcast<M> {
     pub value: M,
 }
 
-/// The layout of a v3 binary vertex frame's payload, field for field:
-/// an [`ErasedVertexTrace`] whose edges are a [`WireEdges`] and whose
-/// outgoing messages are a [`WireOutgoing`]. Encoding one with
-/// `graft_codec::frame::write_value_frame` gives the frame the capture
-/// path writes for the same record.
+/// The layout of a v4 binary vertex frame's payload, field for field:
+/// an [`ErasedVertexTrace`] without the `superstep`, `aggregators` and
+/// `global` its group's [`IndexRecord`] holds, whose edges are a
+/// [`WireEdges`] and whose outgoing messages are a [`WireOutgoing`].
+/// Encoding one with `graft_codec::frame::write_value_frame` gives the
+/// frame the capture path writes for the same record.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct WireVertexTrace {
-    /// See [`VertexTrace::superstep`].
-    pub superstep: u64,
     /// See [`VertexTrace::vertex`].
     pub vertex: BinValue,
     /// See [`VertexTrace::value_before`].
@@ -266,10 +283,6 @@ pub struct WireVertexTrace {
     pub incoming: Vec<BinValue>,
     /// The outgoing messages, listed or as one broadcast.
     pub outgoing: WireOutgoing<Vec<(BinValue, BinValue)>, BinValue>,
-    /// See [`VertexTrace::aggregators`].
-    pub aggregators: Vec<(String, AggValue)>,
-    /// See [`VertexTrace::global`].
-    pub global: GlobalData,
     /// See [`VertexTrace::halted_after`].
     pub halted_after: bool,
     /// See [`VertexTrace::reasons`].
@@ -294,12 +307,14 @@ pub struct MasterTrace {
     pub halted: bool,
 }
 
-/// A superstep index record. The binary sink emits one into a worker
-/// channel immediately before the first vertex record of each superstep,
-/// so a reader scanning frame headers knows — without decoding a single
-/// vertex payload — which superstep the following group belongs to and
-/// how much of the channel precedes it.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+/// A group's index record: the payload of the index frame a
+/// [`ChannelWriter`] writes into a worker channel immediately before the
+/// first vertex record of each group. It holds the context every record
+/// of the group shares, which a v4 vertex payload leaves out, so a reader
+/// scanning frame headers knows — without decoding a single vertex
+/// payload — which superstep the following group belongs to and how much
+/// of the channel precedes it.
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct IndexRecord {
     /// The superstep of the vertex records that follow.
     pub superstep: u64,
@@ -307,6 +322,12 @@ pub struct IndexRecord {
     pub records_before: u64,
     /// Channel bytes written before this frame (its own offset).
     pub bytes_before: u64,
+    /// The default global data of the records that follow (context
+    /// piece 5).
+    pub global: GlobalData,
+    /// The aggregator values the records that follow saw (context
+    /// piece 4).
+    pub aggregators: Vec<(String, AggValue)>,
 }
 
 /// Job metadata written at trace root as `meta.json`.
@@ -343,7 +364,7 @@ impl JobMeta {
 
 /// The on-disk format `meta.json` records: JSON lines or binary frames
 /// and, for binary frames, the layout of their vertex payloads. Capture
-/// writes [`TraceFormat::BinaryV3`]; the others are read. A reader that
+/// writes [`TraceFormat::NATIVE`]; the others are read. A reader that
 /// does not know a layout fails on `meta.json`, before it reads a payload.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub enum TraceFormat {
@@ -357,8 +378,18 @@ pub enum TraceFormat {
     /// [`WireEdges`] and their outgoing messages as a plain list.
     BinaryV2,
     /// Binary frames whose vertex payloads hold their edges as a
-    /// [`WireEdges`] and their outgoing messages as a [`WireOutgoing`].
+    /// [`WireEdges`], their outgoing messages as a [`WireOutgoing`], and
+    /// their superstep and context.
     BinaryV3,
+    /// Binary frames whose vertex payloads are [`WireVertexTrace`]s: the
+    /// superstep and context are their group's [`IndexRecord`]'s.
+    BinaryV4,
+}
+
+impl TraceFormat {
+    /// The layout capture writes, `trace convert --to binary` imports to
+    /// and every reader reads past the door ([`native_channel`]).
+    pub const NATIVE: TraceFormat = TraceFormat::BinaryV4;
 }
 
 /// Terminal job status written at trace root as `result.json`.
@@ -443,15 +474,29 @@ impl From<graft_dfs::FsError> for CaptureError {
     }
 }
 
-/// A record a [`ChannelWriter`] can write to a channel: a superstep,
-/// which worker channels group frames by, and a kind-tagged binary frame.
+/// A record a [`ChannelWriter`] can write to a channel: a superstep and
+/// a context, which worker channels group frames by, and a kind-tagged
+/// binary frame.
 pub trait TraceRecord {
     /// The record's superstep, which worker channels group frames by.
     fn record_superstep(&self) -> u64;
 
+    /// The version of the record's superstep and context (see
+    /// [`VertexCapture::context_version`]); `None` promises nothing.
+    fn context_version(&self) -> Option<u64> {
+        None
+    }
+
+    /// Appends the GraftBin encoding of the record's context — the
+    /// `global` and `aggregators` of its group's [`IndexRecord`] — to
+    /// `out`. Records that are not grouped have none.
+    fn encode_context(&self, _out: &mut Vec<u8>) -> Result<(), CaptureError> {
+        Ok(())
+    }
+
     /// Appends the record's binary frame (`[len][kind][payload]`) to
     /// `buf`, which is left untouched on error. A vertex record's edges
-    /// go inline.
+    /// go inline, and its superstep and context are left to its group.
     fn encode_binary_frame(&self, buf: &mut Vec<u8>) -> Result<(), CaptureError>;
 
     /// Appends the record's binary frame as a channel writer does: a
@@ -506,7 +551,8 @@ fn put<T: Serialize + ?Sized>(out: &mut Vec<u8>, value: &T) -> graft_codec::Resu
 /// of a [`VertexTrace`], borrowed from the engine state they live in
 /// rather than cloned into a record. Its binary frame is a
 /// [`WireVertexTrace`]'s, written field by field, the computation-typed
-/// positions through [`Tagged`].
+/// positions through [`Tagged`]; its superstep and context go to its
+/// group's index frame.
 pub struct VertexCapture<'a, I, V, M, Ed, Ag> {
     /// Superstep of the capture.
     pub superstep: u64,
@@ -531,6 +577,12 @@ pub struct VertexCapture<'a, I, V, M, Ed, Ag> {
     pub aggregators: Ag,
     /// Default global data.
     pub global: GlobalData,
+    /// The version of `superstep`, `aggregators` and `global`
+    /// ([`graft_pregel::ComputeContext::context_version`]): two captures
+    /// under one version have equal ones, so the channel's writer may put
+    /// a record in the open group without encoding its context. `None`
+    /// promises nothing.
+    pub context_version: Option<u64>,
     /// Whether the vertex voted to halt.
     pub halted_after: bool,
     /// Why this context was captured.
@@ -550,7 +602,7 @@ where
     Ed: ExactSizeIterator<Item = (&'a I, &'a E)> + Clone,
     Ag: ExactSizeIterator<Item = (&'a str, &'a AggValue)> + Clone,
 {
-    /// Appends the record's v3 frame to `buf`, field by field. The edges
+    /// Appends the record's v4 frame to `buf`, field by field. The edges
     /// are written inline; with a `rule`, the channel's rule and the
     /// frame's channel offset, they are then cut back to a reference
     /// where the rule has one, and an inline list is noted for later
@@ -570,7 +622,6 @@ where
         // its end: the length prefix may still shift what lies before.
         let mut inline: Option<[usize; 4]> = None;
         graft_codec::frame::write_frame_with(buf, FRAME_VERTEX, |out| {
-            put(out, &self.superstep)?;
             let id_at = out.len();
             put(out, &Tagged(self.vertex))?;
             let id = id_at..out.len();
@@ -609,8 +660,6 @@ where
             };
             put(out, &Seq(self.incoming.iter().map(Tagged)))?;
             self.write_outgoing(out, same_target)?;
-            put(out, &Seq(self.aggregators.clone()))?;
-            put(out, &self.global)?;
             put(out, &self.halted_after)?;
             put(out, self.reasons)?;
             put(out, self.violations)?;
@@ -625,6 +674,14 @@ where
             let (id, edges) = (&buf[id_start..id_end], &buf[edges_start..edges_end]);
             refs.remember(id, offset, edges, self.edges_version);
         }
+        Ok(())
+    }
+
+    /// Appends the record's context as its group's [`IndexRecord`] holds
+    /// it.
+    fn write_context(&self, out: &mut Vec<u8>) -> Result<(), CaptureError> {
+        put(out, &self.global)?;
+        put(out, &Seq(self.aggregators.clone()))?;
         Ok(())
     }
 
@@ -699,6 +756,14 @@ where
         self.superstep
     }
 
+    fn context_version(&self) -> Option<u64> {
+        self.context_version
+    }
+
+    fn encode_context(&self, out: &mut Vec<u8>) -> Result<(), CaptureError> {
+        self.write_context(out)
+    }
+
     fn encode_binary_frame(&self, buf: &mut Vec<u8>) -> Result<(), CaptureError> {
         self.write_frame(buf, None, equal_ids)
     }
@@ -724,6 +789,10 @@ where
         self.superstep
     }
 
+    fn encode_context(&self, out: &mut Vec<u8>) -> Result<(), CaptureError> {
+        self.borrowed().write_context(out)
+    }
+
     fn encode_binary_frame(&self, buf: &mut Vec<u8>) -> Result<(), CaptureError> {
         self.write_frame(buf, None)
     }
@@ -745,14 +814,18 @@ where
     E: Serialize,
     M: Serialize,
 {
-    /// Writes the record's frame as the [`VertexCapture`] borrowing it,
-    /// comparing ids by their encoding: a record may come from anywhere,
-    /// a JSON line included.
-    fn write_frame(
+    /// The [`VertexCapture`] borrowing the record, which promises nothing:
+    /// a record may come from anywhere, a JSON line included.
+    fn borrowed(
         &self,
-        buf: &mut Vec<u8>,
-        rule: Option<(&mut EdgeRefs, u64)>,
-    ) -> Result<(), CaptureError> {
+    ) -> VertexCapture<
+        '_,
+        I,
+        V,
+        M,
+        impl ExactSizeIterator<Item = (&I, &E)> + Clone,
+        impl ExactSizeIterator<Item = (&str, &AggValue)> + Clone,
+    > {
         VertexCapture {
             superstep: self.superstep,
             vertex: &self.vertex,
@@ -764,12 +837,22 @@ where
             outgoing: &self.outgoing,
             aggregators: self.aggregators.iter().map(|(name, value)| (name.as_str(), value)),
             global: self.global,
+            context_version: None,
             halted_after: self.halted_after,
             reasons: &self.reasons,
             violations: &self.violations,
             exception: self.exception.as_ref(),
         }
-        .write_frame(buf, rule, same_encoding)
+    }
+
+    /// Writes the record's frame as the [`VertexCapture`] borrowing it,
+    /// comparing ids by their encoding.
+    fn write_frame(
+        &self,
+        buf: &mut Vec<u8>,
+        rule: Option<(&mut EdgeRefs, u64)>,
+    ) -> Result<(), CaptureError> {
+        self.borrowed().write_frame(buf, rule, same_encoding)
     }
 }
 
@@ -963,14 +1046,25 @@ impl TraceRecord for MasterTrace {
     }
 }
 
-/// Appends a superstep index frame to `buf`.
+/// The superstep of a v4 index payload, and the offset of the context it
+/// ends with; an error unless the whole payload reads as an
+/// [`IndexRecord`].
+fn index_context(payload: &[u8]) -> graft_codec::Result<(u64, usize)> {
+    graft_codec::from_slice::<IndexRecord>(payload)?;
+    let mut reader = PayloadReader::new(payload);
+    let (superstep, _, _): (u64, u64, u64) = (reader.field()?, reader.field()?, reader.field()?);
+    Ok((superstep, reader.at()))
+}
+
+/// Appends a group's index frame to `buf`.
 pub fn encode_index_frame(record: &IndexRecord, buf: &mut Vec<u8>) -> Result<(), CaptureError> {
     binary_frame(buf, FRAME_INDEX, record)
 }
 
 /// Where a channel stands: its length and, in a worker channel, the
-/// vertex records it holds and the superstep of the last one.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+/// vertex records it holds and the superstep and encoded context of its
+/// open group.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub(crate) struct ChannelMark {
     /// Bytes written to the channel.
     pub(crate) written: u64,
@@ -978,13 +1072,18 @@ pub(crate) struct ChannelMark {
     pub(crate) records: u64,
     /// Superstep of the last vertex record; `None` before the first.
     pub(crate) last_superstep: Option<u64>,
+    /// The open group's context as its index frame encodes it (see
+    /// [`TraceRecord::encode_context`]); empty before the first group.
+    pub(crate) context: Arc<[u8]>,
 }
 
 /// The grammar of a trace channel, written down once. A worker channel
-/// gets an index frame at each superstep transition, carrying the counts
-/// as of the frame's own start, then the record's vertex frame, its edges
-/// a back-reference where the channel's [`EdgeRefs`] says so. The master
-/// channel gets each record's frame and nothing else.
+/// gets an index frame whenever a record opens a group — its superstep
+/// differs from the open group's, or its encoded context does — carrying
+/// the counts as of the frame's own start and the group's context, then
+/// the record's vertex frame, its edges a back-reference where the
+/// channel's [`EdgeRefs`] says so. The master channel gets each record's
+/// frame and nothing else.
 ///
 /// The trace sink, `trace convert` and synthetic traces all write their
 /// channels through one. What it writes is a pure function of the
@@ -994,13 +1093,19 @@ pub(crate) struct ChannelMark {
 #[derive(Default)]
 pub struct ChannelWriter {
     mark: ChannelMark,
+    /// The context version the open group was written or matched under,
+    /// if the last record gave one.
+    version: Option<u64>,
     refs: EdgeRefs,
+    /// A record's encoded context, while its group is decided.
+    context: Vec<u8>,
 }
 
 impl ChannelWriter {
     /// The writer that wrote the channel `bytes`, as it stood after the
     /// last frame: the mark read off the frame headers and index frames,
-    /// the back-reference rule rebuilt by noting, in order, every vertex
+    /// the open group's context off the last index frame, the
+    /// back-reference rule rebuilt by noting, in order, every vertex
     /// frame whose edges are inline. A frame that does not read as a
     /// vertex record holds nothing to point at.
     pub(crate) fn resume(bytes: &[u8]) -> Self {
@@ -1010,8 +1115,11 @@ impl ChannelWriter {
         while let Ok(Some(frame)) = scanner.next_frame() {
             match frame.kind {
                 FRAME_INDEX => {
-                    let index = graft_codec::from_slice::<IndexRecord>(frame.payload).ok();
-                    writer.mark.last_superstep = index.map(|index| index.superstep);
+                    let (superstep, context) = match index_context(frame.payload) {
+                        Ok((superstep, at)) => (Some(superstep), frame.payload[at..].into()),
+                        Err(_) => (None, Arc::default()),
+                    };
+                    (writer.mark.last_superstep, writer.mark.context) = (superstep, context);
                 }
                 FRAME_VERTEX => {
                     writer.mark.records += 1;
@@ -1035,13 +1143,16 @@ impl ChannelWriter {
 
     /// Where the channel stands.
     pub(crate) fn mark(&self) -> ChannelMark {
-        self.mark
+        self.mark.clone()
     }
 
     /// Appends a vertex record to `buf`, whose end is the channel's end:
-    /// an index frame first if the record opens a superstep, then the
-    /// record's frame. On error, `buf` and the writer are left as they
-    /// were.
+    /// an index frame first if the record opens a group, then the
+    /// record's frame. A record under the context version the open group
+    /// was written or matched under is in it by the version's promise,
+    /// its context neither encoded nor compared; a debug build encodes it
+    /// anyway and checks that the bytes agree. On error, `buf` and the
+    /// writer are left as they were.
     pub fn append_vertex<T: TraceRecord>(
         &mut self,
         record: &T,
@@ -1049,14 +1160,33 @@ impl ChannelWriter {
     ) -> Result<(), CaptureError> {
         let start = buf.len();
         let superstep = record.record_superstep();
-        let mut encoded = Ok(());
-        if self.mark.last_superstep != Some(superstep) {
-            let index = IndexRecord {
-                superstep,
-                records_before: self.mark.records,
-                bytes_before: self.mark.written,
-            };
-            encoded = encode_index_frame(&index, buf);
+        let version = record.context_version();
+        let in_group = |mark: &ChannelMark, context: &[u8]| {
+            mark.last_superstep == Some(superstep) && *mark.context == *context
+        };
+        let vouched = version.is_some() && version == self.version;
+        let (mut opens, mut encoded) = (false, Ok(()));
+        if !vouched {
+            self.context.clear();
+            encoded = record.encode_context(&mut self.context);
+            opens = !in_group(&self.mark, &self.context);
+        } else if cfg!(debug_assertions) {
+            let mut context = Vec::new();
+            let same =
+                record.encode_context(&mut context).is_ok() && in_group(&self.mark, &context);
+            assert!(same, "a context version named another context");
+        }
+        if opens {
+            encoded = encoded.and_then(|()| {
+                graft_codec::frame::write_frame_with(buf, FRAME_INDEX, |out| {
+                    put(out, &superstep)?;
+                    put(out, &self.mark.records)?;
+                    put(out, &self.mark.written)?;
+                    out.extend_from_slice(&self.context);
+                    Ok(())
+                })?;
+                Ok(())
+            });
         }
         let encoded = encoded.and_then(|()| {
             let offset = self.mark.written + (buf.len() - start) as u64;
@@ -1066,9 +1196,13 @@ impl ChannelWriter {
             buf.truncate(start);
             return Err(e);
         }
+        if opens {
+            self.mark.context = self.context[..].into();
+            self.mark.last_superstep = Some(superstep);
+        }
         self.mark.written += (buf.len() - start) as u64;
         self.mark.records += 1;
-        self.mark.last_superstep = Some(superstep);
+        self.version = version;
         Ok(())
     }
 
@@ -1089,10 +1223,12 @@ impl ChannelWriter {
 
     /// Falls back to `mark`, an earlier mark of this writer: the channel
     /// no longer holds what was written past it, so no later record
-    /// refers to that.
+    /// refers to that, and the open group is the mark's, its context
+    /// version unknown.
     pub(crate) fn truncate(&mut self, mark: ChannelMark) {
-        self.mark = mark;
         self.refs.truncate(mark.written);
+        self.mark = mark;
+        self.version = None;
     }
 }
 
@@ -1225,7 +1361,7 @@ pub(crate) fn violation_flag(kind: ViolationKind) -> u8 {
 /// exactly when it is a valid record — but every tree and string is
 /// checked and dropped (`graft_codec`'s `Skip*` types) instead of built,
 /// and the vertex id is rendered as it is read ([`TaggedText`]). An edge
-/// reference is read, not followed.
+/// reference is read, not followed. The superstep is the group's.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct VertexHead {
     /// Superstep of the capture.
@@ -1258,27 +1394,40 @@ struct Listing<R> {
     /// Whether they are a broadcast, whose count the record's edges must
     /// match.
     broadcast: bool,
-    global: GlobalData,
+    /// The global data a legacy payload holds.
+    global: Option<GlobalData>,
     halted_after: bool,
     reasons: R,
     flags: u8,
 }
 
-/// Reads a v3 vertex payload field by field, each field as the caller's
+/// The binary layout of a worker channel's vertex payloads, as the walk
+/// reads them: v4, or — only behind the door — v3, whose payloads hold
+/// their own superstep and context, or v2, whose `outgoing` is a plain
+/// list too.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Layout {
+    V2,
+    V3,
+    V4,
+}
+
+/// Reads a vertex payload field by field, each field as the caller's
 /// stand-in for it. The decoder calls are those of a [`WireVertexTrace`],
 /// in order, so every reader accepts exactly the payloads that decode and
-/// fails on the rest with the same error. A v2 payload differs only in
-/// its `outgoing` field, a plain list, which reads as the pairs form.
+/// fails on the rest with the same error. A v3 payload adds a superstep
+/// before the id and the aggregators and global data after `outgoing`; a
+/// v2 payload's `outgoing` is a plain list, read as the pairs form.
 struct PayloadReader<'de> {
     de: graft_codec::Deserializer<'de>,
     len: usize,
-    /// Whether the payload is v2's.
-    v2: bool,
+    layout: Layout,
 }
 
 impl<'de> PayloadReader<'de> {
     fn new(payload: &'de [u8]) -> Self {
-        Self { de: graft_codec::Deserializer::new(payload), len: payload.len(), v2: false }
+        let de = graft_codec::Deserializer::new(payload);
+        Self { de, len: payload.len(), layout: Layout::V4 }
     }
 
     /// Bytes of the payload read so far.
@@ -1290,9 +1439,15 @@ impl<'de> PayloadReader<'de> {
         T::deserialize(&mut self.de)
     }
 
-    /// The superstep, the vertex id read as `T`, and the id's bytes.
-    fn front<T: Deserialize<'de>>(&mut self) -> graft_codec::Result<(u64, T, Range<usize>)> {
-        let superstep = self.field()?;
+    /// The superstep a legacy payload holds, the vertex id read as `T`,
+    /// and the id's bytes.
+    fn front<T: Deserialize<'de>>(
+        &mut self,
+    ) -> graft_codec::Result<(Option<u64>, T, Range<usize>)> {
+        let superstep = match self.layout {
+            Layout::V4 => None,
+            Layout::V2 | Layout::V3 => Some(self.field()?),
+        };
         let start = self.at();
         let vertex = self.field()?;
         Ok((superstep, vertex, start..self.at()))
@@ -1308,9 +1463,18 @@ impl<'de> PayloadReader<'de> {
     fn outgoing<L: Deserialize<'de>, M: Deserialize<'de>>(
         &mut self,
     ) -> graft_codec::Result<WireOutgoing<L, M>> {
-        match self.v2 {
-            true => self.field().map(WireOutgoing::Pairs),
-            false => self.field(),
+        match self.layout {
+            Layout::V2 => self.field().map(WireOutgoing::Pairs),
+            Layout::V3 | Layout::V4 => self.field(),
+        }
+    }
+
+    /// The aggregators, read as `A`, and the global data a legacy payload
+    /// holds after `outgoing`.
+    fn context<A: Deserialize<'de>>(&mut self) -> graft_codec::Result<Option<(A, GlobalData)>> {
+        match self.layout {
+            Layout::V4 => Ok(None),
+            Layout::V2 | Layout::V3 => Ok(Some((self.field()?, self.field()?))),
         }
     }
 
@@ -1323,8 +1487,7 @@ impl<'de> PayloadReader<'de> {
                 WireOutgoing::Pairs(pairs) => (pairs.len, false),
                 WireOutgoing::Broadcast(Broadcast { count, .. }) => (len_of(count), true),
             };
-        let _aggregators: SkipSeq<(SkipStr, AggValue)> = self.field()?;
-        let global = self.field()?;
+        let global = self.context::<SkipSeq<(SkipStr, AggValue)>>()?.map(|(_, global)| global);
         let halted_after = self.field()?;
         let reasons = self.field()?;
         let ViolationFlags(violations) = self.field()?;
@@ -1428,39 +1591,47 @@ struct Skim {
     broadcast: Option<usize>,
 }
 
-/// A v3 worker channel as its vertex payloads are read: the bytes an edge
+/// A v4 worker channel as its vertex payloads are read: the bytes an edge
 /// reference resolves against. A legacy channel reaches it through
 /// [`native_channel`].
+///
+/// Each payload is read with its `group`, the [`IndexRecord`] of the
+/// group it lies in, whose superstep and context it takes; a payload with
+/// no group fails to read.
 #[derive(Clone, Copy, Debug)]
 pub struct VertexChannel<'a> {
     bytes: &'a [u8],
-    /// Whether the channel is in layout v2, read only by the door.
-    v2: bool,
+    /// The layout: v4 but where the door reads a legacy channel.
+    layout: Layout,
 }
 
 impl<'a> VertexChannel<'a> {
-    /// The v3 channel `bytes`.
+    /// The v4 channel `bytes`.
     pub fn new(bytes: &'a [u8]) -> Self {
-        Self { bytes, v2: false }
-    }
-
-    /// The v2 channel `bytes`.
-    fn v2(bytes: &'a [u8]) -> Self {
-        Self { bytes, v2: true }
+        Self { bytes, layout: Layout::V4 }
     }
 
     /// A reader of a payload of this channel's layout.
     fn reader<'de>(&self, payload: &'de [u8]) -> PayloadReader<'de> {
-        PayloadReader { v2: self.v2, ..PayloadReader::new(payload) }
+        PayloadReader { layout: self.layout, ..PayloadReader::new(payload) }
+    }
+
+    /// The group a v4 payload is read with.
+    fn group<'g>(&self, group: Option<&'g IndexRecord>) -> graft_codec::Result<&'g IndexRecord> {
+        group.ok_or_else(|| graft_codec::Error::Message("a vertex record in no group".into()))
     }
 
     /// Skims a vertex payload for its head (see [`VertexHead`]).
-    pub fn head(&self, payload: &[u8]) -> graft_codec::Result<VertexHead> {
-        self.skim(payload).map(|skim| skim.head)
+    pub fn head(
+        &self,
+        payload: &[u8],
+        group: Option<&IndexRecord>,
+    ) -> graft_codec::Result<VertexHead> {
+        self.skim(payload, group).map(|skim| skim.head)
     }
 
     /// Skims a vertex payload for what a walk checks of it.
-    fn skim(&self, payload: &[u8]) -> graft_codec::Result<Skim> {
+    fn skim(&self, payload: &[u8], group: Option<&IndexRecord>) -> graft_codec::Result<Skim> {
         let mut reader = self.reader(payload);
         let (superstep, TaggedText(vertex), id) = reader.front()?;
         reader.values::<SkipTagged>()?;
@@ -1470,6 +1641,10 @@ impl<'a> VertexChannel<'a> {
         };
         let listing: Listing<SkipSeq<CaptureReason>> = reader.listing()?;
         let broadcast = listing.broadcast.then_some(listing.outgoing);
+        let superstep = match superstep {
+            Some(superstep) => superstep,
+            None => self.group(group)?.superstep,
+        };
         Ok(Skim {
             head: VertexHead { superstep, vertex, flags: listing.flags },
             id,
@@ -1481,7 +1656,12 @@ impl<'a> VertexChannel<'a> {
     /// Skims a vertex payload for a listing row (see [`RowDigest`]),
     /// rendering the edges — followed, if a reference, and a broadcast's
     /// count checked against them — only `with_edges`.
-    pub fn digest(&self, payload: &[u8], with_edges: bool) -> graft_codec::Result<RowDigest> {
+    pub fn digest(
+        &self,
+        payload: &[u8],
+        group: Option<&IndexRecord>,
+        with_edges: bool,
+    ) -> graft_codec::Result<RowDigest> {
         let mut reader = self.reader(payload);
         let (_, TaggedText(vertex), id) = reader.front()?;
         let (TaggedText(value_before), TaggedText(value_after)) = reader.values()?;
@@ -1492,6 +1672,10 @@ impl<'a> VertexChannel<'a> {
             WireEdges::Inline(Vec::new())
         };
         let listing: Listing<Vec<CaptureReason>> = reader.listing()?;
+        let global = match listing.global {
+            Some(global) => global,
+            None => self.group(group)?.global,
+        };
         let edges = self.resolve(edges, &payload[id])?;
         if with_edges && listing.broadcast {
             check_broadcast(listing.outgoing, edges.len())?;
@@ -1503,7 +1687,7 @@ impl<'a> VertexChannel<'a> {
             edges: edges.into_iter().map(|(target, value)| (target.0, value.0)).collect(),
             incoming: listing.incoming,
             outgoing: listing.outgoing,
-            global: listing.global,
+            global,
             halted_after: listing.halted_after,
             reasons: listing.reasons.iter().map(|reason| reason.as_str().to_string()).collect(),
             flags: listing.flags,
@@ -1512,14 +1696,26 @@ impl<'a> VertexChannel<'a> {
 
     /// Decodes a vertex payload into its record, the edges followed if a
     /// reference and a broadcast listed along them: every field as the
-    /// payload holds it.
-    pub fn record(&self, payload: &[u8]) -> graft_codec::Result<ErasedVertexTrace> {
+    /// payload holds it, and the superstep and context as its group does.
+    pub fn record(
+        &self,
+        payload: &[u8],
+        group: Option<&IndexRecord>,
+    ) -> graft_codec::Result<ErasedVertexTrace> {
         let mut reader = self.reader(payload);
         let (superstep, vertex, id) = reader.front()?;
         let (value_before, value_after) = reader.values()?;
         let edges: WireEdges<Vec<(BinValue, BinValue)>> = reader.field()?;
         let incoming = reader.field()?;
         let outgoing = reader.outgoing()?;
+        let context = reader.context()?;
+        let (superstep, aggregators, global) = match (superstep, context) {
+            (Some(superstep), Some((aggregators, global))) => (superstep, aggregators, global),
+            _ => {
+                let group = self.group(group)?;
+                (group.superstep, group.aggregators.clone(), group.global)
+            }
+        };
         let record = VertexTrace {
             superstep,
             vertex,
@@ -1528,8 +1724,8 @@ impl<'a> VertexChannel<'a> {
             edges: Vec::new(),
             incoming,
             outgoing: Vec::new(),
-            aggregators: reader.field()?,
-            global: reader.field()?,
+            aggregators,
+            global,
             halted_after: reader.field()?,
             reasons: reader.field()?,
             violations: reader.field()?,
@@ -1559,7 +1755,7 @@ impl<'a> VertexChannel<'a> {
         let inline = || -> Option<L> {
             let rest = self.bytes.get(usize::try_from(offset).ok()?..)?;
             let frame = FrameScanner::new(rest).next_frame().ok()??;
-            let mut reader = PayloadReader::new(frame.payload);
+            let mut reader = self.reader(frame.payload);
             let (_, SkipTagged, target) = reader.front().ok()?;
             if frame.kind != FRAME_VERTEX || frame.payload[target] != *id {
                 return None;
@@ -1582,19 +1778,20 @@ impl<'a> VertexChannel<'a> {
 /// it.
 #[derive(Clone, Debug)]
 pub enum ChannelRecord {
-    /// A superstep index frame, decoded.
+    /// An index frame, decoded: the group its vertex frames read with.
     Index(IndexRecord),
     /// A vertex frame, skimmed.
     Vertex(VertexHead),
 }
 
 /// Walks a binary worker channel, handing `record` every frame with what
-/// was read of it: index frames are decoded, vertex payloads skimmed, and
-/// every edge reference checked — it must name an earlier frame of the
-/// channel that records the same vertex, byte for byte, with its edges
-/// inline — and so is every broadcast, whose count must be the number of
-/// those edges. With `up_to`, the live watermark of a job still running, a
-/// superstep group past it is hopped without reading a payload, and a
+/// was read of it: index frames are decoded, vertex payloads skimmed with
+/// their group — a vertex frame before the first index frame is in none,
+/// and fails — and every edge reference checked — it must name an earlier
+/// frame of the channel that records the same vertex, byte for byte, with
+/// its edges inline — and so is every broadcast, whose count must be the
+/// number of those edges. With `up_to`, the live watermark of a job still
+/// running, a group past it is hopped without reading a payload, and a
 /// torn tail ends the walk. Anything else that does not read fails with
 /// the offset of its frame.
 pub fn walk_vertex_channel<'a>(
@@ -1602,7 +1799,8 @@ pub fn walk_vertex_channel<'a>(
     up_to: Option<u64>,
     mut record: impl FnMut(Frame<'a>, ChannelRecord) -> Result<(), graft_codec::Error>,
 ) -> Result<(), TraceReadError> {
-    // Set while the current index group lies beyond the watermark.
+    // The open group, and whether it lies beyond the watermark.
+    let mut group: Option<IndexRecord> = None;
     let mut skip_group = false;
     // The frame start, the id bytes and the degree of each vertex frame
     // whose edges are inline, in channel order: the frames a reference may
@@ -1610,16 +1808,27 @@ pub fn walk_vertex_channel<'a>(
     let mut inline: Vec<(u64, Range<usize>, usize)> = Vec::new();
     for_each_frame(channel.bytes, up_to.is_some(), |frame| {
         let read = match frame.kind {
+            // A legacy index frame holds no context and says only which
+            // superstep its group is: the door's walk reads it for the
+            // watermark and hands nothing on.
+            FRAME_INDEX if channel.layout != Layout::V4 => {
+                let (superstep, ..) = graft_codec::from_slice::<(u64, u64, u64)>(frame.payload)
+                    .map_err(TraceReadError::at(frame.start))?;
+                skip_group = up_to.is_some_and(|w| superstep > w);
+                return Ok(());
+            }
             FRAME_INDEX => {
                 let index = graft_codec::from_slice::<IndexRecord>(frame.payload)
                     .map_err(TraceReadError::at(frame.start))?;
                 skip_group = up_to.is_some_and(|w| index.superstep > w);
+                group = Some(index.clone());
                 ChannelRecord::Index(index)
             }
             FRAME_VERTEX if skip_group => return Ok(()),
             FRAME_VERTEX => {
-                let Skim { head, id, edges, broadcast } =
-                    channel.skim(frame.payload).map_err(TraceReadError::at(frame.start))?;
+                let Skim { head, id, edges, broadcast } = channel
+                    .skim(frame.payload, group.as_ref())
+                    .map_err(TraceReadError::at(frame.start))?;
                 let id = frame.payload_start + id.start..frame.payload_start + id.end;
                 let degree = match edges {
                     WireEdges::Inline(degree) => {
@@ -1657,21 +1866,25 @@ pub fn walk_vertex_channel<'a>(
 }
 
 /// Calls `each` with every vertex record of `channel`, in order, its
-/// edges and outgoing messages listed; index frames, references and
-/// broadcasts are checked as [`walk_vertex_channel`] checks them, and
-/// `up_to` is the walk's.
+/// edges and outgoing messages listed and its group's context attached;
+/// index frames, references and broadcasts are checked as
+/// [`walk_vertex_channel`] checks them, and `up_to` is the walk's.
 fn for_each_vertex_record(
     channel: VertexChannel<'_>,
     up_to: Option<u64>,
     mut each: impl FnMut(ErasedVertexTrace) -> graft_codec::Result<()>,
 ) -> Result<(), TraceReadError> {
+    let mut group = None;
     walk_vertex_channel(channel, up_to, |frame, read| match read {
-        ChannelRecord::Vertex(_) => each(channel.record(frame.payload)?),
-        ChannelRecord::Index(_) => Ok(()),
+        ChannelRecord::Vertex(_) => each(channel.record(frame.payload, group.as_ref())?),
+        ChannelRecord::Index(index) => {
+            group = Some(index);
+            Ok(())
+        }
     })
 }
 
-/// Decodes every vertex record of a v3 worker channel, edge references
+/// Decodes every vertex record of a v4 worker channel, edge references
 /// followed and broadcasts listed, each built from its [`ErasedVertexTrace`]
 /// ([`ErasedVertexTrace::typed`]): `VertexTraceOf<C>` for a typed
 /// session, or the record itself.
@@ -1702,17 +1915,18 @@ pub enum ChannelKind {
 }
 
 /// The door every reader takes a channel through: the `kind` channel
-/// `bytes`, recorded in `format`, as the v3 bytes `trace convert --to
-/// binary` writes for them. A v3 channel passes as it is, and so does a
-/// v1 or v2 master channel, the layouts differing only in vertex
-/// payloads. Any other legacy channel is decoded in full and written
+/// `bytes`, recorded in `format`, as the v4 bytes `trace convert --to
+/// binary` writes for them. A v4 channel passes as it is, and so does a
+/// v1, v2 or v3 master channel, the layouts differing only in worker
+/// channels. Any other legacy channel is decoded in full and written
 /// again, record by record, through a [`ChannelWriter`]: a record that
-/// does not decode fails here, a binary frame with its offset. A v2
-/// worker channel is read by the v3 reader, its `outgoing` lists read as
-/// the pairs form. With `torn_tail_ok`, the reading of a job still
-/// running, a last record caught mid-append — a line with no newline that
-/// does not parse, a frame overrunning the end — is left out, as the v3
-/// walk leaves out a torn frame.
+/// does not decode fails here, a binary frame with its offset. A v3
+/// worker channel is read by the v4 reader in v3 mode, each payload's own
+/// superstep and context read with it, and a v2 channel too, its
+/// `outgoing` lists read as the pairs form. With `torn_tail_ok`, the
+/// reading of a job still running, a last record caught mid-append — a
+/// line with no newline that does not parse, a frame overrunning the end
+/// — is left out, as the v4 walk leaves out a torn frame.
 pub fn native_channel(
     format: TraceFormat,
     kind: ChannelKind,
@@ -1722,11 +1936,16 @@ pub fn native_channel(
     let mut out = Vec::new();
     let mut writer = ChannelWriter::default();
     match (format, kind) {
-        (TraceFormat::BinaryV3, _)
-        | (TraceFormat::Binary | TraceFormat::BinaryV2, ChannelKind::Master) => return Ok(bytes),
-        (TraceFormat::BinaryV2, ChannelKind::Worker) => {
+        (TraceFormat::BinaryV4, _)
+        | (
+            TraceFormat::Binary | TraceFormat::BinaryV2 | TraceFormat::BinaryV3,
+            ChannelKind::Master,
+        ) => return Ok(bytes),
+        (TraceFormat::BinaryV2 | TraceFormat::BinaryV3, ChannelKind::Worker) => {
             let up_to = torn_tail_ok.then_some(u64::MAX);
-            for_each_vertex_record(VertexChannel::v2(&bytes), up_to, |record| {
+            let layout = if format == TraceFormat::BinaryV2 { Layout::V2 } else { Layout::V3 };
+            let channel = VertexChannel { bytes: &bytes, layout };
+            for_each_vertex_record(channel, up_to, |record| {
                 let appended = writer.append_vertex(&record, &mut out);
                 appended.map_err(|e| graft_codec::Error::Message(e.to_string()))
             })?
@@ -1746,7 +1965,9 @@ pub fn native_channel(
         (TraceFormat::Binary, ChannelKind::Worker) => {
             for_each_frame(&bytes, torn_tail_ok, |frame| {
                 let mut upgrade = || match frame.kind {
-                    FRAME_INDEX => graft_codec::from_slice::<IndexRecord>(frame.payload).map(drop),
+                    FRAME_INDEX => {
+                        graft_codec::from_slice::<(u64, u64, u64)>(frame.payload).map(drop)
+                    }
                     FRAME_VERTEX => {
                         let record: ErasedVertexTrace = graft_codec::from_slice(frame.payload)?;
                         let appended = writer.append_vertex(&record, &mut out);
@@ -1781,7 +2002,7 @@ pub fn convert_channel(
 ) -> Result<Vec<u8>, Box<dyn std::error::Error>> {
     let native = native_channel(source, kind, bytes, false)?;
     match target {
-        TraceFormat::BinaryV3 => Ok(native),
+        TraceFormat::NATIVE => Ok(native),
         TraceFormat::JsonLines => {
             let mut out = Vec::new();
             match kind {
@@ -1798,9 +2019,7 @@ pub fn convert_channel(
             }
             Ok(out)
         }
-        TraceFormat::Binary | TraceFormat::BinaryV2 => {
-            Err(format!("{target:?} is read, not written").into())
-        }
+        _ => Err(format!("{target:?} is read, not written").into()),
     }
 }
 
@@ -1899,7 +2118,7 @@ mod tests {
         buf
     }
 
-    /// The v3 worker channel of `records`, as capture writes it.
+    /// The v4 worker channel of `records`, as capture writes it.
     fn channel_of<T: TraceRecord>(records: &[T]) -> Vec<u8> {
         let mut buf = Vec::new();
         let mut writer = ChannelWriter::default();
@@ -1911,8 +2130,36 @@ mod tests {
 
     /// `records` exported to JSON lines.
     fn export(records: &[VertexTrace<u64, i64, (), i64>]) -> Vec<u8> {
-        let (v3, json) = (TraceFormat::BinaryV3, TraceFormat::JsonLines);
-        convert_channel(ChannelKind::Worker, v3, json, channel_of(records)).unwrap()
+        let (native, json) = (TraceFormat::NATIVE, TraceFormat::JsonLines);
+        convert_channel(ChannelKind::Worker, native, json, channel_of(records)).unwrap()
+    }
+
+    /// The index record a writer opens for `record` at the start of a
+    /// channel.
+    fn group_of(record: &VertexTrace<u64, i64, (), i64>) -> IndexRecord {
+        IndexRecord {
+            superstep: record.superstep,
+            records_before: 0,
+            bytes_before: 0,
+            global: record.global,
+            aggregators: record.aggregators.clone(),
+        }
+    }
+
+    /// A v4 channel of `records` with no back-references: each record
+    /// behind an index frame of its own, its edges inline.
+    fn inline_channel(records: &[VertexTrace<u64, i64, (), i64>]) -> Vec<u8> {
+        let mut buf = Vec::new();
+        for (at, record) in records.iter().enumerate() {
+            let index = IndexRecord {
+                records_before: at as u64,
+                bytes_before: buf.len() as u64,
+                ..group_of(record)
+            };
+            encode_index_frame(&index, &mut buf).unwrap();
+            record.encode_binary_frame(&mut buf).unwrap();
+        }
+        buf
     }
 
     #[test]
@@ -1920,10 +2167,11 @@ mod tests {
         let records = [sample_trace(), sample_trace()];
         for (format, buf) in [
             (TraceFormat::JsonLines, json_lines(&records)),
-            (TraceFormat::BinaryV3, channel_of(&records)),
+            (TraceFormat::NATIVE, channel_of(&records)),
         ] {
-            let v3 = native_channel(format, ChannelKind::Worker, buf, false).unwrap();
-            let decoded: Vec<VertexTrace<u64, i64, (), i64>> = decode_vertex_records(&v3).unwrap();
+            let native = native_channel(format, ChannelKind::Worker, buf, false).unwrap();
+            let decoded: Vec<VertexTrace<u64, i64, (), i64>> =
+                decode_vertex_records(&native).unwrap();
             assert_eq!(decoded, records);
         }
     }
@@ -1952,18 +2200,21 @@ mod tests {
         let from_json: ErasedVertexTrace =
             serde_json::from_slice(&serde_json::to_vec(&sample_trace()).unwrap()).unwrap();
 
-        let mut bin = Vec::new();
-        sample_trace().encode_binary_frame(&mut bin).unwrap();
+        let bin = channel_of(&[sample_trace()]);
         let mut scanner = graft_codec::frame::FrameScanner::new(&bin);
+        let index = scanner.next_frame().unwrap().unwrap();
+        let group: IndexRecord = graft_codec::from_slice(index.payload).unwrap();
+        assert_eq!(group, group_of(&sample_trace()));
         let frame = scanner.next_frame().unwrap().unwrap();
         assert_eq!(frame.kind, FRAME_VERTEX);
-        let from_bin = VertexChannel::new(&bin).record(frame.payload).unwrap();
+        assert!(VertexChannel::new(&bin).record(frame.payload, None).is_err(), "in no group");
+        let from_bin = VertexChannel::new(&bin).record(frame.payload, Some(&group)).unwrap();
 
         assert_eq!(from_bin, from_json);
         assert_eq!(serde_json::to_vec(&from_bin).unwrap(), serde_json::to_vec(&from_json).unwrap());
     }
 
-    /// The kind of each vertex record's edges in a v3 channel.
+    /// The kind of each vertex record's edges in a v4 channel.
     fn edge_kinds(buf: &[u8]) -> Vec<&'static str> {
         let mut kinds = Vec::new();
         let mut scanner = FrameScanner::new(buf);
@@ -2011,10 +2262,7 @@ mod tests {
         // Every record reads back whole, references followed, and equals
         // what a channel of inline lists reads back.
         let decoded: Vec<VertexTrace<u64, i64, (), i64>> = decode_vertex_records(&buf).unwrap();
-        let mut inline = Vec::new();
-        for record in &records {
-            record.encode_binary_frame(&mut inline).unwrap();
-        }
+        let inline = inline_channel(&records);
         let expected: Vec<VertexTrace<u64, i64, (), i64>> = decode_vertex_records(&inline).unwrap();
         let vertex_bytes = |buf: &[u8]| -> usize {
             let mut scanner = FrameScanner::new(buf);
@@ -2052,13 +2300,13 @@ mod tests {
     }
 
     /// A legacy JSON-lines or v1 worker channel, and a JSON-lines master
-    /// channel, read as the v3 channel capture writes for the same
+    /// channel, read as the v4 channel capture writes for the same
     /// records; a record torn mid-append is dropped only when the reader is
     /// told the job is still running.
     #[test]
     fn a_legacy_json_channel_upgrades_to_what_capture_writes() {
         use ChannelKind::{Master, Worker};
-        use TraceFormat::{Binary, BinaryV2, BinaryV3, JsonLines};
+        use TraceFormat::{Binary, BinaryV2, BinaryV3, BinaryV4, JsonLines};
         let records = [sample_trace(), VertexTrace { superstep: 42, ..sample_trace() }];
         let lines = json_lines(&records);
         let upgraded = native_channel(JsonLines, Worker, lines.clone(), false).unwrap();
@@ -2069,15 +2317,12 @@ mod tests {
         assert!(native_channel(JsonLines, Worker, torn.clone(), false).is_err());
         assert_eq!(native_channel(JsonLines, Worker, torn, true).unwrap(), upgraded);
 
-        // v1: every list inline, an index frame at each superstep.
+        // v1: every list inline, an index frame of three counts at each
+        // superstep.
         let mut v1 = Vec::new();
         for (at, record) in records.iter().enumerate() {
-            let index = IndexRecord {
-                superstep: record.superstep,
-                records_before: at as u64,
-                bytes_before: v1.len() as u64,
-            };
-            encode_index_frame(&index, &mut v1).unwrap();
+            let index = (record.superstep, at as u64, v1.len() as u64);
+            graft_codec::frame::write_value_frame(&mut v1, FRAME_INDEX, &index).unwrap();
             let erased: ErasedVertexTrace =
                 serde_json::from_slice(&serde_json::to_vec(record).unwrap()).unwrap();
             graft_codec::frame::write_value_frame(&mut v1, FRAME_VERTEX, &erased).unwrap();
@@ -2100,10 +2345,15 @@ mod tests {
         assert!(native_channel(JsonLines, Master, torn.clone(), false).is_err());
         assert_eq!(native_channel(JsonLines, Master, torn, true).unwrap(), native);
 
-        // v3 channels, and v1 and v2 master channels, pass through as
+        // v4 channels, and v1, v2 and v3 master channels, pass through as
         // they are.
-        let passing =
-            [(BinaryV3, Worker), (BinaryV3, Master), (BinaryV2, Master), (Binary, Master)];
+        let passing = [
+            (BinaryV4, Worker),
+            (BinaryV4, Master),
+            (BinaryV3, Master),
+            (BinaryV2, Master),
+            (Binary, Master),
+        ];
         for (format, kind) in passing {
             let bytes = b"any bytes".to_vec();
             assert_eq!(native_channel(format, kind, bytes.clone(), false).unwrap(), bytes);
@@ -2117,6 +2367,7 @@ mod tests {
             (TraceFormat::Binary, "\"Binary\""),
             (TraceFormat::BinaryV2, "\"BinaryV2\""),
             (TraceFormat::BinaryV3, "\"BinaryV3\""),
+            (TraceFormat::BinaryV4, "\"BinaryV4\""),
         ] {
             assert_eq!(serde_json::to_string(&format).unwrap(), name);
             assert_eq!(serde_json::from_str::<TraceFormat>(name).unwrap(), format);
@@ -2126,7 +2377,7 @@ mod tests {
     #[test]
     fn index_frames_roundtrip_and_are_skipped_by_decode() {
         let mut buf = Vec::new();
-        let index = IndexRecord { superstep: 41, records_before: 0, bytes_before: 0 };
+        let index = group_of(&sample_trace());
         encode_index_frame(&index, &mut buf).unwrap();
         sample_trace().encode_binary_frame(&mut buf).unwrap();
         assert_eq!(buf, channel_of(&[sample_trace()]));
@@ -2152,11 +2403,11 @@ mod tests {
         let mut bin = Vec::new();
         ChannelWriter::default().append_master(&record, &mut bin).unwrap();
         let json = json_lines(std::slice::from_ref(&record));
-        let (v3, lines) = (TraceFormat::BinaryV3, TraceFormat::JsonLines);
+        let (native, lines) = (TraceFormat::NATIVE, TraceFormat::JsonLines);
         assert_eq!(decode_master_records(&bin, None).unwrap(), vec![record.clone()]);
-        let exported = convert_channel(ChannelKind::Master, v3, lines, bin.clone()).unwrap();
+        let exported = convert_channel(ChannelKind::Master, native, lines, bin.clone()).unwrap();
         assert_eq!(exported, json);
-        let imported = convert_channel(ChannelKind::Master, lines, v3, json).unwrap();
+        let imported = convert_channel(ChannelKind::Master, lines, native, json).unwrap();
         assert_eq!(imported, bin);
     }
 
@@ -2201,5 +2452,138 @@ mod tests {
         graft_codec::frame::write_frame(&mut buf, FRAME_MASTER, b"");
         let err = decode_vertex_records::<u64, i64, (), i64>(&buf).unwrap_err();
         assert!(err.to_string().contains("record kind"), "{err}");
+    }
+
+    /// Channels whose context changes where capture never changes it:
+    /// within a superstep, or back to a superstep's after another one.
+    /// Each case is a JSON-lines channel that must import to the v4
+    /// channel capture writes, with an index frame wherever the context
+    /// changes, export back to its own bytes, and read back — every
+    /// record, and every row of a session over it — as its JSON lines;
+    /// and a writer truncated or resumed at any record must write the rest
+    /// of the channel as the uninterrupted one did.
+    mod context_changes {
+        use std::sync::Arc;
+
+        use graft_dfs::{FileSystem, InMemoryFs};
+
+        use super::*;
+        use crate::untyped::UntypedSession;
+
+        type Trace = VertexTrace<u64, i64, (), i64>;
+
+        fn text(value: &str) -> Vec<(String, AggValue)> {
+            vec![("phase".into(), AggValue::Text(value.into()))]
+        }
+
+        fn record(superstep: u64, vertex: u64, aggregators: Vec<(String, AggValue)>) -> Trace {
+            let global = GlobalData { superstep, num_vertices: 100, num_edges: 300 };
+            VertexTrace { superstep, vertex, aggregators, global, ..sample_trace() }
+        }
+
+        fn index_frames(channel: &[u8]) -> usize {
+            let mut scanner = FrameScanner::new(channel);
+            std::iter::from_fn(|| scanner.next_frame().unwrap())
+                .filter(|frame| frame.kind == FRAME_INDEX)
+                .count()
+        }
+
+        /// Checks `records`, whose channel has `groups` groups.
+        fn check(records: &[Trace], groups: usize) {
+            use ChannelKind::Worker;
+            use TraceFormat::JsonLines;
+            const NATIVE: TraceFormat = TraceFormat::NATIVE;
+            let lines = json_lines(records);
+            let native = native_channel(JsonLines, Worker, lines.clone(), false).unwrap();
+            assert_eq!(native, channel_of(records), "the import is what capture writes");
+            assert_eq!(index_frames(&native), groups, "an index frame at each context change");
+            let exported = convert_channel(Worker, NATIVE, JsonLines, native.clone()).unwrap();
+            assert_eq!(exported, lines, "the export");
+            assert_eq!(convert_channel(Worker, JsonLines, NATIVE, exported).unwrap(), native);
+
+            let decoded: Vec<Trace> = decode_vertex_records(&native).unwrap();
+            assert_eq!(decoded, records, "the records");
+            let fs: Arc<dyn FileSystem> = Arc::new(InMemoryFs::new());
+            let meta = JobMeta {
+                computation: "Cases".into(),
+                computation_type: "cases::Cases".into(),
+                master: None,
+                value_types: ("u64".into(), "i64".into(), "()".into(), "i64".into()),
+                num_workers: 1,
+                trace_format: Some(NATIVE),
+                config: vec![],
+                facts: None,
+            };
+            fs.write_all(&meta_path("/t"), &serde_json::to_vec(&meta).unwrap()).unwrap();
+            fs.write_all(&worker_trace_path("/t", 0), &native).unwrap();
+            let session = UntypedSession::open(fs, "/t").unwrap();
+            for line in lines.split(|b| *b == b'\n').filter(|line| !line.is_empty()) {
+                let expected: ErasedVertexTrace = serde_json::from_slice(line).unwrap();
+                let vertex = expected.vertex.0.to_string();
+                let row = session.vertex_at(expected.superstep, &vertex).unwrap();
+                assert_eq!(row.record(), &expected, "the session's row");
+                let digest = session.digests(expected.superstep, 0, usize::MAX, true);
+                let listed = digest.filter(|digest| digest.vertex == vertex).collect::<Vec<_>>();
+                assert_eq!(listed, [row.digest(true)], "the session's digest");
+            }
+
+            let mut ends = vec![0];
+            let mut scanner = FrameScanner::new(&native);
+            while let Some(frame) = scanner.next_frame().unwrap() {
+                if frame.kind == FRAME_VERTEX {
+                    ends.push(frame.end);
+                }
+            }
+            for (cut, end) in ends.into_iter().enumerate() {
+                // Truncated: everything past the cut written, then lost.
+                let (mut writer, mut buf) = (ChannelWriter::default(), Vec::new());
+                for record in &records[..cut] {
+                    writer.append_vertex(record, &mut buf).unwrap();
+                }
+                let mark = writer.mark();
+                for record in &records[cut..] {
+                    writer.append_vertex(record, &mut buf).unwrap();
+                }
+                writer.truncate(mark);
+                buf.truncate(end);
+                for record in &records[cut..] {
+                    writer.append_vertex(record, &mut buf).unwrap();
+                }
+                assert_eq!(buf, native, "truncated to record {cut}");
+                // Resumed from the bytes of the cut.
+                let mut buf = native[..end].to_vec();
+                let mut writer = ChannelWriter::resume(&buf);
+                for record in &records[cut..] {
+                    writer.append_vertex(record, &mut buf).unwrap();
+                }
+                assert_eq!(buf, native, "resumed at record {cut}");
+                assert_eq!(writer.mark(), ChannelWriter::resume(&native).mark());
+            }
+        }
+
+        #[test]
+        fn aggregators_that_change_within_a_superstep_open_a_group() {
+            check(&[record(3, 1, text("a")), record(3, 2, text("b")), record(3, 4, text("b"))], 2);
+        }
+
+        #[test]
+        fn global_data_that_changes_within_a_superstep_opens_a_group() {
+            let grown = |mut record: Trace| {
+                record.global.num_vertices += 1;
+                record
+            };
+            let records = [record(3, 1, text("a")), grown(record(3, 2, text("a")))];
+            check(&records, 2);
+        }
+
+        #[test]
+        fn an_empty_aggregator_list_next_to_a_full_one_opens_a_group() {
+            check(&[record(3, 1, vec![]), record(3, 2, text("a")), record(3, 4, vec![])], 3);
+        }
+
+        #[test]
+        fn a_superstep_that_recurs_after_another_opens_a_group_again() {
+            check(&[record(3, 1, text("a")), record(4, 1, text("a")), record(3, 2, text("a"))], 3);
+        }
     }
 }

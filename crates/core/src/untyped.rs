@@ -7,9 +7,9 @@
 //! frames carry them as tagged `BinValue` trees that reconstruct the exact
 //! dynamic values a JSON text round-trip gives (see `graft_codec::value`).
 //! Every channel comes in through the door, [`crate::trace::native_channel`]:
-//! a legacy JSON-lines, v1 or v2 channel is read in full, at open, into
-//! the v3 bytes `trace convert --to binary` writes for it, so every row
-//! read here is a v3 payload, and everything built on this module is
+//! a legacy JSON-lines, v1, v2 or v3 channel is read in full, at open,
+//! into the v4 bytes `trace convert --to binary` writes for it, so every
+//! row read here is a v4 payload, and everything built on this module is
 //! byte-identical across formats.
 //!
 //! Rows are *not* materialized up front, and a binary frame is decoded
@@ -20,15 +20,17 @@
 //!   *skimmed* — run through the same GraftBin
 //!   decoder, field for field, as the full record, with visitors that
 //!   check and drop what they read (see [`VertexHead`]) — so exactly the
-//!   payloads that would decode in full pass, and none is built. A v3
+//!   payloads that would decode in full pass, and none is built. A
 //!   payload's edge back-reference is checked against the channel's
 //!   inline rows before it, and a broadcast's count against its edges
 //!   (see [`walk_vertex_channel`]). Index frames
-//!   and master records are decoded outright; they are small.
+//!   and master records are decoded outright; they are small, and each
+//!   index frame's context — superstep, global data, aggregator values —
+//!   is kept, once per group, for the rows of its group.
 //! * **What the index holds.** Per superstep, one three-word entry per
 //!   row, sorted by rendered vertex id: the byte range of the record's
 //!   frame payload, located by walking frame headers, the worker file it
-//!   lies in, and three flag bits —
+//!   lies in, the group it lies in, and three flag bits —
 //!   message violation, vertex-value violation, exception. The sort keys
 //!   are dropped once the rows are sorted; no tree is kept. The
 //!   superstep listing, its M/V/E indicators and the choice of rows the
@@ -39,7 +41,8 @@
 //!   from the payload with no tree built ([`UntypedSession::digests`]).
 //!   What shows a whole record — the violations view its flagged rows,
 //!   a reproducer its one row — decodes the payload once into the
-//!   record an [`UntypedTrace`] wraps. Edges held by reference are read,
+//!   record an [`UntypedTrace`] wraps. Both take the superstep and
+//!   context from the row's group. Edges held by reference are read,
 //!   one hop, from the frame they name, and a broadcast is listed along
 //!   them. A point lookup probes O(log rows)
 //!   rows with the head skim and decodes what it returns. A superstep
@@ -47,9 +50,9 @@
 //!   then — which is what lets the debug server paginate large supersteps
 //!   without holding decoded records for whole jobs in memory.
 //!
-//! The per-superstep index frames let [`UntypedSession::open_partial`]
-//! skip whole superstep groups of a v3 channel beyond the live watermark
-//! without touching their payloads.
+//! The index frames let [`UntypedSession::open_partial`] skip whole
+//! groups of a channel beyond the live watermark without touching their
+//! payloads.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -62,9 +65,9 @@ use serde_json::Value;
 use crate::session::{read_channel, read_json, read_result, Indicators, SessionError};
 use crate::trace::{
     decode_master_records, master_trace_path, meta_path, violation_flag, walk_vertex_channel,
-    worker_trace_path, ChannelKind, ChannelRecord, ErasedVertexTrace, JobMeta, JobResultRecord,
-    MasterTrace, RowDigest, VertexChannel, VertexHead, FLAG_EXCEPTION, FLAG_MESSAGE_VIOLATION,
-    FLAG_VALUE_VIOLATION,
+    worker_trace_path, ChannelKind, ChannelRecord, ErasedVertexTrace, IndexRecord, JobMeta,
+    JobResultRecord, MasterTrace, RowDigest, VertexChannel, VertexHead, FLAG_EXCEPTION,
+    FLAG_MESSAGE_VIOLATION, FLAG_VALUE_VIOLATION,
 };
 
 /// Renders a type-erased value as the views show it: a string as itself,
@@ -170,9 +173,10 @@ impl UntypedTrace {
 
 /// Reads worker `worker`'s trace file under `root` through the door, and
 /// walks it, invoking `row` for every vertex record within the watermark
-/// with the record's head and its payload byte range; returns the v3
-/// channel walked, empty if the worker wrote no file. A payload is skimmed, not
-/// decoded (see [`VertexHead`]), and its edge reference checked
+/// with the record's head and its [`RowRef`]; returns the v4 channel
+/// walked, empty if the worker wrote no file, and the index records of
+/// its groups, in channel order. A payload is skimmed, not decoded (see
+/// [`VertexHead`]), and its edge reference checked
 /// ([`walk_vertex_channel`]). Shared by [`JobSummary::scan`] and
 /// [`UntypedSession::open`] so a job summarizes if and only if it opens.
 ///
@@ -190,20 +194,32 @@ fn walk_worker_rows(
     worker: usize,
     meta: &JobMeta,
     up_to: Option<u64>,
-    mut row: impl FnMut(VertexHead, usize, usize),
-) -> Result<Vec<u8>, SessionError> {
+    mut row: impl FnMut(VertexHead, RowRef),
+) -> Result<(Vec<u8>, Vec<IndexRecord>), SessionError> {
     let path = worker_trace_path(root, worker);
     let bytes = read_channel(fs, &path, meta, ChannelKind::Worker, up_to.is_some())?;
+    let held = u32::try_from(worker).expect("fewer than 2^32 workers");
+    let mut groups: Vec<IndexRecord> = Vec::new();
     walk_vertex_channel(VertexChannel::new(&bytes), up_to, |frame, read| {
-        if let ChannelRecord::Vertex(head) = read {
-            if up_to.is_none_or(|w| head.superstep <= w) {
-                row(head, frame.payload_start, frame.payload.len());
+        match read {
+            ChannelRecord::Index(index) => groups.push(index),
+            ChannelRecord::Vertex(head) if up_to.is_none_or(|w| head.superstep <= w) => {
+                let too_many = |_| graft_codec::Error::Message("over 2^32 bytes or groups".into());
+                let row_ref = RowRef {
+                    start: frame.payload_start,
+                    len: u32::try_from(frame.payload.len()).map_err(too_many)?,
+                    worker: held,
+                    group: u32::try_from(groups.len().saturating_sub(1)).map_err(too_many)?,
+                    flags: head.flags,
+                };
+                row(head, row_ref);
             }
+            ChannelRecord::Vertex(_) => {}
         }
         Ok(())
     })
     .map_err(|e| SessionError::decode(path, e))?;
-    Ok(bytes)
+    Ok((bytes, groups))
 }
 
 /// The listing-only facts of a job: metadata, terminal status, and
@@ -226,7 +242,7 @@ impl JobSummary {
         let meta: JobMeta = read_json(fs, &meta_path(root))?;
         let mut counts: BTreeMap<u64, usize> = BTreeMap::new();
         for worker in 0..meta.num_workers {
-            walk_worker_rows(fs, root, worker, &meta, None, |head, _, _| {
+            walk_worker_rows(fs, root, worker, &meta, None, |head, _| {
                 *counts.entry(head.superstep).or_default() += 1;
             })?;
         }
@@ -261,25 +277,29 @@ impl JobSummary {
 }
 
 /// One trace record in the row index: the byte range of its frame
-/// payload inside a worker channel, and the `FLAG_*` bits of its head.
-/// Three words a row.
+/// payload inside a worker channel, the group of that channel it lies
+/// in, and the `FLAG_*` bits of its head. Three words a row.
 #[derive(Clone, Copy, Debug)]
 struct RowRef {
     start: usize,
-    len: usize,
+    len: u32,
     worker: u32,
+    group: u32,
     flags: u8,
 }
 
 /// A type-erased debug session over a run's traces, in any format.
 ///
-/// Holds the v3 worker channels plus a per-superstep row index sorted by
-/// rendered vertex id and carrying each row's violation/exception flags;
-/// individual rows are decoded on demand (see the module docs).
+/// Holds the v4 worker channels and the index records of their groups,
+/// plus a per-superstep row index sorted by rendered vertex id and
+/// carrying each row's violation/exception flags; individual rows are
+/// decoded on demand (see the module docs).
 pub struct UntypedSession {
     meta: JobMeta,
     result: Option<JobResultRecord>,
     workers: Vec<Vec<u8>>,
+    /// Per worker, the index record of each group, in channel order.
+    groups: Vec<Vec<IndexRecord>>,
     index: BTreeMap<u64, Vec<RowRef>>,
     master: Vec<MasterTrace>,
 }
@@ -322,16 +342,15 @@ impl UntypedSession {
         // (superstep, rendered vertex) and flags — and nothing else; only
         // the channel bytes and the byte-range index survive, the keys
         // until the rows are sorted.
-        let mut workers: Vec<Vec<u8>> = Vec::new();
+        let (mut workers, mut groups) = (Vec::new(), Vec::new());
         let mut by_superstep: BTreeMap<u64, Vec<(String, RowRef)>> = BTreeMap::new();
         for worker in 0..meta.num_workers {
-            let held = u32::try_from(worker).expect("fewer than 2^32 workers");
-            let walked =
-                walk_worker_rows(fs.as_ref(), root, worker, &meta, up_to, |head, start, len| {
-                    let row = RowRef { start, len, worker: held, flags: head.flags };
+            let (walked, grouped) =
+                walk_worker_rows(fs.as_ref(), root, worker, &meta, up_to, |head, row| {
                     by_superstep.entry(head.superstep).or_default().push((head.vertex, row));
                 })?;
             workers.push(walked);
+            groups.push(grouped);
         }
         let index = by_superstep
             .into_iter()
@@ -348,29 +367,32 @@ impl UntypedSession {
 
         let result = read_result(fs.as_ref(), root)?;
 
-        Ok(Self { meta, result, workers, index, master })
+        Ok(Self { meta, result, workers, groups, index, master })
     }
 
-    /// The worker channel a row lies in, and the row's frame payload.
-    fn row_bytes(&self, row: &RowRef) -> (VertexChannel<'_>, &[u8]) {
-        let bytes = &self.workers[row.worker as usize];
-        (VertexChannel::new(bytes), &bytes[row.start..row.start + row.len])
+    /// The worker channel a row lies in, the row's frame payload, and the
+    /// index record of its group.
+    fn row_bytes(&self, row: &RowRef) -> (VertexChannel<'_>, &[u8], Option<&IndexRecord>) {
+        let (worker, start) = (row.worker as usize, row.start);
+        let bytes = &self.workers[worker];
+        let group = self.groups[worker].get(row.group as usize);
+        (VertexChannel::new(bytes), &bytes[start..start + row.len as usize], group)
     }
 
     fn parse_row(&self, row: &RowRef) -> UntypedTrace {
-        let (channel, bytes) = self.row_bytes(row);
-        UntypedTrace(channel.record(bytes).expect("rows were validated by open()"))
+        let (channel, bytes, group) = self.row_bytes(row);
+        UntypedTrace(channel.record(bytes, group).expect("rows were validated by open()"))
     }
 
     fn digest_row(&self, row: &RowRef, with_edges: bool) -> RowDigest {
-        let (channel, bytes) = self.row_bytes(row);
-        channel.digest(bytes, with_edges).expect("rows were validated by open()")
+        let (channel, bytes, group) = self.row_bytes(row);
+        channel.digest(bytes, group, with_edges).expect("rows were validated by open()")
     }
 
     /// The rendered vertex id of a row: the key the index is sorted by.
     fn vertex_of(&self, row: &RowRef) -> String {
-        let (channel, bytes) = self.row_bytes(row);
-        channel.head(bytes).expect("rows were validated by open()").vertex
+        let (channel, bytes, group) = self.row_bytes(row);
+        channel.head(bytes, group).expect("rows were validated by open()").vertex
     }
 
     /// The rows of `rows` (one superstep's, in index order) whose vertex
@@ -583,7 +605,7 @@ mod tests {
         fs.write_all(&meta_path(json_root), &serde_json::to_vec(&meta).unwrap()).unwrap();
         let export = |kind, path: String, to: String| {
             let bytes = fs.read_all(&path).unwrap();
-            let lines = convert_channel(kind, TraceFormat::BinaryV3, TraceFormat::JsonLines, bytes);
+            let lines = convert_channel(kind, TraceFormat::NATIVE, TraceFormat::JsonLines, bytes);
             fs.write_all(&to, &lines.unwrap()).unwrap();
         };
         for w in 0..2 {
@@ -594,7 +616,7 @@ mod tests {
         let json = UntypedSession::open(fs.clone(), json_root).unwrap();
         let bin = UntypedSession::open(fs.clone(), bin_root).unwrap();
 
-        assert_eq!(bin.meta().format(), TraceFormat::BinaryV3);
+        assert_eq!(bin.meta().format(), TraceFormat::NATIVE);
         assert_eq!(bin.supersteps(), json.supersteps());
         assert_eq!(bin.total_captures(), json.total_captures());
         assert!(bin.total_captures() > 0);
@@ -704,11 +726,11 @@ mod tests {
         assert!(UntypedSession::open_partial(fs.clone(), root, u64::MAX).is_err());
 
         // A payload that does not decode is reported with its frame's
-        // offset: here the tag of the vertex id, right after the one-byte
-        // superstep, names no kind of node.
+        // offset: here the tag of the vertex id, the payload's first byte,
+        // names no kind of node.
         let victim = frames.iter().rfind(|frame| frame.kind == FRAME_VERTEX).unwrap();
         let mut bad_tag = pristine.clone();
-        bad_tag[victim.payload_start + 1] = 9;
+        bad_tag[victim.payload_start] = 9;
         fs.write_all(&path, &bad_tag).unwrap();
         let err = UntypedSession::open(fs.clone(), root).map(|_| ()).unwrap_err().to_string();
         assert!(err.contains(&format!("tag 9 at byte {}", victim.start)), "{err}");
@@ -770,7 +792,7 @@ mod tests {
     fn vertex_at_is_the_first_match_of_a_linear_scan() {
         use crate::trace::{ChannelWriter, VertexTrace};
         use graft_pregel::GlobalData;
-        for format in [TraceFormat::JsonLines, TraceFormat::BinaryV3] {
+        for format in [TraceFormat::JsonLines, TraceFormat::NATIVE] {
             let root = "/t/untyped-vertex-at";
             let fs: Arc<dyn FileSystem> = Arc::new(graft_dfs::InMemoryFs::new());
             let meta = JobMeta {

@@ -14,7 +14,7 @@ use std::sync::{Arc, Mutex};
 
 use graft::trace::{
     convert_channel, decode_vertex_records, worker_trace_path, ChannelKind, ErasedVertexTrace,
-    TraceFormat, WireOutgoing, WireVertexTrace, FRAME_VERTEX,
+    IndexRecord, TraceFormat, WireOutgoing, WireVertexTrace, FRAME_INDEX, FRAME_VERTEX,
 };
 use graft::untyped::{UntypedSession, UntypedTrace};
 use graft::views::json as vj;
@@ -124,17 +124,21 @@ fn check<C: Computation<Id = u64>>(run: &GraftRun<Witnessed<C>>, sends: &Sends) 
             lines.push(text(&expected) + "\n");
         }
 
-        let (v3, json) = (TraceFormat::BinaryV3, TraceFormat::JsonLines);
+        let (native, json) = (TraceFormat::NATIVE, TraceFormat::JsonLines);
         let kind = ChannelKind::Worker;
-        let exported = convert_channel(kind, v3, json, captured.clone()).unwrap();
+        let exported = convert_channel(kind, native, json, captured.clone()).unwrap();
         assert_eq!(String::from_utf8(exported.clone()).unwrap(), lines.concat(), "the export");
-        assert_eq!(convert_channel(kind, json, v3, exported).unwrap(), captured, "the import");
+        assert_eq!(convert_channel(kind, json, native, exported).unwrap(), captured, "the import");
 
         let mut scanner = FrameScanner::new(&captured);
+        let mut superstep = None;
         while let Some(frame) = scanner.next_frame().unwrap() {
-            if frame.kind == FRAME_VERTEX {
+            if frame.kind == FRAME_INDEX {
+                let group: IndexRecord = graft_codec::from_slice(frame.payload).unwrap();
+                superstep = Some(group.superstep);
+            } else if frame.kind == FRAME_VERTEX {
                 let wire: WireVertexTrace = graft_codec::from_slice(frame.payload).unwrap();
-                let key = (wire.superstep, wire.vertex.0.as_u64().unwrap());
+                let key = (superstep.unwrap(), wire.vertex.0.as_u64().unwrap());
                 forms.insert(key, matches!(wire.outgoing, WireOutgoing::Broadcast(_)));
             }
         }

@@ -4,19 +4,24 @@
 //!   JSON-lines export;
 //! * a binary channel writes a vertex's adjacency inline once per version
 //!   of it — at the vertex's first capture and after each edit — and by
-//!   back-reference at every other capture.
+//!   back-reference at every other capture;
+//! * a binary channel writes a superstep's context — its global data and
+//!   aggregator values — once, in the index frame of the superstep's
+//!   group, whatever the number of records in it.
 
 use std::sync::Arc;
 
 use graft::trace::{
     convert_channel, decode_vertex_records, worker_trace_path, ChannelKind, ErasedVertexTrace,
-    TraceFormat, WireEdges, WireVertexTrace, FRAME_VERTEX,
+    TraceFormat, WireEdges, WireVertexTrace, FRAME_INDEX, FRAME_VERTEX,
 };
 use graft::{DebugConfig, GraftRunner};
 use graft_algorithms::pagerank::PageRank;
 use graft_codec::frame::FrameScanner;
 use graft_dfs::FileSystem;
-use graft_pregel::{Computation, ContextOf, Graph, VertexHandleOf};
+use graft_pregel::{
+    AggOp, AggValue, AggregatorRegistry, Computation, ContextOf, Graph, VertexHandleOf,
+};
 
 const WORKERS: usize = 4;
 const ROOT: &str = "/traces/bytes";
@@ -99,7 +104,7 @@ fn binary_channels_are_at_most_half_the_json_bytes() {
         let binary_len = bytes.len();
         let lines = convert_channel(
             ChannelKind::Worker,
-            TraceFormat::BinaryV3,
+            TraceFormat::NATIVE,
             TraceFormat::JsonLines,
             bytes,
         );
@@ -153,4 +158,53 @@ fn an_edited_adjacency_is_written_inline_again_after_each_edit() {
     // Edits in supersteps 1, 3 and 5 show in the captures of 2, 4 and 6:
     // three more lists for each of the 16 editing vertices.
     assert_eq!(assert_inline_once_per_version(&fs), 48 + 16 * 3);
+}
+
+/// Forwards its value for four supersteps, summing the vertex ids into an
+/// aggregator every superstep.
+struct Tally;
+
+impl Computation for Tally {
+    type Id = u64;
+    type VValue = f64;
+    type EValue = ();
+    type Message = f64;
+
+    fn compute(
+        &self,
+        vertex: &mut VertexHandleOf<'_, Self>,
+        _messages: &[f64],
+        ctx: &mut ContextOf<'_, Self>,
+    ) {
+        if ctx.superstep() >= 4 {
+            vertex.vote_to_halt();
+            return;
+        }
+        ctx.aggregate("ids", AggValue::Long(vertex.id() as i64));
+        ctx.send_message_to_all_edges(vertex, *vertex.value());
+    }
+
+    fn register_aggregators(&self, registry: &mut AggregatorRegistry) {
+        registry.register("ids", AggOp::Sum, AggValue::Long(0));
+    }
+}
+
+#[test]
+fn a_supersteps_context_is_written_once_per_channel() {
+    let fs = capture(Tally, ring(48));
+    for w in 0..WORKERS {
+        let bytes = fs.read_all(&worker_trace_path(ROOT, w)).unwrap();
+        let mut scanner = FrameScanner::new(&bytes);
+        let frames: Vec<_> = std::iter::from_fn(|| scanner.next_frame().unwrap()).collect();
+        let groups = frames.iter().filter(|frame| frame.kind == FRAME_INDEX).count();
+        assert_eq!(groups, 5, "worker {w}: one group per superstep");
+        // Every record of a superstep saw the sum its predecessor made.
+        let records: Vec<ErasedVertexTrace> = decode_vertex_records(&bytes).unwrap();
+        assert_eq!(records.len(), frames.len() - groups);
+        for record in records {
+            let sum = if record.superstep == 0 { 0 } else { (0..48).sum() };
+            assert_eq!(record.aggregators, [("ids".to_string(), AggValue::Long(sum))]);
+            assert_eq!(record.global.superstep, record.superstep);
+        }
+    }
 }

@@ -352,7 +352,7 @@ fn binary_codec_roundtrips_through_the_session() {
         .run(premade::cycle(4, 1i64), "/t/binary")
         .unwrap();
     let session = run.session().unwrap();
-    assert_eq!(session.meta().format(), TraceFormat::BinaryV3);
+    assert_eq!(session.meta().format(), TraceFormat::NATIVE);
     assert_eq!(session.total_captures(), 3);
     assert!(session.vertex_at(2, 1).is_some());
 }

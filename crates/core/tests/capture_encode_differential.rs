@@ -5,7 +5,9 @@
 //! equal `write_value_frame(FRAME_VERTEX, &wire_vertex_trace(..))` —
 //! whether it is encoded from an owned `VertexTrace` or from a
 //! `VertexCapture` borrowing engine-shaped state — and a record captured
-//! again, its edges by reference, must equal `WireVertexTrace`'s frame.
+//! again, its edges by reference, must equal `WireVertexTrace`'s frame;
+//! the index frame a channel writer opens the record's group with must
+//! equal `IndexRecord`'s.
 //! The reference decides the broadcast form of `outgoing` on the
 //! encodings of its trees; records that send one message along every edge
 //! are drawn for every shape that can.
@@ -19,8 +21,8 @@ use common::{
     random_trace, random_u64, rw_value, Rng64,
 };
 use graft::trace::{
-    Broadcast, CaptureError, EdgeRefs, ErasedVertexTrace, TraceRecord, VertexCapture, WireEdges,
-    WireOutgoing, WireVertexTrace, FRAME_VERTEX,
+    Broadcast, CaptureError, ChannelWriter, ErasedVertexTrace, IndexRecord, TraceRecord,
+    VertexCapture, WireEdges, WireOutgoing, WireVertexTrace, FRAME_INDEX, FRAME_VERTEX,
 };
 use graft::VertexTrace;
 use graft_codec::frame::FrameScanner;
@@ -63,15 +65,12 @@ where
     let edges: Vec<_> = trace.edges.iter().map(|(i, e)| (leaf(i), leaf(e))).collect();
     let pairs = trace.outgoing.iter().map(|(i, m)| (leaf(i), leaf(m))).collect();
     WireVertexTrace {
-        superstep: trace.superstep,
         vertex: leaf(&trace.vertex),
         value_before: leaf(&trace.value_before),
         value_after: leaf(&trace.value_after),
         outgoing: wire_outgoing(&edges, pairs),
         edges: WireEdges::Inline(edges),
         incoming: trace.incoming.iter().map(leaf).collect(),
-        aggregators: trace.aggregators.clone(),
-        global: trace.global,
         halted_after: trace.halted_after,
         reasons: trace.reasons.clone(),
         violations: trace.violations.clone(),
@@ -122,6 +121,9 @@ where
         outgoing: &trace.outgoing,
         aggregators: trace.aggregators.iter().map(|(name, value)| (name.as_str(), value)),
         global: trace.global,
+        // One version for both captures below: the second is in the
+        // group the first opens, with no context encoded.
+        context_version: Some(1),
         halted_after: trace.halted_after,
         reasons: &trace.reasons,
         violations: &trace.violations,
@@ -141,16 +143,26 @@ where
     erased.encode_binary_frame(&mut converted).unwrap();
     assert_eq!(converted, reference, "type-erased record: {trace:?}");
 
-    // Captured again behind itself, the record's edges may become a
-    // reference; that frame too is what `WireVertexTrace` encodes to.
-    let mut channel = Vec::new();
-    let mut refs = EdgeRefs::default();
+    // In a channel the record opens a group whose index frame is
+    // `IndexRecord`'s. Captured again behind itself, the record is in
+    // that group, and its edges may become a reference; that frame too is
+    // what `WireVertexTrace` encodes to.
+    let (mut writer, mut channel) = (ChannelWriter::default(), Vec::new());
     for _ in 0..2 {
-        let offset = channel.len() as u64;
-        capture.encode_channel_frame(&mut channel, &mut refs, offset).unwrap();
+        writer.append_vertex(&capture, &mut channel).unwrap();
     }
-    assert_eq!(channel[..reference.len()], reference);
-    let again = &channel[reference.len()..];
+    let index = IndexRecord {
+        superstep: trace.superstep,
+        records_before: 0,
+        bytes_before: 0,
+        global: trace.global,
+        aggregators: trace.aggregators.clone(),
+    };
+    let mut opened = Vec::new();
+    graft_codec::frame::write_value_frame(&mut opened, FRAME_INDEX, &index).unwrap();
+    opened.extend_from_slice(&reference);
+    assert_eq!(channel[..opened.len()], opened, "the group: {trace:?}");
+    let again = &channel[opened.len()..];
     let frame = FrameScanner::new(again).next_frame().unwrap().unwrap();
     let wire: WireVertexTrace = graft_codec::from_slice(frame.payload).unwrap();
     let mut rewritten = Vec::new();

@@ -9,7 +9,7 @@ use std::sync::{Arc, Mutex};
 
 use graft::trace::{
     decode_vertex_records, ChannelWriter, ErasedVertexTrace, WireEdges, WireVertexTrace,
-    FRAME_VERTEX,
+    FRAME_INDEX, FRAME_VERTEX,
 };
 use graft::{DebugConfig, GraftRun, GraftRunner};
 use graft_algorithms::components::ConnectedComponents;
@@ -19,7 +19,10 @@ use graft_codec::frame::FrameScanner;
 use graft_codec::BinValue;
 use graft_dfs::{ClusterFs, ClusterFsConfig, FileSystem};
 use graft_obs::{Obs, Scope};
-use graft_pregel::{Computation, ContextOf, FaultPlan, Graph, RecoveryMode, VertexHandleOf};
+use graft_pregel::{
+    AggOp, AggValue, AggregatorRegistry, Computation, ContextOf, FaultPlan, GlobalData, Graph,
+    RecoveryMode, VertexHandleOf,
+};
 
 const TRACE_ROOT: &str = "/traces/chaos";
 
@@ -393,10 +396,10 @@ fn edge_references_survive_recovery_and_budgets_byte_for_byte() {
     // Those of a run on one thread (`taskset -c 0`): the channels do not
     // depend on how many threads ran the partitions.
     let one_thread: &[(&str, usize, u64)] = &[
-        ("/traces/chaos/worker_0.trace", 1816, 0xbb4a711c59e53c06),
-        ("/traces/chaos/worker_1.trace", 1813, 0x326f7455973659d4),
-        ("/traces/chaos/worker_2.trace", 1814, 0x6d84e785927b8ada),
-        ("/traces/chaos/worker_3.trace", 1817, 0x3c027fbb8dbcfc33),
+        ("/traces/chaos/worker_0.trace", 1601, 0xa79691a3d2932f5f),
+        ("/traces/chaos/worker_1.trace", 1598, 0x59c9835e784cf9d0),
+        ("/traces/chaos/worker_2.trace", 1605, 0x442c338adbcace48),
+        ("/traces/chaos/worker_3.trace", 1602, 0x1bc395c834c7a2dc),
     ];
     let rendered: Vec<String> = expected
         .iter()
@@ -457,17 +460,26 @@ impl Computation for Splice {
     }
 }
 
-/// Each vertex's out-edges at compute entry, type-erased as a trace
-/// reads them, by `(superstep, vertex)`.
-type EntryEdges = Arc<Mutex<BTreeMap<(u64, u64), Vec<(BinValue, BinValue)>>>>;
+/// What `compute` was handed, independent of any trace: a vertex's
+/// out-edges at compute entry, type-erased as a trace reads them, and the
+/// context — global data and aggregator values — it ran in.
+struct Entry {
+    edges: Vec<(BinValue, BinValue)>,
+    global: GlobalData,
+    aggregators: Vec<(String, AggValue)>,
+}
 
-/// Runs `C`, noting each vertex's entry edges as it goes: what the
-/// engine handed `compute`, independent of any trace. (`Rewire` and
-/// `Splice` use no combiner and no aggregator, so nothing else is
-/// forwarded.)
+/// Each compute call's [`Entry`], by `(superstep, vertex)`; a superstep
+/// run again after a fault overwrites what its first run noted.
+type Entries = Arc<Mutex<BTreeMap<(u64, u64), Entry>>>;
+
+/// Runs `C`, noting each call's [`Entry`] as it goes, and adds an
+/// aggregator of its own whose value moves every superstep, so that every
+/// superstep's context differs from the last. (`Rewire` and `Splice` use
+/// no combiner and no aggregator, so nothing else is forwarded.)
 struct Witnessed<C> {
     inner: C,
-    seen: EntryEdges,
+    seen: Entries,
 }
 
 impl<C: Computation<Id = u64>> Computation for Witnessed<C> {
@@ -488,16 +500,29 @@ impl<C: Computation<Id = u64>> Computation for Witnessed<C> {
                 graft_codec::to_bin_value(&e.value).unwrap(),
             )
         });
-        self.seen.lock().unwrap().insert((ctx.superstep(), vertex.id()), edges.collect());
+        let entry = Entry {
+            edges: edges.collect(),
+            global: ctx.global(),
+            aggregators: ctx.aggregator_snapshot(),
+        };
+        let (superstep, id) = (ctx.superstep(), vertex.id());
+        self.seen.lock().unwrap().insert((superstep, id), entry);
+        ctx.aggregate("witness", AggValue::Long((superstep * id) as i64));
         self.inner.compute(vertex, messages, ctx);
+    }
+
+    fn register_aggregators(&self, registry: &mut AggregatorRegistry) {
+        registry.register("witness", AggOp::Sum, AggValue::Long(0));
     }
 }
 
 /// Runs `computation` on the chaos graph of 24 vertices under `plan`
 /// (checkpoints every 2 supersteps if any) and an optional memory budget.
-/// Then every worker channel must be the bytes a fresh writer, which has
-/// no adjacency versions and so decides each reference on bytes, writes
-/// for the channel's records with their edges as `compute` saw them.
+/// Then the channels must hold one record of every compute call, and
+/// every worker channel must be the bytes a fresh writer, which has no
+/// adjacency or context versions and so decides each reference and each
+/// group on bytes, writes for the channel's records with their edges and
+/// context as `compute` saw them.
 fn assert_versions_write_the_byte_rule<C>(
     computation: C,
     plan: &str,
@@ -507,7 +532,7 @@ fn assert_versions_write_the_byte_rule<C>(
 ) where
     C: Computation<Id = u64, VValue = u64, EValue = ()>,
 {
-    let seen = EntryEdges::default();
+    let seen = Entries::default();
     let cluster = cluster();
     let computation = Witnessed { inner: computation, seen: seen.clone() };
     let config = DebugConfig::builder().capture_all_active(true).build();
@@ -530,14 +555,18 @@ fn assert_versions_write_the_byte_rule<C>(
     assert_eq!(spills > 0, budget.is_some(), "{label}: spilled exactly when budgeted");
 
     let seen = seen.lock().unwrap();
-    let mut references = 0;
+    let (mut references, mut groups) = (0, 0);
+    let mut captured = BTreeMap::new();
     for (path, native) in trace_files(&cluster).into_iter().filter(|(p, _)| p.contains("/worker_"))
     {
         let records: Vec<ErasedVertexTrace> = decode_vertex_records(&native).unwrap();
         let (mut writer, mut rebuilt) = (ChannelWriter::default(), Vec::new());
         for mut record in records {
-            let vertex = record.vertex.0.as_u64().unwrap();
-            record.edges = seen[&(record.superstep, vertex)].clone();
+            let key = (record.superstep, record.vertex.0.as_u64().unwrap());
+            *captured.entry(key).or_insert(0) += 1;
+            let entry = &seen[&key];
+            record.edges = entry.edges.clone();
+            (record.global, record.aggregators) = (entry.global, entry.aggregators.clone());
             writer.append_vertex(&record, &mut rebuilt).unwrap();
         }
         assert!(rebuilt == native, "{label}: {path} is not what the byte rule writes");
@@ -547,18 +576,30 @@ fn assert_versions_write_the_byte_rule<C>(
                 let wire: WireVertexTrace = graft_codec::from_slice(frame.payload).unwrap();
                 references += usize::from(matches!(wire.edges, WireEdges::At(_)));
             }
+            groups += usize::from(frame.kind == FRAME_INDEX);
         }
     }
+    // A record filed under another superstep's group is a key `compute`
+    // never saw there, and leaves the one it did see uncaptured.
+    assert!(
+        captured.keys().eq(seen.keys()) && captured.values().all(|count| *count == 1),
+        "{label}: the channels do not hold one record of every compute call"
+    );
     assert!(references > 0, "{label}: no edge list was written by reference");
+    let supersteps = seen.keys().map(|(superstep, _)| superstep).max().unwrap() + 1;
+    assert_eq!(groups as u64, supersteps * 4, "{label}: one group per channel and superstep");
 }
 
-/// The differential for the adjacency-version fast path: whatever the
-/// versions let the writer skip, every channel is what the byte rule
-/// writes for the edges `compute` actually saw. A partition that kept its
-/// version across an edge change would have the writer refer back to a
-/// stale list, which the channel, decoded and written again, repeats;
-/// the witnessed edges do not. Covers local edits (`Rewire`), remote edge
-/// mutations (`Splice`), both recovery modes, and spilling.
+/// The differential for the adjacency- and context-version fast paths:
+/// whatever the versions let the writer skip, every channel is what the
+/// byte rule writes for the edges and context `compute` actually saw. A
+/// partition that kept its version across an edge change would have the
+/// writer refer back to a stale list, which the channel, decoded and
+/// written again, repeats; the witnessed edges do not. A context version
+/// reused for another superstep would have the writer file a record in
+/// the group before, which the witnessed calls do not. Covers local edits
+/// (`Rewire`), remote edge mutations (`Splice`), both recovery modes, and
+/// spilling.
 #[test]
 fn edge_references_by_version_are_what_the_byte_rule_writes() {
     let cells = [

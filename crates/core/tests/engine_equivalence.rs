@@ -9,8 +9,9 @@
 //!   configuration. They pin the surviving path to the bytes the deleted
 //!   one produced, not merely to itself. The trace-file checksums were
 //!   regenerated once when binary traces moved to layout v2 (each
-//!   adjacency written once), and once more at layout v3 (one message
-//!   sent along every edge written once); nothing else moved.
+//!   adjacency written once), once more at layout v3 (one message sent
+//!   along every edge written once), and once at layout v4 (a
+//!   superstep's context written once per group); nothing else moved.
 //! * **Oracle.** The four fault-free cells must also equal
 //!   `graft_pregel::reference::run_sequential` at four partitions on
 //!   final values (bit-for-bit), counters and halt reason.
@@ -235,12 +236,12 @@ fn faulted_pagerank_recovers_to_the_legacy_golden() {
 const PAGERANK: Golden = Golden {
     files: &[
         ("/master.trace", 0, 0xcbf29ce484222325),
-        ("/meta.json", 919, 0xcc01f2bb48f6b6b0),
+        ("/meta.json", 919, 0xeabd11c4d76815bb),
         ("/result.json", 135, 0xe21ddde9e992313b),
-        ("/worker_0.trace", 7271, 0xf97d959455f03c50),
-        ("/worker_1.trace", 7271, 0xc264e3891203f814),
-        ("/worker_2.trace", 7271, 0x48f0a6ca1bd8e3ec),
-        ("/worker_3.trace", 7271, 0x3b2a736b94eae370),
+        ("/worker_0.trace", 6655, 0x78809df1750c3579),
+        ("/worker_1.trace", 6655, 0x40d98f3e690231dd),
+        ("/worker_2.trace", 6655, 0x9fc574ac99bf3cc9),
+        ("/worker_3.trace", 6655, 0xb62a2a122bae9e8d),
     ],
     checksum: 0xfa979ad63cc18845,
     halt_reason: HaltReason::AllVerticesHalted,
@@ -263,12 +264,12 @@ const PAGERANK: Golden = Golden {
 const SSSP: Golden = Golden {
     files: &[
         ("/master.trace", 0, 0xcbf29ce484222325),
-        ("/meta.json", 926, 0x8ef103fb83529141),
+        ("/meta.json", 926, 0x5aa897fc05cdb40c),
         ("/result.json", 135, 0xa9067f3f057c6a80),
-        ("/worker_0.trace", 1802, 0x2ab6837490007f52),
-        ("/worker_1.trace", 1848, 0x68844f70990feaad),
-        ("/worker_2.trace", 1841, 0x521ddca2a5528e4a),
-        ("/worker_3.trace", 1801, 0x437ed8fbcf17f2b7),
+        ("/worker_0.trace", 1681, 0xe0488d93f82d1ebe),
+        ("/worker_1.trace", 1722, 0xa12925b52ecfe26e),
+        ("/worker_2.trace", 1711, 0xfdee07deac68f4fd),
+        ("/worker_3.trace", 1680, 0xfb1dc05bf9d4ac47),
     ],
     checksum: 0x9f44dee8c9bba0f7,
     halt_reason: HaltReason::AllVerticesHalted,
@@ -291,12 +292,12 @@ const SSSP: Golden = Golden {
 const COMPONENTS: Golden = Golden {
     files: &[
         ("/master.trace", 0, 0xcbf29ce484222325),
-        ("/meta.json", 943, 0x24fcd30fcaca5821),
+        ("/meta.json", 943, 0x8d101aa7a1c76fee),
         ("/result.json", 135, 0x6aac4a88d8e98229),
-        ("/worker_0.trace", 2705, 0xbfb57495270fa477),
-        ("/worker_1.trace", 2595, 0x4c63d894da5b4d28),
-        ("/worker_2.trace", 2589, 0x7e24eb360db2218c),
-        ("/worker_3.trace", 2505, 0x10e987ce1319a8ab),
+        ("/worker_0.trace", 2261, 0x7037a6a13cd827e2),
+        ("/worker_1.trace", 2166, 0x376ebdbabf1486cd),
+        ("/worker_2.trace", 2157, 0xfc86a3d261401c33),
+        ("/worker_3.trace", 2096, 0x079943962d7a23e1),
     ],
     checksum: 0x1566a3b08b8c8b25,
     halt_reason: HaltReason::AllVerticesHalted,
@@ -319,12 +320,12 @@ const COMPONENTS: Golden = Golden {
 const COLORING: Golden = Golden {
     files: &[
         ("/master.trace", 1260, 0x03815a96983ddadc),
-        ("/meta.json", 1012, 0xfc444e969d8bd93a),
+        ("/meta.json", 1012, 0x1d0c490f4d9af1b5),
         ("/result.json", 135, 0x997a581ffa15309c),
-        ("/worker_0.trace", 31752, 0x3e65c30c7e49a054),
-        ("/worker_1.trace", 32669, 0x99bf964fbe124884),
-        ("/worker_2.trace", 33222, 0x68accfd74175b86e),
-        ("/worker_3.trace", 32887, 0x971cf210871278dd),
+        ("/worker_0.trace", 22555, 0x778f0e33b90893cb),
+        ("/worker_1.trace", 23293, 0x05f3dc4aa73df778),
+        ("/worker_2.trace", 23493, 0x1827644d8ac4d6a2),
+        ("/worker_3.trace", 23399, 0xeb47f5a1eccfb6cf),
     ],
     checksum: 0x441441b3462a5686,
     halt_reason: HaltReason::AllVerticesHalted,
@@ -359,12 +360,12 @@ const COLORING: Golden = Golden {
 const PAGERANK_FAULTED: Golden = Golden {
     files: &[
         ("/master.trace", 0, 0xcbf29ce484222325),
-        ("/meta.json", 937, 0xd7c98ebba01bfd38),
+        ("/meta.json", 937, 0x5dcaaf2575323683),
         ("/result.json", 135, 0xe21ddde9e992313b),
-        ("/worker_0.trace", 7271, 0xf97d959455f03c50),
-        ("/worker_1.trace", 7271, 0xc264e3891203f814),
-        ("/worker_2.trace", 7271, 0x48f0a6ca1bd8e3ec),
-        ("/worker_3.trace", 7271, 0x3b2a736b94eae370),
+        ("/worker_0.trace", 6655, 0x78809df1750c3579),
+        ("/worker_1.trace", 6655, 0x40d98f3e690231dd),
+        ("/worker_2.trace", 6655, 0x9fc574ac99bf3cc9),
+        ("/worker_3.trace", 6655, 0xb62a2a122bae9e8d),
     ],
     recoveries: 2,
     ..PAGERANK

@@ -1,7 +1,8 @@
 //! Golden trace bytes: FNV-1a checksums of every file two small
 //! deterministic runs leave in their trace directory, in binary layout
-//! v3 (edge lists written once, repeats by back-reference; one message
-//! sent along every edge written once, as a broadcast). Each run also
+//! v4 (edge lists written once, repeats by back-reference; one message
+//! sent along every edge written once, as a broadcast; a superstep's
+//! context written once per group, in its index frame). Each run also
 //! exports its channels to JSON lines and imports the export back, which
 //! must give the captured bytes: the bytes are pinned against the
 //! converter's record-by-record re-encoding and not only against the
@@ -18,8 +19,8 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use graft::trace::{
-    convert_channel, encode_index_frame, master_trace_path, meta_path, worker_trace_path,
-    ChannelKind, IndexRecord, JobMeta, TraceFormat, TraceRecord,
+    convert_channel, master_trace_path, meta_path, worker_trace_path, ChannelKind, ChannelWriter,
+    JobMeta, TraceFormat,
 };
 use graft::untyped::UntypedSession;
 use graft::views::json as vj;
@@ -84,16 +85,17 @@ fn view_checksums(fs: &Arc<dyn FileSystem>, root: &str) -> Vec<(String, usize, u
 /// Asserts that every channel of the two-worker run under `root`,
 /// exported to JSON lines and imported back, is the captured channel.
 fn assert_converts(fs: &Arc<dyn FileSystem>, root: &str) {
-    let (v3, json) = (TraceFormat::BinaryV3, TraceFormat::JsonLines);
+    let (native, json) = (TraceFormat::NATIVE, TraceFormat::JsonLines);
     for worker in 0..2 {
         let captured = fs.read_all(&worker_trace_path(root, worker)).unwrap();
-        let exported = convert_channel(ChannelKind::Worker, v3, json, captured.clone()).unwrap();
-        let imported = convert_channel(ChannelKind::Worker, json, v3, exported).unwrap();
+        let exported =
+            convert_channel(ChannelKind::Worker, native, json, captured.clone()).unwrap();
+        let imported = convert_channel(ChannelKind::Worker, json, native, exported).unwrap();
         assert_eq!(imported, captured, "worker {worker}");
     }
     let captured = fs.read_all(&master_trace_path(root)).unwrap();
-    let exported = convert_channel(ChannelKind::Master, v3, json, captured.clone()).unwrap();
-    let imported = convert_channel(ChannelKind::Master, json, v3, exported).unwrap();
+    let exported = convert_channel(ChannelKind::Master, native, json, captured.clone()).unwrap();
+    let imported = convert_channel(ChannelKind::Master, json, native, exported).unwrap();
     assert_eq!(imported, captured, "master");
 }
 
@@ -128,10 +130,10 @@ fn pagerank_capture_all_on_a_ring_matches_the_golden_bytes() {
         &trace_checksums(run.fs(), "/golden/pagerank"),
         &[
             ("/master.trace", 0, 0xcbf29ce484222325),
-            ("/meta.json", 923, 0xdf9a55a7ab92fde3),
+            ("/meta.json", 923, 0x80a6fcf8f4382c18),
             ("/result.json", 134, 0x717a457666199e07),
-            ("/worker_0.trace", 10262, 0xc5610a2877c35f47),
-            ("/worker_1.trace", 10262, 0xdcf569cd77f9a183),
+            ("/worker_0.trace", 9326, 0xd6fe0a187ea57b7f),
+            ("/worker_1.trace", 9326, 0xdbf8dc8d42ee0adf),
         ],
     );
     assert_golden(
@@ -186,10 +188,10 @@ fn graph_coloring_dc_full_with_master_capture_matches_the_golden_bytes() {
         &trace_checksums(run.fs(), "/golden/coloring"),
         &[
             ("/master.trace", 1527, 0xe5c024cd347ad7db),
-            ("/meta.json", 1113, 0x7e0a53597301f375),
+            ("/meta.json", 1113, 0xad13975de22384fa),
             ("/result.json", 135, 0x71e63516e0dd4c5b),
-            ("/worker_0.trace", 25485, 0xfc630ad60c07cd81),
-            ("/worker_1.trace", 24478, 0x6bc7fd78f33fdde1),
+            ("/worker_0.trace", 18458, 0xf647c63a00160fa7),
+            ("/worker_1.trace", 17857, 0xf7ec54b632528e11),
         ],
     );
     assert_golden(
@@ -207,7 +209,9 @@ fn graph_coloring_dc_full_with_master_capture_matches_the_golden_bytes() {
 /// A trace written record by record (a captured backtrace differs from
 /// build to build, so no job can produce these bytes twice): string
 /// vertex ids, object-valued vertex values, both violation kinds, two
-/// exceptions, and one vertex captured by both workers in one superstep.
+/// exceptions, one vertex captured by both workers in one superstep, and
+/// an aggregator that differs from record to record, so that each record
+/// opens a group of its own.
 #[test]
 fn hand_built_trace_with_violations_and_exceptions_matches_the_golden_view_bytes() {
     #[derive(Clone, serde::Serialize)]
@@ -223,7 +227,7 @@ fn hand_built_trace_with_violations_and_exceptions_matches_the_golden_view_bytes
         master: None,
         value_types: ("String".into(), "Balance".into(), "f64".into(), "i64".into()),
         num_workers: 2,
-        trace_format: Some(TraceFormat::BinaryV3),
+        trace_format: Some(TraceFormat::NATIVE),
         config: vec!["capture_all_active".into()],
         facts: None,
     };
@@ -234,12 +238,10 @@ fn hand_built_trace_with_violations_and_exceptions_matches_the_golden_view_bytes
         detail: detail.into(),
         target: target.map(str::to_string),
     };
-    let mut channels = [(Vec::new(), 0u64), (Vec::new(), 0u64)];
+    let mut channels =
+        [(ChannelWriter::default(), Vec::new()), (ChannelWriter::default(), Vec::new())];
     for superstep in 0..3u64 {
-        for (worker, (buf, records)) in channels.iter_mut().enumerate() {
-            let index =
-                IndexRecord { superstep, records_before: *records, bytes_before: buf.len() as u64 };
-            encode_index_frame(&index, buf).unwrap();
+        for (worker, (writer, buf)) in channels.iter_mut().enumerate() {
             // Worker 1 also captures v4 in superstep 1: a duplicate key.
             let ids = (0..10u64).filter(|v| v % 2 == worker as u64 || (superstep, *v) == (1, 4));
             for v in ids {
@@ -282,12 +284,11 @@ fn hand_built_trace_with_violations_and_exceptions_matches_the_golden_view_bytes
                     violations,
                     exception,
                 };
-                trace.encode_binary_frame(buf).unwrap();
-                *records += 1;
+                writer.append_vertex(&trace, buf).unwrap();
             }
         }
     }
-    for (worker, (buf, _)) in channels.iter().enumerate() {
+    for (worker, (_, buf)) in channels.iter().enumerate() {
         fs.write_all(&worker_trace_path(root, worker), buf).unwrap();
     }
     assert_golden(
@@ -320,7 +321,7 @@ fn node_link_of_repeated_ids_and_shared_targets_matches_the_golden_document() {
         ],
         vec![("9", 4, true, vec![("2", None), ("10", Some("late"))]), ("100", 5, false, vec![])],
     ];
-    for format in [TraceFormat::BinaryV3, TraceFormat::JsonLines] {
+    for format in [TraceFormat::NATIVE, TraceFormat::JsonLines] {
         let root = "/golden/node-link";
         let fs: Arc<dyn FileSystem> = Arc::new(InMemoryFs::new());
         let meta = JobMeta {
@@ -335,7 +336,7 @@ fn node_link_of_repeated_ids_and_shared_targets_matches_the_golden_document() {
         };
         fs.write_all(&meta_path(root), &serde_json::to_vec(&meta).unwrap()).unwrap();
         for (worker, rows) in rows.iter().enumerate() {
-            let mut buf = Vec::new();
+            let (mut writer, mut buf) = (ChannelWriter::default(), Vec::new());
             for (id, value, halted, edges) in rows {
                 let trace = VertexTrace::<String, i64, Option<String>, i64> {
                     superstep: 0,
@@ -367,7 +368,7 @@ fn node_link_of_repeated_ids_and_shared_targets_matches_the_golden_document() {
                         serde_json::to_vec_into(&trace, &mut buf).unwrap();
                         buf.push(b'\n');
                     }
-                    _ => trace.encode_binary_frame(&mut buf).unwrap(),
+                    _ => writer.append_vertex(&trace, &mut buf).unwrap(),
                 }
             }
             fs.write_all(&worker_trace_path(root, worker), &buf).unwrap();

@@ -10,12 +10,16 @@
 //!   `tests/fixtures/legacy_binary_v1_trace/`;
 //! * in binary layout v2, a repeated edge list by back-reference and
 //!   every send as a `(target, message)` pair —
-//!   `tests/fixtures/legacy_binary_v2_trace/`.
+//!   `tests/fixtures/legacy_binary_v2_trace/`;
+//! * in binary layout v3, one message sent along every edge as a
+//!   broadcast, and the superstep, global data and aggregator values in
+//!   every vertex record — `tests/fixtures/legacy_binary_v3_trace/`.
 //!
-//! None has a generator: this version captures layout v3 only. Each
-//! reads, serves what a v3 capture serves, and imports (`trace convert
-//! --to binary`) to the bytes of a v3 capture; and JSON lines, the export
-//! format, gives back the JSON fixture's own bytes.
+//! None has a generator: this version captures the native layout
+//! (`TraceFormat::NATIVE`, v4) only. Each reads, serves what a native
+//! capture serves, and imports (`trace convert --to binary`) to the bytes
+//! of a native capture; and JSON lines, the export format, gives back the
+//! JSON fixture's own bytes.
 
 use std::sync::Arc;
 
@@ -56,6 +60,14 @@ const FIXTURE_FILES: &[&str] =
     &["meta.json", "worker_0.trace", "worker_1.trace", "master.trace", "result.json"];
 
 const CHANNELS: &[&str] = &["worker_0.trace", "worker_1.trace", "master.trace"];
+
+/// Every legacy fixture, oldest first.
+const LEGACY: &[&str] = &[
+    "legacy_binary_v1_trace",
+    "legacy_binary_v2_trace",
+    "legacy_binary_v3_trace",
+    "legacy_json_trace",
+];
 
 fn fixture_dir(name: &str) -> std::path::PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures").join(name)
@@ -156,16 +168,19 @@ fn a_v1_binary_trace_serves_what_v2_and_json_lines_serve() {
     assert_eq!(format_of(&v1), TraceFormat::Binary, "fixture regressed: meta.json must say v1");
     let v2 = load_fixture("legacy_binary_v2_trace");
     assert_eq!(format_of(&v2), TraceFormat::BinaryV2, "fixture regressed: meta.json must say v2");
+    let v3 = load_fixture("legacy_binary_v3_trace");
+    assert_eq!(format_of(&v3), TraceFormat::BinaryV3, "fixture regressed: meta.json must say v3");
 
-    let v3 = capture();
+    let v4 = capture();
     let json = load_fixture("legacy_json_trace");
-    assert_eq!(format_of(&v3), TraceFormat::BinaryV3);
+    assert_eq!(format_of(&v4), TraceFormat::BinaryV4);
     // The same records, fewer bytes each layout: v2 writes each adjacency
-    // once, v3 each message sent along every edge once.
+    // once, v3 each message sent along every edge once, v4 each
+    // superstep's context once.
     for worker in ["worker_0.trace", "worker_1.trace"] {
         let path = format!("/legacy/{worker}");
-        let sizes = [&v1, &v2, &v3].map(|fs| fs.read_all(&path).unwrap().len());
-        assert!(sizes[2] < sizes[1] && sizes[1] < sizes[0], "{worker}: v1, v2, v3 {sizes:?}");
+        let sizes = [&v1, &v2, &v3, &v4].map(|fs| fs.read_all(&path).unwrap().len());
+        assert!(sizes.windows(2).all(|pair| pair[1] < pair[0]), "{worker}: v1 to v4 {sizes:?}");
     }
 
     let views = |fs: &Arc<dyn FileSystem>| {
@@ -177,6 +192,7 @@ fn a_v1_binary_trace_serves_what_v2_and_json_lines_serve() {
     let served = views(&v1);
     assert_eq!(served, views(&v2), "v1 vs v2");
     assert_eq!(served, views(&v3), "v1 vs v3");
+    assert_eq!(served, views(&v4), "v1 vs v4");
     assert_eq!(served, views(&json), "v1 vs JSON lines");
 
     // The typed reader too.
@@ -185,34 +201,42 @@ fn a_v1_binary_trace_serves_what_v2_and_json_lines_serve() {
         assert_eq!(session.total_captures(), 12);
         session.all_traces().cloned().collect::<Vec<_>>()
     };
-    let fresh = records(v3);
-    assert_eq!(records(v1), fresh, "v1 vs v3");
-    assert_eq!(records(v2), fresh, "v2 vs v3");
+    let fresh = records(v4);
+    assert_eq!(records(v1), fresh, "v1 vs v4");
+    assert_eq!(records(v2), fresh, "v2 vs v4");
+    assert_eq!(records(v3), fresh, "v3 vs v4");
+    assert_eq!(records(json), fresh, "JSON lines vs v4");
 }
 
 /// The import half of `trace convert`: every legacy directory becomes,
-/// channel for channel, the bytes a v3 capture of their job writes, and
-/// serves the same views. A v3 directory is not imported again.
+/// channel for channel, the bytes a native capture of their job writes,
+/// and serves the same views and typed records. A native directory is not
+/// imported again.
 #[test]
-fn legacy_traces_import_to_the_bytes_of_a_v3_capture() {
-    let v3 = capture();
-    for name in ["legacy_binary_v1_trace", "legacy_binary_v2_trace", "legacy_json_trace"] {
+fn legacy_traces_import_to_the_bytes_of_a_native_capture() {
+    let native = capture();
+    let session = |fs: &Arc<dyn FileSystem>| UntypedSession::open(fs.clone(), "/legacy").unwrap();
+    let records = |fs: &Arc<dyn FileSystem>| {
+        let session = DebugSession::<Relay>::open(fs.clone(), "/legacy").unwrap();
+        session.all_traces().cloned().collect::<Vec<_>>()
+    };
+    for name in LEGACY {
         let legacy = load_fixture(name);
         let imported: Arc<dyn FileSystem> = Arc::new(InMemoryFs::new());
-        convert_trace_dir(legacy.as_ref(), imported.as_ref(), "/legacy", TraceFormat::BinaryV3)
+        convert_trace_dir(legacy.as_ref(), imported.as_ref(), "/legacy", TraceFormat::NATIVE)
             .unwrap_or_else(|e| panic!("{name}: {e}"));
         for channel in CHANNELS {
             let path = format!("/legacy/{channel}");
-            assert_eq!(imported.read_all(&path).unwrap(), v3.read_all(&path).unwrap(), "{name}");
+            let (got, want) = (imported.read_all(&path).unwrap(), native.read_all(&path).unwrap());
+            assert_eq!(got, want, "{name}");
         }
-        assert_eq!(format_of(&imported), TraceFormat::BinaryV3, "{name}");
-        let session =
-            |fs: &Arc<dyn FileSystem>| UntypedSession::open(fs.clone(), "/legacy").unwrap();
-        assert_eq!(served_views(&session(&imported)), served_views(&session(&v3)), "{name}");
+        assert_eq!(format_of(&imported), TraceFormat::NATIVE, "{name}");
+        assert_eq!(served_views(&session(&imported)), served_views(&session(&native)), "{name}");
+        assert_eq!(records(&imported), records(&native), "{name}");
     }
     let again =
-        convert_trace_dir(v3.as_ref(), &InMemoryFs::new(), "/legacy", TraceFormat::BinaryV3);
-    assert!(again.unwrap_err().to_string().contains("already uses BinaryV3"));
+        convert_trace_dir(native.as_ref(), &InMemoryFs::new(), "/legacy", TraceFormat::NATIVE);
+    assert!(again.unwrap_err().to_string().contains("already uses BinaryV4"));
 }
 
 /// Opens the legacy directory of `fs` through every reader. Each must end
@@ -245,7 +269,7 @@ fn every_reader_fails_typed_or_renders(fs: &Arc<dyn FileSystem>) {
 #[test]
 fn damaged_legacy_channels_fail_typed_or_serve_every_view() {
     let flips: &[u8] = if cfg!(debug_assertions) { &[0xff] } else { &[0x01, 0x80, 0xff] };
-    for name in ["legacy_binary_v1_trace", "legacy_binary_v2_trace", "legacy_json_trace"] {
+    for name in LEGACY {
         let fs = load_fixture(name);
         for channel in CHANNELS {
             let path = format!("/legacy/{channel}");
@@ -276,7 +300,7 @@ fn damaged_legacy_channels_fail_typed_or_serve_every_view() {
 fn the_json_fixture_imports_and_exports_back_to_its_own_bytes() {
     let legacy = load_fixture("legacy_json_trace");
     let imported = InMemoryFs::new();
-    convert_trace_dir(legacy.as_ref(), &imported, "/legacy", TraceFormat::BinaryV3).unwrap();
+    convert_trace_dir(legacy.as_ref(), &imported, "/legacy", TraceFormat::NATIVE).unwrap();
     let exported = InMemoryFs::new();
     convert_trace_dir(&imported, &exported, "/legacy", TraceFormat::JsonLines).unwrap();
     for channel in CHANNELS {

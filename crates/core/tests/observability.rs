@@ -181,16 +181,16 @@ fn obs_artifacts_match_the_golden_bytes() {
     actual.push(("log-replay/live/terminal".to_string(), bytes.len(), fnv1a(&bytes)));
 
     let golden: &[(&str, usize, u64)] = &[
-        ("clean/events.jsonl", 12556, 0x598badbda37544a7),
-        ("clean/metrics.prom", 19167, 0x2f3970c160afa390),
-        ("clean/metrics.json", 24117, 0x4f6e815375fe4453),
-        ("restart/events.jsonl", 14461, 0x0c147818c2c9eb47),
-        ("restart/metrics.prom", 21087, 0x15c23febf8327fc0),
-        ("restart/metrics.json", 25754, 0x28541b93a133e340),
-        ("log-replay/events.jsonl", 14025, 0x27304a06235e593b),
-        ("log-replay/metrics.prom", 21283, 0xec5fc9e837f3b19b),
-        ("log-replay/metrics.json", 26254, 0x4762fb22dee91367),
-        ("log-replay/live/terminal", 13974, 0xb17bf45773b03e79),
+        ("clean/events.jsonl", 12555, 0xf02e2efdc07953db),
+        ("clean/metrics.prom", 19167, 0xa7792d13345b498e),
+        ("clean/metrics.json", 24117, 0x036f38ab13318442),
+        ("restart/events.jsonl", 14460, 0x639431cf12257af1),
+        ("restart/metrics.prom", 21087, 0xdf517692165a6711),
+        ("restart/metrics.json", 25754, 0x4bc4dcb6386da239),
+        ("log-replay/events.jsonl", 14024, 0x9153b461a48b1ab1),
+        ("log-replay/metrics.prom", 21283, 0x07d4e7887356037d),
+        ("log-replay/metrics.json", 26254, 0xca51df28164e12b4),
+        ("log-replay/live/terminal", 13974, 0x2c054165f179a0b2),
     ];
     let rendered: Vec<String> = actual
         .iter()

@@ -1,15 +1,19 @@
 //! Differential test of the read path against plain decoding, over valid
 //! vertex payloads of every algorithm in `graft-algorithms` — in layout
-//! v3 with the edges inline and by reference and the outgoing messages
-//! listed and as a broadcast, and in layout v1 — and over seeded
-//! mutations of them:
+//! v4 with the edges inline and by reference and the outgoing messages
+//! listed and as a broadcast, each behind the index frame of its group,
+//! and in layout v1 — and over seeded mutations of the vertex payloads
+//! and of the index-frame payloads:
 //!
-//! * skimming a v3 payload (`VertexChannel::head`) succeeds exactly when
+//! * an index frame reads exactly when its payload decodes as an
+//!   `IndexRecord`; otherwise every walk of the channel fails with that
+//!   error at the index frame's offset;
+//! * skimming a v4 payload (`VertexChannel::head`) succeeds exactly when
 //!   decoding it in full as a `WireVertexTrace` does, with the same error
 //!   when not — which is what lets `UntypedSession` decode a row `open`
 //!   only skimmed;
-//! * the head is what the record says: superstep, rendered vertex, flag
-//!   bits;
+//! * the head is what the record says: the group's superstep, rendered
+//!   vertex, flag bits;
 //! * the row digest the listing views read (`VertexChannel::digest`)
 //!   decodes exactly when the record does, with the same error, and every
 //!   field of it is what the `UntypedTrace` accessor of that name says of
@@ -18,13 +22,14 @@
 //!   reference exactly when it names a frame of the channel recording the
 //!   same vertex with its edges inline, and accept a broadcast exactly
 //!   when its count is the number of those edges; the record is then what
-//!   decoding the payload, taking that frame's edges and listing the
-//!   broadcast along them gives;
+//!   decoding the payload, taking that frame's edges, listing the
+//!   broadcast along them and the context from the group gives, and the
+//!   walk of the channel succeeds exactly then;
 //! * a v1 channel passes the door (`native_channel`) exactly when its
 //!   payload decodes as an `ErasedVertexTrace`, fails with that error at
-//!   that frame's offset otherwise, and becomes a v3 channel that reads, every
-//!   way above, as that record — its type-erased values put through a
-//!   JSON text round trip, as the door writes them through the tagged
+//!   that frame's offset otherwise, and becomes a v4 channel that reads,
+//!   every way above, as that record — its type-erased values put through
+//!   a JSON text round trip, as the door writes them through the tagged
 //!   encoding.
 //!
 //! Every edge reference a channel can hold wrong — dangling, forward, to
@@ -49,7 +54,7 @@ use graft::trace::{
     Broadcast, ChannelKind, ChannelWriter, EdgeRefs, ErasedVertexTrace, IndexRecord, JobMeta,
     TraceFormat, TraceReadError, TraceRecord, VertexChannel, VertexHead, VertexTrace, WireEdges,
     WireOutgoing, WireVertexTrace, FLAG_EXCEPTION, FLAG_MESSAGE_VIOLATION, FLAG_VALUE_VIOLATION,
-    FRAME_VERTEX,
+    FRAME_INDEX, FRAME_VERTEX,
 };
 use graft::untyped::{JobSummary, UntypedSession, UntypedTrace};
 use graft::{DebugSession, SessionError, ViolationKind};
@@ -60,29 +65,36 @@ use graft_pregel::{Computation, ContextOf, GlobalData, VertexHandleOf};
 use rand::{Rng, SeedableRng};
 use serde_json::Value;
 
-/// A payload under test: the last frame of a channel whose earlier
-/// frames it may reference, or, in layout v1, a channel's one frame.
+/// A payload under test: the last frame of a channel, behind the index
+/// frame of its group, whose earlier frames it may reference; or, in
+/// layout v1, a channel's one frame.
 #[derive(Clone)]
 struct Case {
     v1: bool,
     before: Vec<u8>,
+    /// The payload of the index frame that opens the group (v4 only).
+    index: Vec<u8>,
     payload: Vec<u8>,
 }
 
 impl Case {
     fn channel(&self) -> Vec<u8> {
         let mut channel = self.before.clone();
+        if !self.v1 {
+            write_frame(&mut channel, FRAME_INDEX, &self.index);
+        }
         write_frame(&mut channel, FRAME_VERTEX, &self.payload);
         channel
     }
 }
 
-/// What a v3 payload decodes to: the record, its edges left empty when
+/// What a v4 payload decodes to: the record, its edges left empty when
 /// it holds a reference and its outgoing messages when they are a
 /// broadcast; the offset the reference names; the broadcast.
 type Decoded = (ErasedVertexTrace, Option<u64>, Option<Broadcast<BinValue>>);
 
-fn decode(payload: &[u8]) -> Result<Decoded, String> {
+/// Decodes a v4 payload, its superstep and context those of `group`.
+fn decode(payload: &[u8], group: &IndexRecord) -> Result<Decoded, String> {
     let wire: WireVertexTrace = graft_codec::from_slice(payload).map_err(|e| e.to_string())?;
     let (edges, target) = match wire.edges {
         WireEdges::Inline(edges) => (edges, None),
@@ -93,15 +105,15 @@ fn decode(payload: &[u8]) -> Result<Decoded, String> {
         WireOutgoing::Broadcast(broadcast) => (Vec::new(), Some(broadcast)),
     };
     let record = VertexTrace {
-        superstep: wire.superstep,
+        superstep: group.superstep,
         vertex: wire.vertex,
         value_before: wire.value_before,
         value_after: wire.value_after,
         edges,
         incoming: wire.incoming,
         outgoing,
-        aggregators: wire.aggregators,
-        global: wire.global,
+        aggregators: group.aggregators.clone(),
+        global: group.global,
         halted_after: wire.halted_after,
         reasons: wire.reasons,
         violations: wire.violations,
@@ -122,9 +134,12 @@ fn referenced_edges(
         if frame.start as u64 != target || frame.kind != FRAME_VERTEX {
             continue;
         }
-        let (record, reference, _) = decode(frame.payload).ok()?;
-        let same = graft_codec::to_vec(&record.vertex).ok()? == graft_codec::to_vec(vertex).ok()?;
-        return (same && reference.is_none()).then_some(record.edges);
+        let wire: WireVertexTrace = graft_codec::from_slice(frame.payload).ok()?;
+        let same = graft_codec::to_vec(&wire.vertex).ok()? == graft_codec::to_vec(vertex).ok()?;
+        return match wire.edges {
+            WireEdges::Inline(edges) if same => Some(edges),
+            _ => None,
+        };
     }
     None
 }
@@ -175,25 +190,49 @@ fn check(case: &Case) -> Read {
         return check_door(case);
     }
     let channel = case.channel();
-    check_v3(&channel, case.before.len()).0
+    let index_at = case.before.len();
+    let group = match graft_codec::from_slice::<IndexRecord>(&case.index) {
+        Ok(group) => group,
+        Err(error) => {
+            let walked = walk_vertex_channel(VertexChannel::new(&channel), None, |_, _| Ok(()));
+            assert!(
+                matches!(&walked, Err(TraceReadError::Frame { offset, error: refused })
+                    if *offset == index_at && refused.to_string() == error.to_string()),
+                "index {:?}: {walked:?}, not {error}",
+                case.index
+            );
+            return Read::Fails;
+        }
+    };
+    let last = FrameScanner::new(&channel[index_at..]).next_frame().unwrap().unwrap().end;
+    check_v4(&channel, index_at + last, &group).0
 }
 
-/// Checks the v3 payload of the frame at `last` of `channel`; returns
-/// what it read, and the record if it resolved.
-fn check_v3(channel: &[u8], last: usize) -> (Read, Option<ErasedVertexTrace>) {
+/// Checks the v4 payload of the frame at `last` of `channel`, whose group
+/// is `group`, and the walk of the channel; returns what it read, and the
+/// record if it resolved.
+fn check_v4(channel: &[u8], last: usize, group: &IndexRecord) -> (Read, Option<ErasedVertexTrace>) {
     let payload = FrameScanner::new(&channel[last..]).next_frame().unwrap().unwrap().payload;
     let reader = VertexChannel::new(channel);
-    let skimmed = reader.head(payload).map_err(|e| e.to_string());
-    let digest = |with_edges| reader.digest(payload, with_edges).map_err(|e| e.to_string());
-    let built = reader.record(payload).map_err(|e| e.to_string());
+    let skimmed = reader.head(payload, Some(group)).map_err(|e| e.to_string());
+    let digest =
+        |with_edges| reader.digest(payload, Some(group), with_edges).map_err(|e| e.to_string());
+    let built = reader.record(payload, Some(group)).map_err(|e| e.to_string());
+    let walked = walk_vertex_channel(reader, None, |_, _| Ok(()));
     let at = |what: &str| format!("{what}: {payload:?}");
-    let (record, target, broadcast) = match decode(payload) {
+    let (record, target, broadcast) = match decode(payload, group) {
         Ok(decoded) => decoded,
         Err(error) => {
             assert_eq!(skimmed, Err(error.clone()), "{}", at("head"));
             assert_eq!(digest(true), Err(error.clone()), "{}", at("digest"));
             assert_eq!(digest(false), Err(error.clone()), "{}", at("digest"));
-            assert_eq!(built.map(drop), Err(error), "{}", at("record"));
+            assert_eq!(built.map(drop), Err(error.clone()), "{}", at("record"));
+            assert!(
+                matches!(&walked, Err(TraceReadError::Frame { offset, error: refused })
+                    if *offset == last && refused.to_string() == error),
+                "{}",
+                at("walk")
+            );
             return (Read::Fails, None);
         }
     };
@@ -217,8 +256,16 @@ fn check_v3(channel: &[u8], last: usize) -> (Read, Option<ErasedVertexTrace>) {
     let Some(full) = full else {
         assert!(built.is_err(), "{}", at("record of a bad reference or broadcast"));
         assert!(digest(true).is_err(), "{}", at("digest of a bad reference or broadcast"));
+        let named = |offset| offset == last;
+        assert!(
+            matches!(&walked, Err(TraceReadError::EdgeRef { offset, .. }
+                | TraceReadError::Frame { offset, .. }) if named(*offset)),
+            "{}",
+            at("walk of a bad reference or broadcast")
+        );
         return (Read::Decodes { resolved: false }, None);
     };
+    assert!(walked.is_ok(), "{}: {walked:?}", at("walk"));
     let built = built.unwrap_or_else(|e| panic!("{e}: {}", at("record")));
     // `==` neither tells `5` from `5u64` nor `-0.0` from `0.0`, and no NaN
     // equals itself; the debug rendering does all three right.
@@ -228,9 +275,9 @@ fn check_v3(channel: &[u8], last: usize) -> (Read, Option<ErasedVertexTrace>) {
     (Read::Decodes { resolved: true }, Some(built))
 }
 
-/// Checks a v1 case at the door: its channel becomes a v3 channel exactly
+/// Checks a v1 case at the door: its channel becomes a v4 channel exactly
 /// when the payload decodes as an `ErasedVertexTrace`, fails with that
-/// error at the frame's offset otherwise, and the v3 channel reads back
+/// error at the frame's offset otherwise, and the v4 channel reads back
 /// as the record, normalized.
 fn check_door(case: &Case) -> Read {
     let door = native_channel(TraceFormat::Binary, ChannelKind::Worker, case.channel(), false);
@@ -244,12 +291,13 @@ fn check_door(case: &Case) -> Read {
             );
             Read::Fails
         }
-        (Ok(record), Ok(v3)) => {
-            let mut scanner = FrameScanner::new(&v3);
+        (Ok(record), Ok(v4)) => {
+            let mut scanner = FrameScanner::new(&v4);
             let frames: Vec<_> = std::iter::from_fn(|| scanner.next_frame().unwrap()).collect();
             let kinds: Vec<u8> = frames.iter().map(|frame| frame.kind).collect();
-            assert_eq!(kinds, [graft::trace::FRAME_INDEX, FRAME_VERTEX], "{at}");
-            let (read, built) = check_v3(&v3, frames[1].start);
+            assert_eq!(kinds, [FRAME_INDEX, FRAME_VERTEX], "{at}");
+            let group = graft_codec::from_slice(frames[0].payload).unwrap();
+            let (read, built) = check_v4(&v4, frames[1].start, &group);
             assert_eq!(read, Read::Decodes { resolved: true }, "{at}");
             assert_eq!(
                 format!("{:?}", built.unwrap()),
@@ -262,26 +310,34 @@ fn check_door(case: &Case) -> Read {
     }
 }
 
-/// The three cases of one record: a v1 payload, a v3 payload with its
-/// edges inline, and the v3 payload of the same record captured again,
-/// behind the first — its edges a reference where the rule makes one.
-fn cases_of<R: TraceRecord + serde::Serialize>(record: &R) -> [Case; 3] {
+/// The three cases of one record: a v1 payload, a v4 payload with its
+/// edges inline, and the v4 payload of the same record captured again in
+/// the next superstep, behind the first — its edges a reference where the
+/// rule makes one.
+fn cases_of<I, V, E, M>(record: &VertexTrace<I, V, E, M>) -> [Case; 3]
+where
+    VertexTrace<I, V, E, M>: TraceRecord + serde::Serialize + Clone,
+{
     let erased: ErasedVertexTrace =
         serde_json::from_slice(&serde_json::to_vec(record).unwrap()).unwrap();
-    let v1 = Case { v1: true, before: Vec::new(), payload: graft_codec::to_vec(&erased).unwrap() };
-    let mut channel = Vec::new();
-    let mut refs = EdgeRefs::default();
-    for _ in 0..2 {
-        let offset = channel.len() as u64;
-        record.encode_channel_frame(&mut channel, &mut refs, offset).unwrap();
+    let payload = graft_codec::to_vec(&erased).unwrap();
+    let v1 = Case { v1: true, before: Vec::new(), index: Vec::new(), payload };
+    let (mut writer, mut channel) = (ChannelWriter::default(), Vec::new());
+    let next = VertexTrace { superstep: record.superstep ^ 1, ..record.clone() };
+    for record in [record, &next] {
+        writer.append_vertex(record, &mut channel).unwrap();
     }
     let mut scanner = FrameScanner::new(&channel);
-    let first = scanner.next_frame().unwrap().unwrap();
-    let again = scanner.next_frame().unwrap().unwrap();
-    let inline = Case { v1: false, before: Vec::new(), payload: first.payload.to_vec() };
-    let repeated =
-        Case { v1: false, before: channel[..first.end].to_vec(), payload: again.payload.to_vec() };
-    [v1, inline, repeated]
+    let frames: Vec<_> = std::iter::from_fn(|| scanner.next_frame().unwrap()).collect();
+    let kinds: Vec<u8> = frames.iter().map(|frame| frame.kind).collect();
+    assert_eq!(kinds, [FRAME_INDEX, FRAME_VERTEX, FRAME_INDEX, FRAME_VERTEX]);
+    let case = |before: &[u8], group: usize| Case {
+        v1: false,
+        before: before.to_vec(),
+        index: frames[group].payload.to_vec(),
+        payload: frames[group + 1].payload.to_vec(),
+    };
+    [v1, case(&[], 0), case(&channel[..frames[2].start], 2)]
 }
 
 /// Cases of every algorithm's record shape, plus string ids.
@@ -308,14 +364,20 @@ fn valid_cases(rng: &mut Rng64, per_shape: usize) -> Vec<Case> {
     cases
 }
 
-/// Whether a v3 payload holds its edges by reference.
-fn is_reference(case: &Case) -> bool {
-    !case.v1 && matches!(decode(&case.payload), Ok((_, Some(_), _)))
+/// What a v4 payload holds: its edges by reference, its outgoing
+/// messages as a broadcast.
+fn wire_of(case: &Case) -> Option<WireVertexTrace> {
+    (!case.v1).then(|| graft_codec::from_slice(&case.payload).ok()).flatten()
 }
 
-/// Whether a v3 payload holds its outgoing messages as a broadcast.
+/// Whether a v4 payload holds its edges by reference.
+fn is_reference(case: &Case) -> bool {
+    wire_of(case).is_some_and(|wire| matches!(wire.edges, WireEdges::At(_)))
+}
+
+/// Whether a v4 payload holds its outgoing messages as a broadcast.
 fn is_broadcast(case: &Case) -> bool {
-    !case.v1 && matches!(decode(&case.payload), Ok((_, _, Some(_))))
+    wire_of(case).is_some_and(|wire| matches!(wire.outgoing, WireOutgoing::Broadcast(_)))
 }
 
 #[test]
@@ -369,6 +431,7 @@ fn mutated_payloads_skim_exactly_when_they_decode() {
     let references: Vec<&Case> = valid.iter().filter(|case| is_reference(case)).collect();
     let broadcasts: Vec<&Case> = valid.iter().filter(|case| is_broadcast(case)).collect();
     let (mut decoded, mut unresolved) = (0, 0);
+    let (mut index_edits, mut index_decoded) = (0, 0);
     for round in 0..budget {
         // Every fourth edit lands on a payload holding a reference, every
         // eighth on one holding a broadcast.
@@ -379,10 +442,14 @@ fn mutated_payloads_skim_exactly_when_they_decode() {
         } else {
             valid[rng.gen_range(0..valid.len())].clone()
         };
+        // Every fifth edit of a v4 case lands on its group's index frame.
+        let on_index = !case.v1 && round % 5 == 2;
+        index_edits += usize::from(on_index);
+        let edited = if on_index { &mut case.index } else { &mut case.payload };
         // Sometimes two edits: the second can repair or mask the first.
         for _ in 0..if rng.gen_bool(0.2) { 2 } else { 1 } {
-            if !case.payload.is_empty() {
-                mutate(&mut rng, &mut case.payload);
+            if !edited.is_empty() {
+                mutate(&mut rng, edited);
             }
         }
         match check(&case) {
@@ -390,12 +457,17 @@ fn mutated_payloads_skim_exactly_when_they_decode() {
             Read::Decodes { resolved } => {
                 decoded += 1;
                 unresolved += usize::from(!resolved);
+                index_decoded += usize::from(on_index);
             }
         }
     }
     // Both sides of each equivalence must be exercised.
     assert!(decoded > budget / 10 && decoded < budget * 9 / 10, "{decoded} of {budget} decoded");
     assert!(unresolved > budget / 1000, "{unresolved} of {budget} held a bad reference");
+    assert!(
+        index_decoded > index_edits / 20 && index_decoded < index_edits * 19 / 20,
+        "{index_decoded} of {index_edits} edited index frames decoded"
+    );
 }
 
 /// The computation the damaged channels record, for `DebugSession`.
@@ -454,8 +526,13 @@ fn pristine() -> (Vec<u8>, Layout) {
     for superstep in 0..3u64 {
         let s = superstep as usize;
         layout.index[s] = channel.len();
-        let index =
-            IndexRecord { superstep, records_before: records, bytes_before: channel.len() as u64 };
+        let index = IndexRecord {
+            superstep,
+            records_before: records,
+            bytes_before: channel.len() as u64,
+            global: ring_record(superstep, 1).global,
+            aggregators: vec![],
+        };
         encode_index_frame(&index, &mut channel).unwrap();
         for vertex in [1u64, 2].into_iter().filter(|v| superstep < 2 || *v == 1) {
             let offset = channel.len();
@@ -503,7 +580,7 @@ fn write_trace(fs: &Arc<dyn FileSystem>, root: &str, channel: &[u8]) {
         master: None,
         value_types: ("u64".into(), "i64".into(), "()".into(), "i64".into()),
         num_workers: 1,
-        trace_format: Some(TraceFormat::BinaryV3),
+        trace_format: Some(TraceFormat::NATIVE),
         config: vec![],
         facts: None,
     };

@@ -29,6 +29,7 @@ pub enum Mutation<I, V, E> {
 /// inspects to intercept outgoing messages.
 pub struct ComputeContext<'a, I, V, E, M> {
     global: GlobalData,
+    version: Option<u64>,
     worker_id: usize,
     staged: Vec<(I, M)>,
     aggregators: &'a AggregatorRegistry,
@@ -63,7 +64,12 @@ impl<'a, I: VertexId, V: Value, E: Value, M: Value> ComputeContext<'a, I, V, E, 
         mut staged: Vec<(I, M)>,
     ) -> Self {
         staged.clear();
-        Self { global, worker_id, staged, aggregators, worker_aggs, mutations }
+        Self { global, version: None, worker_id, staged, aggregators, worker_aggs, mutations }
+    }
+
+    /// The context with [`ComputeContext::context_version`] `version`.
+    pub(crate) fn versioned(self, version: u64) -> Self {
+        Self { version: Some(version), ..self }
     }
 
     /// Consumes the context, returning the staged-send buffer so its
@@ -90,6 +96,18 @@ impl<'a, I: VertexId, V: Value, E: Value, M: Value> ComputeContext<'a, I, V, E, 
     /// The full default-global-data record.
     pub fn global(&self) -> GlobalData {
         self.global
+    }
+
+    /// The version of what this context shows every vertex alike: the
+    /// superstep, [`ComputeContext::global`] and
+    /// [`ComputeContext::visible_aggregators`]. Two contexts with equal
+    /// versions showed the same, so a capture may skip encoding a context
+    /// it already wrote under the same version. The engine hands out a
+    /// fresh one for each worker's run of each superstep, a replay
+    /// included; a context built by a caller ([`ComputeContext::new`]) has
+    /// none.
+    pub fn context_version(&self) -> Option<u64> {
+        self.version
     }
 
     /// The id of the worker executing this vertex — useful for logging;

@@ -97,7 +97,7 @@ use crate::computation::Computation;
 use crate::fault::{ArmedFaults, FaultPlan};
 use crate::msglog::{CoordFrame, LoggedBatch, MsgLog, WorkerFrame};
 use crate::ooc::{OocConfig, SpillStore};
-use crate::partition::Partition;
+use crate::partition::{fresh_version, Partition};
 
 type MutationOf<C> =
     Mutation<<C as Computation>::Id, <C as Computation>::VValue, <C as Computation>::EValue>;
@@ -1569,6 +1569,8 @@ fn worker_compute_core<C: Computation>(
     // One panic guard for the sweep; `current` is the vertex in `compute`.
     let mut current: Option<C::Id> = None;
     let swept = catch_unwind(AssertUnwindSafe(|| {
+        // This run of the superstep shows every vertex one context: one
+        // version for it, never handed out before, a replay included.
         let mut cctx = ComputeContext::with_buffer(
             global,
             worker_id,
@@ -1576,7 +1578,8 @@ fn worker_compute_core<C: Computation>(
             &mut worker_aggs,
             &mut mutations,
             std::mem::take(staged),
-        );
+        )
+        .versioned(fresh_version());
         partition.compute_scheduled(|handle, messages| {
             compute_calls += 1;
             current = Some(handle.id());

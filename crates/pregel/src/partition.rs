@@ -48,10 +48,10 @@ type EdgeOf<C> = Edge<<C as Computation>::Id, <C as Computation>::EValue>;
 /// No message: an empty inbox end, or the end of a slot's chain.
 const NONE: usize = usize::MAX;
 
-/// A topology version no partition of this process has had. `Relaxed`:
-/// the counter publishes no other data, and `fetch_add` hands each value
-/// out once under any ordering.
-fn fresh_version() -> u64 {
+/// A version no partition topology or compute context of this process
+/// has had. `Relaxed`: the counter publishes no other data, and
+/// `fetch_add` hands each value out once under any ordering.
+pub(crate) fn fresh_version() -> u64 {
     static NEXT: AtomicU64 = AtomicU64::new(0);
     NEXT.fetch_add(1, Ordering::Relaxed)
 }

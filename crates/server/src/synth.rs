@@ -56,7 +56,7 @@ fn write_meta(fs: &dyn FileSystem, root: &str, workers: usize) -> FsResult<()> {
         master: None,
         value_types: ("u64".to_string(), "i64".to_string(), "()".to_string(), "i64".to_string()),
         num_workers: workers,
-        trace_format: Some(TraceFormat::BinaryV3),
+        trace_format: Some(TraceFormat::NATIVE),
         config: vec!["capture_all_active".to_string()],
         facts: None,
     };

@@ -4,7 +4,8 @@
 Each side is a directory holding one or more `graft-spine/run.sh --out`
 directories (one per run, any depth): every `<workload>.json` under it
 is one run of that workload, every `<workload>.layers.json` one traced
-run. A row holds the commit and parent, the seeds and the pair count,
+run. A row holds the change's and the parent's commits (`commit`,
+`parent_commit`), the seeds and the pair count,
 and per side the median and IQR, over runs, of each end-to-end metric
 in BENCHMARK.json (and of the traced layer metrics, when both sides
 have them). Run from anywhere:
@@ -64,7 +65,7 @@ def main():
         row = {"workload": workload}
         for key, (plain, traced) in sides.items():
             docs = plain[workload]
-            row["commit" if key == "change" else "parent"] = \
+            row["commit" if key == "change" else "parent_commit"] = \
                 revs[key] or docs[0]["host"]["git_commit"]
             row[key] = spread(docs, end_to_end)
             if workload in traced:
