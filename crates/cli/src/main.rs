@@ -80,7 +80,36 @@ fn usage() -> ExitCode {
     ExitCode::FAILURE
 }
 
+/// Runs the command. A reader of stdout that goes away early, as `head`
+/// does in `graft-cli trace dump <dir> | head -3`, makes the next `print!`
+/// panic; that ends the command quietly and with success, for the reader
+/// has what it asked for. Any other panic is reported as it always is.
 fn main() -> ExitCode {
+    let report = std::panic::take_hook();
+    std::panic::set_hook(Box::new(move |info| {
+        if !stdout_closed(info.payload()) {
+            report(info)
+        }
+    }));
+    match std::panic::catch_unwind(command) {
+        Ok(code) => code,
+        Err(payload) if stdout_closed(&*payload) => ExitCode::SUCCESS,
+        Err(payload) => std::panic::resume_unwind(payload),
+    }
+}
+
+/// Whether a panic is `print!` failing on a stdout its reader closed.
+fn stdout_closed(payload: &(dyn std::any::Any + Send)) -> bool {
+    let message = payload
+        .downcast_ref::<String>()
+        .map(String::as_str)
+        .or_else(|| payload.downcast_ref::<&str>().copied());
+    message.is_some_and(|message| {
+        message.starts_with("failed printing to stdout") && message.contains("Broken pipe")
+    })
+}
+
+fn command() -> ExitCode {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     // Commands without a trace directory; each prints its usage when
     // given no arguments.

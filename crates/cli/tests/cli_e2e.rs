@@ -402,13 +402,13 @@ fn cli_trace_convert_roundtrips_byte_identically() {
     // records in JSON, with formats labeled.
     let (dump, ok) = run_cli_raw(&["trace", "dump", bin_dir.to_str().unwrap(), "--limit", "5"]);
     assert!(ok, "{dump}");
-    assert!(dump.contains("format      : BinaryV4"), "{dump}");
+    assert!(dump.contains("format      : BinaryV5"), "{dump}");
     assert!(dump.contains("index   superstep=0 records_before=0 bytes_before=0"), "{dump}");
     assert!(dump.contains("aggregators=0"), "{dump}");
     assert!(dump.contains("vertex  superstep=0"), "{dump}");
     let (dump, ok) = run_cli_raw(&["trace", "dump", json_dir.to_str().unwrap(), "--limit", "2"]);
     assert!(ok, "{dump}");
-    assert!(dump.contains("format      : JsonLines (frames as read: BinaryV4)"), "{dump}");
+    assert!(dump.contains("format      : JsonLines (frames as read: BinaryV5)"), "{dump}");
     assert!(dump.contains("vertex  superstep=0"), "{dump}");
 
     // Converting to the format a directory already uses is refused.
@@ -465,5 +465,50 @@ fn cli_trace_convert_roundtrips_byte_identically() {
     ]);
     assert!(!ok && out.contains(&format!("at byte {start}")), "{out}");
 
+    let _ = std::fs::remove_dir_all(&parent);
+}
+
+/// A reader of stdout that goes away before the command is done, as
+/// `head` does: every command ends quietly and with success, whether its
+/// output is a few lines or many. The pipe is closed before the command
+/// writes its first line.
+#[test]
+fn cli_stops_quietly_when_stdout_closes() {
+    let parent = std::env::temp_dir().join(format!("graft-cli-pipe-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&parent);
+    let fs: Arc<dyn graft_dfs::FileSystem> = Arc::new(LocalFs::new(&parent).unwrap());
+    let config = DebugConfig::<Spiky>::builder().capture_all_active(true).build();
+    let run = GraftRunner::new(Spiky, config)
+        .with_fs(Arc::clone(&fs))
+        .num_workers(2)
+        .run(graft::testing::premade::cycle(64, 0i64), "/run")
+        .unwrap();
+    assert!(run.outcome.is_ok());
+    let dir = parent.join("run");
+    let dir = dir.to_str().unwrap();
+    let commands: &[&[&str]] = &[
+        &["trace", "dump", dir, "--limit", "2"],
+        &["trace", "dump", dir],
+        &[dir, "info"],
+        &[dir, "show", "1"],
+        &[dir, "violations", "--format", "json"],
+        &["run", "pagerank", "--vertices", "48"],
+    ];
+    for args in commands {
+        let mut child = Command::new(cli_binary())
+            .args(*args)
+            .stdout(std::process::Stdio::piped())
+            .stderr(std::process::Stdio::piped())
+            .spawn()
+            .expect("graft-cli binary exists (build with --workspace)");
+        drop(child.stdout.take());
+        let output = child.wait_with_output().unwrap();
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(output.status.success(), "{args:?}: {:?}\n{stderr}", output.status);
+        assert!(
+            !stderr.contains("panicked") && !stderr.contains("Broken pipe"),
+            "{args:?}: {stderr}"
+        );
+    }
     let _ = std::fs::remove_dir_all(&parent);
 }

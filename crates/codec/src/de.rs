@@ -3,6 +3,8 @@
 use serde::de::{self, DeserializeOwned, IntoDeserializer, Visitor};
 
 use crate::error::{Error, Result};
+use crate::tagged::{TAG_NAME, TAG_NAMED_OBJECT};
+use crate::value::{is_token, OBJECT_VARIANT, STR_VARIANT, TREE};
 use crate::varint;
 
 /// Deserializes a value of type `T` from `input`, requiring the entire
@@ -18,14 +20,22 @@ pub fn from_slice<T: DeserializeOwned>(input: &[u8]) -> Result<T> {
 }
 
 /// Streaming GraftBin decoder over a borrowed input slice.
+///
+/// One deserializer reads one payload: the names its tagged trees write
+/// (see [`crate::Interned`]) enter a table as they are read, and a later
+/// name's index is read against it, so a name node reads as the string it
+/// names wherever it lies.
 pub struct Deserializer<'de> {
     rest: &'de [u8],
+    /// The names read so far, in first-use order: room is made with the
+    /// first, so a payload of no names costs nothing.
+    names: Vec<&'de str>,
 }
 
 impl<'de> Deserializer<'de> {
     /// Creates a deserializer over `input`.
     pub fn new(input: &'de [u8]) -> Self {
-        Self { rest: input }
+        Self { rest: input, names: Vec::new() }
     }
 
     /// Bytes not yet consumed.
@@ -70,8 +80,29 @@ impl<'de> Deserializer<'de> {
 
     fn read_str(&mut self) -> Result<&'de str> {
         let len = self.read_len()?;
+        self.read_utf8(len)
+    }
+
+    fn read_utf8(&mut self, len: usize) -> Result<&'de str> {
         let bytes = self.read_exact(len)?;
         std::str::from_utf8(bytes).map_err(Error::InvalidUtf8)
+    }
+
+    /// A name: inline, entering the table, or an index into it.
+    fn read_name(&mut self) -> Result<&'de str> {
+        let value = self.read_u64()?;
+        if value & 1 == 1 {
+            let index = value >> 1;
+            let known = usize::try_from(index).ok().and_then(|at| self.names.get(at));
+            return known.copied().ok_or(Error::UnknownName(index));
+        }
+        let len = usize::try_from(value >> 1).map_err(|_| Error::LengthOverflow)?;
+        let name = self.read_utf8(len)?;
+        if self.names.capacity() == 0 {
+            self.names.reserve(8);
+        }
+        self.names.push(name);
+        Ok(name)
     }
 }
 
@@ -222,11 +253,24 @@ impl<'de> de::Deserializer<'de> for &mut Deserializer<'de> {
 
     fn deserialize_enum<V: Visitor<'de>>(
         self,
-        _name: &'static str,
+        name: &'static str,
         _variants: &'static [&'static str],
         visitor: V,
     ) -> Result<V::Value> {
-        visitor.visit_enum(EnumAccess { de: self })
+        // A name node of a tagged tree is handed to `visitor` as the string
+        // node it stands for, an object of names as an object. Its tag is
+        // one byte.
+        let tag = self.rest.first().copied();
+        if !matches!(tag, Some(TAG_NAME | TAG_NAMED_OBJECT)) || !is_token(name, TREE) {
+            return visitor.visit_enum(EnumAccess { de: self });
+        }
+        self.rest = &self.rest[1..];
+        if tag == Some(TAG_NAME) {
+            let name = self.read_name()?;
+            visitor.visit_enum(NameNode(name))
+        } else {
+            visitor.visit_enum(NamedObject { de: self })
+        }
     }
 
     fn deserialize_identifier<V: Visitor<'de>>(self, _visitor: V) -> Result<V::Value> {
@@ -331,5 +375,192 @@ impl<'de> de::VariantAccess<'de> for VariantAccess<'_, 'de> {
         visitor: V,
     ) -> Result<V::Value> {
         visitor.visit_seq(CountedAccess { de: self.de, remaining: fields.len() })
+    }
+}
+
+/// A name node of a tagged tree, read as the string node it stands for.
+struct NameNode<'de>(&'de str);
+
+fn not_a_tree_node<T>() -> Result<T> {
+    Err(Error::Message("a name read as a node it is not".into()))
+}
+
+impl<'de> de::EnumAccess<'de> for NameNode<'de> {
+    type Error = Error;
+    type Variant = Self;
+
+    fn variant_seed<V: de::DeserializeSeed<'de>>(self, seed: V) -> Result<(V::Value, Self)> {
+        let variant = <u32 as IntoDeserializer<'de, Error>>::into_deserializer(STR_VARIANT);
+        Ok((seed.deserialize(variant)?, self))
+    }
+}
+
+impl<'de> de::VariantAccess<'de> for NameNode<'de> {
+    type Error = Error;
+
+    fn unit_variant(self) -> Result<()> {
+        not_a_tree_node()
+    }
+
+    fn newtype_variant_seed<T: de::DeserializeSeed<'de>>(self, seed: T) -> Result<T::Value> {
+        seed.deserialize(<&str as IntoDeserializer<'de, Error>>::into_deserializer(self.0))
+    }
+
+    fn tuple_variant<V: Visitor<'de>>(self, _len: usize, _visitor: V) -> Result<V::Value> {
+        not_a_tree_node()
+    }
+
+    fn struct_variant<V: Visitor<'de>>(
+        self,
+        _fields: &'static [&'static str],
+        _visitor: V,
+    ) -> Result<V::Value> {
+        not_a_tree_node()
+    }
+}
+
+/// An object node whose keys are names, read as an object node: its
+/// content is a map, and nothing else.
+struct NamedObject<'a, 'de> {
+    de: &'a mut Deserializer<'de>,
+}
+
+impl<'a, 'de> de::EnumAccess<'de> for NamedObject<'a, 'de> {
+    type Error = Error;
+    type Variant = Self;
+
+    fn variant_seed<V: de::DeserializeSeed<'de>>(self, seed: V) -> Result<(V::Value, Self)> {
+        let variant = <u32 as IntoDeserializer<'de, Error>>::into_deserializer(OBJECT_VARIANT);
+        Ok((seed.deserialize(variant)?, self))
+    }
+}
+
+impl<'de> de::VariantAccess<'de> for NamedObject<'_, 'de> {
+    type Error = Error;
+
+    fn unit_variant(self) -> Result<()> {
+        not_a_tree_node()
+    }
+
+    fn newtype_variant_seed<T: de::DeserializeSeed<'de>>(self, seed: T) -> Result<T::Value> {
+        seed.deserialize(self)
+    }
+
+    fn tuple_variant<V: Visitor<'de>>(self, _len: usize, _visitor: V) -> Result<V::Value> {
+        not_a_tree_node()
+    }
+
+    fn struct_variant<V: Visitor<'de>>(
+        self,
+        _fields: &'static [&'static str],
+        _visitor: V,
+    ) -> Result<V::Value> {
+        not_a_tree_node()
+    }
+}
+
+/// Every method of a deserializer that reads one thing, whatever it is
+/// asked for, forwarded to its `deserialize_any`.
+macro_rules! forward_to_any {
+    ($($method:ident)*) => {$(
+        fn $method<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value> {
+            self.deserialize_any(visitor)
+        }
+    )*};
+}
+
+impl<'de> de::Deserializer<'de> for NamedObject<'_, 'de> {
+    type Error = Error;
+
+    fn deserialize_any<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value> {
+        let len = self.de.read_len()?;
+        visitor.visit_map(NamedEntries { de: self.de, remaining: len })
+    }
+
+    forward_to_any!(
+        deserialize_bool deserialize_i8 deserialize_i16 deserialize_i32 deserialize_i64
+        deserialize_u8 deserialize_u16 deserialize_u32 deserialize_u64 deserialize_f32
+        deserialize_f64 deserialize_char deserialize_str deserialize_string deserialize_bytes
+        deserialize_byte_buf deserialize_option deserialize_unit deserialize_seq deserialize_map
+        deserialize_identifier deserialize_ignored_any
+    );
+
+    fn deserialize_unit_struct<V: Visitor<'de>>(
+        self,
+        _name: &'static str,
+        visitor: V,
+    ) -> Result<V::Value> {
+        self.deserialize_any(visitor)
+    }
+
+    fn deserialize_newtype_struct<V: Visitor<'de>>(
+        self,
+        _name: &'static str,
+        visitor: V,
+    ) -> Result<V::Value> {
+        self.deserialize_any(visitor)
+    }
+
+    fn deserialize_tuple<V: Visitor<'de>>(self, _len: usize, visitor: V) -> Result<V::Value> {
+        self.deserialize_any(visitor)
+    }
+
+    fn deserialize_tuple_struct<V: Visitor<'de>>(
+        self,
+        _name: &'static str,
+        _len: usize,
+        visitor: V,
+    ) -> Result<V::Value> {
+        self.deserialize_any(visitor)
+    }
+
+    fn deserialize_struct<V: Visitor<'de>>(
+        self,
+        _name: &'static str,
+        _fields: &'static [&'static str],
+        visitor: V,
+    ) -> Result<V::Value> {
+        self.deserialize_any(visitor)
+    }
+
+    fn deserialize_enum<V: Visitor<'de>>(
+        self,
+        _name: &'static str,
+        _variants: &'static [&'static str],
+        visitor: V,
+    ) -> Result<V::Value> {
+        self.deserialize_any(visitor)
+    }
+
+    fn is_human_readable(&self) -> bool {
+        false
+    }
+}
+
+/// The entries of an object of names: each key a name, each value a
+/// tagged tree.
+struct NamedEntries<'a, 'de> {
+    de: &'a mut Deserializer<'de>,
+    remaining: usize,
+}
+
+impl<'de> de::MapAccess<'de> for NamedEntries<'_, 'de> {
+    type Error = Error;
+
+    fn next_key_seed<K: de::DeserializeSeed<'de>>(&mut self, seed: K) -> Result<Option<K::Value>> {
+        if self.remaining == 0 {
+            return Ok(None);
+        }
+        self.remaining -= 1;
+        let key = self.de.read_name()?;
+        seed.deserialize(<&str as IntoDeserializer<'de, Error>>::into_deserializer(key)).map(Some)
+    }
+
+    fn next_value_seed<V: de::DeserializeSeed<'de>>(&mut self, seed: V) -> Result<V::Value> {
+        seed.deserialize(&mut *self.de)
+    }
+
+    fn size_hint(&self) -> Option<usize> {
+        Some(self.remaining)
     }
 }

@@ -30,6 +30,8 @@ pub enum Error {
     NotSelfDescribing,
     /// An enum variant index was out of range for the target enum.
     InvalidVariant(u32),
+    /// A tagged tree named a name by an index its payload had not reached.
+    UnknownName(u64),
     /// A custom error raised by a `Serialize` or `Deserialize` impl.
     Message(String),
 }
@@ -49,6 +51,7 @@ impl fmt::Display for Error {
                 write!(f, "GraftBin is not self-describing; deserialize_any unsupported")
             }
             Error::InvalidVariant(v) => write!(f, "variant index {v} out of range"),
+            Error::UnknownName(i) => write!(f, "name index {i} names no earlier name"),
             Error::Message(m) => write!(f, "{m}"),
         }
     }

@@ -51,7 +51,7 @@ pub use error::{Error, Result};
 pub use ser::{to_vec, Serializer};
 pub use size::{framed_size, serialized_size};
 pub use skim::{for_each_element, SkipSeq, SkipStr, SkipTagged, TaggedText};
-pub use tagged::{write_tagged, Tagged};
+pub use tagged::{write_interned, write_tagged, Interned, NameTable, Tagged};
 pub use value::{normalize, to_bin_value, BinValue};
 
 /// Appends `value` to `out` behind its varint-encoded byte length, in one

@@ -3,7 +3,8 @@
 use serde::{ser, Serialize};
 
 use crate::error::{Error, Result};
-use crate::tagged::{write_tagged, TAGGED_TOKEN};
+use crate::tagged::{write_interned, write_tagged, NameTable, INTERNED_TOKEN, TAGGED_TOKEN};
+use crate::value::is_token;
 use crate::varint;
 
 /// Serializes `value` into a fresh byte vector.
@@ -16,12 +17,29 @@ pub fn to_vec<T: Serialize>(value: &T) -> Result<Vec<u8>> {
 /// Streaming GraftBin encoder over a borrowed output buffer.
 pub struct Serializer<'a> {
     out: &'a mut Vec<u8>,
+    /// The name table of the payload's [`crate::Interned`] values.
+    names: Names<'a>,
+}
+
+/// A serializer's name table: its own, made when the first interned
+/// value comes, or one it shares with the other serializers that write
+/// parts of one payload.
+enum Names<'a> {
+    Own(Option<Box<NameTable>>),
+    Shared(&'a mut NameTable),
 }
 
 impl<'a> Serializer<'a> {
-    /// Creates a serializer appending to `out`.
+    /// Creates a serializer appending to `out`: one payload, whose
+    /// interned values start a name table of their own.
     pub fn new(out: &'a mut Vec<u8>) -> Self {
-        Self { out }
+        Self { out, names: Names::Own(None) }
+    }
+
+    /// Creates a serializer appending a part of a payload to `out`, whose
+    /// interned values go through `names`, the table of the parts before.
+    pub fn with_names(out: &'a mut Vec<u8>, names: &'a mut NameTable) -> Self {
+        Self { out, names: Names::Shared(names) }
     }
 
     fn write_len(&mut self, len: usize) {
@@ -135,8 +153,15 @@ impl<'a, 'b> ser::Serializer for &'b mut Serializer<'a> {
         name: &'static str,
         value: &T,
     ) -> Result<()> {
-        if name == TAGGED_TOKEN {
+        if is_token(name, TAGGED_TOKEN) {
             return write_tagged(self.out, value);
+        }
+        if is_token(name, INTERNED_TOKEN) {
+            let names = match &mut self.names {
+                Names::Own(names) => names.get_or_insert_with(Box::default),
+                Names::Shared(names) => &mut **names,
+            };
+            return write_interned(self.out, names, value);
         }
         value.serialize(self)
     }

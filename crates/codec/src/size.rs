@@ -10,12 +10,13 @@
 use serde::{ser, Serialize};
 
 use crate::error::{Error, Result};
-use crate::tagged::{write_tagged, TAGGED_TOKEN};
+use crate::tagged::{write_interned, write_tagged, NameTable, INTERNED_TOKEN, TAGGED_TOKEN};
+use crate::value::is_token;
 use crate::varint;
 
 /// Number of bytes [`crate::to_vec`] would produce for `value`.
 pub fn serialized_size<T: Serialize + ?Sized>(value: &T) -> Result<u64> {
-    let mut counter = SizeCounter { bytes: 0 };
+    let mut counter = SizeCounter { bytes: 0, tagged: Vec::new(), names: None };
     value.serialize(&mut counter)?;
     Ok(counter.bytes)
 }
@@ -38,6 +39,13 @@ fn varint_len(value: u64) -> u64 {
 /// shapes.
 struct SizeCounter {
     bytes: u64,
+    /// The tagged values met so far: the tagged encoding reorders object
+    /// entries after writing them, so its size is only known by producing
+    /// it. The interned ones stay, for the name table points into them.
+    tagged: Vec<u8>,
+    /// The name table of the value's interned values, made when the
+    /// first comes.
+    names: Option<Box<NameTable>>,
 }
 
 impl SizeCounter {
@@ -164,12 +172,17 @@ impl ser::Serializer for &mut SizeCounter {
         name: &'static str,
         value: &T,
     ) -> Result<()> {
-        if name == TAGGED_TOKEN {
-            // The tagged encoding reorders object entries after writing
-            // them, so its size is only known by producing it.
-            let mut encoded = Vec::new();
-            write_tagged(&mut encoded, value)?;
-            self.bytes += encoded.len() as u64;
+        let at = self.tagged.len();
+        if is_token(name, TAGGED_TOKEN) {
+            write_tagged(&mut self.tagged, value)?;
+            self.bytes += (self.tagged.len() - at) as u64;
+            self.tagged.truncate(at);
+            return Ok(());
+        }
+        if is_token(name, INTERNED_TOKEN) {
+            let names = self.names.get_or_insert_with(Box::default);
+            write_interned(&mut self.tagged, names, value)?;
+            self.bytes += (self.tagged.len() - at) as u64;
             return Ok(());
         }
         value.serialize(self)

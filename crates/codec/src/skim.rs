@@ -17,7 +17,7 @@ use serde::de::{
     VariantAccess, Visitor,
 };
 
-use crate::value::VARIANTS;
+use crate::value::{TREE, VARIANTS};
 
 /// Stands for a `String`: length, bounds and UTF-8 are checked.
 #[derive(Clone, Copy, Debug)]
@@ -134,7 +134,7 @@ impl<'de> Deserialize<'de> for SkipTagged {
                 Ok(SkipTagged)
             }
         }
-        deserializer.deserialize_enum("BinValue", VARIANTS, TreeVisitor)
+        deserializer.deserialize_enum(TREE, VARIANTS, TreeVisitor)
     }
 }
 
@@ -195,7 +195,7 @@ impl<'de> DeserializeSeed<'de> for Render<'_> {
     type Value = ();
     fn deserialize<D: Deserializer<'de>>(self, deserializer: D) -> Result<(), D::Error> {
         match self.part {
-            Part::Root | Part::Tree => deserializer.deserialize_enum("BinValue", VARIANTS, self),
+            Part::Root | Part::Tree => deserializer.deserialize_enum(TREE, VARIANTS, self),
             Part::BareStr | Part::Str => deserializer.deserialize_string(self),
             Part::Elements => deserializer.deserialize_seq(self),
         }

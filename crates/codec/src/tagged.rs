@@ -15,6 +15,8 @@
 //! | `5` | string | varint length, UTF-8 bytes |
 //! | `6` | array | varint count, the elements |
 //! | `7` | object | varint count, `(string key, value)` entries in key order |
+//! | `8` | string | a name |
+//! | `9` | object | varint count, `(name, value)` entries in key order |
 //!
 //! — which is what [`crate::BinValue`] decodes. [`Tagged`] encodes any
 //! `T: Serialize` to it directly, with no intermediate tree, by the rules
@@ -37,7 +39,23 @@
 //!   a string, every other variant a one-entry object from its name to
 //!   the newtype's value, the tuple's array or the struct's object.
 //!
-//! The output is byte-identical to `to_vec(&to_bin_value(value))`, the
+//! [`Tagged`] writes the context-free form, tags `0` to `7`: the bytes of
+//! a tree depend on the tree alone. [`Interned`] writes the same trees
+//! with every object key and string node as a *name* (tags `8` and `9`
+//! in place of `5` and `7`), against a [`NameTable`] that one payload's
+//! interned values share: the first time the payload writes a name it is
+//! inline, `varint(len << 1)` then its bytes, and enters the table; any
+//! later equal name is `varint(index << 1 | 1)`, its index in the table.
+//! Names are interned as they are written, a field or variant name found
+//! by the address of its `&'static str` before any byte is compared.
+//! Inline means first in the final bytes, read front to back: an object
+//! whose entries arrive out of key order has them interned again, in key
+//! order, against the table as it stood where the object began. A
+//! decoder builds the same table as it reads, so a payload still decodes
+//! alone, and a reader sees tag `8` as a string and `9` as an object.
+//!
+//! The output is byte-identical to `to_vec(&to_bin_value(value))` — or,
+//! interned, to `to_vec(&Interned(to_bin_value(value)))` — the
 //! tree-building reference the differential tests compare against.
 
 use std::io::Write as _;
@@ -56,10 +74,16 @@ const TAG_F64: u8 = 4;
 const TAG_STR: u8 = 5;
 const TAG_ARRAY: u8 = 6;
 const TAG_OBJECT: u8 = 7;
+pub(crate) const TAG_NAME: u8 = 8;
+pub(crate) const TAG_NAMED_OBJECT: u8 = 9;
 
 /// The newtype-struct name by which [`Tagged`] tells the GraftBin
 /// serializer to switch to the tagged encoding for the wrapped value.
 pub(crate) const TAGGED_TOKEN: &str = "$graft_codec::Tagged";
+
+/// The newtype-struct name by which [`Interned`] tells the GraftBin
+/// serializer to switch to the interned tagged encoding.
+pub(crate) const INTERNED_TOKEN: &str = "$graft_codec::Interned";
 
 /// Marks a value as type-erased: under GraftBin it is written in the
 /// tagged encoding of the module docs (decodable as a
@@ -74,14 +98,127 @@ impl<T: Serialize> Serialize for Tagged<T> {
     }
 }
 
+/// [`Tagged`], its names interned: under GraftBin each object key and
+/// string goes through the [`NameTable`] of the payload the serializer
+/// writes (see the module docs); under JSON it is transparent.
+#[derive(Clone, Copy, Debug)]
+pub struct Interned<T>(pub T);
+
+impl<T: Serialize> Serialize for Interned<T> {
+    fn serialize<S: ser::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
+        serializer.serialize_newtype_struct(INTERNED_TOKEN, &self.0)
+    }
+}
+
 /// Appends the tagged encoding of `value` to `out`. On error `out` may
 /// hold a partial encoding past its original length.
 pub fn write_tagged<T: Serialize + ?Sized>(out: &mut Vec<u8>, value: &T) -> Result<()> {
-    value.serialize(TaggedSerializer { out })
+    value.serialize(TaggedSerializer { out, names: None })
+}
+
+/// Appends the interned tagged encoding of `value` to `out`, whose
+/// payload's names so far `names` holds. On error `out` may hold a
+/// partial encoding past its original length.
+pub fn write_interned<T: Serialize + ?Sized>(
+    out: &mut Vec<u8>,
+    names: &mut NameTable,
+    value: &T,
+) -> Result<()> {
+    value.serialize(TaggedSerializer { out, names: Some(names) })
+}
+
+/// One name of a [`NameTable`]: its bytes lie at `at..at + len` of the
+/// output, and `ptr` is the address of the `&'static str` it was written
+/// from, 0 if none.
+#[derive(Clone, Copy, Debug)]
+struct Name {
+    at: usize,
+    len: usize,
+    ptr: usize,
+}
+
+/// The names a payload's interned values have written, in first-use
+/// order, each where its inline bytes lie in the output: a name's index
+/// is its position here, and nothing is copied. The writer keeps it in
+/// step with the output. Room is made with the first name, so a payload
+/// of no names costs nothing.
+#[derive(Clone, Debug, Default)]
+pub struct NameTable {
+    names: Vec<Name>,
+    /// One past the highest index ever written: no name at or past it
+    /// has been named by index.
+    top_ref: usize,
+}
+
+impl NameTable {
+    /// Forgets the names first written at or past byte `len` of the
+    /// output, which the writer has cut back to `len`. A name lies after
+    /// its length, so an empty one at `len` was written before it.
+    fn rewind(&mut self, len: usize) {
+        self.names.truncate(self.names.partition_point(|name| name.at <= len));
+    }
+
+    /// The index of `name`, whose `&'static str` address is `ptr` (0 if
+    /// none): an equal address settles it without comparing bytes.
+    fn find(&self, out: &[u8], name: &[u8], ptr: usize) -> Option<usize> {
+        self.find_past(out, name, ptr, &(0..0))
+    }
+
+    /// [`Self::find`] among all names but the `hidden` ones, which do not
+    /// count towards an index either.
+    fn find_past(
+        &self,
+        out: &[u8],
+        name: &[u8],
+        ptr: usize,
+        hidden: &Range<usize>,
+    ) -> Option<usize> {
+        let same = |known: &Name| {
+            known.len == name.len()
+                && ((ptr != 0 && known.ptr == ptr) || out[known.at..known.at + known.len] == *name)
+        };
+        let (before, past) = self.names.split_at(hidden.start);
+        let past = &past[hidden.len()..];
+        before.iter().position(same).or_else(|| Some(hidden.start + past.iter().position(same)?))
+    }
+
+    fn push(&mut self, at: usize, len: usize, ptr: usize) {
+        if self.names.capacity() == 0 {
+            self.names.reserve(8);
+        }
+        self.names.push(Name { at, len, ptr });
+    }
+
+    /// The varint that names name `index` by index.
+    fn refer(&mut self, index: usize) -> u64 {
+        self.top_ref = self.top_ref.max(index + 1);
+        (index as u64) << 1 | 1
+    }
+
+    /// Where the bytes of name `index` lie.
+    fn range(&self, index: usize) -> Range<usize> {
+        let name = self.names[index];
+        name.at..name.at + name.len
+    }
+
+    /// Moves the names written at or past byte `from` by `delta` bytes:
+    /// the output shifted under them.
+    fn shift(&mut self, from: usize, delta: isize) {
+        for name in self.names.iter_mut().rev().take_while(|name| name.at > from) {
+            name.at = name.at.wrapping_add_signed(delta);
+        }
+    }
+}
+
+/// The address that identifies a `&'static str` in a [`NameTable`].
+fn static_ptr(name: &'static str) -> usize {
+    name.as_ptr() as usize
 }
 
 struct TaggedSerializer<'a> {
     out: &'a mut Vec<u8>,
+    /// The payload's name table when names are interned.
+    names: Option<&'a mut NameTable>,
 }
 
 fn write_str(out: &mut Vec<u8>, v: &str) {
@@ -89,31 +226,91 @@ fn write_str(out: &mut Vec<u8>, v: &str) {
     out.extend_from_slice(v.as_bytes());
 }
 
+/// Appends `name` as a name: inline, entering the table, the first time;
+/// its index after that. `ptr` is as [`NameTable::find`] takes it.
+fn write_name(out: &mut Vec<u8>, names: &mut NameTable, name: &str, ptr: usize) {
+    match names.find(out, name.as_bytes(), ptr) {
+        Some(index) => varint::write_u64(out, names.refer(index)),
+        None => {
+            varint::write_u64(out, (name.len() as u64) << 1);
+            names.push(out.len(), name.len(), ptr);
+            out.extend_from_slice(name.as_bytes());
+        }
+    }
+}
+
+/// Appends an object key: a name where names are interned.
+fn write_key(out: &mut Vec<u8>, names: Option<&mut NameTable>, key: &str, ptr: usize) {
+    match names {
+        Some(names) => write_name(out, names, key, ptr),
+        None => write_str(out, key),
+    }
+}
+
+/// Appends a string node.
+fn write_string(out: &mut Vec<u8>, names: Option<&mut NameTable>, v: &str, ptr: usize) {
+    out.push(if names.is_some() { TAG_NAME } else { TAG_STR });
+    write_key(out, names, v, ptr)
+}
+
+/// Appends the tag of an object node.
+fn object_tag(names: &Option<&mut NameTable>) -> u8 {
+    if names.is_some() {
+        TAG_NAMED_OBJECT
+    } else {
+        TAG_OBJECT
+    }
+}
+
 /// Opens the one-entry object `{variant: ..}` of a non-unit enum variant;
 /// the caller writes the entry's value next.
-fn begin_variant(out: &mut Vec<u8>, variant: &str) {
-    out.extend_from_slice(&[TAG_OBJECT, 1]);
-    write_str(out, variant);
+fn begin_variant(out: &mut Vec<u8>, names: Option<&mut NameTable>, variant: &'static str) {
+    out.extend_from_slice(&[object_tag(&names), 1]);
+    write_key(out, names, variant, static_ptr(variant));
 }
 
 /// Rewrites the element count at `count_at` once the number of elements
-/// actually serialized is known to differ from the declared one.
-fn fix_count(out: &mut Vec<u8>, count_at: usize, declared: u64, actual: u64) {
+/// actually serialized is known to differ from the declared one, moving
+/// the names written after it with their bytes.
+fn fix_count(
+    out: &mut Vec<u8>,
+    names: Option<&mut NameTable>,
+    count_at: usize,
+    declared: u64,
+    actual: u64,
+) {
     if declared != actual {
         let mut buf = [0u8; varint::MAX_VARINT_LEN];
         let len = varint::encode_u64(actual, &mut buf);
-        let declared_end = count_at + varint::encoded_len_u64(declared);
-        out.splice(count_at..declared_end, buf[..len].iter().copied());
+        let declared_len = varint::encoded_len_u64(declared);
+        out.splice(count_at..count_at + declared_len, buf[..len].iter().copied());
+        if let Some(names) = names {
+            names.shift(count_at, len as isize - declared_len as isize);
+        }
     }
 }
 
 fn read_varint(buf: &[u8], pos: usize) -> (usize, usize) {
+    if buf[pos] < 0x80 {
+        return (usize::from(buf[pos]), pos + 1);
+    }
     let (value, len) = varint::read_u64(&buf[pos..]).expect("own tagged output is well-formed");
     (value as usize, pos + len)
 }
 
+/// The bytes of the key or name at `pos` of this module's own output,
+/// and the end of it: a name's index is read in `names`.
+fn read_key(buf: &[u8], names: Option<&NameTable>, pos: usize) -> (Range<usize>, usize) {
+    let (value, at) = read_varint(buf, pos);
+    match names {
+        Some(names) if value & 1 == 1 => (names.range(value >> 1), at),
+        Some(_) => (at..at + (value >> 1), at + (value >> 1)),
+        None => (at..at + value, at + value),
+    }
+}
+
 /// End offset of the tagged node that starts at `pos` of this module's
-/// own output.
+/// own output, in either form.
 fn skip_value(buf: &[u8], pos: usize) -> usize {
     let after_tag = pos + 1;
     match buf[pos] {
@@ -121,10 +318,8 @@ fn skip_value(buf: &[u8], pos: usize) -> usize {
         TAG_BOOL => after_tag + 1,
         TAG_U64 | TAG_I64 => read_varint(buf, after_tag).1,
         TAG_F64 => after_tag + 8,
-        TAG_STR => {
-            let (len, bytes_at) = read_varint(buf, after_tag);
-            bytes_at + len
-        }
+        TAG_STR => read_key(buf, None, after_tag).1,
+        TAG_NAME => name_end(buf, after_tag),
         TAG_ARRAY => {
             let (count, mut pos) = read_varint(buf, after_tag);
             for _ in 0..count {
@@ -132,11 +327,14 @@ fn skip_value(buf: &[u8], pos: usize) -> usize {
             }
             pos
         }
-        TAG_OBJECT => {
+        TAG_OBJECT | TAG_NAMED_OBJECT => {
             let (count, mut pos) = read_varint(buf, after_tag);
             for _ in 0..count {
-                let (len, bytes_at) = read_varint(buf, pos);
-                pos = skip_value(buf, bytes_at + len);
+                pos = match buf[after_tag - 1] {
+                    TAG_OBJECT => read_key(buf, None, pos).1,
+                    _ => name_end(buf, pos),
+                };
+                pos = skip_value(buf, pos);
             }
             pos
         }
@@ -144,34 +342,167 @@ fn skip_value(buf: &[u8], pos: usize) -> usize {
     }
 }
 
+/// End offset of the name at `pos` of this module's own output.
+fn name_end(buf: &[u8], pos: usize) -> usize {
+    let (value, at) = read_varint(buf, pos);
+    if value & 1 == 1 {
+        at
+    } else {
+        at + (value >> 1)
+    }
+}
+
+/// One object entry while its object is sorted: where the bytes of its
+/// key lie, and where the entry and its value begin and end.
+#[derive(Clone, Copy, Default)]
+struct Entry {
+    key: (usize, usize),
+    start: usize,
+    value: usize,
+    end: usize,
+    /// Where the entry starts once sorted, if it is moved as it is.
+    to: usize,
+}
+
 /// Reorders the `count` object entries that fill `out[first..]` into key
 /// order, a repeated key keeping only its last entry — what inserting
 /// them one by one into a `BTreeMap` leaves. Returns the entries kept.
-fn sort_entries(out: &mut Vec<u8>, first: usize, count: u64) -> u64 {
-    let mut entries: Vec<(Range<usize>, Range<usize>)> = Vec::new();
+///
+/// Where names are interned, the kept entries are interned again, in
+/// their new order, against the table as it stood where the first entry
+/// begins, so each name is inline where it comes first in the final
+/// bytes. Meanwhile the names the old entries entered stay in the table,
+/// hidden from lookups, for the old bytes to be read by.
+fn sort_entries(
+    out: &mut Vec<u8>,
+    mut names: Option<&mut NameTable>,
+    first: usize,
+    count: u64,
+) -> u64 {
+    // A struct's few entries are sorted on the stack.
+    let (mut stack, mut heap) = ([Entry::default(); 8], Vec::new());
+    let entries = match usize::try_from(count) {
+        Ok(count) if count <= stack.len() => &mut stack[..count],
+        _ => {
+            heap.resize(count as usize, Entry::default());
+            &mut heap[..]
+        }
+    };
     let mut pos = first;
-    for _ in 0..count {
-        let (len, bytes_at) = read_varint(out, pos);
-        let end = skip_value(out, bytes_at + len);
-        entries.push((bytes_at..bytes_at + len, pos..end));
+    for entry in entries.iter_mut() {
+        let (key, value) = read_key(out, names.as_deref(), pos);
+        let end = skip_value(out, value);
+        *entry = Entry { key: (key.start, key.end), start: pos, value, end, to: 0 };
         pos = end;
     }
     let unsorted_end = out.len();
     debug_assert_eq!(pos, unsorted_end);
+    let key = |entry: &Entry| entry.key.0..entry.key.1;
     // Stable, so equal keys stay in insertion order and the last one wins.
-    entries.sort_by(|a, b| out[a.0.clone()].cmp(&out[b.0.clone()]));
+    entries.sort_by(|a, b| out[key(a)].cmp(&out[key(b)]));
+    let hidden = names.as_deref().map_or(0..0, |names| {
+        names.names.partition_point(|name| name.at <= first)..names.names.len()
+    });
+    let unique = entries.windows(2).all(|pair| out[key(&pair[0])] != out[key(&pair[1])]);
+    // Where no name the entries entered is named again by index, each is
+    // inline exactly once: the entries move as they are, and only the
+    // table's order of their names changes.
+    let moved = unique && names.as_deref().is_none_or(|names| names.top_ref <= hidden.start);
     let mut kept = 0;
-    for (i, (key, entry)) in entries.iter().enumerate() {
-        let replaced =
-            entries.get(i + 1).is_some_and(|next| out[next.0.clone()] == out[key.clone()]);
-        if !replaced {
-            out.extend_from_within(entry.clone());
-            kept += 1;
+    for i in 0..entries.len() {
+        let entry = entries[i];
+        if entries.get(i + 1).is_some_and(|next| out[key(next)] == out[key(&entry)]) {
+            continue;
+        }
+        kept += 1;
+        match names.as_deref_mut() {
+            Some(names) if !moved => {
+                append_name(out, names, &hidden, key(&entry));
+                append_reinterned(out, names, &hidden, entry.value);
+            }
+            _ => {
+                entries[i].to = first + (out.len() - unsorted_end);
+                out.extend_from_within(entry.start..entry.end);
+            }
         }
     }
-    out.copy_within(unsorted_end.., first);
-    out.truncate(first + (out.len() - unsorted_end));
+    move_back(out, unsorted_end, first);
+    if let Some(names) = names {
+        if moved {
+            let region = &mut names.names[hidden.clone()];
+            for name in region.iter_mut() {
+                let entry =
+                    entries.iter().find(|entry| entry.start < name.at && name.at <= entry.end);
+                let entry = entry.expect("a name of the region lies in an entry");
+                name.at = name.at - entry.start + entry.to;
+            }
+            region.sort_unstable_by_key(|name| name.at);
+        } else {
+            names.names.drain(hidden);
+            names.shift(unsorted_end, first as isize - unsorted_end as isize);
+        }
+    }
     kept
+}
+
+/// Moves the bytes past `from` back to `to`, over what lay between.
+fn move_back(out: &mut Vec<u8>, from: usize, to: usize) {
+    out.copy_within(from.., to);
+    out.truncate(to + (out.len() - from));
+}
+
+/// Appends the bytes at `bytes` of `out` as a name, looked up past the
+/// `hidden` names (see [`sort_entries`]).
+fn append_name(
+    out: &mut Vec<u8>,
+    names: &mut NameTable,
+    hidden: &Range<usize>,
+    bytes: Range<usize>,
+) {
+    match names.find_past(out, &out[bytes.clone()], 0, hidden) {
+        Some(index) => varint::write_u64(out, names.refer(index)),
+        None => {
+            varint::write_u64(out, (bytes.len() as u64) << 1);
+            names.push(out.len(), bytes.len(), 0);
+            out.extend_from_within(bytes);
+        }
+    }
+}
+
+/// Appends the interned node at `pos` interned again, its names looked
+/// up past the `hidden` ones; returns the node's end.
+fn append_reinterned(
+    out: &mut Vec<u8>,
+    names: &mut NameTable,
+    hidden: &Range<usize>,
+    pos: usize,
+) -> usize {
+    match out[pos] {
+        TAG_NAME => {
+            let (name, end) = read_key(out, Some(names), pos + 1);
+            out.push(TAG_NAME);
+            append_name(out, names, hidden, name);
+            end
+        }
+        tag @ (TAG_NAMED_OBJECT | TAG_ARRAY) => {
+            let (count, mut at) = read_varint(out, pos + 1);
+            out.extend_from_within(pos..at);
+            for _ in 0..count {
+                if tag == TAG_NAMED_OBJECT {
+                    let (key, value) = read_key(out, Some(names), at);
+                    append_name(out, names, hidden, key);
+                    at = value;
+                }
+                at = append_reinterned(out, names, hidden, at);
+            }
+            at
+        }
+        _ => {
+            let end = skip_value(out, pos);
+            out.extend_from_within(pos..end);
+            end
+        }
+    }
 }
 
 impl<'a> ser::Serializer for TaggedSerializer<'a> {
@@ -250,8 +581,7 @@ impl<'a> ser::Serializer for TaggedSerializer<'a> {
     }
 
     fn serialize_str(self, v: &str) -> Result<()> {
-        self.out.push(TAG_STR);
-        write_str(self.out, v);
+        write_string(self.out, self.names, v, 0);
         Ok(())
     }
 
@@ -288,7 +618,8 @@ impl<'a> ser::Serializer for TaggedSerializer<'a> {
         _variant_index: u32,
         variant: &'static str,
     ) -> Result<()> {
-        self.serialize_str(variant)
+        write_string(self.out, self.names, variant, static_ptr(variant));
+        Ok(())
     }
 
     fn serialize_newtype_struct<T: Serialize + ?Sized>(
@@ -306,12 +637,13 @@ impl<'a> ser::Serializer for TaggedSerializer<'a> {
         variant: &'static str,
         value: &T,
     ) -> Result<()> {
-        begin_variant(self.out, variant);
-        value.serialize(self)
+        let TaggedSerializer { out, mut names } = self;
+        begin_variant(out, names.as_deref_mut(), variant);
+        value.serialize(TaggedSerializer { out, names })
     }
 
     fn serialize_seq(self, len: Option<usize>) -> Result<SeqEncoder<'a>> {
-        Ok(SeqEncoder::begin(self.out, len))
+        Ok(SeqEncoder::begin(self.out, self.names, len))
     }
 
     fn serialize_tuple(self, len: usize) -> Result<SeqEncoder<'a>> {
@@ -329,12 +661,13 @@ impl<'a> ser::Serializer for TaggedSerializer<'a> {
         variant: &'static str,
         len: usize,
     ) -> Result<SeqEncoder<'a>> {
-        begin_variant(self.out, variant);
-        self.serialize_seq(Some(len))
+        let TaggedSerializer { out, mut names } = self;
+        begin_variant(out, names.as_deref_mut(), variant);
+        Ok(SeqEncoder::begin(out, names, Some(len)))
     }
 
     fn serialize_map(self, len: Option<usize>) -> Result<MapEncoder<'a>> {
-        Ok(MapEncoder::begin(self.out, len))
+        Ok(MapEncoder::begin(self.out, self.names, len))
     }
 
     fn serialize_struct(self, _name: &'static str, len: usize) -> Result<MapEncoder<'a>> {
@@ -348,8 +681,9 @@ impl<'a> ser::Serializer for TaggedSerializer<'a> {
         variant: &'static str,
         len: usize,
     ) -> Result<MapEncoder<'a>> {
-        begin_variant(self.out, variant);
-        self.serialize_map(Some(len))
+        let TaggedSerializer { out, mut names } = self;
+        begin_variant(out, names.as_deref_mut(), variant);
+        Ok(MapEncoder::begin(out, names, Some(len)))
     }
 
     // The tree-building reference serializes through `serde_json`'s
@@ -364,27 +698,28 @@ impl<'a> ser::Serializer for TaggedSerializer<'a> {
 /// at the end if the elements serialized turn out to differ.
 struct SeqEncoder<'a> {
     out: &'a mut Vec<u8>,
+    names: Option<&'a mut NameTable>,
     count_at: usize,
     declared: u64,
     count: u64,
 }
 
 impl<'a> SeqEncoder<'a> {
-    fn begin(out: &'a mut Vec<u8>, len: Option<usize>) -> Self {
+    fn begin(out: &'a mut Vec<u8>, names: Option<&'a mut NameTable>, len: Option<usize>) -> Self {
         out.push(TAG_ARRAY);
         let count_at = out.len();
         let declared = len.unwrap_or(0) as u64;
         varint::write_u64(out, declared);
-        Self { out, count_at, declared, count: 0 }
+        Self { out, names, count_at, declared, count: 0 }
     }
 
     fn element<T: Serialize + ?Sized>(&mut self, value: &T) -> Result<()> {
         self.count += 1;
-        value.serialize(TaggedSerializer { out: self.out })
+        value.serialize(TaggedSerializer { out: self.out, names: self.names.as_deref_mut() })
     }
 
     fn finish(self) -> Result<()> {
-        fix_count(self.out, self.count_at, self.declared, self.count);
+        fix_count(self.out, self.names, self.count_at, self.declared, self.count);
         Ok(())
     }
 }
@@ -448,6 +783,7 @@ impl ser::SerializeTupleVariant for SeqEncoder<'_> {
 /// the end.
 struct MapEncoder<'a> {
     out: &'a mut Vec<u8>,
+    names: Option<&'a mut NameTable>,
     count_at: usize,
     declared: u64,
     count: u64,
@@ -461,14 +797,15 @@ struct MapEncoder<'a> {
 }
 
 impl<'a> MapEncoder<'a> {
-    fn begin(out: &'a mut Vec<u8>, len: Option<usize>) -> Self {
-        out.push(TAG_OBJECT);
+    fn begin(out: &'a mut Vec<u8>, names: Option<&'a mut NameTable>, len: Option<usize>) -> Self {
+        out.push(object_tag(&names));
         let count_at = out.len();
         let declared = len.unwrap_or(0) as u64;
         varint::write_u64(out, declared);
         let first_entry_at = out.len();
         Self {
             out,
+            names,
             count_at,
             declared,
             count: 0,
@@ -482,8 +819,7 @@ impl<'a> MapEncoder<'a> {
     /// Notes the key just written at `key_at` and whether it keeps the
     /// entries in order.
     fn key_written(&mut self, key_at: usize) {
-        let (len, bytes_at) = read_varint(self.out, key_at);
-        let key = bytes_at..bytes_at + len;
+        let (key, _) = read_key(self.out, self.names.as_deref(), key_at);
         if self.count > 0 && self.out[key.clone()] <= self.out[self.last_key.clone()] {
             self.sorted = false;
         }
@@ -492,21 +828,22 @@ impl<'a> MapEncoder<'a> {
 
     fn value<T: Serialize + ?Sized>(&mut self, value: &T) -> Result<()> {
         self.count += 1;
-        value.serialize(TaggedSerializer { out: self.out })
+        value.serialize(TaggedSerializer { out: self.out, names: self.names.as_deref_mut() })
     }
 
     fn field<T: Serialize + ?Sized>(&mut self, key: &'static str, value: &T) -> Result<()> {
         let key_at = self.out.len();
-        write_str(self.out, key);
+        write_key(self.out, self.names.as_deref_mut(), key, static_ptr(key));
         self.key_written(key_at);
         self.value(value)
     }
 
     fn finish(mut self) -> Result<()> {
         if !self.sorted {
-            self.count = sort_entries(self.out, self.first_entry_at, self.count);
+            let names = self.names.as_deref_mut();
+            self.count = sort_entries(self.out, names, self.first_entry_at, self.count);
         }
-        fix_count(self.out, self.count_at, self.declared, self.count);
+        fix_count(self.out, self.names, self.count_at, self.declared, self.count);
         Ok(())
     }
 }
@@ -519,9 +856,12 @@ impl ser::SerializeMap for MapEncoder<'_> {
         // A key written twice in a row replaces the first.
         if let Some(stale) = self.pending_key_at {
             self.out.truncate(stale);
+            if let Some(names) = self.names.as_deref_mut() {
+                names.rewind(stale);
+            }
         }
         let key_at = self.out.len();
-        key.serialize(KeySerializer { out: self.out })?;
+        key.serialize(KeySerializer { out: self.out, names: self.names.as_deref_mut() })?;
         self.pending_key_at = Some(key_at);
         Ok(())
     }
@@ -574,19 +914,35 @@ impl ser::SerializeStructVariant for MapEncoder<'_> {
     }
 }
 
-/// Writes a map key as the length-prefixed string an object entry opens
-/// with, or fails if the key does not render as a string.
+/// Writes a map key as the length-prefixed string or the name an object
+/// entry opens with, or fails if the key does not render as a string.
 struct KeySerializer<'a> {
     out: &'a mut Vec<u8>,
+    names: Option<&'a mut NameTable>,
 }
 
 impl KeySerializer<'_> {
-    /// A key short enough for a one-byte length: numbers and bools.
+    /// A key short enough for a one-byte length, even shifted for a
+    /// name: numbers and bools. It is rendered in place, then looked up.
     fn display(self, v: impl std::fmt::Display) -> Result<()> {
         let len_at = self.out.len();
         self.out.push(0);
         write!(self.out, "{v}").expect("writing to a Vec cannot fail");
-        self.out[len_at] = (self.out.len() - len_at - 1) as u8;
+        let len = self.out.len() - len_at - 1;
+        debug_assert!(len < 64, "a rendered key of {len} bytes");
+        match self.names {
+            None => self.out[len_at] = len as u8,
+            Some(names) => match names.find(self.out, &self.out[len_at + 1..], 0) {
+                Some(index) => {
+                    self.out.truncate(len_at);
+                    varint::write_u64(self.out, names.refer(index));
+                }
+                None => {
+                    self.out[len_at] = (len << 1) as u8;
+                    names.push(len_at + 1, len, 0);
+                }
+            },
+        }
         Ok(())
     }
 }
@@ -664,7 +1020,7 @@ impl<'a> ser::Serializer for KeySerializer<'a> {
     }
 
     fn serialize_str(self, v: &str) -> Result<()> {
-        write_str(self.out, v);
+        write_key(self.out, self.names, v, 0);
         Ok(())
     }
 
@@ -694,7 +1050,8 @@ impl<'a> ser::Serializer for KeySerializer<'a> {
         _variant_index: u32,
         variant: &'static str,
     ) -> Result<()> {
-        self.serialize_str(variant)
+        write_key(self.out, self.names, variant, static_ptr(variant));
+        Ok(())
     }
 
     fn serialize_newtype_struct<T: Serialize + ?Sized>(

@@ -75,6 +75,22 @@ pub fn normalize(value: &mut Value) {
 pub(crate) const VARIANTS: &[&str] =
     &["Null", "Bool", "U64", "I64", "F64", "Str", "Array", "Object"];
 
+/// The enum name under which every reader of a tagged tree asks the
+/// decoder for a node: the GraftBin decoder reads name nodes under it.
+pub(crate) const TREE: &str = "BinValue";
+
+/// Whether `name` is `token`: by address first, for a token is passed
+/// as itself, and by bytes where the address differs.
+pub(crate) fn is_token(name: &str, token: &'static str) -> bool {
+    std::ptr::eq(name, token) || name == token
+}
+
+/// The variant a string node reads as.
+pub(crate) const STR_VARIANT: u32 = 5;
+
+/// The variant an object node reads as.
+pub(crate) const OBJECT_VARIANT: u32 = 7;
+
 /// Borrowing serializer for one `Value` node in the tagged encoding;
 /// recursion goes through this wrapper so nested trees are encoded
 /// without cloning.
@@ -189,7 +205,7 @@ impl<'de> Deserialize<'de> for BinValue {
             }
         }
 
-        deserializer.deserialize_enum("BinValue", VARIANTS, BinValueVisitor)
+        deserializer.deserialize_enum(TREE, VARIANTS, BinValueVisitor)
     }
 }
 
@@ -265,8 +281,8 @@ mod tests {
 
     #[test]
     fn bad_tag_is_a_clean_error() {
-        // Tag 9 is outside the BinValue variant range.
-        let err = crate::from_slice::<BinValue>(&[9]).unwrap_err();
+        // Tag 10 is past the last tag, the object of names.
+        let err = crate::from_slice::<BinValue>(&[10]).unwrap_err();
         assert!(err.to_string().contains("tag"), "{err}");
     }
 }

@@ -17,7 +17,10 @@
 
 use std::collections::{BTreeMap, HashMap};
 
-use graft_codec::{serialized_size, to_bin_value, to_vec, write_tagged, BinValue, Tagged};
+use graft_codec::{
+    serialized_size, to_bin_value, to_vec, write_interned, write_tagged, BinValue, Interned,
+    NameTable, Tagged,
+};
 use rand::{Rng, SeedableRng};
 use serde::ser::{
     SerializeMap, SerializeSeq, SerializeStruct, SerializeStructVariant, SerializeTuple,
@@ -91,6 +94,7 @@ fn check_tagged<T: Serialize + ?Sized>(value: &T, label: &str) {
             // And the bytes decode to the tree the reference built.
             let decoded: BinValue = graft_codec::from_slice(&streamed).unwrap();
             assert_eq!(to_vec(&decoded).unwrap(), reference, "{label}: decode");
+            check_interned(value, &decoded, label);
         }
         (Err(reference), Err(streamed)) => {
             assert_eq!(streamed.to_string(), reference.to_string(), "{label}: error text");
@@ -99,6 +103,46 @@ fn check_tagged<T: Serialize + ?Sized>(value: &T, label: &str) {
             panic!("{label}: reference {reference:?} but streamed {streamed:?}")
         }
     }
+}
+
+/// The interned encoding of `value`, whose tree is `tree`, through every
+/// entry point: the single-pass writer, the wrapper through GraftBin,
+/// the size pass and the tree reference write the same bytes; those
+/// bytes decode alone to `tree`, and the tree re-encodes to them. Written
+/// twice into one payload, the second copy is names by index only, and
+/// the pair decodes and re-encodes the same way.
+fn check_interned<T: Serialize + ?Sized>(value: &T, tree: &BinValue, label: &str) {
+    let mut streamed = Vec::new();
+    write_interned(&mut streamed, &mut NameTable::default(), value).unwrap();
+    let reference = to_vec(&Interned(tree)).unwrap();
+    assert_eq!(streamed, reference, "{label}: interned bytes differ");
+    assert_eq!(to_vec(&Interned(value)).unwrap(), reference, "{label}: via Interned");
+    assert_eq!(serialized_size(&Interned(value)).unwrap(), reference.len() as u64, "{label}");
+    assert_eq!(
+        serde_json::to_vec(&Interned(value)).unwrap(),
+        serde_json::to_vec(value).unwrap(),
+        "{label}: JSON transparency of Interned"
+    );
+    let decoded: BinValue = graft_codec::from_slice(&streamed).unwrap();
+    assert_eq!(decoded, *tree, "{label}: interned decode");
+    assert_eq!(to_vec(&Interned(&decoded)).unwrap(), reference, "{label}: interned re-encode");
+
+    let pair = (Interned(value), Interned(value));
+    let twice = to_vec(&pair).unwrap();
+    assert_eq!(serialized_size(&pair).unwrap(), twice.len() as u64, "{label}: pair size");
+    assert_eq!(to_vec(&(Interned(tree), Interned(tree))).unwrap(), twice, "{label}: pair");
+    let mut names = NameTable::default();
+    let mut parts = Vec::new();
+    for _ in 0..2 {
+        parts.extend(b"typed");
+        write_interned(&mut parts, &mut names, value).unwrap();
+    }
+    let typed =
+        [b"typed".as_slice(), &twice[..reference.len()], b"typed", &twice[reference.len()..]];
+    assert_eq!(parts, typed.concat(), "{label}: a payload written in parts");
+    let (first, second): (BinValue, BinValue) = graft_codec::from_slice(&twice).unwrap();
+    assert_eq!((&first, &second), (tree, tree), "{label}: pair decode");
+    assert!(twice.len() - reference.len() <= reference.len(), "{label}: the copy grew");
 }
 
 const NAMES: [&str; 8] = ["zeta", "alpha", "mid", "a", "ab", "Zed", "émile", "k"];
@@ -622,4 +666,104 @@ fn json_text_matches_literal_expectations() {
     );
     let bad = serde_json::to_string(&Shape::Map(None, vec![(Shape::Unit, Shape::Unit)]));
     assert_eq!(bad.unwrap_err().to_string(), "map key must be a string or number");
+}
+
+/// Fields declared out of key order: `zulu`'s value names `alpha` first
+/// as written, but `alpha` sorts first, so its key is the inline name.
+#[derive(Serialize)]
+struct LateName {
+    zulu: Label,
+    alpha: u8,
+}
+
+#[derive(Serialize)]
+enum Label {
+    #[allow(dead_code)]
+    Beta,
+    #[allow(non_camel_case_types)]
+    alpha,
+}
+
+#[derive(Serialize)]
+struct Named {
+    label: String,
+    other: String,
+}
+
+#[derive(Serialize)]
+struct Floats {
+    zero: f64,
+    nan: f64,
+    up: f64,
+    down: f64,
+    tag: &'static str,
+}
+
+/// The name rule's corner cases, each through every entry point
+/// ([`check_tagged`], and so [`check_interned`]); where the bytes are
+/// short, they are pinned.
+#[test]
+fn interned_names_obey_first_use_in_the_final_bytes() {
+    let late = LateName { zulu: Label::alpha, alpha: 3 };
+    check_tagged(&late, "an out-of-key-order struct whose later field names an earlier key");
+    // {alpha: 3, zulu: "alpha"}: the key is inline, the string its index.
+    let bytes = to_vec(&Interned(&late)).unwrap();
+    let mut want = vec![9, 2, 5 << 1];
+    want.extend(b"alpha");
+    want.extend([2, 3, 4 << 1]);
+    want.extend(b"zulu");
+    want.extend([8, 1]);
+    assert_eq!(bytes, want);
+
+    let named = Named { label: "label".into(), other: "other".into() };
+    check_tagged(&named, "a data string equal to a field name");
+    let bytes = to_vec(&Interned(&named)).unwrap();
+    let mut want = vec![9, 2, 5 << 1];
+    want.extend(b"label");
+    want.extend([8, 1, 5 << 1]);
+    want.extend(b"other");
+    want.extend([8, 1 << 1 | 1]);
+    assert_eq!(bytes, want);
+
+    // 200 distinct names, then each again: from index 64 on, a name's
+    // index takes two bytes.
+    let keys: Vec<String> = (0..200).map(|i| format!("n{i}")).collect();
+    let map: BTreeMap<&str, u8> = keys.iter().map(|key| (key.as_str(), 0)).collect();
+    check_tagged(&vec![&map, &map], "more than 127 distinct names");
+    let single = to_vec(&Interned(&map)).unwrap();
+    let twice = to_vec(&Interned(vec![&map, &map])).unwrap();
+    // The second copy: tag, count, then per entry an index and a value.
+    let indexed: usize = (0..200).map(|i: usize| if i < 64 { 1 } else { 2 } + 2).sum();
+    assert_eq!(twice.len() - (single.len() + 2), 1 + 2 + indexed);
+
+    let ints = BTreeMap::from([(-2i64, "10"), (10, "-2"), (9, "x")]);
+    check_tagged(&vec![ints.clone(), ints], "integer map keys, and strings equal to them");
+    let floats = Shape::Map(
+        Some(3),
+        vec![
+            (Shape::F64(1.5), Shape::Str("1.5".into())),
+            (Shape::F64(f64::INFINITY), Shape::F64(-0.0)),
+            (Shape::F32(-0.25), Shape::F64(f64::NAN)),
+        ],
+    );
+    check_tagged(&Shape::Seq(Some(2), vec![floats.clone(), floats]), "float map keys");
+
+    let edges = Floats {
+        zero: -0.0,
+        nan: f64::NAN,
+        up: f64::INFINITY,
+        down: f64::NEG_INFINITY,
+        tag: "nan",
+    };
+    check_tagged(&edges, "NaN, infinities and -0.0 next to names");
+    check_tagged(&(&edges, &edges), "NaN, infinities and -0.0 next to names, twice");
+
+    // Names that take more bytes interned than context-free: a name of
+    // 64 to 127 bytes, whose shifted length needs a second byte, and the
+    // empty string by an index that needs two.
+    let long = "x".repeat(100);
+    check_tagged(&BTreeMap::from([(long.as_str(), long.as_str())]), "a 100-byte name, twice");
+    let mut many: Vec<String> = (0..70).map(|i| format!("s{i}")).collect();
+    many.extend([String::new(), String::new()]);
+    check_tagged(&many, "the empty string again, by an index past 63");
 }

@@ -20,10 +20,10 @@
 //! through a [`ChannelWriter`], the one place that grammar is written
 //! down.
 //!
-//! JSON lines, one document per line, and binary layouts v1 to v3 are
+//! JSON lines, one document per line, and binary layouts v1 to v4 are
 //! legacy formats: nothing captures in them, and every reader takes a
 //! channel through one door, [`native_channel`], which turns a legacy
-//! channel into the v4 bytes `trace convert --to binary` writes for it —
+//! channel into the v5 bytes `trace convert --to binary` writes for it —
 //! so no reader past the door knows a layout. [`convert_channel`] exports
 //! to JSON lines.
 //!
@@ -31,11 +31,13 @@
 //! engine state: the instrumenter fills a [`VertexCapture`] with
 //! references to the vertex's value, edges and messages, and its
 //! `Serialize` impl puts the computation-typed positions (id, values,
-//! edges, messages) through [`graft_codec::Tagged`] — the type-erased
-//! tagged encoding whose rules are stated in `graft_codec`'s `tagged`
-//! module — and everything else through plain GraftBin. No intermediate
-//! value tree is built and no size pass is made; the frame's length
-//! prefix is filled in after the payload is written.
+//! edges, messages) through the type-erased tagged encoding whose rules
+//! are stated in `graft_codec`'s `tagged` module — the id and edges
+//! through [`graft_codec::Tagged`], the values and messages through
+//! [`graft_codec::Interned`] — and everything else through plain
+//! GraftBin. No intermediate value tree is built and no size pass is
+//! made; the frame's length prefix is filled in after the payload is
+//! written.
 //!
 //! Readers decode the same payload as a [`WireVertexTrace`], whose typed
 //! positions are [`graft_codec::BinValue`] trees, and take the rest of the
@@ -46,9 +48,10 @@
 //! a record exported to JSON lines and read back is the record, and
 //! every view served over either format is byte-for-byte the same.
 //!
-//! **Format v4: a capture writes only what the vertex's last capture did
-//! not, and a superstep's context once.** `meta.json` records the binary
-//! layout as a [`TraceFormat`]. A v4 vertex record holds no superstep,
+//! **Format v5: a capture writes only what the vertex's last capture did
+//! not, a superstep's context once, and each name once per record.**
+//! `meta.json` records the binary layout as a [`TraceFormat`]. A v5
+//! vertex record holds no superstep,
 //! global data or aggregator values: its group's index frame does. A
 //! [`ChannelWriter`] opens a group when the superstep changes or when a
 //! record's encoded context differs from the open group's, so a context
@@ -56,7 +59,12 @@
 //! capture path hands the writer a context version with the record
 //! ([`VertexCapture::context_version`]); a record under the version the
 //! open group was written or matched under is in that group, with its
-//! context neither encoded nor compared.
+//! context neither encoded nor compared. Within a payload, the values
+//! and messages share one name table: an object key or string is inline
+//! the first time the payload writes it and an index after that, while
+//! the id and edges write no names and enter no table, so their bytes
+//! do not depend on what the record wrote before them. v4 payloads
+//! wrote every name inline; they read as v5 payloads that hold no name.
 //!
 //! A vertex record's `edges` field is a [`WireEdges`]: the
 //! inline list, or the channel offset of an earlier frame that records the
@@ -72,8 +80,8 @@
 //! targets in edge order and every message encodes to the first's bytes —
 //! one [`Broadcast`] of that message, which readers list along the
 //! record's edges. v1 channels held every list inline, v2 channels every
-//! send as a pair and v3 channels a context in every record; the door
-//! writes each again under these rules.
+//! send as a pair, v3 channels a context in every record and v4 channels
+//! every name inline; the door writes each again under these rules.
 //!
 //! A payload is read in one of three ways, all through the one GraftBin
 //! decoder, so each succeeds on exactly the same payloads. A
@@ -98,7 +106,10 @@ use std::ops::Range;
 use std::sync::Arc;
 
 use graft_codec::frame::{Frame, FrameScanner};
-use graft_codec::{for_each_element, BinValue, SkipSeq, SkipStr, SkipTagged, Tagged, TaggedText};
+use graft_codec::{
+    for_each_element, BinValue, Interned, NameTable, SkipSeq, SkipStr, SkipTagged, Tagged,
+    TaggedText,
+};
 use graft_dfs::FileSystem;
 use graft_pregel::hash::{FxHashMap, FxHasher};
 use graft_pregel::{AggValue, GlobalData};
@@ -189,7 +200,7 @@ pub type VertexTraceOf<C> = VertexTrace<
 
 /// A vertex trace whose computation-specific fields (id, values, edges,
 /// messages) are type-erased [`graft_codec::BinValue`] trees, its edges
-/// listed: what a JSON line or a v1 binary payload holds, and what a v4
+/// listed: what a JSON line or a v1 binary payload holds, and what a v5
 /// payload reads as once its edge reference is resolved and its group's
 /// context attached. Any tool can
 /// handle it without the computation's Rust types; it is the one form of
@@ -232,7 +243,7 @@ impl ErasedVertexTrace {
     }
 }
 
-/// The `edges` field of a v2, v3 or v4 binary vertex payload.
+/// The `edges` field of a v2 to v5 binary vertex payload.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub enum WireEdges<L> {
     /// The `(target, edge value)` list itself.
@@ -242,7 +253,7 @@ pub enum WireEdges<L> {
     At(u64),
 }
 
-/// The `outgoing` field of a v3 or v4 binary vertex payload.
+/// The `outgoing` field of a v3 to v5 binary vertex payload.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub enum WireOutgoing<L, M> {
     /// The `(target, message)` pairs themselves, in send order.
@@ -263,13 +274,16 @@ pub struct Broadcast<M> {
     pub value: M,
 }
 
-/// The layout of a v4 binary vertex frame's payload, field for field:
+/// The layout of a v5 binary vertex frame's payload, field for field:
 /// an [`ErasedVertexTrace`] without the `superstep`, `aggregators` and
 /// `global` its group's [`IndexRecord`] holds, whose edges are a
-/// [`WireEdges`] and whose outgoing messages are a [`WireOutgoing`].
-/// Encoding one with `graft_codec::frame::write_value_frame` gives the
-/// frame the capture path writes for the same record.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+/// [`WireEdges`] and whose outgoing messages are a [`WireOutgoing`]. The
+/// values and messages are [`Interned`], against one name table for the
+/// payload; the id and the edges are context-free. Encoding one with
+/// `graft_codec::frame::write_value_frame` gives the frame the capture
+/// path writes for the same record. A v4 payload decodes too: it is a v5
+/// payload whose trees hold no name.
+#[derive(Clone, Debug, Deserialize)]
 pub struct WireVertexTrace {
     /// See [`VertexTrace::vertex`].
     pub vertex: BinValue,
@@ -293,6 +307,33 @@ pub struct WireVertexTrace {
     pub exception: Option<ExceptionInfo>,
 }
 
+impl Serialize for WireVertexTrace {
+    fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
+        use serde::ser::SerializeStruct;
+        let outgoing = match &self.outgoing {
+            WireOutgoing::Pairs(pairs) => {
+                let pairs = pairs.iter().map(|(target, message)| (target, Interned(message)));
+                WireOutgoing::Pairs(Seq(pairs))
+            }
+            WireOutgoing::Broadcast(Broadcast { count, value }) => {
+                WireOutgoing::Broadcast(Broadcast { count: *count, value: Interned(value) })
+            }
+        };
+        let mut record = serializer.serialize_struct("WireVertexTrace", 10)?;
+        record.serialize_field("vertex", &self.vertex)?;
+        record.serialize_field("value_before", &Interned(&self.value_before))?;
+        record.serialize_field("value_after", &Interned(&self.value_after))?;
+        record.serialize_field("edges", &self.edges)?;
+        record.serialize_field("incoming", &Seq(self.incoming.iter().map(Interned)))?;
+        record.serialize_field("outgoing", &outgoing)?;
+        record.serialize_field("halted_after", &self.halted_after)?;
+        record.serialize_field("reasons", &self.reasons)?;
+        record.serialize_field("violations", &self.violations)?;
+        record.serialize_field("exception", &self.exception)?;
+        record.end()
+    }
+}
+
 /// The captured context of one `master.compute()` call: the aggregator
 /// values it saw/produced, plus global data.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -310,7 +351,7 @@ pub struct MasterTrace {
 /// A group's index record: the payload of the index frame a
 /// [`ChannelWriter`] writes into a worker channel immediately before the
 /// first vertex record of each group. It holds the context every record
-/// of the group shares, which a v4 vertex payload leaves out, so a reader
+/// of the group shares, which a v5 vertex payload leaves out, so a reader
 /// scanning frame headers knows — without decoding a single vertex
 /// payload — which superstep the following group belongs to and how much
 /// of the channel precedes it.
@@ -381,15 +422,21 @@ pub enum TraceFormat {
     /// [`WireEdges`], their outgoing messages as a [`WireOutgoing`], and
     /// their superstep and context.
     BinaryV3,
-    /// Binary frames whose vertex payloads are [`WireVertexTrace`]s: the
-    /// superstep and context are their group's [`IndexRecord`]'s.
+    /// Binary frames whose vertex payloads hold their superstep and
+    /// context in their group's [`IndexRecord`], and every object key and
+    /// string of their values and messages inline.
     BinaryV4,
+    /// Binary frames whose vertex payloads are [`WireVertexTrace`]s: the
+    /// superstep and context are their group's [`IndexRecord`]'s, and the
+    /// values and messages write each name once per payload
+    /// ([`graft_codec::Interned`]).
+    BinaryV5,
 }
 
 impl TraceFormat {
     /// The layout capture writes, `trace convert --to binary` imports to
     /// and every reader reads past the door ([`native_channel`]).
-    pub const NATIVE: TraceFormat = TraceFormat::BinaryV4;
+    pub const NATIVE: TraceFormat = TraceFormat::BinaryV5;
 }
 
 /// Terminal job status written at trace root as `result.json`.
@@ -547,6 +594,16 @@ fn put<T: Serialize + ?Sized>(out: &mut Vec<u8>, value: &T) -> graft_codec::Resu
     value.serialize(&mut graft_codec::Serializer::new(out))
 }
 
+/// Appends the GraftBin encoding of `value`, a part of the payload `out`
+/// ends with, whose interned names so far `names` holds.
+fn put_in<T: Serialize + ?Sized>(
+    out: &mut Vec<u8>,
+    names: &mut NameTable,
+    value: &T,
+) -> graft_codec::Result<()> {
+    value.serialize(&mut graft_codec::Serializer::with_names(out, names))
+}
+
 /// A vertex context as the instrumenter hands it to the sink: the fields
 /// of a [`VertexTrace`], borrowed from the engine state they live in
 /// rather than cloned into a record. Its binary frame is a
@@ -602,7 +659,7 @@ where
     Ed: ExactSizeIterator<Item = (&'a I, &'a E)> + Clone,
     Ag: ExactSizeIterator<Item = (&'a str, &'a AggValue)> + Clone,
 {
-    /// Appends the record's v4 frame to `buf`, field by field. The edges
+    /// Appends the record's v5 frame to `buf`, field by field. The edges
     /// are written inline; with a `rule`, the channel's rule and the
     /// frame's channel offset, they are then cut back to a reference
     /// where the rule has one, and an inline list is noted for later
@@ -622,11 +679,12 @@ where
         // its end: the length prefix may still shift what lies before.
         let mut inline: Option<[usize; 4]> = None;
         graft_codec::frame::write_frame_with(buf, FRAME_VERTEX, |out| {
+            let names = &mut NameTable::default();
             let id_at = out.len();
             put(out, &Tagged(self.vertex))?;
             let id = id_at..out.len();
-            put(out, &Tagged(self.value_before))?;
-            put(out, &Tagged(self.value_after))?;
+            put_in(out, names, &Interned(self.value_before))?;
+            put_in(out, names, &Interned(self.value_after))?;
             let edges_at = out.len();
             let tagged_pair = |(a, b)| (Tagged(a), Tagged(b));
             let listed = WireEdges::Inline(Seq(self.edges.clone().map(tagged_pair)));
@@ -658,8 +716,8 @@ where
                 }
                 None => Some(out.len()),
             };
-            put(out, &Seq(self.incoming.iter().map(Tagged)))?;
-            self.write_outgoing(out, same_target)?;
+            put_in(out, names, &Seq(self.incoming.iter().map(Interned)))?;
+            self.write_outgoing(out, names, same_target)?;
             put(out, &self.halted_after)?;
             put(out, self.reasons)?;
             put(out, self.violations)?;
@@ -691,10 +749,14 @@ where
     /// the first; the pairs otherwise. Both tests are on encoded bytes —
     /// `same_target` answers the first without encoding where equal ids
     /// are known to encode alike — so `-0.0` never stands for `0.0`, and
-    /// two NaNs, which both encode as null, may.
+    /// two NaNs, which both encode as null, may. The messages are compared
+    /// in their context-free encoding: two are equal there exactly when
+    /// they intern alike against one table, whatever names the first of
+    /// them would have entered into it.
     fn write_outgoing(
         &self,
         out: &mut Vec<u8>,
+        names: &mut NameTable,
         same_target: impl Fn(&I, &I) -> bool,
     ) -> graft_codec::Result<()> {
         let field = out.len();
@@ -720,12 +782,13 @@ where
             out.truncate(field);
             if alike {
                 let count = self.outgoing.len() as u64;
-                let broadcast = Broadcast { count, value: Tagged(first) };
-                return put(out, &WireOutgoing::<(), _>::Broadcast(broadcast));
+                let broadcast = Broadcast { count, value: Interned(first) };
+                return put_in(out, names, &WireOutgoing::<(), _>::Broadcast(broadcast));
             }
         }
-        let pairs = self.outgoing.iter().map(|(target, message)| (Tagged(target), Tagged(message)));
-        put(out, &WireOutgoing::<_, ()>::Pairs(Seq(pairs)))
+        let pairs =
+            self.outgoing.iter().map(|(target, message)| (Tagged(target), Interned(message)));
+        put_in(out, names, &WireOutgoing::<_, ()>::Pairs(Seq(pairs)))
     }
 }
 
@@ -1046,7 +1109,7 @@ impl TraceRecord for MasterTrace {
     }
 }
 
-/// The superstep of a v4 index payload, and the offset of the context it
+/// The superstep of a v5 index payload, and the offset of the context it
 /// ends with; an error unless the whole payload reads as an
 /// [`IndexRecord`].
 fn index_context(payload: &[u8]) -> graft_codec::Result<(u64, usize)> {
@@ -1402,9 +1465,9 @@ struct Listing<R> {
 }
 
 /// The binary layout of a worker channel's vertex payloads, as the walk
-/// reads them: v4, or — only behind the door — v3, whose payloads hold
-/// their own superstep and context, or v2, whose `outgoing` is a plain
-/// list too.
+/// reads them: v5 — or v4, whose payloads read alike, holding no name
+/// node — or, only behind the door, v3, whose payloads hold their own
+/// superstep and context, or v2, whose `outgoing` is a plain list too.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Layout {
     V2,
@@ -1591,7 +1654,7 @@ struct Skim {
     broadcast: Option<usize>,
 }
 
-/// A v4 worker channel as its vertex payloads are read: the bytes an edge
+/// A v5 worker channel as its vertex payloads are read: the bytes an edge
 /// reference resolves against. A legacy channel reaches it through
 /// [`native_channel`].
 ///
@@ -1601,12 +1664,12 @@ struct Skim {
 #[derive(Clone, Copy, Debug)]
 pub struct VertexChannel<'a> {
     bytes: &'a [u8],
-    /// The layout: v4 but where the door reads a legacy channel.
+    /// The layout: v5 but where the door reads a legacy channel.
     layout: Layout,
 }
 
 impl<'a> VertexChannel<'a> {
-    /// The v4 channel `bytes`.
+    /// The v5 channel `bytes`.
     pub fn new(bytes: &'a [u8]) -> Self {
         Self { bytes, layout: Layout::V4 }
     }
@@ -1616,7 +1679,7 @@ impl<'a> VertexChannel<'a> {
         PayloadReader { layout: self.layout, ..PayloadReader::new(payload) }
     }
 
-    /// The group a v4 payload is read with.
+    /// The group a v5 payload is read with.
     fn group<'g>(&self, group: Option<&'g IndexRecord>) -> graft_codec::Result<&'g IndexRecord> {
         group.ok_or_else(|| graft_codec::Error::Message("a vertex record in no group".into()))
     }
@@ -1884,7 +1947,7 @@ fn for_each_vertex_record(
     })
 }
 
-/// Decodes every vertex record of a v4 worker channel, edge references
+/// Decodes every vertex record of a v5 worker channel, edge references
 /// followed and broadcasts listed, each built from its [`ErasedVertexTrace`]
 /// ([`ErasedVertexTrace::typed`]): `VertexTraceOf<C>` for a typed
 /// session, or the record itself.
@@ -1915,18 +1978,20 @@ pub enum ChannelKind {
 }
 
 /// The door every reader takes a channel through: the `kind` channel
-/// `bytes`, recorded in `format`, as the v4 bytes `trace convert --to
-/// binary` writes for them. A v4 channel passes as it is, and so does a
-/// v1, v2 or v3 master channel, the layouts differing only in worker
+/// `bytes`, recorded in `format`, as the v5 bytes `trace convert --to
+/// binary` writes for them. A v5 channel passes as it is, and so does a
+/// v1 to v4 master channel, the layouts differing only in worker
 /// channels. Any other legacy channel is decoded in full and written
 /// again, record by record, through a [`ChannelWriter`]: a record that
-/// does not decode fails here, a binary frame with its offset. A v3
-/// worker channel is read by the v4 reader in v3 mode, each payload's own
-/// superstep and context read with it, and a v2 channel too, its
-/// `outgoing` lists read as the pairs form. With `torn_tail_ok`, the
-/// reading of a job still running, a last record caught mid-append — a
-/// line with no newline that does not parse, a frame overrunning the end
-/// — is left out, as the v4 walk leaves out a torn frame.
+/// does not decode fails here, a binary frame with its offset. A v4
+/// worker channel is read by the v5 reader as it is, so every name is
+/// interned as it is written again; a v3 one by the same reader in v3
+/// mode, each payload's own superstep and context read with it, and a v2
+/// channel too, its `outgoing` lists read as the pairs form. With
+/// `torn_tail_ok`, the reading of a job still running, a last record
+/// caught mid-append — a line with no newline that does not parse, a
+/// frame overrunning the end — is left out, as the v5 walk leaves out a
+/// torn frame.
 pub fn native_channel(
     format: TraceFormat,
     kind: ChannelKind,
@@ -1936,14 +2001,24 @@ pub fn native_channel(
     let mut out = Vec::new();
     let mut writer = ChannelWriter::default();
     match (format, kind) {
-        (TraceFormat::BinaryV4, _)
+        (TraceFormat::BinaryV5, _)
         | (
-            TraceFormat::Binary | TraceFormat::BinaryV2 | TraceFormat::BinaryV3,
+            TraceFormat::Binary
+            | TraceFormat::BinaryV2
+            | TraceFormat::BinaryV3
+            | TraceFormat::BinaryV4,
             ChannelKind::Master,
         ) => return Ok(bytes),
-        (TraceFormat::BinaryV2 | TraceFormat::BinaryV3, ChannelKind::Worker) => {
+        (
+            TraceFormat::BinaryV2 | TraceFormat::BinaryV3 | TraceFormat::BinaryV4,
+            ChannelKind::Worker,
+        ) => {
             let up_to = torn_tail_ok.then_some(u64::MAX);
-            let layout = if format == TraceFormat::BinaryV2 { Layout::V2 } else { Layout::V3 };
+            let layout = match format {
+                TraceFormat::BinaryV2 => Layout::V2,
+                TraceFormat::BinaryV3 => Layout::V3,
+                _ => Layout::V4,
+            };
             let channel = VertexChannel { bytes: &bytes, layout };
             for_each_vertex_record(channel, up_to, |record| {
                 let appended = writer.append_vertex(&record, &mut out);
@@ -2306,7 +2381,7 @@ mod tests {
     #[test]
     fn a_legacy_json_channel_upgrades_to_what_capture_writes() {
         use ChannelKind::{Master, Worker};
-        use TraceFormat::{Binary, BinaryV2, BinaryV3, BinaryV4, JsonLines};
+        use TraceFormat::{Binary, BinaryV2, BinaryV3, BinaryV4, BinaryV5, JsonLines};
         let records = [sample_trace(), VertexTrace { superstep: 42, ..sample_trace() }];
         let lines = json_lines(&records);
         let upgraded = native_channel(JsonLines, Worker, lines.clone(), false).unwrap();
@@ -2345,10 +2420,11 @@ mod tests {
         assert!(native_channel(JsonLines, Master, torn.clone(), false).is_err());
         assert_eq!(native_channel(JsonLines, Master, torn, true).unwrap(), native);
 
-        // v4 channels, and v1, v2 and v3 master channels, pass through as
-        // they are.
+        // v5 channels, and v1 to v4 master channels, pass through as they
+        // are.
         let passing = [
-            (BinaryV4, Worker),
+            (BinaryV5, Worker),
+            (BinaryV5, Master),
             (BinaryV4, Master),
             (BinaryV3, Master),
             (BinaryV2, Master),
@@ -2368,6 +2444,7 @@ mod tests {
             (TraceFormat::BinaryV2, "\"BinaryV2\""),
             (TraceFormat::BinaryV3, "\"BinaryV3\""),
             (TraceFormat::BinaryV4, "\"BinaryV4\""),
+            (TraceFormat::BinaryV5, "\"BinaryV5\""),
         ] {
             assert_eq!(serde_json::to_string(&format).unwrap(), name);
             assert_eq!(serde_json::from_str::<TraceFormat>(name).unwrap(), format);

@@ -730,10 +730,10 @@ mod tests {
         // names no kind of node.
         let victim = frames.iter().rfind(|frame| frame.kind == FRAME_VERTEX).unwrap();
         let mut bad_tag = pristine.clone();
-        bad_tag[victim.payload_start] = 9;
+        bad_tag[victim.payload_start] = 10;
         fs.write_all(&path, &bad_tag).unwrap();
         let err = UntypedSession::open(fs.clone(), root).map(|_| ()).unwrap_err().to_string();
-        assert!(err.contains(&format!("tag 9 at byte {}", victim.start)), "{err}");
+        assert!(err.contains(&format!("tag 10 at byte {}", victim.start)), "{err}");
         // So is a short payload in a complete frame, which no torn write
         // leaves: the first index frame, a byte shorter.
         let mut short_index = pristine.clone();

@@ -7,7 +7,12 @@
 //! Whatever form a record's sends take on disk, the record every reader
 //! builds, its JSON-lines export and its reproducer must be those of the
 //! sends `compute` made, listed as explicit pairs; and `trace convert`
-//! must take the capture to JSON lines and back to the same bytes.
+//! must take the capture to JSON lines and back to the same bytes. The
+//! form is the rule's: a broadcast exactly when the sends go along every
+//! edge in edge order and every message has the first's encoding —
+//! which, since layout v5 writes each name once per record, the writer
+//! must decide with every message encoded against the names as they
+//! stood before the first.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
@@ -107,6 +112,7 @@ fn check<C: Computation<Id = u64>>(run: &GraftRun<Witnessed<C>>, sends: &Sends) 
         record
     };
     let mut forms = Forms::new();
+    let mut rule = Forms::new();
     for worker in 0..WORKERS {
         let captured = fs.read_all(&worker_trace_path(ROOT, worker)).unwrap();
         let records: Vec<ErasedVertexTrace> = decode_vertex_records(&captured).unwrap();
@@ -116,6 +122,15 @@ fn check<C: Computation<Id = u64>>(run: &GraftRun<Witnessed<C>>, sends: &Sends) 
             let label = format!("superstep {superstep}, vertex {vertex}");
             let expected = with_pairs(record.clone());
             assert_eq!(text(&record), text(&expected), "{label}: the record");
+            let bytes = |message| graft_codec::to_vec(&graft_codec::Tagged(message)).unwrap();
+            let along_edges = !expected.outgoing.is_empty()
+                && expected.outgoing.len() == expected.edges.len()
+                && expected.outgoing.iter().zip(&expected.edges).all(
+                    |((to, message), (target, _))| {
+                        to == target && bytes(message) == bytes(&expected.outgoing[0].1)
+                    },
+                );
+            rule.insert((superstep, vertex), along_edges);
             let row = session.vertex_at(superstep, &vertex.to_string()).unwrap();
             assert_eq!(text(row.record()), text(&expected), "{label}: the session's record");
             let repro = vj::repro_source(&session, &vertex.to_string(), superstep).unwrap();
@@ -144,6 +159,7 @@ fn check<C: Computation<Id = u64>>(run: &GraftRun<Witnessed<C>>, sends: &Sends) 
         }
     }
     assert_eq!(forms.len(), run.captures as usize);
+    assert_eq!(forms, rule, "the broadcast rule");
     forms
 }
 
@@ -285,4 +301,24 @@ fn graph_coloring_priority_and_in_set_rounds_read_as_their_pairs() {
     for name in ["Priority", "InSet"] {
         assert!(seen[name].contains(&true), "{name}: {:?}", seen[name]);
     }
+    // A vertex with no incoming messages writes the names of its first
+    // `Priority` message inline, yet its sends are one broadcast.
+    let fs = run.fs();
+    let mut quiet = 0;
+    for worker in 0..WORKERS {
+        let bytes = fs.read_all(&worker_trace_path(ROOT, worker)).unwrap();
+        for record in
+            decode_vertex_records::<BinValue, BinValue, BinValue, BinValue>(&bytes).unwrap()
+        {
+            let key = (record.superstep, record.vertex.0.as_u64().unwrap());
+            if record.incoming.is_empty()
+                && sends[&key].len() > 1
+                && kind(&sends[&key]).as_deref() == Some("Priority")
+            {
+                assert!(forms[&key], "superstep {}, vertex {}: not a broadcast", key.0, key.1);
+                quiet += 1;
+            }
+        }
+    }
+    assert!(quiet > 0, "no vertex broadcast Priority with no incoming messages");
 }

@@ -7,7 +7,10 @@
 //!   back-reference at every other capture;
 //! * a binary channel writes a superstep's context — its global data and
 //!   aggregator values — once, in the index frame of the superstep's
-//!   group, whatever the number of records in it.
+//!   group, whatever the number of records in it;
+//! * ids and edges that are strings keep their context-free bytes, so
+//!   they are back-referenced like any other, while the names in values
+//!   and messages are written once per record.
 
 use std::sync::Arc;
 
@@ -206,5 +209,118 @@ fn a_supersteps_context_is_written_once_per_channel() {
             assert_eq!(record.aggregators, [("ids".to_string(), AggValue::Long(sum))]);
             assert_eq!(record.global.superstep, record.superstep);
         }
+    }
+}
+
+/// A vertex id that is a string on the wire: `town-<n>`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
+struct Town(u8);
+
+impl std::fmt::Display for Town {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "town-{}", self.0)
+    }
+}
+
+impl serde::Serialize for Town {
+    fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
+        serializer.serialize_str(&self.to_string())
+    }
+}
+
+impl<'de> serde::Deserialize<'de> for Town {
+    fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
+        let text = String::deserialize(deserializer)?;
+        let number = text.strip_prefix("town-").and_then(|n| n.parse().ok());
+        number.map(Town).ok_or_else(|| serde::de::Error::custom(format!("not a town: {text}")))
+    }
+}
+
+/// An edge value that is a string on the wire: a unit variant's name.
+#[derive(Clone, Copy, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+enum Link {
+    Road,
+    Rail,
+}
+
+/// A value whose field names and strings repeat the ids and edge values.
+#[derive(Clone, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+struct Post {
+    from: Town,
+    by: Link,
+    hops: u32,
+}
+
+/// Passes a [`Post`] along every edge for four supersteps.
+struct Courier;
+
+impl Computation for Courier {
+    type Id = Town;
+    type VValue = Post;
+    type EValue = Link;
+    type Message = Post;
+
+    fn compute(
+        &self,
+        vertex: &mut VertexHandleOf<'_, Self>,
+        messages: &[Post],
+        ctx: &mut ContextOf<'_, Self>,
+    ) {
+        if ctx.superstep() >= 4 {
+            vertex.vote_to_halt();
+            return;
+        }
+        let hops = messages.iter().map(|post| post.hops + 1).max().unwrap_or(0);
+        let by = vertex.edges().first().map_or(Link::Road, |edge| edge.value);
+        vertex.set_value(Post { from: vertex.id(), by, hops });
+        let post = vertex.value().clone();
+        ctx.send_message_to_all_edges(vertex, post);
+    }
+}
+
+#[test]
+fn string_ids_and_edge_values_are_back_referenced() {
+    let mut b = Graph::builder();
+    for v in 0..24u8 {
+        b.add_vertex(Town(v), Post { from: Town(v), by: Link::Road, hops: 0 }).unwrap();
+    }
+    for v in 0..24u8 {
+        b.add_edge(Town(v), Town((v + 1) % 24), Link::Road).unwrap();
+        b.add_edge(Town(v), Town((v * 5 + 2) % 24), Link::Rail).unwrap();
+    }
+    let config = DebugConfig::<Courier>::builder().capture_all_active(true).build();
+    let run = GraftRunner::new(Courier, config)
+        .num_workers(WORKERS)
+        .run(b.build().unwrap(), ROOT)
+        .unwrap();
+    assert!(run.outcome.is_ok());
+    let fs = run.fs().clone();
+    // Each adjacency inline once: the id and edge bytes do not depend on
+    // the names the record wrote before them.
+    assert_eq!(assert_inline_once_per_version(&fs), 24);
+    for w in 0..WORKERS {
+        let bytes = fs.read_all(&worker_trace_path(ROOT, w)).unwrap();
+        let records: Vec<ErasedVertexTrace> = decode_vertex_records(&bytes).unwrap();
+        assert!(records.iter().all(|record| record.vertex.0.as_str().is_some()));
+        let mut scanner = FrameScanner::new(&bytes);
+        let mut vertex_frames = 0;
+        while let Some(frame) = scanner.next_frame().unwrap() {
+            if frame.kind != FRAME_VERTEX {
+                continue;
+            }
+            let record = &records[vertex_frames];
+            vertex_frames += 1;
+            // The id opens the payload in its context-free bytes, and an
+            // inline edge list is its context-free bytes too, although
+            // the values before it wrote the id's and the links' names.
+            let id = graft_codec::to_vec(&graft_codec::Tagged(&record.vertex)).unwrap();
+            assert_eq!(frame.payload[..id.len()], id, "{:?}", record.vertex);
+            let wire: WireVertexTrace = graft_codec::from_slice(frame.payload).unwrap();
+            if let WireEdges::Inline(list) = &wire.edges {
+                let edges = graft_codec::to_vec(&WireEdges::Inline(list)).unwrap();
+                assert!(frame.payload.windows(edges.len()).any(|at| at == edges), "{list:?}");
+            }
+        }
+        assert_eq!(vertex_frames, records.len());
     }
 }

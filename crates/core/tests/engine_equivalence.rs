@@ -236,7 +236,7 @@ fn faulted_pagerank_recovers_to_the_legacy_golden() {
 const PAGERANK: Golden = Golden {
     files: &[
         ("/master.trace", 0, 0xcbf29ce484222325),
-        ("/meta.json", 919, 0xeabd11c4d76815bb),
+        ("/meta.json", 919, 0x1e05ca5ceba54c46),
         ("/result.json", 135, 0xe21ddde9e992313b),
         ("/worker_0.trace", 6655, 0x78809df1750c3579),
         ("/worker_1.trace", 6655, 0x40d98f3e690231dd),
@@ -264,7 +264,7 @@ const PAGERANK: Golden = Golden {
 const SSSP: Golden = Golden {
     files: &[
         ("/master.trace", 0, 0xcbf29ce484222325),
-        ("/meta.json", 926, 0x5aa897fc05cdb40c),
+        ("/meta.json", 926, 0x4d324e9194759d1b),
         ("/result.json", 135, 0xa9067f3f057c6a80),
         ("/worker_0.trace", 1681, 0xe0488d93f82d1ebe),
         ("/worker_1.trace", 1722, 0xa12925b52ecfe26e),
@@ -292,7 +292,7 @@ const SSSP: Golden = Golden {
 const COMPONENTS: Golden = Golden {
     files: &[
         ("/master.trace", 0, 0xcbf29ce484222325),
-        ("/meta.json", 943, 0x8d101aa7a1c76fee),
+        ("/meta.json", 943, 0x9390ee3a7e708453),
         ("/result.json", 135, 0x6aac4a88d8e98229),
         ("/worker_0.trace", 2261, 0x7037a6a13cd827e2),
         ("/worker_1.trace", 2166, 0x376ebdbabf1486cd),
@@ -320,12 +320,12 @@ const COMPONENTS: Golden = Golden {
 const COLORING: Golden = Golden {
     files: &[
         ("/master.trace", 1260, 0x03815a96983ddadc),
-        ("/meta.json", 1012, 0x1d0c490f4d9af1b5),
+        ("/meta.json", 1012, 0xc9a14ed199db2ef4),
         ("/result.json", 135, 0x997a581ffa15309c),
-        ("/worker_0.trace", 22555, 0x778f0e33b90893cb),
-        ("/worker_1.trace", 23293, 0x05f3dc4aa73df778),
-        ("/worker_2.trace", 23493, 0x1827644d8ac4d6a2),
-        ("/worker_3.trace", 23399, 0xeb47f5a1eccfb6cf),
+        ("/worker_0.trace", 17395, 0xcecfb11f0aa8006f),
+        ("/worker_1.trace", 18043, 0x9512cc065c19b398),
+        ("/worker_2.trace", 18156, 0xcd0f541dc028e0fe),
+        ("/worker_3.trace", 18137, 0x82ccd9ca44b41fed),
     ],
     checksum: 0x441441b3462a5686,
     halt_reason: HaltReason::AllVerticesHalted,
@@ -360,7 +360,7 @@ const COLORING: Golden = Golden {
 const PAGERANK_FAULTED: Golden = Golden {
     files: &[
         ("/master.trace", 0, 0xcbf29ce484222325),
-        ("/meta.json", 937, 0x5dcaaf2575323683),
+        ("/meta.json", 937, 0xf7b7096e2ed6170e),
         ("/result.json", 135, 0xe21ddde9e992313b),
         ("/worker_0.trace", 6655, 0x78809df1750c3579),
         ("/worker_1.trace", 6655, 0x40d98f3e690231dd),

@@ -130,7 +130,7 @@ fn pagerank_capture_all_on_a_ring_matches_the_golden_bytes() {
         &trace_checksums(run.fs(), "/golden/pagerank"),
         &[
             ("/master.trace", 0, 0xcbf29ce484222325),
-            ("/meta.json", 923, 0x80a6fcf8f4382c18),
+            ("/meta.json", 923, 0x1bf4664a7c80dba5),
             ("/result.json", 134, 0x717a457666199e07),
             ("/worker_0.trace", 9326, 0xd6fe0a187ea57b7f),
             ("/worker_1.trace", 9326, 0xdbf8dc8d42ee0adf),
@@ -188,10 +188,10 @@ fn graph_coloring_dc_full_with_master_capture_matches_the_golden_bytes() {
         &trace_checksums(run.fs(), "/golden/coloring"),
         &[
             ("/master.trace", 1527, 0xe5c024cd347ad7db),
-            ("/meta.json", 1113, 0xad13975de22384fa),
+            ("/meta.json", 1113, 0xc257ee8cc8eeca23),
             ("/result.json", 135, 0x71e63516e0dd4c5b),
-            ("/worker_0.trace", 18458, 0xf647c63a00160fa7),
-            ("/worker_1.trace", 17857, 0xf7ec54b632528e11),
+            ("/worker_0.trace", 14227, 0x62666b2b60484faf),
+            ("/worker_1.trace", 13770, 0x3dca209f1eb6371c),
         ],
     );
     assert_golden(
