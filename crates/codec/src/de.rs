@@ -88,6 +88,23 @@ impl<'de> Deserializer<'de> {
         std::str::from_utf8(bytes).map_err(Error::InvalidUtf8)
     }
 
+    /// The name node of a tagged tree that starts the input, handed to
+    /// `visitor` as the string node it stands for, or an object of names
+    /// as an object. Out of line, so every other node and enum pays one
+    /// byte test for it and no more code.
+    #[inline(never)]
+    fn name_node<V: Visitor<'de>>(&mut self, visitor: V) -> Result<V::Value> {
+        let tag = self.rest[0];
+        self.rest = &self.rest[1..];
+        match tag {
+            TAG_NAME => {
+                let name = self.read_name()?;
+                visitor.visit_enum(NameNode(name))
+            }
+            _ => visitor.visit_enum(NamedObject { de: self }),
+        }
+    }
+
     /// A name: inline, entering the table, or an index into it.
     fn read_name(&mut self) -> Result<&'de str> {
         let value = self.read_u64()?;
@@ -257,19 +274,9 @@ impl<'de> de::Deserializer<'de> for &mut Deserializer<'de> {
         _variants: &'static [&'static str],
         visitor: V,
     ) -> Result<V::Value> {
-        // A name node of a tagged tree is handed to `visitor` as the string
-        // node it stands for, an object of names as an object. Its tag is
-        // one byte.
-        let tag = self.rest.first().copied();
-        if !matches!(tag, Some(TAG_NAME | TAG_NAMED_OBJECT)) || !is_token(name, TREE) {
-            return visitor.visit_enum(EnumAccess { de: self });
-        }
-        self.rest = &self.rest[1..];
-        if tag == Some(TAG_NAME) {
-            let name = self.read_name()?;
-            visitor.visit_enum(NameNode(name))
-        } else {
-            visitor.visit_enum(NamedObject { de: self })
+        match self.rest.first() {
+            Some(&(TAG_NAME | TAG_NAMED_OBJECT)) if is_token(name, TREE) => self.name_node(visitor),
+            _ => visitor.visit_enum(EnumAccess { de: self }),
         }
     }
 

@@ -140,14 +140,10 @@ struct Name {
 /// The names a payload's interned values have written, in first-use
 /// order, each where its inline bytes lie in the output: a name's index
 /// is its position here, and nothing is copied. The writer keeps it in
-/// step with the output. Room is made with the first name, so a payload
-/// of no names costs nothing.
+/// step with the output.
 #[derive(Clone, Debug, Default)]
 pub struct NameTable {
     names: Vec<Name>,
-    /// One past the highest index ever written: no name at or past it
-    /// has been named by index.
-    top_ref: usize,
 }
 
 impl NameTable {
@@ -159,40 +155,20 @@ impl NameTable {
     }
 
     /// The index of `name`, whose `&'static str` address is `ptr` (0 if
-    /// none): an equal address settles it without comparing bytes.
+    /// none): an equal address and length settle it without comparing
+    /// bytes, and only a name not found so compares them.
     fn find(&self, out: &[u8], name: &[u8], ptr: usize) -> Option<usize> {
-        self.find_past(out, name, ptr, &(0..0))
-    }
-
-    /// [`Self::find`] among all names but the `hidden` ones, which do not
-    /// count towards an index either.
-    fn find_past(
-        &self,
-        out: &[u8],
-        name: &[u8],
-        ptr: usize,
-        hidden: &Range<usize>,
-    ) -> Option<usize> {
-        let same = |known: &Name| {
-            known.len == name.len()
-                && ((ptr != 0 && known.ptr == ptr) || out[known.at..known.at + known.len] == *name)
-        };
-        let (before, past) = self.names.split_at(hidden.start);
-        let past = &past[hidden.len()..];
-        before.iter().position(same).or_else(|| Some(hidden.start + past.iter().position(same)?))
+        let by_ptr = |known: &Name| known.ptr == ptr && known.len == name.len();
+        if ptr != 0 {
+            if let Some(index) = self.names.iter().position(by_ptr) {
+                return Some(index);
+            }
+        }
+        self.names.iter().position(|known| out[known.at..known.at + known.len] == *name)
     }
 
     fn push(&mut self, at: usize, len: usize, ptr: usize) {
-        if self.names.capacity() == 0 {
-            self.names.reserve(8);
-        }
         self.names.push(Name { at, len, ptr });
-    }
-
-    /// The varint that names name `index` by index.
-    fn refer(&mut self, index: usize) -> u64 {
-        self.top_ref = self.top_ref.max(index + 1);
-        (index as u64) << 1 | 1
     }
 
     /// Where the bytes of name `index` lie.
@@ -208,6 +184,11 @@ impl NameTable {
             name.at = name.at.wrapping_add_signed(delta);
         }
     }
+}
+
+/// The varint that names name `index` by index.
+fn by_index(index: usize) -> u64 {
+    (index as u64) << 1 | 1
 }
 
 /// The address that identifies a `&'static str` in a [`NameTable`].
@@ -230,7 +211,7 @@ fn write_str(out: &mut Vec<u8>, v: &str) {
 /// its index after that. `ptr` is as [`NameTable::find`] takes it.
 fn write_name(out: &mut Vec<u8>, names: &mut NameTable, name: &str, ptr: usize) {
     match names.find(out, name.as_bytes(), ptr) {
-        Some(index) => varint::write_u64(out, names.refer(index)),
+        Some(index) => varint::write_u64(out, by_index(index)),
         None => {
             varint::write_u64(out, (name.len() as u64) << 1);
             names.push(out.len(), name.len(), ptr);
@@ -291,9 +272,6 @@ fn fix_count(
 }
 
 fn read_varint(buf: &[u8], pos: usize) -> (usize, usize) {
-    if buf[pos] < 0x80 {
-        return (usize::from(buf[pos]), pos + 1);
-    }
     let (value, len) = varint::read_u64(&buf[pos..]).expect("own tagged output is well-formed");
     (value as usize, pos + len)
 }
@@ -353,15 +331,12 @@ fn name_end(buf: &[u8], pos: usize) -> usize {
 }
 
 /// One object entry while its object is sorted: where the bytes of its
-/// key lie, and where the entry and its value begin and end.
+/// key lie, and where the entry begins and ends.
 #[derive(Clone, Copy, Default)]
 struct Entry {
     key: (usize, usize),
     start: usize,
-    value: usize,
     end: usize,
-    /// Where the entry starts once sorted, if it is moved as it is.
-    to: usize,
 }
 
 /// Reorders the `count` object entries that fill `out[first..]` into key
@@ -369,16 +344,9 @@ struct Entry {
 /// them one by one into a `BTreeMap` leaves. Returns the entries kept.
 ///
 /// Where names are interned, the kept entries are interned again, in
-/// their new order, against the table as it stood where the first entry
-/// begins, so each name is inline where it comes first in the final
-/// bytes. Meanwhile the names the old entries entered stay in the table,
-/// hidden from lookups, for the old bytes to be read by.
-fn sort_entries(
-    out: &mut Vec<u8>,
-    mut names: Option<&mut NameTable>,
-    first: usize,
-    count: u64,
-) -> u64 {
+/// their new order, so each name is inline where it comes first in the
+/// final bytes (see [`Resort`]).
+fn sort_entries(out: &mut Vec<u8>, names: Option<&mut NameTable>, first: usize, count: u64) -> u64 {
     // A struct's few entries are sorted on the stack.
     let (mut stack, mut heap) = ([Entry::default(); 8], Vec::new());
     let entries = match usize::try_from(count) {
@@ -392,7 +360,7 @@ fn sort_entries(
     for entry in entries.iter_mut() {
         let (key, value) = read_key(out, names.as_deref(), pos);
         let end = skip_value(out, value);
-        *entry = Entry { key: (key.start, key.end), start: pos, value, end, to: 0 };
+        *entry = Entry { key: (key.start, key.end), start: pos, end };
         pos = end;
     }
     let unsorted_end = out.len();
@@ -400,47 +368,25 @@ fn sort_entries(
     let key = |entry: &Entry| entry.key.0..entry.key.1;
     // Stable, so equal keys stay in insertion order and the last one wins.
     entries.sort_by(|a, b| out[key(a)].cmp(&out[key(b)]));
-    let hidden = names.as_deref().map_or(0..0, |names| {
-        names.names.partition_point(|name| name.at <= first)..names.names.len()
-    });
-    let unique = entries.windows(2).all(|pair| out[key(&pair[0])] != out[key(&pair[1])]);
-    // Where no name the entries entered is named again by index, each is
-    // inline exactly once: the entries move as they are, and only the
-    // table's order of their names changes.
-    let moved = unique && names.as_deref().is_none_or(|names| names.top_ref <= hidden.start);
+    let mut resort = names.map(|names| Resort::new(names, first));
     let mut kept = 0;
-    for i in 0..entries.len() {
-        let entry = entries[i];
-        if entries.get(i + 1).is_some_and(|next| out[key(next)] == out[key(&entry)]) {
+    for (i, entry) in entries.iter().enumerate() {
+        if entries.get(i + 1).is_some_and(|next| out[key(next)] == out[key(entry)]) {
             continue;
         }
         kept += 1;
-        match names.as_deref_mut() {
-            Some(names) if !moved => {
-                append_name(out, names, &hidden, key(&entry));
-                append_reinterned(out, names, &hidden, entry.value);
+        match resort.as_mut() {
+            Some(resort) => {
+                let value = resort.name(out, entry.start);
+                resort.node(out, value);
             }
-            _ => {
-                entries[i].to = first + (out.len() - unsorted_end);
-                out.extend_from_within(entry.start..entry.end);
-            }
+            None => out.extend_from_within(entry.start..entry.end),
         }
     }
     move_back(out, unsorted_end, first);
-    if let Some(names) = names {
-        if moved {
-            let region = &mut names.names[hidden.clone()];
-            for name in region.iter_mut() {
-                let entry =
-                    entries.iter().find(|entry| entry.start < name.at && name.at <= entry.end);
-                let entry = entry.expect("a name of the region lies in an entry");
-                name.at = name.at - entry.start + entry.to;
-            }
-            region.sort_unstable_by_key(|name| name.at);
-        } else {
-            names.names.drain(hidden);
-            names.shift(unsorted_end, first as isize - unsorted_end as isize);
-        }
+    if let Some(resort) = resort {
+        resort.names.names.drain(resort.entered..resort.fresh);
+        resort.names.shift(unsorted_end, first as isize - unsorted_end as isize);
     }
     kept
 }
@@ -451,56 +397,77 @@ fn move_back(out: &mut Vec<u8>, from: usize, to: usize) {
     out.truncate(to + (out.len() - from));
 }
 
-/// Appends the bytes at `bytes` of `out` as a name, looked up past the
-/// `hidden` names (see [`sort_entries`]).
-fn append_name(
-    out: &mut Vec<u8>,
-    names: &mut NameTable,
-    hidden: &Range<usize>,
-    bytes: Range<usize>,
-) {
-    match names.find_past(out, &out[bytes.clone()], 0, hidden) {
-        Some(index) => varint::write_u64(out, names.refer(index)),
-        None => {
-            varint::write_u64(out, (bytes.len() as u64) << 1);
-            names.push(out.len(), bytes.len(), 0);
-            out.extend_from_within(bytes);
-        }
-    }
+/// The names of an object's entries, written again at the end of the
+/// output in their sorted order. A name the payload wrote before the
+/// object is an index below `entered` and stays as it is. Any other is
+/// one the entries entered, in their old order: it is inline the first
+/// time the new order writes it and an index after that, against the
+/// names entered anew, from `fresh` on — which take the old ones' places
+/// once the old bytes are gone.
+struct Resort<'a> {
+    names: &'a mut NameTable,
+    entered: usize,
+    fresh: usize,
 }
 
-/// Appends the interned node at `pos` interned again, its names looked
-/// up past the `hidden` ones; returns the node's end.
-fn append_reinterned(
-    out: &mut Vec<u8>,
-    names: &mut NameTable,
-    hidden: &Range<usize>,
-    pos: usize,
-) -> usize {
-    match out[pos] {
-        TAG_NAME => {
-            let (name, end) = read_key(out, Some(names), pos + 1);
-            out.push(TAG_NAME);
-            append_name(out, names, hidden, name);
-            end
-        }
-        tag @ (TAG_NAMED_OBJECT | TAG_ARRAY) => {
-            let (count, mut at) = read_varint(out, pos + 1);
+impl<'a> Resort<'a> {
+    /// The entries starting at `first`.
+    fn new(names: &'a mut NameTable, first: usize) -> Self {
+        let entered = names.names.partition_point(|name| name.at <= first);
+        let fresh = names.names.len();
+        Self { names, entered, fresh }
+    }
+
+    /// Appends the name at `pos` again; returns its end.
+    fn name(&mut self, out: &mut Vec<u8>, pos: usize) -> usize {
+        let (value, at) = read_varint(out, pos);
+        if value & 1 == 1 && value >> 1 < self.entered {
             out.extend_from_within(pos..at);
-            for _ in 0..count {
-                if tag == TAG_NAMED_OBJECT {
-                    let (key, value) = read_key(out, Some(names), at);
-                    append_name(out, names, hidden, key);
-                    at = value;
-                }
-                at = append_reinterned(out, names, hidden, at);
-            }
-            at
+            return at;
         }
-        _ => {
-            let end = skip_value(out, pos);
-            out.extend_from_within(pos..end);
-            end
+        let (old, end) = match value & 1 {
+            1 => (self.names.names[value >> 1], at),
+            _ => {
+                let index = self.names.names.partition_point(|name| name.at < at);
+                (self.names.names[index], at + (value >> 1))
+            }
+        };
+        let bytes = old.at..old.at + old.len;
+        let names = &self.names.names[self.fresh..];
+        match names.iter().position(|name| out[name.at..name.at + name.len] == out[bytes.clone()]) {
+            Some(index) => varint::write_u64(out, by_index(self.entered + index)),
+            None => {
+                varint::write_u64(out, (old.len as u64) << 1);
+                self.names.push(out.len(), old.len, old.ptr);
+                out.extend_from_within(bytes);
+            }
+        }
+        end
+    }
+
+    /// Appends the node at `pos` again; returns its end.
+    fn node(&mut self, out: &mut Vec<u8>, pos: usize) -> usize {
+        match out[pos] {
+            TAG_NAME => {
+                out.push(TAG_NAME);
+                self.name(out, pos + 1)
+            }
+            tag @ (TAG_NAMED_OBJECT | TAG_ARRAY) => {
+                let (count, mut at) = read_varint(out, pos + 1);
+                out.extend_from_within(pos..at);
+                for _ in 0..count {
+                    if tag == TAG_NAMED_OBJECT {
+                        at = self.name(out, at);
+                    }
+                    at = self.node(out, at);
+                }
+                at
+            }
+            _ => {
+                let end = skip_value(out, pos);
+                out.extend_from_within(pos..end);
+                end
+            }
         }
     }
 }
@@ -935,7 +902,7 @@ impl KeySerializer<'_> {
             Some(names) => match names.find(self.out, &self.out[len_at + 1..], 0) {
                 Some(index) => {
                     self.out.truncate(len_at);
-                    varint::write_u64(self.out, names.refer(index));
+                    varint::write_u64(self.out, by_index(index));
                 }
                 None => {
                     self.out[len_at] = (len << 1) as u8;

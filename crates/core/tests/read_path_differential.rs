@@ -37,6 +37,10 @@
 //! the middle of a frame, past a torn tail — fails every reader of the
 //! channel with a typed error naming the referring frame.
 //!
+//! A name node where the writer puts none — at the id, in an inline edge
+//! list — reads to every reader as the payload decodes: the string it
+//! names, or the typed error of an index no name has reached.
+//!
 //! Seeds are fixed, so a failure reproduces with the same command. A
 //! release build (CI's `fuzz-smoke` job) runs ten times the mutations of
 //! a debug one.
@@ -638,4 +642,103 @@ fn every_damaged_reference_fails_every_reader_at_its_frame() {
         let walked = walk_vertex_channel(VertexChannel::new(&damaged), None, |_, _| Ok(()));
         assert!(walked.is_err_and(|e| names_the_frame(&e, last)), "{name}: dump");
     }
+}
+
+/// A record whose id and edge targets are the strings `v<vertex>`.
+fn named_record(superstep: u64, vertex: u64) -> VertexTrace<String, i64, (), i64> {
+    let ring = ring_record(superstep, vertex);
+    VertexTrace {
+        superstep,
+        vertex: format!("v{vertex}"),
+        value_before: ring.value_before,
+        value_after: ring.value_after,
+        edges: ring.edges.iter().map(|(target, ())| (format!("v{target}"), ())).collect(),
+        incoming: vec![],
+        outgoing: vec![],
+        aggregators: vec![],
+        global: ring.global,
+        halted_after: false,
+        reasons: ring.reasons,
+        violations: vec![],
+        exception: None,
+    }
+}
+
+/// The vertex frames of `channel`, each with the group it is read with.
+fn vertex_frames(channel: &[u8]) -> Vec<(usize, IndexRecord)> {
+    let (mut scanner, mut group, mut frames) = (FrameScanner::new(channel), None, Vec::new());
+    while let Some(frame) = scanner.next_frame().unwrap() {
+        match frame.kind {
+            FRAME_INDEX => group = Some(graft_codec::from_slice(frame.payload).unwrap()),
+            _ => frames.push((frame.start, group.clone().unwrap())),
+        }
+    }
+    frames
+}
+
+/// `channel` with its last frame's payload passed through `damage`.
+fn damage_last(channel: &[u8], damage: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    let last = vertex_frames(channel).last().unwrap().0;
+    let mut payload =
+        FrameScanner::new(&channel[last..]).next_frame().unwrap().unwrap().payload.to_vec();
+    damage(&mut payload);
+    let mut damaged = channel[..last].to_vec();
+    write_frame(&mut damaged, FRAME_VERTEX, &payload);
+    damaged
+}
+
+/// Replaces the first `from` in `bytes` by `to`.
+fn replace(bytes: &mut Vec<u8>, from: &[u8], to: &[u8]) {
+    let at = bytes.windows(from.len()).position(|window| window == from).unwrap();
+    bytes.splice(at..at + from.len(), to.iter().copied());
+}
+
+/// The id and edges of a record hold no names, and the writer puts none
+/// there; a damaged payload that does still reads alike everywhere. To
+/// every reader a name node at the id or in an inline edge list is the
+/// string it names, or the typed error of an index no name has reached,
+/// just as the payload decodes.
+#[test]
+fn name_nodes_at_the_id_and_in_the_edges_read_as_the_decode_reads_them() {
+    let mut writer = ChannelWriter::default();
+    let mut channel = Vec::new();
+    for superstep in 0..2 {
+        writer.append_vertex(&named_record(superstep, 1), &mut channel).unwrap();
+    }
+    // Every string node of every vertex frame — ids and edge targets, all
+    // `v` and a digit — becomes an inline name of the same length.
+    let mut named = channel.clone();
+    for (start, _) in vertex_frames(&channel) {
+        let frame = FrameScanner::new(&channel[start..]).next_frame().unwrap().unwrap();
+        for at in start + frame.payload_start..start + frame.end - 3 {
+            if named[at..at + 3] == [5, 2, b'v'] {
+                named[at..at + 2].copy_from_slice(&[8, 2 << 1]);
+            }
+        }
+    }
+    assert_ne!(named, channel);
+    let frames = vertex_frames(&channel);
+    assert_eq!(frames.len(), 2, "inline edges, then a reference to them");
+    for (at, group) in &frames {
+        let (read, record) = check_v4(&named, *at, group);
+        assert_eq!(read, Read::Decodes { resolved: true }, "frame at {at}");
+        let (_, pristine) = check_v4(&channel, *at, group);
+        assert_eq!(format!("{record:?}"), format!("{pristine:?}"), "frame at {at}");
+    }
+
+    // One frame, its edges inline: the id by an index no name has reached
+    // fails every reader alike; an edge target by the index of the id's
+    // inline name reads as the id.
+    let inline = &named[..frames[1].0];
+    let group = &frames[0].1;
+    let id_by_index = damage_last(inline, |payload| replace(payload, &[8, 4, b'v', b'1'], &[8, 1]));
+    assert_eq!(check_v4(&id_by_index, frames[0].0, group).0, Read::Fails);
+    let payload = FrameScanner::new(&id_by_index[frames[0].0..]).next_frame().unwrap().unwrap();
+    let error = graft_codec::from_slice::<WireVertexTrace>(payload.payload).unwrap_err();
+    assert!(error.to_string().contains("name index 0"), "{error}");
+    let target_by_index =
+        damage_last(inline, |payload| replace(payload, &[8, 4, b'v', b'2'], &[8, 1]));
+    let (read, record) = check_v4(&target_by_index, frames[0].0, group);
+    assert_eq!(read, Read::Decodes { resolved: true });
+    assert_eq!(record.unwrap().edges[0].0 .0, "v1");
 }
