@@ -147,6 +147,12 @@ pub struct NameTable {
 }
 
 impl NameTable {
+    /// Forgets every name, keeping the room they took: the table of a new
+    /// payload.
+    pub fn clear(&mut self) {
+        self.names.clear();
+    }
+
     /// Forgets the names first written at or past byte `len` of the
     /// output, which the writer has cut back to `len`. A name lies after
     /// its length, so an empty one at `len` was written before it.

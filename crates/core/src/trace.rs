@@ -100,6 +100,7 @@
 //! reference of a channel. A channel that cannot be read fails with a
 //! [`TraceReadError`] naming the byte offset of the frame at fault.
 
+use std::cell::RefCell;
 use std::fmt;
 use std::hash::Hasher;
 use std::ops::Range;
@@ -594,6 +595,13 @@ fn put<T: Serialize + ?Sized>(out: &mut Vec<u8>, value: &T) -> graft_codec::Resu
     value.serialize(&mut graft_codec::Serializer::new(out))
 }
 
+thread_local! {
+    /// The name table of the vertex payload this thread writes: cleared
+    /// for each payload, its room kept, so a payload's names cost no
+    /// allocation.
+    static PAYLOAD_NAMES: RefCell<NameTable> = RefCell::default();
+}
+
 /// Appends the GraftBin encoding of `value`, a part of the payload `out`
 /// ends with, whose interned names so far `names` holds.
 fn put_in<T: Serialize + ?Sized>(
@@ -678,54 +686,56 @@ where
         // The id and inline edges of the frame, as distances back from
         // its end: the length prefix may still shift what lies before.
         let mut inline: Option<[usize; 4]> = None;
-        graft_codec::frame::write_frame_with(buf, FRAME_VERTEX, |out| {
-            let names = &mut NameTable::default();
-            let id_at = out.len();
-            put(out, &Tagged(self.vertex))?;
-            let id = id_at..out.len();
-            put_in(out, names, &Interned(self.value_before))?;
-            put_in(out, names, &Interned(self.value_after))?;
-            let edges_at = out.len();
-            let tagged_pair = |(a, b)| (Tagged(a), Tagged(b));
-            let listed = WireEdges::Inline(Seq(self.edges.clone().map(tagged_pair)));
-            let known = match (rule.as_mut(), self.edges_version) {
-                (Some((refs, _)), Some(version)) => {
-                    refs.reference_by_version(&out[id.clone()], version)
+        PAYLOAD_NAMES.with_borrow_mut(|names| {
+            names.clear();
+            graft_codec::frame::write_frame_with(buf, FRAME_VERTEX, |out| {
+                let id_at = out.len();
+                put(out, &Tagged(self.vertex))?;
+                let id = id_at..out.len();
+                put_in(out, names, &Interned(self.value_before))?;
+                put_in(out, names, &Interned(self.value_after))?;
+                let edges_at = out.len();
+                let tagged_pair = |(a, b)| (Tagged(a), Tagged(b));
+                let listed = WireEdges::Inline(Seq(self.edges.clone().map(tagged_pair)));
+                let known = match (rule.as_mut(), self.edges_version) {
+                    (Some((refs, _)), Some(version)) => {
+                        refs.reference_by_version(&out[id.clone()], version)
+                    }
+                    _ => None,
+                };
+                if known.is_none() || cfg!(debug_assertions) {
+                    put(out, &listed)?;
                 }
-                _ => None,
-            };
-            if known.is_none() || cfg!(debug_assertions) {
-                put(out, &listed)?;
-            }
-            let target = match (known, rule.as_mut()) {
-                (Some(target), Some((refs, _))) if cfg!(debug_assertions) => {
-                    let by_bytes = refs.reference(&out[id.clone()], &out[edges_at..], None);
-                    assert_eq!(by_bytes, Some(target), "a version named other edges");
-                    known
-                }
-                (Some(_), _) => known,
-                (None, rule) => rule.and_then(|(refs, _)| {
-                    refs.reference(&out[id.clone()], &out[edges_at..], self.edges_version)
-                }),
-            };
-            let edges_end = match target {
-                Some(target) => {
-                    out.truncate(edges_at);
-                    put(out, &WireEdges::<()>::At(target))?;
-                    None
-                }
-                None => Some(out.len()),
-            };
-            put_in(out, names, &Seq(self.incoming.iter().map(Interned)))?;
-            self.write_outgoing(out, names, same_target)?;
-            put(out, &self.halted_after)?;
-            put(out, self.reasons)?;
-            put(out, self.violations)?;
-            put(out, &self.exception)?;
-            let end = out.len();
-            inline = edges_end
-                .map(|edges_end| [id.start, id.end, edges_at, edges_end].map(|at| end - at));
-            Ok(())
+                let target = match (known, rule.as_mut()) {
+                    (Some(target), Some((refs, _))) if cfg!(debug_assertions) => {
+                        let by_bytes = refs.reference(&out[id.clone()], &out[edges_at..], None);
+                        assert_eq!(by_bytes, Some(target), "a version named other edges");
+                        known
+                    }
+                    (Some(_), _) => known,
+                    (None, rule) => rule.and_then(|(refs, _)| {
+                        refs.reference(&out[id.clone()], &out[edges_at..], self.edges_version)
+                    }),
+                };
+                let edges_end = match target {
+                    Some(target) => {
+                        out.truncate(edges_at);
+                        put(out, &WireEdges::<()>::At(target))?;
+                        None
+                    }
+                    None => Some(out.len()),
+                };
+                put_in(out, names, &Seq(self.incoming.iter().map(Interned)))?;
+                self.write_outgoing(out, names, same_target)?;
+                put(out, &self.halted_after)?;
+                put(out, self.reasons)?;
+                put(out, self.violations)?;
+                put(out, &self.exception)?;
+                let end = out.len();
+                inline = edges_end
+                    .map(|edges_end| [id.start, id.end, edges_at, edges_end].map(|at| end - at));
+                Ok(())
+            })
         })?;
         if let (Some((refs, offset)), Some(back)) = (rule, inline) {
             let [id_start, id_end, edges_start, edges_end] = back.map(|back| buf.len() - back);
