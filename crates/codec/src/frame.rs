@@ -26,7 +26,7 @@ use std::ops::Range;
 use serde::Serialize;
 
 use crate::error::{Error, Result};
-use crate::{serialized_size, varint, Serializer};
+use crate::{varint, Serializer};
 
 /// One frame yielded by a [`FrameScanner`].
 #[derive(Clone, Copy, Debug)]
@@ -91,20 +91,13 @@ pub fn write_frame_with(
 }
 
 /// Appends one frame whose payload is the GraftBin encoding of `value`,
-/// in two passes: the payload length is computed up front with
-/// [`serialized_size`], then the value is encoded directly into `out`.
-/// This is the reference [`write_frame_with`] is tested against; the
-/// capture path uses the single-pass writer.
+/// in a single pass (see [`write_frame_with`]).
 pub fn write_value_frame<T: Serialize + ?Sized>(
     out: &mut Vec<u8>,
     kind: u8,
     value: &T,
 ) -> Result<()> {
-    let payload = serialized_size(value)?;
-    varint::write_u64(out, 1 + payload);
-    out.push(kind);
-    value.serialize(&mut Serializer::new(out))?;
-    Ok(())
+    write_frame_with(out, kind, |out| value.serialize(&mut Serializer::new(out)))
 }
 
 /// The byte range of the body that the varint length prefix at `pos`
@@ -198,6 +191,7 @@ mod tests {
 
     #[test]
     fn value_frame_length_is_exact() {
+        use crate::serialized_size;
         let mut buf = Vec::new();
         write_value_frame(&mut buf, 9, &vec![1u64, 2, 3]).unwrap();
         let mut scanner = FrameScanner::new(&buf);

@@ -40,7 +40,6 @@ mod de;
 mod error;
 pub mod frame;
 mod ser;
-mod size;
 mod skim;
 mod tagged;
 mod value;
@@ -48,8 +47,7 @@ pub mod varint;
 
 pub use de::{from_slice, Deserializer};
 pub use error::{Error, Result};
-pub use ser::{to_vec, Serializer};
-pub use size::{framed_size, serialized_size};
+pub use ser::{framed_size, serialized_size, to_vec, Output, Serializer};
 pub use skim::{for_each_element, SkipSeq, SkipStr, SkipTagged, TaggedText};
 pub use tagged::{write_interned, write_tagged, Interned, NameTable, Tagged};
 pub use value::{normalize, to_bin_value, BinValue};

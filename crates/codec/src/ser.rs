@@ -1,4 +1,5 @@
-//! The GraftBin `serde::Serializer`.
+//! The GraftBin `serde::Serializer`, over an [`Output`] that either
+//! holds the bytes or only counts them.
 
 use serde::{ser, Serialize};
 
@@ -14,9 +15,109 @@ pub fn to_vec<T: Serialize>(value: &T) -> Result<Vec<u8>> {
     Ok(out)
 }
 
-/// Streaming GraftBin encoder over a borrowed output buffer.
-pub struct Serializer<'a> {
-    out: &'a mut Vec<u8>,
+/// Number of bytes [`to_vec`] would produce for `value`: the serializer
+/// that writes them counts them instead, so no output is kept. The
+/// out-of-core budget charges partitions and shuffle batches with it for
+/// exactly the bytes a spill would write, without spilling.
+pub fn serialized_size<T: Serialize + ?Sized>(value: &T) -> Result<u64> {
+    let mut count = Count::default();
+    value.serialize(&mut Serializer::new(&mut count))?;
+    Ok(count.bytes)
+}
+
+/// Number of bytes [`crate::write_framed`] would append for `value`:
+/// the body size plus its varint length prefix.
+pub fn framed_size<T: Serialize + ?Sized>(value: &T) -> Result<u64> {
+    let body = serialized_size(value)?;
+    Ok(varint::encoded_len_u64(body) as u64 + body)
+}
+
+/// Where a [`Serializer`] puts what it encodes: a `Vec<u8>` appends the
+/// bytes, and the count behind [`serialized_size`] adds up their lengths.
+pub trait Output {
+    /// Puts `bytes`.
+    fn put(&mut self, bytes: &[u8]);
+
+    /// Puts one byte.
+    fn put_byte(&mut self, byte: u8) {
+        self.put(&[byte]);
+    }
+
+    /// Puts `value` as an LEB128 varint.
+    fn put_varint(&mut self, value: u64);
+
+    /// Puts the tagged encoding of `value`, interned through `names` when
+    /// there is a table.
+    fn put_tagged<T: Serialize + ?Sized>(
+        &mut self,
+        names: Option<&mut NameTable>,
+        value: &T,
+    ) -> Result<()>;
+}
+
+impl Output for Vec<u8> {
+    fn put(&mut self, bytes: &[u8]) {
+        self.extend_from_slice(bytes);
+    }
+
+    fn put_byte(&mut self, byte: u8) {
+        self.push(byte);
+    }
+
+    fn put_varint(&mut self, value: u64) {
+        varint::write_u64(self, value);
+    }
+
+    fn put_tagged<T: Serialize + ?Sized>(
+        &mut self,
+        names: Option<&mut NameTable>,
+        value: &T,
+    ) -> Result<()> {
+        match names {
+            Some(names) => write_interned(self, names, value),
+            None => write_tagged(self, value),
+        }
+    }
+}
+
+/// The [`Output`] of [`serialized_size`]: the number of bytes put. A
+/// tagged value's objects are sorted after they are written, so its
+/// length is known only by writing it, to `scratch`. An interned value's
+/// bytes stay there, for the name table points into them; a plain tagged
+/// value's are cut off again.
+#[derive(Default)]
+struct Count {
+    bytes: u64,
+    scratch: Vec<u8>,
+}
+
+impl Output for Count {
+    fn put(&mut self, bytes: &[u8]) {
+        self.bytes += bytes.len() as u64;
+    }
+
+    fn put_varint(&mut self, value: u64) {
+        self.bytes += varint::encoded_len_u64(value) as u64;
+    }
+
+    fn put_tagged<T: Serialize + ?Sized>(
+        &mut self,
+        names: Option<&mut NameTable>,
+        value: &T,
+    ) -> Result<()> {
+        let (at, keep) = (self.scratch.len(), names.is_some());
+        self.scratch.put_tagged(names, value)?;
+        self.bytes += (self.scratch.len() - at) as u64;
+        if !keep {
+            self.scratch.truncate(at);
+        }
+        Ok(())
+    }
+}
+
+/// Streaming GraftBin encoder over a borrowed [`Output`].
+pub struct Serializer<'a, O: Output = Vec<u8>> {
+    out: &'a mut O,
     /// The name table of the payload's [`crate::Interned`] values.
     names: Names<'a>,
 }
@@ -29,25 +130,25 @@ enum Names<'a> {
     Shared(&'a mut NameTable),
 }
 
-impl<'a> Serializer<'a> {
+impl<'a, O: Output> Serializer<'a, O> {
     /// Creates a serializer appending to `out`: one payload, whose
     /// interned values start a name table of their own.
-    pub fn new(out: &'a mut Vec<u8>) -> Self {
+    pub fn new(out: &'a mut O) -> Self {
         Self { out, names: Names::Own(None) }
     }
 
     /// Creates a serializer appending a part of a payload to `out`, whose
     /// interned values go through `names`, the table of the parts before.
-    pub fn with_names(out: &'a mut Vec<u8>, names: &'a mut NameTable) -> Self {
+    pub fn with_names(out: &'a mut O, names: &'a mut NameTable) -> Self {
         Self { out, names: Names::Shared(names) }
     }
 
     fn write_len(&mut self, len: usize) {
-        varint::write_u64(self.out, len as u64);
+        self.out.put_varint(len as u64);
     }
 }
 
-impl<'a, 'b> ser::Serializer for &'b mut Serializer<'a> {
+impl<'a, O: Output> ser::Serializer for &mut Serializer<'a, O> {
     type Ok = ();
     type Error = Error;
     type SerializeSeq = Self;
@@ -59,7 +160,7 @@ impl<'a, 'b> ser::Serializer for &'b mut Serializer<'a> {
     type SerializeStructVariant = Self;
 
     fn serialize_bool(self, v: bool) -> Result<()> {
-        self.out.push(v as u8);
+        self.out.put_byte(v as u8);
         Ok(())
     }
 
@@ -76,7 +177,7 @@ impl<'a, 'b> ser::Serializer for &'b mut Serializer<'a> {
     }
 
     fn serialize_i64(self, v: i64) -> Result<()> {
-        varint::write_i64(self.out, v);
+        self.out.put_varint(varint::zigzag_encode(v));
         Ok(())
     }
 
@@ -93,17 +194,17 @@ impl<'a, 'b> ser::Serializer for &'b mut Serializer<'a> {
     }
 
     fn serialize_u64(self, v: u64) -> Result<()> {
-        varint::write_u64(self.out, v);
+        self.out.put_varint(v);
         Ok(())
     }
 
     fn serialize_f32(self, v: f32) -> Result<()> {
-        self.out.extend_from_slice(&v.to_le_bytes());
+        self.out.put(&v.to_le_bytes());
         Ok(())
     }
 
     fn serialize_f64(self, v: f64) -> Result<()> {
-        self.out.extend_from_slice(&v.to_le_bytes());
+        self.out.put(&v.to_le_bytes());
         Ok(())
     }
 
@@ -117,17 +218,17 @@ impl<'a, 'b> ser::Serializer for &'b mut Serializer<'a> {
 
     fn serialize_bytes(self, v: &[u8]) -> Result<()> {
         self.write_len(v.len());
-        self.out.extend_from_slice(v);
+        self.out.put(v);
         Ok(())
     }
 
     fn serialize_none(self) -> Result<()> {
-        self.out.push(0);
+        self.out.put_byte(0);
         Ok(())
     }
 
     fn serialize_some<T: Serialize + ?Sized>(self, value: &T) -> Result<()> {
-        self.out.push(1);
+        self.out.put_byte(1);
         value.serialize(self)
     }
 
@@ -154,14 +255,14 @@ impl<'a, 'b> ser::Serializer for &'b mut Serializer<'a> {
         value: &T,
     ) -> Result<()> {
         if is_token(name, TAGGED_TOKEN) {
-            return write_tagged(self.out, value);
+            return self.out.put_tagged(None, value);
         }
         if is_token(name, INTERNED_TOKEN) {
             let names = match &mut self.names {
                 Names::Own(names) => names.get_or_insert_with(Box::default),
                 Names::Shared(names) => &mut **names,
             };
-            return write_interned(self.out, names, value);
+            return self.out.put_tagged(Some(names), value);
         }
         value.serialize(self)
     }
@@ -173,7 +274,7 @@ impl<'a, 'b> ser::Serializer for &'b mut Serializer<'a> {
         _variant: &'static str,
         value: &T,
     ) -> Result<()> {
-        varint::write_u64(self.out, variant_index.into());
+        self.out.put_varint(variant_index.into());
         value.serialize(self)
     }
 
@@ -202,7 +303,7 @@ impl<'a, 'b> ser::Serializer for &'b mut Serializer<'a> {
         _variant: &'static str,
         _len: usize,
     ) -> Result<Self::SerializeTupleVariant> {
-        varint::write_u64(self.out, variant_index.into());
+        self.out.put_varint(variant_index.into());
         Ok(self)
     }
 
@@ -223,7 +324,7 @@ impl<'a, 'b> ser::Serializer for &'b mut Serializer<'a> {
         _variant: &'static str,
         _len: usize,
     ) -> Result<Self::SerializeStructVariant> {
-        varint::write_u64(self.out, variant_index.into());
+        self.out.put_varint(variant_index.into());
         Ok(self)
     }
 
@@ -232,7 +333,7 @@ impl<'a, 'b> ser::Serializer for &'b mut Serializer<'a> {
     }
 }
 
-impl ser::SerializeSeq for &mut Serializer<'_> {
+impl<O: Output> ser::SerializeSeq for &mut Serializer<'_, O> {
     type Ok = ();
     type Error = Error;
 
@@ -245,7 +346,7 @@ impl ser::SerializeSeq for &mut Serializer<'_> {
     }
 }
 
-impl ser::SerializeTuple for &mut Serializer<'_> {
+impl<O: Output> ser::SerializeTuple for &mut Serializer<'_, O> {
     type Ok = ();
     type Error = Error;
 
@@ -258,7 +359,7 @@ impl ser::SerializeTuple for &mut Serializer<'_> {
     }
 }
 
-impl ser::SerializeTupleStruct for &mut Serializer<'_> {
+impl<O: Output> ser::SerializeTupleStruct for &mut Serializer<'_, O> {
     type Ok = ();
     type Error = Error;
 
@@ -271,7 +372,7 @@ impl ser::SerializeTupleStruct for &mut Serializer<'_> {
     }
 }
 
-impl ser::SerializeTupleVariant for &mut Serializer<'_> {
+impl<O: Output> ser::SerializeTupleVariant for &mut Serializer<'_, O> {
     type Ok = ();
     type Error = Error;
 
@@ -284,7 +385,7 @@ impl ser::SerializeTupleVariant for &mut Serializer<'_> {
     }
 }
 
-impl ser::SerializeMap for &mut Serializer<'_> {
+impl<O: Output> ser::SerializeMap for &mut Serializer<'_, O> {
     type Ok = ();
     type Error = Error;
 
@@ -301,7 +402,7 @@ impl ser::SerializeMap for &mut Serializer<'_> {
     }
 }
 
-impl ser::SerializeStruct for &mut Serializer<'_> {
+impl<O: Output> ser::SerializeStruct for &mut Serializer<'_, O> {
     type Ok = ();
     type Error = Error;
 
@@ -318,7 +419,7 @@ impl ser::SerializeStruct for &mut Serializer<'_> {
     }
 }
 
-impl ser::SerializeStructVariant for &mut Serializer<'_> {
+impl<O: Output> ser::SerializeStructVariant for &mut Serializer<'_, O> {
     type Ok = ();
     type Error = Error;
 
@@ -332,5 +433,94 @@ impl ser::SerializeStructVariant for &mut Serializer<'_> {
 
     fn end(self) -> Result<()> {
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use serde::{Deserialize, Serialize};
+    use std::collections::BTreeMap;
+
+    /// The sizes must equal the real encoder's output lengths; anything
+    /// else would make the budget accounting drift from the spill files.
+    fn assert_size_matches<T: Serialize>(value: &T) {
+        let bytes = crate::to_vec(value).unwrap();
+        assert_eq!(serialized_size(value).unwrap(), bytes.len() as u64);
+        let mut framed = Vec::new();
+        crate::write_framed(&mut framed, value).unwrap();
+        assert_eq!(framed_size(value).unwrap(), framed.len() as u64);
+    }
+
+    #[derive(Serialize, Deserialize)]
+    struct Record {
+        id: u64,
+        score: f64,
+        tags: Vec<String>,
+        parent: Option<i64>,
+        flag: bool,
+    }
+
+    #[derive(Serialize)]
+    enum Shape {
+        Point,
+        Circle(f64),
+        Rect { w: u32, h: u32 },
+    }
+
+    #[test]
+    fn varint_len_matches_encoder() {
+        for v in [0u64, 1, 127, 128, 300, 16_383, 16_384, u32::MAX as u64, u64::MAX] {
+            assert_size_matches(&v);
+            assert_size_matches(&vec![0u8; v.min(20_000) as usize]);
+        }
+    }
+
+    #[test]
+    fn scalars_and_structs_match_round_trip_byte_counts() {
+        assert_size_matches(&0u64);
+        assert_size_matches(&u64::MAX);
+        assert_size_matches(&-1i64);
+        assert_size_matches(&i64::MIN);
+        assert_size_matches(&3.25f64);
+        assert_size_matches(&true);
+        assert_size_matches(&'é');
+        assert_size_matches(&"graft".to_string());
+        assert_size_matches(&Record {
+            id: 300,
+            score: -0.25,
+            tags: vec!["a".into(), "longer-tag".into()],
+            parent: Some(-42),
+            flag: false,
+        });
+        assert_size_matches(&Record {
+            id: 0,
+            score: f64::INFINITY,
+            tags: vec![],
+            parent: None,
+            flag: true,
+        });
+    }
+
+    #[test]
+    fn containers_and_enums_match_round_trip_byte_counts() {
+        assert_size_matches(&vec![1u64, 128, 16_384]);
+        assert_size_matches(&(7u32, "pair".to_string(), -9i32));
+        assert_size_matches(&Shape::Point);
+        assert_size_matches(&Shape::Circle(2.5));
+        assert_size_matches(&Shape::Rect { w: 640, h: 480 });
+        let mut map = BTreeMap::new();
+        map.insert(1u64, vec![0u8, 255]);
+        map.insert(300u64, vec![]);
+        assert_size_matches(&map);
+        assert_size_matches(&Some(Box::new(128u64)));
+        assert_size_matches(&Option::<u64>::None);
+    }
+
+    #[test]
+    fn nested_vectors_match_round_trip_byte_counts() {
+        let nested: Vec<Vec<(u64, f64)>> =
+            vec![vec![(1, 0.5), (2, 1.5)], vec![], vec![(u64::MAX, -2.0)]];
+        assert_size_matches(&nested);
     }
 }

@@ -107,10 +107,11 @@ fn check_tagged<T: Serialize + ?Sized>(value: &T, label: &str) {
 
 /// The interned encoding of `value`, whose tree is `tree`, through every
 /// entry point: the single-pass writer, the wrapper through GraftBin,
-/// the size pass and the tree reference write the same bytes; those
+/// `serialized_size` and the tree reference agree on the bytes; those
 /// bytes decode alone to `tree`, and the tree re-encodes to them. Written
-/// twice into one payload, the second copy is names by index only, and
-/// the pair decodes and re-encodes the same way.
+/// twice into one payload around a tagged copy, the second interned copy
+/// is names by index only, and the triple is sized, decodes and
+/// re-encodes the same way.
 fn check_interned<T: Serialize + ?Sized>(value: &T, tree: &BinValue, label: &str) {
     let mut streamed = Vec::new();
     write_interned(&mut streamed, &mut NameTable::default(), value).unwrap();
@@ -127,22 +128,31 @@ fn check_interned<T: Serialize + ?Sized>(value: &T, tree: &BinValue, label: &str
     assert_eq!(decoded, *tree, "{label}: interned decode");
     assert_eq!(to_vec(&Interned(&decoded)).unwrap(), reference, "{label}: interned re-encode");
 
-    let pair = (Interned(value), Interned(value));
-    let twice = to_vec(&pair).unwrap();
-    assert_eq!(serialized_size(&pair).unwrap(), twice.len() as u64, "{label}: pair size");
-    assert_eq!(to_vec(&(Interned(tree), Interned(tree))).unwrap(), twice, "{label}: pair");
+    // `serialized_size` counts a tagged value between the two copies and
+    // drops its bytes, but keeps the first copy's, which the name table
+    // points into, for the second.
+    let triple = (Interned(value), Tagged(value), Interned(value));
+    let bytes = to_vec(&triple).unwrap();
+    assert_eq!(serialized_size(&triple).unwrap(), bytes.len() as u64, "{label}: triple size");
+    assert_eq!(
+        to_vec(&(Interned(tree), Tagged(tree), Interned(tree))).unwrap(),
+        bytes,
+        "{label}: triple"
+    );
+    let (once, rest) = bytes.split_at(reference.len());
+    let second = &rest[to_vec(&Tagged(tree)).unwrap().len()..];
     let mut names = NameTable::default();
     let mut parts = Vec::new();
     for _ in 0..2 {
         parts.extend(b"typed");
         write_interned(&mut parts, &mut names, value).unwrap();
     }
-    let typed =
-        [b"typed".as_slice(), &twice[..reference.len()], b"typed", &twice[reference.len()..]];
+    let typed = [b"typed".as_slice(), once, b"typed", second];
     assert_eq!(parts, typed.concat(), "{label}: a payload written in parts");
-    let (first, second): (BinValue, BinValue) = graft_codec::from_slice(&twice).unwrap();
-    assert_eq!((&first, &second), (tree, tree), "{label}: pair decode");
-    assert!(twice.len() - reference.len() <= reference.len(), "{label}: the copy grew");
+    let (first, middle, last): (BinValue, BinValue, BinValue) =
+        graft_codec::from_slice(&bytes).unwrap();
+    assert_eq!((&first, &middle, &last), (tree, tree, tree), "{label}: triple decode");
+    assert!(second.len() <= reference.len(), "{label}: the copy grew");
 }
 
 const NAMES: [&str; 8] = ["zeta", "alpha", "mid", "a", "ab", "Zed", "émile", "k"];

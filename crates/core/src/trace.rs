@@ -561,18 +561,6 @@ pub trait TraceRecord {
     }
 }
 
-/// Appends the frame of `kind` whose payload is `value` in GraftBin.
-fn binary_frame<T: Serialize + ?Sized>(
-    buf: &mut Vec<u8>,
-    kind: u8,
-    value: &T,
-) -> Result<(), CaptureError> {
-    graft_codec::frame::write_frame_with(buf, kind, |out| {
-        value.serialize(&mut graft_codec::Serializer::new(out))
-    })?;
-    Ok(())
-}
-
 /// Serializes a cloneable iterator as the sequence of its items.
 struct Seq<It>(It);
 
@@ -1115,7 +1103,7 @@ impl TraceRecord for MasterTrace {
     }
 
     fn encode_binary_frame(&self, buf: &mut Vec<u8>) -> Result<(), CaptureError> {
-        binary_frame(buf, FRAME_MASTER, self)
+        Ok(graft_codec::frame::write_value_frame(buf, FRAME_MASTER, self)?)
     }
 }
 
@@ -1131,7 +1119,7 @@ fn index_context(payload: &[u8]) -> graft_codec::Result<(u64, usize)> {
 
 /// Appends a group's index frame to `buf`.
 pub fn encode_index_frame(record: &IndexRecord, buf: &mut Vec<u8>) -> Result<(), CaptureError> {
-    binary_frame(buf, FRAME_INDEX, record)
+    Ok(graft_codec::frame::write_value_frame(buf, FRAME_INDEX, record)?)
 }
 
 /// Where a channel stands: its length and, in a worker channel, the

@@ -113,7 +113,7 @@ pub trait FileSystem: Send + Sync {
         let remaining = r.len() - skip;
         std::io::copy(&mut r.by_ref().take(skip), &mut std::io::sink())
             .map_err(crate::FsError::from)?;
-        Ok(Box::new(TailReader { inner: r, remaining, consumed: 0 }))
+        Ok(Box::new(Clamped::new(r, remaining)))
     }
 
     /// Renames the file at `from` to `to`, replacing any existing file at
@@ -207,33 +207,29 @@ impl<F: FileSystem + ?Sized> FileSystem for std::sync::Arc<F> {
     }
 }
 
-/// Reader returned by the default [`FileSystem::tail`]: the underlying
-/// reader already positioned past the skipped prefix, with `len`
-/// reporting only the bytes left.
-struct TailReader {
-    inner: Box<dyn FileRead>,
-    remaining: u64,
-    consumed: u64,
+/// A reader that yields no more than `len` bytes of `inner`, the length
+/// at open. A concurrent appender may have grown the file since, and
+/// streaming past `len()` would expose a torn mid-frame tail to readers
+/// that sized their decode on it (message-log tails, spill segments).
+pub(crate) struct Clamped<R> {
+    inner: std::io::Take<R>,
+    len: u64,
 }
 
-impl Read for TailReader {
-    fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
-        // Clamp to the remainder computed at open time, so a file grown
-        // by a concurrent appender cannot leak a torn tail past the
-        // advertised `len()` even when the inner reader would yield it.
-        let left = self.remaining.saturating_sub(self.consumed);
-        if left == 0 {
-            return Ok(0);
-        }
-        let cap = usize::try_from(left).unwrap_or(usize::MAX).min(out.len());
-        let n = self.inner.read(&mut out[..cap])?;
-        self.consumed += n as u64;
-        Ok(n)
+impl<R: Read> Clamped<R> {
+    pub(crate) fn new(inner: R, len: u64) -> Self {
+        Self { inner: inner.take(len), len }
     }
 }
 
-impl FileRead for TailReader {
+impl<R: Read> Read for Clamped<R> {
+    fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
+        self.inner.read(out)
+    }
+}
+
+impl<R: Read + Send> FileRead for Clamped<R> {
     fn len(&self) -> u64 {
-        self.remaining
+        self.len
     }
 }

@@ -1,10 +1,10 @@
 //! Local-disk backend rooted at a host directory.
 
 use std::fs;
-use std::io::{Read, Write};
+use std::io::Write;
 use std::path::{Path, PathBuf};
 
-use crate::api::{FileKind, FileRead, FileStatus, FileSystem, FileWrite};
+use crate::api::{Clamped, FileKind, FileRead, FileStatus, FileSystem, FileWrite};
 use crate::error::{FsError, FsResult};
 use crate::path::DfsPath;
 
@@ -74,7 +74,7 @@ impl FileSystem for LocalFs {
             return Err(FsError::NotAFile(dfs.to_string()));
         }
         let file = fs::File::open(&host)?;
-        Ok(Box::new(LocalReader { inner: std::io::BufReader::new(file), len: meta.len(), pos: 0 }))
+        Ok(Box::new(Clamped::new(std::io::BufReader::new(file), meta.len())))
     }
 
     fn list(&self, path: &str) -> FsResult<Vec<FileStatus>> {
@@ -183,35 +183,6 @@ impl FileWrite for LocalWriter {
     fn sync(&mut self) -> FsResult<()> {
         self.inner.flush()?;
         Ok(())
-    }
-}
-
-struct LocalReader {
-    inner: std::io::BufReader<fs::File>,
-    len: u64,
-    pos: u64,
-}
-
-impl Read for LocalReader {
-    fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
-        // Clamp to the open-time length: a concurrent appender may have
-        // grown the file since, and streaming past `len()` would expose
-        // a torn mid-frame tail to readers that sized their decode on
-        // it (message-log tails, spill segments).
-        let remaining = self.len.saturating_sub(self.pos);
-        if remaining == 0 {
-            return Ok(0);
-        }
-        let cap = usize::try_from(remaining).unwrap_or(usize::MAX).min(out.len());
-        let n = self.inner.read(&mut out[..cap])?;
-        self.pos += n as u64;
-        Ok(n)
-    }
-}
-
-impl FileRead for LocalReader {
-    fn len(&self) -> u64 {
-        self.len
     }
 }
 

@@ -12,12 +12,12 @@
 //! ## Accounting model
 //!
 //! The unit of charge is *serialized bytes*: the exact parts a spill
-//! would write (`partition.rs`), counted with `graft-codec`'s counting
-//! serializer so no throwaway encoding pass is needed. A partition's
-//! charge is its topology part — sized once per topology version — plus
-//! its state part, re-sized each time its pin is released; a staged
-//! in-memory shuffle batch is charged at ship time and released at
-//! delivery.
+//! would write (`partition.rs`), counted by the serializer a spill
+//! writes them with (`graft_codec::framed_size`), so no bytes are kept.
+//! A partition's charge is its topology part — sized once per topology
+//! version — plus its state part, re-sized each time its pin is
+//! released; a staged in-memory shuffle batch is charged at ship time
+//! and released at delivery.
 //!
 //! ## Pin/evict lifecycle
 //!
