@@ -56,14 +56,17 @@ pub trait Output {
 }
 
 impl Output for Vec<u8> {
+    #[inline]
     fn put(&mut self, bytes: &[u8]) {
         self.extend_from_slice(bytes);
     }
 
+    #[inline]
     fn put_byte(&mut self, byte: u8) {
         self.push(byte);
     }
 
+    #[inline]
     fn put_varint(&mut self, value: u64) {
         varint::write_u64(self, value);
     }
@@ -92,10 +95,12 @@ struct Count {
 }
 
 impl Output for Count {
+    #[inline]
     fn put(&mut self, bytes: &[u8]) {
         self.bytes += bytes.len() as u64;
     }
 
+    #[inline]
     fn put_varint(&mut self, value: u64) {
         self.bytes += varint::encoded_len_u64(value) as u64;
     }
