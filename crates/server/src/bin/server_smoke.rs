@@ -2,6 +2,8 @@
 //! job under a trace root and exits nonzero on any non-2xx response, any
 //! unparsable JSON body, or any divergence from the direct
 //! `graft::views::json` renderers (the byte-compatibility contract).
+//! One pair of requests goes out in a single write, so the server's
+//! per-connection read buffer is checked across a process boundary.
 //!
 //! Usage: `server_smoke --trace-root <dir> [--addr host:port]`
 //!
@@ -113,6 +115,21 @@ fn main() {
                 );
             }
         }
+    }
+
+    // Two requests in one write: the server must answer both, in order,
+    // from one connection's read buffer.
+    let id = &jobs[0];
+    let session = UntypedSession::open(Arc::clone(&fs), &format!("/{id}"))
+        .unwrap_or_else(|e| die(&format!("opening {id} directly: {e}")));
+    let pair = [format!("/jobs/{id}/supersteps"), format!("/jobs/{id}")];
+    let want =
+        [vj::to_line(&vj::supersteps_json(&session)), vj::to_line(&vj::job_json(id, &session))];
+    let responses = client
+        .get_pipelined(&[pair[0].as_str(), pair[1].as_str()])
+        .unwrap_or_else(|e| die(&format!("pipelined pair: {e}")));
+    for ((path, want), response) in pair.into_iter().zip(&want).zip(responses) {
+        check(format!("{path} (pipelined)"), response, Some(want));
     }
 
     let metrics = client.get("/metrics").unwrap_or_else(|e| die(&e.to_string()));

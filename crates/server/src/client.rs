@@ -4,9 +4,11 @@
 //! speaks keep-alive and reconnects transparently when the server closes
 //! a connection.
 
-use std::io::{Read, Write};
+use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
+
+use crate::http::read_head;
 
 /// One parsed response.
 #[derive(Debug)]
@@ -23,85 +25,71 @@ impl ClientResponse {
     }
 }
 
-/// A keep-alive connection to one server address.
+/// A keep-alive connection to one server address, read through one
+/// buffer for its whole life.
 pub struct HttpClient {
     addr: SocketAddr,
-    stream: Option<TcpStream>,
+    conn: Option<BufReader<TcpStream>>,
     timeout: Duration,
 }
 
 impl HttpClient {
     /// A client for `addr`; connections are opened lazily.
     pub fn new(addr: SocketAddr) -> Self {
-        Self { addr, stream: None, timeout: Duration::from_secs(10) }
-    }
-
-    fn stream(&mut self) -> std::io::Result<&mut TcpStream> {
-        if self.stream.is_none() {
-            let stream = TcpStream::connect(self.addr)?;
-            stream.set_read_timeout(Some(self.timeout))?;
-            stream.set_nodelay(true)?;
-            self.stream = Some(stream);
-        }
-        Ok(self.stream.as_mut().expect("just connected"))
+        Self { addr, conn: None, timeout: Duration::from_secs(10) }
     }
 
     /// Issues `GET {target}` (path plus optional query, already encoded)
     /// and reads the full response. Retries once on a fresh connection if
     /// the kept-alive one died.
     pub fn get(&mut self, target: &str) -> std::io::Result<ClientResponse> {
-        match self.try_get(target) {
-            Ok(response) => Ok(response),
-            Err(_) => {
-                // The pooled connection may have been closed between
-                // requests (keep-alive budget, server restart): reconnect.
-                self.stream = None;
-                self.try_get(target)
-            }
-        }
+        Ok(self.get_pipelined(&[target])?.remove(0))
     }
 
-    fn try_get(&mut self, target: &str) -> std::io::Result<ClientResponse> {
-        let request =
-            format!("GET {target} HTTP/1.1\r\nHost: graft\r\nConnection: keep-alive\r\n\r\n");
-        let stream = self.stream()?;
-        stream.write_all(request.as_bytes())?;
-        let response = read_response(stream)?;
-        if response.close {
-            self.stream = None;
-        }
-        Ok(ClientResponse {
-            status: response.status,
-            content_type: response.content_type,
-            body: response.body,
+    /// Sends a `GET` for every target in one write, then reads the
+    /// responses in order; retried once, whole, like [`HttpClient::get`].
+    pub fn get_pipelined(&mut self, targets: &[&str]) -> std::io::Result<Vec<ClientResponse>> {
+        self.try_get(targets).or_else(|_| {
+            // The pooled connection may have been closed between
+            // requests (keep-alive budget, server restart): reconnect.
+            self.conn = None;
+            self.try_get(targets)
         })
     }
-}
 
-struct RawResponse {
-    status: u16,
-    content_type: String,
-    body: Vec<u8>,
-    close: bool,
+    fn try_get(&mut self, targets: &[&str]) -> std::io::Result<Vec<ClientResponse>> {
+        let request: String = targets
+            .iter()
+            .map(|t| format!("GET {t} HTTP/1.1\r\nHost: graft\r\nConnection: keep-alive\r\n\r\n"))
+            .collect();
+        if self.conn.is_none() {
+            let stream = TcpStream::connect(self.addr)?;
+            stream.set_read_timeout(Some(self.timeout))?;
+            stream.set_nodelay(true)?;
+            self.conn = Some(BufReader::new(stream));
+        }
+        let conn = self.conn.as_mut().expect("just connected");
+        conn.get_mut().write_all(request.as_bytes())?;
+        // A response that closes the connection before the last one makes
+        // the next read fail, and the whole batch is retried.
+        let responses =
+            targets.iter().map(|_| read_response(conn)).collect::<std::io::Result<Vec<_>>>()?;
+        if responses.last().is_some_and(|(_, close)| *close) {
+            self.conn = None;
+        }
+        Ok(responses.into_iter().map(|(response, _)| response).collect())
+    }
 }
 
 fn bad(why: &str) -> std::io::Error {
     std::io::Error::new(std::io::ErrorKind::InvalidData, why.to_string())
 }
 
-fn read_response(stream: &mut TcpStream) -> std::io::Result<RawResponse> {
-    // Head: byte-at-a-time until the blank line, same as the server side.
-    let mut head = Vec::new();
-    let mut byte = [0u8; 1];
-    while !head.ends_with(b"\r\n\r\n") {
-        if stream.read(&mut byte)? == 0 {
-            return Err(bad("connection closed mid-response"));
-        }
-        head.push(byte[0]);
-        if head.len() > 64 * 1024 {
-            return Err(bad("response head too large"));
-        }
-    }
+/// One response and whether the server said it closes the connection.
+fn read_response(conn: &mut dyn BufRead) -> std::io::Result<(ClientResponse, bool)> {
+    let head = read_head(conn, 64 * 1024)
+        .map_err(|e| bad(&e.to_string()))?
+        .ok_or_else(|| bad("connection closed before the response"))?;
     let head = std::str::from_utf8(&head).map_err(|_| bad("non-UTF-8 response head"))?;
     let mut lines = head.split("\r\n");
     let status_line = lines.next().ok_or_else(|| bad("empty response"))?;
@@ -117,9 +105,6 @@ fn read_response(stream: &mut TcpStream) -> std::io::Result<RawResponse> {
     let mut content_type = String::new();
     let mut close = false;
     for line in lines {
-        if line.is_empty() {
-            continue;
-        }
         let Some((name, value)) = line.split_once(':') else { continue };
         let value = value.trim();
         match name.to_ascii_lowercase().as_str() {
@@ -133,6 +118,6 @@ fn read_response(stream: &mut TcpStream) -> std::io::Result<RawResponse> {
     }
 
     let mut body = vec![0u8; content_length];
-    stream.read_exact(&mut body)?;
-    Ok(RawResponse { status, content_type, body, close })
+    conn.read_exact(&mut body)?;
+    Ok((ClientResponse { status, content_type, body }, close))
 }

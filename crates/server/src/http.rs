@@ -5,29 +5,29 @@
 //! body size so a misbehaving client cannot balloon a worker thread.
 
 use std::collections::BTreeMap;
-use std::io::{Read, Write};
+use std::io::{BufRead, IoSlice, Write};
 
 /// Default cap on the request head (request line + headers).
 pub const MAX_HEAD_BYTES: usize = 16 * 1024;
 /// Default cap on a request body.
 pub const MAX_BODY_BYTES: usize = 64 * 1024;
 
-/// Why a request could not be served from the wire.
+/// Why a message could not be read off the wire.
 #[derive(Debug, PartialEq, Eq)]
 pub enum HttpError {
-    /// The bytes on the wire are not a well-formed HTTP/1.1 request.
+    /// The bytes on the wire are not a well-formed HTTP/1.1 message.
     Malformed(String),
     /// The head or body exceeded its configured cap.
     TooLarge(String),
-    /// The underlying socket failed mid-request.
+    /// The underlying socket failed mid-message.
     Io(String),
 }
 
 impl std::fmt::Display for HttpError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            HttpError::Malformed(why) => write!(f, "malformed request: {why}"),
-            HttpError::TooLarge(why) => write!(f, "request too large: {why}"),
+            HttpError::Malformed(why) => write!(f, "malformed message: {why}"),
+            HttpError::TooLarge(why) => write!(f, "message too large: {why}"),
             HttpError::Io(why) => write!(f, "i/o error: {why}"),
         }
     }
@@ -109,35 +109,41 @@ pub fn parse_query(raw: &str) -> Result<BTreeMap<String, String>, HttpError> {
     Ok(out)
 }
 
-/// Reads one request off `stream`. Returns `Ok(None)` on a clean EOF
+/// Takes one head off `reader`: the bytes up to and including the first
+/// `\r\n\r\n` and none past it, so a pipelined next message stays
+/// buffered. `Ok(None)` is EOF before any byte; over `cap` bytes fails.
+pub fn read_head(reader: &mut dyn BufRead, cap: usize) -> Result<Option<Vec<u8>>, HttpError> {
+    let mut head = Vec::new();
+    loop {
+        let chunk = reader.fill_buf().map_err(|e| HttpError::Io(e.to_string()))?;
+        if chunk.is_empty() && head.is_empty() {
+            return Ok(None);
+        } else if chunk.is_empty() {
+            return Err(HttpError::Malformed("connection closed mid-head".into()));
+        }
+        let start = head.len();
+        head.extend_from_slice(&chunk[..chunk.len().min((cap - start).saturating_add(1))]);
+        // The terminator may straddle two chunks: search from 3 bytes back.
+        let from = start.saturating_sub(3);
+        let end = head[from..].windows(4).position(|w| w == b"\r\n\r\n").map(|at| from + at + 4);
+        head.truncate(end.unwrap_or(head.len()));
+        reader.consume(head.len() - start);
+        if head.len() > cap {
+            return Err(HttpError::TooLarge(format!("head exceeds {cap} bytes")));
+        } else if end.is_some() {
+            return Ok(Some(head));
+        }
+    }
+}
+
+/// Reads one request off `reader`. Returns `Ok(None)` on a clean EOF
 /// before any byte (the client closed a kept-alive connection).
 pub fn read_request(
-    stream: &mut dyn Read,
+    reader: &mut dyn BufRead,
     max_head: usize,
     max_body: usize,
 ) -> Result<Option<Request>, HttpError> {
-    // Single-byte reads keep the parser from consuming bytes past the
-    // head; for a loopback debug server that trade is fine and it keeps
-    // the implementation obviously bounded.
-    let mut head = Vec::new();
-    let mut byte = [0u8; 1];
-    loop {
-        let n = stream.read(&mut byte).map_err(|e| HttpError::Io(e.to_string()))?;
-        if n == 0 {
-            if head.is_empty() {
-                return Ok(None);
-            }
-            return Err(HttpError::Malformed("connection closed mid-head".into()));
-        }
-        head.push(byte[0]);
-        if head.len() > max_head {
-            return Err(HttpError::TooLarge(format!("request head exceeds {max_head} bytes")));
-        }
-        if head.ends_with(b"\r\n\r\n") {
-            break;
-        }
-    }
-
+    let Some(head) = read_head(reader, max_head)? else { return Ok(None) };
     let head = std::str::from_utf8(&head[..head.len() - 4])
         .map_err(|_| HttpError::Malformed("head is not UTF-8".into()))?;
     let mut lines = head.split("\r\n");
@@ -180,7 +186,7 @@ pub fn read_request(
             return Err(HttpError::TooLarge(format!("body of {len} bytes exceeds {max_body}")));
         }
         body.resize(len, 0);
-        stream.read_exact(&mut body).map_err(|e| HttpError::Io(e.to_string()))?;
+        reader.read_exact(&mut body).map_err(|e| HttpError::Io(e.to_string()))?;
     }
 
     Ok(Some(Request { method: method.to_string(), path, query, headers, body }))
@@ -228,7 +234,8 @@ pub fn reason(status: u16) -> &'static str {
     }
 }
 
-/// Serializes a response, with `Connection: keep-alive|close` as asked.
+/// Serializes a response, with `Connection: keep-alive|close` as asked,
+/// as one vectored write of head and body (the body is not copied).
 pub fn write_response(
     stream: &mut dyn Write,
     response: &Response,
@@ -242,8 +249,16 @@ pub fn write_response(
         response.body.len(),
         if keep_alive { "keep-alive" } else { "close" },
     );
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(&response.body)?;
+    let mut slices = [IoSlice::new(head.as_bytes()), IoSlice::new(&response.body)];
+    let mut unsent = &mut slices[..];
+    while !unsent.is_empty() {
+        match stream.write_vectored(unsent) {
+            Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut unsent, n),
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
     stream.flush()
 }
 
@@ -336,6 +351,111 @@ mod tests {
         assert!(matches!(parse(huge.as_bytes()), Err(HttpError::TooLarge(_))));
         let big_body = format!("POST / HTTP/1.1\r\nContent-Length: {}\r\n\r\n", MAX_BODY_BYTES + 1);
         assert!(matches!(parse(big_body.as_bytes()), Err(HttpError::TooLarge(_))));
+    }
+
+    const PIPELINED: &[u8] = b"POST /first?a=1 HTTP/1.1\r\nContent-Length: 3\r\n\r\nabc\
+        GET /jobs/second%20job/supersteps?q=x HTTP/1.1\r\nHost: two\r\nConnection: close\r\n\r\n";
+
+    /// Reads requests off `reader` until a clean EOF.
+    fn parse_all(reader: &mut dyn BufRead) -> Vec<Request> {
+        std::iter::from_fn(|| read_request(reader, MAX_HEAD_BYTES, MAX_BODY_BYTES).unwrap())
+            .collect()
+    }
+
+    fn assert_pipelined_pair(requests: &[Request]) {
+        assert_eq!(requests.len(), 2);
+        assert_eq!((requests[0].method.as_str(), requests[0].path.as_str()), ("POST", "/first"));
+        assert_eq!(requests[0].body, b"abc");
+        assert_eq!(requests[0].query.get("a").unwrap(), "1");
+        assert_eq!(requests[1].method, "GET");
+        assert_eq!(requests[1].segments(), vec!["jobs", "second job", "supersteps"]);
+        assert_eq!(requests[1].query.get("q").unwrap(), "x");
+        assert_eq!(requests[1].headers.get("host").unwrap(), "two");
+        assert!(!requests[1].keep_alive());
+    }
+
+    #[test]
+    fn pipelined_requests_in_one_buffer_parse_in_order() {
+        let mut reader = PIPELINED;
+        assert_pipelined_pair(&parse_all(&mut reader));
+        assert!(reader.is_empty(), "every byte of both requests is consumed");
+    }
+
+    #[test]
+    fn pipelined_requests_parse_one_byte_per_read() {
+        let mut reader = std::io::BufReader::with_capacity(1, PIPELINED);
+        assert_pipelined_pair(&parse_all(&mut reader));
+    }
+
+    #[test]
+    fn head_cap_holds_in_one_chunk_and_byte_by_byte() {
+        let at_cap = |len: usize| {
+            let pad = "a".repeat(len - "GET / HTTP/1.1\r\n\r\n".len());
+            format!("GET /{pad} HTTP/1.1\r\n\r\n")
+        };
+        for (len, fits) in [(MAX_HEAD_BYTES, true), (MAX_HEAD_BYTES + 1, false)] {
+            let raw = at_cap(len);
+            let one_chunk = read_request(&mut raw.as_bytes(), MAX_HEAD_BYTES, MAX_BODY_BYTES);
+            let mut bytewise = std::io::BufReader::with_capacity(1, raw.as_bytes());
+            let bytewise = read_request(&mut bytewise, MAX_HEAD_BYTES, MAX_BODY_BYTES);
+            for result in [one_chunk, bytewise] {
+                match fits {
+                    true => assert!(matches!(result, Ok(Some(_))), "{len}-byte head fits"),
+                    false => assert!(matches!(result, Err(HttpError::TooLarge(_))), "{len} bytes"),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_head_that_never_ends_stops_at_the_cap() {
+        let mut endless = std::io::BufReader::new(std::io::repeat(b'a'));
+        assert_eq!(
+            read_head(&mut endless, 1000),
+            Err(HttpError::TooLarge("head exceeds 1000 bytes".into()))
+        );
+    }
+
+    /// Takes at most `limit` bytes per write call, and counts the calls.
+    struct Trickle {
+        wire: Vec<u8>,
+        limit: usize,
+        calls: usize,
+    }
+
+    impl Write for Trickle {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
+            self.calls += 1;
+            let start = self.wire.len();
+            for buf in bufs {
+                let room = self.limit - (self.wire.len() - start);
+                self.wire.extend_from_slice(&buf[..buf.len().min(room)]);
+            }
+            Ok(self.wire.len() - start)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_response_is_one_write_and_survives_short_writes() {
+        let response = Response::json(200, "{\"ok\":true}\n");
+        let mut whole = Vec::new();
+        write_response(&mut whole, &response, true).unwrap();
+        let mut one = Trickle { wire: Vec::new(), limit: usize::MAX, calls: 0 };
+        write_response(&mut one, &response, true).unwrap();
+        assert_eq!((one.wire.as_slice(), one.calls), (whole.as_slice(), 1));
+        // Short writes resume mid-head, across the head/body seam, and
+        // mid-body.
+        let mut short = Trickle { wire: Vec::new(), limit: 7, calls: 0 };
+        write_response(&mut short, &response, true).unwrap();
+        assert_eq!((short.wire, short.calls), (whole.clone(), whole.len().div_ceil(7)));
     }
 
     #[test]

@@ -8,10 +8,11 @@
 //! [`Obs`] registry; `/metrics` re-exports the whole registry as
 //! Prometheus text, server and engine metrics side by side.
 
-use std::collections::BTreeMap;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::collections::{BTreeMap, HashMap};
+use std::io::BufReader;
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use graft::untyped::UntypedSession;
@@ -76,6 +77,7 @@ impl Default for ServerConfig {
 pub struct ServerHandle {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
+    connections: Arc<Connections>,
     accept_thread: Option<std::thread::JoinHandle<()>>,
 }
 
@@ -86,6 +88,9 @@ impl ServerHandle {
     }
 
     /// Stops accepting, drains queued connections, joins all threads.
+    /// Requests already sent are still answered; a connection waiting for
+    /// its next request reads end-of-stream at once, not after
+    /// `read_timeout`.
     pub fn shutdown(&mut self) {
         if self.stop.swap(true, Ordering::SeqCst) {
             return;
@@ -93,6 +98,7 @@ impl ServerHandle {
         // The accept loop blocks in accept(); a throwaway self-connection
         // wakes it so it can observe the stop flag.
         let _ = TcpStream::connect(self.addr);
+        self.connections.close_reads();
         if let Some(thread) = self.accept_thread.take() {
             let _ = thread.join();
         }
@@ -116,6 +122,7 @@ pub fn serve(
     let listener = TcpListener::bind(config.addr)?;
     let addr = listener.local_addr()?;
     let stop = Arc::new(AtomicBool::new(false));
+    let connections = Arc::new(Connections::default());
     let index = Arc::new(TraceIndex::new(fs, root, config.index_capacity, Arc::clone(&obs)));
     let shared = Arc::new(Shared {
         index,
@@ -126,6 +133,7 @@ pub fn serve(
         max_body_bytes: config.max_body_bytes,
         follow: config.follow,
         long_poll_timeout: config.long_poll_timeout,
+        connections: Arc::clone(&connections),
     });
 
     let accept_stop = Arc::clone(&stop);
@@ -144,7 +152,7 @@ pub fn serve(
             pool.shutdown();
         })?;
 
-    Ok(ServerHandle { addr, stop, accept_thread: Some(accept_thread) })
+    Ok(ServerHandle { addr, stop, connections, accept_thread: Some(accept_thread) })
 }
 
 struct Shared {
@@ -156,19 +164,90 @@ struct Shared {
     max_body_bytes: usize,
     follow: bool,
     long_poll_timeout: Duration,
+    connections: Arc<Connections>,
+}
+
+/// The connections being served, each by a clone of its socket, so that
+/// shutdown can end the reads of idle kept-alive connections: a worker
+/// blocked in `read` would otherwise hold the pool's join for
+/// `read_timeout`.
+#[derive(Default)]
+struct Connections {
+    state: Mutex<ConnectionsState>,
+}
+
+#[derive(Default)]
+struct ConnectionsState {
+    closing: bool,
+    next: u64,
+    open: HashMap<u64, TcpStream>,
+}
+
+impl Connections {
+    fn state(&self) -> std::sync::MutexGuard<'_, ConnectionsState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Registers `stream` until the returned guard drops. After shutdown
+    /// began, the read side is closed at once instead.
+    fn open(&self, stream: &TcpStream) -> OpenConnection<'_> {
+        let mut state = self.state();
+        if state.closing {
+            let _ = stream.shutdown(Shutdown::Read);
+            return OpenConnection { connections: self, id: None };
+        }
+        let Ok(clone) = stream.try_clone() else {
+            return OpenConnection { connections: self, id: None };
+        };
+        let id = state.next;
+        state.next += 1;
+        state.open.insert(id, clone);
+        OpenConnection { connections: self, id: Some(id) }
+    }
+
+    /// Closes the read side of every open connection and of any opened
+    /// later: a worker waiting for a request reads end-of-stream, while
+    /// bytes already received are still read and answered.
+    fn close_reads(&self) {
+        let mut state = self.state();
+        state.closing = true;
+        for stream in state.open.values() {
+            let _ = stream.shutdown(Shutdown::Read);
+        }
+    }
+}
+
+/// Removes its connection from [`Connections`] when it drops, also when
+/// the handler panics, so no socket clone outlives its connection.
+struct OpenConnection<'a> {
+    connections: &'a Connections,
+    id: Option<u64>,
+}
+
+impl Drop for OpenConnection<'_> {
+    fn drop(&mut self) {
+        if let Some(id) = self.id {
+            self.connections.state().open.remove(&id);
+        }
+    }
 }
 
 impl Shared {
-    fn handle_connection(&self, mut stream: TcpStream) {
+    fn handle_connection(&self, stream: TcpStream) {
+        let _open = self.connections.open(&stream);
         let _ = stream.set_read_timeout(Some(self.read_timeout));
         let _ = stream.set_nodelay(true);
+        // One buffer for the connection's life: a pipelined request read
+        // along with the one before it waits here, not in the socket.
+        let mut reader = BufReader::new(stream);
         for served in 0..self.keep_alive_requests {
             let request =
-                match http::read_request(&mut stream, self.max_head_bytes, self.max_body_bytes) {
+                match http::read_request(&mut reader, self.max_head_bytes, self.max_body_bytes) {
                     Ok(Some(request)) => request,
                     Ok(None) => return, // client closed a kept-alive connection
                     Err(HttpError::TooLarge(why)) => {
                         self.record("reject", 413, 0);
+                        let mut stream = reader.into_inner();
                         let _ =
                             http::write_response(&mut stream, &Response::error(413, &why), false);
                         lingering_close(stream);
@@ -176,6 +255,7 @@ impl Shared {
                     }
                     Err(HttpError::Malformed(why)) => {
                         self.record("reject", 400, 0);
+                        let mut stream = reader.into_inner();
                         let _ =
                             http::write_response(&mut stream, &Response::error(400, &why), false);
                         lingering_close(stream);
@@ -192,7 +272,8 @@ impl Shared {
             let keep_alive = request.keep_alive()
                 && served + 1 < self.keep_alive_requests
                 && response.status < 400;
-            if http::write_response(&mut stream, &response, keep_alive).is_err() || !keep_alive {
+            if http::write_response(reader.get_mut(), &response, keep_alive).is_err() || !keep_alive
+            {
                 return;
             }
         }

@@ -3,9 +3,10 @@
 //! keep-alive, graceful shutdown, and the concurrent load acceptance run
 //! (16 connections x 500 requests against a warm index, zero errors).
 
-use std::io::{Read, Write};
-use std::net::TcpStream;
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
+use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use graft::untyped::UntypedSession;
 use graft::views::json as vj;
@@ -16,14 +17,37 @@ use graft_server::server::{serve, ServerConfig, ServerHandle};
 use graft_server::synth::write_synthetic_trace;
 
 fn server_over(jobs: &[&str], vertices: u64) -> (Arc<dyn FileSystem>, ServerHandle) {
+    // 16 workers so the 16-connection load test runs fully concurrent.
+    server_with(jobs, vertices, ServerConfig { workers: 16, ..ServerConfig::default() })
+}
+
+fn server_with(
+    jobs: &[&str],
+    vertices: u64,
+    config: ServerConfig,
+) -> (Arc<dyn FileSystem>, ServerHandle) {
     let fs: Arc<dyn FileSystem> = Arc::new(InMemoryFs::new());
     for job in jobs {
         write_synthetic_trace(fs.as_ref(), &format!("/traces/{job}"), vertices, 3).unwrap();
     }
-    // 16 workers so the 16-connection load test runs fully concurrent.
-    let config = ServerConfig { workers: 16, ..ServerConfig::default() };
     let handle = serve(Arc::clone(&fs), "/traces", Obs::wall(), config).unwrap();
     (fs, handle)
+}
+
+/// Reads one response off a raw connection: its head and its body.
+fn read_raw_response(reader: &mut impl BufRead) -> (String, String) {
+    let mut head = String::new();
+    while !head.ends_with("\r\n\r\n") {
+        assert_ne!(reader.read_line(&mut head).unwrap(), 0, "server closed early");
+    }
+    let length: usize = head
+        .lines()
+        .find_map(|l| l.to_ascii_lowercase().strip_prefix("content-length:").map(String::from))
+        .and_then(|v| v.trim().parse().ok())
+        .unwrap();
+    let mut body = vec![0u8; length];
+    reader.read_exact(&mut body).unwrap();
+    (head, String::from_utf8(body).unwrap())
 }
 
 #[test]
@@ -106,42 +130,100 @@ fn error_contract_covers_400_404_405_and_413() {
 #[test]
 fn keep_alive_serves_many_requests_on_one_connection() {
     let (_fs, handle) = server_over(&["job-a"], 6);
-    let mut stream = TcpStream::connect(handle.addr()).unwrap();
-    // Two pipelined-in-sequence requests on the same socket; the second
-    // must still be answered, proving the connection survived the first.
+    let stream = TcpStream::connect(handle.addr()).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    // Two requests in sequence on the same socket; the second must still
+    // be answered, proving the connection survived the first.
     for _ in 0..2 {
-        stream.write_all(b"GET /jobs/job-a/supersteps HTTP/1.1\r\nHost: x\r\n\r\n").unwrap();
-        let mut head = Vec::new();
-        let mut byte = [0u8; 1];
-        while !head.ends_with(b"\r\n\r\n") {
-            assert_eq!(stream.read(&mut byte).unwrap(), 1, "server closed early");
-            head.push(byte[0]);
-        }
-        let head = String::from_utf8(head).unwrap();
+        (&stream).write_all(b"GET /jobs/job-a/supersteps HTTP/1.1\r\nHost: x\r\n\r\n").unwrap();
+        let (head, _) = read_raw_response(&mut reader);
         assert!(head.starts_with("HTTP/1.1 200"));
-        let length: usize = head
-            .lines()
-            .find_map(|l| l.to_ascii_lowercase().strip_prefix("content-length:").map(String::from))
-            .and_then(|v| v.trim().parse().ok())
-            .unwrap();
-        let mut body = vec![0u8; length];
-        stream.read_exact(&mut body).unwrap();
     }
 }
 
 #[test]
+fn pipelined_requests_in_one_write_are_answered_in_order() {
+    let (fs, handle) = server_over(&["job-a"], 20);
+    let session = UntypedSession::open(Arc::clone(&fs), "/traces/job-a").unwrap();
+    let want = [
+        (
+            "/jobs/job-a/ss/1/tabular?page=2&per_page=7",
+            vj::to_line(&vj::tabular_json(&session, 1, None, 2, 7)),
+        ),
+        ("/jobs/job-a/supersteps", vj::to_line(&vj::supersteps_json(&session))),
+    ];
+
+    // Both heads in one segment: the server's first read takes them both.
+    let stream = TcpStream::connect(handle.addr()).unwrap();
+    stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    let pair: String =
+        want.iter().map(|(path, _)| format!("GET {path} HTTP/1.1\r\nHost: x\r\n\r\n")).collect();
+    (&stream).write_all(pair.as_bytes()).unwrap();
+    let mut reader = BufReader::new(&stream);
+    for (path, body) in &want {
+        let (head, got) = read_raw_response(&mut reader);
+        assert!(head.starts_with("HTTP/1.1 200"), "{path}: {head}");
+        assert_eq!(&got, body, "{path} must match the renderer byte-for-byte");
+    }
+
+    // The client's pipelined form, on its own connection.
+    let mut client = HttpClient::new(handle.addr());
+    let responses = client.get_pipelined(&[want[0].0, want[1].0]).unwrap();
+    let bodies: Vec<&str> = responses.iter().map(|r| r.text()).collect();
+    assert_eq!(bodies, [want[0].1.as_str(), want[1].1.as_str()]);
+}
+
+#[test]
 fn shutdown_joins_and_stops_accepting() {
-    let (_fs, mut handle) = server_over(&["job-a"], 6);
+    // A kept-alive connection that stays idle must not hold shutdown for
+    // the read timeout.
+    let config = ServerConfig { read_timeout: Duration::from_secs(60), ..ServerConfig::default() };
+    let (_fs, mut handle) = server_with(&["job-a"], 6, config);
     let addr = handle.addr();
     let mut client = HttpClient::new(addr);
     assert_eq!(client.get("/jobs").unwrap().status, 200);
+    let started = Instant::now();
     handle.shutdown();
+    let took = started.elapsed();
+    assert!(took < Duration::from_secs(5), "shutdown took {took:?} with an idle client");
     // After shutdown either the connect fails or the request dies; a
     // fresh request must not succeed.
     let mut fresh = HttpClient::new(addr);
     assert!(fresh.get("/jobs").is_err(), "server must stop serving after shutdown");
     // Idempotent.
     handle.shutdown();
+}
+
+#[test]
+fn a_response_head_that_never_ends_fails_the_client_at_its_cap() {
+    // A peer that sends 96 KiB of head without a blank line, then holds
+    // the connection open: the client must give up at its 64 KiB cap,
+    // not wait out its 10 s read timeout. It retries once, so two
+    // connections are answered.
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let (done, wait) = std::sync::mpsc::channel::<()>();
+    let peer = std::thread::spawn(move || {
+        let held: Vec<TcpStream> = listener
+            .incoming()
+            .take(2)
+            .map(|stream| {
+                let mut stream = stream.unwrap();
+                let head = format!("HTTP/1.1 200 OK\r\nX-Pad: {}", "a".repeat(96 * 1024));
+                let _ = stream.write_all(head.as_bytes());
+                stream
+            })
+            .collect();
+        let _ = wait.recv();
+        drop(held);
+    });
+    let started = Instant::now();
+    let error = HttpClient::new(addr).get("/").unwrap_err();
+    assert_eq!(error.kind(), ErrorKind::InvalidData, "{error}");
+    assert!(error.to_string().contains("65536"), "{error}");
+    assert!(started.elapsed() < Duration::from_secs(5));
+    done.send(()).unwrap();
+    peer.join().unwrap();
 }
 
 /// Acceptance: 16 connections x 500 requests against a warm TraceIndex —
