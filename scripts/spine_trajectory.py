@@ -22,7 +22,7 @@ import statistics
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 LAYERS = ["core.overhead_ratio", "core.us_per_capture", "core.bytes_per_capture",
-          "obs.on_added_pct"]
+          "obs.on_added_pct", "server.http_overhead_us", "server.bytes_out"]
 
 
 def runs(side, suffix):
