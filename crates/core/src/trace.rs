@@ -2156,6 +2156,9 @@ pub fn decode_master_records(
 }
 
 #[cfg(test)]
+mod writer_model;
+
+#[cfg(test)]
 mod tests {
     use super::*;
 
