@@ -132,9 +132,11 @@ fn dump_worker_channel(channel: VertexChannel<'_>, limit: usize) -> Result<usize
                     index.bytes_before,
                     index.aggregators.len()
                 ),
-                ChannelRecord::Vertex(head) => format!(
-                    "  [{at:>8}] vertex  superstep={} vertex={} ({len} bytes)",
-                    head.superstep, head.vertex
+                ChannelRecord::Vertex(head, before) => format!(
+                    "  [{at:>8}] vertex  superstep={} vertex={}{} ({len} bytes)",
+                    head.superstep,
+                    head.vertex,
+                    before.map(|at| format!(" value_before=same_as@{at}")).unwrap_or_default()
                 ),
             });
         }

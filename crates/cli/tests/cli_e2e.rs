@@ -402,13 +402,13 @@ fn cli_trace_convert_roundtrips_byte_identically() {
     // records in JSON, with formats labeled.
     let (dump, ok) = run_cli_raw(&["trace", "dump", bin_dir.to_str().unwrap(), "--limit", "5"]);
     assert!(ok, "{dump}");
-    assert!(dump.contains("format      : BinaryV5"), "{dump}");
+    assert!(dump.contains("format      : BinaryV6"), "{dump}");
     assert!(dump.contains("index   superstep=0 records_before=0 bytes_before=0"), "{dump}");
     assert!(dump.contains("aggregators=0"), "{dump}");
     assert!(dump.contains("vertex  superstep=0"), "{dump}");
     let (dump, ok) = run_cli_raw(&["trace", "dump", json_dir.to_str().unwrap(), "--limit", "2"]);
     assert!(ok, "{dump}");
-    assert!(dump.contains("format      : JsonLines (frames as read: BinaryV5)"), "{dump}");
+    assert!(dump.contains("format      : JsonLines (frames as read: BinaryV6)"), "{dump}");
     assert!(dump.contains("vertex  superstep=0"), "{dump}");
 
     // Converting to the format a directory already uses is refused.

@@ -145,6 +145,7 @@ impl<C: Computation> Instrumented<C> {
         // configs (DC-msg, DC-vv) from paying an O(degree) clone on every
         // vertex of every superstep.
         let value_before = vertex.value().clone();
+        let version_before = vertex.value_version();
 
         let outcome = panic_capture::guarded(std::panic::AssertUnwindSafe(|| {
             self.inner.compute(vertex, messages, ctx)
@@ -215,6 +216,7 @@ impl<C: Computation> Instrumented<C> {
                 value_after: vertex.value(),
                 edges: vertex.edges_at_entry().iter().map(|e| (&e.target, &e.value)),
                 edges_version: vertex.entry_version(),
+                value_versions: version_before.zip(vertex.value_version()),
                 incoming: messages,
                 outgoing: ctx.staged_sends(),
                 aggregators: ctx.visible_aggregators(),

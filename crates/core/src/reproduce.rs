@@ -425,7 +425,8 @@ mod tests {
         let index = frames.next_frame().unwrap().unwrap();
         let group = graft_codec::from_slice(index.payload).unwrap();
         let frame = frames.next_frame().unwrap().unwrap();
-        let record = VertexChannel::new(&channel).record(frame.payload, Some(&group)).unwrap();
+        let record = VertexChannel::new(&channel).record(frame.payload, Some(&group), None);
+        let record = record.unwrap();
         let lines = |source: String| -> Vec<String> {
             source.lines().filter(|line| line.contains(".aggregator(")).map(String::from).collect()
         };

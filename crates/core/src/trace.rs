@@ -20,10 +20,10 @@
 //! through a [`ChannelWriter`], the one place that grammar is written
 //! down.
 //!
-//! JSON lines, one document per line, and binary layouts v1 to v4 are
+//! JSON lines, one document per line, and binary layouts v1 to v5 are
 //! legacy formats: nothing captures in them, and every reader takes a
 //! channel through one door, [`native_channel`], which turns a legacy
-//! channel into the v5 bytes `trace convert --to binary` writes for it —
+//! channel into the v6 bytes `trace convert --to binary` writes for it —
 //! so no reader past the door knows a layout. [`convert_channel`] exports
 //! to JSON lines.
 //!
@@ -48,9 +48,9 @@
 //! a record exported to JSON lines and read back is the record, and
 //! every view served over either format is byte-for-byte the same.
 //!
-//! **Format v5: a capture writes only what the vertex's last capture did
+//! **Format v6: a capture writes only what the vertex's last capture did
 //! not, a superstep's context once, and each name once per record.**
-//! `meta.json` records the binary layout as a [`TraceFormat`]. A v5
+//! `meta.json` records the binary layout as a [`TraceFormat`]. A v6
 //! vertex record holds no superstep,
 //! global data or aggregator values: its group's index frame does. A
 //! [`ChannelWriter`] opens a group when the superstep changes or when a
@@ -66,11 +66,24 @@
 //! do not depend on what the record wrote before them. v4 payloads
 //! wrote every name inline; they read as v5 payloads that hold no name.
 //!
+//! A vertex record's `value_before` is a [`WireValue`]: the value, or one
+//! `Same` byte when the value encodes, against a fresh name table, to the
+//! bytes of the `value_after` of the channel's last earlier frame of the
+//! same vertex (equal encoded id bytes). The comparison is on fresh-table
+//! encodings because interning makes a value's bytes in a payload depend
+//! on what the payload wrote before it; a `Same` writes no names, so the
+//! `value_after` behind it is written against an empty table and its bytes
+//! are the very ones the next record compares with. The capture path hands
+//! the writer the value versions of compute entry and exit
+//! ([`VertexCapture::value_versions`]); a record whose entry version is the
+//! one the rule stored the vertex's last value under gets its `Same` with
+//! nothing encoded or compared. v5 payloads held every value inline.
+//!
 //! A vertex record's `edges` field is a [`WireEdges`]: the
 //! inline list, or the channel offset of an earlier frame that records the
 //! same vertex (equal encoded id bytes) with identical inline edges — one
-//! hop, never a reference to a reference. A [`ChannelWriter`] decides with
-//! an [`EdgeRefs`], a pure function of the channel's record stream, so a
+//! hop, never a reference to a reference. A [`ChannelWriter`] decides both
+//! rules with a [`VertexRefs`], a pure function of the channel's record stream, so a
 //! replayed, budgeted or converted channel is byte-identical to a native
 //! one. The capture path hands the writer an adjacency version with the
 //! edges ([`VertexCapture::edges_version`]); where the version vouches
@@ -80,8 +93,9 @@
 //! targets in edge order and every message encodes to the first's bytes —
 //! one [`Broadcast`] of that message, which readers list along the
 //! record's edges. v1 channels held every list inline, v2 channels every
-//! send as a pair, v3 channels a context in every record and v4 channels
-//! every name inline; the door writes each again under these rules.
+//! send as a pair, v3 channels a context in every record, v4 channels
+//! every name inline and v5 channels every value inline; the door writes
+//! each again under these rules.
 //!
 //! A payload is read in one of three ways, all through the one GraftBin
 //! decoder, so each succeeds on exactly the same payloads. A
@@ -95,9 +109,11 @@
 //! the [`ErasedVertexTrace`] a view of the whole record reads
 //! (reproducers, the violations view, a typed session): the one
 //! whole-record form on the read side. The last two attach the group's
-//! context and resolve an edge reference against the channel;
-//! [`walk_vertex_channel`] reads every index frame and checks every
-//! reference of a channel. A channel that cannot be read fails with a
+//! context and resolve an edge reference against the channel, and a
+//! `Same` against the frame the walk resolved it to — which the node-link
+//! digest, showing no `value_before`, leaves unread;
+//! [`walk_vertex_channel`] reads every index frame, checks every reference
+//! and resolves every `Same` of a channel. A channel that cannot be read fails with a
 //! [`TraceReadError`] naming the byte offset of the frame at fault.
 
 use std::cell::RefCell;
@@ -201,9 +217,9 @@ pub type VertexTraceOf<C> = VertexTrace<
 
 /// A vertex trace whose computation-specific fields (id, values, edges,
 /// messages) are type-erased [`graft_codec::BinValue`] trees, its edges
-/// listed: what a JSON line or a v1 binary payload holds, and what a v5
-/// payload reads as once its edge reference is resolved and its group's
-/// context attached. Any tool can
+/// listed: what a JSON line or a v1 binary payload holds, and what a v6
+/// payload reads as once its `Same` value and edge reference are resolved
+/// and its group's context attached. Any tool can
 /// handle it without the computation's Rust types; it is the one form of
 /// a whole record that readers build ([`VertexChannel::record`]).
 pub type ErasedVertexTrace = VertexTrace<BinValue, BinValue, BinValue, BinValue>;
@@ -244,7 +260,7 @@ impl ErasedVertexTrace {
     }
 }
 
-/// The `edges` field of a v2 to v5 binary vertex payload.
+/// The `edges` field of a v2 to v6 binary vertex payload.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub enum WireEdges<L> {
     /// The `(target, edge value)` list itself.
@@ -254,7 +270,17 @@ pub enum WireEdges<L> {
     At(u64),
 }
 
-/// The `outgoing` field of a v3 to v5 binary vertex payload.
+/// The `value_before` field of a v6 binary vertex payload.
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+pub enum WireValue<V> {
+    /// The value itself.
+    Inline(V),
+    /// The `value_after` of the channel's last earlier vertex frame that
+    /// records the same vertex (equal encoded id bytes): one byte.
+    Same,
+}
+
+/// The `outgoing` field of a v3 to v6 binary vertex payload.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub enum WireOutgoing<L, M> {
     /// The `(target, message)` pairs themselves, in send order.
@@ -275,21 +301,23 @@ pub struct Broadcast<M> {
     pub value: M,
 }
 
-/// The layout of a v5 binary vertex frame's payload, field for field:
+/// The layout of a v6 binary vertex frame's payload, field for field:
 /// an [`ErasedVertexTrace`] without the `superstep`, `aggregators` and
-/// `global` its group's [`IndexRecord`] holds, whose edges are a
-/// [`WireEdges`] and whose outgoing messages are a [`WireOutgoing`]. The
-/// values and messages are [`Interned`], against one name table for the
-/// payload; the id and the edges are context-free. Encoding one with
+/// `global` its group's [`IndexRecord`] holds, whose value at compute
+/// entry is a [`WireValue`], whose edges are a [`WireEdges`] and whose
+/// outgoing messages are a [`WireOutgoing`]. The values and messages are
+/// [`Interned`], against one name table for the payload; the id and the
+/// edges are context-free. Encoding one with
 /// `graft_codec::frame::write_value_frame` gives the frame the capture
-/// path writes for the same record. A v4 payload decodes too: it is a v5
-/// payload whose trees hold no name.
+/// path writes for the same record, a `Same` value included: the frame
+/// round-trips alone.
 #[derive(Clone, Debug, Deserialize)]
 pub struct WireVertexTrace {
     /// See [`VertexTrace::vertex`].
     pub vertex: BinValue,
-    /// See [`VertexTrace::value_before`].
-    pub value_before: BinValue,
+    /// See [`VertexTrace::value_before`]: inline, or the same as the
+    /// vertex's last `value_after`.
+    pub value_before: WireValue<BinValue>,
     /// See [`VertexTrace::value_after`].
     pub value_after: BinValue,
     /// The edges, inline or by reference.
@@ -320,9 +348,13 @@ impl Serialize for WireVertexTrace {
                 WireOutgoing::Broadcast(Broadcast { count: *count, value: Interned(value) })
             }
         };
+        let value_before = match &self.value_before {
+            WireValue::Inline(value) => WireValue::Inline(Interned(value)),
+            WireValue::Same => WireValue::Same,
+        };
         let mut record = serializer.serialize_struct("WireVertexTrace", 10)?;
         record.serialize_field("vertex", &self.vertex)?;
-        record.serialize_field("value_before", &Interned(&self.value_before))?;
+        record.serialize_field("value_before", &value_before)?;
         record.serialize_field("value_after", &Interned(&self.value_after))?;
         record.serialize_field("edges", &self.edges)?;
         record.serialize_field("incoming", &Seq(self.incoming.iter().map(Interned)))?;
@@ -352,7 +384,7 @@ pub struct MasterTrace {
 /// A group's index record: the payload of the index frame a
 /// [`ChannelWriter`] writes into a worker channel immediately before the
 /// first vertex record of each group. It holds the context every record
-/// of the group shares, which a v5 vertex payload leaves out, so a reader
+/// of the group shares, which a v6 vertex payload leaves out, so a reader
 /// scanning frame headers knows — without decoding a single vertex
 /// payload — which superstep the following group belongs to and how much
 /// of the channel precedes it.
@@ -427,17 +459,21 @@ pub enum TraceFormat {
     /// context in their group's [`IndexRecord`], and every object key and
     /// string of their values and messages inline.
     BinaryV4,
-    /// Binary frames whose vertex payloads are [`WireVertexTrace`]s: the
-    /// superstep and context are their group's [`IndexRecord`]'s, and the
-    /// values and messages write each name once per payload
+    /// Binary frames whose vertex payloads hold their superstep and
+    /// context in their group's [`IndexRecord`], and whose values and
+    /// messages write each name once per payload
     /// ([`graft_codec::Interned`]).
     BinaryV5,
+    /// Binary frames whose vertex payloads are [`WireVertexTrace`]s: v5
+    /// payloads whose value at compute entry is one `Same` byte where it
+    /// is the vertex's last value after compute in the channel.
+    BinaryV6,
 }
 
 impl TraceFormat {
     /// The layout capture writes, `trace convert --to binary` imports to
     /// and every reader reads past the door ([`native_channel`]).
-    pub const NATIVE: TraceFormat = TraceFormat::BinaryV5;
+    pub const NATIVE: TraceFormat = TraceFormat::BinaryV6;
 }
 
 /// Terminal job status written at trace root as `result.json`.
@@ -548,13 +584,14 @@ pub trait TraceRecord {
     fn encode_binary_frame(&self, buf: &mut Vec<u8>) -> Result<(), CaptureError>;
 
     /// Appends the record's binary frame as a channel writer does: a
-    /// vertex record's edges become a back-reference where `refs`, the
-    /// channel's rule, says so. `offset` is where the frame starts in the
-    /// channel. Records without edges ignore the rule.
+    /// vertex record's edges become a back-reference, and its value at
+    /// compute entry a `Same`, where `refs`, the channel's rule, says so.
+    /// `offset` is where the frame starts in the channel. Records without
+    /// edges ignore the rule.
     fn encode_channel_frame(
         &self,
         buf: &mut Vec<u8>,
-        _refs: &mut EdgeRefs,
+        _refs: &mut VertexRefs,
         _offset: u64,
     ) -> Result<(), CaptureError> {
         self.encode_binary_frame(buf)
@@ -622,6 +659,12 @@ pub struct VertexCapture<'a, I, V, M, Ed, Ag> {
     /// the channel's rule may refer back without encoding them. `None`
     /// promises nothing.
     pub edges_version: Option<u64>,
+    /// The versions of `value_before` and `value_after`
+    /// ([`graft_pregel::VertexHandle::value_version`] at compute entry and
+    /// exit): two captures of one vertex under one version have equal
+    /// values, so the channel's rule may write a `Same` without encoding
+    /// the value. `None` promises nothing.
+    pub value_versions: Option<(u64, u64)>,
     /// Incoming messages.
     pub incoming: &'a [M],
     /// Messages the vertex sent, in send order.
@@ -655,55 +698,75 @@ where
     Ed: ExactSizeIterator<Item = (&'a I, &'a E)> + Clone,
     Ag: ExactSizeIterator<Item = (&'a str, &'a AggValue)> + Clone,
 {
-    /// Appends the record's v5 frame to `buf`, field by field. The edges
-    /// are written inline; with a `rule`, the channel's rule and the
-    /// frame's channel offset, they are then cut back to a reference
-    /// where the rule has one, and an inline list is noted for later
-    /// frames once the frame is whole. Where the rule already holds the
-    /// vertex's edges under `edges_version`, the reference is written
-    /// without encoding them at all; a debug build encodes them anyway and
-    /// checks that the bytes would have said the same. `same_target` says
-    /// whether two ids encode to the same bytes (see
-    /// [`Self::write_outgoing`]).
+    /// Appends the record's v6 frame to `buf`, field by field. With a
+    /// `rule`, the channel's rule and the frame's channel offset, the value
+    /// at compute entry is a `Same` where the rule says so (see
+    /// [`Self::write_value_before`]), and the edges are written inline, then
+    /// cut back to a reference where the rule has one; once the frame is
+    /// whole, the rule notes its value after compute and any inline list.
+    /// Where the rule already holds the vertex's edges under
+    /// `edges_version`, the reference is written without encoding them at
+    /// all; a debug build encodes them anyway and checks that the bytes
+    /// would have said the same. `same_target` says whether two ids encode
+    /// to the same bytes (see [`Self::write_outgoing`]).
     fn write_frame(
         &self,
         buf: &mut Vec<u8>,
-        mut rule: Option<(&mut EdgeRefs, u64)>,
+        mut rule: Option<(&mut VertexRefs, u64)>,
         same_target: impl Fn(&I, &I) -> bool,
     ) -> Result<(), CaptureError> {
-        // The id and inline edges of the frame, as distances back from
-        // its end: the length prefix may still shift what lies before.
-        let mut inline: Option<[usize; 4]> = None;
+        // The id, the value after compute and the inline edges of the
+        // frame, as distances back from its end: the length prefix may
+        // still shift what lies before.
+        let mut back = [0; 4];
+        let mut inline: Option<[usize; 2]> = None;
+        // Whether the value after compute was written against an empty
+        // name table, so that its bytes are its fresh-table encoding.
+        let mut fresh_after = false;
+        // The vertex's entry in the rule, looked up once.
+        let mut slot = Err(0);
         PAYLOAD_NAMES.with_borrow_mut(|names| {
             names.clear();
             graft_codec::frame::write_frame_with(buf, FRAME_VERTEX, |out| {
                 let id_at = out.len();
                 put(out, &Tagged(self.vertex))?;
                 let id = id_at..out.len();
-                put_in(out, names, &Interned(self.value_before))?;
+                if let Some((refs, _)) = rule.as_mut() {
+                    slot = refs.find(&out[id.clone()]);
+                }
+                let entry = slot.ok();
+                fresh_after = match rule.as_mut() {
+                    Some((refs, _)) => self.write_value_before(out, names, refs, entry)?,
+                    None => {
+                        put_in(out, names, &WireValue::Inline(Interned(self.value_before)))?;
+                        false
+                    }
+                };
+                let after_at = out.len();
                 put_in(out, names, &Interned(self.value_after))?;
                 let edges_at = out.len();
                 let tagged_pair = |(a, b)| (Tagged(a), Tagged(b));
                 let listed = WireEdges::Inline(Seq(self.edges.clone().map(tagged_pair)));
-                let known = match (rule.as_mut(), self.edges_version) {
-                    (Some((refs, _)), Some(version)) => {
-                        refs.reference_by_version(&out[id.clone()], version)
+                let known = match (rule.as_mut(), entry, self.edges_version) {
+                    (Some((refs, _)), Some(at), Some(version)) => {
+                        refs.reference_by_version(at, version)
                     }
                     _ => None,
                 };
                 if known.is_none() || cfg!(debug_assertions) {
                     put(out, &listed)?;
                 }
+                let by_bytes = |refs: &mut VertexRefs, version| {
+                    entry.and_then(|at| refs.reference(at, &out[edges_at..], version))
+                };
                 let target = match (known, rule.as_mut()) {
                     (Some(target), Some((refs, _))) if cfg!(debug_assertions) => {
-                        let by_bytes = refs.reference(&out[id.clone()], &out[edges_at..], None);
+                        let by_bytes = by_bytes(refs, None);
                         assert_eq!(by_bytes, Some(target), "a version named other edges");
                         known
                     }
                     (Some(_), _) => known,
-                    (None, rule) => rule.and_then(|(refs, _)| {
-                        refs.reference(&out[id.clone()], &out[edges_at..], self.edges_version)
-                    }),
+                    (None, rule) => rule.and_then(|(refs, _)| by_bytes(refs, self.edges_version)),
                 };
                 let edges_end = match target {
                     Some(target) => {
@@ -720,17 +783,69 @@ where
                 put(out, self.violations)?;
                 put(out, &self.exception)?;
                 let end = out.len();
-                inline = edges_end
-                    .map(|edges_end| [id.start, id.end, edges_at, edges_end].map(|at| end - at));
+                back = [id.start, id.end, after_at, edges_at].map(|at| end - at);
+                inline = edges_end.map(|edges_end| [edges_at, edges_end].map(|at| end - at));
                 Ok(())
             })
         })?;
-        if let (Some((refs, offset)), Some(back)) = (rule, inline) {
-            let [id_start, id_end, edges_start, edges_end] = back.map(|back| buf.len() - back);
-            let (id, edges) = (&buf[id_start..id_end], &buf[edges_start..edges_end]);
-            refs.remember(id, offset, edges, self.edges_version);
+        let Some((refs, offset)) = rule else { return Ok(()) };
+        let [id_start, id_end, after_start, after_end] = back.map(|back| buf.len() - back);
+        let edges = inline.map(|back| {
+            let [start, end] = back.map(|back| buf.len() - back);
+            (&buf[start..end], self.edges_version)
+        });
+        let version = self.value_versions.map(|(_, after)| after);
+        let id = &buf[id_start..id_end];
+        if fresh_after {
+            refs.remember(slot, id, offset, edges, &buf[after_start..after_end], version);
+        } else {
+            let mut value = std::mem::take(&mut refs.scratch);
+            value.clear();
+            put(&mut value, &Interned(self.value_after))?;
+            refs.remember(slot, id, offset, edges, &value, version);
+            refs.scratch = value;
         }
         Ok(())
+    }
+
+    /// Appends the `value_before` field of a frame of the vertex at
+    /// `entry` in `refs`, if seen, the first value of its payload: a
+    /// [`WireValue::Same`] where `refs` holds the vertex's last
+    /// `value_after` and it is this record's value at entry, inline
+    /// otherwise. Where the rule holds that value under the entry version
+    /// of `value_versions`, the `Same` is written without encoding the
+    /// value, which a debug build encodes anyway and checks; otherwise the
+    /// value is written inline, against the payload's still empty name
+    /// table, and its bytes — its fresh-table encoding — are compared with
+    /// the stored ones, to be cut back to a `Same`, names and all, if equal.
+    /// Returns whether it wrote a `Same`.
+    fn write_value_before(
+        &self,
+        out: &mut Vec<u8>,
+        names: &mut NameTable,
+        refs: &VertexRefs,
+        entry: Option<usize>,
+    ) -> graft_codec::Result<bool> {
+        let Some(entry) = entry else {
+            put_in(out, names, &WireValue::Inline(Interned(self.value_before)))?;
+            return Ok(false);
+        };
+        let at = out.len();
+        let version = self.value_versions.map(|(version, _)| version);
+        let vouched = version.is_some_and(|version| refs.value_by_version(entry, version));
+        if !vouched || cfg!(debug_assertions) {
+            put_in(out, names, &WireValue::Inline(Interned(self.value_before)))?;
+            // `Inline` is variant 0: its index is one byte.
+            let same = refs.same_value(entry, &out[at + 1..]);
+            assert!(same || !vouched, "a value version named another value");
+            if !same {
+                return Ok(false);
+            }
+            out.truncate(at);
+            names.clear();
+        }
+        put(out, &WireValue::<()>::Same)?;
+        Ok(true)
     }
 
     /// Appends the record's context as its group's [`IndexRecord`] holds
@@ -832,7 +947,7 @@ where
     fn encode_channel_frame(
         &self,
         buf: &mut Vec<u8>,
-        refs: &mut EdgeRefs,
+        refs: &mut VertexRefs,
         offset: u64,
     ) -> Result<(), CaptureError> {
         self.write_frame(buf, Some((refs, offset)), equal_ids)
@@ -861,7 +976,7 @@ where
     fn encode_channel_frame(
         &self,
         buf: &mut Vec<u8>,
-        refs: &mut EdgeRefs,
+        refs: &mut VertexRefs,
         offset: u64,
     ) -> Result<(), CaptureError> {
         self.write_frame(buf, Some((refs, offset)))
@@ -894,6 +1009,7 @@ where
             value_after: &self.value_after,
             edges: self.edges.iter().map(|(target, value)| (target, value)),
             edges_version: None,
+            value_versions: None,
             incoming: &self.incoming,
             outgoing: &self.outgoing,
             aggregators: self.aggregators.iter().map(|(name, value)| (name.as_str(), value)),
@@ -911,7 +1027,7 @@ where
     fn write_frame(
         &self,
         buf: &mut Vec<u8>,
-        rule: Option<(&mut EdgeRefs, u64)>,
+        rule: Option<(&mut VertexRefs, u64)>,
     ) -> Result<(), CaptureError> {
         self.borrowed().write_frame(buf, rule, same_encoding)
     }
@@ -919,25 +1035,31 @@ where
 
 /// A channel writer's back-reference rule for vertex records: per
 /// vertex, the channel offset of its last inline frame and that frame's
-/// encoded `edges` field. A record whose encoded edges equal the stored
-/// ones gets a reference to that frame when the reference is shorter
-/// than the list; any other record keeps its list and becomes the entry.
-/// The rule is a pure function of the channel's record stream, and the
-/// state holds one copy of each vertex's latest adjacency.
+/// encoded `edges` field, and the offset of its last frame and that
+/// frame's `value_after` in its fresh-table encoding. A record whose
+/// encoded edges equal the stored ones gets a reference to that frame when
+/// the reference is shorter than the list; any other record keeps its
+/// list and becomes the entry. A record whose value at compute entry
+/// encodes, against a fresh name table, to the stored value writes it as
+/// one `Same` byte. The rule is a pure function of the channel's record
+/// stream, and the state holds one copy of each vertex's latest adjacency
+/// and value.
 ///
-/// Each entry also keeps the adjacency version (see
-/// [`VertexCapture::edges_version`]) under which its bytes were last
-/// written or matched. A record under that same version has those bytes
-/// by the version's promise, so it gets its reference with nothing
-/// encoded or compared; any other record is decided on bytes. The
-/// version only saves work: what is written is the byte rule's answer.
+/// Each entry also keeps the adjacency and value versions (see
+/// [`VertexCapture::edges_version`] and [`VertexCapture::value_versions`])
+/// under which its bytes were last written or matched. A record under
+/// that same version has those bytes by the version's promise, so it gets
+/// its reference or its `Same` with nothing encoded or compared; any other
+/// record is decided on bytes. The versions only save work: what is
+/// written is the byte rule's answer.
 #[derive(Default)]
-pub struct EdgeRefs {
+pub struct VertexRefs {
     /// Per vertex, in the order of its first capture.
     vertices: Vec<Latest>,
-    /// Each vertex's encoded id and latest inline `edges` field, laid out
-    /// in `vertices` order: a channel captures its vertices in the same
-    /// order every superstep, so its lookups walk this front to back.
+    /// Each vertex's encoded id, latest inline `edges` field and last
+    /// value, laid out in `vertices` order: a channel captures its vertices
+    /// in the same order every superstep, so its lookups walk this front to
+    /// back.
     arena: Vec<u8>,
     /// Bytes of `arena` no vertex uses any more.
     garbage: usize,
@@ -947,6 +1069,8 @@ pub struct EdgeRefs {
     by_id: FxHashMap<u64, usize>,
     /// The index after the vertex last looked up: usually the next one.
     cursor: usize,
+    /// Room for a value's fresh-table encoding, kept between frames.
+    scratch: Vec<u8>,
 }
 
 /// Whether a reference to `offset` is shorter than an `edges` field of
@@ -965,13 +1089,15 @@ fn id_hash(id: &[u8]) -> u64 {
     hash ^ (hash >> 32)
 }
 
-/// Where [`EdgeRefs`] keeps one vertex: `id_len` id bytes, then
-/// `edges_len` bytes of its `edges` field, at `at` in the arena, in
-/// `room` bytes.
+/// Where [`VertexRefs`] keeps one vertex: `id_len` id bytes, then
+/// `edges_len` bytes of its `edges` field, then `value_len` bytes of its
+/// last value, at `at` in the arena, in `room` bytes.
+#[derive(Default)]
 struct Latest {
     at: usize,
     id_len: usize,
     edges_len: usize,
+    value_len: usize,
     room: usize,
     /// Where the vertex's last inline frame starts; `None` once the
     /// channel no longer holds it.
@@ -979,6 +1105,13 @@ struct Latest {
     /// The adjacency version the stored edges were last written or
     /// matched under, if one was given.
     version: Option<u64>,
+    /// Where the vertex's last frame, whose `value_after` the stored value
+    /// is in its fresh-table encoding, starts; `None` once the channel no
+    /// longer holds it.
+    last: Option<u64>,
+    /// The value version the stored value was written under, if one was
+    /// given.
+    value_version: Option<u64>,
 }
 
 impl Latest {
@@ -989,9 +1122,15 @@ impl Latest {
     fn edges<'a>(&self, arena: &'a [u8]) -> &'a [u8] {
         &arena[self.at + self.id_len..self.at + self.id_len + self.edges_len]
     }
+
+    /// The stored value, if the channel still holds its frame.
+    fn value<'a>(&self, arena: &'a [u8]) -> Option<&'a [u8]> {
+        let at = self.at + self.id_len + self.edges_len;
+        self.last.map(|_| &arena[at..at + self.value_len])
+    }
 }
 
-impl EdgeRefs {
+impl VertexRefs {
     /// The index of vertex `id`, or the hash it goes by if unseen.
     fn find(&mut self, id: &[u8]) -> Result<usize, u64> {
         // The vertex after the last one looked up, or that one again.
@@ -1011,11 +1150,10 @@ impl EdgeRefs {
         Ok(found)
     }
 
-    /// Where a record of vertex `id` whose encoded `edges` field is
-    /// `edges` points instead of holding them, if anywhere. On a match
+    /// Where a record of the vertex at `at` whose encoded `edges` field
+    /// is `edges` points instead of holding them, if anywhere. On a match
     /// the stored edges are noted as those of `version` too.
-    fn reference(&mut self, id: &[u8], edges: &[u8], version: Option<u64>) -> Option<u64> {
-        let at = self.find(id).ok()?;
+    fn reference(&mut self, at: usize, edges: &[u8], version: Option<u64>) -> Option<u64> {
         let latest = &mut self.vertices[at];
         let offset = latest.offset?;
         let same = shorter(offset, edges.len()) && latest.edges(&self.arena) == edges;
@@ -1025,51 +1163,84 @@ impl EdgeRefs {
         same.then_some(offset)
     }
 
-    /// [`Self::reference`] for a record of vertex `id` whose edges are
-    /// those of adjacency `version`, if the stored edges are known to be
-    /// that version's: decided with no bytes to compare.
-    fn reference_by_version(&mut self, id: &[u8], version: u64) -> Option<u64> {
-        let at = self.find(id).ok()?;
+    /// [`Self::reference`] for a record of the vertex at `at` whose edges
+    /// are those of adjacency `version`, if the stored edges are known to
+    /// be that version's: decided with no bytes to compare.
+    fn reference_by_version(&self, at: usize, version: u64) -> Option<u64> {
         let latest = &self.vertices[at];
         let offset = latest.offset.filter(|_| latest.version == Some(version))?;
         shorter(offset, latest.edges_len).then_some(offset)
     }
 
-    /// Notes the inline `edges` of vertex `id`, those of adjacency
-    /// `version` if one is given, in the frame at `offset`.
-    fn remember(&mut self, id: &[u8], offset: u64, edges: &[u8], version: Option<u64>) {
-        let at = match self.find(id) {
-            Ok(at) => at,
+    /// Whether `value`, a fresh-table encoding, is the stored value of the
+    /// vertex at `at`.
+    fn same_value(&self, at: usize, value: &[u8]) -> bool {
+        self.vertices[at].value(&self.arena) == Some(value)
+    }
+
+    /// Whether the stored value of the vertex at `at` is known to be that
+    /// of value `version`: decided with no bytes to compare.
+    fn value_by_version(&self, at: usize, version: u64) -> bool {
+        let latest = &self.vertices[at];
+        latest.last.is_some() && latest.value_version == Some(version)
+    }
+
+    /// Notes the frame at `offset` of vertex `id`, found at `slot` (see
+    /// [`Self::find`]): its `value_after`, encoded against a fresh name
+    /// table, of value version `value_version` if one is given, and its
+    /// `edges` if inline, of the adjacency version that comes with them if
+    /// one is given.
+    fn remember(
+        &mut self,
+        slot: Result<usize, u64>,
+        id: &[u8],
+        offset: u64,
+        edges: Option<(&[u8], Option<u64>)>,
+        value: &[u8],
+        value_version: Option<u64>,
+    ) {
+        let (at, entered) = match slot {
+            Ok(at) => (at, false),
             Err(hash) => {
                 let fresh = self.vertices.len();
                 let at = *self.by_id.entry(hash).or_insert(fresh);
                 if at == fresh {
-                    let end = self.arena.len();
-                    self.vertices.push(Latest {
-                        at: end,
-                        id_len: 0,
-                        edges_len: 0,
-                        room: 0,
-                        offset: None,
-                        version: None,
-                    });
+                    self.vertices.push(Latest { at: self.arena.len(), ..Latest::default() });
                 }
                 self.cursor = at + 1;
-                at
+                (at, true)
             }
         };
+        // An entry taken over from another id keeps none of its edges.
+        let edges = match edges {
+            Some((edges, version)) => Some((edges, Some(offset), version)),
+            None => entered.then_some((&[][..], None, None)),
+        };
         let latest = &mut self.vertices[at];
-        let need = id.len() + edges.len();
+        // The id and edges stay where they are unless new ones come.
+        let (kept, edges_len) = match edges {
+            Some((edges, ..)) => (0, edges.len()),
+            None => (latest.id_len + latest.edges_len, latest.edges_len),
+        };
+        let need = id.len() + edges_len + value.len();
         if need > latest.room {
             self.garbage += latest.room;
-            latest.at = self.arena.len();
+            let old = std::mem::replace(&mut latest.at, self.arena.len());
             latest.room = need;
             self.arena.resize(latest.at + need, 0);
+            self.arena.copy_within(old..old + kept, latest.at);
         }
-        self.arena[latest.at..latest.at + id.len()].copy_from_slice(id);
-        self.arena[latest.at + id.len()..latest.at + need].copy_from_slice(edges);
-        (latest.id_len, latest.edges_len) = (id.len(), edges.len());
-        (latest.offset, latest.version) = (Some(offset), version);
+        if let Some((edges, edges_offset, version)) = edges {
+            let at = latest.at + id.len();
+            self.arena[latest.at..at].copy_from_slice(id);
+            self.arena[at..at + edges.len()].copy_from_slice(edges);
+            (latest.id_len, latest.edges_len) = (id.len(), edges.len());
+            (latest.offset, latest.version) = (edges_offset, version);
+        }
+        let at = latest.at + latest.id_len + latest.edges_len;
+        self.arena[at..at + value.len()].copy_from_slice(value);
+        latest.value_len = value.len();
+        (latest.last, latest.value_version) = (Some(offset), value_version);
         if self.garbage > self.arena.len() / 2 {
             self.compact();
         }
@@ -1079,7 +1250,7 @@ impl EdgeRefs {
     fn compact(&mut self) {
         let mut arena = Vec::with_capacity(self.arena.len() - self.garbage);
         for latest in &mut self.vertices {
-            let used = latest.id_len + latest.edges_len;
+            let used = latest.id_len + latest.edges_len + latest.value_len;
             arena.extend_from_slice(&self.arena[latest.at..latest.at + used]);
             (latest.at, latest.room) = (arena.len() - used, used);
         }
@@ -1089,10 +1260,14 @@ impl EdgeRefs {
     /// Forgets the frames at or past byte `len`, which the channel no
     /// longer holds.
     fn truncate(&mut self, len: u64) {
-        for latest in &mut self.vertices {
-            if latest.offset.is_some_and(|offset| offset >= len) {
-                latest.offset = None;
+        let gone = |offset: &mut Option<u64>| {
+            if offset.is_some_and(|offset| offset >= len) {
+                *offset = None;
             }
+        };
+        for latest in &mut self.vertices {
+            gone(&mut latest.offset);
+            gone(&mut latest.last);
         }
     }
 }
@@ -1126,7 +1301,7 @@ pub fn encode_index_frame(record: &IndexRecord, buf: &mut Vec<u8>) -> Result<(),
 /// vertex records it holds and the superstep and encoded context of its
 /// open group.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub(crate) struct ChannelMark {
+pub struct ChannelMark {
     /// Bytes written to the channel.
     pub(crate) written: u64,
     /// Vertex records written to the channel.
@@ -1143,7 +1318,7 @@ pub(crate) struct ChannelMark {
 /// differs from the open group's, or its encoded context does — carrying
 /// the counts as of the frame's own start and the group's context, then
 /// the record's vertex frame, its edges a back-reference where the
-/// channel's [`EdgeRefs`] says so. The master channel gets each record's
+/// channel's [`VertexRefs`] says so. The master channel gets each record's
 /// frame and nothing else.
 ///
 /// The trace sink, `trace convert` and synthetic traces all write their
@@ -1157,7 +1332,7 @@ pub struct ChannelWriter {
     /// The context version the open group was written or matched under,
     /// if the last record gave one.
     version: Option<u64>,
-    refs: EdgeRefs,
+    refs: VertexRefs,
     /// A record's encoded context, while its group is decided.
     context: Vec<u8>,
 }
@@ -1167,9 +1342,9 @@ impl ChannelWriter {
     /// last frame: the mark read off the frame headers and index frames,
     /// the open group's context off the last index frame, the
     /// back-reference rule rebuilt by noting, in order, every vertex
-    /// frame whose edges are inline. A frame that does not read as a
-    /// vertex record holds nothing to point at.
-    pub(crate) fn resume(bytes: &[u8]) -> Self {
+    /// frame's value after compute and any inline edges. A frame that does
+    /// not read as a vertex record holds nothing to point at.
+    pub fn resume(bytes: &[u8]) -> Self {
         let mut writer = ChannelWriter::default();
         writer.mark.written = bytes.len() as u64;
         let mut scanner = FrameScanner::new(bytes);
@@ -1184,16 +1359,32 @@ impl ChannelWriter {
                 }
                 FRAME_VERTEX => {
                     writer.mark.records += 1;
+                    let mut value = Vec::new();
                     let mut reader = PayloadReader::new(frame.payload);
-                    let inline = reader.front::<SkipTagged>().and_then(|(_, _, id)| {
-                        reader.values::<SkipTagged>()?;
+                    let read = reader.front::<SkipTagged>().and_then(|(_, _, id)| {
+                        // The value after compute is written against an
+                        // empty name table only after a `Same`.
+                        let after_at = match reader.field::<WireValue<SkipTagged>>()? {
+                            WireValue::Same => Some(reader.at()),
+                            WireValue::Inline(_) => None,
+                        };
+                        match after_at {
+                            Some(at) => {
+                                reader.field::<SkipTagged>()?;
+                                value.extend_from_slice(&frame.payload[at..reader.at()]);
+                            }
+                            None => put(&mut value, &Interned(reader.field::<BinValue>()?))?,
+                        }
                         let at = reader.at();
                         let edges: WireEdges<SkipSeq<(SkipTagged, SkipTagged)>> = reader.field()?;
-                        Ok(matches!(edges, WireEdges::Inline(_)).then(|| (id, at..reader.at())))
+                        let inline = matches!(edges, WireEdges::Inline(_));
+                        Ok((id, inline.then(|| at..reader.at())))
                     });
-                    if let Ok(Some((id, edges))) = inline {
-                        let (id, edges) = (&frame.payload[id], &frame.payload[edges]);
-                        writer.refs.remember(id, frame.start as u64, edges, None);
+                    if let Ok((id, edges)) = read {
+                        let edges = edges.map(|edges| (&frame.payload[edges], None));
+                        let (id, start) = (&frame.payload[id], frame.start as u64);
+                        let slot = writer.refs.find(id);
+                        writer.refs.remember(slot, id, start, edges, &value, None);
                     }
                 }
                 _ => {}
@@ -1203,7 +1394,7 @@ impl ChannelWriter {
     }
 
     /// Where the channel stands.
-    pub(crate) fn mark(&self) -> ChannelMark {
+    pub fn mark(&self) -> ChannelMark {
         self.mark.clone()
     }
 
@@ -1285,8 +1476,12 @@ impl ChannelWriter {
     /// Falls back to `mark`, an earlier mark of this writer: the channel
     /// no longer holds what was written past it, so no later record
     /// refers to that, and the open group is the mark's, its context
-    /// version unknown.
-    pub(crate) fn truncate(&mut self, mark: ChannelMark) {
+    /// version unknown. A vertex whose edges or value a frame past the
+    /// mark had noted is forgotten, not put back as it stood at the mark:
+    /// its next record writes them inline, and the channel reads whole. A
+    /// writer resumed from the bytes left ([`Self::resume`]) is the one a
+    /// fresh writer of the same records would be.
+    pub fn truncate(&mut self, mark: ChannelMark) {
         self.refs.truncate(mark.written);
         self.mark = mark;
         self.version = None;
@@ -1313,6 +1508,12 @@ pub enum TraceReadError {
         /// The channel offset the reference names.
         target: u64,
     },
+    /// A vertex frame's value at compute entry is a `Same`, but no earlier
+    /// frame of its channel records the same vertex.
+    SameValue {
+        /// Byte offset of the frame's length prefix.
+        offset: usize,
+    },
 }
 
 impl TraceReadError {
@@ -1331,6 +1532,10 @@ impl fmt::Display for TraceReadError {
                 f,
                 "edge reference to byte {target} names no earlier inline record of the same \
                  vertex at byte {offset}"
+            ),
+            TraceReadError::SameValue { offset } => write!(
+                f,
+                "a `Same` value with no earlier record of the same vertex at byte {offset}"
             ),
         }
     }
@@ -1463,22 +1668,26 @@ struct Listing<R> {
 }
 
 /// The binary layout of a worker channel's vertex payloads, as the walk
-/// reads them: v5 — or v4, whose payloads read alike, holding no name
-/// node — or, only behind the door, v3, whose payloads hold their own
-/// superstep and context, or v2, whose `outgoing` is a plain list too.
+/// reads them: v6 or, only behind the door, v5 — or v4, whose payloads
+/// read alike, holding no name node — whose value at compute entry is
+/// always inline, v3, whose payloads hold their own superstep and context
+/// too, or v2, whose `outgoing` is a plain list as well.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Layout {
     V2,
     V3,
-    V4,
+    V5,
+    V6,
 }
 
 /// Reads a vertex payload field by field, each field as the caller's
 /// stand-in for it. The decoder calls are those of a [`WireVertexTrace`],
 /// in order, so every reader accepts exactly the payloads that decode and
-/// fails on the rest with the same error. A v3 payload adds a superstep
-/// before the id and the aggregators and global data after `outgoing`; a
-/// v2 payload's `outgoing` is a plain list, read as the pairs form.
+/// fails on the rest with the same error. A v5 payload's value at compute
+/// entry is a plain value, read as the inline form; a v3 payload adds a
+/// superstep before the id and the aggregators and global data after
+/// `outgoing`; a v2 payload's `outgoing` is a plain list, read as the
+/// pairs form.
 struct PayloadReader<'de> {
     de: graft_codec::Deserializer<'de>,
     len: usize,
@@ -1488,7 +1697,7 @@ struct PayloadReader<'de> {
 impl<'de> PayloadReader<'de> {
     fn new(payload: &'de [u8]) -> Self {
         let de = graft_codec::Deserializer::new(payload);
-        Self { de, len: payload.len(), layout: Layout::V4 }
+        Self { de, len: payload.len(), layout: Layout::V6 }
     }
 
     /// Bytes of the payload read so far.
@@ -1506,7 +1715,7 @@ impl<'de> PayloadReader<'de> {
         &mut self,
     ) -> graft_codec::Result<(Option<u64>, T, Range<usize>)> {
         let superstep = match self.layout {
-            Layout::V4 => None,
+            Layout::V5 | Layout::V6 => None,
             Layout::V2 | Layout::V3 => Some(self.field()?),
         };
         let start = self.at();
@@ -1514,9 +1723,20 @@ impl<'de> PayloadReader<'de> {
         Ok((superstep, vertex, start..self.at()))
     }
 
-    /// The values before and after compute, read as `T`.
-    fn values<T: Deserialize<'de>>(&mut self) -> graft_codec::Result<(T, T)> {
-        Ok((self.field()?, self.field()?))
+    /// The value at compute entry, read as `T`; the value after compute
+    /// is the field after it.
+    fn value_before<T: Deserialize<'de>>(&mut self) -> graft_codec::Result<WireValue<T>> {
+        match self.layout {
+            Layout::V6 => self.field(),
+            Layout::V2 | Layout::V3 | Layout::V5 => self.field().map(WireValue::Inline),
+        }
+    }
+
+    /// The values before and after compute, skipped.
+    fn skip_values(&mut self) -> graft_codec::Result<WireValue<SkipTagged>> {
+        let before = self.value_before()?;
+        self.field::<SkipTagged>()?;
+        Ok(before)
     }
 
     /// The outgoing messages, the pairs read as `L` and a broadcast
@@ -1526,7 +1746,7 @@ impl<'de> PayloadReader<'de> {
     ) -> graft_codec::Result<WireOutgoing<L, M>> {
         match self.layout {
             Layout::V2 => self.field().map(WireOutgoing::Pairs),
-            Layout::V3 | Layout::V4 => self.field(),
+            Layout::V3 | Layout::V5 | Layout::V6 => self.field(),
         }
     }
 
@@ -1534,7 +1754,7 @@ impl<'de> PayloadReader<'de> {
     /// holds after `outgoing`.
     fn context<A: Deserialize<'de>>(&mut self) -> graft_codec::Result<Option<(A, GlobalData)>> {
         match self.layout {
-            Layout::V4 => Ok(None),
+            Layout::V5 | Layout::V6 => Ok(None),
             Layout::V2 | Layout::V3 => Ok(Some((self.field()?, self.field()?))),
         }
     }
@@ -1575,6 +1795,18 @@ impl<'de> PayloadReader<'de> {
     }
 }
 
+/// Which listing view a [`RowDigest`] is read for: what it renders
+/// besides the texts and counts both show.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum RowView {
+    /// The tabular view: the value at compute entry, read at the frame a
+    /// `Same` names; no edges.
+    Tabular,
+    /// The node-link view: the edges, followed if a reference; the value
+    /// at compute entry, which the view does not show, is left empty.
+    NodeLink,
+}
+
 /// What a listing view shows of a vertex record: the rendered texts and
 /// the counts of one row of the tabular or node-link view, and no more.
 ///
@@ -1587,12 +1819,13 @@ impl<'de> PayloadReader<'de> {
 pub struct RowDigest {
     /// The vertex id, rendered.
     pub vertex: String,
-    /// The value at compute entry, rendered.
+    /// The value at compute entry, rendered, for [`RowView::Tabular`];
+    /// empty otherwise.
     pub value_before: String,
     /// The value after compute, rendered.
     pub value_after: String,
-    /// The outgoing edges as `(target, edge value)` rendered pairs, if
-    /// the reader asked for them; empty otherwise.
+    /// The outgoing edges as `(target, edge value)` rendered pairs, for
+    /// [`RowView::NodeLink`]; empty otherwise.
     pub edges: Vec<(String, String)>,
     /// Number of incoming messages.
     pub incoming: usize,
@@ -1650,26 +1883,30 @@ struct Skim {
     edges: WireEdges<usize>,
     /// The count of a broadcast, which the edges must match.
     broadcast: Option<usize>,
+    /// Whether the value at compute entry is a `Same`.
+    same: bool,
 }
 
-/// A v5 worker channel as its vertex payloads are read: the bytes an edge
-/// reference resolves against. A legacy channel reaches it through
+/// A v6 worker channel as its vertex payloads are read: the bytes an edge
+/// reference or a `Same` value resolves against. A legacy channel reaches it through
 /// [`native_channel`].
 ///
 /// Each payload is read with its `group`, the [`IndexRecord`] of the
-/// group it lies in, whose superstep and context it takes; a payload with
-/// no group fails to read.
+/// group it lies in, whose superstep and context it takes, and with
+/// `before`, the channel offset of the vertex's last earlier frame, whose
+/// value after compute a `Same` value at compute entry is; a payload with
+/// no group fails to read, and so does a `Same` with no `before`.
 #[derive(Clone, Copy, Debug)]
 pub struct VertexChannel<'a> {
     bytes: &'a [u8],
-    /// The layout: v5 but where the door reads a legacy channel.
+    /// The layout: v6 but where the door reads a legacy channel.
     layout: Layout,
 }
 
 impl<'a> VertexChannel<'a> {
-    /// The v5 channel `bytes`.
+    /// The v6 channel `bytes`.
     pub fn new(bytes: &'a [u8]) -> Self {
-        Self { bytes, layout: Layout::V4 }
+        Self { bytes, layout: Layout::V6 }
     }
 
     /// A reader of a payload of this channel's layout.
@@ -1677,7 +1914,7 @@ impl<'a> VertexChannel<'a> {
         PayloadReader { layout: self.layout, ..PayloadReader::new(payload) }
     }
 
-    /// The group a v5 payload is read with.
+    /// The group a v6 payload is read with.
     fn group<'g>(&self, group: Option<&'g IndexRecord>) -> graft_codec::Result<&'g IndexRecord> {
         group.ok_or_else(|| graft_codec::Error::Message("a vertex record in no group".into()))
     }
@@ -1695,7 +1932,7 @@ impl<'a> VertexChannel<'a> {
     fn skim(&self, payload: &[u8], group: Option<&IndexRecord>) -> graft_codec::Result<Skim> {
         let mut reader = self.reader(payload);
         let (superstep, TaggedText(vertex), id) = reader.front()?;
-        reader.values::<SkipTagged>()?;
+        let before = reader.skip_values()?;
         let edges = match reader.field::<WireEdges<SkipSeq<(SkipTagged, SkipTagged)>>>()? {
             WireEdges::Inline(list) => WireEdges::Inline(list.len),
             WireEdges::At(target) => WireEdges::At(target),
@@ -1711,21 +1948,29 @@ impl<'a> VertexChannel<'a> {
             id,
             edges,
             broadcast,
+            same: matches!(before, WireValue::Same),
         })
     }
 
-    /// Skims a vertex payload for a listing row (see [`RowDigest`]),
-    /// rendering the edges — followed, if a reference, and a broadcast's
-    /// count checked against them — only `with_edges`.
+    /// Skims a vertex payload for a listing row of `view` (see
+    /// [`RowDigest`]): the tabular view's value at compute entry read, if
+    /// a `Same`, at `before`; the node-link view's edges followed, if a
+    /// reference, and a broadcast's count checked against them.
     pub fn digest(
         &self,
         payload: &[u8],
         group: Option<&IndexRecord>,
-        with_edges: bool,
+        before: Option<u64>,
+        view: RowView,
     ) -> graft_codec::Result<RowDigest> {
+        let with_edges = view == RowView::NodeLink;
         let mut reader = self.reader(payload);
         let (_, TaggedText(vertex), id) = reader.front()?;
-        let (TaggedText(value_before), TaggedText(value_after)) = reader.values()?;
+        let value_before = match view {
+            RowView::Tabular => Some(reader.value_before::<TaggedText>()?),
+            RowView::NodeLink => reader.value_before::<SkipTagged>().map(|_| None)?,
+        };
+        let TaggedText(value_after) = reader.field()?;
         let edges: WireEdges<Vec<(TaggedText, TaggedText)>> = if with_edges {
             reader.field()?
         } else {
@@ -1736,6 +1981,10 @@ impl<'a> VertexChannel<'a> {
         let global = match listing.global {
             Some(global) => global,
             None => self.group(group)?.global,
+        };
+        let value_before = match value_before {
+            Some(value) => self.value(value, before, &payload[id.clone()])?.0,
+            None => String::new(),
         };
         let edges = self.resolve(edges, &payload[id])?;
         if with_edges && listing.broadcast {
@@ -1755,17 +2004,20 @@ impl<'a> VertexChannel<'a> {
         })
     }
 
-    /// Decodes a vertex payload into its record, the edges followed if a
+    /// Decodes a vertex payload into its record, the value at compute
+    /// entry read at `before` if a `Same`, the edges followed if a
     /// reference and a broadcast listed along them: every field as the
     /// payload holds it, and the superstep and context as its group does.
     pub fn record(
         &self,
         payload: &[u8],
         group: Option<&IndexRecord>,
+        before: Option<u64>,
     ) -> graft_codec::Result<ErasedVertexTrace> {
         let mut reader = self.reader(payload);
         let (superstep, vertex, id) = reader.front()?;
-        let (value_before, value_after) = reader.values()?;
+        let value_before = reader.value_before()?;
+        let value_after = reader.field()?;
         let edges: WireEdges<Vec<(BinValue, BinValue)>> = reader.field()?;
         let incoming = reader.field()?;
         let outgoing = reader.outgoing()?;
@@ -1780,7 +2032,7 @@ impl<'a> VertexChannel<'a> {
         let record = VertexTrace {
             superstep,
             vertex,
-            value_before,
+            value_before: BinValue(serde_json::Value::Null),
             value_after,
             edges: Vec::new(),
             incoming,
@@ -1793,8 +2045,51 @@ impl<'a> VertexChannel<'a> {
             exception: reader.field()?,
         };
         reader.finish()?;
+        let value_before = self.value(value_before, before, &payload[id.clone()])?;
         let edges = self.resolve(edges, &payload[id])?;
-        Ok(VertexTrace { outgoing: expand(outgoing, &edges)?, edges, ..record })
+        Ok(VertexTrace { value_before, outgoing: expand(outgoing, &edges)?, edges, ..record })
+    }
+
+    /// The value at compute entry `value`, read at the frame `before`
+    /// if a `Same` in a record of the vertex whose encoded id is `id`.
+    fn value<T: DeserializeOwned>(
+        &self,
+        value: WireValue<T>,
+        before: Option<u64>,
+        id: &[u8],
+    ) -> graft_codec::Result<T> {
+        match (value, before) {
+            (WireValue::Inline(value), _) => Ok(value),
+            (WireValue::Same, Some(before)) => self.value_at(before, id),
+            (WireValue::Same, None) => Err(graft_codec::Error::Message(
+                "a `Same` value with no earlier record of the vertex".into(),
+            )),
+        }
+    }
+
+    /// The value after compute, read as `T`, of the vertex frame at
+    /// `offset` if it records vertex `id`: one hop.
+    fn value_at<T: DeserializeOwned>(&self, offset: u64, id: &[u8]) -> graft_codec::Result<T> {
+        let after = || -> Option<T> {
+            let mut reader = self.payload_of(offset, id)?;
+            reader.value_before::<SkipTagged>().ok()?;
+            reader.field().ok()
+        };
+        after().ok_or_else(|| {
+            graft_codec::Error::Message(format!(
+                "a `Same` value names byte {offset}, which holds no record of the same vertex"
+            ))
+        })
+    }
+
+    /// A reader of the payload of the vertex frame at `offset`, past its
+    /// id, if the frame records vertex `id`.
+    fn payload_of(&self, offset: u64, id: &[u8]) -> Option<PayloadReader<'a>> {
+        let rest = self.bytes.get(usize::try_from(offset).ok()?..)?;
+        let frame = FrameScanner::new(rest).next_frame().ok()??;
+        let mut reader = self.reader(frame.payload);
+        let (_, SkipTagged, target) = reader.front().ok()?;
+        (frame.kind == FRAME_VERTEX && frame.payload[target] == *id).then_some(reader)
     }
 
     /// The list of `edges`, read at the frame they name if a reference
@@ -1814,14 +2109,8 @@ impl<'a> VertexChannel<'a> {
     /// if it records vertex `id`: one hop, never through a reference.
     fn edges_at<L: DeserializeOwned>(&self, offset: u64, id: &[u8]) -> graft_codec::Result<L> {
         let inline = || -> Option<L> {
-            let rest = self.bytes.get(usize::try_from(offset).ok()?..)?;
-            let frame = FrameScanner::new(rest).next_frame().ok()??;
-            let mut reader = self.reader(frame.payload);
-            let (_, SkipTagged, target) = reader.front().ok()?;
-            if frame.kind != FRAME_VERTEX || frame.payload[target] != *id {
-                return None;
-            }
-            reader.values::<SkipTagged>().ok()?;
+            let mut reader = self.payload_of(offset, id)?;
+            reader.skip_values().ok()?;
             match reader.field().ok()? {
                 WireEdges::Inline(list) => Some(list),
                 WireEdges::At(_) => None,
@@ -1841,8 +2130,46 @@ impl<'a> VertexChannel<'a> {
 pub enum ChannelRecord {
     /// An index frame, decoded: the group its vertex frames read with.
     Index(IndexRecord),
-    /// A vertex frame, skimmed.
-    Vertex(VertexHead),
+    /// A vertex frame, skimmed, and the channel offset of the vertex's
+    /// last earlier frame, whose value after compute the frame's value at
+    /// compute entry is, if a `Same`.
+    Vertex(VertexHead, Option<u64>),
+}
+
+/// Each vertex's last frame in a walk of a channel, by encoded id. A
+/// channel holds its vertices in the same order every superstep, so the
+/// vertex after the one last noted is tried before the map.
+#[derive(Default)]
+struct LastFrames<'a> {
+    /// Per vertex, in the order of its first frame: its id and the start
+    /// of its last frame.
+    frames: Vec<(&'a [u8], u64)>,
+    /// Each vertex's index in `frames`.
+    index: FxHashMap<&'a [u8], usize>,
+    /// The index after the vertex last noted.
+    cursor: usize,
+}
+
+impl<'a> LastFrames<'a> {
+    /// Notes that vertex `id`'s last frame starts at `start`; returns
+    /// where its last frame before that one starts, if it has one.
+    fn note(&mut self, id: &'a [u8], start: u64) -> Option<u64> {
+        let near = [self.cursor, self.cursor.wrapping_sub(1)];
+        let is_id = |at: &usize| self.frames.get(*at).is_some_and(|frame| frame.0 == id);
+        let at = match near.into_iter().find(is_id) {
+            Some(at) => at,
+            None => match self.index.entry(id) {
+                std::collections::hash_map::Entry::Occupied(entry) => *entry.get(),
+                std::collections::hash_map::Entry::Vacant(entry) => {
+                    self.cursor = *entry.insert(self.frames.len()) + 1;
+                    self.frames.push((id, start));
+                    return None;
+                }
+            },
+        };
+        self.cursor = at + 1;
+        Some(std::mem::replace(&mut self.frames[at].1, start))
+    }
 }
 
 /// Walks a binary worker channel, handing `record` every frame with what
@@ -1851,10 +2178,11 @@ pub enum ChannelRecord {
 /// and fails — and every edge reference checked — it must name an earlier
 /// frame of the channel that records the same vertex, byte for byte, with
 /// its edges inline — and so is every broadcast, whose count must be the
-/// number of those edges. With `up_to`, the live watermark of a job still
-/// running, a group past it is hopped without reading a payload, and a
-/// torn tail ends the walk. Anything else that does not read fails with
-/// the offset of its frame.
+/// number of those edges. A `Same` value at compute entry is resolved to
+/// the vertex's last earlier frame, which must exist. With `up_to`, the
+/// live watermark of a job still running, a group past it is hopped
+/// without reading a payload, and a torn tail ends the walk. Anything else
+/// that does not read fails with the offset of its frame.
 pub fn walk_vertex_channel<'a>(
     channel: VertexChannel<'a>,
     up_to: Option<u64>,
@@ -1867,12 +2195,13 @@ pub fn walk_vertex_channel<'a>(
     // whose edges are inline, in channel order: the frames a reference may
     // name.
     let mut inline: Vec<(u64, Range<usize>, usize)> = Vec::new();
+    let mut last = LastFrames::default();
     for_each_frame(channel.bytes, up_to.is_some(), |frame| {
         let read = match frame.kind {
             // A legacy index frame holds no context and says only which
             // superstep its group is: the door's walk reads it for the
             // watermark and hands nothing on.
-            FRAME_INDEX if channel.layout != Layout::V4 => {
+            FRAME_INDEX if matches!(channel.layout, Layout::V2 | Layout::V3) => {
                 let (superstep, ..) = graft_codec::from_slice::<(u64, u64, u64)>(frame.payload)
                     .map_err(TraceReadError::at(frame.start))?;
                 skip_group = up_to.is_some_and(|w| superstep > w);
@@ -1887,10 +2216,16 @@ pub fn walk_vertex_channel<'a>(
             }
             FRAME_VERTEX if skip_group => return Ok(()),
             FRAME_VERTEX => {
-                let Skim { head, id, edges, broadcast } = channel
+                let Skim { head, id, edges, broadcast, same } = channel
                     .skim(frame.payload, group.as_ref())
                     .map_err(TraceReadError::at(frame.start))?;
                 let id = frame.payload_start + id.start..frame.payload_start + id.end;
+                let earlier = last.note(&channel.bytes[id.clone()], frame.start as u64);
+                let before = match (same, earlier) {
+                    (false, _) => None,
+                    (true, Some(earlier)) => Some(earlier),
+                    (true, None) => return Err(TraceReadError::SameValue { offset: frame.start }),
+                };
                 let degree = match edges {
                     WireEdges::Inline(degree) => {
                         inline.push((frame.start as u64, id, degree));
@@ -1913,7 +2248,7 @@ pub fn walk_vertex_channel<'a>(
                 if let Some(count) = broadcast {
                     check_broadcast(count, degree).map_err(TraceReadError::at(frame.start))?;
                 }
-                ChannelRecord::Vertex(head)
+                ChannelRecord::Vertex(head, before)
             }
             other => {
                 return Err(TraceReadError::at(frame.start)(unexpected_kind(
@@ -1937,7 +2272,9 @@ fn for_each_vertex_record(
 ) -> Result<(), TraceReadError> {
     let mut group = None;
     walk_vertex_channel(channel, up_to, |frame, read| match read {
-        ChannelRecord::Vertex(_) => each(channel.record(frame.payload, group.as_ref())?),
+        ChannelRecord::Vertex(_, before) => {
+            each(channel.record(frame.payload, group.as_ref(), before)?)
+        }
         ChannelRecord::Index(index) => {
             group = Some(index);
             Ok(())
@@ -1945,8 +2282,8 @@ fn for_each_vertex_record(
     })
 }
 
-/// Decodes every vertex record of a v5 worker channel, edge references
-/// followed and broadcasts listed, each built from its [`ErasedVertexTrace`]
+/// Decodes every vertex record of a v6 worker channel, `Same` values and
+/// edge references followed and broadcasts listed, each built from its [`ErasedVertexTrace`]
 /// ([`ErasedVertexTrace::typed`]): `VertexTraceOf<C>` for a typed
 /// session, or the record itself.
 pub fn decode_vertex_records<I, V, E, M>(
@@ -1976,20 +2313,21 @@ pub enum ChannelKind {
 }
 
 /// The door every reader takes a channel through: the `kind` channel
-/// `bytes`, recorded in `format`, as the v5 bytes `trace convert --to
-/// binary` writes for them. A v5 channel passes as it is, and so does a
-/// v1 to v4 master channel, the layouts differing only in worker
+/// `bytes`, recorded in `format`, as the v6 bytes `trace convert --to
+/// binary` writes for them. A v6 channel passes as it is, and so does a
+/// v1 to v5 master channel, the layouts differing only in worker
 /// channels. Any other legacy channel is decoded in full and written
 /// again, record by record, through a [`ChannelWriter`]: a record that
-/// does not decode fails here, a binary frame with its offset. A v4
-/// worker channel is read by the v5 reader as it is, so every name is
-/// interned as it is written again; a v3 one by the same reader in v3
-/// mode, each payload's own superstep and context read with it, and a v2
-/// channel too, its `outgoing` lists read as the pairs form. With
-/// `torn_tail_ok`, the reading of a job still running, a last record
-/// caught mid-append — a line with no newline that does not parse, a
-/// frame overrunning the end — is left out, as the v5 walk leaves out a
-/// torn frame.
+/// does not decode fails here, a binary frame with its offset. A v5 or v4
+/// worker channel is read by the v6 reader in v5 mode, its values at
+/// compute entry all inline, so each is written again as a `Same` where
+/// the rule says so, and every name of a v4 payload is interned; a v3 one
+/// by the same reader in v3 mode, each payload's own superstep and context
+/// read with it, and a v2 channel too, its `outgoing` lists read as the
+/// pairs form. With `torn_tail_ok`, the reading of a job still running, a
+/// last record caught mid-append — a line with no newline that does not
+/// parse, a frame overrunning the end — is left out, as the v6 walk leaves
+/// out a torn frame.
 pub fn native_channel(
     format: TraceFormat,
     kind: ChannelKind,
@@ -1999,23 +2337,27 @@ pub fn native_channel(
     let mut out = Vec::new();
     let mut writer = ChannelWriter::default();
     match (format, kind) {
-        (TraceFormat::BinaryV5, _)
+        (TraceFormat::BinaryV6, _)
         | (
             TraceFormat::Binary
             | TraceFormat::BinaryV2
             | TraceFormat::BinaryV3
-            | TraceFormat::BinaryV4,
+            | TraceFormat::BinaryV4
+            | TraceFormat::BinaryV5,
             ChannelKind::Master,
         ) => return Ok(bytes),
         (
-            TraceFormat::BinaryV2 | TraceFormat::BinaryV3 | TraceFormat::BinaryV4,
+            TraceFormat::BinaryV2
+            | TraceFormat::BinaryV3
+            | TraceFormat::BinaryV4
+            | TraceFormat::BinaryV5,
             ChannelKind::Worker,
         ) => {
             let up_to = torn_tail_ok.then_some(u64::MAX);
             let layout = match format {
                 TraceFormat::BinaryV2 => Layout::V2,
                 TraceFormat::BinaryV3 => Layout::V3,
-                _ => Layout::V4,
+                _ => Layout::V5,
             };
             let channel = VertexChannel { bytes: &bytes, layout };
             for_each_vertex_record(channel, up_to, |record| {
@@ -2283,8 +2625,9 @@ mod tests {
         assert_eq!(group, group_of(&sample_trace()));
         let frame = scanner.next_frame().unwrap().unwrap();
         assert_eq!(frame.kind, FRAME_VERTEX);
-        assert!(VertexChannel::new(&bin).record(frame.payload, None).is_err(), "in no group");
-        let from_bin = VertexChannel::new(&bin).record(frame.payload, Some(&group)).unwrap();
+        let reader = VertexChannel::new(&bin);
+        assert!(reader.record(frame.payload, None, None).is_err(), "in no group");
+        let from_bin = reader.record(frame.payload, Some(&group), None).unwrap();
 
         assert_eq!(from_bin, from_json);
         assert_eq!(serde_json::to_vec(&from_bin).unwrap(), serde_json::to_vec(&from_json).unwrap());
@@ -2382,7 +2725,7 @@ mod tests {
     #[test]
     fn a_legacy_json_channel_upgrades_to_what_capture_writes() {
         use ChannelKind::{Master, Worker};
-        use TraceFormat::{Binary, BinaryV2, BinaryV3, BinaryV4, BinaryV5, JsonLines};
+        use TraceFormat::{Binary, BinaryV2, BinaryV3, BinaryV4, BinaryV5, BinaryV6, JsonLines};
         let records = [sample_trace(), VertexTrace { superstep: 42, ..sample_trace() }];
         let lines = json_lines(&records);
         let upgraded = native_channel(JsonLines, Worker, lines.clone(), false).unwrap();
@@ -2421,10 +2764,11 @@ mod tests {
         assert!(native_channel(JsonLines, Master, torn.clone(), false).is_err());
         assert_eq!(native_channel(JsonLines, Master, torn, true).unwrap(), native);
 
-        // v5 channels, and v1 to v4 master channels, pass through as they
+        // v6 channels, and v1 to v5 master channels, pass through as they
         // are.
         let passing = [
-            (BinaryV5, Worker),
+            (BinaryV6, Worker),
+            (BinaryV6, Master),
             (BinaryV5, Master),
             (BinaryV4, Master),
             (BinaryV3, Master),
@@ -2446,6 +2790,7 @@ mod tests {
             (TraceFormat::BinaryV3, "\"BinaryV3\""),
             (TraceFormat::BinaryV4, "\"BinaryV4\""),
             (TraceFormat::BinaryV5, "\"BinaryV5\""),
+            (TraceFormat::BinaryV6, "\"BinaryV6\""),
         ] {
             assert_eq!(serde_json::to_string(&format).unwrap(), name);
             assert_eq!(serde_json::from_str::<TraceFormat>(name).unwrap(), format);
@@ -2600,9 +2945,11 @@ mod tests {
                 let vertex = expected.vertex.0.to_string();
                 let row = session.vertex_at(expected.superstep, &vertex).unwrap();
                 assert_eq!(row.record(), &expected, "the session's row");
-                let digest = session.digests(expected.superstep, 0, usize::MAX, true);
-                let listed = digest.filter(|digest| digest.vertex == vertex).collect::<Vec<_>>();
-                assert_eq!(listed, [row.digest(true)], "the session's digest");
+                for view in [RowView::Tabular, RowView::NodeLink] {
+                    let digest = session.digests(expected.superstep, 0, usize::MAX, view);
+                    let listed = digest.filter(|digest| digest.vertex == vertex);
+                    assert_eq!(listed.collect::<Vec<_>>(), [row.digest(view)], "a digest");
+                }
             }
 
             let mut ends = vec![0];

@@ -54,6 +54,7 @@ const FLOATS: [f64; 6] = [0.0, -0.0, f64::NAN, 1.5, -2.25, 1e300];
 struct Append {
     record: Trace,
     edges_version: Option<u64>,
+    value_versions: Option<(u64, u64)>,
     context_version: Option<u64>,
 }
 
@@ -74,6 +75,7 @@ impl Append {
         let keep = |version: Option<u64>| version.filter(|_| with_versions);
         VertexCapture {
             edges_version: keep(self.edges_version),
+            value_versions: self.value_versions.filter(|_| with_versions),
             context_version: keep(self.context_version),
             ..self.record.borrowed()
         }
@@ -110,6 +112,7 @@ struct Vertex {
     edges: Vec<(u64, f64)>,
     edges_version: Option<u64>,
     value: Val,
+    value_version: Option<u64>,
 }
 
 /// The shared context: superstep, aggregators and its version.
@@ -172,7 +175,7 @@ impl Gen {
 
     fn vertex(&mut self) -> Vertex {
         let edges = self.edges();
-        Vertex { edges, edges_version: None, value: self.value() }
+        Vertex { edges, edges_version: None, value: self.value(), value_version: None }
     }
 
     /// The next context: most often the same one.
@@ -218,15 +221,20 @@ impl Gen {
             vertex.edges = self.edges();
         }
         vertex.edges_version = self.version(same_edges, vertex.edges_version);
-        let value_before = match self.rng.gen_bool(0.7) {
+        let same_before = self.rng.gen_bool(0.7);
+        let value_before = match same_before {
             true => vertex.value.clone(),
             false => self.value(),
         };
-        let value_after = match self.rng.gen_bool(0.5) {
+        let before_version = self.version(same_before, vertex.value_version);
+        let same_after = self.rng.gen_bool(0.5);
+        let value_after = match same_after {
             true => value_before.clone(),
             false => self.value(),
         };
+        let after_version = self.version(same_after, before_version);
         vertex.value = value_after.clone();
+        vertex.value_version = after_version;
         let outgoing = match self.rng.gen_range(0..3) {
             // Along every edge, one message: a broadcast unless NaN, -0.0
             // and 0.0 break the bytes.
@@ -261,7 +269,8 @@ impl Gen {
         };
         let edges_version = vertex.edges_version;
         self.vertices.insert(id, vertex);
-        Append { record, edges_version, context_version: self.context.version }
+        let value_versions = before_version.zip(after_version);
+        Append { record, edges_version, value_versions, context_version: self.context.version }
     }
 
     fn master(&mut self) -> MasterTrace {

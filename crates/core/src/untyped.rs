@@ -7,9 +7,9 @@
 //! frames carry them as tagged `BinValue` trees that reconstruct the exact
 //! dynamic values a JSON text round-trip gives (see `graft_codec::value`).
 //! Every channel comes in through the door, [`crate::trace::native_channel`]:
-//! a legacy JSON-lines, v1, v2 or v3 channel is read in full, at open,
-//! into the v4 bytes `trace convert --to binary` writes for it, so every
-//! row read here is a v4 payload, and everything built on this module is
+//! a legacy JSON-lines or v1 to v5 channel is read in full, at open, into
+//! the v6 bytes `trace convert --to binary` writes for it, so every row
+//! read here is a v6 payload, and everything built on this module is
 //! byte-identical across formats.
 //!
 //! Rows are *not* materialized up front, and a binary frame is decoded
@@ -22,15 +22,17 @@
 //!   check and drop what they read (see [`VertexHead`]) — so exactly the
 //!   payloads that would decode in full pass, and none is built. A
 //!   payload's edge back-reference is checked against the channel's
-//!   inline rows before it, and a broadcast's count against its edges
-//!   (see [`walk_vertex_channel`]). Index frames
+//!   inline rows before it, a broadcast's count against its edges, and a
+//!   `Same` value at compute entry resolved to the vertex's last earlier
+//!   row (see [`walk_vertex_channel`]). Index frames
 //!   and master records are decoded outright; they are small, and each
 //!   index frame's context — superstep, global data, aggregator values —
 //!   is kept, once per group, for the rows of its group.
-//! * **What the index holds.** Per superstep, one three-word entry per
+//! * **What the index holds.** Per superstep, one four-word entry per
 //!   row, sorted by rendered vertex id: the byte range of the record's
 //!   frame payload, located by walking frame headers, the worker file it
-//!   lies in, the group it lies in, and three flag bits —
+//!   lies in, the group it lies in, the frame a `Same` value resolved to,
+//!   and three flag bits —
 //!   message violation, vertex-value violation, exception. The sort keys
 //!   are dropped once the rows are sorted; no tree is kept. The
 //!   superstep listing, its M/V/E indicators and the choice of rows the
@@ -44,7 +46,9 @@
 //!   record an [`UntypedTrace`] wraps. Both take the superstep and
 //!   context from the row's group. Edges held by reference are read,
 //!   one hop, from the frame they name, and a broadcast is listed along
-//!   them. A point lookup probes O(log rows)
+//!   them; a `Same` value, one hop too, from the frame the row resolved
+//!   to, except in the node-link view, which does not show it. A point
+//!   lookup probes O(log rows)
 //!   rows with the head skim and decodes what it returns. A superstep
 //!   with a million captures costs three words of index per row until
 //!   then — which is what lets the debug server paginate large supersteps
@@ -55,6 +59,7 @@
 //! payloads.
 
 use std::collections::BTreeMap;
+use std::num::NonZeroU64;
 use std::sync::Arc;
 
 use graft_codec::BinValue;
@@ -66,7 +71,7 @@ use crate::session::{read_channel, read_json, read_result, Indicators, SessionEr
 use crate::trace::{
     decode_master_records, master_trace_path, meta_path, violation_flag, walk_vertex_channel,
     worker_trace_path, ChannelKind, ChannelRecord, ErasedVertexTrace, IndexRecord, JobMeta,
-    JobResultRecord, MasterTrace, RowDigest, VertexChannel, VertexHead, FLAG_EXCEPTION,
+    JobResultRecord, MasterTrace, RowDigest, RowView, VertexChannel, VertexHead, FLAG_EXCEPTION,
     FLAG_MESSAGE_VIOLATION, FLAG_VALUE_VIOLATION,
 };
 
@@ -153,14 +158,15 @@ impl UntypedTrace {
         self.0.violations.iter().fold(flags, |flags, v| flags | violation_flag(v.kind))
     }
 
-    /// What a listing view shows of this record: what
+    /// What the listing `view` shows of this record: what
     /// [`VertexChannel::digest`] skims of its payload.
-    pub fn digest(&self, with_edges: bool) -> RowDigest {
+    pub fn digest(&self, view: RowView) -> RowDigest {
+        let tabular = view == RowView::Tabular;
         RowDigest {
             vertex: self.vertex(),
-            value_before: self.value_before(),
+            value_before: if tabular { self.value_before() } else { String::new() },
             value_after: self.value_after(),
-            edges: if with_edges { self.edges() } else { Vec::new() },
+            edges: if tabular { Vec::new() } else { self.edges() },
             incoming: self.incoming_count(),
             outgoing: self.outgoing_count(),
             global: self.global(),
@@ -173,11 +179,11 @@ impl UntypedTrace {
 
 /// Reads worker `worker`'s trace file under `root` through the door, and
 /// walks it, invoking `row` for every vertex record within the watermark
-/// with the record's head and its [`RowRef`]; returns the v4 channel
+/// with the record's head and its [`RowRef`]; returns the v6 channel
 /// walked, empty if the worker wrote no file, and the index records of
 /// its groups, in channel order. A payload is skimmed, not decoded (see
-/// [`VertexHead`]), and its edge reference checked
-/// ([`walk_vertex_channel`]). Shared by [`JobSummary::scan`] and
+/// [`VertexHead`]), its edge reference checked and its `Same` value
+/// resolved ([`walk_vertex_channel`]). Shared by [`JobSummary::scan`] and
 /// [`UntypedSession::open`] so a job summarizes if and only if it opens.
 ///
 /// With `up_to: Some(w)` (the live watermark of `open_partial`), rows of
@@ -203,18 +209,19 @@ fn walk_worker_rows(
     walk_vertex_channel(VertexChannel::new(&bytes), up_to, |frame, read| {
         match read {
             ChannelRecord::Index(index) => groups.push(index),
-            ChannelRecord::Vertex(head) if up_to.is_none_or(|w| head.superstep <= w) => {
+            ChannelRecord::Vertex(head, before) if up_to.is_none_or(|w| head.superstep <= w) => {
                 let too_many = |_| graft_codec::Error::Message("over 2^32 bytes or groups".into());
                 let row_ref = RowRef {
                     start: frame.payload_start,
                     len: u32::try_from(frame.payload.len()).map_err(too_many)?,
                     worker: held,
                     group: u32::try_from(groups.len().saturating_sub(1)).map_err(too_many)?,
+                    before: before.and_then(NonZeroU64::new),
                     flags: head.flags,
                 };
                 row(head, row_ref);
             }
-            ChannelRecord::Vertex(_) => {}
+            ChannelRecord::Vertex(..) => {}
         }
         Ok(())
     })
@@ -278,10 +285,13 @@ impl JobSummary {
 
 /// One trace record in the row index: the byte range of its frame
 /// payload inside a worker channel, the group of that channel it lies
-/// in, and the `FLAG_*` bits of its head. Three words a row.
+/// in, the channel offset of the frame a `Same` value at compute entry
+/// resolved to — never 0, where a channel's first index frame lies — and
+/// the `FLAG_*` bits of its head. Four words a row.
 #[derive(Clone, Copy, Debug)]
 struct RowRef {
     start: usize,
+    before: Option<NonZeroU64>,
     len: u32,
     worker: u32,
     group: u32,
@@ -290,7 +300,7 @@ struct RowRef {
 
 /// A type-erased debug session over a run's traces, in any format.
 ///
-/// Holds the v4 worker channels and the index records of their groups,
+/// Holds the v6 worker channels and the index records of their groups,
 /// plus a per-superstep row index sorted by rendered vertex id and
 /// carrying each row's violation/exception flags; individual rows are
 /// decoded on demand (see the module docs).
@@ -381,12 +391,14 @@ impl UntypedSession {
 
     fn parse_row(&self, row: &RowRef) -> UntypedTrace {
         let (channel, bytes, group) = self.row_bytes(row);
-        UntypedTrace(channel.record(bytes, group).expect("rows were validated by open()"))
+        let record = channel.record(bytes, group, row.before.map(NonZeroU64::get));
+        UntypedTrace(record.expect("rows were validated by open()"))
     }
 
-    fn digest_row(&self, row: &RowRef, with_edges: bool) -> RowDigest {
+    fn digest_row(&self, row: &RowRef, view: RowView) -> RowDigest {
         let (channel, bytes, group) = self.row_bytes(row);
-        channel.digest(bytes, group, with_edges).expect("rows were validated by open()")
+        let digest = channel.digest(bytes, group, row.before.map(NonZeroU64::get), view);
+        digest.expect("rows were validated by open()")
     }
 
     /// The rendered vertex id of a row: the key the index is sorted by.
@@ -452,18 +464,18 @@ impl UntypedSession {
         rows.map(|row| self.parse_row(row)).collect()
     }
 
-    /// What a listing view shows of rows `[offset, offset + limit)` of a
-    /// superstep, in vertex order, each row skimmed as the iterator
+    /// What the listing `view` shows of rows `[offset, offset + limit)`
+    /// of a superstep, in vertex order, each row skimmed as the iterator
     /// reaches it (see [`RowDigest`]).
     pub fn digests(
         &self,
         superstep: u64,
         offset: usize,
         limit: usize,
-        with_edges: bool,
+        view: RowView,
     ) -> impl Iterator<Item = RowDigest> + '_ {
         let rows = self.rows_at(superstep).iter().skip(offset).take(limit);
-        rows.map(move |row| self.digest_row(row, with_edges))
+        rows.map(move |row| self.digest_row(row, view))
     }
 
     /// The capture of one vertex in one superstep, if any — the first in

@@ -25,7 +25,7 @@ use graft_pregel::GlobalData;
 use serde::Serialize;
 
 use crate::session::Indicators;
-use crate::trace::{JobMeta, JobResultRecord, RowDigest, ViolationKind};
+use crate::trace::{JobMeta, JobResultRecord, RowDigest, RowView, ViolationKind};
 use crate::untyped::{JobSummary, UntypedSession};
 use crate::views::{text_table, truncate};
 
@@ -272,7 +272,7 @@ pub fn node_link_json(session: &UntypedSession, superstep: u64) -> NodeLinkJson 
     // Where the links of the rows sharing the current id begin.
     let mut group_at = 0;
     let by_target = |a: &LinkJson, b: &LinkJson| a.to.cmp(&b.to);
-    for row in session.digests(superstep, 0, usize::MAX, true) {
+    for row in session.digests(superstep, 0, usize::MAX, RowView::NodeLink) {
         global.get_or_insert(row.global);
         let id: Arc<str> = row.vertex.into();
         if nodes.last().is_some_and(|node| node.id == id) {
@@ -360,13 +360,13 @@ pub fn tabular_json(
     let offset = page.saturating_sub(1).saturating_mul(per_page);
     let (matching_rows, rows) = match query {
         None | Some("") => {
-            let rows = session.digests(superstep, offset, per_page, false);
+            let rows = session.digests(superstep, offset, per_page, RowView::Tabular);
             (total_rows, rows.map(row_json).collect())
         }
         Some(q) => {
             let mut matching = 0usize;
             let mut rows = Vec::new();
-            let all = session.digests(superstep, 0, usize::MAX, false);
+            let all = session.digests(superstep, 0, usize::MAX, RowView::Tabular);
             for row in all.filter(|row| matches_query(row, q)) {
                 if matching >= offset && rows.len() < per_page {
                     rows.push(row_json(row));

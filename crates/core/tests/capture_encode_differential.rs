@@ -22,7 +22,7 @@ use common::{
 };
 use graft::trace::{
     Broadcast, CaptureError, ChannelWriter, ErasedVertexTrace, IndexRecord, TraceRecord,
-    VertexCapture, WireEdges, WireOutgoing, WireVertexTrace, FRAME_INDEX, FRAME_VERTEX,
+    VertexCapture, WireEdges, WireOutgoing, WireValue, WireVertexTrace, FRAME_INDEX, FRAME_VERTEX,
 };
 use graft::VertexTrace;
 use graft_codec::frame::FrameScanner;
@@ -66,7 +66,7 @@ where
     let pairs = trace.outgoing.iter().map(|(i, m)| (leaf(i), leaf(m))).collect();
     WireVertexTrace {
         vertex: leaf(&trace.vertex),
-        value_before: leaf(&trace.value_before),
+        value_before: WireValue::Inline(leaf(&trace.value_before)),
         value_after: leaf(&trace.value_after),
         outgoing: wire_outgoing(&edges, pairs),
         edges: WireEdges::Inline(edges),
@@ -117,6 +117,8 @@ where
         // One version for both captures below: the second refers back by
         // it, with no edges encoded.
         edges_version: Some(1),
+        // The values before and after compute may differ: no version.
+        value_versions: None,
         incoming: &trace.incoming,
         outgoing: &trace.outgoing,
         aggregators: trace.aggregators.iter().map(|(name, value)| (name.as_str(), value)),
@@ -145,8 +147,8 @@ where
 
     // In a channel the record opens a group whose index frame is
     // `IndexRecord`'s. Captured again behind itself, the record is in
-    // that group, and its edges may become a reference; that frame too is
-    // what `WireVertexTrace` encodes to.
+    // that group, its edges may become a reference and its value at entry
+    // a `Same`; that frame too is what `WireVertexTrace` encodes to.
     let (mut writer, mut channel) = (ChannelWriter::default(), Vec::new());
     for _ in 0..2 {
         writer.append_vertex(&capture, &mut channel).unwrap();

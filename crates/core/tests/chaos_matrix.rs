@@ -4,14 +4,14 @@
 //! produce results *and trace directories* identical to a failure-free
 //! run, and the trace directory must remain loadable as a debug session.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex};
 
 use graft::trace::{
-    decode_vertex_records, ChannelWriter, ErasedVertexTrace, WireEdges, WireVertexTrace,
+    decode_vertex_records, ChannelWriter, ErasedVertexTrace, WireEdges, WireValue, WireVertexTrace,
     FRAME_INDEX, FRAME_VERTEX,
 };
-use graft::{DebugConfig, GraftRun, GraftRunner};
+use graft::{DebugConfig, GraftRun, GraftRunner, SuperstepFilter};
 use graft_algorithms::components::ConnectedComponents;
 use graft_algorithms::pagerank::PageRank;
 use graft_algorithms::sssp::ShortestPaths;
@@ -396,10 +396,10 @@ fn edge_references_survive_recovery_and_budgets_byte_for_byte() {
     // Those of a run on one thread (`taskset -c 0`): the channels do not
     // depend on how many threads ran the partitions.
     let one_thread: &[(&str, usize, u64)] = &[
-        ("/traces/chaos/worker_0.trace", 1601, 0xa79691a3d2932f5f),
-        ("/traces/chaos/worker_1.trace", 1598, 0x59c9835e784cf9d0),
-        ("/traces/chaos/worker_2.trace", 1605, 0x442c338adbcace48),
-        ("/traces/chaos/worker_3.trace", 1602, 0x1bc395c834c7a2dc),
+        ("/traces/chaos/worker_0.trace", 1541, 0xa16410908ff674e6),
+        ("/traces/chaos/worker_1.trace", 1538, 0x59a3780375386022),
+        ("/traces/chaos/worker_2.trace", 1546, 0x56bec3691fe72cf2),
+        ("/traces/chaos/worker_3.trace", 1543, 0x7ad99565f06c33d6),
     ];
     let rendered: Vec<String> = expected
         .iter()
@@ -460,10 +460,11 @@ impl Computation for Splice {
     }
 }
 
-/// What `compute` was handed, independent of any trace: a vertex's
-/// out-edges at compute entry, type-erased as a trace reads them, and the
-/// context — global data and aggregator values — it ran in.
+/// What `compute` was handed, independent of any trace: a vertex's value
+/// and out-edges at compute entry, type-erased as a trace reads them, and
+/// the context — global data and aggregator values — it ran in.
 struct Entry {
+    value: BinValue,
     edges: Vec<(BinValue, BinValue)>,
     global: GlobalData,
     aggregators: Vec<(String, AggValue)>,
@@ -501,6 +502,7 @@ impl<C: Computation<Id = u64>> Computation for Witnessed<C> {
             )
         });
         let entry = Entry {
+            value: graft_codec::to_bin_value(vertex.value()).unwrap(),
             edges: edges.collect(),
             global: ctx.global(),
             aggregators: ctx.aggregator_snapshot(),
@@ -517,17 +519,19 @@ impl<C: Computation<Id = u64>> Computation for Witnessed<C> {
 }
 
 /// Runs `computation` on the chaos graph of 24 vertices under `plan`
-/// (checkpoints every 2 supersteps if any) and an optional memory budget.
-/// Then the channels must hold one record of every compute call, and
+/// (checkpoints every 2 supersteps if any) and an optional memory budget,
+/// capturing every active vertex in the supersteps `filter` lets through.
+/// Then the channels must hold one record of every compute call there, and
 /// every worker channel must be the bytes a fresh writer, which has no
-/// adjacency or context versions and so decides each reference and each
-/// group on bytes, writes for the channel's records with their edges and
-/// context as `compute` saw them.
+/// value, adjacency or context versions and so decides each `Same`, each
+/// reference and each group on bytes, writes for the channel's records
+/// with their value at entry, edges and context as `compute` saw them.
 fn assert_versions_write_the_byte_rule<C>(
     computation: C,
     plan: &str,
     recovery: RecoveryMode,
     budget: Option<u64>,
+    filter: SuperstepFilter,
     label: &str,
 ) where
     C: Computation<Id = u64, VValue = u64, EValue = ()>,
@@ -535,7 +539,7 @@ fn assert_versions_write_the_byte_rule<C>(
     let seen = Entries::default();
     let cluster = cluster();
     let computation = Witnessed { inner: computation, seen: seen.clone() };
-    let config = DebugConfig::builder().capture_all_active(true).build();
+    let config = DebugConfig::builder().capture_all_active(true).supersteps(filter.clone()).build();
     let mut runner = GraftRunner::new(computation, config)
         .with_cluster(cluster.clone())
         .num_workers(4)
@@ -554,8 +558,9 @@ fn assert_versions_write_the_byte_rule<C>(
     let spills = obs.registry().counter_value("ooc_spills_total", Scope::GLOBAL);
     assert_eq!(spills > 0, budget.is_some(), "{label}: spilled exactly when budgeted");
 
-    let seen = seen.lock().unwrap();
-    let (mut references, mut groups) = (0, 0);
+    let mut seen = seen.lock().unwrap();
+    seen.retain(|(superstep, _), _| filter.matches(*superstep));
+    let (mut references, mut same, mut groups) = (0, 0, 0);
     let mut captured = BTreeMap::new();
     for (path, native) in trace_files(&cluster).into_iter().filter(|(p, _)| p.contains("/worker_"))
     {
@@ -565,6 +570,7 @@ fn assert_versions_write_the_byte_rule<C>(
             let key = (record.superstep, record.vertex.0.as_u64().unwrap());
             *captured.entry(key).or_insert(0) += 1;
             let entry = &seen[&key];
+            record.value_before = entry.value.clone();
             record.edges = entry.edges.clone();
             (record.global, record.aggregators) = (entry.global, entry.aggregators.clone());
             writer.append_vertex(&record, &mut rebuilt).unwrap();
@@ -575,6 +581,7 @@ fn assert_versions_write_the_byte_rule<C>(
             if frame.kind == FRAME_VERTEX {
                 let wire: WireVertexTrace = graft_codec::from_slice(frame.payload).unwrap();
                 references += usize::from(matches!(wire.edges, WireEdges::At(_)));
+                same += usize::from(wire.value_before == WireValue::Same);
             }
             groups += usize::from(frame.kind == FRAME_INDEX);
         }
@@ -586,20 +593,25 @@ fn assert_versions_write_the_byte_rule<C>(
         "{label}: the channels do not hold one record of every compute call"
     );
     assert!(references > 0, "{label}: no edge list was written by reference");
-    let supersteps = seen.keys().map(|(superstep, _)| superstep).max().unwrap() + 1;
-    assert_eq!(groups as u64, supersteps * 4, "{label}: one group per channel and superstep");
+    // Every captured value differs from the one two supersteps before.
+    assert_eq!(same > 0, filter == SuperstepFilter::All, "{label}: values written as `Same`");
+    let supersteps: BTreeSet<u64> = seen.keys().map(|(superstep, _)| *superstep).collect();
+    assert_eq!(groups, supersteps.len() * 4, "{label}: one group per channel and superstep");
 }
 
-/// The differential for the adjacency- and context-version fast paths:
-/// whatever the versions let the writer skip, every channel is what the
-/// byte rule writes for the edges and context `compute` actually saw. A
-/// partition that kept its version across an edge change would have the
-/// writer refer back to a stale list, which the channel, decoded and
-/// written again, repeats; the witnessed edges do not. A context version
-/// reused for another superstep would have the writer file a record in
-/// the group before, which the witnessed calls do not. Covers local edits
-/// (`Rewire`), remote edge mutations (`Splice`), both recovery modes, and
-/// spilling.
+/// The differential for the value-, adjacency- and context-version fast
+/// paths: whatever the versions let the writer skip, every channel is
+/// what the byte rule writes for the value, edges and context `compute`
+/// actually saw. A partition that kept its version across an edge change
+/// would have the writer refer back to a stale list, which the channel,
+/// decoded and written again, repeats; the witnessed edges do not. A value
+/// version kept across a change would have the writer write a `Same` for a
+/// value the vertex no longer had, where a superstep between its captures
+/// changed it (the even-supersteps cells), which the witnessed value is
+/// not. A context version reused for another superstep would have the
+/// writer file a record in the group before, which the witnessed calls do
+/// not. Covers local edits (`Rewire`), remote edge mutations (`Splice`),
+/// both recovery modes, and spilling.
 #[test]
 fn edge_references_by_version_are_what_the_byte_rule_writes() {
     let cells = [
@@ -608,21 +620,22 @@ fn edge_references_by_version_are_what_the_byte_rule_writes() {
         ("log-replay", "kill-worker:1@3", RecoveryMode::LogReplay, None),
         ("log-replay under a budget", "kill-worker:1@3", RecoveryMode::LogReplay, Some(250)),
     ];
+    let even = SuperstepFilter::set([0, 2, 4, 6, 8]);
     for (label, plan, recovery, budget) in cells {
-        assert_versions_write_the_byte_rule(
-            Rewire,
-            plan,
-            recovery,
-            budget,
-            &format!("Rewire {label}"),
-        );
-        assert_versions_write_the_byte_rule(
-            Splice,
-            plan,
-            recovery,
-            budget,
-            &format!("Splice {label}"),
-        );
+        for (filter, supersteps) in [(SuperstepFilter::All, "every"), (even.clone(), "even")] {
+            let label = format!("{label}, {supersteps} superstep");
+            let rewire = format!("Rewire {label}");
+            assert_versions_write_the_byte_rule(
+                Rewire,
+                plan,
+                recovery,
+                budget,
+                filter.clone(),
+                &rewire,
+            );
+            let splice = format!("Splice {label}");
+            assert_versions_write_the_byte_rule(Splice, plan, recovery, budget, filter, &splice);
+        }
     }
 }
 

@@ -10,8 +10,9 @@
 //!   one produced, not merely to itself. The trace-file checksums were
 //!   regenerated once when binary traces moved to layout v2 (each
 //!   adjacency written once), once more at layout v3 (one message sent
-//!   along every edge written once), and once at layout v4 (a
-//!   superstep's context written once per group); nothing else moved.
+//!   along every edge written once), once at layout v4 (a superstep's
+//!   context written once per group), and once at layout v6 (a value the
+//!   vertex already wrote is one `Same` byte); nothing else moved.
 //! * **Oracle.** The four fault-free cells must also equal
 //!   `graft_pregel::reference::run_sequential` at four partitions on
 //!   final values (bit-for-bit), counters and halt reason.
@@ -236,12 +237,12 @@ fn faulted_pagerank_recovers_to_the_legacy_golden() {
 const PAGERANK: Golden = Golden {
     files: &[
         ("/master.trace", 0, 0xcbf29ce484222325),
-        ("/meta.json", 919, 0x1e05ca5ceba54c46),
+        ("/meta.json", 919, 0x2c15592b203d6521),
         ("/result.json", 135, 0xe21ddde9e992313b),
-        ("/worker_0.trace", 6655, 0x78809df1750c3579),
-        ("/worker_1.trace", 6655, 0x40d98f3e690231dd),
-        ("/worker_2.trace", 6655, 0x9fc574ac99bf3cc9),
-        ("/worker_3.trace", 6655, 0xb62a2a122bae9e8d),
+        ("/worker_0.trace", 5707, 0xb53f8d860aa8bb70),
+        ("/worker_1.trace", 5707, 0x5c7270f77fa385b8),
+        ("/worker_2.trace", 5707, 0x8c229c1b1e0b56ec),
+        ("/worker_3.trace", 5707, 0x58c05ee67f5dd19c),
     ],
     checksum: 0xfa979ad63cc18845,
     halt_reason: HaltReason::AllVerticesHalted,
@@ -264,12 +265,12 @@ const PAGERANK: Golden = Golden {
 const SSSP: Golden = Golden {
     files: &[
         ("/master.trace", 0, 0xcbf29ce484222325),
-        ("/meta.json", 926, 0x4d324e9194759d1b),
+        ("/meta.json", 926, 0x6a146607a776772e),
         ("/result.json", 135, 0xa9067f3f057c6a80),
-        ("/worker_0.trace", 1681, 0xe0488d93f82d1ebe),
-        ("/worker_1.trace", 1722, 0xa12925b52ecfe26e),
-        ("/worker_2.trace", 1711, 0xfdee07deac68f4fd),
-        ("/worker_3.trace", 1680, 0xfb1dc05bf9d4ac47),
+        ("/worker_0.trace", 1557, 0x43f11c68d6487b32),
+        ("/worker_1.trace", 1590, 0xafdba09a65e396ee),
+        ("/worker_2.trace", 1579, 0xcaa9f9550d8cdbcc),
+        ("/worker_3.trace", 1556, 0x92f4e12f8189f2f2),
     ],
     checksum: 0x9f44dee8c9bba0f7,
     halt_reason: HaltReason::AllVerticesHalted,
@@ -292,12 +293,12 @@ const SSSP: Golden = Golden {
 const COMPONENTS: Golden = Golden {
     files: &[
         ("/master.trace", 0, 0xcbf29ce484222325),
-        ("/meta.json", 943, 0x9390ee3a7e708453),
+        ("/meta.json", 943, 0x6052565fa91f7cf0),
         ("/result.json", 135, 0x6aac4a88d8e98229),
-        ("/worker_0.trace", 2261, 0x7037a6a13cd827e2),
-        ("/worker_1.trace", 2166, 0x376ebdbabf1486cd),
-        ("/worker_2.trace", 2157, 0xfc86a3d261401c33),
-        ("/worker_3.trace", 2096, 0x079943962d7a23e1),
+        ("/worker_0.trace", 2189, 0xce9adeea0c77d7b1),
+        ("/worker_1.trace", 2098, 0xd9d10e6e44dc7cc6),
+        ("/worker_2.trace", 2089, 0xfe6a112defcaeca1),
+        ("/worker_3.trace", 2032, 0xb9ff6620488c83bf),
     ],
     checksum: 0x1566a3b08b8c8b25,
     halt_reason: HaltReason::AllVerticesHalted,
@@ -320,12 +321,12 @@ const COMPONENTS: Golden = Golden {
 const COLORING: Golden = Golden {
     files: &[
         ("/master.trace", 1260, 0x03815a96983ddadc),
-        ("/meta.json", 1012, 0xc9a14ed199db2ef4),
+        ("/meta.json", 1012, 0x27af82512c95de87),
         ("/result.json", 135, 0x997a581ffa15309c),
-        ("/worker_0.trace", 17395, 0xcecfb11f0aa8006f),
-        ("/worker_1.trace", 18043, 0x9512cc065c19b398),
-        ("/worker_2.trace", 18156, 0xcd0f541dc028e0fe),
-        ("/worker_3.trace", 18137, 0x82ccd9ca44b41fed),
+        ("/worker_0.trace", 14203, 0x5bd272d7fa8a3d2c),
+        ("/worker_1.trace", 14737, 0x817e4842602225ee),
+        ("/worker_2.trace", 14795, 0xffc06aabba3c9423),
+        ("/worker_3.trace", 14782, 0xbb2bad8d809e5761),
     ],
     checksum: 0x441441b3462a5686,
     halt_reason: HaltReason::AllVerticesHalted,
@@ -360,12 +361,12 @@ const COLORING: Golden = Golden {
 const PAGERANK_FAULTED: Golden = Golden {
     files: &[
         ("/master.trace", 0, 0xcbf29ce484222325),
-        ("/meta.json", 937, 0xf7b7096e2ed6170e),
+        ("/meta.json", 937, 0x6496d8b2aa4f4169),
         ("/result.json", 135, 0xe21ddde9e992313b),
-        ("/worker_0.trace", 6655, 0x78809df1750c3579),
-        ("/worker_1.trace", 6655, 0x40d98f3e690231dd),
-        ("/worker_2.trace", 6655, 0x9fc574ac99bf3cc9),
-        ("/worker_3.trace", 6655, 0xb62a2a122bae9e8d),
+        ("/worker_0.trace", 5707, 0xb53f8d860aa8bb70),
+        ("/worker_1.trace", 5707, 0x5c7270f77fa385b8),
+        ("/worker_2.trace", 5707, 0x8c229c1b1e0b56ec),
+        ("/worker_3.trace", 5707, 0x58c05ee67f5dd19c),
     ],
     recoveries: 2,
     ..PAGERANK

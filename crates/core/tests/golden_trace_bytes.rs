@@ -130,10 +130,10 @@ fn pagerank_capture_all_on_a_ring_matches_the_golden_bytes() {
         &trace_checksums(run.fs(), "/golden/pagerank"),
         &[
             ("/master.trace", 0, 0xcbf29ce484222325),
-            ("/meta.json", 923, 0x1bf4664a7c80dba5),
+            ("/meta.json", 923, 0x7fbc68deb5ef738a),
             ("/result.json", 134, 0x717a457666199e07),
-            ("/worker_0.trace", 9326, 0xd6fe0a187ea57b7f),
-            ("/worker_1.trace", 9326, 0xdbf8dc8d42ee0adf),
+            ("/worker_0.trace", 8078, 0xfc4146117879e899),
+            ("/worker_1.trace", 8078, 0x8cce96a7aad88e01),
         ],
     );
     assert_golden(
@@ -188,10 +188,10 @@ fn graph_coloring_dc_full_with_master_capture_matches_the_golden_bytes() {
         &trace_checksums(run.fs(), "/golden/coloring"),
         &[
             ("/master.trace", 1527, 0xe5c024cd347ad7db),
-            ("/meta.json", 1113, 0xc257ee8cc8eeca23),
+            ("/meta.json", 1113, 0xf2c0d31ea99b6560),
             ("/result.json", 135, 0x71e63516e0dd4c5b),
-            ("/worker_0.trace", 14227, 0x62666b2b60484faf),
-            ("/worker_1.trace", 13770, 0x3dca209f1eb6371c),
+            ("/worker_0.trace", 11682, 0x3e0e62237b8705c2),
+            ("/worker_1.trace", 11358, 0x60f3b2ecc67a4a72),
         ],
     );
     assert_golden(

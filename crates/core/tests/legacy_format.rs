@@ -15,17 +15,21 @@
 //!   broadcast, and the superstep, global data and aggregator values in
 //!   every vertex record — `tests/fixtures/legacy_binary_v3_trace/`;
 //! * in binary layout v4, a superstep's context once, in the index frame
-//!   that opens its group — `tests/fixtures/legacy_binary_v4_trace/`.
+//!   that opens its group — `tests/fixtures/legacy_binary_v4_trace/`;
+//! * in binary layout v5, each name once per record, and every value at
+//!   compute entry inline — `tests/fixtures/legacy_binary_v5_trace/`.
 //!
 //! None has a generator: this version captures the native layout
-//! (`TraceFormat::NATIVE`, v5) only. Each reads, serves what a native
+//! (`TraceFormat::NATIVE`, v6) only. Each reads, serves what a native
 //! capture serves, and imports (`trace convert --to binary`) to the bytes
 //! of a native capture; and JSON lines, the export format, gives back the
 //! JSON fixture's own bytes. The job's values and messages are integers,
 //! which hold no names, so its v4 and v5 channels are the same bytes; a
-//! second v4 fixture, `tests/fixtures/legacy_binary_v4_coloring_trace/`,
-//! captures a job with struct values and enum messages, whose names v5
-//! writes once per record.
+//! second v4 fixture and a second v5 one,
+//! `tests/fixtures/legacy_binary_v4_coloring_trace/` and
+//! `tests/fixtures/legacy_binary_v5_coloring_trace/`, capture a job with
+//! struct values and enum messages, whose names v5 writes once per
+//! record.
 
 use std::sync::Arc;
 
@@ -74,6 +78,7 @@ const LEGACY: &[&str] = &[
     "legacy_binary_v2_trace",
     "legacy_binary_v3_trace",
     "legacy_binary_v4_trace",
+    "legacy_binary_v5_trace",
     "legacy_json_trace",
 ];
 
@@ -180,18 +185,21 @@ fn a_v1_binary_trace_serves_what_v2_and_json_lines_serve() {
     assert_eq!(format_of(&v3), TraceFormat::BinaryV3, "fixture regressed: meta.json must say v3");
     let v4 = load_fixture("legacy_binary_v4_trace");
     assert_eq!(format_of(&v4), TraceFormat::BinaryV4, "fixture regressed: meta.json must say v4");
+    let v5 = load_fixture("legacy_binary_v5_trace");
+    assert_eq!(format_of(&v5), TraceFormat::BinaryV5, "fixture regressed: meta.json must say v5");
 
-    let v5 = capture();
+    let v6 = capture();
     let json = load_fixture("legacy_json_trace");
-    assert_eq!(format_of(&v5), TraceFormat::BinaryV5);
+    assert_eq!(format_of(&v6), TraceFormat::BinaryV6);
     // The same records, fewer bytes each layout: v2 writes each adjacency
     // once, v3 each message sent along every edge once, v4 each
     // superstep's context once; v5 each name once per record, and this
-    // job's integers hold none.
+    // job's integers hold none; v6 a value the vertex already wrote as
+    // one byte.
     for worker in ["worker_0.trace", "worker_1.trace"] {
         let path = format!("/legacy/{worker}");
-        let sizes = [&v1, &v2, &v3, &v4].map(|fs| fs.read_all(&path).unwrap().len());
-        assert!(sizes.windows(2).all(|pair| pair[1] < pair[0]), "{worker}: v1 to v4 {sizes:?}");
+        let sizes = [&v1, &v2, &v3, &v4, &v6].map(|fs| fs.read_all(&path).unwrap().len());
+        assert!(sizes.windows(2).all(|pair| pair[1] < pair[0]), "{worker}: v1 to v6 {sizes:?}");
         assert_eq!(v4.read_all(&path).unwrap(), v5.read_all(&path).unwrap(), "{worker}: v4, v5");
     }
 
@@ -206,6 +214,7 @@ fn a_v1_binary_trace_serves_what_v2_and_json_lines_serve() {
     assert_eq!(served, views(&v3), "v1 vs v3");
     assert_eq!(served, views(&v4), "v1 vs v4");
     assert_eq!(served, views(&v5), "v1 vs v5");
+    assert_eq!(served, views(&v6), "v1 vs v6");
     assert_eq!(served, views(&json), "v1 vs JSON lines");
 
     // The typed reader too.
@@ -214,16 +223,17 @@ fn a_v1_binary_trace_serves_what_v2_and_json_lines_serve() {
         assert_eq!(session.total_captures(), 12);
         session.all_traces().cloned().collect::<Vec<_>>()
     };
-    let fresh = records(v5);
-    assert_eq!(records(v1), fresh, "v1 vs v5");
-    assert_eq!(records(v2), fresh, "v2 vs v5");
-    assert_eq!(records(v3), fresh, "v3 vs v5");
-    assert_eq!(records(v4), fresh, "v4 vs v5");
-    assert_eq!(records(json), fresh, "JSON lines vs v5");
+    let fresh = records(v6);
+    assert_eq!(records(v1), fresh, "v1 vs v6");
+    assert_eq!(records(v2), fresh, "v2 vs v6");
+    assert_eq!(records(v3), fresh, "v3 vs v6");
+    assert_eq!(records(v4), fresh, "v4 vs v6");
+    assert_eq!(records(v5), fresh, "v5 vs v6");
+    assert_eq!(records(json), fresh, "JSON lines vs v6");
 }
 
-/// The struct-valued job of the second v4 fixture: graph coloring on a
-/// three-vertex path, every active vertex captured.
+/// The struct-valued job of the second v4 and v5 fixtures: graph coloring
+/// on a three-vertex path, every active vertex captured.
 fn coloring_capture() -> Arc<dyn FileSystem> {
     let config = DebugConfig::<GraphColoring>::builder()
         .capture_all_active(true)
@@ -239,34 +249,41 @@ fn coloring_capture() -> Arc<dyn FileSystem> {
 }
 
 /// A job whose values are structs and whose messages are enum variants:
-/// its v4 channels import to a native capture's bytes, which are fewer,
-/// since v5 writes each field and variant name once per record, and
-/// serve the same views and typed records.
+/// its v4 and v5 channels import to a native capture's bytes, which are
+/// fewer each layout — v5 writes each field and variant name once per
+/// record, v6 a value the vertex already wrote as one byte — and serve
+/// the same views and typed records.
 #[test]
-fn a_v4_trace_with_struct_values_imports_to_fewer_bytes() {
+fn v4_and_v5_traces_with_struct_values_import_to_fewer_bytes() {
     let v4 = load_fixture("legacy_binary_v4_coloring_trace");
     assert_eq!(format_of(&v4), TraceFormat::BinaryV4, "fixture regressed: meta.json must say v4");
+    let v5 = load_fixture("legacy_binary_v5_coloring_trace");
+    assert_eq!(format_of(&v5), TraceFormat::BinaryV5, "fixture regressed: meta.json must say v5");
     let native = coloring_capture();
-    let imported: Arc<dyn FileSystem> = Arc::new(InMemoryFs::new());
-    convert_trace_dir(v4.as_ref(), imported.as_ref(), "/legacy", TraceFormat::NATIVE).unwrap();
-    for channel in CHANNELS {
-        let path = format!("/legacy/{channel}");
-        let (got, want) = (imported.read_all(&path).unwrap(), native.read_all(&path).unwrap());
-        assert_eq!(got, want, "{channel}");
-    }
-    for worker in ["worker_0.trace", "worker_1.trace"] {
-        let path = format!("/legacy/{worker}");
-        let (v4, v5) = (v4.read_all(&path).unwrap().len(), native.read_all(&path).unwrap().len());
-        assert!(v5 < v4, "{worker}: v4 {v4} bytes, v5 {v5}");
-    }
     let session = |fs: &Arc<dyn FileSystem>| UntypedSession::open(fs.clone(), "/legacy").unwrap();
-    assert_eq!(served_views(&session(&v4)), served_views(&session(&native)));
     let records = |fs: &Arc<dyn FileSystem>| {
         let session = DebugSession::<GraphColoring>::open(fs.clone(), "/legacy").unwrap();
         assert_eq!(session.total_captures(), 22);
         session.all_traces().cloned().collect::<Vec<_>>()
     };
-    assert_eq!(records(&v4), records(&native));
+    for legacy in [&v4, &v5] {
+        let imported: Arc<dyn FileSystem> = Arc::new(InMemoryFs::new());
+        let format = format_of(legacy);
+        convert_trace_dir(legacy.as_ref(), imported.as_ref(), "/legacy", TraceFormat::NATIVE)
+            .unwrap();
+        for channel in CHANNELS {
+            let path = format!("/legacy/{channel}");
+            let (got, want) = (imported.read_all(&path).unwrap(), native.read_all(&path).unwrap());
+            assert_eq!(got, want, "{format:?} {channel}");
+        }
+        assert_eq!(served_views(&session(legacy)), served_views(&session(&native)), "{format:?}");
+        assert_eq!(records(legacy), records(&native), "{format:?}");
+    }
+    for worker in ["worker_0.trace", "worker_1.trace"] {
+        let path = format!("/legacy/{worker}");
+        let sizes = [&v4, &v5, &native].map(|fs| fs.read_all(&path).unwrap().len());
+        assert!(sizes.windows(2).all(|pair| pair[1] < pair[0]), "{worker}: v4 to v6 {sizes:?}");
+    }
 }
 
 /// The import half of `trace convert`: every legacy directory becomes,
@@ -297,7 +314,7 @@ fn legacy_traces_import_to_the_bytes_of_a_native_capture() {
     }
     let again =
         convert_trace_dir(native.as_ref(), &InMemoryFs::new(), "/legacy", TraceFormat::NATIVE);
-    assert!(again.unwrap_err().to_string().contains("already uses BinaryV5"));
+    assert!(again.unwrap_err().to_string().contains("already uses BinaryV6"));
 }
 
 /// Opens the legacy directory of `fs` through every reader. Each must end

@@ -181,16 +181,16 @@ fn obs_artifacts_match_the_golden_bytes() {
     actual.push(("log-replay/live/terminal".to_string(), bytes.len(), fnv1a(&bytes)));
 
     let golden: &[(&str, usize, u64)] = &[
-        ("clean/events.jsonl", 12555, 0xf02e2efdc07953db),
-        ("clean/metrics.prom", 19167, 0xa7792d13345b498e),
-        ("clean/metrics.json", 24117, 0x036f38ab13318442),
-        ("restart/events.jsonl", 14460, 0x639431cf12257af1),
-        ("restart/metrics.prom", 21087, 0xdf517692165a6711),
-        ("restart/metrics.json", 25754, 0x4bc4dcb6386da239),
-        ("log-replay/events.jsonl", 14024, 0x9153b461a48b1ab1),
-        ("log-replay/metrics.prom", 21283, 0x07d4e7887356037d),
-        ("log-replay/metrics.json", 26254, 0xca51df28164e12b4),
-        ("log-replay/live/terminal", 13974, 0x2c054165f179a0b2),
+        ("clean/events.jsonl", 12555, 0x394a6c82555c239e),
+        ("clean/metrics.prom", 19167, 0x1dd062c59aabd7d8),
+        ("clean/metrics.json", 24116, 0x19f293e41ce38a54),
+        ("restart/events.jsonl", 14460, 0x7d6abf2126e2feaa),
+        ("restart/metrics.prom", 21087, 0x0e458713da2f2ba2),
+        ("restart/metrics.json", 25753, 0x42acaecbc4c851b4),
+        ("log-replay/events.jsonl", 14024, 0x92c38679c679a390),
+        ("log-replay/metrics.prom", 21284, 0xa5dbc39f171d3589),
+        ("log-replay/metrics.json", 26254, 0x17226c5ca4aa72a0),
+        ("log-replay/live/terminal", 13974, 0x6b16ca336d3efd1a),
     ];
     let rendered: Vec<String> = actual
         .iter()

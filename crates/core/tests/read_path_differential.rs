@@ -1,14 +1,15 @@
 //! Differential test of the read path against plain decoding, over valid
 //! vertex payloads of every algorithm in `graft-algorithms` — in layout
-//! v4 with the edges inline and by reference and the outgoing messages
-//! listed and as a broadcast, each behind the index frame of its group,
-//! and in layout v1 — and over seeded mutations of the vertex payloads
-//! and of the index-frame payloads:
+//! v6 with the value at compute entry inline and as a `Same`, the edges
+//! inline and by reference and the outgoing messages listed and as a
+//! broadcast, each behind the index frame of its group, and in layout v1 —
+//! and over seeded mutations of the vertex payloads and of the index-frame
+//! payloads:
 //!
 //! * an index frame reads exactly when its payload decodes as an
 //!   `IndexRecord`; otherwise every walk of the channel fails with that
 //!   error at the index frame's offset;
-//! * skimming a v4 payload (`VertexChannel::head`) succeeds exactly when
+//! * skimming a v6 payload (`VertexChannel::head`) succeeds exactly when
 //!   decoding it in full as a `WireVertexTrace` does, with the same error
 //!   when not — which is what lets `UntypedSession` decode a row `open`
 //!   only skimmed;
@@ -18,16 +19,18 @@
 //!   decodes exactly when the record does, with the same error, and every
 //!   field of it is what the `UntypedTrace` accessor of that name says of
 //!   the record;
-//! * `VertexChannel::record`, and the digest with edges, follow an edge
+//! * `VertexChannel::record`, and the node-link digest, follow an edge
 //!   reference exactly when it names a frame of the channel recording the
 //!   same vertex with its edges inline, and accept a broadcast exactly
-//!   when its count is the number of those edges; the record is then what
-//!   decoding the payload, taking that frame's edges, listing the
-//!   broadcast along them and the context from the group gives, and the
-//!   walk of the channel succeeds exactly then;
+//!   when its count is the number of those edges; `record` and the tabular
+//!   digest read a `Same` value exactly when an earlier frame records the
+//!   same vertex, as the last such frame's value after compute; the record
+//!   is then what decoding the payload, taking that value and that frame's
+//!   edges, listing the broadcast along them and the context from the
+//!   group gives, and the walk of the channel succeeds exactly then;
 //! * a v1 channel passes the door (`native_channel`) exactly when its
 //!   payload decodes as an `ErasedVertexTrace`, fails with that error at
-//!   that frame's offset otherwise, and becomes a v4 channel that reads,
+//!   that frame's offset otherwise, and becomes a v6 channel that reads,
 //!   every way above, as that record — its type-erased values put through
 //!   a JSON text round trip, as the door writes them through the tagged
 //!   encoding.
@@ -35,7 +38,9 @@
 //! Every edge reference a channel can hold wrong — dangling, forward, to
 //! itself, to another reference, to a frame of another kind or vertex, to
 //! the middle of a frame, past a torn tail — fails every reader of the
-//! channel with a typed error naming the referring frame.
+//! channel with a typed error naming the referring frame, and so does a
+//! `Same` value with no earlier frame of its vertex: in the first frame,
+//! after the frames of other vertices only, and after a truncation.
 //!
 //! A name node where the writer puts none — at the id, in an inline edge
 //! list — reads to every reader as the payload decodes: the string it
@@ -55,10 +60,10 @@ use common::{
 };
 use graft::trace::{
     encode_index_frame, meta_path, native_channel, walk_vertex_channel, worker_trace_path,
-    Broadcast, ChannelKind, ChannelWriter, EdgeRefs, ErasedVertexTrace, IndexRecord, JobMeta,
-    TraceFormat, TraceReadError, TraceRecord, VertexChannel, VertexHead, VertexTrace, WireEdges,
-    WireOutgoing, WireVertexTrace, FLAG_EXCEPTION, FLAG_MESSAGE_VIOLATION, FLAG_VALUE_VIOLATION,
-    FRAME_INDEX, FRAME_VERTEX,
+    Broadcast, ChannelKind, ChannelWriter, ErasedVertexTrace, IndexRecord, JobMeta, RowView,
+    TraceFormat, TraceReadError, TraceRecord, VertexChannel, VertexHead, VertexRefs, VertexTrace,
+    WireEdges, WireOutgoing, WireValue, WireVertexTrace, FLAG_EXCEPTION, FLAG_MESSAGE_VIOLATION,
+    FLAG_VALUE_VIOLATION, FRAME_INDEX, FRAME_VERTEX,
 };
 use graft::untyped::{JobSummary, UntypedSession, UntypedTrace};
 use graft::{DebugSession, SessionError, ViolationKind};
@@ -76,7 +81,7 @@ use serde_json::Value;
 struct Case {
     v1: bool,
     before: Vec<u8>,
-    /// The payload of the index frame that opens the group (v4 only).
+    /// The payload of the index frame that opens the group (v6 only).
     index: Vec<u8>,
     payload: Vec<u8>,
 }
@@ -92,14 +97,19 @@ impl Case {
     }
 }
 
-/// What a v4 payload decodes to: the record, its edges left empty when
-/// it holds a reference and its outgoing messages when they are a
-/// broadcast; the offset the reference names; the broadcast.
-type Decoded = (ErasedVertexTrace, Option<u64>, Option<Broadcast<BinValue>>);
+/// What a v6 payload decodes to: the record, its value at compute entry
+/// null when it is a `Same`, its edges left empty when it holds a
+/// reference and its outgoing messages when they are a broadcast; whether
+/// the value is a `Same`; the offset the reference names; the broadcast.
+type Decoded = (ErasedVertexTrace, bool, Option<u64>, Option<Broadcast<BinValue>>);
 
-/// Decodes a v4 payload, its superstep and context those of `group`.
+/// Decodes a v6 payload, its superstep and context those of `group`.
 fn decode(payload: &[u8], group: &IndexRecord) -> Result<Decoded, String> {
     let wire: WireVertexTrace = graft_codec::from_slice(payload).map_err(|e| e.to_string())?;
+    let (value_before, same) = match wire.value_before {
+        WireValue::Inline(value) => (value, false),
+        WireValue::Same => (BinValue(Value::Null), true),
+    };
     let (edges, target) = match wire.edges {
         WireEdges::Inline(edges) => (edges, None),
         WireEdges::At(target) => (Vec::new(), Some(target)),
@@ -111,7 +121,7 @@ fn decode(payload: &[u8], group: &IndexRecord) -> Result<Decoded, String> {
     let record = VertexTrace {
         superstep: group.superstep,
         vertex: wire.vertex,
-        value_before: wire.value_before,
+        value_before,
         value_after: wire.value_after,
         edges,
         incoming: wire.incoming,
@@ -123,7 +133,21 @@ fn decode(payload: &[u8], group: &IndexRecord) -> Result<Decoded, String> {
         violations: wire.violations,
         exception: wire.exception,
     };
-    Ok((record, target, broadcast))
+    Ok((record, same, target, broadcast))
+}
+
+/// The start and value after compute of the last vertex frame of
+/// `channel` that records `vertex`, if any.
+fn last_frame_of(channel: &[u8], vertex: &BinValue) -> Option<(u64, BinValue)> {
+    let id = graft_codec::to_vec(vertex).ok()?;
+    let (mut scanner, mut last) = (FrameScanner::new(channel), None);
+    while let Ok(Some(frame)) = scanner.next_frame() {
+        let Ok(wire) = graft_codec::from_slice::<WireVertexTrace>(frame.payload) else { continue };
+        if frame.kind == FRAME_VERTEX && graft_codec::to_vec(&wire.vertex).ok()? == id {
+            last = Some((frame.start as u64, wire.value_after));
+        }
+    }
+    last
 }
 
 /// The edges of the frame of `channel` starting at `target`, if it is a
@@ -209,27 +233,37 @@ fn check(case: &Case) -> Read {
         }
     };
     let last = FrameScanner::new(&channel[index_at..]).next_frame().unwrap().unwrap().end;
-    check_v4(&channel, index_at + last, &group).0
+    check_v6(&channel, index_at + last, &group).0
 }
 
-/// Checks the v4 payload of the frame at `last` of `channel`, whose group
+/// Checks the v6 payload of the frame at `last` of `channel`, whose group
 /// is `group`, and the walk of the channel; returns what it read, and the
 /// record if it resolved.
-fn check_v4(channel: &[u8], last: usize, group: &IndexRecord) -> (Read, Option<ErasedVertexTrace>) {
+fn check_v6(channel: &[u8], last: usize, group: &IndexRecord) -> (Read, Option<ErasedVertexTrace>) {
     let payload = FrameScanner::new(&channel[last..]).next_frame().unwrap().unwrap().payload;
     let reader = VertexChannel::new(channel);
-    let skimmed = reader.head(payload, Some(group)).map_err(|e| e.to_string());
-    let digest =
-        |with_edges| reader.digest(payload, Some(group), with_edges).map_err(|e| e.to_string());
-    let built = reader.record(payload, Some(group)).map_err(|e| e.to_string());
-    let walked = walk_vertex_channel(reader, None, |_, _| Ok(()));
     let at = |what: &str| format!("{what}: {payload:?}");
-    let (record, target, broadcast) = match decode(payload, group) {
+    // The frame a `Same` reads, as the walk resolves it.
+    let mut resolved = None;
+    let walked = walk_vertex_channel(reader, None, |frame, read| {
+        if let (true, graft::trace::ChannelRecord::Vertex(_, before)) = (frame.start == last, read)
+        {
+            resolved = before;
+        }
+        Ok(())
+    });
+    let skimmed = reader.head(payload, Some(group)).map_err(|e| e.to_string());
+    let digest = |before: Option<u64>, view| {
+        reader.digest(payload, Some(group), before, view).map_err(|e| e.to_string())
+    };
+    let (record, same, target, broadcast) = match decode(payload, group) {
         Ok(decoded) => decoded,
         Err(error) => {
             assert_eq!(skimmed, Err(error.clone()), "{}", at("head"));
-            assert_eq!(digest(true), Err(error.clone()), "{}", at("digest"));
-            assert_eq!(digest(false), Err(error.clone()), "{}", at("digest"));
+            for view in [RowView::Tabular, RowView::NodeLink] {
+                assert_eq!(digest(None, view), Err(error.clone()), "{}", at("digest"));
+            }
+            let built = reader.record(payload, Some(group), None).map_err(|e| e.to_string());
             assert_eq!(built.map(drop), Err(error.clone()), "{}", at("record"));
             assert!(
                 matches!(&walked, Err(TraceReadError::Frame { offset, error: refused })
@@ -241,11 +275,31 @@ fn check_v4(channel: &[u8], last: usize, group: &IndexRecord) -> (Read, Option<E
         }
     };
     assert_eq!(skimmed, Ok(head_of(&record)), "{}", at("head"));
-    let mut listed = UntypedTrace::from(record.clone()).digest(false);
+    // A `Same` is the value after compute of the vertex's last earlier
+    // frame, if there is one.
+    let earlier = last_frame_of(&channel[..last], &record.vertex);
+    let before = earlier.as_ref().map(|(start, _)| *start).filter(|_| same);
+    let value_before = match (same, earlier) {
+        (false, _) => Some(record.value_before.clone()),
+        (true, earlier) => earlier.map(|(_, value)| value),
+    };
+    let Some(value_before) = value_before else {
+        assert!(reader.record(payload, Some(group), None).is_err(), "{}", at("record"));
+        assert!(digest(None, RowView::Tabular).is_err(), "{}", at("digest"));
+        assert!(
+            matches!(&walked, Err(TraceReadError::SameValue { offset }) if *offset == last),
+            "{}",
+            at("walk of a `Same` with no earlier frame")
+        );
+        return (Read::Decodes { resolved: false }, None);
+    };
+    let record = VertexTrace { value_before, ..record };
+    let built = reader.record(payload, Some(group), before).map_err(|e| e.to_string());
+    let mut listed = UntypedTrace::from(record.clone()).digest(RowView::Tabular);
     if let Some(broadcast) = &broadcast {
         listed.outgoing = usize::try_from(broadcast.count).unwrap_or(usize::MAX);
     }
-    assert_eq!(digest(false), Ok(listed), "{}", at("digest"));
+    assert_eq!(digest(before, RowView::Tabular), Ok(listed), "{}", at("digest"));
     let edges = match target {
         None => Some(record.edges.clone()),
         Some(target) => referenced_edges(channel, target, &record.vertex),
@@ -259,7 +313,8 @@ fn check_v4(channel: &[u8], last: usize, group: &IndexRecord) -> (Read, Option<E
         edges.and_then(|edges| Some(VertexTrace { outgoing: outgoing(&edges)?, edges, ..record }));
     let Some(full) = full else {
         assert!(built.is_err(), "{}", at("record of a bad reference or broadcast"));
-        assert!(digest(true).is_err(), "{}", at("digest of a bad reference or broadcast"));
+        let digest = digest(before, RowView::NodeLink);
+        assert!(digest.is_err(), "{}", at("digest of a bad reference or broadcast"));
         let named = |offset| offset == last;
         assert!(
             matches!(&walked, Err(TraceReadError::EdgeRef { offset, .. }
@@ -270,18 +325,19 @@ fn check_v4(channel: &[u8], last: usize, group: &IndexRecord) -> (Read, Option<E
         return (Read::Decodes { resolved: false }, None);
     };
     assert!(walked.is_ok(), "{}: {walked:?}", at("walk"));
+    assert_eq!(resolved, before, "{}", at("the walk's `Same`"));
     let built = built.unwrap_or_else(|e| panic!("{e}: {}", at("record")));
     // `==` neither tells `5` from `5u64` nor `-0.0` from `0.0`, and no NaN
     // equals itself; the debug rendering does all three right.
     assert_eq!(format!("{built:?}"), format!("{full:?}"), "{}", at("record"));
-    let listed = UntypedTrace::from(full).digest(true);
-    assert_eq!(digest(true), Ok(listed), "{}", at("digest"));
+    let listed = UntypedTrace::from(full).digest(RowView::NodeLink);
+    assert_eq!(digest(before, RowView::NodeLink), Ok(listed), "{}", at("digest"));
     (Read::Decodes { resolved: true }, Some(built))
 }
 
-/// Checks a v1 case at the door: its channel becomes a v4 channel exactly
+/// Checks a v1 case at the door: its channel becomes a v6 channel exactly
 /// when the payload decodes as an `ErasedVertexTrace`, fails with that
-/// error at the frame's offset otherwise, and the v4 channel reads back
+/// error at the frame's offset otherwise, and the v6 channel reads back
 /// as the record, normalized.
 fn check_door(case: &Case) -> Read {
     let door = native_channel(TraceFormat::Binary, ChannelKind::Worker, case.channel(), false);
@@ -295,13 +351,13 @@ fn check_door(case: &Case) -> Read {
             );
             Read::Fails
         }
-        (Ok(record), Ok(v4)) => {
-            let mut scanner = FrameScanner::new(&v4);
+        (Ok(record), Ok(v6)) => {
+            let mut scanner = FrameScanner::new(&v6);
             let frames: Vec<_> = std::iter::from_fn(|| scanner.next_frame().unwrap()).collect();
             let kinds: Vec<u8> = frames.iter().map(|frame| frame.kind).collect();
             assert_eq!(kinds, [FRAME_INDEX, FRAME_VERTEX], "{at}");
             let group = graft_codec::from_slice(frames[0].payload).unwrap();
-            let (read, built) = check_v4(&v4, frames[1].start, &group);
+            let (read, built) = check_v6(&v6, frames[1].start, &group);
             assert_eq!(read, Read::Decodes { resolved: true }, "{at}");
             assert_eq!(
                 format!("{:?}", built.unwrap()),
@@ -314,10 +370,11 @@ fn check_door(case: &Case) -> Read {
     }
 }
 
-/// The three cases of one record: a v1 payload, a v4 payload with its
-/// edges inline, and the v4 payload of the same record captured again in
-/// the next superstep, behind the first — its edges a reference where the
-/// rule makes one.
+/// The three cases of one record: a v1 payload, a v6 payload with its
+/// edges inline, and the v6 payload of the same record captured again in
+/// the next superstep, behind the first, its value at compute entry the
+/// first's value after — its edges a reference where the rule makes one,
+/// and its value a `Same`.
 fn cases_of<I, V, E, M>(record: &VertexTrace<I, V, E, M>) -> [Case; 3]
 where
     VertexTrace<I, V, E, M>: TraceRecord + serde::Serialize + Clone,
@@ -327,7 +384,11 @@ where
     let payload = graft_codec::to_vec(&erased).unwrap();
     let v1 = Case { v1: true, before: Vec::new(), index: Vec::new(), payload };
     let (mut writer, mut channel) = (ChannelWriter::default(), Vec::new());
-    let next = VertexTrace { superstep: record.superstep ^ 1, ..record.clone() };
+    let next = VertexTrace {
+        superstep: record.superstep ^ 1,
+        value_before: record.clone().value_after,
+        ..record.clone()
+    };
     for record in [record, &next] {
         writer.append_vertex(record, &mut channel).unwrap();
     }
@@ -368,18 +429,18 @@ fn valid_cases(rng: &mut Rng64, per_shape: usize) -> Vec<Case> {
     cases
 }
 
-/// What a v4 payload holds: its edges by reference, its outgoing
+/// What a v6 payload holds: its edges by reference, its outgoing
 /// messages as a broadcast.
 fn wire_of(case: &Case) -> Option<WireVertexTrace> {
     (!case.v1).then(|| graft_codec::from_slice(&case.payload).ok()).flatten()
 }
 
-/// Whether a v4 payload holds its edges by reference.
+/// Whether a v6 payload holds its edges by reference.
 fn is_reference(case: &Case) -> bool {
     wire_of(case).is_some_and(|wire| matches!(wire.edges, WireEdges::At(_)))
 }
 
-/// Whether a v4 payload holds its outgoing messages as a broadcast.
+/// Whether a v6 payload holds its outgoing messages as a broadcast.
 fn is_broadcast(case: &Case) -> bool {
     wire_of(case).is_some_and(|wire| matches!(wire.outgoing, WireOutgoing::Broadcast(_)))
 }
@@ -396,6 +457,14 @@ fn every_algorithms_records_skim_and_build_like_the_old_reader() {
     assert!(references > cases.len() / 6, "{references} references in {} cases", cases.len());
     let broadcasts = cases.iter().filter(|case| is_broadcast(case)).count();
     assert!(broadcasts > cases.len() / 20, "{broadcasts} broadcasts in {} cases", cases.len());
+    // Every repeated record's value is a `Same`.
+    let same = cases.iter().filter(|case| is_same(case)).count();
+    assert_eq!(same, cases.len() / 3, "{same} `Same` values in {} cases", cases.len());
+}
+
+/// Whether a v6 payload holds a `Same` value at compute entry.
+fn is_same(case: &Case) -> bool {
+    wire_of(case).is_some_and(|wire| wire.value_before == WireValue::Same)
 }
 
 /// One seeded edit of a valid payload.
@@ -446,7 +515,7 @@ fn mutated_payloads_skim_exactly_when_they_decode() {
         } else {
             valid[rng.gen_range(0..valid.len())].clone()
         };
-        // Every fifth edit of a v4 case lands on its group's index frame.
+        // Every fifth edit of a v6 case lands on its group's index frame.
         let on_index = !case.v1 && round % 5 == 2;
         index_edits += usize::from(on_index);
         let edited = if on_index { &mut case.index } else { &mut case.payload };
@@ -496,8 +565,10 @@ fn ring_record(superstep: u64, vertex: u64) -> VertexTrace<u64, i64, (), i64> {
     VertexTrace {
         superstep,
         vertex,
-        value_before: 1,
-        value_after: 2,
+        // Each superstep's value at entry is the last one's after: a
+        // `Same` behind the first capture.
+        value_before: superstep as i64,
+        value_after: superstep as i64 + 1,
         edges: (1..4).map(|step| ((vertex + step) % 8, ())).collect(),
         incoming: vec![],
         outgoing: vec![],
@@ -519,11 +590,12 @@ struct Layout {
 
 /// A channel written as the sink writes it: vertices 1 (`a`) and 2 (`b`)
 /// in supersteps 0 and 1, vertex 1 again in superstep 2 — its inline
-/// lists in superstep 0, references after. It is laid out frame by frame
-/// here, and must be what a `ChannelWriter` writes.
+/// lists and values in superstep 0, references and `Same` values after.
+/// It is laid out frame by frame here, and must be what a `ChannelWriter`
+/// writes.
 fn pristine() -> (Vec<u8>, Layout) {
     let mut channel = Vec::new();
-    let mut refs = EdgeRefs::default();
+    let mut refs = VertexRefs::default();
     let mut writer = (ChannelWriter::default(), Vec::new());
     let mut layout = Layout { index: [0; 3], a: [0; 3], b: [0; 2] };
     let mut records = 0;
@@ -592,14 +664,33 @@ fn write_trace(fs: &Arc<dyn FileSystem>, root: &str, channel: &[u8]) {
     fs.write_all(&worker_trace_path(root, 0), channel).unwrap();
 }
 
-/// Whether `error` is the typed error of a bad reference in the frame at
-/// `offset`.
+/// Whether `error` is the typed error of a bad reference or `Same` in the
+/// frame at `offset`.
 fn names_the_frame(error: &TraceReadError, offset: usize) -> bool {
-    matches!(error, TraceReadError::EdgeRef { offset: at, .. } if *at == offset)
+    matches!(error, TraceReadError::EdgeRef { offset: at, .. }
+        | TraceReadError::SameValue { offset: at } if *at == offset)
 }
 
 fn session_names_the_frame<T>(opened: Result<T, SessionError>, offset: usize) -> bool {
     matches!(opened, Err(SessionError::Decode { error, .. }) if names_the_frame(&error, offset))
+}
+
+/// Checks that `damaged`, a channel whose frame at `offset` is at fault,
+/// fails every reader with a typed error naming that frame.
+fn fails_every_reader(fs: &Arc<dyn FileSystem>, name: &str, damaged: &[u8], offset: usize) {
+    let root = format!("/damaged/{}", name.replace(' ', "-"));
+    write_trace(fs, &root, damaged);
+    let open = UntypedSession::open(fs.clone(), &root);
+    assert!(session_names_the_frame(open, offset), "{name}: open");
+    let partial = UntypedSession::open_partial(fs.clone(), &root, u64::MAX);
+    assert!(session_names_the_frame(partial, offset), "{name}: open_partial");
+    let summary = JobSummary::scan(fs.as_ref(), &root);
+    assert!(session_names_the_frame(summary, offset), "{name}: scan");
+    let typed = DebugSession::<Ring>::open(fs.clone(), &root);
+    assert!(session_names_the_frame(typed, offset), "{name}: DebugSession::open");
+    // What `graft-cli trace dump` walks.
+    let walked = walk_vertex_channel(VertexChannel::new(damaged), None, |_, _| Ok(()));
+    assert!(walked.is_err_and(|e| names_the_frame(&e, offset)), "{name}: dump");
 }
 
 #[test]
@@ -626,22 +717,55 @@ fn every_damaged_reference_fails_every_reader_at_its_frame() {
         ("past a torn tail", redirect_to_end(&channel, last, torn)),
     ];
     for (name, damaged) in cases {
-        let root = format!("/damaged/{}", name.replace(' ', "-"));
-        write_trace(&fs, &root, &damaged);
-        assert!(
-            session_names_the_frame(UntypedSession::open(fs.clone(), &root), last),
-            "{name}: open"
-        );
-        let partial = UntypedSession::open_partial(fs.clone(), &root, u64::MAX);
-        assert!(session_names_the_frame(partial, last), "{name}: open_partial");
-        let summary = JobSummary::scan(fs.as_ref(), &root);
-        assert!(session_names_the_frame(summary, last), "{name}: scan");
-        let typed = DebugSession::<Ring>::open(fs.clone(), &root);
-        assert!(session_names_the_frame(typed, last), "{name}: DebugSession::open");
-        // What `graft-cli trace dump` walks.
-        let walked = walk_vertex_channel(VertexChannel::new(&damaged), None, |_, _| Ok(()));
-        assert!(walked.is_err_and(|e| names_the_frame(&e, last)), "{name}: dump");
+        fails_every_reader(&fs, name, &damaged, last);
     }
+}
+
+/// `channel` with its last frame's value at compute entry made a `Same`,
+/// and the start of that frame.
+fn same_at_end(channel: &[u8]) -> (Vec<u8>, usize) {
+    let last = vertex_frames(channel).last().unwrap().0;
+    let frame = FrameScanner::new(&channel[last..]).next_frame().unwrap().unwrap();
+    let mut wire: WireVertexTrace = graft_codec::from_slice(frame.payload).unwrap();
+    assert!(matches!(wire.value_before, WireValue::Inline(_)));
+    wire.value_before = WireValue::Same;
+    let mut damaged = channel[..last].to_vec();
+    write_value_frame(&mut damaged, FRAME_VERTEX, &wire).unwrap();
+    (damaged, last)
+}
+
+/// A `Same` value whose vertex has no earlier frame in its channel fails
+/// every reader with a typed error naming its frame: in the first frame,
+/// behind frames of other vertices only, and behind a truncation that cut
+/// away the vertex's only earlier frame.
+#[test]
+fn a_same_value_with_no_earlier_frame_fails_every_reader_at_its_frame() {
+    let fs: Arc<dyn FileSystem> = Arc::new(InMemoryFs::new());
+    let channel_of = |records: &[VertexTrace<u64, i64, (), i64>]| {
+        let (mut writer, mut channel) = (ChannelWriter::default(), Vec::new());
+        for record in records {
+            writer.append_vertex(record, &mut channel).unwrap();
+        }
+        channel
+    };
+    let (first, at) = same_at_end(&channel_of(&[ring_record(0, 1)]));
+    fails_every_reader(&fs, "in the first frame", &first, at);
+    let others = channel_of(&[ring_record(0, 2), ring_record(0, 3), ring_record(1, 1)]);
+    let (others, at) = same_at_end(&others);
+    fails_every_reader(&fs, "behind other vertices only", &others, at);
+
+    // Vertex 1's superstep-0 frame is written past a mark and cut away; the
+    // writer, truncated to the mark, writes its superstep-1 value inline.
+    let (mut writer, mut channel) = (ChannelWriter::default(), Vec::new());
+    writer.append_vertex(&ring_record(0, 2), &mut channel).unwrap();
+    let (mark, cut) = (writer.mark(), channel.len());
+    writer.append_vertex(&ring_record(0, 1), &mut channel).unwrap();
+    channel.truncate(cut);
+    writer.truncate(mark);
+    writer.append_vertex(&ring_record(1, 1), &mut channel).unwrap();
+    assert!(walk_vertex_channel(VertexChannel::new(&channel), None, |_, _| Ok(())).is_ok());
+    let (truncated, at) = same_at_end(&channel);
+    fails_every_reader(&fs, "behind a truncation", &truncated, at);
 }
 
 /// A record whose id and edge targets are the strings `v<vertex>`.
@@ -720,9 +844,9 @@ fn name_nodes_at_the_id_and_in_the_edges_read_as_the_decode_reads_them() {
     let frames = vertex_frames(&channel);
     assert_eq!(frames.len(), 2, "inline edges, then a reference to them");
     for (at, group) in &frames {
-        let (read, record) = check_v4(&named, *at, group);
+        let (read, record) = check_v6(&named, *at, group);
         assert_eq!(read, Read::Decodes { resolved: true }, "frame at {at}");
-        let (_, pristine) = check_v4(&channel, *at, group);
+        let (_, pristine) = check_v6(&channel, *at, group);
         assert_eq!(format!("{record:?}"), format!("{pristine:?}"), "frame at {at}");
     }
 
@@ -732,13 +856,13 @@ fn name_nodes_at_the_id_and_in_the_edges_read_as_the_decode_reads_them() {
     let inline = &named[..frames[1].0];
     let group = &frames[0].1;
     let id_by_index = damage_last(inline, |payload| replace(payload, &[8, 4, b'v', b'1'], &[8, 1]));
-    assert_eq!(check_v4(&id_by_index, frames[0].0, group).0, Read::Fails);
+    assert_eq!(check_v6(&id_by_index, frames[0].0, group).0, Read::Fails);
     let payload = FrameScanner::new(&id_by_index[frames[0].0..]).next_frame().unwrap().unwrap();
     let error = graft_codec::from_slice::<WireVertexTrace>(payload.payload).unwrap_err();
     assert!(error.to_string().contains("name index 0"), "{error}");
     let target_by_index =
         damage_last(inline, |payload| replace(payload, &[8, 4, b'v', b'2'], &[8, 1]));
-    let (read, record) = check_v4(&target_by_index, frames[0].0, group);
+    let (read, record) = check_v6(&target_by_index, frames[0].0, group);
     assert_eq!(read, Read::Decodes { resolved: true });
     assert_eq!(record.unwrap().edges[0].0 .0, "v1");
 }

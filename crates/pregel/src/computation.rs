@@ -107,6 +107,9 @@ pub trait Computation: Send + Sync + Sized + 'static {
 pub struct VertexHandle<'a, I, V, E> {
     id: I,
     value: &'a mut V,
+    /// The partition's version of `value`, drawn afresh whenever the
+    /// value may change; `None` for a handle over a caller's value.
+    value_version: Option<&'a mut u64>,
     edges: Edges<'a, I, E>,
     voted_halt: bool,
 }
@@ -128,18 +131,21 @@ impl<'a, I: VertexId, V: Value, E: Value> VertexHandle<'a, I, V, E> {
     /// Creates a handle over borrowed vertex state. Exposed for the
     /// engine and for test harnesses that replay a single `compute()`.
     pub fn new(id: I, value: &'a mut V, edges: &'a mut Vec<Edge<I, E>>) -> Self {
-        Self { id, value, edges: Edges::List { list: edges, entry: None }, voted_halt: false }
+        let edges = Edges::List { list: edges, entry: None };
+        Self { id, value, value_version: None, edges, voted_halt: false }
     }
 
-    /// A handle over a partition's edge columns; see [`Self::into_edits`].
+    /// A handle over a partition's value and edge columns, `value_version`
+    /// the value's version in its column; see [`Self::into_edits`].
     pub(crate) fn over_columns(
         id: I,
         value: &'a mut V,
+        value_version: &'a mut u64,
         entry: &'a [Edge<I, E>],
         version: u64,
     ) -> Self {
         let edges = Edges::Columns { entry, version, edited: None };
-        Self { id, value, edges, voted_halt: false }
+        Self { id, value, value_version: Some(value_version), edges, voted_halt: false }
     }
 
     /// The edit buffer of a handle made by [`Self::over_columns`], if the
@@ -192,14 +198,33 @@ impl<'a, I: VertexId, V: Value, E: Value> VertexHandle<'a, I, V, E> {
         self.value
     }
 
+    /// The version of [`Self::value`]: two moments of one vertex under
+    /// equal versions see equal values, so a capture may skip encoding a
+    /// value it already wrote under the same version. The engine's
+    /// partitions draw a fresh one whenever the value may change — here,
+    /// when [`Self::value_mut`] or [`Self::set_value`] is called, and for
+    /// every vertex a restore, a load or a replay builds; a handle over a
+    /// caller's value ([`Self::new`]) has none.
+    pub fn value_version(&self) -> Option<u64> {
+        self.value_version.as_deref().copied()
+    }
+
     /// Mutable access to the vertex value.
     pub fn value_mut(&mut self) -> &mut V {
+        self.touch_value();
         self.value
     }
 
     /// Replaces the vertex value.
     pub fn set_value(&mut self, value: V) {
+        self.touch_value();
         *self.value = value;
+    }
+
+    fn touch_value(&mut self) {
+        if let Some(version) = self.value_version.as_deref_mut() {
+            *version = crate::partition::fresh_version();
+        }
     }
 
     /// The outgoing edges.

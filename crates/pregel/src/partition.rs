@@ -26,7 +26,11 @@
 //! Two moments of the job that see one version of a partition therefore
 //! see the same out-edges for every vertex in it, which lets a trace
 //! writer skip re-encoding an adjacency it already wrote under that
-//! version ([`VertexHandle::entry_version`]).
+//! version ([`VertexHandle::entry_version`]). Each vertex value has a
+//! version of its own from the same counter, kept in a column beside the
+//! values: a fresh one whenever the vertex is added, built or decoded, and
+//! whenever a compute call takes the value to change it
+//! ([`VertexHandle::value_version`]).
 //! Decoding checks every column's length against the one it must agree
 //! with, halted words against `n`, and ids for duplicates before it builds
 //! anything; with the codec rejecting over-long varints, bytes that decode
@@ -52,14 +56,23 @@ const NONE: usize = usize::MAX;
 /// has had. `Relaxed`: the counter publishes no other data, and
 /// `fetch_add` hands each value out once under any ordering.
 pub(crate) fn fresh_version() -> u64 {
+    fresh_versions(1).start
+}
+
+/// `n` versions no partition topology, vertex value or compute context of
+/// this process has had, drawn at once.
+fn fresh_versions(n: usize) -> std::ops::Range<u64> {
     static NEXT: AtomicU64 = AtomicU64::new(0);
-    NEXT.fetch_add(1, Ordering::Relaxed)
+    let start = NEXT.fetch_add(n as u64, Ordering::Relaxed);
+    start..start + n as u64
 }
 
 /// One worker's share of the graph, as columns (see the module docs).
 pub(crate) struct Partition<C: Computation> {
     ids: Vec<C::Id>,
     values: Vec<C::VValue>,
+    /// Each value's version (see the module docs).
+    value_versions: Vec<u64>,
     offsets: Vec<usize>,
     edges: Vec<EdgeOf<C>>,
     edited: FxHashMap<usize, Vec<EdgeOf<C>>>,
@@ -173,6 +186,7 @@ impl<C: Computation> Partition<C> {
         Self {
             ids: Vec::with_capacity(n),
             values: Vec::with_capacity(n),
+            value_versions: Vec::with_capacity(n),
             offsets,
             edges: Vec::with_capacity(m),
             edited: FxHashMap::default(),
@@ -192,11 +206,13 @@ impl<C: Computation> Partition<C> {
         }
     }
 
-    /// Appends a live, awake vertex with no mail; false if `id` is live.
+    /// Appends a live, awake vertex with no mail, its value of version
+    /// `value_version`; false if `id` is live.
     fn push(
         &mut self,
         id: C::Id,
         value: C::VValue,
+        value_version: u64,
         edges: impl IntoIterator<Item = EdgeOf<C>>,
     ) -> bool {
         let slot = self.ids.len();
@@ -214,6 +230,7 @@ impl<C: Computation> Partition<C> {
         self.offsets.push(self.edges.len());
         self.ids.push(id);
         self.values.push(value);
+        self.value_versions.push(value_version);
         self.inbox.last.push(NONE);
         true
     }
@@ -251,10 +268,11 @@ impl<C: Computation> Partition<C> {
         }
         let mut parts: Vec<Self> = sizes.into_iter().map(Self::with_capacity).collect();
         let mut edges = edges.into_iter();
-        for (((id, value), range), p) in
-            ids.into_iter().zip(values).zip(offsets.windows(2)).zip(owners)
+        let versions = fresh_versions(ids.len());
+        for ((((id, value), range), p), version) in
+            ids.into_iter().zip(values).zip(offsets.windows(2)).zip(owners).zip(versions)
         {
-            parts[p].push(id, value, edges.by_ref().take(range[1] - range[0]));
+            parts[p].push(id, value, version, edges.by_ref().take(range[1] - range[0]));
         }
         parts
     }
@@ -286,11 +304,23 @@ impl<C: Computation> Partition<C> {
         // The same out-edges per vertex, laid out afresh: the version stays.
         let version = self.version;
         let old = std::mem::replace(self, Self::new());
-        let Self { ids, values, offsets, edges, mut edited, inbox, index, awake, mail, .. } = old;
+        let Self {
+            ids,
+            values,
+            value_versions,
+            offsets,
+            edges,
+            mut edited,
+            inbox,
+            index,
+            awake,
+            mail,
+            ..
+        } = old;
         self.version = version;
         let mut stored = edges.into_iter();
-        for (slot, ((id, value), range)) in
-            ids.into_iter().zip(values).zip(offsets.windows(2)).enumerate()
+        for (slot, (((id, value), value_version), range)) in
+            ids.into_iter().zip(values).zip(value_versions).zip(offsets.windows(2)).enumerate()
         {
             let replaced = edited.remove(&slot);
             let keep = replaced.is_none();
@@ -299,7 +329,7 @@ impl<C: Computation> Partition<C> {
                 kept.for_each(drop);
                 continue;
             }
-            self.push(id, value, kept.chain(replaced.into_iter().flatten()));
+            self.push(id, value, value_version, kept.chain(replaced.into_iter().flatten()));
             let new = self.ids.len() - 1;
             set_bit(&mut self.awake, new, bit(&awake, slot));
             set_bit(&mut self.mail, new, bit(&mail, slot));
@@ -326,6 +356,7 @@ impl<C: Computation> Partition<C> {
         let Self {
             ids,
             values,
+            value_versions,
             offsets,
             edges,
             edited,
@@ -342,8 +373,9 @@ impl<C: Computation> Partition<C> {
             set_bit(mail, slot, false);
             let entry = slot_edges(offsets, edges, edited, slot);
             let degree = entry.len() as u64;
+            let value = (&mut values[slot], &mut value_versions[slot]);
             let mut handle =
-                VertexHandle::over_columns(ids[slot], &mut values[slot], entry, *version);
+                VertexHandle::over_columns(ids[slot], value.0, value.1, entry, *version);
             compute(&mut handle, inbox.take(slot));
             set_bit(awake, slot, !handle.has_voted_halt());
             if let Some(list) = handle.into_edits() {
@@ -402,7 +434,7 @@ impl<C: Computation> Partition<C> {
 
     /// Adds a vertex; false if `id` is live.
     pub(crate) fn add_vertex(&mut self, id: C::Id, value: C::VValue) -> bool {
-        let added = self.push(id, value, []);
+        let added = self.push(id, value, fresh_version(), []);
         if added {
             self.touch_topology();
         }
@@ -534,6 +566,7 @@ impl<C: Computation> Partition<C> {
         }
         Ok(Self {
             live_edges: edges.len() as u64,
+            value_versions: fresh_versions(n).collect(),
             ids,
             values,
             offsets,
