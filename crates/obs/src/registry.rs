@@ -1,8 +1,10 @@
 //! The metrics registry: counters, gauges, and fixed-bucket histograms,
 //! each optionally scoped to a worker and/or a superstep.
 //!
-//! Storage is ordered (`BTreeMap`) and the snapshot is fully sorted, so
-//! exports are deterministic byte-for-byte given identical recordings.
+//! Storage is ordered (`BTreeMap`, by name and then by scope) and the
+//! snapshot is fully sorted, so exports are deterministic byte-for-byte
+//! given identical recordings. A metric that already exists is found by
+//! its borrowed name, so recording it allocates nothing.
 //! All mutation paths are commutative (additions and max/last-write
 //! gauges), so concurrent recording from worker threads cannot perturb
 //! the exported bytes.
@@ -49,13 +51,34 @@ impl Scope {
     }
 }
 
-type Key = (String, Scope);
+/// One kind of metric: per name, per scope.
+type Metrics<T> = BTreeMap<String, BTreeMap<Scope, T>>;
+
+/// The `(name, scope)` slot of `metrics`, made with `init` if absent: the
+/// name is copied only the first time it is recorded.
+fn slot<'a, T>(
+    metrics: &'a mut Metrics<T>,
+    name: &str,
+    scope: Scope,
+    init: impl FnOnce() -> T,
+) -> &'a mut T {
+    if !metrics.contains_key(name) {
+        metrics.insert(name.to_string(), BTreeMap::new());
+    }
+    let scopes = metrics.get_mut(name).expect("inserted above");
+    scopes.entry(scope).or_insert_with(init)
+}
+
+/// Every `(name, scope, value)` of `metrics`, sorted by name, then scope.
+fn entries<T>(metrics: &Metrics<T>) -> impl Iterator<Item = (&String, &Scope, &T)> {
+    metrics.iter().flat_map(|(name, scopes)| scopes.iter().map(move |(s, v)| (name, s, v)))
+}
 
 #[derive(Default)]
 struct Inner {
-    counters: BTreeMap<Key, u64>,
-    gauges: BTreeMap<Key, i64>,
-    histograms: BTreeMap<Key, Histogram>,
+    counters: Metrics<u64>,
+    gauges: Metrics<i64>,
+    histograms: Metrics<Histogram>,
     /// Per-vertex accumulated compute cost, keyed by the vertex's
     /// `Display` form.
     vertex_nanos: BTreeMap<String, VertexCost>,
@@ -93,100 +116,85 @@ impl MetricsRegistry {
     /// Adds `delta` to a counter, creating it at zero first.
     pub fn inc(&self, name: &str, scope: Scope, delta: u64) {
         let Some(mut inner) = self.lock() else { return };
-        *inner.counters.entry((name.to_string(), scope)).or_insert(0) += delta;
+        *slot(&mut inner.counters, name, scope, || 0) += delta;
     }
 
     /// Sets a gauge to `value` (last write wins).
     pub fn set_gauge(&self, name: &str, scope: Scope, value: i64) {
         let Some(mut inner) = self.lock() else { return };
-        inner.gauges.insert((name.to_string(), scope), value);
+        *slot(&mut inner.gauges, name, scope, || value) = value;
     }
 
     /// Raises a gauge to `value` if it is below it (or absent).
     pub fn max_gauge(&self, name: &str, scope: Scope, value: i64) {
         let Some(mut inner) = self.lock() else { return };
-        let slot = inner.gauges.entry((name.to_string(), scope)).or_insert(i64::MIN);
-        *slot = (*slot).max(value);
+        let gauge = slot(&mut inner.gauges, name, scope, || i64::MIN);
+        *gauge = (*gauge).max(value);
     }
 
     /// Records a duration into a time histogram.
     pub fn observe_time(&self, name: &str, scope: Scope, nanos: u64) {
         let Some(mut inner) = self.lock() else { return };
-        inner
-            .histograms
-            .entry((name.to_string(), scope))
-            .or_insert_with(Histogram::time)
-            .observe(nanos);
+        slot(&mut inner.histograms, name, scope, Histogram::time).observe(nanos);
     }
 
     /// Records a size into a byte histogram.
     pub fn observe_bytes(&self, name: &str, scope: Scope, bytes: u64) {
         let Some(mut inner) = self.lock() else { return };
-        inner
-            .histograms
-            .entry((name.to_string(), scope))
-            .or_insert_with(Histogram::bytes)
-            .observe(bytes);
+        slot(&mut inner.histograms, name, scope, Histogram::bytes).observe(bytes);
     }
 
     /// Accumulates one `compute()` call's cost against a vertex. Safe to
-    /// call concurrently from worker threads: accumulation commutes.
+    /// call concurrently from worker threads: accumulation commutes. A
+    /// vertex already recorded costs no allocation.
     pub fn record_vertex_compute(&self, vertex: &str, nanos: u64) {
         let Some(mut inner) = self.lock() else { return };
-        let cost = inner.vertex_nanos.entry(vertex.to_string()).or_insert_with(|| VertexCost {
-            vertex: vertex.to_string(),
-            nanos: 0,
-            calls: 0,
-        });
+        if !inner.vertex_nanos.contains_key(vertex) {
+            let cost = VertexCost { vertex: vertex.to_string(), nanos: 0, calls: 0 };
+            inner.vertex_nanos.insert(vertex.to_string(), cost);
+        }
+        let cost = inner.vertex_nanos.get_mut(vertex).expect("inserted above");
         cost.nanos += nanos;
         cost.calls += 1;
     }
 
     /// Current value of a counter (0 if never incremented).
     pub fn counter_value(&self, name: &str, scope: Scope) -> u64 {
-        self.lock()
-            .and_then(|inner| inner.counters.get(&(name.to_string(), scope)).copied())
-            .unwrap_or(0)
+        self.lock().and_then(|inner| inner.counters.get(name)?.get(&scope).copied()).unwrap_or(0)
     }
 
     /// Current value of a gauge, if set.
     pub fn gauge_value(&self, name: &str, scope: Scope) -> Option<i64> {
-        self.lock().and_then(|inner| inner.gauges.get(&(name.to_string(), scope)).copied())
+        self.lock().and_then(|inner| inner.gauges.get(name)?.get(&scope).copied())
     }
 
     /// Sum of a counter across all scopes carrying `name`.
     pub fn counter_total(&self, name: &str) -> u64 {
         let Some(inner) = self.lock() else { return 0 };
-        inner.counters.iter().filter(|((n, _), _)| n == name).map(|(_, v)| v).sum()
+        inner.counters.get(name).map_or(0, |scopes| scopes.values().sum())
     }
 
     /// A sorted, serializable copy of everything recorded so far.
     pub fn snapshot(&self) -> MetricsSnapshot {
         let Some(inner) = self.lock() else { return MetricsSnapshot::default() };
-        let counters = inner
-            .counters
-            .iter()
-            .map(|((name, scope), &value)| CounterEntry {
+        let counters = entries(&inner.counters)
+            .map(|(name, scope, &value)| CounterEntry {
                 name: name.clone(),
                 worker: scope.worker,
                 superstep: scope.superstep,
                 value,
             })
             .collect();
-        let gauges = inner
-            .gauges
-            .iter()
-            .map(|((name, scope), &value)| GaugeEntry {
+        let gauges = entries(&inner.gauges)
+            .map(|(name, scope, &value)| GaugeEntry {
                 name: name.clone(),
                 worker: scope.worker,
                 superstep: scope.superstep,
                 value,
             })
             .collect();
-        let histograms = inner
-            .histograms
-            .iter()
-            .map(|((name, scope), histogram)| HistogramEntry {
+        let histograms = entries(&inner.histograms)
+            .map(|(name, scope, histogram)| HistogramEntry {
                 name: name.clone(),
                 worker: scope.worker,
                 superstep: scope.superstep,

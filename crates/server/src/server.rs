@@ -8,6 +8,7 @@
 //! [`Obs`] registry; `/metrics` re-exports the whole registry as
 //! Prometheus text, server and engine metrics side by side.
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
 use std::io::BufReader;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -232,6 +233,41 @@ impl Drop for OpenConnection<'_> {
     }
 }
 
+/// `(label, server_requests_<label>, server_latency_<label>_nanos)` for
+/// every endpoint label [`Shared::dispatch`] returns, spelled out once so
+/// that recording a request formats no name.
+macro_rules! endpoint_metrics {
+    ($($label:literal),* $(,)?) => {
+        &[$(($label, concat!("server_requests_", $label), concat!("server_latency_", $label, "_nanos"))),*]
+    };
+}
+
+const ENDPOINT_METRICS: &[(&str, &str, &str)] = endpoint_metrics![
+    "reject",
+    "root",
+    "metrics",
+    "jobs",
+    "job",
+    "live",
+    "live_metrics",
+    "live_timeline",
+    "supersteps",
+    "violations",
+    "node_link",
+    "tabular",
+    "repro",
+];
+
+/// `server_responses_<class>xx` of each status class a response can have.
+const STATUS_CLASSES: [&str; 6] = [
+    "server_responses_0xx",
+    "server_responses_1xx",
+    "server_responses_2xx",
+    "server_responses_3xx",
+    "server_responses_4xx",
+    "server_responses_5xx",
+];
+
 impl Shared {
     fn handle_connection(&self, stream: TcpStream) {
         let _open = self.connections.open(&stream);
@@ -283,9 +319,21 @@ impl Shared {
     /// counter — all in the same registry `/metrics` exports.
     fn record(&self, endpoint: &str, status: u16, nanos: u64) {
         let registry = self.obs.registry();
-        registry.inc(&format!("server_requests_{endpoint}"), Scope::GLOBAL, 1);
-        registry.inc(&format!("server_responses_{}xx", status / 100), Scope::GLOBAL, 1);
-        registry.observe_time(&format!("server_latency_{endpoint}_nanos"), Scope::GLOBAL, nanos);
+        let (requests, latency): (Cow<str>, Cow<str>) =
+            match ENDPOINT_METRICS.iter().find(|(label, ..)| *label == endpoint) {
+                Some((_, requests, latency)) => ((*requests).into(), (*latency).into()),
+                None => (
+                    format!("server_requests_{endpoint}").into(),
+                    format!("server_latency_{endpoint}_nanos").into(),
+                ),
+            };
+        let class: Cow<str> = match STATUS_CLASSES.get(usize::from(status / 100)) {
+            Some(class) => (*class).into(),
+            None => format!("server_responses_{}xx", status / 100).into(),
+        };
+        registry.inc(&requests, Scope::GLOBAL, 1);
+        registry.inc(&class, Scope::GLOBAL, 1);
+        registry.observe_time(&latency, Scope::GLOBAL, nanos);
     }
 
     fn dispatch(&self, request: &Request) -> (&'static str, Response) {
