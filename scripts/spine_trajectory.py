@@ -8,7 +8,9 @@ run. A row holds the change's and the parent's commits (`commit`,
 `parent_commit`), the seeds and the pair count,
 and per side the median and IQR, over runs, of each end-to-end metric
 in BENCHMARK.json (and of the traced layer metrics, when both sides
-have them). Run from anywhere:
+have them), and of `debug_plain_ratio`: each untraced run's
+`debug_job_s / plain_job_s`, whose two minima share the run's host
+spell. Run from anywhere:
 
     python3 scripts/spine_trajectory.py PARENT_DIR CHANGE_DIR \
         [--parent REV] [--commit REV] [--out BENCH_spine.json]
@@ -35,15 +37,27 @@ def runs(side, suffix):
     return found
 
 
+def summary(values):
+    """The median and IQR of `values`, and how many there are."""
+    q1, _, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
+    return {"median": statistics.median(values), "iqr": q3 - q1, "n": len(values)}
+
+
 def spread(docs, names):
     """Per metric: the median and IQR of its value over the runs."""
     out = {}
     for name in names:
         values = [d["metrics"][name]["value"] for d in docs if name in d["metrics"]]
         if values:
-            q1, _, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
-            out[name] = {"median": statistics.median(values), "iqr": q3 - q1, "n": len(values)}
+            out[name] = summary(values)
     return out
+
+
+def debug_plain_ratio(docs):
+    """The median and IQR over untraced runs of each run's debug/plain ratio."""
+    values = [d["metrics"]["debug_job_s"]["value"] / d["metrics"]["plain_job_s"]["value"]
+              for d in docs if not d.get("trace") and "plain_job_s" in d["metrics"]]
+    return {"debug_plain_ratio": summary(values)} if values else {}
 
 
 def main():
@@ -68,6 +82,7 @@ def main():
             row["commit" if key == "change" else "parent_commit"] = \
                 revs[key] or docs[0]["host"]["git_commit"]
             row[key] = spread(docs, end_to_end)
+            row[key].update(debug_plain_ratio(docs))
             if workload in traced:
                 row[key].update(spread(traced[workload], LAYERS))
         row["seeds"] = sorted({d["seed"] for plain, _ in sides.values() for d in plain[workload]})
