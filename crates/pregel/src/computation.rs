@@ -107,9 +107,9 @@ pub trait Computation: Send + Sync + Sized + 'static {
 pub struct VertexHandle<'a, I, V, E> {
     id: I,
     value: &'a mut V,
-    /// The partition's version of `value`, drawn afresh whenever the
-    /// value may change; `None` for a handle over a caller's value.
-    value_version: Option<&'a mut u64>,
+    /// The partition's version of `value`, and the version it takes when
+    /// the value may change; `None` for a handle over a caller's value.
+    value_version: Option<(&'a mut u64, u64)>,
     edges: Edges<'a, I, E>,
     voted_halt: bool,
 }
@@ -135,17 +135,19 @@ impl<'a, I: VertexId, V: Value, E: Value> VertexHandle<'a, I, V, E> {
         Self { id, value, value_version: None, edges, voted_halt: false }
     }
 
-    /// A handle over a partition's value and edge columns, `value_version`
-    /// the value's version in its column; see [`Self::into_edits`].
+    /// A handle over a partition's value and edge columns: `value_version`
+    /// is the value's version in its column, which becomes `changed` when
+    /// the call may change the value; see [`Self::into_edits`].
     pub(crate) fn over_columns(
         id: I,
         value: &'a mut V,
-        value_version: &'a mut u64,
+        (value_version, changed): (&'a mut u64, u64),
         entry: &'a [Edge<I, E>],
         version: u64,
     ) -> Self {
         let edges = Edges::Columns { entry, version, edited: None };
-        Self { id, value, value_version: Some(value_version), edges, voted_halt: false }
+        let value_version = Some((value_version, changed));
+        Self { id, value, value_version, edges, voted_halt: false }
     }
 
     /// The edit buffer of a handle made by [`Self::over_columns`], if the
@@ -201,12 +203,13 @@ impl<'a, I: VertexId, V: Value, E: Value> VertexHandle<'a, I, V, E> {
     /// The version of [`Self::value`]: two moments of one vertex under
     /// equal versions see equal values, so a capture may skip encoding a
     /// value it already wrote under the same version. The engine's
-    /// partitions draw a fresh one whenever the value may change — here,
-    /// when [`Self::value_mut`] or [`Self::set_value`] is called, and for
-    /// every vertex a restore, a load or a replay builds; a handle over a
-    /// caller's value ([`Self::new`]) has none.
+    /// partitions give a vertex a version its value never had whenever the
+    /// value may change — here, when [`Self::value_mut`] or
+    /// [`Self::set_value`] is called, and for every vertex a restore, a
+    /// load or a replay builds; a handle over a caller's value
+    /// ([`Self::new`]) has none.
     pub fn value_version(&self) -> Option<u64> {
-        self.value_version.as_deref().copied()
+        self.value_version.as_ref().map(|(version, _)| **version)
     }
 
     /// Mutable access to the vertex value.
@@ -222,8 +225,8 @@ impl<'a, I: VertexId, V: Value, E: Value> VertexHandle<'a, I, V, E> {
     }
 
     fn touch_value(&mut self) {
-        if let Some(version) = self.value_version.as_deref_mut() {
-            *version = crate::partition::fresh_version();
+        if let Some((version, changed)) = &mut self.value_version {
+            **version = *changed;
         }
     }
 

@@ -29,8 +29,10 @@
 //! version ([`VertexHandle::entry_version`]). Each vertex value has a
 //! version of its own from the same counter, kept in a column beside the
 //! values: a fresh one whenever the vertex is added, built or decoded, and
-//! whenever a compute call takes the value to change it
-//! ([`VertexHandle::value_version`]).
+//! the one a sweep draws for itself whenever a compute call of that sweep
+//! takes the value to change it ([`VertexHandle::value_version`]). A sweep
+//! computes each vertex once, so no value of a vertex had that version
+//! before, and two values of one vertex under one version are one value.
 //! Decoding checks every column's length against the one it must agree
 //! with, halted words against `n`, and ids for duplicates before it builds
 //! anything; with the codec rejecting over-long varints, bytes that decode
@@ -369,13 +371,19 @@ impl<C: Computation> Partition<C> {
         } = self;
         let mut edits = false;
         let mut cursor = (0, 0);
+        let changed = fresh_version();
         while let Some(slot) = next_scheduled(awake, mail, &mut cursor) {
             set_bit(mail, slot, false);
             let entry = slot_edges(offsets, edges, edited, slot);
             let degree = entry.len() as u64;
-            let value = (&mut values[slot], &mut value_versions[slot]);
-            let mut handle =
-                VertexHandle::over_columns(ids[slot], value.0, value.1, entry, *version);
+            let value_version = (&mut value_versions[slot], changed);
+            let mut handle = VertexHandle::over_columns(
+                ids[slot],
+                &mut values[slot],
+                value_version,
+                entry,
+                *version,
+            );
             compute(&mut handle, inbox.take(slot));
             set_bit(awake, slot, !handle.has_voted_halt());
             if let Some(list) = handle.into_edits() {

@@ -8,7 +8,6 @@
 //! [`Obs`] registry; `/metrics` re-exports the whole registry as
 //! Prometheus text, server and engine metrics side by side.
 
-use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
 use std::io::BufReader;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -258,7 +257,8 @@ const ENDPOINT_METRICS: &[(&str, &str, &str)] = endpoint_metrics![
     "repro",
 ];
 
-/// `server_responses_<class>xx` of each status class a response can have.
+/// `server_responses_<class>xx` of each status class, by `status / 100`:
+/// every response the server writes has a status below 600.
 const STATUS_CLASSES: [&str; 6] = [
     "server_responses_0xx",
     "server_responses_1xx",
@@ -319,21 +319,13 @@ impl Shared {
     /// counter — all in the same registry `/metrics` exports.
     fn record(&self, endpoint: &str, status: u16, nanos: u64) {
         let registry = self.obs.registry();
-        let (requests, latency): (Cow<str>, Cow<str>) =
-            match ENDPOINT_METRICS.iter().find(|(label, ..)| *label == endpoint) {
-                Some((_, requests, latency)) => ((*requests).into(), (*latency).into()),
-                None => (
-                    format!("server_requests_{endpoint}").into(),
-                    format!("server_latency_{endpoint}_nanos").into(),
-                ),
-            };
-        let class: Cow<str> = match STATUS_CLASSES.get(usize::from(status / 100)) {
-            Some(class) => (*class).into(),
-            None => format!("server_responses_{}xx", status / 100).into(),
-        };
-        registry.inc(&requests, Scope::GLOBAL, 1);
-        registry.inc(&class, Scope::GLOBAL, 1);
-        registry.observe_time(&latency, Scope::GLOBAL, nanos);
+        let (_, requests, latency) = ENDPOINT_METRICS
+            .iter()
+            .find(|(label, ..)| *label == endpoint)
+            .expect("every endpoint label has its metric names");
+        registry.inc(requests, Scope::GLOBAL, 1);
+        registry.inc(STATUS_CLASSES[usize::from(status / 100)], Scope::GLOBAL, 1);
+        registry.observe_time(latency, Scope::GLOBAL, nanos);
     }
 
     fn dispatch(&self, request: &Request) -> (&'static str, Response) {
