@@ -78,12 +78,16 @@ pub(crate) const TAG_NAME: u8 = 8;
 pub(crate) const TAG_NAMED_OBJECT: u8 = 9;
 
 /// The newtype-struct name by which [`Tagged`] tells the GraftBin
-/// serializer to switch to the tagged encoding for the wrapped value.
-pub(crate) const TAGGED_TOKEN: &str = "$graft_codec::Tagged";
+/// serializer to switch to the tagged encoding for the wrapped value. A
+/// `static`, so that it has one address: the serializer compares names
+/// by address first, and a `const` copied into each crate that
+/// instantiates `Tagged<T>::serialize` would fail that and compare bytes.
+pub(crate) static TAGGED_TOKEN: &str = "$graft_codec::Tagged";
 
 /// The newtype-struct name by which [`Interned`] tells the GraftBin
-/// serializer to switch to the interned tagged encoding.
-pub(crate) const INTERNED_TOKEN: &str = "$graft_codec::Interned";
+/// serializer to switch to the interned tagged encoding; a `static` for
+/// the reason [`TAGGED_TOKEN`] is.
+pub(crate) static INTERNED_TOKEN: &str = "$graft_codec::Interned";
 
 /// Marks a value as type-erased: under GraftBin it is written in the
 /// tagged encoding of the module docs (decodable as a

@@ -219,6 +219,7 @@ impl<C: Computation> Instrumented<C> {
                 value_versions: version_before.zip(vertex.value_version()),
                 incoming: messages,
                 outgoing: ctx.staged_sends(),
+                outgoing_broadcast: ctx.staged_broadcast(),
                 aggregators: ctx.visible_aggregators(),
                 global: ctx.global(),
                 context_version: ctx.context_version(),

@@ -669,6 +669,12 @@ pub struct VertexCapture<'a, I, V, M, Ed, Ag> {
     pub incoming: &'a [M],
     /// Messages the vertex sent, in send order.
     pub outgoing: &'a [(I, M)],
+    /// Whether `outgoing` is one broadcast
+    /// ([`graft_pregel::ComputeContext::staged_broadcast`]): at least one
+    /// send, the sends' targets the targets of `edges` in edge order, and
+    /// every message a clone of the first, so the writer may write a
+    /// broadcast without comparing the messages. `false` promises nothing.
+    pub outgoing_broadcast: bool,
     /// `(name, value)` of each aggregator visible this superstep.
     pub aggregators: Ag,
     /// Default global data.
@@ -859,49 +865,74 @@ where
     /// Appends the `outgoing` field: a [`WireOutgoing::Broadcast`] when
     /// there is at least one send, the sends' targets are the edges'
     /// targets in edge order, and every message encodes to the bytes of
-    /// the first; the pairs otherwise. Both tests are on encoded bytes —
-    /// `same_target` answers the first without encoding where equal ids
-    /// are known to encode alike — so `-0.0` never stands for `0.0`, and
-    /// two NaNs, which both encode as null, may. The messages are compared
-    /// in their context-free encoding: two are equal there exactly when
-    /// they intern alike against one table, whatever names the first of
-    /// them would have entered into it.
+    /// the first; the pairs otherwise. Where `outgoing_broadcast` vouches
+    /// for that, the broadcast is written with one message encoded and none
+    /// compared, which a debug build decides on bytes anyway and checks.
+    /// The vouch relies on what the engine stages:
+    /// [`graft_pregel::ComputeContext::send_message_to_all_edges`] over
+    /// unedited edges stages clones of one message along the edges at
+    /// compute entry, in edge order, and clones encode alike.
     fn write_outgoing(
         &self,
         out: &mut Vec<u8>,
         names: &mut NameTable,
         same_target: impl Fn(&I, &I) -> bool,
     ) -> graft_codec::Result<()> {
-        let field = out.len();
+        let broadcast = match self.outgoing_broadcast {
+            true if !cfg!(debug_assertions) => true,
+            vouched => {
+                let by_bytes = self.broadcast_by_bytes(out, same_target)?;
+                assert!(by_bytes || !vouched, "a broadcast vouch the bytes deny");
+                by_bytes
+            }
+        };
+        if let (true, Some((_, first))) = (broadcast, self.outgoing.first()) {
+            let count = self.outgoing.len() as u64;
+            let broadcast = Broadcast { count, value: Interned(first) };
+            return put_in(out, names, &WireOutgoing::<(), _>::Broadcast(broadcast));
+        }
+        let pairs =
+            self.outgoing.iter().map(|(target, message)| (Tagged(target), Interned(message)));
+        put_in(out, names, &WireOutgoing::<_, ()>::Pairs(Seq(pairs)))
+    }
+
+    /// Whether the sends are a broadcast by the byte rule of
+    /// [`Self::write_outgoing`], decided with `out` as scratch space past
+    /// its end. Both tests are on encoded bytes — `same_target` answers the
+    /// first without encoding where equal ids are known to encode alike —
+    /// so `-0.0` never stands for `0.0`, and two NaNs, which both encode as
+    /// null, may. The messages are compared in their context-free encoding:
+    /// two are equal there exactly when they intern alike against one
+    /// table, whatever names the first of them would have entered into it.
+    fn broadcast_by_bytes(
+        &self,
+        out: &mut Vec<u8>,
+        same_target: impl Fn(&I, &I) -> bool,
+    ) -> graft_codec::Result<bool> {
         let along_edges = self.outgoing.len() == self.edges.len()
             && self
                 .outgoing
                 .iter()
                 .zip(self.edges.clone())
                 .all(|((to, _), (target, _))| same_target(to, target));
-        if let (true, Some(((_, first), rest))) = (along_edges, self.outgoing.split_first()) {
-            put(out, &Tagged(first))?;
-            let value = field..out.len();
-            let mut alike = true;
-            for (_, message) in rest {
-                let at = out.len();
-                put(out, &Tagged(message))?;
-                alike = out[at..] == out[value.clone()];
-                out.truncate(at);
-                if !alike {
-                    break;
-                }
-            }
-            out.truncate(field);
-            if alike {
-                let count = self.outgoing.len() as u64;
-                let broadcast = Broadcast { count, value: Interned(first) };
-                return put_in(out, names, &WireOutgoing::<(), _>::Broadcast(broadcast));
+        let Some(((_, first), rest)) = self.outgoing.split_first().filter(|_| along_edges) else {
+            return Ok(false);
+        };
+        let field = out.len();
+        put(out, &Tagged(first))?;
+        let value = field..out.len();
+        let mut alike = true;
+        for (_, message) in rest {
+            let at = out.len();
+            put(out, &Tagged(message))?;
+            alike = out[at..] == out[value.clone()];
+            out.truncate(at);
+            if !alike {
+                break;
             }
         }
-        let pairs =
-            self.outgoing.iter().map(|(target, message)| (Tagged(target), Interned(message)));
-        put_in(out, names, &WireOutgoing::<_, ()>::Pairs(Seq(pairs)))
+        out.truncate(field);
+        Ok(alike)
     }
 }
 
@@ -1012,6 +1043,7 @@ where
             value_versions: None,
             incoming: &self.incoming,
             outgoing: &self.outgoing,
+            outgoing_broadcast: false,
             aggregators: self.aggregators.iter().map(|(name, value)| (name.as_str(), value)),
             global: self.global,
             context_version: None,

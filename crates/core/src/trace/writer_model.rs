@@ -15,7 +15,8 @@
 //! * the channels decode to the model, compared as JSON text so that
 //!   `-0.0` and `0.0` stay apart;
 //! * the worker bytes equal a twin run's that gives every version as
-//!   `None`: the version fast paths write what the byte rule writes;
+//!   `None` and vouches for no broadcast: the version and broadcast fast
+//!   paths write what the byte rule writes;
 //! * where no truncation comes before a resume, the run that resumes
 //!   equals the uninterrupted one, and every resumed writer stands where
 //!   the writer it replaced stood;
@@ -56,6 +57,9 @@ struct Append {
     edges_version: Option<u64>,
     value_versions: Option<(u64, u64)>,
     context_version: Option<u64>,
+    /// Whether the sends are clones of one message along every edge, at
+    /// least one.
+    broadcast: bool,
 }
 
 impl Append {
@@ -77,6 +81,7 @@ impl Append {
             edges_version: keep(self.edges_version),
             value_versions: self.value_versions.filter(|_| with_versions),
             context_version: keep(self.context_version),
+            outgoing_broadcast: self.broadcast && with_versions,
             ..self.record.borrowed()
         }
     }
@@ -235,20 +240,22 @@ impl Gen {
         let after_version = self.version(same_after, before_version);
         vertex.value = value_after.clone();
         vertex.value_version = after_version;
-        let outgoing = match self.rng.gen_range(0..3) {
+        let (outgoing, broadcast) = match self.rng.gen_range(0..3) {
             // Along every edge, one message: a broadcast unless NaN, -0.0
-            // and 0.0 break the bytes.
+            // and 0.0 break the bytes, vouched for where every send is a
+            // clone of the first.
             0 | 1 => {
                 let message = self.message();
-                let second = match self.rng.gen_bool(0.2) {
-                    true => self.message(),
-                    false => message.clone(),
+                let (second, clones) = match self.rng.gen_bool(0.2) {
+                    true => (self.message(), vertex.edges.len() < 2),
+                    false => (message.clone(), true),
                 };
                 let sends = vertex.edges.iter().enumerate();
                 let pick = |(at, _): (usize, _)| if at == 1 { &second } else { &message };
-                sends.map(|send| (send.1 .0, pick(send).clone())).collect()
+                let sends = sends.map(|send| (send.1 .0, pick(send).clone())).collect();
+                (sends, clones && !vertex.edges.is_empty())
             }
-            _ => (0..self.rng.gen_range(0..3)).map(|i| (i, self.message())).collect(),
+            _ => ((0..self.rng.gen_range(0..3)).map(|i| (i, self.message())).collect(), false),
         };
         let incoming = (0..self.rng.gen_range(0..3)).map(|_| self.message()).collect();
         let superstep = self.context.superstep;
@@ -270,7 +277,8 @@ impl Gen {
         let edges_version = vertex.edges_version;
         self.vertices.insert(id, vertex);
         let value_versions = before_version.zip(after_version);
-        Append { record, edges_version, value_versions, context_version: self.context.version }
+        let context_version = self.context.version;
+        Append { record, edges_version, value_versions, context_version, broadcast }
     }
 
     fn master(&mut self) -> MasterTrace {

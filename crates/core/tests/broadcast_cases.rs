@@ -13,8 +13,16 @@
 //! which, since layout v5 writes each name once per record, the writer
 //! must decide with every message encoded against the names as they
 //! stood before the first.
+//!
+//! Where the engine vouches for a call's sends as one broadcast, the
+//! writer takes its word without comparing the messages; a debug build
+//! compares them anyway and fails on a vouch the bytes deny. The vouch is
+//! given only for one `send_message_to_all_edges` over unedited edges of
+//! a vertex with any, and must be withheld around other sends, for a
+//! second broadcast, at degree 0 and after an edit, even one that
+//! restores the list.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex};
 
 use graft::trace::{
@@ -38,16 +46,25 @@ const ROOT: &str = "/broadcast";
 const WORKERS: usize = 2;
 
 /// Each vertex's sends, type-erased, by `(superstep, vertex)`.
-type Sends = Arc<Mutex<BTreeMap<(u64, u64), Vec<(BinValue, BinValue)>>>>;
+type Sends = BTreeMap<(u64, u64), Vec<(BinValue, BinValue)>>;
+
+/// The sends of each call, and the calls whose sends the engine vouched
+/// for as one broadcast.
+#[derive(Clone, Default)]
+struct Noted {
+    sends: Arc<Mutex<Sends>>,
+    vouches: Arc<Mutex<BTreeSet<(u64, u64)>>>,
+}
 
 fn erased<T: Serialize>(value: &T) -> BinValue {
     graft_codec::to_bin_value(value).unwrap()
 }
 
-/// Runs `C`, noting the sends each call made.
+/// Runs `C`, noting the sends each call made and whether they were
+/// vouched for.
 struct Witnessed<C> {
     inner: C,
-    sends: Sends,
+    noted: Noted,
 }
 
 impl<C: Computation<Id = u64>> Computation for Witnessed<C> {
@@ -64,7 +81,11 @@ impl<C: Computation<Id = u64>> Computation for Witnessed<C> {
     ) {
         self.inner.compute(vertex, messages, ctx);
         let sends = ctx.staged_sends().iter().map(|(to, m)| (erased(to), erased(m))).collect();
-        self.sends.lock().unwrap().insert((ctx.superstep(), vertex.id()), sends);
+        let key = (ctx.superstep(), vertex.id());
+        self.noted.sends.lock().unwrap().insert(key, sends);
+        if ctx.staged_broadcast() {
+            self.noted.vouches.lock().unwrap().insert(key);
+        }
     }
 
     fn use_combiner(&self) -> bool {
@@ -98,10 +119,10 @@ impl<C: Computation<Id = u64>, M: MasterComputation<C>> MasterComputation<Witnes
 /// How a record's sends are written: `true` for a broadcast.
 type Forms = BTreeMap<(u64, u64), bool>;
 
-/// Checks the run of `computation` behind `sends` (see the module docs)
-/// and returns the form each record's sends took.
-fn check<C: Computation<Id = u64>>(run: &GraftRun<Witnessed<C>>, sends: &Sends) -> Forms {
-    let sends = sends.lock().unwrap();
+/// Checks the run of `computation` (see the module docs) and returns the
+/// form each record's sends took.
+fn check<C: Computation<Id = u64>>(run: &GraftRun<Witnessed<C>>, noted: &Noted) -> Forms {
+    let sends = noted.sends.lock().unwrap();
     let fs = run.fs();
     let session = UntypedSession::open(fs.clone(), ROOT).unwrap();
     // `==` on JSON values takes `-0.0` for `0.0`; their text does not.
@@ -160,6 +181,9 @@ fn check<C: Computation<Id = u64>>(run: &GraftRun<Witnessed<C>>, sends: &Sends) 
     }
     assert_eq!(forms.len(), run.captures as usize);
     assert_eq!(forms, rule, "the broadcast rule");
+    for key in noted.vouches.lock().unwrap().iter() {
+        assert!(forms[key], "superstep {}, vertex {}: a vouch for no broadcast", key.0, key.1);
+    }
     forms
 }
 
@@ -213,6 +237,18 @@ impl Computation for Cases {
                 ctx.send_message_to_all_edges(vertex, 2.0);
             }
             (1, 7) => ctx.send_message_to_all_edges(vertex, 2.0),
+            (1, 9) => {
+                ctx.send_message_to_all_edges(vertex, 2.0);
+                ctx.send_message(targets[0], 2.0);
+            }
+            (1, 10) => {
+                ctx.send_message(targets[0], 2.0);
+                ctx.send_message_to_all_edges(vertex, 2.0);
+            }
+            (1, 11) => {
+                ctx.send_message_to_all_edges(vertex, 2.0);
+                ctx.send_message_to_all_edges(vertex, 2.0);
+            }
             (1, _) => ctx.send_message(0, 2.0),
             _ => vertex.vote_to_halt(),
         }
@@ -221,43 +257,50 @@ impl Computation for Cases {
 
 #[test]
 fn broadcast_edge_cases_read_as_their_pairs() {
-    // Vertices 0-6 have two edges, 7 has one and 8 none.
+    // Vertices 0-6 and 9-11 have two edges, 7 has one and 8 none.
     let mut graph = Graph::builder();
-    for v in 0..9u64 {
+    for v in 0..12u64 {
         graph.add_vertex(v, 0.0).unwrap();
     }
-    for v in 0..7u64 {
+    for v in (0..7u64).chain(9..12) {
         graph.add_edge(v, (v + 1) % 9, ()).unwrap();
         graph.add_edge(v, (v + 3) % 9, ()).unwrap();
     }
     graph.add_edge(7, 0, ()).unwrap();
-    let sends = Sends::default();
-    let computation = Witnessed { inner: Cases, sends: sends.clone() };
+    let noted = Noted::default();
+    let computation = Witnessed { inner: Cases, noted: noted.clone() };
     let config = DebugConfig::builder().capture_all_active(true).build();
     let run = GraftRunner::new(computation, config)
         .num_workers(WORKERS)
         .run(graph.build().unwrap(), ROOT)
         .unwrap();
     assert!(run.outcome.is_ok());
-    let forms = check(&run, &sends);
+    let forms = check(&run, &noted);
+    let vouches = noted.vouches.lock().unwrap();
 
+    // (call, written as a broadcast, vouched for, case)
     let expected = [
-        ((0, 0), true, "two edges, one message"),
-        ((0, 7), true, "degree 1"),
-        ((0, 8), false, "degree 0: no sends"),
-        ((1, 0), false, "-0.0 next to 0.0"),
-        ((1, 1), true, "two NaNs, both null"),
-        ((1, 2), false, "a subset of the edges"),
-        ((1, 3), false, "the edges in another order"),
-        ((1, 4), false, "along the edges after an added edge"),
-        ((1, 5), false, "along the edges after a removed edge"),
-        ((1, 6), true, "an edit that restores the list"),
-        ((1, 7), true, "degree 1"),
-        ((1, 8), false, "degree 0: a send off the edges"),
-        ((2, 4), true, "along the edited list"),
+        ((0, 0), true, true, "two edges, one message"),
+        ((0, 7), true, true, "degree 1"),
+        ((0, 8), false, false, "degree 0: a broadcast with no sends"),
+        ((1, 0), false, false, "-0.0 next to 0.0"),
+        ((1, 1), true, false, "two NaNs, both null"),
+        ((1, 2), false, false, "a subset of the edges"),
+        ((1, 3), false, false, "the edges in another order"),
+        ((1, 4), false, false, "along the edges after an added edge"),
+        ((1, 5), false, false, "along the edges after a removed edge"),
+        ((1, 6), true, false, "an edit that restores the list"),
+        ((1, 7), true, true, "degree 1"),
+        ((1, 8), false, false, "degree 0: a send off the edges"),
+        ((1, 9), false, false, "a broadcast, then one send more"),
+        ((1, 10), false, false, "one send, then a broadcast"),
+        ((1, 11), false, false, "two broadcasts"),
+        ((2, 4), true, true, "along the edited list"),
     ];
-    for (key, broadcast, case) in expected {
-        assert_eq!(forms[&key], broadcast, "superstep {}, vertex {}: {case}", key.0, key.1);
+    for (key, broadcast, vouched, case) in expected {
+        let label = format!("superstep {}, vertex {}: {case}", key.0, key.1);
+        assert_eq!(forms[&key], broadcast, "{label}");
+        assert_eq!(vouches.contains(&key), vouched, "{label}: the vouch");
     }
 }
 
@@ -273,8 +316,8 @@ fn graph_coloring_priority_and_in_set_rounds_read_as_their_pairs() {
             graph.add_undirected_edge(v, (v + 7) % 32, ()).unwrap();
         }
     }
-    let sends = Sends::default();
-    let computation = Witnessed { inner: GraphColoring::new(7), sends: sends.clone() };
+    let noted = Noted::default();
+    let computation = Witnessed { inner: GraphColoring::new(7), noted: noted.clone() };
     let config = DebugConfig::builder().capture_all_active(true).build();
     let run = GraftRunner::new(computation, config)
         .with_master(WitnessedMaster(GraphColoringMaster))
@@ -283,10 +326,10 @@ fn graph_coloring_priority_and_in_set_rounds_read_as_their_pairs() {
         .run(graph.build().unwrap(), ROOT)
         .unwrap();
     assert!(run.outcome.is_ok());
-    let forms = check(&run, &sends);
+    let forms = check(&run, &noted);
 
     // Both message kinds are written as broadcasts.
-    let sends = sends.lock().unwrap();
+    let sends = noted.sends.lock().unwrap();
     let kind = |pairs: &[(BinValue, BinValue)]| match &pairs.first()?.1 .0 {
         serde_json::Value::String(unit) => Some(unit.clone()),
         serde_json::Value::Object(variant) => variant.keys().next().cloned(),

@@ -121,6 +121,8 @@ where
         value_versions: None,
         incoming: &trace.incoming,
         outgoing: &trace.outgoing,
+        // Promises nothing: the form is decided on bytes.
+        outgoing_broadcast: false,
         aggregators: trace.aggregators.iter().map(|(name, value)| (name.as_str(), value)),
         global: trace.global,
         // One version for both captures below: the second is in the

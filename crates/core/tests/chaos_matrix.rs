@@ -23,6 +23,7 @@ use graft_pregel::{
     AggOp, AggValue, AggregatorRegistry, Computation, ContextOf, FaultPlan, GlobalData, Graph,
     RecoveryMode, VertexHandleOf,
 };
+use serde::Serialize;
 
 const TRACE_ROOT: &str = "/traces/chaos";
 
@@ -460,14 +461,69 @@ impl Computation for Splice {
     }
 }
 
+/// Sends for twelve supersteps, each vertex in one of five ways that
+/// turn with the superstep, each vertex from its own start: a broadcast
+/// and one send more, two broadcasts, one send and then a broadcast, one
+/// broadcast, or nothing. Only the one broadcast is vouched for, and in
+/// some supersteps a call that sends nothing follows a vouched one in its
+/// partition's sweep.
+struct Mixed;
+
+impl Computation for Mixed {
+    type Id = u64;
+    type VValue = u64;
+    type EValue = ();
+    type Message = u64;
+
+    fn compute(
+        &self,
+        vertex: &mut VertexHandleOf<'_, Self>,
+        messages: &[u64],
+        ctx: &mut ContextOf<'_, Self>,
+    ) {
+        let superstep = ctx.superstep();
+        if superstep >= 12 {
+            vertex.vote_to_halt();
+            return;
+        }
+        let id = vertex.id();
+        vertex.set_value((vertex.value() + messages.iter().sum::<u64>() + 1) % 1_000);
+        let value = *vertex.value();
+        match (id * id + superstep) % 5 {
+            0 => {
+                ctx.send_message_to_all_edges(vertex, value);
+                ctx.send_message(id, value);
+            }
+            1 => {
+                ctx.send_message_to_all_edges(vertex, value);
+                ctx.send_message_to_all_edges(vertex, value);
+            }
+            2 => {
+                ctx.send_message(id, value);
+                ctx.send_message_to_all_edges(vertex, value);
+            }
+            3 => ctx.send_message_to_all_edges(vertex, value),
+            _ => {}
+        }
+    }
+}
+
 /// What `compute` was handed, independent of any trace: a vertex's value
 /// and out-edges at compute entry, type-erased as a trace reads them, and
-/// the context — global data and aggregator values — it ran in.
+/// the context — global data and aggregator values — it ran in; and what
+/// it sent, with whether the engine vouched for the sends as one
+/// broadcast.
 struct Entry {
     value: BinValue,
     edges: Vec<(BinValue, BinValue)>,
     global: GlobalData,
     aggregators: Vec<(String, AggValue)>,
+    sends: Vec<(BinValue, BinValue)>,
+    vouched: bool,
+}
+
+fn erased<T: Serialize>(value: &T) -> BinValue {
+    graft_codec::to_bin_value(value).unwrap()
 }
 
 /// Each compute call's [`Entry`], by `(superstep, vertex)`; a superstep
@@ -476,8 +532,9 @@ type Entries = Arc<Mutex<BTreeMap<(u64, u64), Entry>>>;
 
 /// Runs `C`, noting each call's [`Entry`] as it goes, and adds an
 /// aggregator of its own whose value moves every superstep, so that every
-/// superstep's context differs from the last. (`Rewire` and `Splice` use
-/// no combiner and no aggregator, so nothing else is forwarded.)
+/// superstep's context differs from the last. (`Rewire`, `Splice` and
+/// `Mixed` use no combiner and no aggregator, so nothing else is
+/// forwarded.)
 struct Witnessed<C> {
     inner: C,
     seen: Entries,
@@ -495,22 +552,16 @@ impl<C: Computation<Id = u64>> Computation for Witnessed<C> {
         messages: &[C::Message],
         ctx: &mut ContextOf<'_, Self>,
     ) {
-        let edges = vertex.edges().iter().map(|e| {
-            (
-                graft_codec::to_bin_value(&e.target).unwrap(),
-                graft_codec::to_bin_value(&e.value).unwrap(),
-            )
-        });
-        let entry = Entry {
-            value: graft_codec::to_bin_value(vertex.value()).unwrap(),
-            edges: edges.collect(),
-            global: ctx.global(),
-            aggregators: ctx.aggregator_snapshot(),
-        };
+        let value = erased(vertex.value());
+        let edges = vertex.edges().iter().map(|e| (erased(&e.target), erased(&e.value))).collect();
+        let (global, aggregators) = (ctx.global(), ctx.aggregator_snapshot());
         let (superstep, id) = (ctx.superstep(), vertex.id());
-        self.seen.lock().unwrap().insert((superstep, id), entry);
         ctx.aggregate("witness", AggValue::Long((superstep * id) as i64));
         self.inner.compute(vertex, messages, ctx);
+        let sends = ctx.staged_sends().iter().map(|(to, m)| (erased(to), erased(m))).collect();
+        let vouched = ctx.staged_broadcast();
+        let entry = Entry { value, edges, global, aggregators, sends, vouched };
+        self.seen.lock().unwrap().insert((superstep, id), entry);
     }
 
     fn register_aggregators(&self, registry: &mut AggregatorRegistry) {
@@ -523,9 +574,12 @@ impl<C: Computation<Id = u64>> Computation for Witnessed<C> {
 /// capturing every active vertex in the supersteps `filter` lets through.
 /// Then the channels must hold one record of every compute call there, and
 /// every worker channel must be the bytes a fresh writer, which has no
-/// value, adjacency or context versions and so decides each `Same`, each
-/// reference and each group on bytes, writes for the channel's records
-/// with their value at entry, edges and context as `compute` saw them.
+/// value, adjacency or context versions and no broadcast vouches and so
+/// decides each `Same`, each reference, each group and each broadcast on
+/// bytes, writes for the channel's records with their value at entry,
+/// edges, context and sends as `compute` saw and made them. Every vouch
+/// must stand for a broadcast: at least one send, along the entry edges in
+/// edge order, of one message.
 fn assert_versions_write_the_byte_rule<C>(
     computation: C,
     plan: &str,
@@ -572,6 +626,7 @@ fn assert_versions_write_the_byte_rule<C>(
             let entry = &seen[&key];
             record.value_before = entry.value.clone();
             record.edges = entry.edges.clone();
+            record.outgoing = entry.sends.clone();
             (record.global, record.aggregators) = (entry.global, entry.aggregators.clone());
             writer.append_vertex(&record, &mut rebuilt).unwrap();
         }
@@ -592,6 +647,16 @@ fn assert_versions_write_the_byte_rule<C>(
         captured.keys().eq(seen.keys()) && captured.values().all(|count| *count == 1),
         "{label}: the channels do not hold one record of every compute call"
     );
+    // A vouch the writer ignores, for no sends, shows only here.
+    for ((superstep, vertex), entry) in seen.iter().filter(|(_, entry)| entry.vouched) {
+        let sends = &entry.sends;
+        let one_message =
+            sends.first().is_some_and(|(_, first)| sends.iter().all(|(_, m)| m == first));
+        let targets = sends.iter().map(|(to, _)| to);
+        let broadcast = one_message && targets.eq(entry.edges.iter().map(|(target, _)| target));
+        assert!(broadcast, "{label}: superstep {superstep}, vertex {vertex}: vouched {sends:?}");
+    }
+    assert!(seen.values().any(|entry| entry.vouched), "{label}: no broadcast was vouched for");
     assert!(references > 0, "{label}: no edge list was written by reference");
     // Every captured value differs from the one two supersteps before.
     assert_eq!(same > 0, filter == SuperstepFilter::All, "{label}: values written as `Same`");
@@ -600,9 +665,9 @@ fn assert_versions_write_the_byte_rule<C>(
 }
 
 /// The differential for the value-, adjacency- and context-version fast
-/// paths: whatever the versions let the writer skip, every channel is
-/// what the byte rule writes for the value, edges and context `compute`
-/// actually saw. A partition that kept its version across an edge change
+/// paths and the broadcast vouch: whatever the versions and vouches let
+/// the writer skip, every channel is what the byte rule writes for the
+/// value, edges and context `compute` actually saw and the sends it made. A partition that kept its version across an edge change
 /// would have the writer refer back to a stale list, which the channel,
 /// decoded and written again, repeats; the witnessed edges do not. A value
 /// version kept across a change would have the writer write a `Same` for a
@@ -610,8 +675,12 @@ fn assert_versions_write_the_byte_rule<C>(
 /// changed it (the even-supersteps cells), which the witnessed value is
 /// not. A context version reused for another superstep would have the
 /// writer file a record in the group before, which the witnessed calls do
-/// not. Covers local edits (`Rewire`), remote edge mutations (`Splice`),
-/// both recovery modes, and spilling.
+/// not. A vouch for sends that are not one broadcast would have the writer
+/// write a broadcast of the wrong count, which does not decode, or of the
+/// wrong messages, which the sends do not repeat. Covers local edits
+/// (`Rewire`, which broadcasts after them), remote edge mutations
+/// (`Splice`), sends around and beside a broadcast (`Mixed`), both
+/// recovery modes, and spilling.
 #[test]
 fn edge_references_by_version_are_what_the_byte_rule_writes() {
     let cells = [
@@ -634,7 +703,16 @@ fn edge_references_by_version_are_what_the_byte_rule_writes() {
                 &rewire,
             );
             let splice = format!("Splice {label}");
-            assert_versions_write_the_byte_rule(Splice, plan, recovery, budget, filter, &splice);
+            assert_versions_write_the_byte_rule(
+                Splice,
+                plan,
+                recovery,
+                budget,
+                filter.clone(),
+                &splice,
+            );
+            let mixed = format!("Mixed {label}");
+            assert_versions_write_the_byte_rule(Mixed, plan, recovery, budget, filter, &mixed);
         }
     }
 }

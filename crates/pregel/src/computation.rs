@@ -178,6 +178,15 @@ impl<'a, I: VertexId, V: Value, E: Value> VertexHandle<'a, I, V, E> {
         }
     }
 
+    /// Whether this call edited the edges (or ever asked to edit them):
+    /// while it has not, [`Self::edges`] is [`Self::edges_at_entry`].
+    pub fn edges_edited(&self) -> bool {
+        match &self.edges {
+            Edges::Columns { edited, .. } => edited.is_some(),
+            Edges::List { entry, .. } => entry.is_some(),
+        }
+    }
+
     /// The version of [`Self::edges_at_entry`]: two calls for one vertex
     /// under equal versions had equal entry edge lists, so a capture may
     /// skip encoding an adjacency it already wrote under the same version.
@@ -293,5 +302,62 @@ impl<'a, I: VertexId, V: Value, E: Value> VertexHandle<'a, I, V, E> {
     /// Whether `vote_to_halt` has been called during this compute call.
     pub fn has_voted_halt(&self) -> bool {
         self.voted_halt
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::aggregators::WorkerAggregators;
+    use crate::types::GlobalData;
+
+    fn edges(targets: &[u64]) -> Vec<Edge<u64, ()>> {
+        targets.iter().map(|t| Edge::new(*t, ())).collect()
+    }
+
+    /// Whether one broadcast after `edit` over a handle on the engine's
+    /// edge columns is vouched for.
+    fn vouched_after(edit: impl FnOnce(&mut VertexHandle<u64, u64, ()>)) -> bool {
+        let registry = AggregatorRegistry::new();
+        let mut aggs = WorkerAggregators::for_registry(&registry);
+        let mut mutations = Vec::new();
+        let global = GlobalData { superstep: 0, num_vertices: 4, num_edges: 4 };
+        let mut ctx: ComputeContext<u64, u64, (), u64> =
+            ComputeContext::new(global, 0, &registry, &mut aggs, &mut mutations);
+        let (entry, mut value, mut version) = (edges(&[2, 3]), 0, 0);
+        let mut vertex = VertexHandle::over_columns(1, &mut value, (&mut version, 1), &entry, 5);
+        edit(&mut vertex);
+        ctx.send_message_to_all_edges(&vertex, 7);
+        ctx.staged_broadcast()
+    }
+
+    #[test]
+    fn edges_are_edited_from_the_first_edit_on() {
+        let entry = edges(&[2, 3]);
+        let (mut value, mut version) = (0, 0);
+        let mut vertex = VertexHandle::over_columns(1, &mut value, (&mut version, 1), &entry, 5);
+        vertex.set_value(4);
+        assert!(!vertex.edges_edited(), "a value change is no edge edit");
+        vertex.edges_mut();
+        assert!(vertex.edges_edited(), "asking for the list counts");
+        assert_eq!(vertex.edges(), vertex.edges_at_entry());
+
+        let (mut value, mut list) = (0, edges(&[2, 3]));
+        let mut vertex = VertexHandle::new(1, &mut value, &mut list);
+        assert!(!vertex.edges_edited());
+        assert!(!vertex.remove_edge(9) && vertex.edges_edited(), "a miss still asked");
+    }
+
+    #[test]
+    fn a_broadcast_over_columns_is_vouched_only_while_unedited() {
+        assert!(vouched_after(|_| ()));
+        assert!(vouched_after(|vertex| vertex.set_value(9)));
+        assert!(!vouched_after(|vertex| vertex.add_edge(0, ())), "add_edge");
+        assert!(!vouched_after(|vertex| {
+            vertex.edges_mut();
+        }));
+        assert!(!vouched_after(|vertex| {
+            vertex.set_edge_value(2, ());
+        }));
     }
 }

@@ -32,6 +32,8 @@ pub struct ComputeContext<'a, I, V, E, M> {
     version: Option<u64>,
     worker_id: usize,
     staged: Vec<(I, M)>,
+    /// See [`ComputeContext::staged_broadcast`].
+    broadcast: bool,
     aggregators: &'a AggregatorRegistry,
     worker_aggs: &'a mut WorkerAggregators,
     mutations: &'a mut Vec<Mutation<I, V, E>>,
@@ -64,7 +66,8 @@ impl<'a, I: VertexId, V: Value, E: Value, M: Value> ComputeContext<'a, I, V, E, 
         mut staged: Vec<(I, M)>,
     ) -> Self {
         staged.clear();
-        Self { global, version: None, worker_id, staged, aggregators, worker_aggs, mutations }
+        let (version, broadcast) = (None, false);
+        Self { global, version, worker_id, staged, broadcast, aggregators, worker_aggs, mutations }
     }
 
     /// The context with [`ComputeContext::context_version`] `version`.
@@ -119,14 +122,33 @@ impl<'a, I: VertexId, V: Value, E: Value, M: Value> ComputeContext<'a, I, V, E, 
     /// Sends `message` to `target`, delivered at the start of the next
     /// superstep.
     pub fn send_message(&mut self, target: I, message: M) {
+        self.broadcast = false;
         self.staged.push((target, message));
     }
 
-    /// Sends `message` along every outgoing edge of `vertex`.
+    /// Sends `message` along every outgoing edge of `vertex`, in edge
+    /// order, as clones of the one message.
     pub fn send_message_to_all_edges(&mut self, vertex: &VertexHandle<'_, I, V, E>, message: M) {
+        let broadcast = self.staged.is_empty() && vertex.num_edges() > 0 && !vertex.edges_edited();
+        // Cleared while the clones are staged, so that a clone that
+        // panics leaves no vouch behind.
+        self.broadcast = false;
         for edge in vertex.edges() {
             self.staged.push((edge.target, message.clone()));
         }
+        self.broadcast = broadcast;
+    }
+
+    /// Whether the staged sends are one broadcast: the only send so far
+    /// was one [`ComputeContext::send_message_to_all_edges`], made with
+    /// nothing staged before it, over a vertex with at least one edge and
+    /// edges not edited in this call. The staged sends are then clones of
+    /// one message along the vertex's edges at compute entry, in edge
+    /// order, so a capture may write them as one broadcast without
+    /// comparing them. Any other send, a second broadcast and
+    /// [`ComputeContext::drain_staged`] clear it.
+    pub fn staged_broadcast(&self) -> bool {
+        self.broadcast
     }
 
     /// Folds `value` into the named aggregator. The merged result becomes
@@ -191,6 +213,105 @@ impl<'a, I: VertexId, V: Value, E: Value, M: Value> ComputeContext<'a, I, V, E, 
     /// Drains the staged messages of the current vertex. Used by the
     /// engine after each `compute()` and by single-vertex test harnesses.
     pub fn drain_staged(&mut self) -> std::vec::Drain<'_, (I, M)> {
+        self.broadcast = false;
         self.staged.drain(..)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    type Context<'a> = ComputeContext<'a, u64, u64, (), u64>;
+
+    /// Runs `f` over a fresh context and a handle over vertex 1 with edges
+    /// to `targets`.
+    fn with_context(
+        targets: &[u64],
+        f: impl FnOnce(&mut Context, &mut VertexHandle<u64, u64, ()>),
+    ) {
+        let registry = AggregatorRegistry::new();
+        let mut aggs = WorkerAggregators::for_registry(&registry);
+        let mut mutations = Vec::new();
+        let global = GlobalData { superstep: 0, num_vertices: 4, num_edges: 4 };
+        let mut ctx = ComputeContext::new(global, 0, &registry, &mut aggs, &mut mutations);
+        let (mut value, mut edges) = (0, targets.iter().map(|t| Edge::new(*t, ())).collect());
+        f(&mut ctx, &mut VertexHandle::new(1, &mut value, &mut edges));
+    }
+
+    #[test]
+    fn one_broadcast_over_unedited_edges_is_vouched() {
+        with_context(&[2, 3, 0], |ctx, vertex| {
+            assert!(!ctx.staged_broadcast(), "nothing staged yet");
+            ctx.send_message_to_all_edges(vertex, 7);
+            assert!(ctx.staged_broadcast());
+            assert_eq!(ctx.staged_sends(), &[(2, 7), (3, 7), (0, 7)]);
+        });
+    }
+
+    #[test]
+    fn any_other_send_withholds_the_vouch() {
+        with_context(&[2, 3], |ctx, vertex| {
+            ctx.send_message(2, 7);
+            ctx.send_message_to_all_edges(vertex, 7);
+            assert!(!ctx.staged_broadcast(), "a send before the broadcast");
+        });
+        with_context(&[2, 3], |ctx, vertex| {
+            ctx.send_message_to_all_edges(vertex, 7);
+            ctx.send_message(3, 7);
+            assert!(!ctx.staged_broadcast(), "a send after the broadcast");
+        });
+        with_context(&[2, 3], |ctx, vertex| {
+            ctx.send_message_to_all_edges(vertex, 7);
+            ctx.send_message_to_all_edges(vertex, 7);
+            assert!(!ctx.staged_broadcast(), "two broadcasts");
+        });
+        with_context(&[], |ctx, vertex| {
+            ctx.send_message_to_all_edges(vertex, 7);
+            assert!(!ctx.staged_broadcast(), "degree 0");
+        });
+    }
+
+    #[test]
+    fn an_edit_before_the_broadcast_withholds_the_vouch() {
+        with_context(&[2, 3], |ctx, vertex| {
+            vertex.add_edge(0, ());
+            ctx.send_message_to_all_edges(vertex, 7);
+            assert!(!ctx.staged_broadcast(), "along an added edge");
+        });
+        with_context(&[2, 3], |ctx, vertex| {
+            vertex.remove_edge(3);
+            vertex.add_edge(3, ());
+            ctx.send_message_to_all_edges(vertex, 7);
+            assert!(!ctx.staged_broadcast(), "an edit that restores the list is still an edit");
+        });
+        with_context(&[2, 3], |ctx, vertex| {
+            ctx.send_message_to_all_edges(vertex, 7);
+            vertex.add_edge(0, ());
+            assert!(ctx.staged_broadcast(), "an edit after it leaves the sends as they were");
+        });
+    }
+
+    #[test]
+    fn draining_and_a_recycled_buffer_reset_the_vouch() {
+        with_context(&[2, 3], |ctx, vertex| {
+            ctx.send_message_to_all_edges(vertex, 7);
+            assert_eq!(ctx.drain_staged().count(), 2);
+            assert!(!ctx.staged_broadcast(), "drained");
+            ctx.send_message_to_all_edges(vertex, 8);
+            assert!(ctx.staged_broadcast(), "the next call's broadcast");
+        });
+        let registry = AggregatorRegistry::new();
+        let mut aggs = WorkerAggregators::for_registry(&registry);
+        let mut mutations = Vec::new();
+        let global = GlobalData { superstep: 0, num_vertices: 4, num_edges: 4 };
+        let mut ctx: Context = ComputeContext::new(global, 0, &registry, &mut aggs, &mut mutations);
+        let (mut value, mut edges) = (0, vec![Edge::new(2, ())]);
+        ctx.send_message_to_all_edges(&VertexHandle::new(1, &mut value, &mut edges), 7);
+        assert!(ctx.staged_broadcast());
+        let buffer = ctx.into_buffer();
+        let ctx: Context =
+            ComputeContext::with_buffer(global, 0, &registry, &mut aggs, &mut mutations, buffer);
+        assert!(!ctx.staged_broadcast() && ctx.staged_sends().is_empty(), "a recycled buffer");
     }
 }
