@@ -142,11 +142,12 @@ impl<'a, I: VertexId, V: Value, E: Value, M: Value> ComputeContext<'a, I, V, E, 
     /// Whether the staged sends are one broadcast: the only send so far
     /// was one [`ComputeContext::send_message_to_all_edges`], made with
     /// nothing staged before it, over a vertex with at least one edge and
-    /// edges not edited in this call. The staged sends are then clones of
-    /// one message along the vertex's edges at compute entry, in edge
-    /// order, so a capture may write them as one broadcast without
-    /// comparing them. Any other send, a second broadcast and
-    /// [`ComputeContext::drain_staged`] clear it.
+    /// edges not edited in this call. Where that vertex is the one being
+    /// computed, the staged sends are then clones of one message along its
+    /// edges at compute entry, in edge order, so a capture may write them
+    /// as one broadcast without comparing them. Any other send, a second
+    /// broadcast and [`ComputeContext::drain_staged`] clear it, and a new
+    /// context starts without it.
     pub fn staged_broadcast(&self) -> bool {
         self.broadcast
     }

@@ -2,12 +2,14 @@
 """Reads a dump of sampler.c and prints where the CPU time went.
 
     report.py DUMP [--under REGEX] [--share REGEX ...] [--children REGEX ...]
-                   [--depth N] [--top N] [--width N]
+                   [--depth N] [--lines] [--top N] [--width N]
 
 Each sample's stack is symbolized with `addr2line -f -i -C`, so a frame
 inlined into another is a frame of its own, and generic arguments are
-dropped from the names. Libraries are symbolized with `nm`. The report
-gives:
+dropped from the names. --lines adds each frame's file and line (for
+an outer frame, the line of the call into the next), which tells apart
+the calls one function makes. Libraries are symbolized with `nm`. The
+report gives:
 
 * for each --share REGEX, the share of samples with a matching frame;
 * self time: the function the PC was in;
@@ -72,8 +74,9 @@ class Symbolizer:
     """Maps run-time addresses to stacks of function names, innermost
     first, through each module's ELF segments and addr2line."""
 
-    def __init__(self, maps):
+    def __init__(self, maps, lines):
         self.maps = maps
+        self.lines = lines
         self.starts = [m[0] for m in maps]
         self.segments = {}
         self.names = {}
@@ -115,9 +118,9 @@ class Symbolizer:
         for path, pairs in by_path.items():
             pairs = sorted(pairs)
             if path == self.maps[0][3]:
-                stacks = addr2line(path, [linked for _, linked in pairs])
+                stacks = addr2line(path, [linked for _, linked in pairs], self.lines)
                 for (address, _), frames in zip(pairs, stacks):
-                    self.names[address] = [generic_args(frame) for frame in frames]
+                    self.names[address] = frames
                 continue
             # A library, most likely stripped: the symbol whose extent
             # holds the address, or none (libc's memcmp variants are local
@@ -143,21 +146,25 @@ def generic_args(name):
         name = shorter
 
 
-def addr2line(path, addresses):
-    """addr2line's inline stacks for `addresses`, innermost first."""
+def addr2line(path, addresses, lines):
+    """addr2line's inline stacks for `addresses`, innermost first; with
+    `lines`, each name followed by the file and line its frame was at."""
     text = "\n".join(f"{a:#x}" for a in addresses)
     result = subprocess.run(
         ["addr2line", "-f", "-i", "-C", "-a", "-e", path],
         input=text, capture_output=True, text=True, check=False,
     )
-    stacks, lines = [], result.stdout.splitlines()
+    stacks, out = [], result.stdout.splitlines()
     i = 0
-    while i < len(lines):
-        if lines[i].startswith("0x"):
+    while i < len(out):
+        if out[i].startswith("0x"):
             stacks.append([])
             i += 1
             continue
-        stacks[-1].append(lines[i])
+        name = generic_args(out[i])
+        if lines and i + 1 < len(out):
+            name += f" @{out[i + 1].rsplit('/', 1)[-1].split(' ')[0]}"
+        stacks[-1].append(name)
         i += 2
     stacks += [["??"]] * (len(addresses) - len(stacks))
     return [frames or ["??"] for frames in stacks]
@@ -253,12 +260,14 @@ def main():
                         help="print the share of samples with a frame matching this")
     parser.add_argument("--children", action="append", default=[])
     parser.add_argument("--depth", type=int, default=3)
+    parser.add_argument("--lines", action="store_true",
+                        help="name each frame of the executable with its file and line")
     parser.add_argument("--top", type=int, default=25)
     parser.add_argument("--width", type=int, default=110)
     args = parser.parse_args()
 
     samples, maps, dropped = parse_dump(args.dump)
-    all_stacks, executable = stacks(samples, Symbolizer(maps))
+    all_stacks, executable = stacks(samples, Symbolizer(maps, args.lines))
     if args.under:
         under = re.compile(args.under)
         all_stacks = [s for s in all_stacks if any(under.search(n) for n in s[0])]
