@@ -244,7 +244,8 @@ def children(all_stacks, pattern, depth, total, width):
         for level in range(1, len(path) + 1):
             tree[path[:level]] += 1
     print(f"\nchildren of /{pattern.pattern}/ ({under} samples), to depth {depth}")
-    for path in sorted(tree, key=lambda p: [-tree[p[:i]] for i in range(1, len(p) + 1)]):
+    # Siblings by count, each followed by its own subtree.
+    for path in sorted(tree, key=lambda p: [(-tree[p[:i]], p[i - 1]) for i in range(1, len(p) + 1)]):
         count = tree[path]
         if 100 * count / total < 0.5:
             continue
