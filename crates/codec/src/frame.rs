@@ -77,7 +77,7 @@ pub(crate) fn write_len_prefixed<const GAP: usize>(
 }
 
 /// Appends one frame whose payload `encode` writes, in a single pass
-/// (see [`write_len_prefixed`]). The gap is two bytes — right for frames
+/// (see `write_len_prefixed`). The gap is two bytes — right for frames
 /// of 127 to 16,382 payload bytes.
 pub fn write_frame_with(
     out: &mut Vec<u8>,

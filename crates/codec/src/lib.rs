@@ -48,9 +48,9 @@ pub mod varint;
 pub use de::{from_slice, Deserializer};
 pub use error::{Error, Result};
 pub use ser::{framed_size, serialized_size, to_vec, Output, Serializer};
-pub use skim::{for_each_element, SkipSeq, SkipStr, SkipTagged, TaggedText};
+pub use skim::{for_each_element, SkipSeq, SkipStr, SkipTagged};
 pub use tagged::{write_interned, write_tagged, Interned, NameTable, Tagged};
-pub use value::{normalize, to_bin_value, BinValue};
+pub use value::TaggedBytes;
 
 /// Appends `value` to `out` behind its varint-encoded byte length, in one
 /// pass and with no intermediate buffer; on error `out` is left as it was.
@@ -83,6 +83,10 @@ pub fn framed_records<T: serde::de::DeserializeOwned>(
         Some(read.map(|(value, _)| value))
     })
 }
+
+#[cfg(test)]
+#[path = "../tests/oracle/mod.rs"]
+mod oracle;
 
 #[cfg(test)]
 mod tests {

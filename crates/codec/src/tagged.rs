@@ -18,10 +18,10 @@
 //! | `8` | string | a name |
 //! | `9` | object | varint count, `(name, value)` entries in key order |
 //!
-//! — which is what [`crate::BinValue`] decodes. [`Tagged`] encodes any
+//! — which a [`crate::TaggedBytes`] holds. [`Tagged`] encodes any
 //! `T: Serialize` to it directly, with no intermediate tree, by the rules
-//! that make the decoded tree equal to the `serde_json::Value` a JSON
-//! text round-trip of the same value yields:
+//! that make the tree equal to the `serde_json::Value` a JSON text
+//! round-trip of the same value yields:
 //!
 //! * integers `>= 0` (signed or not) take the unsigned tag, `< 0` the
 //!   negative one; `f32` widens to `f64`; `NaN` becomes null (JSON has no
@@ -54,8 +54,8 @@
 //! decoder builds the same table as it reads, so a payload still decodes
 //! alone, and a reader sees tag `8` as a string and `9` as an object.
 //!
-//! The output is byte-identical to `to_vec(&to_bin_value(value))` — or,
-//! interned, to `to_vec(&Interned(to_bin_value(value)))` — the
+//! The output is byte-identical to the encoding of the `serde_json::Value`
+//! a JSON text round-trip of `value` yields, written node by node — the
 //! tree-building reference the differential tests compare against.
 
 use std::io::Write as _;
@@ -66,14 +66,14 @@ use serde::{ser, Serialize};
 use crate::error::{Error, Result};
 use crate::varint;
 
-const TAG_NULL: u8 = 0;
-const TAG_BOOL: u8 = 1;
-const TAG_U64: u8 = 2;
-const TAG_I64: u8 = 3;
-const TAG_F64: u8 = 4;
-const TAG_STR: u8 = 5;
-const TAG_ARRAY: u8 = 6;
-const TAG_OBJECT: u8 = 7;
+pub(crate) const TAG_NULL: u8 = 0;
+pub(crate) const TAG_BOOL: u8 = 1;
+pub(crate) const TAG_U64: u8 = 2;
+pub(crate) const TAG_I64: u8 = 3;
+pub(crate) const TAG_F64: u8 = 4;
+pub(crate) const TAG_STR: u8 = 5;
+pub(crate) const TAG_ARRAY: u8 = 6;
+pub(crate) const TAG_OBJECT: u8 = 7;
 pub(crate) const TAG_NAME: u8 = 8;
 pub(crate) const TAG_NAMED_OBJECT: u8 = 9;
 
@@ -91,7 +91,7 @@ pub(crate) static INTERNED_TOKEN: &str = "$graft_codec::Interned";
 
 /// Marks a value as type-erased: under GraftBin it is written in the
 /// tagged encoding of the module docs (decodable as a
-/// [`crate::BinValue`]), under any other serializer — JSON — it is
+/// [`crate::TaggedBytes`]), under any other serializer — JSON — it is
 /// transparent.
 #[derive(Clone, Copy, Debug)]
 pub struct Tagged<T>(pub T);
@@ -212,7 +212,7 @@ struct TaggedSerializer<'a> {
     names: Option<&'a mut NameTable>,
 }
 
-fn write_str(out: &mut Vec<u8>, v: &str) {
+pub(crate) fn write_str(out: &mut Vec<u8>, v: &str) {
     varint::write_u64(out, v.len() as u64);
     out.extend_from_slice(v.as_bytes());
 }
@@ -263,7 +263,7 @@ fn begin_variant(out: &mut Vec<u8>, names: Option<&mut NameTable>, variant: &'st
 /// Rewrites the element count at `count_at` once the number of elements
 /// actually serialized is known to differ from the declared one, moving
 /// the names written after it with their bytes.
-fn fix_count(
+pub(crate) fn fix_count(
     out: &mut Vec<u8>,
     names: Option<&mut NameTable>,
     count_at: usize,
@@ -288,7 +288,7 @@ fn read_varint(buf: &[u8], pos: usize) -> (usize, usize) {
 
 /// The bytes of the key or name at `pos` of this module's own output,
 /// and the end of it: a name's index is read in `names`.
-fn read_key(buf: &[u8], names: Option<&NameTable>, pos: usize) -> (Range<usize>, usize) {
+pub(crate) fn read_key(buf: &[u8], names: Option<&NameTable>, pos: usize) -> (Range<usize>, usize) {
     let (value, at) = read_varint(buf, pos);
     match names {
         Some(names) if value & 1 == 1 => (names.range(value >> 1), at),
@@ -299,7 +299,7 @@ fn read_key(buf: &[u8], names: Option<&NameTable>, pos: usize) -> (Range<usize>,
 
 /// End offset of the tagged node that starts at `pos` of this module's
 /// own output, in either form.
-fn skip_value(buf: &[u8], pos: usize) -> usize {
+pub(crate) fn skip_value(buf: &[u8], pos: usize) -> usize {
     let after_tag = pos + 1;
     match buf[pos] {
         TAG_NULL => after_tag,
@@ -356,7 +356,12 @@ struct Entry {
 /// Where names are interned, the kept entries are interned again, in
 /// their new order, so each name is inline where it comes first in the
 /// final bytes (see [`Resort`]).
-fn sort_entries(out: &mut Vec<u8>, names: Option<&mut NameTable>, first: usize, count: u64) -> u64 {
+pub(crate) fn sort_entries(
+    out: &mut Vec<u8>,
+    names: Option<&mut NameTable>,
+    first: usize,
+    count: u64,
+) -> u64 {
     // A struct's few entries are sorted on the stack.
     let (mut stack, mut heap) = ([Entry::default(); 8], Vec::new());
     let entries = match usize::try_from(count) {
@@ -664,8 +669,8 @@ impl<'a> ser::Serializer for TaggedSerializer<'a> {
     }
 
     // The tree-building reference serializes through `serde_json`'s
-    // value serializer, which is human readable; dual-mode types (such
-    // as `BinValue` itself) must take the same branch here.
+    // value serializer, which is human readable; a dual-mode type must
+    // take the same branch here.
     fn is_human_readable(&self) -> bool {
         true
     }

@@ -1,6 +1,9 @@
 //! Randomized tests: every value GraftBin can encode decodes back to
 //! itself. Seeded generation keeps the cases reproducible offline.
 
+mod oracle;
+
+use oracle::BinValue;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
@@ -236,7 +239,7 @@ fn decoder_never_panics_on_garbage() {
         let _ = graft_codec::from_slice::<Tree>(&bytes);
         let _ = graft_codec::from_slice::<String>(&bytes);
         let _ = graft_codec::from_framed_slice::<Mixed>(&bytes);
-        let _ = graft_codec::from_slice::<graft_codec::BinValue>(&bytes);
+        let _ = graft_codec::from_slice::<graft_codec::TaggedBytes>(&bytes);
     }
 }
 
@@ -281,9 +284,9 @@ fn binvalue_matches_json_text_roundtrip_randomized() {
         let value = random_json(&mut rng, 4);
 
         let mut normalized = value.clone();
-        graft_codec::normalize(&mut normalized);
-        let bytes = graft_codec::to_vec(&graft_codec::BinValue(normalized.clone())).unwrap();
-        let via_bin: graft_codec::BinValue = graft_codec::from_slice(&bytes).unwrap();
+        oracle::normalize(&mut normalized);
+        let bytes = graft_codec::to_vec(&BinValue(normalized.clone())).unwrap();
+        let via_bin: BinValue = graft_codec::from_slice(&bytes).unwrap();
 
         let text = serde_json::to_vec(&value).unwrap();
         let via_text: serde_json::Value = serde_json::from_slice(&text).unwrap();
@@ -292,6 +295,15 @@ fn binvalue_matches_json_text_roundtrip_randomized() {
         // Normalization is idempotent, so re-encoding the decoded tree is
         // byte-identical — rollback/replay relies on this determinism.
         assert_eq!(graft_codec::to_vec(&via_bin).unwrap(), bytes);
+        // The leaf of the tree is those bytes, whether decoded from the
+        // unnormalized tree's or imported from the JSON text, and renders
+        // as the text.
+        let raw = graft_codec::to_vec(&BinValue(value.clone())).unwrap();
+        let leaf: graft_codec::TaggedBytes = graft_codec::from_slice(&raw).unwrap();
+        assert_eq!(leaf.as_bytes(), bytes, "for {value:?}");
+        let imported: graft_codec::TaggedBytes = serde_json::from_slice(&text).unwrap();
+        assert_eq!(imported.as_bytes(), bytes, "for {value:?}");
+        assert_eq!(leaf.json(), via_text.to_string());
     }
 }
 
@@ -310,7 +322,7 @@ fn frame_stream_roundtrips_randomized_batches() {
                 write_frame(&mut buf, kind, &payload);
                 expected.push((kind, payload));
             } else {
-                let value = graft_codec::BinValue(random_json(&mut rng, 3));
+                let value = BinValue(random_json(&mut rng, 3));
                 let payload = graft_codec::to_vec(&value).unwrap();
                 write_value_frame(&mut buf, kind, &value).unwrap();
                 expected.push((kind, payload));
@@ -388,7 +400,7 @@ fn frame_scanner_never_panics_on_corruption() {
         while let Ok(Some(frame)) = scanner.next_frame() {
             // Payloads may now be garbage; decoding must still be a
             // clean Ok/Err, never a panic.
-            let _ = graft_codec::from_slice::<graft_codec::BinValue>(frame.payload);
+            let _ = graft_codec::from_slice::<graft_codec::TaggedBytes>(frame.payload);
             let _ = graft_codec::from_slice::<Mixed>(frame.payload);
             steps += 1;
             assert!(steps <= 1024, "scanner must terminate");

@@ -3,6 +3,11 @@
 //! model. For any serializable value,
 //!
 //! * `write_tagged(v)` must produce exactly `to_vec(&to_bin_value(v))`,
+//!   the oracle's tree (`tests/oracle`), and the leaf a reader builds
+//!   of `v` — by decoding those bytes, the oracle's unnormalized tree or
+//!   an interned payload, or by importing `v`'s JSON text — must hold
+//!   exactly those bytes, render as the tree's text and replay, interned,
+//!   as the tree does,
 //! * `serde_json::to_vec(v)` (text written as the serde calls arrive)
 //!   must produce exactly `serde_json::to_vec(&to_value(v))` — the
 //!   `BTreeMap`-backed tree is sorted and de-duplicated by construction,
@@ -17,10 +22,12 @@
 
 use std::collections::{BTreeMap, HashMap};
 
+mod oracle;
+
 use graft_codec::{
-    serialized_size, to_bin_value, to_vec, write_interned, write_tagged, BinValue, Interned,
-    NameTable, Tagged,
+    serialized_size, to_vec, write_interned, write_tagged, Interned, NameTable, Tagged, TaggedBytes,
 };
+use oracle::{to_bin_value, BinValue};
 use rand::{Rng, SeedableRng};
 use serde::ser::{
     SerializeMap, SerializeSeq, SerializeStruct, SerializeStructVariant, SerializeTuple,
@@ -72,7 +79,8 @@ impl Check for TaggedAgainstTree {
 }
 
 fn check_tagged<T: Serialize + ?Sized>(value: &T, label: &str) {
-    let reference = to_bin_value(value).and_then(|tree| to_vec(&tree));
+    let tree = to_bin_value(value).map_err(|e| graft_codec::Error::Message(e.to_string()));
+    let reference = tree.and_then(|tree| to_vec(&tree));
     let mut streamed = Vec::new();
     let result = write_tagged(&mut streamed, value);
     match (reference, result) {
@@ -94,6 +102,7 @@ fn check_tagged<T: Serialize + ?Sized>(value: &T, label: &str) {
             // And the bytes decode to the tree the reference built.
             let decoded: BinValue = graft_codec::from_slice(&streamed).unwrap();
             assert_eq!(to_vec(&decoded).unwrap(), reference, "{label}: decode");
+            check_leaf(value, &decoded, label);
             check_interned(value, &decoded, label);
         }
         (Err(reference), Err(streamed)) => {
@@ -105,10 +114,43 @@ fn check_tagged<T: Serialize + ?Sized>(value: &T, label: &str) {
     }
 }
 
+/// The leaf a reader builds of `value`, whose tree is `tree`: decoded
+/// from the tree's bytes, or from the oracle's bytes of the tree
+/// serialized but not normalized (NaN a float, a non-negative integer
+/// signed), or imported from `value`'s JSON text, it holds the tree's
+/// context-free bytes, renders as the tree's text — a string bare — and
+/// replays as the tree under JSON and, interned, under GraftBin.
+fn check_leaf<T: Serialize + ?Sized>(value: &T, tree: &BinValue, label: &str) {
+    let bytes = to_vec(tree).unwrap();
+    let leaf: TaggedBytes = graft_codec::from_slice(&bytes).unwrap();
+    assert_eq!(leaf.as_bytes(), bytes, "{label}: leaf bytes");
+    let raw = BinValue(serde_json::to_value(value).unwrap());
+    let unnormalized: TaggedBytes = graft_codec::from_slice(&to_vec(&raw).unwrap()).unwrap();
+    assert_eq!(unnormalized, leaf, "{label}: leaf of the unnormalized tree");
+    if let Ok(text) = serde_json::to_vec(value) {
+        let imported: TaggedBytes = serde_json::from_slice(&text).unwrap();
+        assert_eq!(imported, leaf, "{label}: leaf imported from JSON text");
+    }
+    let text = tree.0.as_str().map_or_else(|| tree.0.to_string(), str::to_string);
+    assert_eq!((leaf.text(), leaf.json()), (text, tree.0.to_string()), "{label}: leaf text");
+    assert_eq!(to_vec(&leaf).unwrap(), bytes, "{label}: leaf replayed");
+    assert_eq!(
+        to_vec(&Interned(&leaf)).unwrap(),
+        to_vec(&Interned(tree)).unwrap(),
+        "{label}: leaf replayed interned"
+    );
+    assert_eq!(
+        serde_json::to_vec(&leaf).unwrap(),
+        serde_json::to_vec(&tree).unwrap(),
+        "{label}: leaf replayed as JSON"
+    );
+}
+
 /// The interned encoding of `value`, whose tree is `tree`, through every
 /// entry point: the single-pass writer, the wrapper through GraftBin,
 /// `serialized_size` and the tree reference agree on the bytes; those
-/// bytes decode alone to `tree`, and the tree re-encodes to them. Written
+/// bytes decode alone to the tree's context-free leaf, and the leaf
+/// re-encodes to them. Written
 /// twice into one payload around a tagged copy, the second interned copy
 /// is names by index only, and the triple is sized, decodes and
 /// re-encodes the same way.
@@ -124,8 +166,9 @@ fn check_interned<T: Serialize + ?Sized>(value: &T, tree: &BinValue, label: &str
         serde_json::to_vec(value).unwrap(),
         "{label}: JSON transparency of Interned"
     );
-    let decoded: BinValue = graft_codec::from_slice(&streamed).unwrap();
-    assert_eq!(decoded, *tree, "{label}: interned decode");
+    let leaf = to_vec(tree).unwrap();
+    let decoded: TaggedBytes = graft_codec::from_slice(&streamed).unwrap();
+    assert_eq!(decoded.as_bytes(), leaf, "{label}: interned decode");
     assert_eq!(to_vec(&Interned(&decoded)).unwrap(), reference, "{label}: interned re-encode");
 
     // `serialized_size` counts a tagged value between the two copies and
@@ -149,9 +192,10 @@ fn check_interned<T: Serialize + ?Sized>(value: &T, tree: &BinValue, label: &str
     }
     let typed = [b"typed".as_slice(), once, b"typed", second];
     assert_eq!(parts, typed.concat(), "{label}: a payload written in parts");
-    let (first, middle, last): (BinValue, BinValue, BinValue) =
+    let (first, middle, last): (TaggedBytes, TaggedBytes, TaggedBytes) =
         graft_codec::from_slice(&bytes).unwrap();
-    assert_eq!((&first, &middle, &last), (tree, tree, tree), "{label}: triple decode");
+    let decoded = [first, middle, last].map(|leaf| leaf.as_bytes().to_vec());
+    assert_eq!(decoded, [(); 3].map(|()| leaf.clone()), "{label}: triple decode");
     assert!(second.len() <= reference.len(), "{label}: the copy grew");
 }
 

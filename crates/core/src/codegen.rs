@@ -4,7 +4,7 @@
 
 use std::collections::BTreeMap;
 
-use graft_codec::BinValue;
+use graft_codec::TaggedBytes;
 use graft_pregel::AggValue;
 
 /// A text template with `${name}` placeholders.
@@ -120,12 +120,12 @@ pub fn debug_literal<T: std::fmt::Debug>(value: &T) -> String {
 /// floats), `null` maps back to `()`, and composite values fall back to
 /// their JSON rendering — readable, though the user may need to adjust
 /// them to their constructor syntax.
-pub fn json_literal(value: &BinValue) -> String {
-    use serde_json::Value;
-    match &value.0 {
-        Value::Null => "()".to_string(),
-        Value::String(s) => format!("{s:?}"),
-        other => other.to_string(),
+pub fn json_literal(value: &TaggedBytes) -> String {
+    let json = value.json();
+    match serde_json::from_str::<Option<String>>(&json) {
+        Ok(None) => "()".to_string(),
+        Ok(Some(s)) => format!("{s:?}"),
+        Err(_) => json,
     }
 }
 

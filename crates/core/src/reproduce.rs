@@ -6,7 +6,7 @@
 
 use std::collections::BTreeMap;
 
-use graft_codec::BinValue;
+use graft_codec::TaggedBytes;
 use graft_pregel::harness::{HarnessResult, VertexTestHarness};
 use graft_pregel::{AggValue, Computation, GlobalData};
 
@@ -236,9 +236,10 @@ ${aggregator_lines}        // The vertex's value and outgoing edges at compute()
 /// adapt.
 pub fn untyped_test_source(trace: &UntypedTrace, meta: &JobMeta) -> String {
     let t = trace.record();
-    let pairs = |list: &[(BinValue, BinValue)]| {
-        let pair =
-            |(a, b): &(BinValue, BinValue)| format!("({}, {})", json_literal(a), json_literal(b));
+    let pairs = |list: &[(TaggedBytes, TaggedBytes)]| {
+        let pair = |(a, b): &(TaggedBytes, TaggedBytes)| {
+            format!("({}, {})", json_literal(a), json_literal(b))
+        };
         list.iter().map(pair).collect::<Vec<_>>().join(", ")
     };
     let superstep = t.global.superstep;

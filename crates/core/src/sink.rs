@@ -200,10 +200,13 @@ impl TraceSink {
     }
 
     /// Hands a channel's pending records to its writer in one write.
-    /// When the writer fails the records are gone: the channel falls back
-    /// to what the writer last accepted, and a worker channel's lost
-    /// records leave the capture counts too, so `captures` never exceeds
-    /// the records the writers accepted.
+    /// When the writer fails the records are gone: the channel is rewound
+    /// to what the writer last accepted, as a rollback rewinds it — its
+    /// file cut back, a partial write included, and its writer resumed
+    /// from the bytes left — and a worker channel's lost records leave the
+    /// capture counts too, so `captures` never exceeds the records the
+    /// writers accepted. If the rewind fails too, the sink stays poisoned
+    /// and the channel's file is reported short at finalize.
     fn hand_over(&self, worker: Option<usize>, channel: &mut Channel) -> bool {
         if channel.pending.is_empty() {
             return true;
@@ -214,13 +217,16 @@ impl TraceSink {
             channel.handed = channel.now();
             return true;
         };
+        self.poison(e.into());
         let lost = channel.now().records - channel.handed.records;
-        channel.grammar.truncate(channel.handed.clone());
         if let Some(worker) = worker {
             self.captures.fetch_sub(lost, Ordering::Relaxed);
             self.worker_counts[worker].captures.fetch_sub(lost, Ordering::Relaxed);
         }
-        self.poison(e.into());
+        let handed = channel.handed.clone();
+        if let Err(e) = self.rewind(channel, &handed) {
+            self.poison(e);
+        }
         false
     }
 
@@ -370,7 +376,6 @@ impl TraceSink {
         }
         // Records not yet handed over belong to the aborted execution.
         channel.pending.clear();
-        channel.grammar.truncate(mark.clone());
         channel.handed = mark.clone();
         // Dropping the writer commits any buffered bytes; install a
         // placeholder so the channel stays structurally valid if the
@@ -765,9 +770,15 @@ mod tests {
         assert!(sink.record_vertex(0, &Rec { worker: 0, seq: 3 }));
         sink.finalize(5, None);
         assert_eq!(seqs_on_disk(&*fs, 0), [0, 1, 2, 3]);
-        // The index frames count what the file holds, not what was lost.
+        // The index frames count what the file holds, not what was lost:
+        // the channel is what a fresh writer of its records writes.
         let bytes = fs.read_all(&worker_trace_path("/traces/job", 0)).unwrap();
         assert_eq!(ChannelWriter::resume(&bytes).mark().records, 4);
+        let (mut fresh, mut expected) = (ChannelWriter::default(), Vec::new());
+        for record in rows_on_disk(&*fs, 0) {
+            fresh.append_vertex(&record, &mut expected).unwrap();
+        }
+        assert_eq!(bytes, expected);
         let result = fs.read_all(&result_path("/traces/job")).unwrap();
         let record: JobResultRecord = serde_json::from_slice(&result).unwrap();
         assert_eq!(record.captures, 7);

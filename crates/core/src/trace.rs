@@ -40,9 +40,10 @@
 //! written.
 //!
 //! Readers decode the same payload as a [`WireVertexTrace`], whose typed
-//! positions are [`graft_codec::BinValue`] trees, and take the rest of the
-//! record from its group's [`IndexRecord`], so any tool can browse a
-//! binary trace without the computation's Rust types. The tagged
+//! positions are [`graft_codec::TaggedBytes`] — the context-free tagged
+//! bytes of each tree, its names resolved as it is read — and take the
+//! rest of the record from its group's [`IndexRecord`], so any tool can
+//! browse a binary trace without the computation's Rust types. The tagged
 //! encoding is defined so that those trees are the exact
 //! `serde_json::Value`s a JSON text round-trip of the record yields, so
 //! a record exported to JSON lines and read back is the record, and
@@ -124,8 +125,7 @@ use std::sync::Arc;
 
 use graft_codec::frame::{Frame, FrameScanner};
 use graft_codec::{
-    for_each_element, BinValue, Interned, NameTable, SkipSeq, SkipStr, SkipTagged, Tagged,
-    TaggedText,
+    for_each_element, Interned, NameTable, SkipSeq, SkipStr, SkipTagged, Tagged, TaggedBytes,
 };
 use graft_dfs::FileSystem;
 use graft_pregel::hash::{FxHashMap, FxHasher};
@@ -216,17 +216,18 @@ pub type VertexTraceOf<C> = VertexTrace<
 >;
 
 /// A vertex trace whose computation-specific fields (id, values, edges,
-/// messages) are type-erased [`graft_codec::BinValue`] trees, its edges
+/// messages) are type-erased [`graft_codec::TaggedBytes`], its edges
 /// listed: what a JSON line or a v1 binary payload holds, and what a v6
 /// payload reads as once its `Same` value and edge reference are resolved
 /// and its group's context attached. Any tool can
 /// handle it without the computation's Rust types; it is the one form of
 /// a whole record that readers build ([`VertexChannel::record`]).
-pub type ErasedVertexTrace = VertexTrace<BinValue, BinValue, BinValue, BinValue>;
+pub type ErasedVertexTrace = VertexTrace<TaggedBytes, TaggedBytes, TaggedBytes, TaggedBytes>;
 
 impl ErasedVertexTrace {
     /// The record with its type-erased positions read as the
-    /// computation's types; every other field moves over as it is.
+    /// computation's types, each from its JSON text; every other field
+    /// moves over as it is.
     pub(crate) fn typed<I, V, E, M>(self) -> graft_codec::Result<VertexTrace<I, V, E, M>>
     where
         I: DeserializeOwned,
@@ -234,11 +235,11 @@ impl ErasedVertexTrace {
         E: DeserializeOwned,
         M: DeserializeOwned,
     {
-        fn leaf<T: DeserializeOwned>(value: &BinValue) -> graft_codec::Result<T> {
-            serde_json::from_value(&value.0).map_err(json_error)
+        fn leaf<T: DeserializeOwned>(value: &TaggedBytes) -> graft_codec::Result<T> {
+            serde_json::from_str(&value.json()).map_err(json_error)
         }
         fn pairs<A: DeserializeOwned, B: DeserializeOwned>(
-            list: &[(BinValue, BinValue)],
+            list: &[(TaggedBytes, TaggedBytes)],
         ) -> graft_codec::Result<Vec<(A, B)>> {
             list.iter().map(|(a, b)| Ok((leaf(a)?, leaf(b)?))).collect()
         }
@@ -307,25 +308,27 @@ pub struct Broadcast<M> {
 /// entry is a [`WireValue`], whose edges are a [`WireEdges`] and whose
 /// outgoing messages are a [`WireOutgoing`]. The values and messages are
 /// [`Interned`], against one name table for the payload; the id and the
-/// edges are context-free. Encoding one with
+/// edges are context-free. Each is read as its context-free
+/// [`TaggedBytes`], which names nothing, and written again through the
+/// payload's table. Encoding one with
 /// `graft_codec::frame::write_value_frame` gives the frame the capture
 /// path writes for the same record, a `Same` value included: the frame
 /// round-trips alone.
 #[derive(Clone, Debug, Deserialize)]
 pub struct WireVertexTrace {
     /// See [`VertexTrace::vertex`].
-    pub vertex: BinValue,
+    pub vertex: TaggedBytes,
     /// See [`VertexTrace::value_before`]: inline, or the same as the
     /// vertex's last `value_after`.
-    pub value_before: WireValue<BinValue>,
+    pub value_before: WireValue<TaggedBytes>,
     /// See [`VertexTrace::value_after`].
-    pub value_after: BinValue,
+    pub value_after: TaggedBytes,
     /// The edges, inline or by reference.
-    pub edges: WireEdges<Vec<(BinValue, BinValue)>>,
+    pub edges: WireEdges<Vec<(TaggedBytes, TaggedBytes)>>,
     /// See [`VertexTrace::incoming`].
-    pub incoming: Vec<BinValue>,
+    pub incoming: Vec<TaggedBytes>,
     /// The outgoing messages, listed or as one broadcast.
-    pub outgoing: WireOutgoing<Vec<(BinValue, BinValue)>, BinValue>,
+    pub outgoing: WireOutgoing<Vec<(TaggedBytes, TaggedBytes)>, TaggedBytes>,
     /// See [`VertexTrace::halted_after`].
     pub halted_after: bool,
     /// See [`VertexTrace::reasons`].
@@ -1288,20 +1291,6 @@ impl VertexRefs {
         }
         (self.arena, self.garbage) = (arena, 0);
     }
-
-    /// Forgets the frames at or past byte `len`, which the channel no
-    /// longer holds.
-    fn truncate(&mut self, len: u64) {
-        let gone = |offset: &mut Option<u64>| {
-            if offset.is_some_and(|offset| offset >= len) {
-                *offset = None;
-            }
-        };
-        for latest in &mut self.vertices {
-            gone(&mut latest.offset);
-            gone(&mut latest.last);
-        }
-    }
 }
 
 impl TraceRecord for MasterTrace {
@@ -1405,7 +1394,7 @@ impl ChannelWriter {
                                 reader.field::<SkipTagged>()?;
                                 value.extend_from_slice(&frame.payload[at..reader.at()]);
                             }
-                            None => put(&mut value, &Interned(reader.field::<BinValue>()?))?,
+                            None => put(&mut value, &Interned(reader.field::<TaggedBytes>()?))?,
                         }
                         let at = reader.at();
                         let edges: WireEdges<SkipSeq<(SkipTagged, SkipTagged)>> = reader.field()?;
@@ -1503,20 +1492,6 @@ impl ChannelWriter {
         record.encode_binary_frame(buf)?;
         self.mark.written += (buf.len() - start) as u64;
         Ok(())
-    }
-
-    /// Falls back to `mark`, an earlier mark of this writer: the channel
-    /// no longer holds what was written past it, so no later record
-    /// refers to that, and the open group is the mark's, its context
-    /// version unknown. A vertex whose edges or value a frame past the
-    /// mark had noted is forgotten, not put back as it stood at the mark:
-    /// its next record writes them inline, and the channel reads whole. A
-    /// writer resumed from the bytes left ([`Self::resume`]) is the one a
-    /// fresh writer of the same records would be.
-    pub fn truncate(&mut self, mark: ChannelMark) {
-        self.refs.truncate(mark.written);
-        self.mark = mark;
-        self.version = None;
     }
 }
 
@@ -1658,7 +1633,7 @@ pub(crate) fn violation_flag(kind: ViolationKind) -> u8 {
 /// field for field, as a [`WireVertexTrace`] — so it is a valid head
 /// exactly when it is a valid record — but every tree and string is
 /// checked and dropped (`graft_codec`'s `Skip*` types) instead of built,
-/// and the vertex id is rendered as it is read ([`TaggedText`]). An edge
+/// and the vertex id is read as its leaf and rendered. An edge
 /// reference is read, not followed. The superstep is the group's.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct VertexHead {
@@ -1844,8 +1819,8 @@ pub enum RowView {
 ///
 /// [`VertexChannel::digest`] skims a binary vertex payload for them the
 /// way [`VertexChannel::head`] does — the same decoder calls, field for
-/// field, so it succeeds exactly when the record decodes — rendering each
-/// kept tree to text as it is read ([`graft_codec::TaggedText`]) and
+/// field, so it succeeds exactly when the record decodes — reading each
+/// kept tree as its leaf and rendering it ([`TaggedBytes::text`]), and
 /// dropping messages, aggregators and violation details unread.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RowDigest {
@@ -1963,7 +1938,7 @@ impl<'a> VertexChannel<'a> {
     /// Skims a vertex payload for what a walk checks of it.
     fn skim(&self, payload: &[u8], group: Option<&IndexRecord>) -> graft_codec::Result<Skim> {
         let mut reader = self.reader(payload);
-        let (superstep, TaggedText(vertex), id) = reader.front()?;
+        let (superstep, vertex, id) = reader.front::<TaggedBytes>()?;
         let before = reader.skip_values()?;
         let edges = match reader.field::<WireEdges<SkipSeq<(SkipTagged, SkipTagged)>>>()? {
             WireEdges::Inline(list) => WireEdges::Inline(list.len),
@@ -1976,7 +1951,7 @@ impl<'a> VertexChannel<'a> {
             None => self.group(group)?.superstep,
         };
         Ok(Skim {
-            head: VertexHead { superstep, vertex, flags: listing.flags },
+            head: VertexHead { superstep, vertex: vertex.text(), flags: listing.flags },
             id,
             edges,
             broadcast,
@@ -1997,13 +1972,13 @@ impl<'a> VertexChannel<'a> {
     ) -> graft_codec::Result<RowDigest> {
         let with_edges = view == RowView::NodeLink;
         let mut reader = self.reader(payload);
-        let (_, TaggedText(vertex), id) = reader.front()?;
+        let (_, vertex, id) = reader.front::<TaggedBytes>()?;
         let value_before = match view {
-            RowView::Tabular => Some(reader.value_before::<TaggedText>()?),
+            RowView::Tabular => Some(reader.value_before::<TaggedBytes>()?),
             RowView::NodeLink => reader.value_before::<SkipTagged>().map(|_| None)?,
         };
-        let TaggedText(value_after) = reader.field()?;
-        let edges: WireEdges<Vec<(TaggedText, TaggedText)>> = if with_edges {
+        let value_after: TaggedBytes = reader.field()?;
+        let edges: WireEdges<Vec<(TaggedBytes, TaggedBytes)>> = if with_edges {
             reader.field()?
         } else {
             reader.field::<WireEdges<SkipSeq<(SkipTagged, SkipTagged)>>>()?;
@@ -2015,7 +1990,7 @@ impl<'a> VertexChannel<'a> {
             None => self.group(group)?.global,
         };
         let value_before = match value_before {
-            Some(value) => self.value(value, before, &payload[id.clone()])?.0,
+            Some(value) => self.value(value, before, &payload[id.clone()])?.text(),
             None => String::new(),
         };
         let edges = self.resolve(edges, &payload[id])?;
@@ -2023,10 +1998,10 @@ impl<'a> VertexChannel<'a> {
             check_broadcast(listing.outgoing, edges.len())?;
         }
         Ok(RowDigest {
-            vertex,
+            vertex: vertex.text(),
             value_before,
-            value_after,
-            edges: edges.into_iter().map(|(target, value)| (target.0, value.0)).collect(),
+            value_after: value_after.text(),
+            edges: edges.iter().map(|(target, value)| (target.text(), value.text())).collect(),
             incoming: listing.incoming,
             outgoing: listing.outgoing,
             global,
@@ -2050,7 +2025,7 @@ impl<'a> VertexChannel<'a> {
         let (superstep, vertex, id) = reader.front()?;
         let value_before = reader.value_before()?;
         let value_after = reader.field()?;
-        let edges: WireEdges<Vec<(BinValue, BinValue)>> = reader.field()?;
+        let edges: WireEdges<Vec<(TaggedBytes, TaggedBytes)>> = reader.field()?;
         let incoming = reader.field()?;
         let outgoing = reader.outgoing()?;
         let context = reader.context()?;
@@ -2061,25 +2036,26 @@ impl<'a> VertexChannel<'a> {
                 (group.superstep, group.aggregators.clone(), group.global)
             }
         };
-        let record = VertexTrace {
-            superstep,
-            vertex,
-            value_before: BinValue(serde_json::Value::Null),
-            value_after,
-            edges: Vec::new(),
-            incoming,
-            outgoing: Vec::new(),
-            aggregators,
-            global,
-            halted_after: reader.field()?,
-            reasons: reader.field()?,
-            violations: reader.field()?,
-            exception: reader.field()?,
-        };
+        let (halted_after, reasons, violations, exception) =
+            (reader.field()?, reader.field()?, reader.field()?, reader.field()?);
         reader.finish()?;
         let value_before = self.value(value_before, before, &payload[id.clone()])?;
         let edges = self.resolve(edges, &payload[id])?;
-        Ok(VertexTrace { value_before, outgoing: expand(outgoing, &edges)?, edges, ..record })
+        Ok(VertexTrace {
+            superstep,
+            vertex,
+            value_before,
+            value_after,
+            outgoing: expand(outgoing, &edges)?,
+            edges,
+            incoming,
+            aggregators,
+            global,
+            halted_after,
+            reasons,
+            violations,
+            exception,
+        })
     }
 
     /// The value at compute entry `value`, read at the frame `before`
@@ -2315,9 +2291,9 @@ fn for_each_vertex_record(
 }
 
 /// Decodes every vertex record of a v6 worker channel, `Same` values and
-/// edge references followed and broadcasts listed, each built from its [`ErasedVertexTrace`]
-/// ([`ErasedVertexTrace::typed`]): `VertexTraceOf<C>` for a typed
-/// session, or the record itself.
+/// edge references followed and broadcasts listed, each built from its
+/// [`ErasedVertexTrace`], its type-erased positions read from their JSON
+/// text: `VertexTraceOf<C>` for a typed session, or the record itself.
 pub fn decode_vertex_records<I, V, E, M>(
     bytes: &[u8],
 ) -> Result<Vec<VertexTrace<I, V, E, M>>, TraceReadError>
@@ -2915,8 +2891,8 @@ mod tests {
     /// channel capture writes, with an index frame wherever the context
     /// changes, export back to its own bytes, and read back — every
     /// record, and every row of a session over it — as its JSON lines;
-    /// and a writer truncated or resumed at any record must write the rest
-    /// of the channel as the uninterrupted one did.
+    /// and a writer resumed at any record must write the rest of the
+    /// channel as the uninterrupted one did.
     mod context_changes {
         use std::sync::Arc;
 
@@ -2974,7 +2950,7 @@ mod tests {
             let session = UntypedSession::open(fs, "/t").unwrap();
             for line in lines.split(|b| *b == b'\n').filter(|line| !line.is_empty()) {
                 let expected: ErasedVertexTrace = serde_json::from_slice(line).unwrap();
-                let vertex = expected.vertex.0.to_string();
+                let vertex = expected.vertex.json();
                 let row = session.vertex_at(expected.superstep, &vertex).unwrap();
                 assert_eq!(row.record(), &expected, "the session's row");
                 for view in [RowView::Tabular, RowView::NodeLink] {
@@ -2992,22 +2968,6 @@ mod tests {
                 }
             }
             for (cut, end) in ends.into_iter().enumerate() {
-                // Truncated: everything past the cut written, then lost.
-                let (mut writer, mut buf) = (ChannelWriter::default(), Vec::new());
-                for record in &records[..cut] {
-                    writer.append_vertex(record, &mut buf).unwrap();
-                }
-                let mark = writer.mark();
-                for record in &records[cut..] {
-                    writer.append_vertex(record, &mut buf).unwrap();
-                }
-                writer.truncate(mark);
-                buf.truncate(end);
-                for record in &records[cut..] {
-                    writer.append_vertex(record, &mut buf).unwrap();
-                }
-                assert_eq!(buf, native, "truncated to record {cut}");
-                // Resumed from the bytes of the cut.
                 let mut buf = native[..end].to_vec();
                 let mut writer = ChannelWriter::resume(&buf);
                 for record in &records[cut..] {

@@ -6,8 +6,8 @@
 //! records of ids from a small pool, whose edges, context and values are
 //! each equal to or changed from the last ones, under a version kept,
 //! bumped or absent; master records; marks; truncations to an earlier
-//! mark, either continued from (a failed write) or resumed from the bytes
-//! (a rewind); and resumes from the bytes so far. Values are structs whose
+//! mark, each resumed from the bytes left (a failed write, a rewind); and
+//! resumes from the bytes so far. Values are structs whose
 //! fields arrive out of key order; messages go as broadcasts and pairs;
 //! floats include `-0.0`, `0.0` and NaN. The model is the list of records
 //! the channels hold. After each case:
@@ -17,13 +17,10 @@
 //! * the worker bytes equal a twin run's that gives every version as
 //!   `None` and vouches for no broadcast: the version and broadcast fast
 //!   paths write what the byte rule writes;
-//! * where no truncation comes before a resume, the run that resumes
-//!   equals the uninterrupted one, and every resumed writer stands where
-//!   the writer it replaced stood;
-//! * where the writer's state was whole at every append (no append
-//!   between a truncation and the next resume), the bytes equal a fresh
-//!   writer's fed the model with every version `None`, and the model's JSON
-//!   lines taken through `native_channel`.
+//! * the run that resumes equals one that only truncates, and every
+//!   resumed writer stands where the writer it replaced stood;
+//! * the bytes equal a fresh writer's fed the model with every version
+//!   `None`, and the model's JSON lines taken through `native_channel`.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -92,23 +89,9 @@ enum Op {
     Vertex(Box<Append>),
     Master(MasterTrace),
     Mark,
-    /// Falls back to mark `to` and goes on writing, or `resume`s from the
-    /// bytes that are left.
-    Truncate {
-        to: usize,
-        resume: bool,
-    },
+    /// Falls back to mark `to`, resuming from the bytes that are left.
+    Truncate(usize),
     Resume,
-}
-
-/// What a generated case may rely on.
-struct Case {
-    ops: Vec<Op>,
-    /// No truncation comes before a resume.
-    resumes_match: bool,
-    /// No vertex record is appended between a truncation and the next
-    /// resume.
-    whole: bool,
 }
 
 /// Per vertex, what its last record held, and under which versions.
@@ -291,7 +274,7 @@ impl Gen {
         }
     }
 
-    fn case(seed: u64) -> Case {
+    fn case(seed: u64) -> Vec<Op> {
         let mut gen = Gen {
             rng: StdRng::seed_from_u64(seed),
             next_version: 0,
@@ -299,36 +282,24 @@ impl Gen {
             context: Context { superstep: 0, aggregators: vec![], vertices: 8, version: None },
         };
         let (mut ops, mut marks) = (Vec::new(), 0usize);
-        let (mut resumes_match, mut truncated, mut whole, mut exact) = (true, false, true, true);
         for _ in 0..gen.rng.gen_range(8..48) {
             let op = match gen.rng.gen_range(0..20) {
                 0..=11 => Op::Vertex(Box::new(gen.append())),
                 12 | 13 => Op::Master(gen.master()),
-                14..=16 => Op::Mark,
+                14..=16 => {
+                    marks += 1;
+                    Op::Mark
+                }
                 17 | 18 if marks > 0 => {
                     let to = gen.rng.gen_range(0..marks);
                     marks = to + 1;
-                    Op::Truncate { to, resume: gen.rng.gen_bool(0.5) }
+                    Op::Truncate(to)
                 }
                 _ => Op::Resume,
             };
-            match &op {
-                Op::Vertex(_) => whole &= exact,
-                Op::Mark => marks += 1,
-                Op::Truncate { resume, .. } => {
-                    truncated = true;
-                    exact = *resume;
-                    resumes_match &= !*resume;
-                }
-                Op::Resume => {
-                    exact = true;
-                    resumes_match &= !truncated;
-                }
-                Op::Master(_) => {}
-            }
             ops.push(op);
         }
-        Case { ops, resumes_match, whole }
+        ops
     }
 }
 
@@ -341,8 +312,9 @@ struct Run {
     masters: Vec<MasterTrace>,
 }
 
-/// Runs `ops`, resuming where they say so only if `resumes`, and handing
-/// over versions only `with_versions`.
+/// Runs `ops`, resuming where a [`Op::Resume`] says so only if `resumes`
+/// (a truncation always resumes), and handing over versions only
+/// `with_versions`.
 fn run(ops: &[Op], resumes: bool, with_versions: bool) -> Run {
     let mut out = Run::default();
     let (mut worker, mut master) = (ChannelWriter::default(), ChannelWriter::default());
@@ -365,19 +337,16 @@ fn run(ops: &[Op], resumes: bool, with_versions: bool) -> Run {
             Op::Mark => {
                 marks.push((worker.mark(), master.mark(), out.records.len(), out.masters.len()));
             }
-            Op::Truncate { to, resume: then_resume } => {
+            Op::Truncate(to) => {
                 marks.truncate(to + 1);
                 let (worker_mark, master_mark, records, masters) = marks[*to].clone();
                 out.worker.truncate(worker_mark.written as usize);
                 out.master.truncate(master_mark.written as usize);
-                worker.truncate(worker_mark);
-                master.truncate(master_mark);
+                worker = ChannelWriter::resume(&out.worker);
+                master = ChannelWriter::resume(&out.master);
+                assert_eq!((worker.mark(), master.mark()), (worker_mark, master_mark));
                 out.records.truncate(records);
                 out.masters.truncate(masters);
-                if *then_resume && resumes {
-                    resume(&mut worker, &out.worker);
-                    resume(&mut master, &out.master);
-                }
             }
             Op::Resume if resumes => {
                 resume(&mut worker, &out.worker);
@@ -405,9 +374,9 @@ fn json_lines<T: Serialize>(records: &[T]) -> Vec<u8> {
 }
 
 fn check(seed: u64) {
-    let case = Gen::case(seed);
-    let at = |what: &str| format!("seed {seed}: {what}\n{:#?}", case.ops);
-    let main = run(&case.ops, true, true);
+    let ops = Gen::case(seed);
+    let at = |what: &str| format!("seed {seed}: {what}\n{ops:#?}");
+    let main = run(&ops, true, true);
 
     let mut decoded = Vec::new();
     let channel = VertexChannel::new(&main.worker);
@@ -424,23 +393,19 @@ fn check(seed: u64) {
     let expected: Vec<String> = main.masters.iter().map(json).collect();
     assert_eq!(masters.iter().map(json).collect::<Vec<_>>(), expected, "{}", at("masters"));
 
-    let twin = run(&case.ops, true, false);
+    let twin = run(&ops, true, false);
     assert!(twin.worker == main.worker, "{}", at("the versions change no byte"));
-    if case.resumes_match {
-        let uninterrupted = run(&case.ops, false, true);
-        assert!(uninterrupted.worker == main.worker, "{}", at("a resume changes no byte"));
-        assert!(uninterrupted.master == main.master, "{}", at("a master resume"));
+    let uninterrupted = run(&ops, false, true);
+    assert!(uninterrupted.worker == main.worker, "{}", at("a resume changes no byte"));
+    assert!(uninterrupted.master == main.master, "{}", at("a master resume"));
+    let mut fresh = (ChannelWriter::default(), Vec::new());
+    for record in &main.records {
+        fresh.0.append_vertex(record, &mut fresh.1).unwrap();
     }
-    if case.whole {
-        let mut fresh = (ChannelWriter::default(), Vec::new());
-        for record in &main.records {
-            fresh.0.append_vertex(record, &mut fresh.1).unwrap();
-        }
-        assert!(fresh.1 == main.worker, "{}", at("a fresh writer fed the model"));
-        let lines = json_lines(&main.records);
-        let door = native_channel(TraceFormat::JsonLines, ChannelKind::Worker, lines, false);
-        assert!(door.unwrap() == main.worker, "{}", at("the model as JSON lines"));
-    }
+    assert!(fresh.1 == main.worker, "{}", at("a fresh writer fed the model"));
+    let lines = json_lines(&main.records);
+    let door = native_channel(TraceFormat::JsonLines, ChannelKind::Worker, lines, false);
+    assert!(door.unwrap() == main.worker, "{}", at("the model as JSON lines"));
     let lines = json_lines(&main.masters);
     let door = native_channel(TraceFormat::JsonLines, ChannelKind::Master, lines, false);
     assert!(door.unwrap() == main.master, "{}", at("the master model as JSON lines"));

@@ -4,8 +4,9 @@
 //! traces. Tools like `graft-cli` and `graft-server` — the browser-GUI
 //! stand-ins — must work on *any* job's traces, so this module reads
 //! records whose computation-specific fields are type-erased: binary
-//! frames carry them as tagged `BinValue` trees that reconstruct the exact
-//! dynamic values a JSON text round-trip gives (see `graft_codec::value`).
+//! frames carry them as tagged trees, read as the context-free
+//! [`graft_codec::TaggedBytes`] of the exact dynamic values a JSON text
+//! round-trip gives.
 //! Every channel comes in through the door, [`crate::trace::native_channel`]:
 //! a legacy JSON-lines or v1 to v5 channel is read in full, at open, into
 //! the v6 bytes `trace convert --to binary` writes for it, so every row
@@ -62,10 +63,8 @@ use std::collections::BTreeMap;
 use std::num::NonZeroU64;
 use std::sync::Arc;
 
-use graft_codec::BinValue;
 use graft_dfs::FileSystem;
 use graft_pregel::GlobalData;
-use serde_json::Value;
 
 use crate::session::{read_channel, read_json, read_result, Indicators, SessionError};
 use crate::trace::{
@@ -74,15 +73,6 @@ use crate::trace::{
     JobResultRecord, MasterTrace, RowDigest, RowView, VertexChannel, VertexHead, FLAG_EXCEPTION,
     FLAG_MESSAGE_VIOLATION, FLAG_VALUE_VIOLATION,
 };
-
-/// Renders a type-erased value as the views show it: a string as itself,
-/// anything else as compact JSON.
-fn compact(value: &BinValue) -> String {
-    match &value.0 {
-        Value::String(s) => s.clone(),
-        other => other.to_string(),
-    }
-}
 
 /// One captured vertex context, its type-erased positions rendered as the
 /// views show them.
@@ -103,22 +93,22 @@ impl UntypedTrace {
 
     /// The vertex id, rendered.
     pub fn vertex(&self) -> String {
-        compact(&self.0.vertex)
+        self.0.vertex.text()
     }
 
     /// The value at compute entry, rendered.
     pub fn value_before(&self) -> String {
-        compact(&self.0.value_before)
+        self.0.value_before.text()
     }
 
     /// The value after compute, rendered.
     pub fn value_after(&self) -> String {
-        compact(&self.0.value_after)
+        self.0.value_after.text()
     }
 
     /// The outgoing edges as `(target, edge value)` rendered pairs.
     pub fn edges(&self) -> Vec<(String, String)> {
-        self.0.edges.iter().map(|(target, value)| (compact(target), compact(value))).collect()
+        self.0.edges.iter().map(|(target, value)| (target.text(), value.text())).collect()
     }
 
     /// Number of incoming messages.

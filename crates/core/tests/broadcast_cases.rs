@@ -34,7 +34,7 @@ use graft::views::json as vj;
 use graft::{untyped_test_source, DebugConfig, GraftRun, GraftRunner};
 use graft_algorithms::coloring::{GCValue, GraphColoring, GraphColoringMaster};
 use graft_codec::frame::FrameScanner;
-use graft_codec::BinValue;
+use graft_codec::TaggedBytes;
 use graft_dfs::FileSystem;
 use graft_pregel::{
     AggregatorRegistry, Computation, ContextOf, Graph, MasterComputation, MasterContext,
@@ -46,7 +46,7 @@ const ROOT: &str = "/broadcast";
 const WORKERS: usize = 2;
 
 /// Each vertex's sends, type-erased, by `(superstep, vertex)`.
-type Sends = BTreeMap<(u64, u64), Vec<(BinValue, BinValue)>>;
+type Sends = BTreeMap<(u64, u64), Vec<(TaggedBytes, TaggedBytes)>>;
 
 /// The sends of each call, and the calls whose sends the engine vouched
 /// for as one broadcast.
@@ -56,8 +56,9 @@ struct Noted {
     vouches: Arc<Mutex<BTreeSet<(u64, u64)>>>,
 }
 
-fn erased<T: Serialize>(value: &T) -> BinValue {
-    graft_codec::to_bin_value(value).unwrap()
+/// `value` type-erased as a reader holds it: its JSON text, imported.
+fn erased<T: Serialize>(value: &T) -> TaggedBytes {
+    serde_json::from_slice(&serde_json::to_vec(value).unwrap()).unwrap()
 }
 
 /// Runs `C`, noting the sends each call made and whether they were
@@ -128,7 +129,7 @@ fn check<C: Computation<Id = u64>>(run: &GraftRun<Witnessed<C>>, noted: &Noted) 
     // `==` on JSON values takes `-0.0` for `0.0`; their text does not.
     let text = |record: &ErasedVertexTrace| serde_json::to_string(record).unwrap();
     let with_pairs = |mut record: ErasedVertexTrace| {
-        let vertex = record.vertex.0.as_u64().unwrap();
+        let vertex = record.vertex.text().parse::<u64>().unwrap();
         record.outgoing = sends[&(record.superstep, vertex)].clone();
         record
     };
@@ -139,7 +140,8 @@ fn check<C: Computation<Id = u64>>(run: &GraftRun<Witnessed<C>>, noted: &Noted) 
         let records: Vec<ErasedVertexTrace> = decode_vertex_records(&captured).unwrap();
         let mut lines = Vec::new();
         for record in records {
-            let (superstep, vertex) = (record.superstep, record.vertex.0.as_u64().unwrap());
+            let (superstep, vertex) =
+                (record.superstep, record.vertex.text().parse::<u64>().unwrap());
             let label = format!("superstep {superstep}, vertex {vertex}");
             let expected = with_pairs(record.clone());
             assert_eq!(text(&record), text(&expected), "{label}: the record");
@@ -174,7 +176,7 @@ fn check<C: Computation<Id = u64>>(run: &GraftRun<Witnessed<C>>, noted: &Noted) 
                 superstep = Some(group.superstep);
             } else if frame.kind == FRAME_VERTEX {
                 let wire: WireVertexTrace = graft_codec::from_slice(frame.payload).unwrap();
-                let key = (superstep.unwrap(), wire.vertex.0.as_u64().unwrap());
+                let key = (superstep.unwrap(), wire.vertex.text().parse::<u64>().unwrap());
                 forms.insert(key, matches!(wire.outgoing, WireOutgoing::Broadcast(_)));
             }
         }
@@ -330,11 +332,14 @@ fn graph_coloring_priority_and_in_set_rounds_read_as_their_pairs() {
 
     // Both message kinds are written as broadcasts.
     let sends = noted.sends.lock().unwrap();
-    let kind = |pairs: &[(BinValue, BinValue)]| match &pairs.first()?.1 .0 {
-        serde_json::Value::String(unit) => Some(unit.clone()),
-        serde_json::Value::Object(variant) => variant.keys().next().cloned(),
-        _ => None,
-    };
+    let kind =
+        |pairs: &[(TaggedBytes, TaggedBytes)]| match serde_json::from_str(&pairs.first()?.1.json())
+            .ok()?
+        {
+            serde_json::Value::String(unit) => Some(unit),
+            serde_json::Value::Object(variant) => variant.into_keys().next(),
+            _ => None,
+        };
     let mut seen = BTreeMap::new();
     for (key, broadcast) in &forms {
         if let Some(kind) = kind(&sends[key]) {
@@ -351,9 +356,10 @@ fn graph_coloring_priority_and_in_set_rounds_read_as_their_pairs() {
     for worker in 0..WORKERS {
         let bytes = fs.read_all(&worker_trace_path(ROOT, worker)).unwrap();
         for record in
-            decode_vertex_records::<BinValue, BinValue, BinValue, BinValue>(&bytes).unwrap()
+            decode_vertex_records::<TaggedBytes, TaggedBytes, TaggedBytes, TaggedBytes>(&bytes)
+                .unwrap()
         {
-            let key = (record.superstep, record.vertex.0.as_u64().unwrap());
+            let key = (record.superstep, record.vertex.text().parse::<u64>().unwrap());
             if record.incoming.is_empty()
                 && sends[&key].len() > 1
                 && kind(&sends[&key]).as_deref() == Some("Priority")

@@ -73,8 +73,8 @@ fn channel_records(fs: &Arc<dyn FileSystem>) -> Vec<Vec<(String, Vec<String>, bo
                 .iter()
                 .zip(inline)
                 .map(|(record, inline)| {
-                    let targets = record.edges.iter().map(|(t, _)| t.0.to_string()).collect();
-                    (record.vertex.0.to_string(), targets, inline)
+                    let targets = record.edges.iter().map(|(t, _)| t.json()).collect();
+                    (record.vertex.json(), targets, inline)
                 })
                 .collect()
         })
@@ -301,7 +301,7 @@ fn string_ids_and_edge_values_are_back_referenced() {
     for w in 0..WORKERS {
         let bytes = fs.read_all(&worker_trace_path(ROOT, w)).unwrap();
         let records: Vec<ErasedVertexTrace> = decode_vertex_records(&bytes).unwrap();
-        assert!(records.iter().all(|record| record.vertex.0.as_str().is_some()));
+        assert!(records.iter().all(|record| record.vertex.json().starts_with('"')));
         let mut scanner = FrameScanner::new(&bytes);
         let mut vertex_frames = 0;
         while let Some(frame) = scanner.next_frame().unwrap() {

@@ -17,7 +17,7 @@ use std::fmt::Debug;
 mod common;
 
 use common::{
-    broadcasting, gc_message, gc_value, mwm_message, mwm_value, random_f64, random_i64,
+    broadcasting, gc_message, gc_value, leaf, mwm_message, mwm_value, random_f64, random_i64,
     random_trace, random_u64, rw_value, Rng64,
 };
 use graft::trace::{
@@ -26,23 +26,19 @@ use graft::trace::{
 };
 use graft::VertexTrace;
 use graft_codec::frame::FrameScanner;
-use graft_codec::{to_bin_value, BinValue};
+use graft_codec::TaggedBytes;
 use graft_pregel::Edge;
 use rand::SeedableRng;
 use serde::Serialize;
-
-fn leaf<T: Serialize>(value: &T) -> BinValue {
-    to_bin_value(value).unwrap()
-}
 
 /// The reference's `outgoing`: a broadcast when there are sends, their
 /// targets encode as the edges' targets in edge order, and every message
 /// encodes as the first; the pairs otherwise.
 fn wire_outgoing(
-    edges: &[(BinValue, BinValue)],
-    pairs: Vec<(BinValue, BinValue)>,
-) -> WireOutgoing<Vec<(BinValue, BinValue)>, BinValue> {
-    let bytes = |value: &BinValue| graft_codec::to_vec(value).unwrap();
+    edges: &[(TaggedBytes, TaggedBytes)],
+    pairs: Vec<(TaggedBytes, TaggedBytes)>,
+) -> WireOutgoing<Vec<(TaggedBytes, TaggedBytes)>, TaggedBytes> {
+    let bytes = TaggedBytes::as_bytes;
     let along_edges = pairs.len() == edges.len()
         && pairs.iter().zip(edges).all(|((to, _), (target, _))| bytes(to) == bytes(target));
     match pairs.first() {
@@ -53,8 +49,9 @@ fn wire_outgoing(
     }
 }
 
-/// The reference: the typed record converted leaf by leaf into heap
-/// trees, as the capture path did before it encoded in one pass.
+/// The reference: the typed record converted leaf by leaf into the
+/// oracle's heap trees, as the capture path did before it encoded in one
+/// pass, and each tree's bytes read back as the leaf a reader holds.
 fn wire_vertex_trace<I, V, E, M>(trace: &VertexTrace<I, V, E, M>) -> WireVertexTrace
 where
     I: Serialize,

@@ -16,7 +16,7 @@ use graft_algorithms::components::ConnectedComponents;
 use graft_algorithms::pagerank::PageRank;
 use graft_algorithms::sssp::ShortestPaths;
 use graft_codec::frame::FrameScanner;
-use graft_codec::BinValue;
+use graft_codec::TaggedBytes;
 use graft_dfs::{ClusterFs, ClusterFsConfig, FileSystem};
 use graft_obs::{Obs, Scope};
 use graft_pregel::{
@@ -514,16 +514,17 @@ impl Computation for Mixed {
 /// it sent, with whether the engine vouched for the sends as one
 /// broadcast.
 struct Entry {
-    value: BinValue,
-    edges: Vec<(BinValue, BinValue)>,
+    value: TaggedBytes,
+    edges: Vec<(TaggedBytes, TaggedBytes)>,
     global: GlobalData,
     aggregators: Vec<(String, AggValue)>,
-    sends: Vec<(BinValue, BinValue)>,
+    sends: Vec<(TaggedBytes, TaggedBytes)>,
     vouched: bool,
 }
 
-fn erased<T: Serialize>(value: &T) -> BinValue {
-    graft_codec::to_bin_value(value).unwrap()
+/// `value` type-erased as a reader holds it: its JSON text, imported.
+fn erased<T: Serialize>(value: &T) -> TaggedBytes {
+    serde_json::from_slice(&serde_json::to_vec(value).unwrap()).unwrap()
 }
 
 /// Each compute call's [`Entry`], by `(superstep, vertex)`; a superstep
@@ -621,7 +622,7 @@ fn assert_versions_write_the_byte_rule<C>(
         let records: Vec<ErasedVertexTrace> = decode_vertex_records(&native).unwrap();
         let (mut writer, mut rebuilt) = (ChannelWriter::default(), Vec::new());
         for mut record in records {
-            let key = (record.superstep, record.vertex.0.as_u64().unwrap());
+            let key = (record.superstep, record.vertex.text().parse::<u64>().unwrap());
             *captured.entry(key).or_insert(0) += 1;
             let entry = &seen[&key];
             record.value_before = entry.value.clone();

@@ -7,14 +7,27 @@
 // Each test crate uses its own subset.
 #![allow(dead_code)]
 
+/// The tree-building oracle of the tagged encoding, shared with
+/// graft-codec's tests.
+#[path = "../../../codec/tests/oracle/mod.rs"]
+pub mod oracle;
+
 use graft::{CaptureReason, ExceptionInfo, VertexTrace, ViolationKind, ViolationRecord};
 use graft_algorithms::coloring::{GCMessage, GCState, GCValue};
 use graft_algorithms::matching::{MWMMessage, MWMValue};
 use graft_algorithms::random_walk::RWValue;
+use graft_codec::TaggedBytes;
 use graft_pregel::{AggValue, GlobalData};
 use rand::Rng;
 
 pub type Rng64 = rand::rngs::StdRng;
+
+/// The leaf a reader holds of `value`, built from the oracle's tree: its
+/// bytes, decoded.
+pub fn leaf<T: serde::Serialize + ?Sized>(value: &T) -> TaggedBytes {
+    let tree = oracle::to_bin_value(value).unwrap();
+    graft_codec::from_slice(&graft_codec::to_vec(&tree).unwrap()).unwrap()
+}
 
 pub fn random_f64(rng: &mut Rng64) -> f64 {
     match rng.gen_range(0..8u32) {

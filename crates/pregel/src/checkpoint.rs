@@ -50,7 +50,7 @@ pub enum RecoveryMode {
     /// Sender-side message logging plus confined recovery: only the
     /// failed partitions restore from the checkpoint and replay forward,
     /// fed by the survivors' logged outgoing batches, while survivors
-    /// stay parked at the current superstep. Falls back to [`Restart`]
+    /// stay parked at the current superstep. Falls back to [`RecoveryMode::Restart`]
     /// whenever the logs cannot prove an identical replay.
     LogReplay,
 }

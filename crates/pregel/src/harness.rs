@@ -8,7 +8,7 @@
 //! vertex (id, value, edges, incoming messages). Graft's context
 //! reproducer both calls this harness directly (in-process replay) and
 //! generates test source code that uses it. The harness builds its
-//! [`ComputeContext`](crate::ComputeContext) with a fresh staging buffer
+//! [`crate::ComputeContext`] with a fresh staging buffer
 //! (`ComputeContext::new`); only the engine's pooled workers use the
 //! buffer-recycling `with_buffer` constructor.
 //!

@@ -3,7 +3,7 @@
 //!
 //! The engine's working set — partition state and staged shuffle
 //! batches — normally lives entirely in memory. With a budget attached
-//! ([`crate::Engine::with_memory_budget`]) a [`SpillStore`] accounts
+//! ([`crate::Engine::with_memory_budget`]) a `SpillStore` accounts
 //! every partition's serialized footprint and every staged batch's
 //! serialized size against `budget_bytes`, spilling the least recently
 //! used unpinned partitions to `graft-dfs` segments when the budget
@@ -22,7 +22,7 @@
 //! ## Pin/evict lifecycle
 //!
 //! Workers pin their own partition for the duration of a compute or
-//! delivery phase (a [`PinGuard`] releases on drop, including during a
+//! delivery phase (a `PinGuard` releases on drop, including during a
 //! panic unwind, so an injected fault can never strand waiters).
 //! Pinned partitions are never evicted. A pin of a spilled partition
 //! evicts least-recently-used unpinned partitions until the load fits;
@@ -57,7 +57,7 @@
 //!
 //! The two parts concatenated are the partition's checkpoint file, which
 //! is how a checkpoint is taken under a budget
-//! ([`SpillStore::checkpoint_partitions`]): a spilled partition's files
+//! (`SpillStore::checkpoint_partitions`): a spilled partition's files
 //! are *copied* to `cp_<s>/part_<p>.ckpt` — no load, no decode, no
 //! encode. They cannot change until the partition is loaded, and a load
 //! needs the store lock the copy holds.

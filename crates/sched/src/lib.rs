@@ -17,7 +17,7 @@
 //!    than a lock. Accesses are checked FastTrack-style against the
 //!    happens-before graph the shims establish; unordered conflicting
 //!    accesses are reported with both source locations.
-//! 3. **Exploration** ([`explore`]): a cooperative token-passing
+//! 3. **Exploration** ([`mod@explore`]): a cooperative token-passing
 //!    scheduler serializes all participating threads and drives them
 //!    through N distinct interleavings (seeded random + PCT priority
 //!    strategies). A failing schedule — race, deadlock, panic, stall —
