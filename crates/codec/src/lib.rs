@@ -48,7 +48,7 @@ pub mod varint;
 pub use de::{from_slice, Deserializer};
 pub use error::{Error, Result};
 pub use ser::{framed_size, serialized_size, to_vec, Output, Serializer};
-pub use skim::{for_each_element, SkipSeq, SkipStr, SkipTagged};
+pub use skim::{for_each_element, SkipSeq, SkipStr, SkipTagged, TaggedText};
 pub use tagged::{write_interned, write_tagged, Interned, NameTable, Tagged};
 pub use value::TaggedBytes;
 

@@ -25,6 +25,7 @@ use serde::de::{
 use serde::ser::{SerializeMap, SerializeSeq};
 use serde::{Deserialize, Deserializer, Serialize, Serializer};
 
+use crate::skim::{render, Part};
 use crate::tagged::{
     fix_count, read_key, skip_value, sort_entries, write_str, TAG_ARRAY, TAG_BOOL, TAG_F64,
     TAG_I64, TAG_NULL, TAG_OBJECT, TAG_STR, TAG_U64,
@@ -63,7 +64,7 @@ pub(crate) const OBJECT_VARIANT: u32 = 7;
 /// tagged tree under GraftBin — context-free, or interned inside an
 /// [`crate::Interned`] — so a record read and written again is the same
 /// bytes.
-#[derive(Clone, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TaggedBytes(Vec<u8>);
 
 impl TaggedBytes {
@@ -73,24 +74,20 @@ impl TaggedBytes {
     }
 
     /// The text a view shows of the value: a string as itself, anything
-    /// else as compact JSON.
+    /// else as compact JSON ([`crate::TaggedText`]).
     pub fn text(&self) -> String {
-        if self.0[0] != TAG_STR {
-            return self.json();
-        }
-        let text = &self.0[read_key(&self.0, None, 1).0];
-        String::from_utf8(text.to_vec()).expect("a leaf's strings are UTF-8")
+        self.render(Part::Root)
     }
 
     /// The compact JSON text of the value.
     pub fn json(&self) -> String {
-        serde_json::to_string(self).expect("a leaf renders as JSON")
+        self.render(Part::Tree)
     }
-}
 
-impl fmt::Debug for TaggedBytes {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_tuple("TaggedBytes").field(&format_args!("{}", self.json())).finish()
+    fn render(&self, part: Part) -> String {
+        let text = render(&mut crate::Deserializer::new(&self.0), part);
+        String::from_utf8(text.expect("a leaf's bytes are a tree"))
+            .expect("JSON text of checked strings is UTF-8")
     }
 }
 
@@ -151,12 +148,6 @@ impl<'de> Visitor<'de> for Build<'_> {
     fn visit_unit<E: serde::de::Error>(self) -> Result<(), E> {
         self.out.push(TAG_NULL);
         Ok(())
-    }
-    fn visit_none<E: serde::de::Error>(self) -> Result<(), E> {
-        self.visit_unit()
-    }
-    fn visit_some<D: Deserializer<'de>>(self, deserializer: D) -> Result<(), D::Error> {
-        self.deserialize(deserializer)
     }
     fn visit_bool<E: serde::de::Error>(self, v: bool) -> Result<(), E> {
         scalar(self.out, &v)

@@ -121,11 +121,10 @@ pub fn debug_literal<T: std::fmt::Debug>(value: &T) -> String {
 /// their JSON rendering — readable, though the user may need to adjust
 /// them to their constructor syntax.
 pub fn json_literal(value: &TaggedBytes) -> String {
-    let json = value.json();
-    match serde_json::from_str::<Option<String>>(&json) {
-        Ok(None) => "()".to_string(),
-        Ok(Some(s)) => format!("{s:?}"),
-        Err(_) => json,
+    match value.json() {
+        json if json == "null" => "()".to_string(),
+        json if json.starts_with('"') => format!("{:?}", value.text()),
+        json => json,
     }
 }
 

@@ -126,6 +126,7 @@ use std::sync::Arc;
 use graft_codec::frame::{Frame, FrameScanner};
 use graft_codec::{
     for_each_element, Interned, NameTable, SkipSeq, SkipStr, SkipTagged, Tagged, TaggedBytes,
+    TaggedText,
 };
 use graft_dfs::FileSystem;
 use graft_pregel::hash::{FxHashMap, FxHasher};
@@ -1633,7 +1634,7 @@ pub(crate) fn violation_flag(kind: ViolationKind) -> u8 {
 /// field for field, as a [`WireVertexTrace`] — so it is a valid head
 /// exactly when it is a valid record — but every tree and string is
 /// checked and dropped (`graft_codec`'s `Skip*` types) instead of built,
-/// and the vertex id is read as its leaf and rendered. An edge
+/// and the vertex id is rendered as it is read ([`TaggedText`]). An edge
 /// reference is read, not followed. The superstep is the group's.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct VertexHead {
@@ -1819,9 +1820,9 @@ pub enum RowView {
 ///
 /// [`VertexChannel::digest`] skims a binary vertex payload for them the
 /// way [`VertexChannel::head`] does — the same decoder calls, field for
-/// field, so it succeeds exactly when the record decodes — reading each
-/// kept tree as its leaf and rendering it ([`TaggedBytes::text`]), and
-/// dropping messages, aggregators and violation details unread.
+/// field, so it succeeds exactly when the record decodes — rendering each
+/// kept tree to text as it is read ([`TaggedText`]) and dropping
+/// messages, aggregators and violation details unread.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RowDigest {
     /// The vertex id, rendered.
@@ -1938,7 +1939,7 @@ impl<'a> VertexChannel<'a> {
     /// Skims a vertex payload for what a walk checks of it.
     fn skim(&self, payload: &[u8], group: Option<&IndexRecord>) -> graft_codec::Result<Skim> {
         let mut reader = self.reader(payload);
-        let (superstep, vertex, id) = reader.front::<TaggedBytes>()?;
+        let (superstep, TaggedText(vertex), id) = reader.front()?;
         let before = reader.skip_values()?;
         let edges = match reader.field::<WireEdges<SkipSeq<(SkipTagged, SkipTagged)>>>()? {
             WireEdges::Inline(list) => WireEdges::Inline(list.len),
@@ -1951,7 +1952,7 @@ impl<'a> VertexChannel<'a> {
             None => self.group(group)?.superstep,
         };
         Ok(Skim {
-            head: VertexHead { superstep, vertex: vertex.text(), flags: listing.flags },
+            head: VertexHead { superstep, vertex, flags: listing.flags },
             id,
             edges,
             broadcast,
@@ -1972,13 +1973,13 @@ impl<'a> VertexChannel<'a> {
     ) -> graft_codec::Result<RowDigest> {
         let with_edges = view == RowView::NodeLink;
         let mut reader = self.reader(payload);
-        let (_, vertex, id) = reader.front::<TaggedBytes>()?;
+        let (_, TaggedText(vertex), id) = reader.front()?;
         let value_before = match view {
-            RowView::Tabular => Some(reader.value_before::<TaggedBytes>()?),
+            RowView::Tabular => Some(reader.value_before::<TaggedText>()?),
             RowView::NodeLink => reader.value_before::<SkipTagged>().map(|_| None)?,
         };
-        let value_after: TaggedBytes = reader.field()?;
-        let edges: WireEdges<Vec<(TaggedBytes, TaggedBytes)>> = if with_edges {
+        let TaggedText(value_after) = reader.field()?;
+        let edges: WireEdges<Vec<(TaggedText, TaggedText)>> = if with_edges {
             reader.field()?
         } else {
             reader.field::<WireEdges<SkipSeq<(SkipTagged, SkipTagged)>>>()?;
@@ -1990,7 +1991,7 @@ impl<'a> VertexChannel<'a> {
             None => self.group(group)?.global,
         };
         let value_before = match value_before {
-            Some(value) => self.value(value, before, &payload[id.clone()])?.text(),
+            Some(value) => self.value(value, before, &payload[id.clone()])?.0,
             None => String::new(),
         };
         let edges = self.resolve(edges, &payload[id])?;
@@ -1998,10 +1999,10 @@ impl<'a> VertexChannel<'a> {
             check_broadcast(listing.outgoing, edges.len())?;
         }
         Ok(RowDigest {
-            vertex: vertex.text(),
+            vertex,
             value_before,
-            value_after: value_after.text(),
-            edges: edges.iter().map(|(target, value)| (target.text(), value.text())).collect(),
+            value_after,
+            edges: edges.into_iter().map(|(target, value)| (target.0, value.0)).collect(),
             incoming: listing.incoming,
             outgoing: listing.outgoing,
             global,
