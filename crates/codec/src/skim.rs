@@ -140,9 +140,8 @@ impl<'de> Deserialize<'de> for SkipTagged {
 
 /// Stands for a [`crate::TaggedBytes`] of which only the rendering is
 /// wanted: the text of a string node, the compact JSON text of any other
-/// — `serde_json`'s text of the tree, written as the nodes are read. It
-/// is the one renderer of a tagged tree: a leaf's text is its bytes read
-/// as a `TaggedText` ([`crate::TaggedBytes::text`]).
+/// — `serde_json`'s text of the tree, written as the nodes are read:
+/// the text [`crate::TaggedBytes::text`] gives of the tree's leaf.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TaggedText(pub String);
 
@@ -164,10 +163,7 @@ impl<'de> Deserialize<'de> for EntryText {
     }
 }
 
-pub(crate) fn render<'de, D: Deserializer<'de>>(
-    deserializer: D,
-    part: Part,
-) -> Result<Vec<u8>, D::Error> {
+fn render<'de, D: Deserializer<'de>>(deserializer: D, part: Part) -> Result<Vec<u8>, D::Error> {
     let mut out = Vec::new();
     Render { out: &mut out, part }.deserialize(deserializer)?;
     Ok(out)
@@ -175,7 +171,7 @@ pub(crate) fn render<'de, D: Deserializer<'de>>(
 
 /// The part of a tagged tree a [`Render`] reads next.
 #[derive(Clone, Copy, PartialEq)]
-pub(crate) enum Part {
+enum Part {
     /// A tree whose root, if a string, is written bare.
     Root,
     Tree,

@@ -25,7 +25,6 @@ use serde::de::{
 use serde::ser::{SerializeMap, SerializeSeq};
 use serde::{Deserialize, Deserializer, Serialize, Serializer};
 
-use crate::skim::{render, Part};
 use crate::tagged::{
     fix_count, read_key, skip_value, sort_entries, write_str, TAG_ARRAY, TAG_BOOL, TAG_F64,
     TAG_I64, TAG_NULL, TAG_OBJECT, TAG_STR, TAG_U64,
@@ -74,20 +73,18 @@ impl TaggedBytes {
     }
 
     /// The text a view shows of the value: a string as itself, anything
-    /// else as compact JSON ([`crate::TaggedText`]).
+    /// else as compact JSON.
     pub fn text(&self) -> String {
-        self.render(Part::Root)
+        if self.0[0] != TAG_STR {
+            return self.json();
+        }
+        let text = &self.0[read_key(&self.0, None, 1).0];
+        String::from_utf8(text.to_vec()).expect("a leaf's strings are UTF-8")
     }
 
     /// The compact JSON text of the value.
     pub fn json(&self) -> String {
-        self.render(Part::Tree)
-    }
-
-    fn render(&self, part: Part) -> String {
-        let text = render(&mut crate::Deserializer::new(&self.0), part);
-        String::from_utf8(text.expect("a leaf's bytes are a tree"))
-            .expect("JSON text of checked strings is UTF-8")
+        serde_json::to_string(self).expect("a leaf renders as JSON")
     }
 }
 
